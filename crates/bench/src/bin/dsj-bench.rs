@@ -14,10 +14,9 @@
 //!
 //! Micro rows report steady-state ns/op for the per-tuple primitives;
 //! `macro.simnet` rows report end-to-end tuples/sec through the
-//! simulator, and `macro.tcp_mesh` / `macro.tcp_reactor` rows the same
-//! over live loopback TCP in both socket topologies. See DESIGN.md §7
-//! for what each row measures and how the `BENCH_*.json` trajectory is
-//! meant to be read across PRs.
+//! simulator, and `macro.tcp_reactor` rows the same over live loopback
+//! TCP. See DESIGN.md §7 for what each row measures and how the
+//! `BENCH_*.json` trajectory is meant to be read across PRs.
 
 use dsj_bench::hotpath::{self, BenchRecord};
 

@@ -15,10 +15,8 @@
 //!   schedule, run to quiescence; the timed region covers node
 //!   construction, injection and the entire simulation loop, while
 //!   workload *generation* and ground-truth accounting are excluded —
-//!   runner-side costs, not system costs. `macro.tcp_mesh` /
-//!   `macro.tcp_reactor` run the live TCP backends (per-link-thread
-//!   mesh vs sharded reactor) interleaved at the same sizes, timing
-//!   first arrival to quiescence.
+//!   runner-side costs, not system costs. `macro.tcp_reactor` runs the
+//!   live TCP backend, timing first arrival to quiescence.
 //!
 //! Wall clocks are confined to this module (it is on the `dsj-lint`
 //! timing allowlist); nothing here feeds reproduced results.
@@ -28,7 +26,7 @@ use dsj_core::wire::{FrameBatch, FrameDecoder};
 use dsj_core::{Algorithm, ClusterConfig, Msg};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::{ControlVector, SlidingDft};
-use dsj_runtime::{Pacing, TcpCluster, TcpMode};
+use dsj_runtime::TcpCluster;
 use dsj_simnet::{SimDuration, SimTime, Simulation};
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::gen::{ArrivalGen, WorkloadKind};
@@ -356,25 +354,19 @@ pub fn bench_macro_simnet(algorithm: Algorithm, n: u16, tuples: usize) -> BenchR
     }
 }
 
-/// Macro: end-to-end tuples/sec over real loopback TCP sockets in the
-/// given [`TcpMode`]. Emitted as `macro.tcp_mesh` (per-link-thread
-/// baseline) or `macro.tcp_reactor` (sharded event loop, coalesced
-/// vectored writes); running both interleaved on the same host is how
-/// the reactor's scaling claim is measured. Throughput covers first
-/// arrival to quiescence; socket setup is excluded.
-pub fn bench_macro_tcp(algorithm: Algorithm, n: u16, tuples: usize, mode: TcpMode) -> BenchRecord {
+/// Macro: end-to-end tuples/sec over real loopback TCP sockets (sharded
+/// event loop, coalesced vectored writes), emitted as
+/// `macro.tcp_reactor`. Throughput covers first arrival to quiescence;
+/// socket setup is excluded.
+pub fn bench_macro_tcp(algorithm: Algorithm, n: u16, tuples: usize) -> BenchRecord {
     let cfg = ClusterConfig::new(n, algorithm).tuples(tuples);
-    let outcome = TcpCluster::run_paced_mode(&cfg, Pacing::Freerun, mode)
+    let outcome = TcpCluster::run(&cfg)
         // dsj-lint: allow(panic) — a bench row without a cluster outcome is meaningless; aborting the suite (fd limit, port exhaustion) beats recording a lie
         .expect("tcp macro bench: cluster run failed (check `ulimit -n` for large N)");
     black_box(outcome.reported_matches);
     let wall = outcome.wall_time.as_secs_f64();
-    let bench = match mode {
-        TcpMode::ThreadPerLink => "macro.tcp_mesh",
-        TcpMode::Reactor => "macro.tcp_reactor",
-    };
     BenchRecord {
-        bench: bench.into(),
+        bench: "macro.tcp_reactor".into(),
         strategy: Some(algorithm.label()),
         n: Some(n),
         ns_per_op: Some(wall * 1e9 / tuples as f64),
@@ -503,34 +495,19 @@ pub fn run_suite(quick: bool, only: Option<&str>) -> Vec<BenchRecord> {
             }
         }
     }
-    // Live TCP macro rows: mesh and reactor interleaved at each size so
-    // the comparison shares host conditions. BASE (broadcast, message
-    // bound) and DFTT (summary bound) bracket the traffic shapes. The
-    // mesh tops out at N=64: at N=128 its O(N²) directed links need
-    // ~32.5k fds, past typical limits — which is the point; the reactor's
-    // pair topology (N(N−1)/2 sockets) runs N=128 on its own row.
-    let tcp_ns: &[u16] = if quick { &[4, 16] } else { &[4, 16, 32, 64] };
-    let tcp_algos = [Algorithm::Base, Algorithm::Dftt];
-    for &n in tcp_ns {
-        let t = if n >= 64 { tuples / 2 } else { tuples };
-        for algorithm in tcp_algos {
-            if wanted("macro.tcp_mesh", Some(algorithm.label())) {
-                records.push(bench_macro_tcp(algorithm, n, t, TcpMode::ThreadPerLink));
-            }
+    // Live TCP macro rows as (N, schedule divisor): BASE (broadcast,
+    // message bound) and DFTT (summary bound) bracket the traffic shapes;
+    // the pair topology (N(N−1)/2 sockets) keeps N=128 inside typical fd
+    // limits.
+    let tcp_cells: &[(u16, usize)] = if quick {
+        &[(4, 1), (16, 1)]
+    } else {
+        &[(4, 1), (16, 1), (32, 1), (64, 2), (128, 4)]
+    };
+    for &(n, shrink) in tcp_cells {
+        for algorithm in [Algorithm::Base, Algorithm::Dftt] {
             if wanted("macro.tcp_reactor", Some(algorithm.label())) {
-                records.push(bench_macro_tcp(algorithm, n, t, TcpMode::Reactor));
-            }
-        }
-    }
-    if !quick {
-        for algorithm in tcp_algos {
-            if wanted("macro.tcp_reactor", Some(algorithm.label())) {
-                records.push(bench_macro_tcp(
-                    algorithm,
-                    128,
-                    tuples / 4,
-                    TcpMode::Reactor,
-                ));
+                records.push(bench_macro_tcp(algorithm, n, tuples / shrink));
             }
         }
     }

@@ -23,7 +23,7 @@
 //! precision).
 
 use dsj_core::{Algorithm, ClusterConfig};
-use dsj_runtime::{LiveCluster, LoadRun, OpenLoop, TcpCluster, TcpMode};
+use dsj_runtime::{LiveCluster, LoadRun, OpenLoop, TcpCluster};
 use dsj_stream::gen::Scenario;
 use dsj_stream::trace::Trace;
 
@@ -41,8 +41,6 @@ const SEED: u64 = 42;
 pub enum LoadBackend {
     /// In-process node threads over crossbeam channels.
     Threads,
-    /// Loopback TCP, one thread per link.
-    TcpMesh,
     /// Loopback TCP, sharded event-loop reactor.
     TcpReactor,
 }
@@ -52,7 +50,6 @@ impl LoadBackend {
     pub fn label(&self) -> &'static str {
         match self {
             LoadBackend::Threads => "threads",
-            LoadBackend::TcpMesh => "tcp_mesh",
             LoadBackend::TcpReactor => "tcp_reactor",
         }
     }
@@ -61,10 +58,7 @@ impl LoadBackend {
     fn run(&self, cfg: &ClusterConfig, spec: &OpenLoop) -> Option<LoadRun> {
         let run = match self {
             LoadBackend::Threads => LiveCluster::run_open_loop(cfg, spec),
-            LoadBackend::TcpMesh => {
-                TcpCluster::run_open_loop_mode(cfg, spec, TcpMode::ThreadPerLink)
-            }
-            LoadBackend::TcpReactor => TcpCluster::run_open_loop_mode(cfg, spec, TcpMode::Reactor),
+            LoadBackend::TcpReactor => TcpCluster::run_open_loop(cfg, spec),
         };
         // A faulted probe (socket exhaustion, node panic) is treated as
         // unsustainable rather than aborting the whole matrix.
@@ -146,7 +140,7 @@ pub struct LoadRow {
     pub scenario: &'static str,
     /// Strategy label (`BASE`/`BLOOM`/`SKCH`/`DFT`/`DFTT`).
     pub strategy: &'static str,
-    /// Backend label (`threads`/`tcp_mesh`/`tcp_reactor`).
+    /// Backend label (`threads`/`tcp_reactor`).
     pub backend: &'static str,
     /// Cluster size.
     pub n: u16,

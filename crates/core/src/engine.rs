@@ -7,20 +7,19 @@
 //! [`NodeEngine`] owns that loop once; backends implement [`Transport`]
 //! (send / poll / clock / quiescence) and nothing else.
 //!
-//! Four transports exist:
+//! Three transports exist:
 //!
 //! | backend  | where | send | clock |
 //! |---|---|---|---|
 //! | simnet   | `dsj-core` (here) | [`Ctx::send`], modeled WAN | virtual |
 //! | threads  | `dsj-runtime::LiveCluster` | crossbeam channels | wall |
-//! | TCP mesh | `dsj-runtime::TcpCluster` (`ThreadPerLink`) | framed loopback sockets, reader thread per link | wall |
-//! | TCP reactor | `dsj-runtime::TcpCluster` (`Reactor`) | framed loopback sockets, sharded nonblocking reactor, coalesced vectored writes | wall |
+//! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets, sharded nonblocking reactor, coalesced vectored writes | wall |
 //!
 //! The engine is deliberately thin: [`JoinNode`] stays transport-agnostic
 //! and allocation-free on its per-tuple path, and the engine adds only the
 //! fan-out of produced messages into the transport. The cross-backend
 //! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
-//! four backends produce identical per-node metrics and match digests for
+//! three backends produce identical per-node metrics and match digests for
 //! the same seed when driven in lockstep.
 
 use crate::msg::Msg;

@@ -194,11 +194,9 @@ pub const DETERMINISTIC_PATHS: [&str; 4] = [
 
 /// Modules allowed to read wall clocks: observability timers and
 /// benchmark/live-runtime measurement code.
-pub const WALL_CLOCK_ALLOWLIST: [&str; 7] = [
+pub const WALL_CLOCK_ALLOWLIST: [&str; 5] = [
     "crates/core/src/obs.rs",
-    "crates/runtime/src/cluster.rs",
     "crates/runtime/src/harness.rs",
-    "crates/runtime/src/tcp.rs",
     "crates/bench/src/table1.rs",
     "crates/bench/src/suite.rs",
     "crates/bench/src/hotpath.rs",

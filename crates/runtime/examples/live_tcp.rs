@@ -1,25 +1,21 @@
 //! Runs the distributed join over real loopback TCP sockets.
 //!
 //! ```text
-//! cargo run --release -p dsj-runtime --example live_tcp -- [N] [TUPLES] [ALGO] [PACING] [MODE]
+//! cargo run --release -p dsj-runtime --example live_tcp -- [N] [TUPLES] [ALGO] [PACING]
 //! ```
 //!
 //! `N` defaults to 4 nodes, `TUPLES` to 20 000, `ALGO` to `dftt`
 //! (one of `base|dft|dftt|bloom|sketch`), `PACING` to `freerun`
 //! (`lockstep` drains the cluster between arrivals and reproduces the
-//! deterministic simulation's results exactly), `MODE` to `mesh`
-//! (`reactor` selects the sharded event-driven transport — required
-//! for N ≳ 100, where the mesh's O(N²) sockets exhaust the fd limit;
-//! see the README's "large clusters" note).
+//! deterministic simulation's results exactly). Large `N` needs a
+//! matching fd limit; see the README's "large clusters" note.
 
 use dsj_core::{Algorithm, ClusterConfig};
-use dsj_runtime::{Pacing, TcpCluster, TcpMode};
+use dsj_runtime::{Pacing, TcpCluster};
 use dsj_stream::gen::WorkloadKind;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: live_tcp [N] [TUPLES] [base|dft|dftt|bloom|sketch] [freerun|lockstep] [mesh|reactor]"
-    );
+    eprintln!("usage: live_tcp [N] [TUPLES] [base|dft|dftt|bloom|sketch] [freerun|lockstep]");
     std::process::exit(2);
 }
 
@@ -46,11 +42,9 @@ fn main() {
         Some("lockstep") => Pacing::Lockstep,
         Some(_) => usage(),
     };
-    let mode = match args.get(4).map(String::as_str) {
-        None | Some("mesh") => TcpMode::ThreadPerLink,
-        Some("reactor") => TcpMode::Reactor,
-        Some(_) => usage(),
-    };
+    if args.len() > 4 {
+        usage();
+    }
 
     let cfg = ClusterConfig::new(n, algorithm)
         .window(512)
@@ -58,10 +52,10 @@ fn main() {
         .tuples(tuples)
         .workload(WorkloadKind::Zipf { alpha: 0.4 })
         .seed(1);
-    match TcpCluster::run_paced_mode(&cfg, pacing, mode) {
+    match TcpCluster::run_paced(&cfg, pacing) {
         Ok(outcome) => {
             println!(
-                "{algorithm} over TCP: {n} nodes x {tuples} tuples ({pacing:?}, {mode:?})\n\
+                "{algorithm} over TCP: {n} nodes x {tuples} tuples ({pacing:?})\n\
                  matches {}/{} (epsilon {:.4}), {} messages, {:.0} tuples/s in {:.2?}",
                 outcome.reported_matches,
                 outcome.truth_matches,

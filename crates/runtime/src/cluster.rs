@@ -1,15 +1,14 @@
 //! One OS thread per node, crossbeam channels as links.
 
-use crate::harness::{self, Pacing, Shared};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::harness::{self, Inbox, Pacing};
+use crossbeam::channel::Sender;
 use dsj_core::obs;
-use dsj_core::{ClusterConfig, Msg, NodeEngine, NodeMetrics, Transport, TransportEvent};
-use dsj_stream::gen::Arrival;
+use dsj_core::{ClusterConfig, Msg, NodeMetrics, Transport, TransportEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Error raised when the live cluster fails to run to completion.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,8 +102,7 @@ impl From<dsj_core::RunError> for LiveError {
 /// cross-backend equivalence fingerprint (backends legitimately differ
 /// here while producing identical joins).
 ///
-/// All zeros on backends without a byte-level transport (channels) or
-/// without write coalescing (per-link-thread TCP).
+/// All zeros on backends without a byte-level transport (channels).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransportStats {
     /// Wire frames this node fully wrote to its peers.
@@ -157,14 +155,13 @@ pub struct LiveOutcome {
     pub tuples_per_sec: f64,
 }
 
-/// [`Transport`] over in-process crossbeam channels: one receiver per
-/// node, a clone of every peer's sender.
+/// [`Transport`] over in-process crossbeam channels: the node's own
+/// [`Inbox`] plus a clone of every peer's sender.
 pub(crate) struct ChannelTransport {
     me: u16,
-    rx: Receiver<TransportEvent>,
+    inbox: Inbox,
     peers: Vec<Sender<TransportEvent>>,
     in_flight: Arc<AtomicI64>,
-    epoch: Instant,
 }
 
 impl Transport for ChannelTransport {
@@ -183,31 +180,19 @@ impl Transport for ChannelTransport {
     }
 
     fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        self.rx.recv().map_err(|_| LiveError::ChannelClosed)
+        self.inbox.poll()
     }
 
     fn poll_frame(&mut self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
-        // Block for the first event, then drain whatever else is already
-        // queued — the backlog a fast feeder or chatty peer built up while
-        // this node was busy becomes one frame instead of `max` lock
-        // round-trips through the run loop.
-        frame.push(self.rx.recv().map_err(|_| LiveError::ChannelClosed)?);
-        while frame.len() < max {
-            match self.rx.try_recv() {
-                Some(event) => frame.push(event),
-                None => break,
-            }
-        }
-        Ok(())
+        self.inbox.poll_frame(max, frame)
     }
 
     fn now_us(&mut self) -> u64 {
-        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
-        self.epoch.elapsed().as_micros() as u64
+        self.inbox.now_us()
     }
 
     fn quiesce(&mut self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.inbox.quiesce();
     }
 }
 
@@ -242,8 +227,7 @@ impl LiveCluster {
     ///
     /// As for [`LiveCluster::run`].
     pub fn run_paced(cfg: &ClusterConfig, pacing: Pacing) -> Result<LiveOutcome, LiveError> {
-        let (mut reg, arrivals, truth_matches, spawned) = Self::spawn(cfg)?;
-        harness::drive(cfg, pacing, &mut reg, &arrivals, truth_matches, spawned)
+        harness::drive(cfg, pacing, Self::spawn(cfg)?)
     }
 
     /// Runs the configuration's workload open-loop: arrivals are injected
@@ -259,58 +243,22 @@ impl LiveCluster {
         cfg: &ClusterConfig,
         spec: &harness::OpenLoop,
     ) -> Result<harness::LoadRun, LiveError> {
-        let (mut reg, arrivals, truth_matches, spawned) = Self::spawn(cfg)?;
-        harness::drive_open(cfg, spec, &mut reg, &arrivals, truth_matches, spawned)
+        harness::drive_open(cfg, spec, Self::spawn(cfg)?)
     }
 
-    /// Validates `cfg`, generates its schedule and spawns the node
-    /// threads over channel transports — everything up to (but not
-    /// including) feeding, shared by the closed- and open-loop entry
-    /// points.
-    #[allow(clippy::type_complexity)]
-    fn spawn(
-        cfg: &ClusterConfig,
-    ) -> Result<(obs::Registry, Vec<Arrival>, u64, harness::Spawned), LiveError> {
-        cfg.validate()?;
-        let mut reg = obs::Registry::default();
-        let n = cfg.n;
-        let (arrivals, truth_matches) =
-            reg.time_phase("workload", || (cfg.arrivals(), cfg.ground_truth_matches()));
-
-        let spawn_started = Instant::now();
-        let shared = Shared::new();
-        // One channel per node; every transport gets every sender.
-        let mut senders: Vec<Sender<TransportEvent>> = Vec::with_capacity(n as usize);
-        let mut receivers: Vec<Receiver<TransportEvent>> = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mut handles = Vec::with_capacity(n as usize);
-        for me in 0..n {
-            let transport = ChannelTransport {
-                me,
-                rx: receivers[me as usize].clone(),
-                peers: senders.clone(),
-                in_flight: Arc::clone(&shared.in_flight),
-                epoch: shared.epoch,
-            };
-            let engine = NodeEngine::new(cfg.build_node(me));
-            handles.push(harness::spawn_node(engine, transport, &shared));
-        }
-        reg.phase_add("spawn", spawn_started.elapsed());
-        Ok((
-            reg,
-            arrivals,
-            truth_matches,
-            harness::Spawned {
-                shared,
-                senders,
-                handles,
-                finish: None,
-            },
-        ))
+    /// Prepares the run and spawns the node threads over channel
+    /// transports (every transport gets every sender) — everything up to
+    /// (but not including) feeding, shared by the closed- and open-loop
+    /// entry points.
+    pub(crate) fn spawn(cfg: &ClusterConfig) -> Result<harness::Run, LiveError> {
+        let mut run = harness::prepare(cfg)?;
+        run.spawn_nodes(cfg, |run, me, inbox| ChannelTransport {
+            me,
+            inbox,
+            peers: run.senders.clone(),
+            in_flight: Arc::clone(&run.shared.in_flight),
+        });
+        Ok(run)
     }
 }
 

@@ -5,14 +5,17 @@
 //! move: one OS thread per node running [`NodeEngine::run`] over its
 //! transport, a feeder injecting the arrival schedule, an in-flight event
 //! counter for quiescence detection, and the final aggregation into a
-//! [`LiveOutcome`]. That shared half lives here; the backends only
-//! construct their transports and hand the pieces over to the driver.
+//! [`LiveOutcome`]. That shared half lives here — down to the receive
+//! side of the transports, which is the same event queue on every backend
+//! ([`Inbox`]); the backends only implement `send`/`flush` and spawn their
+//! nodes into the [`Run`] that [`prepare`] hands them.
 //!
 //! # Driver / feeder split
 //!
-//! The run lifecycle — spawn → feed → quiesce → join → aggregate — is one
-//! backend-independent driver ([`drive_with`]) parameterized by a
-//! [`Feeder`], the policy for *when* each arrival is injected:
+//! The run lifecycle — prepare → spawn → feed → quiesce → join →
+//! aggregate — is one backend-independent driver ([`drive_with`])
+//! parameterized by a [`Feeder`], the policy for *when* each arrival is
+//! injected:
 //!
 //! * [`ClosedLoop`] waits for the cluster: [`Pacing::Freerun`] caps the
 //!   in-flight backlog, [`Pacing::Lockstep`] drains to zero between
@@ -36,7 +39,7 @@
 //! idle.
 
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
-use crossbeam::channel::Sender;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use dsj_core::obs;
 use dsj_core::{ClusterConfig, NodeEngine, NodeMetrics, Transport, TransportEvent};
 use dsj_stream::gen::Arrival;
@@ -146,6 +149,19 @@ impl Shared {
         }
     }
 
+    /// Queues a feeder's `event` on `tx` under the contract the quiescence
+    /// counter depends on: count it in flight *before* it becomes visible,
+    /// and give the count back if the queue is gone — a counted event
+    /// nobody can process would wedge the drain loop forever.
+    fn inject(&self, tx: &Sender<TransportEvent>, event: TransportEvent) -> Result<(), LiveError> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if tx.send(event).is_err() {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return Err(self.failure().unwrap_or(LiveError::ChannelClosed));
+        }
+        Ok(())
+    }
+
     /// All reported failures so far, deduplicated by ([`LiveError::kind_key`])
     /// node and kind in first-seen order: `None` when the run is clean, the
     /// lone error when exactly one distinct failure was reported, and
@@ -220,24 +236,44 @@ fn record_transport(reg: &mut obs::Registry, me: u16, t: &TransportStats) {
     );
 }
 
-/// Spawns a node thread: the engine's drive loop over `transport`, with
-/// failures reported through the shared state.
-pub(crate) fn spawn_node<T>(
-    engine: NodeEngine,
-    mut transport: T,
-    shared: &Shared,
-) -> JoinHandle<NodeEngine>
-where
-    T: Transport<Error = LiveError> + Send + 'static,
-{
-    let failures = Arc::clone(&shared.failures);
-    thread::spawn(move || {
-        let mut engine = engine;
-        if let Err(e) = engine.run(&mut transport) {
-            failures.lock().push(e);
+/// The receive half every live transport embeds: one node's event queue
+/// (feeder arrivals, peer traffic — handed over in-process or decoded off
+/// a socket — and shutdown all land here), the cluster's wall clock and
+/// the quiescence decrement. Backends differ only in `send`/`flush`.
+pub(crate) struct Inbox {
+    rx: Receiver<TransportEvent>,
+    in_flight: Arc<AtomicI64>,
+    epoch: Instant,
+}
+
+impl Inbox {
+    pub fn poll(&self) -> Result<TransportEvent, LiveError> {
+        self.rx.recv().map_err(|_| LiveError::ChannelClosed)
+    }
+
+    /// Blocks for the first event, then drains whatever else is already
+    /// queued — the backlog a fast feeder or chatty peer built up while
+    /// this node was busy becomes one frame instead of `max` lock
+    /// round-trips through the run loop.
+    pub fn poll_frame(&self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
+        frame.push(self.poll()?);
+        while frame.len() < max {
+            match self.rx.try_recv() {
+                Some(event) => frame.push(event),
+                None => break,
+            }
         }
-        engine
-    })
+        Ok(())
+    }
+
+    pub fn now_us(&self) -> u64 {
+        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    pub fn quiesce(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Backend-provided teardown hook: runs after the node threads have
@@ -246,31 +282,96 @@ where
 /// per-node [`TransportStats`] for the outcome.
 pub(crate) type FinishHook = Box<dyn FnOnce() -> Vec<TransportStats> + Send>;
 
-/// A spawned (but not yet fed) live cluster, backend-independent from
-/// here on: per-node event queues (arrivals and shutdown go this way on
-/// every backend), node threads in id order, and the shared run state.
-pub(crate) struct Spawned {
+/// One live run, backend-independent: [`prepare`] fills in the workload
+/// and the per-node event queues (arrivals and shutdown go this way on
+/// every backend), the backend spawns its node threads into it, and
+/// [`drive`] / [`drive_open`] consume it.
+pub(crate) struct Run {
+    reg: obs::Registry,
+    arrivals: Vec<Arrival>,
+    truth_matches: u64,
+    /// When [`prepare`] returned; everything until the driver takes over
+    /// is the `"spawn"` phase.
+    spawn_started: Instant,
     /// Shared feeder/node/reader state.
     pub shared: Shared,
     /// Per-node event queues.
     pub senders: Vec<Sender<TransportEvent>>,
+    /// The queues' receive halves, until the nodes are spawned.
+    inboxes: Vec<Inbox>,
     /// Node threads, in id order.
-    pub handles: Vec<JoinHandle<NodeEngine>>,
+    handles: Vec<JoinHandle<NodeEngine>>,
     /// Transport teardown + stats collection; `None` for backends with
     /// nothing to report.
     pub finish: Option<FinishHook>,
+}
+
+/// Validates `cfg`, generates its schedule and ground truth (the
+/// `"workload"` phase) and opens one event queue per node — everything
+/// every backend does before its first transport exists.
+///
+/// # Errors
+///
+/// [`LiveError::Config`] for configurations [`ClusterConfig::validate`]
+/// rejects.
+pub(crate) fn prepare(cfg: &ClusterConfig) -> Result<Run, LiveError> {
+    cfg.validate()?;
+    let mut reg = obs::Registry::default();
+    let (arrivals, truth_matches) =
+        reg.time_phase("workload", || (cfg.arrivals(), cfg.ground_truth_matches()));
+    let shared = Shared::new();
+    let (senders, inboxes) = (0..cfg.n)
+        .map(|_| {
+            let (tx, rx) = unbounded();
+            let inbox = Inbox {
+                rx,
+                in_flight: Arc::clone(&shared.in_flight),
+                epoch: shared.epoch,
+            };
+            (tx, inbox)
+        })
+        .unzip();
+    Ok(Run {
+        reg,
+        arrivals,
+        truth_matches,
+        spawn_started: Instant::now(),
+        shared,
+        senders,
+        inboxes,
+        handles: Vec::new(),
+        finish: None,
+    })
+}
+
+impl Run {
+    /// Spawns every node's thread, in id order: the engine's drive loop
+    /// over the transport `build` wraps around the node's [`Inbox`], with
+    /// failures reported through the shared state.
+    pub fn spawn_nodes<T>(&mut self, cfg: &ClusterConfig, build: impl Fn(&Run, u16, Inbox) -> T)
+    where
+        T: Transport<Error = LiveError> + Send + 'static,
+    {
+        for (me, inbox) in (0..).zip(std::mem::take(&mut self.inboxes)) {
+            let mut transport = build(self, me, inbox);
+            let mut engine = NodeEngine::new(cfg.build_node(me));
+            let failures = Arc::clone(&self.shared.failures);
+            self.handles.push(thread::spawn(move || {
+                if let Err(e) = engine.run(&mut transport) {
+                    failures.lock().push(e);
+                }
+                engine
+            }));
+        }
+    }
 }
 
 /// Injection policy: *when* each scheduled arrival enters the cluster.
 /// The driver owns everything around the feed (spawn, quiesce, join,
 /// aggregate); a feeder owns only the injection loop.
 pub(crate) trait Feeder {
-    /// Injects `arrivals` into the per-node queues.
-    ///
-    /// The contract the quiescence counter depends on: increment
-    /// `shared.in_flight` *before* a successful send, and give the
-    /// increment back if the send fails — a counted event that never
-    /// became visible would wedge the drain loop forever.
+    /// Injects `arrivals` into the per-node queues, each through
+    /// [`Shared::inject`].
     ///
     /// # Errors
     ///
@@ -331,17 +432,10 @@ impl Feeder for ClosedLoop {
                 backoff.wait();
             }
             backoff.reset();
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            if senders[a.node as usize]
-                .send(TransportEvent::Arrival(a.tuple()))
-                .is_err()
-            {
-                // The arrival never became visible — give its increment
-                // back, or a concurrent reader would wait on a count that
-                // can no longer drain.
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(shared.failure().unwrap_or(LiveError::ChannelClosed));
-            }
+            shared.inject(
+                &senders[a.node as usize],
+                TransportEvent::Arrival(a.tuple()),
+            )?;
         }
         Ok(FeedReport {
             injected: arrivals.len(),
@@ -414,19 +508,11 @@ impl Feeder for OpenLoopFeeder {
                     overloaded: true,
                 });
             }
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let injected_us = shared.epoch.elapsed().as_micros() as u64;
-            if senders[a.node as usize]
-                .send(TransportEvent::StampedArrival {
-                    tuple: a.tuple(),
-                    injected_us,
-                })
-                .is_err()
-            {
-                // Same giveback contract as the closed loop.
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(shared.failure().unwrap_or(LiveError::ChannelClosed));
-            }
+            let event = TransportEvent::StampedArrival {
+                tuple: a.tuple(),
+                injected_us: shared.epoch.elapsed().as_micros() as u64,
+            };
+            shared.inject(&senders[a.node as usize], event)?;
         }
         Ok(FeedReport {
             injected: arrivals.len(),
@@ -442,13 +528,10 @@ impl Feeder for OpenLoopFeeder {
 pub(crate) fn drive(
     cfg: &ClusterConfig,
     pacing: Pacing,
-    reg: &mut obs::Registry,
-    arrivals: &[Arrival],
-    truth_matches: u64,
-    cluster: Spawned,
+    run: Run,
 ) -> Result<LiveOutcome, LiveError> {
     let mut feeder = ClosedLoop::new(pacing, cfg.n);
-    drive_with(&mut feeder, reg, arrivals, truth_matches, cluster).map(|(outcome, _)| outcome)
+    drive_with(&mut feeder, run).map(|(outcome, _)| outcome)
 }
 
 /// Feeds the arrival schedule open-loop at the spec's target rate and
@@ -457,91 +540,86 @@ pub(crate) fn drive(
 pub(crate) fn drive_open(
     cfg: &ClusterConfig,
     spec: &OpenLoop,
-    reg: &mut obs::Registry,
-    arrivals: &[Arrival],
-    truth_matches: u64,
-    cluster: Spawned,
+    run: Run,
 ) -> Result<LoadRun, LiveError> {
     let mut feeder = OpenLoopFeeder::new(spec, cfg.n);
-    let (outcome, report) = drive_with(&mut feeder, reg, arrivals, truth_matches, cluster)?;
+    let total = run.arrivals.len();
+    let (outcome, report) = drive_with(&mut feeder, run)?;
     Ok(LoadRun {
         outcome,
         offered_tps: spec.rate_tps,
         injected: report.injected,
-        total: arrivals.len(),
+        total,
         peak_backlog: report.peak_backlog,
         overloaded: report.overloaded,
     })
 }
 
-/// The backend-independent driver: feed (via `feeder`) → quiesce → join →
-/// aggregate. Every failure path runs the backend's finish hook, and
-/// failures surfaced by any thread — including node panics — are settled
-/// together into one aggregated error.
+/// The backend-independent driver: feed (via `feeder`) → quiesce → shut
+/// down → join → finish hook → aggregate. A failed feed or quiesce skips
+/// nothing after it: every exit path sends `Shutdown`, joins every node
+/// thread and runs the backend's finish hook, and failures surfaced by any
+/// thread — including node panics — are settled together into one
+/// aggregated error.
 pub(crate) fn drive_with<F: Feeder>(
     feeder: &mut F,
-    reg: &mut obs::Registry,
-    arrivals: &[Arrival],
-    truth_matches: u64,
-    cluster: Spawned,
+    run: Run,
 ) -> Result<(LiveOutcome, FeedReport), LiveError> {
-    let Spawned {
+    let Run {
+        mut reg,
+        arrivals,
+        truth_matches,
+        spawn_started,
         shared,
         senders,
         handles,
         finish,
-    } = cluster;
-    // On every exit path the backend's finish hook must run — it tears
-    // down transport machinery (reactor shards) that would otherwise
-    // outlive the run.
-    fn abort(
-        finish: Option<FinishHook>,
-        e: LiveError,
-    ) -> Result<(LiveOutcome, FeedReport), LiveError> {
-        if let Some(f) = finish {
-            let _ = f();
-        }
-        Err(e)
-    }
+        ..
+    } = run;
+    reg.phase_add("spawn", spawn_started.elapsed());
     // Feed arrivals in global order (per-channel FIFO keeps each node's
     // sequence numbers ascending, as the windows require).
     let start = Instant::now();
-    let report = match feeder.feed(arrivals, &senders, &shared) {
-        Ok(report) => report,
-        Err(e) => return abort(finish, e),
-    };
+    let fed = feeder.feed(&arrivals, &senders, &shared);
     reg.phase_add("inject", start.elapsed());
 
     // Quiesce: wait until no events remain anywhere in the cluster.
     let drain_started = Instant::now();
-    let mut backoff = Backoff::new();
-    let mut last = i64::MAX;
-    while {
-        let now = shared.in_flight.load(Ordering::SeqCst);
-        if now < last {
-            backoff.reset();
+    let fed = fed.and_then(|report| {
+        let mut backoff = Backoff::new();
+        let mut last = i64::MAX;
+        while {
+            let now = shared.in_flight.load(Ordering::SeqCst);
+            if now < last {
+                backoff.reset();
+            }
+            last = now;
+            now > 0
+        } {
+            if let Some(e) = shared.failure() {
+                return Err(e);
+            }
+            backoff.wait();
         }
-        last = now;
-        now > 0
-    } {
-        if let Some(e) = shared.failure() {
-            return abort(finish, e);
-        }
-        backoff.wait();
-    }
+        Ok(report)
+    });
     let wall_time = start.elapsed();
     reg.phase_add("drain", drain_started.elapsed());
+    // Every node gets its shutdown, clean run or not: each channel
+    // transport holds a clone of every sender, so dropping ours would
+    // disconnect no queue and the node threads would stay parked in
+    // `recv` for the life of the process.
     for tx in senders {
         let _ = tx.send(TransportEvent::Shutdown);
     }
 
     let join_started = Instant::now();
     let mut engines = Vec::with_capacity(handles.len());
-    let mut panicked: Vec<u16> = Vec::new();
+    let mut panicked = Vec::new();
     for (id, h) in handles.into_iter().enumerate() {
         match h.join() {
             Ok(engine) => engines.push(engine),
-            Err(_) => panicked.push(id as u16),
+            Err(_) => panicked.push(LiveError::NodePanicked(id as u16)),
         }
     }
     // Node threads are done; stop the backend's transport machinery and
@@ -551,15 +629,13 @@ pub(crate) fn drive_with<F: Feeder>(
     // panic caused by a transport fault must surface both (the fault is
     // the root cause, the panic its symptom).
     let transport_per_node = finish.map_or_else(Vec::new, |f| f());
-    if !panicked.is_empty() {
-        let mut failures = shared.failures.lock();
-        for id in panicked {
-            failures.push(LiveError::NodePanicked(id));
-        }
-    }
-    if let Some(e) = shared.failure() {
-        return Err(e);
-    }
+    shared.failures.lock().extend(panicked);
+    // A feed error no thread recorded (a send into a queue whose node is
+    // gone) still fails the run.
+    let report = match (shared.failure(), fed) {
+        (Some(e), _) | (None, Err(e)) => return Err(e),
+        (None, Ok(report)) => report,
+    };
     let mut totals = NodeMetrics::default();
     let mut delivery_latency_us = obs::Histogram::new();
     for engine in &engines {
@@ -600,12 +676,12 @@ pub(crate) fn drive_with<F: Feeder>(
             reg.histogram_merge("delivery_latency_us", &outcome.delivery_latency_us);
         }
         for (me, engine) in engines.iter().enumerate() {
-            engine.metrics().record_into(reg, me as u16);
+            engine.metrics().record_into(&mut reg, me as u16);
         }
         for (me, t) in outcome.transport_per_node.iter().enumerate() {
-            record_transport(reg, me as u16, t);
+            record_transport(&mut reg, me as u16, t);
         }
-        obs::emit(std::mem::take(reg));
+        obs::emit(reg);
     }
     Ok((outcome, report))
 }
@@ -701,7 +777,7 @@ mod tests {
     fn test_cfg(n: u16) -> ClusterConfig {
         ClusterConfig::new(n, Algorithm::Base)
             .window(16)
-            .domain(64)
+            .domain(1 << 9)
             .tuples(12)
             .seed(11)
     }
@@ -715,8 +791,8 @@ mod tests {
         })
     }
 
-    /// Node threads that park on their queues like real engines would —
-    /// here they just return their engine on the first event.
+    /// Node threads that return their engine at once, as if every node
+    /// had already seen its shutdown.
     fn idle_handles(cfg: &ClusterConfig) -> Vec<JoinHandle<NodeEngine>> {
         (0..cfg.n)
             .map(|me| {
@@ -726,29 +802,28 @@ mod tests {
             .collect()
     }
 
+    /// A prepared run over hand-made node threads, with a counting finish
+    /// hook where a backend would put its own.
+    fn rigged(
+        cfg: &ClusterConfig,
+        handles: Vec<JoinHandle<NodeEngine>>,
+        finished: &Arc<AtomicU32>,
+    ) -> Run {
+        let mut run = prepare(cfg).unwrap();
+        run.handles = handles;
+        run.finish = Some(counting_hook(finished));
+        run
+    }
+
     #[test]
     fn send_failure_gives_its_increment_back_and_runs_finish() {
         let cfg = test_cfg(3);
-        let arrivals = cfg.arrivals();
-        let shared = Shared::new();
-        let in_flight = Arc::clone(&shared.in_flight);
-        // Senders whose receivers are already gone: the first send fails.
-        let senders: Vec<Sender<TransportEvent>> = (0..cfg.n)
-            .map(|_| {
-                let (tx, rx) = unbounded();
-                drop(rx);
-                tx
-            })
-            .collect();
         let finished = Arc::new(AtomicU32::new(0));
-        let spawned = Spawned {
-            shared,
-            senders,
-            handles: idle_handles(&cfg),
-            finish: Some(counting_hook(&finished)),
-        };
-        let mut reg = obs::Registry::default();
-        let err = drive(&cfg, Pacing::Freerun, &mut reg, &arrivals, 0, spawned).unwrap_err();
+        let mut run = rigged(&cfg, idle_handles(&cfg), &finished);
+        let in_flight = Arc::clone(&run.shared.in_flight);
+        // Queues whose receivers are already gone: the first send fails.
+        run.inboxes.clear();
+        let err = drive(&cfg, Pacing::Freerun, run).unwrap_err();
         assert_eq!(err, LiveError::ChannelClosed);
         // The failed send's increment was given back — nothing leaks.
         assert_eq!(in_flight.load(Ordering::SeqCst), 0);
@@ -758,41 +833,39 @@ mod tests {
 
     #[test]
     fn quiesce_failure_aborts_through_finish_hook() {
+        // Real channel-backed nodes, parked on their queues.
         let cfg = test_cfg(3);
-        let shared = Shared::new();
+        let mut run = crate::LiveCluster::spawn(&cfg).unwrap();
+        let finished = Arc::new(AtomicU32::new(0));
+        run.finish = Some(counting_hook(&finished));
         // A wedged cluster: one phantom in-flight event that never drains,
         // and a failure reported by a reader thread.
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        shared.failures.lock().push(LiveError::Io {
+        run.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        run.shared.failures.lock().push(LiveError::Io {
             node: 2,
             detail: "connection reset".to_string(),
         });
-        let senders: Vec<Sender<TransportEvent>> = (0..cfg.n).map(|_| unbounded().0).collect();
-        let finished = Arc::new(AtomicU32::new(0));
-        let spawned = Spawned {
-            shared,
-            senders,
-            handles: idle_handles(&cfg),
-            finish: Some(counting_hook(&finished)),
-        };
-        let mut reg = obs::Registry::default();
         // Empty schedule: the feed is a no-op, the quiesce loop sees the
         // failure.
-        let err = drive(&cfg, Pacing::Freerun, &mut reg, &[], 0, spawned).unwrap_err();
+        run.arrivals.clear();
+        let queues = run.senders.clone();
+        let err = drive(&cfg, Pacing::Freerun, run).unwrap_err();
         assert!(matches!(err, LiveError::Io { node: 2, .. }), "{err:?}");
         assert_eq!(finished.load(Ordering::SeqCst), 1);
+        // No node thread outlives the failed run: each held the only
+        // receiver of its queue and dropped it on the way out.
+        for (node, tx) in queues.iter().enumerate() {
+            assert!(
+                tx.send(TransportEvent::Shutdown).is_err(),
+                "node {node} is still parked on its queue"
+            );
+        }
     }
 
     #[test]
     fn node_panic_aggregates_with_transport_faults() {
         let cfg = test_cfg(3);
-        let shared = Shared::new();
-        // A transport fault was recorded mid-run...
-        shared.failures.lock().push(LiveError::Io {
-            node: 1,
-            detail: "broken pipe".to_string(),
-        });
-        // ...and it took node 1's thread down with it.
+        // A transport fault took node 1's thread down with it.
         let handles: Vec<JoinHandle<NodeEngine>> = (0..cfg.n)
             .map(|me| {
                 let engine = NodeEngine::new(cfg.build_node(me));
@@ -804,16 +877,14 @@ mod tests {
                 })
             })
             .collect();
-        let senders: Vec<Sender<TransportEvent>> = (0..cfg.n).map(|_| unbounded().0).collect();
         let finished = Arc::new(AtomicU32::new(0));
-        let spawned = Spawned {
-            shared,
-            senders,
-            handles,
-            finish: Some(counting_hook(&finished)),
-        };
-        let mut reg = obs::Registry::default();
-        let err = drive(&cfg, Pacing::Freerun, &mut reg, &[], 0, spawned).unwrap_err();
+        let mut run = rigged(&cfg, handles, &finished);
+        run.shared.failures.lock().push(LiveError::Io {
+            node: 1,
+            detail: "broken pipe".to_string(),
+        });
+        run.arrivals.clear();
+        let err = drive(&cfg, Pacing::Freerun, run).unwrap_err();
         // Both the root cause and the panic surface, fault first.
         match err {
             LiveError::Faults(all) => {

@@ -10,9 +10,14 @@
 //!
 //! * [`LiveCluster`] — crossbeam channels as links: concurrency
 //!   correctness and raw in-process speed.
-//! * [`TcpCluster`] — loopback TCP sockets as links, every message framed
-//!   by the [`dsj_core::wire`] codec: serialization, syscalls and stream
-//!   reassembly are all real.
+//! * [`TcpCluster`] — loopback TCP sockets as links (one nonblocking
+//!   socket per node pair, read by a fixed pool of reactor shards), every
+//!   message framed by the [`dsj_core::wire`] codec: serialization,
+//!   syscalls and stream reassembly are all real.
+//!
+//! Both offer `run`, `run_paced` and `run_open_loop` over one shared
+//! lifecycle and receive path; a backend is its `send`/`flush` and how it
+//! wires its nodes together.
 //!
 //! Use the simulation for reproducible experiments and figure
 //! regeneration; use these runtimes to demonstrate that the algorithms

@@ -1,13 +1,13 @@
 //! A sharded, event-driven reactor for the TCP backend: O(N) threads
 //! instead of one reader thread per link.
 //!
-//! The per-link-thread mesh ([`crate::TcpCluster`]'s original design)
-//! spends O(N²) OS threads — dead weight at production node counts. This
-//! module replaces it with a small fixed pool of *reactor shards*: each
-//! shard owns the read side of a subset of nodes' sockets (nonblocking)
-//! plus the retry duty for pending writes headed *to* those nodes, and
-//! sweeps them with readiness discovered by attempting the syscall — no
-//! `epoll`/`mio`/`libc`, just `WouldBlock`.
+//! A blocking reader per link would spend O(N²) OS threads — dead weight
+//! at production node counts. [`crate::TcpCluster`] instead runs a small
+//! fixed pool of *reactor shards*: each shard owns the read side of a
+//! subset of nodes' sockets (nonblocking) plus the retry duty for pending
+//! writes headed *to* those nodes, and sweeps them with readiness
+//! discovered by attempting the syscall — no `epoll`/`mio`/`libc`, just
+//! `WouldBlock`.
 //!
 //! # Readiness model
 //!
@@ -601,6 +601,8 @@ fn shard_loop(mut input: ShardInput, shutdown: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::read_peer_id;
+    use crossbeam::channel::{unbounded, Receiver};
     use dsj_core::wire;
     use dsj_core::Msg;
     use dsj_stream::{StreamId, Tuple};
@@ -855,6 +857,117 @@ mod tests {
             "coalescing must beat one syscall per frame"
         );
         assert!(peak > 0);
+    }
+
+    /// One end-to-end read link for tests: listener, handshake (written
+    /// one byte at a time, exercising [`read_peer_id`]'s short-read
+    /// handling) and a [`ReadLink`] over the accepted nonblocking socket,
+    /// drained by hand the way a shard sweep would.
+    struct LinkFixture {
+        dialer: TcpStream,
+        link: ReadLink,
+        rx: Receiver<TransportEvent>,
+        failures: Mutex<Vec<LiveError>>,
+        chunk: Vec<u8>,
+    }
+
+    impl LinkFixture {
+        fn spawn(from: u16) -> Self {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let acceptor = thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let peer = read_peer_id(&mut stream).unwrap();
+                stream.set_nonblocking(true).unwrap();
+                (stream, peer)
+            });
+            let mut dialer = TcpStream::connect(addr).unwrap();
+            dialer.set_nodelay(true).unwrap();
+            for byte in from.to_le_bytes() {
+                dialer.write_all(&[byte]).unwrap();
+            }
+            let (stream, peer) = acceptor.join().unwrap();
+            assert_eq!(peer, from);
+            let (tx, rx) = unbounded();
+            LinkFixture {
+                dialer,
+                link: ReadLink::new(
+                    Arc::new(stream),
+                    peer,
+                    0,
+                    tx,
+                    Arc::new(AtomicBool::new(false)),
+                ),
+                rx,
+                failures: Mutex::new(Vec::new()),
+                chunk: vec![0u8; READ_CHUNK],
+            }
+        }
+
+        /// Sends `bytes` and sweeps the link once: on loopback they are
+        /// readable by the time `write` returns.
+        fn deliver(&mut self, bytes: &[u8]) {
+            self.dialer.write_all(bytes).unwrap();
+            self.link.drain(&mut self.chunk, &self.failures);
+        }
+
+        /// Closes the write side and sweeps until the link shuts.
+        fn finish(mut self) -> (Receiver<TransportEvent>, Vec<LiveError>) {
+            drop(self.dialer);
+            while self.link.open {
+                self.link.drain(&mut self.chunk, &self.failures);
+                thread::yield_now();
+            }
+            (self.rx, self.failures.into_inner())
+        }
+    }
+
+    #[test]
+    fn corrupt_frame_on_the_socket_is_a_typed_error_not_a_panic() {
+        // Drive the reader half of one link directly over a real socket
+        // and feed it garbage: a well-formed length prefix followed by a
+        // body with an unknown version nibble.
+        let mut link = LinkFixture::spawn(1);
+        // One valid frame first: the link decodes it and forwards it.
+        let valid = wire::encode(&tuple_msg(42));
+        link.deliver(&valid);
+        // Then a corrupt one: version nibble 0xF is not the codec's.
+        link.deliver(&[1, 0, 0, 0, 0xF0]);
+        let (rx, failures) = link.finish();
+        match rx.try_recv() {
+            Some(TransportEvent::Net { from: 1, msg }) => {
+                assert_eq!(msg.wire_bytes(), valid.len());
+            }
+            other => panic!("expected the valid frame first, got {other:?}"),
+        }
+        assert_eq!(failures.len(), 1);
+        assert!(
+            matches!(&failures[0], LiveError::Decode { node: 0, .. }),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn chunk_boundaries_do_not_affect_decoding() {
+        // Byte-at-a-time delivery across the socket, swept after every
+        // byte, still reassembles the exact message stream.
+        let mut link = LinkFixture::spawn(2);
+        let msgs: Vec<Msg> = (0..5).map(tuple_msg).collect();
+        for msg in &msgs {
+            for byte in wire::encode(msg) {
+                link.deliver(&[byte]);
+            }
+        }
+        let (rx, failures) = link.finish();
+        assert!(failures.is_empty(), "{failures:?}");
+        for expected in &msgs {
+            match rx.try_recv() {
+                Some(TransportEvent::Net { from: 2, msg }) => {
+                    assert_eq!(wire::encode(&msg), wire::encode(expected));
+                }
+                other => panic!("missing message, got {other:?}"),
+            }
+        }
     }
 
     #[test]

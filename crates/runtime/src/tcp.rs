@@ -1,188 +1,63 @@
 //! N nodes over real loopback TCP sockets, framed with the wire codec.
 //!
-//! Two socket topologies share this file, selected by [`TcpMode`]:
+//! One nonblocking full-duplex socket per *unordered* node pair
+//! (N(N−1)/2 connections), read by a fixed pool of [`crate::reactor`]
+//! shards and written through per-peer coalescing queues with vectored
+//! writes: O(N) threads in total, which is what lets the backend run
+//! N = 128.
 //!
-//! * [`TcpMode::ThreadPerLink`] — the original full mesh of *directed*
-//!   socket pairs: node `i` connects one `TcpStream` to every peer `j`'s
-//!   listener and uses it for `i → j` traffic only; each accepted socket
-//!   gets a blocking reader thread. Simple, but O(N²) sockets *and*
-//!   threads — the honest baseline the reactor is benchmarked against.
-//! * [`TcpMode::Reactor`] — one full-duplex socket per *unordered* node
-//!   pair (N(N−1)/2 connections, halving fd pressure), every socket
-//!   nonblocking, read by a fixed pool of [`crate::reactor`] shards and
-//!   written through per-peer coalescing queues with vectored writes.
-//!   O(N) threads total; the mode that scales to N = 128.
-//!
-//! In both modes the dialer writes a two-byte little-endian handshake
-//! naming itself after `connect`, so the accepting side knows which peer
-//! the bytes on that socket come from without trusting ephemeral port
-//! numbers. Codec frames ([`dsj_core::wire::FrameDecoder`]) are
-//! reassembled from the byte stream — frames arrive split and coalesced
-//! at TCP's whim — and decoded messages land in the owning node's event
-//! channel, where they meet arrivals injected by the feeder. Node
-//! threads, feeder backpressure, quiescence detection and aggregation are
-//! the backend-independent harness shared with [`crate::LiveCluster`].
+//! The dialer writes a two-byte little-endian handshake naming itself
+//! after `connect`, so the accepting side knows which peer the bytes on
+//! that socket come from without trusting ephemeral port numbers. Codec
+//! frames ([`dsj_core::wire::FrameDecoder`]) are reassembled from the byte
+//! stream — frames arrive split and coalesced at TCP's whim — and decoded
+//! messages land in the owning node's event channel, where they meet
+//! arrivals injected by the feeder. Node threads, feeder backpressure,
+//! quiescence detection and aggregation are the backend-independent
+//! harness shared with [`crate::LiveCluster`].
 //!
 //! Everything stays on `127.0.0.1` with OS-assigned ports; nothing binds
 //! a routable interface.
 
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
-use crate::harness::{self, FinishHook, Pacing, Shared};
+use crate::harness::{self, Inbox, Pacing};
 use crate::reactor::{Kick, LinkWrite, OutLink, Reactor, ReadLink, ShardInput};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use dsj_core::obs;
-use dsj_core::wire::{self, FrameBatch, FrameDecoder};
-use dsj_core::{ClusterConfig, Msg, NodeEngine, Transport, TransportEvent};
-use parking_lot::Mutex;
-use std::io::{Read, Write};
+use dsj_core::wire::FrameBatch;
+use dsj_core::{ClusterConfig, Msg, Transport, TransportEvent};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
-/// Read-buffer size for socket reader threads.
-const READ_CHUNK: usize = 16 * 1024;
-
-pub(crate) fn io_err(node: u16, e: &std::io::Error) -> LiveError {
+pub(crate) fn io_err(node: u16, e: &io::Error) -> LiveError {
     LiveError::Io {
         node,
         detail: e.to_string(),
     }
 }
 
-/// Reads the dialer's two-byte little-endian node-id handshake,
-/// tolerating short reads and `EINTR`: loopback usually delivers both
-/// bytes at once, but nothing guarantees it, and a handshake split across
-/// reads must not be mistaken for a protocol error.
-pub(crate) fn read_peer_id(stream: &mut TcpStream) -> std::io::Result<u16> {
+/// Reads the dialer's two-byte little-endian node-id handshake.
+/// `read_exact` rides out short reads and `EINTR`: loopback usually
+/// delivers both bytes at once, but nothing guarantees it, and a handshake
+/// split across reads must not be mistaken for a protocol error.
+pub(crate) fn read_peer_id(stream: &mut TcpStream) -> io::Result<u16> {
     let mut hello = [0u8; 2];
-    let mut got = 0;
-    while got < hello.len() {
-        match stream.read(&mut hello[got..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed during handshake",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    stream.read_exact(&mut hello)?;
     Ok(u16::from_le_bytes(hello))
 }
 
-/// Which socket topology [`TcpCluster`] runs.
+/// Adapter shim for `benches/e2e`, which still names the transport it
+/// wants; only the reactor topology exists. A later `benchmark` PR retires
+/// it together with the two `_mode` entry points.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpMode {
-    /// Directed full mesh, one blocking reader thread per link: O(N²)
-    /// sockets and threads. The pre-reactor baseline.
-    ThreadPerLink,
-    /// One nonblocking full-duplex socket per node pair, served by a
-    /// fixed shard pool with coalesced vectored writes: O(N) threads,
-    /// N(N−1)/2 sockets.
+    /// The only topology: see the module docs.
     Reactor,
 }
 
-/// [`Transport`] over per-peer TCP sockets: decoded inbound traffic and
-/// feeder arrivals share one channel; outbound messages are encoded into
-/// per-peer write buffers and hit the socket in one `write_all` per peer
-/// per frame when the engine calls [`Transport::flush`].
-struct TcpTransport {
-    me: u16,
-    rx: Receiver<TransportEvent>,
-    /// `writers[j]` is the `me → j` socket; `None` at `j == me`.
-    writers: Vec<Option<TcpStream>>,
-    in_flight: Arc<AtomicI64>,
-    epoch: Instant,
-    /// `wbufs[j]` holds frames encoded for peer `j` since the last flush.
-    wbufs: Vec<Vec<u8>>,
-    /// How many messages each write buffer holds (for in-flight repair on
-    /// a failed flush).
-    wpending: Vec<i64>,
-}
-
-impl Transport for TcpTransport {
-    type Error = LiveError;
-
-    fn send(&mut self, to: u16, msg: Msg) -> Result<(), LiveError> {
-        let j = to as usize;
-        if !matches!(self.writers.get(j), Some(Some(_))) {
-            return Err(LiveError::Io {
-                node: self.me,
-                detail: format!("no socket from node {} to peer {to}", self.me),
-            });
-        }
-        wire::encode_into(&msg, &mut self.wbufs[j]);
-        self.wpending[j] += 1;
-        // Count the message in flight at buffer time, before any byte
-        // becomes visible to the peer: the counter may briefly over-report
-        // (buffered, not yet written) but never under-reports, and the
-        // engine flushes every frame before blocking, so buffered messages
-        // cannot stall quiescence.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-
-    fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        self.rx.recv().map_err(|_| LiveError::ChannelClosed)
-    }
-
-    fn poll_frame(&mut self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
-        // Block for the first event, then drain the already-queued backlog
-        // (decoded socket traffic plus feeder arrivals) into one frame.
-        frame.push(self.rx.recv().map_err(|_| LiveError::ChannelClosed)?);
-        while frame.len() < max {
-            match self.rx.try_recv() {
-                Some(event) => frame.push(event),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), LiveError> {
-        for j in 0..self.wbufs.len() {
-            if self.wbufs[j].is_empty() {
-                continue;
-            }
-            // `send` only buffers toward peers with sockets, so a missing
-            // writer under a non-empty buffer is unreachable; skipping it
-            // beats panicking mid-abort.
-            let Some(stream) = self.writers[j].as_mut() else {
-                continue;
-            };
-            if let Err(e) = stream.write_all(&self.wbufs[j]) {
-                // Un-count everything still buffered (this peer's bytes
-                // and any peers not yet reached); the run is aborting, but
-                // the cluster-wide counter must not leak phantom traffic.
-                let orphaned: i64 = self.wpending.iter().sum();
-                self.in_flight.fetch_sub(orphaned, Ordering::SeqCst);
-                for (buf, pending) in self.wbufs.iter_mut().zip(&mut self.wpending) {
-                    buf.clear();
-                    *pending = 0;
-                }
-                return Err(io_err(self.me, &e));
-            }
-            self.wbufs[j].clear();
-            self.wpending[j] = 0;
-        }
-        Ok(())
-    }
-
-    fn now_us(&mut self) -> u64 {
-        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn quiesce(&mut self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// [`Transport`] for [`TcpMode::Reactor`]: outbound messages are batched
+/// [`Transport`] over the pair sockets: outbound messages are batched
 /// per peer ([`FrameBatch`]) and flushed once per engine frame through
 /// the peer's [`OutLink`] — a coalesced vectored write on a nonblocking
 /// socket. A full socket parks the tail in the link's write queue (the
@@ -191,7 +66,7 @@ impl Transport for TcpTransport {
 /// the bytes *observed*, not just sent.
 struct ReactorTransport {
     me: u16,
-    rx: Receiver<TransportEvent>,
+    inbox: Inbox,
     /// `links[j]` is the `me → j` write half; `None` at `j == me`.
     links: Vec<Option<Arc<OutLink>>>,
     /// `batches[j]` holds frames encoded for peer `j` since the last
@@ -204,7 +79,6 @@ struct ReactorTransport {
     /// Per-flush scratch: which shards have traffic and need one kick.
     kick_due: Vec<bool>,
     in_flight: Arc<AtomicI64>,
-    epoch: Instant,
 }
 
 impl ReactorTransport {
@@ -233,25 +107,21 @@ impl Transport for ReactorTransport {
             });
         }
         self.batches[j].push(&msg);
-        // Counted at batch time, before any byte is visible — same
-        // over-report-never-under-report contract as the mesh transport.
+        // Count the message in flight at batch time, before any byte
+        // becomes visible to the peer: the counter may briefly over-report
+        // (batched, not yet written) but never under-reports, and the
+        // engine flushes every frame before blocking, so batched messages
+        // cannot stall quiescence.
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
     fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        self.rx.recv().map_err(|_| LiveError::ChannelClosed)
+        self.inbox.poll()
     }
 
     fn poll_frame(&mut self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
-        frame.push(self.rx.recv().map_err(|_| LiveError::ChannelClosed)?);
-        while frame.len() < max {
-            match self.rx.try_recv() {
-                Some(event) => frame.push(event),
-                None => break,
-            }
-        }
-        Ok(())
+        self.inbox.poll_frame(max, frame)
     }
 
     fn flush(&mut self) -> Result<(), LiveError> {
@@ -306,79 +176,12 @@ impl Transport for ReactorTransport {
     }
 
     fn now_us(&mut self) -> u64 {
-        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
-        self.epoch.elapsed().as_micros() as u64
+        self.inbox.now_us()
     }
 
     fn quiesce(&mut self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.inbox.quiesce();
     }
-}
-
-/// Reader half of one directed link: reassembles frames from `stream`
-/// (bytes sent by `from`) and forwards decoded messages to node
-/// `to_node`'s event channel.
-///
-/// Returns when the peer closes the socket (normal shutdown), the event
-/// channel closes (the node is gone), or a fatal error is recorded in
-/// `failures`. Decode errors are fatal for the link, not resynchronized:
-/// after garbage, frame boundaries are unknowable.
-pub(crate) fn pump_frames(
-    mut stream: TcpStream,
-    from: u16,
-    to_node: u16,
-    tx: &Sender<TransportEvent>,
-    failures: &Mutex<Vec<LiveError>>,
-) {
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    loop {
-        let nread = match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed: normal shutdown
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                failures.lock().push(io_err(to_node, &e));
-                return;
-            }
-        };
-        // Streaming decode: complete frames are decoded straight out of
-        // the read chunk; only a trailing partial frame is buffered.
-        match decoder.feed_decode(&chunk[..nread], &mut |msg| {
-            tx.send(TransportEvent::Net { from, msg }).is_ok()
-        }) {
-            Ok(true) => {}
-            Ok(false) => return, // event channel closed: the node is gone
-            Err(e) => {
-                failures.lock().push(LiveError::Decode {
-                    node: to_node,
-                    detail: e.to_string(),
-                });
-                return;
-            }
-        }
-    }
-}
-
-/// Opens node `me`'s listener-side sockets: accepts `expect` connections,
-/// reads each dialer's two-byte handshake, and spawns a [`pump_frames`]
-/// reader per link feeding `tx`.
-fn accept_links(
-    listener: TcpListener,
-    me: u16,
-    expect: usize,
-    tx: Sender<TransportEvent>,
-    failures: Arc<Mutex<Vec<LiveError>>>,
-) -> Result<(), LiveError> {
-    for _ in 0..expect {
-        let (mut stream, _) = listener.accept().map_err(|e| io_err(me, &e))?;
-        stream.set_nodelay(true).map_err(|e| io_err(me, &e))?;
-        let from = read_peer_id(&mut stream).map_err(|e| io_err(me, &e))?;
-        let tx = tx.clone();
-        let failures = Arc::clone(&failures);
-        thread::spawn(move || pump_frames(stream, from, me, &tx, &failures));
-    }
-    Ok(())
 }
 
 /// Runs [`dsj_core::JoinNode`]s as live threads joined by real loopback
@@ -411,76 +214,55 @@ impl TcpCluster {
     ///
     /// As for [`TcpCluster::run`].
     pub fn run_paced(cfg: &ClusterConfig, pacing: Pacing) -> Result<LiveOutcome, LiveError> {
-        Self::run_paced_mode(cfg, pacing, TcpMode::ThreadPerLink)
+        harness::drive(cfg, pacing, Self::spawn(cfg)?)
     }
 
-    /// Runs the configuration's workload with an explicit feeder
-    /// [`Pacing`] and socket topology ([`TcpMode`]). Both modes are
-    /// lockstep-equivalent to every other backend; [`TcpMode::Reactor`]
-    /// is the one that scales past a handful of nodes.
+    /// Runs the configuration's workload open-loop: arrivals are injected
+    /// on a virtual-time schedule at `spec`'s target rate regardless of
+    /// how fast the cluster drains them, and per-tuple delivery latency is
+    /// recorded into the outcome's histogram. The load-generator entry
+    /// point; see [`OpenLoop`](crate::OpenLoop).
     ///
     /// # Errors
     ///
     /// As for [`TcpCluster::run`].
+    pub fn run_open_loop(
+        cfg: &ClusterConfig,
+        spec: &harness::OpenLoop,
+    ) -> Result<harness::LoadRun, LiveError> {
+        harness::drive_open(cfg, spec, Self::spawn(cfg)?)
+    }
+
+    /// Adapter shim for `benches/e2e` (see [`TcpMode`]); call
+    /// [`TcpCluster::run_paced`].
+    #[doc(hidden)]
     pub fn run_paced_mode(
         cfg: &ClusterConfig,
         pacing: Pacing,
-        mode: TcpMode,
+        _mode: TcpMode,
     ) -> Result<LiveOutcome, LiveError> {
-        let (mut reg, arrivals, truth_matches, spawned) = Self::spawn(cfg, mode)?;
-        harness::drive(cfg, pacing, &mut reg, &arrivals, truth_matches, spawned)
+        Self::run_paced(cfg, pacing)
     }
 
-    /// Runs the configuration's workload open-loop over the selected
-    /// socket topology: arrivals are injected on a virtual-time schedule
-    /// at `spec`'s target rate regardless of how fast the cluster drains
-    /// them, and per-tuple delivery latency is recorded into the
-    /// outcome's histogram. The load-generator entry point; see
-    /// [`OpenLoop`](crate::OpenLoop).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TcpCluster::run`].
+    /// Adapter shim for `benches/e2e` (see [`TcpMode`]); call
+    /// [`TcpCluster::run_open_loop`].
+    #[doc(hidden)]
     pub fn run_open_loop_mode(
         cfg: &ClusterConfig,
         spec: &harness::OpenLoop,
-        mode: TcpMode,
+        _mode: TcpMode,
     ) -> Result<harness::LoadRun, LiveError> {
-        let (mut reg, arrivals, truth_matches, spawned) = Self::spawn(cfg, mode)?;
-        harness::drive_open(cfg, spec, &mut reg, &arrivals, truth_matches, spawned)
+        Self::run_open_loop(cfg, spec)
     }
 
-    /// Validates `cfg`, generates its schedule, binds the socket topology
-    /// and spawns node threads — everything up to (but not including)
-    /// feeding, shared by the closed- and open-loop entry points.
-    #[allow(clippy::type_complexity)]
-    fn spawn(
-        cfg: &ClusterConfig,
-        mode: TcpMode,
-    ) -> Result<
-        (
-            obs::Registry,
-            Vec<dsj_stream::gen::Arrival>,
-            u64,
-            harness::Spawned,
-        ),
-        LiveError,
-    > {
-        cfg.validate()?;
-        let mut reg = obs::Registry::default();
+    /// Prepares the run, binds the socket topology — for pair `{i, j}`
+    /// with `i < j`, node `j` dials node `i`'s listener — starts the
+    /// reactor shards and spawns the node threads: everything up to (but
+    /// not including) feeding, shared by the closed- and open-loop entry
+    /// points.
+    fn spawn(cfg: &ClusterConfig) -> Result<harness::Run, LiveError> {
+        let mut run = harness::prepare(cfg)?;
         let n = cfg.n as usize;
-        let (arrivals, truth_matches) =
-            reg.time_phase("workload", || (cfg.arrivals(), cfg.ground_truth_matches()));
-
-        let spawn_started = Instant::now();
-        let shared = Shared::new();
-        let mut senders: Vec<Sender<TransportEvent>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<TransportEvent>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
 
         // Bind every node's listener first so peers can dial in any order.
         let mut listeners = Vec::with_capacity(n);
@@ -492,257 +274,144 @@ impl TcpCluster {
             listeners.push(listener);
         }
 
-        let spawned = match mode {
-            TcpMode::ThreadPerLink => {
-                spawn_mesh(cfg, shared, senders, &receivers, listeners, &addrs)?
-            }
-            TcpMode::Reactor => spawn_reactor(cfg, shared, senders, &receivers, listeners, &addrs)?,
-        };
-        reg.phase_add("spawn", spawn_started.elapsed());
-        Ok((reg, arrivals, truth_matches, spawned))
-    }
-}
-
-/// Spawns the [`TcpMode::ThreadPerLink`] topology: directed full mesh,
-/// one blocking reader thread per accepted socket.
-fn spawn_mesh(
-    cfg: &ClusterConfig,
-    shared: Shared,
-    senders: Vec<Sender<TransportEvent>>,
-    receivers: &[Receiver<TransportEvent>],
-    listeners: Vec<TcpListener>,
-    addrs: &[SocketAddr],
-) -> Result<harness::Spawned, LiveError> {
-    let n = cfg.n as usize;
-    // Accept threads: each node takes n−1 inbound links and spawns a
-    // frame reader per link.
-    let mut acceptors = Vec::with_capacity(n);
-    for (me, listener) in listeners.into_iter().enumerate() {
-        let tx = senders[me].clone();
-        let failures = Arc::clone(&shared.failures);
-        acceptors.push(thread::spawn(move || {
-            accept_links(listener, me as u16, n - 1, tx, failures)
-        }));
-    }
-
-    // Dial the full mesh: writers[i][j] carries i → j.
-    let mut writers: Vec<Vec<Option<TcpStream>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for (i, row) in writers.iter_mut().enumerate() {
-        for (j, slot) in row.iter_mut().enumerate() {
-            if i == j {
-                continue;
-            }
-            let mut stream = TcpStream::connect(addrs[j]).map_err(|e| io_err(i as u16, &e))?;
-            stream.set_nodelay(true).map_err(|e| io_err(i as u16, &e))?;
-            stream
-                .write_all(&(i as u16).to_le_bytes())
-                .map_err(|e| io_err(i as u16, &e))?;
-            *slot = Some(stream);
+        // Accept side: node i takes one connection from every higher-id peer.
+        // Each acceptor returns its identified, nonblocking endpoints.
+        let mut acceptors = Vec::with_capacity(n);
+        for (me, listener) in listeners.into_iter().enumerate() {
+            let expect = n - 1 - me;
+            acceptors.push(thread::spawn(move || -> io::Result<Vec<_>> {
+                (0..expect)
+                    .map(|_| {
+                        let (mut stream, _) = listener.accept()?;
+                        stream.set_nodelay(true)?;
+                        let peer = read_peer_id(&mut stream)?;
+                        stream.set_nonblocking(true)?;
+                        Ok((peer, stream))
+                    })
+                    .collect()
+            }));
         }
-    }
-    // All dials completed, so every acceptor can finish; join them to
-    // guarantee every reader thread is live before traffic starts.
-    for acceptor in acceptors {
-        match acceptor.join() {
-            Ok(result) => result?,
-            Err(_) => return Err(LiveError::ChannelClosed),
-        }
-    }
 
-    let mut handles = Vec::with_capacity(n);
-    for (me, row) in writers.into_iter().enumerate() {
-        let transport = TcpTransport {
-            me: me as u16,
-            rx: receivers[me].clone(),
-            writers: row,
-            in_flight: Arc::clone(&shared.in_flight),
-            epoch: shared.epoch,
-            wbufs: (0..n).map(|_| Vec::with_capacity(1024)).collect(),
-            wpending: vec![0; n],
+        // Dial side: node j (conceptually — dials run on this thread) opens
+        // the pair socket to every lower-id peer. `endpoint[a][b]` is node
+        // a's end of the {a, b} socket.
+        let mut endpoint: Vec<Vec<Option<Arc<TcpStream>>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        let dial = |addr: &SocketAddr, j: u16| -> io::Result<TcpStream> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            stream.write_all(&j.to_le_bytes())?;
+            stream.set_nonblocking(true)?;
+            Ok(stream)
         };
-        let engine = NodeEngine::new(cfg.build_node(me as u16));
-        handles.push(harness::spawn_node(engine, transport, &shared));
-    }
-    Ok(harness::Spawned {
-        shared,
-        senders,
-        handles,
-        finish: None,
-    })
-}
-
-/// Spawns the [`TcpMode::Reactor`] topology: one nonblocking full-duplex
-/// socket per unordered node pair — for pair `{i, j}` with `i < j`, node
-/// `j` dials node `i`'s listener — read by a fixed pool of reactor
-/// shards and written through per-peer coalescing queues.
-fn spawn_reactor(
-    cfg: &ClusterConfig,
-    shared: Shared,
-    senders: Vec<Sender<TransportEvent>>,
-    receivers: &[Receiver<TransportEvent>],
-    listeners: Vec<TcpListener>,
-    addrs: &[SocketAddr],
-) -> Result<harness::Spawned, LiveError> {
-    let n = cfg.n as usize;
-    // Accept side: node i takes one connection from every higher-id peer.
-    // Each acceptor returns its identified, nonblocking endpoints.
-    let mut acceptors = Vec::with_capacity(n);
-    for (me, listener) in listeners.into_iter().enumerate() {
-        let expect = n - 1 - me;
-        acceptors.push(thread::spawn(
-            move || -> Result<Vec<(u16, TcpStream)>, LiveError> {
-                let mut accepted = Vec::with_capacity(expect);
-                for _ in 0..expect {
-                    let (mut stream, _) = listener.accept().map_err(|e| io_err(me as u16, &e))?;
-                    stream
-                        .set_nodelay(true)
-                        .map_err(|e| io_err(me as u16, &e))?;
-                    let peer = read_peer_id(&mut stream).map_err(|e| io_err(me as u16, &e))?;
-                    stream
-                        .set_nonblocking(true)
-                        .map_err(|e| io_err(me as u16, &e))?;
-                    accepted.push((peer, stream));
+        for (j, row) in endpoint.iter_mut().enumerate().skip(1) {
+            for (i, addr) in addrs.iter().enumerate().take(j) {
+                let stream = dial(addr, j as u16).map_err(|e| io_err(j as u16, &e))?;
+                row[i] = Some(Arc::new(stream));
+            }
+        }
+        for (me, acceptor) in acceptors.into_iter().enumerate() {
+            match acceptor.join() {
+                Ok(accepted) => {
+                    for (peer, stream) in accepted.map_err(|e| io_err(me as u16, &e))? {
+                        endpoint[me][peer as usize] = Some(Arc::new(stream));
+                    }
                 }
-                Ok(accepted)
-            },
-        ));
-    }
-
-    // Dial side: node j (conceptually — dials run on this thread) opens
-    // the pair socket to every lower-id peer. `endpoint[a][b]` is node
-    // a's end of the {a, b} socket.
-    let mut endpoint: Vec<Vec<Option<Arc<TcpStream>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for (j, row) in endpoint.iter_mut().enumerate().skip(1) {
-        for (i, addr) in addrs.iter().enumerate().take(j) {
-            let mut stream = TcpStream::connect(addr).map_err(|e| io_err(j as u16, &e))?;
-            stream.set_nodelay(true).map_err(|e| io_err(j as u16, &e))?;
-            stream
-                .write_all(&(j as u16).to_le_bytes())
-                .map_err(|e| io_err(j as u16, &e))?;
-            stream
-                .set_nonblocking(true)
-                .map_err(|e| io_err(j as u16, &e))?;
-            row[i] = Some(Arc::new(stream));
+                Err(_) => return Err(LiveError::ChannelClosed),
+            }
         }
-    }
-    for (me, acceptor) in acceptors.into_iter().enumerate() {
-        match acceptor.join() {
-            Ok(accepted) => {
-                for (peer, stream) in accepted? {
-                    endpoint[me][peer as usize] = Some(Arc::new(stream));
+
+        // Per-directed-link machinery: the i → j write half (on node i's
+        // endpoint) and the i → j read half (node j's endpoint, flagged dirty
+        // by i after each flush).
+        let mut outlinks: Vec<Vec<Option<Arc<OutLink>>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        let dirty: Vec<Vec<Arc<AtomicBool>>> = (0..n)
+            .map(|_| (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect())
+            .collect();
+        for (i, row) in outlinks.iter_mut().enumerate() {
+            for (j, slot) in row.iter_mut().enumerate() {
+                if let Some(stream) = &endpoint[i][j] {
+                    *slot = Some(Arc::new(OutLink::new(i as u16, Arc::clone(stream))));
                 }
             }
-            Err(_) => return Err(LiveError::ChannelClosed),
         }
-    }
 
-    // Per-directed-link machinery: the i → j write half (on node i's
-    // endpoint) and the i → j read half (node j's endpoint, flagged dirty
-    // by i after each flush).
-    let mut outlinks: Vec<Vec<Option<Arc<OutLink>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let dirty: Vec<Vec<Arc<AtomicBool>>> = (0..n)
-        .map(|_| (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect())
-        .collect();
-    for (i, row) in outlinks.iter_mut().enumerate() {
-        for (j, slot) in row.iter_mut().enumerate() {
-            if let Some(stream) = &endpoint[i][j] {
-                *slot = Some(Arc::new(OutLink::new(i as u16, Arc::clone(stream))));
+        // Shards: shard s owns the read halves of every node ≡ s (mod
+        // shards) plus retry duty for out-links targeting those nodes (their
+        // reads are what free the peer's socket space).
+        let nshards = Reactor::shard_count(n);
+        let kicks: Vec<Arc<Kick>> = (0..nshards).map(|_| Arc::new(Kick::new())).collect();
+        let mut inputs: Vec<ShardInput> = (0..nshards)
+            .map(|s| ShardInput {
+                reads: Vec::new(),
+                writes: Vec::new(),
+                kick: Arc::clone(&kicks[s]),
+                wakeups: Arc::new(AtomicU64::new(0)),
+                in_flight: Arc::clone(&run.shared.in_flight),
+                failures: Arc::clone(&run.shared.failures),
+            })
+            .collect();
+        for to in 0..n {
+            let shard = &mut inputs[to % nshards];
+            for from in 0..n {
+                let Some(stream) = &endpoint[to][from] else {
+                    continue;
+                };
+                shard.reads.push(ReadLink::new(
+                    Arc::clone(stream),
+                    from as u16,
+                    to as u16,
+                    run.senders[to].clone(),
+                    Arc::clone(&dirty[to][from]),
+                ));
+                if let Some(link) = &outlinks[from][to] {
+                    shard.writes.push(Arc::clone(link));
+                }
             }
         }
-    }
+        let reactor = Reactor::start(inputs);
 
-    // Shards: shard s owns the read halves of every node ≡ s (mod
-    // shards) plus retry duty for out-links targeting those nodes (their
-    // reads are what free the peer's socket space).
-    let nshards = Reactor::shard_count(n);
-    let kicks: Vec<Arc<Kick>> = (0..nshards).map(|_| Arc::new(Kick::new())).collect();
-    let wakeups: Vec<Arc<AtomicU64>> = (0..nshards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let mut inputs: Vec<ShardInput> = (0..nshards)
-        .map(|s| ShardInput {
-            reads: Vec::new(),
-            writes: Vec::new(),
-            kick: Arc::clone(&kicks[s]),
-            wakeups: Arc::clone(&wakeups[s]),
-            in_flight: Arc::clone(&shared.in_flight),
-            failures: Arc::clone(&shared.failures),
-        })
-        .collect();
-    for to in 0..n {
-        let shard = &mut inputs[to % nshards];
-        for from in 0..n {
-            let Some(stream) = &endpoint[to][from] else {
-                continue;
-            };
-            shard.reads.push(ReadLink::new(
-                Arc::clone(stream),
-                from as u16,
-                to as u16,
-                senders[to].clone(),
-                Arc::clone(&dirty[to][from]),
-            ));
-            if let Some(link) = &outlinks[from][to] {
-                shard.writes.push(Arc::clone(link));
-            }
-        }
-    }
-    let reactor = Reactor::start(inputs);
-
-    let mut handles = Vec::with_capacity(n);
-    for (me, row) in outlinks.iter().enumerate() {
-        let transport = ReactorTransport {
-            me: me as u16,
-            rx: receivers[me].clone(),
-            links: row.clone(),
+        run.spawn_nodes(cfg, |run, me, inbox| ReactorTransport {
+            me,
+            inbox,
+            links: outlinks[me as usize].clone(),
             batches: (0..n).map(|_| FrameBatch::new()).collect(),
             dirty: (0..n)
-                .map(|j| (j != me).then(|| Arc::clone(&dirty[j][me])))
+                .map(|j| (j != me as usize).then(|| Arc::clone(&dirty[j][me as usize])))
                 .collect(),
             kicks: kicks.clone(),
             kick_due: vec![false; nshards],
-            in_flight: Arc::clone(&shared.in_flight),
-            epoch: shared.epoch,
-        };
-        let engine = NodeEngine::new(cfg.build_node(me as u16));
-        handles.push(harness::spawn_node(engine, transport, &shared));
+            in_flight: Arc::clone(&run.shared.in_flight),
+        });
+
+        // Teardown hook: stop the shards once the node threads are done, and
+        // fold link + shard counters into per-node transport stats (a shard's
+        // wakeups are attributed to its lowest node id).
+        run.finish = Some(Box::new(move || {
+            let shard_wakeups = reactor.join();
+            let mut stats = vec![TransportStats::default(); n];
+            for (i, row) in outlinks.iter().enumerate() {
+                for link in row.iter().flatten() {
+                    let (frames, syscalls, peak) = link.stats();
+                    stats[i].frames_sent += frames;
+                    stats[i].write_syscalls += syscalls;
+                    stats[i].pending_peak_bytes += peak;
+                }
+            }
+            for (node, count) in stats.iter_mut().zip(shard_wakeups) {
+                node.reactor_wakeups = count;
+            }
+            stats
+        }));
+        Ok(run)
     }
-
-    // Teardown hook: stop the shards once the node threads are done, and
-    // fold link + shard counters into per-node transport stats (a shard's
-    // wakeups are attributed to its lowest node id).
-    let finish: FinishHook = Box::new(move || {
-        let shard_wakeups = reactor.join();
-        let mut stats = vec![TransportStats::default(); n];
-        for (i, row) in outlinks.iter().enumerate() {
-            for link in row.iter().flatten() {
-                let (frames, syscalls, peak) = link.stats();
-                stats[i].frames_sent += frames;
-                stats[i].write_syscalls += syscalls;
-                stats[i].pending_peak_bytes += peak;
-            }
-        }
-        for (s, count) in shard_wakeups.into_iter().enumerate() {
-            if s < n {
-                stats[s].reactor_wakeups = count;
-            }
-        }
-        stats
-    });
-
-    Ok(harness::Spawned {
-        shared,
-        senders,
-        handles,
-        finish: Some(finish),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsj_core::Algorithm;
+    use dsj_core::{obs, Algorithm};
     use dsj_stream::gen::WorkloadKind;
 
     fn quick(n: u16, algorithm: Algorithm) -> ClusterConfig {
@@ -757,160 +426,6 @@ mod tests {
     #[test]
     fn base_tcp_cluster_is_nearly_exact() {
         let outcome = TcpCluster::run(&quick(4, Algorithm::Base)).unwrap();
-        assert!(
-            outcome.epsilon < 0.02,
-            "eps {} ({} of {})",
-            outcome.epsilon,
-            outcome.reported_matches,
-            outcome.truth_matches
-        );
-        assert!(outcome.messages > 0);
-    }
-
-    #[test]
-    fn all_algorithms_run_over_tcp() {
-        for algorithm in Algorithm::ALL {
-            let outcome = TcpCluster::run(&quick(3, algorithm)).unwrap();
-            assert!(
-                (0.0..=1.0).contains(&outcome.epsilon),
-                "{algorithm}: {}",
-                outcome.epsilon
-            );
-        }
-    }
-
-    #[test]
-    fn tcp_run_emits_observation_record_with_phases() {
-        let collector = obs::Collector::install();
-        let cfg = quick(3, Algorithm::Dft);
-        let outcome = obs::scoped("tcp", 2, || TcpCluster::run(&cfg).unwrap());
-        let records = collector.drain();
-        assert_eq!(records.len(), 1);
-        let reg = &records[0].registry;
-        assert_eq!(reg.counter("live.messages"), outcome.messages);
-        for phase in ["workload", "spawn", "inject", "drain", "join"] {
-            assert!(reg.phase(phase).is_some(), "missing phase {phase}");
-        }
-    }
-
-    #[test]
-    fn invalid_config_rejected_before_binding() {
-        let err = TcpCluster::run(&quick(1, Algorithm::Base)).unwrap_err();
-        assert_eq!(err, LiveError::Config(dsj_core::RunError::TooFewNodes(1)));
-    }
-
-    /// One end-to-end reader link for tests: listener, handshake (written
-    /// one byte at a time, exercising [`read_peer_id`]'s short-read
-    /// handling), and a [`pump_frames`] thread feeding a channel. The two
-    /// decode tests previously duplicated all of this scaffolding inline.
-    struct LinkFixture {
-        dialer: TcpStream,
-        rx: Receiver<TransportEvent>,
-        failures: Arc<Mutex<Vec<LiveError>>>,
-        reader: thread::JoinHandle<()>,
-    }
-
-    impl LinkFixture {
-        fn spawn(from: u16) -> Self {
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let (tx, rx) = unbounded();
-            let failures: Arc<Mutex<Vec<LiveError>>> = Arc::new(Mutex::new(Vec::new()));
-            let reader = {
-                let failures = Arc::clone(&failures);
-                thread::spawn(move || {
-                    let (mut stream, _) = listener.accept().unwrap();
-                    let peer = read_peer_id(&mut stream).unwrap();
-                    pump_frames(stream, peer, 0, &tx, &failures);
-                })
-            };
-            let mut dialer = TcpStream::connect(addr).unwrap();
-            dialer.set_nodelay(true).unwrap();
-            for byte in from.to_le_bytes() {
-                dialer.write_all(&[byte]).unwrap();
-            }
-            LinkFixture {
-                dialer,
-                rx,
-                failures,
-                reader,
-            }
-        }
-
-        /// Closes the write side and waits for the reader to finish.
-        fn finish(self) -> (Receiver<TransportEvent>, Arc<Mutex<Vec<LiveError>>>) {
-            drop(self.dialer);
-            self.reader.join().unwrap();
-            (self.rx, self.failures)
-        }
-    }
-
-    #[test]
-    fn corrupt_frame_on_the_socket_is_a_typed_error_not_a_panic() {
-        // Drive the reader half of one link directly over a real socket
-        // and feed it garbage: a well-formed length prefix followed by a
-        // body with an unknown version nibble.
-        let mut link = LinkFixture::spawn(1);
-        // One valid frame first: the link decodes it and forwards it.
-        let valid = wire::encode(&Msg::Tuple {
-            tuple: dsj_stream::Tuple::new(dsj_stream::StreamId::R, 42, 7, 1),
-            piggyback: Vec::new(),
-        });
-        link.dialer.write_all(&valid).unwrap();
-        // Then a corrupt one: version nibble 0xF is not the codec's.
-        link.dialer.write_all(&[1, 0, 0, 0, 0xF0]).unwrap();
-        link.dialer.flush().unwrap();
-        let (rx, failures) = link.finish();
-        match rx.try_recv() {
-            Some(TransportEvent::Net { from: 1, msg }) => {
-                assert_eq!(msg.wire_bytes(), valid.len());
-            }
-            other => panic!("expected the valid frame first, got {other:?}"),
-        }
-        let recorded = failures.lock();
-        assert_eq!(recorded.len(), 1);
-        assert!(
-            matches!(&recorded[0], LiveError::Decode { node: 0, .. }),
-            "{recorded:?}"
-        );
-    }
-
-    #[test]
-    fn chunk_boundaries_do_not_affect_decoding() {
-        // Byte-at-a-time delivery across the socket still reassembles the
-        // exact message stream.
-        let mut link = LinkFixture::spawn(2);
-        let msgs: Vec<Msg> = (0..5)
-            .map(|i| Msg::Tuple {
-                tuple: dsj_stream::Tuple::new(dsj_stream::StreamId::S, i, u64::from(i), 3),
-                piggyback: Vec::new(),
-            })
-            .collect();
-        for msg in &msgs {
-            for byte in wire::encode(msg) {
-                link.dialer.write_all(&[byte]).unwrap();
-            }
-        }
-        let (rx, failures) = link.finish();
-        assert!(failures.lock().is_empty());
-        for expected in &msgs {
-            match rx.try_recv() {
-                Some(TransportEvent::Net { from: 2, msg }) => {
-                    assert_eq!(wire::encode(&msg), wire::encode(expected));
-                }
-                other => panic!("missing message, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn reactor_mode_matches_ground_truth_closely() {
-        let outcome = TcpCluster::run_paced_mode(
-            &quick(4, Algorithm::Base),
-            Pacing::Freerun,
-            TcpMode::Reactor,
-        )
-        .unwrap();
         assert!(
             outcome.epsilon < 0.02,
             "eps {} ({} of {})",
@@ -951,11 +466,9 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_run_over_reactor_tcp() {
+    fn all_algorithms_run_over_tcp() {
         for algorithm in Algorithm::ALL {
-            let outcome =
-                TcpCluster::run_paced_mode(&quick(3, algorithm), Pacing::Freerun, TcpMode::Reactor)
-                    .unwrap();
+            let outcome = TcpCluster::run(&quick(3, algorithm)).unwrap();
             assert!(
                 (0.0..=1.0).contains(&outcome.epsilon),
                 "{algorithm}: {}",
@@ -965,8 +478,22 @@ mod tests {
     }
 
     #[test]
-    fn mesh_mode_reports_no_transport_stats() {
-        let outcome = TcpCluster::run(&quick(3, Algorithm::Base)).unwrap();
-        assert!(outcome.transport_per_node.is_empty());
+    fn tcp_run_emits_observation_record_with_phases() {
+        let collector = obs::Collector::install();
+        let cfg = quick(3, Algorithm::Dft);
+        let outcome = obs::scoped("tcp", 2, || TcpCluster::run(&cfg).unwrap());
+        let records = collector.drain();
+        assert_eq!(records.len(), 1);
+        let reg = &records[0].registry;
+        assert_eq!(reg.counter("live.messages"), outcome.messages);
+        for phase in ["workload", "spawn", "inject", "drain", "join"] {
+            assert!(reg.phase(phase).is_some(), "missing phase {phase}");
+        }
+    }
+
+    #[test]
+    fn invalid_config_rejected_before_binding() {
+        let err = TcpCluster::run(&quick(1, Algorithm::Base)).unwrap_err();
+        assert_eq!(err, LiveError::Config(dsj_core::RunError::TooFewNodes(1)));
     }
 }

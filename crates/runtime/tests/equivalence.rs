@@ -1,12 +1,11 @@
 //! Cross-backend equivalence: the same configuration, driven in lockstep,
-//! produces *identical* per-node results on all four backends —
-//! deterministic simulation, threads-over-channels, blocking TCP sockets
-//! (one reader thread per link), and reactor TCP (nonblocking sockets,
-//! sharded event loop, coalesced vectored writes).
+//! produces *identical* per-node results on all three backends —
+//! deterministic simulation, threads-over-channels, and loopback TCP
+//! (nonblocking sockets, sharded event loop, coalesced vectored writes).
 //!
 //! This is the strongest statement the transport refactor can make: the
 //! node logic is genuinely transport-agnostic, the wire codec is lossless,
-//! and the four drive loops deliver the same events in the same order.
+//! and the three drive loops deliver the same events in the same order.
 //! Equivalence requires the clock-free configuration subset — count-bounded
 //! windows (the default), no bandwidth governor, lossless links — because
 //! virtual and wall clocks necessarily disagree. Pacing must be
@@ -15,7 +14,7 @@
 //! next arrival moves, so per-node event order is the same everywhere.
 
 use dsj_core::{Algorithm, ClusterConfig, NodeMetrics};
-use dsj_runtime::{LiveCluster, Pacing, TcpCluster, TcpMode};
+use dsj_runtime::{LiveCluster, Pacing, TcpCluster};
 use dsj_simnet::LinkConfig;
 use dsj_stream::gen::WorkloadKind;
 
@@ -45,8 +44,6 @@ fn check_equivalence(n: u16, algorithm: Algorithm) {
     let sim = cfg.run_lockstep().expect("simnet lockstep");
     let threads = LiveCluster::run_paced(&cfg, Pacing::Lockstep).expect("threads lockstep");
     let tcp = TcpCluster::run_paced(&cfg, Pacing::Lockstep).expect("tcp lockstep");
-    let reactor = TcpCluster::run_paced_mode(&cfg, Pacing::Lockstep, TcpMode::Reactor)
-        .expect("reactor lockstep");
 
     let from_sim = Fingerprint {
         truth_matches: sim.truth_matches,
@@ -66,12 +63,6 @@ fn check_equivalence(n: u16, algorithm: Algorithm) {
         per_node: tcp.per_node.clone(),
         match_digests: tcp.match_digests.clone(),
     };
-    let from_reactor = Fingerprint {
-        truth_matches: reactor.truth_matches,
-        reported_matches: reactor.reported_matches,
-        per_node: reactor.per_node.clone(),
-        match_digests: reactor.match_digests.clone(),
-    };
 
     assert_eq!(
         from_sim, from_threads,
@@ -80,10 +71,6 @@ fn check_equivalence(n: u16, algorithm: Algorithm) {
     assert_eq!(
         from_threads, from_tcp,
         "threads vs tcp diverged for {algorithm} at n={n}"
-    );
-    assert_eq!(
-        from_tcp, from_reactor,
-        "blocking tcp vs reactor tcp diverged for {algorithm} at n={n}"
     );
     // Sanity: the run did real work — every node processed arrivals, and
     // the cluster moved messages.
@@ -137,6 +124,4 @@ fn lockstep_live_runs_are_reproducible() {
     assert_eq!(a.match_digests, b.match_digests);
     let c = TcpCluster::run_paced(&cfg, Pacing::Lockstep).unwrap();
     assert_eq!(a.match_digests, c.match_digests);
-    let d = TcpCluster::run_paced_mode(&cfg, Pacing::Lockstep, TcpMode::Reactor).unwrap();
-    assert_eq!(a.match_digests, d.match_digests);
 }

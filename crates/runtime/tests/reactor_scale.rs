@@ -1,9 +1,9 @@
-//! Reactor-mode scaling guarantees that the unit tests can't see:
+//! Reactor scaling guarantees that the unit tests can't see:
 //! cluster-level thread accounting (O(N), not O(N²)) and quiescence
 //! under sustained backpressure.
 
 use dsj_core::{Algorithm, ClusterConfig};
-use dsj_runtime::{Pacing, TcpCluster, TcpMode};
+use dsj_runtime::TcpCluster;
 use dsj_stream::gen::WorkloadKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,10 +31,10 @@ fn thread_count() -> usize {
 }
 
 #[test]
-fn reactor_mode_thread_count_is_linear_in_n() {
+fn reactor_thread_count_is_linear_in_n() {
     let n: u16 = 32;
-    // A mesh at n=32 would spawn 32·31 = 992 reader threads on top of the
-    // node threads. The reactor budget is: n node threads + a fixed shard
+    // A reader thread per link would add 32·31 = 992 threads on top of the
+    // node threads at n=32. The reactor budget is: n node threads + a fixed shard
     // pool (≤ 8) + transient acceptors (n, but joined before nodes spawn)
     // + feeder/test overhead. Assert the peak stays within n + 16 extra
     // threads over the pre-run baseline — loose enough for scheduler
@@ -52,8 +52,7 @@ fn reactor_mode_thread_count_is_linear_in_n() {
             peak
         })
     };
-    let outcome = TcpCluster::run_paced_mode(&cfg(n, 4_000), Pacing::Freerun, TcpMode::Reactor)
-        .expect("reactor n=32");
+    let outcome = TcpCluster::run(&cfg(n, 4_000)).expect("reactor n=32");
     done.store(true, Ordering::SeqCst);
     let peak = sampler.join().expect("sampler");
     assert!(outcome.reported_matches > 0);
@@ -72,8 +71,7 @@ fn freerun_reactor_survives_bursty_backpressure() {
     // complete — parked bytes stay counted until the receiving engine
     // processes them, so the drain loop cannot be fooled — and accuracy
     // must not degrade (backpressure delays delivery, never drops it).
-    let outcome = TcpCluster::run_paced_mode(&cfg(8, 8_000), Pacing::Freerun, TcpMode::Reactor)
-        .expect("reactor n=8 freerun");
+    let outcome = TcpCluster::run(&cfg(8, 8_000)).expect("reactor n=8 freerun");
     assert!(
         outcome.epsilon < 0.05,
         "eps {} ({} of {})",

@@ -1,7 +1,7 @@
 # Development workflow. `just ci` mirrors .github/workflows/ci.yml.
 
 # Everything CI runs, in CI order.
-ci: fmt-check clippy lint doc tier1 test-workspace repro-smoke live-smoke
+ci: fmt-check clippy lint doc tier1 test-workspace repro-smoke live-smoke e2e-smoke
 
 # Formatting gate.
 fmt-check:
@@ -74,16 +74,21 @@ live-smoke:
 
 # Run a workload over real loopback TCP sockets with codec-framed
 # messages, e.g. `just live-tcp 5 50000 bloom lockstep` or
-# `just live-tcp 128 5000 dftt freerun reactor` (large N needs the
-# reactor; see README "large clusters" for fd-limit notes).
-live-tcp n="4" tuples="20000" algorithm="dftt" pacing="freerun" mode="mesh":
+# `just live-tcp 128 5000 dftt` (see README "large clusters" for
+# fd-limit notes).
+live-tcp n="4" tuples="20000" algorithm="dftt" pacing="freerun":
     cargo build --release -p dsj-runtime --example live_tcp
-    ./target/release/examples/live_tcp {{n}} {{tuples}} {{algorithm}} {{pacing}} {{mode}}
+    ./target/release/examples/live_tcp {{n}} {{tuples}} {{algorithm}} {{pacing}}
+
+# The benchmark (benches/e2e) is its own workspace, so nothing above
+# compiles it: run its unit tests and its quick correctness gate.
+e2e-smoke:
+    cargo test --offline --manifest-path benches/e2e/Cargo.toml
+    benches/e2e/run.sh /tmp/e2e.json --quick
 
 # Full hot-path throughput suite (micro ns/op + macro tuples/sec for every
-# strategy, simnet at N ∈ {4, 16, 32} plus real-TCP mesh-vs-reactor at
-# N ∈ {4, 16, 32, 64} and reactor-only N = 128); records the trajectory
-# in BENCH_pr8.json.
+# strategy, simnet at N ∈ {4, 16, 32} plus real TCP at
+# N ∈ {4, 16, 32, 64, 128}); records the trajectory in BENCH_pr8.json.
 bench:
     cargo build --release -p dsj-bench --bin dsj-bench
     ./target/release/dsj-bench --out BENCH_pr8.json
