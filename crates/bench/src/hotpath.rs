@@ -354,7 +354,7 @@ pub fn bench_macro_simnet(algorithm: Algorithm, n: u16, tuples: usize) -> BenchR
     }
 }
 
-/// Macro: end-to-end tuples/sec over real loopback TCP sockets (sharded
+/// Macro: end-to-end tuples/sec over real loopback TCP sockets (per-node
 /// event loop, coalesced vectored writes), emitted as
 /// `macro.tcp_reactor`. Throughput covers first arrival to quiescence;
 /// socket setup is excluded.

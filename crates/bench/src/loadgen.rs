@@ -39,9 +39,9 @@ const SEED: u64 = 42;
 /// Which live backend a load cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBackend {
-    /// In-process node threads over crossbeam channels.
+    /// In-process node threads over mailboxes.
     Threads,
-    /// Loopback TCP, sharded event-loop reactor.
+    /// Loopback TCP, every node reading its own sockets.
     TcpReactor,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Before this module, every runtime re-implemented the same drive loop
 //! around [`JoinNode`]: the simnet adapter fanned `handle_arrival` output
-//! into [`Ctx::send`], the live threaded cluster fanned it into crossbeam
+//! into [`Ctx::send`], the live threaded cluster fanned it into in-process
 //! channels, and any new backend would have copied the loop a third time.
 //! [`NodeEngine`] owns that loop once; backends implement [`Transport`]
 //! (send / poll / clock / quiescence) and nothing else.
@@ -12,8 +12,8 @@
 //! | backend  | where | send | clock |
 //! |---|---|---|---|
 //! | simnet   | `dsj-core` (here) | [`Ctx::send`], modeled WAN | virtual |
-//! | threads  | `dsj-runtime::LiveCluster` | crossbeam channels | wall |
-//! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets, sharded nonblocking reactor, coalesced vectored writes | wall |
+//! | threads  | `dsj-runtime::LiveCluster` | in-process mailboxes | wall |
+//! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets read by the receiving node's thread, coalesced vectored writes | wall |
 //!
 //! The engine is deliberately thin: [`JoinNode`] stays transport-agnostic
 //! and allocation-free on its per-tuple path, and the engine adds only the

@@ -1,12 +1,11 @@
-//! One OS thread per node, crossbeam channels as links.
+//! One OS thread per node, in-process mailboxes as links.
 
-use crate::harness::{self, Inbox, Pacing};
-use crossbeam::channel::Sender;
+use crate::harness::{self, Inbox, Mailbox, Pacing};
 use dsj_core::obs;
 use dsj_core::{ClusterConfig, Msg, NodeMetrics, Transport, TransportEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,8 +112,8 @@ pub struct TransportStats {
     /// Sum over peers of each pending-write queue's high-water mark of
     /// bytes parked while that peer's socket was full.
     pub pending_peak_bytes: u64,
-    /// Reactor-shard sweeps charged to this node (shard total attributed
-    /// to its first node; 0 for the shard's other nodes).
+    /// How often this node's thread found neither queued events nor
+    /// readable sockets and waited on its latch.
     pub reactor_wakeups: u64,
 }
 
@@ -155,36 +154,51 @@ pub struct LiveOutcome {
     pub tuples_per_sec: f64,
 }
 
-/// [`Transport`] over in-process crossbeam channels: the node's own
-/// [`Inbox`] plus a clone of every peer's sender.
+/// [`Transport`] over in-process mailboxes: the node's own [`Inbox`] plus
+/// every peer's [`Mailbox`]. `send` queues the message at once; `flush`
+/// wakes each peer sent to since the last flush, once.
 pub(crate) struct ChannelTransport {
     me: u16,
     inbox: Inbox,
-    peers: Vec<Sender<TransportEvent>>,
-    in_flight: Arc<AtomicI64>,
+    peers: Vec<Arc<Mailbox>>,
+    /// `kick_due[j]`: peer `j` was sent to since the last flush.
+    kick_due: Vec<bool>,
 }
 
 impl Transport for ChannelTransport {
     type Error = LiveError;
 
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), LiveError> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.peers[to as usize]
-            .send(TransportEvent::Net { from: self.me, msg })
-            .is_err()
+        self.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
+        if let Err(closed) =
+            self.peers[to as usize].push(TransportEvent::Net { from: self.me, msg })
         {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return Err(LiveError::ChannelClosed);
+            self.inbox.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return Err(closed);
         }
+        self.kick_due[to as usize] = true;
         Ok(())
     }
 
     fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        self.inbox.poll()
+        harness::poll_one(self)
     }
 
+    /// Blocks for the first event; whatever else was queued between kicks
+    /// comes along in the same frame.
     fn poll_frame(&mut self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
-        self.inbox.poll_frame(max, frame)
+        while {
+            self.inbox.drain(max, frame);
+            frame.is_empty()
+        } {
+            self.inbox.wait(Inbox::IDLE_WAIT);
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), LiveError> {
+        Mailbox::kick_due(&self.peers, &mut self.kick_due);
+        Ok(())
     }
 
     fn now_us(&mut self) -> u64 {
@@ -198,7 +212,7 @@ impl Transport for ChannelTransport {
 
 /// Runs [`dsj_core::JoinNode`]s as live threads.
 ///
-/// Message transport is unbounded channels with no injected latency —
+/// Message transport is unbounded in-process queues with no injected latency —
 /// the point is concurrency correctness and raw processing speed, not the
 /// WAN model (that is `dsj-simnet`'s job). With effectively instant
 /// links, accuracy is bounded below by the simulated runs' (probes never
@@ -247,7 +261,7 @@ impl LiveCluster {
     }
 
     /// Prepares the run and spawns the node threads over channel
-    /// transports (every transport gets every sender) — everything up to
+    /// transports (every transport gets every mailbox) — everything up to
     /// (but not including) feeding, shared by the closed- and open-loop
     /// entry points.
     pub(crate) fn spawn(cfg: &ClusterConfig) -> Result<harness::Run, LiveError> {
@@ -255,8 +269,8 @@ impl LiveCluster {
         run.spawn_nodes(cfg, |run, me, inbox| ChannelTransport {
             me,
             inbox,
-            peers: run.senders.clone(),
-            in_flight: Arc::clone(&run.shared.in_flight),
+            peers: run.mailboxes.clone(),
+            kick_due: vec![false; run.mailboxes.len()],
         });
         Ok(run)
     }

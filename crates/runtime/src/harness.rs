@@ -5,10 +5,21 @@
 //! move: one OS thread per node running [`NodeEngine::run`] over its
 //! transport, a feeder injecting the arrival schedule, an in-flight event
 //! counter for quiescence detection, and the final aggregation into a
-//! [`LiveOutcome`]. That shared half lives here — down to the receive
-//! side of the transports, which is the same event queue on every backend
-//! ([`Inbox`]); the backends only implement `send`/`flush` and spawn their
-//! nodes into the [`Run`] that [`prepare`] hands them.
+//! [`LiveOutcome`]. That shared half lives here — down to each node's one
+//! wait point, a [`Mailbox`] (event queue plus wake-up latch) whose
+//! receive half ([`Inbox`]) every transport embeds; the backends implement
+//! `send`/`flush`, add their own event sources (the TCP nodes' sockets)
+//! and spawn their nodes into the [`Run`] that [`prepare`] hands them.
+//!
+//! # Wake-ups are per burst, not per event
+//!
+//! Queueing an event ([`Mailbox::push`]) and waking its consumer
+//! ([`Mailbox::kick`]) are separate steps: a producer kicks each node it
+//! touched once, when it is about to wait or is done — the feeders at the
+//! backlog cap or a schedule gap, a transport at the end of its `flush`. A
+//! node woken per event runs each tuple through the cluster alone (one
+//! frame, one write, several context switches per message); woken per
+//! burst it finds a backlog that fills the frames and coalesced writes.
 //!
 //! # Driver / feeder split
 //!
@@ -39,11 +50,12 @@
 //! idle.
 
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::reactor::Kick;
 use dsj_core::obs;
 use dsj_core::{ClusterConfig, NodeEngine, NodeMetrics, Transport, TransportEvent};
 use dsj_stream::gen::Arrival;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -127,8 +139,7 @@ pub struct LoadRun {
     pub overloaded: bool,
 }
 
-/// State shared between the feeder, the node threads and the reader
-/// threads of one live run.
+/// State shared between the feeder and the node threads of one live run.
 pub(crate) struct Shared {
     /// Events produced but not yet fully processed, cluster-wide.
     pub in_flight: Arc<AtomicI64>,
@@ -149,17 +160,16 @@ impl Shared {
         }
     }
 
-    /// Queues a feeder's `event` on `tx` under the contract the quiescence
-    /// counter depends on: count it in flight *before* it becomes visible,
-    /// and give the count back if the queue is gone — a counted event
-    /// nobody can process would wedge the drain loop forever.
-    fn inject(&self, tx: &Sender<TransportEvent>, event: TransportEvent) -> Result<(), LiveError> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if tx.send(event).is_err() {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return Err(self.failure().unwrap_or(LiveError::ChannelClosed));
-        }
-        Ok(())
+    /// Whether any thread has reported a failure: one lock, no allocation.
+    fn has_failure(&self) -> bool {
+        !self.failures.lock().is_empty()
+    }
+
+    /// The wait loops' per-iteration check: `Err` with the aggregate once
+    /// any thread has reported a failure, built only on that path.
+    fn check(&self) -> Result<(), LiveError> {
+        let failure = self.has_failure().then(|| self.failure()).flatten();
+        failure.map_or(Ok(()), Err)
     }
 
     /// All reported failures so far, deduplicated by ([`LiveError::kind_key`])
@@ -178,6 +188,161 @@ impl Shared {
             1 => distinct.pop(),
             _ => Some(LiveError::Faults(distinct)),
         }
+    }
+}
+
+/// One node's wait point: its event queue (feeder arrivals, shutdown and — on
+/// the channel backend — peer traffic) and the latch its thread parks on.
+/// Producers on any thread [`push`](Mailbox::push) and, separately,
+/// [`kick`](Mailbox::kick); the owner drains through its [`Inbox`], whose drop
+/// closes the queue.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    queue: Mutex<MailQueue>,
+    latch: Kick,
+}
+
+#[derive(Default)]
+struct MailQueue {
+    events: VecDeque<TransportEvent>,
+    /// Set when the owning [`Inbox`] is dropped: the node is gone.
+    closed: bool,
+}
+
+impl Mailbox {
+    /// Queues `event` without waking the node; the caller owes a
+    /// [`Mailbox::kick`] before it waits for the event's effect.
+    ///
+    /// # Errors
+    ///
+    /// [`LiveError::ChannelClosed`] when the node's thread is gone.
+    pub fn push(&self, event: TransportEvent) -> Result<(), LiveError> {
+        let mut queue = self.queue.lock();
+        if queue.closed {
+            return Err(LiveError::ChannelClosed);
+        }
+        queue.events.push_back(event);
+        Ok(())
+    }
+
+    /// Wakes the node if it is waiting (one atomic swap if not).
+    pub fn kick(&self) {
+        self.latch.notify();
+    }
+
+    /// Kicks every mailbox whose `due` flag is set, and clears the flags.
+    pub fn kick_due(mailboxes: &[Arc<Mailbox>], due: &mut [bool]) {
+        for (mailbox, due) in mailboxes.iter().zip(due) {
+            if std::mem::take(due) {
+                mailbox.kick();
+            }
+        }
+    }
+
+    /// How often the node found nothing to do and waited on its latch.
+    pub fn waits(&self) -> u64 {
+        self.latch.waits()
+    }
+}
+
+/// Opens one node's mailbox: the producers' side and its receive half.
+pub(crate) fn mailbox(shared: &Shared) -> (Arc<Mailbox>, Inbox) {
+    let mailbox = Arc::<Mailbox>::default();
+    let inbox = Inbox {
+        mailbox: Arc::clone(&mailbox),
+        in_flight: Arc::clone(&shared.in_flight),
+        epoch: shared.epoch,
+    };
+    (mailbox, inbox)
+}
+
+/// The receive half of a [`Mailbox`], embedded by every live transport, with
+/// the cluster's wall clock and the quiescence decrement.
+pub(crate) struct Inbox {
+    mailbox: Arc<Mailbox>,
+    /// Cluster-wide in-flight event counter.
+    pub in_flight: Arc<AtomicI64>,
+    epoch: Instant,
+}
+
+impl Inbox {
+    /// How long a node that is owed nothing parks between re-checks.
+    pub const IDLE_WAIT: Duration = Duration::from_millis(20);
+
+    /// Moves queued events into `frame` until it holds `max`; `true` when
+    /// that emptied the queue.
+    pub fn drain(&self, max: usize, frame: &mut Vec<TransportEvent>) -> bool {
+        let mut queue = self.mailbox.queue.lock();
+        let take = queue.events.len().min(max.saturating_sub(frame.len()));
+        frame.extend(queue.events.drain(..take));
+        queue.events.is_empty()
+    }
+
+    /// Parks until kicked or `timeout` passes; `true` when kicked.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        self.mailbox.latch.wait(timeout)
+    }
+
+    pub fn now_us(&self) -> u64 {
+        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    pub fn quiesce(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        self.mailbox.queue.lock().closed = true;
+    }
+}
+
+/// `Transport::poll` for the live transports: a frame of one.
+pub(crate) fn poll_one<T: Transport<Error = LiveError>>(
+    transport: &mut T,
+) -> Result<TransportEvent, LiveError> {
+    let mut one = Vec::with_capacity(1);
+    transport.poll_frame(1, &mut one)?;
+    one.pop().ok_or(LiveError::ChannelClosed)
+}
+
+/// A feeder's handle on the node mailboxes: queues arrivals without
+/// waking anyone and remembers which nodes it owes a kick.
+pub(crate) struct Injector<'a> {
+    shared: &'a Shared,
+    mailboxes: &'a [Arc<Mailbox>],
+    touched: Vec<bool>,
+}
+
+impl<'a> Injector<'a> {
+    pub fn new(shared: &'a Shared, mailboxes: &'a [Arc<Mailbox>]) -> Self {
+        Injector {
+            shared,
+            mailboxes,
+            touched: vec![false; mailboxes.len()],
+        }
+    }
+
+    /// Queues `event` for `node`, counted in flight *before* it becomes
+    /// visible; gives the count back if the node is gone — a counted event
+    /// nobody can process would wedge the drain loop forever.
+    fn inject(&mut self, node: u16, event: TransportEvent) -> Result<(), LiveError> {
+        let shared = self.shared;
+        shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        if let Err(closed) = self.mailboxes[node as usize].push(event) {
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return Err(shared.failure().unwrap_or(closed));
+        }
+        self.touched[node as usize] = true;
+        Ok(())
+    }
+
+    /// Wakes every node injected into since the last call: the feeder's
+    /// before each wait, the driver's once more when the feeder returns.
+    fn kick(&mut self) {
+        Mailbox::kick_due(self.mailboxes, &mut self.touched);
     }
 }
 
@@ -218,7 +383,9 @@ impl Backoff {
     }
 }
 
-/// Records one node's transport counters as observability gauges.
+/// Records one node's transport counters — write coalescing, parked
+/// bytes and how often the node itself waited on its latch — as
+/// observability gauges.
 fn record_transport(reg: &mut obs::Registry, me: u16, t: &TransportStats) {
     reg.gauge_set(
         &format!("node.{me:02}.pending_write_peak"),
@@ -236,56 +403,16 @@ fn record_transport(reg: &mut obs::Registry, me: u16, t: &TransportStats) {
     );
 }
 
-/// The receive half every live transport embeds: one node's event queue
-/// (feeder arrivals, peer traffic — handed over in-process or decoded off
-/// a socket — and shutdown all land here), the cluster's wall clock and
-/// the quiescence decrement. Backends differ only in `send`/`flush`.
-pub(crate) struct Inbox {
-    rx: Receiver<TransportEvent>,
-    in_flight: Arc<AtomicI64>,
-    epoch: Instant,
-}
-
-impl Inbox {
-    pub fn poll(&self) -> Result<TransportEvent, LiveError> {
-        self.rx.recv().map_err(|_| LiveError::ChannelClosed)
-    }
-
-    /// Blocks for the first event, then drains whatever else is already
-    /// queued — the backlog a fast feeder or chatty peer built up while
-    /// this node was busy becomes one frame instead of `max` lock
-    /// round-trips through the run loop.
-    pub fn poll_frame(&self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {
-        frame.push(self.poll()?);
-        while frame.len() < max {
-            match self.rx.try_recv() {
-                Some(event) => frame.push(event),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    pub fn now_us(&self) -> u64 {
-        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    pub fn quiesce(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// Backend-provided teardown hook: runs after the node threads have
 /// joined (so no more traffic can move), shuts down whatever transport
-/// machinery the backend spawned (e.g. reactor shards), and returns
-/// per-node [`TransportStats`] for the outcome.
+/// machinery the backend still holds, and returns per-node
+/// [`TransportStats`] for the outcome.
 pub(crate) type FinishHook = Box<dyn FnOnce() -> Vec<TransportStats> + Send>;
 
 /// One live run, backend-independent: [`prepare`] fills in the workload
-/// and the per-node event queues (arrivals and shutdown go this way on
-/// every backend), the backend spawns its node threads into it, and
-/// [`drive`] / [`drive_open`] consume it.
+/// and the per-node mailboxes (arrivals and shutdown go this way on every
+/// backend), the backend spawns its node threads into it, and [`drive`] /
+/// [`drive_open`] consume it.
 pub(crate) struct Run {
     reg: obs::Registry,
     arrivals: Vec<Arrival>,
@@ -295,9 +422,9 @@ pub(crate) struct Run {
     spawn_started: Instant,
     /// Shared feeder/node/reader state.
     pub shared: Shared,
-    /// Per-node event queues.
-    pub senders: Vec<Sender<TransportEvent>>,
-    /// The queues' receive halves, until the nodes are spawned.
+    /// Per-node mailboxes.
+    pub mailboxes: Vec<Arc<Mailbox>>,
+    /// The mailboxes' receive halves, until the nodes are spawned.
     inboxes: Vec<Inbox>,
     /// Node threads, in id order.
     handles: Vec<JoinHandle<NodeEngine>>,
@@ -307,7 +434,7 @@ pub(crate) struct Run {
 }
 
 /// Validates `cfg`, generates its schedule and ground truth (the
-/// `"workload"` phase) and opens one event queue per node — everything
+/// `"workload"` phase) and opens one mailbox per node — everything
 /// every backend does before its first transport exists.
 ///
 /// # Errors
@@ -320,24 +447,14 @@ pub(crate) fn prepare(cfg: &ClusterConfig) -> Result<Run, LiveError> {
     let (arrivals, truth_matches) =
         reg.time_phase("workload", || (cfg.arrivals(), cfg.ground_truth_matches()));
     let shared = Shared::new();
-    let (senders, inboxes) = (0..cfg.n)
-        .map(|_| {
-            let (tx, rx) = unbounded();
-            let inbox = Inbox {
-                rx,
-                in_flight: Arc::clone(&shared.in_flight),
-                epoch: shared.epoch,
-            };
-            (tx, inbox)
-        })
-        .unzip();
+    let (mailboxes, inboxes) = (0..cfg.n).map(|_| mailbox(&shared)).unzip();
     Ok(Run {
         reg,
         arrivals,
         truth_matches,
         spawn_started: Instant::now(),
         shared,
-        senders,
+        mailboxes,
         inboxes,
         handles: Vec::new(),
         finish: None,
@@ -370,18 +487,17 @@ impl Run {
 /// The driver owns everything around the feed (spawn, quiesce, join,
 /// aggregate); a feeder owns only the injection loop.
 pub(crate) trait Feeder {
-    /// Injects `arrivals` into the per-node queues, each through
-    /// [`Shared::inject`].
+    /// Injects `arrivals` into the node mailboxes through `nodes`,
+    /// kicking the nodes it touched ([`Injector::kick`]) before every wait.
     ///
     /// # Errors
     ///
-    /// A failure reported by the cluster while feeding, or the send
+    /// A failure reported by the cluster while feeding, or the injection
     /// failure itself.
     fn feed(
         &mut self,
         arrivals: &[Arrival],
-        senders: &[Sender<TransportEvent>],
-        shared: &Shared,
+        nodes: &mut Injector<'_>,
     ) -> Result<FeedReport, LiveError>;
 }
 
@@ -414,9 +530,9 @@ impl Feeder for ClosedLoop {
     fn feed(
         &mut self,
         arrivals: &[Arrival],
-        senders: &[Sender<TransportEvent>],
-        shared: &Shared,
+        nodes: &mut Injector<'_>,
     ) -> Result<FeedReport, LiveError> {
+        let shared = nodes.shared;
         let mut backoff = Backoff::new();
         let mut peak = 0i64;
         for a in arrivals {
@@ -426,16 +542,14 @@ impl Feeder for ClosedLoop {
                     peak = peak.max(backlog);
                     break;
                 }
-                if let Some(e) = shared.failure() {
-                    return Err(e);
-                }
+                // The cap is reached: what was queued since the last wait
+                // is one burst, and its nodes are woken once for it.
+                nodes.kick();
+                shared.check()?;
                 backoff.wait();
             }
             backoff.reset();
-            shared.inject(
-                &senders[a.node as usize],
-                TransportEvent::Arrival(a.tuple()),
-            )?;
+            nodes.inject(a.node, TransportEvent::Arrival(a.tuple()))?;
         }
         Ok(FeedReport {
             injected: arrivals.len(),
@@ -475,9 +589,9 @@ impl Feeder for OpenLoopFeeder {
     fn feed(
         &mut self,
         arrivals: &[Arrival],
-        senders: &[Sender<TransportEvent>],
-        shared: &Shared,
+        nodes: &mut Injector<'_>,
     ) -> Result<FeedReport, LiveError> {
+        let shared = nodes.shared;
         let start = Instant::now();
         let mut peak = 0i64;
         for (k, a) in arrivals.iter().enumerate() {
@@ -490,9 +604,10 @@ impl Feeder for OpenLoopFeeder {
                 if elapsed_ns >= due_ns {
                     break;
                 }
-                if let Some(e) = shared.failure() {
-                    return Err(e);
-                }
+                // A schedule gap: everything due so far is queued, wake
+                // its nodes once before sleeping the gap out.
+                nodes.kick();
+                shared.check()?;
                 let gap = Duration::from_nanos(due_ns - elapsed_ns);
                 thread::park_timeout(gap.min(Duration::from_millis(1)));
             }
@@ -512,7 +627,7 @@ impl Feeder for OpenLoopFeeder {
                 tuple: a.tuple(),
                 injected_us: shared.epoch.elapsed().as_micros() as u64,
             };
-            shared.inject(&senders[a.node as usize], event)?;
+            nodes.inject(a.node, event)?;
         }
         Ok(FeedReport {
             injected: arrivals.len(),
@@ -571,16 +686,19 @@ pub(crate) fn drive_with<F: Feeder>(
         truth_matches,
         spawn_started,
         shared,
-        senders,
+        mailboxes,
         handles,
         finish,
         ..
     } = run;
     reg.phase_add("spawn", spawn_started.elapsed());
-    // Feed arrivals in global order (per-channel FIFO keeps each node's
-    // sequence numbers ascending, as the windows require).
+    // Feed arrivals in global order (per-mailbox FIFO keeps each node's
+    // sequence numbers ascending, as the windows require). Whatever the
+    // feeder queued last has not been kicked yet: it is done, so kick.
     let start = Instant::now();
-    let fed = feeder.feed(&arrivals, &senders, &shared);
+    let mut nodes = Injector::new(&shared, &mailboxes);
+    let fed = feeder.feed(&arrivals, &mut nodes);
+    nodes.kick();
     reg.phase_add("inject", start.elapsed());
 
     // Quiesce: wait until no events remain anywhere in the cluster.
@@ -596,21 +714,19 @@ pub(crate) fn drive_with<F: Feeder>(
             last = now;
             now > 0
         } {
-            if let Some(e) = shared.failure() {
-                return Err(e);
-            }
+            shared.check()?;
             backoff.wait();
         }
         Ok(report)
     });
     let wall_time = start.elapsed();
     reg.phase_add("drain", drain_started.elapsed());
-    // Every node gets its shutdown, clean run or not: each channel
-    // transport holds a clone of every sender, so dropping ours would
-    // disconnect no queue and the node threads would stay parked in
-    // `recv` for the life of the process.
-    for tx in senders {
-        let _ = tx.send(TransportEvent::Shutdown);
+    // Every node gets its shutdown, clean run or not: nothing else ends
+    // a node's run loop, and an unsent one would leave the thread parked
+    // on its latch for the life of the process.
+    for mailbox in &mailboxes {
+        let _ = mailbox.push(TransportEvent::Shutdown);
+        mailbox.kick();
     }
 
     let join_started = Instant::now();
@@ -689,7 +805,6 @@ pub(crate) fn drive_with<F: Feeder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use dsj_core::Algorithm;
     use std::sync::atomic::AtomicU32;
 
@@ -821,7 +936,8 @@ mod tests {
         let finished = Arc::new(AtomicU32::new(0));
         let mut run = rigged(&cfg, idle_handles(&cfg), &finished);
         let in_flight = Arc::clone(&run.shared.in_flight);
-        // Queues whose receivers are already gone: the first send fails.
+        // Mailboxes whose receive halves are already gone: the first
+        // injection fails.
         run.inboxes.clear();
         let err = drive(&cfg, Pacing::Freerun, run).unwrap_err();
         assert_eq!(err, LiveError::ChannelClosed);
@@ -833,13 +949,13 @@ mod tests {
 
     #[test]
     fn quiesce_failure_aborts_through_finish_hook() {
-        // Real channel-backed nodes, parked on their queues.
+        // Real channel-backed nodes, parked on their latches.
         let cfg = test_cfg(3);
         let mut run = crate::LiveCluster::spawn(&cfg).unwrap();
         let finished = Arc::new(AtomicU32::new(0));
         run.finish = Some(counting_hook(&finished));
         // A wedged cluster: one phantom in-flight event that never drains,
-        // and a failure reported by a reader thread.
+        // and a failure reported by a node's socket sweep.
         run.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         run.shared.failures.lock().push(LiveError::Io {
             node: 2,
@@ -848,16 +964,18 @@ mod tests {
         // Empty schedule: the feed is a no-op, the quiesce loop sees the
         // failure.
         run.arrivals.clear();
-        let queues = run.senders.clone();
+        let mailboxes = run.mailboxes.clone();
         let err = drive(&cfg, Pacing::Freerun, run).unwrap_err();
         assert!(matches!(err, LiveError::Io { node: 2, .. }), "{err:?}");
         assert_eq!(finished.load(Ordering::SeqCst), 1);
-        // No node thread outlives the failed run: each held the only
-        // receiver of its queue and dropped it on the way out.
-        for (node, tx) in queues.iter().enumerate() {
-            assert!(
-                tx.send(TransportEvent::Shutdown).is_err(),
-                "node {node} is still parked on its queue"
+        // No node thread outlives the failed run: each owned its mailbox's
+        // receive half and closed it on the way out, so a send to a gone
+        // node still fails.
+        for (node, mailbox) in mailboxes.iter().enumerate() {
+            assert_eq!(
+                mailbox.push(TransportEvent::Shutdown),
+                Err(LiveError::ChannelClosed),
+                "node {node} is still parked on its mailbox"
             );
         }
     }
@@ -898,14 +1016,24 @@ mod tests {
         assert_eq!(finished.load(Ordering::SeqCst), 1);
     }
 
+    /// Mailboxes nobody drains, with their receive halves kept alive.
+    fn undrained(shared: &Shared, n: u16) -> (Vec<Arc<Mailbox>>, Vec<Inbox>) {
+        (0..n).map(|_| mailbox(shared)).unzip()
+    }
+
+    /// Everything queued for a node so far.
+    fn queued(inbox: &Inbox) -> Vec<TransportEvent> {
+        let mut events = Vec::new();
+        assert!(inbox.drain(usize::MAX, &mut events));
+        events
+    }
+
     #[test]
     fn open_loop_feeder_preserves_per_node_sequence_order() {
         let cfg = test_cfg(3).tuples(300);
         let arrivals = cfg.arrivals();
         let shared = Shared::new();
-        let mut channels: Vec<_> = (0..cfg.n).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<TransportEvent>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let (mailboxes, inboxes) = undrained(&shared, cfg.n);
         // Nothing drains in this test, so the backlog equals everything
         // injected; lift the overload bound out of the way.
         let spec = OpenLoop {
@@ -913,16 +1041,16 @@ mod tests {
             abort_backlog: Some(i64::MAX),
         };
         let report = OpenLoopFeeder::new(&spec, cfg.n)
-            .feed(&arrivals, &senders, &shared)
+            .feed(&arrivals, &mut Injector::new(&shared, &mailboxes))
             .unwrap();
         assert_eq!(report.injected, arrivals.len());
         assert!(!report.overloaded);
-        // Every queue sees its node's arrivals with strictly ascending
+        // Every mailbox sees its node's arrivals with strictly ascending
         // sequence numbers and nondecreasing injection stamps.
-        for (node, (_, rx)) in channels.iter_mut().enumerate() {
+        for (node, inbox) in inboxes.iter().enumerate() {
             let mut last_seq = None;
             let mut last_stamp = 0u64;
-            while let Some(event) = rx.try_recv() {
+            for event in queued(inbox) {
                 match event {
                     TransportEvent::StampedArrival { tuple, injected_us } => {
                         assert_eq!(usize::from(tuple.origin), node);
@@ -938,7 +1066,7 @@ mod tests {
             }
             assert!(last_seq.is_some(), "node {node} saw no arrivals");
         }
-        // Feeder increments stayed balanced with what landed in queues.
+        // Feeder increments stayed balanced with what landed in mailboxes.
         assert_eq!(
             shared.in_flight.load(Ordering::SeqCst),
             arrivals.len() as i64
@@ -950,9 +1078,7 @@ mod tests {
         let cfg = test_cfg(3).tuples(100);
         let arrivals = cfg.arrivals();
         let shared = Shared::new();
-        let channels: Vec<_> = (0..cfg.n).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<TransportEvent>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let (mailboxes, _inboxes) = undrained(&shared, cfg.n);
         // Nothing drains, so the backlog hits the bound after exactly
         // `bound` injections.
         let spec = OpenLoop {
@@ -960,10 +1086,37 @@ mod tests {
             abort_backlog: Some(25),
         };
         let report = OpenLoopFeeder::new(&spec, cfg.n)
-            .feed(&arrivals, &senders, &shared)
+            .feed(&arrivals, &mut Injector::new(&shared, &mailboxes))
             .unwrap();
         assert!(report.overloaded);
         assert_eq!(report.injected, 25);
         assert_eq!(report.peak_backlog, 25);
+    }
+
+    #[test]
+    fn feeders_wake_a_node_once_per_burst_not_per_arrival() {
+        // Two nodes that never drain: the closed-loop cap (8·N = 16) stops
+        // the feeder after 16 injections, and that is when it kicks. The
+        // failure planted beforehand then ends the wait.
+        let cfg = test_cfg(2).tuples(40);
+        let arrivals = cfg.arrivals();
+        let shared = Shared::new();
+        let (mailboxes, inboxes) = undrained(&shared, cfg.n);
+        shared.failures.lock().push(LiveError::NodePanicked(0));
+        let mut nodes = Injector::new(&shared, &mailboxes);
+        let err = ClosedLoop::new(Pacing::Freerun, cfg.n)
+            .feed(&arrivals, &mut nodes)
+            .unwrap_err();
+        assert_eq!(err, LiveError::NodePanicked(0));
+        assert_eq!(shared.in_flight.load(Ordering::SeqCst), 16);
+        // The burst was kicked before the wait: nothing is owed, and each
+        // node's latch is flagged exactly once (a second wait times out).
+        assert!(nodes.touched.iter().all(|owed| !owed));
+        for inbox in &inboxes {
+            assert!(inbox.wait(Duration::from_secs(5)));
+            assert!(!inbox.wait(Duration::from_millis(1)));
+        }
+        let total: usize = inboxes.iter().map(|inbox| queued(inbox).len()).sum();
+        assert_eq!(total, 16);
     }
 }

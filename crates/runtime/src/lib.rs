@@ -8,16 +8,16 @@
 //! thread per node, wall-clock timing — over two interchangeable
 //! backends:
 //!
-//! * [`LiveCluster`] — crossbeam channels as links: concurrency
+//! * [`LiveCluster`] — in-process mailboxes as links: concurrency
 //!   correctness and raw in-process speed.
 //! * [`TcpCluster`] — loopback TCP sockets as links (one nonblocking
-//!   socket per node pair, read by a fixed pool of reactor shards), every
+//!   socket per node pair, read by the receiving node's own thread), every
 //!   message framed by the [`dsj_core::wire`] codec: serialization,
 //!   syscalls and stream reassembly are all real.
 //!
 //! Both offer `run`, `run_paced` and `run_open_loop` over one shared
-//! lifecycle and receive path; a backend is its `send`/`flush` and how it
-//! wires its nodes together.
+//! lifecycle and one wait point per node (its mailbox's latch, kicked once
+//! per burst, not per event); a backend is its `send`/`flush` and wiring.
 //!
 //! Use the simulation for reproducible experiments and figure
 //! regeneration; use these runtimes to demonstrate that the algorithms

@@ -1,7 +1,8 @@
 //! Cross-backend equivalence: the same configuration, driven in lockstep,
 //! produces *identical* per-node results on all three backends —
 //! deterministic simulation, threads-over-channels, and loopback TCP
-//! (nonblocking sockets, sharded event loop, coalesced vectored writes).
+//! (nonblocking sockets read by their node's thread, coalesced vectored
+//! writes).
 //!
 //! This is the strongest statement the transport refactor can make: the
 //! node logic is genuinely transport-agnostic, the wire codec is lossless,

@@ -65,12 +65,14 @@ repro-smoke:
     test "$(wc -l < /tmp/dsjoin_metrics_j4.jsonl)" -eq 2
 
 # Live runtimes: cross-backend lockstep equivalence (simnet = threads =
-# TCP, all five strategies) plus a real socket run of the flagship
-# algorithm.
+# TCP, all five strategies) plus real socket runs of the flagship
+# algorithm and of the bulk closed-loop path (BASE: three messages per
+# tuple, where the per-burst wake-ups and write coalescing engage).
 live-smoke:
     cargo test -q -p dsj-runtime
     cargo build --release -p dsj-runtime --example live_tcp
     ./target/release/examples/live_tcp 4 10000 dftt
+    ./target/release/examples/live_tcp 4 50000 base
 
 # Run a workload over real loopback TCP sockets with codec-framed
 # messages, e.g. `just live-tcp 5 50000 bloom lockstep` or
