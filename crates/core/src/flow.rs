@@ -80,6 +80,10 @@ impl Default for FlowParams {
 /// probability `target / len` so unknown peers are neither starved nor
 /// flooded. Returns `None` when every known correlation is non-positive —
 /// the caller should fall back to a heuristic policy.
+///
+/// Allocating twin of [`forwarding_probabilities_into`], for tests and the
+/// reference router only.
+#[cfg(any(test, feature = "reference"))]
 pub fn forwarding_probabilities(rhos: &[Option<f64>], target: f64) -> Option<Vec<f64>> {
     let mut scratch = FlowScratch::default();
     let mut probs = Vec::new();
@@ -96,10 +100,8 @@ pub struct FlowScratch {
     next_open: Vec<usize>,
 }
 
-/// Allocation-free core of [`forwarding_probabilities`]: fills `probs` in
-/// place (cleared first) and returns whether a distribution exists. The
-/// float operations run in exactly the order of the allocating wrapper,
-/// so results are bit-identical.
+/// Allocation-free core of `forwarding_probabilities`: fills `probs` in
+/// place (cleared first) and returns whether a distribution exists.
 // dsj-lint: hot-path
 pub fn forwarding_probabilities_into(
     rhos: &[Option<f64>],
@@ -217,15 +219,18 @@ pub fn detect_uniform(rhos: &[Option<f64>], cv_threshold: f64) -> bool {
 /// those would shift the RNG stream seen by every later peer whenever a
 /// single probability saturates, making routing decisions depend on
 /// *which* peers were certain rather than only on the seed.
+///
+/// Allocating twin of [`sample_recipients_into`], for tests and the
+/// reference router only.
+#[cfg(any(test, feature = "reference"))]
 pub fn sample_recipients(probs: &[f64], rng: &mut StdRng) -> Vec<usize> {
     let mut out = Vec::new();
     sample_recipients_into(probs, rng, &mut out);
     out
 }
 
-/// Allocation-free [`sample_recipients`]: clears and fills `out`. The
-/// one-draw-per-peer contract is identical, so both variants consume the
-/// same RNG stream.
+/// Allocation-free `sample_recipients`: clears and fills `out`, one
+/// draw per entry of `probs`.
 // dsj-lint: hot-path
 pub fn sample_recipients_into(probs: &[f64], rng: &mut StdRng, out: &mut Vec<usize>) {
     out.clear();
@@ -255,14 +260,14 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `n < 2` or `me >= n`.
+    #[cfg(test)]
     pub fn pick(&mut self, me: u16, n: u16, count: usize) -> Vec<u16> {
         let mut out = Vec::new();
         self.pick_into(me, n, count, &mut out);
         out
     }
 
-    /// Allocation-free [`RoundRobin::pick`]: clears and fills `out`,
-    /// advancing the cursor identically.
+    /// Allocation-free `RoundRobin::pick`: clears and fills `out`.
     ///
     /// # Panics
     ///

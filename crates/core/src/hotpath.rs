@@ -9,11 +9,13 @@
 //! harness: it owns one router plus the node-identical seeded RNG and
 //! exposes exactly the operations the per-tuple path performs.
 //!
-//! [`RouterHarness::route`] runs the optimized production path;
-//! `RouterHarness::route_reference` (behind the `reference` feature)
-//! runs a retained copy of the pre-optimization implementation so
-//! equivalence (same peers, same fallback flag, same RNG draw counts)
-//! stays checkable forever.
+//! [`RouterHarness::route`] runs the production flow filter
+//! (`Router::route_into`: one policy for all five algorithms, no
+//! allocation at steady state); `RouterHarness::route_reference` (behind
+//! the `reference` feature) runs its allocating transcription — fresh
+//! buffers, no verdict cache, the same summary queries — so equivalence
+//! (same peers, same fallback flag, same RNG draw counts) stays checkable
+//! for every algorithm.
 
 use crate::flow::FlowParams;
 use crate::strategy::{Algorithm, Route, Router, RouterConfig};
@@ -125,8 +127,8 @@ impl RouterHarness {
         (&self.scratch.peers, self.scratch.fallback)
     }
 
-    /// Routes one tuple through the retained pre-optimization reference
-    /// implementation. Consumes RNG draws exactly as [`Self::route`] does,
+    /// Routes one tuple through the allocating reference transcription of
+    /// the flow filter. Consumes RNG draws exactly as [`Self::route`] does,
     /// so two identically-seeded harnesses — one routed, one
     /// reference-routed — must stay in lockstep forever.
     #[cfg(any(test, feature = "reference"))]

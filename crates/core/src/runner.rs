@@ -292,20 +292,10 @@ impl ClusterConfig {
         });
 
         // Generate the workload and account ground truth.
-        let warmup_seq = (self.tuples as f64 * self.warmup) as u64;
-        // Ground truth evicts with the same clock the nodes use: tuple
-        // count for count windows, virtual arrival time for time windows.
         let dt_us = self.interarrival_us();
         let (arrivals, truth_matches) = reg.time_phase("workload", || {
             let arrivals = self.arrivals();
-            let mut truth = GroundTruth::new(self.n as usize, self.window_spec());
-            let mut truth_matches = 0u64;
-            for a in &arrivals {
-                let m = truth.observe(a.tuple(), a.seq * dt_us);
-                if a.seq >= warmup_seq {
-                    truth_matches += m.total();
-                }
-            }
+            let truth_matches = self.truth_of(&arrivals);
             (arrivals, truth_matches)
         });
 
@@ -467,7 +457,7 @@ impl ClusterConfig {
             acc
         });
         Ok(LockstepReport {
-            truth_matches: self.ground_truth_matches(),
+            truth_matches: self.truth_of(&arrivals),
             reported_matches: totals.matches(),
             per_node,
             match_digests,
@@ -589,11 +579,19 @@ impl ClusterConfig {
     /// The exact (post warm-up) result-set size `|Ψ|` for this
     /// configuration's workload.
     pub fn ground_truth_matches(&self) -> u64 {
+        self.truth_of(&self.arrivals())
+    }
+
+    /// The exact (post warm-up) result-set size of `arrivals` — this
+    /// configuration's [`ClusterConfig::arrivals`] — under its windows.
+    /// Ground truth evicts with the same clock the nodes use: tuple count
+    /// for count windows, virtual arrival time for time windows.
+    pub fn truth_of(&self, arrivals: &[Arrival]) -> u64 {
         let dt_us = self.interarrival_us();
         let warmup_seq = (self.tuples as f64 * self.warmup) as u64;
         let mut truth = GroundTruth::new(self.n as usize, self.window_spec());
         let mut total = 0u64;
-        for a in self.arrivals() {
+        for a in arrivals {
             let m = truth.observe(a.tuple(), a.seq * dt_us);
             if a.seq >= warmup_seq {
                 total += m.total();

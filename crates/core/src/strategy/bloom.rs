@@ -1,71 +1,41 @@
-//! BLOOM: counting-Bloom-filter membership routing (Section 6).
+//! The BLOOM summary: counting-Bloom-filter membership (Section 6).
 //!
 //! Each node maintains a counting Bloom filter per stream window and ships
 //! it to peers; an arriving tuple is tested against each peer's opposite-
-//! stream filter and forwarded to the sites reporting membership. Flow
-//! factors (used when membership gives no signal) derive from the running
-//! positive-hit rate per peer, as the paper describes. Filter size is
-//! equalized to the DFT summary: `16·K` bytes = `4·K` counters.
+//! stream filter, and the sites reporting membership are the flow filter's
+//! candidates. The affinities (used when membership gives no signal)
+//! derive from the running positive-hit rate per peer, as the paper
+//! describes. Filter size is equalized to the DFT summary: `16·K` bytes =
+//! `4·K` counters.
 
-use super::{peers_of, Route, RouterConfig, SyncState};
-use crate::flow::{detect_uniform, forwarding_probabilities, sample_recipients, RoundRobin};
+use super::RouterConfig;
 use crate::msg::SummaryPayload;
 use dsj_sketch::CountingBloomFilter;
 use dsj_stream::StreamId;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// EWMA smoothing for positive-hit rates.
 const HIT_EWMA: f64 = 0.02;
 
-/// Counting-Bloom-filter router.
+/// Counting-Bloom-filter summary state.
 #[derive(Debug)]
-pub(crate) struct BloomRouter {
-    cfg: RouterConfig,
+pub(super) struct BloomSummary {
     local: [CountingBloomFilter; 2],
     remote: Vec<[Option<CountingBloomFilter>; 2]>,
     /// Positive-hit rate per peer per tuple stream.
     hit_rate: Vec<[f64; 2]>,
-    sync: SyncState,
-    rr: RoundRobin,
-    fallback_events: u64,
 }
 
-impl BloomRouter {
-    /// Creates the router with filters sized to match the DFT summary.
-    pub fn new(cfg: RouterConfig) -> Self {
+impl BloomSummary {
+    /// Creates the summary with filters sized to match the DFT summary.
+    pub fn new(cfg: &RouterConfig) -> Self {
         let n = cfg.n as usize;
         let bytes = (cfg.retained * 16).max(16);
         let mk = || CountingBloomFilter::with_size_bytes(bytes, cfg.window.max(1), cfg.seed);
-        BloomRouter {
+        BloomSummary {
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             hit_rate: vec![[0.0, 0.0]; n],
-            sync: SyncState::new(
-                cfg.n,
-                cfg.sync_sent_interval,
-                cfg.sync_arrival_interval,
-                cfg.window,
-            ),
-            rr: RoundRobin::new(),
-            fallback_events: 0,
-            cfg,
         }
-    }
-
-    /// Sync bookkeeping.
-    pub fn sync(&self) -> &SyncState {
-        &self.sync
-    }
-
-    /// Sync bookkeeping, mutable.
-    pub fn sync_mut(&mut self) -> &mut SyncState {
-        &mut self.sync
-    }
-
-    /// Times the worst-case fallback fired.
-    pub fn fallback_events(&self) -> u64 {
-        self.fallback_events
     }
 
     /// Applies a local window change.
@@ -77,111 +47,69 @@ impl BloomRouter {
         }
     }
 
-    /// Routes one arriving tuple.
-    pub fn route(&mut self, stream: StreamId, key: u32, scale: f64, rng: &mut StdRng) -> Route {
-        let target =
-            (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64);
+    /// Tests `key` against every peer's opposite-stream filter, folds each
+    /// outcome into that peer's hit rate, and pushes `(peer, multiplicity
+    /// estimate)` for the hits. Returns whether any peer filter exists.
+    pub fn push_candidates(
+        &mut self,
+        stream: StreamId,
+        key: u32,
+        peers: &[u16],
+        out: &mut Vec<(u16, f64)>,
+    ) -> bool {
         let s = stream.index();
         let opp = stream.opposite().index();
-        let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
-
-        // Membership tests + hit-rate maintenance.
-        let mut candidates: Vec<(u16, f64)> = Vec::new();
-        let mut any_filter = false;
-        for &j in &peers {
-            if let Some(filter) = &self.remote[j as usize][opp] {
-                any_filter = true;
+        let mut any = false;
+        for &peer in peers {
+            let j = peer as usize;
+            if let Some(filter) = &self.remote[j][opp] {
+                any = true;
                 let est = filter.count_estimate(u64::from(key));
                 let hit = if est >= 1 { 1.0 } else { 0.0 };
-                let rate = &mut self.hit_rate[j as usize][s];
+                let rate = &mut self.hit_rate[j][s];
                 *rate = (1.0 - HIT_EWMA) * *rate + HIT_EWMA * hit;
                 if est >= 1 {
-                    candidates.push((j, f64::from(est)));
+                    out.push((peer, f64::from(est)));
                 }
             }
         }
-
-        let rhos: Vec<Option<f64>> = peers
-            .iter()
-            .map(|&j| {
-                self.remote[j as usize][opp]
-                    .is_some()
-                    .then(|| self.hit_rate[j as usize][s])
-            })
-            .collect();
-        if any_filter && detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
-            return self.fallback(target);
-        }
-
-        if !candidates.is_empty() {
-            candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let take = (target.ceil() as usize).max(1);
-            let mut picked: Vec<u16> = candidates.into_iter().take(take).map(|(j, _)| j).collect();
-            // Spend any remaining budget on hit-rate-weighted coverage of
-            // sites the filters may have under-reported.
-            let leftover = target - picked.len() as f64;
-            if leftover > 0.05 {
-                let residual: Vec<Option<f64>> = peers
-                    .iter()
-                    .zip(&rhos)
-                    .map(|(&j, r)| if picked.contains(&j) { Some(0.0) } else { *r })
-                    .collect();
-                if let Some(probs) = forwarding_probabilities(&residual, leftover) {
-                    picked.extend(sample_recipients(&probs, rng).into_iter().map(|i| peers[i]));
-                    picked.sort_unstable();
-                    picked.dedup();
-                }
-            }
-            return Route {
-                peers: picked,
-                fallback: false,
-            };
-        }
-        // The suppression confidence relaxes with the message budget: at
-        // T = N−1 the caller asked for broadcast coverage, so "no candidate"
-        // must not drop tuples; at T = 1 suppression is the whole win.
-        let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
-        let explore_eff = (self.cfg.flow.explore + frac * (1.0 - self.cfg.flow.explore)).min(1.0);
-        if any_filter && !rng.gen_bool(explore_eff) {
-            return Route::default();
-        }
-
-        match forwarding_probabilities(&rhos, target) {
-            Some(probs) => Route {
-                peers: sample_recipients(&probs, rng)
-                    .into_iter()
-                    .map(|idx| peers[idx])
-                    .collect(),
-                fallback: false,
-            },
-            None => self.fallback(target),
-        }
+        any
     }
 
-    fn fallback(&mut self, target: f64) -> Route {
-        self.fallback_events += 1;
-        let count = (target.round() as usize).max(1);
-        Route {
-            peers: self.rr.pick(self.cfg.me, self.cfg.n, count),
-            fallback: true,
-        }
+    /// Fills `row` with the hit rate of each of `peers` that has shipped a
+    /// filter. The rates move with every tested tuple, so the row always
+    /// counts as changed.
+    pub fn fill_affinities(
+        &mut self,
+        stream: StreamId,
+        peers: &[u16],
+        row: &mut Vec<Option<f64>>,
+    ) -> bool {
+        let s = stream.index();
+        let opp = stream.opposite().index();
+        row.clear();
+        row.extend(peers.iter().map(|&peer| {
+            let j = peer as usize;
+            self.remote[j][opp].is_some().then(|| self.hit_rate[j][s])
+        }));
+        true
     }
 
-    /// Ingests a peer's filter.
-    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) {
+    /// Ingests a peer's filter (replaced wholesale: nothing to drop).
+    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Bloom { stream, filter } = payload else {
-            debug_assert!(false, "BLOOM router received a non-Bloom summary");
-            return;
+            debug_assert!(false, "BLOOM summary received a non-Bloom payload");
+            return 0;
         };
         let mut filter = filter.clone();
         filter.rehydrate();
         self.remote[from as usize][stream.index()] = Some(filter);
+        0
     }
 
-    /// Ships both stream filters to `peer` (full refresh; filters do not
+    /// Ships both stream filters (full refresh; filters do not
     /// delta-encode).
-    pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        self.sync.reset(peer);
+    pub fn full_summaries(&mut self) -> Vec<SummaryPayload> {
         StreamId::BOTH
             .into_iter()
             .map(|stream| SummaryPayload::Bloom {
@@ -189,81 +117,5 @@ impl BloomRouter {
                 filter: self.local[stream.index()].clone(),
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::test_config;
-    use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(5)
-    }
-
-    fn fill(r: &mut BloomRouter, stream: StreamId, keys: &[u32]) {
-        for &k in keys {
-            r.local_update(stream, k, &[]);
-        }
-    }
-
-    fn exchange(src: &mut BloomRouter, src_id: u16, dst: &mut BloomRouter) {
-        for p in src.full_summaries(dst.cfg.me) {
-            dst.apply_summary(src_id, &p);
-        }
-    }
-
-    #[test]
-    fn membership_routes_to_holder() {
-        let mut n0 = BloomRouter::new(test_config(0, 3));
-        let mut n1 = BloomRouter::new(test_config(1, 3));
-        let mut n2 = BloomRouter::new(test_config(2, 3));
-        fill(&mut n1, StreamId::S, &[10, 10, 11]);
-        fill(&mut n2, StreamId::S, &[200, 201]);
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-        let mut rng = rng();
-        let route = n0.route(StreamId::R, 10, 1.0, &mut rng);
-        assert_eq!(route.peers, vec![1]);
-    }
-
-    #[test]
-    fn absent_key_mostly_suppressed() {
-        let mut n0 = BloomRouter::new(test_config(0, 2));
-        let mut n1 = BloomRouter::new(test_config(1, 2));
-        fill(&mut n1, StreamId::S, &[1, 2, 3]);
-        exchange(&mut n1, 1, &mut n0);
-        let mut rng = rng();
-        let sent: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
-            .sum();
-        // Exploration (5%) plus possible false positives only.
-        assert!(sent < 40, "absent key sent {sent}/200 times");
-    }
-
-    #[test]
-    fn eviction_clears_membership() {
-        let mut n0 = BloomRouter::new(test_config(0, 2));
-        let mut n1 = BloomRouter::new(test_config(1, 2));
-        fill(&mut n1, StreamId::S, &[42]);
-        n1.local_update(StreamId::S, 7, &[42]); // 42 evicted
-        exchange(&mut n1, 1, &mut n0);
-        let mut rng = rng();
-        let sent: usize = (0..100)
-            .map(|_| n0.route(StreamId::R, 42, 1.0, &mut rng).peers.len())
-            .sum();
-        assert!(sent < 20, "evicted key still routed {sent}/100");
-    }
-
-    #[test]
-    fn no_filters_routes_blind() {
-        let mut n0 = BloomRouter::new(test_config(0, 5));
-        let mut rng = rng();
-        let total: usize = (0..400)
-            .map(|_| n0.route(StreamId::R, 3, 1.0, &mut rng).peers.len())
-            .sum();
-        let avg = total as f64 / 400.0;
-        assert!((0.5..1.5).contains(&avg), "blind average {avg}");
     }
 }

@@ -1,38 +1,24 @@
-//! DFT and DFTT routing (Sections 5.2–5.3, Fig. 7).
+//! The DFT-family summary (Sections 5.2–5.3, Fig. 7).
 //!
 //! Each node incrementally maintains the DFT coefficient prefix of its two
 //! windows' join-attribute distributions ([`PointDft`]) and gossips the
 //! prefix to peers — piggy-backed on tuple messages where possible,
-//! standalone when overdue. From the local and remote prefixes the router
-//! computes the cross-correlation coefficient `ρ_{i,j}` (Eqn. 4) and
-//! forwards a tuple to peer `j` with probability `w_i·ρ_{i,j}` bounded by
-//! the configured message-complexity target (Eqn. 9).
+//! standalone when overdue. From the local and remote prefixes it supplies
+//! the flow filter's affinity: the cross-correlation coefficient `ρ_{i,j}`
+//! (Eqn. 4).
 //!
-//! With `tuple_testing` enabled (**DFTT**), the router additionally
-//! reconstructs every remote window's attribute multiset by inverse DFT +
-//! rounding (Eqn. 10) and forwards a tuple *only* to the sites whose
-//! reconstruction shows at least one join partner for its key — the
-//! `JoinEstimate`/`ChooseSite` steps of Fig. 7. When no site qualifies, a
-//! small exploration probability keeps routing honest against stale
-//! summaries.
-//!
-//! A near-zero variance across the `ρ_{i,j}` is the uniform-data worst
-//! case (Theorems 1/2); the router then falls back to round-robin, as the
-//! paper prescribes.
+//! With `tuple_testing` enabled (**DFTT**), it additionally reconstructs
+//! every remote window's attribute multiset by inverse DFT + rounding
+//! (Eqn. 10) and supplies membership candidates: the sites whose
+//! reconstruction shows at least one join partner for a key — the
+//! `JoinEstimate`/`ChooseSite` steps of Fig. 7.
 
-use super::{peers_of, Route, RouterConfig, SyncState};
-use crate::flow::{
-    detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowScratch, RoundRobin,
-};
-#[cfg(any(test, feature = "reference"))]
-use crate::flow::{forwarding_probabilities, sample_recipients};
+use super::RouterConfig;
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
 use dsj_dft::{Complex64, ControlVector, IncrementalRecon};
 use dsj_stream::StreamId;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Minimum absolute coefficient change worth piggy-backing on a tuple
 /// message; combined with a relative component so large-magnitude bins
@@ -93,7 +79,7 @@ impl ReconMemo {
 /// when current, otherwise a fresh *O(K)* pointwise evaluation that is
 /// stored back. `None` for out-of-domain keys.
 ///
-/// Free function (not a method) so callers can split-borrow the router's
+/// Free function (not a method) so callers can split-borrow the summary's
 /// `recon_plan`, `recon` and `remote` fields independently.
 // dsj-lint: hot-path
 #[inline]
@@ -113,12 +99,12 @@ fn membership_estimate(
     Some(est)
 }
 
-/// Router for the DFT (flow filtering) and DFTT (flow filtering + tuple
-/// matching) algorithms.
+/// Summary state of the DFT (flow filtering) and DFTT (flow filtering +
+/// tuple matching) algorithms.
 #[derive(Debug)]
-pub(crate) struct DftRouter {
-    cfg: RouterConfig,
-    tuple_testing: bool,
+pub(super) struct DftSummary {
+    domain: u32,
+    rho_refresh: u32,
     /// Local window-histogram DFTs, indexed by [`StreamId::index`].
     local: [PointDft; 2],
     /// Remote coefficient prefixes: `remote[peer][stream]`.
@@ -136,51 +122,29 @@ pub(crate) struct DftRouter {
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
     /// Cached `ρ` per peer per *tuple* stream (correlating `local[s]`
-    /// against `remote[peer][s.opposite()]`).
+    /// against `remote[peer][s.opposite()]`), recomputed where stale: after
+    /// a peer's summary lands, and every `rho_refresh` local arrivals.
     rho: Vec<[Option<f64>; 2]>,
     rho_stale: Vec<[bool; 2]>,
     arrivals_since_rho: u32,
     arrivals: u64,
     last_piggyback: Vec<u64>,
-    sync: SyncState,
-    rr: RoundRobin,
-    fallback_events: u64,
-    /// The fixed peer list (`peers_of` order), computed once.
-    peers: Vec<u16>,
-    /// Per-tuple scratch, reused across `route_into` calls so the steady
-    /// state allocates nothing: ρ snapshot aligned with `peers`, membership
-    /// candidates, residual affinities, forwarding probabilities, sampled
-    /// peer indices.
-    rhos_scratch: Vec<Option<f64>>,
-    candidates: Vec<(u16, f64)>,
-    residual: Vec<Option<f64>>,
-    probs: Vec<f64>,
-    sampled: Vec<usize>,
-    /// Indexed by node id; marks membership-picked peers during the
-    /// residual pass (replaces a linear `picked.contains` rescan). Always
-    /// all-`false` between calls.
-    picked_mask: Vec<bool>,
-    flow_scratch: FlowScratch,
-    /// Cached uniform-CV verdict per *tuple* stream. The inputs (the ρ
-    /// cache) change only under `rho_stale`, so this is invalidated exactly
-    /// where staleness is introduced and recomputed at most once per
-    /// refresh period instead of per tuple.
-    uniform_cache: [Option<bool>; 2],
 }
 
-impl DftRouter {
-    /// Creates the router; `tuple_testing` selects DFTT over plain DFT.
-    pub fn new(cfg: RouterConfig, tuple_testing: bool) -> Self {
+impl DftSummary {
+    /// Creates the summary; `tuple_testing` selects DFTT over plain DFT.
+    pub fn new(cfg: &RouterConfig, tuple_testing: bool) -> Self {
         let n = cfg.n as usize;
         let domain = cfg.domain as usize;
         let k = cfg.retained.min(domain).max(1);
         // Floating-point drift over experiment-scale update counts is
         // ~1e-11 of a count and cannot affect rounding decisions, so the
-        // routers skip periodic exact recomputation; the control-vector
+        // summaries skip periodic exact recomputation; the control-vector
         // trade-off itself is exercised by the Table 1 benchmarks.
         let mk = || PointDft::new(domain, k, ControlVector::never());
-        DftRouter {
-            tuple_testing,
+        DftSummary {
+            domain: cfg.domain,
+            rho_refresh: cfg.rho_refresh,
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             snapshot: vec![[None, None]; n],
@@ -192,40 +156,7 @@ impl DftRouter {
             arrivals_since_rho: 0,
             arrivals: 0,
             last_piggyback: vec![0; n],
-            sync: SyncState::new(
-                cfg.n,
-                cfg.sync_sent_interval,
-                cfg.sync_arrival_interval,
-                cfg.window,
-            ),
-            rr: RoundRobin::new(),
-            fallback_events: 0,
-            peers: peers_of(cfg.me, cfg.n).collect(),
-            rhos_scratch: Vec::new(),
-            candidates: Vec::new(),
-            residual: Vec::new(),
-            probs: Vec::new(),
-            sampled: Vec::new(),
-            picked_mask: vec![false; n],
-            flow_scratch: FlowScratch::default(),
-            uniform_cache: [None, None],
-            cfg,
         }
-    }
-
-    /// Sync bookkeeping (shared accessor).
-    pub fn sync(&self) -> &SyncState {
-        &self.sync
-    }
-
-    /// Sync bookkeeping, mutable.
-    pub fn sync_mut(&mut self) -> &mut SyncState {
-        &mut self.sync
-    }
-
-    /// Times the worst-case fallback fired.
-    pub fn fallback_events(&self) -> u64 {
-        self.fallback_events
     }
 
     /// Applies a local window change.
@@ -237,13 +168,11 @@ impl DftRouter {
         }
         self.arrivals += 1;
         self.arrivals_since_rho += 1;
-        if self.arrivals_since_rho >= self.cfg.rho_refresh {
+        if self.arrivals_since_rho >= self.rho_refresh {
             self.arrivals_since_rho = 0;
             for flags in &mut self.rho_stale {
                 *flags = [true, true];
             }
-            // ρ will move on the next refresh; the CV verdict may too.
-            self.uniform_cache = [None, None];
         }
     }
 
@@ -253,299 +182,73 @@ impl DftRouter {
     /// reconstruction.
     const RHO_SMOOTH_BINS: usize = 16;
 
-    fn refresh_rho(&mut self, stream: StreamId) {
+    /// Fills `row` with `ρ` against each of `peers` for a tuple of
+    /// `stream`, recomputing the stale entries first. Returns whether any
+    /// entry was recomputed — `true` on the first call for a stream.
+    pub fn fill_affinities(
+        &mut self,
+        stream: StreamId,
+        peers: &[u16],
+        row: &mut Vec<Option<f64>>,
+    ) -> bool {
         let s = stream.index();
         let opp = stream.opposite().index();
-        for j in 0..self.cfg.n as usize {
-            if j == self.cfg.me as usize || !self.rho_stale[j][s] {
-                continue;
+        let mut changed = false;
+        row.clear();
+        for &peer in peers {
+            let j = peer as usize;
+            if self.rho_stale[j][s] {
+                self.rho[j][s] = self.remote[j][opp].as_ref().map(|coeffs| {
+                    let k = coeffs.len().min(Self::RHO_SMOOTH_BINS);
+                    cross_correlation_coefficient(
+                        &self.local[s].coefficients()[..k],
+                        &coeffs[..k],
+                        self.domain as usize,
+                    )
+                });
+                self.rho_stale[j][s] = false;
+                changed = true;
             }
-            self.rho[j][s] = self.remote[j][opp].as_ref().map(|coeffs| {
-                let k = coeffs.len().min(Self::RHO_SMOOTH_BINS);
-                cross_correlation_coefficient(
-                    &self.local[s].coefficients()[..k],
-                    &coeffs[..k],
-                    self.cfg.domain as usize,
-                )
-            });
-            self.rho_stale[j][s] = false;
+            row.push(self.rho[j][s]);
         }
+        changed
     }
 
-    /// Routes one arriving tuple (allocating convenience over
-    /// [`DftRouter::route_into`]; production goes through the latter).
-    #[cfg(test)]
-    pub fn route(&mut self, stream: StreamId, key: u32, scale: f64, rng: &mut StdRng) -> Route {
-        let mut out = Route::default();
-        self.route_into(stream, key, scale, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free routing: clears and fills `out` using the router's
-    /// persistent scratch buffers. Behaviorally identical to
-    /// `DftRouter::route_reference` — same float operations, same RNG
-    /// draws, same routes — which the determinism suite asserts on seeded
-    /// streams.
-    // dsj-lint: hot-path
-    pub fn route_into(
+    /// Pushes `(peer, estimate)` for every peer whose reconstructed
+    /// opposite-stream window holds `key` (DFTT only). Returns whether any
+    /// peer has a reconstruction at all.
+    pub fn push_candidates(
         &mut self,
         stream: StreamId,
         key: u32,
-        scale: f64,
-        rng: &mut StdRng,
-        out: &mut Route,
-    ) {
-        out.peers.clear();
-        out.fallback = false;
-        let target =
-            (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64);
-        self.refresh_rho(stream);
-        let me = self.cfg.me as usize;
-        let s = stream.index();
-        // ρ snapshot aligned with `self.peers` (the `peers_of` order).
-        self.rhos_scratch.clear();
-        for j in 0..self.cfg.n as usize {
-            if j == me {
-                continue;
-            }
-            let r = self.rho[j][s];
-            self.rhos_scratch.push(r);
-        }
-
-        // Uniform-data detection (Section 5.2.2): when the window-level
-        // correlations are indistinguishable, neither ρ-weighted flow
-        // filtering nor the membership reconstructions (flat histograms)
-        // carry signal — fall back to round-robin. Membership tests still
-        // take precedence whenever the correlations *do* spread.
-        let uniform = match self.uniform_cache[s] {
-            Some(u) => u,
-            None => {
-                let u = detect_uniform(&self.rhos_scratch, self.cfg.flow.uniform_cv_threshold);
-                self.uniform_cache[s] = Some(u);
-                u
-            }
+        peers: &[u16],
+        out: &mut Vec<(u16, f64)>,
+    ) -> bool {
+        let Some(plan) = self.recon_plan.as_ref() else {
+            return false;
         };
-
-        if self.tuple_testing && !uniform {
-            let opp = stream.opposite().index();
-            self.candidates.clear();
-            let mut any_recon = false;
-            if let Some(plan) = self.recon_plan.as_ref() {
-                for j in 0..self.cfg.n as usize {
-                    if j == me {
-                        continue;
-                    }
-                    // The memo and the coefficient prefix are always
-                    // created together in `apply_summary`.
-                    let (Some(memo), Some(coeffs)) =
-                        (self.recon[j][opp].as_mut(), self.remote[j][opp].as_ref())
-                    else {
-                        continue;
-                    };
-                    any_recon = true;
-                    // Checked: an out-of-domain key (ingest guards it, but
-                    // the hot path must be panic-free regardless) has no
-                    // reconstruction bucket — no membership hit.
-                    let Some(est) = membership_estimate(plan, memo, coeffs, key as usize) else {
-                        continue;
-                    };
-                    if est >= 0.5 {
-                        self.candidates.push((j as u16, est));
-                    }
+        let opp = stream.opposite().index();
+        let mut any = false;
+        for &peer in peers {
+            let j = peer as usize;
+            // The memo and the coefficient prefix are always created
+            // together in `apply_summary`.
+            let (Some(memo), Some(coeffs)) =
+                (self.recon[j][opp].as_mut(), self.remote[j][opp].as_ref())
+            else {
+                continue;
+            };
+            any = true;
+            // Checked: an out-of-domain key (ingest guards it, but the hot
+            // path must be panic-free regardless) has no reconstruction
+            // bucket — no membership hit.
+            if let Some(est) = membership_estimate(plan, memo, coeffs, key as usize) {
+                if est >= 0.5 {
+                    out.push((peer, est));
                 }
             }
-            if !self.candidates.is_empty() {
-                // Stable sort on purpose: equal-score tie order must match
-                // route_reference's stable sort for the lockstep suite.
-                // dsj-lint: allow(hot-path-opaque-call) — std stable sort may allocate a merge buffer; kept for tie-order parity with route_reference
-                self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let take = (target.ceil() as usize).max(1);
-                for idx in 0..take.min(self.candidates.len()) {
-                    let j = self.candidates[idx].0;
-                    out.peers.push(j);
-                }
-                // Budget beyond the membership hits buys correlation-routed
-                // coverage of sites the (lossy) reconstruction may miss —
-                // how DFTT trades extra messages for lower ε (Fig. 9).
-                let leftover = target - out.peers.len() as f64;
-                if leftover > 0.05 {
-                    for &j in out.peers.iter() {
-                        self.picked_mask[j as usize] = true;
-                    }
-                    self.residual.clear();
-                    for idx in 0..self.peers.len() {
-                        let j = self.peers[idx] as usize;
-                        let r = if self.picked_mask[j] {
-                            Some(0.0)
-                        } else {
-                            self.rhos_scratch[idx]
-                        };
-                        self.residual.push(r);
-                    }
-                    if forwarding_probabilities_into(
-                        &self.residual,
-                        leftover,
-                        &mut self.flow_scratch,
-                        &mut self.probs,
-                    ) {
-                        sample_recipients_into(&self.probs, rng, &mut self.sampled);
-                        for &i in &self.sampled {
-                            out.peers.push(self.peers[i]);
-                        }
-                        out.peers.sort_unstable();
-                        out.peers.dedup();
-                    }
-                    // Restore the all-`false` mask invariant. Membership
-                    // picks sit in the residual pass with probability zero,
-                    // so they are never re-sampled and always survive the
-                    // dedup — clearing through `out.peers` covers every
-                    // bit that was set.
-                    for &j in out.peers.iter() {
-                        self.picked_mask[j as usize] = false;
-                    }
-                }
-                return;
-            }
-            // The suppression confidence relaxes with the message budget:
-            // at T = N−1 the caller asked for broadcast coverage, so "no
-            // candidate" must not drop tuples; at T = 1 suppression is the
-            // whole win.
-            let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
-            let explore_eff =
-                (self.cfg.flow.explore + frac * (1.0 - self.cfg.flow.explore)).min(1.0);
-            if any_recon && !rng.gen_bool(explore_eff) {
-                // Every reconstruction says "no partners anywhere": save
-                // the messages (the DFTT advantage of Fig. 9).
-                return;
-            }
         }
-
-        if uniform {
-            self.fallback_into(target, out);
-            return;
-        }
-
-        if forwarding_probabilities_into(
-            &self.rhos_scratch,
-            target,
-            &mut self.flow_scratch,
-            &mut self.probs,
-        ) {
-            sample_recipients_into(&self.probs, rng, &mut self.sampled);
-            for &i in &self.sampled {
-                out.peers.push(self.peers[i]);
-            }
-        } else {
-            self.fallback_into(target, out);
-        }
-    }
-
-    /// The pre-optimization `route` implementation, retained verbatim so
-    /// the determinism suite can prove [`DftRouter::route_into`] never
-    /// diverges from it (same peers, same fallback flag, same RNG draw
-    /// counts) on seeded streams.
-    #[cfg(any(test, feature = "reference"))]
-    pub fn route_reference(
-        &mut self,
-        stream: StreamId,
-        key: u32,
-        scale: f64,
-        rng: &mut StdRng,
-    ) -> Route {
-        let target =
-            (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64);
-        self.refresh_rho(stream);
-        let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
-        let rhos: Vec<Option<f64>> = peers
-            .iter()
-            .map(|&j| self.rho[j as usize][stream.index()])
-            .collect();
-
-        let uniform = detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold);
-
-        if self.tuple_testing && !uniform {
-            let opp = stream.opposite().index();
-            let mut candidates: Vec<(u16, f64)> = Vec::new();
-            for &j in &peers {
-                let Some(plan) = self.recon_plan.as_ref() else {
-                    break;
-                };
-                let (Some(memo), Some(coeffs)) = (
-                    self.recon[j as usize][opp].as_mut(),
-                    self.remote[j as usize][opp].as_ref(),
-                ) else {
-                    continue;
-                };
-                // The same memoized read as `route_into`: both paths share
-                // the memo state, so they observe bitwise-identical bucket
-                // estimates in lockstep.
-                if let Some(est) = membership_estimate(plan, memo, coeffs, key as usize) {
-                    if est >= 0.5 {
-                        candidates.push((j, est));
-                    }
-                }
-            }
-            let any_recon = peers.iter().any(|&j| self.recon[j as usize][opp].is_some());
-            if !candidates.is_empty() {
-                candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let take = (target.ceil() as usize).max(1);
-                let mut picked: Vec<u16> =
-                    candidates.into_iter().take(take).map(|(j, _)| j).collect();
-                let leftover = target - picked.len() as f64;
-                if leftover > 0.05 {
-                    let residual: Vec<Option<f64>> = peers
-                        .iter()
-                        .zip(&rhos)
-                        .map(|(&j, r)| if picked.contains(&j) { Some(0.0) } else { *r })
-                        .collect();
-                    if let Some(probs) = forwarding_probabilities(&residual, leftover) {
-                        picked.extend(sample_recipients(&probs, rng).into_iter().map(|i| peers[i]));
-                        picked.sort_unstable();
-                        picked.dedup();
-                    }
-                }
-                return Route {
-                    peers: picked,
-                    fallback: false,
-                };
-            }
-            let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
-            let explore_eff =
-                (self.cfg.flow.explore + frac * (1.0 - self.cfg.flow.explore)).min(1.0);
-            if any_recon && !rng.gen_bool(explore_eff) {
-                return Route::default();
-            }
-        }
-
-        if uniform {
-            return self.fallback(target);
-        }
-
-        match forwarding_probabilities(&rhos, target) {
-            Some(probs) => Route {
-                peers: sample_recipients(&probs, rng)
-                    .into_iter()
-                    .map(|idx| peers[idx])
-                    .collect(),
-                fallback: false,
-            },
-            None => self.fallback(target),
-        }
-    }
-
-    #[cfg(any(test, feature = "reference"))]
-    fn fallback(&mut self, target: f64) -> Route {
-        let mut out = Route::default();
-        self.fallback_into(target, &mut out);
-        out
-    }
-
-    fn fallback_into(&mut self, target: f64, out: &mut Route) {
-        self.fallback_events += 1;
-        let count = (target.round() as usize).max(1);
-        self.rr
-            .pick_into(self.cfg.me, self.cfg.n, count, &mut out.peers);
-        out.fallback = true;
+        any
     }
 
     /// Ingests a peer's coefficient updates and keeps the reconstruction
@@ -565,7 +268,7 @@ impl DftRouter {
             stream, updates, ..
         } = payload
         else {
-            debug_assert!(false, "DFT router received a non-DFT summary");
+            debug_assert!(false, "DFT summary received a non-DFT payload");
             return 0;
         };
         let j = from as usize;
@@ -622,21 +325,7 @@ impl DftRouter {
         }
         // Tuples of the *opposite* stream correlate against this summary.
         self.rho_stale[j][stream.opposite().index()] = true;
-        // The uniform-CV verdict is a pure function of the ρ row, which only
-        // changes after a staleness mark — invalidate the memo here and at
-        // the local refresh tick, nowhere else.
-        self.uniform_cache[stream.opposite().index()] = None;
         dropped
-    }
-
-    /// Test-only view of one reconstruction bucket through the production
-    /// memoized read path (`membership_estimate`).
-    #[cfg(test)]
-    fn recon_bucket(&mut self, peer: usize, s: usize, key: usize) -> Option<f64> {
-        let plan = self.recon_plan.as_ref()?;
-        let memo = self.recon[peer][s].as_mut()?;
-        let coeffs = self.remote[peer][s].as_ref()?;
-        membership_estimate(plan, memo, coeffs, key)
     }
 
     /// Full refresh of both streams' coefficients for `peer`.
@@ -676,12 +365,11 @@ impl DftRouter {
             if !updates.is_empty() {
                 out.push(SummaryPayload::Dft {
                     stream,
-                    signal_len: self.cfg.domain,
+                    signal_len: self.domain,
                     updates,
                 });
             }
         }
-        self.sync.reset(peer);
         out
     }
 
@@ -726,7 +414,7 @@ impl DftRouter {
         self.last_piggyback[peer as usize] = self.arrivals;
         vec![SummaryPayload::Dft {
             stream,
-            signal_len: self.cfg.domain,
+            signal_len: self.domain,
             updates: vec![CoeffUpdate {
                 index: i as u16,
                 value,
@@ -739,133 +427,33 @@ impl DftRouter {
 mod tests {
     use super::super::test_config;
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(99)
-    }
-
-    /// Fills a router's local S window with `keys`.
-    fn fill(r: &mut DftRouter, stream: StreamId, keys: &[u32]) {
+    /// Fills a summary's local `stream` window with `keys`.
+    fn fill(r: &mut DftSummary, stream: StreamId, keys: &[u32]) {
         for &k in keys {
             r.local_update(stream, k, &[]);
         }
     }
 
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
-    fn exchange(src: &mut DftRouter, src_id: u16, dst: &mut DftRouter) {
-        for p in src.full_summaries(dst.cfg.me) {
+    fn exchange(src: &mut DftSummary, src_id: u16, dst: &mut DftSummary, dst_id: u16) {
+        for p in src.full_summaries(dst_id) {
             dst.apply_summary(src_id, &p);
         }
     }
 
-    #[test]
-    fn dftt_targets_matching_site() {
-        // Node 0 routes R tuples; node 1 has S window full of key 10,
-        // node 2 has S window full of key 200.
-        let mut n0 = DftRouter::new(test_config(0, 3), true);
-        let mut n1 = DftRouter::new(test_config(1, 3), true);
-        let mut n2 = DftRouter::new(test_config(2, 3), true);
-        fill(&mut n1, StreamId::S, &[10; 40]);
-        fill(&mut n2, StreamId::S, &[200; 40]);
-        fill(
-            &mut n0,
-            StreamId::R,
-            &(0..40).map(|i| i % 20).collect::<Vec<_>>(),
-        );
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-
-        let mut rng = rng();
-        let route = n0.route(StreamId::R, 10, 1.0, &mut rng);
-        assert_eq!(route.peers, vec![1], "key 10 lives only at node 1");
-        let route = n0.route(StreamId::R, 200, 1.0, &mut rng);
-        assert_eq!(route.peers, vec![2], "key 200 lives only at node 2");
-    }
-
-    #[test]
-    fn dftt_suppresses_hopeless_tuples() {
-        let mut n0 = DftRouter::new(test_config(0, 3), true);
-        let mut n1 = DftRouter::new(test_config(1, 3), true);
-        let mut n2 = DftRouter::new(test_config(2, 3), true);
-        fill(&mut n1, StreamId::S, &[10; 40]);
-        fill(&mut n2, StreamId::S, &[200; 40]);
-        fill(&mut n0, StreamId::R, &[10; 40]);
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-        let mut rng = rng();
-        // Key 100 joins nowhere: almost every route should be empty
-        // (modulo the 5% exploration rate).
-        let empty = (0..200)
-            .filter(|_| n0.route(StreamId::R, 100, 1.0, &mut rng).peers.is_empty())
-            .count();
-        assert!(empty > 170, "only {empty}/200 suppressed");
-    }
-
-    #[test]
-    fn dft_prefers_correlated_peer() {
-        // Node 1's S window matches node 0's R window distribution;
-        // node 2's does not.
-        let mut n0 = DftRouter::new(test_config(0, 3), false);
-        let mut n1 = DftRouter::new(test_config(1, 3), false);
-        let mut n2 = DftRouter::new(test_config(2, 3), false);
-        let hot: Vec<u32> = (0..60).map(|i| i % 8).collect();
-        let cold: Vec<u32> = (0..60).map(|i| 200 + (i % 8)).collect();
-        fill(&mut n0, StreamId::R, &hot);
-        fill(&mut n1, StreamId::S, &hot);
-        fill(&mut n2, StreamId::S, &cold);
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-        let mut rng = rng();
-        let mut to1 = 0;
-        let mut to2 = 0;
-        for _ in 0..500 {
-            let route = n0.route(StreamId::R, 3, 1.0, &mut rng);
-            assert!(!route.fallback, "correlations are strongly skewed");
-            to1 += route.peers.iter().filter(|&&p| p == 1).count();
-            to2 += route.peers.iter().filter(|&&p| p == 2).count();
-        }
-        assert!(
-            to1 > 5 * to2.max(1),
-            "correlated peer should dominate: {to1} vs {to2}"
-        );
-    }
-
-    #[test]
-    fn uniform_windows_trigger_fallback() {
-        // All three nodes hold statistically identical (flat) windows.
-        let mut n0 = DftRouter::new(test_config(0, 3), false);
-        let mut n1 = DftRouter::new(test_config(1, 3), false);
-        let mut n2 = DftRouter::new(test_config(2, 3), false);
-        let flat: Vec<u32> = (0..256).collect();
-        fill(&mut n0, StreamId::R, &flat);
-        fill(&mut n1, StreamId::S, &flat);
-        fill(&mut n2, StreamId::S, &flat);
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-        let mut rng = rng();
-        let route = n0.route(StreamId::R, 9, 1.0, &mut rng);
-        assert!(route.fallback, "identical windows are the worst case");
-        assert_eq!(route.peers.len(), 1, "T=1 round robin");
-        assert!(n0.fallback_events() > 0);
-    }
-
-    #[test]
-    fn unknown_peers_get_blind_routing() {
-        let mut n0 = DftRouter::new(test_config(0, 5), false);
-        fill(&mut n0, StreamId::R, &[1, 2, 3, 4]);
-        let mut rng = rng();
-        let mut total = 0;
-        for _ in 0..400 {
-            total += n0.route(StreamId::R, 2, 1.0, &mut rng).peers.len();
-        }
-        let avg = total as f64 / 400.0;
-        assert!((0.5..1.5).contains(&avg), "blind routing ≈ target: {avg}");
+    /// One reconstruction bucket through the production memoized read
+    /// path (`membership_estimate`).
+    fn recon_bucket(r: &mut DftSummary, peer: usize, s: usize, key: usize) -> Option<f64> {
+        let plan = r.recon_plan.as_ref()?;
+        let memo = r.recon[peer][s].as_mut()?;
+        let coeffs = r.remote[peer][s].as_ref()?;
+        membership_estimate(plan, memo, coeffs, key)
     }
 
     #[test]
     fn full_summary_is_delta_after_first() {
-        let mut r = DftRouter::new(test_config(0, 2), false);
+        let mut r = DftSummary::new(&test_config(0, 2), false);
         fill(&mut r, StreamId::R, &[5, 5, 5]);
         let first = r.full_summaries(1);
         // R has content, S is empty (all-zero coefficients skipped? no —
@@ -890,7 +478,7 @@ mod tests {
 
     #[test]
     fn piggyback_requires_prior_sync_and_big_change() {
-        let mut r = DftRouter::new(test_config(0, 2), false);
+        let mut r = DftSummary::new(&test_config(0, 2), false);
         fill(&mut r, StreamId::R, &[5; 200]);
         assert!(r.piggyback(1).is_empty(), "no snapshot yet");
         let _ = r.full_summaries(1);
@@ -909,7 +497,7 @@ mod tests {
         // test_config retains 32 coefficients: indices ≥ 32 are the
         // signature of a version-skewed or corrupted peer and must be
         // dropped (and reported), never silently part-applied.
-        let mut r = DftRouter::new(test_config(0, 2), true);
+        let mut r = DftSummary::new(&test_config(0, 2), true);
         let payload = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 256,
@@ -936,7 +524,7 @@ mod tests {
         // The reconstruction absorbed exactly the valid update.
         let full = dsj_dft::CompressedDft::from_prefix(coeffs.clone(), 256).reconstruct();
         for (key, b) in full.iter().enumerate() {
-            let a = r.recon_bucket(1, StreamId::S.index(), key).unwrap();
+            let a = recon_bucket(&mut r, 1, StreamId::S.index(), key).unwrap();
             assert!((a - b).abs() < 1e-9);
         }
         // A fully in-range payload reports zero drops.
@@ -956,16 +544,16 @@ mod tests {
         // Full summaries, deltas and piggybacks all flow through the
         // incremental path; after every exchange the cached reconstruction
         // must equal a from-scratch inverse DFT of the remote prefix.
-        let mut n0 = DftRouter::new(test_config(0, 2), true);
-        let mut n1 = DftRouter::new(test_config(1, 2), true);
-        let check = |n0: &mut DftRouter| {
+        let mut n0 = DftSummary::new(&test_config(0, 2), true);
+        let mut n1 = DftSummary::new(&test_config(1, 2), true);
+        let check = |n0: &mut DftSummary| {
             for s in [StreamId::R.index(), StreamId::S.index()] {
                 let Some(coeffs) = n0.remote[1][s].clone() else {
                     continue;
                 };
                 let full = dsj_dft::CompressedDft::from_prefix(coeffs, 256).reconstruct();
                 for (i, b) in full.iter().enumerate() {
-                    let a = n0.recon_bucket(1, s, i).unwrap();
+                    let a = recon_bucket(n0, 1, s, i).unwrap();
                     assert!((a - b).abs() < 1e-6, "bucket {i}: {a} vs {b}");
                 }
             }
@@ -975,11 +563,11 @@ mod tests {
             StreamId::S,
             &(0..64).map(|i| 30 + i % 7).collect::<Vec<_>>(),
         );
-        exchange(&mut n1, 1, &mut n0);
+        exchange(&mut n1, 1, &mut n0, 0);
         check(&mut n0);
         // Evictions and fresh keys produce a sparse delta on the next sync.
         fill(&mut n1, StreamId::S, &[100; 48]);
-        exchange(&mut n1, 1, &mut n0);
+        exchange(&mut n1, 1, &mut n0, 0);
         check(&mut n0);
         // A piggyback ships a single coefficient through the same path.
         fill(&mut n1, StreamId::S, &[200; 300]);
@@ -990,33 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn out_of_domain_key_routes_without_panic() {
-        // The recon membership pass must tolerate keys beyond the domain
-        // (ingest drops them, but the hot path is panic-free regardless).
-        let mut n0 = DftRouter::new(test_config(0, 3), true);
-        let mut n1 = DftRouter::new(test_config(1, 3), true);
-        fill(&mut n1, StreamId::S, &[10; 40]);
-        fill(&mut n0, StreamId::R, &(0..40).collect::<Vec<_>>());
-        exchange(&mut n1, 1, &mut n0);
-        let mut rng = rng();
-        for _ in 0..50 {
-            let route = n0.route(StreamId::R, 9_999, 1.0, &mut rng);
-            // No reconstruction bucket exists, so membership never fires.
-            assert!(!route.peers.contains(&0), "never routes to self");
-        }
-    }
-
-    #[test]
     fn reconstruction_tracks_remote_window() {
-        let mut n0 = DftRouter::new(test_config(0, 2), true);
-        let mut n1 = DftRouter::new(test_config(1, 2), true);
+        let mut n0 = DftSummary::new(&test_config(0, 2), true);
+        let mut n1 = DftSummary::new(&test_config(1, 2), true);
         // A smooth-ish window: keys concentrated in one region.
         let keys: Vec<u32> = (0..64).map(|i| 40 + (i % 5)).collect();
         fill(&mut n1, StreamId::S, &keys);
-        exchange(&mut n1, 1, &mut n0);
+        exchange(&mut n1, 1, &mut n0, 0);
         // Keys present ~12.8 times each reconstruct to large estimates.
         for k in 40..45 {
-            let r = n0.recon_bucket(1, StreamId::S.index(), k).unwrap();
+            let r = recon_bucket(&mut n0, 1, StreamId::S.index(), k).unwrap();
             assert!(r > 0.5, "bucket {k} = {r}");
         }
     }

@@ -1,34 +1,41 @@
 //! Routing strategies: the five algorithms compared in Section 6.
 //!
 //! Every strategy answers the same question — *which peers should this
-//! arriving tuple be forwarded to?* — from different summaries:
+//! arriving tuple be forwarded to?* — with the same rule, the Section 5.2
+//! flow filter (`Router::route_into`): per-peer affinities → uniform-data
+//! check → membership candidates first, the residual budget by affinity,
+//! explore-or-suppress when nothing matches → `p_ij = w_i·ρ_ij` bounded by
+//! Eqn. 9 → round-robin fallback. The algorithms differ only in the
+//! summary that feeds it:
 //!
-//! | Algorithm | Summary exchanged | Per-tuple signal |
+//! | Algorithm | Summary exchanged | What the summary supplies |
 //! |---|---|---|
-//! | [`Algorithm::Base`]   | none                   | broadcast |
-//! | [`Algorithm::Dft`]    | DFT coefficient prefix | window-level correlation `ρ` |
-//! | [`Algorithm::Dftt`]   | DFT coefficient prefix | per-key membership via inverse-DFT reconstruction |
-//! | [`Algorithm::Bloom`]  | counting Bloom filter  | per-key membership (false positives) |
-//! | [`Algorithm::Sketch`] | AGMS sketch            | partition-pair join-size estimate |
+//! | [`Algorithm::Base`]   | none                   | neither: every tuple is broadcast |
+//! | [`Algorithm::Dft`]    | DFT coefficient prefix | affinity: window-level correlation `ρ` |
+//! | [`Algorithm::Dftt`]   | DFT coefficient prefix | affinity `ρ` + membership via inverse-DFT reconstruction |
+//! | [`Algorithm::Bloom`]  | counting Bloom filter  | membership (false positives) + affinity: its running hit rate |
+//! | [`Algorithm::Sketch`] | AGMS sketch            | affinity: partition-pair join-size estimate |
 //!
 //! Summary sizes are equalized: `K` retained DFT coefficients occupy
 //! `16·K` bytes, so Bloom filters get `4·K` counters and sketches `2·K`
 //! `i64` counters, as in the paper's methodology.
 
-mod base;
 mod bloom;
 mod dft;
 mod sketch;
 
-pub(crate) use base::BaseRouter;
-pub(crate) use bloom::BloomRouter;
-pub(crate) use dft::DftRouter;
-pub(crate) use sketch::SketchRouter;
+use bloom::BloomSummary;
+use dft::DftSummary;
+use sketch::SketchSummary;
 
-use crate::flow::FlowParams;
+use crate::flow::{
+    detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowParams, FlowScratch,
+    RoundRobin,
+};
 use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
 use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -178,57 +185,144 @@ impl SyncState {
     }
 }
 
-/// Enum-dispatched router: one variant per algorithm family.
+/// What a strategy gossips and reads back: the only thing the five
+/// algorithms differ in. Every variant answers the same five questions —
+/// `local_update`, `apply_summary`, `full_summaries`, `piggyback`,
+/// `fill_affinities` — and the two membership testers also
+/// `push_candidates`; none of them knows a target, a route or an RNG.
 #[derive(Debug)]
-pub(crate) enum Router {
-    Base(BaseRouter),
-    Dft(Box<DftRouter>),
-    Bloom(Box<BloomRouter>),
-    Sketch(Box<SketchRouter>),
+enum Summary {
+    /// BASE: nothing exchanged, every tuple broadcast.
+    None,
+    /// DFT / DFTT: coefficient prefixes (DFTT also reconstructs them).
+    Dft(Box<DftSummary>),
+    /// BLOOM: counting Bloom filters.
+    Bloom(Box<BloomSummary>),
+    /// SKCH: AGMS sketches.
+    Sketch(Box<SketchSummary>),
+}
+
+impl Summary {
+    /// Fills `row`, aligned with `peers`, with this node's affinity to each
+    /// peer for a tuple of `stream` (`None`: no summary from that peer
+    /// yet). Returns whether the row differs from what the previous call
+    /// for `stream` filled — `true` on the first.
+    fn fill_affinities(
+        &mut self,
+        stream: StreamId,
+        peers: &[u16],
+        row: &mut Vec<Option<f64>>,
+    ) -> bool {
+        match self {
+            Summary::None => false,
+            Summary::Dft(d) => d.fill_affinities(stream, peers, row),
+            Summary::Bloom(b) => b.fill_affinities(stream, peers, row),
+            Summary::Sketch(k) => k.fill_affinities(stream, peers, row),
+        }
+    }
+}
+
+/// One node's routing layer: the Section 5.2 flow filter (Fig. 7), written
+/// once for every algorithm, over whichever [`Summary`] the algorithm
+/// exchanges. Everything that is *policy* lives here — the message budget,
+/// summary-sync cadence, the uniform-data verdict, the round-robin
+/// fallback and all per-tuple scratch.
+#[derive(Debug)]
+pub(crate) struct Router {
+    cfg: RouterConfig,
+    /// The fixed peer list (`peers_of` order); every per-peer row below is
+    /// aligned with it.
+    peers: Vec<u16>,
+    summary: Summary,
+    sync: SyncState,
+    rr: RoundRobin,
+    fallback_events: u64,
+    /// Uniform-data verdict per *tuple* stream — a pure function of the
+    /// affinity row, so recomputed only when the summary reports the row
+    /// changed.
+    uniform: [bool; 2],
+    /// Per-tuple scratch, reused so the steady state allocates nothing:
+    /// affinity row, membership candidates, residual affinities,
+    /// forwarding probabilities, sampled peer indices.
+    affinity: Vec<Option<f64>>,
+    candidates: Vec<(u16, f64)>,
+    residual: Vec<Option<f64>>,
+    probs: Vec<f64>,
+    sampled: Vec<usize>,
+    flow_scratch: FlowScratch,
 }
 
 impl Router {
     /// Builds the router for `algorithm`.
     pub fn new(algorithm: Algorithm, cfg: RouterConfig) -> Self {
-        match algorithm {
-            Algorithm::Base => Router::Base(BaseRouter::new(cfg)),
-            Algorithm::Dft => Router::Dft(Box::new(DftRouter::new(cfg, false))),
-            Algorithm::Dftt => Router::Dft(Box::new(DftRouter::new(cfg, true))),
-            Algorithm::Bloom => Router::Bloom(Box::new(BloomRouter::new(cfg))),
-            Algorithm::Sketch => Router::Sketch(Box::new(SketchRouter::new(cfg))),
+        let summary = match algorithm {
+            Algorithm::Base => Summary::None,
+            Algorithm::Dft => Summary::Dft(Box::new(DftSummary::new(&cfg, false))),
+            Algorithm::Dftt => Summary::Dft(Box::new(DftSummary::new(&cfg, true))),
+            Algorithm::Bloom => Summary::Bloom(Box::new(BloomSummary::new(&cfg))),
+            Algorithm::Sketch => Summary::Sketch(Box::new(SketchSummary::new(&cfg))),
+        };
+        Router {
+            peers: peers_of(cfg.me, cfg.n).collect(),
+            summary,
+            sync: SyncState::new(
+                cfg.n,
+                cfg.sync_sent_interval,
+                cfg.sync_arrival_interval,
+                cfg.window,
+            ),
+            rr: RoundRobin::new(),
+            fallback_events: 0,
+            uniform: [false, false],
+            affinity: Vec::new(),
+            candidates: Vec::new(),
+            residual: Vec::new(),
+            probs: Vec::new(),
+            sampled: Vec::new(),
+            flow_scratch: FlowScratch::default(),
+            cfg,
         }
     }
 
     /// Records a local window change: `added` entered `stream`'s window,
     /// `evicted` left it.
     pub fn local_update(&mut self, stream: StreamId, added: u32, evicted: &[u32]) {
-        match self {
-            Router::Base(_) => {}
-            Router::Dft(r) => r.local_update(stream, added, evicted),
-            Router::Bloom(r) => r.local_update(stream, added, evicted),
-            Router::Sketch(r) => r.local_update(stream, added, evicted),
+        match &mut self.summary {
+            Summary::None => {}
+            Summary::Dft(d) => d.local_update(stream, added, evicted),
+            Summary::Bloom(b) => b.local_update(stream, added, evicted),
+            Summary::Sketch(k) => k.local_update(stream, added, evicted),
         }
     }
 
-    /// Decides where to forward an arriving tuple of `stream` with join
-    /// attribute `key`. `scale` multiplies the configured message-complexity
-    /// target (the throughput governor's resource-availability dial;
-    /// `1.0` = nominal budget).
-    ///
-    /// Allocating convenience retained for tests and the determinism
-    /// suite; production goes through `Router::route_into`.
-    #[cfg(any(test, feature = "reference"))]
+    /// The message budget for one tuple: the configured operating point
+    /// (Eqn. 9) times `scale`, within the feasible `[0, N−1]`.
+    fn target(&self, scale: f64) -> f64 {
+        (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64)
+    }
+
+    /// How far "no candidate anywhere" may suppress a tuple: the explore
+    /// probability relaxes with the budget — at `T = N−1` the caller asked
+    /// for broadcast coverage, so suppression must not drop tuples; at
+    /// `T = 1` suppression is the whole win.
+    fn explore_probability(&self, target: f64) -> f64 {
+        let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
+        (self.cfg.flow.explore + frac * (1.0 - self.cfg.flow.explore)).min(1.0)
+    }
+
+    /// Allocating convenience over [`Router::route_into`] for unit tests.
+    #[cfg(test)]
     pub fn route(&mut self, stream: StreamId, key: u32, scale: f64, rng: &mut StdRng) -> Route {
         let mut out = Route::default();
         self.route_into(stream, key, scale, rng, &mut out);
         out
     }
 
-    /// Allocation-free variant of `Router::route`: clears and refills
-    /// `out`, reusing its `peers` capacity across tuples. BASE and the
-    /// DFT family are fully scratch-based; BLOOM/SKCH still build their
-    /// route internally (their per-tuple cost is dominated by hashing,
-    /// not allocation) and move it into `out`.
+    /// The flow filter: decides where to forward an arriving tuple of
+    /// `stream` with join attribute `key`, clearing and refilling `out`
+    /// (its `peers` capacity is reused across tuples). `scale` multiplies
+    /// the configured message-complexity target (the throughput
+    /// governor's resource-availability dial; `1.0` = nominal budget).
     // dsj-lint: hot-path
     pub fn route_into(
         &mut self,
@@ -238,20 +332,113 @@ impl Router {
         rng: &mut StdRng,
         out: &mut Route,
     ) {
-        match self {
-            Router::Base(r) => r.route_into(out),
-            Router::Dft(r) => r.route_into(stream, key, scale, rng, out),
-            // dsj-lint: allow(hot-path-opaque-call) — BLOOM builds its route internally; per-tuple cost is hashing-dominated, not allocation
-            Router::Bloom(r) => *out = r.route(stream, key, scale, rng),
-            // dsj-lint: allow(hot-path-opaque-call) — SKCH builds its route internally; per-tuple cost is hashing-dominated, not allocation
-            Router::Sketch(r) => *out = r.route(stream, key, scale, rng),
+        out.peers.clear();
+        out.fallback = false;
+        if matches!(self.summary, Summary::None) {
+            out.peers.extend(&self.peers);
+            return;
+        }
+        let target = self.target(scale);
+        let s = stream.index();
+        self.candidates.clear();
+        // BLOOM's affinities are the running hit rates of its membership
+        // tests, so it tests every tuple, before its row is read.
+        let mut any_summary = match &mut self.summary {
+            Summary::Bloom(b) => b.push_candidates(stream, key, &self.peers, &mut self.candidates),
+            _ => false,
+        };
+        let changed = self
+            .summary
+            .fill_affinities(stream, &self.peers, &mut self.affinity);
+        if changed {
+            self.uniform[s] = detect_uniform(&self.affinity, self.cfg.flow.uniform_cv_threshold);
+        }
+        // Uniform-data worst case (Section 5.2.2): when the per-peer
+        // affinities are indistinguishable, neither they nor membership
+        // tests against flat summaries carry signal.
+        if self.uniform[s] {
+            self.fallback_into(target, out);
+            return;
+        }
+        // DFTT reads its reconstructions only now that the correlations
+        // are known to spread: under a uniform verdict they are flat, and
+        // a bucket materialized early is not bit-equal to one read later.
+        if let Summary::Dft(d) = &mut self.summary {
+            any_summary = d.push_candidates(stream, key, &self.peers, &mut self.candidates);
+        }
+        // Membership hits are served first, best estimate first; whatever
+        // budget they leave buys affinity-routed coverage of sites the
+        // (lossy) summaries may miss — how DFTT trades extra messages for
+        // lower ε (Fig. 9). Without a hit the whole budget is routed by
+        // affinity, unless every peer summary agrees there is no partner.
+        let tested = !self.candidates.is_empty();
+        let budget = if tested {
+            // Stable sort on purpose: equal scores stay in ascending peer
+            // order, which is part of the recorded routing behaviour.
+            // dsj-lint: allow(hot-path-opaque-call) — std stable sort may allocate a merge buffer; kept because the tie order (ascending peer) is observable
+            self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let take = (target.ceil() as usize).max(1);
+            for idx in 0..take.min(self.candidates.len()) {
+                let j = self.candidates[idx].0;
+                out.peers.push(j);
+            }
+            let leftover = target - out.peers.len() as f64;
+            if leftover <= 0.05 {
+                return;
+            }
+            self.residual.clear();
+            for idx in 0..self.peers.len() {
+                let picked = out.peers.contains(&self.peers[idx]);
+                let r = if picked {
+                    Some(0.0)
+                } else {
+                    self.affinity[idx]
+                };
+                self.residual.push(r);
+            }
+            leftover
+        } else {
+            if any_summary && !rng.gen_bool(self.explore_probability(target)) {
+                // "No partners anywhere": save the messages (the DFTT
+                // advantage of Fig. 9).
+                return;
+            }
+            target
+        };
+        let row = if tested {
+            &self.residual
+        } else {
+            &self.affinity
+        };
+        if forwarding_probabilities_into(row, budget, &mut self.flow_scratch, &mut self.probs) {
+            sample_recipients_into(&self.probs, rng, &mut self.sampled);
+            for &i in &self.sampled {
+                out.peers.push(self.peers[i]);
+            }
+            if tested {
+                out.peers.sort_unstable();
+                out.peers.dedup();
+            }
+        } else if !tested {
+            self.fallback_into(target, out);
         }
     }
 
-    /// The pre-optimization routing implementation, retained so the
-    /// determinism suite can prove the scratch-based path never diverges
-    /// from it. Identical to `Router::route` for strategies that were
-    /// not rewritten.
+    /// The worst-case policy: round-robin over the peers, `target` at a time.
+    fn fallback_into(&mut self, target: f64, out: &mut Route) {
+        self.fallback_events += 1;
+        let count = (target.round() as usize).max(1);
+        self.rr
+            .pick_into(self.cfg.me, self.cfg.n, count, &mut out.peers);
+        out.fallback = true;
+    }
+
+    /// The allocating transcription of [`Router::route_into`]: the same
+    /// policy over the same summary queries, with fresh buffers, the
+    /// allocating `flow` twins and no verdict cache. Two identically
+    /// seeded routers — one routed, one reference-routed — must agree on
+    /// every peer set, fallback flag and RNG draw; the determinism suite
+    /// drives them in lockstep.
     #[cfg(any(test, feature = "reference"))]
     pub fn route_reference(
         &mut self,
@@ -260,100 +447,129 @@ impl Router {
         scale: f64,
         rng: &mut StdRng,
     ) -> Route {
-        match self {
-            Router::Dft(r) => r.route_reference(stream, key, scale, rng),
-            _ => self.route(stream, key, scale, rng),
+        use crate::flow::{forwarding_probabilities, sample_recipients};
+        let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
+        if matches!(self.summary, Summary::None) {
+            return Route {
+                peers,
+                fallback: false,
+            };
+        }
+        let target = self.target(scale);
+        let mut candidates: Vec<(u16, f64)> = Vec::new();
+        let mut any_summary = match &mut self.summary {
+            Summary::Bloom(b) => b.push_candidates(stream, key, &peers, &mut candidates),
+            _ => false,
+        };
+        let mut rhos: Vec<Option<f64>> = Vec::new();
+        self.summary.fill_affinities(stream, &peers, &mut rhos);
+        if detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
+            return self.fallback(target);
+        }
+        if let Summary::Dft(d) = &mut self.summary {
+            any_summary = d.push_candidates(stream, key, &peers, &mut candidates);
+        }
+        if !candidates.is_empty() {
+            candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let take = (target.ceil() as usize).max(1);
+            let mut picked: Vec<u16> = candidates.into_iter().take(take).map(|(j, _)| j).collect();
+            let leftover = target - picked.len() as f64;
+            if leftover > 0.05 {
+                let residual: Vec<Option<f64>> = peers
+                    .iter()
+                    .zip(&rhos)
+                    .map(|(&j, r)| if picked.contains(&j) { Some(0.0) } else { *r })
+                    .collect();
+                if let Some(probs) = forwarding_probabilities(&residual, leftover) {
+                    picked.extend(sample_recipients(&probs, rng).into_iter().map(|i| peers[i]));
+                    picked.sort_unstable();
+                    picked.dedup();
+                }
+            }
+            return Route {
+                peers: picked,
+                fallback: false,
+            };
+        }
+        if any_summary && !rng.gen_bool(self.explore_probability(target)) {
+            return Route::default();
+        }
+        match forwarding_probabilities(&rhos, target) {
+            Some(probs) => Route {
+                peers: sample_recipients(&probs, rng)
+                    .into_iter()
+                    .map(|idx| peers[idx])
+                    .collect(),
+                fallback: false,
+            },
+            None => self.fallback(target),
         }
     }
 
+    #[cfg(any(test, feature = "reference"))]
+    fn fallback(&mut self, target: f64) -> Route {
+        let mut out = Route::default();
+        self.fallback_into(target, &mut out);
+        out
+    }
+
     /// Ingests a summary received from `from`. Returns the number of
-    /// updates the router *dropped* because they fell outside its
+    /// updates the summary *dropped* because they fell outside its
     /// configured shape (e.g. a DFT coefficient index beyond the retained
     /// prefix) — zero for the summary kinds that replace state wholesale.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        match self {
-            Router::Base(_) => 0,
-            Router::Dft(r) => r.apply_summary(from, payload),
-            Router::Bloom(r) => {
-                r.apply_summary(from, payload);
-                0
-            }
-            Router::Sketch(r) => {
-                r.apply_summary(from, payload);
-                0
-            }
+        match &mut self.summary {
+            Summary::None => 0,
+            Summary::Dft(d) => d.apply_summary(from, payload),
+            Summary::Bloom(b) => b.apply_summary(from, payload),
+            Summary::Sketch(k) => k.apply_summary(from, payload),
         }
     }
 
     /// Notes a local arrival for sync bookkeeping.
     pub fn note_arrival(&mut self) {
-        if let Some(s) = self.sync_mut() {
-            s.note_arrival();
-        }
+        self.sync.note_arrival();
     }
 
     /// Notes a tuple message sent to `peer`.
     pub fn note_sent(&mut self, peer: u16) {
-        if let Some(s) = self.sync_mut() {
-            s.note_sent(peer);
-        }
+        self.sync.note_sent(peer);
     }
 
     /// `true` when `peer` should receive a summary refresh on the next
     /// tuple message to it.
     pub fn sync_due(&self, peer: u16) -> bool {
-        self.sync_ref().is_some_and(|s| s.due(peer))
+        self.sync.due(peer)
     }
 
     /// `true` when `peer` warrants a standalone summary message.
     pub fn sync_overdue(&self, peer: u16) -> bool {
-        self.sync_ref().is_some_and(|s| s.overdue(peer))
+        self.sync.overdue(peer)
     }
 
     /// Produces the full summary refresh for `peer` and marks it synced.
     pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        match self {
-            Router::Base(_) => Vec::new(),
-            Router::Dft(r) => r.full_summaries(peer),
-            Router::Bloom(r) => r.full_summaries(peer),
-            Router::Sketch(r) => r.full_summaries(peer),
+        self.sync.reset(peer);
+        match &mut self.summary {
+            Summary::None => Vec::new(),
+            Summary::Dft(d) => d.full_summaries(peer),
+            Summary::Bloom(b) => b.full_summaries(),
+            Summary::Sketch(k) => k.full_summaries(),
         }
     }
 
-    /// Produces a small piggyback delta for `peer` (DFT-family only).
+    /// Produces a small piggyback delta for `peer` (DFT-family only: the
+    /// other summaries do not delta-encode).
     pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        match self {
-            Router::Dft(r) => r.piggyback(peer),
+        match &mut self.summary {
+            Summary::Dft(d) => d.piggyback(peer),
             _ => Vec::new(),
         }
     }
 
     /// Number of times the worst-case fallback policy fired.
     pub fn fallback_events(&self) -> u64 {
-        match self {
-            Router::Base(_) => 0,
-            Router::Dft(r) => r.fallback_events(),
-            Router::Bloom(r) => r.fallback_events(),
-            Router::Sketch(r) => r.fallback_events(),
-        }
-    }
-
-    fn sync_ref(&self) -> Option<&SyncState> {
-        match self {
-            Router::Base(_) => None,
-            Router::Dft(r) => Some(r.sync()),
-            Router::Bloom(r) => Some(r.sync()),
-            Router::Sketch(r) => Some(r.sync()),
-        }
-    }
-
-    fn sync_mut(&mut self) -> Option<&mut SyncState> {
-        match self {
-            Router::Base(_) => None,
-            Router::Dft(r) => Some(r.sync_mut()),
-            Router::Bloom(r) => Some(r.sync_mut()),
-            Router::Sketch(r) => Some(r.sync_mut()),
-        }
+        self.fallback_events
     }
 }
 
@@ -381,6 +597,28 @@ pub(crate) fn test_config(me: u16, n: u16) -> RouterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    /// Fills a router's local `stream` window with `keys`.
+    fn fill(r: &mut Router, stream: StreamId, keys: &[u32]) {
+        for &k in keys {
+            r.local_update(stream, k, &[]);
+        }
+    }
+
+    /// Wires `src`'s summaries into `dst` as if exchanged over the network.
+    fn exchange(src: &mut Router, dst: &mut Router) {
+        for p in src.full_summaries(dst.cfg.me) {
+            dst.apply_summary(src.cfg.me, &p);
+        }
+    }
+
+    /// Routers for nodes `0..n` of an `n`-node cluster running `algorithm`.
+    fn cluster(algorithm: Algorithm, n: u16) -> Vec<Router> {
+        (0..n)
+            .map(|me| Router::new(algorithm, test_config(me, n)))
+            .collect()
+    }
 
     #[test]
     fn labels() {
@@ -423,5 +661,220 @@ mod tests {
     fn peers_of_skips_self() {
         let peers: Vec<u16> = peers_of(2, 5).collect();
         assert_eq!(peers, vec![0, 1, 3, 4]);
+    }
+
+    #[test]
+    fn base_broadcasts_to_all_peers() {
+        let mut r = Router::new(Algorithm::Base, test_config(1, 4));
+        let route = r.route(StreamId::R, 3, 1.0, &mut StdRng::seed_from_u64(0));
+        assert_eq!(route.peers, vec![0, 2, 3]);
+        assert!(!route.fallback);
+    }
+
+    #[test]
+    fn dftt_targets_matching_site() {
+        // Node 0 routes R tuples; node 1 has S window full of key 10,
+        // node 2 has S window full of key 200.
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Dftt, 3).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[10; 40]);
+        fill(&mut n2, StreamId::S, &[200; 40]);
+        fill(
+            &mut n0,
+            StreamId::R,
+            &(0..40).map(|i| i % 20).collect::<Vec<_>>(),
+        );
+        exchange(&mut n1, &mut n0);
+        exchange(&mut n2, &mut n0);
+
+        let mut rng = StdRng::seed_from_u64(99);
+        let route = n0.route(StreamId::R, 10, 1.0, &mut rng);
+        assert_eq!(route.peers, vec![1], "key 10 lives only at node 1");
+        let route = n0.route(StreamId::R, 200, 1.0, &mut rng);
+        assert_eq!(route.peers, vec![2], "key 200 lives only at node 2");
+    }
+
+    #[test]
+    fn dftt_suppresses_hopeless_tuples() {
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Dftt, 3).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[10; 40]);
+        fill(&mut n2, StreamId::S, &[200; 40]);
+        fill(&mut n0, StreamId::R, &[10; 40]);
+        exchange(&mut n1, &mut n0);
+        exchange(&mut n2, &mut n0);
+        let mut rng = StdRng::seed_from_u64(99);
+        // Key 100 joins nowhere: almost every route should be empty
+        // (modulo the 5% exploration rate).
+        let empty = (0..200)
+            .filter(|_| n0.route(StreamId::R, 100, 1.0, &mut rng).peers.is_empty())
+            .count();
+        assert!(empty > 170, "only {empty}/200 suppressed");
+    }
+
+    #[test]
+    fn dft_prefers_correlated_peer() {
+        // Node 1's S window matches node 0's R window distribution;
+        // node 2's does not.
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Dft, 3).try_into().unwrap();
+        let hot: Vec<u32> = (0..60).map(|i| i % 8).collect();
+        let cold: Vec<u32> = (0..60).map(|i| 200 + (i % 8)).collect();
+        fill(&mut n0, StreamId::R, &hot);
+        fill(&mut n1, StreamId::S, &hot);
+        fill(&mut n2, StreamId::S, &cold);
+        exchange(&mut n1, &mut n0);
+        exchange(&mut n2, &mut n0);
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut to1 = 0;
+        let mut to2 = 0;
+        for _ in 0..500 {
+            let route = n0.route(StreamId::R, 3, 1.0, &mut rng);
+            assert!(!route.fallback, "correlations are strongly skewed");
+            to1 += route.peers.iter().filter(|&&p| p == 1).count();
+            to2 += route.peers.iter().filter(|&&p| p == 2).count();
+        }
+        assert!(
+            to1 > 5 * to2.max(1),
+            "correlated peer should dominate: {to1} vs {to2}"
+        );
+    }
+
+    #[test]
+    fn indistinguishable_windows_fall_back_to_round_robin() {
+        // Every node holds a statistically identical (flat) window — the
+        // worst case, whatever the summary: DFT/DFTT see equal ρ, SKCH
+        // equal join sizes, BLOOM equal hit rates.
+        for (algorithm, n, keys) in [
+            (Algorithm::Dft, 3, 256),
+            (Algorithm::Dftt, 3, 256),
+            (Algorithm::Bloom, 3, 64),
+            (Algorithm::Sketch, 4, 128),
+        ] {
+            let mut nodes = cluster(algorithm, n);
+            let flat: Vec<u32> = (0..keys).collect();
+            let (n0, others) = nodes.split_first_mut().unwrap();
+            fill(n0, StreamId::R, &flat);
+            for o in others {
+                fill(o, StreamId::S, &flat);
+                exchange(o, n0);
+            }
+            let route = n0.route(StreamId::R, 9, 1.0, &mut StdRng::seed_from_u64(99));
+            assert!(route.fallback, "{algorithm}: identical windows");
+            assert_eq!(route.peers.len(), 1, "{algorithm}: T=1 round robin");
+            assert!(n0.fallback_events() > 0, "{algorithm}");
+        }
+    }
+
+    #[test]
+    fn unknown_peers_get_blind_routing() {
+        for (algorithm, seed) in [(Algorithm::Dft, 99), (Algorithm::Bloom, 5)] {
+            let mut n0 = Router::new(algorithm, test_config(0, 5));
+            fill(&mut n0, StreamId::R, &[1, 2, 3, 4]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let total: usize = (0..400)
+                .map(|_| n0.route(StreamId::R, 2, 1.0, &mut rng).peers.len())
+                .sum();
+            let avg = total as f64 / 400.0;
+            assert!(
+                (0.5..1.5).contains(&avg),
+                "{algorithm}: blind routing ≈ target: {avg}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_domain_key_routes_without_panic() {
+        // The recon membership pass must tolerate keys beyond the domain
+        // (ingest drops them, but the hot path is panic-free regardless).
+        let [mut n0, mut n1, _] = cluster(Algorithm::Dftt, 3).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[10; 40]);
+        fill(&mut n0, StreamId::R, &(0..40).collect::<Vec<_>>());
+        exchange(&mut n1, &mut n0);
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..50 {
+            let route = n0.route(StreamId::R, 9_999, 1.0, &mut rng);
+            // No reconstruction bucket exists, so membership never fires.
+            assert!(!route.peers.contains(&0), "never routes to self");
+        }
+    }
+
+    #[test]
+    fn bloom_membership_routes_to_holder() {
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Bloom, 3).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[10, 10, 11]);
+        fill(&mut n2, StreamId::S, &[200, 201]);
+        exchange(&mut n1, &mut n0);
+        exchange(&mut n2, &mut n0);
+        let route = n0.route(StreamId::R, 10, 1.0, &mut StdRng::seed_from_u64(5));
+        assert_eq!(route.peers, vec![1]);
+    }
+
+    #[test]
+    fn bloom_absent_key_mostly_suppressed() {
+        let [mut n0, mut n1] = cluster(Algorithm::Bloom, 2).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[1, 2, 3]);
+        exchange(&mut n1, &mut n0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sent: usize = (0..200)
+            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
+            .sum();
+        // Exploration (5%) plus possible false positives only.
+        assert!(sent < 40, "absent key sent {sent}/200 times");
+    }
+
+    #[test]
+    fn bloom_eviction_clears_membership() {
+        let [mut n0, mut n1] = cluster(Algorithm::Bloom, 2).try_into().unwrap();
+        fill(&mut n1, StreamId::S, &[42]);
+        n1.local_update(StreamId::S, 7, &[42]); // 42 evicted
+        exchange(&mut n1, &mut n0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sent: usize = (0..100)
+            .map(|_| n0.route(StreamId::R, 42, 1.0, &mut rng).peers.len())
+            .sum();
+        assert!(sent < 20, "evicted key still routed {sent}/100");
+    }
+
+    #[test]
+    fn sketch_join_size_weights_routing() {
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Sketch, 3).try_into().unwrap();
+        let mine: Vec<u32> = (0..64).map(|i| i % 8).collect();
+        fill(&mut n0, StreamId::R, &mine);
+        fill(&mut n1, StreamId::S, &mine); // large join with n0's R
+        fill(
+            &mut n2,
+            StreamId::S,
+            &(0..64).map(|i| 100 + i % 8).collect::<Vec<_>>(),
+        );
+        exchange(&mut n1, &mut n0);
+        exchange(&mut n2, &mut n0);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut to1 = 0;
+        let mut to2 = 0;
+        for _ in 0..500 {
+            let r = n0.route(StreamId::R, 3, 1.0, &mut rng);
+            to1 += r.peers.iter().filter(|&&p| p == 1).count();
+            to2 += r.peers.iter().filter(|&&p| p == 2).count();
+        }
+        assert!(
+            to1 > 3 * to2.max(1),
+            "high-join peer should dominate: {to1} vs {to2}"
+        );
+    }
+
+    #[test]
+    fn sketch_routing_ignores_the_key() {
+        // SKCH routes identically for every key — it has no per-key info.
+        let [mut n0, mut n1] = cluster(Algorithm::Sketch, 2).try_into().unwrap();
+        fill(&mut n0, StreamId::R, &[1; 32]);
+        fill(&mut n1, StreamId::S, &[1; 32]);
+        exchange(&mut n1, &mut n0);
+        let mut rng = StdRng::seed_from_u64(17);
+        let present: usize = (0..200)
+            .map(|_| n0.route(StreamId::R, 1, 1.0, &mut rng).peers.len())
+            .sum();
+        let absent: usize = (0..200)
+            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
+            .sum();
+        let diff = (present as f64 - absent as f64).abs() / 200.0;
+        assert!(diff < 0.2, "sketch routing should be key-blind: {diff}");
     }
 }

@@ -1,75 +1,49 @@
-//! SKCH: AGMS-sketch join-size-weighted routing (Section 6).
+//! The SKCH summary: AGMS-sketch join-size estimates (Section 6).
 //!
 //! Each node sketches its two windows; peers exchange sketches and
 //! estimate, for every partition pair `(R_i, S_j)`, the join size
-//! `|R_i ⋈ S_j|`. Tuples are forwarded with probabilities proportional to
-//! these estimates. Unlike BLOOM/DFTT there is no per-key membership test,
+//! `|R_i ⋈ S_j|`. The flow filter's affinities are these estimates,
+//! normalized. Unlike BLOOM/DFTT there is no per-key membership test,
 //! so routing is "blind" within a partition pair — the reason the paper
 //! finds SKCH transmits more messages per result than the testers (Fig. 9).
 //! Sketch size is equalized to the DFT summary (`16·K` bytes), keeping the
 //! paper's 5:1 `s0:s1` ratio.
 
-use super::{peers_of, Route, RouterConfig, SyncState};
-use crate::flow::{detect_uniform, forwarding_probabilities, sample_recipients, RoundRobin};
+use super::RouterConfig;
 use crate::msg::SummaryPayload;
 use dsj_sketch::AgmsSketch;
 use dsj_stream::StreamId;
-use rand::rngs::StdRng;
 
-/// AGMS-sketch router.
+/// AGMS-sketch summary state.
 #[derive(Debug)]
-pub(crate) struct SketchRouter {
-    cfg: RouterConfig,
+pub(super) struct SketchSummary {
+    rho_refresh: u32,
     local: [AgmsSketch; 2],
     remote: Vec<[Option<AgmsSketch>; 2]>,
-    /// Cached pairwise join-size estimates per peer per tuple stream.
+    /// Cached pairwise join-size estimates per peer per tuple stream,
+    /// recomputed where stale: after a peer's sketch lands, and every
+    /// `rho_refresh` local arrivals.
     est: Vec<[Option<f64>; 2]>,
     est_stale: Vec<[bool; 2]>,
     arrivals_since_refresh: u32,
-    sync: SyncState,
-    rr: RoundRobin,
-    fallback_events: u64,
 }
 
-impl SketchRouter {
-    /// Creates the router with sketches sized to match the DFT summary.
+impl SketchSummary {
+    /// Creates the summary with sketches sized to match the DFT summary.
     /// All nodes derive hash families from the shared cluster seed so
     /// sketches are mutually joinable.
-    pub fn new(cfg: RouterConfig) -> Self {
+    pub fn new(cfg: &RouterConfig) -> Self {
         let n = cfg.n as usize;
         let bytes = (cfg.retained * 16).max(48);
         let mk = || AgmsSketch::with_size_bytes(bytes, cfg.seed);
-        SketchRouter {
+        SketchSummary {
+            rho_refresh: cfg.rho_refresh,
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             est: vec![[None, None]; n],
             est_stale: vec![[true, true]; n],
             arrivals_since_refresh: 0,
-            sync: SyncState::new(
-                cfg.n,
-                cfg.sync_sent_interval,
-                cfg.sync_arrival_interval,
-                cfg.window,
-            ),
-            rr: RoundRobin::new(),
-            fallback_events: 0,
-            cfg,
         }
-    }
-
-    /// Sync bookkeeping.
-    pub fn sync(&self) -> &SyncState {
-        &self.sync
-    }
-
-    /// Sync bookkeeping, mutable.
-    pub fn sync_mut(&mut self) -> &mut SyncState {
-        &mut self.sync
-    }
-
-    /// Times the worst-case fallback fired.
-    pub fn fallback_events(&self) -> u64 {
-        self.fallback_events
     }
 
     /// Applies a local window change.
@@ -80,7 +54,7 @@ impl SketchRouter {
             self.local[s].update(u64::from(e), -1);
         }
         self.arrivals_since_refresh += 1;
-        if self.arrivals_since_refresh >= self.cfg.rho_refresh {
+        if self.arrivals_since_refresh >= self.rho_refresh {
             self.arrivals_since_refresh = 0;
             for flags in &mut self.est_stale {
                 *flags = [true, true];
@@ -88,81 +62,60 @@ impl SketchRouter {
         }
     }
 
-    fn refresh_estimates(&mut self, stream: StreamId) {
+    /// Fills `row` with the join-size estimate against each of `peers` for
+    /// a tuple of `stream`, normalized into `[0, 1]` by the largest, after
+    /// recomputing the stale estimates. Returns whether any estimate was
+    /// recomputed — `true` on the first call for a stream.
+    pub fn fill_affinities(
+        &mut self,
+        stream: StreamId,
+        peers: &[u16],
+        row: &mut Vec<Option<f64>>,
+    ) -> bool {
         let s = stream.index();
         let opp = stream.opposite().index();
-        for j in 0..self.cfg.n as usize {
-            if j == self.cfg.me as usize || !self.est_stale[j][s] {
-                continue;
+        let mut changed = false;
+        let mut max = 0.0_f64;
+        row.clear();
+        for &peer in peers {
+            let j = peer as usize;
+            if self.est_stale[j][s] {
+                // The cluster-wide seed keeps sketches compatible; a
+                // mismatch (impossible by construction) reads as "no
+                // estimate".
+                self.est[j][s] = self.remote[j][opp]
+                    .as_ref()
+                    // dsj-lint: allow(hot-path-opaque-call) — AgmsSketch::join_size collects its group means; runs once per peer per `rho_refresh` arrivals (or per received sketch), not per tuple
+                    .and_then(|sk| self.local[s].join_size(sk).ok());
+                self.est_stale[j][s] = false;
+                changed = true;
             }
-            // The cluster-wide seed keeps sketches compatible; a mismatch
-            // (impossible by construction) reads as "no estimate".
-            self.est[j][s] = self.remote[j][opp]
-                .as_ref()
-                .and_then(|sk| self.local[s].join_size(sk).ok());
-            self.est_stale[j][s] = false;
+            let est = self.est[j][s];
+            max = est.map_or(max, |v| max.max(v.max(0.0)));
+            row.push(est);
         }
+        for v in row.iter_mut().flatten() {
+            *v = if max > 0.0 { v.max(0.0) / max } else { 0.0 };
+        }
+        changed
     }
 
-    /// Routes one arriving tuple.
-    pub fn route(&mut self, stream: StreamId, key: u32, scale: f64, rng: &mut StdRng) -> Route {
-        let _ = key; // sketches carry no per-key signal
-        let target =
-            (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64);
-        self.refresh_estimates(stream);
-        let s = stream.index();
-        let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
-        // Normalize join-size estimates into [0, 1] affinities.
-        let raw: Vec<Option<f64>> = peers.iter().map(|&j| self.est[j as usize][s]).collect();
-        let max = raw
-            .iter()
-            .flatten()
-            .fold(0.0_f64, |acc, &v| acc.max(v.max(0.0)));
-        let rhos: Vec<Option<f64>> = raw
-            .iter()
-            .map(|o| o.map(|v| if max > 0.0 { (v.max(0.0)) / max } else { 0.0 }))
-            .collect();
-
-        if detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
-            return self.fallback(target);
-        }
-        match forwarding_probabilities(&rhos, target) {
-            Some(probs) => Route {
-                peers: sample_recipients(&probs, rng)
-                    .into_iter()
-                    .map(|idx| peers[idx])
-                    .collect(),
-                fallback: false,
-            },
-            None => self.fallback(target),
-        }
-    }
-
-    fn fallback(&mut self, target: f64) -> Route {
-        self.fallback_events += 1;
-        let count = (target.round() as usize).max(1);
-        Route {
-            peers: self.rr.pick(self.cfg.me, self.cfg.n, count),
-            fallback: true,
-        }
-    }
-
-    /// Ingests a peer's sketch.
-    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) {
+    /// Ingests a peer's sketch (replaced wholesale: nothing to drop).
+    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Sketch { stream, sketch } = payload else {
-            debug_assert!(false, "SKCH router received a non-sketch summary");
-            return;
+            debug_assert!(false, "SKCH summary received a non-sketch payload");
+            return 0;
         };
         let mut sketch = sketch.clone();
         sketch.rehydrate();
         let j = from as usize;
         self.remote[j][stream.index()] = Some(sketch);
         self.est_stale[j][stream.opposite().index()] = true;
+        0
     }
 
-    /// Ships both stream sketches to `peer` (full refresh).
-    pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        self.sync.reset(peer);
+    /// Ships both stream sketches (full refresh).
+    pub fn full_summaries(&mut self) -> Vec<SummaryPayload> {
         StreamId::BOTH
             .into_iter()
             .map(|stream| SummaryPayload::Sketch {
@@ -170,93 +123,5 @@ impl SketchRouter {
                 sketch: self.local[stream.index()].clone(),
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::test_config;
-    use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(17)
-    }
-
-    fn fill(r: &mut SketchRouter, stream: StreamId, keys: &[u32]) {
-        for &k in keys {
-            r.local_update(stream, k, &[]);
-        }
-    }
-
-    fn exchange(src: &mut SketchRouter, src_id: u16, dst: &mut SketchRouter) {
-        for p in src.full_summaries(dst.cfg.me) {
-            dst.apply_summary(src_id, &p);
-        }
-    }
-
-    #[test]
-    fn join_size_weights_routing() {
-        let mut n0 = SketchRouter::new(test_config(0, 3));
-        let mut n1 = SketchRouter::new(test_config(1, 3));
-        let mut n2 = SketchRouter::new(test_config(2, 3));
-        let mine: Vec<u32> = (0..64).map(|i| i % 8).collect();
-        fill(&mut n0, StreamId::R, &mine);
-        fill(&mut n1, StreamId::S, &mine); // large join with n0's R
-        fill(
-            &mut n2,
-            StreamId::S,
-            &(0..64).map(|i| 100 + i % 8).collect::<Vec<_>>(),
-        );
-        exchange(&mut n1, 1, &mut n0);
-        exchange(&mut n2, 2, &mut n0);
-        let mut rng = rng();
-        let mut to1 = 0;
-        let mut to2 = 0;
-        for _ in 0..500 {
-            let r = n0.route(StreamId::R, 3, 1.0, &mut rng);
-            to1 += r.peers.iter().filter(|&&p| p == 1).count();
-            to2 += r.peers.iter().filter(|&&p| p == 2).count();
-        }
-        assert!(
-            to1 > 3 * to2.max(1),
-            "high-join peer should dominate: {to1} vs {to2}"
-        );
-    }
-
-    #[test]
-    fn key_is_ignored_by_sketch_routing() {
-        // SKCH routes identically for every key — it has no per-key info.
-        let mut n0 = SketchRouter::new(test_config(0, 2));
-        let mut n1 = SketchRouter::new(test_config(1, 2));
-        fill(&mut n0, StreamId::R, &[1; 32]);
-        fill(&mut n1, StreamId::S, &[1; 32]);
-        exchange(&mut n1, 1, &mut n0);
-        let mut rng = rng();
-        let present: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 1, 1.0, &mut rng).peers.len())
-            .sum();
-        let absent: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
-            .sum();
-        let diff = (present as f64 - absent as f64).abs() / 200.0;
-        assert!(diff < 0.2, "sketch routing should be key-blind: {diff}");
-    }
-
-    #[test]
-    fn identical_windows_fall_back() {
-        let mut n0 = SketchRouter::new(test_config(0, 4));
-        let mut others: Vec<SketchRouter> = (1..4)
-            .map(|i| SketchRouter::new(test_config(i, 4)))
-            .collect();
-        let flat: Vec<u32> = (0..128).collect();
-        fill(&mut n0, StreamId::R, &flat);
-        for (i, o) in others.iter_mut().enumerate() {
-            fill(o, StreamId::S, &flat);
-            exchange(o, (i + 1) as u16, &mut n0);
-        }
-        let mut rng = rng();
-        let route = n0.route(StreamId::R, 7, 1.0, &mut rng);
-        assert!(route.fallback, "identical partitions are the worst case");
     }
 }

@@ -48,9 +48,7 @@ pub const ROOTS_FILE: &str = "crates/lint/src/callgraph.rs";
 /// `Owner::name` (or bare `name` for free functions). Every entry must
 /// resolve to at least one ungated workspace function; a rename that
 /// orphans an entry is itself a finding.
-pub const HOT_PATH_ROOTS: [&str; 12] = [
-    "BaseRouter::route_into",
-    "DftRouter::route_into",
+pub const HOT_PATH_ROOTS: [&str; 10] = [
     "JoinNode::handle_arrival_into",
     "NodeEngine::on_arrival",
     "NodeEngine::on_frame",

@@ -444,8 +444,11 @@ pub(crate) struct Run {
 pub(crate) fn prepare(cfg: &ClusterConfig) -> Result<Run, LiveError> {
     cfg.validate()?;
     let mut reg = obs::Registry::default();
-    let (arrivals, truth_matches) =
-        reg.time_phase("workload", || (cfg.arrivals(), cfg.ground_truth_matches()));
+    let (arrivals, truth_matches) = reg.time_phase("workload", || {
+        let arrivals = cfg.arrivals();
+        let truth_matches = cfg.truth_of(&arrivals);
+        (arrivals, truth_matches)
+    });
     let shared = Shared::new();
     let (mailboxes, inboxes) = (0..cfg.n).map(|_| mailbox(&shared)).unzip();
     Ok(Run {

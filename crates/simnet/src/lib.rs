@@ -11,8 +11,7 @@
 //!   link is a FIFO transmitter, so bandwidth contention delays queued
 //!   messages just as the paper's pauses do.
 //! * [`SimNode`] — the handler trait nodes implement (`on_input` for
-//!   locally arriving tuples, `on_message` for network deliveries,
-//!   `on_timer` for self-scheduled work).
+//!   locally arriving tuples, `on_message` for network deliveries).
 //! * [`Simulation`] — the event loop: full-mesh topology, per-link byte and
 //!   message accounting in [`NetMetrics`].
 //!

@@ -2,7 +2,7 @@
 
 use crate::link::{LinkConfig, LinkState};
 use crate::metrics::NetMetrics;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -13,9 +13,9 @@ pub type NodeId = u16;
 
 /// Behaviour of a simulated node.
 ///
-/// Handlers receive a [`Ctx`] through which they read the clock, send
-/// messages and arm timers; all effects are applied by the simulation after
-/// the handler returns, keeping event processing atomic.
+/// Handlers receive a [`Ctx`] through which they read the clock and send
+/// messages; all effects are applied by the simulation after the handler
+/// returns, keeping event processing atomic.
 pub trait SimNode {
     /// Locally injected work (e.g. a tuple arriving at this node from its
     /// stream source — not subject to the network model).
@@ -28,12 +28,6 @@ pub trait SimNode {
 
     /// Called when a network message is delivered to this node.
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
-
-    /// Called when a timer armed via [`Ctx::set_timer`] fires. The default
-    /// implementation ignores timers.
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
-        let _ = (tag, ctx);
-    }
 }
 
 /// Handler-side view of the simulation: clock access and buffered effects.
@@ -43,7 +37,6 @@ pub struct Ctx<'a, M> {
     me: NodeId,
     nodes: u16,
     outgoing: &'a mut Vec<(NodeId, M, usize)>,
-    timers: &'a mut Vec<(SimDuration, u64)>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -75,17 +68,11 @@ impl<M> Ctx<'_, M> {
         assert!(to < self.nodes, "destination out of range");
         self.outgoing.push((to, msg, bytes));
     }
-
-    /// Arms a timer that fires on this node after `delay` with `tag`.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.timers.push((delay, tag));
-    }
 }
 
 enum EventKind<I, M> {
     Inject(I),
     Deliver { from: NodeId, msg: M },
-    Timer { tag: u64 },
 }
 
 struct Event<I, M> {
@@ -132,10 +119,9 @@ pub struct Simulation<N: SimNode> {
     next_seq: u64,
     metrics: NetMetrics,
     events_processed: u64,
-    /// Effect buffers handed to [`Ctx`] each event and drained afterwards,
+    /// Effect buffer handed to [`Ctx`] each event and drained afterwards,
     /// persisted here so the steady-state event loop allocates nothing.
     outgoing_scratch: Vec<(NodeId, <N as SimNode>::Msg, usize)>,
-    timers_scratch: Vec<(SimDuration, u64)>,
 }
 
 impl<N: SimNode> Simulation<N> {
@@ -163,7 +149,6 @@ impl<N: SimNode> Simulation<N> {
             metrics: NetMetrics::new(),
             events_processed: 0,
             outgoing_scratch: Vec::new(),
-            timers_scratch: Vec::new(),
         }
     }
 
@@ -271,15 +256,13 @@ impl<N: SimNode> Simulation<N> {
             self.metrics.record_delivery();
         }
         let mut outgoing = std::mem::take(&mut self.outgoing_scratch);
-        let mut timers = std::mem::take(&mut self.timers_scratch);
-        debug_assert!(outgoing.is_empty() && timers.is_empty());
+        debug_assert!(outgoing.is_empty());
         {
             let mut ctx = Ctx {
                 now: self.now,
                 me: ev.target,
                 nodes: self.nodes.len() as u16,
                 outgoing: &mut outgoing,
-                timers: &mut timers,
             };
             let node = &mut self.nodes[ev.target as usize];
             match ev.kind {
@@ -287,7 +270,6 @@ impl<N: SimNode> Simulation<N> {
                 EventKind::Deliver { from, msg } => {
                     node.on_message(from, msg, &mut ctx);
                 }
-                EventKind::Timer { tag } => node.on_timer(tag, &mut ctx),
             }
         }
         for (to, msg, bytes) in outgoing.drain(..) {
@@ -314,17 +296,7 @@ impl<N: SimNode> Simulation<N> {
                 },
             });
         }
-        for (delay, tag) in timers.drain(..) {
-            let seq = self.bump_seq();
-            self.queue.push(Event {
-                time: self.now + delay,
-                seq,
-                target: ev.target,
-                kind: EventKind::Timer { tag },
-            });
-        }
         self.outgoing_scratch = outgoing;
-        self.timers_scratch = timers;
         true
     }
 
@@ -348,12 +320,12 @@ impl<N: SimNode> Simulation<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// Node that forwards each input to the next node `hops` times.
     struct Relay {
         hops: u32,
         received: Vec<(NodeId, u32)>,
-        timer_fired: Vec<u64>,
     }
 
     impl Relay {
@@ -361,7 +333,6 @@ mod tests {
             Relay {
                 hops,
                 received: Vec::new(),
-                timer_fired: Vec::new(),
             }
         }
     }
@@ -383,10 +354,6 @@ mod tests {
                 let to = (ctx.me() + 1) % ctx.nodes();
                 ctx.send(to, msg + 1, 100);
             }
-        }
-
-        fn on_timer(&mut self, tag: u64, _ctx: &mut Ctx<'_, u32>) {
-            self.timer_fired.push(tag);
         }
     }
 
@@ -447,27 +414,6 @@ mod tests {
         assert!(sim.now() <= horizon);
         // More events remain.
         assert!(sim.step());
-    }
-
-    #[test]
-    fn timers_fire() {
-        struct Alarm;
-        impl SimNode for Alarm {
-            type Input = ();
-            type Msg = ();
-            fn on_input(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
-                ctx.set_timer(SimDuration::from_millis(5), 42);
-            }
-            fn on_message(&mut self, _: NodeId, _: (), _: &mut Ctx<'_, ()>) {}
-            fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, ()>) {
-                assert_eq!(tag, 42);
-                assert_eq!(ctx.now(), SimTime::ZERO + SimDuration::from_millis(5));
-            }
-        }
-        let mut sim = Simulation::new(vec![Alarm], LinkConfig::instant(), 0);
-        sim.inject_at(SimTime::ZERO, 0, ());
-        sim.run_to_quiescence();
-        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
