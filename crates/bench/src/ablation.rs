@@ -18,10 +18,9 @@ use dsj_core::{Algorithm, ClusterConfig, FlowParams, RunError};
 use dsj_dft::{CompressedDft, Selection};
 use dsj_simnet::LinkConfig;
 use dsj_stream::gen::{price_series, WorkloadKind};
-use serde::{Deserialize, Serialize};
 
 /// One signal × selection-policy cell of the selection ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionRow {
     /// Signal family ("stock" or "spiky-histogram").
     pub signal: String,
@@ -69,7 +68,7 @@ pub fn selection(scale: Scale) -> Result<Vec<SelectionRow>, dsj_dft::Compression
 }
 
 /// One sync-interval cell of the freshness ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreshnessRow {
     /// Tuple messages to a peer between summary refreshes.
     pub sent_interval: u32,
@@ -116,7 +115,7 @@ pub fn sync_freshness_with(scale: Scale, exec: &Executor) -> Result<Vec<Freshnes
 }
 
 /// One threshold × workload cell of the detector ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorRow {
     /// Workload label.
     pub workload: String,
@@ -177,7 +176,7 @@ pub fn detector_with(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, 
 }
 
 /// One budget cell of the governor ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GovernorRow {
     /// Per-node outbound allowance in bits/second (0 = ungoverned).
     pub budget_bps: u64,
@@ -226,7 +225,7 @@ pub fn governor_with(scale: Scale, exec: &Executor) -> Result<Vec<GovernorRow>, 
 }
 
 /// One loss-probability cell of the loss ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossRow {
     /// Algorithm.
     pub algorithm: Algorithm,

@@ -7,7 +7,7 @@
 //!     --quick        CI-sized probe: 4 cells, small schedules, 2 bisections
 //!     --only SUBSTR  run only cells whose id contains SUBSTR
 //!                    (ids look like FLASH.DFTT.tcp_reactor.n8)
-//!     --out PATH     write the JSON row array (default LOAD_pr10.json)
+//!     --out PATH     also write the rows as a JSON array to PATH
 //! ```
 //!
 //! For every cell of the scenario × strategy × backend × N matrix the
@@ -21,7 +21,7 @@ use dsj_bench::loadgen::{self, SearchParams};
 fn main() {
     let mut quick = false;
     let mut only: Option<String> = None;
-    let mut out_path = String::from("LOAD_pr10.json");
+    let mut out_path: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         if arg == "--quick" {
@@ -31,9 +31,9 @@ fn main() {
         } else if let Some(v) = arg.strip_prefix("--only=") {
             only = Some(v.to_string());
         } else if arg == "--out" {
-            out_path = argv.next().unwrap_or_else(|| die("--out needs a path"));
+            out_path = Some(argv.next().unwrap_or_else(|| die("--out needs a path")));
         } else if let Some(v) = arg.strip_prefix("--out=") {
-            out_path = v.to_string();
+            out_path = Some(v.to_string());
         } else {
             die(&format!("unknown argument: {arg}"));
         }
@@ -84,11 +84,12 @@ fn main() {
         rows.push(row);
     }
 
-    let json = loadgen::to_json_array(&rows);
-    if let Err(e) = std::fs::write(&out_path, json) {
-        die(&format!("writing {out_path}: {e}"));
+    if let Some(out_path) = out_path {
+        if let Err(e) = std::fs::write(&out_path, loadgen::to_json_array(&rows)) {
+            die(&format!("writing {out_path}: {e}"));
+        }
+        println!("\nwrote {} rows to {out_path}", rows.len());
     }
-    println!("\nwrote {} rows to {out_path}", rows.len());
 }
 
 fn die(msg: &str) -> ! {

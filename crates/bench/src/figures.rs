@@ -6,7 +6,6 @@ use dsj_core::theory::{self, BoundsRow};
 use dsj_core::{Algorithm, ClusterConfig, RunError, TargetComplexity};
 use dsj_dft::compress::{retained_for, CompressedDft};
 use dsj_stream::gen::{price_series, WorkloadKind};
-use serde::{Deserialize, Serialize};
 
 /// The paper's Zipf skew.
 pub const PAPER_ALPHA: f64 = 0.4;
@@ -29,7 +28,7 @@ pub fn fig4(max_n: u16) -> Vec<BoundsRow> {
 
 /// One κ's reconstruction-error summary over the stock series (Figure 5
 /// plots the raw per-value series; we report its distribution).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Row {
     /// Compression factor.
     pub kappa: u32,
@@ -77,7 +76,7 @@ pub fn fig5(scale: Scale) -> Result<Vec<Fig5Row>, dsj_dft::CompressionError> {
 }
 
 /// One κ of the Figure 6 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Row {
     /// Compression factor.
     pub kappa: u32,
@@ -125,7 +124,7 @@ fn stock_series(scale: Scale) -> Vec<f64> {
 }
 
 /// One cluster size of the Figure 8 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Row {
     /// Cluster size.
     pub n: u16,
@@ -168,7 +167,7 @@ pub fn fig8_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig8Row>, RunError
 }
 
 /// One (workload, N, algorithm) cell of Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Row {
     /// Workload label.
     pub workload: String,
@@ -229,7 +228,7 @@ pub fn fig9_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig9Row>, RunError
 }
 
 /// One (κ or N, algorithm) cell of Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig10Row {
     /// The swept parameter (κ for 10a, N for 10b).
     pub x: u32,
@@ -322,7 +321,7 @@ pub fn fig10b_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunEr
 }
 
 /// One (N, algorithm) cell of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig11Row {
     /// Cluster size.
     pub n: u16,

@@ -1,9 +1,10 @@
-//! Benchmark and reproduction harness for `dsjoin`.
+//! Reproduction harness and load generator for `dsjoin`.
 //!
 //! One module per experiment of the paper's evaluation (Section 6), each
 //! exposing a function that regenerates the corresponding table or figure
-//! as typed rows. The `repro` binary prints them; the Criterion benches in
-//! `benches/` time the performance-sensitive ones.
+//! as typed rows. The `repro` binary prints them. Nothing here times the
+//! system for comparison between commits: that is `benches/e2e`, the
+//! repository's one benchmark.
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|
@@ -20,14 +21,15 @@
 //!
 //! Beyond the paper, [`ablation`] quantifies the design choices:
 //! coefficient selection policy, summary freshness vs overhead, the
-//! worst-case detector threshold, and in-flight message loss.
+//! worst-case detector threshold, and in-flight message loss; [`loadgen`]
+//! (the engine behind `dsj-loadgen`) searches the arrival rate a live
+//! cluster sustains, which the fixed-rate benchmark does not do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod figures;
-pub mod hotpath;
 pub mod loadgen;
 pub mod scale;
 pub mod suite;

@@ -1,11 +1,12 @@
 //! Open-loop capacity search: the engine behind `dsj-loadgen`.
 //!
-//! The closed-loop macro benches (`macro.*` in [`hotpath`](crate::hotpath))
-//! measure how fast a cluster drains tuples when the feeder waits for it —
-//! a *throughput* number with no notion of overload. This module asks the
-//! complementary question: **what arrival rate can a cluster sustain** when
-//! tuples arrive on a schedule that does not care how busy the cluster is,
-//! and what delivery latency does a client observe at that rate?
+//! A closed-loop run (the benchmark's `sim-*` and `tcp-base-closed`
+//! workloads) measures how fast a cluster drains tuples when the feeder
+//! waits for it — a *throughput* number with no notion of overload. This
+//! module asks the complementary question: **what arrival rate can a
+//! cluster sustain** when tuples arrive on a schedule that does not care
+//! how busy the cluster is, and what delivery latency does a client
+//! observe at that rate?
 //!
 //! Each cell of the matrix (scenario × strategy × backend × N) runs a
 //! bracketed search over offered rates. A probe at rate λ replays the
@@ -18,16 +19,15 @@
 //! bisection steps tighten the bracket; the reported row carries the
 //! highest sustainable rate's latency percentiles.
 //!
-//! Rows serialize to `LOAD_*.json` with the same hand-rolled, diffable
-//! JSON conventions as `BENCH_*.json` (one object per line, fixed
-//! precision).
+//! Rows serialize to hand-rolled, diffable JSON (one object per line,
+//! fixed precision) when `dsj-loadgen` is given `--out`.
 
 use dsj_core::{Algorithm, ClusterConfig};
 use dsj_runtime::{LiveCluster, LoadRun, OpenLoop, TcpCluster};
 use dsj_stream::gen::Scenario;
 use dsj_stream::trace::Trace;
 
-/// Key-domain size for every load cell (matches the quick bench scale).
+/// Key-domain size for every load cell.
 const DOMAIN: u32 = 1 << 10;
 /// Per-node, per-stream window size for every load cell.
 const WINDOW: usize = 256;
@@ -132,7 +132,7 @@ impl SearchParams {
     }
 }
 
-/// One row of `LOAD_*.json`: a cell's capacity and the latency profile at
+/// One row of the report: a cell's capacity and the latency profile at
 /// that capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadRow {

@@ -3,15 +3,13 @@
 //! The paper ran on a 20-workstation cluster with windows of up to 2¹⁹
 //! tuples and 10 M-tuple streams. `Full` keeps the paper's *structure*
 //! (node counts, κ range, skew) at sizes a laptop regenerates in minutes;
-//! `Quick` shrinks further for CI and Criterion runs. Neither changes who
+//! `Quick` shrinks further for CI runs. Neither changes who
 //! wins — only absolute magnitudes.
 
-use serde::{Deserialize, Serialize};
-
 /// How large to run each experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// CI / Criterion sizes (seconds per experiment).
+    /// CI sizes (seconds per experiment).
     Quick,
     /// Reproduction sizes (minutes for the full suite).
     Full,

@@ -14,11 +14,10 @@
 use dsj_dft::sliding::SlidingDft;
 use dsj_dft::{ControlVector, RealFft};
 use dsj_sketch::AgmsSketch;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Window size `W`.
     pub w: usize,

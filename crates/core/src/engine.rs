@@ -43,17 +43,17 @@ pub enum TransportEvent {
     /// A tuple arriving at this node from its local stream source.
     Arrival(Tuple),
     /// A tuple arriving from an open-loop load generator, stamped with
-    /// its injection time on the transport's clock. Processing is
+    /// the time it was due on the transport's clock. Processing is
     /// identical to [`TransportEvent::Arrival`]; additionally, the delay
-    /// from injection to the end of the tuple's local processing (its
+    /// from that stamp to the end of the tuple's local processing (its
     /// matches are in the digest by then) is recorded into the engine's
     /// delivery-latency histogram. Closed-loop feeders never construct
     /// this variant, so the steady-state arrival path pays nothing for it.
     StampedArrival {
         /// The tuple.
         tuple: Tuple,
-        /// Injection time in microseconds on the cluster-epoch clock (the
-        /// same clock [`Transport::now_us`] reports for live backends).
+        /// When the tuple was due, in microseconds on the cluster-epoch clock
+        /// (the same clock [`Transport::now_us`] reports for live backends).
         injected_us: u64,
     },
     /// A wire message from a peer.
@@ -200,7 +200,7 @@ impl NodeEngine {
     }
 
     /// Per-tuple delivery latency recorded for stamped (open-loop)
-    /// arrivals: microseconds from the feeder's injection stamp to the end
+    /// arrivals: microseconds from the feeder's due-time stamp to the end
     /// of the tuple's local processing, at which point its matches are in
     /// the digest. Empty for closed-loop runs.
     pub fn delivery_latency(&self) -> &crate::obs::Histogram {

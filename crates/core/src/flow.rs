@@ -11,10 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The message-complexity operating point `T_i` (Eqn. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TargetComplexity {
     /// A fixed expected number of transmissions per tuple (the paper's
     /// `T_i = 1` bound is `Constant(1.0)`). Values below 1 under-send and
@@ -48,7 +47,7 @@ impl Default for TargetComplexity {
 }
 
 /// Tunables of the flow-filtering layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowParams {
     /// Message-complexity operating point.
     pub target: TargetComplexity,
@@ -243,7 +242,7 @@ pub fn sample_recipients_into(probs: &[f64], rng: &mut StdRng, out: &mut Vec<usi
 
 /// Round-robin peer selection — the fallback distribution policy for the
 /// uniform worst case.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRobin {
     cursor: u16,
 }

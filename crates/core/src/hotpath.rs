@@ -1,13 +1,14 @@
-//! Benchmark facade over the per-tuple routing hot path.
+//! Test and benchmark facade over the per-tuple routing hot path.
 //!
 //! The routing layer (`Router`, `Route`, `RouterConfig`) is crate-private
 //! by design — simulation code goes through [`crate::JoinNode`]. The
-//! `dsj-bench` micro-benchmarks and the hot-path determinism tests,
-//! however, need to drive a router *directly*, without a window, a
-//! simulator or message transport around it, so that `ns/op` numbers
-//! isolate the routing decision itself. This module is that thin, stable
-//! harness: it owns one router plus the node-identical seeded RNG and
-//! exposes exactly the operations the per-tuple path performs.
+//! benchmark's staged replay (`benches/e2e`, `core.strategy.route_ns`)
+//! and the hot-path determinism tests, however, need to drive a router
+//! *directly*, without a window, a simulator or message transport around
+//! it, so that the routing decision is timed and compared on its own.
+//! This module is that thin, stable harness: it owns one router plus the
+//! node-identical seeded RNG and exposes exactly the operations the
+//! per-tuple path performs.
 //!
 //! [`RouterHarness::route`] runs the production flow filter
 //! (`Router::route_into`: one policy for all five algorithms, no

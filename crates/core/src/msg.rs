@@ -9,12 +9,11 @@
 use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
-use serde::{Deserialize, Serialize};
 
 /// One DFT coefficient update: bin index plus new value.
 ///
 /// Wire size: 2 (index) + 16 (complex) = [`CoeffUpdate::WIRE_BYTES`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoeffUpdate {
     /// Coefficient (frequency bin) index.
     pub index: u16,
@@ -28,7 +27,7 @@ impl CoeffUpdate {
 }
 
 /// Algorithm-specific summary content exchanged between nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SummaryPayload {
     /// Changed DFT coefficients of one stream's window histogram.
     Dft {
@@ -76,7 +75,7 @@ impl SummaryPayload {
 }
 
 /// A message on the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// A forwarded tuple, optionally carrying piggy-backed summary updates
     /// (Fig. 7 line 5: coefficient changes ride on tuple messages).

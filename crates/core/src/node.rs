@@ -6,7 +6,6 @@ use crate::strategy::{peers_of, Algorithm, Route, Router, RouterConfig};
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The paper's abstract promises "automatic throughput handling based on
@@ -83,7 +82,7 @@ impl ThroughputGovernor {
 }
 
 /// Per-node counters aggregated into the experiment report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// Tuples that arrived at this node from its stream sources.
     pub arrivals: u64,

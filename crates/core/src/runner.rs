@@ -14,7 +14,6 @@ use dsj_stream::join::GroundTruth;
 use dsj_stream::partition::Partitioner;
 use dsj_stream::trace::Trace;
 use dsj_stream::WindowSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one cluster experiment — a builder whose `run()`
 /// executes the full pipeline: workload generation, ground-truth
@@ -23,14 +22,13 @@ use serde::{Deserialize, Serialize};
 /// Defaults mirror the paper's setup scaled to laptop runtimes: Zipf
 /// α = 0.4 keys, geographic partitioning, the 20–100 ms / 90 kbps WAN
 /// model, κ = 256 compression and the `O(1)` message-complexity target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of nodes `N`.
     pub n: u16,
     /// A recorded trace to replay instead of generating `workload`
     /// (node assignments in the trace must fit `n`). Not serialized —
     /// traces live in their own files (`dsj_stream::trace`).
-    #[serde(skip)]
     pub trace: Option<Trace>,
     /// The join algorithm.
     pub algorithm: Algorithm,
@@ -654,7 +652,7 @@ impl ClusterConfig {
 /// slice of a run — exactly the facts the cross-backend equivalence suite
 /// compares. (Throughput and wall/virtual durations are deliberately
 /// absent: they differ across backends by construction.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockstepReport {
     /// Exact result-set size `|Ψ|` (post warm-up).
     pub truth_matches: u64,
@@ -667,7 +665,7 @@ pub struct LockstepReport {
 }
 
 /// The measured outcome of one cluster experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Algorithm that ran.
     pub algorithm: Algorithm,

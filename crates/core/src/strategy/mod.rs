@@ -36,11 +36,10 @@ use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The distributed join algorithm a cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Exact broadcast baseline (`N−1` messages per tuple).
     Base,

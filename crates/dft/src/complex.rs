@@ -3,7 +3,6 @@
 //! Implemented from scratch so the workspace carries no numerics dependency;
 //! only the operations the DFT machinery needs are provided.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let i = Complex64::I;
 /// assert_eq!(i * i, Complex64::new(-1.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -12,7 +12,6 @@
 
 use crate::complex::Complex64;
 use crate::fft::Fft;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised for invalid compression parameters.
@@ -46,7 +45,7 @@ impl std::error::Error for CompressionError {}
 /// * [`Selection::TopEnergy`] — the `K` highest-`|X|` bins of the half
 ///   spectrum (4 extra bytes per coefficient for the index; right for
 ///   spiky signals whose energy sits at arbitrary frequencies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Selection {
     /// Keep bins `0..K`.
     Prefix,
@@ -72,7 +71,7 @@ pub enum Selection {
 /// assert_eq!(ints, signal.iter().map(|&x| x as i64).collect::<Vec<_>>());
 /// # Ok::<(), dsj_dft::CompressionError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressedDft {
     coeffs: Vec<Complex64>,
     /// Bin index per coefficient when the selection is not the prefix.
@@ -300,7 +299,7 @@ impl CompressedDft {
 }
 
 /// Summary statistics of a compressed reconstruction (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructionStats {
     /// Mean square error `E[MSE]`.
     pub mse: f64,

@@ -10,8 +10,6 @@
 //! drift (≈1e-16 per coefficient per update) while keeping amortized cost a
 //! fixed fraction of full per-tuple recomputation.
 
-use serde::{Deserialize, Serialize};
-
 /// Governs how often an incrementally maintained DFT is recomputed exactly.
 ///
 /// ```
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cv.cost_reduction, 10.0);
 /// assert!(cv.completion_prob >= 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlVector {
     /// Target factor by which amortized arithmetic is reduced relative to
     /// recomputing the full DFT on every tuple.

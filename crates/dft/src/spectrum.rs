@@ -12,7 +12,6 @@
 
 use crate::complex::Complex64;
 use crate::fft::Fft;
-use serde::{Deserialize, Serialize};
 
 /// Cross power spectrum `S_xy[k] = X[k]·Y*[k]` of two equal-length signals,
 /// estimated with FFTs (Section 5.2.1).
@@ -139,7 +138,7 @@ pub fn cross_correlation_lags(x: &[f64], y: &[f64]) -> Vec<f64> {
 /// assert!((s.mean() - 3.5).abs() < 1e-9);
 /// assert!((s.correlation(&s) - 1.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectralSummary {
     coeffs: Vec<Complex64>,
     signal_len: usize,

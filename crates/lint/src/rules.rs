@@ -193,13 +193,12 @@ pub const DETERMINISTIC_PATHS: [&str; 4] = [
 ];
 
 /// Modules allowed to read wall clocks: observability timers and
-/// benchmark/live-runtime measurement code.
-pub const WALL_CLOCK_ALLOWLIST: [&str; 5] = [
+/// reproduction/live-runtime measurement code.
+pub const WALL_CLOCK_ALLOWLIST: [&str; 4] = [
     "crates/core/src/obs.rs",
     "crates/runtime/src/harness.rs",
     "crates/bench/src/table1.rs",
     "crates/bench/src/suite.rs",
-    "crates/bench/src/hotpath.rs",
 ];
 
 /// Classifies a workspace-relative path for the path-sensitive rules.

@@ -91,3 +91,16 @@ fn binary_fails_on_fixtures_and_passes_on_workspace() {
         .expect("run dsj-lint --help");
     assert_eq!(usage.status.code(), Some(2));
 }
+
+#[test]
+fn every_listed_path_exists_in_the_tree() {
+    // An exemption outlives a deleted file silently: `starts_with` /
+    // `contains` simply never match again.
+    let root = workspace_root();
+    for path in dsj_lint::rules::WALL_CLOCK_ALLOWLIST
+        .iter()
+        .chain(&dsj_lint::rules::DETERMINISTIC_PATHS)
+    {
+        assert!(root.join(path).exists(), "dead path in a lint list: {path}");
+    }
+}

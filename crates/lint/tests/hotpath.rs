@@ -153,9 +153,8 @@ fn the_original_waivers_are_still_alive_and_audited() {
         assert!(w.hits > 0, "stale waiver in {file}: {w:?}");
     }
     // Pin the total pragma count so waiver drift is a conscious edit here,
-    // not an accident: 6 token-rule waivers (the original 3 plus the TCP
-    // macro bench's abort-on-failed-cluster and the frame-decode bench's
-    // two self-encoded-stream expects) + 11 hot-path cold-path escapes
+    // not an accident: the original 3 token-rule waivers + 11 hot-path
+    // cold-path escapes
     // (the transport layer added the engine's send fan-out and the live
     // transports' one shared wall-clock read; the batched frame loop added
     // the summary-application boundary in `NodeEngine::on_frame`; the
@@ -172,7 +171,7 @@ fn the_original_waivers_are_still_alive_and_audited() {
     // CFG builder's 1 unbounded-growth escape (`Builder::loop_bodies`
     // is per-build() metadata, not a runtime queue — the long-lived
     // heuristic cannot see the builder's lifetime).
-    assert_eq!(report.waivers.len(), 19, "{:#?}", report.waivers);
+    assert_eq!(report.waivers.len(), 16, "{:#?}", report.waivers);
     assert!(
         report.waivers.iter().all(|w| w.hits > 0),
         "{:#?}",

@@ -3,7 +3,6 @@
 use crate::harness::{self, Inbox, Mailbox, Pacing};
 use dsj_core::obs;
 use dsj_core::{ClusterConfig, Msg, NodeMetrics, Transport, TransportEvent};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -102,7 +101,7 @@ impl From<dsj_core::RunError> for LiveError {
 /// here while producing identical joins).
 ///
 /// All zeros on backends without a byte-level transport (channels).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransportStats {
     /// Wire frames this node fully wrote to its peers.
     pub frames_sent: u64,
@@ -118,7 +117,7 @@ pub struct TransportStats {
 }
 
 /// What one live run measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiveOutcome {
     /// Exact result-set size (post warm-up) for the configuration's
     /// workload, computed by the sequential ground truth.
@@ -139,14 +138,12 @@ pub struct LiveOutcome {
     pub match_digests: Vec<u64>,
     /// Per-node transport counters (empty on backends that don't report
     /// any). Deliberately *not* part of equivalence fingerprints.
-    #[serde(default)]
     pub transport_per_node: Vec<TransportStats>,
     /// Injection → end-of-processing latency (µs) of stamped arrivals,
     /// merged across nodes. Populated only by open-loop (load-generator)
     /// runs; closed-loop feeders don't stamp arrivals, so this stays
     /// empty — and, like transport counters, it is excluded from
     /// equivalence fingerprints.
-    #[serde(default)]
     pub delivery_latency_us: obs::Histogram,
     /// Real elapsed time from first arrival to quiescence.
     pub wall_time: Duration,

@@ -34,7 +34,7 @@
 //! * [`OpenLoopFeeder`] does not wait: arrivals are injected on a
 //!   virtual-time schedule at a target rate regardless of how fast the
 //!   cluster drains them — the load-generator mode. Each arrival carries
-//!   an injection timestamp, and the engines record injection →
+//!   the time it was *due*, and the engines record due →
 //!   end-of-processing delay into per-node latency histograms. A backlog
 //!   past the overload bound ends injection early and marks the run
 //!   overloaded instead of letting the schedule drift meaninglessly.
@@ -568,11 +568,12 @@ impl Feeder for ClosedLoop {
 /// open-loop load generation (a closed loop can never observe
 /// saturation: it slows its offered load to whatever the system sustains).
 ///
-/// Each injection is stamped with the cluster-epoch clock — the same
-/// clock every live transport reports from `now_us` — so the engines can
-/// record injection → end-of-processing delivery latency. If the backlog
-/// crosses the overload bound, injection stops and the run is reported
-/// overloaded.
+/// Each arrival is stamped with its due time on the cluster-epoch clock
+/// — the same clock every live transport reports from `now_us` — not with
+/// the moment the feeder got round to it: a generator that runs late
+/// delays every later tuple, and that wait belongs in the delivery
+/// latency the engines record. If the backlog crosses the overload bound,
+/// injection stops and the run is reported overloaded.
 pub(crate) struct OpenLoopFeeder {
     interarrival_ns: f64,
     abort_backlog: i64,
@@ -596,6 +597,7 @@ impl Feeder for OpenLoopFeeder {
     ) -> Result<FeedReport, LiveError> {
         let shared = nodes.shared;
         let start = Instant::now();
+        let start_ns = start.duration_since(shared.epoch).as_nanos() as u64;
         let mut peak = 0i64;
         for (k, a) in arrivals.iter().enumerate() {
             // Virtual-time schedule: wait out the gap to this arrival's
@@ -628,7 +630,7 @@ impl Feeder for OpenLoopFeeder {
             }
             let event = TransportEvent::StampedArrival {
                 tuple: a.tuple(),
-                injected_us: shared.epoch.elapsed().as_micros() as u64,
+                injected_us: (start_ns + due_ns) / 1_000,
             };
             nodes.inject(a.node, event)?;
         }
@@ -1073,6 +1075,40 @@ mod tests {
         assert_eq!(
             shared.in_flight.load(Ordering::SeqCst),
             arrivals.len() as i64
+        );
+    }
+
+    #[test]
+    fn open_loop_feeder_stamps_arrivals_with_their_due_time() {
+        let cfg = test_cfg(2).tuples(5);
+        let arrivals = cfg.arrivals();
+        let shared = Shared::new();
+        let (mailboxes, inboxes) = undrained(&shared, cfg.n);
+        let spec = OpenLoop {
+            rate_tps: 1_000.0,
+            abort_backlog: Some(i64::MAX),
+        };
+        OpenLoopFeeder::new(&spec, cfg.n)
+            .feed(&arrivals, &mut Injector::new(&shared, &mailboxes))
+            .unwrap();
+        // The stamp is the schedule, not the wall clock at injection: it
+        // carries none of the feeder's wake-up jitter.
+        let mut stamps = Vec::new();
+        for inbox in &inboxes {
+            let at = stamps.len();
+            for event in queued(inbox) {
+                match event {
+                    TransportEvent::StampedArrival { injected_us, .. } => stamps.push(injected_us),
+                    other => panic!("open-loop feeder sent {other:?}"),
+                }
+            }
+            assert!(stamps[at..].windows(2).all(|w| w[0] <= w[1]));
+        }
+        stamps.sort_unstable();
+        assert_eq!(stamps.len(), arrivals.len());
+        assert!(
+            stamps.windows(2).all(|w| w[1] - w[0] == 1_000),
+            "{stamps:?}"
         );
     }
 

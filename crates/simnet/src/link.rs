@@ -10,10 +10,9 @@
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Latency and bandwidth parameters shared by all links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Minimum per-message propagation latency.
     pub latency_min: SimDuration,

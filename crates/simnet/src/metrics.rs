@@ -3,7 +3,6 @@
 //! cheap log₂ histograms.
 
 use crate::sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of buckets in a [`Log2Histogram`]: one per bit position of a
@@ -15,7 +14,7 @@ pub const LOG2_BUCKETS: usize = 65;
 /// Bucket `i > 0` covers `[2^(i-1), 2^i - 1]`; bucket 0 holds zeros. One
 /// increment and a handful of integer ops per sample, no allocation —
 /// cheap enough to sit on every simulated send.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
     count: u64,
@@ -220,7 +219,7 @@ impl Log2Histogram {
 }
 
 /// Counters maintained by the simulation for every send.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetMetrics {
     /// Total messages handed to links.
     pub messages_sent: u64,

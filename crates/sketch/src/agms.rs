@@ -9,7 +9,6 @@
 //! `s0 : s1` ratio at 5 : 1 (Section 6).
 
 use crate::hash::PolyHash;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised when combining incompatible sketches.
@@ -50,13 +49,12 @@ impl std::error::Error for SketchMismatchError {}
 /// assert!((est - 100.0).abs() < 60.0, "estimate {est} too far from 100");
 /// # Ok::<(), dsj_sketch::agms::SketchMismatchError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgmsSketch {
     s0: usize,
     s1: usize,
     seed: u64,
     counters: Vec<i64>,
-    #[serde(skip)]
     hashes: Vec<PolyHash>,
     total_updates: u64,
 }

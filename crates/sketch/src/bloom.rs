@@ -7,7 +7,6 @@
 //! because sliding windows evict tuples, which must decrement the filter.
 
 use crate::hash::PolyHash;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised when combining incompatible filters.
@@ -40,12 +39,11 @@ impl std::error::Error for FilterMismatchError {}
 /// f.remove(99);
 /// assert!(!f.contains(99));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     counters: Vec<u32>,
     k: usize,
     seed: u64,
-    #[serde(skip)]
     hashes: Vec<PolyHash>,
     items: u64,
 }

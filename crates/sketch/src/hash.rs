@@ -7,8 +7,6 @@
 //! seed via SplitMix64 so that two sketches built from the same seed are
 //! mergeable/joinable across nodes without shipping coefficient tables.
 
-use serde::{Deserialize, Serialize};
-
 /// The Mersenne prime `2⁶¹ − 1`.
 pub const MERSENNE_61: u64 = (1 << 61) - 1;
 
@@ -16,7 +14,7 @@ pub const MERSENNE_61: u64 = (1 << 61) - 1;
 ///
 /// Used internally to derive hash coefficients; exposed because workload
 /// generators in sibling crates also want cheap deterministic streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -88,7 +86,7 @@ fn add_mod(a: u64, b: u64) -> u64 {
 /// // Signs are ±1.
 /// assert!(h.sign(7) == 1 || h.sign(7) == -1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolyHash {
     coeffs: Vec<u64>,
 }

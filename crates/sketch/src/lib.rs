@@ -18,10 +18,8 @@
 
 pub mod agms;
 pub mod bloom;
-pub mod fast_agms;
 pub mod hash;
 
 pub use agms::AgmsSketch;
 pub use bloom::CountingBloomFilter;
-pub use fast_agms::FastAgmsSketch;
 pub use hash::PolyHash;

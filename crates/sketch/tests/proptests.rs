@@ -1,6 +1,6 @@
 //! Property-based invariants of the sketch substrate.
 
-use dsj_sketch::{AgmsSketch, CountingBloomFilter, FastAgmsSketch};
+use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,27 +16,6 @@ proptest! {
         let mut a = AgmsSketch::new(10, 3, 5);
         let mut b = AgmsSketch::new(10, 3, 5);
         let mut u = AgmsSketch::new(10, 3, 5);
-        for &(v, d) in &a_ops {
-            a.update(v, d);
-            u.update(v, d);
-        }
-        for &(v, d) in &b_ops {
-            b.update(v, d);
-            u.update(v, d);
-        }
-        a.merge(&b).unwrap();
-        prop_assert_eq!(a, u);
-    }
-
-    /// Same for the fast variant.
-    #[test]
-    fn fast_agms_merge_is_union(
-        a_ops in prop::collection::vec((0u64..256, -2i64..3), 0..80),
-        b_ops in prop::collection::vec((0u64..256, -2i64..3), 0..80),
-    ) {
-        let mut a = FastAgmsSketch::new(16, 3, 5);
-        let mut b = FastAgmsSketch::new(16, 3, 5);
-        let mut u = FastAgmsSketch::new(16, 3, 5);
         for &(v, d) in &a_ops {
             a.update(v, d);
             u.update(v, d);

@@ -29,10 +29,9 @@ use crate::partition::Partitioner;
 use crate::tuple::{StreamId, Tuple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which synthetic workload to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
     /// Uniform keys — the worst case for correlation-based filtering.
     Uniform,
@@ -90,7 +89,7 @@ impl Source {
 }
 
 /// One global arrival: a tuple plus the node it arrives at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Stream the tuple belongs to.
     pub stream: StreamId,

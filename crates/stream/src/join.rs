@@ -4,7 +4,6 @@
 
 use crate::tuple::{StreamId, Tuple};
 use crate::window::{SlidingWindow, WindowSpec};
-use serde::{Deserialize, Serialize};
 
 /// A symmetric hash join over one `R` window and one `S` window.
 ///
@@ -117,7 +116,7 @@ pub struct GroundTruth {
 }
 
 /// Per-arrival ground-truth outcome, split by where the matches were.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TruthMatches {
     /// Matches against the arrival node's own windows.
     pub local: u64,

@@ -9,10 +9,9 @@
 //! worst case, where every node looks alike.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Assignment policy of arriving tuples to nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Partitioner {
     /// Every tuple lands on a uniformly random node.
     Uniform {

@@ -1,13 +1,12 @@
 //! Stream tuples and stream identities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of the two joined streams a tuple belongs to.
 ///
 /// The window join is `R ⋈ S`: an `R` tuple matches `S` tuples with the
 /// same join-attribute value and vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StreamId {
     /// The left stream.
     R,
@@ -55,7 +54,7 @@ impl fmt::Display for StreamId {
 /// deduplication tiebreak for distributed match counting: a match between
 /// two tuples is attributed to the *later* (higher-`seq`) tuple probing the
 /// earlier one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tuple {
     /// Stream this tuple belongs to.
     pub stream: StreamId,

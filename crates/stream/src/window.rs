@@ -5,11 +5,10 @@
 //! are implemented; the experiments use count windows like the paper's.
 
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How a window bounds the tuples it retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSpec {
     /// Keep the most recent `n` tuples.
     Count(usize),

@@ -88,30 +88,33 @@ e2e-smoke:
     cargo test --offline --manifest-path benches/e2e/Cargo.toml
     benches/e2e/run.sh /tmp/e2e.json --quick
 
-# Full hot-path throughput suite (micro ns/op + macro tuples/sec for every
-# strategy, simnet at N ∈ {4, 16, 32} plus real TCP at
-# N ∈ {4, 16, 32, 64, 128}); records the trajectory in BENCH_pr8.json.
-bench:
-    cargo build --release -p dsj-bench --bin dsj-bench
-    ./target/release/dsj-bench --out BENCH_pr8.json
-
-# CI-sized bench run — fewer iterations, same record schema — gated on
-# the DFTT reconstruction cliff (fail if macro N=16 DFTT < 1/3 of DFT).
-bench-quick:
-    cargo build --release -p dsj-bench --bin dsj-bench
-    ./target/release/dsj-bench --quick --out BENCH_ci.json --gate-dftt
-
 # Open-loop capacity search: max sustainable arrival rate + delivery
-# latency percentiles for every scenario × strategy × backend × N cell;
-# records the matrix in LOAD_pr10.json (minutes).
+# latency percentiles for every scenario × strategy × backend × N cell
+# (minutes). The rows are this host's, this session's: keep them out of
+# the tree.
 load:
     cargo build --release -p dsj-bench --bin dsj-loadgen
-    ./target/release/dsj-loadgen --out LOAD_pr10.json
+    ./target/release/dsj-loadgen --out target/load.json
 
 # CI-sized capacity probe — 4 cells, small schedules, same row schema.
 load-smoke:
     cargo build --release -p dsj-bench --bin dsj-loadgen
-    ./target/release/dsj-loadgen --quick --out LOAD_ci.json
+    ./target/release/dsj-loadgen --quick --out target/load_quick.json
+
+# ROADMAP item 2's count: lines before the first `#[cfg(test)]` of every
+# file under crates/<c>/src, then all of vendor/ and benches/, then every
+# .rs file outside the benchmark.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    non_test() { xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'; }
+    for c in crates/*/; do
+        printf '%-10s %6d\n' "$(basename "$c")" "$(find "$c/src" -name '*.rs' -print0 | non_test)"
+    done
+    for d in vendor benches; do
+        printf '%-10s %6d\n' "$d" "$(git ls-files "$d" | grep '\.rs$' | xargs cat | wc -l)"
+    done
+    printf '%-10s %6d\n' "all *.rs" "$(find crates src tests examples vendor -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 # The recorded full-scale reproduction outputs (`repro_full.txt`,
 # `repro_ablations.txt`) are the contract: every figure and ablation, by
