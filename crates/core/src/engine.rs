@@ -1,11 +1,8 @@
 //! One node engine, many transports.
 //!
-//! Before this module, every runtime re-implemented the same drive loop
-//! around [`JoinNode`]: the simnet adapter fanned `handle_arrival` output
-//! into [`Ctx::send`], the live threaded cluster fanned it into in-process
-//! channels, and any new backend would have copied the loop a third time.
-//! [`NodeEngine`] owns that loop once; backends implement [`Transport`]
-//! (send / poll / clock / quiescence) and nothing else.
+//! [`NodeEngine`] owns the drive loop around [`JoinNode`] once; backends
+//! implement [`Transport`] (send / poll / clock / quiescence) and nothing
+//! else.
 //!
 //! Three transports exist:
 //!
@@ -167,21 +164,6 @@ impl NodeEngine {
             out: Vec::new(),
             latency: crate::obs::Histogram::new(),
         }
-    }
-
-    /// The wrapped node.
-    pub fn node(&self) -> &JoinNode {
-        &self.node
-    }
-
-    /// Unwraps the node (for harnesses that aggregate after shutdown).
-    pub fn into_node(self) -> JoinNode {
-        self.node
-    }
-
-    /// The node's id.
-    pub fn id(&self) -> u16 {
-        self.node.id()
     }
 
     /// The node's counters.
@@ -535,10 +517,11 @@ mod tests {
         let mut eng = engine(0, 3);
         let mut tx = Script::default();
         let mut bare_clock = 0u64;
+        let mut expect = Vec::new();
         for seq in 0..20u64 {
             let t = Tuple::new(StreamId::R, (seq % 4) as u32, seq, 0);
             bare_clock += 7;
-            let expect = bare.handle_arrival(t, bare_clock);
+            bare.handle_arrival_into(t, bare_clock, &mut expect);
             let before = tx.sent.len();
             eng.on_arrival(t, &mut tx).unwrap();
             assert_eq!(&tx.sent[before..], &expect[..]);

@@ -17,14 +17,14 @@ pub enum RunError {
     },
     /// No tuples were requested.
     NoTuples,
-    /// Calibration failed to reach the requested error rate within the
-    /// search budget.
-    CalibrationFailed {
-        /// The target error rate.
-        target_epsilon: f64,
-        /// Best error reached.
-        achieved: f64,
-    },
+    /// A zero-tuple window: nothing could ever join.
+    ZeroWindow,
+    /// The geographic locality is not a probability.
+    LocalityOutOfRange(f64),
+    /// The per-node arrival rate is not a finite positive number of
+    /// tuples per second, or is so small that the run's virtual duration
+    /// overflows the microsecond clock.
+    ArrivalRateOutOfRange(f64),
     /// A best-effort search was given an empty grid of operating points.
     EmptyGrid,
     /// An attached trace schedules an arrival on a node outside the
@@ -62,12 +62,14 @@ impl fmt::Display for RunError {
                 "compression factor {kappa} exceeds attribute domain {domain}"
             ),
             RunError::NoTuples => write!(f, "experiment must process at least one tuple"),
-            RunError::CalibrationFailed {
-                target_epsilon,
-                achieved,
-            } => write!(
+            RunError::ZeroWindow => write!(f, "window must hold at least one tuple"),
+            RunError::LocalityOutOfRange(l) => {
+                write!(f, "locality {l} is not a probability in [0, 1]")
+            }
+            RunError::ArrivalRateOutOfRange(r) => write!(
                 f,
-                "could not calibrate to epsilon {target_epsilon}: best achieved {achieved}"
+                "arrival rate {r} tuples/s per node cannot be scheduled \
+                 (need a finite positive rate the microsecond clock can hold)"
             ),
             RunError::EmptyGrid => {
                 write!(f, "best-effort search needs at least one operating point")
@@ -103,12 +105,11 @@ mod tests {
         .to_string()
         .contains("1024"));
         assert!(RunError::NoTuples.to_string().contains("at least one"));
-        assert!(RunError::CalibrationFailed {
-            target_epsilon: 0.15,
-            achieved: 0.4
-        }
-        .to_string()
-        .contains("0.15"));
+        assert!(RunError::ZeroWindow.to_string().contains("window"));
+        assert!(RunError::LocalityOutOfRange(2.0).to_string().contains("2"));
+        assert!(RunError::ArrivalRateOutOfRange(-3.0)
+            .to_string()
+            .contains("-3"));
         assert!(RunError::EmptyGrid.to_string().contains("operating point"));
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }
             .to_string()

@@ -259,7 +259,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `n < 2` or `me >= n`.
-    #[cfg(test)]
+    #[cfg(any(test, feature = "reference"))]
     pub fn pick(&mut self, me: u16, n: u16, count: usize) -> Vec<u16> {
         let mut out = Vec::new();
         self.pick_into(me, n, count, &mut out);

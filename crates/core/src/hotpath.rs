@@ -97,11 +97,6 @@ impl RouterHarness {
         }
     }
 
-    /// This harness's node id.
-    pub fn id(&self) -> u16 {
-        self.me
-    }
-
     /// Feeds one local arrival (and the keys it evicted) into the router's
     /// summaries — what [`crate::JoinNode`] does on every window insert.
     pub fn local_update(&mut self, stream: StreamId, key: u32, evicted: &[u32]) {

@@ -54,7 +54,6 @@ pub mod hotpath;
 pub mod msg;
 pub mod node;
 pub mod obs;
-pub mod report;
 pub mod runner;
 pub mod strategy;
 pub mod theory;

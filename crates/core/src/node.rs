@@ -74,11 +74,6 @@ impl ThroughputGovernor {
         }
         self.scale
     }
-
-    /// The current scale without updating.
-    pub fn current_scale(&self) -> f64 {
-        self.scale
-    }
 }
 
 /// Per-node counters aggregated into the experiment report.
@@ -222,18 +217,6 @@ impl JoinNode {
         self
     }
 
-    /// The governor's current target scale (1.0 when ungoverned).
-    pub fn governor_scale(&self) -> f64 {
-        self.governor
-            .as_ref()
-            .map_or(1.0, ThroughputGovernor::current_scale)
-    }
-
-    /// This node's id.
-    pub fn id(&self) -> u16 {
-        self.me
-    }
-
     /// This node's counters.
     pub fn metrics(&self) -> &NodeMetrics {
         &self.metrics
@@ -280,18 +263,11 @@ impl JoinNode {
 
 impl JoinNode {
     /// Transport-agnostic arrival handling (Fig. 7): local join, summary
-    /// maintenance, routing. Returns the messages to transmit, as
-    /// `(peer, message)` pairs. `now_us` is the node's clock in
-    /// microseconds (virtual or wall, depending on the runtime).
-    pub fn handle_arrival(&mut self, tuple: Tuple, now_us: u64) -> Vec<(u16, Msg)> {
-        let mut out = Vec::new();
-        self.handle_arrival_into(tuple, now_us, &mut out);
-        out
-    }
-
-    /// Allocation-free [`JoinNode::handle_arrival`]: clears and fills `out`
-    /// with the `(peer, message)` pairs to transmit. The per-arrival route
-    /// state lives in buffers reused across calls.
+    /// maintenance, routing. Clears and fills `out` with the
+    /// `(peer, message)` pairs to transmit; the per-arrival route state
+    /// lives in buffers reused across calls, so the steady state allocates
+    /// nothing. `now_us` is the node's clock in microseconds (virtual or
+    /// wall, depending on the runtime).
     // dsj-lint: hot-path
     pub fn handle_arrival_into(&mut self, tuple: Tuple, now_us: u64, out: &mut Vec<(u16, Msg)>) {
         out.clear();
@@ -525,11 +501,13 @@ mod tests {
         }
         inject_seq(&mut sim, &arrivals);
         sim.run_to_quiescence();
-        let sent_01 = sim.metrics().link_messages(0, 1);
-        let sent_02 = sim.metrics().link_messages(0, 2);
+        // Nodes 1 and 2 hold no R tuples, so what either receives beyond
+        // blind routing comes from node 0.
+        let got_1 = sim.node(1).metrics().tuples_received;
+        let got_2 = sim.node(2).metrics().tuples_received;
         assert!(
-            sent_01 > 2 * sent_02.max(1),
-            "node 0 should target node 1: {sent_01} vs {sent_02}"
+            got_1 > 2 * got_2.max(1),
+            "node 0 should target node 1: {got_1} vs {got_2}"
         );
         let found: u64 = sim.iter_nodes().map(|n| n.metrics().remote_matches).sum();
         assert!(found > 0, "remote matches must be reported");
@@ -556,11 +534,12 @@ mod tests {
         assert!(recovered <= 1.0);
         // Scale never collapses to zero under sustained overload.
         let mut g2 = ThroughputGovernor::new(8);
+        let mut floor = 1.0;
         for i in 0..10_000u64 {
             g2.note_sent(i, 100);
-            g2.scale(i);
+            floor = g2.scale(i);
         }
-        assert!(g2.current_scale() >= 0.05);
+        assert!(floor >= 0.05);
     }
 
     #[test]
@@ -593,13 +572,14 @@ mod tests {
         // test_config uses domain 256: key 300 must not reach the windows,
         // the router, or the wire — and must not panic.
         let mut node = JoinNode::new(Algorithm::Dftt, test_config(0, 3), WindowSpec::count(32), 0);
-        let out = node.handle_arrival(Tuple::new(StreamId::R, 300, 0, 0), 0);
+        let mut out = Vec::new();
+        node.handle_arrival_into(Tuple::new(StreamId::R, 300, 0, 0), 0, &mut out);
         assert!(out.is_empty(), "dropped arrivals send nothing");
         assert_eq!(node.metrics().key_domain_drops, 1);
         assert_eq!(node.metrics().arrivals, 0, "drop precedes the count");
         assert_eq!(node.window(StreamId::R).len(), 0, "never stored");
         // In-domain arrivals still flow.
-        let _ = node.handle_arrival(Tuple::new(StreamId::R, 200, 1, 0), 1);
+        node.handle_arrival_into(Tuple::new(StreamId::R, 200, 1, 0), 1, &mut out);
         assert_eq!(node.metrics().arrivals, 1);
     }
 }

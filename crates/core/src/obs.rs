@@ -17,7 +17,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -64,14 +64,6 @@ impl Registry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Records one sample into histogram `name`.
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
     /// Merges an externally maintained histogram into histogram `name`.
     pub fn histogram_merge(&mut self, name: &str, h: &Histogram) {
         self.histograms
@@ -113,14 +105,6 @@ impl Registry {
     /// Phase `name`'s accumulated timing, if it ran.
     pub fn phase(&self, name: &str) -> Option<PhaseStat> {
         self.phases.get(name).copied()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.phases.is_empty()
     }
 
     /// Accumulates `other` into this registry (see type docs for the
@@ -262,317 +246,6 @@ impl ExperimentRecord {
         self.registry.write_json(&mut out, include_phases);
         out.push('}');
         out
-    }
-
-    /// Parses a line produced by [`Self::to_json_line`] or
-    /// [`Self::to_stable_json_line`] back into a record (`null` numbers
-    /// become NaN; a missing `phases` object parses as no phases).
-    ///
-    /// # Errors
-    ///
-    /// [`ParseError`] when the line is not valid JSON or does not have the
-    /// record schema.
-    pub fn from_json_line(line: &str) -> Result<ExperimentRecord, ParseError> {
-        json::parse_record(line)
-    }
-}
-
-/// Error from [`ExperimentRecord::from_json_line`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad metrics line: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// A minimal recursive-descent JSON reader, just enough for the record
-/// schema [`Registry::write_json`] emits. Numbers keep their raw text so
-/// `u64` values round-trip without passing through `f64`.
-mod json {
-    use super::{ExperimentRecord, Histogram, ParseError, PhaseStat, Registry};
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub(super) enum Json {
-        Null,
-        Bool(bool),
-        /// Raw number literal, parsed on demand.
-        Num(String),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                Json::Null => Some(f64::NAN),
-                _ => None,
-            }
-        }
-    }
-
-    fn err(msg: impl Into<String>) -> ParseError {
-        ParseError(msg.into())
-    }
-
-    struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Reader<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(err(format!(
-                    "expected `{}` at byte {}",
-                    b as char, self.pos
-                )))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(err(format!("expected `{word}` at byte {}", self.pos)))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, ParseError> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos).copied() {
-                    None => return Err(err("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.bytes.get(self.pos).copied();
-                        self.pos += 1;
-                        match esc {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .and_then(char::from_u32)
-                                    .ok_or_else(|| err("bad \\u escape"))?;
-                                self.pos += 4;
-                                out.push(hex);
-                            }
-                            _ => return Err(err("bad escape")),
-                        }
-                    }
-                    Some(_) => {
-                        // Multi-byte UTF-8 sequences pass through intact.
-                        let start = self.pos;
-                        self.pos += 1;
-                        while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                            self.pos += 1;
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| err("invalid UTF-8 in string"))?;
-                        out.push_str(s);
-                    }
-                }
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, ParseError> {
-            match self.peek() {
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut fields = Vec::new();
-                    if self.peek() == Some(b'}') {
-                        self.pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    loop {
-                        let key = self.string()?;
-                        self.eat(b':')?;
-                        fields.push((key, self.value()?));
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b'}') => {
-                                self.pos += 1;
-                                return Ok(Json::Obj(fields));
-                            }
-                            _ => return Err(err("expected `,` or `}` in object")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Json::Arr(items));
-                            }
-                            _ => return Err(err("expected `,` or `]` in array")),
-                        }
-                    }
-                }
-                Some(b'"') => Ok(Json::Str(self.string()?)),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => {
-                    let start = self.pos;
-                    while self.bytes.get(self.pos).is_some_and(|&b| {
-                        b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                    }) {
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| err("invalid number"))?;
-                    Ok(Json::Num(raw.to_string()))
-                }
-                _ => Err(err(format!("unexpected input at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse(line: &str) -> Result<Json, ParseError> {
-        let mut r = Reader {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        let v = r.value()?;
-        r.skip_ws();
-        if r.pos != r.bytes.len() {
-            return Err(err(format!("trailing input at byte {}", r.pos)));
-        }
-        Ok(v)
-    }
-
-    fn obj_fields(v: &Json, what: &str) -> Result<Vec<(String, Json)>, ParseError> {
-        match v {
-            Json::Obj(fields) => Ok(fields.clone()),
-            _ => Err(err(format!("`{what}` is not an object"))),
-        }
-    }
-
-    pub(super) fn parse_record(line: &str) -> Result<ExperimentRecord, ParseError> {
-        let root = parse(line)?;
-        let field = |key: &str| root.get(key).ok_or_else(|| err(format!("missing `{key}`")));
-        let label = match field("experiment")? {
-            Json::Str(s) => s.clone(),
-            _ => return Err(err("`experiment` is not a string")),
-        };
-        let index = field("index")?.as_u64().ok_or_else(|| err("bad `index`"))?;
-        let runs = field("runs")?.as_u64().ok_or_else(|| err("bad `runs`"))?;
-
-        let mut registry = Registry::new();
-        // `phases` is absent from stable lines.
-        if let Some(phases) = root.get("phases") {
-            for (name, p) in obj_fields(phases, "phases")? {
-                let calls = p
-                    .get("calls")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("bad phase `calls`"))?;
-                let secs = p
-                    .get("secs")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| err("bad phase `secs`"))?;
-                registry.phases.insert(name, PhaseStat { calls, secs });
-            }
-        }
-        for (name, v) in obj_fields(field("counters")?, "counters")? {
-            let v = v.as_u64().ok_or_else(|| err("bad counter value"))?;
-            registry.counters.insert(name, v);
-        }
-        for (name, v) in obj_fields(field("gauges")?, "gauges")? {
-            let v = v.as_f64().ok_or_else(|| err("bad gauge value"))?;
-            registry.gauges.insert(name, v);
-        }
-        for (name, h) in obj_fields(field("histograms")?, "histograms")? {
-            let scalar = |key: &str| {
-                h.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err(format!("bad histogram `{key}`")))
-            };
-            let buckets = match h.get("buckets") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|pair| match pair {
-                        Json::Arr(uc) if uc.len() == 2 => uc[0]
-                            .as_u64()
-                            .zip(uc[1].as_u64())
-                            .ok_or_else(|| err("bad bucket pair")),
-                        _ => Err(err("bad bucket pair")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err(err("bad histogram `buckets`")),
-            };
-            let hist = Histogram::from_parts(
-                &buckets,
-                scalar("count")?,
-                scalar("sum")?,
-                scalar("min")?,
-                scalar("max")?,
-            )
-            .ok_or_else(|| err(format!("inconsistent histogram `{name}`")))?;
-            registry.histograms.insert(name, hist);
-        }
-        Ok(ExperimentRecord {
-            index,
-            label,
-            runs,
-            registry,
-        })
     }
 }
 
@@ -741,13 +414,19 @@ pub fn emit(registry: Registry) {
 mod tests {
     use super::*;
 
+    fn hist(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        samples.iter().for_each(|&v| h.record(v));
+        h
+    }
+
     #[test]
     fn registry_kinds_and_merge() {
         let mut a = Registry::new();
         a.counter_add("msgs", 3);
         a.counter_add("msgs", 2);
         a.gauge_set("eps", 0.15);
-        a.histogram_record("bytes", 100);
+        a.histogram_merge("bytes", &hist(&[100]));
         a.phase_add("simulate", Duration::from_millis(10));
         assert_eq!(a.counter("msgs"), 5);
         assert_eq!(a.gauge("eps"), Some(0.15));
@@ -759,7 +438,7 @@ mod tests {
         let mut b = Registry::new();
         b.counter_add("msgs", 10);
         b.gauge_set("eps", 0.10);
-        b.histogram_record("bytes", 200);
+        b.histogram_merge("bytes", &hist(&[200]));
         b.phase_add("simulate", Duration::from_millis(5));
         a.merge(&b);
         assert_eq!(a.counter("msgs"), 15);
@@ -778,8 +457,6 @@ mod tests {
         let v = r.time_phase("work", || 42);
         assert_eq!(v, 42);
         assert_eq!(r.phase("work").unwrap().calls, 1);
-        assert!(!r.is_empty());
-        assert!(Registry::new().is_empty());
     }
 
     #[test]
@@ -788,16 +465,20 @@ mod tests {
         r.counter_add("node.00.arrivals", 7);
         r.gauge_set("epsilon", 0.25);
         r.gauge_set("weird\"name", f64::NAN);
-        r.histogram_record("net.msg_bytes", 20);
-        r.histogram_record("net.msg_bytes", 300);
+        r.histogram_merge("net.msg_bytes", &hist(&[20, 300]));
         r.phase_add("simulate", Duration::from_secs(1));
-        let line = ExperimentRecord {
+        let record = ExperimentRecord {
             index: 2,
             label: "fig9".into(),
             runs: 3,
             registry: r,
-        }
-        .to_json_line();
+        };
+        let line = record.to_json_line();
+        // The stable projection is the same line minus the phases object.
+        assert_eq!(
+            record.to_stable_json_line(),
+            line.replace("\"phases\":{\"simulate\":{\"calls\":1,\"secs\":1}},", "")
+        );
         assert!(line.starts_with("{\"experiment\":\"fig9\",\"index\":2,\"runs\":3,"));
         assert!(line.contains("\"node.00.arrivals\":7"));
         assert!(line.contains("\"epsilon\":0.25"));
@@ -826,68 +507,11 @@ mod tests {
     }
 
     #[test]
-    fn json_line_round_trips() {
-        let mut r = Registry::new();
-        r.counter_add("node.00.arrivals", 7);
-        r.counter_add("msgs", u64::MAX);
-        r.gauge_set("epsilon", 0.25);
-        r.gauge_set("ratio", -1.5e-3);
-        r.gauge_set("weird\"na\\me\n", 2.0);
-        r.histogram_record("net.msg_bytes", 0);
-        r.histogram_record("net.msg_bytes", 20);
-        r.histogram_record("net.msg_bytes", 300);
-        r.histogram_record("lat", u64::MAX);
-        r.phase_add("simulate", Duration::from_millis(1500));
-        r.phase_add("simulate", Duration::from_millis(250));
-        r.phase_add("aggregate", Duration::from_millis(3));
-        let record = ExperimentRecord {
-            index: 2,
-            label: "fig9".into(),
-            runs: 3,
-            registry: r,
-        };
-
-        // Full line: everything survives, including phase timers.
-        let parsed = ExperimentRecord::from_json_line(&record.to_json_line()).expect("parse");
-        assert_eq!(parsed, record);
-        assert_eq!(parsed.registry.phase("simulate").unwrap().calls, 2);
-
-        // Stable line: phases are projected out, the rest survives.
-        let stable =
-            ExperimentRecord::from_json_line(&record.to_stable_json_line()).expect("parse stable");
-        assert!(stable.registry.phase("simulate").is_none());
-        assert_eq!(stable.registry.counters, record.registry.counters);
-        assert_eq!(stable.registry.gauges, record.registry.gauges);
-        assert_eq!(stable.registry.histograms, record.registry.histograms);
-        // And re-rendering the parsed record is byte-identical.
-        assert_eq!(stable.to_stable_json_line(), record.to_stable_json_line());
-        assert_eq!(parsed.to_json_line(), record.to_json_line());
-    }
-
-    #[test]
-    fn nan_gauges_round_trip_as_null() {
-        let mut r = Registry::new();
-        r.gauge_set("undefined", f64::NAN);
-        let record = ExperimentRecord {
-            index: 0,
-            label: "x".into(),
-            runs: 1,
-            registry: r,
-        };
-        let line = record.to_json_line();
-        assert!(line.contains("\"undefined\":null"));
-        let parsed = ExperimentRecord::from_json_line(&line).expect("parse");
-        assert!(parsed.registry.gauge("undefined").unwrap().is_nan());
-    }
-
-    #[test]
     fn histogram_bucket_boundaries_are_stable_in_json() {
         // Values straddling every power-of-two boundary land in pinned
         // buckets: the serialized bounds are part of the JSONL contract.
         let mut r = Registry::new();
-        for v in [0u64, 1, 2, 3, 4, 127, 128, u64::MAX] {
-            r.histogram_record("h", v);
-        }
+        r.histogram_merge("h", &hist(&[0, 1, 2, 3, 4, 127, 128, u64::MAX]));
         let line = ExperimentRecord {
             index: 0,
             label: "b".into(),
@@ -898,29 +522,11 @@ mod tests {
         let expected =
             "\"buckets\":[[0,1],[1,1],[3,2],[7,1],[127,1],[255,1],[18446744073709551615,1]]";
         assert!(line.contains(expected), "{line}");
-        let parsed = ExperimentRecord::from_json_line(&line).expect("parse");
-        let h = parsed.registry.histogram("h").expect("histogram");
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        for bad in [
-            "",
-            "{",
-            "not json",
-            "[1,2]",
-            "{\"experiment\":\"x\"}",
-            "{\"experiment\":7,\"index\":0,\"runs\":1,\"counters\":{},\"gauges\":{},\"histograms\":{}}",
-            "{\"experiment\":\"x\",\"index\":0,\"runs\":1,\"counters\":{\"c\":-1},\"gauges\":{},\"histograms\":{}}",
-            // Bucket bound 5 is not a power-of-two boundary.
-            "{\"experiment\":\"x\",\"index\":0,\"runs\":1,\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{\"count\":1,\"sum\":5,\"min\":5,\"max\":5,\"mean\":5,\"buckets\":[[5,1]]}}}",
-            "{\"experiment\":\"x\",\"index\":0,\"runs\":1,\"counters\":{},\"gauges\":{},\"histograms\":{}} trailing",
-        ] {
-            assert!(ExperimentRecord::from_json_line(bad).is_err(), "{bad:?}");
-        }
+        assert!(line.contains("\"count\":8,"), "{line}");
+        assert!(
+            line.contains("\"min\":0,\"max\":18446744073709551615,"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -27,8 +27,7 @@ pub struct ClusterConfig {
     /// Number of nodes `N`.
     pub n: u16,
     /// A recorded trace to replay instead of generating `workload`
-    /// (node assignments in the trace must fit `n`). Not serialized —
-    /// traces live in their own files (`dsj_stream::trace`).
+    /// (node assignments in the trace must fit `n`).
     pub trace: Option<Trace>,
     /// The join algorithm.
     pub algorithm: Algorithm,
@@ -165,12 +164,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the warm-up fraction.
-    pub fn warmup(mut self, w: f64) -> Self {
-        self.warmup = w;
-        self
-    }
-
     /// Sets the master seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
@@ -197,13 +190,6 @@ impl ClusterConfig {
     /// AIMD throughput governor.
     pub fn bandwidth_budget(mut self, budget_bps: u64) -> Self {
         self.bandwidth_budget_bps = Some(budget_bps);
-        self
-    }
-
-    /// Bounds windows by time (milliseconds of virtual time) instead of
-    /// tuple count.
-    pub fn time_window(mut self, ms: u64) -> Self {
-        self.time_window_ms = Some(ms);
         self
     }
 
@@ -250,6 +236,22 @@ impl ClusterConfig {
         }
         if self.tuples == 0 {
             return Err(RunError::NoTuples);
+        }
+        if self.window == 0 {
+            return Err(RunError::ZeroWindow);
+        }
+        if !(0.0..=1.0).contains(&self.locality) {
+            return Err(RunError::LocalityOutOfRange(self.locality));
+        }
+        // Zero, negative and NaN rates have no schedule, and one so small
+        // that the run outlasts the microsecond clock wraps `seq * dt_us`.
+        let schedulable = self.arrival_rate.is_finite()
+            && self.arrival_rate > 0.0
+            && (self.tuples as u64)
+                .checked_mul(self.interarrival_us())
+                .is_some_and(|span_us| span_us < 1 << 62);
+        if !schedulable {
+            return Err(RunError::ArrivalRateOutOfRange(self.arrival_rate));
         }
         if let Some(trace) = &self.trace {
             for a in trace.arrivals() {
@@ -767,6 +769,23 @@ mod tests {
             .kappa(1)
             .validate()
             .is_ok());
+        // Outside input the nodes would assert on, or that wraps the clock.
+        assert_eq!(
+            quick(Algorithm::Dft).window(0).run().unwrap_err(),
+            RunError::ZeroWindow
+        );
+        for locality in [2.0, -0.1, f64::NAN] {
+            assert!(matches!(
+                quick(Algorithm::Dft).locality(locality).run().unwrap_err(),
+                RunError::LocalityOutOfRange(_)
+            ));
+        }
+        for rate in [0.0, -3.0, f64::NAN, f64::INFINITY, 1e-12] {
+            assert!(matches!(
+                quick(Algorithm::Dft).arrival_rate(rate).run().unwrap_err(),
+                RunError::ArrivalRateOutOfRange(_)
+            ));
+        }
     }
 
     #[test]
@@ -824,7 +843,6 @@ mod tests {
     fn build_node_matches_run_semantics() {
         let cfg = quick(Algorithm::Dftt);
         let node = cfg.build_node(2);
-        assert_eq!(node.id(), 2);
         assert_eq!(node.metrics().arrivals, 0);
         // The arrival schedule is deterministic and dense.
         let arrivals = cfg.arrivals();
@@ -851,7 +869,10 @@ mod tests {
         use dsj_stream::WindowSpec;
         let count = quick(Algorithm::Base);
         assert_eq!(count.window_spec(), WindowSpec::Count(256));
-        let timed = quick(Algorithm::Base).time_window(250);
+        let timed = ClusterConfig {
+            time_window_ms: Some(250),
+            ..quick(Algorithm::Base)
+        };
         assert_eq!(timed.window_spec(), WindowSpec::Time(250_000));
     }
 

@@ -56,10 +56,6 @@ pub const VERSION: u8 = 1;
 /// rather than an allocation request.
 pub const MAX_FRAME_BODY: usize = 1 << 24;
 
-/// Bytes of framing shared by every message: the `u32` length prefix plus
-/// the `ver_kind` byte.
-pub const FRAME_OVERHEAD: usize = 5;
-
 const KIND_TUPLE: u8 = 0;
 const KIND_SUMMARY: u8 = 1;
 const PKIND_DFT: u8 = 0;
@@ -685,7 +681,7 @@ mod tests {
         let msg = Msg::Summary(vec![dft.clone(), bloom.clone(), skch.clone()]);
         assert_eq!(
             msg.wire_bytes(),
-            FRAME_OVERHEAD + dft.wire_bytes() + bloom.wire_bytes() + skch.wire_bytes()
+            4 + 1 + dft.wire_bytes() + bloom.wire_bytes() + skch.wire_bytes()
         );
         assert_eq!(encode(&msg).len(), msg.wire_bytes());
 

@@ -6,7 +6,7 @@
 //! strategy, so every case renders its raw inputs on failure.
 
 use dsj_core::msg::CoeffUpdate;
-use dsj_core::wire::{self, FrameDecoder, WireError, FRAME_OVERHEAD, VERSION};
+use dsj_core::wire::{self, FrameDecoder, WireError, VERSION};
 use dsj_core::{Msg, SummaryPayload};
 use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
@@ -279,14 +279,4 @@ proptest! {
         decoder.feed(&bytes);
         prop_assert!(decoder.next_msg().is_err());
     }
-}
-
-#[test]
-fn frame_overhead_constant_matches_bare_tuple() {
-    let bare = Msg::Tuple {
-        tuple: Tuple::new(StreamId::R, 0, 0, 0),
-        piggyback: Vec::new(),
-    };
-    assert_eq!(wire::encode(&bare).len(), FRAME_OVERHEAD + 15);
-    assert_eq!(Tuple::WIRE_BYTES, FRAME_OVERHEAD + 15);
 }

@@ -50,16 +50,6 @@ impl Complex64 {
         Complex64 { re: c, im: s }
     }
 
-    /// Creates a complex number from polar coordinates `(r, θ)`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        Complex64 {
-            re: r * c,
-            im: r * s,
-        }
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -79,12 +69,6 @@ impl Complex64 {
     #[inline]
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
-    }
-
-    /// Argument (phase angle) in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
     }
 
     /// Multiplies by a real scalar.
@@ -107,12 +91,6 @@ impl Complex64 {
             re: self.re / d,
             im: -self.im / d,
         }
-    }
-
-    /// `true` when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -277,13 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn polar_round_trip() {
-        let z = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_3);
-        assert!((z.abs() - 2.0).abs() < EPS);
-        assert!((z.arg() - std::f64::consts::FRAC_PI_3).abs() < EPS);
-    }
-
-    #[test]
     fn cis_is_unit() {
         for k in 0..16 {
             let theta = k as f64 * 0.5;
@@ -315,12 +286,5 @@ mod tests {
     fn mul_by_scalar_matches_scale() {
         let z = Complex64::new(2.0, -1.0);
         assert_eq!(z * 3.0, z.scale(3.0));
-    }
-
-    #[test]
-    fn finite_checks() {
-        assert!(Complex64::new(1.0, 1.0).is_finite());
-        assert!(!Complex64::new(f64::NAN, 0.0).is_finite());
-        assert!(!Complex64::ZERO.recip().is_finite());
     }
 }

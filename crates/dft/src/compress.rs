@@ -160,31 +160,10 @@ impl CompressedDft {
         }
     }
 
-    /// The selection policy this compression used.
-    pub fn selection(&self) -> Selection {
-        if self.indices.is_some() {
-            Selection::TopEnergy
-        } else {
-            Selection::Prefix
-        }
-    }
-
     /// Number of retained coefficients `K`.
     #[inline]
     pub fn retained(&self) -> usize {
         self.coeffs.len()
-    }
-
-    /// Original signal length `W`.
-    #[inline]
-    pub fn signal_len(&self) -> usize {
-        self.signal_len
-    }
-
-    /// Effective compression factor `κ = W / K`.
-    #[inline]
-    pub fn kappa(&self) -> f64 {
-        self.signal_len as f64 / self.coeffs.len() as f64
     }
 
     /// The retained coefficient prefix.
@@ -247,7 +226,7 @@ impl CompressedDft {
     ///
     /// # Panics
     ///
-    /// Panics if `original.len() != self.signal_len()`.
+    /// Panics if `original.len()` differs from the compressed signal's length.
     pub fn squared_errors(&self, original: &[f64]) -> Vec<f64> {
         assert_eq!(
             original.len(),
@@ -266,7 +245,7 @@ impl CompressedDft {
     ///
     /// # Panics
     ///
-    /// Panics if `original.len() != self.signal_len()`.
+    /// Panics if `original.len()` differs from the compressed signal's length.
     pub fn mse(&self, original: &[f64]) -> f64 {
         let se = self.squared_errors(original);
         se.iter().sum::<f64>() / se.len() as f64
@@ -277,7 +256,7 @@ impl CompressedDft {
     ///
     /// # Panics
     ///
-    /// Panics if `original.len() != self.signal_len()`.
+    /// Panics if `original.len()` differs from the compressed signal's length.
     pub fn stats(&self, original: &[f64]) -> ReconstructionStats {
         let se = self.squared_errors(original);
         let n = se.len() as f64;
@@ -501,7 +480,6 @@ mod tests {
         let via_signal = CompressedDft::from_signal(&s, 4).unwrap();
         let via_prefix = CompressedDft::from_prefix(via_signal.coefficients().to_vec(), s.len());
         assert_eq!(via_signal, via_prefix);
-        assert!((via_prefix.kappa() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -552,8 +530,6 @@ mod tests {
         let prefix = CompressedDft::from_signal_selected(&s, 16, Selection::Prefix).unwrap();
         let top = CompressedDft::from_signal_selected(&s, 16, Selection::TopEnergy).unwrap();
         assert!(top.mse(&s) <= prefix.mse(&s) + 1e-9);
-        assert_eq!(top.selection(), Selection::TopEnergy);
-        assert_eq!(prefix.selection(), Selection::Prefix);
     }
 
     #[test]

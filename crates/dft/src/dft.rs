@@ -1,12 +1,9 @@
-//! Direct and FFT-backed discrete Fourier transforms.
+//! The direct discrete Fourier transform.
 //!
-//! The direct *O(W²)* implementation exists for two reasons: it is the
-//! ground truth the FFT is validated against, and it is the "DFT" column of
-//! the paper's Table 1 (full recomputation cost, contrasted with the
-//! incremental DFT and AGMS sketches).
+//! The direct *O(W²)* implementation is the ground truth the FFT and the
+//! incremental transforms are validated against.
 
 use crate::complex::Complex64;
-use crate::fft::Fft;
 use std::f64::consts::PI;
 
 /// Direct *O(W²)* DFT: `X[k] = Σ_n x[n]·e^{-2πi·kn/W}`.
@@ -43,22 +40,10 @@ pub fn dft_direct_real(input: &[f64]) -> Vec<Complex64> {
     dft_direct(&buf)
 }
 
-/// *O(W log W)* DFT via an ad-hoc FFT plan.
-///
-/// Prefer constructing an [`Fft`] once when transforming many signals of the
-/// same length.
-pub fn dft_fast(input: &[Complex64]) -> Vec<Complex64> {
-    Fft::new(input.len()).forward(input)
-}
-
-/// *O(W log W)* inverse DFT (normalized by `1/W`) via an ad-hoc FFT plan.
-pub fn idft_fast(input: &[Complex64]) -> Vec<Complex64> {
-    Fft::new(input.len()).inverse(input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::Fft;
 
     #[test]
     fn direct_and_fast_agree() {
@@ -66,7 +51,7 @@ mod tests {
             .map(|n| Complex64::new((n as f64).sin(), (n as f64 * 0.1).cos()))
             .collect();
         let d = dft_direct(&x);
-        let f = dft_fast(&x);
+        let f = Fft::new(x.len()).forward(&x);
         for (a, b) in d.iter().zip(&f) {
             assert!((*a - *b).abs() < 1e-8);
         }
@@ -89,7 +74,8 @@ mod tests {
         let x: Vec<Complex64> = (0..10)
             .map(|n| Complex64::new(n as f64, -(n as f64)))
             .collect();
-        let back = idft_fast(&dft_fast(&x));
+        let fft = Fft::new(x.len());
+        let back = fft.inverse(&fft.forward(&x));
         for (a, b) in x.iter().zip(&back) {
             assert!((*a - *b).abs() < 1e-9);
         }
@@ -98,7 +84,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(dft_direct(&[]).is_empty());
-        assert!(dft_fast(&[]).is_empty());
     }
 
     #[test]

@@ -275,18 +275,6 @@ impl RealFft {
         }
     }
 
-    /// The transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the plan length is zero (never — kept for API parity).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Forward DFT of a real signal, returning the full `N`-bin spectrum
     /// (the upper half is the Hermitian mirror, included for drop-in
     /// compatibility with [`Fft::forward_real`]).

@@ -7,8 +7,8 @@
 //! * [`Complex64`] — a minimal complex-number type ([`complex`]).
 //! * [`Fft`] — an iterative radix-2 Cooley–Tukey FFT planner with a Bluestein
 //!   chirp-z fallback for arbitrary lengths ([`fft`]).
-//! * [`dft`] — the direct *O(W²)* DFT (used as the "DFT" column of the
-//!   paper's Table 1) and the *O(W log W)* FFT-backed transform.
+//! * [`dft`] — the direct *O(W²)* DFT, the ground truth the FFT is
+//!   validated against.
 //! * [`SlidingDft`] — the *incremental* DFT of Section 4: per-update *O(K)*
 //!   coefficient maintenance with drift tracking and periodic exact
 //!   recomputation governed by a [`ControlVector`].
@@ -18,9 +18,8 @@
 //! * [`IncrementalRecon`] — in-place inverse-DFT reconstruction
 //!   maintenance: *O(W)* per changed coefficient, allocation-free, for
 //!   routers that keep per-peer window estimates alive ([`recon`]).
-//! * [`spectrum`] — power spectra, cross-correlation and the
-//!   cross-correlation coefficient `ρ` of Eqn. 4, computed directly from
-//!   (possibly compressed) DFT coefficients.
+//! * [`spectrum`] — the cross-correlation coefficient `ρ` of Eqn. 4,
+//!   computed directly from (possibly compressed) DFT coefficients.
 //!
 //! # Example
 //!
@@ -50,14 +49,11 @@ pub mod spectrum;
 pub use complex::Complex64;
 pub use compress::{CompressedDft, CompressionError, ReconstructionStats, Selection};
 pub use control::ControlVector;
-pub use dft::{dft_direct, dft_fast, idft_fast};
+pub use dft::dft_direct;
 pub use fft::{Fft, RealFft};
 pub use recon::IncrementalRecon;
 pub use sliding::SlidingDft;
-pub use spectrum::{
-    auto_covariance, cross_correlation_coefficient, cross_covariance, power_spectrum,
-    SpectralSummary,
-};
+pub use spectrum::cross_correlation_coefficient;
 
 /// The paper's lossless-rounding threshold: if the expected mean square error
 /// of a reconstruction of integer-valued data is below `0.25` (deviation

@@ -27,7 +27,6 @@
 //! reconstruction under arbitrary update sequences.
 
 use crate::complex::Complex64;
-use crate::fft::Fft;
 use std::f64::consts::PI;
 
 /// Maintains inverse-DFT reconstructions incrementally: *O(W)* per changed
@@ -65,10 +64,6 @@ pub struct IncrementalRecon {
     twiddle: Vec<Complex64>,
     /// `1 / W`, folded into every update.
     inv_w: f64,
-    /// Inverse-FFT plan for the dense [`rebuild`](Self::rebuild) path.
-    fft: Fft,
-    /// Spectrum scratch for `rebuild` — reused, never reallocated.
-    spec: Vec<Complex64>,
 }
 
 impl IncrementalRecon {
@@ -91,8 +86,6 @@ impl IncrementalRecon {
             retained,
             twiddle,
             inv_w: 1.0 / signal_len as f64,
-            fft: Fft::new(signal_len),
-            spec: vec![Complex64::ZERO; signal_len],
         }
     }
 
@@ -100,12 +93,6 @@ impl IncrementalRecon {
     #[inline]
     pub fn signal_len(&self) -> usize {
         self.signal_len
-    }
-
-    /// Retained prefix length `K` this plan serves.
-    #[inline]
-    pub fn retained(&self) -> usize {
-        self.retained
     }
 
     /// Folds a coefficient change `delta = new − old` at prefix index
@@ -154,11 +141,10 @@ impl IncrementalRecon {
     /// Changed-bin count at which a summary stops being *sparse*: below
     /// it, folding each bin into a live reconstruction via
     /// [`apply`](Self::apply) (one strided *O(W)* pass per bin) is worth
-    /// the buffer upkeep; at or above it, the whole buffer is cheaper to
-    /// recompute — eagerly via [`rebuild`](Self::rebuild), or lazily
-    /// bucket-by-bucket via [`eval`](Self::eval). The crossover sits near
-    /// `log₂(W) / 2`; the floor of 4 keeps tiny signals on the exact
-    /// per-bin path.
+    /// the buffer upkeep; at or above it, the buffer is cheaper to drop and
+    /// recompute bucket-by-bucket, on demand, via [`eval`](Self::eval). The
+    /// crossover sits near `log₂(W) / 2`; the floor of 4 keeps tiny signals
+    /// on the exact per-bin path.
     #[inline]
     pub fn dense_threshold(&self) -> usize {
         let log2_w = (usize::BITS - 1).saturating_sub(self.signal_len.leading_zeros()) as usize;
@@ -166,8 +152,8 @@ impl IncrementalRecon {
     }
 
     /// Evaluates one reconstruction bucket directly from the retained
-    /// prefix — the pointwise counterpart to [`rebuild`](Self::rebuild):
-    /// *O(K)* per bucket, no buffer, no allocation, no trigonometry.
+    /// prefix: *O(K)* per bucket, no buffer, no allocation, no
+    /// trigonometry.
     ///
     /// `eval(coeffs, idx)` equals `reconstruct(coeffs)[idx]` (up to
     /// rounding) for every `idx < W`. When a consumer reads far fewer
@@ -206,48 +192,6 @@ impl IncrementalRecon {
             }
         }
         acc
-    }
-
-    /// Rewrites `recon` from scratch as the inverse DFT of the retained
-    /// prefix `coeffs` — the dense complement to [`apply`](Self::apply).
-    ///
-    /// Mathematically identical to
-    /// [`CompressedDft::reconstruct`](crate::CompressedDft::reconstruct)
-    /// on the same prefix (Hermitian completion + inverse FFT), but reuses
-    /// the plan's precomputed FFT and spectrum scratch instead of
-    /// allocating per call. A refresh that replaces many coefficients at
-    /// once — an initial full sync, a dense drift correction — costs one
-    /// sequential *O(W log W)* transform instead of one strided *O(W)*
-    /// pass per bin. Because the result is computed from the coefficient
-    /// *state* rather than deltas, a rebuild also discards any rounding
-    /// drift accumulated by prior incremental updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `recon.len() != W` or `coeffs.len() > K`.
-    pub fn rebuild(&mut self, recon: &mut [f64], coeffs: &[Complex64]) {
-        assert_eq!(recon.len(), self.signal_len, "reconstruction length");
-        assert!(
-            coeffs.len() <= self.retained,
-            "prefix longer than the plan's retained length"
-        );
-        let w = self.signal_len;
-        let k = coeffs.len();
-        self.spec.fill(Complex64::ZERO);
-        self.spec[..k].copy_from_slice(coeffs);
-        // Hermitian completion — the same mirror rule as
-        // `CompressedDft::reconstruct`: bins the prefix already covers are
-        // authoritative and must not be overwritten by a conjugate.
-        for (j, c) in coeffs.iter().enumerate().skip(1) {
-            let m = w - j;
-            if m >= k {
-                self.spec[m] = c.conj();
-            }
-        }
-        self.fft.inverse_in_place(&mut self.spec);
-        for (slot, z) in recon.iter_mut().zip(&self.spec) {
-            *slot = z.re;
-        }
     }
 }
 
@@ -328,45 +272,6 @@ mod tests {
         let delta = Complex64::new(4.0, 0.0);
         coeffs[w / 2] = delta;
         plan.apply(&mut recon, w / 2, delta);
-        assert_close(&recon, &full(&coeffs, w));
-    }
-
-    #[test]
-    fn rebuild_matches_full_reconstruction() {
-        for (w, k) in [(32, 8), (16, 16), (8, 6), (15, 4), (64, 1)] {
-            let mut plan = IncrementalRecon::new(w, k);
-            let coeffs: Vec<Complex64> = (0..k)
-                .map(|b| Complex64::new(1.5 * b as f64 - 2.0, 0.75 - b as f64))
-                .collect();
-            let mut recon = vec![f64::NAN; w];
-            plan.rebuild(&mut recon, &coeffs);
-            assert_close(&recon, &full(&coeffs, w));
-        }
-    }
-
-    #[test]
-    fn rebuild_then_sparse_applies_stay_in_sync() {
-        // The hybrid sequence a router performs: dense refresh via
-        // rebuild, then single-bin piggybacks via apply — the two paths
-        // must agree on the shared reconstruction state.
-        let (w, k) = (32, 8);
-        let mut plan = IncrementalRecon::new(w, k);
-        let mut coeffs: Vec<Complex64> = (0..k)
-            .map(|b| Complex64::new(b as f64, -(b as f64)))
-            .collect();
-        let mut recon = vec![0.0; w];
-        plan.rebuild(&mut recon, &coeffs);
-        for (bin, delta) in [
-            (2, Complex64::new(-0.5, 1.25)),
-            (7, Complex64::new(3.0, 0.0)),
-            (0, Complex64::new(1.0, 0.0)),
-        ] {
-            coeffs[bin] += delta;
-            plan.apply(&mut recon, bin, delta);
-            assert_close(&recon, &full(&coeffs, w));
-        }
-        // A second rebuild from the final state lands on the same answer.
-        plan.rebuild(&mut recon, &coeffs);
         assert_close(&recon, &full(&coeffs, w));
     }
 

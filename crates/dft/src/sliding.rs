@@ -46,7 +46,6 @@ pub struct SlidingDft {
     rotors: Vec<Complex64>,
     control: ControlVector,
     updates_since_recompute: u64,
-    total_updates: u64,
     recomputes: u64,
 }
 
@@ -71,33 +70,14 @@ impl SlidingDft {
             rotors,
             control: control.with_window(w, k),
             updates_since_recompute: 0,
-            total_updates: 0,
             recomputes: 0,
         }
-    }
-
-    /// Window size `W`.
-    #[inline]
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Number of tracked coefficients `K`.
-    #[inline]
-    pub fn tracked(&self) -> usize {
-        self.coeffs.len()
     }
 
     /// `true` once `W` samples have been pushed.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.filled == self.window.len()
-    }
-
-    /// Total incremental updates applied.
-    #[inline]
-    pub fn updates(&self) -> u64 {
-        self.total_updates
     }
 
     /// Number of exact recomputations triggered by the control vector.
@@ -133,7 +113,6 @@ impl SlidingDft {
         for (c, r) in self.coeffs.iter_mut().zip(self.rotors.iter()) {
             *c = (*c + delta) * *r;
         }
-        self.total_updates += 1;
         self.updates_since_recompute += 1;
         if self.control.should_recompute(self.updates_since_recompute) {
             // dsj-lint: allow(hot-path-opaque-call) — exact recompute (FFT scratch) allocates by design; amortized over the drift-control interval
@@ -165,18 +144,6 @@ impl SlidingDft {
         }
         self.updates_since_recompute = 0;
         self.recomputes += 1;
-    }
-
-    /// Upper bound estimate of accumulated drift in any tracked coefficient:
-    /// roughly one ulp-scale error (1e-16, Section 4) per update since the
-    /// last exact recomputation, scaled by the window's value magnitude.
-    pub fn drift_estimate(&self) -> f64 {
-        let scale = self
-            .window
-            .iter()
-            .fold(0.0_f64, |acc, &x| acc.max(x.abs()))
-            .max(1.0);
-        1e-16 * self.updates_since_recompute as f64 * scale
     }
 }
 
@@ -210,7 +177,6 @@ pub struct PointDft {
     control: ControlVector,
     updates_since_recompute: u64,
     total_updates: u64,
-    recomputes: u64,
 }
 
 impl PointDft {
@@ -237,20 +203,7 @@ impl PointDft {
             control: control.with_window(domain, k),
             updates_since_recompute: 0,
             total_updates: 0,
-            recomputes: 0,
         }
-    }
-
-    /// Domain (vector) length `D`.
-    #[inline]
-    pub fn domain(&self) -> usize {
-        self.domain
-    }
-
-    /// Number of tracked coefficients `K`.
-    #[inline]
-    pub fn tracked(&self) -> usize {
-        self.coeffs.len()
     }
 
     /// The tracked coefficient prefix `X[0..K]`.
@@ -265,26 +218,10 @@ impl PointDft {
         &self.values
     }
 
-    /// Current value at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= domain`.
-    #[inline]
-    pub fn value(&self, index: usize) -> f64 {
-        self.values[index]
-    }
-
     /// Total point updates applied.
     #[inline]
     pub fn updates(&self) -> u64 {
         self.total_updates
-    }
-
-    /// Number of exact recomputations triggered by the control vector.
-    #[inline]
-    pub fn recomputes(&self) -> u64 {
-        self.recomputes
     }
 
     /// Adds `delta` at `index`, updating all tracked coefficients in `O(K)`.
@@ -329,7 +266,6 @@ impl PointDft {
             }
         }
         self.updates_since_recompute = 0;
-        self.recomputes += 1;
     }
 }
 
@@ -381,9 +317,7 @@ mod tests {
         for n in 0..10_000 {
             sdft.push(((n * 31) % 100) as f64);
         }
-        assert!(sdft.drift_estimate() > 0.0);
         sdft.recompute();
-        assert_eq!(sdft.drift_estimate(), 0.0);
         let batch = dft_direct_real(&sdft.window_chronological());
         for (a, b) in sdft.coefficients().iter().zip(batch.iter().take(8)) {
             assert!((*a - *b).abs() < 1e-9);

@@ -12,8 +12,8 @@
 //!   messages just as the paper's pauses do.
 //! * [`SimNode`] — the handler trait nodes implement (`on_input` for
 //!   locally arriving tuples, `on_message` for network deliveries).
-//! * [`Simulation`] — the event loop: full-mesh topology, per-link byte and
-//!   message accounting in [`NetMetrics`].
+//! * [`Simulation`] — the event loop: full-mesh topology, byte and message
+//!   accounting in [`NetMetrics`].
 //!
 //! ```
 //! use dsj_simnet::{LinkConfig, SimDuration, SimNode, SimTime, Simulation, Ctx, NodeId};

@@ -63,11 +63,6 @@ impl LinkConfig {
         self
     }
 
-    /// The message-loss probability.
-    pub fn loss_prob(&self) -> f64 {
-        f64::from(self.loss_ppm) / 1_000_000.0
-    }
-
     /// Draws whether a message is lost.
     pub fn draw_loss(&self, rng: &mut StdRng) -> bool {
         self.loss_ppm > 0 && rng.gen_ratio(self.loss_ppm.min(1_000_000), 1_000_000)
@@ -125,12 +120,6 @@ impl LinkState {
         self.busy_until = start + tx;
         self.busy_until + cfg.draw_latency(rng)
     }
-
-    /// When the link next becomes idle.
-    #[inline]
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +130,7 @@ mod tests {
     #[test]
     fn loss_draws_match_probability() {
         let cfg = LinkConfig::instant().with_loss(0.25);
-        assert!((cfg.loss_prob() - 0.25).abs() < 1e-9);
+        assert_eq!(cfg.loss_ppm, 250_000);
         let mut rng = StdRng::seed_from_u64(5);
         let lost = (0..10_000).filter(|_| cfg.draw_loss(&mut rng)).count();
         assert!((2_200..2_800).contains(&lost), "lost {lost}/10000");
@@ -192,7 +181,6 @@ mod tests {
         // Second message must wait for the first to finish.
         let d2 = link.schedule(now, 500, &cfg, &mut rng);
         assert_eq!(d2.as_micros(), 1_000_000);
-        assert_eq!(link.busy_until().as_micros(), 1_000_000);
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Network accounting: message and byte counters, globally and per link,
-//! plus distribution summaries (message sizes, delivery latencies) kept as
-//! cheap log₂ histograms.
-
-use crate::sim::NodeId;
-use std::collections::BTreeMap;
+//! Network accounting: message and byte counters plus distribution
+//! summaries (message sizes, delivery latencies) kept as cheap log₂
+//! histograms.
 
 /// Number of buckets in a [`Log2Histogram`]: one per bit position of a
 /// `u64`, plus bucket 0 for the value 0.
@@ -116,55 +113,6 @@ impl Log2Histogram {
             .collect()
     }
 
-    /// Rebuilds a histogram from its serialized parts: the
-    /// [`Self::nonzero_buckets`] pairs plus the scalar stats, i.e. exactly
-    /// what a JSONL record carries. `min` is the *reported* minimum (0 for
-    /// an empty histogram, per [`Self::min`]).
-    ///
-    /// Returns `None` when an upper bound is not a valid bucket bound or
-    /// the bucket counts do not sum to `count`.
-    pub fn from_parts(
-        buckets: &[(u64, u64)],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) -> Option<Self> {
-        let mut h = Log2Histogram {
-            buckets: [0; LOG2_BUCKETS],
-            count,
-            sum,
-            // An empty histogram stores the `min` identity element, which
-            // `Self::min` reports as 0.
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-        };
-        for &(upper, c) in buckets {
-            let i = Self::index_for_upper_bound(upper)?;
-            h.buckets[i] = h.buckets[i].checked_add(c)?;
-        }
-        if h.buckets.iter().sum::<u64>() != count {
-            return None;
-        }
-        Some(h)
-    }
-
-    /// The bucket index whose inclusive upper bound is `upper`, if any.
-    fn index_for_upper_bound(upper: u64) -> Option<usize> {
-        match upper {
-            0 => Some(0),
-            u64::MAX => Some(LOG2_BUCKETS - 1),
-            u => {
-                let next = u.checked_add(1)?;
-                if next.is_power_of_two() {
-                    Some(next.trailing_zeros() as usize)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// The value at quantile `q` (clamped to `[0, 1]`), estimated by
     /// within-bucket linear interpolation, or 0 when the histogram is
     /// empty.
@@ -229,9 +177,6 @@ pub struct NetMetrics {
     pub messages_dropped: u64,
     /// Total bytes handed to links.
     pub bytes_sent: u64,
-    /// Per-directed-link (from, to) → (messages, bytes). Ordered so
-    /// per-link reports render in a stable link order.
-    pub per_link: BTreeMap<(NodeId, NodeId), (u64, u64)>,
     /// Distribution of on-wire message sizes (bytes).
     pub msg_bytes: Log2Histogram,
     /// Distribution of send→delivery latencies (microseconds of virtual
@@ -245,14 +190,11 @@ impl NetMetrics {
         NetMetrics::default()
     }
 
-    /// Records a send of `bytes` on link `from → to`.
-    pub fn record_send(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+    /// Records a send of `bytes`.
+    pub fn record_send(&mut self, bytes: usize) {
         self.messages_sent += 1;
         self.bytes_sent += bytes as u64;
         self.msg_bytes.record(bytes as u64);
-        let e = self.per_link.entry((from, to)).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += bytes as u64;
     }
 
     /// Records a delivery.
@@ -270,25 +212,6 @@ impl NetMetrics {
     pub fn record_drop(&mut self) {
         self.messages_dropped += 1;
     }
-
-    /// Messages sent on link `from → to`.
-    pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
-        self.per_link.get(&(from, to)).map_or(0, |e| e.0)
-    }
-
-    /// Bytes sent on link `from → to`.
-    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.per_link.get(&(from, to)).map_or(0, |e| e.1)
-    }
-
-    /// Total messages sent by node `from` to anyone.
-    pub fn sent_by(&self, from: NodeId) -> u64 {
-        self.per_link
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(_, (m, _))| m)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -298,18 +221,13 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = NetMetrics::new();
-        m.record_send(0, 1, 100);
-        m.record_send(0, 1, 50);
-        m.record_send(0, 2, 10);
+        m.record_send(100);
+        m.record_send(50);
+        m.record_send(10);
         m.record_delivery();
         assert_eq!(m.messages_sent, 3);
         assert_eq!(m.bytes_sent, 160);
         assert_eq!(m.messages_delivered, 1);
-        assert_eq!(m.link_messages(0, 1), 2);
-        assert_eq!(m.link_bytes(0, 1), 150);
-        assert_eq!(m.link_messages(1, 0), 0);
-        assert_eq!(m.sent_by(0), 3);
-        assert_eq!(m.sent_by(1), 0);
         assert_eq!(m.msg_bytes.count(), 3);
         assert_eq!(m.msg_bytes.sum(), 160);
     }
@@ -408,31 +326,5 @@ mod tests {
             last = v;
         }
         assert_eq!(h.quantile(1.0), 6561);
-    }
-
-    #[test]
-    fn from_parts_round_trips_exactly() {
-        let mut h = Log2Histogram::new();
-        for v in [0u64, 1, 2, 3, 4, 100, 1_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let rebuilt =
-            Log2Histogram::from_parts(&h.nonzero_buckets(), h.count(), h.sum(), h.min(), h.max())
-                .expect("valid parts");
-        assert_eq!(rebuilt, h);
-
-        // An empty histogram round-trips through its reported min of 0.
-        let empty = Log2Histogram::new();
-        let rebuilt = Log2Histogram::from_parts(&[], 0, 0, empty.min(), empty.max())
-            .expect("valid empty parts");
-        assert_eq!(rebuilt, empty);
-    }
-
-    #[test]
-    fn from_parts_rejects_corrupt_input() {
-        // 5 is not a bucket upper bound (bounds are 0 and 2^i - 1).
-        assert!(Log2Histogram::from_parts(&[(5, 1)], 1, 5, 5, 5).is_none());
-        // Counts must reconcile with the total.
-        assert!(Log2Histogram::from_parts(&[(1, 1)], 2, 1, 1, 1).is_none());
     }
 }

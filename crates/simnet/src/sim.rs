@@ -110,10 +110,6 @@ pub struct Simulation<N: SimNode> {
     queue: BinaryHeap<Event<N::Input, N::Msg>>,
     links: Vec<LinkState>,
     cfg: LinkConfig,
-    /// Per-directed-link overrides of the global link model (heterogeneous
-    /// WANs: a slow transatlantic hop, a lossy last mile, ...). Ordered so
-    /// any iteration over overrides is seed-independent.
-    overrides: std::collections::BTreeMap<(NodeId, NodeId), LinkConfig>,
     rng: StdRng,
     now: SimTime,
     next_seq: u64,
@@ -142,7 +138,6 @@ impl<N: SimNode> Simulation<N> {
             queue: BinaryHeap::new(),
             links: vec![LinkState::default(); n * n],
             cfg,
-            overrides: std::collections::BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -150,12 +145,6 @@ impl<N: SimNode> Simulation<N> {
             events_processed: 0,
             outgoing_scratch: Vec::new(),
         }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn node_count(&self) -> u16 {
-        self.nodes.len() as u16
     }
 
     /// Current virtual time.
@@ -185,36 +174,9 @@ impl<N: SimNode> Simulation<N> {
         &self.nodes[id as usize]
     }
 
-    /// Mutable access to node `id`'s handler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id as usize]
-    }
-
     /// Iterates over all node handlers.
     pub fn iter_nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
-    }
-
-    /// Overrides the link model for the directed link `from → to`
-    /// (heterogeneous topologies). Must be set before traffic flows on the
-    /// link for its FIFO state to be meaningful.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range, the endpoints are equal,
-    /// or `cfg` is invalid.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, cfg: LinkConfig) {
-        assert!(from != to, "no self links in the mesh");
-        assert!(
-            (from as usize) < self.nodes.len() && (to as usize) < self.nodes.len(),
-            "link endpoint out of range"
-        );
-        cfg.validate();
-        self.overrides.insert((from, to), cfg);
     }
 
     /// Schedules `input` to arrive at `node` at absolute time `t`.
@@ -274,12 +236,11 @@ impl<N: SimNode> Simulation<N> {
         }
         for (to, msg, bytes) in outgoing.drain(..) {
             let idx = self.link_index(ev.target, to);
-            let link_cfg = *self.overrides.get(&(ev.target, to)).unwrap_or(&self.cfg);
-            let deliver_at = self.links[idx].schedule(self.now, bytes, &link_cfg, &mut self.rng);
-            self.metrics.record_send(ev.target, to, bytes);
+            let deliver_at = self.links[idx].schedule(self.now, bytes, &self.cfg, &mut self.rng);
+            self.metrics.record_send(bytes);
             // Loss happens after the link was occupied: a dropped message
             // still burned its transmission slot.
-            if link_cfg.draw_loss(&mut self.rng) {
+            if self.cfg.draw_loss(&mut self.rng) {
                 self.metrics.record_drop();
                 continue;
             }
@@ -473,89 +434,12 @@ mod tests {
             panic!("node 1 is the sink");
         };
         assert_eq!(sink.at.len(), 2);
-        let gap = sink.at[1].since(sink.at[0]);
+        let gap = sink.at[1] - sink.at[0];
         // Transmission of 9000 bytes at 90kbps = 0.8s; latencies differ by
         // at most 80ms, so the gap must exceed 0.7s.
         assert!(
             gap >= SimDuration::from_millis(700),
             "bandwidth not serialized: gap {gap}"
-        );
-    }
-
-    #[test]
-    fn per_link_overrides_apply() {
-        // Node 0 sends the same payload to nodes 1 and 2; the 0→2 link is
-        // overridden to be 100x slower, so node 2's delivery lags.
-        struct Fan;
-        impl SimNode for Fan {
-            type Input = ();
-            type Msg = ();
-            fn on_input(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
-                ctx.send(1, (), 900);
-                ctx.send(2, (), 900);
-            }
-            fn on_message(&mut self, _: NodeId, _: (), _: &mut Ctx<'_, ()>) {}
-        }
-        struct At(Option<SimTime>);
-        impl SimNode for At {
-            type Input = ();
-            type Msg = ();
-            fn on_input(&mut self, _: (), _: &mut Ctx<'_, ()>) {}
-            fn on_message(&mut self, _: NodeId, _: (), ctx: &mut Ctx<'_, ()>) {
-                self.0 = Some(ctx.now());
-            }
-        }
-        enum Node {
-            Fan(Fan),
-            At(At),
-        }
-        impl SimNode for Node {
-            type Input = ();
-            type Msg = ();
-            fn on_input(&mut self, i: (), ctx: &mut Ctx<'_, ()>) {
-                match self {
-                    Node::Fan(x) => x.on_input(i, ctx),
-                    Node::At(x) => x.on_input(i, ctx),
-                }
-            }
-            fn on_message(&mut self, f: NodeId, m: (), ctx: &mut Ctx<'_, ()>) {
-                match self {
-                    Node::Fan(x) => x.on_message(f, m, ctx),
-                    Node::At(x) => x.on_message(f, m, ctx),
-                }
-            }
-        }
-        let fast = LinkConfig {
-            latency_min: SimDuration::from_millis(1),
-            latency_max: SimDuration::from_millis(1),
-            bandwidth_bps: 1_000_000,
-            loss_ppm: 0,
-        };
-        let slow = LinkConfig {
-            latency_min: SimDuration::from_millis(500),
-            latency_max: SimDuration::from_millis(500),
-            bandwidth_bps: 10_000,
-            loss_ppm: 0,
-        };
-        let mut sim = Simulation::new(
-            vec![Node::Fan(Fan), Node::At(At(None)), Node::At(At(None))],
-            fast,
-            1,
-        );
-        sim.set_link(0, 2, slow);
-        sim.inject_at(SimTime::ZERO, 0, ());
-        sim.run_to_quiescence();
-        let t1 = match sim.node(1) {
-            Node::At(At(Some(t))) => *t,
-            _ => panic!("node 1 got nothing"),
-        };
-        let t2 = match sim.node(2) {
-            Node::At(At(Some(t))) => *t,
-            _ => panic!("node 2 got nothing"),
-        };
-        assert!(
-            t2.since(t1) >= SimDuration::from_millis(400),
-            "override must slow 0->2: t1 {t1}, t2 {t2}"
         );
     }
 

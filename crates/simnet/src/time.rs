@@ -23,12 +23,6 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
-    /// A duration of `s` seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000)
-    }
-
     /// Duration to serialize `bytes` at `bits_per_sec` on a link.
     ///
     /// # Panics
@@ -50,12 +44,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Scales the duration by an integer factor.
-    #[inline]
-    pub const fn times(self, n: u64) -> Self {
-        SimDuration(self.0 * n)
     }
 }
 
@@ -105,12 +93,6 @@ impl SimTime {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// Duration elapsed since `earlier` (saturating at zero).
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -158,7 +140,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimDuration::from_millis(20).as_micros(), 20_000);
-        assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
@@ -166,7 +147,7 @@ mod tests {
     fn transmission_time_90kbps() {
         // 90 kbit at 90 kbps takes exactly one second — the paper's model.
         let d = SimDuration::transmission(90_000 / 8, 90_000);
-        assert_eq!(d, SimDuration::from_secs(1));
+        assert_eq!(d, SimDuration::from_millis(1_000));
         // 20-byte tuple at 90 kbps: 160 bits / 90k bps = 1777 us.
         let t = SimDuration::transmission(20, 90_000);
         assert_eq!(t.as_micros(), 1_777);
@@ -176,9 +157,8 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::ZERO + SimDuration::from_millis(5);
         let u = t + SimDuration::from_millis(3);
-        assert_eq!(u.since(t), SimDuration::from_millis(3));
-        assert_eq!(t.since(u), SimDuration::ZERO, "saturates");
         assert_eq!(u - t, SimDuration::from_millis(3));
+        assert_eq!(t - u, SimDuration::ZERO, "saturates");
         assert_eq!(t.max(u), u);
     }
 
@@ -186,7 +166,7 @@ mod tests {
     fn display_scales_units() {
         assert_eq!(SimDuration::from_micros(5).to_string(), "5us");
         assert_eq!(SimDuration::from_micros(2_500).to_string(), "2.5ms");
-        assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
+        assert_eq!(SimDuration::from_millis(3_000).to_string(), "3.000s");
         assert_eq!(SimTime::from_micros(1_000_000).to_string(), "t=1.000000s");
     }
 

@@ -7,26 +7,6 @@
 //! because sliding windows evict tuples, which must decrement the filter.
 
 use crate::hash::PolyHash;
-use std::fmt;
-
-/// Error raised when combining incompatible filters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterMismatchError {
-    expected: (usize, usize, u64),
-    found: (usize, usize, u64),
-}
-
-impl fmt::Display for FilterMismatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bloom filter shapes/seeds differ: expected (m, k, seed) = {:?}, found {:?}",
-            self.expected, self.found
-        )
-    }
-}
-
-impl std::error::Error for FilterMismatchError {}
 
 /// A counting Bloom filter over `u64` values.
 ///
@@ -213,28 +193,6 @@ impl CountingBloomFilter {
         let k = self.k as f64;
         (1.0 - (-k * n / m).exp()).powf(k)
     }
-
-    /// Adds another filter's counters into this one (union of contents).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FilterMismatchError`] when shapes or seeds differ.
-    pub fn merge(&mut self, other: &CountingBloomFilter) -> Result<(), FilterMismatchError> {
-        if self.counters.len() != other.counters.len()
-            || self.k != other.k
-            || self.seed != other.seed
-        {
-            return Err(FilterMismatchError {
-                expected: (self.counters.len(), self.k, self.seed),
-                found: (other.counters.len(), other.k, other.seed),
-            });
-        }
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.items += other.items;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -317,26 +275,6 @@ mod tests {
         let f = CountingBloomFilter::with_size_bytes(8192, 1000, 2);
         assert!(f.size_bytes() <= 8192);
         assert!(f.hash_count() >= 1);
-    }
-
-    #[test]
-    fn merge_unions_contents() {
-        let mut a = CountingBloomFilter::new(512, 3, 4);
-        let mut b = CountingBloomFilter::new(512, 3, 4);
-        a.insert(1);
-        b.insert(2);
-        a.merge(&b).unwrap();
-        assert!(a.contains(1) && a.contains(2));
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn merge_incompatible_errors() {
-        let mut a = CountingBloomFilter::new(512, 3, 4);
-        let b = CountingBloomFilter::new(512, 3, 5);
-        let c = CountingBloomFilter::new(256, 3, 4);
-        assert!(a.merge(&b).is_err());
-        assert!(a.merge(&c).is_err());
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! four-wise family for their variance bound, Bloom indexes get by with the
 //! pairwise one. All randomness is derived deterministically from a caller
 //! seed via SplitMix64 so that two sketches built from the same seed are
-//! mergeable/joinable across nodes without shipping coefficient tables.
+//! joinable across nodes without shipping coefficient tables.
 
 /// The Mersenne prime `2⁶¹ − 1`.
 pub const MERSENNE_61: u64 = (1 << 61) - 1;
 
 /// A deterministic seed-expansion PRNG (SplitMix64).
 ///
-/// Used internally to derive hash coefficients; exposed because workload
-/// generators in sibling crates also want cheap deterministic streams.
+/// Derives the hash coefficients, so sketches built from one seed on
+/// different nodes share a hash family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -32,23 +32,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// Next value uniform in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        // Multiply-shift rejection-free mapping; bias is negligible for
-        // bounds far below 2^64.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// Next `f64` uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -115,11 +98,6 @@ impl PolyHash {
         PolyHash::k_wise(4, seed)
     }
 
-    /// The independence degree `k`.
-    pub fn independence(&self) -> usize {
-        self.coeffs.len()
-    }
-
     /// Hash of `x`, uniform over `[0, 2⁶¹ − 1)`.
     pub fn hash(&self, x: u64) -> u64 {
         let x = x % MERSENNE_61;
@@ -160,16 +138,6 @@ mod tests {
         let mut b = SplitMix64::new(9);
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn splitmix_bounds_respected() {
-        let mut rng = SplitMix64::new(1);
-        for _ in 0..1000 {
-            assert!(rng.next_below(17) < 17);
-            let f = rng.next_f64();
-            assert!((0.0..1.0).contains(&f));
         }
     }
 

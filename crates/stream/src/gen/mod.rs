@@ -147,18 +147,6 @@ impl ArrivalGen {
         }
     }
 
-    /// The attribute domain size.
-    #[inline]
-    pub fn domain(&self) -> u32 {
-        self.domain
-    }
-
-    /// Number of nodes tuples are spread over.
-    #[inline]
-    pub fn nodes(&self) -> u16 {
-        self.partitioner.nodes()
-    }
-
     /// Produces the next arrival.
     pub fn next_arrival(&mut self) -> Arrival {
         let stream = self.next_stream;

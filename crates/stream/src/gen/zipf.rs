@@ -16,7 +16,6 @@ pub struct ZipfSource {
     /// `cdf.last()`, cached so sampling never touches an `Option`.
     total: f64,
     domain: u32,
-    alpha: f64,
 }
 
 impl ZipfSource {
@@ -41,14 +40,7 @@ impl ZipfSource {
             cdf,
             total: acc,
             domain,
-            alpha,
         }
-    }
-
-    /// The skew parameter.
-    #[inline]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Draws one Zipf-distributed rank (0 = most popular).

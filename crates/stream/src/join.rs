@@ -18,13 +18,11 @@ use crate::window::{SlidingWindow, WindowSpec};
 /// let mut j = SymmetricHashJoin::new(WindowSpec::count(4));
 /// assert_eq!(j.push(Tuple::new(StreamId::R, 1, 0, 0), 0), 0);
 /// assert_eq!(j.push(Tuple::new(StreamId::S, 1, 1, 0), 1), 1);
-/// assert_eq!(j.results(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SymmetricHashJoin {
     r: SlidingWindow,
     s: SlidingWindow,
-    results: u64,
 }
 
 impl SymmetricHashJoin {
@@ -33,29 +31,7 @@ impl SymmetricHashJoin {
         SymmetricHashJoin {
             r: SlidingWindow::new(spec),
             s: SlidingWindow::new(spec),
-            results: 0,
         }
-    }
-
-    /// Creates a join with distinct policies per stream.
-    pub fn with_specs(r_spec: WindowSpec, s_spec: WindowSpec) -> Self {
-        SymmetricHashJoin {
-            r: SlidingWindow::new(r_spec),
-            s: SlidingWindow::new(s_spec),
-            results: 0,
-        }
-    }
-
-    /// The `R` window.
-    #[inline]
-    pub fn r_window(&self) -> &SlidingWindow {
-        &self.r
-    }
-
-    /// The `S` window.
-    #[inline]
-    pub fn s_window(&self) -> &SlidingWindow {
-        &self.s
     }
 
     /// Window of the given stream.
@@ -67,12 +43,6 @@ impl SymmetricHashJoin {
         }
     }
 
-    /// Cumulative number of matches emitted.
-    #[inline]
-    pub fn results(&self) -> u64 {
-        self.results
-    }
-
     /// Probes the opposite window without inserting (used for tuples
     /// forwarded from remote nodes, which are matched but not stored).
     #[inline]
@@ -80,19 +50,10 @@ impl SymmetricHashJoin {
         self.window(tuple.stream.opposite()).probe(tuple.key)
     }
 
-    /// Deduplicating probe: matches only against tuples with a smaller
-    /// sequence number (see [`SlidingWindow::probe_before`]).
-    #[inline]
-    pub fn probe_before(&self, tuple: &Tuple) -> u32 {
-        self.window(tuple.stream.opposite())
-            .probe_before(tuple.key, tuple.seq)
-    }
-
     /// Inserts a tuple at timestamp `now`, returning the number of matches
     /// it produced against the opposite window.
     pub fn push(&mut self, tuple: Tuple, now: u64) -> u32 {
         let matches = self.probe(&tuple);
-        self.results += u64::from(matches);
         match tuple.stream {
             StreamId::R => self.r.insert(tuple, now),
             StreamId::S => self.s.insert(tuple, now),
@@ -112,7 +73,6 @@ impl SymmetricHashJoin {
 #[derive(Debug, Clone)]
 pub struct GroundTruth {
     per_node: Vec<SymmetricHashJoin>,
-    total: u64,
 }
 
 /// Per-arrival ground-truth outcome, split by where the matches were.
@@ -142,20 +102,7 @@ impl GroundTruth {
         assert!(n > 0, "need at least one node");
         GroundTruth {
             per_node: (0..n).map(|_| SymmetricHashJoin::new(spec)).collect(),
-            total: 0,
         }
-    }
-
-    /// Number of nodes tracked.
-    #[inline]
-    pub fn nodes(&self) -> usize {
-        self.per_node.len()
-    }
-
-    /// Total matches in the complete (exact) result set `|Ψ|` so far.
-    #[inline]
-    pub fn total_matches(&self) -> u64 {
-        self.total
     }
 
     /// Records the arrival of `tuple` at its origin node, returning how
@@ -176,17 +123,7 @@ impl GroundTruth {
         // Home probe + insert; probe-then-insert counts each co-located
         // pair once.
         m.local = u64::from(self.per_node[home].push(tuple, now));
-        self.total += m.remote + m.local;
         m
-    }
-
-    /// A view of node `i`'s current windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn node(&self, i: usize) -> &SymmetricHashJoin {
-        &self.per_node[i]
     }
 }
 
@@ -205,7 +142,6 @@ mod tests {
         j.push(t(StreamId::R, 1, 1, 0), 1);
         let m = j.push(t(StreamId::S, 1, 2, 0), 2);
         assert_eq!(m, 2, "S tuple joins both R tuples");
-        assert_eq!(j.results(), 2);
     }
 
     #[test]
@@ -229,28 +165,24 @@ mod tests {
     fn matches_symmetric_in_arrival_order() {
         // R-then-S and S-then-R produce the same total.
         let mut a = SymmetricHashJoin::new(WindowSpec::count(10));
-        a.push(t(StreamId::R, 5, 0, 0), 0);
-        a.push(t(StreamId::S, 5, 1, 0), 1);
+        let a_total = a.push(t(StreamId::R, 5, 0, 0), 0) + a.push(t(StreamId::S, 5, 1, 0), 1);
         let mut b = SymmetricHashJoin::new(WindowSpec::count(10));
-        b.push(t(StreamId::S, 5, 0, 0), 0);
-        b.push(t(StreamId::R, 5, 1, 0), 1);
-        assert_eq!(a.results(), b.results());
+        let b_total = b.push(t(StreamId::S, 5, 0, 0), 0) + b.push(t(StreamId::R, 5, 1, 0), 1);
+        assert_eq!(a_total, b_total);
     }
 
     #[test]
     fn cross_product_cardinality() {
         // 3 R-tuples and 4 S-tuples with one shared key ⇒ 12 matches.
         let mut j = SymmetricHashJoin::new(WindowSpec::count(100));
-        let mut seq = 0;
-        for _ in 0..3 {
-            j.push(t(StreamId::R, 9, seq, 0), seq);
-            seq += 1;
+        let mut total = 0;
+        for seq in 0..3 {
+            total += j.push(t(StreamId::R, 9, seq, 0), seq);
         }
-        for _ in 0..4 {
-            j.push(t(StreamId::S, 9, seq, 0), seq);
-            seq += 1;
+        for seq in 3..7 {
+            total += j.push(t(StreamId::S, 9, seq, 0), seq);
         }
-        assert_eq!(j.results(), 12);
+        assert_eq!(total, 12);
     }
 
     #[test]
@@ -260,7 +192,6 @@ mod tests {
         let m = gt.observe(t(StreamId::S, 1, 1, 1), 1);
         assert_eq!(m.local, 0);
         assert_eq!(m.remote, 1);
-        assert_eq!(gt.total_matches(), 1);
     }
 
     #[test]
@@ -270,14 +201,12 @@ mod tests {
         let m = gt.observe(t(StreamId::S, 1, 1, 2), 1);
         assert_eq!(m.local, 1);
         assert_eq!(m.remote, 0);
-        assert_eq!(gt.total_matches(), 1);
     }
 
     #[test]
     fn ground_truth_equals_centralized_when_single_node() {
         let mut gt = GroundTruth::new(1, WindowSpec::count(50));
         let mut central = SymmetricHashJoin::new(WindowSpec::count(50));
-        let mut total = 0u64;
         for seq in 0..500u64 {
             let stream = if seq % 2 == 0 {
                 StreamId::R
@@ -286,10 +215,9 @@ mod tests {
             };
             let key = (seq % 17) as u32;
             let tup = t(stream, key, seq, 0);
-            total += u64::from(central.push(tup, seq));
-            gt.observe(tup, seq);
+            let exact = u64::from(central.push(tup, seq));
+            assert_eq!(gt.observe(tup, seq).total(), exact);
         }
-        assert_eq!(gt.total_matches(), total);
     }
 
     #[test]

@@ -71,15 +71,6 @@ impl Partitioner {
         Partitioner::Geographic { nodes, locality }
     }
 
-    /// Number of nodes this partitioner spreads over.
-    pub fn nodes(&self) -> u16 {
-        match *self {
-            Partitioner::Uniform { nodes }
-            | Partitioner::RoundRobin { nodes, .. }
-            | Partitioner::Geographic { nodes, .. } => nodes,
-        }
-    }
-
     /// The node owning `key`'s range under the geographic layout.
     pub fn range_owner(key: u32, domain: u32, nodes: u16) -> u16 {
         debug_assert!(key < domain);

@@ -1,4 +1,4 @@
-//! Record a workload once, replay it against every algorithm, and render
+//! Record a workload once, replay it against every algorithm, and print
 //! the side-by-side comparison — the workflow the paper's evaluation used
 //! with its recorded FIN/NWRK traces.
 //!
@@ -6,7 +6,6 @@
 //! cargo run --release --example trace_comparison
 //! ```
 
-use dsjoin::core::report::compare;
 use dsjoin::core::{Algorithm, ClusterConfig};
 use dsjoin::stream::gen::WorkloadKind;
 use dsjoin::stream::trace::Trace;
@@ -45,7 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, _>>()?;
 
     println!("all five algorithms over the SAME recorded packet trace:\n");
-    print!("{}", compare(&reports));
+    println!("algo     eps  msgs/result  throughput");
+    for r in &reports {
+        let (eps, mpr, tput) = (r.epsilon, r.messages_per_result, r.throughput);
+        println!(
+            "{:<5}  {eps:.3}  {mpr:>11.2}  {tput:>10.0}",
+            r.algorithm.label()
+        );
+    }
     println!("\n(every run consumed identical arrivals — differences are purely algorithmic)");
     std::fs::remove_file(&path).ok();
     Ok(())

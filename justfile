@@ -66,13 +66,16 @@ repro-smoke:
 
 # Live runtimes: cross-backend lockstep equivalence (simnet = threads =
 # TCP, all five strategies) plus real socket runs of the flagship
-# algorithm and of the bulk closed-loop path (BASE: three messages per
-# tuple, where the per-burst wake-ups and write coalescing engage).
+# algorithm, of the bulk closed-loop path (BASE: three messages per
+# tuple, where the per-burst wake-ups and write coalescing engage), of a
+# lockstep-paced BLOOM cluster and of DFTT at N = 32.
 live-smoke:
     cargo test -q -p dsj-runtime
     cargo build --release -p dsj-runtime --example live_tcp
     ./target/release/examples/live_tcp 4 10000 dftt
     ./target/release/examples/live_tcp 4 50000 base
+    ./target/release/examples/live_tcp 5 5000 bloom lockstep
+    ./target/release/examples/live_tcp 32 4000 dftt
 
 # Run a workload over real loopback TCP sockets with codec-framed
 # messages, e.g. `just live-tcp 5 50000 bloom lockstep` or

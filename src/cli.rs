@@ -192,7 +192,7 @@ mod tests {
         assert_eq!(config.target, TargetComplexity::LogN);
         assert_eq!(config.bandwidth_budget_bps, Some(50_000));
         assert_eq!(config.time_window_ms, Some(500));
-        assert!((config.link.loss_prob() - 0.1).abs() < 1e-9);
+        assert_eq!(config.link.loss_ppm, 100_000);
         assert_eq!(config.seed, 9);
         assert_eq!(calibrate, Some(0.15));
     }
@@ -204,6 +204,17 @@ mod tests {
             panic!("expected a run");
         };
         assert_eq!(config.workload, WorkloadKind::Zipf { alpha: 0.9 });
+    }
+
+    #[test]
+    fn zero_window_parses_but_fails_validation() {
+        // The parser takes any number; `validate()` (which `run()` calls
+        // first) owns the range check, so the binary prints an error
+        // instead of reaching `WindowSpec::count`'s assert.
+        let Command::Run { config, .. } = parse(&args("--window 0")).unwrap() else {
+            panic!("expected a run");
+        };
+        assert_eq!(config.validate(), Err(dsj_core::RunError::ZeroWindow));
     }
 
     #[test]

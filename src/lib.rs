@@ -11,12 +11,12 @@
 //!
 //! | Sub-crate | Contents |
 //! |---|---|
-//! | [`dft`] | complex numbers, FFT, incremental DFT, compression, spectra |
+//! | [`dft`] | complex numbers, FFT, incremental DFT, compression, correlation from spectra |
 //! | [`sketch`] | AGMS sketches and counting Bloom filters (baselines) |
 //! | [`stream`] | tuples, sliding windows, exact window join, workload generators |
 //! | [`simnet`] | discrete-event WAN simulator (latency + bandwidth model) |
 //! | [`core`] | the distributed approximate-join algorithms and experiment runner |
-//! | [`runtime`] | the same nodes as live threads over channels (prototype mode) |
+//! | [`runtime`] | the same nodes as live threads, over in-process channels or loopback TCP sockets |
 //!
 //! # Quickstart
 //!

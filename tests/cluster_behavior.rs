@@ -174,13 +174,17 @@ fn bounded_cutoff_loses_messages_under_saturation() {
 fn time_windows_work_end_to_end() {
     // The paper claims the method is agnostic to the window definition;
     // run the cluster with a 1-second time window instead of a count.
-    let base = run(quick(4, Algorithm::Base).time_window(1_000));
+    let timed = |algorithm| ClusterConfig {
+        time_window_ms: Some(1_000),
+        ..quick(4, algorithm)
+    };
+    let base = run(timed(Algorithm::Base));
     assert!(
         base.epsilon < 0.08,
         "broadcast with time windows should stay near-exact: {}",
         base.epsilon
     );
-    let dftt = run(quick(4, Algorithm::Dftt).time_window(1_000));
+    let dftt = run(timed(Algorithm::Dftt));
     assert!((0.0..=1.0).contains(&dftt.epsilon));
     assert!(dftt.messages < base.messages);
 }

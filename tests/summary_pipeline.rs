@@ -3,7 +3,7 @@
 
 use dsjoin::dft::compress::choose_kappa;
 use dsjoin::dft::sliding::PointDft;
-use dsjoin::dft::{CompressedDft, ControlVector, SpectralSummary};
+use dsjoin::dft::{cross_correlation_coefficient, CompressedDft, ControlVector, Fft};
 use dsjoin::sketch::{AgmsSketch, CountingBloomFilter};
 use dsjoin::stream::gen::{price_series, ArrivalGen, WorkloadKind};
 use dsjoin::stream::partition::Partitioner;
@@ -37,6 +37,13 @@ fn node_histograms(
     hists
 }
 
+/// `ρ` (Eqn. 4) from the first `k` DFT coefficients of two window histograms.
+fn rho(a: &[f64], b: &[f64], k: usize) -> f64 {
+    let fft = Fft::new(a.len());
+    let (sa, sb) = (fft.forward_real(a), fft.forward_real(b));
+    cross_correlation_coefficient(&sa[..k], &sb[..k], a.len())
+}
+
 #[test]
 fn geographic_skew_shows_up_in_correlations() {
     let domain = 1u32 << 11;
@@ -44,10 +51,8 @@ fn geographic_skew_shows_up_in_correlations() {
     // Node i's R window correlates more with its *own* S window than with
     // a random remote one, because both share the node's hot key range.
     let k = 32;
-    let own = SpectralSummary::from_signal(&hists[2][0], k)
-        .correlation(&SpectralSummary::from_signal(&hists[2][1], k));
-    let cross = SpectralSummary::from_signal(&hists[2][0], k)
-        .correlation(&SpectralSummary::from_signal(&hists[4][1], k));
+    let own = rho(&hists[2][0], &hists[2][1], k);
+    let cross = rho(&hists[2][0], &hists[4][1], k);
     assert!(
         own > cross,
         "own-range correlation {own} should exceed cross-range {cross}"
@@ -61,10 +66,7 @@ fn uniform_data_correlations_are_flat() {
     // Heavily smoothed summaries (few low-frequency bins), as the routers
     // use for their worst-case detector.
     let k = 8;
-    let local = SpectralSummary::from_signal(&hists[0][0], k);
-    let rhos: Vec<f64> = (1..6)
-        .map(|j| local.correlation(&SpectralSummary::from_signal(&hists[j][1], k)))
-        .collect();
+    let rhos: Vec<f64> = (1..6).map(|j| rho(&hists[0][0], &hists[j][1], k)).collect();
     let mean = rhos.iter().sum::<f64>() / rhos.len() as f64;
     let std =
         (rhos.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / rhos.len() as f64).sqrt();
