@@ -86,7 +86,10 @@ fn main() {
 
     println!("# dsjoin reproduction harness (scale: {scale:?})");
     for (index, exp) in wanted.iter().enumerate() {
-        // dsj-lint: allow(wall-clock) — CLI progress timing of a whole section; never feeds results
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "CLI progress timing of a whole section; never feeds results"
+        )]
         let started = Instant::now();
         obs::scoped(exp, index as u64, || {
             run_experiment(exp, scale, &exec);

@@ -72,6 +72,10 @@ impl Executor {
     /// # Panics
     ///
     /// Propagates a panic from `f` once all workers have stopped.
+    #[allow(
+        clippy::expect_used,
+        reason = "scope() propagated worker panics, so every slot was filled"
+    )]
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -142,7 +146,6 @@ impl Executor {
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(|e| e.into_inner())
-                    // dsj-lint: allow(panic) — scope() propagated worker panics above, so every slot was filled
                     .expect("every slot filled by a worker")
             })
             .collect()

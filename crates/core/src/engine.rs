@@ -13,8 +13,12 @@
 //! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets read by the receiving node's thread, coalesced vectored writes | wall |
 //!
 //! The engine is deliberately thin: [`JoinNode`] stays transport-agnostic
-//! and allocation-free on its per-tuple path, and the engine adds only the
-//! fan-out of produced messages into the transport. The cross-backend
+//! and the engine adds only the fan-out of produced messages into the
+//! transport, through buffers it reuses. What a whole arrival still
+//! allocates is measured, not assumed (`tests/alloc_budget.rs`, per
+//! arrival on the paper-default schedule: BASE 0.27, DFT and DFTT 0.35,
+//! BLOOM 0.32, SKCH 1.06 — the window's per-key deques, piggyback and
+//! summary assembly, and SKCH's join-size estimates). The cross-backend
 //! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
 //! three backends produce identical per-node metrics and match digests for
 //! the same seed when driven in lockstep.
@@ -142,8 +146,8 @@ pub trait Transport {
 /// This is the single owner of the per-node drive loop: arrivals run the
 /// hot path and fan the produced messages into the transport; network
 /// messages apply summaries and probe windows. The engine also carries the
-/// node's reusable outgoing-message buffer so the steady-state loop
-/// allocates nothing.
+/// node's reusable outgoing-message buffer, so the fan-out adds no
+/// allocation of its own to the node's.
 #[derive(Debug)]
 pub struct NodeEngine {
     node: JoinNode,
@@ -196,7 +200,6 @@ impl NodeEngine {
     ///
     /// The first [`Transport::send`] failure; remaining messages for this
     /// arrival are dropped (the run is aborting anyway).
-    // dsj-lint: hot-path
     pub fn on_arrival<T: Transport>(
         &mut self,
         tuple: Tuple,
@@ -208,7 +211,6 @@ impl NodeEngine {
 
     /// The shared arrival core: runs the per-tuple hot path at an already
     /// sampled timestamp and fans the produced messages into `transport`.
-    // dsj-lint: hot-path
     fn arrival_at<T: Transport>(
         &mut self,
         tuple: Tuple,
@@ -220,7 +222,6 @@ impl NodeEngine {
         let mut result = Ok(());
         for (peer, msg) in out.drain(..) {
             if result.is_ok() {
-                // dsj-lint: allow(hot-path-opaque-call) — transport send is backend-specific: the simnet path pushes into a scratch buffer, channel/socket paths are measured cold by design
                 result = transport.send(peer, msg);
             }
         }
@@ -246,7 +247,6 @@ impl NodeEngine {
     ///
     /// The first [`Transport::send`] failure; the rest of the frame is
     /// dropped (the run is aborting anyway).
-    // dsj-lint: hot-path
     pub fn on_frame<T: Transport>(
         &mut self,
         frame: &mut Vec<TransportEvent>,
@@ -281,12 +281,10 @@ impl NodeEngine {
                     // so a fresh clock sample here is the delivery latency
                     // an open-loop client would observe.
                     let done_us = transport.now_us();
-                    // dsj-lint: allow(hot-path-opaque-call) — latency bookkeeping for open-loop load runs only; closed-loop feeders never send stamped arrivals, so the steady-state path never reaches this record
                     self.latency.record(done_us.saturating_sub(injected_us));
                     transport.quiesce();
                 }
                 TransportEvent::Net { from, msg } => {
-                    // dsj-lint: allow(hot-path-opaque-call) — summary application is the amortized control path (runs once per sync interval or piggyback, not per tuple); its allocations are by design
                     self.node.handle_message(from, msg);
                     transport.quiesce();
                 }

@@ -19,8 +19,14 @@ pub enum RunError {
     NoTuples,
     /// A zero-tuple window: nothing could ever join.
     ZeroWindow,
+    /// An empty attribute domain: no key could ever be drawn.
+    ZeroDomain,
     /// The geographic locality is not a probability.
     LocalityOutOfRange(f64),
+    /// The Zipf skew is negative or not finite.
+    ZipfAlphaOutOfRange(f64),
+    /// A bandwidth governor with a zero allowance could never send.
+    ZeroBandwidthBudget,
     /// The per-node arrival rate is not a finite positive number of
     /// tuples per second, or is so small that the run's virtual duration
     /// overflows the microsecond clock.
@@ -63,8 +69,15 @@ impl fmt::Display for RunError {
             ),
             RunError::NoTuples => write!(f, "experiment must process at least one tuple"),
             RunError::ZeroWindow => write!(f, "window must hold at least one tuple"),
+            RunError::ZeroDomain => write!(f, "attribute domain must hold at least one key"),
             RunError::LocalityOutOfRange(l) => {
                 write!(f, "locality {l} is not a probability in [0, 1]")
+            }
+            RunError::ZipfAlphaOutOfRange(a) => {
+                write!(f, "Zipf skew {a} is not a finite non-negative number")
+            }
+            RunError::ZeroBandwidthBudget => {
+                write!(f, "bandwidth budget must be at least 1 bit/s")
             }
             RunError::ArrivalRateOutOfRange(r) => write!(
                 f,
@@ -106,7 +119,12 @@ mod tests {
         .contains("1024"));
         assert!(RunError::NoTuples.to_string().contains("at least one"));
         assert!(RunError::ZeroWindow.to_string().contains("window"));
+        assert!(RunError::ZeroDomain.to_string().contains("domain"));
         assert!(RunError::LocalityOutOfRange(2.0).to_string().contains("2"));
+        assert!(RunError::ZipfAlphaOutOfRange(-1.0)
+            .to_string()
+            .contains("-1"));
+        assert!(RunError::ZeroBandwidthBudget.to_string().contains("budget"));
         assert!(RunError::ArrivalRateOutOfRange(-3.0)
             .to_string()
             .contains("-3"));

@@ -101,7 +101,6 @@ pub struct FlowScratch {
 
 /// Allocation-free core of `forwarding_probabilities`: fills `probs` in
 /// place (cleared first) and returns whether a distribution exists.
-// dsj-lint: hot-path
 pub fn forwarding_probabilities_into(
     rhos: &[Option<f64>],
     target: f64,
@@ -230,7 +229,6 @@ pub fn sample_recipients(probs: &[f64], rng: &mut StdRng) -> Vec<usize> {
 
 /// Allocation-free `sample_recipients`: clears and fills `out`, one
 /// draw per entry of `probs`.
-// dsj-lint: hot-path
 pub fn sample_recipients_into(probs: &[f64], rng: &mut StdRng, out: &mut Vec<usize>) {
     out.clear();
     for (j, &p) in probs.iter().enumerate() {
@@ -271,7 +269,6 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `n < 2` or `me >= n`.
-    // dsj-lint: hot-path
     pub fn pick_into(&mut self, me: u16, n: u16, count: usize, out: &mut Vec<u16>) {
         assert!(n >= 2, "need at least two nodes");
         assert!(me < n, "node id out of range");

@@ -173,7 +173,7 @@ pub struct JoinNode {
     rng: StdRng,
     metrics: NodeMetrics,
     governor: Option<ThroughputGovernor>,
-    /// Route scratch reused across arrivals (zero steady-state allocation).
+    /// Route scratch reused across arrivals.
     route_scratch: Route,
     /// Order-sensitive digest of every counted match observation — see
     /// [`JoinNode::match_digest`].
@@ -265,10 +265,11 @@ impl JoinNode {
     /// Transport-agnostic arrival handling (Fig. 7): local join, summary
     /// maintenance, routing. Clears and fills `out` with the
     /// `(peer, message)` pairs to transmit; the per-arrival route state
-    /// lives in buffers reused across calls, so the steady state allocates
-    /// nothing. `now_us` is the node's clock in microseconds (virtual or
-    /// wall, depending on the runtime).
-    // dsj-lint: hot-path
+    /// lives in buffers reused across calls. What still allocates — the
+    /// window's per-key deques, the piggyback and summary payloads built
+    /// below, SKCH's join-size estimates — is pinned per algorithm in
+    /// `tests/alloc_budget.rs`. `now_us` is the node's clock in
+    /// microseconds (virtual or wall, depending on the runtime).
     pub fn handle_arrival_into(&mut self, tuple: Tuple, now_us: u64, out: &mut Vec<(u16, Msg)>) {
         out.clear();
         debug_assert_eq!(tuple.origin, self.me, "arrival routed to wrong node");
@@ -319,10 +320,8 @@ impl JoinNode {
         }
         for &peer in &route.peers {
             let piggyback = if self.router.sync_due(peer) {
-                // dsj-lint: allow(hot-path-opaque-call) — summary serialization allocates by design; amortized over the sync interval, not per tuple
                 self.router.full_summaries(peer)
             } else {
-                // dsj-lint: allow(hot-path-opaque-call) — piggyback payload assembly allocates by design; bounded by the piggyback budget, not per tuple
                 self.router.piggyback(peer)
             };
             let msg = Msg::Tuple { tuple, piggyback };
@@ -342,7 +341,6 @@ impl JoinNode {
             if route.peers.contains(&peer) || !self.router.sync_overdue(peer) {
                 continue;
             }
-            // dsj-lint: allow(hot-path-opaque-call) — standalone summary batches allocate by design; sent only when a peer's sync is overdue
             let payloads = self.router.full_summaries(peer);
             if payloads.is_empty() {
                 continue;

@@ -80,6 +80,10 @@ impl Registry {
     }
 
     /// Runs `f`, recording its wall time under phase `name`.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "phase timers report wall time beside the results, never inside them"
+    )]
     pub fn time_phase<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();

@@ -221,6 +221,9 @@ impl ClusterConfig {
         if self.n < 2 {
             return Err(RunError::TooFewNodes(self.n));
         }
+        if self.domain == 0 {
+            return Err(RunError::ZeroDomain);
+        }
         if self.kappa > self.domain {
             return Err(RunError::KappaTooLarge {
                 kappa: self.kappa,
@@ -242,6 +245,14 @@ impl ClusterConfig {
         }
         if !(0.0..=1.0).contains(&self.locality) {
             return Err(RunError::LocalityOutOfRange(self.locality));
+        }
+        if let WorkloadKind::Zipf { alpha } = self.workload {
+            if !(alpha.is_finite() && alpha >= 0.0) {
+                return Err(RunError::ZipfAlphaOutOfRange(alpha));
+            }
+        }
+        if self.bandwidth_budget_bps == Some(0) {
+            return Err(RunError::ZeroBandwidthBudget);
         }
         // Zero, negative and NaN rates have no schedule, and one so small
         // that the run outlasts the microsecond clock wraps `seq * dt_us`.
@@ -780,6 +791,23 @@ mod tests {
                 RunError::LocalityOutOfRange(_)
             ));
         }
+        assert_eq!(
+            quick(Algorithm::Dft).domain(0).kappa(0).run().unwrap_err(),
+            RunError::ZeroDomain
+        );
+        for alpha in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                quick(Algorithm::Dft)
+                    .workload(WorkloadKind::Zipf { alpha })
+                    .run()
+                    .unwrap_err(),
+                RunError::ZipfAlphaOutOfRange(_)
+            ));
+        }
+        assert_eq!(
+            quick(Algorithm::Dft).bandwidth_budget(0).run().unwrap_err(),
+            RunError::ZeroBandwidthBudget
+        );
         for rate in [0.0, -3.0, f64::NAN, f64::INFINITY, 1e-12] {
             assert!(matches!(
                 quick(Algorithm::Dft).arrival_rate(rate).run().unwrap_err(),

@@ -81,7 +81,6 @@ impl ReconMemo {
 ///
 /// Free function (not a method) so callers can split-borrow the summary's
 /// `recon_plan`, `recon` and `remote` fields independently.
-// dsj-lint: hot-path
 #[inline]
 fn membership_estimate(
     plan: &IncrementalRecon,

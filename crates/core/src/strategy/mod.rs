@@ -240,7 +240,7 @@ pub(crate) struct Router {
     /// affinity row, so recomputed only when the summary reports the row
     /// changed.
     uniform: [bool; 2],
-    /// Per-tuple scratch, reused so the steady state allocates nothing:
+    /// Per-tuple scratch, reused so the policy itself allocates nothing:
     /// affinity row, membership candidates, residual affinities,
     /// forwarding probabilities, sampled peer indices.
     affinity: Vec<Option<f64>>,
@@ -322,7 +322,6 @@ impl Router {
     /// (its `peers` capacity is reused across tuples). `scale` multiplies
     /// the configured message-complexity target (the throughput
     /// governor's resource-availability dial; `1.0` = nominal budget).
-    // dsj-lint: hot-path
     pub fn route_into(
         &mut self,
         stream: StreamId,
@@ -374,7 +373,6 @@ impl Router {
         let budget = if tested {
             // Stable sort on purpose: equal scores stay in ascending peer
             // order, which is part of the recorded routing behaviour.
-            // dsj-lint: allow(hot-path-opaque-call) — std stable sort may allocate a merge buffer; kept because the tie order (ascending peer) is observable
             self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
             let take = (target.ceil() as usize).max(1);
             for idx in 0..take.min(self.candidates.len()) {

@@ -699,8 +699,31 @@ mod tests {
 
     #[test]
     fn round_trip_identity() {
+        // Wildcard-free on purpose: a new `Msg` or `SummaryPayload` variant
+        // is a compile error here until it has an arm, and a failed
+        // assertion below until `sample_msgs` carries one — so no variant
+        // ships without going through encode, decode and `wire_bytes`.
+        let mut seen = [false; 5];
         for msg in sample_msgs() {
+            let payloads = match &msg {
+                Msg::Tuple { piggyback, .. } => {
+                    seen[0] = true;
+                    piggyback
+                }
+                Msg::Summary(payloads) => {
+                    seen[1] = true;
+                    payloads
+                }
+            };
+            for payload in payloads {
+                match payload {
+                    SummaryPayload::Dft { .. } => seen[2] = true,
+                    SummaryPayload::Bloom { .. } => seen[3] = true,
+                    SummaryPayload::Sketch { .. } => seen[4] = true,
+                }
+            }
             let bytes = encode(&msg);
+            assert_eq!(bytes.len(), msg.wire_bytes(), "{msg:?}");
             let (back, consumed) = decode(&bytes).unwrap();
             assert_eq!(consumed, bytes.len());
             assert_eq!(back, msg);
@@ -708,6 +731,7 @@ mod tests {
             // compare equal: re-encoding reproduces the exact bytes.
             assert_eq!(encode(&back), bytes);
         }
+        assert_eq!(seen, [true; 5], "sample_msgs misses a variant");
     }
 
     #[test]

@@ -100,7 +100,6 @@ impl SlidingDft {
 
     /// Pushes a sample, evicting the oldest once the window is full.
     /// Returns the evicted sample, if any.
-    // dsj-lint: hot-path
     pub fn push(&mut self, x: f64) -> Option<f64> {
         let old = self.window[self.pos];
         let evicted = if self.is_full() { Some(old) } else { None };
@@ -115,7 +114,8 @@ impl SlidingDft {
         }
         self.updates_since_recompute += 1;
         if self.control.should_recompute(self.updates_since_recompute) {
-            // dsj-lint: allow(hot-path-opaque-call) — exact recompute (FFT scratch) allocates by design; amortized over the drift-control interval
+            // The exact recompute allocates (FFT scratch); it is amortized
+            // over the drift-control interval.
             self.recompute();
         }
         evicted
@@ -229,7 +229,6 @@ impl PointDft {
     /// # Panics
     ///
     /// Panics if `index >= domain`.
-    // dsj-lint: hot-path
     pub fn add(&mut self, index: usize, delta: f64) {
         assert!(index < self.domain, "index out of domain");
         self.values[index] += delta;
@@ -240,7 +239,8 @@ impl PointDft {
         self.total_updates += 1;
         self.updates_since_recompute += 1;
         if self.control.should_recompute(self.updates_since_recompute) {
-            // dsj-lint: allow(hot-path-opaque-call) — exact recompute (FFT scratch) allocates by design; amortized over the drift-control interval
+            // The exact recompute allocates (FFT scratch); it is amortized
+            // over the drift-control interval.
             self.recompute();
         }
     }
@@ -257,7 +257,6 @@ impl PointDft {
                 for (n, &x) in self.values.iter().enumerate() {
                     // Exact test on purpose: only true zeros can be skipped
                     // without changing the sum.
-                    // dsj-lint: allow(float-eq) — exact sparsity check; skipping only literal zeros is lossless
                     if x != 0.0 {
                         acc += self.twiddle[(k * n) % self.domain].scale(x);
                     }

@@ -338,7 +338,6 @@ mod tests {
             tokens: &scan.tokens,
             items: &items,
             exempt: false,
-            cut_lines: Vec::new(),
         };
         analyze(&[input])
     }

@@ -36,9 +36,10 @@
 //! `drop(var)` or leaving the binding block — a guard dropped in one
 //! `match` arm stays live in its siblings, and only there. Temporaries
 //! and pattern bindings stay live to the end of their statement. Lock
-//! identity is name-based and call resolution reuses the
-//! over-approximate union resolver of [`crate::callgraph`]; the residual
-//! approximations are spelled out in DESIGN.md §6.
+//! identity is name-based and call resolution is an over-approximate
+//! union by name (std method names in
+//! [`crate::callgraph`]'s `CLEAN_METHODS` are never resolved into the
+//! workspace); the residual approximations are spelled out in DESIGN.md §6.
 
 use crate::callgraph::{is_call, FileGraphInput, CLEAN_METHODS, KEYWORDS};
 use crate::cfg::{self, Cfg};
@@ -187,8 +188,8 @@ struct Edge {
     note: String,
 }
 
-/// Name-resolution tables over the same function set the call-graph pass
-/// uses (ungated, non-exempt, with a body).
+/// Name-resolution tables over every ungated, non-exempt workspace `fn`
+/// with a body.
 pub(crate) struct Tables {
     by_qual: BTreeMap<(String, String), Vec<Key>>,
     by_name: BTreeMap<String, Vec<Key>>,
@@ -574,7 +575,9 @@ fn scan_region(
             });
         }
 
-        // Workspace resolution, mirroring the call-graph pass.
+        // Workspace resolution: `Type::name` and `Self::name` exactly,
+        // `self.name(..)` preferring the enclosing `impl`, any other
+        // `.name(..)` to the union of workspace functions with that name.
         let prev = punct(toks, i.wrapping_sub(1));
         let self_recv = i >= 2 && ident(toks, i - 2) == Some("self");
         let callees: Vec<Key> = match prev {
@@ -1253,7 +1256,6 @@ mod tests {
             tokens: &scan.tokens,
             items: &items,
             exempt: false,
-            cut_lines: Vec::new(),
         };
         analyze(&[input])
     }

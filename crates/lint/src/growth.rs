@@ -281,7 +281,6 @@ mod tests {
             tokens: &scan.tokens,
             items: &items,
             exempt: false,
-            cut_lines: Vec::new(),
         };
         analyze(&[input])
     }

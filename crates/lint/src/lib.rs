@@ -1,41 +1,34 @@
 //! `dsj-lint` — repo-specific static analysis for the dsjoin workspace.
 //!
-//! A dependency-free linter enforcing the invariants the reproduction's
-//! claims rest on:
+//! One rule decides what lives here: *a rule family stays only if it
+//! catches something rustc, clippy or a test in the tree does not.* The
+//! five that do all concern the live runtimes' threading, where a wrong
+//! answer is invisible to every test on x86:
 //!
-//! - **determinism** — no `HashMap`/`HashSet` in deterministic paths, no
-//!   wall clocks outside the timing allowlist, no unseeded RNGs;
-//! - **panic-safety** — no `unwrap()`/`expect()`/`panic!`/`todo!` in
-//!   library code (tests, benches, examples exempt);
-//! - **hygiene** — every crate root carries `#![forbid(unsafe_code)]` and
-//!   `#![warn(missing_docs)]`; float `==`/`!=` comparisons are banned;
-//! - **hot-path discipline** — a call-graph pass ([`callgraph`]) proves
-//!   the per-tuple path (window insert → incremental DFT → route →
-//!   fan-out) stays allocation-free, panic-free and deterministic,
-//!   *transitively*: functions marked `// dsj-lint: hot-path` (plus the
-//!   configured [`callgraph::HOT_PATH_ROOTS`]) are roots, every workspace
-//!   function reachable from them is scanned, and calls the resolver
-//!   cannot follow surface as `hot-path-opaque-call` findings;
-//! - **concurrency & protocol discipline** — [`concurrency`] builds an
-//!   intra-procedural CFG ([`mod@cfg`]) per function and proves the
-//!   may-hold-while-acquiring lock graph acyclic (`lock-order`,
-//!   `RwLock` read/write guards included), flags guards live across
-//!   blocking calls on any path (`guard-across-blocking`) and proves
-//!   the `in_flight` quiescence counter balanced on every path
-//!   (`in-flight-balance`, with witness paths); [`atomics`] checks the
-//!   reactor's ordering protocols (`atomic-protocol`: Relaxed gates
-//!   need a confirming RMW, flags are set before kicks); [`growth`]
-//!   flags loop-fed struct fields nothing ever drains
-//!   (`unbounded-growth`); [`protocol`] cross-checks every wire enum
-//!   variant against its four mandatory homes — encode, decode,
-//!   `wire_bytes` accounting and engine handling (`wire-exhaustive`).
+//! - [`concurrency`] builds an intra-procedural CFG ([`mod@cfg`]) per
+//!   function and proves the may-hold-while-acquiring lock graph acyclic
+//!   (`lock-order`, `RwLock` read/write guards included), flags guards
+//!   live across blocking calls on any path (`guard-across-blocking`) and
+//!   proves the `in_flight` quiescence counter balanced on every path
+//!   (`in-flight-balance`, with witness paths);
+//! - [`atomics`] checks the reactor's ordering protocols
+//!   (`atomic-protocol`: Relaxed gates need a confirming RMW, flags are
+//!   set before kicks);
+//! - [`growth`] flags loop-fed struct fields nothing ever drains
+//!   (`unbounded-growth`).
+//!
+//! Everything else the crate once checked is checked more cheaply
+//! elsewhere (DESIGN.md §6 has the table): determinism, panic-safety and
+//! crate hygiene by the clippy gate (`clippy.toml` plus the second line
+//! of `just clippy`), wire-enum exhaustiveness by rustc and
+//! `wire::tests::round_trip_identity`, and the per-tuple path's
+//! allocations by measurement in `tests/alloc_budget.rs`.
 //!
 //! Findings can be waived in place with
 //! `// dsj-lint: allow(<rule>) — <reason>`; the waiver covers the pragma's
-//! own line and the next line, and every waiver is counted and reported
-//! (a pragma that waives nothing is itself a violation). On a resolvable
-//! call, `allow(hot-path-opaque-call)` also cuts the call edge — the
-//! sanctioned way to mark a deliberate cold-path escape.
+//! own line and the next line, every waived finding is printed with its
+//! reason, and a pragma that is malformed or waives nothing is itself a
+//! violation (`pragma`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,12 +40,9 @@ pub mod concurrency;
 pub mod growth;
 pub mod lex;
 pub mod parse;
-pub mod protocol;
-pub mod report;
 pub mod rules;
 
-pub use report::{baseline_ids, diff_baseline, finding_id, render_json, render_waivers};
-pub use rules::{classify_fixture, classify_workspace, lint_source, Finding, Rule, RULES};
+pub use rules::{Finding, Rule, RULES};
 
 use std::fs;
 use std::io;
@@ -61,42 +51,33 @@ use std::path::{Path, PathBuf};
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 4] = ["vendor", "target", "fixtures", ".git"];
 
-/// Whether to apply workspace path rules or arm every rule (fixtures).
+/// Whether test, bench and example directories are analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Path-sensitive classification for the dsjoin workspace; the
-    /// configured hot-path roots are required to resolve.
+    /// The dsjoin workspace: files under a `tests/`, `benches/` or
+    /// `examples/` directory are excluded from the analyses.
     Workspace,
-    /// Every rule live on every file (self-test fixtures); only
-    /// marker-derived hot-path roots are analyzed.
+    /// Every file is analyzed (self-test fixtures).
     Fixture,
 }
 
-/// One waiver pragma with its audited hit count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaiverRecord {
-    /// Workspace-relative path of the file holding the pragma.
-    pub file: String,
-    /// 1-based line the pragma sits on.
-    pub line: u32,
-    /// The rule it waives.
-    pub rule: Rule,
-    /// The justification text.
-    pub reason: String,
-    /// How many findings it waived (zero ⇒ stale ⇒ a `pragma` violation).
-    pub hits: usize,
+impl Mode {
+    /// The mode's name, as printed in the summary line.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Workspace => "workspace",
+            Mode::Fixture => "fixture",
+        }
+    }
 }
 
-/// The full result of linting a tree: every finding (waived ones
-/// included) plus the waiver audit.
+/// The full result of linting a tree.
 #[derive(Debug)]
 pub struct Report {
     /// The mode the tree was linted under.
     pub mode: Mode,
-    /// All findings, sorted by (file, line, rule).
+    /// All findings (waived ones included), sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Every waiver pragma in the tree, sorted by (file, line).
-    pub waivers: Vec<WaiverRecord>,
 }
 
 /// Recursively collects `.rs` files under `root`, skipping `vendor/`,
@@ -124,7 +105,7 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Per-file state carried between the scan, call-graph and waiver passes.
+/// Per-file state carried between the scan, analysis and waiver passes.
 struct FileState {
     rel: String,
     scan: lex::Scan,
@@ -134,9 +115,9 @@ struct FileState {
     findings: Vec<Finding>,
 }
 
-/// Lints every `.rs` file under `root` — token rules per file, then the
-/// cross-file hot-path pass, then waiver application and the stale-pragma
-/// audit — and returns the full [`Report`].
+/// Lints every `.rs` file under `root` — the tree-level passes, then
+/// waiver application and the stale-pragma audit — and returns the full
+/// [`Report`].
 pub fn lint_tree_report(root: &Path, mode: Mode) -> io::Result<Report> {
     let mut states: Vec<FileState> = Vec::new();
     for path in collect_rs_files(root)? {
@@ -146,35 +127,23 @@ pub fn lint_tree_report(root: &Path, mode: Mode) -> io::Result<Report> {
             .to_string_lossy()
             .replace('\\', "/");
         let source = fs::read_to_string(&path)?;
-        let class = match mode {
-            Mode::Workspace => classify_workspace(&rel),
-            Mode::Fixture => classify_fixture(&rel),
-        };
+        let exempt = mode == Mode::Workspace
+            && rel
+                .split('/')
+                .any(|c| c == "tests" || c == "benches" || c == "examples");
         let scan = lex::scan(&source);
         let items = parse::parse_items(&scan);
-        let (pragmas, pragma_errors) = rules::parse_pragmas(&rel, &scan.comments);
-        let mut findings = rules::token_findings(&rel, &scan, class);
-        findings.extend(pragma_errors);
-        for &line in &items.dangling_markers {
-            findings.push(Finding {
-                file: rel.clone(),
-                line,
-                rule: Rule::Pragma,
-                message: "hot-path marker attaches to no `fn` below it".to_string(),
-                waiver: None,
-            });
-        }
+        let (pragmas, findings) = rules::parse_pragmas(&rel, &scan.comments);
         states.push(FileState {
             rel,
             scan,
             items,
-            exempt: class.exempt_code,
+            exempt,
             pragmas,
             findings,
         });
     }
 
-    // Cross-file hot-path pass over the whole tree.
     let inputs: Vec<callgraph::FileGraphInput<'_>> = states
         .iter()
         .map(|s| callgraph::FileGraphInput {
@@ -182,45 +151,29 @@ pub fn lint_tree_report(root: &Path, mode: Mode) -> io::Result<Report> {
             tokens: &s.scan.tokens,
             items: &s.items,
             exempt: s.exempt,
-            cut_lines: s
-                .pragmas
-                .iter()
-                .filter(|p| p.rule == Rule::HotPathOpaque)
-                .map(|p| p.line)
-                .collect(),
         })
         .collect();
-    let mut hot = callgraph::analyze(&inputs, mode == Mode::Workspace);
     let model = concurrency::build_model(&inputs);
-    hot.extend(concurrency::analyze_model(&model, &inputs));
-    hot.extend(atomics::analyze_model(&model, &inputs));
-    hot.extend(growth::analyze_model(&model, &inputs));
+    let mut tree = concurrency::analyze_model(&model, &inputs);
+    tree.extend(atomics::analyze_model(&model, &inputs));
+    tree.extend(growth::analyze_model(&model, &inputs));
     drop(model);
-    hot.extend(protocol::analyze(&inputs, mode == Mode::Workspace));
     drop(inputs);
     let mut unattached: Vec<Finding> = Vec::new();
-    for f in hot {
+    for f in tree {
         match states.iter_mut().find(|s| s.rel == f.file) {
             Some(s) => s.findings.push(f),
             None => unattached.push(f),
         }
     }
 
-    // Waiver application + audit, per file.
+    // Waiver application + stale-pragma audit, per file.
     let mut findings: Vec<Finding> = Vec::new();
-    let mut waivers: Vec<WaiverRecord> = Vec::new();
     for s in &mut states {
         let mut hits = vec![0usize; s.pragmas.len()];
         rules::apply_waivers(&mut s.findings, &s.pragmas, &mut hits);
-        for (k, p) in s.pragmas.iter().enumerate() {
-            waivers.push(WaiverRecord {
-                file: s.rel.clone(),
-                line: p.line,
-                rule: p.rule,
-                reason: p.reason.clone(),
-                hits: hits[k],
-            });
-            if hits[k] == 0 {
+        for (p, &hits) in s.pragmas.iter().zip(&hits) {
+            if hits == 0 {
                 s.findings.push(rules::stale_pragma_finding(&s.rel, p));
             }
         }
@@ -229,11 +182,7 @@ pub fn lint_tree_report(root: &Path, mode: Mode) -> io::Result<Report> {
     findings.append(&mut unattached);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(Report {
-        mode,
-        findings,
-        waivers,
-    })
+    Ok(Report { mode, findings })
 }
 
 /// Lints every `.rs` file under `root` and returns all findings (waived

@@ -4,120 +4,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dsj_lint::{
-    baseline_ids, diff_baseline, is_workspace_root, lint_tree_report, render_json, render_waivers,
-    Mode, Report, Rule,
-};
+use dsj_lint::{is_workspace_root, lint_tree_report, Mode, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dsj-lint [PATH] [--format human|json] [--waivers]
-                [--baseline FILE] [--only RULE[,RULE..]]
+const USAGE: &str = "usage: dsj-lint [PATH]
 
-Lints every .rs file under PATH (default: the enclosing workspace root).
-A PATH whose Cargo.toml declares [workspace] gets the workspace path rules
-(including the configured hot-path roots); any other directory is linted
-in fixture mode (every rule armed, marker-derived hot-path roots only).
-
-  --format human|json   output format (default: human). JSON output is
-                        byte-stable across runs and carries stable finding
-                        ids of the form <rule>@<file>:<line>.
-  --waivers             report-only waiver audit: list every
-                        `dsj-lint: allow(..)` pragma with its hit count,
-                        then exit 0.
-  --baseline FILE       diff mode: FILE is a previous `--format json`
-                        report; fail (exit 1) only on findings NOT in it,
-                        printing `+ id` for each new finding and `- id`
-                        for each baseline entry the tree no longer
-                        produces (prune those from the baseline).
-  --only RULE[,RULE..]  restrict the run to the named rule ids; findings
-                        and waivers for every other rule are dropped.
+Lints every .rs file under PATH (default: the enclosing workspace root)
+and prints each violation, each waived finding with its reason, and a
+summary line. A PATH whose Cargo.toml declares [workspace] skips tests/,
+benches/ and examples/ directories; any other directory is linted in
+fixture mode (every file analyzed).
 
 exit codes: 0 clean, 1 unwaived violations, 2 usage/IO error";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Human,
-    Json,
-}
-
-struct Args {
-    path: Option<PathBuf>,
-    format: Format,
-    waivers_only: bool,
-    baseline: Option<PathBuf>,
-    only: Option<Vec<Rule>>,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        path: None,
-        format: Format::Human,
-        waivers_only: false,
-        baseline: None,
-        only: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-h" | "--help" => return Err(String::new()),
-            "--format" => {
-                parsed.format = match it.next().map(String::as_str) {
-                    Some("human") => Format::Human,
-                    Some("json") => Format::Json,
-                    other => {
-                        return Err(format!(
-                            "--format expects `human` or `json`, got {}",
-                            other.unwrap_or("nothing")
-                        ))
-                    }
-                };
-            }
-            "--waivers" => parsed.waivers_only = true,
-            "--baseline" => {
-                parsed.baseline = match it.next() {
-                    Some(p) => Some(PathBuf::from(p)),
-                    None => return Err("--baseline expects a report file path".to_string()),
-                };
-            }
-            "--only" => {
-                let list = match it.next() {
-                    Some(l) => l,
-                    None => return Err("--only expects a comma-separated rule list".to_string()),
-                };
-                let mut rules = Vec::new();
-                for id in list.split(',').filter(|s| !s.is_empty()) {
-                    match Rule::parse(id) {
-                        Some(r) => rules.push(r),
-                        None => return Err(format!("--only: unknown rule id `{id}`")),
-                    }
-                }
-                if rules.is_empty() {
-                    return Err("--only expects at least one rule id".to_string());
-                }
-                parsed.only = Some(rules);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path if parsed.path.is_none() => parsed.path = Some(PathBuf::from(path)),
-            extra => return Err(format!("unexpected extra argument `{extra}`")),
-        }
-    }
-    Ok(parsed)
-}
-
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("dsj-lint: {msg}\n");
+    let mut path: Option<PathBuf> = None;
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with('-') || path.is_some() {
+            if arg != "-h" && arg != "--help" {
+                eprintln!("dsj-lint: unexpected argument `{arg}`\n");
             }
             eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
-    };
-    let root = match args.path {
+        path = Some(PathBuf::from(arg));
+    }
+    let root = match path {
         Some(p) => p,
         None => match find_workspace_root() {
             Some(p) => p,
@@ -136,62 +49,22 @@ fn main() -> ExitCode {
     } else {
         Mode::Fixture
     };
-    let mut report = match lint_tree_report(&root, mode) {
+    let report = match lint_tree_report(&root, mode) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dsj-lint: io error walking {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(only) = &args.only {
-        report.findings.retain(|f| only.contains(&f.rule));
-        report.waivers.retain(|w| only.contains(&w.rule));
-    }
-
-    if args.waivers_only {
-        print!("{}", render_waivers(&report));
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &args.baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => baseline_ids(&s),
-            Err(e) => {
-                eprintln!("dsj-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let (added, removed) = diff_baseline(&baseline, &report);
-        for id in &added {
-            println!("+ {id}");
-        }
-        for id in &removed {
-            println!("- {id}");
-        }
-        println!(
-            "dsj-lint ({}): {} new finding(s), {} resolved since baseline",
-            report.mode.name(),
-            added.len(),
-            removed.len()
-        );
-        return if added.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    }
-    match args.format {
-        Format::Json => print!("{}", render_json(&report)),
-        Format::Human => print_human(&report),
-    }
-    let violations = report.findings.iter().filter(|f| f.is_violation()).count();
-    if violations == 0 {
-        ExitCode::SUCCESS
-    } else {
+    print_report(&report);
+    if report.findings.iter().any(|f| f.is_violation()) {
         ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
-fn print_human(report: &Report) {
+fn print_report(report: &Report) {
     let violations: Vec<_> = report
         .findings
         .iter()

@@ -1,13 +1,12 @@
 //! Item-structure recovery from the token stream.
 //!
-//! The call-graph pass needs to know *which function* a token belongs to,
-//! which `impl` block owns that function, and whether the whole thing is
-//! compiled out of release builds. A full parser would be overkill — this
-//! module recovers exactly that skeleton with a single linear walk over
-//! the [`crate::lex`] token stream: a brace-frame stack tracks `impl`,
-//! `trait` and `mod` nesting, `#[cfg(test)]`/`#[cfg(.. feature ..)]`
-//! attributes mark items as gated, and `// dsj-lint: hot-path` marker
-//! comments attach to the next `fn` below them.
+//! The tree-level passes need to know *which function* a token belongs
+//! to, which `impl` block owns that function, and whether the whole thing
+//! is compiled out of release builds. A full parser would be overkill —
+//! this module recovers exactly that skeleton with a single linear walk
+//! over the [`crate::lex`] token stream: a brace-frame stack tracks
+//! `impl`, `trait` and `mod` nesting, and `#[cfg(test)]` /
+//! `#[cfg(.. feature ..)]` attributes mark items as gated.
 //!
 //! Known (deliberate) approximations, all conservative for our use:
 //!
@@ -15,15 +14,10 @@
 //!   body's token range, so their calls are attributed to the outer
 //!   function (over-approximates reachability).
 //! - Any `cfg` attribute mentioning `test` or `feature` counts as gated —
-//!   gated functions are excluded from the call graph, so calls *into*
-//!   them surface as opaque-call findings rather than silently resolving
-//!   to code that may not exist in a release build.
+//!   gated functions are excluded from call resolution, so a call never
+//!   resolves to code that may not exist in a release build.
 
 use crate::lex::{Scan, Token, TokenKind};
-
-/// The marker comment body (after `dsj-lint:`) that turns the next `fn`
-/// into a hot-path analysis root.
-pub const HOT_MARKER: &str = "hot-path";
 
 /// One `fn` item recovered from a file's token stream.
 #[derive(Debug, Clone)]
@@ -39,15 +33,13 @@ pub struct FnItem {
     /// bodyless signatures (trait methods, extern decls).
     pub body: Option<(usize, usize)>,
     /// Compiled out of release builds (`#[cfg(test)]`, feature gates, or
-    /// inside a gated `mod`/`impl`) — excluded from the call graph.
+    /// inside a gated `mod`/`impl`) — excluded from call resolution.
     pub gated: bool,
-    /// Carries a `// dsj-lint: hot-path` marker: a hot-path analysis root.
-    pub hot_marker: bool,
 }
 
 impl FnItem {
     /// `Owner::name` for methods, bare `name` for free functions — the
-    /// form used in findings and in the configured root list.
+    /// form used in findings.
     pub fn display(&self) -> String {
         match &self.owner {
             Some(owner) => format!("{owner}::{}", self.name),
@@ -56,13 +48,11 @@ impl FnItem {
     }
 }
 
-/// Items recovered from one file, plus marker diagnostics.
+/// Items recovered from one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Lines of `dsj-lint: hot-path` markers with no `fn` below them.
-    pub dangling_markers: Vec<u32>,
 }
 
 /// A brace-delimited region and what it means for the items inside it.
@@ -87,8 +77,7 @@ fn punct(toks: &[Token], i: usize) -> Option<&str> {
     }
 }
 
-/// Recovers the `fn`/`impl`/`mod` skeleton of one scanned file and
-/// attaches hot-path markers.
+/// Recovers the `fn`/`impl`/`mod` skeleton of one scanned file.
 pub fn parse_items(scan: &Scan) -> FileItems {
     let toks = &scan.tokens;
     let mut items = FileItems::default();
@@ -158,7 +147,6 @@ pub fn parse_items(scan: &Scan) -> FileItems {
                                 line: toks[i].line,
                                 body: None,
                                 gated,
-                                hot_marker: false,
                             });
                             pending = Pending::Fn {
                                 idx: items.fns.len() - 1,
@@ -222,7 +210,6 @@ pub fn parse_items(scan: &Scan) -> FileItems {
             }
         }
     }
-    attach_markers(scan, &mut items);
     items
 }
 
@@ -290,23 +277,6 @@ fn impl_owner(toks: &[Token], mut i: usize) -> Option<String> {
         i += 1;
     }
     last
-}
-
-/// Attaches each `// dsj-lint: hot-path` marker to the first `fn` at or
-/// below it; markers with no `fn` below become dangling diagnostics.
-fn attach_markers(scan: &Scan, items: &mut FileItems) {
-    for c in &scan.comments {
-        let Some(rest) = c.text.trim_start().strip_prefix("dsj-lint:") else {
-            continue;
-        };
-        if rest.trim() != HOT_MARKER {
-            continue;
-        }
-        match items.fns.iter_mut().find(|f| f.line >= c.line) {
-            Some(f) => f.hot_marker = true,
-            None => items.dangling_markers.push(c.line),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,21 +358,5 @@ mod tests {
         assert_eq!(names, ["inner"]);
         let (s2, e2) = items.fns[1].body.unwrap();
         assert_eq!(s2, e2);
-    }
-
-    #[test]
-    fn hot_markers_attach_to_the_next_fn() {
-        let src = "// dsj-lint: hot-path\npub fn hot() {}\nfn cold() {}";
-        let items = parse(src);
-        assert!(items.fns[0].hot_marker);
-        assert!(!items.fns[1].hot_marker);
-        assert!(items.dangling_markers.is_empty());
-    }
-
-    #[test]
-    fn dangling_markers_are_reported() {
-        let items = parse("fn f() {}\n// dsj-lint: hot-path\nstruct S;");
-        assert!(!items.fns[0].hot_marker);
-        assert_eq!(items.dangling_markers, vec![2]);
     }
 }

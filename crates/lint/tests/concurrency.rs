@@ -1,8 +1,7 @@
-//! Self-tests for the v3 concurrency & protocol rule families: each
-//! seeded fixture under `fixtures/concurrency/` must fire its rule (via
-//! the lib API and via the binary's exit code), the workspace must pin
-//! at zero unwaived findings for all four families, and the `--baseline`
-//! / `--only` binary modes must honor their contracts.
+//! Self-tests for the concurrency rule families: each seeded fixture
+//! under `fixtures/concurrency/` must fire its rule (via the lib API and
+//! via the binary's exit code), and the workspace must pin at zero
+//! unwaived findings for all three families.
 
 use dsj_lint::{lint_tree, lint_tree_report, Mode, Rule};
 use std::path::{Path, PathBuf};
@@ -33,10 +32,6 @@ fn every_concurrency_rule_fires_on_its_fixture() {
         fired(Rule::InFlightBalance, "unbalanced_add.rs"),
         "{findings:?}"
     );
-    assert!(
-        fired(Rule::WireExhaustive, "missing_arm.rs"),
-        "{findings:?}"
-    );
 }
 
 #[test]
@@ -57,13 +52,6 @@ fn clean_variants_in_the_fixtures_stay_clean() {
         .filter(|f| f.file == "unbalanced_add.rs" && f.rule == Rule::InFlightBalance)
         .count();
     assert_eq!(inflight, 1, "{findings:?}");
-    // Only `Msg::Leave` is missing an engine arm.
-    let wire: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::WireExhaustive)
-        .collect();
-    assert_eq!(wire.len(), 1, "{wire:?}");
-    assert!(wire[0].message.contains("Msg::Leave"), "{wire:?}");
 }
 
 #[test]
@@ -93,12 +81,7 @@ fn binary_flags_the_concurrency_fixtures() {
         String::from_utf8_lossy(&out.stdout)
     );
     let report = String::from_utf8_lossy(&out.stdout);
-    for rule in [
-        "lock-order",
-        "guard-across-blocking",
-        "in-flight-balance",
-        "wire-exhaustive",
-    ] {
+    for rule in ["lock-order", "guard-across-blocking", "in-flight-balance"] {
         assert!(
             report.contains(&format!("[{rule}]")),
             "missing {rule} in:\n{report}"
@@ -115,10 +98,7 @@ fn workspace_has_zero_unwaived_concurrency_findings() {
         .filter(|f| {
             matches!(
                 f.rule,
-                Rule::LockOrder
-                    | Rule::GuardBlocking
-                    | Rule::InFlightBalance
-                    | Rule::WireExhaustive
+                Rule::LockOrder | Rule::GuardBlocking | Rule::InFlightBalance
             ) && f.is_violation()
         })
         .collect();
@@ -126,88 +106,30 @@ fn workspace_has_zero_unwaived_concurrency_findings() {
 }
 
 #[test]
-fn only_flag_restricts_rules_and_baseline_diffs() {
-    let bin = env!("CARGO_BIN_EXE_dsj-lint");
-
-    // --only with a rule the fixtures never violate: clean exit.
-    let out = Command::new(bin)
-        .arg(concurrency_fixtures())
-        .args(["--only", "hash-iter"])
-        .output()
-        .expect("run dsj-lint --only");
+fn workspace_mode_skips_test_bench_and_example_directories() {
+    // The same leaking counter under `src/` and under the three exempt
+    // directory names: workspace mode reports the `src/` copy only,
+    // fixture mode all four.
+    let root = std::env::temp_dir().join(format!("dsj-lint-exempt-{}", std::process::id()));
+    let seed = include_str!("../fixtures/concurrency/unbalanced_add.rs");
+    for dir in ["src", "tests", "benches", "examples"] {
+        std::fs::create_dir_all(root.join(dir)).expect("mkdir");
+        std::fs::write(root.join(dir).join("leak.rs"), seed).expect("write seed");
+    }
+    let files = |mode: Mode| -> Vec<String> {
+        let findings = lint_tree(&root, mode).expect("lint temp tree");
+        findings.into_iter().map(|f| f.file).collect()
+    };
+    let (workspace, fixture) = (files(Mode::Workspace), files(Mode::Fixture));
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(workspace, ["src/leak.rs"]);
     assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // --only with an unknown rule id is a usage error.
-    let out = Command::new(bin)
-        .args(["--only", "no-such-rule"])
-        .output()
-        .expect("run dsj-lint --only bad");
-    assert_eq!(out.status.code(), Some(2));
-
-    // An empty baseline makes every fixture finding new (exit 1, `+` lines);
-    // a baseline captured from the same tree is clean (exit 0).
-    let dir = workspace_root().join("target/lint-test-baselines");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let empty = dir.join("empty.json");
-    std::fs::write(&empty, "{}\n").expect("write empty baseline");
-    let out = Command::new(bin)
-        .arg(concurrency_fixtures())
-        .arg("--baseline")
-        .arg(&empty)
-        .output()
-        .expect("run dsj-lint --baseline empty");
-    assert_eq!(out.status.code(), Some(1));
-    let diff = String::from_utf8_lossy(&out.stdout);
-    assert!(diff.contains("+ lock-order@lock_cycle.rs:"), "{diff}");
-
-    let json = Command::new(bin)
-        .arg(concurrency_fixtures())
-        .args(["--format", "json"])
-        .output()
-        .expect("run dsj-lint --format json");
-    let full = dir.join("full.json");
-    std::fs::write(&full, &json.stdout).expect("write full baseline");
-    let out = Command::new(bin)
-        .arg(concurrency_fixtures())
-        .arg("--baseline")
-        .arg(&full)
-        .output()
-        .expect("run dsj-lint --baseline full");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // A missing baseline file is an IO/usage error.
-    let out = Command::new(bin)
-        .arg(concurrency_fixtures())
-        .arg("--baseline")
-        .arg(dir.join("does-not-exist.json"))
-        .output()
-        .expect("run dsj-lint --baseline missing");
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn checked_in_baseline_matches_the_workspace() {
-    let bin = env!("CARGO_BIN_EXE_dsj-lint");
-    let out = Command::new(bin)
-        .arg(workspace_root())
-        .arg("--baseline")
-        .arg(workspace_root().join("crates/lint/baseline.json"))
-        .output()
-        .expect("run dsj-lint --baseline on workspace");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
+        fixture,
+        [
+            "benches/leak.rs",
+            "examples/leak.rs",
+            "src/leak.rs",
+            "tests/leak.rs"
+        ]
     );
 }

@@ -49,6 +49,11 @@
 //! first — so the counter can only read zero when the cluster is globally
 //! idle.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the live harness runs on wall time: pacing, timeouts and latency stamps, never a reproduced result"
+)]
+
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
 use crate::reactor::Kick;
 use dsj_core::obs;
@@ -284,7 +289,8 @@ impl Inbox {
     }
 
     pub fn now_us(&self) -> u64 {
-        // dsj-lint: allow(hot-path-opaque-call) — the live clock *is* wall time; it feeds only time-window eviction and the governor, never reproduced results
+        // The live clock *is* wall time; it feeds only time-window eviction
+        // and the governor, never reproduced results.
         self.epoch.elapsed().as_micros() as u64
     }
 

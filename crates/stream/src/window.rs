@@ -56,8 +56,11 @@ pub struct SlidingWindow {
     counts: BTreeMap<u32, VecDeque<u64>>,
     inserted: u64,
     evicted: u64,
-    /// Tuples evicted by the most recent `insert`, reused across calls so
-    /// the steady-state insert path allocates nothing.
+    /// Tuples evicted by the most recent `insert`, reused across calls:
+    /// eviction itself allocates nothing. (The per-key deques of `counts`
+    /// do: a key entering the window allocates one, its last tuple leaving
+    /// frees it — 0.26 allocations per insert on the paper-default
+    /// schedule, pinned in `tests/alloc_budget.rs`.)
     evict_buf: Vec<Tuple>,
     /// Join keys of `evict_buf`, in the same (oldest-first) order — what
     /// the routing layer's summary maintenance consumes.
@@ -144,7 +147,6 @@ impl SlidingWindow {
     /// The returned slice borrows an internal buffer that is overwritten
     /// by the next `insert`; [`SlidingWindow::evicted_keys`] exposes the
     /// same eviction batch as bare join keys.
-    // dsj-lint: hot-path
     pub fn insert(&mut self, tuple: Tuple, now: u64) -> &[Tuple] {
         if let Some(last) = self.buf.back() {
             debug_assert!(

@@ -1,8 +1,8 @@
 //! Property-based invariants of the sliding window's probe index.
 //!
 //! The window keeps a per-key count index (`counts`) alongside the tuple
-//! buffer so `probe` is O(1); the zero-allocation insert path (PR 3) made
-//! eviction reuse internal buffers, so these properties pin the index
+//! buffer so `probe` is O(1), and eviction reuses internal buffers (PR
+//! 3), so these properties pin the index
 //! against a naive recount of the buffer under arbitrary mixed operation
 //! sequences for every window kind.
 

@@ -137,10 +137,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         Some("nwrk") | Some("network") => WorkloadKind::Network,
         Some(other) => return Err(CliError::new(format!("unknown workload '{other}'"))),
     };
+    // Negative and NaN included: `!(0.0..=1.0).contains` is true for both.
+    if !(0.0..=1.0).contains(&loss) {
+        return Err(CliError::new("--loss must be in [0, 1]"));
+    }
     if loss > 0.0 {
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(CliError::new("--loss must be in [0, 1]"));
-        }
         cfg.link = LinkConfig::paper_wan().with_loss(loss);
     }
     Ok(Command::Run {
@@ -245,5 +246,35 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("[0, 1]"));
+    }
+
+    #[test]
+    fn out_of_range_input_is_an_error_not_a_panic() {
+        // `--loss` has no `ClusterConfig` field to validate, so the parser
+        // owns its range; before, -1 and NaN ran silently as loss 0.
+        for loss in ["-1", "NaN", "1.5"] {
+            let err = parse(&args(&format!("--loss {loss}"))).unwrap_err();
+            assert!(err.to_string().contains("[0, 1]"), "{loss}: {err}");
+        }
+        assert!(parse(&args("--loss 1")).is_ok());
+        // The rest parse and fail `validate()` instead of reaching an
+        // assert inside `ClusterConfig::run`.
+        for (flags, want) in [
+            ("--alpha -1", dsj_core::RunError::ZipfAlphaOutOfRange(-1.0)),
+            ("--domain 0 --kappa 0", dsj_core::RunError::ZeroDomain),
+            ("--budget-bps 0", dsj_core::RunError::ZeroBandwidthBudget),
+        ] {
+            let Command::Run { config, .. } = parse(&args(flags)).unwrap() else {
+                panic!("expected a run");
+            };
+            assert_eq!(config.validate(), Err(want), "{flags}");
+        }
+        let Command::Run { config, .. } = parse(&args("--alpha NaN")).unwrap() else {
+            panic!("expected a run");
+        };
+        assert!(matches!(
+            config.validate(),
+            Err(dsj_core::RunError::ZipfAlphaOutOfRange(a)) if a.is_nan()
+        ));
     }
 }
