@@ -1,10 +1,10 @@
 //! One OS thread per node, in-process mailboxes as links.
 
 use crate::harness::{self, Inbox, Mailbox, Pacing};
+use crate::sync::Ordering;
 use dsj_core::obs;
 use dsj_core::{ClusterConfig, Msg, NodeMetrics, Transport, TransportEvent};
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,6 +162,18 @@ pub(crate) struct ChannelTransport {
     kick_due: Vec<bool>,
 }
 
+impl ChannelTransport {
+    /// Node `me` over its own `inbox` and every node's mailbox.
+    pub(crate) fn new(me: u16, inbox: Inbox, peers: Vec<Arc<Mailbox>>) -> Self {
+        ChannelTransport {
+            me,
+            inbox,
+            kick_due: vec![false; peers.len()],
+            peers,
+        }
+    }
+}
+
 impl Transport for ChannelTransport {
     type Error = LiveError;
 
@@ -254,7 +266,7 @@ impl LiveCluster {
         cfg: &ClusterConfig,
         spec: &harness::OpenLoop,
     ) -> Result<harness::LoadRun, LiveError> {
-        harness::drive_open(cfg, spec, Self::spawn(cfg)?)
+        harness::drive_open(cfg, spec, Self::spawn)
     }
 
     /// Prepares the run and spawns the node threads over channel
@@ -263,11 +275,8 @@ impl LiveCluster {
     /// entry points.
     pub(crate) fn spawn(cfg: &ClusterConfig) -> Result<harness::Run, LiveError> {
         let mut run = harness::prepare(cfg)?;
-        run.spawn_nodes(cfg, |run, me, inbox| ChannelTransport {
-            me,
-            inbox,
-            peers: run.mailboxes.clone(),
-            kick_due: vec![false; run.mailboxes.len()],
+        run.spawn_nodes(cfg, |run, me, inbox| {
+            ChannelTransport::new(me, inbox, run.mailboxes.clone())
         });
         Ok(run)
     }
@@ -360,6 +369,21 @@ mod tests {
             err,
             LiveError::Config(dsj_core::RunError::NoTuples)
         ));
+    }
+
+    #[test]
+    fn send_to_a_dead_peer_gives_its_increment_back() {
+        let shared = harness::Shared::new();
+        let (mailboxes, mut inboxes): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| harness::mailbox(&shared)).unzip();
+        drop(inboxes.pop());
+        let mut node = ChannelTransport::new(0, inboxes.remove(0), mailboxes);
+        let probe = Msg::Tuple {
+            tuple: dsj_stream::Tuple::new(dsj_stream::StreamId::R, 1, 0, 0),
+            piggyback: Vec::new(),
+        };
+        assert_eq!(node.send(1, probe), Err(LiveError::ChannelClosed));
+        assert_eq!(shared.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -56,12 +56,11 @@
 
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
 use crate::reactor::Kick;
+use crate::sync::{AtomicI64, Mutex, Ordering};
 use dsj_core::obs;
-use dsj_core::{ClusterConfig, NodeEngine, NodeMetrics, Transport, TransportEvent};
+use dsj_core::{ClusterConfig, NodeEngine, NodeMetrics, RunError, Transport, TransportEvent};
 use dsj_stream::gen::Arrival;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -589,7 +588,7 @@ impl OpenLoopFeeder {
     /// Feeder for `spec` over a cluster of `n` nodes.
     pub fn new(spec: &OpenLoop, n: u16) -> Self {
         OpenLoopFeeder {
-            interarrival_ns: 1e9 / spec.rate_tps.max(1e-6),
+            interarrival_ns: 1e9 / spec.rate_tps,
             abort_backlog: spec.backlog_bound(n),
         }
     }
@@ -660,14 +659,20 @@ pub(crate) fn drive(
     drive_with(&mut feeder, run).map(|(outcome, _)| outcome)
 }
 
-/// Feeds the arrival schedule open-loop at the spec's target rate and
-/// reports the run as a [`LoadRun`] (outcome + offered rate + overload
-/// observations).
+/// Spawns the cluster, feeds the arrival schedule open-loop at the spec's
+/// target rate and reports the run as a [`LoadRun`] (outcome + offered rate +
+/// overload observations).
 pub(crate) fn drive_open(
     cfg: &ClusterConfig,
     spec: &OpenLoop,
-    run: Run,
+    spawn: impl FnOnce(&ClusterConfig) -> Result<Run, LiveError>,
 ) -> Result<LoadRun, LiveError> {
+    // No schedule exists at a zero, negative, NaN or infinite rate: say so
+    // before any thread is spawned, not by waiting out an arrival due in days.
+    if !(spec.rate_tps.is_finite() && spec.rate_tps > 0.0) {
+        return Err(RunError::ArrivalRateOutOfRange(spec.rate_tps).into());
+    }
+    let run = spawn(cfg)?;
     let mut feeder = OpenLoopFeeder::new(spec, cfg.n);
     let total = run.arrivals.len();
     let (outcome, report) = drive_with(&mut feeder, run)?;
@@ -814,10 +819,47 @@ pub(crate) fn drive_with<F: Feeder>(
 }
 
 #[cfg(test)]
+/// A node thread as `NodeEngine::run` drives its transport — a frame of up to
+/// `max` events, a `quiesce` per event, a `flush` — until it has processed
+/// `expect` events: an arrival forwards one probe to `peer`, a probe is
+/// absorbed. `in_hand` counts events polled and not yet quiesced, for the
+/// observer.
+pub(crate) fn explored_node<T>(
+    mut transport: T,
+    peer: u16,
+    max: usize,
+    expect: usize,
+    in_hand: &std::sync::atomic::AtomicUsize,
+) where
+    T: Transport<Error = LiveError>,
+{
+    let mut frame = Vec::new();
+    let mut processed = 0;
+    while processed < expect {
+        transport.poll_frame(max, &mut frame).expect("poll_frame");
+        in_hand.fetch_add(frame.len(), Ordering::SeqCst);
+        for event in frame.drain(..) {
+            if let TransportEvent::Arrival(tuple) = event {
+                let piggyback = Vec::new();
+                transport
+                    .send(peer, dsj_core::Msg::Tuple { tuple, piggyback })
+                    .expect("send");
+            }
+            transport.quiesce();
+            in_hand.fetch_sub(1, Ordering::SeqCst);
+            processed += 1;
+        }
+        transport.flush().expect("flush");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use dsj_core::Algorithm;
-    use std::sync::atomic::AtomicU32;
+    use crate::cluster::ChannelTransport;
+    use crate::explore::{Explorer, Scenario};
+    use dsj_core::{Algorithm, Msg};
+    use std::sync::atomic::{AtomicU32, AtomicUsize};
 
     #[test]
     fn no_failures_reports_none() {
@@ -1027,6 +1069,75 @@ mod tests {
         assert_eq!(finished.load(Ordering::SeqCst), 1);
     }
 
+    #[test]
+    fn open_loop_rejects_a_rate_without_a_schedule_before_spawning() {
+        type Backend = fn(&ClusterConfig, &OpenLoop) -> Result<LoadRun, LiveError>;
+        let backends: [Backend; 2] = [
+            crate::LiveCluster::run_open_loop,
+            crate::TcpCluster::run_open_loop,
+        ];
+        // One node is no cluster either, but the rate is looked at first:
+        // nothing has been prepared, bound or spawned when it is refused.
+        for cfg in [test_cfg(3), test_cfg(1)] {
+            for rate in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+                for run in backends {
+                    match run(&cfg, &OpenLoop::new(rate)) {
+                        Err(LiveError::Config(RunError::ArrivalRateOutOfRange(r))) => {
+                            assert_eq!(r.to_bits(), rate.to_bits());
+                        }
+                        other => panic!("rate {rate}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The driver owes the nodes one last kick when the feeder returns: a
+    /// feeder that never had to wait has kicked nobody.
+    #[test]
+    fn the_driver_kicks_what_the_feeder_queued_last() {
+        struct OneArrival;
+        impl Feeder for OneArrival {
+            fn feed(
+                &mut self,
+                _: &[Arrival],
+                nodes: &mut Injector<'_>,
+            ) -> Result<FeedReport, LiveError> {
+                nodes.inject(0, arrival(0))?;
+                Ok(FeedReport {
+                    injected: 1,
+                    peak_backlog: 0,
+                    overloaded: false,
+                })
+            }
+        }
+        let cfg = test_cfg(2);
+        let mut run = prepare(&cfg).unwrap();
+        let inbox = run.inboxes.remove(0);
+        let kicked = Arc::new(AtomicU32::new(0));
+        let saw = Arc::clone(&kicked);
+        let engine = NodeEngine::new(cfg.build_node(0));
+        // Node 0 by hand; only a kick counts, not the timeout, not a
+        // spurious wake-up.
+        run.handles = vec![thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut kicked = false;
+            while !kicked && Instant::now() < deadline {
+                kicked = inbox.wait(Duration::from_secs(10));
+            }
+            saw.store(u32::from(kicked), Ordering::SeqCst);
+            assert_eq!(queued(&inbox).len(), 1);
+            inbox.quiesce();
+            engine
+        })];
+        drive_with(&mut OneArrival, run).unwrap();
+        assert_eq!(
+            kicked.load(Ordering::SeqCst),
+            1,
+            "the last burst was never kicked"
+        );
+    }
+
     /// Mailboxes nobody drains, with their receive halves kept alive.
     fn undrained(shared: &Shared, n: u16) -> (Vec<Arc<Mailbox>>, Vec<Inbox>) {
         (0..n).map(|_| mailbox(shared)).unzip()
@@ -1136,6 +1247,118 @@ mod tests {
         assert!(report.overloaded);
         assert_eq!(report.injected, 25);
         assert_eq!(report.peak_backlog, 25);
+    }
+
+    impl Mailbox {
+        /// Events queued, read past the explorer (for its observer, which
+        /// may not block: a queue held across a yield point is its finding).
+        pub(crate) fn queued(&self) -> Result<usize, String> {
+            let queue = self.queue.0.try_lock();
+            let queued = queue.map(|queue| queue.events.len());
+            queued.ok_or_else(|| "a mailbox is locked across a yield point".to_string())
+        }
+    }
+
+    const SEARCH: Explorer = Explorer {
+        bound: 3,
+        random: 50,
+        seed: 0x5EED,
+    };
+
+    fn arrival(seq: u64) -> TransportEvent {
+        TransportEvent::Arrival(dsj_stream::Tuple::new(dsj_stream::StreamId::R, 1, seq, 0))
+    }
+
+    /// Who meets whom in scenario 2.
+    #[derive(Clone, Copy, Debug)]
+    enum Parties {
+        /// `Injector::inject` ×2, `kick` ∥ node 0, which forwards both.
+        FeederAndNode,
+        /// Node 0 with two arrivals queued ∥ node 1, which absorbs its probes.
+        NodeAndNode,
+        /// Node 0's `send` ∥ node 1's `Inbox` dropping.
+        SenderAndDyingReceiver,
+    }
+
+    /// Scenario 2, the mailbox + in-flight protocol on the channel backend,
+    /// pair by pair. Nodes run as [`explored_node`]s, so a lost wake-up ends
+    /// with one parked on an event it was not told about. The observer holds
+    /// between any two steps: producers count first, so the in-flight count
+    /// covers what is queued or in a node's hands (zero means idle), and at the
+    /// end nothing else is left in it — a send that found its receiver gone
+    /// gave its increment back.
+    fn mailbox_protocol(parties: Parties) -> Scenario {
+        let shared = Arc::new(Shared::new());
+        let (mailboxes, mut inboxes) = undrained(&shared, 2);
+        let in_hand = Arc::new(AtomicUsize::new(0));
+        let node = |me: u16, inbox: Inbox| -> Box<dyn FnOnce() + Send> {
+            let transport = ChannelTransport::new(me, inbox, mailboxes.clone());
+            let in_hand = Arc::clone(&in_hand);
+            Box::new(move || explored_node(transport, 1 - me, 8, 2, &in_hand))
+        };
+        let (peer, own) = (inboxes.pop().unwrap(), inboxes.pop().unwrap());
+        let mut idle_peer = None;
+        let threads: Vec<Box<dyn FnOnce() + Send>> = match parties {
+            Parties::FeederAndNode => {
+                idle_peer = Some(peer);
+                let (shared, mailboxes) = (Arc::clone(&shared), mailboxes.clone());
+                let feeder = move || {
+                    let mut nodes = Injector::new(&shared, &mailboxes);
+                    nodes.inject(0, arrival(0)).unwrap();
+                    nodes.inject(0, arrival(1)).unwrap();
+                    nodes.kick();
+                };
+                vec![node(0, own), Box::new(feeder)]
+            }
+            Parties::NodeAndNode => {
+                for seq in 0..2 {
+                    shared.in_flight.fetch_add(1, Ordering::SeqCst);
+                    mailboxes[0].push(arrival(seq)).unwrap();
+                }
+                vec![node(0, own), node(1, peer)]
+            }
+            Parties::SenderAndDyingReceiver => {
+                let mut sender = ChannelTransport::new(0, own, mailboxes.clone());
+                let send = move || {
+                    let tuple = dsj_stream::Tuple::new(dsj_stream::StreamId::R, 1, 0, 0);
+                    let piggyback = Vec::new();
+                    let sent = sender.send(1, Msg::Tuple { tuple, piggyback });
+                    assert!(matches!(sent, Ok(()) | Err(LiveError::ChannelClosed)));
+                };
+                vec![Box::new(send), Box::new(move || drop(peer))]
+            }
+        };
+        let invariant = move |done: bool| {
+            let _undrained = &idle_peer;
+            let in_flight = shared.in_flight.0.load(Ordering::SeqCst);
+            let queued: Result<usize, String> = mailboxes.iter().map(|m| m.queued()).sum();
+            let (queued, in_hand) = (queued?, in_hand.load(Ordering::SeqCst));
+            let covered = (queued + in_hand) as i64;
+            if in_flight < covered || (done && in_flight != covered) {
+                return Err(format!(
+                    "in_flight = {in_flight} with {queued} queued and {in_hand} in hand"
+                ));
+            }
+            Ok(())
+        };
+        Scenario {
+            threads,
+            invariant: Box::new(invariant),
+        }
+    }
+
+    #[test]
+    fn explored_mailbox_protocol_counts_first_and_loses_no_wake_up() {
+        for parties in [
+            Parties::FeederAndNode,
+            Parties::NodeAndNode,
+            Parties::SenderAndDyingReceiver,
+        ] {
+            let report = SEARCH
+                .explore(|| mailbox_protocol(parties))
+                .unwrap_or_else(|f| panic!("{parties:?}: {f:?}"));
+            println!("mailbox + in-flight, {parties:?}: {report:?}");
+        }
     }
 
     #[test]

@@ -45,8 +45,10 @@
 #![warn(missing_docs)]
 
 mod cluster;
+mod explore;
 mod harness;
 mod reactor;
+mod sync;
 mod tcp;
 
 pub use cluster::{LiveCluster, LiveError, LiveOutcome, TransportStats};

@@ -42,16 +42,14 @@
 
 use crate::cluster::LiveError;
 use crate::harness::{self, Inbox, Mailbox};
+use crate::sync::{self, AtomicBool, AtomicU64, Mutex, Ordering, Thread};
 use crate::tcp::io_err;
 use dsj_core::wire::{FrameBatch, FrameDecoder};
 use dsj_core::{Msg, Transport, TransportEvent};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
 use std::time::Duration;
 
 /// Read-buffer size for link drains.
@@ -269,7 +267,9 @@ impl OutLink {
             return Err(DeadLink::default());
         }
         let stream = Arc::clone(&state.stream);
-        // dsj-lint: allow(guard-across-blocking) — the socket is nonblocking; write_vectored returns WouldBlock instead of blocking, and the guard serializes writer-vs-reactor access to the queue
+        // The guard stays across the write: the socket is nonblocking, so
+        // `write_vectored` returns `WouldBlock` instead of blocking, and the
+        // guard is what serializes writer-vs-reactor access to the queue.
         let result = state.queue.write_coalesced(&mut (&*stream), fresh, ends);
         let pending = result.is_ok() && state.queue.pending_bytes() > 0;
         self.parked.store(pending, Ordering::SeqCst);
@@ -395,8 +395,9 @@ pub(crate) struct Kick {
     /// lock-free by every kick after. A kick arriving before that only sets
     /// the flag — checked before the first park; the timeout backstops the rest.
     thread: OnceLock<Thread>,
-    /// Waits that found no kick pending (the `reactor_wakeups` gauge).
-    waits: AtomicU64,
+    /// Waits that found no kick pending (the `reactor_wakeups` gauge: part of
+    /// no protocol, so not a yield point of the explorer either).
+    waits: std::sync::atomic::AtomicU64,
 }
 
 impl Kick {
@@ -413,12 +414,12 @@ impl Kick {
     /// Spurious `park` returns surface as `false` — callers treat that
     /// exactly like a timeout, so they are benign.
     pub(crate) fn wait(&self, timeout: Duration) -> bool {
-        self.thread.get_or_init(thread::current);
+        self.thread.get_or_init(sync::current);
         if self.flag.swap(false, Ordering::SeqCst) {
             return true;
         }
         self.waits.fetch_add(1, Ordering::Relaxed);
-        thread::park_timeout(timeout);
+        sync::park_timeout(timeout);
         self.flag.swap(false, Ordering::SeqCst)
     }
 
@@ -640,11 +641,14 @@ impl Transport for ReactorTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{Explorer, Scenario};
     use crate::tcp::read_peer_id;
     use dsj_core::wire;
     use dsj_core::Msg;
     use dsj_stream::{StreamId, Tuple};
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
+    use std::thread;
 
     impl WriteQueue {
         /// Retries the queued tail alone, as `OutLink::pump` does; `true`
@@ -721,8 +725,8 @@ mod tests {
         let total = batch.bytes().len();
         let mut q = WriteQueue::default();
         let mut sink = ScriptedSink {
-            // Accept 7 bytes (mid-frame), then block.
-            script: VecDeque::from([Some(7), None]),
+            // Accept 7 bytes (mid-frame), then block; then 5 more, and block.
+            script: VecDeque::from([Some(7), None, Some(5), None]),
             ..ScriptedSink::default()
         };
         q.write_coalesced(&mut sink, batch.bytes(), batch.frame_ends())
@@ -730,10 +734,14 @@ mod tests {
         assert_eq!(q.pending_bytes(), total - 7);
         // Frame 0 is split across the wire boundary: all 5 still unsent.
         assert_eq!(q.unsent_msgs(), 5);
+        // A retry that blocks again keeps the unwritten tail and nothing else.
+        assert!(!q.retry(&mut sink).unwrap());
+        assert_eq!((q.buf.len(), q.head), (total - 12, 0));
         // Retry drains the rest; byte stream is exactly the batch, in order.
         assert!(q.retry(&mut sink).unwrap());
         assert_eq!(sink.accepted, batch.bytes());
         assert_eq!(q.unsent_msgs(), 0);
+        assert!(q.buf.is_empty(), "a drained queue still holds its bytes");
         let (frames, syscalls, peak) = q.totals();
         assert_eq!(frames, 5);
         assert!(syscalls >= 2);
@@ -961,7 +969,7 @@ mod tests {
                     .drain(&mut self.chunk, &mut self.held, &self.failures);
                 thread::yield_now();
             }
-            (self.held, self.failures.into_inner())
+            (self.held, self.failures.0.into_inner())
         }
 
         /// Node 0 as its own thread sees it — this link as its only
@@ -1105,6 +1113,169 @@ mod tests {
                 other => panic!("missing message, got {other:?}"),
             }
         }
+    }
+
+    const SEARCH: Explorer = Explorer {
+        bound: 2,
+        random: 50,
+        seed: 0x5EED,
+    };
+
+    /// Scenario 1, the latch as its users use it: a producer publishes work
+    /// and then notifies, `kicks` times; the consumer re-checks the work
+    /// after every wait. The first notify may precede the first wait, when
+    /// no thread is registered yet.
+    fn kick_latch(kicks: u64) -> Scenario {
+        let latch = Arc::new((Kick::default(), AtomicU64::new(0)));
+        let (consumer, producer) = (Arc::clone(&latch), latch);
+        Scenario {
+            threads: vec![
+                Box::new(move || {
+                    while consumer.1.load(Ordering::SeqCst) < kicks {
+                        consumer.0.wait(Inbox::IDLE_WAIT);
+                    }
+                }),
+                Box::new(move || {
+                    for _ in 0..kicks {
+                        producer.1.fetch_add(1, Ordering::SeqCst);
+                        producer.0.notify();
+                    }
+                }),
+            ],
+            invariant: Box::new(|_| Ok(())),
+        }
+    }
+
+    #[test]
+    fn explored_kick_latch_loses_no_wake_up() {
+        for kicks in 1..=2 {
+            let report = Explorer { bound: 3, ..SEARCH }
+                .explore(|| kick_latch(kicks))
+                .unwrap_or_else(|f| panic!("{kicks} kick(s): {f:?}"));
+            println!("kick latch, {kicks} kick(s): {report:?}");
+        }
+    }
+
+    /// A connected nonblocking loopback pair, `(writer's end, reader's end)`.
+    fn socket_pair() -> (Arc<TcpStream>, Arc<TcpStream>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        for end in [&writer, &reader] {
+            end.set_nonblocking(true).unwrap();
+            end.set_nodelay(true).unwrap();
+        }
+        (Arc::new(writer), Arc::new(reader))
+    }
+
+    /// Scenario 3, the dirty-flag hand-off over a real socket: node 0 turns
+    /// two queued arrivals into two flushes towards node 1 (write, `dirty`
+    /// store, kick), whose `poll_frame` claims the flag, drains and waits.
+    /// With waits that never time out (so no `owed` backstop either), a batch
+    /// left unread while the reader parks is a deadlock. And `poll_frame`'s
+    /// ordering rule: arrival 7 reaches node 1's mailbox before either probe
+    /// is written, so node 1 must frame it ahead of both.
+    fn dirty_flag_hand_off(ends: &(Arc<TcpStream>, Arc<TcpStream>)) -> Scenario {
+        let shared = Arc::new(harness::Shared::new());
+        let (mailboxes, inboxes): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| harness::mailbox(&shared)).unzip();
+        for seq in 0..2 {
+            shared.in_flight.fetch_add(1, Ordering::SeqCst);
+            mailboxes[0].push(arrival(seq)).unwrap();
+        }
+        let link = Arc::new(OutLink::new(0, Arc::clone(&ends.0)));
+        let towards_reader = Some((Arc::clone(&link), Arc::clone(&mailboxes[1])));
+        let inbound = vec![ReadLink::new(Arc::clone(&ends.1), 1, link)];
+        let (mut inboxes, failures) = (inboxes.into_iter(), &shared.failures);
+        let mut node = |me, inbound, outbound: [_; 2]| {
+            let (inbox, failures) = (inboxes.next().unwrap(), Arc::clone(failures));
+            ReactorTransport::new(me, inbox, inbound, outbound.into_iter(), failures)
+        };
+        let writer = node(0, Vec::new(), [None, towards_reader]);
+        let mut reader = node(1, inbound, [None, None]);
+        let (feeder, readers_mailbox) = (Arc::clone(&shared), Arc::clone(&mailboxes[1]));
+        Scenario {
+            threads: vec![
+                Box::new(move || {
+                    feeder.in_flight.fetch_add(1, Ordering::SeqCst);
+                    readers_mailbox.push(arrival(7)).unwrap();
+                    harness::explored_node(writer, 1, 1, 2, &AtomicUsize::new(0));
+                }),
+                Box::new(move || {
+                    let (mut frame, mut seen) = (Vec::new(), Vec::new());
+                    while seen.len() < 3 {
+                        reader.poll_frame(8, &mut frame).unwrap();
+                        seen.extend(shape(&frame));
+                        frame.drain(..).for_each(|_| reader.quiesce());
+                    }
+                    assert_eq!(seen, ["A7", "P0", "P1"], "a probe overtook the arrival");
+                }),
+            ],
+            invariant: Box::new(move |done| {
+                let in_flight = shared.in_flight.0.load(Ordering::SeqCst);
+                let failed = shared
+                    .failures
+                    .0
+                    .try_lock()
+                    .map_or(1, |failures| failures.len());
+                if in_flight < 0 || failed > 0 || (done && in_flight > 0) {
+                    return Err(format!("in_flight = {in_flight}, {failed} failure(s)"));
+                }
+                Ok(())
+            }),
+        }
+    }
+
+    #[test]
+    fn explored_dirty_flag_hand_off_leaves_no_batch_unread() {
+        let ends = socket_pair();
+        let report = SEARCH
+            .explore(|| dirty_flag_hand_off(&ends))
+            .unwrap_or_else(|f| panic!("{f:?}"));
+        println!("dirty flag + flush: {report:?}");
+    }
+
+    /// What nothing that *runs* can check: the explorer is sequentially
+    /// consistent and x86 compiles a `Relaxed` swap like a `SeqCst` one. So
+    /// every ordering in the crate is `SeqCst` but the sites argued here, and a
+    /// weakened one (or a new weak one) has to come and argue too.
+    #[test]
+    fn every_ordering_weaker_than_seqcst_is_argued() {
+        let sources = [
+            include_str!("cluster.rs"),
+            include_str!("harness.rs"),
+            include_str!("reactor.rs"),
+            include_str!("tcp.rs"),
+        ];
+        let weaker: Vec<&str> = sources
+            .iter()
+            .flat_map(|source| source.split("\n#[cfg(test)]").next().unwrap_or("").lines())
+            .filter(|line| line.replace("Ordering::SeqCst", "").contains("Ordering::"))
+            .map(str::trim)
+            .collect();
+        assert_eq!(
+            weaker,
+            [
+                // A pre-check that publishes nothing: the SeqCst swap beside it
+                // confirms the claim (or defers it to the writer's kick).
+                "self.open && dirty.load(Ordering::Relaxed) && dirty.swap(false, Ordering::SeqCst)",
+                // A gauge, read after the run.
+                "self.waits.fetch_add(1, Ordering::Relaxed);",
+                "self.waits.load(Ordering::Relaxed)",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dirty_flag_is_claimed_once() {
+        let mut link = LinkFixture::spawn(1).link;
+        assert!(!link.take_dirty());
+        link.out.dirty.store(true, Ordering::SeqCst);
+        assert!(link.take_dirty());
+        assert!(!link.take_dirty(), "the claim left the flag set");
+        link.out.dirty.store(true, Ordering::SeqCst);
+        link.open = false;
+        assert!(!link.take_dirty(), "a closed link has nothing to read");
     }
 
     #[test]

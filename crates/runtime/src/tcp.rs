@@ -101,7 +101,7 @@ impl TcpCluster {
         cfg: &ClusterConfig,
         spec: &harness::OpenLoop,
     ) -> Result<harness::LoadRun, LiveError> {
-        harness::drive_open(cfg, spec, Self::spawn(cfg)?)
+        harness::drive_open(cfg, spec, Self::spawn)
     }
 
     /// Adapter shim for `benches/e2e` (see [`TcpMode`]); call
