@@ -81,19 +81,12 @@ pub struct FreshnessRow {
 /// Summary freshness vs overhead: the more often coefficients ship, the
 /// lower the error and the higher the bandwidth tax.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn sync_freshness(scale: Scale) -> Result<Vec<FreshnessRow>, RunError> {
-    sync_freshness_with(scale, &Executor::serial())
-}
-
-/// [`sync_freshness`], fanning the sync-interval cells across `exec`.
+/// Fans the sync-interval cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn sync_freshness_with(scale: Scale, exec: &Executor) -> Result<Vec<FreshnessRow>, RunError> {
+pub fn sync_freshness(scale: Scale, exec: &Executor) -> Result<Vec<FreshnessRow>, RunError> {
     exec.try_map(vec![32u32, 128, 512, 2048], |_, sent| {
         // 3x the figure workload so the one-off bootstrap summaries
         // amortize and the steady-state trade-off shows.
@@ -130,19 +123,12 @@ pub struct DetectorRow {
 /// Worst-case detector threshold sweep: too low and uniform data routes by
 /// noise; too high and genuinely skewed data degenerates to round-robin.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn detector(scale: Scale) -> Result<Vec<DetectorRow>, RunError> {
-    detector_with(scale, &Executor::serial())
-}
-
-/// [`detector`], fanning the (workload, threshold) cells across `exec`.
+/// Fans the (workload, threshold) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn detector_with(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, RunError> {
+pub fn detector(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, RunError> {
     let mut cells = Vec::new();
     for (workload, locality) in [
         (WorkloadKind::Uniform, 0.0),
@@ -190,19 +176,12 @@ pub struct GovernorRow {
 /// handling based on resource availability"): sweeping the per-node
 /// bandwidth allowance trades messages for error automatically.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn governor(scale: Scale) -> Result<Vec<GovernorRow>, RunError> {
-    governor_with(scale, &Executor::serial())
-}
-
-/// [`governor`], fanning the bandwidth-budget cells across `exec`.
+/// Fans the bandwidth-budget cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn governor_with(scale: Scale, exec: &Executor) -> Result<Vec<GovernorRow>, RunError> {
+pub fn governor(scale: Scale, exec: &Executor) -> Result<Vec<GovernorRow>, RunError> {
     exec.try_map(vec![0u64, 10_000, 20_000, 40_000, 80_000], |_, budget| {
         let mut cfg = ClusterConfig::new(8, Algorithm::Dft)
             .window(scale.window())
@@ -238,19 +217,12 @@ pub struct LossRow {
 /// Message-loss sensitivity: BASE degrades linearly in its (many) probe
 /// messages, DFTT in both its (few) probes and its summary freshness.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn loss(scale: Scale) -> Result<Vec<LossRow>, RunError> {
-    loss_with(scale, &Executor::serial())
-}
-
-/// [`loss`], fanning the (algorithm, loss-probability) cells across `exec`.
+/// Fans the (algorithm, loss-probability) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn loss_with(scale: Scale, exec: &Executor) -> Result<Vec<LossRow>, RunError> {
+pub fn loss(scale: Scale, exec: &Executor) -> Result<Vec<LossRow>, RunError> {
     let mut cells = Vec::new();
     for algorithm in [Algorithm::Base, Algorithm::Dftt] {
         for p in [0.0, 0.02, 0.1, 0.3] {
@@ -296,7 +268,7 @@ mod tests {
 
     #[test]
     fn governor_sweep_trades_messages_for_error() {
-        let rows = governor(Scale::Quick).unwrap();
+        let rows = governor(Scale::Quick, &Executor::serial()).unwrap();
         let free = rows.iter().find(|r| r.budget_bps == 0).unwrap();
         let tight = rows.iter().find(|r| r.budget_bps == 10_000).unwrap();
         assert!(tight.msgs_per_tuple < free.msgs_per_tuple);
@@ -305,7 +277,7 @@ mod tests {
 
     #[test]
     fn loss_increases_error_monotonically_for_base() {
-        let rows = loss(Scale::Quick).unwrap();
+        let rows = loss(Scale::Quick, &Executor::serial()).unwrap();
         let base: Vec<&LossRow> = rows
             .iter()
             .filter(|r| r.algorithm == Algorithm::Base)
@@ -322,7 +294,7 @@ mod tests {
 
     #[test]
     fn detector_disabled_hurts_uniform() {
-        let rows = detector(Scale::Quick).unwrap();
+        let rows = detector(Scale::Quick, &Executor::serial()).unwrap();
         let uni_off = rows
             .iter()
             .find(|r| r.workload == "UNI" && r.threshold == 0.0)

@@ -53,57 +53,36 @@ fn main() {
         die("--jobs needs a positive integer");
     }
 
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| die(&e));
     let exec = Executor::new(jobs);
-    // Ablations run as five separate experiments so each gets its own
-    // metrics record; "ablations"/"all" expand to the full list.
-    let ablation_names = [
-        "ablation_selection",
-        "ablation_freshness",
-        "ablation_detector",
-        "ablation_loss",
-        "ablation_governor",
-    ];
-    let mut wanted: Vec<&str> = Vec::new();
+    // Every name is checked before anything runs; "ablations" and "all"
+    // (or no name) then expand from the table, so each ablation gets its
+    // own metrics record.
+    let known = |arg: &str| EXPERIMENTS.iter().find(|e| e.0 == arg);
+    for arg in &wanted_args {
+        if arg != "all" && arg != "ablations" && known(arg).is_none() {
+            die(&format!("unknown experiment: {arg}"));
+        }
+    }
+    let mut wanted: Vec<&Experiment> = Vec::new();
     if wanted_args.is_empty() || wanted_args.iter().any(|a| a == "all") {
-        wanted.extend([
-            "table1", "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10a", "fig10b", "fig11",
-        ]);
-        wanted.extend(ablation_names);
+        wanted.extend(&EXPERIMENTS);
     } else {
         for arg in &wanted_args {
             if arg == "ablations" {
-                wanted.extend(ablation_names);
+                let ablations = EXPERIMENTS.iter().filter(|e| e.0.starts_with("ablation_"));
+                wanted.extend(ablations);
             } else {
-                wanted.push(arg);
+                wanted.extend(known(arg));
             }
         }
     }
 
-    // Install the collector only when asked: with no sink, the obs layer
-    // is a no-op and runs pay nothing for it.
-    let collector = metrics_out.as_ref().map(|_| obs::Collector::install());
-
     println!("# dsjoin reproduction harness (scale: {scale:?})");
-    for (index, exp) in wanted.iter().enumerate() {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "CLI progress timing of a whole section; never feeds results"
-        )]
-        let started = Instant::now();
-        obs::scoped(exp, index as u64, || {
-            run_experiment(exp, scale, &exec);
-            if obs::enabled() {
-                let mut reg = obs::Registry::default();
-                reg.phase_add("repro.section", started.elapsed());
-                obs::emit(reg);
-            }
-        });
-    }
-
-    if let (Some(path), Some(collector)) = (metrics_out, collector) {
+    let (records, failed) = run_sections(&wanted, scale, &exec, metrics_out.is_some());
+    if let Some(path) = metrics_out {
         let mut lines = String::new();
-        for record in collector.drain() {
+        for record in records {
             lines.push_str(&record.to_json_line());
             lines.push('\n');
         }
@@ -113,6 +92,54 @@ fn main() {
         }
         eprintln!("metrics written to {path}");
     }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// Runs every wanted experiment in order — one that fails is reported and
+/// the rest still run — and says whether any failed. With `capture`, each
+/// experiment's emitted registries are merged, in emission order, into its
+/// record; without, the obs layer stays a no-op and runs pay nothing for it.
+fn run_sections(
+    wanted: &[&Experiment],
+    scale: Scale,
+    exec: &Executor,
+    capture: bool,
+) -> (Vec<obs::ExperimentRecord>, bool) {
+    let mut records = Vec::new();
+    let mut failed = false;
+    for (index, &&(label, run)) in wanted.iter().enumerate() {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "CLI progress timing of a whole section; never feeds results"
+        )]
+        let started = Instant::now();
+        let (result, mut regs) = if capture {
+            obs::captured(|| run(scale, exec))
+        } else {
+            (run(scale, exec), Vec::new())
+        };
+        if let Err(e) = result {
+            eprintln!("{label} failed: {e}");
+            failed = true;
+        }
+        if !capture {
+            continue;
+        }
+        let mut timer = obs::Registry::default();
+        timer.phase_add("repro.section", started.elapsed());
+        regs.push(timer);
+        let mut registry = obs::Registry::default();
+        regs.iter().for_each(|r| registry.merge(r));
+        records.push(obs::ExperimentRecord {
+            index: index as u64,
+            label: label.to_string(),
+            runs: regs.len() as u64,
+            registry,
+        });
+    }
+    (records, failed)
 }
 
 fn die(msg: &str) -> ! {
@@ -120,28 +147,32 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-fn run_experiment(exp: &str, scale: Scale, exec: &Executor) {
-    match exp {
-        "table1" => run_table1(scale),
-        "fig3" => run_fig3(),
-        "fig4" => run_fig4(),
-        "fig5" => run_fig5(scale),
-        "fig6" => run_fig6(scale),
-        "fig8" => run_fig8(scale, exec),
-        "fig9" => run_fig9(scale, exec),
-        "fig10a" => run_fig10a(scale, exec),
-        "fig10b" => run_fig10b(scale, exec),
-        "fig11" => run_fig11(scale, exec),
-        "ablation_selection" => run_ablation_selection(scale),
-        "ablation_freshness" => run_ablation_freshness(scale, exec),
-        "ablation_detector" => run_ablation_detector(scale, exec),
-        "ablation_loss" => run_ablation_loss(scale, exec),
-        "ablation_governor" => run_ablation_governor(scale, exec),
-        other => eprintln!("unknown experiment: {other}"),
-    }
-}
+/// What an experiment's rows can fail with.
+type Failure = Box<dyn std::error::Error>;
 
-fn run_table1(scale: Scale) {
+/// One experiment: its name on the command line and the section printer.
+type Experiment = (&'static str, fn(Scale, &Executor) -> Result<(), Failure>);
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("table1", run_table1),
+    ("fig3", run_fig3),
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("fig6", run_fig6),
+    ("fig8", run_fig8),
+    ("fig9", run_fig9),
+    ("fig10a", run_fig10a),
+    ("fig10b", run_fig10b),
+    ("fig11", run_fig11),
+    ("ablation_selection", run_ablation_selection),
+    ("ablation_freshness", run_ablation_freshness),
+    ("ablation_detector", run_ablation_detector),
+    ("ablation_loss", run_ablation_loss),
+    ("ablation_governor", run_ablation_governor),
+];
+
+fn run_table1(scale: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Table 1 — summary maintenance CPU time");
     println!(
         "(one full DFT vs {} incremental updates; paper shape: DFT >> iDFT ~ AGMS)",
@@ -157,9 +188,10 @@ fn run_table1(scale: Scale) {
             r.w, r.dft_secs, r.idft_secs, r.agms_secs
         );
     }
+    Ok(())
 }
 
-fn run_fig3() {
+fn run_fig3(_: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 3 — uniform-data bounds (Theorems 1/2)");
     println!(
         "{:>4} {:>10} {:>12} {:>8} {:>10} {:>10}",
@@ -171,9 +203,10 @@ fn run_fig3() {
             r.n, r.uniform_eps_t1, r.uniform_eps_tlog, r.msgs_t1, r.msgs_tlog, r.msgs_base
         );
     }
+    Ok(())
 }
 
-fn run_fig4() {
+fn run_fig4(_: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 4 — Zipf(0.4) bounds (Theorem 3)");
     println!("{:>4} {:>10} {:>12}", "N", "eps(T=1)", "eps(T=logN)");
     for r in figures::fig4(20) {
@@ -182,249 +215,238 @@ fn run_fig4() {
             r.n, r.zipf_eps_t1, r.zipf_eps_tlog
         );
     }
+    Ok(())
 }
 
-fn run_fig5(scale: Scale) {
+fn run_fig5(scale: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 5 — squared reconstruction errors, stock stream");
     println!(
         "{:>6} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "kappa", "retained", "MSE", "p50", "p90", "max", "lossless"
     );
-    match figures::fig5(scale) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>6} {:>9} {:>10.4} {:>10.4} {:>10.4} {:>10.3} {:>9.1}%",
-                    r.kappa,
-                    r.retained,
-                    r.mse,
-                    r.p50,
-                    r.p90,
-                    r.max,
-                    100.0 * r.lossless_fraction
-                );
-            }
-        }
-        Err(e) => eprintln!("fig5 failed: {e}"),
+    for r in figures::fig5(scale)? {
+        println!(
+            "{:>6} {:>9} {:>10.4} {:>10.4} {:>10.4} {:>10.3} {:>9.1}%",
+            r.kappa,
+            r.retained,
+            r.mse,
+            r.p50,
+            r.p90,
+            r.max,
+            100.0 * r.lossless_fraction
+        );
     }
+    Ok(())
 }
 
-fn run_fig6(scale: Scale) {
+fn run_fig6(scale: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 6 — MSE vs compression factor (threshold 0.25)");
     println!(
         "{:>6} {:>12} {:>12} {:>10} {:>6}",
         "kappa", "E[MSE]", "std", "lossless", "<0.25"
     );
-    match figures::fig6(scale) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>6} {:>12.5} {:>12.5} {:>9.1}% {:>6}",
-                    r.kappa,
-                    r.mse_mean,
-                    r.mse_std,
-                    100.0 * r.lossless_fraction,
-                    if r.below_threshold { "yes" } else { "no" }
-                );
-            }
-        }
-        Err(e) => eprintln!("fig6 failed: {e}"),
+    for r in figures::fig6(scale)? {
+        println!(
+            "{:>6} {:>12.5} {:>12.5} {:>9.1}% {:>6}",
+            r.kappa,
+            r.mse_mean,
+            r.mse_std,
+            100.0 * r.lossless_fraction,
+            if r.below_threshold { "yes" } else { "no" }
+        );
     }
+    Ok(())
 }
 
-fn run_fig8(scale: Scale, exec: &Executor) {
+fn run_fig8(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 8 — DFT coefficient overhead vs net data (kappa=256, Zipf)");
     println!(
         "{:>4} {:>10} {:>14} {:>14}",
         "N", "overhead%", "coeff bytes", "data bytes"
     );
-    match figures::fig8_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>4} {:>9.2}% {:>14} {:>14}",
-                    r.n, r.overhead_pct, r.overhead_bytes, r.data_bytes
-                );
-            }
-        }
-        Err(e) => eprintln!("fig8 failed: {e}"),
+    for r in figures::fig8(scale, exec)? {
+        println!(
+            "{:>4} {:>9.2}% {:>14} {:>14}",
+            r.n, r.overhead_pct, r.overhead_bytes, r.data_bytes
+        );
     }
+    Ok(())
 }
 
-fn run_fig9(scale: Scale, exec: &Executor) {
+fn run_fig9(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 9 — messages per result tuple at eps=15%");
     println!(
         "{:>5} {:>4} {:>6} {:>10} {:>8} {:>8}",
         "data", "N", "algo", "msgs/res", "eps", "target"
     );
-    match figures::fig9_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>5} {:>4} {:>6} {:>10.2} {:>8.3} {:>8.2}",
-                    r.workload,
-                    r.n,
-                    r.algorithm.label(),
-                    r.messages_per_result,
-                    r.epsilon,
-                    r.target
-                );
-            }
-        }
-        Err(e) => eprintln!("fig9 failed: {e}"),
+    for r in figures::fig9(scale, exec)? {
+        println!(
+            "{:>5} {:>4} {:>6} {:>10.2} {:>8.3} {:>8.2}",
+            r.workload,
+            r.n,
+            r.algorithm.label(),
+            r.messages_per_result,
+            r.epsilon,
+            r.target
+        );
     }
+    Ok(())
 }
 
-fn run_fig10a(scale: Scale, exec: &Executor) {
+fn run_fig10a(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 10a — error rate vs compression factor (N=8, Zipf)");
     println!(
         "{:>6} {:>6} {:>8} {:>12}",
         "kappa", "algo", "eps", "summary(B)"
     );
-    match figures::fig10a_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>6} {:>6} {:>8.3} {:>12}",
-                    r.x,
-                    r.algorithm.label(),
-                    r.epsilon,
-                    r.summary_bytes
-                );
-            }
-        }
-        Err(e) => eprintln!("fig10a failed: {e}"),
+    for r in figures::fig10a(scale, exec)? {
+        println!(
+            "{:>6} {:>6} {:>8.3} {:>12}",
+            r.x,
+            r.algorithm.label(),
+            r.epsilon,
+            r.summary_bytes
+        );
     }
+    Ok(())
 }
 
-fn run_fig10b(scale: Scale, exec: &Executor) {
+fn run_fig10b(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 10b — error rate vs cluster size (kappa=256, Zipf)");
     println!("{:>4} {:>6} {:>8}", "N", "algo", "eps");
-    match figures::fig10b_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!("{:>4} {:>6} {:>8.3}", r.x, r.algorithm.label(), r.epsilon);
-            }
-        }
-        Err(e) => eprintln!("fig10b failed: {e}"),
+    for r in figures::fig10b(scale, exec)? {
+        println!("{:>4} {:>6} {:>8.3}", r.x, r.algorithm.label(), r.epsilon);
     }
+    Ok(())
 }
 
-fn run_fig11(scale: Scale, exec: &Executor) {
+fn run_fig11(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 11 — throughput at eps=15% (saturating load)");
     println!("{:>4} {:>6} {:>12} {:>8}", "N", "algo", "tuples/s", "eps");
-    match figures::fig11_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>4} {:>6} {:>12.1} {:>8.3}",
-                    r.n,
-                    r.algorithm.label(),
-                    r.throughput,
-                    r.epsilon
-                );
-            }
-        }
-        Err(e) => eprintln!("fig11 failed: {e}"),
+    for r in figures::fig11(scale, exec)? {
+        println!(
+            "{:>4} {:>6} {:>12.1} {:>8.3}",
+            r.n,
+            r.algorithm.label(),
+            r.throughput,
+            r.epsilon
+        );
     }
+    Ok(())
 }
 
-fn run_ablation_selection(scale: Scale) {
+fn run_ablation_selection(scale: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Ablation — coefficient selection (prefix vs top-energy)");
     println!(
         "{:>16} {:>6} {:>12} {:>12} {:>10} {:>10}",
         "signal", "kappa", "prefix MSE", "top MSE", "prefix B", "top B"
     );
-    match ablation::selection(scale) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>16} {:>6} {:>12.4} {:>12.4} {:>10} {:>10}",
-                    r.signal,
-                    r.kappa,
-                    r.prefix_mse,
-                    r.top_energy_mse,
-                    r.prefix_bytes,
-                    r.top_energy_bytes
-                );
-            }
-        }
-        Err(e) => eprintln!("ablation_selection failed: {e}"),
+    for r in ablation::selection(scale)? {
+        println!(
+            "{:>16} {:>6} {:>12.4} {:>12.4} {:>10} {:>10}",
+            r.signal, r.kappa, r.prefix_mse, r.top_energy_mse, r.prefix_bytes, r.top_energy_bytes
+        );
     }
+    Ok(())
 }
 
-fn run_ablation_freshness(scale: Scale, exec: &Executor) {
+fn run_ablation_freshness(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Ablation — summary freshness vs coefficient overhead (DFTT)");
     println!("{:>14} {:>8} {:>10}", "sync every", "eps", "overhead%");
-    match ablation::sync_freshness_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>11} msg {:>8.3} {:>9.2}%",
-                    r.sent_interval,
-                    r.epsilon,
-                    100.0 * r.overhead_ratio
-                );
-            }
-        }
-        Err(e) => eprintln!("ablation_freshness failed: {e}"),
+    for r in ablation::sync_freshness(scale, exec)? {
+        println!(
+            "{:>11} msg {:>8.3} {:>9.2}%",
+            r.sent_interval,
+            r.epsilon,
+            100.0 * r.overhead_ratio
+        );
     }
+    Ok(())
 }
 
-fn run_ablation_detector(scale: Scale, exec: &Executor) {
+fn run_ablation_detector(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Ablation — worst-case detector CV threshold (DFT)");
     println!(
         "{:>5} {:>10} {:>8} {:>10}",
         "data", "threshold", "eps", "fallback"
     );
-    match ablation::detector_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>5} {:>10.2} {:>8.3} {:>9.1}%",
-                    r.workload,
-                    r.threshold,
-                    r.epsilon,
-                    100.0 * r.fallback_fraction
-                );
-            }
-        }
-        Err(e) => eprintln!("ablation_detector failed: {e}"),
+    for r in ablation::detector(scale, exec)? {
+        println!(
+            "{:>5} {:>10.2} {:>8.3} {:>9.1}%",
+            r.workload,
+            r.threshold,
+            r.epsilon,
+            100.0 * r.fallback_fraction
+        );
     }
+    Ok(())
 }
 
-fn run_ablation_loss(scale: Scale, exec: &Executor) {
+fn run_ablation_loss(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Ablation — in-flight message loss");
     println!("{:>6} {:>6} {:>8}", "algo", "loss", "eps");
-    match ablation::loss_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                println!(
-                    "{:>6} {:>6.2} {:>8.3}",
-                    r.algorithm.label(),
-                    r.loss,
-                    r.epsilon
-                );
-            }
-        }
-        Err(e) => eprintln!("ablation_loss failed: {e}"),
+    for r in ablation::loss(scale, exec)? {
+        println!(
+            "{:>6} {:>6.2} {:>8.3}",
+            r.algorithm.label(),
+            r.loss,
+            r.epsilon
+        );
     }
+    Ok(())
 }
 
-fn run_ablation_governor(scale: Scale, exec: &Executor) {
+fn run_ablation_governor(scale: Scale, exec: &Executor) -> Result<(), Failure> {
     println!("\n## Ablation — AIMD throughput governor (DFT, T=logN)");
     println!("{:>12} {:>12} {:>8}", "budget", "msgs/tuple", "eps");
-    match ablation::governor_with(scale, exec) {
-        Ok(rows) => {
-            for r in rows {
-                let label = if r.budget_bps == 0 {
-                    "unlimited".to_string()
-                } else {
-                    format!("{}bps", r.budget_bps)
-                };
-                println!("{label:>12} {:>12.2} {:>8.3}", r.msgs_per_tuple, r.epsilon);
-            }
-        }
-        Err(e) => eprintln!("ablation_governor failed: {e}"),
+    for r in ablation::governor(scale, exec)? {
+        let label = if r.budget_bps == 0 {
+            "unlimited".to_string()
+        } else {
+            format!("{}bps", r.budget_bps)
+        };
+        println!("{label:>12} {:>12.2} {:>8.3}", r.msgs_per_tuple, r.epsilon);
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn emits_one(_: Scale, _: &Executor) -> Result<(), Failure> {
+        let mut reg = obs::Registry::default();
+        reg.counter_add("ran", 1);
+        obs::emit(reg);
+        Ok(())
+    }
+
+    fn fails(_: Scale, _: &Executor) -> Result<(), Failure> {
+        Err("no rows".into())
+    }
+
+    // No shipped experiment fails at either scale, so the command line
+    // cannot reach this path (crates/bench/tests/repro_cli.rs covers the
+    // exits it can): a failed section is reported, the ones after it still
+    // run, and each gets its record under its own label and index.
+    #[test]
+    fn a_failed_section_is_reported_after_the_rest_have_run() {
+        let wanted: [&Experiment; 3] = [&("a", emits_one), &("boom", fails), &("c", emits_one)];
+        let exec = Executor::serial();
+        let (records, failed) = run_sections(&wanted, Scale::Quick, &exec, true);
+        assert!(failed);
+        let seen: Vec<_> = records
+            .iter()
+            .map(|r| (r.index, r.label.as_str(), r.runs, r.registry.counter("ran")))
+            .collect();
+        // `runs` counts registries: the section timer is one of them.
+        assert_eq!(seen, [(0, "a", 2, 1), (1, "boom", 1, 0), (2, "c", 2, 1)]);
+        assert!(records
+            .iter()
+            .all(|r| r.registry.phase("repro.section").is_some()));
+
+        let (records, failed) = run_sections(&wanted[..1], Scale::Quick, &exec, false);
+        assert!(!failed && records.is_empty());
+        assert!(!obs::enabled());
     }
 }

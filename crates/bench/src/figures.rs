@@ -139,19 +139,12 @@ pub struct Fig8Row {
 /// Figure 8: DFT coefficient updates as a percentage of net data
 /// transmitted, DFT algorithm, Zipf data, κ = 256.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn fig8(scale: Scale) -> Result<Vec<Fig8Row>, RunError> {
-    fig8_with(scale, &Executor::serial())
-}
-
-/// [`fig8`], fanning the cluster-size cells across `exec`.
+/// Fans the cluster-size cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn fig8_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig8Row>, RunError> {
+pub fn fig8(scale: Scale, exec: &Executor) -> Result<Vec<Fig8Row>, RunError> {
     let cells: Vec<u16> = scale.node_sweep().into_iter().filter(|&n| n >= 2).collect();
     exec.try_map(cells, |_, n| {
         let r = cluster(scale, n, Algorithm::Dft)
@@ -186,19 +179,12 @@ pub struct Fig9Row {
 /// Figure 9: messages per result tuple with the error rate fixed at 15 %,
 /// uniform (top) and Zipf (bottom) data, all five algorithms.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn fig9(scale: Scale) -> Result<Vec<Fig9Row>, RunError> {
-    fig9_with(scale, &Executor::serial())
-}
-
-/// [`fig9`], fanning the (workload, N, algorithm) cells across `exec`.
+/// Fans the (workload, N, algorithm) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn fig9_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig9Row>, RunError> {
+pub fn fig9(scale: Scale, exec: &Executor) -> Result<Vec<Fig9Row>, RunError> {
     let mut cells = Vec::new();
     for (workload, locality) in [
         (WorkloadKind::Uniform, 0.0),
@@ -243,19 +229,12 @@ pub struct Fig10Row {
 /// Figure 10a: error rate versus compression factor κ (equal summary
 /// sizes across algorithms), Zipf data.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn fig10a(scale: Scale) -> Result<Vec<Fig10Row>, RunError> {
-    fig10a_with(scale, &Executor::serial())
-}
-
-/// [`fig10a`], fanning the (κ, algorithm) cells across `exec`.
+/// Fans the (κ, algorithm) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn fig10a_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> {
+pub fn fig10a(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> {
     let mut cells = Vec::new();
     for kappa in scale.kappa_sweep() {
         for algorithm in [
@@ -283,19 +262,12 @@ pub fn fig10a_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunEr
 
 /// Figure 10b: error rate versus cluster size at κ = 256, Zipf data.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn fig10b(scale: Scale) -> Result<Vec<Fig10Row>, RunError> {
-    fig10b_with(scale, &Executor::serial())
-}
-
-/// [`fig10b`], fanning the (N, algorithm) cells across `exec`.
+/// Fans the (N, algorithm) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn fig10b_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> {
+pub fn fig10b(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> {
     let mut cells = Vec::new();
     for n in scale.node_sweep() {
         for algorithm in [
@@ -336,19 +308,12 @@ pub struct Fig11Row {
 /// Figure 11: throughput (result tuples/second) with ε fixed at 15 %,
 /// under an offered load that saturates broadcast on the 90 kbps links.
 ///
-/// # Errors
-///
-/// Propagates [`RunError`] from the cluster runs.
-pub fn fig11(scale: Scale) -> Result<Vec<Fig11Row>, RunError> {
-    fig11_with(scale, &Executor::serial())
-}
-
-/// [`fig11`], fanning the (N, algorithm) cells across `exec`.
+/// Fans the (N, algorithm) cells across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from the cluster runs.
-pub fn fig11_with(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
+pub fn fig11(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
     let mut cells = Vec::new();
     for n in scale.node_sweep() {
         for algorithm in Algorithm::ALL {

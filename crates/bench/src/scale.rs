@@ -16,11 +16,20 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `DSJOIN_SCALE=quick|full` from the environment (default full).
-    pub fn from_env() -> Self {
-        match std::env::var("DSJOIN_SCALE").as_deref() {
-            Ok("quick") | Ok("QUICK") => Scale::Quick,
-            _ => Scale::Full,
+    /// Reads `DSJOIN_SCALE=quick|full` (any case) from the environment;
+    /// unset means full.
+    ///
+    /// # Errors
+    ///
+    /// Any other value: a typo must not become a minutes-long full run.
+    pub fn from_env() -> Result<Self, String> {
+        let Ok(value) = std::env::var("DSJOIN_SCALE") else {
+            return Ok(Scale::Full);
+        };
+        match value.to_ascii_lowercase().as_str() {
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!("DSJOIN_SCALE must be quick or full, not {value:?}")),
         }
     }
 

@@ -8,14 +8,15 @@
 //! cells across a scoped-thread worker pool and returns results in
 //! submission order, making parallel output byte-identical to serial.
 //!
-//! The executor also re-establishes the caller's [`dsj_core::obs`] scope
-//! inside every worker thread, so metrics emitted by parallel runs land in
-//! the same per-experiment record they would under serial execution.
-//! Worker emissions are captured per cell and re-emitted in submission
-//! order after the pool drains: registry merging is order-sensitive
-//! (gauges are last-write-wins), so direct worker emission would make the
-//! merged record depend on thread completion order.
+//! Observability travels the same way, as values: when the caller has a
+//! [`dsj_core::obs::captured`] buffer open, every worker captures its
+//! cell's emissions in a buffer of its own, and the caller's thread
+//! re-emits them in submission order after the pool drains. Registry
+//! merging is order-sensitive (gauges are last-write-wins), so whoever
+//! merges the caller's buffer sees exactly what a serial run would have
+//! emitted — thread completion order never reaches a record.
 
+use dsj_core::obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -65,9 +66,9 @@ impl Executor {
     /// and returns the results in submission order.
     ///
     /// With one job (or at most one item) this runs inline — no threads,
-    /// identical to a plain iterator map. Workers inherit the caller's
-    /// observability scope, so `obs::emit` calls made inside `f` merge
-    /// into the caller's current experiment record.
+    /// identical to a plain iterator map. `obs::emit` calls made inside
+    /// `f` reach the caller's capture buffer, if one is open, in
+    /// submission order.
     ///
     /// # Panics
     ///
@@ -90,22 +91,16 @@ impl Executor {
                 .map(|(i, t)| f(i, t))
                 .collect();
         }
-        let scope = dsj_core::obs::current_scope();
+        let capture = obs::enabled();
         let work: Vec<Mutex<Option<(usize, T)>>> = items
             .into_iter()
             .enumerate()
             .map(|cell| Mutex::new(Some(cell)))
             .collect();
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Worker emissions are captured per cell and re-emitted below in
-        // submission order: registry merging is order-sensitive (gauges
-        // are last-write-wins), so letting workers emit directly would
-        // leak completion order into the merged record.
-        let emissions: Vec<Mutex<Vec<dsj_core::obs::Registry>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        // One `(result, captured registries)` slot per cell.
+        let slots: Vec<_> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let f = &f;
-        let scope = &scope;
         std::thread::scope(|s| {
             for _ in 0..self.jobs.min(n) {
                 s.spawn(|| loop {
@@ -120,33 +115,28 @@ impl Executor {
                     let Some((index, item)) = claimed else {
                         continue;
                     };
-                    let out = match scope {
-                        Some((label, experiment)) => {
-                            let (out, regs) = dsj_core::obs::captured(|| {
-                                dsj_core::obs::scoped(label, *experiment, || f(index, item))
-                            });
-                            *emissions[index].lock().unwrap_or_else(|e| e.into_inner()) = regs;
-                            out
-                        }
-                        None => f(index, item),
+                    // A worker thread has no buffer open: capture the
+                    // cell's emissions only if the caller can take them.
+                    let done = if capture {
+                        obs::captured(|| f(index, item))
+                    } else {
+                        (f(index, item), Vec::new())
                     };
-                    *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                    *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(done);
                 });
             }
         });
-        // Re-emit under the caller's scope, in submission order — parallel
-        // records now merge byte-identically to serial ones.
-        for cell in emissions {
-            for reg in cell.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                dsj_core::obs::emit(reg);
-            }
-        }
+        // Re-emit into the caller's buffer in submission order: what it
+        // merges is byte-identical to a serial run's.
         slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner()
+                let (out, regs) = slot
+                    .into_inner()
                     .unwrap_or_else(|e| e.into_inner())
-                    .expect("every slot filled by a worker")
+                    .expect("every slot filled by a worker");
+                regs.into_iter().for_each(obs::emit);
+                out
             })
             .collect()
     }
@@ -224,13 +214,11 @@ mod tests {
 
     #[test]
     fn parallel_gauge_merge_is_submission_ordered() {
-        use dsj_core::obs;
         // Gauges are last-write-wins: the merged record must keep the
         // *last submitted* cell's value no matter which worker finishes
         // last. Uneven spinning makes completion order scramble.
         for _ in 0..8 {
-            let collector = obs::Collector::install();
-            obs::scoped("order", 0, || {
+            let (_, regs) = obs::captured(|| {
                 Executor::new(4).map((0..16u64).collect(), |_, x| {
                     for _ in 0..((16 - x) * 500) {
                         std::hint::black_box(x);
@@ -238,31 +226,31 @@ mod tests {
                     let mut reg = obs::Registry::default();
                     reg.gauge_set("winner", x as f64);
                     obs::emit(reg);
-                });
+                })
             });
-            let records = collector.drain();
-            assert_eq!(records.len(), 1);
-            assert_eq!(records[0].registry.gauge("winner"), Some(15.0));
-            assert_eq!(records[0].runs, 16);
+            let mut merged = obs::Registry::default();
+            regs.iter().for_each(|r| merged.merge(r));
+            assert_eq!(merged.gauge("winner"), Some(15.0));
+            assert_eq!(regs.len(), 16);
         }
     }
 
     #[test]
-    fn workers_inherit_the_callers_obs_scope() {
-        use dsj_core::obs;
-        let collector = obs::Collector::install();
-        obs::scoped("suite", 3, || {
+    fn worker_emissions_reach_the_callers_buffer() {
+        let (_, regs) = obs::captured(|| {
             Executor::new(4).map((0..8u64).collect(), |_, x| {
                 let mut reg = obs::Registry::default();
                 reg.counter_add("cells", 1);
                 reg.counter_add("sum", x);
                 obs::emit(reg);
-            });
+            })
         });
-        let records = collector.drain();
-        assert_eq!(records.len(), 1, "all cells merge into the caller's record");
-        assert_eq!(records[0].label, "suite");
-        assert_eq!(records[0].registry.counter("cells"), 8);
-        assert_eq!(records[0].registry.counter("sum"), (0..8).sum::<u64>());
+        let mut merged = obs::Registry::default();
+        regs.iter().for_each(|r| merged.merge(r));
+        assert_eq!(regs.len(), 8, "all cells land in the caller's buffer");
+        assert_eq!(merged.counter("cells"), 8);
+        assert_eq!(merged.counter("sum"), (0..8).sum::<u64>());
+        // With no buffer open on the caller, workers capture nothing.
+        Executor::new(4).map((0..8u64).collect(), |_, _| assert!(!obs::enabled()));
     }
 }

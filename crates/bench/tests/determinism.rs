@@ -14,18 +14,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
+/// Fig. 8's rows and what it emitted: one stable (phase-free) line per
+/// registry, in emission order. Folding them into the experiment's record
+/// is `repro`'s job, pinned by its unit test and the binary-level test below.
 fn fig8_stable_lines(jobs: usize) -> (Vec<figures::Fig8Row>, Vec<String>) {
-    let collector = obs::Collector::install();
-    let rows = obs::scoped("fig8", 0, || {
-        figures::fig8_with(Scale::Quick, &Executor::new(jobs))
-    })
-    .expect("fig8 runs");
-    let lines = collector
-        .drain()
-        .iter()
-        .map(obs::ExperimentRecord::to_stable_json_line)
+    let (rows, regs) = obs::captured(|| figures::fig8(Scale::Quick, &Executor::new(jobs)));
+    let lines = (0..)
+        .zip(regs)
+        .map(|(index, registry)| {
+            let cell = obs::ExperimentRecord {
+                index,
+                label: "fig8".to_string(),
+                runs: 1,
+                registry,
+            };
+            cell.to_stable_json_line()
+        })
         .collect();
-    (rows, lines)
+    (rows.expect("fig8 runs"), lines)
 }
 
 #[test]
@@ -33,7 +39,7 @@ fn stable_metrics_identical_across_reruns_and_worker_counts() {
     let (rows_a, lines_a) = fig8_stable_lines(1);
     let (rows_b, lines_b) = fig8_stable_lines(1);
     let (rows_p, lines_p) = fig8_stable_lines(4);
-    assert!(!lines_a.is_empty(), "fig8 must emit metrics records");
+    assert_eq!(lines_a.len(), 2, "fig8 must emit one registry per cell");
     assert_eq!(rows_a, rows_b, "serial reruns must reproduce the figure");
     assert_eq!(rows_a, rows_p, "parallel must reproduce the serial figure");
     assert_eq!(

@@ -31,6 +31,12 @@ pub enum RunError {
     /// tuples per second, or is so small that the run's virtual duration
     /// overflows the microsecond clock.
     ArrivalRateOutOfRange(f64),
+    /// A constant message-complexity target is negative or not finite.
+    TargetOutOfRange(f64),
+    /// A zero-millisecond time window: every tuple expires on arrival.
+    ZeroTimeWindow,
+    /// The error rate to calibrate to is not a fraction in `[0, 1]`.
+    EpsilonOutOfRange(f64),
     /// A best-effort search was given an empty grid of operating points.
     EmptyGrid,
     /// An attached trace schedules an arrival on a node outside the
@@ -84,6 +90,14 @@ impl fmt::Display for RunError {
                 "arrival rate {r} tuples/s per node cannot be scheduled \
                  (need a finite positive rate the microsecond clock can hold)"
             ),
+            RunError::TargetOutOfRange(t) => write!(
+                f,
+                "message-complexity target {t} is not a finite non-negative number"
+            ),
+            RunError::ZeroTimeWindow => write!(f, "time window must span at least 1 ms"),
+            RunError::EpsilonOutOfRange(e) => {
+                write!(f, "target error rate {e} is not a fraction in [0, 1]")
+            }
             RunError::EmptyGrid => {
                 write!(f, "best-effort search needs at least one operating point")
             }
@@ -128,6 +142,9 @@ mod tests {
         assert!(RunError::ArrivalRateOutOfRange(-3.0)
             .to_string()
             .contains("-3"));
+        assert!(RunError::TargetOutOfRange(-1.0).to_string().contains("-1"));
+        assert!(RunError::ZeroTimeWindow.to_string().contains("1 ms"));
+        assert!(RunError::EpsilonOutOfRange(2.0).to_string().contains("2"));
         assert!(RunError::EmptyGrid.to_string().contains("operating point"));
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }
             .to_string()

@@ -116,7 +116,7 @@ impl NodeMetrics {
     /// Exports every counter into `registry` under
     /// `node.<id>.<counter>` keys (the per-node section of the
     /// `--metrics-out` record).
-    pub fn record_into(&self, registry: &mut crate::obs::Registry, me: u16) {
+    pub(crate) fn record_into(&self, registry: &mut crate::obs::Registry, me: u16) {
         for (name, value) in [
             ("arrivals", self.arrivals),
             ("local_matches", self.local_matches),

@@ -2,14 +2,16 @@
 //! histograms and per-phase wall timers per experiment run, serialized as
 //! JSON lines.
 //!
-//! The runner ([`crate::ClusterConfig::run`]) and the live cluster fill a
-//! registry per run and hand it to [`emit`]. Emission is a no-op unless a
-//! harness has both installed a [`Collector`] and declared the current
-//! experiment scope ([`scoped`]) — so library users and unit tests pay
-//! nothing, while `repro --metrics-out` gets one merged record per
-//! experiment, ordered by submission index. Scopes are thread-local; a
-//! parallel executor re-establishes the caller's scope inside its workers
-//! (see `dsj_bench::suite`).
+//! Results leave a run as values. The runner ([`crate::ClusterConfig::run`])
+//! and the live cluster fill a registry per run and hand it to [`emit`],
+//! which has one sink: the innermost [`captured`] buffer open on the calling
+//! thread. With no buffer open the registry is dropped and [`enabled`] is
+//! `false` — library users and unit tests pay nothing. Whoever opened the
+//! buffer owns what comes back and does the merging: `repro --metrics-out`
+//! wraps each experiment in [`captured`] and folds the registries into one
+//! [`ExperimentRecord`]; a parallel executor captures per cell on its
+//! workers and re-emits on the caller's thread in submission order (see
+//! `dsj_bench::suite`). There is no process-wide state.
 //!
 //! Deliberately *not* part of [`crate::ExperimentReport`]: reports are
 //! compared bit-for-bit in determinism and trace-replay tests, while wall
@@ -18,7 +20,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use dsj_simnet::metrics::Log2Histogram as Histogram;
@@ -215,7 +216,8 @@ fn write_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// One experiment's merged metrics, as drained from a [`Collector`].
+/// One experiment's merged metrics: every registry a [`captured`] experiment
+/// emitted, folded in emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Submission index (orders the JSONL output deterministically).
@@ -253,165 +255,49 @@ impl ExperimentRecord {
     }
 }
 
-#[derive(Default)]
-struct CollectorInner {
-    records: Mutex<BTreeMap<u64, (String, u64, Registry)>>,
-}
-
-/// Collects every [`emit`]ted registry, merged per experiment scope.
-///
-/// Installing a collector makes it the process-wide sink; at most one is
-/// installed at a time (a second installer blocks until the first is
-/// dropped, which also serializes tests). Dropping uninstalls.
-pub struct Collector {
-    inner: Arc<CollectorInner>,
-    _exclusive: MutexGuard<'static, ()>,
-}
-
-fn exclusivity() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-fn sink() -> &'static Mutex<Option<Arc<CollectorInner>>> {
-    static SINK: OnceLock<Mutex<Option<Arc<CollectorInner>>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
-}
-
-impl Collector {
-    /// Installs a fresh collector as the process-wide sink.
-    pub fn install() -> Collector {
-        let exclusive = exclusivity().lock().unwrap_or_else(|e| e.into_inner());
-        let inner = Arc::new(CollectorInner::default());
-        *sink().lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&inner));
-        Collector {
-            inner,
-            _exclusive: exclusive,
-        }
-    }
-
-    /// Removes and returns everything collected so far, ordered by
-    /// submission index.
-    pub fn drain(&self) -> Vec<ExperimentRecord> {
-        let mut records = self.inner.records.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *records)
-            .into_iter()
-            .map(|(index, (label, runs, registry))| ExperimentRecord {
-                index,
-                label,
-                runs,
-                registry,
-            })
-            .collect()
-    }
-}
-
-impl Drop for Collector {
-    fn drop(&mut self) {
-        *sink().lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
 thread_local! {
-    static SCOPE: RefCell<Option<(String, u64)>> = const { RefCell::new(None) };
+    /// The capture buffers open on this thread, innermost last.
+    static CAPTURE: RefCell<Vec<Vec<Registry>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with the current thread's experiment scope set to
-/// `(label, index)`, restoring the previous scope afterwards. Registries
-/// [`emit`]ted inside merge into that experiment's record.
-pub fn scoped<R>(label: &str, index: u64, f: impl FnOnce() -> R) -> R {
-    let prev = SCOPE.with(|s| s.replace(Some((label.to_string(), index))));
-    // Guard restores `prev` even if `f` panics.
-    let _guard = RestoreScope(prev);
-    f()
-}
-
-struct RestoreScope(Option<(String, u64)>);
-
-impl Drop for RestoreScope {
-    fn drop(&mut self) {
-        let prev = self.0.take();
-        SCOPE.with(|s| *s.borrow_mut() = prev);
-    }
-}
-
-/// The current thread's experiment scope, if any — parallel executors use
-/// this to propagate the caller's scope into worker threads.
-pub fn current_scope() -> Option<(String, u64)> {
-    SCOPE.with(|s| s.borrow().clone())
-}
-
-thread_local! {
-    static CAPTURE: RefCell<Option<Vec<Registry>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with this thread's [`emit`] calls diverted into a buffer, and
-/// returns `f`'s result plus the captured registries in emission order.
+/// Runs `f` with this thread's [`emit`] calls collected into a fresh
+/// buffer, and returns `f`'s result plus the captured registries in
+/// emission order. Nested calls capture separately: an inner buffer's
+/// registries reach the outer one only if the caller re-emits them.
 ///
-/// Merging a registry into an experiment record is order-sensitive (gauges
-/// are last-write-wins), so a parallel executor must not let worker
-/// threads emit straight into the shared collector — completion order
-/// would leak into the merged record. Workers capture instead, and the
-/// caller re-emits every buffer in submission order.
+/// Merging registries is order-sensitive (gauges are last-write-wins), so a
+/// parallel executor captures per cell on its workers and re-emits every
+/// buffer from the calling thread in submission order — completion order
+/// never reaches a merged record.
 pub fn captured<R>(f: impl FnOnce() -> R) -> (R, Vec<Registry>) {
-    let prev = CAPTURE.with(|c| c.replace(Some(Vec::new())));
-    // Guard restores the previous buffer even if `f` panics.
-    struct RestoreCapture(Option<Option<Vec<Registry>>>);
-    impl Drop for RestoreCapture {
+    /// Closes this call's buffer, also when `f` panics.
+    struct Close;
+    impl Drop for Close {
         fn drop(&mut self) {
-            if let Some(prev) = self.0.take() {
-                CAPTURE.with(|c| *c.borrow_mut() = prev);
-            }
+            CAPTURE.with(|c| c.borrow_mut().pop());
         }
     }
-    let mut guard = RestoreCapture(Some(prev));
+    CAPTURE.with(|c| c.borrow_mut().push(Vec::new()));
+    let _close = Close;
     let out = f();
-    let prev = guard.0.take().unwrap_or_default();
-    let buf = CAPTURE.with(|c| c.replace(prev)).unwrap_or_default();
-    (out, buf)
+    let buf = CAPTURE.with(|c| c.borrow_mut().last_mut().map(std::mem::take));
+    (out, buf.unwrap_or_default())
 }
 
-/// `true` when a [`Collector`] is installed and this thread has a scope —
-/// i.e. when filling a registry will not be wasted work.
+/// `true` when a [`captured`] buffer is open on this thread — i.e. when
+/// filling a registry will not be wasted work.
 pub fn enabled() -> bool {
-    SCOPE.with(|s| s.borrow().is_some())
-        && sink().lock().unwrap_or_else(|e| e.into_inner()).is_some()
+    CAPTURE.with(|c| !c.borrow().is_empty())
 }
 
-/// Hands a run's registry to the installed collector under the current
-/// scope. A no-op (the registry is dropped) when no collector is
-/// installed or no scope is set.
+/// Hands a run's registry to the innermost [`captured`] buffer open on
+/// this thread; with none open the registry is dropped.
 pub fn emit(registry: Registry) {
-    let registry = match CAPTURE.with(move |c| {
-        let mut buf = c.borrow_mut();
-        match buf.as_mut() {
-            Some(captured) => {
-                captured.push(registry);
-                None
-            }
-            None => Some(registry),
+    CAPTURE.with(|c| {
+        if let Some(buf) = c.borrow_mut().last_mut() {
+            buf.push(registry);
         }
-    }) {
-        Some(r) => r,
-        None => return,
-    };
-    let Some((label, index)) = current_scope() else {
-        return;
-    };
-    let Some(inner) = sink()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-    else {
-        return;
-    };
-    let mut records = inner.records.lock().unwrap_or_else(|e| e.into_inner());
-    let slot = records
-        .entry(index)
-        .or_insert_with(|| (label, 0, Registry::new()));
-    slot.1 += 1;
-    slot.2.merge(&registry);
+    });
 }
 
 #[cfg(test)]
@@ -533,37 +419,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn collector_scoping_and_merge() {
-        let collector = Collector::install();
-        // No scope: dropped.
-        let mut r = Registry::new();
-        r.counter_add("x", 1);
-        emit(r.clone());
-        assert!(collector.drain().is_empty());
-        assert!(!enabled());
+    fn one(name: &str) -> Registry {
+        let mut r = Registry::default();
+        r.counter_add(name, 1);
+        r
+    }
 
-        scoped("expA", 0, || {
+    #[test]
+    fn emit_outside_any_capture_is_dropped() {
+        assert!(!enabled());
+        emit(one("x"));
+        // Nothing was waiting for it: a buffer opened afterwards is empty.
+        let ((), regs) = captured(|| assert!(enabled()));
+        assert!(regs.is_empty());
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn capture_scoping_and_merge() {
+        let (inner, outer) = captured(|| {
             assert!(enabled());
-            assert_eq!(current_scope(), Some(("expA".to_string(), 0)));
-            emit(r.clone());
-            emit(r.clone());
-            scoped("expB", 1, || emit(r.clone()));
-            // Scope restored after the nested block.
-            emit(r.clone());
+            emit(one("x"));
+            emit(one("x"));
+            let ((), inner) = captured(|| emit(one("y")));
+            // The outer buffer is the sink again after the nested block.
+            emit(one("x"));
+            inner
         });
-        let records = collector.drain();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].label, "expA");
-        assert_eq!(records[0].runs, 3);
-        assert_eq!(records[0].registry.counter("x"), 3);
-        assert_eq!(records[1].label, "expB");
-        assert_eq!(records[1].runs, 1);
-        drop(collector);
-        // After uninstall, emits vanish quietly.
-        scoped("expA", 0, || {
-            assert!(!enabled());
-            emit(Registry::new());
+        // The inner buffer did not leak into the outer one.
+        assert_eq!(outer.len(), 3);
+        assert_eq!(inner.len(), 1);
+        let mut merged = Registry::default();
+        outer.iter().for_each(|r| merged.merge(r));
+        assert_eq!(merged.counter("x"), 3);
+        assert_eq!(merged.counter("y"), 0);
+        assert_eq!(inner[0].counter("y"), 1);
+        // After the buffer closes, emits vanish quietly.
+        assert!(!enabled());
+        emit(Registry::default());
+    }
+
+    #[test]
+    fn outer_buffer_survives_a_panic_inside_an_inner_capture() {
+        let ((), outer) = captured(|| {
+            emit(one("before"));
+            let caught = std::panic::catch_unwind(|| {
+                captured(|| {
+                    emit(one("lost"));
+                    panic!("inner closure panics");
+                })
+            });
+            assert!(caught.is_err());
+            // The inner buffer was closed on unwind: this lands outside.
+            assert!(enabled());
+            emit(one("after"));
         });
+        // The outer buffer keeps its own two, in order, and nothing else.
+        assert_eq!(outer.len(), 2);
+        assert_eq!(outer[0].counter("before"), 1);
+        assert_eq!(outer[1].counter("after"), 1);
+        assert!(outer.iter().all(|r| r.counter("lost") == 0));
+        assert!(!enabled());
     }
 }

@@ -254,6 +254,14 @@ impl ClusterConfig {
         if self.bandwidth_budget_bps == Some(0) {
             return Err(RunError::ZeroBandwidthBudget);
         }
+        if let TargetComplexity::Constant(t) = self.target {
+            if !(t.is_finite() && t >= 0.0) {
+                return Err(RunError::TargetOutOfRange(t));
+            }
+        }
+        if self.time_window_ms == Some(0) {
+            return Err(RunError::ZeroTimeWindow);
+        }
         // Zero, negative and NaN rates have no schedule, and one so small
         // that the run outlasts the microsecond clock wraps `seq * dt_us`.
         let schedulable = self.arrival_rate.is_finite()
@@ -333,31 +341,22 @@ impl ClusterConfig {
         });
 
         // Aggregate.
-        let report = reg.time_phase("aggregate", || {
-            let mut total = NodeMetrics::default();
-            let mut fallback_events = 0u64;
-            let mut per_node_arrivals = Vec::with_capacity(self.n as usize);
-            let mut per_node_sent = Vec::with_capacity(self.n as usize);
-            for node in sim.iter_nodes() {
-                total.absorb(node.metrics());
-                fallback_events += node.fallback_events();
-                per_node_arrivals.push(node.metrics().arrivals);
-                per_node_sent.push(node.metrics().tuple_msgs_sent);
-            }
+        let (report, tally) = reg.time_phase("aggregate", || {
+            let tally = LockstepReport::new(truth_matches, sim.iter_nodes());
+            let total = tally.totals();
+            let fallback_events = sim.iter_nodes().map(NodeEngine::fallback_events).sum();
+            let per_node_arrivals: Vec<u64> = tally.per_node.iter().map(|m| m.arrivals).collect();
+            let per_node_sent = tally.per_node.iter().map(|m| m.tuple_msgs_sent).collect();
             let mean_arrivals = self.tuples as f64 / self.n as f64;
             let load_imbalance = per_node_arrivals
                 .iter()
                 .fold(0.0_f64, |acc, &a| acc.max(a as f64))
                 / mean_arrivals.max(1e-9);
-            let reported = total.matches();
-            let epsilon = if truth_matches == 0 {
-                0.0
-            } else {
-                ((truth_matches as f64 - reported as f64) / truth_matches as f64).max(0.0)
-            };
+            let reported = tally.reported_matches;
+            let epsilon = tally.epsilon();
             let duration = horizon.as_secs_f64().max(1e-9);
             let messages = sim.metrics().messages_sent;
-            ExperimentReport {
+            let report = ExperimentReport {
                 algorithm: self.algorithm,
                 workload: self.workload.label().to_string(),
                 n: self.n,
@@ -389,41 +388,37 @@ impl ClusterConfig {
                 per_node_sent,
                 load_imbalance,
                 dropped_messages: sim.metrics().messages_dropped,
-            }
+            };
+            (report, tally)
         });
-        // Structured observability: skipped entirely unless a harness
-        // installed a collector and set an experiment scope (repro's
-        // `--metrics-out`), so plain `run()` callers pay nothing.
+        // Structured observability: skipped entirely unless the caller
+        // opened a capture buffer (repro's `--metrics-out`), so plain
+        // `run()` callers pay nothing.
         if obs::enabled() {
+            tally.record_into(&mut reg, report.tuples as u64);
             self.export_observations(&mut reg, &report, sim.metrics());
-            for (me, node) in sim.iter_nodes().enumerate() {
-                node.metrics().record_into(&mut reg, me as u16);
-            }
             obs::emit(reg);
         }
         Ok(report)
     }
 
-    /// Fills `reg` with the run-level counters, gauges and network
-    /// histograms of a finished run.
+    /// Fills `reg` with what only the simulated backend measures: the
+    /// network counters and histograms and the virtual-time gauges. (The
+    /// counters every backend shares come from
+    /// [`LockstepReport::record_into`].)
     fn export_observations(
         &self,
         reg: &mut obs::Registry,
         report: &ExperimentReport,
         net: &dsj_simnet::NetMetrics,
     ) {
-        reg.counter_add("runs", 1);
         reg.counter_add("net.messages_sent", net.messages_sent);
         reg.counter_add("net.messages_delivered", net.messages_delivered);
         reg.counter_add("net.messages_dropped", net.messages_dropped);
         reg.counter_add("net.bytes_sent", net.bytes_sent);
         reg.histogram_merge("net.msg_bytes", &net.msg_bytes);
         reg.histogram_merge("net.delivery_latency_us", &net.delivery_latency_us);
-        reg.counter_add("truth_matches", report.truth_matches);
-        reg.counter_add("reported_matches", report.reported_matches);
-        reg.counter_add("tuples", report.tuples as u64);
         reg.counter_add("fallback_events", report.fallback_events);
-        reg.gauge_set("epsilon", report.epsilon);
         reg.gauge_set("messages_per_result", report.messages_per_result);
         reg.gauge_set("msgs_per_tuple", report.msgs_per_tuple);
         reg.gauge_set("overhead_ratio", report.overhead_ratio);
@@ -461,18 +456,10 @@ impl ClusterConfig {
             sim.inject_at(t, a.node, a.tuple());
             sim.run_to_quiescence();
         }
-        let per_node: Vec<NodeMetrics> = sim.iter_nodes().map(|e| *e.metrics()).collect();
-        let match_digests: Vec<u64> = sim.iter_nodes().map(NodeEngine::match_digest).collect();
-        let totals = per_node.iter().fold(NodeMetrics::default(), |mut acc, m| {
-            acc.absorb(m);
-            acc
-        });
-        Ok(LockstepReport {
-            truth_matches: self.truth_of(&arrivals),
-            reported_matches: totals.matches(),
-            per_node,
-            match_digests,
-        })
+        Ok(LockstepReport::new(
+            self.truth_of(&arrivals),
+            sim.iter_nodes(),
+        ))
     }
 
     /// Calibrates the message-complexity target so the measured error is at
@@ -486,8 +473,10 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`RunError`] from the underlying runs.
+    /// [`RunError::EpsilonOutOfRange`] for a target outside `[0, 1]`;
+    /// propagates [`RunError`] from the underlying runs.
     pub fn run_at_epsilon(&self, target_epsilon: f64) -> Result<(ExperimentReport, f64), RunError> {
+        check_epsilon(target_epsilon)?;
         if self.algorithm == Algorithm::Base {
             return Ok((self.run()?, (self.n - 1) as f64));
         }
@@ -623,12 +612,14 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Propagates [`RunError`] from the underlying runs;
+    /// [`RunError::EpsilonOutOfRange`] for a target outside `[0, 1]`,
     /// [`RunError::EmptyGrid`] when `grid` is empty.
     pub fn run_best_effort(
         &self,
         target_epsilon: f64,
         grid: &[f64],
     ) -> Result<(ExperimentReport, f64), RunError> {
+        check_epsilon(target_epsilon)?;
         if grid.is_empty() {
             return Err(RunError::EmptyGrid);
         }
@@ -661,10 +652,21 @@ impl ClusterConfig {
     }
 }
 
-/// What [`ClusterConfig::run_lockstep`] measures: the backend-independent
-/// slice of a run — exactly the facts the cross-backend equivalence suite
-/// compares. (Throughput and wall/virtual durations are deliberately
-/// absent: they differ across backends by construction.)
+/// A target ε is a fraction of the result set; NaN fails the range test too.
+fn check_epsilon(target_epsilon: f64) -> Result<(), RunError> {
+    if (0.0..=1.0).contains(&target_epsilon) {
+        Ok(())
+    } else {
+        Err(RunError::EpsilonOutOfRange(target_epsilon))
+    }
+}
+
+/// The backend-independent tally of a finished run — what
+/// [`ClusterConfig::run_lockstep`] returns and what [`ClusterConfig::run`]
+/// and `dsj-runtime`'s driver build their reports from: exactly the facts
+/// the cross-backend equivalence suite compares. (Throughput and
+/// wall/virtual durations are deliberately absent: they differ across
+/// backends by construction.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockstepReport {
     /// Exact result-set size `|Ψ|` (post warm-up).
@@ -675,6 +677,56 @@ pub struct LockstepReport {
     pub per_node: Vec<NodeMetrics>,
     /// Every node's order-sensitive match digest, in node order.
     pub match_digests: Vec<u64>,
+}
+
+impl LockstepReport {
+    /// Folds a finished run's node engines, in node order, into the tally —
+    /// the one place engines become per-node counters, digests and the
+    /// reported-match total, on every backend.
+    pub fn new<'a>(truth_matches: u64, engines: impl IntoIterator<Item = &'a NodeEngine>) -> Self {
+        let (per_node, match_digests): (Vec<NodeMetrics>, Vec<u64>) = engines
+            .into_iter()
+            .map(|e| (*e.metrics(), e.match_digest()))
+            .unzip();
+        LockstepReport {
+            truth_matches,
+            reported_matches: per_node.iter().map(NodeMetrics::matches).sum(),
+            per_node,
+            match_digests,
+        }
+    }
+
+    /// The per-node counters summed over the cluster.
+    pub fn totals(&self) -> NodeMetrics {
+        let mut totals = NodeMetrics::default();
+        self.per_node.iter().for_each(|m| totals.absorb(m));
+        totals
+    }
+
+    /// ε = (|Ψ| − |Ψ̂|)/|Ψ| (Eqn. 1), clamped at zero; zero for an empty
+    /// result set.
+    pub fn epsilon(&self) -> f64 {
+        if self.truth_matches == 0 {
+            return 0.0;
+        }
+        let missed = self.truth_matches as f64 - self.reported_matches as f64;
+        (missed / self.truth_matches as f64).max(0.0)
+    }
+
+    /// Exports one run's share of an experiment record — the counters every
+    /// backend reports under the same names: `runs`, `truth_matches`,
+    /// `reported_matches`, `tuples` (the arrivals actually fed), the
+    /// `epsilon` gauge and the `node.<id>.<counter>` rows.
+    pub fn record_into(&self, reg: &mut obs::Registry, tuples: u64) {
+        reg.counter_add("runs", 1);
+        reg.counter_add("truth_matches", self.truth_matches);
+        reg.counter_add("reported_matches", self.reported_matches);
+        reg.counter_add("tuples", tuples);
+        reg.gauge_set("epsilon", self.epsilon());
+        for (me, m) in (0..).zip(&self.per_node) {
+            m.record_into(reg, me);
+        }
+    }
 }
 
 /// The measured outcome of one cluster experiment.
@@ -813,6 +865,38 @@ mod tests {
                 quick(Algorithm::Dft).arrival_rate(rate).run().unwrap_err(),
                 RunError::ArrivalRateOutOfRange(_)
             ));
+        }
+        // Inputs that used to run to a report of nonsense.
+        for target in [f64::NAN, -1.0, f64::INFINITY] {
+            let cfg = quick(Algorithm::Dft).target(TargetComplexity::Constant(target));
+            assert!(matches!(
+                cfg.run().unwrap_err(),
+                RunError::TargetOutOfRange(_)
+            ));
+        }
+        assert!(quick(Algorithm::Dft)
+            .target(TargetComplexity::Constant(0.0))
+            .validate()
+            .is_ok());
+        let timed = |ms| ClusterConfig {
+            time_window_ms: Some(ms),
+            ..quick(Algorithm::Dft)
+        };
+        assert_eq!(timed(0).run().unwrap_err(), RunError::ZeroTimeWindow);
+        assert!(timed(1).validate().is_ok());
+        // A target ε outside [0, 1] is refused before the first run, by
+        // both searches, for BASE (which needs no search) as well.
+        for algorithm in [Algorithm::Dft, Algorithm::Base] {
+            for eps in [f64::NAN, -1.0, 2.0] {
+                assert!(matches!(
+                    quick(algorithm).run_at_epsilon(eps).unwrap_err(),
+                    RunError::EpsilonOutOfRange(_)
+                ));
+                assert!(matches!(
+                    quick(algorithm).run_best_effort(eps, &[1.0]).unwrap_err(),
+                    RunError::EpsilonOutOfRange(_)
+                ));
+            }
         }
     }
 
@@ -1045,15 +1129,12 @@ mod tests {
     }
 
     #[test]
-    fn run_emits_observation_record_when_scoped() {
-        let collector = crate::obs::Collector::install();
+    fn run_emits_observation_record_when_captured() {
         let cfg = quick(Algorithm::Dftt);
-        let report = crate::obs::scoped("unit", 0, || cfg.run().unwrap());
-        let records = collector.drain();
-        assert_eq!(records.len(), 1);
-        let rec = &records[0];
-        assert_eq!((rec.index, rec.label.as_str(), rec.runs), (0, "unit", 1));
-        let reg = &rec.registry;
+        let (report, regs) = obs::captured(|| cfg.run().unwrap());
+        assert_eq!(regs.len(), 1);
+        let reg = &regs[0];
+        assert_eq!(reg.counter("runs"), 1);
         assert_eq!(reg.counter("net.messages_sent"), report.messages);
         assert_eq!(reg.counter("truth_matches"), report.truth_matches);
         assert_eq!(reg.gauge("epsilon"), Some(report.epsilon));
@@ -1076,9 +1157,10 @@ mod tests {
             reg.histogram("net.delivery_latency_us").unwrap().count(),
             report.messages - report.dropped_messages
         );
-        // And nothing leaks once the scope is gone.
-        cfg.run().unwrap();
-        assert!(collector.drain().is_empty());
+        // Once the buffer is closed a run has nowhere to emit, and skips
+        // the export.
+        assert!(!obs::enabled());
+        assert_eq!(cfg.run().unwrap(), report);
     }
 
     #[test]

@@ -340,15 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn live_run_emits_observation_record_when_scoped() {
-        let collector = obs::Collector::install();
+    fn live_run_emits_observation_record_when_captured() {
         let cfg = quick(3, Algorithm::Dft);
-        let outcome = obs::scoped("live", 4, || LiveCluster::run(&cfg).unwrap());
-        let records = collector.drain();
-        assert_eq!(records.len(), 1);
-        let rec = &records[0];
-        assert_eq!((rec.index, rec.label.as_str()), (4, "live"));
-        let reg = &rec.registry;
+        let (outcome, regs) = obs::captured(|| LiveCluster::run(&cfg).unwrap());
+        assert_eq!(regs.len(), 1);
+        let reg = &regs[0];
+        assert_eq!(reg.counter("runs"), 1);
         assert_eq!(reg.counter("live.messages"), outcome.messages);
         assert_eq!(reg.counter("truth_matches"), outcome.truth_matches);
         for phase in ["workload", "spawn", "inject", "drain", "join"] {

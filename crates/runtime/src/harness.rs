@@ -58,7 +58,7 @@ use crate::cluster::{LiveError, LiveOutcome, TransportStats};
 use crate::reactor::Kick;
 use crate::sync::{AtomicI64, Mutex, Ordering};
 use dsj_core::obs;
-use dsj_core::{ClusterConfig, NodeEngine, NodeMetrics, RunError, Transport, TransportEvent};
+use dsj_core::{ClusterConfig, LockstepReport, NodeEngine, RunError, Transport, TransportEvent};
 use dsj_stream::gen::Arrival;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -112,7 +112,7 @@ impl OpenLoop {
 
 /// What a feeder observed while injecting the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedReport {
+pub(crate) struct FeedReport {
     /// Arrivals actually injected (all of them unless the feeder bailed
     /// out on overload).
     pub injected: usize,
@@ -768,53 +768,41 @@ pub(crate) fn drive_with<F: Feeder>(
         (Some(e), _) | (None, Err(e)) => return Err(e),
         (None, Ok(report)) => report,
     };
-    let mut totals = NodeMetrics::default();
+    let tally = LockstepReport::new(truth_matches, &engines);
     let mut delivery_latency_us = obs::Histogram::new();
     for engine in &engines {
-        totals.absorb(engine.metrics());
         delivery_latency_us.merge(engine.delivery_latency());
     }
     reg.phase_add("join", join_started.elapsed());
-    let reported_matches = totals.matches();
-    let epsilon = if truth_matches == 0 {
-        0.0
-    } else {
-        ((truth_matches as f64 - reported_matches as f64) / truth_matches as f64).max(0.0)
-    };
-    let secs = wall_time.as_secs_f64().max(1e-9);
-    let outcome = LiveOutcome {
-        truth_matches,
-        reported_matches,
-        epsilon,
-        messages: totals.tuple_msgs_sent + totals.summary_msgs_sent,
-        totals,
-        per_node: engines.iter().map(|e| *e.metrics()).collect(),
-        match_digests: engines.iter().map(NodeEngine::match_digest).collect(),
-        transport_per_node,
-        delivery_latency_us,
-        wall_time,
-        tuples_per_sec: report.injected as f64 / secs,
-    };
+    let totals = tally.totals();
+    let messages = totals.tuple_msgs_sent + totals.summary_msgs_sent;
+    let tuples_per_sec = report.injected as f64 / wall_time.as_secs_f64().max(1e-9);
     if obs::enabled() {
-        reg.counter_add("runs", 1);
-        reg.counter_add("truth_matches", outcome.truth_matches);
-        reg.counter_add("reported_matches", outcome.reported_matches);
-        reg.counter_add("live.messages", outcome.messages);
-        reg.counter_add("tuples", report.injected as u64);
-        reg.gauge_set("epsilon", outcome.epsilon);
-        reg.gauge_set("wall_time_secs", outcome.wall_time.as_secs_f64());
-        reg.gauge_set("tuples_per_sec", outcome.tuples_per_sec);
-        if outcome.delivery_latency_us.count() > 0 {
-            reg.histogram_merge("delivery_latency_us", &outcome.delivery_latency_us);
+        tally.record_into(&mut reg, report.injected as u64);
+        reg.counter_add("live.messages", messages);
+        reg.gauge_set("wall_time_secs", wall_time.as_secs_f64());
+        reg.gauge_set("tuples_per_sec", tuples_per_sec);
+        if delivery_latency_us.count() > 0 {
+            reg.histogram_merge("delivery_latency_us", &delivery_latency_us);
         }
-        for (me, engine) in engines.iter().enumerate() {
-            engine.metrics().record_into(&mut reg, me as u16);
-        }
-        for (me, t) in outcome.transport_per_node.iter().enumerate() {
+        for (me, t) in transport_per_node.iter().enumerate() {
             record_transport(&mut reg, me as u16, t);
         }
         obs::emit(reg);
     }
+    let outcome = LiveOutcome {
+        truth_matches,
+        reported_matches: tally.reported_matches,
+        epsilon: tally.epsilon(),
+        messages,
+        totals,
+        per_node: tally.per_node,
+        match_digests: tally.match_digests,
+        transport_per_node,
+        delivery_latency_us,
+        wall_time,
+        tuples_per_sec,
+    };
     Ok((outcome, report))
 }
 

@@ -52,5 +52,5 @@ mod sync;
 mod tcp;
 
 pub use cluster::{LiveCluster, LiveError, LiveOutcome, TransportStats};
-pub use harness::{FeedReport, LoadRun, OpenLoop, Pacing};
+pub use harness::{LoadRun, OpenLoop, Pacing};
 pub use tcp::{TcpCluster, TcpMode};

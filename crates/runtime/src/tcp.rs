@@ -336,12 +336,10 @@ mod tests {
 
     #[test]
     fn tcp_run_emits_observation_record_with_phases() {
-        let collector = obs::Collector::install();
         let cfg = quick(3, Algorithm::Dft);
-        let outcome = obs::scoped("tcp", 2, || TcpCluster::run(&cfg).unwrap());
-        let records = collector.drain();
-        assert_eq!(records.len(), 1);
-        let reg = &records[0].registry;
+        let (outcome, regs) = obs::captured(|| TcpCluster::run(&cfg).unwrap());
+        assert_eq!(regs.len(), 1);
+        let reg = &regs[0];
         assert_eq!(reg.counter("live.messages"), outcome.messages);
         for phase in ["workload", "spawn", "inject", "drain", "join"] {
             assert!(reg.phase(phase).is_some(), "missing phase {phase}");

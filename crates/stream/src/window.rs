@@ -1,8 +1,9 @@
 //! Sliding windows over tuple streams.
 //!
-//! The paper defines windows by tuple count, time duration, or landmark and
-//! notes the algorithms are agnostic to the choice (Section 1). All three
-//! are implemented; the experiments use count windows like the paper's.
+//! The paper's windows hold the last `W` tuples; it notes the algorithms
+//! are agnostic to how a window is bounded (Section 1). Count and time
+//! windows are implemented; the experiments use count windows like the
+//! paper's, and one end-to-end test runs time windows.
 
 use crate::tuple::Tuple;
 use std::collections::{BTreeMap, VecDeque};
@@ -15,8 +16,6 @@ pub enum WindowSpec {
     /// Keep tuples whose timestamp is within `span` of the newest arrival's
     /// timestamp. Timestamps are supplied at insertion.
     Time(u64),
-    /// Keep every tuple since the landmark was (last) set.
-    Landmark,
 }
 
 impl WindowSpec {
@@ -81,11 +80,6 @@ impl SlidingWindow {
         }
     }
 
-    /// The window's bounding policy.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
     /// Number of tuples currently held.
     #[inline]
     pub fn len(&self) -> usize {
@@ -141,7 +135,7 @@ impl SlidingWindow {
     }
 
     /// Inserts a tuple observed at `now` (a timestamp for time windows;
-    /// ignored by count and landmark windows) and returns any evicted
+    /// ignored by count windows) and returns any evicted
     /// tuples, oldest first.
     ///
     /// The returned slice borrows an internal buffer that is overwritten
@@ -181,7 +175,6 @@ impl SlidingWindow {
                     self.evict_keys.push(t.key);
                 }
             }
-            WindowSpec::Landmark => {}
         }
         &self.evict_buf
     }
@@ -191,15 +184,6 @@ impl SlidingWindow {
     #[inline]
     pub fn evicted_keys(&self) -> &[u32] {
         &self.evict_keys
-    }
-
-    /// Clears the window (landmark reset). Returns the evicted tuples.
-    pub fn reset_landmark(&mut self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        while let Some(t) = self.pop_oldest() {
-            out.push(t);
-        }
-        out
     }
 
     /// Evicts the oldest held tuple, if any, keeping the per-key counts in
@@ -290,19 +274,6 @@ mod tests {
         assert_eq!(ev.len(), 1, "tuple at ts=100 falls out of span 10");
         assert_eq!(ev[0].key, 1);
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn landmark_window_grows_until_reset() {
-        let mut w = SlidingWindow::new(WindowSpec::Landmark);
-        for i in 0..100 {
-            assert!(w.insert(t(i, i as u64), i as u64).is_empty());
-        }
-        assert_eq!(w.len(), 100);
-        let cleared = w.reset_landmark();
-        assert_eq!(cleared.len(), 100);
-        assert!(w.is_empty());
-        assert_eq!(w.probe(5), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! buffer so `probe` is O(1), and eviction reuses internal buffers (PR
 //! 3), so these properties pin the index
 //! against a naive recount of the buffer under arbitrary mixed operation
-//! sequences for every window kind.
+//! sequences for both window kinds.
 
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use proptest::prelude::*;
@@ -25,27 +25,26 @@ fn naive_counts(w: &SlidingWindow) -> BTreeMap<u32, u32> {
 fn spec_for(kind: u8) -> WindowSpec {
     match kind {
         0 => WindowSpec::count(7),
-        1 => WindowSpec::Time(9),
-        _ => WindowSpec::Landmark,
+        _ => WindowSpec::Time(9),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After every insert (and landmark reset), `probe` over the whole key
+    /// After every insert, `probe` over the whole key
     /// space matches a naive recount of the buffer, the eviction batch is
     /// consistent between its tuple and key views, and the
     /// inserted/evicted/held accounting balances.
     #[test]
     fn probe_index_matches_naive_recount(
-        kind in 0u8..3,
-        ops in prop::collection::vec((0u32..KEY_SPACE, 0u64..5, prop::bool::ANY), 1..80),
+        kind in 0u8..2,
+        ops in prop::collection::vec((0u32..KEY_SPACE, 0u64..5), 1..80),
     ) {
         let mut w = SlidingWindow::new(spec_for(kind));
         let mut now = 0u64;
         let mut evicted_total = 0u64;
-        for (seq, &(key, dt, reset)) in ops.iter().enumerate() {
+        for (seq, &(key, dt)) in ops.iter().enumerate() {
             now += dt;
             let tuple = Tuple::new(StreamId::R, key, seq as u64, 0);
             let ev_len = w.insert(tuple, now).len();
@@ -67,22 +66,13 @@ proptest! {
             for k in keys_of_batch {
                 prop_assert!(k < KEY_SPACE);
             }
-
-            if reset && matches!(w.spec(), WindowSpec::Landmark) {
-                let cleared = w.reset_landmark();
-                evicted_total += cleared.len() as u64;
-                prop_assert!(w.is_empty());
-                for k in 0..KEY_SPACE {
-                    prop_assert_eq!(w.probe(k), 0);
-                }
-            }
         }
     }
 
     /// `probe_before` equals a filtered naive recount for every cutoff.
     #[test]
     fn probe_before_matches_filtered_recount(
-        kind in 0u8..3,
+        kind in 0u8..2,
         ops in prop::collection::vec((0u32..KEY_SPACE, 0u64..5), 1..60),
         cutoff in 0u64..70,
     ) {

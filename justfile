@@ -30,8 +30,12 @@ tier1:
 test-workspace:
     cargo test -q --workspace
 
-# Parallel repro harness must match serial output byte-for-byte and emit
-# one metrics record per experiment.
+# What `--metrics-out` writes, minus each line's wall-clock `phases` object.
+strip_phases := "sed -E 's/\"phases\":\\{(\"[^\"]+\":\\{[^}]*\\},?)*\\},//'"
+
+# Parallel repro harness must match serial byte-for-byte — stdout, and the
+# metrics records (one per experiment) once `phases` is removed — and a
+# mistyped experiment name must fail the process.
 repro-smoke:
     cargo build --release -p dsj-bench --bin repro
     DSJOIN_SCALE=quick ./target/release/repro fig8 ablation_detector --jobs 1 \
@@ -40,6 +44,11 @@ repro-smoke:
         --metrics-out /tmp/dsjoin_metrics_j4.jsonl > /tmp/dsjoin_out_j4.txt
     diff /tmp/dsjoin_out_j1.txt /tmp/dsjoin_out_j4.txt
     test "$(wc -l < /tmp/dsjoin_metrics_j4.jsonl)" -eq 2
+    {{strip_phases}} /tmp/dsjoin_metrics_j1.jsonl > /tmp/dsjoin_stable_j1.jsonl
+    {{strip_phases}} /tmp/dsjoin_metrics_j4.jsonl > /tmp/dsjoin_stable_j4.jsonl
+    if grep -q phases /tmp/dsjoin_stable_j4.jsonl; then exit 1; fi
+    diff /tmp/dsjoin_stable_j1.jsonl /tmp/dsjoin_stable_j4.jsonl
+    if DSJOIN_SCALE=quick ./target/release/repro figg8; then exit 1; fi
 
 # Live runtimes: the unit tests — among them the interleaving explorer's
 # searches of the latch, mailbox + in-flight and dirty-flag protocols

@@ -269,6 +269,39 @@ mod tests {
             };
             assert_eq!(config.validate(), Err(want), "{flags}");
         }
+        // ... as do the values that ran to a report of nonsense: a target
+        // that is no budget and a window that holds nothing.
+        for target in ["NaN", "-1", "inf"] {
+            let Command::Run { config, .. } = parse(&args(&format!("--target {target}"))).unwrap()
+            else {
+                panic!("expected a run");
+            };
+            assert!(
+                matches!(
+                    config.validate(),
+                    Err(dsj_core::RunError::TargetOutOfRange(_))
+                ),
+                "--target {target}"
+            );
+        }
+        let Command::Run { config, .. } = parse(&args("--time-window-ms 0")).unwrap() else {
+            panic!("expected a run");
+        };
+        assert_eq!(config.validate(), Err(dsj_core::RunError::ZeroTimeWindow));
+        // `--calibrate` is no `ClusterConfig` field: `run_at_epsilon`, which
+        // the binary hands it to, refuses it before the first run.
+        for eps in ["NaN", "-1", "2"] {
+            let Command::Run { config, calibrate } =
+                parse(&args(&format!("--tuples 3000 --calibrate {eps}"))).unwrap()
+            else {
+                panic!("expected a run");
+            };
+            let err = config.run_at_epsilon(calibrate.unwrap()).unwrap_err();
+            assert!(
+                matches!(err, dsj_core::RunError::EpsilonOutOfRange(_)),
+                "--calibrate {eps}: {err}"
+            );
+        }
         let Command::Run { config, .. } = parse(&args("--alpha NaN")).unwrap() else {
             panic!("expected a run");
         };
