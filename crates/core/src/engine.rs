@@ -16,9 +16,9 @@
 //! and the engine adds only the fan-out of produced messages into the
 //! transport, through buffers it reuses. What a whole arrival still
 //! allocates is measured, not assumed (`tests/alloc_budget.rs`, per
-//! arrival on the paper-default schedule: BASE 0.27, DFT and DFTT 0.35,
-//! BLOOM 0.32, SKCH 1.06 — the window's per-key deques, piggyback and
-//! summary assembly, and SKCH's join-size estimates). The cross-backend
+//! arrival on the paper-default schedule: BASE 0, DFT 0.068, DFTT 0.063,
+//! BLOOM 0.046, SKCH 0.79 — piggyback and summary assembly, and SKCH's
+//! join-size estimates). The cross-backend
 //! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
 //! three backends produce identical per-node metrics and match digests for
 //! the same seed when driven in lockstep.

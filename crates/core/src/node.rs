@@ -265,10 +265,10 @@ impl JoinNode {
     /// Transport-agnostic arrival handling (Fig. 7): local join, summary
     /// maintenance, routing. Clears and fills `out` with the
     /// `(peer, message)` pairs to transmit; the per-arrival route state
-    /// lives in buffers reused across calls. What still allocates — the
-    /// window's per-key deques, the piggyback and summary payloads built
-    /// below, SKCH's join-size estimates — is pinned per algorithm in
-    /// `tests/alloc_budget.rs`. `now_us` is the node's clock in
+    /// lives in buffers reused across calls and the window insert
+    /// allocates nothing. What still allocates — the piggyback and summary
+    /// payloads built below, SKCH's join-size estimates — is pinned per
+    /// algorithm in `tests/alloc_budget.rs`. `now_us` is the node's clock in
     /// microseconds (virtual or wall, depending on the runtime).
     pub fn handle_arrival_into(&mut self, tuple: Tuple, now_us: u64, out: &mut Vec<(u16, Msg)>) {
         out.clear();

@@ -17,7 +17,7 @@ use super::RouterConfig;
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
-use dsj_dft::{Complex64, ControlVector, IncrementalRecon};
+use dsj_dft::{Complex64, ControlVector, PointwiseRecon};
 use dsj_stream::StreamId;
 
 /// Minimum absolute coefficient change worth piggy-backing on a tuple
@@ -31,71 +31,14 @@ const PIGGYBACK_TAU_REL: f64 = 0.25;
 /// data, the regime Figure 8 reports.
 const PIGGYBACK_GAP: u64 = 192;
 
-/// One remote window's reconstruction, materialized lazily bucket by
-/// bucket (DFTT only).
-///
-/// Routing reads *one* bucket per peer per tuple, so eagerly maintaining
-/// all `W` buckets on every summary is almost entirely wasted work — the
-/// original reconstruction cliff. Instead each bucket carries a validity
-/// stamp: a dense refresh invalidates the whole memo by bumping `epoch`
-/// (*O(1)*), and a read of a non-current bucket recomputes just that
-/// bucket from the coefficient prefix via [`IncrementalRecon::eval`]
-/// (*O(K)*). Sparse updates (piggybacks) keep already-materialized
-/// buckets current in place via [`IncrementalRecon::apply`], preserving
-/// the memo across the common steady-state message.
-#[derive(Debug, Clone)]
-struct ReconMemo {
-    /// Bucket estimates; meaningful only where `stamps[key] == epoch`.
-    values: Vec<f64>,
-    /// Per-bucket materialization stamp.
-    stamps: Vec<u32>,
-    /// Current validity epoch; bumping it invalidates every bucket.
-    epoch: u32,
-}
-
-impl ReconMemo {
-    fn new(w: usize) -> Self {
-        // `stamps` start below `epoch`, so every bucket begins invalid.
-        ReconMemo {
-            values: vec![0.0; w],
-            stamps: vec![0; w],
-            epoch: 1,
-        }
-    }
-
-    /// Invalidates every bucket in *O(1)* — the dense-refresh path.
-    fn invalidate(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One `O(W)` reset per 2³² refreshes keeps wrapped stamps from
-            // aliasing as current; unreachable in any real run.
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-    }
-}
-
-/// Reads one reconstruction bucket through the memo: the memoized value
-/// when current, otherwise a fresh *O(K)* pointwise evaluation that is
-/// stored back. `None` for out-of-domain keys.
-///
-/// Free function (not a method) so callers can split-borrow the summary's
-/// `recon_plan`, `recon` and `remote` fields independently.
+/// Peer's reconstructed count of `key` from its coefficient prefix: one
+/// *O(K)* bucket of the inverse DFT. `None` for an out-of-domain key
+/// (ingest guards it, but the hot path must be panic-free regardless) —
+/// no reconstruction bucket, no membership hit.
 #[inline]
-fn membership_estimate(
-    plan: &IncrementalRecon,
-    memo: &mut ReconMemo,
-    coeffs: &[Complex64],
-    key: usize,
-) -> Option<f64> {
-    let stamp = memo.stamps.get_mut(key)?;
-    if *stamp == memo.epoch {
-        return Some(memo.values[key]);
-    }
-    let est = plan.eval(coeffs, key);
-    memo.values[key] = est;
-    *stamp = memo.epoch;
-    Some(est)
+fn membership_estimate(plan: &PointwiseRecon, coeffs: &[Complex64], key: u32) -> Option<f64> {
+    let key = key as usize;
+    (key < plan.signal_len()).then(|| plan.eval(coeffs, key))
 }
 
 /// Summary state of the DFT (flow filtering) and DFTT (flow filtering +
@@ -110,14 +53,9 @@ pub(super) struct DftSummary {
     remote: Vec<[Option<Vec<Complex64>>; 2]>,
     /// What each peer last received of our coefficients.
     snapshot: Vec<[Option<Vec<Complex64>>; 2]>,
-    /// Reconstructed remote histograms (DFTT only), kept as lazy
-    /// bucket-level memos: dense refreshes invalidate in *O(1)*, sparse
-    /// updates fold in place through [`IncrementalRecon`], and buckets
-    /// materialize on first read via the *O(K)* pointwise inverse DFT.
-    recon: Vec<[Option<ReconMemo>; 2]>,
-    /// Shared inverse-DFT update plan for every per-peer reconstruction
-    /// (DFTT only): precomputed twiddles, *O(W)* per changed coefficient.
-    recon_plan: Option<IncrementalRecon>,
+    /// Pointwise inverse DFT over every remote prefix (DFTT only):
+    /// membership reads evaluate the one bucket they need, on demand.
+    recon_plan: Option<PointwiseRecon>,
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
     /// Cached `ρ` per peer per *tuple* stream (correlating `local[s]`
@@ -147,8 +85,7 @@ impl DftSummary {
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             snapshot: vec![[None, None]; n],
-            recon: vec![[None, None]; n],
-            recon_plan: tuple_testing.then(|| IncrementalRecon::new(domain, k)),
+            recon_plan: tuple_testing.then(|| PointwiseRecon::new(domain, k)),
             retained: k,
             rho: vec![[None, None]; n],
             rho_stale: vec![[true, true]; n],
@@ -217,7 +154,7 @@ impl DftSummary {
     /// opposite-stream window holds `key` (DFTT only). Returns whether any
     /// peer has a reconstruction at all.
     pub fn push_candidates(
-        &mut self,
+        &self,
         stream: StreamId,
         key: u32,
         peers: &[u16],
@@ -229,19 +166,11 @@ impl DftSummary {
         let opp = stream.opposite().index();
         let mut any = false;
         for &peer in peers {
-            let j = peer as usize;
-            // The memo and the coefficient prefix are always created
-            // together in `apply_summary`.
-            let (Some(memo), Some(coeffs)) =
-                (self.recon[j][opp].as_mut(), self.remote[j][opp].as_ref())
-            else {
+            let Some(coeffs) = self.remote[peer as usize][opp].as_ref() else {
                 continue;
             };
             any = true;
-            // Checked: an out-of-domain key (ingest guards it, but the hot
-            // path must be panic-free regardless) has no reconstruction
-            // bucket — no membership hit.
-            if let Some(est) = membership_estimate(plan, memo, coeffs, key as usize) {
+            if let Some(est) = membership_estimate(plan, coeffs, key) {
                 if est >= 0.5 {
                     out.push((peer, est));
                 }
@@ -250,13 +179,8 @@ impl DftSummary {
         any
     }
 
-    /// Ingests a peer's coefficient updates and keeps the reconstruction
-    /// memo consistent without ever running a full *O(W·κ)* inverse DFT:
-    /// a sparse update folds each changed bin into the memo *in place*
-    /// (*O(W)* per bin through the shared [`IncrementalRecon`] plan, no
-    /// coefficient clone), and a dense refresh invalidates the memo in
-    /// *O(1)*, deferring bucket values to on-demand *O(K)* pointwise
-    /// evaluation at routing time.
+    /// Ingests a peer's coefficient updates. Membership reads evaluate
+    /// their bucket from the prefix, so nothing else needs refreshing.
     ///
     /// Returns the number of updates *dropped* because their index fell
     /// outside the retained prefix — the signature of a version-skewed or
@@ -277,49 +201,10 @@ impl DftSummary {
         // this peer reuses the buffer.
         let coeffs = self.remote[j][s].get_or_insert_with(|| vec![Complex64::ZERO; k]);
         let mut dropped = 0u64;
-        match self.recon_plan.as_ref() {
-            Some(plan) => {
-                let memo =
-                    self.recon[j][s].get_or_insert_with(|| ReconMemo::new(plan.signal_len()));
-                // Hybrid maintenance. A *sparse* update (piggyback, small
-                // drift delta) folds each changed bin into the memo's
-                // buckets in place — O(W) per bin, and already-materialized
-                // buckets stay current. A *dense* refresh (initial full
-                // sync, large drift correction) just invalidates the memo
-                // in O(1): routing reads so few distinct buckets between
-                // refreshes that recomputing them on demand (O(K) each) is
-                // orders of magnitude cheaper than rebuilding all W.
-                // Senders only ship bins that actually moved, so the
-                // in-range update count is the changed-bin count.
-                let in_range = updates.iter().filter(|u| (u.index as usize) < k).count();
-                dropped += (updates.len() - in_range) as u64;
-                if in_range >= plan.dense_threshold() {
-                    for u in updates {
-                        if let Some(slot) = coeffs.get_mut(u.index as usize) {
-                            *slot = u.value;
-                        }
-                    }
-                    memo.invalidate();
-                } else {
-                    for u in updates {
-                        if let Some(slot) = coeffs.get_mut(u.index as usize) {
-                            let delta = u.value - *slot;
-                            *slot = u.value;
-                            // Stale buckets absorb the delta harmlessly —
-                            // they are overwritten by a fresh pointwise
-                            // evaluation whenever they are next read.
-                            plan.apply(&mut memo.values, u.index as usize, delta);
-                        }
-                    }
-                }
-            }
-            None => {
-                for u in updates {
-                    match coeffs.get_mut(u.index as usize) {
-                        Some(slot) => *slot = u.value,
-                        None => dropped += 1,
-                    }
-                }
+        for u in updates {
+            match coeffs.get_mut(u.index as usize) {
+                Some(slot) => *slot = u.value,
+                None => dropped += 1,
             }
         }
         // Tuples of the *opposite* stream correlate against this summary.
@@ -360,7 +245,10 @@ impl DftSummary {
                     })
                     .collect(),
             };
-            *snap = Some(cur.to_vec());
+            match snap {
+                Some(prev) => prev.copy_from_slice(cur),
+                None => *snap = Some(cur.to_vec()),
+            }
             if !updates.is_empty() {
                 out.push(SummaryPayload::Dft {
                     stream,
@@ -441,13 +329,10 @@ mod tests {
         }
     }
 
-    /// One reconstruction bucket through the production memoized read
-    /// path (`membership_estimate`).
-    fn recon_bucket(r: &mut DftSummary, peer: usize, s: usize, key: usize) -> Option<f64> {
-        let plan = r.recon_plan.as_ref()?;
-        let memo = r.recon[peer][s].as_mut()?;
-        let coeffs = r.remote[peer][s].as_ref()?;
-        membership_estimate(plan, memo, coeffs, key)
+    /// One reconstruction bucket through the production read path
+    /// (`membership_estimate`).
+    fn recon_bucket(r: &DftSummary, peer: usize, s: usize, key: u32) -> Option<f64> {
+        membership_estimate(r.recon_plan.as_ref()?, r.remote[peer][s].as_ref()?, key)
     }
 
     #[test]
@@ -520,12 +405,17 @@ mod tests {
         let coeffs = r.remote[1][StreamId::S.index()].as_ref().unwrap();
         assert_eq!(coeffs.len(), 32, "buffer never grows for bad indices");
         assert_eq!(coeffs[3], Complex64::new(8.0, -2.0), "valid update lands");
-        // The reconstruction absorbed exactly the valid update.
+        // The reconstruction reads exactly the valid update.
         let full = dsj_dft::CompressedDft::from_prefix(coeffs.clone(), 256).reconstruct();
-        for (key, b) in full.iter().enumerate() {
-            let a = recon_bucket(&mut r, 1, StreamId::S.index(), key).unwrap();
+        for (key, b) in (0..).zip(&full) {
+            let a = recon_bucket(&r, 1, StreamId::S.index(), key).unwrap();
             assert!((a - b).abs() < 1e-9);
         }
+        assert_eq!(
+            recon_bucket(&r, 1, StreamId::S.index(), 256),
+            None,
+            "out of domain"
+        );
         // A fully in-range payload reports zero drops.
         let ok = SummaryPayload::Dft {
             stream: StreamId::S,
@@ -539,22 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn incremental_recon_matches_full_reconstruction_across_exchanges() {
-        // Full summaries, deltas and piggybacks all flow through the
-        // incremental path; after every exchange the cached reconstruction
-        // must equal a from-scratch inverse DFT of the remote prefix.
+    fn remote_prefix_tracks_the_senders_snapshot_across_exchanges() {
+        // Full summaries, deltas and piggybacks all land in the receiver's
+        // prefix; after every exchange it holds what the sender's snapshot
+        // (updated in place after the first sync) says the peer has, up to
+        // the sub-1e-9 moves a delta leaves out.
         let mut n0 = DftSummary::new(&test_config(0, 2), true);
         let mut n1 = DftSummary::new(&test_config(1, 2), true);
-        let check = |n0: &mut DftSummary| {
-            for s in [StreamId::R.index(), StreamId::S.index()] {
-                let Some(coeffs) = n0.remote[1][s].clone() else {
-                    continue;
-                };
-                let full = dsj_dft::CompressedDft::from_prefix(coeffs, 256).reconstruct();
-                for (i, b) in full.iter().enumerate() {
-                    let a = recon_bucket(n0, 1, s, i).unwrap();
-                    assert!((a - b).abs() < 1e-6, "bucket {i}: {a} vs {b}");
-                }
+        let check = |n0: &DftSummary, n1: &DftSummary| {
+            let s = StreamId::S.index();
+            let (Some(got), Some(sent)) = (&n0.remote[1][s], &n1.snapshot[0][s]) else {
+                panic!("stream S was synced");
+            };
+            for (i, (a, b)) in got.iter().zip(sent).enumerate() {
+                assert!((*a - *b).abs() <= 1e-9, "bin {i}: {a:?} vs {b:?}");
             }
         };
         fill(
@@ -563,17 +451,19 @@ mod tests {
             &(0..64).map(|i| 30 + i % 7).collect::<Vec<_>>(),
         );
         exchange(&mut n1, 1, &mut n0, 0);
-        check(&mut n0);
+        check(&n0, &n1);
         // Evictions and fresh keys produce a sparse delta on the next sync.
         fill(&mut n1, StreamId::S, &[100; 48]);
         exchange(&mut n1, 1, &mut n0, 0);
-        check(&mut n0);
+        check(&n0, &n1);
         // A piggyback ships a single coefficient through the same path.
         fill(&mut n1, StreamId::S, &[200; 300]);
-        for p in n1.piggyback(0) {
+        let piggyback = n1.piggyback(0);
+        assert_eq!(piggyback.len(), 1);
+        for p in piggyback {
             n0.apply_summary(1, &p);
         }
-        check(&mut n0);
+        check(&n0, &n1);
     }
 
     #[test]
@@ -586,7 +476,7 @@ mod tests {
         exchange(&mut n1, 1, &mut n0, 0);
         // Keys present ~12.8 times each reconstruct to large estimates.
         for k in 40..45 {
-            let r = recon_bucket(&mut n0, 1, StreamId::S.index(), k).unwrap();
+            let r = recon_bucket(&n0, 1, StreamId::S.index(), k).unwrap();
             assert!(r > 0.5, "bucket {k} = {r}");
         }
     }

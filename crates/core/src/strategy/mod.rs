@@ -240,9 +240,10 @@ pub(crate) struct Router {
     /// affinity row, so recomputed only when the summary reports the row
     /// changed.
     uniform: [bool; 2],
-    /// Per-tuple scratch, reused so the policy itself allocates nothing:
-    /// affinity row, membership candidates, residual affinities,
-    /// forwarding probabilities, sampled peer indices.
+    /// Per-tuple scratch, sized to the peer count at construction so the
+    /// policy itself allocates nothing: affinity row, membership
+    /// candidates, residual affinities, forwarding probabilities, sampled
+    /// peer indices.
     affinity: Vec<Option<f64>>,
     candidates: Vec<(u16, f64)>,
     residual: Vec<Option<f64>>,
@@ -261,8 +262,10 @@ impl Router {
             Algorithm::Bloom => Summary::Bloom(Box::new(BloomSummary::new(&cfg))),
             Algorithm::Sketch => Summary::Sketch(Box::new(SketchSummary::new(&cfg))),
         };
+        let peers: Vec<u16> = peers_of(cfg.me, cfg.n).collect();
+        let m = peers.len();
         Router {
-            peers: peers_of(cfg.me, cfg.n).collect(),
+            peers,
             summary,
             sync: SyncState::new(
                 cfg.n,
@@ -273,11 +276,11 @@ impl Router {
             rr: RoundRobin::new(),
             fallback_events: 0,
             uniform: [false, false],
-            affinity: Vec::new(),
-            candidates: Vec::new(),
-            residual: Vec::new(),
-            probs: Vec::new(),
-            sampled: Vec::new(),
+            affinity: Vec::with_capacity(m),
+            candidates: Vec::with_capacity(m),
+            residual: Vec::with_capacity(m),
+            probs: Vec::with_capacity(m),
+            sampled: Vec::with_capacity(m),
             flow_scratch: FlowScratch::default(),
             cfg,
         }
@@ -319,7 +322,8 @@ impl Router {
 
     /// The flow filter: decides where to forward an arriving tuple of
     /// `stream` with join attribute `key`, clearing and refilling `out`
-    /// (its `peers` capacity is reused across tuples). `scale` multiplies
+    /// (its `peers` capacity, grown to the peer count on the first call,
+    /// is reused across tuples). `scale` multiplies
     /// the configured message-complexity target (the throughput
     /// governor's resource-availability dial; `1.0` = nominal budget).
     pub fn route_into(
@@ -331,6 +335,7 @@ impl Router {
         out: &mut Route,
     ) {
         out.peers.clear();
+        out.peers.reserve(self.peers.len());
         out.fallback = false;
         if matches!(self.summary, Summary::None) {
             out.peers.extend(&self.peers);
@@ -359,8 +364,9 @@ impl Router {
             return;
         }
         // DFTT reads its reconstructions only now that the correlations
-        // are known to spread: under a uniform verdict they are flat, and
-        // a bucket materialized early is not bit-equal to one read later.
+        // are known to spread: under a uniform verdict they are flat and
+        // the fallback ignores them, so evaluating a bucket per peer would
+        // be wasted.
         if let Summary::Dft(d) = &mut self.summary {
             any_summary = d.push_candidates(stream, key, &self.peers, &mut self.candidates);
         }

@@ -15,9 +15,9 @@
 //! * [`CompressedDft`] — prefix (`β`) coefficient compression with a factor
 //!   `κ`, inverse-DFT reconstruction with rounding, and the mean-square-error
 //!   analysis of Eqns. 10–12 (Figures 5 and 6).
-//! * [`IncrementalRecon`] — in-place inverse-DFT reconstruction
-//!   maintenance: *O(W)* per changed coefficient, allocation-free, for
-//!   routers that keep per-peer window estimates alive ([`recon`]).
+//! * [`PointwiseRecon`] — one bucket of the inverse-DFT reconstruction,
+//!   *O(K)* and allocation-free, for routers that probe one key of a
+//!   peer's window estimate per tuple ([`recon`]).
 //! * [`spectrum`] — the cross-correlation coefficient `ρ` of Eqn. 4,
 //!   computed directly from (possibly compressed) DFT coefficients.
 //!
@@ -51,7 +51,7 @@ pub use compress::{CompressedDft, CompressionError, ReconstructionStats, Selecti
 pub use control::ControlVector;
 pub use dft::dft_direct;
 pub use fft::{Fft, RealFft};
-pub use recon::IncrementalRecon;
+pub use recon::PointwiseRecon;
 pub use sliding::SlidingDft;
 pub use spectrum::cross_correlation_coefficient;
 

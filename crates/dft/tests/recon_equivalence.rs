@@ -1,135 +1,44 @@
-//! Property-based equivalence: incremental reconstruction maintenance
-//! ([`IncrementalRecon`]) tracks the full Hermitian-completion inverse
-//! DFT ([`CompressedDft::reconstruct`]) under arbitrary update sequences.
+//! Property-based equivalence: pointwise reconstruction
+//! ([`PointwiseRecon::eval`]) equals the full Hermitian-completion inverse
+//! DFT ([`CompressedDft::reconstruct`]) bucket for bucket.
 //!
-//! This is the contract the DFTT router's per-peer window estimates rely
-//! on: a summary message changes a handful of retained coefficients, the
-//! router folds each change in with one *O(W)* pass, and the result must
-//! equal what a from-scratch reconstruction of the updated prefix would
-//! produce. The cases cover single-coefficient piggybacks, full-summary
-//! refreshes that rewrite many bins at once, interleavings of the two,
-//! independent per-stream buffers sharing one plan, and the Hermitian
-//! edge bins (DC, Nyquist, mirrors inside the prefix).
+//! This is the contract the DFTT router's membership tests rely on: it
+//! reads one bucket of each peer's reconstructed window per tuple, and
+//! that bucket must be what a from-scratch reconstruction of the peer's
+//! current prefix holds. The cases cover arbitrary W / K regimes,
+//! including K = W and K > W/2 (a prefix covering its own mirrors and the
+//! Nyquist bin), and prefixes shorter than K.
 
-use dsj_dft::{Complex64, CompressedDft, IncrementalRecon};
+use dsj_dft::{Complex64, CompressedDft, PointwiseRecon};
 use proptest::prelude::*;
-
-/// One summary-shaped operation, decoded from a seed tuple: `kind < 6`
-/// is a piggyback (set one coefficient), otherwise a full refresh that
-/// rewrites every retained bin — the two payload shapes the router sees.
-type OpSeed = (usize, usize, f64, f64);
-
-/// Applies the operation to the prefix, folding every changed bin into
-/// `recon` through `plan`, exactly as the router does for a summary.
-fn apply_op(plan: &IncrementalRecon, coeffs: &mut [Complex64], recon: &mut [f64], op: OpSeed) {
-    let (kind, bin_seed, re, im) = op;
-    if kind < 6 {
-        let bin = bin_seed % coeffs.len();
-        let next = Complex64::new(re, im);
-        let delta = next - coeffs[bin];
-        coeffs[bin] = next;
-        plan.apply(recon, bin, delta);
-    } else {
-        for (bin, c) in coeffs.iter_mut().enumerate() {
-            let next = Complex64::new(re + bin as f64, im - 0.5 * bin as f64);
-            let delta = next - *c;
-            *c = next;
-            plan.apply(recon, bin, delta);
-        }
-    }
-}
-
-fn assert_tracks(coeffs: &[Complex64], recon: &[f64], w: usize) -> Result<(), TestCaseError> {
-    let reference = CompressedDft::from_prefix(coeffs.to_vec(), w).reconstruct();
-    for (i, (a, b)) in recon.iter().zip(&reference).enumerate() {
-        prop_assert!(
-            (a - b).abs() < 1e-6 * (1.0 + b.abs()),
-            "sample {}: incremental {} vs full {} (W={}, K={})",
-            i,
-            a,
-            b,
-            w,
-            coeffs.len()
-        );
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary interleavings of piggyback updates and full refreshes
-    /// keep the incremental reconstruction equal to the from-scratch one
-    /// after *every* operation, across W/K regimes including K = W and
-    /// K > W/2 (prefix covering its own mirrors and the Nyquist bin).
+    /// Every bucket of a random prefix, evaluated pointwise, matches the
+    /// full reconstruction of that prefix zero-padded to K.
     #[test]
-    fn incremental_tracks_full_reconstruction(
-        w in 4usize..80,
+    fn eval_matches_full_reconstruction(
+        w in 2usize..80,
         k_seed in 0usize..4096,
-        ops in prop::collection::vec((0usize..8, 0usize..256, -50.0f64..50.0, -50.0f64..50.0), 1..20),
+        len_seed in 0usize..4096,
+        values in prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 80..81),
     ) {
         let k = 1 + k_seed % w;
-        let plan = IncrementalRecon::new(w, k);
+        let len = 1 + len_seed % k;
+        let plan = PointwiseRecon::new(w, k);
         let mut coeffs = vec![Complex64::ZERO; k];
-        // All-zero prefix reconstructs to zeros: a valid starting point.
-        let mut recon = vec![0.0; w];
-        for &op in &ops {
-            apply_op(&plan, &mut coeffs, &mut recon, op);
-            assert_tracks(&coeffs, &recon, w)?;
+        for (c, &(re, im)) in coeffs.iter_mut().zip(&values).take(len) {
+            *c = Complex64::new(re, im);
         }
-    }
-
-    /// Two independent streams share one plan: interleaved updates against
-    /// separate buffers never bleed into each other (the plan is pure).
-    #[test]
-    fn plan_is_stateless_across_streams(
-        w in 4usize..48,
-        k_seed in 0usize..4096,
-        ops in prop::collection::vec(
-            (prop::bool::ANY, (0usize..8, 0usize..256, -50.0f64..50.0, -50.0f64..50.0)),
-            1..16,
-        ),
-    ) {
-        let k = 1 + k_seed % w;
-        let plan = IncrementalRecon::new(w, k);
-        let mut coeffs = [vec![Complex64::ZERO; k], vec![Complex64::ZERO; k]];
-        let mut recon = [vec![0.0; w], vec![0.0; w]];
-        for &(stream, op) in &ops {
-            let s = usize::from(stream);
-            apply_op(&plan, &mut coeffs[s], &mut recon[s], op);
-        }
-        assert_tracks(&coeffs[0], &recon[0], w)?;
-        assert_tracks(&coeffs[1], &recon[1], w)?;
-    }
-
-    /// The Hermitian edge bins — DC (never doubled), the last prefix bin
-    /// (mirror implied iff W − (K−1) ≥ K), and the Nyquist bin when the
-    /// prefix reaches it — all track the full reconstruction through
-    /// repeated sign-flipping updates.
-    #[test]
-    fn edge_bins_track(
-        w in 4usize..64,
-        k_seed in 0usize..4096,
-        magnitude in 0.5f64..40.0,
-        rounds in 1usize..5,
-    ) {
-        let k = 2 + k_seed % (w - 1);
-        let plan = IncrementalRecon::new(w, k);
-        let mut coeffs = vec![Complex64::ZERO; k];
-        let mut recon = vec![0.0; w];
-        let mut bins = vec![0, k - 1];
-        if k > w / 2 {
-            bins.push(w / 2); // Nyquist sits inside the prefix.
-        }
-        for round in 0..rounds {
-            let sign = if round % 2 == 0 { 1.0 } else { -1.0 };
-            for &bin in &bins {
-                let next = Complex64::new(sign * magnitude, -sign * magnitude * 0.5);
-                let delta = next - coeffs[bin];
-                coeffs[bin] = next;
-                plan.apply(&mut recon, bin, delta);
-                assert_tracks(&coeffs, &recon, w)?;
-            }
+        let reference = CompressedDft::from_prefix(coeffs.clone(), w).reconstruct();
+        for (idx, b) in reference.iter().enumerate() {
+            let a = plan.eval(&coeffs[..len], idx);
+            prop_assert!(
+                (a - b).abs() < 1e-9 * (1.0 + b.abs()),
+                "bucket {}: pointwise {} vs full {} (W={}, K={}, len={})",
+                idx, a, b, w, k, len
+            );
         }
     }
 }

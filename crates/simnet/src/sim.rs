@@ -6,7 +6,7 @@ use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifies a node in the full-mesh topology (dense index).
 pub type NodeId = u16;
@@ -105,9 +105,15 @@ impl<I, M> Ord for Event<I, M> {
 }
 
 /// The discrete-event simulation driver over a full mesh of `N` nodes.
+///
+/// Events run in `(time, seq)` order, `seq` counting every scheduled event
+/// in scheduling order. Injected inputs arrive in time order, so they wait
+/// in a FIFO lane; only deliveries, scheduled at drawn latencies, need the
+/// heap. Each step runs the earlier of the two fronts.
 pub struct Simulation<N: SimNode> {
     nodes: Vec<N>,
-    queue: BinaryHeap<Event<N::Input, N::Msg>>,
+    inputs: VecDeque<Event<N::Input, N::Msg>>,
+    deliveries: BinaryHeap<Event<N::Input, N::Msg>>,
     links: Vec<LinkState>,
     cfg: LinkConfig,
     rng: StdRng,
@@ -135,7 +141,8 @@ impl<N: SimNode> Simulation<N> {
         let n = nodes.len();
         Simulation {
             nodes,
-            queue: BinaryHeap::new(),
+            inputs: VecDeque::new(),
+            deliveries: BinaryHeap::new(),
             links: vec![LinkState::default(); n * n],
             cfg,
             rng: StdRng::seed_from_u64(seed),
@@ -183,12 +190,18 @@ impl<N: SimNode> Simulation<N> {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is in the simulated past or `node` is out of range.
+    /// Panics if `t` is in the simulated past, if `t` precedes the time of
+    /// the previously injected input that is still pending (inputs are
+    /// injected in time order), or if `node` is out of range.
     pub fn inject_at(&mut self, t: SimTime, node: NodeId, input: N::Input) {
         assert!(t >= self.now, "cannot inject into the past");
+        assert!(
+            self.inputs.back().is_none_or(|last| t >= last.time),
+            "inputs must be injected in time order"
+        );
         assert!((node as usize) < self.nodes.len(), "node out of range");
         let seq = self.bump_seq();
-        self.queue.push(Event {
+        self.inputs.push_back(Event {
             time: t,
             seq,
             target: node,
@@ -206,9 +219,24 @@ impl<N: SimNode> Simulation<N> {
         from as usize * self.nodes.len() + to as usize
     }
 
-    /// Processes a single event; returns `false` when the queue is empty.
+    /// The next event's time and whether it is an input: the earlier of
+    /// the two queue fronts by `(time, seq)`.
+    fn peek_next(&self) -> Option<(SimTime, bool)> {
+        match (self.inputs.front(), self.deliveries.peek()) {
+            (Some(i), Some(d)) if (d.time, d.seq) < (i.time, i.seq) => Some((d.time, false)),
+            (Some(i), _) => Some((i.time, true)),
+            (None, d) => d.map(|d| (d.time, false)),
+        }
+    }
+
+    /// Processes a single event; returns `false` when no event is pending.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let next = match self.peek_next() {
+            Some((_, true)) => self.inputs.pop_front(),
+            Some((_, false)) => self.deliveries.pop(),
+            None => None,
+        };
+        let Some(ev) = next else {
             return false;
         };
         debug_assert!(ev.time >= self.now, "time must be monotone");
@@ -247,7 +275,7 @@ impl<N: SimNode> Simulation<N> {
             self.metrics
                 .record_latency_us((deliver_at - self.now).as_micros());
             let seq = self.bump_seq();
-            self.queue.push(Event {
+            self.deliveries.push(Event {
                 time: deliver_at,
                 seq,
                 target: to,
@@ -266,13 +294,10 @@ impl<N: SimNode> Simulation<N> {
         while self.step() {}
     }
 
-    /// Runs until the next event would be after `t` (or the queue drains);
+    /// Runs until the next event would be after `t` (or none is pending);
     /// the clock advances to at most the last processed event.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > t {
-                break;
-            }
+        while self.peek_next().is_some_and(|(next, _)| next <= t) {
             self.step();
         }
     }
@@ -467,5 +492,110 @@ mod tests {
         sim.inject_at(SimTime::from_micros(1000), 0, 0);
         sim.run_to_quiescence();
         sim.inject_at(SimTime::ZERO, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs must be injected in time order")]
+    fn out_of_order_injection_rejected() {
+        let mut sim = three_relays(1);
+        sim.inject_at(SimTime::from_micros(1000), 0, 0);
+        sim.inject_at(SimTime::from_micros(999), 1, 0);
+    }
+
+    /// Records every input and delivery it sees, in order; node 0 forwards
+    /// each input to node 1 as a one-byte message.
+    #[derive(Default)]
+    struct Tape {
+        seen: Vec<(SimTime, char, u32)>,
+    }
+
+    impl SimNode for Tape {
+        type Input = u32;
+        type Msg = u32;
+        fn on_input(&mut self, v: u32, ctx: &mut Ctx<'_, u32>) {
+            self.seen.push((ctx.now(), 'i', v));
+            if ctx.me() == 0 {
+                ctx.send(1, v, 1);
+            }
+        }
+        fn on_message(&mut self, _: NodeId, v: u32, ctx: &mut Ctx<'_, u32>) {
+            self.seen.push((ctx.now(), 'm', v));
+        }
+    }
+
+    fn tapes() -> Simulation<Tape> {
+        Simulation::new(
+            vec![Tape::default(), Tape::default()],
+            LinkConfig::instant(),
+            1,
+        )
+    }
+
+    /// `instant()` links: 1 µs latency, no transmission time for one byte.
+    const HOP: SimTime = SimTime::from_micros(1);
+
+    #[test]
+    fn same_instant_input_and_delivery_run_in_scheduling_order() {
+        // The input at node 1 is scheduled before the send that delivers
+        // at the same instant, so it runs first ...
+        let mut sim = tapes();
+        sim.inject_at(SimTime::ZERO, 0, 1);
+        sim.inject_at(HOP, 1, 2);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(1).seen, [(HOP, 'i', 2), (HOP, 'm', 1)]);
+        // ... and after it when injected once the send is scheduled.
+        let mut sim = tapes();
+        sim.inject_at(SimTime::ZERO, 0, 1);
+        assert!(sim.step());
+        sim.inject_at(HOP, 1, 2);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(1).seen, [(HOP, 'm', 1), (HOP, 'i', 2)]);
+    }
+
+    #[test]
+    fn same_time_inputs_keep_injection_order() {
+        let burst = SimTime::from_micros(5);
+        let after = SimTime::from_micros(6);
+        let mut sim = tapes();
+        for v in 0..32 {
+            sim.inject_at(burst, (v % 2) as NodeId, v);
+        }
+        sim.run_to_quiescence();
+        let inputs: Vec<_> = (0..32).filter(|v| v % 2 == 0).collect();
+        let expect: Vec<_> = inputs.iter().map(|&v| (burst, 'i', v)).collect();
+        assert_eq!(sim.node(0).seen, expect);
+        // Node 1 sees its own inputs in order, then node 0's forwards in
+        // the order node 0 processed them.
+        let expect: Vec<_> = (0..32)
+            .filter(|v| v % 2 == 1)
+            .map(|v| (burst, 'i', v))
+            .chain(inputs.iter().map(|&v| (after, 'm', v)))
+            .collect();
+        assert_eq!(sim.node(1).seen, expect);
+    }
+
+    #[test]
+    fn run_until_stops_at_the_horizon_in_either_queue() {
+        // Next event pending is a delivery.
+        let mut sim = tapes();
+        sim.inject_at(SimTime::ZERO, 0, 1);
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert!(
+            sim.node(1).seen.is_empty(),
+            "delivery is due after the horizon"
+        );
+        assert!(sim.step());
+        assert_eq!(sim.node(1).seen, [(HOP, 'm', 1)]);
+        // Next event pending is an input.
+        let mut sim = tapes();
+        sim.inject_at(SimTime::ZERO, 0, 1);
+        sim.inject_at(SimTime::from_micros(10), 1, 2);
+        sim.run_until(SimTime::from_micros(5));
+        assert_eq!(sim.now(), HOP);
+        assert_eq!(sim.node(1).seen, [(HOP, 'm', 1)]);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(1).seen.len(), 2);
+        assert_eq!(sim.now(), SimTime::from_micros(10));
     }
 }

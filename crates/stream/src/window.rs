@@ -6,7 +6,8 @@
 //! paper's, and one end-to-end test runs time windows.
 
 use crate::tuple::Tuple;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How a window bounds the tuples it retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,49 @@ impl WindowSpec {
     }
 }
 
+/// One held tuple. Slots are addressed by insertion number: the slot of
+/// the `i`-th tuple ever inserted sits at `buf[i − evicted]`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tuple: Tuple,
+    ts: u64,
+    /// Insertion number of the next-older held tuple with the same key;
+    /// followed only while the key's `Run::count` says one exists.
+    prev: u64,
+}
+
+/// A key's held tuples: how many, and the insertion number of the newest.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    tail: u64,
+    count: u32,
+}
+
+/// Multiplicative hashing of a `u32` join key; the high half of the
+/// product lands in the low bits the table indexes by, so keys that share
+/// their low bits still spread.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+const KEY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u32` keys are hashed (`write_u32`); this keeps the trait total.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(KEY_MUL);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(KEY_MUL).rotate_left(32);
+    }
+}
+
 /// A sliding window holding tuples of a single stream, with O(1) key-count
 /// probing for join evaluation.
 ///
@@ -48,18 +92,22 @@ impl WindowSpec {
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
     spec: WindowSpec,
-    buf: VecDeque<(Tuple, u64)>,
-    /// Per-key ascending sequence numbers of held tuples (tuples are
-    /// inserted in seq order, so each deque stays sorted). A `BTreeMap`
-    /// keeps iteration order independent of hasher seeding.
-    counts: BTreeMap<u32, VecDeque<u64>>,
+    /// Held tuples, oldest first, each chained to the next-older tuple of
+    /// its key. A count window's ring is sized for `W + 1` slots at
+    /// construction (an insert lands before its eviction) and never grows.
+    buf: VecDeque<Slot>,
+    /// Per-key count and newest slot of every key held. A count window
+    /// reserves room for `2·(W + 1)` keys at construction: the table then
+    /// stays under half full, where it rehashes its tombstones in place
+    /// instead of reallocating, so inserts never allocate.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "never iterated, and `KeyHasher` is the same in every process: hash order cannot reach a result"
+    )]
+    index: std::collections::HashMap<u32, Run, BuildHasherDefault<KeyHasher>>,
     inserted: u64,
     evicted: u64,
-    /// Tuples evicted by the most recent `insert`, reused across calls:
-    /// eviction itself allocates nothing. (The per-key deques of `counts`
-    /// do: a key entering the window allocates one, its last tuple leaving
-    /// frees it — 0.26 allocations per insert on the paper-default
-    /// schedule, pinned in `tests/alloc_budget.rs`.)
+    /// Tuples evicted by the most recent `insert`, reused across calls.
     evict_buf: Vec<Tuple>,
     /// Join keys of `evict_buf`, in the same (oldest-first) order — what
     /// the routing layer's summary maintenance consumes.
@@ -69,15 +117,22 @@ pub struct SlidingWindow {
 impl SlidingWindow {
     /// Creates an empty window with the given bounding policy.
     pub fn new(spec: WindowSpec) -> Self {
-        SlidingWindow {
+        let mut w = SlidingWindow {
             spec,
             buf: VecDeque::new(),
-            counts: BTreeMap::new(),
+            index: Default::default(),
             inserted: 0,
             evicted: 0,
             evict_buf: Vec::new(),
             evict_keys: Vec::new(),
+        };
+        if let WindowSpec::Count(n) = spec {
+            w.buf.reserve(n + 1);
+            w.index.reserve(2 * (n + 1));
+            w.evict_buf.reserve(1);
+            w.evict_keys.reserve(1);
         }
+        w
     }
 
     /// Number of tuples currently held.
@@ -108,30 +163,35 @@ impl SlidingWindow {
     /// operation of the symmetric hash join.
     #[inline]
     pub fn probe(&self, key: u32) -> u32 {
-        self.counts.get(&key).map_or(0, |seqs| seqs.len() as u32)
+        self.index.get(&key).map_or(0, |run| run.count)
     }
 
     /// Number of held tuples with attribute `key` and sequence number
     /// strictly below `seq` — the deduplicating probe for distributed match
     /// counting (only pairs where the prober is the *later* tuple count).
-    /// `O(log m)` in the number of key-matching tuples.
+    /// Walks the key's chain from its newest tuple, so it costs one step
+    /// per held `key` tuple at or after `seq` — none when nothing trails
+    /// the prober.
     pub fn probe_before(&self, key: u32, seq: u64) -> u32 {
-        let Some(seqs) = self.counts.get(&key) else {
+        let Some(run) = self.index.get(&key) else {
             return 0;
         };
-        // The deque is sorted ascending; count entries < seq.
-        let (a, b) = seqs.as_slices();
-        if let Some(&first_b) = b.first() {
-            if first_b < seq {
-                return (a.len() + b.partition_point(|&s| s < seq)) as u32;
+        let mut newer = 0;
+        let mut at = run.tail;
+        while newer < run.count {
+            let slot = &self.buf[(at - self.evicted) as usize];
+            if slot.tuple.seq < seq {
+                break;
             }
+            newer += 1;
+            at = slot.prev;
         }
-        a.partition_point(|&s| s < seq) as u32
+        run.count - newer
     }
 
     /// Iterates over held tuples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.buf.iter().map(|(t, _)| t)
+        self.buf.iter().map(|slot| &slot.tuple)
     }
 
     /// Inserts a tuple observed at `now` (a timestamp for time windows;
@@ -144,15 +204,22 @@ impl SlidingWindow {
     pub fn insert(&mut self, tuple: Tuple, now: u64) -> &[Tuple] {
         if let Some(last) = self.buf.back() {
             debug_assert!(
-                last.0.seq < tuple.seq,
+                last.tuple.seq < tuple.seq,
                 "tuples must be inserted in ascending seq order"
             );
         }
-        self.buf.push_back((tuple, now));
-        self.counts
+        let at = self.inserted;
+        let run = self
+            .index
             .entry(tuple.key)
-            .or_default()
-            .push_back(tuple.seq);
+            .or_insert(Run { tail: at, count: 0 });
+        let prev = std::mem::replace(&mut run.tail, at);
+        run.count += 1;
+        self.buf.push_back(Slot {
+            tuple,
+            ts: now,
+            prev,
+        });
         self.inserted += 1;
         self.evict_buf.clear();
         self.evict_keys.clear();
@@ -168,7 +235,7 @@ impl SlidingWindow {
                 while self
                     .buf
                     .front()
-                    .is_some_and(|&(_, ts)| now.saturating_sub(ts) > span)
+                    .is_some_and(|slot| now.saturating_sub(slot.ts) > span)
                 {
                     let Some(t) = self.pop_oldest() else { break };
                     self.evict_buf.push(t);
@@ -186,16 +253,14 @@ impl SlidingWindow {
         &self.evict_keys
     }
 
-    /// Evicts the oldest held tuple, if any, keeping the per-key counts in
-    /// sync with the buffer.
+    /// Evicts the oldest held tuple, if any. It is also the oldest of its
+    /// key, so the key's run just shrinks by one from the old end.
     fn pop_oldest(&mut self) -> Option<Tuple> {
-        let (t, _) = self.buf.pop_front()?;
-        if let Some(seqs) = self.counts.get_mut(&t.key) {
-            // The globally oldest tuple is also the oldest for its key.
-            let popped = seqs.pop_front();
-            debug_assert_eq!(popped, Some(t.seq));
-            if seqs.is_empty() {
-                self.counts.remove(&t.key);
+        let t = self.buf.pop_front()?.tuple;
+        if let Some(run) = self.index.get_mut(&t.key) {
+            run.count -= 1;
+            if run.count == 0 {
+                self.index.remove(&t.key);
             }
         }
         self.evicted += 1;
@@ -253,6 +318,22 @@ mod tests {
     }
 
     #[test]
+    fn probe_before_stops_at_the_oldest_held_tuple_of_its_key() {
+        // Key 7's chain runs back into slots that were evicted and reused
+        // by other keys; the walk must end at the count, not follow them.
+        let mut w = SlidingWindow::new(WindowSpec::count(3));
+        for (seq, key) in [7, 7, 7, 1, 7, 2, 7].into_iter().enumerate() {
+            w.insert(t(key, seq as u64), seq as u64);
+        }
+        // Held: (7, 4), (2, 5), (7, 6).
+        assert_eq!(w.probe(7), 2);
+        assert_eq!(w.probe_before(7, 0), 0);
+        assert_eq!(w.probe_before(7, 5), 1);
+        assert_eq!(w.probe_before(7, 7), 2);
+        assert_eq!(w.probe_before(1, 7), 0, "key 1 left the window");
+    }
+
+    #[test]
     fn counts_stay_consistent_under_eviction() {
         let mut w = SlidingWindow::new(WindowSpec::count(2));
         w.insert(t(1, 0), 0);
@@ -277,6 +358,28 @@ mod tests {
     }
 
     #[test]
+    fn time_window_burst_evicts_in_one_insert() {
+        let mut w = SlidingWindow::new(WindowSpec::Time(10));
+        for seq in 0..50u64 {
+            w.insert(t(seq as u32 % 5, seq), 100 + seq / 10);
+        }
+        assert_eq!(w.probe(3), 10);
+        let ev = w.insert(t(3, 50), 1_000);
+        assert_eq!(ev.len(), 50, "the whole burst leaves at once");
+        let keys: Vec<u32> = (0..50).map(|i| i % 5).collect();
+        assert_eq!(w.evicted_keys(), &keys[..]);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.probe(3), 1);
+        assert_eq!(w.probe_before(3, 50), 0);
+        assert_eq!(w.probe_before(3, 51), 1);
+        assert_eq!(w.probe(0), 0);
+        // Keys that left re-enter with fresh runs.
+        w.insert(t(0, 51), 1_001);
+        assert_eq!(w.probe(0), 1);
+        assert_eq!(w.probe_before(0, 52), 1);
+    }
+
+    #[test]
     fn iter_is_chronological() {
         let mut w = SlidingWindow::new(WindowSpec::count(3));
         for i in 0..5u64 {
@@ -284,6 +387,12 @@ mod tests {
         }
         let seqs: Vec<u64> = w.iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
+        // Still oldest first once the ring has wrapped many times over.
+        for i in 5..40u64 {
+            w.insert(t(i as u32 % 2, i), i);
+        }
+        let seqs: Vec<u64> = w.iter().map(|t| t.seq).collect();
+        assert_eq!(seqs, vec![37, 38, 39]);
     }
 
     #[test]
