@@ -56,12 +56,6 @@ impl Executor {
         Self::new(1)
     }
 
-    /// Worker count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Applies `f(index, item)` to every item, fanning across the pool,
     /// and returns the results in submission order.
     ///

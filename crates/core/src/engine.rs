@@ -1,8 +1,9 @@
-//! One node engine, many transports.
+//! One node type, many transports.
 //!
-//! [`NodeEngine`] owns the drive loop around [`JoinNode`] once; backends
+//! [`NodeEngine`] is a node of the join cluster (the per-node runtime of
+//! Fig. 7): its windows, router, RNG, counters and drive loop. Backends
 //! implement [`Transport`] (send / poll / clock / quiescence) and nothing
-//! else.
+//! else; [`crate::ClusterConfig::build_node`] is where a node is made.
 //!
 //! Three transports exist:
 //!
@@ -12,21 +13,21 @@
 //! | threads  | `dsj-runtime::LiveCluster` | in-process mailboxes | wall |
 //! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets read by the receiving node's thread, coalesced vectored writes | wall |
 //!
-//! The engine is deliberately thin: [`JoinNode`] stays transport-agnostic
-//! and the engine adds only the fan-out of produced messages into the
-//! transport, through buffers it reuses. What a whole arrival still
-//! allocates is measured, not assumed (`tests/alloc_budget.rs`, per
-//! arrival on the paper-default schedule: BASE 0, DFT 0.068, DFTT 0.063,
-//! BLOOM 0.046, SKCH 0.79 — piggyback and summary assembly, and SKCH's
-//! join-size estimates). The cross-backend
+//! An arrival sends each message into the transport as soon as it is
+//! built. What a whole arrival still allocates is measured, not assumed
+//! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
+//! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.046, SKCH 0.79 — piggyback and
+//! summary assembly, and SKCH's join-size estimates). The cross-backend
 //! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
 //! three backends produce identical per-node metrics and match digests for
 //! the same seed when driven in lockstep.
 
-use crate::msg::Msg;
-use crate::node::{JoinNode, NodeMetrics};
+use crate::msg::{Msg, SummaryPayload};
+use crate::node::{NodeMetrics, ThroughputGovernor};
+use crate::strategy::{peers_of, Algorithm, Route, Router, RouterConfig};
 use dsj_simnet::{Ctx, NodeId, SimNode};
-use dsj_stream::Tuple;
+use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
+use rand::rngs::StdRng;
 use std::convert::Infallible;
 
 /// Upper bound on how many pending events the run loop drains per frame.
@@ -141,18 +142,35 @@ pub trait Transport {
     fn quiesce(&mut self);
 }
 
-/// Drives one [`JoinNode`] over any [`Transport`].
+/// One node of the distributed join cluster, driven over any [`Transport`].
 ///
-/// This is the single owner of the per-node drive loop: arrivals run the
-/// hot path and fan the produced messages into the transport; network
-/// messages apply summaries and probe windows. The engine also carries the
-/// node's reusable outgoing-message buffer, so the fan-out adds no
-/// allocation of its own to the node's.
+/// Owns segments `R_i`/`S_i` of the two streams (sliding windows), runs the
+/// local symmetric join on every arrival, and consults its router to
+/// forward the tuple toward likely join partners. Forwarded tuples probe
+/// the receiver's windows but are never stored — windows hold only tuples
+/// that arrived locally, exactly the paper's partitioning model. This is
+/// the single owner of the per-node drive loop: arrivals run the hot path
+/// and send what it produces; network messages apply summaries and probe
+/// windows, and never send.
 #[derive(Debug)]
 pub struct NodeEngine {
-    node: JoinNode,
-    /// Outgoing-message buffer reused across arrivals.
-    out: Vec<(u16, Msg)>,
+    me: u16,
+    n: u16,
+    /// Attribute domain size; arrivals with `key >= domain` are dropped
+    /// at ingest (mirroring `RunError::TraceKeyOutOfDomain`).
+    domain: u32,
+    count_from_seq: u64,
+    r_win: SlidingWindow,
+    s_win: SlidingWindow,
+    router: Router,
+    rng: StdRng,
+    metrics: NodeMetrics,
+    governor: Option<ThroughputGovernor>,
+    /// Route scratch reused across arrivals.
+    route_scratch: Route,
+    /// Order-sensitive digest of every counted match observation — see
+    /// [`NodeEngine::match_digest`].
+    match_digest: u64,
     /// Injection → end-of-processing delay of stamped arrivals
     /// (microseconds). Only open-loop feeders send
     /// [`TransportEvent::StampedArrival`], so closed-loop runs leave this
@@ -161,28 +179,58 @@ pub struct NodeEngine {
 }
 
 impl NodeEngine {
-    /// Wraps `node` for transport-driven execution.
-    pub fn new(node: JoinNode) -> Self {
+    /// Node `cfg.me` of the cluster, running `algorithm` over `spec`
+    /// windows, optionally governed. Matches attributed to tuples with
+    /// `seq < count_from_seq` are not counted (warm-up exclusion).
+    pub(crate) fn assemble(
+        algorithm: Algorithm,
+        cfg: RouterConfig,
+        spec: WindowSpec,
+        count_from_seq: u64,
+        governor: Option<ThroughputGovernor>,
+    ) -> Self {
         NodeEngine {
-            node,
-            out: Vec::new(),
+            me: cfg.me,
+            n: cfg.n,
+            domain: cfg.domain,
+            count_from_seq,
+            r_win: SlidingWindow::new(spec),
+            s_win: SlidingWindow::new(spec),
+            rng: cfg.rng(),
+            router: Router::new(algorithm, cfg),
+            metrics: NodeMetrics::default(),
+            governor,
+            route_scratch: Route::default(),
+            match_digest: Self::DIGEST_BASIS,
             latency: crate::obs::Histogram::new(),
         }
     }
 
-    /// The node's counters.
+    /// Adapter shim for `benches/e2e`, which still spells
+    /// `NodeEngine::new(cfg.build_node(me))`: returns `engine` unchanged.
+    /// Build nodes with [`crate::ClusterConfig::build_node`]; ROADMAP item
+    /// 1(d) retires this together with the benchmark's spelling.
+    #[doc(hidden)]
+    pub fn new(engine: NodeEngine) -> NodeEngine {
+        engine
+    }
+
+    /// This node's counters.
     pub fn metrics(&self) -> &NodeMetrics {
-        self.node.metrics()
+        &self.metrics
     }
 
-    /// Worst-case fallback activations recorded by the node's router.
+    /// Worst-case fallback activations recorded by the router.
     pub fn fallback_events(&self) -> u64 {
-        self.node.fallback_events()
+        self.router.fallback_events()
     }
 
-    /// The node's order-sensitive digest of counted matches.
-    pub fn match_digest(&self) -> u64 {
-        self.node.match_digest()
+    /// The window holding `stream`'s locally arrived tuples.
+    pub fn window(&self, stream: StreamId) -> &SlidingWindow {
+        match stream {
+            StreamId::R => &self.r_win,
+            StreamId::S => &self.s_win,
+        }
     }
 
     /// Per-tuple delivery latency recorded for stamped (open-loop)
@@ -193,13 +241,40 @@ impl NodeEngine {
         &self.latency
     }
 
-    /// Handles one locally arriving tuple: the per-tuple hot path plus
-    /// fan-out of the produced messages into `transport`.
+    /// FNV-1a offset basis / prime for the match digest.
+    const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const DIGEST_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// An order-sensitive digest of this node's counted match
+    /// observations: every post-warm-up probe folds its `(seq, matches)`
+    /// pair in FNV-1a style, in processing order. Two runs report the same
+    /// digest exactly when this node observed the same match set in the
+    /// same order — the "identical match sets" witness the cross-backend
+    /// equivalence suite compares across simnet, threads and TCP.
+    pub fn match_digest(&self) -> u64 {
+        self.match_digest
+    }
+
+    /// Folds a probe's `matches` into the digest and returns how many of
+    /// them count: none while the probing tuple `seq` is warm-up.
+    #[inline]
+    fn counted(&mut self, seq: u64, matches: u32) -> u64 {
+        if seq < self.count_from_seq {
+            return 0;
+        }
+        self.match_digest = (self.match_digest ^ seq).wrapping_mul(Self::DIGEST_PRIME);
+        self.match_digest =
+            (self.match_digest ^ u64::from(matches)).wrapping_mul(Self::DIGEST_PRIME);
+        u64::from(matches)
+    }
+
+    /// Handles one locally arriving tuple: the per-tuple hot path, sending
+    /// what it produces into `transport`.
     ///
     /// # Errors
     ///
-    /// The first [`Transport::send`] failure; remaining messages for this
-    /// arrival are dropped (the run is aborting anyway).
+    /// The first [`Transport::send`] failure, which ends the arrival: no
+    /// later message of it is built or sent (the run is aborting anyway).
     pub fn on_arrival<T: Transport>(
         &mut self,
         tuple: Tuple,
@@ -209,29 +284,149 @@ impl NodeEngine {
         self.arrival_at(tuple, now_us, transport)
     }
 
-    /// The shared arrival core: runs the per-tuple hot path at an already
-    /// sampled timestamp and fans the produced messages into `transport`.
+    /// The arrival hot path (Fig. 7) at an already sampled timestamp
+    /// `now_us` (virtual or wall, depending on the transport): local join,
+    /// summary maintenance, routing, and each message sent as soon as it
+    /// is built. The route state lives in buffers reused across calls and
+    /// the window insert allocates nothing; what still allocates — the
+    /// piggyback and summary payloads, SKCH's join-size estimates — is
+    /// pinned per algorithm in `tests/alloc_budget.rs`.
     fn arrival_at<T: Transport>(
         &mut self,
         tuple: Tuple,
         now_us: u64,
         transport: &mut T,
     ) -> Result<(), T::Error> {
-        let mut out = std::mem::take(&mut self.out);
-        self.node.handle_arrival_into(tuple, now_us, &mut out);
-        let mut result = Ok(());
-        for (peer, msg) in out.drain(..) {
-            if result.is_ok() {
-                result = transport.send(peer, msg);
-            }
+        debug_assert_eq!(tuple.origin, self.me, "arrival routed to wrong node");
+        // Domain guard (the runtime analogue of `RunError::TraceKeyOutOfDomain`):
+        // an out-of-domain key from a corrupt source must neither panic the
+        // routing hot path nor poison the window summaries — drop and count.
+        if tuple.key >= self.domain {
+            self.metrics.key_domain_drops += 1;
+            return Ok(());
         }
-        self.out = out;
-        result
+        // Local join: probe the opposite window, then store. Every stored
+        // tuple has a smaller seq, so each co-located pair counts exactly
+        // once, at its later tuple's arrival.
+        let local = self.window(tuple.stream.opposite()).probe(tuple.key);
+        self.metrics.local_matches += self.counted(tuple.seq, local);
+        // Insert into the tuple's window, then hand the evicted keys (a
+        // borrow of the window's reusable eviction buffer — disjoint from
+        // the router field) to summary maintenance.
+        let evicted_keys: &[u32] = match tuple.stream {
+            StreamId::R => {
+                self.r_win.insert(tuple, now_us);
+                self.r_win.evicted_keys()
+            }
+            StreamId::S => {
+                self.s_win.insert(tuple, now_us);
+                self.s_win.evicted_keys()
+            }
+        };
+        self.router
+            .local_update(tuple.stream, tuple.key, evicted_keys);
+        self.router.note_arrival();
+        self.metrics.arrivals += 1;
+
+        // Route toward likely join partners, under the governor's current
+        // resource-availability scale.
+        let scale = match &mut self.governor {
+            Some(g) => g.scale(now_us),
+            None => 1.0,
+        };
+        let mut route = std::mem::take(&mut self.route_scratch);
+        self.router
+            .route_into(tuple.stream, tuple.key, scale, &mut self.rng, &mut route);
+        if route.fallback {
+            self.metrics.fallback_routes += 1;
+        }
+        let sent = self.send_routed(tuple, &route, now_us, transport);
+        self.route_scratch = route;
+        sent
     }
 
-    /// Handles one wire message from peer `from`.
+    /// Sends `tuple` to every peer on `route`, then a standalone summary
+    /// batch to every other peer no tuple message reached in too long
+    /// (Fig. 7: "transmitted on their own"); stops at the first failed send.
+    fn send_routed<T: Transport>(
+        &mut self,
+        tuple: Tuple,
+        route: &Route,
+        now_us: u64,
+        transport: &mut T,
+    ) -> Result<(), T::Error> {
+        for &peer in &route.peers {
+            let piggyback = if self.router.sync_due(peer) {
+                self.router.full_summaries(peer)
+            } else {
+                self.router.piggyback(peer)
+            };
+            self.router.note_sent(peer);
+            self.send(peer, Msg::Tuple { tuple, piggyback }, now_us, transport)?;
+        }
+        for peer in peers_of(self.me, self.n) {
+            if route.peers.contains(&peer) || !self.router.sync_overdue(peer) {
+                continue;
+            }
+            let payloads = self.router.full_summaries(peer);
+            if !payloads.is_empty() {
+                self.send(peer, Msg::Summary(payloads), now_us, transport)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts `msg` into this node's traffic and its governor's, then
+    /// sends it.
+    fn send<T: Transport>(
+        &mut self,
+        to: u16,
+        msg: Msg,
+        now_us: u64,
+        transport: &mut T,
+    ) -> Result<(), T::Error> {
+        match msg {
+            Msg::Tuple { .. } => self.metrics.tuple_msgs_sent += 1,
+            Msg::Summary(_) => self.metrics.summary_msgs_sent += 1,
+        }
+        self.metrics.data_bytes_sent += msg.data_bytes() as u64;
+        self.metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
+        if let Some(g) = &mut self.governor {
+            g.note_sent(now_us, msg.wire_bytes() as u64);
+        }
+        transport.send(to, msg)
+    }
+
+    /// Handles one wire message from peer `from`: applies its summaries
+    /// and probes the local windows with a forwarded tuple. Never sends, so
+    /// the message graph is depth-1.
     pub fn on_net(&mut self, from: u16, msg: Msg) {
-        self.node.handle_message(from, msg);
+        match msg {
+            Msg::Tuple { tuple, piggyback } => {
+                self.apply_summaries(from, &piggyback);
+                self.metrics.tuples_received += 1;
+                // Probe-only: count pairs whose later tuple is the prober.
+                let matches = self
+                    .window(tuple.stream.opposite())
+                    .probe_before(tuple.key, tuple.seq);
+                self.metrics.remote_matches += self.counted(tuple.seq, matches);
+            }
+            Msg::Summary(payloads) => {
+                self.metrics.summaries_received += 1;
+                self.apply_summaries(from, &payloads);
+            }
+        }
+    }
+
+    fn apply_summaries(&mut self, from: u16, payloads: &[SummaryPayload]) {
+        for p in payloads {
+            let dropped = self.router.apply_summary(from, p);
+            debug_assert!(
+                dropped == 0,
+                "peer {from} sent {dropped} out-of-range summary updates"
+            );
+            self.metrics.summary_index_drops += dropped;
+        }
     }
 
     /// Processes one frame of events in arrival order, quiescing after
@@ -254,42 +449,26 @@ impl NodeEngine {
     ) -> Result<bool, T::Error> {
         let mut frame_now_us = None;
         for event in frame.drain(..) {
-            match event {
-                TransportEvent::Arrival(tuple) => {
-                    let now_us = match frame_now_us {
-                        Some(now_us) => now_us,
-                        None => {
-                            let now_us = transport.now_us();
-                            frame_now_us = Some(now_us);
-                            now_us
-                        }
-                    };
-                    self.arrival_at(tuple, now_us, transport)?;
-                    transport.quiesce();
-                }
-                TransportEvent::StampedArrival { tuple, injected_us } => {
-                    let now_us = match frame_now_us {
-                        Some(now_us) => now_us,
-                        None => {
-                            let now_us = transport.now_us();
-                            frame_now_us = Some(now_us);
-                            now_us
-                        }
-                    };
-                    self.arrival_at(tuple, now_us, transport)?;
-                    // Match-digest time: the tuple's matches are folded in,
-                    // so a fresh clock sample here is the delivery latency
-                    // an open-loop client would observe.
-                    let done_us = transport.now_us();
-                    self.latency.record(done_us.saturating_sub(injected_us));
-                    transport.quiesce();
-                }
+            let (tuple, injected_us) = match event {
+                TransportEvent::Arrival(tuple) => (tuple, None),
+                TransportEvent::StampedArrival { tuple, injected_us } => (tuple, Some(injected_us)),
                 TransportEvent::Net { from, msg } => {
-                    self.node.handle_message(from, msg);
+                    self.on_net(from, msg);
                     transport.quiesce();
+                    continue;
                 }
                 TransportEvent::Shutdown => return Ok(true),
+            };
+            let now_us = *frame_now_us.get_or_insert_with(|| transport.now_us());
+            self.arrival_at(tuple, now_us, transport)?;
+            if let Some(injected_us) = injected_us {
+                // Match-digest time: the tuple's matches are folded in, so a
+                // fresh clock sample here is the delivery latency an
+                // open-loop client would observe.
+                let done_us = transport.now_us();
+                self.latency.record(done_us.saturating_sub(injected_us));
             }
+            transport.quiesce();
         }
         Ok(false)
     }
@@ -352,11 +531,7 @@ impl SimNode for NodeEngine {
     type Msg = Msg;
 
     fn on_input(&mut self, tuple: Tuple, ctx: &mut Ctx<'_, Msg>) {
-        let mut transport = SimTransport { ctx };
-        match self.on_arrival(tuple, &mut transport) {
-            Ok(()) => {}
-            Err(e) => match e {},
-        }
+        let Ok(()) = self.on_arrival(tuple, &mut SimTransport { ctx });
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
@@ -364,47 +539,54 @@ impl SimNode for NodeEngine {
     }
 }
 
+/// A transcript transport for unit tests: records sends, replays scripted
+/// events, and refuses every send past `capacity`, if one is set.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Script {
+    pub sent: Vec<(u16, Msg)>,
+    pub events: std::collections::VecDeque<TransportEvent>,
+    pub quiesced: u32,
+    pub clock_us: u64,
+    pub capacity: Option<usize>,
+}
+
+#[cfg(test)]
+impl Transport for Script {
+    /// Stands in for any transport failure.
+    type Error = std::fmt::Error;
+    fn send(&mut self, to: u16, msg: Msg) -> Result<(), std::fmt::Error> {
+        if self.capacity == Some(self.sent.len()) {
+            return Err(std::fmt::Error);
+        }
+        self.sent.push((to, msg));
+        Ok(())
+    }
+    fn poll(&mut self) -> Result<TransportEvent, std::fmt::Error> {
+        Ok(self.events.pop_front().unwrap_or(TransportEvent::Shutdown))
+    }
+    fn now_us(&mut self) -> u64 {
+        self.clock_us += 7;
+        self.clock_us
+    }
+    fn quiesce(&mut self) {
+        self.quiesced += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{test_config, Algorithm};
-    use dsj_stream::{StreamId, WindowSpec};
-    use std::collections::VecDeque;
-
-    /// A transcript transport: records sends, replays scripted events.
-    #[derive(Default)]
-    struct Script {
-        sent: Vec<(u16, Msg)>,
-        events: VecDeque<TransportEvent>,
-        quiesced: u32,
-        clock_us: u64,
-    }
-
-    impl Transport for Script {
-        type Error = Infallible;
-        fn send(&mut self, to: u16, msg: Msg) -> Result<(), Infallible> {
-            self.sent.push((to, msg));
-            Ok(())
-        }
-        fn poll(&mut self) -> Result<TransportEvent, Infallible> {
-            Ok(self.events.pop_front().unwrap_or(TransportEvent::Shutdown))
-        }
-        fn now_us(&mut self) -> u64 {
-            self.clock_us += 7;
-            self.clock_us
-        }
-        fn quiesce(&mut self) {
-            self.quiesced += 1;
-        }
-    }
+    use crate::strategy::test_config;
 
     fn engine(me: u16, n: u16) -> NodeEngine {
-        NodeEngine::new(JoinNode::new(
+        NodeEngine::assemble(
             Algorithm::Base,
             test_config(me, n),
             WindowSpec::count(16),
             0,
-        ))
+            None,
+        )
     }
 
     #[test]
@@ -439,18 +621,18 @@ mod tests {
     }
 
     impl Transport for BatchScript {
-        type Error = Infallible;
-        fn send(&mut self, to: u16, msg: Msg) -> Result<(), Infallible> {
+        type Error = std::fmt::Error;
+        fn send(&mut self, to: u16, msg: Msg) -> Result<(), Self::Error> {
             self.inner.send(to, msg)
         }
-        fn poll(&mut self) -> Result<TransportEvent, Infallible> {
+        fn poll(&mut self) -> Result<TransportEvent, Self::Error> {
             self.inner.poll()
         }
         fn poll_frame(
             &mut self,
             max: usize,
             frame: &mut Vec<TransportEvent>,
-        ) -> Result<(), Infallible> {
+        ) -> Result<(), Self::Error> {
             frame.push(self.inner.poll()?);
             while frame.len() < max {
                 match self.inner.events.pop_front() {
@@ -466,7 +648,7 @@ mod tests {
         fn quiesce(&mut self) {
             self.inner.quiesce()
         }
-        fn flush(&mut self) -> Result<(), Infallible> {
+        fn flush(&mut self) -> Result<(), Self::Error> {
             self.flushes += 1;
             Ok(())
         }
@@ -508,23 +690,30 @@ mod tests {
     }
 
     #[test]
-    fn engine_behaves_identically_to_bare_node() {
-        // The engine must add zero behavior: drive a bare JoinNode and an
-        // engine-wrapped clone through the same arrivals and compare.
-        let mut bare = JoinNode::new(Algorithm::Base, test_config(0, 3), WindowSpec::count(16), 0);
-        let mut eng = engine(0, 3);
-        let mut tx = Script::default();
-        let mut bare_clock = 0u64;
-        let mut expect = Vec::new();
-        for seq in 0..20u64 {
-            let t = Tuple::new(StreamId::R, (seq % 4) as u32, seq, 0);
-            bare_clock += 7;
-            bare.handle_arrival_into(t, bare_clock, &mut expect);
-            let before = tx.sent.len();
-            eng.on_arrival(t, &mut tx).unwrap();
-            assert_eq!(&tx.sent[before..], &expect[..]);
-        }
-        assert_eq!(eng.metrics(), bare.metrics());
-        assert_eq!(eng.match_digest(), bare.match_digest());
+    fn a_failed_send_ends_the_arrival_and_the_run() {
+        let n = 4;
+        let arrival = |seq| Tuple::new(StreamId::R, 5, seq, 0);
+        // A transport that fails its second send.
+        let flaky = || Script {
+            capacity: Some(1),
+            ..Script::default()
+        };
+        let mut eng = engine(0, n);
+        let mut tx = flaky();
+        assert_eq!(eng.on_arrival(arrival(0), &mut tx), Err(std::fmt::Error));
+        assert_eq!(tx.sent.len(), 1, "nothing after the failure is sent");
+        // The node survives its aborted arrival: over a healthy transport
+        // BASE broadcasts the next one to all N - 1 peers.
+        let mut healthy = Script::default();
+        eng.on_arrival(arrival(1), &mut healthy).unwrap();
+        assert_eq!(healthy.sent.len(), usize::from(n - 1));
+        // The run loop stops at the failure and returns it.
+        let mut eng = engine(0, n);
+        let mut tx = flaky();
+        tx.events.push_back(TransportEvent::Arrival(arrival(0)));
+        tx.events.push_back(TransportEvent::Arrival(arrival(1)));
+        assert_eq!(eng.run(&mut tx), Err(std::fmt::Error));
+        assert_eq!(tx.sent.len(), 1);
+        assert_eq!(tx.quiesced, 0, "the failed event is not quiesced");
     }
 }

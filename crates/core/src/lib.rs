@@ -63,6 +63,6 @@ pub use engine::{NodeEngine, Transport, TransportEvent, FRAME_MAX};
 pub use error::RunError;
 pub use flow::{FlowParams, TargetComplexity};
 pub use msg::{Msg, SummaryPayload};
-pub use node::{JoinNode, NodeMetrics, ThroughputGovernor};
+pub use node::{NodeMetrics, ThroughputGovernor};
 pub use runner::{ClusterConfig, ExperimentReport, LockstepReport};
 pub use strategy::Algorithm;

@@ -1,11 +1,6 @@
-//! A distributed join node: windows, local join execution, routing and
-//! summary dissemination (the per-node runtime of Fig. 7).
+//! What a node counts ([`NodeMetrics`]) and how it sheds load
+//! ([`ThroughputGovernor`]); the node itself is [`crate::NodeEngine`].
 
-use crate::msg::Msg;
-use crate::strategy::{peers_of, Algorithm, Route, Router, RouterConfig};
-use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// The paper's abstract promises "automatic throughput handling based on
@@ -152,266 +147,21 @@ impl NodeMetrics {
     }
 }
 
-/// One node of the distributed join cluster.
-///
-/// Owns segments `R_i`/`S_i` of the two streams (sliding windows), runs the
-/// local symmetric join on every arrival, and consults its router to
-/// forward the tuple toward likely join partners. Forwarded tuples probe
-/// the receiver's windows but are never stored — windows hold only tuples
-/// that arrived locally, exactly the paper's partitioning model.
-#[derive(Debug)]
-pub struct JoinNode {
-    me: u16,
-    n: u16,
-    /// Attribute domain size; arrivals with `key >= domain` are dropped
-    /// at ingest (mirroring `RunError::TraceKeyOutOfDomain`).
-    domain: u32,
-    count_from_seq: u64,
-    r_win: SlidingWindow,
-    s_win: SlidingWindow,
-    router: Router,
-    rng: StdRng,
-    metrics: NodeMetrics,
-    governor: Option<ThroughputGovernor>,
-    /// Route scratch reused across arrivals.
-    route_scratch: Route,
-    /// Order-sensitive digest of every counted match observation — see
-    /// [`JoinNode::match_digest`].
-    match_digest: u64,
-}
-
-impl JoinNode {
-    /// Creates node `cfg.me` of the cluster, running `algorithm`.
-    /// Matches attributed to tuples with `seq < count_from_seq` are not
-    /// counted (warm-up exclusion).
-    pub(crate) fn new(
-        algorithm: Algorithm,
-        cfg: RouterConfig,
-        spec: WindowSpec,
-        count_from_seq: u64,
-    ) -> Self {
-        let me = cfg.me;
-        let n = cfg.n;
-        let domain = cfg.domain;
-        let rng = StdRng::seed_from_u64(cfg.seed ^ (0xD5EED ^ u64::from(me) << 32));
-        JoinNode {
-            me,
-            n,
-            domain,
-            count_from_seq,
-            r_win: SlidingWindow::new(spec),
-            s_win: SlidingWindow::new(spec),
-            router: Router::new(algorithm, cfg),
-            rng,
-            metrics: NodeMetrics::default(),
-            governor: None,
-            route_scratch: Route::default(),
-            match_digest: Self::DIGEST_BASIS,
-        }
-    }
-
-    /// Installs a throughput governor with the given bandwidth allowance
-    /// (bits/second of outbound traffic).
-    pub fn with_bandwidth_budget(mut self, budget_bps: u64) -> Self {
-        self.governor = Some(ThroughputGovernor::new(budget_bps));
-        self
-    }
-
-    /// This node's counters.
-    pub fn metrics(&self) -> &NodeMetrics {
-        &self.metrics
-    }
-
-    /// Worst-case fallback activations recorded by the router.
-    pub fn fallback_events(&self) -> u64 {
-        self.router.fallback_events()
-    }
-
-    /// The window holding `stream`'s locally arrived tuples.
-    pub fn window(&self, stream: StreamId) -> &SlidingWindow {
-        match stream {
-            StreamId::R => &self.r_win,
-            StreamId::S => &self.s_win,
-        }
-    }
-
-    fn counts(&self, seq: u64) -> bool {
-        seq >= self.count_from_seq
-    }
-
-    /// FNV-1a offset basis / prime for the match digest.
-    const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const DIGEST_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// An order-sensitive digest of this node's counted match
-    /// observations: every post-warm-up probe folds its `(seq, matches)`
-    /// pair in FNV-1a style, in processing order. Two runs report the same
-    /// digest exactly when this node observed the same match set in the
-    /// same order — the "identical match sets" witness the cross-backend
-    /// equivalence suite compares across simnet, threads and TCP.
-    pub fn match_digest(&self) -> u64 {
-        self.match_digest
-    }
-
-    #[inline]
-    fn fold_match(&mut self, seq: u64, matches: u32) {
-        self.match_digest = (self.match_digest ^ seq).wrapping_mul(Self::DIGEST_PRIME);
-        self.match_digest =
-            (self.match_digest ^ u64::from(matches)).wrapping_mul(Self::DIGEST_PRIME);
-    }
-}
-
-impl JoinNode {
-    /// Transport-agnostic arrival handling (Fig. 7): local join, summary
-    /// maintenance, routing. Clears and fills `out` with the
-    /// `(peer, message)` pairs to transmit; the per-arrival route state
-    /// lives in buffers reused across calls and the window insert
-    /// allocates nothing. What still allocates — the piggyback and summary
-    /// payloads built below, SKCH's join-size estimates — is pinned per
-    /// algorithm in `tests/alloc_budget.rs`. `now_us` is the node's clock in
-    /// microseconds (virtual or wall, depending on the runtime).
-    pub fn handle_arrival_into(&mut self, tuple: Tuple, now_us: u64, out: &mut Vec<(u16, Msg)>) {
-        out.clear();
-        debug_assert_eq!(tuple.origin, self.me, "arrival routed to wrong node");
-        // Domain guard (the runtime analogue of `RunError::TraceKeyOutOfDomain`):
-        // an out-of-domain key from a corrupt source must neither panic the
-        // routing hot path nor poison the window summaries — drop and count.
-        if tuple.key >= self.domain {
-            self.metrics.key_domain_drops += 1;
-            return;
-        }
-        // Local join: probe the opposite window, then store. Every stored
-        // tuple has a smaller seq, so each co-located pair counts exactly
-        // once, at its later tuple's arrival.
-        let local = self.window(tuple.stream.opposite()).probe(tuple.key);
-        if self.counts(tuple.seq) {
-            self.metrics.local_matches += u64::from(local);
-            self.fold_match(tuple.seq, local);
-        }
-        // Insert into the tuple's window, then hand the evicted keys (a
-        // borrow of the window's reusable eviction buffer — disjoint from
-        // the router field) to summary maintenance.
-        let evicted_keys: &[u32] = match tuple.stream {
-            StreamId::R => {
-                self.r_win.insert(tuple, now_us);
-                self.r_win.evicted_keys()
-            }
-            StreamId::S => {
-                self.s_win.insert(tuple, now_us);
-                self.s_win.evicted_keys()
-            }
-        };
-        self.router
-            .local_update(tuple.stream, tuple.key, evicted_keys);
-        self.router.note_arrival();
-        self.metrics.arrivals += 1;
-
-        // Route toward likely join partners, under the governor's current
-        // resource-availability scale.
-        let scale = match &mut self.governor {
-            Some(g) => g.scale(now_us),
-            None => 1.0,
-        };
-        let mut route = std::mem::take(&mut self.route_scratch);
-        self.router
-            .route_into(tuple.stream, tuple.key, scale, &mut self.rng, &mut route);
-        if route.fallback {
-            self.metrics.fallback_routes += 1;
-        }
-        for &peer in &route.peers {
-            let piggyback = if self.router.sync_due(peer) {
-                self.router.full_summaries(peer)
-            } else {
-                self.router.piggyback(peer)
-            };
-            let msg = Msg::Tuple { tuple, piggyback };
-            self.metrics.tuple_msgs_sent += 1;
-            self.metrics.data_bytes_sent += msg.data_bytes() as u64;
-            self.metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
-            self.router.note_sent(peer);
-            if let Some(g) = &mut self.governor {
-                g.note_sent(now_us, msg.wire_bytes() as u64);
-            }
-            out.push((peer, msg));
-        }
-
-        // Standalone summary batches for peers no tuple message reached in
-        // too long (Fig. 7: "transmitted on their own").
-        for peer in peers_of(self.me, self.n) {
-            if route.peers.contains(&peer) || !self.router.sync_overdue(peer) {
-                continue;
-            }
-            let payloads = self.router.full_summaries(peer);
-            if payloads.is_empty() {
-                continue;
-            }
-            let msg = Msg::Summary(payloads);
-            self.metrics.summary_msgs_sent += 1;
-            self.metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
-            if let Some(g) = &mut self.governor {
-                g.note_sent(now_us, msg.wire_bytes() as u64);
-            }
-            out.push((peer, msg));
-        }
-        self.route_scratch = route;
-    }
-
-    /// Transport-agnostic network-message handling: apply summaries, probe
-    /// the local windows with forwarded tuples.
-    pub fn handle_message(&mut self, from: u16, msg: Msg) {
-        match msg {
-            Msg::Tuple { tuple, piggyback } => {
-                for p in &piggyback {
-                    let dropped = self.router.apply_summary(from, p);
-                    debug_assert!(
-                        dropped == 0,
-                        "peer {from} piggybacked {dropped} out-of-range summary updates"
-                    );
-                    self.metrics.summary_index_drops += dropped;
-                }
-                self.metrics.tuples_received += 1;
-                // Probe-only: count pairs whose later tuple is the prober.
-                let matches = self
-                    .window(tuple.stream.opposite())
-                    .probe_before(tuple.key, tuple.seq);
-                if self.counts(tuple.seq) {
-                    self.metrics.remote_matches += u64::from(matches);
-                    self.fold_match(tuple.seq, matches);
-                }
-            }
-            Msg::Summary(payloads) => {
-                self.metrics.summaries_received += 1;
-                for p in &payloads {
-                    let dropped = self.router.apply_summary(from, p);
-                    debug_assert!(
-                        dropped == 0,
-                        "peer {from} sent {dropped} out-of-range summary updates"
-                    );
-                    self.metrics.summary_index_drops += dropped;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::NodeEngine;
-    use crate::strategy::test_config;
+    use crate::strategy::{test_config, Algorithm};
     use dsj_simnet::{LinkConfig, SimTime, Simulation};
+    use dsj_stream::{StreamId, Tuple, WindowSpec};
+
+    fn node(algorithm: Algorithm, me: u16, n: u16, count_from_seq: u64) -> NodeEngine {
+        let spec = WindowSpec::count(32);
+        NodeEngine::assemble(algorithm, test_config(me, n), spec, count_from_seq, None)
+    }
 
     fn cluster(algorithm: Algorithm, n: u16) -> Simulation<NodeEngine> {
-        let nodes = (0..n)
-            .map(|me| {
-                NodeEngine::new(JoinNode::new(
-                    algorithm,
-                    test_config(me, n),
-                    WindowSpec::count(32),
-                    0,
-                ))
-            })
-            .collect();
+        let nodes = (0..n).map(|me| node(algorithm, me, n, 0)).collect();
         Simulation::new(nodes, LinkConfig::instant(), 11)
     }
 
@@ -462,16 +212,8 @@ mod tests {
 
     #[test]
     fn warmup_exclusion_skips_early_matches() {
-        let nodes = (0..2)
-            .map(|me| {
-                NodeEngine::new(JoinNode::new(
-                    Algorithm::Base,
-                    test_config(me, 2),
-                    WindowSpec::count(32),
-                    2, // count only from seq 2
-                ))
-            })
-            .collect();
+        // Count only from seq 2.
+        let nodes = (0..2).map(|me| node(Algorithm::Base, me, 2, 2)).collect();
         let mut sim = Simulation::new(nodes, LinkConfig::instant(), 3);
         inject_seq(
             &mut sim,
@@ -569,15 +311,17 @@ mod tests {
     fn out_of_domain_arrival_is_dropped_and_counted() {
         // test_config uses domain 256: key 300 must not reach the windows,
         // the router, or the wire — and must not panic.
-        let mut node = JoinNode::new(Algorithm::Dftt, test_config(0, 3), WindowSpec::count(32), 0);
-        let mut out = Vec::new();
-        node.handle_arrival_into(Tuple::new(StreamId::R, 300, 0, 0), 0, &mut out);
-        assert!(out.is_empty(), "dropped arrivals send nothing");
-        assert_eq!(node.metrics().key_domain_drops, 1);
-        assert_eq!(node.metrics().arrivals, 0, "drop precedes the count");
-        assert_eq!(node.window(StreamId::R).len(), 0, "never stored");
+        let mut sim = cluster(Algorithm::Dftt, 3);
+        sim.inject_at(SimTime::ZERO, 0, Tuple::new(StreamId::R, 300, 0, 0));
+        sim.run_to_quiescence();
+        assert_eq!(sim.metrics().messages_sent, 0, "nothing sent");
+        let m = *sim.node(0).metrics();
+        assert_eq!(m.key_domain_drops, 1);
+        assert_eq!(m.arrivals, 0, "drop precedes the count");
+        assert_eq!(sim.node(0).window(StreamId::R).len(), 0, "never stored");
         // In-domain arrivals still flow.
-        node.handle_arrival_into(Tuple::new(StreamId::R, 200, 1, 0), 1, &mut out);
-        assert_eq!(node.metrics().arrivals, 1);
+        sim.inject_at(sim.now(), 0, Tuple::new(StreamId::R, 200, 1, 0));
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(0).metrics().arrivals, 1);
     }
 }

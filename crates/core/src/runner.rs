@@ -5,7 +5,7 @@
 use crate::engine::NodeEngine;
 use crate::error::RunError;
 use crate::flow::{FlowParams, TargetComplexity};
-use crate::node::{JoinNode, NodeMetrics};
+use crate::node::{NodeMetrics, ThroughputGovernor};
 use crate::obs;
 use crate::strategy::{Algorithm, RouterConfig};
 use dsj_simnet::{LinkConfig, SimDuration, SimTime, Simulation};
@@ -233,7 +233,7 @@ impl ClusterConfig {
         // Summary coefficient updates address the retained prefix with a
         // 16-bit wire index; a longer prefix would silently truncate on
         // encode (`CoeffUpdate.index`).
-        let retained = ((self.domain / self.kappa.max(1)).max(1)) as usize;
+        let retained = self.retained();
         if retained > usize::from(u16::MAX) + 1 {
             return Err(RunError::RetainedTooLarge { retained });
         }
@@ -301,14 +301,7 @@ impl ClusterConfig {
         self.validate()?;
         let mut reg = obs::Registry::new();
 
-        // Build the cluster: one engine per node over the simulated WAN
-        // transport.
-        let mut sim = reg.time_phase("build", || {
-            let nodes: Vec<NodeEngine> = (0..self.n)
-                .map(|me| NodeEngine::new(self.build_node(me)))
-                .collect();
-            Simulation::new(nodes, self.link, self.seed ^ 0x51A1)
-        });
+        let mut sim = reg.time_phase("build", || self.simulation());
 
         // Generate the workload and account ground truth.
         let dt_us = self.interarrival_us();
@@ -446,10 +439,7 @@ impl ClusterConfig {
     /// Returns a [`RunError`] for invalid configurations.
     pub fn run_lockstep(&self) -> Result<LockstepReport, RunError> {
         self.validate()?;
-        let nodes: Vec<NodeEngine> = (0..self.n)
-            .map(|me| NodeEngine::new(self.build_node(me)))
-            .collect();
-        let mut sim = Simulation::new(nodes, self.link, self.seed ^ 0x51A1);
+        let mut sim = self.simulation();
         let arrivals = self.arrivals();
         for a in &arrivals {
             let t = sim.now();
@@ -524,39 +514,50 @@ impl ClusterConfig {
         (1_000_000.0 / (self.arrival_rate * self.n as f64)).max(1.0) as u64
     }
 
-    /// Builds node `me` exactly as [`ClusterConfig::run`] would — the hook
-    /// other runtimes (e.g. the live threaded cluster in `dsj-runtime`)
-    /// use to host the same node logic over a different transport.
+    /// Builds node `me` — the one place a node is made, for the simulated
+    /// cluster and for every other runtime hosting the same node logic
+    /// over a different transport (e.g. `dsj-runtime`'s live clusters).
     ///
     /// # Panics
     ///
     /// Panics if `me >= self.n`.
-    pub fn build_node(&self, me: u16) -> JoinNode {
+    pub fn build_node(&self, me: u16) -> NodeEngine {
+        NodeEngine::assemble(
+            self.algorithm,
+            self.router_config(me),
+            self.window_spec(),
+            (self.tuples as f64 * self.warmup) as u64,
+            self.bandwidth_budget_bps.map(ThroughputGovernor::new),
+        )
+    }
+
+    /// The simulated cluster: one engine per node over the modelled WAN.
+    fn simulation(&self) -> Simulation<NodeEngine> {
+        let nodes = (0..self.n).map(|me| self.build_node(me)).collect();
+        Simulation::new(nodes, self.link, self.seed ^ 0x51A1)
+    }
+
+    /// DFT coefficients retained per summary, `K = max(1, D/κ)`.
+    fn retained(&self) -> usize {
+        ((self.domain / self.kappa.max(1)).max(1)) as usize
+    }
+
+    /// Node `me`'s routing configuration; panics if `me >= self.n`.
+    pub(crate) fn router_config(&self, me: u16) -> RouterConfig {
         assert!(me < self.n, "node id out of range");
-        let retained = ((self.domain / self.kappa.max(1)).max(1)) as usize;
         let mut flow = self.flow_overrides.unwrap_or_default();
         flow.target = self.target;
-        let cfg = RouterConfig {
+        RouterConfig {
             me,
             n: self.n,
             domain: self.domain,
-            retained,
+            retained: self.retained(),
             window: self.window,
             flow,
             seed: self.seed,
             sync_sent_interval: self.sync_sent_interval,
             sync_arrival_interval: self.sync_arrival_interval,
             rho_refresh: self.rho_refresh,
-        };
-        let node = JoinNode::new(
-            self.algorithm,
-            cfg,
-            self.window_spec(),
-            (self.tuples as f64 * self.warmup) as u64,
-        );
-        match self.bandwidth_budget_bps {
-            Some(b) => node.with_bandwidth_budget(b),
-            None => node,
         }
     }
 

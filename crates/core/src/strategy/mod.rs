@@ -35,7 +35,7 @@ use crate::flow::{
 use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// The distributed join algorithm a cluster runs.
@@ -107,6 +107,14 @@ pub(crate) struct RouterConfig {
     pub sync_arrival_interval: u32,
     /// Recompute cached correlations every this many arrivals.
     pub rho_refresh: u32,
+}
+
+impl RouterConfig {
+    /// Node `me`'s routing RNG: the cluster seed split by node id, so
+    /// whatever hosts this router draws the same sequence.
+    pub fn rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ (0xD5EED ^ u64::from(self.me) << 32))
+    }
 }
 
 /// A routing decision for one arriving tuple.

@@ -74,9 +74,7 @@ struct Recorded {
 /// sends routed into peer queues, until the cluster drains.
 fn record(cfg: &ClusterConfig) -> Recorded {
     let n = cfg.n as usize;
-    let mut engines: Vec<NodeEngine> = (0..cfg.n)
-        .map(|me| NodeEngine::new(cfg.build_node(me)))
-        .collect();
+    let mut engines: Vec<NodeEngine> = (0..cfg.n).map(|me| cfg.build_node(me)).collect();
     let mut ports: Vec<Port> = (0..n).map(|_| Port::default()).collect();
     let mut queues: Vec<VecDeque<Ev>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut logs: Vec<Vec<Ev>> = (0..n).map(|_| Vec::new()).collect();
@@ -132,7 +130,7 @@ fn replay(
     let mut digests = Vec::new();
     let mut transcripts = Vec::new();
     for (i, log) in logs.iter().enumerate() {
-        let mut engine = NodeEngine::new(cfg.build_node(i as u16));
+        let mut engine = cfg.build_node(i as u16);
         let mut port = Port::default();
         for events in log.chunks(chunk) {
             let mut frame: Vec<TransportEvent> = events.iter().map(to_transport).collect();

@@ -134,7 +134,7 @@ pub struct LiveOutcome {
     pub per_node: Vec<NodeMetrics>,
     /// Per-node order-sensitive digests of every counted probe — equal
     /// digests mean equal match sets *in the same order* (see
-    /// [`dsj_core::JoinNode::match_digest`]).
+    /// [`dsj_core::NodeEngine::match_digest`]).
     pub match_digests: Vec<u64>,
     /// Per-node transport counters (empty on backends that don't report
     /// any). Deliberately *not* part of equivalence fingerprints.
@@ -219,7 +219,7 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// Runs [`dsj_core::JoinNode`]s as live threads.
+/// Runs [`dsj_core::NodeEngine`]s as live threads.
 ///
 /// Message transport is unbounded in-process queues with no injected latency —
 /// the point is concurrency correctness and raw processing speed, not the

@@ -479,7 +479,7 @@ impl Run {
     {
         for (me, inbox) in (0..).zip(std::mem::take(&mut self.inboxes)) {
             let mut transport = build(self, me, inbox);
-            let mut engine = NodeEngine::new(cfg.build_node(me));
+            let mut engine = cfg.build_node(me);
             let failures = Arc::clone(&self.shared.failures);
             self.handles.push(thread::spawn(move || {
                 if let Err(e) = engine.run(&mut transport) {
@@ -952,7 +952,7 @@ mod tests {
     fn idle_handles(cfg: &ClusterConfig) -> Vec<JoinHandle<NodeEngine>> {
         (0..cfg.n)
             .map(|me| {
-                let engine = NodeEngine::new(cfg.build_node(me));
+                let engine = cfg.build_node(me);
                 thread::spawn(move || engine)
             })
             .collect()
@@ -1027,7 +1027,7 @@ mod tests {
         // A transport fault took node 1's thread down with it.
         let handles: Vec<JoinHandle<NodeEngine>> = (0..cfg.n)
             .map(|me| {
-                let engine = NodeEngine::new(cfg.build_node(me));
+                let engine = cfg.build_node(me);
                 thread::spawn(move || -> NodeEngine {
                     if me == 1 {
                         panic!("induced node failure");
@@ -1104,7 +1104,7 @@ mod tests {
         let inbox = run.inboxes.remove(0);
         let kicked = Arc::new(AtomicU32::new(0));
         let saw = Arc::clone(&kicked);
-        let engine = NodeEngine::new(cfg.build_node(0));
+        let engine = cfg.build_node(0);
         // Node 0 by hand; only a kick counts, not the timeout, not a
         // spurious wake-up.
         run.handles = vec![thread::spawn(move || {

@@ -55,7 +55,7 @@ pub enum TcpMode {
     Reactor,
 }
 
-/// Runs [`dsj_core::JoinNode`]s as live threads joined by real loopback
+/// Runs [`dsj_core::NodeEngine`]s as live threads joined by real loopback
 /// TCP sockets carrying [`dsj_core::wire`]-framed messages.
 ///
 /// Same concurrency structure as [`crate::LiveCluster`], but every

@@ -245,9 +245,7 @@ fn whole_engine_budgets_per_algorithm() {
         let dt_us = cfg.interarrival_us();
         let schedule = cfg.arrivals();
         let half = schedule.len() / 2;
-        let mut engines: Vec<NodeEngine> = (0..N)
-            .map(|me| NodeEngine::new(cfg.build_node(me)))
-            .collect();
+        let mut engines: Vec<NodeEngine> = (0..N).map(|me| cfg.build_node(me)).collect();
         let mut outbox = Outbox {
             now_us: 0,
             sent: Vec::with_capacity(4 * usize::from(N)),
