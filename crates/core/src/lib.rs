@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod flow;
@@ -59,6 +60,7 @@ pub mod strategy;
 pub mod theory;
 pub mod wire;
 
+pub use driver::{drive, Cluster, Driven, Feed, FeedReport};
 pub use engine::{NodeEngine, Transport, TransportEvent, FRAME_MAX};
 pub use error::RunError;
 pub use flow::{FlowParams, TargetComplexity};

@@ -2,8 +2,9 @@
 //! histograms and per-phase wall timers per experiment run, serialized as
 //! JSON lines.
 //!
-//! Results leave a run as values. The runner ([`crate::ClusterConfig::run`])
-//! and the live cluster fill a registry per run and hand it to [`emit`],
+//! Results leave a run as values. The driver ([`crate::driver::drive`])
+//! fills a registry per run, its caller (the simulated or a live cluster)
+//! adds its own rows and hands it to [`emit`],
 //! which has one sink: the innermost [`captured`] buffer open on the calling
 //! thread. With no buffer open the registry is dropped and [`enabled`] is
 //! `false` — library users and unit tests pay nothing. Whoever opened the
@@ -50,11 +51,6 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
     /// Adds `delta` to counter `name` (creating it at zero).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
@@ -312,7 +308,7 @@ mod tests {
 
     #[test]
     fn registry_kinds_and_merge() {
-        let mut a = Registry::new();
+        let mut a = Registry::default();
         a.counter_add("msgs", 3);
         a.counter_add("msgs", 2);
         a.gauge_set("eps", 0.15);
@@ -325,7 +321,7 @@ mod tests {
         assert_eq!(a.counter("absent"), 0);
         assert!(a.gauge("absent").is_none());
 
-        let mut b = Registry::new();
+        let mut b = Registry::default();
         b.counter_add("msgs", 10);
         b.gauge_set("eps", 0.10);
         b.histogram_merge("bytes", &hist(&[200]));
@@ -343,7 +339,7 @@ mod tests {
 
     #[test]
     fn time_phase_returns_value() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         let v = r.time_phase("work", || 42);
         assert_eq!(v, 42);
         assert_eq!(r.phase("work").unwrap().calls, 1);
@@ -351,7 +347,7 @@ mod tests {
 
     #[test]
     fn json_line_is_well_formed() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.counter_add("node.00.arrivals", 7);
         r.gauge_set("epsilon", 0.25);
         r.gauge_set("weird\"name", f64::NAN);
@@ -400,7 +396,7 @@ mod tests {
     fn histogram_bucket_boundaries_are_stable_in_json() {
         // Values straddling every power-of-two boundary land in pinned
         // buckets: the serialized bounds are part of the JSONL contract.
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.histogram_merge("h", &hist(&[0, 1, 2, 3, 4, 127, 128, u64::MAX]));
         let line = ExperimentRecord {
             index: 0,

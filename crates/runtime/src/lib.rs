@@ -15,9 +15,12 @@
 //!   message framed by the [`dsj_core::wire`] codec: serialization,
 //!   syscalls and stream reassembly are all real.
 //!
-//! Both offer `run`, `run_paced` and `run_open_loop` over one shared
-//! lifecycle and one wait point per node (its mailbox's latch, kicked once
-//! per burst, not per event); a backend is its `send`/`flush` and wiring.
+//! Both offer `run`, `run_paced` and `run_open_loop` and are fed and
+//! drained by `dsj-core`'s one driver ([`dsj_core::driver::drive`]), the
+//! simulator's too: this crate supplies the live [`dsj_core::Cluster`] —
+//! wall clock, node threads, one wait point per node (its mailbox's latch,
+//! kicked once per burst, not per event) and teardown — and a backend is
+//! its `send`/`flush` and wiring.
 //!
 //! Use the simulation for reproducible experiments and figure
 //! regeneration; use these runtimes to demonstrate that the algorithms

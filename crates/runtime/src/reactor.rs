@@ -975,7 +975,8 @@ mod tests {
         /// Node 0 as its own thread sees it — this link as its only
         /// inbound one, plus its mailbox — and the peer's write half.
         fn into_node(self) -> (Arc<OutLink>, Arc<Mailbox>, ReactorTransport) {
-            let (mailbox, inbox) = harness::mailbox(&harness::Shared::new());
+            let mut run = harness::Run::new(1);
+            let (mailbox, inbox) = (Arc::clone(&run.mailboxes[0]), run.inboxes.remove(0));
             let peer = Arc::clone(&self.link.out);
             let failures = Arc::new(Mutex::new(Vec::new()));
             let node =
@@ -1176,28 +1177,28 @@ mod tests {
     /// ordering rule: arrival 7 reaches node 1's mailbox before either probe
     /// is written, so node 1 must frame it ahead of both.
     fn dirty_flag_hand_off(ends: &(Arc<TcpStream>, Arc<TcpStream>)) -> Scenario {
-        let shared = Arc::new(harness::Shared::new());
-        let (mailboxes, inboxes): (Vec<_>, Vec<_>) =
-            (0..2).map(|_| harness::mailbox(&shared)).unzip();
+        let mut run = harness::Run::new(2);
+        let (mailboxes, inboxes) = (run.mailboxes.clone(), std::mem::take(&mut run.inboxes));
+        let (in_flight, failures) = (Arc::clone(&run.in_flight), Arc::clone(&run.failures));
         for seq in 0..2 {
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
+            in_flight.fetch_add(1, Ordering::SeqCst);
             mailboxes[0].push(arrival(seq)).unwrap();
         }
         let link = Arc::new(OutLink::new(0, Arc::clone(&ends.0)));
         let towards_reader = Some((Arc::clone(&link), Arc::clone(&mailboxes[1])));
         let inbound = vec![ReadLink::new(Arc::clone(&ends.1), 1, link)];
-        let (mut inboxes, failures) = (inboxes.into_iter(), &shared.failures);
+        let mut inboxes = inboxes.into_iter();
         let mut node = |me, inbound, outbound: [_; 2]| {
-            let (inbox, failures) = (inboxes.next().unwrap(), Arc::clone(failures));
+            let (inbox, failures) = (inboxes.next().unwrap(), Arc::clone(&failures));
             ReactorTransport::new(me, inbox, inbound, outbound.into_iter(), failures)
         };
         let writer = node(0, Vec::new(), [None, towards_reader]);
         let mut reader = node(1, inbound, [None, None]);
-        let (feeder, readers_mailbox) = (Arc::clone(&shared), Arc::clone(&mailboxes[1]));
+        let (feeder, readers_mailbox) = (Arc::clone(&in_flight), Arc::clone(&mailboxes[1]));
         Scenario {
             threads: vec![
                 Box::new(move || {
-                    feeder.in_flight.fetch_add(1, Ordering::SeqCst);
+                    feeder.fetch_add(1, Ordering::SeqCst);
                     readers_mailbox.push(arrival(7)).unwrap();
                     harness::explored_node(writer, 1, 1, 2, &AtomicUsize::new(0));
                 }),
@@ -1212,12 +1213,8 @@ mod tests {
                 }),
             ],
             invariant: Box::new(move |done| {
-                let in_flight = shared.in_flight.0.load(Ordering::SeqCst);
-                let failed = shared
-                    .failures
-                    .0
-                    .try_lock()
-                    .map_or(1, |failures| failures.len());
+                let in_flight = in_flight.0.load(Ordering::SeqCst);
+                let failed = failures.0.try_lock().map_or(1, |failures| failures.len());
                 if in_flight < 0 || failed > 0 || (done && in_flight > 0) {
                     return Err(format!("in_flight = {in_flight}, {failed} failure(s)"));
                 }

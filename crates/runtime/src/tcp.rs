@@ -11,16 +11,17 @@
 //! that socket come from without trusting ephemeral port numbers. Codec
 //! frames ([`dsj_core::wire::FrameDecoder`]) are reassembled from the byte
 //! stream — frames arrive split and coalesced at TCP's whim — and decoded
-//! messages join the arrivals the feeder queued in the node's mailbox in
-//! one engine frame. Node threads, feeder backpressure, quiescence
-//! detection and aggregation are the backend-independent harness shared
-//! with [`crate::LiveCluster`].
+//! messages join the arrivals the feed queued in the node's mailbox in
+//! one engine frame. Node threads, wake-ups, in-flight accounting and
+//! teardown are the backend-independent harness shared with
+//! [`crate::LiveCluster`]; feeding, quiescence and the tally are
+//! `dsj-core`'s driver.
 //!
 //! Everything stays on `127.0.0.1` with OS-assigned ports; nothing binds
 //! a routable interface.
 
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
-use crate::harness::{self, Pacing};
+use crate::harness::{self, Pacing, Run};
 use crate::reactor::{OutLink, ReactorTransport, ReadLink};
 use dsj_core::ClusterConfig;
 use std::io::{self, Read, Write};
@@ -77,7 +78,7 @@ impl TcpCluster {
         Self::run_paced(cfg, Pacing::Freerun)
     }
 
-    /// Runs the configuration's workload with an explicit feeder
+    /// Runs the configuration's workload with an explicit closed-loop
     /// [`Pacing`]. [`Pacing::Lockstep`] makes the run deterministic and
     /// equal, node for node, to the other two backends.
     ///
@@ -85,7 +86,7 @@ impl TcpCluster {
     ///
     /// As for [`TcpCluster::run`].
     pub fn run_paced(cfg: &ClusterConfig, pacing: Pacing) -> Result<LiveOutcome, LiveError> {
-        harness::drive(cfg, pacing, Self::spawn(cfg)?)
+        harness::run_paced(cfg, pacing, Self::spawn)
     }
 
     /// Runs the configuration's workload open-loop: arrivals are injected
@@ -101,7 +102,7 @@ impl TcpCluster {
         cfg: &ClusterConfig,
         spec: &harness::OpenLoop,
     ) -> Result<harness::LoadRun, LiveError> {
-        harness::drive_open(cfg, spec, Self::spawn)
+        harness::run_open_loop(cfg, spec, Self::spawn)
     }
 
     /// Adapter shim for `benches/e2e` (see [`TcpMode`]); call
@@ -126,12 +127,12 @@ impl TcpCluster {
         Self::run_open_loop(cfg, spec)
     }
 
-    /// Prepares the run, binds the socket topology — for pair `{i, j}` with
-    /// `i < j`, node `j` dials node `i`'s listener — and spawns the node
-    /// threads, each owning the read half of its inbound links: everything up
-    /// to (but not including) feeding, shared by both entry points.
-    fn spawn(cfg: &ClusterConfig) -> Result<harness::Run, LiveError> {
-        let mut run = harness::prepare(cfg)?;
+    /// Binds the socket topology — for pair `{i, j}` with `i < j`, node `j`
+    /// dials node `i`'s listener — and spawns the node threads, each owning
+    /// the read half of its inbound links: the cluster the driver feeds, for
+    /// both entry points.
+    fn spawn(cfg: &ClusterConfig) -> Result<Run, LiveError> {
+        let mut run = Run::new(cfg.n);
         let n = cfg.n as usize;
 
         // Bind every node's listener first so peers can dial in any order.
@@ -216,7 +217,7 @@ impl TcpCluster {
                 .iter()
                 .zip(&run.mailboxes)
                 .map(|(link, mailbox)| Some((Arc::clone(link.as_ref()?), Arc::clone(mailbox))));
-            let failures = Arc::clone(&run.shared.failures);
+            let failures = Arc::clone(&run.failures);
             ReactorTransport::new(me, inbox, inbound, outbound, failures)
         });
 
@@ -242,7 +243,7 @@ impl TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsj_core::{obs, Algorithm};
+    use dsj_core::Algorithm;
     use dsj_stream::gen::WorkloadKind;
 
     fn quick(n: u16, algorithm: Algorithm) -> ClusterConfig {
@@ -332,23 +333,5 @@ mod tests {
                 outcome.epsilon
             );
         }
-    }
-
-    #[test]
-    fn tcp_run_emits_observation_record_with_phases() {
-        let cfg = quick(3, Algorithm::Dft);
-        let (outcome, regs) = obs::captured(|| TcpCluster::run(&cfg).unwrap());
-        assert_eq!(regs.len(), 1);
-        let reg = &regs[0];
-        assert_eq!(reg.counter("live.messages"), outcome.messages);
-        for phase in ["workload", "spawn", "inject", "drain", "join"] {
-            assert!(reg.phase(phase).is_some(), "missing phase {phase}");
-        }
-    }
-
-    #[test]
-    fn invalid_config_rejected_before_binding() {
-        let err = TcpCluster::run(&quick(1, Algorithm::Base)).unwrap_err();
-        assert_eq!(err, LiveError::Config(dsj_core::RunError::TooFewNodes(1)));
     }
 }

@@ -229,9 +229,21 @@ impl<N: SimNode> Simulation<N> {
         }
     }
 
+    /// Events scheduled and not yet processed: inputs and deliveries.
+    pub fn pending(&self) -> usize {
+        self.inputs.len() + self.deliveries.len()
+    }
+
     /// Processes a single event; returns `false` when no event is pending.
     pub fn step(&mut self) -> bool {
+        self.step_until(SimTime::from_micros(u64::MAX))
+    }
+
+    /// Processes the next event if it is due at or before `t`; returns
+    /// `false` when none is.
+    pub fn step_until(&mut self, t: SimTime) -> bool {
         let next = match self.peek_next() {
+            Some((time, _)) if time > t => None,
             Some((_, true)) => self.inputs.pop_front(),
             Some((_, false)) => self.deliveries.pop(),
             None => None,
@@ -297,9 +309,12 @@ impl<N: SimNode> Simulation<N> {
     /// Runs until the next event would be after `t` (or none is pending);
     /// the clock advances to at most the last processed event.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.peek_next().is_some_and(|(next, _)| next <= t) {
-            self.step();
-        }
+        while self.step_until(t) {}
+    }
+
+    /// Ends the simulation, handing back its nodes and network accounting.
+    pub fn into_parts(self) -> (Vec<N>, NetMetrics) {
+        (self.nodes, self.metrics)
     }
 }
 
@@ -572,6 +587,22 @@ mod tests {
             .chain(inputs.iter().map(|&v| (after, 'm', v)))
             .collect();
         assert_eq!(sim.node(1).seen, expect);
+    }
+
+    #[test]
+    fn step_until_runs_only_what_is_due_and_pending_counts_the_rest() {
+        let mut sim = tapes();
+        sim.inject_at(SimTime::from_micros(10), 0, 1);
+        assert!(!sim.step_until(SimTime::from_micros(9)));
+        assert_eq!((sim.now(), sim.pending()), (SimTime::ZERO, 1));
+        // The input runs and becomes a forward, due one hop later.
+        assert!(sim.step_until(SimTime::from_micros(10)));
+        assert_eq!((sim.now(), sim.pending()), (SimTime::from_micros(10), 1));
+        assert!(!sim.step_until(SimTime::from_micros(10)));
+        assert!(sim.step_until(SimTime::from_micros(11)));
+        assert_eq!(sim.pending(), 0);
+        let (nodes, net) = sim.into_parts();
+        assert_eq!((nodes[1].seen.len(), net.messages_delivered), (1, 1));
     }
 
     #[test]
