@@ -28,8 +28,8 @@ pub enum RunError {
     /// A bandwidth governor with a zero allowance could never send.
     ZeroBandwidthBudget,
     /// The per-node arrival rate is not a finite positive number of
-    /// tuples per second, or is so small that the run's virtual duration
-    /// overflows the microsecond clock.
+    /// tuples per second, or is so small that the last arrival would be
+    /// due 2⁵³ ns (about 104 days) or more after the first.
     ArrivalRateOutOfRange(f64),
     /// A constant message-complexity target is negative or not finite.
     TargetOutOfRange(f64),
@@ -88,7 +88,7 @@ impl fmt::Display for RunError {
             RunError::ArrivalRateOutOfRange(r) => write!(
                 f,
                 "arrival rate {r} tuples/s per node cannot be scheduled \
-                 (need a finite positive rate the microsecond clock can hold)"
+                 (need a finite positive rate whose last arrival is due within 2^53 ns)"
             ),
             RunError::TargetOutOfRange(t) => write!(
                 f,
