@@ -13,9 +13,7 @@
 //!
 //! [`RouterHarness::route`] runs the production flow filter
 //! (`Router::route_into`: one policy for all five algorithms). Measured by
-//! `tests/alloc_budget.rs` at steady state, BASE, DFT and BLOOM never
-//! allocate in it, DFTT does a few times per 100 000 routes, and SKCH
-//! 0.69 times per route, in `AgmsSketch::join_size`.
+//! `tests/alloc_budget.rs` at steady state, no algorithm allocates in it.
 //! `RouterHarness::route_reference` (behind the `reference` feature) runs
 //! its allocating transcription — fresh buffers, no verdict cache, the
 //! same summary queries — so equivalence (same peers, same fallback flag,

@@ -95,15 +95,18 @@ impl BloomSummary {
         true
     }
 
-    /// Ingests a peer's filter (replaced wholesale: nothing to drop).
+    /// Ingests a peer's filter (replaced wholesale: nothing to drop). After
+    /// the first, it lands in the held filter's counters.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Bloom { stream, filter } = payload else {
             debug_assert!(false, "BLOOM summary received a non-Bloom payload");
             return 0;
         };
-        let mut filter = filter.clone();
-        filter.rehydrate();
-        self.remote[from as usize][stream.index()] = Some(filter);
+        let slot = &mut self.remote[from as usize][stream.index()];
+        match slot {
+            Some(held) => held.clone_from(filter),
+            None => *slot = Some(filter.clone()),
+        }
         0
     }
 

@@ -26,6 +26,8 @@ pub(super) struct SketchSummary {
     est: Vec<[Option<f64>; 2]>,
     est_stale: Vec<[bool; 2]>,
     arrivals_since_refresh: u32,
+    /// `join_size_into`'s group means, reused by every estimate.
+    group_means: Vec<f64>,
 }
 
 impl SketchSummary {
@@ -36,9 +38,11 @@ impl SketchSummary {
         let n = cfg.n as usize;
         let bytes = (cfg.retained * 16).max(48);
         let mk = || AgmsSketch::with_size_bytes(bytes, cfg.seed);
+        let local = [mk(), mk()];
         SketchSummary {
             rho_refresh: cfg.rho_refresh,
-            local: [mk(), mk()],
+            group_means: Vec::with_capacity(local[0].s1()),
+            local,
             remote: vec![[None, None]; n],
             est: vec![[None, None]; n],
             est_stale: vec![[true, true]; n],
@@ -85,12 +89,7 @@ impl SketchSummary {
                 // estimate".
                 self.est[j][s] = self.remote[j][opp]
                     .as_ref()
-                    // `AgmsSketch::join_size` collects its group means into
-                    // a fresh `Vec`: once per peer and stream every
-                    // `rho_refresh` arrivals and after every received
-                    // sketch, which comes to 0.69 allocations per route on
-                    // the paper-default schedule (`tests/alloc_budget.rs`).
-                    .and_then(|sk| self.local[s].join_size(sk).ok());
+                    .and_then(|sk| self.local[s].join_size_into(sk, &mut self.group_means).ok());
                 self.est_stale[j][s] = false;
                 changed = true;
             }
@@ -104,16 +103,19 @@ impl SketchSummary {
         changed
     }
 
-    /// Ingests a peer's sketch (replaced wholesale: nothing to drop).
+    /// Ingests a peer's sketch (replaced wholesale: nothing to drop). After
+    /// the first, it lands in the held sketch's counters.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Sketch { stream, sketch } = payload else {
             debug_assert!(false, "SKCH summary received a non-sketch payload");
             return 0;
         };
-        let mut sketch = sketch.clone();
-        sketch.rehydrate();
         let j = from as usize;
-        self.remote[j][stream.index()] = Some(sketch);
+        let slot = &mut self.remote[j][stream.index()];
+        match slot {
+            Some(held) => held.clone_from(sketch),
+            None => *slot = Some(sketch.clone()),
+        }
         self.est_stale[j][stream.opposite().index()] = true;
         0
     }

@@ -7,8 +7,15 @@
 //! independent estimators reduces variance; taking the median of `s1` such
 //! averages boosts confidence. The paper's SKCH baseline keeps the
 //! `s0 : s1` ratio at 5 : 1 (Section 6).
+//!
+//! Each `ξ` is the low bit of a cubic over `GF(2⁶¹ − 1)`. The sketch keeps
+//! the `s0·s1` cubics' coefficients in one flat array; an update reduces the
+//! value and takes its square and cube once, then evaluates every cubic as
+//! three independent products, each folded once, summed below `2⁶⁴` and
+//! reduced once to the canonical residue. The arithmetic is exact: every
+//! sign equals [`PolyHash::sign`] of the same hash.
 
-use crate::hash::PolyHash;
+use crate::hash::{cubic_powers, eval_cubic, PolyHash};
 use std::fmt;
 
 /// Error raised when combining incompatible sketches.
@@ -48,14 +55,36 @@ impl std::error::Error for SketchMismatchError {}
 /// assert!((est - 100.0).abs() < 60.0, "estimate {est} too far from 100");
 /// # Ok::<(), dsj_sketch::agms::SketchMismatchError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct AgmsSketch {
     s0: usize,
     s1: usize,
     seed: u64,
     counters: Vec<i64>,
-    hashes: Vec<PolyHash>,
+    /// `[c₀, c₁, c₂, c₃]` of each counter's four-wise hash, in counter order.
+    coeffs: Vec<[u64; 4]>,
     total_updates: u64,
+}
+
+impl Clone for AgmsSketch {
+    fn clone(&self) -> Self {
+        AgmsSketch {
+            counters: self.counters.clone(),
+            coeffs: self.coeffs.clone(),
+            ..*self
+        }
+    }
+
+    /// Overwrites the counters and update count in place when `source` has
+    /// the same shape and seed (and so the same hashes): no allocation.
+    fn clone_from(&mut self, source: &Self) {
+        if (self.s0, self.s1, self.seed) == (source.s0, source.s1, source.seed) {
+            self.counters.copy_from_slice(&source.counters);
+            self.total_updates = source.total_updates;
+        } else {
+            *self = source.clone();
+        }
+    }
 }
 
 impl AgmsSketch {
@@ -66,16 +95,7 @@ impl AgmsSketch {
     ///
     /// Panics if `s0 == 0` or `s1 == 0`.
     pub fn new(s0: usize, s1: usize, seed: u64) -> Self {
-        assert!(s0 > 0 && s1 > 0, "sketch dimensions must be positive");
-        let hashes = Self::derive_hashes(s0, s1, seed);
-        AgmsSketch {
-            s0,
-            s1,
-            seed,
-            counters: vec![0; s0 * s1],
-            hashes,
-            total_updates: 0,
-        }
+        Self::from_parts(s0, s1, seed, vec![0; s0 * s1], 0)
     }
 
     /// Creates a sketch whose serialized size is at most `bytes`, keeping
@@ -93,9 +113,16 @@ impl AgmsSketch {
         AgmsSketch::new(s0, s1, seed)
     }
 
-    fn derive_hashes(s0: usize, s1: usize, seed: u64) -> Vec<PolyHash> {
+    /// Counter `i`'s hash is `PolyHash::four_wise` of a seed derived from
+    /// `seed` and `i`; the sketch keeps only its coefficients.
+    fn derive_coeffs(s0: usize, s1: usize, seed: u64) -> Vec<[u64; 4]> {
         (0..s0 * s1)
-            .map(|i| PolyHash::four_wise(seed.wrapping_add(0x51ED_270B ^ (i as u64) << 17)))
+            .map(|i| {
+                let hash = PolyHash::four_wise(seed.wrapping_add(0x51ED_270B ^ (i as u64) << 17));
+                let mut c = [0; 4];
+                c.copy_from_slice(hash.coefficients());
+                c
+            })
             .collect()
     }
 
@@ -130,26 +157,23 @@ impl AgmsSketch {
     }
 
     /// Applies a frequency change `delta` for value `v` (use `-1` on window
-    /// eviction). Cost is one ±1 hash per atomic estimator.
+    /// eviction). Cost: two field multiplies for `v²` and `v³`, then three
+    /// independent multiplies and one reduction per atomic estimator.
     pub fn update(&mut self, v: u64, delta: i64) {
-        for (c, h) in self.counters.iter_mut().zip(self.hashes.iter()) {
-            *c += h.sign(v) * delta;
+        let powers = cubic_powers(v);
+        for (c, k) in self.counters.iter_mut().zip(&self.coeffs) {
+            // `ξ = +1` on an even residue, `−1` on an odd one.
+            let odd = (eval_cubic(k, powers) & 1) as i64;
+            *c += (1 - 2 * odd) * delta;
         }
         self.total_updates += 1;
     }
 
-    /// Re-derives hash functions after deserialization (hashes are not
-    /// serialized — they are a pure function of `(s0, s1, seed)`).
-    pub fn rehydrate(&mut self) {
-        if self.hashes.len() != self.s0 * self.s1 {
-            self.hashes = Self::derive_hashes(self.s0, self.s1, self.seed);
-        }
-    }
-
     /// Rebuilds a sketch from its wire representation: the counter vector
     /// plus the `(s0, s1, seed, total_updates)` parameters. Hash functions
-    /// are re-derived, so a reconstructed sketch is bit-identical to the
-    /// one that was serialized.
+    /// are not serialized — they are a pure function of `(s0, s1, seed)` —
+    /// so they are re-derived, and a reconstructed sketch is bit-identical
+    /// to the one that was serialized.
     ///
     /// # Panics
     ///
@@ -167,13 +191,12 @@ impl AgmsSketch {
             counters.len() == s0 * s1,
             "counter vector must be s0 * s1 long"
         );
-        let hashes = Self::derive_hashes(s0, s1, seed);
         AgmsSketch {
             s0,
             s1,
             seed,
             counters,
-            hashes,
+            coeffs: Self::derive_coeffs(s0, s1, seed),
             total_updates,
         }
     }
@@ -193,21 +216,35 @@ impl AgmsSketch {
     /// Returns [`SketchMismatchError`] when the sketches were built with
     /// different shapes or seeds.
     pub fn join_size(&self, other: &AgmsSketch) -> Result<f64, SketchMismatchError> {
+        self.join_size_into(other, &mut Vec::new())
+    }
+
+    /// [`AgmsSketch::join_size`] with the `s1` group means written into
+    /// `group_means` (cleared first), so a caller that keeps the buffer
+    /// estimates without allocating.
+    ///
+    /// # Errors
+    ///
+    /// As [`AgmsSketch::join_size`].
+    pub fn join_size_into(
+        &self,
+        other: &AgmsSketch,
+        group_means: &mut Vec<f64>,
+    ) -> Result<f64, SketchMismatchError> {
         if self.s0 != other.s0 || self.s1 != other.s1 || self.seed != other.seed {
             return Err(SketchMismatchError {
                 expected: (self.s0, self.s1, self.seed),
                 found: (other.s0, other.s1, other.seed),
             });
         }
-        let mut group_means: Vec<f64> = (0..self.s1)
-            .map(|g| {
-                let start = g * self.s0;
-                (0..self.s0)
-                    .map(|i| (self.counters[start + i] * other.counters[start + i]) as f64)
-                    .sum::<f64>()
-                    / self.s0 as f64
-            })
-            .collect();
+        group_means.clear();
+        group_means.extend((0..self.s1).map(|g| {
+            let start = g * self.s0;
+            (0..self.s0)
+                .map(|i| (self.counters[start + i] * other.counters[start + i]) as f64)
+                .sum::<f64>()
+                / self.s0 as f64
+        }));
         group_means.sort_by(f64::total_cmp);
         let mid = group_means.len() / 2;
         Ok(if group_means.len() % 2 == 1 {
@@ -288,6 +325,52 @@ mod tests {
             sk.update(v, -1);
         }
         assert_eq!(sk.join_size(&sk).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn counters_are_pinned() {
+        // Recorded from the per-hash Horner kernel: the flat kernel and the
+        // coefficient derivation must both reproduce it.
+        let mut sk = AgmsSketch::new(10, 2, 42);
+        let mut rng = SplitMix64::new(2024);
+        for _ in 0..1000 {
+            let v = rng.next_u64();
+            let delta = (rng.next_u64() % 7) as i64 - 3;
+            sk.update(v, delta);
+        }
+        assert_eq!(
+            sk.counter_values(),
+            [
+                -95, 3, -69, -17, -9, -43, -33, -79, 13, -59, 3, 51, -87, 9, -105, -117, 43, -69,
+                73, 103
+            ]
+        );
+        assert_eq!(sk.updates(), 1000);
+    }
+
+    #[test]
+    fn clone_from_overwrites_in_place() {
+        let mut held = AgmsSketch::new(10, 2, 42);
+        let mut fresh = AgmsSketch::new(10, 2, 42);
+        fresh.update(7, 3);
+        let buffer = held.counter_values().as_ptr();
+        held.clone_from(&fresh);
+        assert_eq!(held, fresh);
+        assert_eq!(held.counter_values().as_ptr(), buffer, "counters reused");
+        let other = AgmsSketch::new(5, 1, 9);
+        held.clone_from(&other);
+        assert_eq!(held, other, "a different shape is replaced wholesale");
+    }
+
+    #[test]
+    fn join_size_into_reuses_its_buffer() {
+        let a = sketch_of(&[3, 1, 4, 1, 5], 6);
+        let b = sketch_of(&[2, 7, 1, 8, 2], 6);
+        let mut means = Vec::with_capacity(a.s1());
+        let buffer = means.as_ptr();
+        assert_eq!(a.join_size_into(&b, &mut means), a.join_size(&b));
+        assert_eq!(means.len(), a.s1());
+        assert_eq!(means.as_ptr(), buffer);
     }
 
     #[test]

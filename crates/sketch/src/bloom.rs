@@ -19,13 +19,37 @@ use crate::hash::PolyHash;
 /// f.remove(99);
 /// assert!(!f.contains(99));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     counters: Vec<u32>,
     k: usize,
     seed: u64,
     hashes: Vec<PolyHash>,
     items: u64,
+}
+
+impl Clone for CountingBloomFilter {
+    fn clone(&self) -> Self {
+        CountingBloomFilter {
+            counters: self.counters.clone(),
+            hashes: self.hashes.clone(),
+            ..*self
+        }
+    }
+
+    /// Overwrites the counters and item count in place when `source` has
+    /// the same size, hash count and seed (and so the same hashes): no
+    /// allocation.
+    fn clone_from(&mut self, source: &Self) {
+        if (self.counters.len(), self.k, self.seed)
+            == (source.counters.len(), source.k, source.seed)
+        {
+            self.counters.copy_from_slice(&source.counters);
+            self.items = source.items;
+        } else {
+            *self = source.clone();
+        }
+    }
 }
 
 impl CountingBloomFilter {
@@ -105,16 +129,10 @@ impl CountingBloomFilter {
         self.counters.len() * 4
     }
 
-    /// Re-derives hash functions after deserialization.
-    pub fn rehydrate(&mut self) {
-        if self.hashes.len() != self.k {
-            self.hashes = Self::derive_hashes(self.k, self.seed);
-        }
-    }
-
     /// Rebuilds a filter from its wire representation: the counter vector
-    /// plus the `(k, seed, items)` parameters. Hash functions are
-    /// re-derived, so a reconstructed filter is bit-identical to the one
+    /// plus the `(k, seed, items)` parameters. Hash functions are not
+    /// serialized — they are a pure function of `(k, seed)` — so they are
+    /// re-derived, and a reconstructed filter is bit-identical to the one
     /// that was serialized.
     ///
     /// # Panics
@@ -290,6 +308,20 @@ mod tests {
             f.insert(v);
         }
         assert!(f.false_positive_rate() > light);
+    }
+
+    #[test]
+    fn clone_from_overwrites_in_place() {
+        let mut held = CountingBloomFilter::new(64, 3, 5);
+        let mut fresh = CountingBloomFilter::new(64, 3, 5);
+        fresh.insert(11);
+        let buffer = held.counter_values().as_ptr();
+        held.clone_from(&fresh);
+        assert_eq!(held, fresh);
+        assert_eq!(held.counter_values().as_ptr(), buffer, "counters reused");
+        let other = CountingBloomFilter::new(32, 2, 5);
+        held.clone_from(&other);
+        assert_eq!(held, other, "a different shape is replaced wholesale");
     }
 
     #[test]

@@ -35,27 +35,60 @@ impl SplitMix64 {
     }
 }
 
+/// One Mersenne fold: `(x mod 2⁶¹) + ⌊x / 2⁶¹⌋`, congruent to `x` modulo
+/// `2⁶¹ − 1` because `2⁶¹ ≡ 1`. The product of two residues is below
+/// `2¹²²`, so its fold is below `2⁶²`; a `u64` folds to below `2⁶¹ + 8`.
+#[inline]
+fn fold(x: u128) -> u64 {
+    (x as u64 & MERSENNE_61) + (x >> 61) as u64
+}
+
+/// The canonical residue of `x < 2·(2⁶¹ − 1)`: one conditional subtract.
+#[inline]
+fn canonical(x: u64) -> u64 {
+    if x >= MERSENNE_61 {
+        x - MERSENNE_61
+    } else {
+        x
+    }
+}
+
 /// Multiplication in `GF(2⁶¹ − 1)`.
 #[inline]
 fn mul_mod(a: u64, b: u64) -> u64 {
-    let prod = a as u128 * b as u128;
-    let lo = (prod & MERSENNE_61 as u128) as u64;
-    let hi = (prod >> 61) as u64;
-    let mut s = lo + hi;
-    if s >= MERSENNE_61 {
-        s -= MERSENNE_61;
-    }
-    s
+    canonical(fold(a as u128 * b as u128))
 }
 
 /// Addition in `GF(2⁶¹ − 1)`.
 #[inline]
 fn add_mod(a: u64, b: u64) -> u64 {
-    let mut s = a + b;
-    if s >= MERSENNE_61 {
-        s -= MERSENNE_61;
-    }
-    s
+    canonical(a + b)
+}
+
+/// `x = v mod (2⁶¹ − 1)` with its square and cube: the powers every cubic
+/// of a four-wise family is evaluated at, computed once per value.
+#[inline]
+pub(crate) fn cubic_powers(v: u64) -> [u64; 3] {
+    let x = v % MERSENNE_61;
+    let x2 = mul_mod(x, x);
+    [x, x2, mul_mod(x2, x)]
+}
+
+/// `c₀ + c₁·x + c₂·x² + c₃·x³ mod (2⁶¹ − 1)`, canonical, at
+/// `powers = [x, x², x³]` from [`cubic_powers`] — exactly the value
+/// [`PolyHash::hash`] computes for a four-wise hash with coefficients `c`.
+///
+/// The three products are independent, so they pipeline instead of
+/// chaining like Horner's rule. Each is folded once to below `2⁶²`; with
+/// `c₀ < 2⁶¹` the sum stays below `3·2⁶² + 2⁶¹ < 2⁶⁴`, and one more fold
+/// and one conditional subtract reach the canonical residue.
+#[inline]
+pub(crate) fn eval_cubic(c: &[u64; 4], [x, x2, x3]: [u64; 3]) -> u64 {
+    let sum = c[0]
+        + fold(c[1] as u128 * x as u128)
+        + fold(c[2] as u128 * x2 as u128)
+        + fold(c[3] as u128 * x3 as u128);
+    canonical(fold(u128::from(sum)))
 }
 
 /// A k-wise independent polynomial hash `h(x) = Σ cᵢ·xⁱ mod (2⁶¹−1)`.
@@ -96,6 +129,11 @@ impl PolyHash {
     /// sketches require for their variance guarantee.
     pub fn four_wise(seed: u64) -> Self {
         PolyHash::k_wise(4, seed)
+    }
+
+    /// The polynomial's coefficients `c₀, c₁, …`, each below `2⁶¹ − 1`.
+    pub(crate) fn coefficients(&self) -> &[u64] {
+        &self.coeffs
     }
 
     /// Hash of `x`, uniform over `[0, 2⁶¹ − 1)`.
@@ -147,6 +185,22 @@ mod tests {
         assert_eq!(add_mod(MERSENNE_61 - 1, 1), 0);
         // (p-1)·(p-1) mod p = 1 since p-1 ≡ -1.
         assert_eq!(mul_mod(MERSENNE_61 - 1, MERSENNE_61 - 1), 1);
+    }
+
+    #[test]
+    fn cubic_kernel_matches_horner_at_the_extremes() {
+        let p = MERSENNE_61;
+        let coeffs = [[p - 1; 4], [0, p - 1, 0, p - 1], [1, 0, 0, 0], [0; 4]];
+        for c in coeffs {
+            let horner = PolyHash { coeffs: c.to_vec() };
+            for v in [0, 1, 2, p - 2, p - 1, p, p + 1, 2 * p - 1, u64::MAX] {
+                assert_eq!(
+                    eval_cubic(&c, cubic_powers(v)),
+                    horner.hash(v),
+                    "{c:?} at {v}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,42 @@
 //! Property-based invariants of the sketch substrate.
 
-use dsj_sketch::{AgmsSketch, CountingBloomFilter};
+use dsj_sketch::hash::MERSENNE_61;
+use dsj_sketch::{AgmsSketch, CountingBloomFilter, PolyHash};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sketch's flat kernel is exact: after any updates, counter `i`
+    /// holds `Σ ξᵢ(v)·δ` with `ξᵢ` the `PolyHash` sign of the hash derived
+    /// for it, across the whole `u64` range and the field's edges.
+    #[test]
+    fn counters_equal_the_polyhash_oracle(
+        s0 in 1usize..12,
+        s1 in 1usize..6,
+        seed in 0u64..u64::MAX,
+        random in prop::collection::vec((0u64..u64::MAX, -3i64..4), 0..40),
+        edge_deltas in (-3i64..4, -3i64..4, -3i64..4, -3i64..4),
+    ) {
+        let (d0, d1, d2, d3) = edge_deltas;
+        let edges = [
+            (MERSENNE_61 - 1, d0),
+            (MERSENNE_61, d1),
+            (MERSENNE_61 + 1, d2),
+            (u64::MAX, d3),
+        ];
+        let updates: Vec<(u64, i64)> = random.into_iter().chain(edges).collect();
+        let mut sk = AgmsSketch::new(s0, s1, seed);
+        for &(v, delta) in &updates {
+            sk.update(v, delta);
+        }
+        for (i, &counter) in sk.counter_values().iter().enumerate() {
+            let xi = PolyHash::four_wise(seed.wrapping_add(0x51ED_270B ^ (i as u64) << 17));
+            let expected: i64 = updates.iter().map(|&(v, delta)| xi.sign(v) * delta).sum();
+            prop_assert_eq!(counter, expected, "counter {}", i);
+        }
+        prop_assert_eq!(sk.updates(), updates.len() as u64);
+    }
 
     /// Join-size estimation is symmetric.
     #[test]
