@@ -18,8 +18,9 @@
 //! An arrival sends each message into the transport as soon as it is
 //! built. What a whole arrival still allocates is measured, not assumed
 //! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
-//! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.046, SKCH 0.79 — piggyback and
-//! summary assembly, and SKCH's join-size estimates). The cross-backend
+//! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.046, SKCH 0.035 — the piggyback
+//! and `full_summaries` payload `Vec`s, plus the filter and sketch clones
+//! `full_summaries` makes for BLOOM and SKCH). The cross-backend
 //! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
 //! three backends produce identical per-node metrics and match digests for
 //! the same seed when driven in lockstep.

@@ -17,7 +17,7 @@ use super::RouterConfig;
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
-use dsj_dft::{Complex64, ControlVector, PointwiseRecon};
+use dsj_dft::{Complex64, ControlVector, PointwiseRecon, ReconRow};
 use dsj_stream::StreamId;
 
 /// Minimum absolute coefficient change worth piggy-backing on a tuple
@@ -30,16 +30,10 @@ const PIGGYBACK_TAU_REL: f64 = 0.25;
 /// steady-state coefficient overhead at a small fraction of the tuple
 /// data, the regime Figure 8 reports.
 const PIGGYBACK_GAP: u64 = 192;
-
-/// Peer's reconstructed count of `key` from its coefficient prefix: one
-/// *O(K)* bucket of the inverse DFT. `None` for an out-of-domain key
-/// (ingest guards it, but the hot path must be panic-free regardless) —
-/// no reconstruction bucket, no membership hit.
-#[inline]
-fn membership_estimate(plan: &PointwiseRecon, coeffs: &[Complex64], key: u32) -> Option<f64> {
-    let key = key as usize;
-    (key < plan.signal_len()).then(|| plan.eval(coeffs, key))
-}
+/// Shrinks the piggyback scan's cheap bound just enough to absorb the
+/// rounding of `hypot` and of the threshold arithmetic (a few ulps, far
+/// below `1e-12`); the argument is at `most_changed`.
+const PIGGYBACK_SKIP_MARGIN: f64 = 1.0 - 1e-12;
 
 /// Summary state of the DFT (flow filtering) and DFTT (flow filtering +
 /// tuple matching) algorithms.
@@ -56,6 +50,10 @@ pub(super) struct DftSummary {
     /// Pointwise inverse DFT over every remote prefix (DFTT only):
     /// membership reads evaluate the one bucket they need, on demand.
     recon_plan: Option<PointwiseRecon>,
+    /// The arriving key's reconstruction row, filled once per tuple and
+    /// read against every peer's prefix (DFTT only; sized to the prefix
+    /// at construction, so filling it never allocates).
+    recon_row: ReconRow,
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
     /// Cached `ρ` per peer per *tuple* stream (correlating `local[s]`
@@ -79,13 +77,19 @@ impl DftSummary {
         // summaries skip periodic exact recomputation; the control-vector
         // trade-off itself is exercised by the Table 1 benchmarks.
         let mk = || PointDft::new(domain, k, ControlVector::never());
+        let recon_plan = tuple_testing.then(|| PointwiseRecon::new(domain, k));
+        let recon_row = recon_plan
+            .as_ref()
+            .map(PointwiseRecon::row)
+            .unwrap_or_default();
         DftSummary {
             domain: cfg.domain,
             rho_refresh: cfg.rho_refresh,
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             snapshot: vec![[None, None]; n],
-            recon_plan: tuple_testing.then(|| PointwiseRecon::new(domain, k)),
+            recon_plan,
+            recon_row,
             retained: k,
             rho: vec![[None, None]; n],
             rho_stale: vec![[true, true]; n],
@@ -153,8 +157,13 @@ impl DftSummary {
     /// Pushes `(peer, estimate)` for every peer whose reconstructed
     /// opposite-stream window holds `key` (DFTT only). Returns whether any
     /// peer has a reconstruction at all.
+    ///
+    /// Each estimate is one *O(K)* bucket of the peer's inverse DFT: the
+    /// key's row of scales and twiddles is filled once, then read against
+    /// every peer's prefix. An out-of-domain key (ingest guards it, but the
+    /// hot path must be panic-free regardless) has no bucket, so no hit.
     pub fn push_candidates(
-        &self,
+        &mut self,
         stream: StreamId,
         key: u32,
         peers: &[u16],
@@ -163,6 +172,7 @@ impl DftSummary {
         let Some(plan) = self.recon_plan.as_ref() else {
             return false;
         };
+        let has_bucket = plan.fill_row(key as usize, &mut self.recon_row);
         let opp = stream.opposite().index();
         let mut any = false;
         for &peer in peers {
@@ -170,7 +180,8 @@ impl DftSummary {
                 continue;
             };
             any = true;
-            if let Some(est) = membership_estimate(plan, coeffs, key) {
+            if has_bucket {
+                let est = self.recon_row.eval(coeffs);
                 if est >= 0.5 {
                     out.push((peer, est));
                 }
@@ -266,39 +277,28 @@ impl DftSummary {
     /// the coefficient overhead at a few percent of the net data, the
     /// regime Figure 8 reports.
     pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        if self
-            .arrivals
-            .saturating_sub(self.last_piggyback[peer as usize])
-            < PIGGYBACK_GAP
-        {
+        let p = peer as usize;
+        if self.arrivals.saturating_sub(self.last_piggyback[p]) < PIGGYBACK_GAP {
             return Vec::new();
         }
-        let mut best: Option<(StreamId, usize, f64)> = None;
-        for stream in StreamId::BOTH {
+        // A stream never fully synced has no snapshot: a piggyback would
+        // ship partial state.
+        let prefixes = StreamId::BOTH.map(|stream| {
             let s = stream.index();
-            let Some(snap) = self.snapshot[peer as usize][s].as_ref() else {
-                continue; // never fully synced: piggyback would be partial state
-            };
-            let cur = self.local[s].coefficients();
-            for (i, c) in cur.iter().enumerate() {
-                let delta = (*c - snap[i]).abs();
-                let tau = PIGGYBACK_TAU_ABS + PIGGYBACK_TAU_REL * snap[i].abs();
-                if delta > tau && best.is_none_or(|(_, _, d)| delta > d) {
-                    best = Some((stream, i, delta));
-                }
-            }
-        }
-        let Some((stream, i, _)) = best else {
+            let snap = self.snapshot[p][s].as_deref()?;
+            Some((self.local[s].coefficients(), snap))
+        });
+        let Some((stream, i)) = most_changed(prefixes) else {
             return Vec::new();
         };
         let s = stream.index();
         let value = self.local[s].coefficients()[i];
-        let Some(snap) = self.snapshot[peer as usize][s].as_mut() else {
-            // Unreachable: `best` only selects streams with a snapshot.
+        let Some(snap) = self.snapshot[p][s].as_mut() else {
+            // Unreachable: `most_changed` only selects streams with a snapshot.
             return Vec::new();
         };
         snap[i] = value;
-        self.last_piggyback[peer as usize] = self.arrivals;
+        self.last_piggyback[p] = self.arrivals;
         vec![SummaryPayload::Dft {
             stream,
             signal_len: self.domain,
@@ -310,10 +310,47 @@ impl DftSummary {
     }
 }
 
+/// The coefficient a piggyback ships: over each stream's `(current,
+/// snapshot)` prefixes (`None`: nothing to compare), the first of the
+/// largest `delta = |cur − snap|` that passes `delta > tau`, with
+/// `tau = TAU_ABS + TAU_REL·|snap|`.
+///
+/// Most coefficients are nowhere near `tau`, and they skip both `hypot`s:
+/// with `d = cur − snap` and `s = snap`, one whose
+/// `|d.re| + |d.im| ≤ (TAU_ABS + TAU_REL·max(|s.re|, |s.im|))·(1 − 1e-12)`
+/// cannot pass. `hypot(a, b) ≤ |a| + |b|`; a faithful `hypot` returns at
+/// most one ulp above the exact value and never less than
+/// `max(|a|, |b|)`; and rounding is monotone. Together these make the
+/// computed `delta` smaller than the computed `tau`, so a skipped
+/// coefficient is neither selected nor `best`. Every other coefficient
+/// computes `delta` and `tau` exactly as the plain scan does.
+fn most_changed(prefixes: [Option<(&[Complex64], &[Complex64])>; 2]) -> Option<(StreamId, usize)> {
+    let mut best: Option<(StreamId, usize, f64)> = None;
+    for (stream, prefix) in StreamId::BOTH.into_iter().zip(prefixes) {
+        let Some((cur, snap)) = prefix else {
+            continue;
+        };
+        for (i, (c, s)) in cur.iter().zip(snap).enumerate() {
+            let d = *c - *s;
+            let bound = PIGGYBACK_TAU_ABS + PIGGYBACK_TAU_REL * s.re.abs().max(s.im.abs());
+            if d.re.abs() + d.im.abs() <= bound * PIGGYBACK_SKIP_MARGIN {
+                continue;
+            }
+            let delta = d.abs();
+            let tau = PIGGYBACK_TAU_ABS + PIGGYBACK_TAU_REL * s.abs();
+            if delta > tau && best.is_none_or(|(_, _, b)| delta > b) {
+                best = Some((stream, i, delta));
+            }
+        }
+    }
+    best.map(|(stream, i, _)| (stream, i))
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::test_config;
     use super::*;
+    use proptest::prelude::*;
 
     /// Fills a summary's local `stream` window with `keys`.
     fn fill(r: &mut DftSummary, stream: StreamId, keys: &[u32]) {
@@ -329,10 +366,115 @@ mod tests {
         }
     }
 
-    /// One reconstruction bucket through the production read path
-    /// (`membership_estimate`).
-    fn recon_bucket(r: &DftSummary, peer: usize, s: usize, key: u32) -> Option<f64> {
-        membership_estimate(r.recon_plan.as_ref()?, r.remote[peer][s].as_ref()?, key)
+    /// One reconstruction bucket through the production read path: the
+    /// summary's own row, filled and read as `push_candidates` does.
+    fn recon_bucket(r: &mut DftSummary, peer: usize, s: usize, key: u32) -> Option<f64> {
+        let plan = r.recon_plan.as_ref()?;
+        let coeffs = r.remote[peer][s].as_ref()?;
+        plan.fill_row(key as usize, &mut r.recon_row)
+            .then(|| r.recon_row.eval(coeffs))
+    }
+
+    /// The piggyback scan as it reads without the prefilter: both `hypot`s
+    /// on every coefficient.
+    fn most_changed_oracle(
+        prefixes: [Option<(&[Complex64], &[Complex64])>; 2],
+    ) -> Option<(StreamId, usize)> {
+        let mut best: Option<(StreamId, usize, f64)> = None;
+        for (stream, prefix) in StreamId::BOTH.into_iter().zip(prefixes) {
+            let Some((cur, snap)) = prefix else {
+                continue;
+            };
+            for (i, c) in cur.iter().enumerate() {
+                let delta = (*c - snap[i]).abs();
+                let tau = PIGGYBACK_TAU_ABS + PIGGYBACK_TAU_REL * snap[i].abs();
+                if delta > tau && best.is_none_or(|(_, _, d)| delta > d) {
+                    best = Some((stream, i, delta));
+                }
+            }
+        }
+        best.map(|(stream, i, _)| (stream, i))
+    }
+
+    /// `x` moved by `ulps` units in the last place (positive `x` only).
+    fn nudge(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    /// One `(current, snapshot)` pair from a generated recipe. The kinds
+    /// force the cases the prefilter's bound has to get right: zero
+    /// components, large DC snapshots, deltas a few ulps either side of
+    /// `tau` (axis-aligned or not, against axis-aligned or skewed
+    /// snapshots), an exact copy of an earlier bin (a tie), and anything.
+    fn recipe_bin(
+        (kind, a, b, ulps): (u8, f64, f64, i64),
+        tie: (Complex64, Complex64),
+    ) -> (Complex64, Complex64) {
+        match kind {
+            0 => {
+                let snap = Complex64::new(if a < 0.5 { 0.0 } else { 100.0 * a }, 0.0);
+                let d = if b < 0.0 {
+                    Complex64::new(0.0, 80.0 * b)
+                } else {
+                    Complex64::new(80.0 * b, 0.0)
+                };
+                (snap + d, snap)
+            }
+            1 => {
+                let snap = Complex64::new(1e6 * (1.0 + a), 0.0);
+                (snap + Complex64::new(4e5 * b, 50.0 * a), snap)
+            }
+            2 => {
+                let snap = if ulps % 2 == 0 {
+                    Complex64::new(400.0 * a, 0.0)
+                } else {
+                    Complex64::new(400.0 * a, 300.0 * b)
+                };
+                let tau = PIGGYBACK_TAU_ABS + PIGGYBACK_TAU_REL * snap.abs();
+                let m = nudge(tau, ulps);
+                let d = if a < 0.5 {
+                    Complex64::new(m, 0.0)
+                } else {
+                    Complex64::cis(std::f64::consts::PI * b).scale(m)
+                };
+                // `cur − snap` rounds back to `d` or to within an ulp of it.
+                (snap + d, snap)
+            }
+            3 => tie,
+            _ => {
+                let snap = Complex64::new(200.0 * a - 100.0, 200.0 * b);
+                (snap + Complex64::new(90.0 * b, 90.0 * a - 45.0), snap)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn piggyback_scan_selects_what_hypot_everywhere_selects(
+            streams in (prop::bool::ANY, prop::bool::ANY),
+            tie in (0.0f64..1.0, 0.0f64..1.0),
+            r in prop::collection::vec(
+                (0u8..5, 0.0f64..1.0, -1.0f64..1.0, -4i64..5), 0..33),
+            s in prop::collection::vec(
+                (0u8..5, 0.0f64..1.0, -1.0f64..1.0, -4i64..5), 0..33),
+        ) {
+            // Every tie copies one pair whose delta clears `tau`, so equal
+            // deltas compete for `best` and the first must win.
+            let tie_snap = Complex64::new(50.0 * tie.0, -20.0);
+            let tie = (tie_snap + Complex64::new(60.0 + tie.1, 40.0), tie_snap);
+            let build = |recipes: &[(u8, f64, f64, i64)]| -> (Vec<Complex64>, Vec<Complex64>) {
+                recipes.iter().map(|&rcp| recipe_bin(rcp, tie)).unzip()
+            };
+            let (r_cur, r_snap) = build(&r);
+            let (s_cur, s_snap) = build(&s);
+            let prefixes = [
+                streams.0.then_some((&r_cur[..], &r_snap[..])),
+                streams.1.then_some((&s_cur[..], &s_snap[..])),
+            ];
+            prop_assert_eq!(most_changed(prefixes), most_changed_oracle(prefixes));
+        }
     }
 
     #[test]
@@ -408,11 +550,11 @@ mod tests {
         // The reconstruction reads exactly the valid update.
         let full = dsj_dft::CompressedDft::from_prefix(coeffs.clone(), 256).reconstruct();
         for (key, b) in (0..).zip(&full) {
-            let a = recon_bucket(&r, 1, StreamId::S.index(), key).unwrap();
+            let a = recon_bucket(&mut r, 1, StreamId::S.index(), key).unwrap();
             assert!((a - b).abs() < 1e-9);
         }
         assert_eq!(
-            recon_bucket(&r, 1, StreamId::S.index(), 256),
+            recon_bucket(&mut r, 1, StreamId::S.index(), 256),
             None,
             "out of domain"
         );
@@ -476,7 +618,7 @@ mod tests {
         exchange(&mut n1, 1, &mut n0, 0);
         // Keys present ~12.8 times each reconstruct to large estimates.
         for k in 40..45 {
-            let r = recon_bucket(&n0, 1, StreamId::S.index(), k).unwrap();
+            let r = recon_bucket(&mut n0, 1, StreamId::S.index(), k).unwrap();
             assert!(r > 0.5, "bucket {k} = {r}");
         }
     }

@@ -17,6 +17,11 @@
 //! [`CompressedDft::reconstruct`](crate::CompressedDft::reconstruct)
 //! applies when it completes the spectrum. A precomputed twiddle table
 //! makes each bucket *O(K)* with no allocation and no trigonometry.
+//!
+//! A caller that reads the *same* bucket of many prefixes (one key against
+//! every peer's summary) fills that bucket's per-bin factors once into a
+//! [`ReconRow`] ([`PointwiseRecon::fill_row`]) and reads each prefix
+//! against it ([`ReconRow::eval`]), bit for bit what `eval` returns.
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
@@ -81,12 +86,6 @@ impl PointwiseRecon {
         }
     }
 
-    /// Signal length `W` this plan serves: the bucket indices `eval` accepts.
-    #[inline]
-    pub fn signal_len(&self) -> usize {
-        self.signal_len
-    }
-
     /// Evaluates one reconstruction bucket directly from the retained
     /// prefix: *O(K)* per bucket, no buffer, no allocation, no
     /// trigonometry.
@@ -112,21 +111,98 @@ impl PointwiseRecon {
         let mut q = 0usize;
         for (bin, c) in coeffs.iter().enumerate() {
             let tw = self.twiddle[q];
-            // The Hermitian mirror bin `W − bin` is implied by the
-            // real-signal symmetry exactly when the prefix does not already
-            // cover it; its contribution is the conjugate of the direct
-            // term, so it doubles the real part. DC (`bin = 0`) and a
-            // prefix long enough to reach the mirror keep the factor at one.
-            let scale = if bin >= 1 && w - bin >= self.retained {
-                2.0 * self.inv_w
-            } else {
-                self.inv_w
-            };
-            acc += scale * (c.re * tw.re - c.im * tw.im);
+            acc += self.scale(bin) * (c.re * tw.re - c.im * tw.im);
             q += idx;
             if q >= w {
                 q -= w;
             }
+        }
+        acc
+    }
+
+    /// The factor bin `bin` contributes with. The Hermitian mirror bin
+    /// `W − bin` is implied by the real-signal symmetry exactly when the
+    /// prefix does not already cover it; its contribution is the conjugate
+    /// of the direct term, so it doubles the real part. DC (`bin = 0`) and
+    /// a prefix long enough to reach the mirror keep the factor at one.
+    #[inline]
+    fn scale(&self, bin: usize) -> f64 {
+        if bin >= 1 && self.signal_len - bin >= self.retained {
+            2.0 * self.inv_w
+        } else {
+            self.inv_w
+        }
+    }
+
+    /// An empty row with room for this plan's `K` factors, so that
+    /// [`PointwiseRecon::fill_row`] never allocates into it.
+    pub fn row(&self) -> ReconRow {
+        ReconRow {
+            factors: Vec::with_capacity(self.retained),
+        }
+    }
+
+    /// Writes bucket `idx`'s per-bin factors — scale and twiddle for each
+    /// of the `K` bins — into `row`, replacing what it held. Returns
+    /// `false`, leaving `row` untouched, when `idx >= W`: that bucket does
+    /// not exist.
+    ///
+    /// Allocates only if `row` has room for fewer than `K` factors (a row
+    /// from [`PointwiseRecon::row`] always has room).
+    pub fn fill_row(&self, idx: usize, row: &mut ReconRow) -> bool {
+        let w = self.signal_len;
+        if idx >= w {
+            return false;
+        }
+        row.factors.clear();
+        // The same wrapped walk of `q = (bin · idx) mod W` as `eval`.
+        let mut q = 0usize;
+        row.factors.extend((0..self.retained).map(|bin| {
+            let factor = (self.scale(bin), self.twiddle[q]);
+            q += idx;
+            if q >= w {
+                q -= w;
+            }
+            factor
+        }));
+        true
+    }
+}
+
+/// One reconstruction bucket's per-bin factors, filled by
+/// [`PointwiseRecon::fill_row`] and read against any number of prefixes
+/// with [`ReconRow::eval`].
+///
+/// ```
+/// use dsj_dft::{Complex64, PointwiseRecon};
+///
+/// let plan = PointwiseRecon::new(16, 4);
+/// let coeffs = [Complex64::new(8.0, 0.0), Complex64::new(3.0, -1.5)];
+/// let mut row = plan.row();
+/// assert!(plan.fill_row(5, &mut row));
+/// assert_eq!(row.eval(&coeffs).to_bits(), plan.eval(&coeffs, 5).to_bits());
+/// assert!(!plan.fill_row(16, &mut row), "bucket 16 does not exist");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ReconRow {
+    /// `(scale, twiddle)` per bin of the prefix.
+    factors: Vec<(f64, Complex64)>,
+}
+
+impl ReconRow {
+    /// The row's bucket of the reconstruction from `coeffs`: the same
+    /// expression, in the same order, as [`PointwiseRecon::eval`], so the
+    /// two agree bit for bit. A prefix shorter than the row reads as
+    /// zero-padded.
+    #[inline]
+    pub fn eval(&self, coeffs: &[Complex64]) -> f64 {
+        debug_assert!(
+            coeffs.len() <= self.factors.len(),
+            "prefix longer than the row"
+        );
+        let mut acc = 0.0;
+        for (&(scale, tw), c) in self.factors.iter().zip(coeffs) {
+            acc += scale * (c.re * tw.re - c.im * tw.im);
         }
         acc
     }
@@ -158,6 +234,33 @@ mod tests {
                     "W={w} K={k} bucket {idx}: {got} vs {expect}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn row_reads_every_bucket_bit_for_bit_like_eval() {
+        for (w, k) in [(15, 4), (16, 16), (8, 6), (32, 8), (4096, 16), (64, 1)] {
+            let plan = PointwiseRecon::new(w, k);
+            // Irregular magnitudes and signs, so no product rounds exactly.
+            let coeffs: Vec<Complex64> = (0..k)
+                .map(|b| {
+                    let x = b as f64 + 1.0;
+                    Complex64::new(x.sqrt() * 7.3 - 3.1, 1.0 / x - 0.37 * x)
+                })
+                .collect();
+            let mut row = plan.row();
+            for idx in 0..w {
+                assert!(plan.fill_row(idx, &mut row));
+                for prefix in [&coeffs[..], &coeffs[..k / 2]] {
+                    assert_eq!(
+                        row.eval(prefix).to_bits(),
+                        plan.eval(prefix, idx).to_bits(),
+                        "W={w} K={k} bucket {idx} prefix {}",
+                        prefix.len()
+                    );
+                }
+            }
+            assert!(!plan.fill_row(w, &mut row), "W={w}: no bucket W");
         }
     }
 

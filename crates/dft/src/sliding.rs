@@ -232,9 +232,15 @@ impl PointDft {
     pub fn add(&mut self, index: usize, delta: f64) {
         assert!(index < self.domain, "index out of domain");
         self.values[index] += delta;
-        for (k, c) in self.coeffs.iter_mut().enumerate() {
-            let q = (k * index) % self.domain;
+        // `q = (k · index) mod D`, maintained by wrapped addition as `k`
+        // walks the prefix — no division on the per-bin path.
+        let mut q = 0usize;
+        for c in &mut self.coeffs {
             *c += self.twiddle[q].scale(delta);
+            q += index;
+            if q >= self.domain {
+                q -= self.domain;
+            }
         }
         self.total_updates += 1;
         self.updates_since_recompute += 1;
@@ -381,6 +387,33 @@ mod tests {
         let batch = dft_direct_real(pd.values());
         for (a, b) in pd.coefficients().iter().zip(batch.iter().take(8)) {
             assert!((*a - *b).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn point_dft_add_equals_the_modulo_oracle_bitwise() {
+        // K = D on the small domain, so `q` wraps many times per update.
+        for (d, k) in [(15, 15), (4096, 16)] {
+            let mut pd = PointDft::new(d, k, ControlVector::never());
+            let base = -2.0 * PI / d as f64;
+            let mut oracle = vec![Complex64::ZERO; k];
+            let mut x = 12_345usize;
+            for n in 0..10_000 {
+                x = (x * 1_103_515_245 + 12_345) % (1 << 31);
+                let index = x % d;
+                let delta = if n % 3 == 2 { -1.0 } else { 1.0 };
+                pd.add(index, delta);
+                for (kk, c) in oracle.iter_mut().enumerate() {
+                    *c += Complex64::cis(base * ((kk * index) % d) as f64).scale(delta);
+                }
+            }
+            for (kk, (a, b)) in pd.coefficients().iter().zip(&oracle).enumerate() {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "D={d} bin {kk}"
+                );
+            }
         }
     }
 
