@@ -18,18 +18,19 @@
 //! An arrival sends each message into the transport as soon as it is
 //! built. What a whole arrival still allocates is measured, not assumed
 //! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
-//! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.046, SKCH 0.035 — the piggyback
+//! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.020, SKCH 0.021 — the piggyback
 //! and `full_summaries` payload `Vec`s, plus the filter and sketch clones
-//! `full_summaries` makes for BLOOM and SKCH). The cross-backend
-//! equivalence suite (`crates/runtime/tests/equivalence.rs`) pins that all
-//! three backends produce identical per-node metrics and match digests for
-//! the same seed when driven in lockstep.
+//! `full_summaries` makes for BLOOM and SKCH, which copy counters only).
+//! The cross-backend equivalence suite
+//! (`crates/runtime/tests/equivalence.rs`) pins that all three backends
+//! produce identical per-node metrics and match digests for the same seed
+//! when driven in lockstep.
 
 use crate::driver::Cluster;
 use crate::error::RunError;
 use crate::msg::{Msg, SummaryPayload};
 use crate::node::{NodeMetrics, ThroughputGovernor};
-use crate::strategy::{peers_of, Algorithm, Route, Router, RouterConfig};
+use crate::strategy::{peers_of, Route, Router, RouterConfig};
 use dsj_simnet::{Ctx, NetMetrics, NodeId, SimNode, SimTime, Simulation};
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use rand::rngs::StdRng;
@@ -184,11 +185,11 @@ pub struct NodeEngine {
 }
 
 impl NodeEngine {
-    /// Node `cfg.me` of the cluster, running `algorithm` over `spec`
-    /// windows, optionally governed. Matches attributed to tuples with
-    /// `seq < count_from_seq` are not counted (warm-up exclusion).
+    /// Node `cfg.me` of the cluster, running the algorithm of `cfg.plan`
+    /// over `spec` windows, optionally governed. Matches attributed to
+    /// tuples with `seq < count_from_seq` are not counted (warm-up
+    /// exclusion).
     pub(crate) fn assemble(
-        algorithm: Algorithm,
         cfg: RouterConfig,
         spec: WindowSpec,
         count_from_seq: u64,
@@ -197,12 +198,12 @@ impl NodeEngine {
         NodeEngine {
             me: cfg.me,
             n: cfg.n,
-            domain: cfg.domain,
+            domain: cfg.plan.key.domain,
             count_from_seq,
             r_win: SlidingWindow::new(spec),
             s_win: SlidingWindow::new(spec),
             rng: cfg.rng(),
-            router: Router::new(algorithm, cfg),
+            router: Router::new(cfg),
             metrics: NodeMetrics::default(),
             governor,
             route_scratch: Route::default(),
@@ -619,12 +620,11 @@ impl Transport for Script {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::test_config;
+    use crate::strategy::{test_config, Algorithm};
 
     fn engine(me: u16, n: u16) -> NodeEngine {
         NodeEngine::assemble(
-            Algorithm::Base,
-            test_config(me, n),
+            test_config(Algorithm::Base, me, n),
             WindowSpec::count(16),
             0,
             None,

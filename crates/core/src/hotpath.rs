@@ -85,7 +85,7 @@ impl RouterHarness {
         RouterHarness {
             me,
             rng: cfg.rng(),
-            router: Router::new(algorithm, cfg),
+            router: Router::new(cfg),
             scratch: Route::default(),
         }
     }

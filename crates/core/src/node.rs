@@ -157,7 +157,7 @@ mod tests {
 
     fn node(algorithm: Algorithm, me: u16, n: u16, count_from_seq: u64) -> NodeEngine {
         let spec = WindowSpec::count(32);
-        NodeEngine::assemble(algorithm, test_config(me, n), spec, count_from_seq, None)
+        NodeEngine::assemble(test_config(algorithm, me, n), spec, count_from_seq, None)
     }
 
     fn cluster(algorithm: Algorithm, n: u16) -> Simulation<NodeEngine> {

@@ -8,13 +8,15 @@ use crate::error::RunError;
 use crate::flow::{FlowParams, TargetComplexity};
 use crate::node::{NodeMetrics, ThroughputGovernor};
 use crate::obs;
-use crate::strategy::{Algorithm, RouterConfig};
+use crate::strategy::{Algorithm, Plan, PlanKey, RouterConfig};
 use dsj_simnet::{LinkConfig, NetMetrics, SimTime, Simulation};
 use dsj_stream::gen::{Arrival, ArrivalGen, WorkloadKind};
 use dsj_stream::join::GroundTruth;
 use dsj_stream::partition::Partitioner;
 use dsj_stream::trace::Trace;
 use dsj_stream::WindowSpec;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of one cluster experiment — a builder whose `run()`
 /// executes the full pipeline: workload generation, ground-truth
@@ -78,6 +80,28 @@ pub struct ClusterConfig {
     /// (used by the Figure 11 throughput experiment). When `None`, every
     /// message is delivered before measuring.
     pub cutoff_grace_ms: Option<u64>,
+    /// The cluster's shared tables, built by the first
+    /// [`ClusterConfig::build_node`].
+    plan: PlanCell,
+}
+
+/// Where a [`ClusterConfig`] keeps its [`Plan`]: one cell, filled once,
+/// shared by every clone of the config. Configurations compare equal and
+/// print alike whatever it holds: it is a cache of what the public fields
+/// already determine.
+#[derive(Clone, Default)]
+struct PlanCell(Arc<OnceLock<Arc<Plan>>>);
+
+impl PartialEq for PlanCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for PlanCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl ClusterConfig {
@@ -105,6 +129,7 @@ impl ClusterConfig {
             bandwidth_budget_bps: None,
             time_window_ms: None,
             cutoff_grace_ms: None,
+            plan: PlanCell::default(),
         }
     }
 
@@ -480,12 +505,14 @@ impl ClusterConfig {
     /// cluster and for every other runtime hosting the same node logic
     /// over a different transport (e.g. `dsj-runtime`'s live clusters).
     ///
+    /// Every node built from this configuration or a clone of it holds the
+    /// same shared tables (the cluster's plan, derived by the first call).
+    ///
     /// # Panics
     ///
     /// Panics if `me >= self.n`.
     pub fn build_node(&self, me: u16) -> NodeEngine {
         NodeEngine::assemble(
-            self.algorithm,
             self.router_config(me),
             self.window_spec(),
             (self.tuples as f64 * self.warmup) as u64,
@@ -504,6 +531,32 @@ impl ClusterConfig {
         ((self.domain / self.kappa.max(1)).max(1)) as usize
     }
 
+    /// What the cluster's plan is derived from, read from the current
+    /// fields.
+    fn plan_key(&self) -> PlanKey {
+        PlanKey {
+            algorithm: self.algorithm,
+            domain: self.domain,
+            retained: self.retained(),
+            window: self.window,
+            seed: self.seed,
+        }
+    }
+
+    /// The cluster's plan: the one in the cell when its key still matches
+    /// the fields, otherwise a fresh one. The first call fills the cell;
+    /// a field set after that gets a plan of its own on every call, never
+    /// a stale one.
+    fn plan(&self) -> Arc<Plan> {
+        let key = self.plan_key();
+        let held = self.plan.0.get_or_init(|| Arc::new(Plan::new(key)));
+        if held.key == key {
+            Arc::clone(held)
+        } else {
+            Arc::new(Plan::new(key))
+        }
+    }
+
     /// Node `me`'s routing configuration; panics if `me >= self.n`.
     pub(crate) fn router_config(&self, me: u16) -> RouterConfig {
         assert!(me < self.n, "node id out of range");
@@ -512,11 +565,8 @@ impl ClusterConfig {
         RouterConfig {
             me,
             n: self.n,
-            domain: self.domain,
-            retained: self.retained(),
-            window: self.window,
             flow,
-            seed: self.seed,
+            plan: self.plan(),
             sync_sent_interval: self.sync_sent_interval,
             sync_arrival_interval: self.sync_arrival_interval,
             rho_refresh: 64,
@@ -755,6 +805,7 @@ pub struct ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Tables;
 
     fn quick(algorithm: Algorithm) -> ClusterConfig {
         ClusterConfig::new(4, algorithm)
@@ -935,6 +986,89 @@ mod tests {
             assert!(a.key < cfg.domain);
         }
         assert_eq!(cfg.arrivals(), arrivals, "schedule is a pure function");
+    }
+
+    /// How many handles to each of `plan`'s tables exist.
+    fn handles(plan: &Plan) -> Vec<usize> {
+        match &plan.tables {
+            Tables::None => Vec::new(),
+            Tables::Dft { forward, inverse } => std::iter::once(forward)
+                .chain(inverse)
+                .map(Arc::strong_count)
+                .collect(),
+            Tables::Bloom(hashes) => vec![Arc::strong_count(hashes)],
+            Tables::Sketch(hashes) => vec![Arc::strong_count(hashes)],
+        }
+    }
+
+    #[test]
+    fn every_node_of_a_config_and_its_clones_reads_one_plan() {
+        // Handles per node to each table: the forward table is read by
+        // both local DFTs, the inverse one by DFTT's reconstruction, a
+        // hash family by both local sketches or filters.
+        for (algorithm, per_node) in [
+            (Algorithm::Base, vec![]),
+            (Algorithm::Dft, vec![2]),
+            (Algorithm::Dftt, vec![2, 1]),
+            (Algorithm::Bloom, vec![2]),
+            (Algorithm::Sketch, vec![2]),
+        ] {
+            let cfg = quick(algorithm);
+            let early_clone = cfg.clone();
+            let plan = cfg.plan();
+            let nodes: Vec<NodeEngine> = (0..cfg.n)
+                .map(|me| cfg.build_node(me))
+                .chain((0..cfg.n).map(|me| cfg.clone().build_node(me)))
+                .chain((0..cfg.n).map(|me| early_clone.build_node(me)))
+                .collect();
+            let expected: Vec<usize> = per_node.iter().map(|h| 1 + h * nodes.len()).collect();
+            assert_eq!(handles(&plan), expected, "{algorithm}");
+            assert!(Arc::ptr_eq(&early_clone.plan(), &plan), "{algorithm}");
+            // A field the plan does not read keeps it.
+            let mut retargeted = cfg.clone();
+            retargeted.target = TargetComplexity::LogN;
+            assert!(Arc::ptr_eq(&retargeted.plan(), &plan), "{algorithm}");
+        }
+    }
+
+    #[test]
+    fn a_field_set_after_a_build_gets_a_fresh_plan() {
+        type Set = fn(&mut ClusterConfig);
+        let sets: [(&str, Set); 5] = [
+            ("domain", |c| c.domain = 1 << 9),
+            ("kappa", |c| c.kappa = 16),
+            ("seed", |c| c.seed = 11),
+            ("window", |c| c.window = 128),
+            ("algorithm", |c| {
+                c.algorithm = match c.algorithm {
+                    Algorithm::Base => Algorithm::Dft,
+                    Algorithm::Dft => Algorithm::Dftt,
+                    Algorithm::Dftt => Algorithm::Bloom,
+                    Algorithm::Bloom => Algorithm::Sketch,
+                    Algorithm::Sketch => Algorithm::Base,
+                }
+            }),
+        ];
+        for algorithm in Algorithm::ALL {
+            for (field, set) in sets {
+                let mut cfg = quick(algorithm).tuples(1_500);
+                let stale = cfg.plan();
+                let first = cfg.build_node(0);
+                set(&mut cfg);
+                let mut fresh = quick(algorithm).tuples(1_500);
+                set(&mut fresh);
+                let what = format!("{algorithm}, {field} set");
+                assert_eq!(cfg.plan().key, fresh.plan_key(), "{what}");
+                assert_ne!(cfg.plan().key, stale.key, "{what}");
+                // Nodes built after the set hold no handle to the stale
+                // tables: only the plan and the first node do.
+                let before = handles(&stale);
+                let nodes: Vec<NodeEngine> = (0..cfg.n).map(|me| cfg.build_node(me)).collect();
+                assert_eq!(handles(&stale), before, "{what}");
+                drop((first, nodes));
+                assert_eq!(cfg.run_lockstep(), fresh.run_lockstep(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 
 use super::RouterConfig;
 use crate::msg::SummaryPayload;
-use dsj_sketch::CountingBloomFilter;
+use dsj_sketch::{BloomHashes, CountingBloomFilter};
 use dsj_stream::StreamId;
+use std::sync::Arc;
 
 /// EWMA smoothing for positive-hit rates.
 const HIT_EWMA: f64 = 0.02;
@@ -26,11 +27,11 @@ pub(super) struct BloomSummary {
 }
 
 impl BloomSummary {
-    /// Creates the summary with filters sized to match the DFT summary.
-    pub fn new(cfg: &RouterConfig) -> Self {
+    /// Creates the summary over the cluster's shared hash family (filters
+    /// sized to match the DFT summary).
+    pub fn new(cfg: &RouterConfig, hashes: &Arc<BloomHashes>) -> Self {
         let n = cfg.n as usize;
-        let bytes = (cfg.retained * 16).max(16);
-        let mk = || CountingBloomFilter::with_size_bytes(bytes, cfg.window.max(1), cfg.seed);
+        let mk = || CountingBloomFilter::with_hashes(Arc::clone(hashes));
         BloomSummary {
             local: [mk(), mk()],
             remote: vec![[None, None]; n],

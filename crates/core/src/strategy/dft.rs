@@ -19,6 +19,7 @@ use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
 use dsj_dft::{Complex64, ControlVector, PointwiseRecon, ReconRow};
 use dsj_stream::StreamId;
+use std::sync::Arc;
 
 /// Minimum absolute coefficient change worth piggy-backing on a tuple
 /// message; combined with a relative component so large-magnitude bins
@@ -67,23 +68,28 @@ pub(super) struct DftSummary {
 }
 
 impl DftSummary {
-    /// Creates the summary; `tuple_testing` selects DFTT over plain DFT.
-    pub fn new(cfg: &RouterConfig, tuple_testing: bool) -> Self {
+    /// Creates the summary over the cluster's shared twiddle tables:
+    /// `forward` for both local DFTs, and `inverse` for DFTT's
+    /// reconstructions (`None` selects plain DFT).
+    pub fn new(
+        cfg: &RouterConfig,
+        forward: &Arc<[Complex64]>,
+        inverse: Option<&Arc<[Complex64]>>,
+    ) -> Self {
         let n = cfg.n as usize;
-        let domain = cfg.domain as usize;
-        let k = cfg.retained.min(domain).max(1);
+        let k = cfg.plan.key.retained.min(forward.len()).max(1);
         // Floating-point drift over experiment-scale update counts is
         // ~1e-11 of a count and cannot affect rounding decisions, so the
         // summaries skip periodic exact recomputation; the control-vector
         // trade-off itself is exercised by the Table 1 benchmarks.
-        let mk = || PointDft::new(domain, k, ControlVector::never());
-        let recon_plan = tuple_testing.then(|| PointwiseRecon::new(domain, k));
+        let mk = || PointDft::with_twiddles(Arc::clone(forward), k, ControlVector::never());
+        let recon_plan = inverse.map(|t| PointwiseRecon::with_twiddles(Arc::clone(t), k));
         let recon_row = recon_plan
             .as_ref()
             .map(PointwiseRecon::row)
             .unwrap_or_default();
         DftSummary {
-            domain: cfg.domain,
+            domain: cfg.plan.key.domain,
             rho_refresh: cfg.rho_refresh,
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
@@ -348,9 +354,18 @@ fn most_changed(prefixes: [Option<(&[Complex64], &[Complex64])>; 2]) -> Option<(
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_config;
+    use super::super::{test_config, Algorithm, Tables};
     use super::*;
     use proptest::prelude::*;
+
+    /// Node `me`'s summary in a two-node cluster running `algorithm`.
+    fn summary(algorithm: Algorithm, me: u16) -> DftSummary {
+        let cfg = test_config(algorithm, me, 2);
+        let Tables::Dft { forward, inverse } = &cfg.plan.tables else {
+            panic!("{algorithm} has no DFT tables")
+        };
+        DftSummary::new(&cfg, forward, inverse.as_ref())
+    }
 
     /// Fills a summary's local `stream` window with `keys`.
     fn fill(r: &mut DftSummary, stream: StreamId, keys: &[u32]) {
@@ -479,7 +494,7 @@ mod tests {
 
     #[test]
     fn full_summary_is_delta_after_first() {
-        let mut r = DftSummary::new(&test_config(0, 2), false);
+        let mut r = summary(Algorithm::Dft, 0);
         fill(&mut r, StreamId::R, &[5, 5, 5]);
         let first = r.full_summaries(1);
         // R has content, S is empty (all-zero coefficients skipped? no —
@@ -504,7 +519,7 @@ mod tests {
 
     #[test]
     fn piggyback_requires_prior_sync_and_big_change() {
-        let mut r = DftSummary::new(&test_config(0, 2), false);
+        let mut r = summary(Algorithm::Dft, 0);
         fill(&mut r, StreamId::R, &[5; 200]);
         assert!(r.piggyback(1).is_empty(), "no snapshot yet");
         let _ = r.full_summaries(1);
@@ -523,7 +538,7 @@ mod tests {
         // test_config retains 32 coefficients: indices ≥ 32 are the
         // signature of a version-skewed or corrupted peer and must be
         // dropped (and reported), never silently part-applied.
-        let mut r = DftSummary::new(&test_config(0, 2), true);
+        let mut r = summary(Algorithm::Dftt, 0);
         let payload = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 256,
@@ -576,8 +591,8 @@ mod tests {
         // prefix; after every exchange it holds what the sender's snapshot
         // (updated in place after the first sync) says the peer has, up to
         // the sub-1e-9 moves a delta leaves out.
-        let mut n0 = DftSummary::new(&test_config(0, 2), true);
-        let mut n1 = DftSummary::new(&test_config(1, 2), true);
+        let mut n0 = summary(Algorithm::Dftt, 0);
+        let mut n1 = summary(Algorithm::Dftt, 1);
         let check = |n0: &DftSummary, n1: &DftSummary| {
             let s = StreamId::S.index();
             let (Some(got), Some(sent)) = (&n0.remote[1][s], &n1.snapshot[0][s]) else {
@@ -610,8 +625,8 @@ mod tests {
 
     #[test]
     fn reconstruction_tracks_remote_window() {
-        let mut n0 = DftSummary::new(&test_config(0, 2), true);
-        let mut n1 = DftSummary::new(&test_config(1, 2), true);
+        let mut n0 = summary(Algorithm::Dftt, 0);
+        let mut n1 = summary(Algorithm::Dftt, 1);
         // A smooth-ish window: keys concentrated in one region.
         let keys: Vec<u32> = (0..64).map(|i| 40 + (i % 5)).collect();
         fill(&mut n1, StreamId::S, &keys);

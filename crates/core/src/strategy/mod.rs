@@ -22,11 +22,14 @@
 
 mod bloom;
 mod dft;
+mod plan;
 mod sketch;
 
 use bloom::BloomSummary;
 use dft::DftSummary;
 use sketch::SketchSummary;
+
+pub(crate) use plan::{Plan, PlanKey, Tables};
 
 use crate::flow::{
     detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowParams, FlowScratch,
@@ -37,6 +40,7 @@ use dsj_stream::StreamId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::sync::Arc;
 
 /// The distributed join algorithm a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,18 +93,11 @@ pub(crate) struct RouterConfig {
     pub me: u16,
     /// Cluster size.
     pub n: u16,
-    /// Join-attribute domain size `D`.
-    pub domain: u32,
-    /// Retained DFT coefficients `K = D/κ` (also sizes Bloom/sketch
-    /// summaries: `16·K` bytes each).
-    pub retained: usize,
-    /// Per-stream window size `W`.
-    pub window: usize,
     /// Flow-control parameters.
     pub flow: FlowParams,
-    /// Cluster-wide seed (keys sketch/Bloom hash families so summaries
-    /// from different nodes are comparable).
-    pub seed: u64,
+    /// The cluster's shared tables, one plan held by every node, and what
+    /// they derive from: `D`, `K`, `W` and the cluster seed.
+    pub plan: Arc<Plan>,
     /// Refresh a peer's summary after this many tuple messages to it.
     pub sync_sent_interval: u32,
     /// ... or after this many local arrivals, whichever comes first.
@@ -113,7 +110,7 @@ impl RouterConfig {
     /// Node `me`'s routing RNG: the cluster seed split by node id, so
     /// whatever hosts this router draws the same sequence.
     pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ (0xD5EED ^ u64::from(self.me) << 32))
+        StdRng::seed_from_u64(self.plan.key.seed ^ (0xD5EED ^ u64::from(self.me) << 32))
     }
 }
 
@@ -261,14 +258,16 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    /// Builds the router for `algorithm`.
-    pub fn new(algorithm: Algorithm, cfg: RouterConfig) -> Self {
-        let summary = match algorithm {
-            Algorithm::Base => Summary::None,
-            Algorithm::Dft => Summary::Dft(Box::new(DftSummary::new(&cfg, false))),
-            Algorithm::Dftt => Summary::Dft(Box::new(DftSummary::new(&cfg, true))),
-            Algorithm::Bloom => Summary::Bloom(Box::new(BloomSummary::new(&cfg))),
-            Algorithm::Sketch => Summary::Sketch(Box::new(SketchSummary::new(&cfg))),
+    /// Builds the router for the algorithm `cfg.plan` was derived for,
+    /// over the plan's tables.
+    pub fn new(cfg: RouterConfig) -> Self {
+        let summary = match &cfg.plan.tables {
+            Tables::None => Summary::None,
+            Tables::Dft { forward, inverse } => {
+                Summary::Dft(Box::new(DftSummary::new(&cfg, forward, inverse.as_ref())))
+            }
+            Tables::Bloom(hashes) => Summary::Bloom(Box::new(BloomSummary::new(&cfg, hashes))),
+            Tables::Sketch(hashes) => Summary::Sketch(Box::new(SketchSummary::new(&cfg, hashes))),
         };
         let peers: Vec<u16> = peers_of(cfg.me, cfg.n).collect();
         let m = peers.len();
@@ -279,7 +278,7 @@ impl Router {
                 cfg.n,
                 cfg.sync_sent_interval,
                 cfg.sync_arrival_interval,
-                cfg.window,
+                cfg.plan.key.window,
             ),
             rr: RoundRobin::new(),
             fallback_events: 0,
@@ -590,15 +589,19 @@ pub(crate) fn peers_of(me: u16, n: u16) -> impl Iterator<Item = u16> {
 }
 
 #[cfg(test)]
-pub(crate) fn test_config(me: u16, n: u16) -> RouterConfig {
-    RouterConfig {
-        me,
-        n,
+pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig {
+    let key = PlanKey {
+        algorithm,
         domain: 256,
         retained: 32,
         window: 64,
-        flow: FlowParams::default(),
         seed: 7,
+    };
+    RouterConfig {
+        me,
+        n,
+        flow: FlowParams::default(),
+        plan: Arc::new(Plan::new(key)),
         sync_sent_interval: 16,
         sync_arrival_interval: 64,
         rho_refresh: 8,
@@ -627,7 +630,7 @@ mod tests {
     /// Routers for nodes `0..n` of an `n`-node cluster running `algorithm`.
     fn cluster(algorithm: Algorithm, n: u16) -> Vec<Router> {
         (0..n)
-            .map(|me| Router::new(algorithm, test_config(me, n)))
+            .map(|me| Router::new(test_config(algorithm, me, n)))
             .collect()
     }
 
@@ -676,7 +679,7 @@ mod tests {
 
     #[test]
     fn base_broadcasts_to_all_peers() {
-        let mut r = Router::new(Algorithm::Base, test_config(1, 4));
+        let mut r = Router::new(test_config(Algorithm::Base, 1, 4));
         let route = r.route(StreamId::R, 3, 1.0, &mut StdRng::seed_from_u64(0));
         assert_eq!(route.peers, vec![0, 2, 3]);
         assert!(!route.fallback);
@@ -777,7 +780,7 @@ mod tests {
     #[test]
     fn unknown_peers_get_blind_routing() {
         for (algorithm, seed) in [(Algorithm::Dft, 99), (Algorithm::Bloom, 5)] {
-            let mut n0 = Router::new(algorithm, test_config(0, 5));
+            let mut n0 = Router::new(test_config(algorithm, 0, 5));
             fill(&mut n0, StreamId::R, &[1, 2, 3, 4]);
             let mut rng = StdRng::seed_from_u64(seed);
             let total: usize = (0..400)

@@ -11,8 +11,9 @@
 
 use super::RouterConfig;
 use crate::msg::SummaryPayload;
-use dsj_sketch::AgmsSketch;
+use dsj_sketch::{AgmsHashes, AgmsSketch};
 use dsj_stream::StreamId;
+use std::sync::Arc;
 
 /// AGMS-sketch summary state.
 #[derive(Debug)]
@@ -31,13 +32,12 @@ pub(super) struct SketchSummary {
 }
 
 impl SketchSummary {
-    /// Creates the summary with sketches sized to match the DFT summary.
-    /// All nodes derive hash families from the shared cluster seed so
-    /// sketches are mutually joinable.
-    pub fn new(cfg: &RouterConfig) -> Self {
+    /// Creates the summary over the cluster's shared hash family (sized
+    /// to match the DFT summary), so every node's sketches are mutually
+    /// joinable.
+    pub fn new(cfg: &RouterConfig, hashes: &Arc<AgmsHashes>) -> Self {
         let n = cfg.n as usize;
-        let bytes = (cfg.retained * 16).max(48);
-        let mk = || AgmsSketch::with_size_bytes(bytes, cfg.seed);
+        let mk = || AgmsSketch::with_hashes(Arc::clone(hashes));
         let local = [mk(), mk()];
         SketchSummary {
             rho_refresh: cfg.rho_refresh,
@@ -84,8 +84,8 @@ impl SketchSummary {
         for &peer in peers {
             let j = peer as usize;
             if self.est_stale[j][s] {
-                // The cluster-wide seed keeps sketches compatible; a
-                // mismatch (impossible by construction) reads as "no
+                // The cluster's one hash family keeps sketches compatible;
+                // a mismatch (impossible by construction) reads as "no
                 // estimate".
                 self.est[j][s] = self.remote[j][opp]
                     .as_ref()

@@ -25,6 +25,7 @@
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Evaluates single buckets of an inverse-DFT reconstruction from a
 /// retained coefficient prefix: *O(K)* per bucket instead of
@@ -32,7 +33,7 @@ use std::f64::consts::PI;
 ///
 /// One plan serves any number of prefixes that share the same signal
 /// length `W` and retained-prefix length `K` — it holds only the twiddle
-/// table, no per-signal state.
+/// table, no per-signal state, and a clone shares that table.
 ///
 /// ```
 /// use dsj_dft::{Complex64, CompressedDft, PointwiseRecon};
@@ -57,8 +58,8 @@ pub struct PointwiseRecon {
     signal_len: usize,
     /// Retained prefix length `K`.
     retained: usize,
-    /// `twiddle[q] = e^{+2πi·q/W}` for `q ∈ [0, W)`.
-    twiddle: Vec<Complex64>,
+    /// [`PointwiseRecon::twiddles`]`(W)`.
+    twiddle: Arc<[Complex64]>,
     /// `1 / W`, folded into every bucket.
     inv_w: f64,
 }
@@ -73,15 +74,38 @@ impl PointwiseRecon {
     /// domain [`CompressedDft::from_prefix`](crate::CompressedDft::from_prefix)
     /// accepts.
     pub fn new(signal_len: usize, retained: usize) -> Self {
+        Self::with_twiddles(Self::twiddles(signal_len), retained)
+    }
+
+    /// The inverse rotation table for signals of length `signal_len`:
+    /// entry `q` holds exactly `Complex64::cis(2π·q/W)`. One table serves
+    /// every plan over that length.
+    ///
+    /// It is not the conjugate of [`PointDft::twiddles`](crate::sliding::PointDft::twiddles):
+    /// that table's angle is `(−2π/W)·q`, this one's `2π·q/W`, and the two
+    /// round differently when `W` is not a power of two.
+    pub fn twiddles(signal_len: usize) -> Arc<[Complex64]> {
+        (0..signal_len)
+            .map(|q| Complex64::cis(2.0 * PI * q as f64 / signal_len as f64))
+            .collect()
+    }
+
+    /// A plan that reads the shared table `twiddles`, which must be
+    /// [`PointwiseRecon::twiddles`] of the signal length (`twiddles.len()`),
+    /// for prefixes of `retained` coefficients. [`PointwiseRecon::new`] is
+    /// this over a table of its own.
+    ///
+    /// # Panics
+    ///
+    /// As [`PointwiseRecon::new`], with `W = twiddles.len()`.
+    pub fn with_twiddles(twiddles: Arc<[Complex64]>, retained: usize) -> Self {
+        let signal_len = twiddles.len();
         assert!(retained >= 1, "retained prefix must be non-empty");
         assert!(retained <= signal_len, "prefix cannot exceed signal length");
-        let twiddle = (0..signal_len)
-            .map(|q| Complex64::cis(2.0 * PI * q as f64 / signal_len as f64))
-            .collect();
         PointwiseRecon {
             signal_len,
             retained,
-            twiddle,
+            twiddle: twiddles,
             inv_w: 1.0 / signal_len as f64,
         }
     }

@@ -19,6 +19,7 @@ use crate::complex::Complex64;
 use crate::control::ControlVector;
 use crate::fft::Fft;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Sliding-window incremental DFT over a real-valued signal.
 ///
@@ -169,11 +170,10 @@ pub struct PointDft {
     values: Vec<f64>,
     coeffs: Vec<Complex64>,
     domain: usize,
-    // Precomputed `e^{-2πiq/D}` for q in 0..D: every rotation any update
-    // can need, so the per-update loop does no trig. Entry `q` holds
-    // exactly `Complex64::cis(-2π·q/D)` — the same expression the direct
-    // computation would evaluate — so results are bit-identical.
-    twiddle: Vec<Complex64>,
+    // `PointDft::twiddles(D)`: every rotation any update can need, so the
+    // per-update loop does no trig. Shared by every `PointDft` built over
+    // the same table; a clone shares it too.
+    twiddle: Arc<[Complex64]>,
     control: ControlVector,
     updates_since_recompute: u64,
     total_updates: u64,
@@ -187,19 +187,40 @@ impl PointDft {
     ///
     /// Panics if `domain == 0` or `k == 0` or `k > domain`.
     pub fn new(domain: usize, k: usize, control: ControlVector) -> Self {
+        Self::with_twiddles(Self::twiddles(domain), k, control)
+    }
+
+    /// The rotation table of a point-update DFT over a vector of length
+    /// `domain`: entry `q` holds exactly `Complex64::cis(-2π·q/D)`, the
+    /// expression the direct computation evaluates, so results are
+    /// bit-identical. One table serves every `PointDft` over that domain.
+    pub fn twiddles(domain: usize) -> Arc<[Complex64]> {
+        let base = -2.0 * PI / domain as f64;
+        (0..domain)
+            .map(|q| Complex64::cis(base * q as f64))
+            .collect()
+    }
+
+    /// A point-update DFT that reads the shared rotation table `twiddles`,
+    /// which must be [`PointDft::twiddles`] of the vector's length
+    /// (`twiddles.len()`), tracking the first `k` coefficients.
+    /// [`PointDft::new`] is this over a table of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is empty or `k == 0` or `k > twiddles.len()`.
+    pub fn with_twiddles(twiddles: Arc<[Complex64]>, k: usize, control: ControlVector) -> Self {
+        let domain = twiddles.len();
         assert!(domain > 0, "domain must be positive");
         assert!(
             k > 0 && k <= domain,
             "tracked coefficients must be in 1..=domain"
         );
-        let base = -2.0 * PI / domain as f64;
         PointDft {
             values: vec![0.0; domain],
             coeffs: vec![Complex64::ZERO; k],
             domain,
-            twiddle: (0..domain)
-                .map(|q| Complex64::cis(base * q as f64))
-                .collect(),
+            twiddle: twiddles,
             control: control.with_window(domain, k),
             updates_since_recompute: 0,
             total_updates: 0,

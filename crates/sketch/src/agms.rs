@@ -17,6 +17,7 @@
 
 use crate::hash::{cubic_powers, eval_cubic, PolyHash};
 use std::fmt;
+use std::sync::Arc;
 
 /// Error raised when combining incompatible sketches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,10 +38,68 @@ impl fmt::Display for SketchMismatchError {
 
 impl std::error::Error for SketchMismatchError {}
 
+/// The hash family of an AGMS sketch: `s0 × s1` four-wise hashes derived
+/// from `seed`, of which a sketch keeps only the coefficients. It is a pure
+/// function of `(s0, s1, seed)` and never changes, so every sketch of one
+/// cluster can hold the same family by [`Arc`]
+/// ([`AgmsSketch::with_hashes`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct AgmsHashes {
+    s0: usize,
+    s1: usize,
+    seed: u64,
+    /// `[c₀, c₁, c₂, c₃]` of each counter's four-wise hash, in counter order.
+    coeffs: Vec<[u64; 4]>,
+}
+
+impl AgmsHashes {
+    /// The family of an `s0 × s1` sketch derived from `seed`: counter `i`'s
+    /// hash is `PolyHash::four_wise` of a seed derived from `seed` and `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s0 == 0` or `s1 == 0`.
+    pub fn new(s0: usize, s1: usize, seed: u64) -> Self {
+        assert!(s0 > 0 && s1 > 0, "sketch dimensions must be positive");
+        let coeffs = (0..s0 * s1)
+            .map(|i| {
+                let hash = PolyHash::four_wise(seed.wrapping_add(0x51ED_270B ^ (i as u64) << 17));
+                let mut c = [0; 4];
+                c.copy_from_slice(hash.coefficients());
+                c
+            })
+            .collect();
+        AgmsHashes {
+            s0,
+            s1,
+            seed,
+            coeffs,
+        }
+    }
+
+    /// The family of the largest sketch whose serialized size is at most
+    /// `bytes`, keeping the paper's 5:1 `s0 : s1` ratio (8 bytes per
+    /// counter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes < 48` (too small for even a 5×1 sketch).
+    pub fn with_size_bytes(bytes: usize, seed: u64) -> Self {
+        let counters = bytes / 8;
+        assert!(counters >= 5, "budget too small for a 5x1 AGMS sketch");
+        // s0 = 5·s1 ⇒ counters = 5·s1².
+        let s1 = (((counters as f64) / 5.0).sqrt().floor() as usize).max(1);
+        let s0 = (counters / s1).min(5 * s1).max(1);
+        AgmsHashes::new(s0, s1, seed)
+    }
+}
+
 /// An AGMS sketch with `s0 × s1` atomic estimators.
 ///
 /// Two sketches can be compared (`join_size`) only when built with the
 /// same `(s0, s1, seed)` triple, which makes them share hash functions.
+/// A sketch holds its [`AgmsHashes`] by [`Arc`], so a clone copies the
+/// counters only.
 ///
 /// ```
 /// use dsj_sketch::AgmsSketch;
@@ -57,28 +116,24 @@ impl std::error::Error for SketchMismatchError {}
 /// ```
 #[derive(Debug, PartialEq)]
 pub struct AgmsSketch {
-    s0: usize,
-    s1: usize,
-    seed: u64,
+    hashes: Arc<AgmsHashes>,
     counters: Vec<i64>,
-    /// `[c₀, c₁, c₂, c₃]` of each counter's four-wise hash, in counter order.
-    coeffs: Vec<[u64; 4]>,
     total_updates: u64,
 }
 
 impl Clone for AgmsSketch {
     fn clone(&self) -> Self {
         AgmsSketch {
+            hashes: Arc::clone(&self.hashes),
             counters: self.counters.clone(),
-            coeffs: self.coeffs.clone(),
-            ..*self
+            total_updates: self.total_updates,
         }
     }
 
     /// Overwrites the counters and update count in place when `source` has
     /// the same shape and seed (and so the same hashes): no allocation.
     fn clone_from(&mut self, source: &Self) {
-        if (self.s0, self.s1, self.seed) == (source.s0, source.s1, source.seed) {
+        if self.shape() == source.shape() {
             self.counters.copy_from_slice(&source.counters);
             self.total_updates = source.total_updates;
         } else {
@@ -95,7 +150,7 @@ impl AgmsSketch {
     ///
     /// Panics if `s0 == 0` or `s1 == 0`.
     pub fn new(s0: usize, s1: usize, seed: u64) -> Self {
-        Self::from_parts(s0, s1, seed, vec![0; s0 * s1], 0)
+        Self::with_hashes(Arc::new(AgmsHashes::new(s0, s1, seed)))
     }
 
     /// Creates a sketch whose serialized size is at most `bytes`, keeping
@@ -105,43 +160,41 @@ impl AgmsSketch {
     ///
     /// Panics if `bytes < 48` (too small for even a 5×1 sketch).
     pub fn with_size_bytes(bytes: usize, seed: u64) -> Self {
-        let counters = bytes / 8;
-        assert!(counters >= 5, "budget too small for a 5x1 AGMS sketch");
-        // s0 = 5·s1 ⇒ counters = 5·s1².
-        let s1 = (((counters as f64) / 5.0).sqrt().floor() as usize).max(1);
-        let s0 = (counters / s1).min(5 * s1).max(1);
-        AgmsSketch::new(s0, s1, seed)
+        Self::with_hashes(Arc::new(AgmsHashes::with_size_bytes(bytes, seed)))
     }
 
-    /// Counter `i`'s hash is `PolyHash::four_wise` of a seed derived from
-    /// `seed` and `i`; the sketch keeps only its coefficients.
-    fn derive_coeffs(s0: usize, s1: usize, seed: u64) -> Vec<[u64; 4]> {
-        (0..s0 * s1)
-            .map(|i| {
-                let hash = PolyHash::four_wise(seed.wrapping_add(0x51ED_270B ^ (i as u64) << 17));
-                let mut c = [0; 4];
-                c.copy_from_slice(hash.coefficients());
-                c
-            })
-            .collect()
+    /// An empty sketch over the shared hash family `hashes`.
+    /// [`AgmsSketch::new`] and [`AgmsSketch::with_size_bytes`] are this
+    /// over a family of their own.
+    pub fn with_hashes(hashes: Arc<AgmsHashes>) -> Self {
+        AgmsSketch {
+            counters: vec![0; hashes.coeffs.len()],
+            hashes,
+            total_updates: 0,
+        }
+    }
+
+    /// `(s0, s1, seed)`: equal exactly when two sketches share hashes.
+    fn shape(&self) -> (usize, usize, u64) {
+        (self.hashes.s0, self.hashes.s1, self.hashes.seed)
     }
 
     /// Number of averaged estimators per median group.
     #[inline]
     pub fn s0(&self) -> usize {
-        self.s0
+        self.hashes.s0
     }
 
     /// Number of median groups.
     #[inline]
     pub fn s1(&self) -> usize {
-        self.s1
+        self.hashes.s1
     }
 
     /// The seed this sketch's hash family derives from.
     #[inline]
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.hashes.seed
     }
 
     /// Serialized size in bytes (8 per counter).
@@ -161,7 +214,7 @@ impl AgmsSketch {
     /// independent multiplies and one reduction per atomic estimator.
     pub fn update(&mut self, v: u64, delta: i64) {
         let powers = cubic_powers(v);
-        for (c, k) in self.counters.iter_mut().zip(&self.coeffs) {
+        for (c, k) in self.counters.iter_mut().zip(&self.hashes.coeffs) {
             // `ξ = +1` on an even residue, `−1` on an odd one.
             let odd = (eval_cubic(k, powers) & 1) as i64;
             *c += (1 - 2 * odd) * delta;
@@ -192,11 +245,8 @@ impl AgmsSketch {
             "counter vector must be s0 * s1 long"
         );
         AgmsSketch {
-            s0,
-            s1,
-            seed,
+            hashes: Arc::new(AgmsHashes::new(s0, s1, seed)),
             counters,
-            coeffs: Self::derive_coeffs(s0, s1, seed),
             total_updates,
         }
     }
@@ -231,19 +281,20 @@ impl AgmsSketch {
         other: &AgmsSketch,
         group_means: &mut Vec<f64>,
     ) -> Result<f64, SketchMismatchError> {
-        if self.s0 != other.s0 || self.s1 != other.s1 || self.seed != other.seed {
+        if self.shape() != other.shape() {
             return Err(SketchMismatchError {
-                expected: (self.s0, self.s1, self.seed),
-                found: (other.s0, other.s1, other.seed),
+                expected: self.shape(),
+                found: other.shape(),
             });
         }
+        let (s0, s1) = (self.s0(), self.s1());
         group_means.clear();
-        group_means.extend((0..self.s1).map(|g| {
-            let start = g * self.s0;
-            (0..self.s0)
+        group_means.extend((0..s1).map(|g| {
+            let start = g * s0;
+            (0..s0)
                 .map(|i| (self.counters[start + i] * other.counters[start + i]) as f64)
                 .sum::<f64>()
-                / self.s0 as f64
+                / s0 as f64
         }));
         group_means.sort_by(f64::total_cmp);
         let mid = group_means.len() / 2;

@@ -7,8 +7,54 @@
 //! because sliding windows evict tuples, which must decrement the filter.
 
 use crate::hash::PolyHash;
+use std::sync::Arc;
 
-/// A counting Bloom filter over `u64` values.
+/// The hash family of a counting Bloom filter: `k` pairwise hashes onto
+/// `m` counters, derived from `seed`. It is a pure function of
+/// `(m, k, seed)` and never changes, so every filter of one cluster can
+/// hold the same family by [`Arc`] ([`CountingBloomFilter::with_hashes`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct BloomHashes {
+    m: usize,
+    seed: u64,
+    hashes: Vec<PolyHash>,
+}
+
+impl BloomHashes {
+    /// The family of a filter with `m` counters and `k` hash functions
+    /// derived from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0` or `k == 0`.
+    pub fn new(m: usize, k: usize, seed: u64) -> Self {
+        assert!(m > 0, "filter must have counters");
+        assert!(k > 0, "filter must have hash functions");
+        let hashes = (0..k)
+            .map(|i| PolyHash::pairwise(seed.wrapping_add(0xB10F ^ (i as u64) << 23)))
+            .collect();
+        BloomHashes { m, seed, hashes }
+    }
+
+    /// The family of a filter of at most `bytes` serialized size (4 bytes
+    /// per counter), with the optimal hash count for `expected_items`:
+    /// `k = (m/n)·ln 2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes < 4` or `expected_items == 0`.
+    pub fn with_size_bytes(bytes: usize, expected_items: usize, seed: u64) -> Self {
+        assert!(bytes >= 4, "budget too small for a single counter");
+        assert!(expected_items > 0, "expected item count must be positive");
+        let m = bytes / 4;
+        let k = (((m as f64 / expected_items as f64) * std::f64::consts::LN_2).round() as usize)
+            .clamp(1, 16);
+        BloomHashes::new(m, k, seed)
+    }
+}
+
+/// A counting Bloom filter over `u64` values. It holds its [`BloomHashes`]
+/// by [`Arc`], so a clone copies the counters only.
 ///
 /// ```
 /// use dsj_sketch::CountingBloomFilter;
@@ -22,9 +68,7 @@ use crate::hash::PolyHash;
 #[derive(Debug, PartialEq, Eq)]
 pub struct CountingBloomFilter {
     counters: Vec<u32>,
-    k: usize,
-    seed: u64,
-    hashes: Vec<PolyHash>,
+    hashes: Arc<BloomHashes>,
     items: u64,
 }
 
@@ -32,8 +76,8 @@ impl Clone for CountingBloomFilter {
     fn clone(&self) -> Self {
         CountingBloomFilter {
             counters: self.counters.clone(),
-            hashes: self.hashes.clone(),
-            ..*self
+            hashes: Arc::clone(&self.hashes),
+            items: self.items,
         }
     }
 
@@ -41,9 +85,7 @@ impl Clone for CountingBloomFilter {
     /// the same size, hash count and seed (and so the same hashes): no
     /// allocation.
     fn clone_from(&mut self, source: &Self) {
-        if (self.counters.len(), self.k, self.seed)
-            == (source.counters.len(), source.k, source.seed)
-        {
+        if self.shape() == source.shape() {
             self.counters.copy_from_slice(&source.counters);
             self.items = source.items;
         } else {
@@ -60,15 +102,7 @@ impl CountingBloomFilter {
     ///
     /// Panics if `m == 0` or `k == 0`.
     pub fn new(m: usize, k: usize, seed: u64) -> Self {
-        assert!(m > 0, "filter must have counters");
-        assert!(k > 0, "filter must have hash functions");
-        CountingBloomFilter {
-            counters: vec![0; m],
-            k,
-            seed,
-            hashes: Self::derive_hashes(k, seed),
-            items: 0,
-        }
+        Self::with_hashes(Arc::new(BloomHashes::new(m, k, seed)))
     }
 
     /// Creates a filter of at most `bytes` serialized size (4 bytes per
@@ -79,18 +113,28 @@ impl CountingBloomFilter {
     ///
     /// Panics if `bytes < 4` or `expected_items == 0`.
     pub fn with_size_bytes(bytes: usize, expected_items: usize, seed: u64) -> Self {
-        assert!(bytes >= 4, "budget too small for a single counter");
-        assert!(expected_items > 0, "expected item count must be positive");
-        let m = bytes / 4;
-        let k = (((m as f64 / expected_items as f64) * std::f64::consts::LN_2).round() as usize)
-            .clamp(1, 16);
-        CountingBloomFilter::new(m, k, seed)
+        Self::with_hashes(Arc::new(BloomHashes::with_size_bytes(
+            bytes,
+            expected_items,
+            seed,
+        )))
     }
 
-    fn derive_hashes(k: usize, seed: u64) -> Vec<PolyHash> {
-        (0..k)
-            .map(|i| PolyHash::pairwise(seed.wrapping_add(0xB10F ^ (i as u64) << 23)))
-            .collect()
+    /// An empty filter over the shared hash family `hashes`.
+    /// [`CountingBloomFilter::new`] and
+    /// [`CountingBloomFilter::with_size_bytes`] are this over a family of
+    /// their own.
+    pub fn with_hashes(hashes: Arc<BloomHashes>) -> Self {
+        CountingBloomFilter {
+            counters: vec![0; hashes.m],
+            hashes,
+            items: 0,
+        }
+    }
+
+    /// `(m, k, seed)`: equal exactly when two filters share hashes.
+    fn shape(&self) -> (usize, usize, u64) {
+        (self.hashes.m, self.hashes.hashes.len(), self.hashes.seed)
     }
 
     /// Number of counters `m`.
@@ -102,13 +146,13 @@ impl CountingBloomFilter {
     /// Number of hash functions `k`.
     #[inline]
     pub fn hash_count(&self) -> usize {
-        self.k
+        self.hashes.hashes.len()
     }
 
     /// The derivation seed.
     #[inline]
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.hashes.seed
     }
 
     /// Number of items currently accounted (inserts minus removes).
@@ -131,7 +175,7 @@ impl CountingBloomFilter {
 
     /// Rebuilds a filter from its wire representation: the counter vector
     /// plus the `(k, seed, items)` parameters. Hash functions are not
-    /// serialized — they are a pure function of `(k, seed)` — so they are
+    /// serialized — they are a pure function of `(m, k, seed)` — so they are
     /// re-derived, and a reconstructed filter is bit-identical to the one
     /// that was serialized.
     ///
@@ -140,13 +184,9 @@ impl CountingBloomFilter {
     /// Panics if `counters` is empty or `k == 0` (the same contract as
     /// [`CountingBloomFilter::new`]); wire decoders validate before calling.
     pub fn from_parts(k: usize, seed: u64, counters: Vec<u32>, items: u64) -> Self {
-        assert!(!counters.is_empty(), "filter must have counters");
-        assert!(k > 0, "filter must have hash functions");
         CountingBloomFilter {
+            hashes: Arc::new(BloomHashes::new(counters.len(), k, seed)),
             counters,
-            k,
-            seed,
-            hashes: Self::derive_hashes(k, seed),
             items,
         }
     }
@@ -160,7 +200,7 @@ impl CountingBloomFilter {
     /// Inserts a value (increments its `k` counters).
     pub fn insert(&mut self, v: u64) {
         let m = self.counters.len() as u64;
-        for h in &self.hashes {
+        for h in &self.hashes.hashes {
             let idx = h.hash_to_range(v, m) as usize;
             self.counters[idx] = self.counters[idx].saturating_add(1);
         }
@@ -175,7 +215,7 @@ impl CountingBloomFilter {
     /// underflow.
     pub fn remove(&mut self, v: u64) {
         let m = self.counters.len() as u64;
-        for h in &self.hashes {
+        for h in &self.hashes.hashes {
             let idx = h.hash_to_range(v, m) as usize;
             debug_assert!(self.counters[idx] > 0, "removing non-member value {v}");
             self.counters[idx] = self.counters[idx].saturating_sub(1);
@@ -188,6 +228,7 @@ impl CountingBloomFilter {
     pub fn contains(&self, v: u64) -> bool {
         let m = self.counters.len() as u64;
         self.hashes
+            .hashes
             .iter()
             .all(|h| self.counters[h.hash_to_range(v, m) as usize] > 0)
     }
@@ -197,6 +238,7 @@ impl CountingBloomFilter {
     pub fn count_estimate(&self, v: u64) -> u32 {
         let m = self.counters.len() as u64;
         self.hashes
+            .hashes
             .iter()
             .map(|h| self.counters[h.hash_to_range(v, m) as usize])
             .min()
@@ -208,7 +250,7 @@ impl CountingBloomFilter {
     pub fn false_positive_rate(&self) -> f64 {
         let m = self.counters.len() as f64;
         let n = self.items as f64;
-        let k = self.k as f64;
+        let k = self.hash_count() as f64;
         (1.0 - (-k * n / m).exp()).powf(k)
     }
 }

@@ -11,7 +11,9 @@
 //!
 //! Both summaries expose [`size_bytes`](AgmsSketch::size_bytes) so
 //! experiments can equalize summary sizes across DFT coefficients, sketches
-//! and Bloom filters, as the paper does.
+//! and Bloom filters, as the paper does. Each holds its hash family
+//! ([`AgmsHashes`], [`BloomHashes`]) by `Arc`, so summaries of one cluster
+//! can share one family and a clone copies counters only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +22,6 @@ pub mod agms;
 pub mod bloom;
 pub mod hash;
 
-pub use agms::AgmsSketch;
-pub use bloom::CountingBloomFilter;
+pub use agms::{AgmsHashes, AgmsSketch};
+pub use bloom::{BloomHashes, CountingBloomFilter};
 pub use hash::PolyHash;

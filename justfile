@@ -1,7 +1,7 @@
 # Development workflow. `just ci` mirrors .github/workflows/ci.yml.
 
 # Everything CI runs, in CI order.
-ci: fmt-check clippy doc tier1 test-workspace repro-smoke repro-check live-smoke e2e-smoke
+ci: fmt-check clippy doc tier1 test-workspace repro-smoke repro-check live-smoke e2e-smoke load-smoke
 
 # Formatting gate.
 fmt-check:

@@ -174,9 +174,10 @@ fn bounded_cutoff_loses_messages_under_saturation() {
 fn time_windows_work_end_to_end() {
     // The paper claims the method is agnostic to the window definition;
     // run the cluster with a 1-second time window instead of a count.
-    let timed = |algorithm| ClusterConfig {
-        time_window_ms: Some(1_000),
-        ..quick(4, algorithm)
+    let timed = |algorithm| {
+        let mut cfg = quick(4, algorithm);
+        cfg.time_window_ms = Some(1_000);
+        cfg
     };
     let base = run(timed(Algorithm::Base));
     assert!(
