@@ -132,7 +132,7 @@ where
     cfg.validate()?;
     let mut reg = obs::Registry::default();
     let (arrivals, truth_matches) = reg.time_phase("workload", || {
-        let arrivals = cfg.arrivals();
+        let arrivals = cfg.schedule();
         let truth_matches = cfg.truth_of(&arrivals);
         (arrivals, truth_matches)
     });

@@ -1,5 +1,5 @@
 //! Streaming substrate for `dsjoin`: tuples, sliding windows, the exact
-//! symmetric window join (ground truth), workload generators and stream
+//! distributed join's ground truth, workload generators and stream
 //! partitioners.
 //!
 //! The paper evaluates on four workloads (Section 6): synthetic uniform
@@ -33,6 +33,5 @@ pub mod trace;
 pub mod tuple;
 pub mod window;
 
-pub use join::SymmetricHashJoin;
 pub use tuple::{StreamId, Tuple};
 pub use window::{SlidingWindow, WindowSpec};

@@ -53,7 +53,7 @@ struct Run {
 /// product lands in the low bits the table indexes by, so keys that share
 /// their low bits still spread.
 #[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 const KEY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -73,6 +73,13 @@ impl Hasher for KeyHasher {
         self.0 = u64::from(n).wrapping_mul(KEY_MUL).rotate_left(32);
     }
 }
+
+/// A table keyed by join key under [`KeyHasher`].
+#[allow(
+    clippy::disallowed_types,
+    reason = "never iterated, and `KeyHasher` is the same in every process: hash order cannot reach a result"
+)]
+pub(crate) type KeyMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<KeyHasher>>;
 
 /// A sliding window holding tuples of a single stream, with O(1) key-count
 /// probing for join evaluation.
@@ -100,11 +107,7 @@ pub struct SlidingWindow {
     /// reserves room for `2·(W + 1)` keys at construction: the table then
     /// stays under half full, where it rehashes its tombstones in place
     /// instead of reallocating, so inserts never allocate.
-    #[allow(
-        clippy::disallowed_types,
-        reason = "never iterated, and `KeyHasher` is the same in every process: hash order cannot reach a result"
-    )]
-    index: std::collections::HashMap<u32, Run, BuildHasherDefault<KeyHasher>>,
+    index: KeyMap<Run>,
     inserted: u64,
     evicted: u64,
     /// Tuples evicted by the most recent `insert`, reused across calls.
