@@ -46,11 +46,10 @@ impl Default for TargetComplexity {
     }
 }
 
-/// Tunables of the flow-filtering layer.
+/// Tunables of the flow-filtering layer. (Its message budget is the
+/// cluster's [`TargetComplexity`], set on `ClusterConfig::target`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowParams {
-    /// Message-complexity operating point.
-    pub target: TargetComplexity,
     /// Coefficient-of-variation (σ/μ) threshold below which the per-peer
     /// correlations are considered indistinguishable (uniform-data worst
     /// case).
@@ -64,29 +63,10 @@ pub struct FlowParams {
 impl Default for FlowParams {
     fn default() -> Self {
         FlowParams {
-            target: TargetComplexity::default(),
             uniform_cv_threshold: 0.05,
             explore: 0.05,
         }
     }
-}
-
-/// Computes forwarding probabilities `p_j = clamp(w·ρ⁺_j, 0, 1)` with the
-/// weight `w` chosen so `Σ_j p_j` meets `target` as closely as clamping
-/// allows (two redistribution passes).
-///
-/// `None` entries are peers with no summary yet; they receive the blind
-/// probability `target / len` so unknown peers are neither starved nor
-/// flooded. Returns `None` when every known correlation is non-positive —
-/// the caller should fall back to a heuristic policy.
-///
-/// Allocating twin of [`forwarding_probabilities_into`], for tests and the
-/// reference router only.
-#[cfg(any(test, feature = "reference"))]
-pub fn forwarding_probabilities(rhos: &[Option<f64>], target: f64) -> Option<Vec<f64>> {
-    let mut scratch = FlowScratch::default();
-    let mut probs = Vec::new();
-    forwarding_probabilities_into(rhos, target, &mut scratch, &mut probs).then_some(probs)
 }
 
 /// Reusable scratch for [`forwarding_probabilities_into`] — callers on the
@@ -99,8 +79,14 @@ pub struct FlowScratch {
     next_open: Vec<usize>,
 }
 
-/// Allocation-free core of `forwarding_probabilities`: fills `probs` in
-/// place (cleared first) and returns whether a distribution exists.
+/// Computes forwarding probabilities `p_j = clamp(w·ρ⁺_j, 0, 1)` with the
+/// weight `w` chosen so `Σ_j p_j` meets `target` as closely as clamping
+/// allows (two redistribution passes), into `probs` (cleared first).
+///
+/// `None` entries are peers with no summary yet; they receive the blind
+/// probability `target / len` so unknown peers are neither starved nor
+/// flooded. Returns `false` when every known correlation is non-positive —
+/// the caller should fall back to a heuristic policy.
 pub fn forwarding_probabilities_into(
     rhos: &[Option<f64>],
     target: f64,
@@ -210,25 +196,14 @@ pub fn detect_uniform(rhos: &[Option<f64>], cv_threshold: f64) -> bool {
     var.sqrt() / mean < cv_threshold
 }
 
-/// Samples the set of peers to forward to, one Bernoulli draw per peer.
+/// Samples the set of peers to forward to into `out` (cleared first), one
+/// Bernoulli draw per peer.
 ///
 /// Exactly one draw is consumed per entry of `probs` — including clamped
 /// certainties (`p >= 1`) and dead peers (`p <= 0`). Short-circuiting
 /// those would shift the RNG stream seen by every later peer whenever a
 /// single probability saturates, making routing decisions depend on
 /// *which* peers were certain rather than only on the seed.
-///
-/// Allocating twin of [`sample_recipients_into`], for tests and the
-/// reference router only.
-#[cfg(any(test, feature = "reference"))]
-pub fn sample_recipients(probs: &[f64], rng: &mut StdRng) -> Vec<usize> {
-    let mut out = Vec::new();
-    sample_recipients_into(probs, rng, &mut out);
-    out
-}
-
-/// Allocation-free `sample_recipients`: clears and fills `out`, one
-/// draw per entry of `probs`.
 pub fn sample_recipients_into(probs: &[f64], rng: &mut StdRng, out: &mut Vec<usize>) {
     out.clear();
     for (j, &p) in probs.iter().enumerate() {
@@ -257,7 +232,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `n < 2` or `me >= n`.
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub fn pick(&mut self, me: u16, n: u16, count: usize) -> Vec<u16> {
         let mut out = Vec::new();
         self.pick_into(me, n, count, &mut out);
@@ -286,9 +261,25 @@ impl RoundRobin {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Allocating twin of [`forwarding_probabilities_into`], for these
+    /// tests and the reference router.
+    pub(crate) fn forwarding_probabilities(rhos: &[Option<f64>], target: f64) -> Option<Vec<f64>> {
+        let mut scratch = FlowScratch::default();
+        let mut probs = Vec::new();
+        forwarding_probabilities_into(rhos, target, &mut scratch, &mut probs).then_some(probs)
+    }
+
+    /// Allocating twin of [`sample_recipients_into`], for these tests and
+    /// the reference router.
+    pub(crate) fn sample_recipients(probs: &[f64], rng: &mut StdRng) -> Vec<usize> {
+        let mut out = Vec::new();
+        sample_recipients_into(probs, rng, &mut out);
+        out
+    }
 
     #[test]
     fn target_values() {

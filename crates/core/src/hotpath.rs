@@ -14,10 +14,10 @@
 //! [`RouterHarness::route`] runs the production flow filter
 //! (`Router::route_into`: one policy for all five algorithms). Measured by
 //! `tests/alloc_budget.rs` at steady state, no algorithm allocates in it.
-//! `RouterHarness::route_reference` (behind the `reference` feature) runs
-//! its allocating transcription — fresh buffers, no verdict cache, the
-//! same summary queries — so equivalence (same peers, same fallback flag,
-//! same RNG draw counts) stays checkable for every algorithm.
+//! In test builds, `RouterHarness::route_reference` runs its allocating
+//! transcription — fresh buffers, no verdict cache, the same summary
+//! queries — and the lockstep test below checks equivalence (same peers,
+//! same fallback flag, same RNG draw counts) for every algorithm.
 
 use crate::runner::ClusterConfig;
 use crate::strategy::{Algorithm, Route, Router};
@@ -120,7 +120,7 @@ impl RouterHarness {
     /// the flow filter. Consumes RNG draws exactly as [`Self::route`] does,
     /// so two identically-seeded harnesses — one routed, one
     /// reference-routed — must stay in lockstep forever.
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub fn route_reference(&mut self, stream: StreamId, key: u32) -> (Vec<u16>, bool) {
         let route = self.router.route_reference(stream, key, 1.0, &mut self.rng);
         (route.peers, route.fallback)
@@ -132,6 +132,9 @@ mod tests {
     use super::*;
     use crate::engine::Script;
     use crate::msg::Msg;
+    use dsj_stream::gen::Scenario;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     #[test]
     fn harness_routes_as_the_built_node_does() {
@@ -187,6 +190,117 @@ mod tests {
             }
             assert!(routed > 100, "{algorithm}: {routed} routes compared");
             assert_eq!(node.metrics().fallback_routes, fallbacks as u64);
+        }
+    }
+
+    /// Full-summary exchange between every ordered pair of harnesses.
+    fn exchange_all(cluster: &mut [RouterHarness]) {
+        for i in 0..cluster.len() {
+            for j in 0..cluster.len() {
+                if i == j {
+                    continue;
+                }
+                let (a, b) = if i < j {
+                    let (lo, hi) = cluster.split_at_mut(j);
+                    (&mut lo[i], &mut hi[0])
+                } else {
+                    let (lo, hi) = cluster.split_at_mut(i);
+                    (&mut hi[0], &mut lo[j])
+                };
+                a.exchange_into(b);
+            }
+        }
+    }
+
+    /// `(node, stream, key)` per step of one lockstep drive. The uniform drive
+    /// keeps the routers mostly in their worst case (over half the DFT-family
+    /// and BLOOM routes are the round-robin fallback, and almost none picks
+    /// more than one peer); the skewed one — `Scenario::Steady`: Zipf 0.4 keys,
+    /// 0.8 locality — is what exercises membership hits, the residual budget
+    /// and the explore draw.
+    fn drive(skewed: bool, p: HarnessParams, steps: usize) -> Vec<(usize, StreamId, u32)> {
+        if skewed {
+            return Scenario::Steady
+                .arrivals(p.n, p.domain, steps, 0.8, p.seed)
+                .iter()
+                .map(|a| (usize::from(a.node), a.stream, a.key))
+                .collect();
+        }
+        let mut rng = StdRng::seed_from_u64(p.seed ^ 0xD21F7);
+        (0..steps)
+            .map(|_| {
+                let node = (rng.gen::<u64>() % u64::from(p.n)) as usize;
+                let stream = if rng.gen_bool(0.5) {
+                    StreamId::R
+                } else {
+                    StreamId::S
+                };
+                (
+                    node,
+                    stream,
+                    (rng.gen::<u64>() % u64::from(p.domain)) as u32,
+                )
+            })
+            .collect()
+    }
+
+    /// The allocation-free flow filter must never diverge from its allocating
+    /// reference transcription: two identically-built clusters — one routed
+    /// through `route`, one through `route_reference` — are driven in
+    /// lockstep through seeded arrivals, window evictions and summary
+    /// exchanges, and every routing decision must match exactly (same peers,
+    /// same fallback flag). Because both paths consume the same RNG draws,
+    /// one divergence would cascade — so agreement over thousands of tuples
+    /// across every strategy, two cluster sizes and two key distributions is
+    /// a strong equivalence proof.
+    #[test]
+    fn optimized_route_matches_reference_in_lockstep() {
+        for skewed in [false, true] {
+            for algorithm in Algorithm::ALL {
+                for n in [3u16, 5] {
+                    let p = HarnessParams {
+                        n,
+                        domain: 1 << 10,
+                        kappa: 64,
+                        window: 128,
+                        seed: 0xA11CE,
+                    };
+                    let mut opt: Vec<RouterHarness> = (0..n)
+                        .map(|me| RouterHarness::new(algorithm, me, p))
+                        .collect();
+                    let mut reference: Vec<RouterHarness> = (0..n)
+                        .map(|me| RouterHarness::new(algorithm, me, p))
+                        .collect();
+                    // Shared emulated windows: both clusters must see identical
+                    // arrival + eviction streams.
+                    let mut windows: Vec<[VecDeque<u32>; 2]> =
+                        (0..n).map(|_| [VecDeque::new(), VecDeque::new()]).collect();
+                    let schedule = drive(skewed, p, usize::from(n) * 128 * 6);
+                    for (step, &(node, stream, key)) in schedule.iter().enumerate() {
+                        let w = &mut windows[node][stream.index()];
+                        w.push_back(key);
+                        let evicted: Vec<u32> = if w.len() > p.window {
+                            vec![w.pop_front().unwrap_or(0)]
+                        } else {
+                            Vec::new()
+                        };
+                        opt[node].local_update(stream, key, &evicted);
+                        reference[node].local_update(stream, key, &evicted);
+                        if (step + 1) % 256 == 0 {
+                            exchange_all(&mut opt);
+                            exchange_all(&mut reference);
+                        }
+                        let (ref_peers, ref_fallback) =
+                            reference[node].route_reference(stream, key);
+                        let (opt_peers, opt_fallback) = opt[node].route(stream, key);
+                        assert_eq!(
+                            (opt_peers, opt_fallback),
+                            (ref_peers.as_slice(), ref_fallback),
+                            "{algorithm:?} n={n} skewed={skewed} diverged at step {step} (node {node}, {stream:?}, key {key})"
+                        );
+                    }
+                }
+            }
         }
     }
 }

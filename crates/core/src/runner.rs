@@ -59,7 +59,7 @@ pub struct ClusterConfig {
     pub warmup: f64,
     /// Master seed (workload, latencies, routing draws).
     pub seed: u64,
-    /// Flow-control tunables.
+    /// Flow-control tunables (the message budget is `target`).
     pub flow_overrides: Option<FlowParams>,
     /// Refresh a peer's summary after this many tuple messages to it.
     pub sync_sent_interval: u32,
@@ -348,7 +348,6 @@ impl ClusterConfig {
         let total = tally.totals();
         let fallback_events = run.engines.iter().map(NodeEngine::fallback_events).sum();
         let per_node_arrivals: Vec<u64> = tally.per_node.iter().map(|m| m.arrivals).collect();
-        let per_node_sent = tally.per_node.iter().map(|m| m.tuple_msgs_sent).collect();
         let mean_arrivals = self.tuples as f64 / self.n as f64;
         let load_imbalance = per_node_arrivals
             .iter()
@@ -388,7 +387,6 @@ impl ClusterConfig {
             fallback_fraction: total.fallback_routes as f64 / self.tuples.max(1) as f64,
             fallback_events,
             per_node_arrivals,
-            per_node_sent,
             load_imbalance,
             dropped_messages: net.messages_dropped,
         }
@@ -561,16 +559,14 @@ impl ClusterConfig {
     /// Node `me`'s routing configuration; panics if `me >= self.n`.
     pub(crate) fn router_config(&self, me: u16) -> RouterConfig {
         assert!(me < self.n, "node id out of range");
-        let mut flow = self.flow_overrides.unwrap_or_default();
-        flow.target = self.target;
         RouterConfig {
             me,
             n: self.n,
-            flow,
+            target: self.target,
+            flow: self.flow_overrides.unwrap_or_default(),
             plan: self.plan(),
             sync_sent_interval: self.sync_sent_interval,
             sync_arrival_interval: self.sync_arrival_interval,
-            rho_refresh: 64,
         }
     }
 
@@ -801,8 +797,6 @@ pub struct ExperimentReport {
     pub fallback_events: u64,
     /// Tuple arrivals per node (geographic skew shows up here).
     pub per_node_arrivals: Vec<u64>,
-    /// Tuple messages sent per node.
-    pub per_node_sent: Vec<u64>,
     /// Hottest node's arrivals over the per-node mean (1.0 = balanced).
     pub load_imbalance: f64,
     /// Messages lost in flight (lossy-link injection; 0 by default).

@@ -13,7 +13,7 @@
 //! reconstruction shows at least one join partner for a key — the
 //! `JoinEstimate`/`ChooseSite` steps of Fig. 7.
 
-use super::RouterConfig;
+use super::{RouterConfig, RHO_REFRESH};
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
@@ -41,7 +41,6 @@ const PIGGYBACK_SKIP_MARGIN: f64 = 1.0 - 1e-12;
 #[derive(Debug)]
 pub(super) struct DftSummary {
     domain: u32,
-    rho_refresh: u32,
     /// Local window-histogram DFTs, indexed by [`StreamId::index`].
     local: [PointDft; 2],
     /// Remote coefficient prefixes: `remote[peer][stream]`.
@@ -59,7 +58,7 @@ pub(super) struct DftSummary {
     retained: usize,
     /// Cached `ρ` per peer per *tuple* stream (correlating `local[s]`
     /// against `remote[peer][s.opposite()]`), recomputed where stale: after
-    /// a peer's summary lands, and every `rho_refresh` local arrivals.
+    /// a peer's summary lands, and every `RHO_REFRESH` local arrivals.
     rho: Vec<[Option<f64>; 2]>,
     rho_stale: Vec<[bool; 2]>,
     arrivals_since_rho: u32,
@@ -90,7 +89,6 @@ impl DftSummary {
             .unwrap_or_default();
         DftSummary {
             domain: cfg.plan.key.domain,
-            rho_refresh: cfg.rho_refresh,
             local: [mk(), mk()],
             remote: vec![[None, None]; n],
             snapshot: vec![[None, None]; n],
@@ -114,7 +112,7 @@ impl DftSummary {
         }
         self.arrivals += 1;
         self.arrivals_since_rho += 1;
-        if self.arrivals_since_rho >= self.rho_refresh {
+        if self.arrivals_since_rho >= RHO_REFRESH {
             self.arrivals_since_rho = 0;
             for flags in &mut self.rho_stale {
                 *flags = [true, true];

@@ -33,7 +33,7 @@ pub(crate) use plan::{Plan, PlanKey, Tables};
 
 use crate::flow::{
     detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowParams, FlowScratch,
-    RoundRobin,
+    RoundRobin, TargetComplexity,
 };
 use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
@@ -86,6 +86,11 @@ impl fmt::Display for Algorithm {
     }
 }
 
+/// The summary-bearing strategies recompute their cached per-peer
+/// affinities every this many local arrivals (and whenever a peer's
+/// summary lands).
+const RHO_REFRESH: u32 = 64;
+
 /// Per-node configuration shared by all routers.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterConfig {
@@ -93,6 +98,8 @@ pub(crate) struct RouterConfig {
     pub me: u16,
     /// Cluster size.
     pub n: u16,
+    /// Message-complexity operating point (Eqn. 9).
+    pub target: TargetComplexity,
     /// Flow-control parameters.
     pub flow: FlowParams,
     /// The cluster's shared tables, one plan held by every node, and what
@@ -102,8 +109,6 @@ pub(crate) struct RouterConfig {
     pub sync_sent_interval: u32,
     /// ... or after this many local arrivals, whichever comes first.
     pub sync_arrival_interval: u32,
-    /// Recompute cached correlations every this many arrivals.
-    pub rho_refresh: u32,
 }
 
 impl RouterConfig {
@@ -307,7 +312,7 @@ impl Router {
     /// The message budget for one tuple: the configured operating point
     /// (Eqn. 9) times `scale`, within the feasible `[0, N−1]`.
     fn target(&self, scale: f64) -> f64 {
-        (self.cfg.flow.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64)
+        (self.cfg.target.target(self.cfg.n) * scale).clamp(0.0, (self.cfg.n - 1) as f64)
     }
 
     /// How far "no candidate anywhere" may suppress a tuple: the explore
@@ -447,9 +452,9 @@ impl Router {
     /// policy over the same summary queries, with fresh buffers, the
     /// allocating `flow` twins and no verdict cache. Two identically
     /// seeded routers — one routed, one reference-routed — must agree on
-    /// every peer set, fallback flag and RNG draw; the determinism suite
-    /// drives them in lockstep.
-    #[cfg(any(test, feature = "reference"))]
+    /// every peer set, fallback flag and RNG draw; `hotpath`'s lockstep
+    /// test drives them side by side.
+    #[cfg(test)]
     pub fn route_reference(
         &mut self,
         stream: StreamId,
@@ -457,7 +462,7 @@ impl Router {
         scale: f64,
         rng: &mut StdRng,
     ) -> Route {
-        use crate::flow::{forwarding_probabilities, sample_recipients};
+        use crate::flow::tests::{forwarding_probabilities, sample_recipients};
         let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
         if matches!(self.summary, Summary::None) {
             return Route {
@@ -516,7 +521,7 @@ impl Router {
         }
     }
 
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     fn fallback(&mut self, target: f64) -> Route {
         let mut out = Route::default();
         self.fallback_into(target, &mut out);
@@ -600,11 +605,11 @@ pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig
     RouterConfig {
         me,
         n,
+        target: TargetComplexity::default(),
         flow: FlowParams::default(),
         plan: Arc::new(Plan::new(key)),
         sync_sent_interval: 16,
         sync_arrival_interval: 64,
-        rho_refresh: 8,
     }
 }
 

@@ -9,7 +9,7 @@
 //! Sketch size is equalized to the DFT summary (`16·K` bytes), keeping the
 //! paper's 5:1 `s0:s1` ratio.
 
-use super::RouterConfig;
+use super::{RouterConfig, RHO_REFRESH};
 use crate::msg::SummaryPayload;
 use dsj_sketch::{AgmsHashes, AgmsSketch};
 use dsj_stream::StreamId;
@@ -18,12 +18,11 @@ use std::sync::Arc;
 /// AGMS-sketch summary state.
 #[derive(Debug)]
 pub(super) struct SketchSummary {
-    rho_refresh: u32,
     local: [AgmsSketch; 2],
     remote: Vec<[Option<AgmsSketch>; 2]>,
     /// Cached pairwise join-size estimates per peer per tuple stream,
     /// recomputed where stale: after a peer's sketch lands, and every
-    /// `rho_refresh` local arrivals.
+    /// `RHO_REFRESH` local arrivals.
     est: Vec<[Option<f64>; 2]>,
     est_stale: Vec<[bool; 2]>,
     arrivals_since_refresh: u32,
@@ -40,7 +39,6 @@ impl SketchSummary {
         let mk = || AgmsSketch::with_hashes(Arc::clone(hashes));
         let local = [mk(), mk()];
         SketchSummary {
-            rho_refresh: cfg.rho_refresh,
             group_means: Vec::with_capacity(local[0].s1()),
             local,
             remote: vec![[None, None]; n],
@@ -58,7 +56,7 @@ impl SketchSummary {
             self.local[s].update(u64::from(e), -1);
         }
         self.arrivals_since_refresh += 1;
-        if self.arrivals_since_refresh >= self.rho_refresh {
+        if self.arrivals_since_refresh >= RHO_REFRESH {
             self.arrivals_since_refresh = 0;
             for flags in &mut self.est_stale {
                 *flags = [true, true];

@@ -67,8 +67,8 @@ pub enum Selection {
 ///     .collect();
 /// let c = CompressedDft::from_signal(&signal, 4)?;
 /// assert!(c.mse(&signal) < 0.25);
-/// let ints = c.reconstruct_rounded();
-/// assert_eq!(ints, signal.iter().map(|&x| x as i64).collect::<Vec<_>>());
+/// // Every sample is recovered exactly by rounding.
+/// assert_eq!(c.stats(&signal).lossless_fraction, 1.0);
 /// # Ok::<(), dsj_dft::CompressionError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -212,15 +212,6 @@ impl CompressedDft {
         Fft::new(w).inverse_real(&spec)
     }
 
-    /// Reconstructs and rounds to the nearest integer — lossless whenever
-    /// the per-sample deviation is below 0.5 (Section 5.3).
-    pub fn reconstruct_rounded(&self) -> Vec<i64> {
-        self.reconstruct()
-            .into_iter()
-            .map(|x| x.round() as i64)
-            .collect()
-    }
-
     /// Per-sample squared reconstruction errors against `original`
     /// (the series plotted in Figure 5).
     ///
@@ -299,60 +290,6 @@ pub fn retained_for(w: usize, kappa: u32) -> usize {
     w.div_ceil(kappa as usize).max(1)
 }
 
-/// Expected MSE of a prefix compression computed *from the full spectrum*
-/// without reconstructing: by Parseval, the dropped bins' energy over `W²`.
-///
-/// `retained` counts prefix bins; their Hermitian mirrors are treated as
-/// retained too.
-///
-/// # Panics
-///
-/// Panics if `retained` is zero or exceeds the spectrum length.
-pub fn expected_mse_from_spectrum(spectrum: &[Complex64], retained: usize) -> f64 {
-    let w = spectrum.len();
-    assert!(retained > 0 && retained <= w, "retained must be in 1..=W");
-    let mut dropped_energy = 0.0;
-    for (k, z) in spectrum.iter().enumerate() {
-        let mirrored = k >= 1 && w - k < retained;
-        if k >= retained && !mirrored {
-            dropped_energy += z.norm_sqr();
-        }
-    }
-    dropped_energy / (w as f64 * w as f64)
-}
-
-/// Picks the largest power-of-two compression factor `κ` whose expected MSE
-/// stays below `threshold` (Section 5.3's tuning formula; used with
-/// `threshold = 0.25` to guarantee lossless rounding).
-///
-/// Returns 1 when even κ = 2 violates the threshold.
-///
-/// # Errors
-///
-/// Returns [`CompressionError::EmptySignal`] when `signal` is empty.
-pub fn choose_kappa(signal: &[f64], threshold: f64) -> Result<u32, CompressionError> {
-    if signal.is_empty() {
-        return Err(CompressionError::EmptySignal);
-    }
-    let w = signal.len();
-    let spectrum = Fft::new(w).forward_real(signal);
-    let mut best = 1u32;
-    let mut kappa = 2u32;
-    while (kappa as usize) <= w {
-        let k = retained_for(w, kappa);
-        if expected_mse_from_spectrum(&spectrum, k) < threshold {
-            best = kappa;
-        } else {
-            break;
-        }
-        match kappa.checked_mul(2) {
-            Some(next) => kappa = next,
-            None => break,
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,13 +330,8 @@ mod tests {
             })
             .collect();
         let c = CompressedDft::from_signal(&s, 8).unwrap();
-        let ints = c.reconstruct_rounded();
-        let exact: Vec<i64> = s.iter().map(|&x| x as i64).collect();
-        let mismatches = ints.iter().zip(&exact).filter(|(a, b)| a != b).count();
-        assert!(
-            mismatches < s.len() / 100,
-            "too many rounding mismatches: {mismatches}"
-        );
+        let lossless = c.stats(&s).lossless_fraction;
+        assert!(lossless > 0.99, "too many rounding mismatches: {lossless}");
     }
 
     #[test]
@@ -419,48 +351,6 @@ mod tests {
         assert_eq!(retained_for(1000, 256), 4);
         assert_eq!(retained_for(4, 256), 1);
         assert_eq!(retained_for(1 << 19, 256), 2048);
-    }
-
-    #[test]
-    fn expected_mse_matches_actual() {
-        let s = smooth_signal(256);
-        let spec = Fft::new(256).forward_real(&s);
-        for kappa in [2u32, 4, 16] {
-            let k = retained_for(256, kappa);
-            let predicted = expected_mse_from_spectrum(&spec, k);
-            let actual = CompressedDft::from_signal(&s, kappa).unwrap().mse(&s);
-            assert!(
-                (predicted - actual).abs() < 1e-6 * (1.0 + actual),
-                "κ={kappa}: predicted {predicted} vs actual {actual}"
-            );
-        }
-    }
-
-    #[test]
-    fn choose_kappa_respects_threshold() {
-        let s = smooth_signal(2048);
-        let kappa = choose_kappa(&s, 0.25).unwrap();
-        assert!(kappa >= 2, "smooth signal should compress at least 2x");
-        let mse = CompressedDft::from_signal(&s, kappa).unwrap().mse(&s);
-        assert!(mse < 0.25, "chosen κ={kappa} violates threshold: {mse}");
-    }
-
-    #[test]
-    fn choose_kappa_on_noise_is_conservative() {
-        // White-noise-like signal: little energy compaction.
-        let s: Vec<f64> = (0..512u64)
-            .map(|i| {
-                let mut x = i
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(0xDEAD_BEEF);
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^= x >> 29;
-                (x % 1000) as f64
-            })
-            .collect();
-        let kappa = choose_kappa(&s, 0.25).unwrap();
-        assert_eq!(kappa, 1, "incompressible signal must not be compressed");
     }
 
     #[test]
@@ -499,7 +389,6 @@ mod tests {
             CompressedDft::from_signal(&[], 2),
             Err(CompressionError::EmptySignal)
         );
-        assert_eq!(choose_kappa(&[], 0.25), Err(CompressionError::EmptySignal));
         assert!(CompressionError::ZeroKappa.to_string().contains("positive"));
     }
 

@@ -17,16 +17,13 @@
 ///
 /// let cv = ControlVector::paper_default();
 /// assert_eq!(cv.cost_reduction, 10.0);
-/// assert!(cv.completion_prob >= 0.95);
+/// assert!(cv.should_recompute(cv.recompute_interval));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlVector {
     /// Target factor by which amortized arithmetic is reduced relative to
     /// recomputing the full DFT on every tuple.
     pub cost_reduction: f64,
-    /// Modeled probability that the approximate (incremental) coefficients
-    /// are within tolerance when consumed between exact recomputations.
-    pub completion_prob: f64,
     /// Number of incremental updates between exact recomputations. `0`
     /// disables periodic recomputation entirely.
     pub recompute_interval: u64,
@@ -39,7 +36,6 @@ impl ControlVector {
     pub fn paper_default() -> Self {
         ControlVector {
             cost_reduction: 10.0,
-            completion_prob: 0.95,
             recompute_interval: 256,
         }
     }
@@ -48,7 +44,6 @@ impl ControlVector {
     pub fn never() -> Self {
         ControlVector {
             cost_reduction: f64::INFINITY,
-            completion_prob: 1.0,
             recompute_interval: 0,
         }
     }
@@ -95,7 +90,6 @@ mod tests {
     fn paper_default_matches_section4() {
         let cv = ControlVector::paper_default();
         assert_eq!(cv.cost_reduction, 10.0);
-        assert!((cv.completion_prob - 0.95).abs() < f64::EPSILON);
         assert!(cv.recompute_interval > 0);
     }
 
@@ -122,7 +116,6 @@ mod tests {
     fn should_recompute_threshold() {
         let cv = ControlVector {
             cost_reduction: 10.0,
-            completion_prob: 0.95,
             recompute_interval: 100,
         };
         assert!(!cv.should_recompute(99));

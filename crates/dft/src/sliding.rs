@@ -354,7 +354,6 @@ mod tests {
     fn control_vector_triggers_recompute() {
         let cv = ControlVector {
             cost_reduction: 10.0,
-            completion_prob: 0.95,
             recompute_interval: 50,
         };
         let mut sdft = SlidingDft::new(16, 4, ControlVector { ..cv });

@@ -170,20 +170,12 @@ impl ArrivalGen {
     }
 }
 
-impl Iterator for ArrivalGen {
-    type Item = Arrival;
-
-    fn next(&mut self) -> Option<Arrival> {
-        Some(self.next_arrival())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn gen(kind: WorkloadKind, seed: u64) -> ArrivalGen {
-        ArrivalGen::new(kind, Partitioner::uniform(4), 1 << 12, seed)
+        ArrivalGen::new(kind, Partitioner::geographic(4, 0.0), 1 << 12, seed)
     }
 
     #[test]

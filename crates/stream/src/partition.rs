@@ -5,59 +5,25 @@
 //! (Abstract). [`Partitioner::geographic`] models exactly that: each node
 //! "owns" a contiguous key range and receives mostly (but not only) tuples
 //! from its range, so different nodes' windows have correlated-but-distinct
-//! attribute distributions. The uniform partitioner reproduces the paper's
-//! worst case, where every node looks alike.
+//! attribute distributions. Locality 0 reproduces the paper's worst case,
+//! where every tuple lands on a uniformly random node and every node looks
+//! alike.
 
 use rand::Rng;
 
-/// Assignment policy of arriving tuples to nodes.
+/// Geographically skewed assignment of arriving tuples to nodes: node `i`
+/// owns the key range `[i·D/N, (i+1)·D/N)`, and a tuple lands on its range
+/// owner with probability `locality`, else on a uniformly random node.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Partitioner {
-    /// Every tuple lands on a uniformly random node.
-    Uniform {
-        /// Number of nodes.
-        nodes: u16,
-    },
-    /// Tuples cycle through nodes in order.
-    RoundRobin {
-        /// Number of nodes.
-        nodes: u16,
-        /// Next node to receive a tuple.
-        next: u16,
-    },
-    /// Each node owns the key range `[i·D/N, (i+1)·D/N)`. A tuple lands on
-    /// its range owner with probability `locality`, else on a random node.
-    Geographic {
-        /// Number of nodes.
-        nodes: u16,
-        /// Probability that a tuple lands on its key-range owner.
-        locality: f64,
-    },
+pub struct Partitioner {
+    /// Number of nodes.
+    nodes: u16,
+    /// Probability that a tuple lands on its key-range owner.
+    locality: f64,
 }
 
 impl Partitioner {
-    /// Uniformly random assignment over `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn uniform(nodes: u16) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        Partitioner::Uniform { nodes }
-    }
-
-    /// Cyclic assignment over `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn round_robin(nodes: u16) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        Partitioner::RoundRobin { nodes, next: 0 }
-    }
-
-    /// Geographically skewed assignment: key-range owner with probability
-    /// `locality`, random node otherwise.
+    /// Key-range owner with probability `locality`, random node otherwise.
     ///
     /// # Panics
     ///
@@ -68,7 +34,7 @@ impl Partitioner {
             (0.0..=1.0).contains(&locality),
             "locality must be a probability"
         );
-        Partitioner::Geographic { nodes, locality }
+        Partitioner { nodes, locality }
     }
 
     /// The node owning `key`'s range under the geographic layout.
@@ -78,27 +44,18 @@ impl Partitioner {
     }
 
     /// Assigns the node for a tuple with join attribute `key` drawn from
-    /// `[0, domain)`.
+    /// `[0, domain)`: one Bernoulli draw, plus one uniform draw when it
+    /// misses the owner.
     ///
     /// # Panics
     ///
     /// Panics if `key >= domain`.
     pub fn assign<R: Rng>(&mut self, key: u32, domain: u32, rng: &mut R) -> u16 {
         assert!(key < domain, "key outside attribute domain");
-        match self {
-            Partitioner::Uniform { nodes } => rng.gen_range(0..*nodes),
-            Partitioner::RoundRobin { nodes, next } => {
-                let n = *next;
-                *next = (*next + 1) % *nodes;
-                n
-            }
-            Partitioner::Geographic { nodes, locality } => {
-                if rng.gen_bool(*locality) {
-                    Self::range_owner(key, domain, *nodes)
-                } else {
-                    rng.gen_range(0..*nodes)
-                }
-            }
+        if rng.gen_bool(self.locality) {
+            Self::range_owner(key, domain, self.nodes)
+        } else {
+            rng.gen_range(0..self.nodes)
         }
     }
 }
@@ -108,25 +65,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut p = Partitioner::round_robin(3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let seq: Vec<u16> = (0..7).map(|_| p.assign(0, 10, &mut rng)).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn uniform_covers_all_nodes() {
-        let mut p = Partitioner::uniform(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            seen[p.assign(5, 10, &mut rng) as usize] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
 
     #[test]
     fn range_owner_partitions_domain_evenly() {
@@ -176,10 +114,30 @@ mod tests {
         }
     }
 
+    /// Every generated schedule, and so both recorded reproduction outputs,
+    /// is made of these draws: a change to how `assign` consumes the RNG
+    /// must show up here first.
+    #[test]
+    fn geographic_draw_sequence_is_pinned() {
+        let mut p = Partitioner::geographic(4, 0.8);
+        let mut rng = StdRng::seed_from_u64(0x9E0);
+        let nodes: Vec<u16> = (0..64u32)
+            .map(|i| p.assign(i * 37 % 100, 100, &mut rng))
+            .collect();
+        assert_eq!(
+            nodes,
+            [
+                0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 0, 1, 0, 2, 2, 3, 1, 2, 0, 3, 3, 0, 2, 3, 1, 2, 3,
+                1, 2, 0, 1, 3, 0, 2, 3, 3, 1, 0, 1, 3, 0, 2, 3, 1, 2, 0, 1, 3, 0, 2, 3, 0, 2, 3, 1,
+                2, 0, 1, 3, 0, 2, 1, 1
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "key outside attribute domain")]
     fn out_of_domain_key_rejected() {
-        let mut p = Partitioner::uniform(2);
+        let mut p = Partitioner::geographic(2, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
         p.assign(10, 10, &mut rng);
     }
@@ -187,6 +145,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one node")]
     fn zero_nodes_rejected() {
-        Partitioner::uniform(0);
+        Partitioner::geographic(0, 0.0);
     }
 }

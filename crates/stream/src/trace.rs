@@ -1,29 +1,15 @@
-//! Recording and replaying arrival traces.
+//! Replaying a fixed arrival sequence.
 //!
 //! The paper's FIN and NWRK workloads are *recorded* traces replayed into
-//! the system. This module gives the same capability: capture any
-//! generator's output to a compact binary file and replay it later —
-//! byte-identical across machines, so experiments on "real" data are
-//! reproducible without shipping the generator's parameters around.
-//!
-//! Format: a 16-byte header (`magic`, `version`, arrival count) followed
-//! by fixed 11-byte little-endian records
-//! `(stream: u8, key: u32, seq_delta: implicit, node: u16, pad: u32 -> key)`.
+//! the system. Here those workloads are generated, so a [`Trace`] is an
+//! arrival list held in memory — a generator's output or a hand-built
+//! schedule — that a cluster replays instead of generating its own.
 
 use crate::gen::Arrival;
-use crate::tuple::StreamId;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"DSJTRACE";
-const VERSION: u32 = 1;
-/// Bytes per record: stream (1) + key (4) + node (2).
-const RECORD_BYTES: usize = 7;
-
-/// A recorded sequence of arrivals.
+/// A fixed sequence of arrivals to replay.
 ///
-/// ```no_run
+/// ```
 /// use dsj_stream::gen::{ArrivalGen, WorkloadKind};
 /// use dsj_stream::partition::Partitioner;
 /// use dsj_stream::trace::Trace;
@@ -34,11 +20,9 @@ const RECORD_BYTES: usize = 7;
 ///     1 << 12,
 ///     7,
 /// );
-/// let trace = Trace::record(&mut gen, 10_000);
-/// trace.save("fin.trace")?;
-/// let replayed = Trace::load("fin.trace")?;
-/// assert_eq!(trace, replayed);
-/// # Ok::<(), std::io::Error>(())
+/// let trace = Trace::from_arrivals(gen.take_vec(1_000));
+/// assert_eq!(trace.len(), 1_000);
+/// assert!(trace.iter().all(|a| a.node < 4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
@@ -46,13 +30,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Records `n` arrivals from any arrival iterator.
-    pub fn record<I: Iterator<Item = Arrival>>(source: &mut I, n: usize) -> Self {
-        Trace {
-            arrivals: source.take(n).collect(),
-        }
-    }
-
     /// Wraps an existing arrival list.
     ///
     /// # Panics
@@ -66,99 +43,24 @@ impl Trace {
         Trace { arrivals }
     }
 
-    /// Number of recorded arrivals.
+    /// Number of arrivals.
     pub fn len(&self) -> usize {
         self.arrivals.len()
     }
 
-    /// `true` when nothing was recorded.
+    /// `true` when the trace holds no arrival.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
 
-    /// The recorded arrivals, in order.
+    /// The arrivals, in order.
     pub fn arrivals(&self) -> &[Arrival] {
         &self.arrivals
     }
 
-    /// Iterates over the recorded arrivals (replay).
+    /// Iterates over the arrivals (replay).
     pub fn iter(&self) -> impl Iterator<Item = Arrival> + '_ {
         self.arrivals.iter().copied()
-    }
-
-    /// Writes the trace to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from creating or writing the file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&(self.arrivals.len() as u64).to_le_bytes())?;
-        for a in &self.arrivals {
-            w.write_all(&[match a.stream {
-                StreamId::R => 0u8,
-                StreamId::S => 1u8,
-            }])?;
-            w.write_all(&a.key.to_le_bytes())?;
-            w.write_all(&a.node.to_le_bytes())?;
-        }
-        w.flush()
-    }
-
-    /// Reads a trace from `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or [`io::ErrorKind::InvalidData`] when the header or a
-    /// record is malformed.
-    pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a dsjoin trace file",
-            ));
-        }
-        let mut buf4 = [0u8; 4];
-        r.read_exact(&mut buf4)?;
-        let version = u32::from_le_bytes(buf4);
-        if version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported trace version {version}"),
-            ));
-        }
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf8)?;
-        let count = u64::from_le_bytes(buf8) as usize;
-        let mut arrivals = Vec::with_capacity(count.min(1 << 24));
-        let mut rec = [0u8; RECORD_BYTES];
-        for seq in 0..count as u64 {
-            r.read_exact(&mut rec)?;
-            let stream = match rec[0] {
-                0 => StreamId::R,
-                1 => StreamId::S,
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad stream tag {other}"),
-                    ))
-                }
-            };
-            let key = u32::from_le_bytes([rec[1], rec[2], rec[3], rec[4]]);
-            let node = u16::from_le_bytes([rec[5], rec[6]]);
-            arrivals.push(Arrival {
-                stream,
-                key,
-                seq,
-                node,
-            });
-        }
-        Ok(Trace { arrivals })
     }
 }
 
@@ -184,47 +86,6 @@ mod tests {
             1 << 12,
             seed,
         )
-    }
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("dsjoin-trace-test-{name}-{}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn record_and_replay_round_trip() {
-        let mut gen = sample_gen(1);
-        let trace = Trace::record(&mut gen, 1_000);
-        assert_eq!(trace.len(), 1_000);
-        let path = temp_path("roundtrip");
-        trace.save(&path).unwrap();
-        let loaded = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(trace, loaded);
-        // Replay order and contents.
-        for (a, b) in trace.iter().zip(loaded.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = temp_path("garbage");
-        std::fs::write(&path, b"definitely not a trace").unwrap();
-        let err = Trace::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let trace = Trace::default();
-        let path = temp_path("empty");
-        trace.save(&path).unwrap();
-        let loaded = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(loaded.is_empty());
     }
 
     #[test]

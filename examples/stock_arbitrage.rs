@@ -13,15 +13,21 @@
 //! ```
 
 use dsjoin::core::{Algorithm, ClusterConfig, TargetComplexity};
-use dsjoin::dft::compress::choose_kappa;
-use dsjoin::dft::CompressedDft;
+use dsjoin::dft::{CompressedDft, LOSSLESS_MSE_THRESHOLD};
 use dsjoin::stream::gen::{price_series, WorkloadKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Part 1: how compressible is a price stream? ==");
     // A day of tick-level prices for one symbol (cf. Figures 5/6).
     let ticks = price_series(65_536, 7, 480.0, 0.012);
-    let kappa = choose_kappa(&ticks, 0.25)?;
+    // Fig. 6's sweep: double κ while E[MSE] stays below the threshold
+    // under which rounding recovers the integer prices.
+    let mut kappa = 1u32;
+    while 2 * kappa as usize <= ticks.len()
+        && CompressedDft::from_signal(&ticks, 2 * kappa)?.mse(&ticks) < LOSSLESS_MSE_THRESHOLD
+    {
+        kappa *= 2;
+    }
     println!("ticks                : {}", ticks.len());
     println!("max lossless kappa   : {kappa}");
     let c = CompressedDft::from_signal(&ticks, kappa)?;

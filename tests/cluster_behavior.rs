@@ -230,22 +230,11 @@ fn report_exposes_load_imbalance() {
 
 #[test]
 fn replayed_trace_reproduces_generator_run() {
-    use dsjoin::stream::gen::{ArrivalGen, WorkloadKind};
-    use dsjoin::stream::partition::Partitioner;
     use dsjoin::stream::trace::Trace;
-    // A recorded trace replays byte-identically: same workload params give
-    // the same arrivals, so the same experiment report.
-    let mut gen = ArrivalGen::new(
-        WorkloadKind::Zipf { alpha: 0.4 },
-        Partitioner::geographic(4, 0.8),
-        1 << 10,
-        42,
-    );
-    let trace = Trace::record(&mut gen, 1_000);
-    let path = std::env::temp_dir().join(format!("dsjoin-it-{}.trace", std::process::id()));
-    trace.save(&path).expect("writable temp dir");
-    let loaded = Trace::load(&path).expect("readable trace");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(trace, loaded);
-    assert_eq!(loaded.len(), 1_000);
+    // The schedule a configuration generates, replayed as a trace, gives
+    // the same experiment report.
+    let cfg = quick(4, Algorithm::Dftt);
+    let trace = Trace::from_arrivals(cfg.arrivals());
+    assert_eq!(trace.len(), cfg.tuples);
+    assert_eq!(run(cfg.clone().with_trace(trace)), run(cfg));
 }

@@ -1,9 +1,10 @@
 //! Cross-crate pipeline tests: workloads → windows → DFT/sketch summaries,
 //! exercising the substrate crates together the way the join runtime does.
 
-use dsjoin::dft::compress::choose_kappa;
 use dsjoin::dft::sliding::PointDft;
-use dsjoin::dft::{cross_correlation_coefficient, CompressedDft, ControlVector, Fft};
+use dsjoin::dft::{
+    cross_correlation_coefficient, CompressedDft, ControlVector, Fft, LOSSLESS_MSE_THRESHOLD,
+};
 use dsjoin::sketch::{AgmsSketch, CountingBloomFilter};
 use dsjoin::stream::gen::{price_series, ArrivalGen, WorkloadKind};
 use dsjoin::stream::partition::Partitioner;
@@ -79,7 +80,7 @@ fn incremental_histogram_dft_matches_batch_over_workload() {
     let domain = 1usize << 10;
     let mut gen = ArrivalGen::new(
         WorkloadKind::Network,
-        Partitioner::round_robin(2),
+        Partitioner::geographic(2, 0.0),
         domain as u32,
         9,
     );
@@ -108,16 +109,22 @@ fn incremental_histogram_dft_matches_batch_over_workload() {
 #[test]
 fn price_stream_compression_end_to_end() {
     let ticks = price_series(16_384, 3, 300.0, 0.012);
-    let kappa = choose_kappa(&ticks, 0.25).expect("non-empty series");
+    let mse = |kappa| {
+        let c = CompressedDft::from_signal(&ticks, kappa).expect("valid kappa");
+        c.mse(&ticks)
+    };
+    // Fig. 6's sweep: the largest power-of-two κ whose E[MSE] stays below
+    // the lossless-rounding threshold.
+    let mut kappa = 1u32;
+    while 2 * kappa as usize <= ticks.len() && mse(2 * kappa) < LOSSLESS_MSE_THRESHOLD {
+        kappa *= 2;
+    }
     assert!(kappa >= 16, "tick data should compress well: kappa {kappa}");
     let c = CompressedDft::from_signal(&ticks, kappa).expect("valid kappa");
-    let recovered = c.reconstruct_rounded();
-    let exact: Vec<i64> = ticks.iter().map(|&x| x as i64).collect();
-    let mismatches = recovered.iter().zip(&exact).filter(|(a, b)| a != b).count();
+    let lossless = c.stats(&ticks).lossless_fraction;
     assert!(
-        (mismatches as f64) < 0.35 * ticks.len() as f64,
-        "{mismatches} of {} ticks lost",
-        ticks.len()
+        lossless > 0.65,
+        "only {lossless} of the ticks survive rounding"
     );
 }
 
