@@ -148,7 +148,6 @@ pub fn detector(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, RunEr
             .kappa(scale.figure_kappa())
             .flow(FlowParams {
                 uniform_cv_threshold: threshold,
-                ..FlowParams::default()
             })
             .seed(2007)
             .run()?;

@@ -17,7 +17,7 @@
 )]
 
 use dsj_dft::sliding::SlidingDft;
-use dsj_dft::{ControlVector, RealFft};
+use dsj_dft::{ControlVector, Fft};
 use dsj_sketch::AgmsSketch;
 use std::time::Instant;
 
@@ -49,13 +49,11 @@ pub fn run(windows: &[usize], updates: usize) -> Vec<Table1Row> {
         .map(|&w| {
             let signal: Vec<f64> = (0..w).map(|n| ((n * 31) % 1009) as f64).collect();
 
-            // DFT: full from-scratch transform of the window (real-input
-            // FFT, zero-padded to a power of two).
-            let plan = RealFft::new(w.next_power_of_two());
-            let mut padded = signal.clone();
-            padded.resize(w.next_power_of_two(), 0.0);
+            // DFT: full from-scratch transform of exactly the `W` window
+            // samples (radix-2 for a power of two, Bluestein otherwise).
+            let plan = Fft::new(w);
             let t0 = Instant::now();
-            let spec = plan.forward(&padded);
+            let spec = plan.forward_real(&signal);
             let dft_secs = t0.elapsed().as_secs_f64();
             std::hint::black_box(&spec);
 
@@ -98,9 +96,11 @@ mod tests {
 
     #[test]
     fn rows_cover_requested_windows() {
-        let rows = run(&[1 << 10, 1 << 12], 2_000);
-        assert_eq!(rows.len(), 2);
+        // 3 000 is no power of two: its transform goes through Bluestein.
+        let rows = run(&[1 << 10, 1 << 12, 3_000], 2_000);
+        assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].w, 1 << 10);
+        assert_eq!(rows[2].w, 3_000);
         for r in &rows {
             assert!(r.dft_secs >= 0.0);
             assert!(r.idft_secs > 0.0);

@@ -7,6 +7,9 @@ use std::fmt;
 pub enum RunError {
     /// Fewer than two nodes were requested — a distributed join needs peers.
     TooFewNodes(u16),
+    /// A zero compression factor: κ divides the domain into the retained
+    /// prefix, so it must be at least 1.
+    ZeroKappa,
     /// The compression factor exceeds the attribute domain (no coefficients
     /// would be retained).
     KappaTooLarge {
@@ -69,6 +72,7 @@ impl fmt::Display for RunError {
             RunError::TooFewNodes(n) => {
                 write!(f, "distributed join needs at least 2 nodes, got {n}")
             }
+            RunError::ZeroKappa => write!(f, "compression factor kappa must be at least 1"),
             RunError::KappaTooLarge { kappa, domain } => write!(
                 f,
                 "compression factor {kappa} exceeds attribute domain {domain}"
@@ -125,6 +129,7 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(RunError::TooFewNodes(1).to_string().contains("at least 2"));
+        assert!(RunError::ZeroKappa.to_string().contains("at least 1"));
         assert!(RunError::KappaTooLarge {
             kappa: 1024,
             domain: 256

@@ -54,20 +54,21 @@ pub struct FlowParams {
     /// correlations are considered indistinguishable (uniform-data worst
     /// case).
     pub uniform_cv_threshold: f64,
-    /// Probability of routing a tuple by flow probabilities even when a
-    /// membership test (DFTT/BLOOM) finds no candidate site — keeps the
-    /// summaries honest when they go stale.
-    pub explore: f64,
 }
 
 impl Default for FlowParams {
     fn default() -> Self {
         FlowParams {
             uniform_cv_threshold: 0.05,
-            explore: 0.05,
         }
     }
 }
+
+/// Probability of routing a tuple by flow probabilities even when a
+/// membership test (DFTT/BLOOM) finds no candidate site — keeps the
+/// summaries honest when they go stale. The floor of the router's explore
+/// probability, which relaxes toward 1 as the message budget grows.
+pub(crate) const EXPLORE: f64 = 0.05;
 
 /// Reusable scratch for [`forwarding_probabilities_into`] — callers on the
 /// per-tuple hot path keep one of these alive so the water-fill passes

@@ -248,6 +248,9 @@ impl ClusterConfig {
         if self.domain == 0 {
             return Err(RunError::ZeroDomain);
         }
+        if self.kappa == 0 {
+            return Err(RunError::ZeroKappa);
+        }
         if self.kappa > self.domain {
             return Err(RunError::KappaTooLarge {
                 kappa: self.kappa,
@@ -827,6 +830,11 @@ mod tests {
             quick(Algorithm::Dft).kappa(1 << 20).run().unwrap_err(),
             RunError::KappaTooLarge { .. }
         ));
+        // κ = 0 used to run as κ = 1 and report κ = 0.
+        assert_eq!(
+            quick(Algorithm::Dft).kappa(0).run().unwrap_err(),
+            RunError::ZeroKappa
+        );
         assert_eq!(
             quick(Algorithm::Dft).tuples(0).run().unwrap_err(),
             RunError::NoTuples

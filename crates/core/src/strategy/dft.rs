@@ -17,7 +17,7 @@ use super::{RouterConfig, RHO_REFRESH};
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
-use dsj_dft::{Complex64, ControlVector, PointwiseRecon, ReconRow};
+use dsj_dft::{Complex64, PointwiseRecon, ReconRow};
 use dsj_stream::StreamId;
 use std::sync::Arc;
 
@@ -79,9 +79,9 @@ impl DftSummary {
         let k = cfg.plan.key.retained.min(forward.len()).max(1);
         // Floating-point drift over experiment-scale update counts is
         // ~1e-11 of a count and cannot affect rounding decisions, so the
-        // summaries skip periodic exact recomputation; the control-vector
-        // trade-off itself is exercised by the Table 1 benchmarks.
-        let mk = || PointDft::with_twiddles(Arc::clone(forward), k, ControlVector::never());
+        // summaries are never recomputed exactly; the control-vector
+        // trade-off itself is Table 1's iDFT column.
+        let mk = || PointDft::with_twiddles(Arc::clone(forward), k);
         let recon_plan = inverse.map(|t| PointwiseRecon::with_twiddles(Arc::clone(t), k));
         let recon_row = recon_plan
             .as_ref()

@@ -33,7 +33,7 @@ pub(crate) use plan::{Plan, PlanKey, Tables};
 
 use crate::flow::{
     detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowParams, FlowScratch,
-    RoundRobin, TargetComplexity,
+    RoundRobin, TargetComplexity, EXPLORE,
 };
 use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
@@ -321,7 +321,7 @@ impl Router {
     /// `T = 1` suppression is the whole win.
     fn explore_probability(&self, target: f64) -> f64 {
         let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
-        (self.cfg.flow.explore + frac * (1.0 - self.cfg.flow.explore)).min(1.0)
+        (EXPLORE + frac * (1.0 - EXPLORE)).min(1.0)
     }
 
     /// Allocating convenience over [`Router::route_into`] for unit tests.

@@ -136,8 +136,7 @@ mod tests {
             else {
                 panic!("DFTT plans hold both tables")
             };
-            let mut shared =
-                PointDft::with_twiddles(Arc::clone(forward), k, ControlVector::never());
+            let mut shared = PointDft::with_twiddles(Arc::clone(forward), k);
             let mut own = PointDft::new(d, k, ControlVector::never());
             for (index, delta) in updates(d, 10_000) {
                 shared.add(index, delta as f64);

@@ -69,7 +69,8 @@ const MAX_BLOOM_HASHES: usize = 256;
 /// decoding arbitrary bytes can return any of these but can never panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The input ended mid-frame or mid-field.
+    /// The input ended before the frame its length prefix announces:
+    /// "need more bytes".
     Truncated,
     /// The length prefix exceeds [`MAX_FRAME_BODY`].
     FrameTooLarge(usize),
@@ -192,7 +193,9 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
 /// # Errors
 ///
 /// [`WireError::Truncated`] when `bytes` holds less than one whole frame;
-/// any other [`WireError`] for structurally invalid content.
+/// any other [`WireError`] for structurally invalid content, including a
+/// whole frame whose body ends mid-field. A length prefix over
+/// [`MAX_FRAME_BODY`] is refused from the prefix alone.
 pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
     let prefix = bytes.get(..4).ok_or(WireError::Truncated)?;
     let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
@@ -200,24 +203,13 @@ pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
         return Err(WireError::FrameTooLarge(len));
     }
     let body = bytes.get(4..4 + len).ok_or(WireError::Truncated)?;
-    let msg = decode_body(body)?;
-    Ok((msg, 4 + len))
-}
-
-/// Decodes a frame *body* (everything after the length prefix): the
-/// entry point for transports that read the prefix themselves.
-///
-/// # Errors
-///
-/// Any [`WireError`] for invalid content; never panics.
-pub fn decode_body(body: &[u8]) -> Result<Msg, WireError> {
     let mut r = Reader::new(body);
     let ver_kind = r.u8()?;
     let version = ver_kind >> 4;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    match ver_kind & 0x0F {
+    let msg = match ver_kind & 0x0F {
         KIND_TUPLE => {
             let stream = decode_stream(r.u8()?)?;
             let key = r.u32()?;
@@ -227,24 +219,29 @@ pub fn decode_body(body: &[u8]) -> Result<Msg, WireError> {
             while !r.is_empty() {
                 piggyback.push(decode_payload(&mut r)?);
             }
-            Ok(Msg::Tuple {
+            Msg::Tuple {
                 tuple: Tuple::new(stream, key, seq, origin),
                 piggyback,
-            })
+            }
         }
         KIND_SUMMARY => {
             let mut payloads = Vec::new();
             while !r.is_empty() {
                 payloads.push(decode_payload(&mut r)?);
             }
-            Ok(Msg::Summary(payloads))
+            Msg::Summary(payloads)
         }
-        kind => Err(WireError::BadKind(kind)),
-    }
+        kind => return Err(WireError::BadKind(kind)),
+    };
+    Ok((msg, 4 + len))
 }
 
-/// Bounds-checked little-endian cursor over a frame body. Every getter
-/// returns [`WireError::Truncated`] past the end — no indexing, no panics.
+/// A whole frame's body ran out before its content did: corruption, not a
+/// request for more bytes — the frame's length prefix has been honoured.
+const BODY_ENDS: WireError = WireError::Invalid("frame body ends mid-field");
+
+/// Bounds-checked little-endian cursor over a whole frame body. Every
+/// getter returns [`BODY_ENDS`] past the end — no indexing, no panics.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -264,8 +261,8 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
+        let end = self.pos.checked_add(n).ok_or(BODY_ENDS)?;
+        let slice = self.bytes.get(self.pos..end).ok_or(BODY_ENDS)?;
         self.pos = end;
         Ok(slice)
     }
@@ -311,7 +308,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
                 .checked_mul(CoeffUpdate::WIRE_BYTES)
                 .ok_or(WireError::Invalid("coefficient count overflows"))?;
             if r.remaining() < need {
-                return Err(WireError::Truncated);
+                return Err(BODY_ENDS);
             }
             let mut updates = Vec::with_capacity(count);
             for _ in 0..count {
@@ -341,7 +338,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
                 return Err(WireError::Invalid("bloom hash count out of range"));
             }
             if r.remaining() < m * 4 {
-                return Err(WireError::Truncated);
+                return Err(BODY_ENDS);
             }
             let mut counters = Vec::with_capacity(m);
             for _ in 0..m {
@@ -367,7 +364,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
                 .checked_mul(8)
                 .ok_or(WireError::Invalid("sketch dimensions overflow"))?;
             if r.remaining() < need {
-                return Err(WireError::Truncated);
+                return Err(BODY_ENDS);
             }
             let mut counters = Vec::with_capacity(cells);
             for _ in 0..cells {
@@ -438,21 +435,16 @@ impl FrameBatch {
 }
 
 /// Incremental frame reassembly over a byte stream delivered in arbitrary
-/// chunks (the read side of a TCP connection, a proxy buffer, ...).
+/// chunks (the read side of a TCP connection).
 ///
-/// Feed bytes as they arrive; [`FrameDecoder::next_msg`] yields complete
-/// messages and buffers partial frames internally. Consumed frames are
-/// compacted away, so the buffer holds at most one partial frame plus
-/// whatever complete frames have not been drained yet.
-///
-/// For high-rate socket readers, [`FrameDecoder::feed_decode`] decodes
-/// complete frames straight out of the caller's read chunk without
-/// copying them into the internal buffer first — only a trailing partial
-/// frame (or the completion of one buffered earlier) is staged.
+/// [`FrameDecoder::feed_decode`] decodes every frame wholly inside a chunk
+/// straight out of the caller's bytes. Only a frame split across chunks is
+/// staged, and only the bytes it still lacks are copied.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    start: usize,
+    /// The bytes received so far of a frame split across chunks; empty
+    /// between frames.
+    staged: Vec<u8>,
 }
 
 impl FrameDecoder {
@@ -461,72 +453,27 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Appends newly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `start` was consumed.
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extracts the next complete message, if one is buffered.
-    ///
-    /// `Ok(None)` means "need more bytes"; a fed-in partial frame is not an
-    /// error until the stream ends.
+    /// The staged frame's total length, prefix included, as far as the
+    /// staged bytes tell: 4 until its length prefix is whole.
     ///
     /// # Errors
     ///
-    /// Any non-`Truncated` [`WireError`] for corrupt buffered content. The
-    /// decoder does not resynchronize after an error — a framed stream has
-    /// no recovery point — so callers should drop the connection.
-    pub fn next_msg(&mut self) -> Result<Option<Msg>, WireError> {
-        match decode(&self.buf[self.start..]) {
-            Ok((msg, consumed)) => {
-                self.start += consumed;
-                Ok(Some(msg))
-            }
-            Err(WireError::Truncated) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded message.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// How many more bytes the buffered partial frame needs before it can
-    /// decode, or 0 when nothing (or only unparseable garbage) is staged.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::FrameTooLarge`] when the staged length prefix exceeds
+    /// [`WireError::FrameTooLarge`] when the prefix exceeds
     /// [`MAX_FRAME_BODY`] — corruption, not a request for more bytes.
-    fn staged_deficit(&self) -> Result<usize, WireError> {
-        let pending = self.pending_bytes();
-        if pending == 0 {
-            return Ok(0);
-        }
-        if pending < 4 {
-            return Ok(4 - pending);
-        }
-        let p = &self.buf[self.start..self.start + 4];
+    fn staged_frame_len(&self) -> Result<usize, WireError> {
+        let Some(p) = self.staged.get(..4) else {
+            return Ok(4);
+        };
         let len = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
         if len > MAX_FRAME_BODY {
             return Err(WireError::FrameTooLarge(len));
         }
-        Ok((4 + len).saturating_sub(pending))
+        Ok(4 + len)
     }
 
     /// Streams `bytes` through the decoder, handing every complete message
-    /// to `sink` *without* copying complete frames into the internal
-    /// buffer: a frame wholly contained in `bytes` decodes in place, and
-    /// only a trailing partial frame (or the bytes completing one staged
-    /// by an earlier call) is buffered. This removes the per-chunk
-    /// `memcpy` and buffer churn of the [`FrameDecoder::feed`] +
-    /// [`FrameDecoder::next_msg`] path on the socket-reader hot loop.
+    /// to `sink` in order. A frame staged by an earlier call is completed
+    /// first; a trailing partial frame is staged for the next call.
     ///
     /// `sink` returns `false` to stop consuming (the receiving side is
     /// gone); the decoder then returns `Ok(false)` and drops the rest of
@@ -535,31 +482,35 @@ impl FrameDecoder {
     ///
     /// # Errors
     ///
-    /// Any non-`Truncated` [`WireError`] for corrupt content, exactly as
-    /// [`FrameDecoder::next_msg`]; the decoder does not resynchronize.
+    /// Any [`WireError`] but [`WireError::Truncated`] (which only means
+    /// "need more bytes") for corrupt content, including a length prefix
+    /// over [`MAX_FRAME_BODY`], refused before anything is staged for it.
+    /// Errors are fatal: a framed stream has no recovery point, so the
+    /// decoder does not resynchronize and callers should drop the
+    /// connection.
     pub fn feed_decode(
         &mut self,
         bytes: &[u8],
         sink: &mut dyn FnMut(Msg) -> bool,
     ) -> Result<bool, WireError> {
         let mut rest = bytes;
-        // Finish a frame staged by an earlier chunk first: copy only the
-        // bytes it still needs, never the whole new chunk.
-        while self.pending_bytes() > 0 && !rest.is_empty() {
-            let deficit = self.staged_deficit()?;
-            let take = deficit.min(rest.len()).max(1);
-            self.feed(&rest[..take]);
-            rest = &rest[take..];
-            while let Some(msg) = self.next_msg()? {
-                if !sink(msg) {
-                    return Ok(false);
+        while !self.staged.is_empty() {
+            let need = self.staged_frame_len()?;
+            if self.staged.len() < need {
+                if rest.is_empty() {
+                    return Ok(true); // chunk exhausted mid-frame
                 }
+                let take = (need - self.staged.len()).min(rest.len());
+                self.staged.extend_from_slice(&rest[..take]);
+                rest = &rest[take..];
+                continue;
+            }
+            let (msg, _) = decode(&self.staged)?;
+            self.staged.clear();
+            if !sink(msg) {
+                return Ok(false);
             }
         }
-        if self.pending_bytes() > 0 {
-            return Ok(true); // chunk exhausted mid-frame
-        }
-        // Complete frames decode straight out of the caller's chunk.
         while !rest.is_empty() {
             match decode(rest) {
                 Ok((msg, consumed)) => {
@@ -569,7 +520,7 @@ impl FrameDecoder {
                     }
                 }
                 Err(WireError::Truncated) => {
-                    self.feed(rest);
+                    self.staged.extend_from_slice(rest);
                     return Ok(true);
                 }
                 Err(e) => return Err(e),
@@ -783,26 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_decoder_reassembles_chunks() {
-        let msgs = sample_msgs();
-        let mut stream = Vec::new();
-        for m in &msgs {
-            encode_into(m, &mut stream);
-        }
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for chunk in stream.chunks(3) {
-            dec.feed(chunk);
-            while let Some(m) = dec.next_msg().unwrap() {
-                got.push(m);
-            }
-        }
-        assert_eq!(got, msgs);
-        assert_eq!(dec.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn feed_decode_matches_feed_next_msg_for_every_chunking() {
+    fn feed_decode_reassembles_every_chunking() {
         let msgs = sample_msgs();
         let mut stream = Vec::new();
         for m in &msgs {
@@ -821,7 +753,7 @@ mod tests {
                 assert!(complete);
             }
             assert_eq!(got, msgs, "chunk_len {chunk_len}");
-            assert_eq!(dec.pending_bytes(), 0);
+            assert!(dec.staged.is_empty());
         }
     }
 
@@ -844,7 +776,7 @@ mod tests {
             })
             .unwrap());
         assert_eq!(got.len(), 2);
-        assert!(dec.pending_bytes() > 0 && dec.pending_bytes() < msgs[2].wire_bytes());
+        assert!(!dec.staged.is_empty() && dec.staged.len() < msgs[2].wire_bytes());
         assert!(dec
             .feed_decode(&stream[cut..], &mut |m| {
                 got.push(m);
@@ -852,7 +784,7 @@ mod tests {
             })
             .unwrap());
         assert_eq!(got, msgs[..3]);
-        assert_eq!(dec.pending_bytes(), 0);
+        assert!(dec.staged.is_empty());
     }
 
     #[test]
@@ -897,28 +829,33 @@ mod tests {
         // Oversized staged prefix is corruption, not a byte request.
         let mut dec = FrameDecoder::new();
         let huge = ((MAX_FRAME_BODY + 1) as u32).to_le_bytes();
-        dec.feed(&huge[..2]);
+        assert!(dec.feed_decode(&huge[..2], &mut |_| true).unwrap());
         assert_eq!(
             dec.feed_decode(&huge[2..], &mut |_| true).unwrap_err(),
             WireError::FrameTooLarge(MAX_FRAME_BODY + 1)
         );
+        assert_eq!(dec.staged.len(), 4);
     }
 
     #[test]
-    fn feed_decode_interoperates_with_feed() {
-        // Stage a partial frame with `feed`, then continue via feed_decode.
-        let msgs = sample_msgs();
-        let bytes = encode(&msgs[2]);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes[..7]);
-        let mut got = Vec::new();
-        assert!(dec
-            .feed_decode(&bytes[7..], &mut |m| {
-                got.push(m);
-                true
-            })
-            .unwrap());
-        assert_eq!(got, vec![msgs[2].clone()]);
+    fn a_whole_frame_that_ends_mid_field_is_corrupt_not_truncated() {
+        // A one-byte tuple body, and an empty body: the length prefix is
+        // honoured, so more bytes cannot help. Both used to read as
+        // `Truncated`, and the decoder staged the rest of the stream behind
+        // them.
+        let good = encode(&sample_msgs()[0]);
+        for short in [vec![1, 0, 0, 0, VERSION << 4], vec![0, 0, 0, 0]] {
+            assert_eq!(decode(&short).unwrap_err(), BODY_ENDS);
+            let mut stream = short.clone();
+            stream.extend_from_slice(&good);
+            for chunk_len in [1, stream.len()] {
+                let mut dec = FrameDecoder::new();
+                let err = stream
+                    .chunks(chunk_len)
+                    .find_map(|c| dec.feed_decode(c, &mut |_| true).err());
+                assert_eq!(err, Some(BODY_ENDS), "{short:?} by {chunk_len}");
+            }
+        }
     }
 
     #[test]

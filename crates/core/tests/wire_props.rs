@@ -144,6 +144,7 @@ proptest! {
         coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
         counters in prop::collection::vec(0u32..1 << 30, 24..25),
         chunk_sizes in prop::collection::vec(1usize..13, 8..64),
+        tail_selector in 0u8..6,
     ) {
         let msgs: Vec<Msg> = selectors
             .iter()
@@ -158,22 +159,39 @@ proptest! {
             wire::encode_into(m, &mut stream_bytes);
         }
         // Split the byte stream at arbitrary boundaries (cycling through
-        // the generated chunk sizes) and feed the pieces one at a time.
+        // 1, 2, 3 — splits inside a length prefix — and the generated chunk
+        // sizes) and feed the pieces one at a time.
+        let sizes: Vec<usize> = [1, 2, 3].into_iter().chain(chunk_sizes).collect();
         let mut decoder = FrameDecoder::new();
         let mut decoded = Vec::new();
         let mut pos = 0;
         let mut i = 0;
         while pos < stream_bytes.len() {
-            let take = chunk_sizes[i % chunk_sizes.len()].min(stream_bytes.len() - pos);
+            let take = sizes[i % sizes.len()].min(stream_bytes.len() - pos);
             i += 1;
-            decoder.feed(&stream_bytes[pos..pos + take]);
+            let whole = decoder
+                .feed_decode(&stream_bytes[pos..pos + take], &mut |msg| {
+                    decoded.push(msg);
+                    true
+                })
+                .expect("uncorrupted stream");
+            prop_assert!(whole);
             pos += take;
-            while let Some(msg) = decoder.next_msg().expect("uncorrupted stream") {
-                decoded.push(msg);
-            }
         }
         prop_assert_eq!(&decoded, &msgs);
-        prop_assert_eq!(decoder.pending_bytes(), 0);
+        // Nothing stayed staged: one more frame comes out alone.
+        let tail = build_msg(
+            tail_selector, stream, key, seq, origin, signal_len, seed, k, (s0, s1),
+            &coeffs, &counters,
+        );
+        decoded.clear();
+        decoder
+            .feed_decode(&wire::encode(&tail), &mut |msg| {
+                decoded.push(msg);
+                true
+            })
+            .expect("uncorrupted frame");
+        prop_assert_eq!(decoded, vec![tail]);
     }
 
     #[test]
@@ -201,10 +219,18 @@ proptest! {
         // Any strict prefix decodes to Truncated — never to a wrong
         // message, never to a panic.
         prop_assert_eq!(wire::decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
-        // A FrameDecoder holding the prefix reports "need more bytes".
+        // A FrameDecoder fed the prefix reports "need more bytes", and the
+        // rest of the frame completes it.
         let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes[..cut]);
-        prop_assert_eq!(decoder.next_msg().expect("truncation is not fatal"), None);
+        let mut decoded = Vec::new();
+        let mut sink = |m: Msg| {
+            decoded.push(m);
+            true
+        };
+        let whole = decoder.feed_decode(&bytes[..cut], &mut sink);
+        prop_assert!(whole.expect("truncation is not fatal"));
+        prop_assert!(decoder.feed_decode(&bytes[cut..], &mut sink).expect("valid frame"));
+        prop_assert_eq!(decoded, vec![msg]);
     }
 
     #[test]
@@ -253,19 +279,32 @@ proptest! {
             // frame re-encodes to exactly the consumed bytes.
             prop_assert_eq!(wire::encode(&msg), &bytes[..consumed]);
         }
-        // Same through the incremental decoder, fed a byte at a time.
-        let mut decoder = FrameDecoder::new();
-        for b in &bytes {
-            decoder.feed(std::slice::from_ref(b));
-            if decoder.next_msg().is_err() {
-                break; // fatal corruption is sticky, not a panic
+        // Through the incremental decoder, fed a byte at a time (every
+        // frame staged) and all at once (every frame decoded in place): the
+        // same messages, then the same verdict.
+        let feed = |chunk_len: usize| {
+            let mut decoder = FrameDecoder::new();
+            let mut decoded = Vec::new();
+            let mut verdict = Ok(true);
+            for chunk in bytes.chunks(chunk_len.max(1)) {
+                verdict = decoder.feed_decode(chunk, &mut |m| {
+                    decoded.push(m);
+                    true
+                });
+                if verdict.is_err() {
+                    break; // fatal corruption ends the stream, not a panic
+                }
             }
-        }
+            (decoded, verdict)
+        };
+        let (one_at_a_time, verdict) = feed(1);
+        prop_assert_ne!(verdict, Err(WireError::Truncated));
+        prop_assert_eq!((one_at_a_time, verdict), feed(bytes.len()));
     }
 
     #[test]
     fn oversized_frames_are_rejected_without_allocation(
-        claimed in (1u32 << 24)..u32::MAX,
+        claimed in ((1u32 << 24) + 1)..u32::MAX,
     ) {
         // A length prefix over MAX_FRAME_BODY is rejected from the prefix
         // alone — decode never trusts it enough to allocate.
@@ -275,8 +314,14 @@ proptest! {
             wire::decode(&bytes).unwrap_err(),
             WireError::FrameTooLarge(claimed as usize)
         );
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bytes);
-        prop_assert!(decoder.next_msg().is_err());
+        // The decoder refuses it as soon as the prefix is whole, whether
+        // the prefix arrives at once or split across reads.
+        for chunk_len in [1, 2, 3, bytes.len()] {
+            let mut decoder = FrameDecoder::new();
+            let err = bytes
+                .chunks(chunk_len)
+                .find_map(|c| decoder.feed_decode(c, &mut |_| true).err());
+            prop_assert_eq!(err, Some(WireError::FrameTooLarge(claimed as usize)));
+        }
     }
 }

@@ -232,84 +232,6 @@ fn radix2(buf: &mut [Complex64], twiddles: &[Complex64], rev: &[u32]) {
     }
 }
 
-/// A specialized transform for *real* input of even length `N`: packs the
-/// signal into an `N/2`-point complex FFT and untangles the spectrum,
-/// roughly halving the work of [`Fft::forward_real`].
-///
-/// ```
-/// use dsj_dft::fft::RealFft;
-///
-/// let x: Vec<f64> = (0..32).map(|n| (n as f64 * 0.7).sin()).collect();
-/// let fast = RealFft::new(32).forward(&x);
-/// let reference = dsj_dft::Fft::new(32).forward_real(&x);
-/// for (a, b) in fast.iter().zip(&reference) {
-///     assert!((*a - *b).abs() < 1e-9);
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct RealFft {
-    len: usize,
-    half: Fft,
-    /// `e^{-2πi·k/N}` for `k < N/2`.
-    twiddles: Vec<Complex64>,
-}
-
-impl RealFft {
-    /// Creates a plan for real transforms of even length `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is odd or zero.
-    pub fn new(len: usize) -> Self {
-        assert!(
-            len > 0 && len.is_multiple_of(2),
-            "real FFT needs a positive even length"
-        );
-        let twiddles = (0..len / 2)
-            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / len as f64))
-            .collect();
-        RealFft {
-            len,
-            half: Fft::new(len / 2),
-            twiddles,
-        }
-    }
-
-    /// Forward DFT of a real signal, returning the full `N`-bin spectrum
-    /// (the upper half is the Hermitian mirror, included for drop-in
-    /// compatibility with [`Fft::forward_real`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()`.
-    pub fn forward(&self, input: &[f64]) -> Vec<Complex64> {
-        assert_eq!(input.len(), self.len, "input length must match plan");
-        let m = self.len / 2;
-        // Pack even samples into the real part, odd into the imaginary.
-        let packed: Vec<Complex64> = (0..m)
-            .map(|n| Complex64::new(input[2 * n], input[2 * n + 1]))
-            .collect();
-        let z = self.half.forward(&packed);
-        let mut spec = vec![Complex64::ZERO; self.len];
-        for k in 0..m {
-            let zk = z[k];
-            let zmk = if k == 0 { z[0] } else { z[m - k] }.conj();
-            // Even/odd sub-spectra of the original signal.
-            let even = (zk + zmk).scale(0.5);
-            let odd = (zk - zmk) * Complex64::new(0.0, -0.5);
-            spec[k] = even + self.twiddles[k] * odd;
-            if k == 0 {
-                // Nyquist bin: even(0) - odd(0), both real here.
-                spec[m] = even - odd;
-            }
-        }
-        for k in 1..m {
-            spec[self.len - k] = spec[k].conj();
-        }
-        spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,34 +369,5 @@ mod tests {
     #[should_panic(expected = "input length must match plan")]
     fn length_mismatch_panics() {
         Fft::new(8).forward(&[Complex64::ZERO; 4]);
-    }
-
-    #[test]
-    fn real_fft_matches_complex_path() {
-        for n in [2usize, 4, 16, 64, 30] {
-            let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-            let fast = RealFft::new(n).forward(&x);
-            let reference = Fft::new(n).forward_real(&x);
-            for (k, (a, b)) in fast.iter().zip(&reference).enumerate() {
-                assert!((*a - *b).abs() < 1e-8, "n={n} bin {k}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn real_fft_round_trips_through_inverse() {
-        let n = 128;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() * 5.0).collect();
-        let spec = RealFft::new(n).forward(&x);
-        let back = Fft::new(n).inverse_real(&spec);
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "real FFT needs a positive even length")]
-    fn real_fft_rejects_odd_lengths() {
-        RealFft::new(7);
     }
 }

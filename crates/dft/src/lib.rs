@@ -51,7 +51,7 @@ pub use complex::Complex64;
 pub use compress::{CompressedDft, CompressionError, ReconstructionStats, Selection};
 pub use control::ControlVector;
 pub use dft::dft_direct;
-pub use fft::{Fft, RealFft};
+pub use fft::Fft;
 pub use recon::{PointwiseRecon, ReconRow};
 pub use sliding::SlidingDft;
 pub use spectrum::cross_correlation_coefficient;

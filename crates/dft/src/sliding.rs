@@ -12,8 +12,10 @@
 //!   `δ·e^{-2πikv/D}`.
 //!
 //! Both accumulate floating-point drift on the order of 1e-16 per
-//! coefficient per update and therefore support exact recomputation driven
-//! by a [`ControlVector`].
+//! coefficient per update. [`SlidingDft`] bounds it by exact recomputation
+//! driven by a [`ControlVector`] (Section 4, Table 1's iDFT column);
+//! [`PointDft`] is never recomputed: over an experiment's updates its drift
+//! stays near 1e-11 of a count, too small to move a rounded bucket.
 
 use crate::complex::Complex64;
 use crate::control::ControlVector;
@@ -153,7 +155,8 @@ impl SlidingDft {
 /// Used by the join algorithms to maintain the DFT of the join attribute's
 /// *frequency histogram* over its domain: when a tuple with value `v`
 /// arrives (or is evicted), the histogram changes by ±1 at index `v` and
-/// every tracked coefficient absorbs `±e^{-2πikv/D}`.
+/// every tracked coefficient absorbs `±e^{-2πikv/D}`. The coefficients are
+/// only ever updated incrementally, never recomputed.
 ///
 /// ```
 /// use dsj_dft::{sliding::PointDft, ControlVector};
@@ -174,8 +177,6 @@ pub struct PointDft {
     // per-update loop does no trig. Shared by every `PointDft` built over
     // the same table; a clone shares it too.
     twiddle: Arc<[Complex64]>,
-    control: ControlVector,
-    updates_since_recompute: u64,
     total_updates: u64,
 }
 
@@ -183,11 +184,22 @@ impl PointDft {
     /// Creates a point-update DFT over a vector of length `domain`,
     /// tracking the first `k` coefficients.
     ///
+    /// `control` must be [`ControlVector::never`]: a `PointDft` is never
+    /// recomputed. The parameter is an adapter shim for `benches/e2e`,
+    /// which still spells `PointDft::new(d, k, ControlVector::never())`;
+    /// ROADMAP item 1(d) retires it together with the benchmark's spelling.
+    ///
     /// # Panics
     ///
-    /// Panics if `domain == 0` or `k == 0` or `k > domain`.
+    /// Panics if `domain == 0` or `k == 0` or `k > domain`, or if
+    /// `control` asks for periodic recomputation
+    /// (`control.recompute_interval != 0`).
     pub fn new(domain: usize, k: usize, control: ControlVector) -> Self {
-        Self::with_twiddles(Self::twiddles(domain), k, control)
+        assert!(
+            control.recompute_interval == 0,
+            "a PointDft is never recomputed; pass ControlVector::never()"
+        );
+        Self::with_twiddles(Self::twiddles(domain), k)
     }
 
     /// The rotation table of a point-update DFT over a vector of length
@@ -209,7 +221,7 @@ impl PointDft {
     /// # Panics
     ///
     /// Panics if the table is empty or `k == 0` or `k > twiddles.len()`.
-    pub fn with_twiddles(twiddles: Arc<[Complex64]>, k: usize, control: ControlVector) -> Self {
+    pub fn with_twiddles(twiddles: Arc<[Complex64]>, k: usize) -> Self {
         let domain = twiddles.len();
         assert!(domain > 0, "domain must be positive");
         assert!(
@@ -221,8 +233,6 @@ impl PointDft {
             coeffs: vec![Complex64::ZERO; k],
             domain,
             twiddle: twiddles,
-            control: control.with_window(domain, k),
-            updates_since_recompute: 0,
             total_updates: 0,
         }
     }
@@ -264,34 +274,6 @@ impl PointDft {
             }
         }
         self.total_updates += 1;
-        self.updates_since_recompute += 1;
-        if self.control.should_recompute(self.updates_since_recompute) {
-            // The exact recompute allocates (FFT scratch); it is amortized
-            // over the drift-control interval.
-            self.recompute();
-        }
-    }
-
-    /// Recomputes the tracked coefficients exactly, clearing drift.
-    pub fn recompute(&mut self) {
-        if self.coeffs.len() as f64 >= (self.domain as f64).log2() {
-            let spec = Fft::new(self.domain).forward_real(&self.values);
-            let k = self.coeffs.len();
-            self.coeffs.copy_from_slice(&spec[..k]);
-        } else {
-            for (k, c) in self.coeffs.iter_mut().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (n, &x) in self.values.iter().enumerate() {
-                    // Exact test on purpose: only true zeros can be skipped
-                    // without changing the sum.
-                    if x != 0.0 {
-                        acc += self.twiddle[(k * n) % self.domain].scale(x);
-                    }
-                }
-                *c = acc;
-            }
-        }
-        self.updates_since_recompute = 0;
     }
 }
 
@@ -442,6 +424,12 @@ mod tests {
     fn point_dft_bounds_checked() {
         let mut pd = PointDft::new(4, 2, ControlVector::never());
         pd.add(4, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a PointDft is never recomputed")]
+    fn point_dft_refuses_a_recomputing_control_vector() {
+        PointDft::new(16, 4, ControlVector::paper_default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
-use dsj_dft::{CompressedDft, ControlVector, Fft, RealFft, Selection, SlidingDft};
+use dsj_dft::{CompressedDft, ControlVector, Fft, Selection, SlidingDft};
 use proptest::prelude::*;
 
 proptest! {
@@ -42,21 +42,6 @@ proptest! {
         let spec = Fft::new(domain).forward_real(&vec);
         for (a, b) in pd.coefficients().iter().zip(spec.iter()) {
             prop_assert!((*a - *b).abs() < 1e-6 * (1.0 + b.abs()));
-        }
-    }
-
-    /// RealFft agrees with the generic complex path on any even length.
-    #[test]
-    fn real_fft_agrees(
-        half in 1usize..64,
-        seedvals in prop::collection::vec(-50.0f64..50.0, 2..128),
-    ) {
-        let n = 2 * half;
-        let x: Vec<f64> = (0..n).map(|i| seedvals[i % seedvals.len()] + i as f64 * 0.1).collect();
-        let fast = RealFft::new(n).forward(&x);
-        let reference = Fft::new(n).forward_real(&x);
-        for (a, b) in fast.iter().zip(&reference) {
-            prop_assert!((*a - *b).abs() < 1e-7 * (1.0 + b.abs()));
         }
     }
 

@@ -62,10 +62,10 @@ impl GroundTruth {
     /// Records the arrival of `tuple` at its origin node at timestamp `now`
     /// and returns how many exact-join matches it produces: the held tuples
     /// of the opposite stream with its key, on every node. The tuple is then
-    /// held at its origin, whose window evicts exactly as a
-    /// [`SlidingWindow`](crate::SlidingWindow) with the same spec does —
-    /// only on its own inserts, so a time window that receives nothing keeps
-    /// what it holds.
+    /// held at its origin, whose window evicts by the same rule as a
+    /// [`SlidingWindow`](crate::SlidingWindow) with the same spec
+    /// ([`WindowSpec::expires`]) — only on its own inserts, so a time window
+    /// that receives nothing keeps what it holds.
     ///
     /// # Panics
     ///
@@ -80,11 +80,7 @@ impl GroundTruth {
         let window = &mut self.windows[home][own];
         window.push_back((tuple.key, now));
         while let Some(&(key, ts)) = window.front() {
-            let expired = match self.spec {
-                WindowSpec::Count(n) => window.len() > n,
-                WindowSpec::Time(span) => now.saturating_sub(ts) > span,
-            };
-            if !expired {
+            if !self.spec.expires(window.len(), ts, now) {
                 break;
             }
             window.pop_front();

@@ -29,6 +29,19 @@ impl WindowSpec {
         assert!(n > 0, "count window must hold at least one tuple");
         WindowSpec::Count(n)
     }
+
+    /// Whether a window holding `held` tuples must evict its oldest, stamped
+    /// `oldest_ts`, after an insert at `now`: a count window holds more
+    /// than `n`, or a time window's oldest is more than `span` older than
+    /// `now`. The one eviction rule of [`SlidingWindow`] and of
+    /// [`GroundTruth`](crate::join::GroundTruth).
+    #[inline]
+    pub fn expires(&self, held: usize, oldest_ts: u64, now: u64) -> bool {
+        match *self {
+            WindowSpec::Count(n) => held > n,
+            WindowSpec::Time(span) => now.saturating_sub(oldest_ts) > span,
+        }
+    }
 }
 
 /// One held tuple. Slots are addressed by insertion number: the slot of
@@ -226,25 +239,14 @@ impl SlidingWindow {
         self.inserted += 1;
         self.evict_buf.clear();
         self.evict_keys.clear();
-        match self.spec {
-            WindowSpec::Count(n) => {
-                while self.buf.len() > n {
-                    let Some(t) = self.pop_oldest() else { break };
-                    self.evict_buf.push(t);
-                    self.evict_keys.push(t.key);
-                }
-            }
-            WindowSpec::Time(span) => {
-                while self
-                    .buf
-                    .front()
-                    .is_some_and(|slot| now.saturating_sub(slot.ts) > span)
-                {
-                    let Some(t) = self.pop_oldest() else { break };
-                    self.evict_buf.push(t);
-                    self.evict_keys.push(t.key);
-                }
-            }
+        while self
+            .buf
+            .front()
+            .is_some_and(|slot| self.spec.expires(self.buf.len(), slot.ts, now))
+        {
+            let Some(t) = self.pop_oldest() else { break };
+            self.evict_buf.push(t);
+            self.evict_keys.push(t.key);
         }
         &self.evict_buf
     }

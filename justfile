@@ -34,8 +34,9 @@ test-workspace:
 strip_phases := "sed -E 's/\"phases\":\\{(\"[^\"]+\":\\{[^}]*\\},?)*\\},//'"
 
 # Parallel repro harness must match serial byte-for-byte — stdout, and the
-# metrics records (one per experiment) once `phases` is removed — and a
-# mistyped experiment name must fail the process.
+# metrics records (one per experiment) once `phases` is removed — a
+# mistyped experiment name must fail the process, and Table 1 (wall-clock,
+# so outside the goldens) must print one row per quick-scale window.
 repro-smoke:
     cargo build --release -p dsj-bench --bin repro
     DSJOIN_SCALE=quick ./target/release/repro fig8 ablation_detector --jobs 1 \
@@ -49,6 +50,8 @@ repro-smoke:
     if grep -q phases /tmp/dsjoin_stable_j4.jsonl; then exit 1; fi
     diff /tmp/dsjoin_stable_j1.jsonl /tmp/dsjoin_stable_j4.jsonl
     if DSJOIN_SCALE=quick ./target/release/repro figg8; then exit 1; fi
+    DSJOIN_SCALE=quick ./target/release/repro table1 > /tmp/dsjoin_table1.txt
+    test "$(grep -cE '^ *[0-9]+( +[0-9]+\.[0-9]+){3}$' /tmp/dsjoin_table1.txt)" -eq 2
 
 # Live runtimes: the unit tests — among them the interleaving explorer's
 # searches of the latch, mailbox + in-flight and dirty-flag protocols

@@ -262,6 +262,7 @@ mod tests {
         for (flags, want) in [
             ("--alpha -1", dsj_core::RunError::ZipfAlphaOutOfRange(-1.0)),
             ("--domain 0 --kappa 0", dsj_core::RunError::ZeroDomain),
+            ("--kappa 0", dsj_core::RunError::ZeroKappa),
             ("--budget-bps 0", dsj_core::RunError::ZeroBandwidthBudget),
         ] {
             let Command::Run { config, .. } = parse(&args(flags)).unwrap() else {
