@@ -370,6 +370,9 @@ impl NodeEngine {
             self.router.note_sent(peer);
             self.send(peer, Msg::Tuple { tuple, piggyback }, now_us, transport)?;
         }
+        if !self.router.sync_any_overdue() {
+            return Ok(());
+        }
         for peer in peers_of(self.me, self.n) {
             if route.peers.contains(&peer) || !self.router.sync_overdue(peer) {
                 continue;

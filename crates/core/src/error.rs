@@ -38,6 +38,14 @@ pub enum RunError {
     TargetOutOfRange(f64),
     /// A zero-millisecond time window: every tuple expires on arrival.
     ZeroTimeWindow,
+    /// A zero summary-sync interval (`ClusterConfig::sync_intervals`):
+    /// a peer's summary would be due again before it was ever stale.
+    ZeroSyncInterval {
+        /// Tuple messages to a peer between refreshes.
+        sent: u32,
+        /// Local arrivals between refreshes.
+        arrivals: u32,
+    },
     /// The error rate to calibrate to is not a fraction in `[0, 1]`.
     EpsilonOutOfRange(f64),
     /// A best-effort search was given an empty grid of operating points.
@@ -99,6 +107,11 @@ impl fmt::Display for RunError {
                 "message-complexity target {t} is not a finite non-negative number"
             ),
             RunError::ZeroTimeWindow => write!(f, "time window must span at least 1 ms"),
+            RunError::ZeroSyncInterval { sent, arrivals } => write!(
+                f,
+                "summary sync intervals must be at least 1 \
+                 (got {sent} sent, {arrivals} arrivals)"
+            ),
             RunError::EpsilonOutOfRange(e) => {
                 write!(f, "target error rate {e} is not a fraction in [0, 1]")
             }
@@ -149,6 +162,12 @@ mod tests {
             .contains("-3"));
         assert!(RunError::TargetOutOfRange(-1.0).to_string().contains("-1"));
         assert!(RunError::ZeroTimeWindow.to_string().contains("1 ms"));
+        assert!(RunError::ZeroSyncInterval {
+            sent: 0,
+            arrivals: 2048
+        }
+        .to_string()
+        .contains("got 0 sent, 2048 arrivals"));
         assert!(RunError::EpsilonOutOfRange(2.0).to_string().contains("2"));
         assert!(RunError::EmptyGrid.to_string().contains("operating point"));
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }

@@ -15,9 +15,11 @@
 //! (`Router::route_into`: one policy for all five algorithms). Measured by
 //! `tests/alloc_budget.rs` at steady state, no algorithm allocates in it.
 //! In test builds, `RouterHarness::route_reference` runs its allocating
-//! transcription — fresh buffers, no verdict cache, the same summary
-//! queries — and the lockstep test below checks equivalence (same peers,
-//! same fallback flag, same RNG draw counts) for every algorithm.
+//! transcription — fresh buffers, no verdict or probability cache, the
+//! same summary queries into the router's own affinity rows — and the
+//! lockstep test below checks equivalence (same peers, same fallback flag,
+//! same RNG draw counts) for every algorithm, at a fixed and at a moving
+//! budget.
 
 use crate::runner::ClusterConfig;
 use crate::strategy::{Algorithm, Route, Router};
@@ -109,20 +111,28 @@ impl RouterHarness {
     /// peers (sorted, deduplicated where the strategy does so) and whether
     /// the round-robin fallback produced them.
     pub fn route(&mut self, stream: StreamId, key: u32) -> (&[u16], bool) {
+        self.route_at(stream, key, 1.0)
+    }
+
+    /// [`Self::route`] with the message budget times `scale`, as the
+    /// throughput governor sets it.
+    fn route_at(&mut self, stream: StreamId, key: u32, scale: f64) -> (&[u16], bool) {
         let mut out = std::mem::take(&mut self.scratch);
         self.router
-            .route_into(stream, key, 1.0, &mut self.rng, &mut out);
+            .route_into(stream, key, scale, &mut self.rng, &mut out);
         self.scratch = out;
         (&self.scratch.peers, self.scratch.fallback)
     }
 
     /// Routes one tuple through the allocating reference transcription of
-    /// the flow filter. Consumes RNG draws exactly as [`Self::route`] does,
-    /// so two identically-seeded harnesses — one routed, one
-    /// reference-routed — must stay in lockstep forever.
+    /// the flow filter, at budget scale `scale`. Consumes RNG draws exactly
+    /// as [`Self::route`] does, so two identically-seeded harnesses — one
+    /// routed, one reference-routed — must stay in lockstep forever.
     #[cfg(test)]
-    pub fn route_reference(&mut self, stream: StreamId, key: u32) -> (Vec<u16>, bool) {
-        let route = self.router.route_reference(stream, key, 1.0, &mut self.rng);
+    pub fn route_reference(&mut self, stream: StreamId, key: u32, scale: f64) -> (Vec<u16>, bool) {
+        let route = self
+            .router
+            .route_reference(stream, key, scale, &mut self.rng);
         (route.peers, route.fallback)
     }
 }
@@ -252,10 +262,14 @@ mod tests {
     /// same fallback flag). Because both paths consume the same RNG draws,
     /// one divergence would cascade — so agreement over thousands of tuples
     /// across every strategy, two cluster sizes and two key distributions is
-    /// a strong equivalence proof.
+    /// a strong equivalence proof. The router keeps each stream's forwarding
+    /// probabilities for the budget they were computed at, so a second pass
+    /// moves the budget scale (five tuples at 1.0, five at 0.5, ten at 1.0,
+    /// over and over), as the throughput governor does.
     #[test]
     fn optimized_route_matches_reference_in_lockstep() {
-        for skewed in [false, true] {
+        const MOVING: [f64; 3] = [1.0, 0.5, 1.0];
+        for (skewed, moving) in [(false, false), (true, false), (false, true), (true, true)] {
             for algorithm in Algorithm::ALL {
                 for n in [3u16, 5] {
                     let p = HarnessParams {
@@ -290,13 +304,14 @@ mod tests {
                             exchange_all(&mut opt);
                             exchange_all(&mut reference);
                         }
+                        let scale = if moving { MOVING[(step / 5) % 3] } else { 1.0 };
                         let (ref_peers, ref_fallback) =
-                            reference[node].route_reference(stream, key);
-                        let (opt_peers, opt_fallback) = opt[node].route(stream, key);
+                            reference[node].route_reference(stream, key, scale);
+                        let (opt_peers, opt_fallback) = opt[node].route_at(stream, key, scale);
                         assert_eq!(
                             (opt_peers, opt_fallback),
                             (ref_peers.as_slice(), ref_fallback),
-                            "{algorithm:?} n={n} skewed={skewed} diverged at step {step} (node {node}, {stream:?}, key {key})"
+                            "{algorithm:?} n={n} skewed={skewed} moving={moving} diverged at step {step} (node {node}, {stream:?}, key {key})"
                         );
                     }
                 }

@@ -226,7 +226,8 @@ impl ClusterConfig {
 
     /// Sets the summary synchronization intervals: refresh a peer's copy
     /// after `sent` tuple messages to it, or after `arrivals` local
-    /// arrivals, whichever comes first.
+    /// arrivals, whichever comes first. Both must be at least 1
+    /// ([`RunError::ZeroSyncInterval`]).
     pub fn sync_intervals(mut self, sent: u32, arrivals: u32) -> Self {
         self.sync_sent_interval = sent;
         self.sync_arrival_interval = arrivals;
@@ -288,6 +289,12 @@ impl ClusterConfig {
         }
         if self.time_window_ms == Some(0) {
             return Err(RunError::ZeroTimeWindow);
+        }
+        if self.sync_sent_interval == 0 || self.sync_arrival_interval == 0 {
+            return Err(RunError::ZeroSyncInterval {
+                sent: self.sync_sent_interval,
+                arrivals: self.sync_arrival_interval,
+            });
         }
         // Zero, negative and NaN rates have no schedule (`interarrival_us`
         // clamps them), and one so small that the run outlasts the driver's
@@ -914,6 +921,20 @@ mod tests {
         };
         assert_eq!(timed(0).run().unwrap_err(), RunError::ZeroTimeWindow);
         assert!(timed(1).validate().is_ok());
+        // A zero sync interval used to run as 1 and report 0.
+        for (sent, arrivals) in [(0, 2048), (256, 0), (0, 0)] {
+            assert_eq!(
+                quick(Algorithm::Dft)
+                    .sync_intervals(sent, arrivals)
+                    .run()
+                    .unwrap_err(),
+                RunError::ZeroSyncInterval { sent, arrivals }
+            );
+        }
+        assert!(quick(Algorithm::Dft)
+            .sync_intervals(1, 1)
+            .validate()
+            .is_ok());
         // A target ε outside [0, 1] is refused before the first run, by
         // both searches, for BASE (which needs no search) as well.
         for algorithm in [Algorithm::Dft, Algorithm::Base] {

@@ -77,9 +77,9 @@ impl BloomSummary {
         any
     }
 
-    /// Fills `row` with the hit rate of each of `peers` that has shipped a
-    /// filter. The rates move with every tested tuple, so the row always
-    /// counts as changed.
+    /// Refills `row` with the hit rate of each of `peers` that has shipped a
+    /// filter. The rates move with every tested tuple, so it refills on
+    /// every call and always returns `true`.
     pub fn fill_affinities(
         &mut self,
         stream: StreamId,

@@ -61,6 +61,9 @@ pub(super) struct DftSummary {
     /// a peer's summary lands, and every `RHO_REFRESH` local arrivals.
     rho: Vec<[Option<f64>; 2]>,
     rho_stale: Vec<[bool; 2]>,
+    /// Per tuple stream: whether some `ρ` went stale since the last
+    /// `fill_affinities`, so the caller's row may be out of date.
+    row_dirty: [bool; 2],
     arrivals_since_rho: u32,
     arrivals: u64,
     last_piggyback: Vec<u64>,
@@ -97,6 +100,7 @@ impl DftSummary {
             retained: k,
             rho: vec![[None, None]; n],
             rho_stale: vec![[true, true]; n],
+            row_dirty: [true, true],
             arrivals_since_rho: 0,
             arrivals: 0,
             last_piggyback: vec![0; n],
@@ -117,6 +121,7 @@ impl DftSummary {
             for flags in &mut self.rho_stale {
                 *flags = [true, true];
             }
+            self.row_dirty = [true, true];
         }
     }
 
@@ -126,9 +131,11 @@ impl DftSummary {
     /// reconstruction.
     const RHO_SMOOTH_BINS: usize = 16;
 
-    /// Fills `row` with `ρ` against each of `peers` for a tuple of
-    /// `stream`, recomputing the stale entries first. Returns whether any
-    /// entry was recomputed — `true` on the first call for a stream.
+    /// Refills `row` with `ρ` against each of `peers` for a tuple of
+    /// `stream`, recomputing the stale entries first — only when some `ρ`
+    /// went stale since the last fill for `stream`. Returns whether it
+    /// refilled `row` (`true` on the first call for a stream); when it did
+    /// not, `row` is left as that fill left it.
     pub fn fill_affinities(
         &mut self,
         stream: StreamId,
@@ -136,8 +143,11 @@ impl DftSummary {
         row: &mut Vec<Option<f64>>,
     ) -> bool {
         let s = stream.index();
+        if !self.row_dirty[s] {
+            return false;
+        }
+        self.row_dirty[s] = false;
         let opp = stream.opposite().index();
-        let mut changed = false;
         row.clear();
         for &peer in peers {
             let j = peer as usize;
@@ -151,11 +161,10 @@ impl DftSummary {
                     )
                 });
                 self.rho_stale[j][s] = false;
-                changed = true;
             }
             row.push(self.rho[j][s]);
         }
-        changed
+        true
     }
 
     /// Pushes `(peer, estimate)` for every peer whose reconstructed
@@ -223,7 +232,9 @@ impl DftSummary {
             }
         }
         // Tuples of the *opposite* stream correlate against this summary.
-        self.rho_stale[j][stream.opposite().index()] = true;
+        let opp = stream.opposite().index();
+        self.rho_stale[j][opp] = true;
+        self.row_dirty[opp] = true;
         dropped
     }
 
@@ -619,6 +630,43 @@ mod tests {
             n0.apply_summary(1, &p);
         }
         check(&n0, &n1);
+    }
+
+    #[test]
+    fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
+        let mut n0 = summary(Algorithm::Dft, 0);
+        let mut n1 = summary(Algorithm::Dft, 1);
+        fill(&mut n0, StreamId::R, &[3; 10]);
+        fill(&mut n1, StreamId::S, &[3; 20]);
+        exchange(&mut n1, 1, &mut n0, 0);
+        let (peers, sentinel) = ([1], vec![Some(-7.0)]);
+        let mut rows = [Vec::new(), Vec::new()];
+        // Returns whether `stream`'s row was refilled, after checking that
+        // an untouched row still holds the sentinel.
+        let mut refill = |n0: &mut DftSummary, stream: StreamId| {
+            let row = &mut rows[stream.index()];
+            *row = sentinel.clone();
+            let refilled = n0.fill_affinities(stream, &peers, row);
+            assert_eq!(refilled, *row != sentinel, "{stream:?}");
+            refilled
+        };
+        assert!(refill(&mut n0, StreamId::R), "first fill");
+        assert!(refill(&mut n0, StreamId::S), "first fill");
+        assert!(!refill(&mut n0, StreamId::R), "nothing went stale");
+        // A peer's S summary lands: R tuples correlate against it, S
+        // tuples do not.
+        fill(&mut n1, StreamId::S, &[9; 20]);
+        exchange(&mut n1, 1, &mut n0, 0);
+        assert!(refill(&mut n0, StreamId::R));
+        assert!(!refill(&mut n0, StreamId::S));
+        // Local arrivals leave both rows alone until the refresh tick.
+        fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
+        assert!(!refill(&mut n0, StreamId::R));
+        assert!(!refill(&mut n0, StreamId::S));
+        fill(&mut n0, StreamId::S, &[4]);
+        assert!(refill(&mut n0, StreamId::R), "tick");
+        assert!(refill(&mut n0, StreamId::S), "tick");
+        assert!(!refill(&mut n0, StreamId::S));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! | [`Algorithm::Sketch`] | AGMS sketch            | affinity: partition-pair join-size estimate |
 //!
 //! Summary sizes are equalized: `K` retained DFT coefficients occupy
-//! `16·K` bytes, so Bloom filters get `4·K` counters and sketches `2·K`
-//! `i64` counters, as in the paper's methodology.
+//! `16·K` bytes, so Bloom filters get `4·K` counters, and sketches the
+//! largest 5:1 `s0 × s1` grid of `i64` counters that fits `16·K` bytes
+//! (`s1 = ⌊√(2K/5)⌋`, `s0 = 5·s1`; at `K = 16`, 10 × 2 = 20 counters,
+//! 160 bytes), as in the paper's methodology.
 
 mod bloom;
 mod dft;
@@ -132,33 +134,47 @@ pub(crate) struct Route {
 /// strategies: a peer's copy of our summary is refreshed after enough
 /// tuple messages have been sent to it, after enough local arrivals, or
 /// immediately at bootstrap.
+///
+/// An arrival costs O(1): one local arrival clock, and per peer the clock
+/// reading at its last refresh, so a peer's staleness is their difference.
+/// The earliest arrival count at which any peer turns overdue is kept
+/// beside them and recomputed only when a peer is refreshed.
 #[derive(Debug, Clone)]
 pub(crate) struct SyncState {
+    me: u16,
+    arrivals: u64,
+    reset_at: Vec<u64>,
     sent_since: Vec<u32>,
-    arrivals_since: Vec<u32>,
     synced_once: Vec<bool>,
+    /// The minimum over peers of `reset_at + overdue_after`: no peer is
+    /// overdue while `arrivals` is below it.
+    next_overdue: u64,
     sent_interval: u32,
     arrival_interval: u32,
     bootstrap_after: u32,
 }
 
 impl SyncState {
-    pub fn new(n: u16, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
+    /// Node `me`'s bookkeeping for an `n`-node cluster. Both intervals
+    /// are at least 1 (`RunError::ZeroSyncInterval`).
+    pub fn new(me: u16, n: u16, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
+        let bootstrap_after = (window as u32 / 4).clamp(8, 512);
         SyncState {
+            me,
+            arrivals: 0,
+            reset_at: vec![0; n as usize],
             sent_since: vec![0; n as usize],
-            arrivals_since: vec![0; n as usize],
             synced_once: vec![false; n as usize],
-            sent_interval: sent_interval.max(1),
-            arrival_interval: arrival_interval.max(1),
-            bootstrap_after: (window as u32 / 4).clamp(8, 512),
+            next_overdue: 2 * u64::from(bootstrap_after),
+            sent_interval,
+            arrival_interval,
+            bootstrap_after,
         }
     }
 
     /// Notes one local tuple arrival (advances all peers' staleness).
     pub fn note_arrival(&mut self) {
-        for a in &mut self.arrivals_since {
-            *a = a.saturating_add(1);
-        }
+        self.arrivals += 1;
     }
 
     /// Notes a tuple message sent to `peer`.
@@ -166,31 +182,53 @@ impl SyncState {
         self.sent_since[peer as usize] = self.sent_since[peer as usize].saturating_add(1);
     }
 
+    /// Local arrivals since `peer` was last refreshed (since the start,
+    /// before its first refresh).
+    fn arrivals_since(&self, p: usize) -> u64 {
+        self.arrivals - self.reset_at[p]
+    }
+
+    /// Arrivals after its last refresh at which `peer` turns overdue.
+    fn overdue_after(&self, p: usize) -> u64 {
+        if self.synced_once[p] {
+            2 * u64::from(self.arrival_interval)
+        } else {
+            2 * u64::from(self.bootstrap_after)
+        }
+    }
+
     /// `true` when `peer`'s copy of our summary should be refreshed now.
     pub fn due(&self, peer: u16) -> bool {
         let p = peer as usize;
         if !self.synced_once[p] {
-            return self.arrivals_since[p] >= self.bootstrap_after;
+            return self.arrivals_since(p) >= u64::from(self.bootstrap_after);
         }
-        self.sent_since[p] >= self.sent_interval || self.arrivals_since[p] >= self.arrival_interval
+        self.sent_since[p] >= self.sent_interval
+            || self.arrivals_since(p) >= u64::from(self.arrival_interval)
     }
 
     /// `true` when `peer` is overdue enough to justify a standalone
     /// summary message (no tuple message carried one in time).
     pub fn overdue(&self, peer: u16) -> bool {
         let p = peer as usize;
-        if !self.synced_once[p] {
-            return self.arrivals_since[p] >= 2 * self.bootstrap_after;
-        }
-        self.arrivals_since[p] >= 2 * self.arrival_interval
+        self.arrivals_since(p) >= self.overdue_after(p)
+    }
+
+    /// `true` when some peer is [`SyncState::overdue`].
+    pub fn any_overdue(&self) -> bool {
+        self.arrivals >= self.next_overdue
     }
 
     /// Marks `peer` as freshly synchronized.
     pub fn reset(&mut self, peer: u16) {
         let p = peer as usize;
         self.sent_since[p] = 0;
-        self.arrivals_since[p] = 0;
+        self.reset_at[p] = self.arrivals;
         self.synced_once[p] = true;
+        self.next_overdue = peers_of(self.me, self.reset_at.len() as u16)
+            .map(|j| self.reset_at[j as usize] + self.overdue_after(j as usize))
+            .min()
+            .unwrap_or(u64::MAX);
     }
 }
 
@@ -212,10 +250,12 @@ enum Summary {
 }
 
 impl Summary {
-    /// Fills `row`, aligned with `peers`, with this node's affinity to each
-    /// peer for a tuple of `stream` (`None`: no summary from that peer
-    /// yet). Returns whether the row differs from what the previous call
-    /// for `stream` filled — `true` on the first.
+    /// Refills `row`, aligned with `peers`, with this node's affinity to
+    /// each peer for a tuple of `stream` (`None`: no summary from that peer
+    /// yet) — but only when it may have changed since the previous fill for
+    /// `stream`, which the caller keeps: otherwise returns `false` and
+    /// leaves `row` as that fill left it. Returns `true` on the first call
+    /// for a stream.
     fn fill_affinities(
         &mut self,
         stream: StreamId,
@@ -227,6 +267,29 @@ impl Summary {
             Summary::Dft(d) => d.fill_affinities(stream, peers, row),
             Summary::Bloom(b) => b.fill_affinities(stream, peers, row),
             Summary::Sketch(k) => k.fill_affinities(stream, peers, row),
+        }
+    }
+}
+
+/// One stream's forwarding probabilities over its whole affinity row, kept
+/// until the row changes or the budget moves.
+#[derive(Debug)]
+struct Forwarding {
+    /// `f64::to_bits` of the budget `probs` were computed for; `None`
+    /// before the first tuple and after the row changes.
+    budget: Option<u64>,
+    /// What `forwarding_probabilities_into` returned: `false` sends the
+    /// tuple to the round-robin fallback.
+    usable: bool,
+    probs: Vec<f64>,
+}
+
+impl Forwarding {
+    fn new(peers: usize) -> Self {
+        Forwarding {
+            budget: None,
+            usable: false,
+            probs: Vec::with_capacity(peers),
         }
     }
 }
@@ -246,15 +309,19 @@ pub(crate) struct Router {
     sync: SyncState,
     rr: RoundRobin,
     fallback_events: u64,
-    /// Uniform-data verdict per *tuple* stream — a pure function of the
+    /// The affinity row per *tuple* stream, refilled only when the
+    /// summary it is read from may have changed (`fill_affinities`).
+    affinity: [Vec<Option<f64>>; 2],
+    /// Uniform-data verdict per tuple stream — a pure function of its
     /// affinity row, so recomputed only when the summary reports the row
     /// changed.
     uniform: [bool; 2],
+    /// Forwarding probabilities over each stream's whole affinity row,
+    /// for the untested path; dropped with the verdict.
+    forward: [Forwarding; 2],
     /// Per-tuple scratch, sized to the peer count at construction so the
-    /// policy itself allocates nothing: affinity row, membership
-    /// candidates, residual affinities, forwarding probabilities, sampled
-    /// peer indices.
-    affinity: Vec<Option<f64>>,
+    /// policy itself allocates nothing: membership candidates, residual
+    /// affinities, their forwarding probabilities, sampled peer indices.
     candidates: Vec<(u16, f64)>,
     residual: Vec<Option<f64>>,
     probs: Vec<f64>,
@@ -280,6 +347,7 @@ impl Router {
             peers,
             summary,
             sync: SyncState::new(
+                cfg.me,
                 cfg.n,
                 cfg.sync_sent_interval,
                 cfg.sync_arrival_interval,
@@ -287,8 +355,9 @@ impl Router {
             ),
             rr: RoundRobin::new(),
             fallback_events: 0,
+            affinity: [Vec::with_capacity(m), Vec::with_capacity(m)],
             uniform: [false, false],
-            affinity: Vec::with_capacity(m),
+            forward: [Forwarding::new(m), Forwarding::new(m)],
             candidates: Vec::with_capacity(m),
             residual: Vec::with_capacity(m),
             probs: Vec::with_capacity(m),
@@ -364,9 +433,10 @@ impl Router {
         };
         let changed = self
             .summary
-            .fill_affinities(stream, &self.peers, &mut self.affinity);
+            .fill_affinities(stream, &self.peers, &mut self.affinity[s]);
         if changed {
-            self.uniform[s] = detect_uniform(&self.affinity, self.cfg.flow.uniform_cv_threshold);
+            self.uniform[s] = detect_uniform(&self.affinity[s], self.cfg.flow.uniform_cv_threshold);
+            self.forward[s].budget = None;
         }
         // Uniform-data worst case (Section 5.2.2): when the per-peer
         // affinities are indistinguishable, neither they nor membership
@@ -387,8 +457,7 @@ impl Router {
         // (lossy) summaries may miss — how DFTT trades extra messages for
         // lower ε (Fig. 9). Without a hit the whole budget is routed by
         // affinity, unless every peer summary agrees there is no partner.
-        let tested = !self.candidates.is_empty();
-        let budget = if tested {
+        if !self.candidates.is_empty() {
             // Stable sort on purpose: equal scores stay in ascending peer
             // order, which is part of the recorded routing behaviour.
             self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -407,34 +476,46 @@ impl Router {
                 let r = if picked {
                     Some(0.0)
                 } else {
-                    self.affinity[idx]
+                    self.affinity[s][idx]
                 };
                 self.residual.push(r);
             }
-            leftover
-        } else {
-            if any_summary && !rng.gen_bool(self.explore_probability(target)) {
-                // "No partners anywhere": save the messages (the DFTT
-                // advantage of Fig. 9).
-                return;
-            }
-            target
-        };
-        let row = if tested {
-            &self.residual
-        } else {
-            &self.affinity
-        };
-        if forwarding_probabilities_into(row, budget, &mut self.flow_scratch, &mut self.probs) {
-            sample_recipients_into(&self.probs, rng, &mut self.sampled);
-            for &i in &self.sampled {
-                out.peers.push(self.peers[i]);
-            }
-            if tested {
+            if forwarding_probabilities_into(
+                &self.residual,
+                leftover,
+                &mut self.flow_scratch,
+                &mut self.probs,
+            ) {
+                sample_recipients_into(&self.probs, rng, &mut self.sampled);
+                out.peers
+                    .extend(self.sampled.iter().map(|&i| self.peers[i]));
                 out.peers.sort_unstable();
                 out.peers.dedup();
             }
-        } else if !tested {
+            return;
+        }
+        if any_summary && !rng.gen_bool(self.explore_probability(target)) {
+            // "No partners anywhere": save the messages (the DFTT
+            // advantage of Fig. 9).
+            return;
+        }
+        // The whole row's probabilities depend on the row and the budget
+        // only, so they are recomputed when either moved.
+        let cached = &mut self.forward[s];
+        if cached.budget != Some(target.to_bits()) {
+            cached.usable = forwarding_probabilities_into(
+                &self.affinity[s],
+                target,
+                &mut self.flow_scratch,
+                &mut cached.probs,
+            );
+            cached.budget = Some(target.to_bits());
+        }
+        if cached.usable {
+            sample_recipients_into(&cached.probs, rng, &mut self.sampled);
+            out.peers
+                .extend(self.sampled.iter().map(|&i| self.peers[i]));
+        } else {
             self.fallback_into(target, out);
         }
     }
@@ -450,7 +531,10 @@ impl Router {
 
     /// The allocating transcription of [`Router::route_into`]: the same
     /// policy over the same summary queries, with fresh buffers, the
-    /// allocating `flow` twins and no verdict cache. Two identically
+    /// allocating `flow` twins and no verdict or probability cache. It
+    /// reads the router's affinity row for `stream`, which the summary
+    /// refills only when it may have changed, and recomputes the verdict
+    /// and probabilities from a copy of it on every tuple. Two identically
     /// seeded routers — one routed, one reference-routed — must agree on
     /// every peer set, fallback flag and RNG draw; `hotpath`'s lockstep
     /// test drives them side by side.
@@ -476,8 +560,10 @@ impl Router {
             Summary::Bloom(b) => b.push_candidates(stream, key, &peers, &mut candidates),
             _ => false,
         };
-        let mut rhos: Vec<Option<f64>> = Vec::new();
-        self.summary.fill_affinities(stream, &peers, &mut rhos);
+        let s = stream.index();
+        self.summary
+            .fill_affinities(stream, &peers, &mut self.affinity[s]);
+        let rhos = self.affinity[s].clone();
         if detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
             return self.fallback(target);
         }
@@ -562,6 +648,11 @@ impl Router {
         self.sync.overdue(peer)
     }
 
+    /// `true` when some peer warrants a standalone summary message; O(1).
+    pub fn sync_any_overdue(&self) -> bool {
+        self.sync.any_overdue()
+    }
+
     /// Produces the full summary refresh for `peer` and marks it synced.
     pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
         self.sync.reset(peer);
@@ -616,6 +707,7 @@ pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
     use rand::SeedableRng;
 
     /// Fills a router's local `stream` window with `keys`.
@@ -646,9 +738,110 @@ mod tests {
         assert_eq!(Algorithm::ALL.len(), 5);
     }
 
+    /// `SyncState` as it was before its O(1) clock: one saturating arrival
+    /// counter per peer, bumped on every arrival and zeroed on refresh.
+    struct SyncOracle {
+        sent_since: Vec<u32>,
+        arrivals_since: Vec<u32>,
+        synced_once: Vec<bool>,
+        sent_interval: u32,
+        arrival_interval: u32,
+        bootstrap_after: u32,
+    }
+
+    impl SyncOracle {
+        fn new(n: u16, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
+            SyncOracle {
+                sent_since: vec![0; n as usize],
+                arrivals_since: vec![0; n as usize],
+                synced_once: vec![false; n as usize],
+                sent_interval,
+                arrival_interval,
+                bootstrap_after: (window as u32 / 4).clamp(8, 512),
+            }
+        }
+
+        fn note_arrival(&mut self) {
+            for a in &mut self.arrivals_since {
+                *a = a.saturating_add(1);
+            }
+        }
+
+        fn due(&self, p: usize) -> bool {
+            if !self.synced_once[p] {
+                return self.arrivals_since[p] >= self.bootstrap_after;
+            }
+            self.sent_since[p] >= self.sent_interval
+                || self.arrivals_since[p] >= self.arrival_interval
+        }
+
+        fn overdue(&self, p: usize) -> bool {
+            if !self.synced_once[p] {
+                return self.arrivals_since[p] >= 2 * self.bootstrap_after;
+            }
+            self.arrivals_since[p] >= 2 * self.arrival_interval
+        }
+
+        fn reset(&mut self, p: usize) {
+            self.sent_since[p] = 0;
+            self.arrivals_since[p] = 0;
+            self.synced_once[p] = true;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sync_clock_agrees_with_per_peer_counters(
+            n in 2u16..7,
+            me in 0u16..7,
+            sent_interval in 1u32..6,
+            arrival_interval in 1u32..24,
+            window in 0usize..160,
+            ops in prop::collection::vec((0u8..8, 0usize..6), 0..400),
+        ) {
+            let me = me % n;
+            let mut clock = SyncState::new(me, n, sent_interval, arrival_interval, window);
+            let mut oracle = SyncOracle::new(n, sent_interval, arrival_interval, window);
+            let peers: Vec<u16> = peers_of(me, n).collect();
+            for (step, (op, pick)) in ops.into_iter().enumerate() {
+                let peer = peers[pick % peers.len()];
+                // Arrivals outnumber the rest, so peers reach their
+                // intervals, bootstrap and overdue thresholds.
+                match op {
+                    0..=4 => {
+                        clock.note_arrival();
+                        oracle.note_arrival();
+                    }
+                    5 | 6 => {
+                        clock.note_sent(peer);
+                        oracle.sent_since[peer as usize] += 1;
+                    }
+                    _ => {
+                        clock.reset(peer);
+                        oracle.reset(peer as usize);
+                    }
+                }
+                for &j in &peers {
+                    prop_assert_eq!(clock.due(j), oracle.due(j as usize), "due {} at {}", j, step);
+                    prop_assert_eq!(
+                        clock.overdue(j),
+                        oracle.overdue(j as usize),
+                        "overdue {} at {}",
+                        j,
+                        step
+                    );
+                }
+                let any = peers.iter().any(|&j| oracle.overdue(j as usize));
+                prop_assert_eq!(clock.any_overdue(), any, "any overdue at {}", step);
+            }
+        }
+    }
+
     #[test]
     fn sync_state_bootstrap_then_intervals() {
-        let mut s = SyncState::new(3, 4, 10, 64);
+        let mut s = SyncState::new(0, 3, 4, 10, 64);
         // Bootstrap threshold is window/4 = 16.
         for _ in 0..15 {
             s.note_arrival();

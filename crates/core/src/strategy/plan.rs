@@ -194,6 +194,21 @@ mod tests {
     }
 
     #[test]
+    fn sketches_are_the_largest_five_to_one_grid_that_fits() {
+        // `16·K` bytes hold `2·K` counters; the sketch keeps `s0 = 5·s1`
+        // with `s1 = ⌊√(2K/5)⌋`. At the benchmark's K = 16 that is 20
+        // counters (160 B), not 32: SKCH's goldens were recorded with it.
+        for (retained, shape) in [(16, (10, 2)), (8, (5, 1)), (64, (25, 5)), (1, (5, 1))] {
+            let plan = Plan::new(key(Algorithm::Sketch, 4096, retained));
+            let Tables::Sketch(hashes) = &plan.tables else {
+                panic!("SKCH plans hold the AGMS family")
+            };
+            let sketch = AgmsSketch::with_hashes(Arc::clone(hashes));
+            assert_eq!((sketch.s0(), sketch.s1()), shape, "K = {retained}");
+        }
+    }
+
+    #[test]
     fn plan_built_filters_equal_standalone_ones() {
         let retained = 16;
         let plan = Plan::new(key(Algorithm::Bloom, 4096, retained));

@@ -6,8 +6,10 @@
 //! normalized. Unlike BLOOM/DFTT there is no per-key membership test,
 //! so routing is "blind" within a partition pair — the reason the paper
 //! finds SKCH transmits more messages per result than the testers (Fig. 9).
-//! Sketch size is equalized to the DFT summary (`16·K` bytes), keeping the
-//! paper's 5:1 `s0:s1` ratio.
+//! Sketch size is bounded by the DFT summary's `16·K` bytes: the sketch is
+//! the largest one with the paper's 5:1 `s0:s1` ratio whose `i64`
+//! counters fit (`s1 = ⌊√(2K/5)⌋`, `s0 = 5·s1`), so at `K = 16` it holds
+//! 10 × 2 = 20 counters (160 bytes), not 32.
 
 use super::{RouterConfig, RHO_REFRESH};
 use crate::msg::SummaryPayload;
@@ -25,6 +27,9 @@ pub(super) struct SketchSummary {
     /// `RHO_REFRESH` local arrivals.
     est: Vec<[Option<f64>; 2]>,
     est_stale: Vec<[bool; 2]>,
+    /// Per tuple stream: whether some estimate went stale since the last
+    /// `fill_affinities`, so the caller's row may be out of date.
+    row_dirty: [bool; 2],
     arrivals_since_refresh: u32,
     /// `join_size_into`'s group means, reused by every estimate.
     group_means: Vec<f64>,
@@ -44,6 +49,7 @@ impl SketchSummary {
             remote: vec![[None, None]; n],
             est: vec![[None, None]; n],
             est_stale: vec![[true, true]; n],
+            row_dirty: [true, true],
             arrivals_since_refresh: 0,
         }
     }
@@ -61,13 +67,16 @@ impl SketchSummary {
             for flags in &mut self.est_stale {
                 *flags = [true, true];
             }
+            self.row_dirty = [true, true];
         }
     }
 
-    /// Fills `row` with the join-size estimate against each of `peers` for
-    /// a tuple of `stream`, normalized into `[0, 1]` by the largest, after
-    /// recomputing the stale estimates. Returns whether any estimate was
-    /// recomputed — `true` on the first call for a stream.
+    /// Refills `row` with the join-size estimate against each of `peers`
+    /// for a tuple of `stream`, normalized into `[0, 1]` by the largest,
+    /// after recomputing the stale estimates — only when some estimate went
+    /// stale since the last fill for `stream`. Returns whether it refilled
+    /// `row` (`true` on the first call for a stream); when it did not, `row`
+    /// is left as that fill left it.
     pub fn fill_affinities(
         &mut self,
         stream: StreamId,
@@ -75,8 +84,11 @@ impl SketchSummary {
         row: &mut Vec<Option<f64>>,
     ) -> bool {
         let s = stream.index();
+        if !self.row_dirty[s] {
+            return false;
+        }
+        self.row_dirty[s] = false;
         let opp = stream.opposite().index();
-        let mut changed = false;
         let mut max = 0.0_f64;
         row.clear();
         for &peer in peers {
@@ -89,7 +101,6 @@ impl SketchSummary {
                     .as_ref()
                     .and_then(|sk| self.local[s].join_size_into(sk, &mut self.group_means).ok());
                 self.est_stale[j][s] = false;
-                changed = true;
             }
             let est = self.est[j][s];
             max = est.map_or(max, |v| max.max(v.max(0.0)));
@@ -98,7 +109,7 @@ impl SketchSummary {
         for v in row.iter_mut().flatten() {
             *v = if max > 0.0 { v.max(0.0) / max } else { 0.0 };
         }
-        changed
+        true
     }
 
     /// Ingests a peer's sketch (replaced wholesale: nothing to drop). After
@@ -114,7 +125,9 @@ impl SketchSummary {
             Some(held) => held.clone_from(sketch),
             None => *slot = Some(sketch.clone()),
         }
-        self.est_stale[j][stream.opposite().index()] = true;
+        let opp = stream.opposite().index();
+        self.est_stale[j][opp] = true;
+        self.row_dirty[opp] = true;
         0
     }
 
@@ -127,5 +140,73 @@ impl SketchSummary {
                 sketch: self.local[stream.index()].clone(),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{test_config, Algorithm, Tables};
+    use super::*;
+
+    /// Node `me`'s summary in a two-node SKCH cluster.
+    fn summary(me: u16) -> SketchSummary {
+        let cfg = test_config(Algorithm::Sketch, me, 2);
+        let Tables::Sketch(hashes) = &cfg.plan.tables else {
+            panic!("SKCH plans hold the AGMS family")
+        };
+        SketchSummary::new(&cfg, hashes)
+    }
+
+    fn fill(r: &mut SketchSummary, stream: StreamId, keys: &[u32]) {
+        for &k in keys {
+            r.local_update(stream, k, &[]);
+        }
+    }
+
+    /// Ships `src`'s sketch of `stream` to `dst`, as a full refresh would.
+    fn ship(src: &mut SketchSummary, dst: &mut SketchSummary, stream: StreamId) {
+        for p in src.full_summaries() {
+            if matches!(p, SummaryPayload::Sketch { stream: s, .. } if s == stream) {
+                dst.apply_summary(1, &p);
+            }
+        }
+    }
+
+    #[test]
+    fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
+        let mut n0 = summary(0);
+        let mut n1 = summary(1);
+        fill(&mut n0, StreamId::R, &[3; 10]);
+        fill(&mut n1, StreamId::S, &[3; 20]);
+        fill(&mut n1, StreamId::R, &[5; 20]);
+        ship(&mut n1, &mut n0, StreamId::S);
+        ship(&mut n1, &mut n0, StreamId::R);
+        let (peers, sentinel) = ([1], vec![Some(-7.0)]);
+        let mut rows = [Vec::new(), Vec::new()];
+        // Returns whether `stream`'s row was refilled, after checking that
+        // an untouched row still holds the sentinel.
+        let mut refill = |n0: &mut SketchSummary, stream: StreamId| {
+            let row = &mut rows[stream.index()];
+            *row = sentinel.clone();
+            let refilled = n0.fill_affinities(stream, &peers, row);
+            assert_eq!(refilled, *row != sentinel, "{stream:?}");
+            refilled
+        };
+        assert!(refill(&mut n0, StreamId::R), "first fill");
+        assert!(refill(&mut n0, StreamId::S), "first fill");
+        assert!(!refill(&mut n0, StreamId::R), "nothing went stale");
+        // A peer's S sketch lands: R tuples are estimated against it, S
+        // tuples are not.
+        ship(&mut n1, &mut n0, StreamId::S);
+        assert!(refill(&mut n0, StreamId::R));
+        assert!(!refill(&mut n0, StreamId::S));
+        // Local arrivals leave both rows alone until the refresh tick.
+        fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
+        assert!(!refill(&mut n0, StreamId::R));
+        assert!(!refill(&mut n0, StreamId::S));
+        fill(&mut n0, StreamId::S, &[4]);
+        assert!(refill(&mut n0, StreamId::R), "tick");
+        assert!(refill(&mut n0, StreamId::S), "tick");
+        assert!(!refill(&mut n0, StreamId::S));
     }
 }

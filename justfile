@@ -59,14 +59,17 @@ repro-smoke:
 # lockstep equivalence (simnet = threads = TCP, all five strategies), plus
 # real socket runs of the flagship algorithm, of the bulk closed-loop path
 # (BASE: three messages per tuple, where the per-burst wake-ups and write
-# coalescing engage), of a lockstep-paced BLOOM cluster and of DFTT at
-# N = 32.
+# coalescing engage), of a lockstep-paced BLOOM cluster, of SKCH and of a
+# lockstep-paced DFT cluster (the two routers that keep their affinity rows
+# and forwarding probabilities between summaries) and of DFTT at N = 32.
 live-smoke:
     cargo test -q -p dsj-runtime
     cargo build --release -p dsj-runtime --example live_tcp
     ./target/release/examples/live_tcp 4 10000 dftt
     ./target/release/examples/live_tcp 4 50000 base
     ./target/release/examples/live_tcp 5 5000 bloom lockstep
+    ./target/release/examples/live_tcp 4 10000 sketch
+    ./target/release/examples/live_tcp 4 5000 dft lockstep
     ./target/release/examples/live_tcp 32 4000 dftt
 
 # Run a workload over real loopback TCP sockets with codec-framed
