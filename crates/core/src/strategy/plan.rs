@@ -48,7 +48,8 @@ pub(crate) enum Tables {
     },
     /// BLOOM: the Bloom hash family.
     Bloom(Arc<BloomHashes>),
-    /// SKCH: the AGMS hash family.
+    /// SKCH: the AGMS hash family with its sign table over `[0, D)`
+    /// ([`AgmsHashes::with_sign_table`]; only for at most 64 counters).
     Sketch(Arc<AgmsHashes>),
 }
 
@@ -65,7 +66,8 @@ impl Plan {
     /// Derives the tables `key` calls for, each exactly as the standalone
     /// constructor (`PointDft::new`, `PointwiseRecon::new`,
     /// `AgmsSketch::with_size_bytes`, `CountingBloomFilter::with_size_bytes`)
-    /// would derive its own.
+    /// would derive its own. The AGMS family also tabulates its signs over
+    /// the domain: a cache that leaves every counter as it was.
     pub fn new(key: PlanKey) -> Self {
         let domain = key.domain as usize;
         let bytes = key.retained * 16;
@@ -81,10 +83,9 @@ impl Plan {
                 key.window.max(1),
                 key.seed,
             ))),
-            Algorithm::Sketch => Tables::Sketch(Arc::new(AgmsHashes::with_size_bytes(
-                bytes.max(48),
-                key.seed,
-            ))),
+            Algorithm::Sketch => Tables::Sketch(Arc::new(
+                AgmsHashes::with_size_bytes(bytes.max(40), key.seed).with_sign_table(domain),
+            )),
         };
         Plan { key, tables }
     }
@@ -198,13 +199,34 @@ mod tests {
         // `16·K` bytes hold `2·K` counters; the sketch keeps `s0 = 5·s1`
         // with `s1 = ⌊√(2K/5)⌋`. At the benchmark's K = 16 that is 20
         // counters (160 B), not 32: SKCH's goldens were recorded with it.
-        for (retained, shape) in [(16, (10, 2)), (8, (5, 1)), (64, (25, 5)), (1, (5, 1))] {
+        for (retained, shape) in [
+            (16, (10, 2)),
+            (8, (5, 1)),
+            (64, (25, 5)),
+            (1, (5, 1)),
+            (2, (5, 1)),
+            (39, (15, 3)),
+            (40, (20, 4)),
+        ] {
             let plan = Plan::new(key(Algorithm::Sketch, 4096, retained));
             let Tables::Sketch(hashes) = &plan.tables else {
                 panic!("SKCH plans hold the AGMS family")
             };
             let sketch = AgmsSketch::with_hashes(Arc::clone(hashes));
             assert_eq!((sketch.s0(), sketch.s1()), shape, "K = {retained}");
+        }
+    }
+
+    #[test]
+    fn sketch_plans_tabulate_signs_up_to_sixty_four_counters() {
+        // K = 16 is the benchmark's 10 × 2; K = 40 is the first 5:1 grid
+        // over 64 counters (20 × 4), which keeps evaluating the cubics.
+        for (retained, entries) in [(16, 4096), (40, 0)] {
+            let plan = Plan::new(key(Algorithm::Sketch, 4096, retained));
+            let Tables::Sketch(hashes) = &plan.tables else {
+                panic!("SKCH plans hold the AGMS family")
+            };
+            assert_eq!(hashes.sign_table_len(), entries, "K = {retained}");
         }
     }
 

@@ -9,7 +9,9 @@
 //! Sketch size is bounded by the DFT summary's `16·K` bytes: the sketch is
 //! the largest one with the paper's 5:1 `s0:s1` ratio whose `i64`
 //! counters fit (`s1 = ⌊√(2K/5)⌋`, `s0 = 5·s1`), so at `K = 16` it holds
-//! 10 × 2 = 20 counters (160 bytes), not 32.
+//! 10 × 2 = 20 counters (160 bytes), not 32. The plan's family tabulates
+//! the signs of every key in `[0, D)` (`AgmsHashes::with_sign_table`), so a
+//! window update reads one word per key instead of evaluating 20 cubics.
 
 use super::{RouterConfig, RHO_REFRESH};
 use crate::msg::SummaryPayload;

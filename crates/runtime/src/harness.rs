@@ -903,7 +903,7 @@ mod tests {
         /// Events queued, read past the explorer (for its observer, which
         /// may not block: a queue held across a yield point is its finding).
         pub(crate) fn queued(&self) -> Result<usize, String> {
-            let queue = self.queue.0.try_lock();
+            let queue = self.queue.0.try_lock().ok();
             let queued = queue.map(|queue| queue.events.len());
             queued.ok_or_else(|| "a mailbox is locked across a yield point".to_string())
         }

@@ -969,7 +969,7 @@ mod tests {
                     .drain(&mut self.chunk, &mut self.held, &self.failures);
                 thread::yield_now();
             }
-            (self.held, self.failures.0.into_inner())
+            (self.held, self.failures.0.into_inner().unwrap())
         }
 
         /// Node 0 as its own thread sees it — this link as its only

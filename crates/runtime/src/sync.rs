@@ -1,16 +1,36 @@
 //! What the latch, mailbox, in-flight and dirty-flag protocols are written in:
-//! atomics, `unpark` / `park_timeout`, a mutex — the `std` / `parking_lot` items
-//! themselves outside `cfg(test)`. Under it every operation is first a yield
-//! point of [`crate::explore`] (a no-op on a thread no explorer drives), and
-//! `lock` asserts on every path any test takes: never two locks at once.
+//! atomics, `unpark` / `park_timeout`, a mutex — the `std` items themselves
+//! outside `cfg(test)`, with the mutex's poisoning ignored. Under it every
+//! operation is first a yield point of [`crate::explore`] (a no-op on a
+//! thread no explorer drives), and `lock` asserts on every path any test
+//! takes: never two locks at once.
 
 pub(crate) use std::sync::atomic::Ordering;
 #[cfg(not(test))]
 pub(crate) use {
-    parking_lot::Mutex,
     std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64},
     std::thread::{current, park_timeout, Thread},
 };
+
+/// `std::sync::Mutex` whose `lock` ignores poisoning. A node thread that
+/// panics is reported as `NodePanicked`, and its `Inbox` still closes the
+/// mailbox as it unwinds, in a `Drop` that must not panic. What the locks
+/// guard (queues, failure lists) is changed by whole pushes and drains, so
+/// it stays readable for the rest of the run.
+#[cfg(not(test))]
+#[derive(Default)]
+pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
+#[cfg(not(test))]
+impl<T> Mutex<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
 
 #[cfg(test)]
 pub(crate) use model::*;
@@ -18,6 +38,7 @@ pub(crate) use model::*;
 mod model {
     use crate::explore;
     use std::sync::atomic::{self, Ordering};
+    use std::sync::{PoisonError, TryLockError};
     macro_rules! atomic {
         ($name:ident, $value:ty $(, $rmw:ident)*) => {
             #[derive(Default)]
@@ -36,23 +57,27 @@ mod model {
     atomic!(AtomicU64, u64, fetch_add);
     thread_local!(pub(crate) static HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
 
-    /// `parking_lot::Mutex`. An explored thread that finds it held blocks in
-    /// the explorer, not in the OS, so a lock cycle is a deadlock it can see.
+    /// `std::sync::Mutex`, poisoning ignored. An explored thread that finds
+    /// it held blocks in the explorer, not in the OS, so a lock cycle is a
+    /// deadlock it can see.
     #[derive(Default)]
-    pub(crate) struct Mutex<T>(pub(crate) parking_lot::Mutex<T>);
-    pub(crate) struct MutexGuard<'a, T>(parking_lot::MutexGuard<'a, T>);
+    pub(crate) struct Mutex<T>(pub(crate) std::sync::Mutex<T>);
+    pub(crate) struct MutexGuard<'a, T>(std::sync::MutexGuard<'a, T>);
     impl<T> Mutex<T> {
         pub(crate) fn new(value: T) -> Self {
-            Mutex(parking_lot::Mutex::new(value))
+            Mutex(std::sync::Mutex::new(value))
         }
         pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
             assert!(!HELD.get() || std::thread::panicking(), "two locks held");
             explore::step();
             let guard = loop {
                 match self.0.try_lock() {
-                    Some(guard) => break guard,
-                    None if explore::blocked() => {}
-                    None => break self.0.lock(),
+                    Ok(guard) => break guard,
+                    Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
+                    Err(TryLockError::WouldBlock) if explore::blocked() => {}
+                    Err(TryLockError::WouldBlock) => {
+                        break self.0.lock().unwrap_or_else(PoisonError::into_inner)
+                    }
                 }
             };
             HELD.set(true);

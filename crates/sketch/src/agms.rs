@@ -14,6 +14,12 @@
 //! three independent products, each folded once, summed below `2⁶⁴` and
 //! reduced once to the canonical residue. The arithmetic is exact: every
 //! sign equals [`PolyHash::sign`] of the same hash.
+//!
+//! A family of at most 64 counters can also carry a sign table over a key
+//! domain `[0, D)` ([`AgmsHashes::with_sign_table`]): one word per key whose
+//! bit `i` is counter `i`'s sign bit. An update of a tabulated key reads
+//! that word instead of evaluating the cubics; the table is an exact memo of
+//! the kernel, so the counters are the same either way.
 
 use crate::hash::{cubic_powers, eval_cubic, PolyHash};
 use std::fmt;
@@ -43,13 +49,38 @@ impl std::error::Error for SketchMismatchError {}
 /// function of `(s0, s1, seed)` and never changes, so every sketch of one
 /// cluster can hold the same family by [`Arc`]
 /// ([`AgmsSketch::with_hashes`]).
-#[derive(Debug, PartialEq, Eq)]
+///
+/// Equality and `Debug` are by family: the sign table is a cache, so a
+/// tabulated family equals the untabulated one of the same `(s0, s1, seed)`.
 pub struct AgmsHashes {
     s0: usize,
     s1: usize,
     seed: u64,
     /// `[c₀, c₁, c₂, c₃]` of each counter's four-wise hash, in counter order.
     coeffs: Vec<[u64; 4]>,
+    /// Entry `v`, bit `i`: the low bit of counter `i`'s cubic at `v`, for
+    /// every `v` below the tabulated domain. Empty when untabulated.
+    signs: Vec<u64>,
+}
+
+impl PartialEq for AgmsHashes {
+    fn eq(&self, other: &Self) -> bool {
+        (self.s0, self.s1, self.seed, &self.coeffs)
+            == (other.s0, other.s1, other.seed, &other.coeffs)
+    }
+}
+
+impl Eq for AgmsHashes {}
+
+impl fmt::Debug for AgmsHashes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AgmsHashes")
+            .field("s0", &self.s0)
+            .field("s1", &self.s1)
+            .field("seed", &self.seed)
+            .field("coeffs", &self.coeffs)
+            .finish()
+    }
 }
 
 impl AgmsHashes {
@@ -74,6 +105,7 @@ impl AgmsHashes {
             s1,
             seed,
             coeffs,
+            signs: Vec::new(),
         }
     }
 
@@ -83,7 +115,7 @@ impl AgmsHashes {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes < 48` (too small for even a 5×1 sketch).
+    /// Panics if `bytes < 40` (too small for even a 5×1 sketch).
     pub fn with_size_bytes(bytes: usize, seed: u64) -> Self {
         let counters = bytes / 8;
         assert!(counters >= 5, "budget too small for a 5x1 AGMS sketch");
@@ -91,6 +123,31 @@ impl AgmsHashes {
         let s1 = (((counters as f64) / 5.0).sqrt().floor() as usize).max(1);
         let s0 = (counters / s1).min(5 * s1).max(1);
         AgmsHashes::new(s0, s1, seed)
+    }
+
+    /// This family with the signs of every key in `[0, domain)` tabulated,
+    /// one `u64` (8 bytes) per key, when it has at most 64 counters; a
+    /// larger family is returned untabulated. Costs `domain · s0 · s1` hash
+    /// evaluations, once.
+    pub fn with_sign_table(mut self, domain: usize) -> Self {
+        if self.coeffs.len() <= 64 {
+            self.signs = (0..domain as u64)
+                .map(|v| {
+                    let powers = cubic_powers(v);
+                    self.coeffs
+                        .iter()
+                        .enumerate()
+                        .fold(0, |word, (i, k)| word | (eval_cubic(k, powers) & 1) << i)
+                })
+                .collect();
+        }
+        self
+    }
+
+    /// Number of keys whose signs are tabulated: `[0, len)` is read from
+    /// the table, every other value evaluates the cubics.
+    pub fn sign_table_len(&self) -> usize {
+        self.signs.len()
     }
 }
 
@@ -158,7 +215,7 @@ impl AgmsSketch {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes < 48` (too small for even a 5×1 sketch).
+    /// Panics if `bytes < 40` (too small for even a 5×1 sketch).
     pub fn with_size_bytes(bytes: usize, seed: u64) -> Self {
         Self::with_hashes(Arc::new(AgmsHashes::with_size_bytes(bytes, seed)))
     }
@@ -210,14 +267,26 @@ impl AgmsSketch {
     }
 
     /// Applies a frequency change `delta` for value `v` (use `-1` on window
-    /// eviction). Cost: two field multiplies for `v²` and `v³`, then three
-    /// independent multiplies and one reduction per atomic estimator.
+    /// eviction). Cost: one table read when the family tabulates `v`
+    /// ([`AgmsHashes::with_sign_table`]); otherwise two field multiplies for
+    /// `v²` and `v³`, then three independent multiplies and one reduction
+    /// per atomic estimator.
     pub fn update(&mut self, v: u64, delta: i64) {
-        let powers = cubic_powers(v);
-        for (c, k) in self.counters.iter_mut().zip(&self.hashes.coeffs) {
-            // `ξ = +1` on an even residue, `−1` on an odd one.
-            let odd = (eval_cubic(k, powers) & 1) as i64;
-            *c += (1 - 2 * odd) * delta;
+        // `ξ = +1` on an even residue, `−1` on an odd one.
+        let signs = &self.hashes.signs;
+        if let Some(&word) = usize::try_from(v).ok().and_then(|v| signs.get(v)) {
+            for (i, c) in self.counters.iter_mut().enumerate() {
+                // All ones on an odd residue, zero on an even one, so
+                // `(δ ^ neg) − neg` is `−δ` or `δ` without a multiply.
+                let neg = -(((word >> i) & 1) as i64);
+                *c += (delta ^ neg) - neg;
+            }
+        } else {
+            let powers = cubic_powers(v);
+            for (c, k) in self.counters.iter_mut().zip(&self.hashes.coeffs) {
+                let odd = (eval_cubic(k, powers) & 1) as i64;
+                *c += (1 - 2 * odd) * delta;
+            }
         }
         self.total_updates += 1;
     }
@@ -397,6 +466,19 @@ mod tests {
             ]
         );
         assert_eq!(sk.updates(), 1000);
+    }
+
+    #[test]
+    fn a_family_over_sixty_four_counters_builds_no_table() {
+        assert_eq!(
+            AgmsHashes::new(16, 4, 3)
+                .with_sign_table(100)
+                .sign_table_len(),
+            100
+        );
+        let wide = AgmsHashes::new(13, 5, 3).with_sign_table(100);
+        assert_eq!(wide.sign_table_len(), 0, "65 counters keep the kernel");
+        assert_eq!(wide, AgmsHashes::new(13, 5, 3));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based invariants of the sketch substrate.
 
 use dsj_sketch::hash::MERSENNE_61;
-use dsj_sketch::{AgmsSketch, CountingBloomFilter, PolyHash};
+use dsj_sketch::{AgmsHashes, AgmsSketch, CountingBloomFilter, PolyHash};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -36,6 +37,33 @@ proptest! {
             prop_assert_eq!(counter, expected, "counter {}", i);
         }
         prop_assert_eq!(sk.updates(), updates.len() as u64);
+    }
+
+    /// The sign table is an exact memo of the kernel: over a tabulated
+    /// family of at most 64 counters, updates inside and outside its domain
+    /// leave the counters and update count bitwise those of the untabulated
+    /// family's sketch.
+    #[test]
+    fn tabulated_updates_equal_the_kernel(
+        s0 in 1usize..17,
+        s1 in 1usize..5,
+        seed in 0u64..u64::MAX,
+        domain in 0usize..300,
+        updates in prop::collection::vec((0u64..400, -3i64..4), 0..80),
+        far in prop::collection::vec((0u64..u64::MAX, -3i64..4), 0..4),
+    ) {
+        let hashes = AgmsHashes::new(s0, s1, seed);
+        let tabulated = Arc::new(AgmsHashes::new(s0, s1, seed).with_sign_table(domain));
+        prop_assert_eq!(tabulated.sign_table_len(), domain);
+        prop_assert_eq!(&*tabulated, &hashes);
+        let mut table = AgmsSketch::with_hashes(tabulated);
+        let mut kernel = AgmsSketch::with_hashes(Arc::new(hashes));
+        for &(v, delta) in updates.iter().chain(&far) {
+            table.update(v, delta);
+            kernel.update(v, delta);
+        }
+        prop_assert_eq!(table.counter_values(), kernel.counter_values());
+        prop_assert_eq!(table.updates(), kernel.updates());
     }
 
     /// Join-size estimation is symmetric.

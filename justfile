@@ -15,7 +15,7 @@ fmt-check:
 # lints.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed-methods -A clippy::disallowed-types
-    cargo clippy --workspace --exclude rand --exclude proptest --exclude parking_lot --lib --bins -- --no-deps -D warnings -F unsafe-code -D missing-docs -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -D clippy::todo -D clippy::unimplemented -D clippy::float_cmp -D clippy::disallowed_methods -D clippy::disallowed_types -D clippy::match_wildcard_for_single_variants
+    cargo clippy --workspace --exclude rand --exclude proptest --lib --bins -- --no-deps -D warnings -F unsafe-code -D missing-docs -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -D clippy::todo -D clippy::unimplemented -D clippy::float_cmp -D clippy::disallowed_methods -D clippy::disallowed_types -D clippy::match_wildcard_for_single_variants
 
 # API docs must build without warnings.
 doc:
