@@ -15,8 +15,11 @@
 //! | threads  | `dsj-runtime::LiveCluster` | in-process mailboxes | wall |
 //! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets read by the receiving node's thread, coalesced vectored writes | wall |
 //!
-//! An arrival sends each message into the transport as soon as it is
-//! built. What a whole arrival still allocates is measured, not assumed
+//! An arrival hands its window change to the router, which owns the
+//! node's one arrival clock and every sync decision: what rides on each
+//! tuple message (`Router::attach`) and which peers are owed a standalone
+//! summary. The engine sends each message into the transport as soon as it
+//! is built. What a whole arrival still allocates is measured, not assumed
 //! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
 //! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.020, SKCH 0.021 — the piggyback
 //! and `full_summaries` payload `Vec`s, plus the filter and sketch clones
@@ -166,8 +169,8 @@ pub struct NodeEngine {
     /// at ingest (mirroring `RunError::TraceKeyOutOfDomain`).
     domain: u32,
     count_from_seq: u64,
-    r_win: SlidingWindow,
-    s_win: SlidingWindow,
+    /// The locally arrived tuples per stream, indexed by [`StreamId::index`].
+    windows: [SlidingWindow; 2],
     router: Router,
     rng: StdRng,
     metrics: NodeMetrics,
@@ -200,8 +203,7 @@ impl NodeEngine {
             n: cfg.n,
             domain: cfg.plan.key.domain,
             count_from_seq,
-            r_win: SlidingWindow::new(spec),
-            s_win: SlidingWindow::new(spec),
+            windows: [SlidingWindow::new(spec), SlidingWindow::new(spec)],
             rng: cfg.rng(),
             router: Router::new(cfg),
             metrics: NodeMetrics::default(),
@@ -226,17 +228,9 @@ impl NodeEngine {
         &self.metrics
     }
 
-    /// Worst-case fallback activations recorded by the router.
-    pub fn fallback_events(&self) -> u64 {
-        self.router.fallback_events()
-    }
-
     /// The window holding `stream`'s locally arrived tuples.
     pub fn window(&self, stream: StreamId) -> &SlidingWindow {
-        match stream {
-            StreamId::R => &self.r_win,
-            StreamId::S => &self.s_win,
-        }
+        &self.windows[stream.index()]
     }
 
     /// Per-tuple delivery latency recorded for stamped (open-loop)
@@ -318,20 +312,11 @@ impl NodeEngine {
         self.metrics.local_matches += self.counted(tuple.seq, local);
         // Insert into the tuple's window, then hand the evicted keys (a
         // borrow of the window's reusable eviction buffer — disjoint from
-        // the router field) to summary maintenance.
-        let evicted_keys: &[u32] = match tuple.stream {
-            StreamId::R => {
-                self.r_win.insert(tuple, now_us);
-                self.r_win.evicted_keys()
-            }
-            StreamId::S => {
-                self.s_win.insert(tuple, now_us);
-                self.s_win.evicted_keys()
-            }
-        };
+        // the router field) to the router, whose clock counts the arrival.
+        let window = &mut self.windows[tuple.stream.index()];
+        window.insert(tuple, now_us);
         self.router
-            .local_update(tuple.stream, tuple.key, evicted_keys);
-        self.router.note_arrival();
+            .local_update(tuple.stream, tuple.key, window.evicted_keys());
         self.metrics.arrivals += 1;
 
         // Route toward likely join partners, under the governor's current
@@ -351,9 +336,10 @@ impl NodeEngine {
         sent
     }
 
-    /// Sends `tuple` to every peer on `route`, then a standalone summary
-    /// batch to every other peer no tuple message reached in too long
-    /// (Fig. 7: "transmitted on their own"); stops at the first failed send.
+    /// Sends `tuple` to every peer on `route`, with whatever summary the
+    /// router attaches for that peer, then a standalone summary batch to
+    /// every other peer no tuple message reached in too long (Fig. 7:
+    /// "transmitted on their own"); stops at the first failed send.
     fn send_routed<T: Transport>(
         &mut self,
         tuple: Tuple,
@@ -362,12 +348,7 @@ impl NodeEngine {
         transport: &mut T,
     ) -> Result<(), T::Error> {
         for &peer in &route.peers {
-            let piggyback = if self.router.sync_due(peer) {
-                self.router.full_summaries(peer)
-            } else {
-                self.router.piggyback(peer)
-            };
-            self.router.note_sent(peer);
+            let piggyback = self.router.attach(peer);
             self.send(peer, Msg::Tuple { tuple, piggyback }, now_us, transport)?;
         }
         if !self.router.sync_any_overdue() {

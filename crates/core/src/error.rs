@@ -1,5 +1,6 @@
 //! Error types for cluster experiment runs.
 
+use dsj_simnet::LinkFault;
 use std::fmt;
 
 /// Error raised when an experiment configuration cannot be run.
@@ -46,6 +47,11 @@ pub enum RunError {
         /// Local arrivals between refreshes.
         arrivals: u32,
     },
+    /// The WAN link model cannot be simulated (`LinkConfig::validate`).
+    InvalidLink(LinkFault),
+    /// The warm-up fraction is not in `[0, 1)`: at 1 or above nothing is
+    /// counted, so truth is 0 and ε reads a perfect 0.
+    WarmupOutOfRange(f64),
     /// The error rate to calibrate to is not a fraction in `[0, 1]`.
     EpsilonOutOfRange(f64),
     /// A best-effort search was given an empty grid of operating points.
@@ -112,6 +118,10 @@ impl fmt::Display for RunError {
                 "summary sync intervals must be at least 1 \
                  (got {sent} sent, {arrivals} arrivals)"
             ),
+            RunError::InvalidLink(fault) => write!(f, "invalid link model: {fault}"),
+            RunError::WarmupOutOfRange(w) => {
+                write!(f, "warm-up fraction {w} is not in [0, 1)")
+            }
             RunError::EpsilonOutOfRange(e) => {
                 write!(f, "target error rate {e} is not a fraction in [0, 1]")
             }
@@ -168,6 +178,19 @@ mod tests {
         }
         .to_string()
         .contains("got 0 sent, 2048 arrivals"));
+        assert_eq!(
+            RunError::InvalidLink(LinkFault::ZeroBandwidth).to_string(),
+            "invalid link model: bandwidth must be positive"
+        );
+        assert!(RunError::InvalidLink(LinkFault::InvertedLatency)
+            .to_string()
+            .contains("latency range is inverted"));
+        assert!(RunError::InvalidLink(LinkFault::LossAboveOne)
+            .to_string()
+            .contains("loss"));
+        assert!(RunError::WarmupOutOfRange(1.0)
+            .to_string()
+            .contains("1 is not in [0, 1)"));
         assert!(RunError::EpsilonOutOfRange(2.0).to_string().contains("2"));
         assert!(RunError::EmptyGrid.to_string().contains("operating point"));
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }

@@ -93,10 +93,10 @@ impl RouterHarness {
     }
 
     /// Feeds one local arrival (and the keys it evicted) into the router's
-    /// summaries — what [`crate::NodeEngine`] does on every window insert.
+    /// summaries and clock — what [`crate::NodeEngine`] does on every
+    /// window insert.
     pub fn local_update(&mut self, stream: StreamId, key: u32, evicted: &[u32]) {
         self.router.local_update(stream, key, evicted);
-        self.router.note_arrival();
     }
 
     /// Ships this node's full summaries to `dst` — the bulk synchronization

@@ -296,6 +296,10 @@ impl ClusterConfig {
                 arrivals: self.sync_arrival_interval,
             });
         }
+        self.link.validate().map_err(RunError::InvalidLink)?;
+        if !(0.0..1.0).contains(&self.warmup) {
+            return Err(RunError::WarmupOutOfRange(self.warmup));
+        }
         // Zero, negative and NaN rates have no schedule (`interarrival_us`
         // clamps them), and one so small that the run outlasts the driver's
         // clock has none it can keep.
@@ -356,7 +360,6 @@ impl ClusterConfig {
     fn report(&self, run: &Driven<NetMetrics>) -> ExperimentReport {
         let (tally, net) = (&run.tally, &run.extras);
         let total = tally.totals();
-        let fallback_events = run.engines.iter().map(NodeEngine::fallback_events).sum();
         let per_node_arrivals: Vec<u64> = tally.per_node.iter().map(|m| m.arrivals).collect();
         let mean_arrivals = self.tuples as f64 / self.n as f64;
         let load_imbalance = per_node_arrivals
@@ -395,7 +398,7 @@ impl ClusterConfig {
             duration_secs: duration,
             throughput: reported as f64 / duration,
             fallback_fraction: total.fallback_routes as f64 / self.tuples.max(1) as f64,
-            fallback_events,
+            fallback_events: total.fallback_routes,
             per_node_arrivals,
             load_imbalance,
             dropped_messages: net.messages_dropped,
@@ -803,7 +806,8 @@ pub struct ExperimentReport {
     pub throughput: f64,
     /// Fraction of arrivals routed by the worst-case fallback.
     pub fallback_fraction: f64,
-    /// Total fallback activations across nodes.
+    /// Total fallback activations across nodes: their
+    /// `NodeMetrics::fallback_routes`, summed.
     pub fallback_events: u64,
     /// Tuple arrivals per node (geographic skew shows up here).
     pub per_node_arrivals: Vec<u64>,
@@ -817,6 +821,7 @@ pub struct ExperimentReport {
 mod tests {
     use super::*;
     use crate::strategy::Tables;
+    use dsj_simnet::{LinkFault, SimDuration};
 
     fn quick(algorithm: Algorithm) -> ClusterConfig {
         ClusterConfig::new(4, algorithm)
@@ -935,6 +940,59 @@ mod tests {
             .sync_intervals(1, 1)
             .validate()
             .is_ok());
+        // A link `Simulation::new` would panic on, inside the run.
+        let wan = LinkConfig::paper_wan();
+        for (link, fault) in [
+            (
+                LinkConfig {
+                    bandwidth_bps: 0,
+                    ..wan
+                },
+                LinkFault::ZeroBandwidth,
+            ),
+            (
+                LinkConfig {
+                    latency_min: SimDuration::from_millis(101),
+                    ..wan
+                },
+                LinkFault::InvertedLatency,
+            ),
+            (
+                LinkConfig {
+                    loss_ppm: 1_000_001,
+                    ..wan
+                },
+                LinkFault::LossAboveOne,
+            ),
+        ] {
+            assert_eq!(
+                quick(Algorithm::Dft).link(link).run().unwrap_err(),
+                RunError::InvalidLink(fault)
+            );
+        }
+        assert!(quick(Algorithm::Dft)
+            .link(LinkConfig {
+                loss_ppm: 1_000_000,
+                latency_min: wan.latency_max,
+                ..wan
+            })
+            .validate()
+            .is_ok());
+        // A warm-up of 1 counted nothing and read as ε = 0; NaN and
+        // negative ones counted everything.
+        let warm = |warmup| ClusterConfig {
+            warmup,
+            ..quick(Algorithm::Dft)
+        };
+        for warmup in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                warm(warmup).run().unwrap_err(),
+                RunError::WarmupOutOfRange(w) if w.to_bits() == warmup.to_bits()
+            ));
+        }
+        for warmup in [0.0, 0.999] {
+            assert!(warm(warmup).validate().is_ok());
+        }
         // A target ε outside [0, 1] is refused before the first run, by
         // both searches, for BASE (which needs no search) as well.
         for algorithm in [Algorithm::Dft, Algorithm::Base] {

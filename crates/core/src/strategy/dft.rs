@@ -13,7 +13,7 @@
 //! reconstruction shows at least one join partner for a key — the
 //! `JoinEstimate`/`ChooseSite` steps of Fig. 7.
 
-use super::{RouterConfig, RHO_REFRESH};
+use super::RouterConfig;
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
@@ -27,10 +27,6 @@ use std::sync::Arc;
 const PIGGYBACK_TAU_ABS: f64 = 32.0;
 /// Relative component of the piggyback threshold.
 const PIGGYBACK_TAU_REL: f64 = 0.25;
-/// Minimum local arrivals between piggybacks to the same peer — caps the
-/// steady-state coefficient overhead at a small fraction of the tuple
-/// data, the regime Figure 8 reports.
-const PIGGYBACK_GAP: u64 = 192;
 /// Shrinks the piggyback scan's cheap bound just enough to absorb the
 /// rounding of `hypot` and of the threshold arithmetic (a few ulps, far
 /// below `1e-12`); the argument is at `most_changed`.
@@ -56,17 +52,13 @@ pub(super) struct DftSummary {
     recon_row: ReconRow,
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
-    /// Cached `ρ` per peer per *tuple* stream (correlating `local[s]`
-    /// against `remote[peer][s.opposite()]`), recomputed where stale: after
-    /// a peer's summary lands, and every `RHO_REFRESH` local arrivals.
-    rho: Vec<[Option<f64>; 2]>,
+    /// Per peer per *tuple* stream: whether the caller's `ρ` (correlating
+    /// `local[s]` against `remote[peer][s.opposite()]`) is stale — after a
+    /// peer's summary lands, and on the router's `RHO_REFRESH` tick.
     rho_stale: Vec<[bool; 2]>,
     /// Per tuple stream: whether some `ρ` went stale since the last
     /// `fill_affinities`, so the caller's row may be out of date.
     row_dirty: [bool; 2],
-    arrivals_since_rho: u32,
-    arrivals: u64,
-    last_piggyback: Vec<u64>,
 }
 
 impl DftSummary {
@@ -98,12 +90,8 @@ impl DftSummary {
             recon_plan,
             recon_row,
             retained: k,
-            rho: vec![[None, None]; n],
             rho_stale: vec![[true, true]; n],
             row_dirty: [true, true],
-            arrivals_since_rho: 0,
-            arrivals: 0,
-            last_piggyback: vec![0; n],
         }
     }
 
@@ -114,15 +102,14 @@ impl DftSummary {
         for &e in evicted {
             self.local[s].add(e as usize, -1.0);
         }
-        self.arrivals += 1;
-        self.arrivals_since_rho += 1;
-        if self.arrivals_since_rho >= RHO_REFRESH {
-            self.arrivals_since_rho = 0;
-            for flags in &mut self.rho_stale {
-                *flags = [true, true];
-            }
-            self.row_dirty = [true, true];
+    }
+
+    /// Marks every `ρ` stale: local arrivals have moved `local`.
+    pub fn mark_stale(&mut self) {
+        for flags in &mut self.rho_stale {
+            *flags = [true, true];
         }
+        self.row_dirty = [true, true];
     }
 
     /// Number of low-frequency bins used for the correlation coefficient.
@@ -131,11 +118,11 @@ impl DftSummary {
     /// reconstruction.
     const RHO_SMOOTH_BINS: usize = 16;
 
-    /// Refills `row` with `ρ` against each of `peers` for a tuple of
-    /// `stream`, recomputing the stale entries first — only when some `ρ`
-    /// went stale since the last fill for `stream`. Returns whether it
-    /// refilled `row` (`true` on the first call for a stream); when it did
-    /// not, `row` is left as that fill left it.
+    /// Rewrites the stale entries of `row`, the caller's `ρ` against each
+    /// of `peers` for a tuple of `stream` as the previous fill for `stream`
+    /// left it — only when some `ρ` went stale since then. Returns whether
+    /// it touched `row` (`true` on the first call for a stream, which sizes
+    /// it to `peers`).
     pub fn fill_affinities(
         &mut self,
         stream: StreamId,
@@ -148,11 +135,11 @@ impl DftSummary {
         }
         self.row_dirty[s] = false;
         let opp = stream.opposite().index();
-        row.clear();
-        for &peer in peers {
+        row.resize(peers.len(), None);
+        for (rho, &peer) in row.iter_mut().zip(peers) {
             let j = peer as usize;
             if self.rho_stale[j][s] {
-                self.rho[j][s] = self.remote[j][opp].as_ref().map(|coeffs| {
+                *rho = self.remote[j][opp].as_ref().map(|coeffs| {
                     let k = coeffs.len().min(Self::RHO_SMOOTH_BINS);
                     cross_correlation_coefficient(
                         &self.local[s].coefficients()[..k],
@@ -162,7 +149,6 @@ impl DftSummary {
                 });
                 self.rho_stale[j][s] = false;
             }
-            row.push(self.rho[j][s]);
         }
         true
     }
@@ -290,12 +276,10 @@ impl DftSummary {
     /// across both streams, when it moved past the (absolute + relative)
     /// threshold. Keeping this to one coefficient per tuple message holds
     /// the coefficient overhead at a few percent of the net data, the
-    /// regime Figure 8 reports.
+    /// regime Figure 8 reports. How often one goes out is the router's
+    /// call (`Router::attach`).
     pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
         let p = peer as usize;
-        if self.arrivals.saturating_sub(self.last_piggyback[p]) < PIGGYBACK_GAP {
-            return Vec::new();
-        }
         // A stream never fully synced has no snapshot: a piggyback would
         // ship partial state.
         let prefixes = StreamId::BOTH.map(|stream| {
@@ -313,7 +297,6 @@ impl DftSummary {
             return Vec::new();
         };
         snap[i] = value;
-        self.last_piggyback[p] = self.arrivals;
         vec![SummaryPayload::Dft {
             stream,
             signal_len: self.domain,
@@ -363,7 +346,8 @@ fn most_changed(prefixes: [Option<(&[Complex64], &[Complex64])>; 2]) -> Option<(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{test_config, Algorithm, Tables};
+    use super::super::tests as router;
+    use super::super::{test_config, Algorithm, Router, Tables, RHO_REFRESH};
     use super::*;
     use proptest::prelude::*;
 
@@ -634,19 +618,20 @@ mod tests {
 
     #[test]
     fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
-        let mut n0 = summary(Algorithm::Dft, 0);
-        let mut n1 = summary(Algorithm::Dft, 1);
-        fill(&mut n0, StreamId::R, &[3; 10]);
-        fill(&mut n1, StreamId::S, &[3; 20]);
-        exchange(&mut n1, 1, &mut n0, 0);
+        // Through routers: local arrivals reach the summary, and the
+        // refresh tick comes from the router's clock.
+        let [mut n0, mut n1] = [0, 1].map(|me| Router::new(test_config(Algorithm::Dft, me, 2)));
+        router::fill(&mut n0, StreamId::R, &[3; 10]);
+        router::fill(&mut n1, StreamId::S, &[3; 20]);
+        router::exchange(&mut n1, &mut n0);
         let (peers, sentinel) = ([1], vec![Some(-7.0)]);
         let mut rows = [Vec::new(), Vec::new()];
         // Returns whether `stream`'s row was refilled, after checking that
         // an untouched row still holds the sentinel.
-        let mut refill = |n0: &mut DftSummary, stream: StreamId| {
+        let mut refill = |n0: &mut Router, stream: StreamId| {
             let row = &mut rows[stream.index()];
             *row = sentinel.clone();
-            let refilled = n0.fill_affinities(stream, &peers, row);
+            let refilled = n0.summary.fill_affinities(stream, &peers, row);
             assert_eq!(refilled, *row != sentinel, "{stream:?}");
             refilled
         };
@@ -655,15 +640,15 @@ mod tests {
         assert!(!refill(&mut n0, StreamId::R), "nothing went stale");
         // A peer's S summary lands: R tuples correlate against it, S
         // tuples do not.
-        fill(&mut n1, StreamId::S, &[9; 20]);
-        exchange(&mut n1, 1, &mut n0, 0);
+        router::fill(&mut n1, StreamId::S, &[9; 20]);
+        router::exchange(&mut n1, &mut n0);
         assert!(refill(&mut n0, StreamId::R));
         assert!(!refill(&mut n0, StreamId::S));
         // Local arrivals leave both rows alone until the refresh tick.
-        fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
+        router::fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
         assert!(!refill(&mut n0, StreamId::R));
         assert!(!refill(&mut n0, StreamId::S));
-        fill(&mut n0, StreamId::S, &[4]);
+        router::fill(&mut n0, StreamId::S, &[4]);
         assert!(refill(&mut n0, StreamId::R), "tick");
         assert!(refill(&mut n0, StreamId::S), "tick");
         assert!(!refill(&mut n0, StreamId::S));

@@ -91,7 +91,12 @@ impl fmt::Display for Algorithm {
 /// The summary-bearing strategies recompute their cached per-peer
 /// affinities every this many local arrivals (and whenever a peer's
 /// summary lands).
-const RHO_REFRESH: u32 = 64;
+const RHO_REFRESH: u64 = 64;
+
+/// Minimum local arrivals between piggybacks to the same peer — caps the
+/// steady-state coefficient overhead at a small fraction of the tuple
+/// data, the regime Figure 8 reports.
+const PIGGYBACK_GAP: u64 = 192;
 
 /// Per-node configuration shared by all routers.
 #[derive(Debug, Clone)]
@@ -130,20 +135,24 @@ pub(crate) struct Route {
     pub fallback: bool,
 }
 
-/// Summary-synchronization bookkeeping shared by the summary-bearing
-/// strategies: a peer's copy of our summary is refreshed after enough
-/// tuple messages have been sent to it, after enough local arrivals, or
-/// immediately at bootstrap.
+/// The node's one arrival clock and the summary-sync policy read off it:
+/// a peer's copy of our summary is refreshed after enough tuple messages
+/// have been sent to it, after enough local arrivals, or immediately at
+/// bootstrap; DFT's one-coefficient piggyback goes to a peer at most once
+/// per `PIGGYBACK_GAP` arrivals; and every `RHO_REFRESH`-th arrival ticks
+/// the cached affinities stale.
 ///
 /// An arrival costs O(1): one local arrival clock, and per peer the clock
-/// reading at its last refresh, so a peer's staleness is their difference.
-/// The earliest arrival count at which any peer turns overdue is kept
-/// beside them and recomputed only when a peer is refreshed.
+/// reading at its last refresh and at its last piggyback, so a peer's
+/// staleness is their difference. The earliest arrival count at which any
+/// peer turns overdue is kept beside them and recomputed only when a peer
+/// is refreshed.
 #[derive(Debug, Clone)]
 pub(crate) struct SyncState {
     me: u16,
     arrivals: u64,
     reset_at: Vec<u64>,
+    piggybacked_at: Vec<u64>,
     sent_since: Vec<u32>,
     synced_once: Vec<bool>,
     /// The minimum over peers of `reset_at + overdue_after`: no peer is
@@ -163,6 +172,7 @@ impl SyncState {
             me,
             arrivals: 0,
             reset_at: vec![0; n as usize],
+            piggybacked_at: vec![0; n as usize],
             sent_since: vec![0; n as usize],
             synced_once: vec![false; n as usize],
             next_overdue: 2 * u64::from(bootstrap_after),
@@ -173,8 +183,11 @@ impl SyncState {
     }
 
     /// Notes one local tuple arrival (advances all peers' staleness).
-    pub fn note_arrival(&mut self) {
+    /// Returns `true` on every `RHO_REFRESH`-th arrival: the tick at which
+    /// the cached affinities go stale.
+    pub fn note_arrival(&mut self) -> bool {
         self.arrivals += 1;
+        self.arrivals.is_multiple_of(RHO_REFRESH)
     }
 
     /// Notes a tuple message sent to `peer`.
@@ -219,6 +232,18 @@ impl SyncState {
         self.arrivals >= self.next_overdue
     }
 
+    /// `true` when `PIGGYBACK_GAP` arrivals have passed since the last
+    /// piggyback to `peer` (since the start, before the first). A full
+    /// refresh leaves this alone.
+    pub fn gap_passed(&self, peer: u16) -> bool {
+        self.arrivals - self.piggybacked_at[peer as usize] >= PIGGYBACK_GAP
+    }
+
+    /// Notes a piggyback sent to `peer`: the gap starts over.
+    pub fn note_piggyback(&mut self, peer: u16) {
+        self.piggybacked_at[peer as usize] = self.arrivals;
+    }
+
     /// Marks `peer` as freshly synchronized.
     pub fn reset(&mut self, peer: u16) {
         let p = peer as usize;
@@ -233,10 +258,11 @@ impl SyncState {
 }
 
 /// What a strategy gossips and reads back: the only thing the five
-/// algorithms differ in. Every variant answers the same five questions —
-/// `local_update`, `apply_summary`, `full_summaries`, `piggyback`,
-/// `fill_affinities` — and the two membership testers also
-/// `push_candidates`; none of them knows a target, a route or an RNG.
+/// algorithms differ in. Every variant answers the same questions —
+/// `local_update`, `apply_summary`, `full_summaries`, `fill_affinities`,
+/// `mark_stale` — DFT also `piggyback`, and the two membership testers
+/// `push_candidates`; none of them knows a target, a route, an RNG or a
+/// clock.
 #[derive(Debug)]
 enum Summary {
     /// BASE: nothing exchanged, every tuple broadcast.
@@ -253,9 +279,9 @@ impl Summary {
     /// Refills `row`, aligned with `peers`, with this node's affinity to
     /// each peer for a tuple of `stream` (`None`: no summary from that peer
     /// yet) — but only when it may have changed since the previous fill for
-    /// `stream`, which the caller keeps: otherwise returns `false` and
-    /// leaves `row` as that fill left it. Returns `true` on the first call
-    /// for a stream.
+    /// `stream`, which the caller keeps (DFT rewrites just the entries that
+    /// went stale): otherwise returns `false` and leaves `row` as that fill
+    /// left it. Returns `true` on the first call for a stream.
     fn fill_affinities(
         &mut self,
         stream: StreamId,
@@ -267,6 +293,17 @@ impl Summary {
             Summary::Dft(d) => d.fill_affinities(stream, peers, row),
             Summary::Bloom(b) => b.fill_affinities(stream, peers, row),
             Summary::Sketch(k) => k.fill_affinities(stream, peers, row),
+        }
+    }
+
+    /// The `RHO_REFRESH` tick: local arrivals may have moved every cached
+    /// affinity, so DFT and SKCH mark theirs stale. BLOOM's hit rates move
+    /// with each test instead.
+    fn mark_stale(&mut self) {
+        match self {
+            Summary::Dft(d) => d.mark_stale(),
+            Summary::Sketch(k) => k.mark_stale(),
+            Summary::None | Summary::Bloom(_) => {}
         }
     }
 }
@@ -297,7 +334,8 @@ impl Forwarding {
 /// One node's routing layer: the Section 5.2 flow filter (Fig. 7), written
 /// once for every algorithm, over whichever [`Summary`] the algorithm
 /// exchanges. Everything that is *policy* lives here — the message budget,
-/// summary-sync cadence, the uniform-data verdict, the round-robin
+/// the node's arrival clock and the summary-sync cadence read off it, what
+/// rides on a tuple message, the uniform-data verdict, the round-robin
 /// fallback and all per-tuple scratch.
 #[derive(Debug)]
 pub(crate) struct Router {
@@ -308,7 +346,6 @@ pub(crate) struct Router {
     summary: Summary,
     sync: SyncState,
     rr: RoundRobin,
-    fallback_events: u64,
     /// The affinity row per *tuple* stream, refilled only when the
     /// summary it is read from may have changed (`fill_affinities`).
     affinity: [Vec<Option<f64>>; 2],
@@ -354,7 +391,6 @@ impl Router {
                 cfg.plan.key.window,
             ),
             rr: RoundRobin::new(),
-            fallback_events: 0,
             affinity: [Vec::with_capacity(m), Vec::with_capacity(m)],
             uniform: [false, false],
             forward: [Forwarding::new(m), Forwarding::new(m)],
@@ -367,14 +403,18 @@ impl Router {
         }
     }
 
-    /// Records a local window change: `added` entered `stream`'s window,
-    /// `evicted` left it.
+    /// Records one local arrival: `added` entered `stream`'s window,
+    /// `evicted` left it. Advances the sync clock, and on its
+    /// `RHO_REFRESH` tick marks the cached affinities stale.
     pub fn local_update(&mut self, stream: StreamId, added: u32, evicted: &[u32]) {
         match &mut self.summary {
             Summary::None => {}
             Summary::Dft(d) => d.local_update(stream, added, evicted),
             Summary::Bloom(b) => b.local_update(stream, added, evicted),
             Summary::Sketch(k) => k.local_update(stream, added, evicted),
+        }
+        if self.sync.note_arrival() {
+            self.summary.mark_stale();
         }
     }
 
@@ -522,7 +562,6 @@ impl Router {
 
     /// The worst-case policy: round-robin over the peers, `target` at a time.
     fn fallback_into(&mut self, target: f64, out: &mut Route) {
-        self.fallback_events += 1;
         let count = (target.round() as usize).max(1);
         self.rr
             .pick_into(self.cfg.me, self.cfg.n, count, &mut out.peers);
@@ -627,20 +666,23 @@ impl Router {
         }
     }
 
-    /// Notes a local arrival for sync bookkeeping.
-    pub fn note_arrival(&mut self) {
-        self.sync.note_arrival();
-    }
-
-    /// Notes a tuple message sent to `peer`.
-    pub fn note_sent(&mut self, peer: u16) {
+    /// What rides on a tuple message to `peer`, noting the send: the full
+    /// refresh when one is due, otherwise DFT's one-coefficient piggyback
+    /// once `PIGGYBACK_GAP` arrivals have passed since the last one.
+    pub fn attach(&mut self, peer: u16) -> Vec<SummaryPayload> {
+        let mut payloads = Vec::new();
+        if self.sync.due(peer) {
+            payloads = self.full_summaries(peer);
+        } else if let Summary::Dft(d) = &mut self.summary {
+            if self.sync.gap_passed(peer) {
+                payloads = d.piggyback(peer);
+                if !payloads.is_empty() {
+                    self.sync.note_piggyback(peer);
+                }
+            }
+        }
         self.sync.note_sent(peer);
-    }
-
-    /// `true` when `peer` should receive a summary refresh on the next
-    /// tuple message to it.
-    pub fn sync_due(&self, peer: u16) -> bool {
-        self.sync.due(peer)
+        payloads
     }
 
     /// `true` when `peer` warrants a standalone summary message.
@@ -662,20 +704,6 @@ impl Router {
             Summary::Bloom(b) => b.full_summaries(),
             Summary::Sketch(k) => k.full_summaries(),
         }
-    }
-
-    /// Produces a small piggyback delta for `peer` (DFT-family only: the
-    /// other summaries do not delta-encode).
-    pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        match &mut self.summary {
-            Summary::Dft(d) => d.piggyback(peer),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Number of times the worst-case fallback policy fired.
-    pub fn fallback_events(&self) -> u64 {
-        self.fallback_events
     }
 }
 
@@ -711,14 +739,14 @@ mod tests {
     use rand::SeedableRng;
 
     /// Fills a router's local `stream` window with `keys`.
-    fn fill(r: &mut Router, stream: StreamId, keys: &[u32]) {
+    pub(super) fn fill(r: &mut Router, stream: StreamId, keys: &[u32]) {
         for &k in keys {
             r.local_update(stream, k, &[]);
         }
     }
 
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
-    fn exchange(src: &mut Router, dst: &mut Router) {
+    pub(super) fn exchange(src: &mut Router, dst: &mut Router) {
         for p in src.full_summaries(dst.cfg.me) {
             dst.apply_summary(src.cfg.me, &p);
         }
@@ -739,7 +767,10 @@ mod tests {
     }
 
     /// `SyncState` as it was before its O(1) clock: one saturating arrival
-    /// counter per peer, bumped on every arrival and zeroed on refresh.
+    /// counter per peer, bumped on every arrival and zeroed on refresh;
+    /// beside it the clocks `DftSummary` kept before the router's became
+    /// the only one: its own arrival count, the count at each peer's last
+    /// piggyback, and the arrivals since the last `ρ` refresh.
     struct SyncOracle {
         sent_since: Vec<u32>,
         arrivals_since: Vec<u32>,
@@ -747,6 +778,9 @@ mod tests {
         sent_interval: u32,
         arrival_interval: u32,
         bootstrap_after: u32,
+        arrivals: u64,
+        last_piggyback: Vec<u64>,
+        arrivals_since_rho: u64,
     }
 
     impl SyncOracle {
@@ -758,13 +792,28 @@ mod tests {
                 sent_interval,
                 arrival_interval,
                 bootstrap_after: (window as u32 / 4).clamp(8, 512),
+                arrivals: 0,
+                last_piggyback: vec![0; n as usize],
+                arrivals_since_rho: 0,
             }
         }
 
-        fn note_arrival(&mut self) {
+        /// Returns whether the `ρ` refresh tick fired.
+        fn note_arrival(&mut self) -> bool {
             for a in &mut self.arrivals_since {
                 *a = a.saturating_add(1);
             }
+            self.arrivals += 1;
+            self.arrivals_since_rho += 1;
+            if self.arrivals_since_rho >= RHO_REFRESH {
+                self.arrivals_since_rho = 0;
+                return true;
+            }
+            false
+        }
+
+        fn gap_passed(&self, p: usize) -> bool {
+            self.arrivals.saturating_sub(self.last_piggyback[p]) >= PIGGYBACK_GAP
         }
 
         fn due(&self, p: usize) -> bool {
@@ -799,7 +848,7 @@ mod tests {
             sent_interval in 1u32..6,
             arrival_interval in 1u32..24,
             window in 0usize..160,
-            ops in prop::collection::vec((0u8..8, 0usize..6), 0..400),
+            ops in prop::collection::vec((0u8..9, 0usize..6), 0..600),
         ) {
             let me = me % n;
             let mut clock = SyncState::new(me, n, sent_interval, arrival_interval, window);
@@ -808,19 +857,24 @@ mod tests {
             for (step, (op, pick)) in ops.into_iter().enumerate() {
                 let peer = peers[pick % peers.len()];
                 // Arrivals outnumber the rest, so peers reach their
-                // intervals, bootstrap and overdue thresholds.
+                // intervals, bootstrap and overdue thresholds and the
+                // piggyback gap.
                 match op {
                     0..=4 => {
-                        clock.note_arrival();
-                        oracle.note_arrival();
+                        let tick = clock.note_arrival();
+                        prop_assert_eq!(tick, oracle.note_arrival(), "tick at {}", step);
                     }
                     5 | 6 => {
                         clock.note_sent(peer);
                         oracle.sent_since[peer as usize] += 1;
                     }
-                    _ => {
+                    7 => {
                         clock.reset(peer);
                         oracle.reset(peer as usize);
+                    }
+                    _ => {
+                        clock.note_piggyback(peer);
+                        oracle.last_piggyback[peer as usize] = oracle.arrivals;
                     }
                 }
                 for &j in &peers {
@@ -829,6 +883,13 @@ mod tests {
                         clock.overdue(j),
                         oracle.overdue(j as usize),
                         "overdue {} at {}",
+                        j,
+                        step
+                    );
+                    prop_assert_eq!(
+                        clock.gap_passed(j),
+                        oracle.gap_passed(j as usize),
+                        "gap {} at {}",
                         j,
                         step
                     );
@@ -867,6 +928,67 @@ mod tests {
             s.note_arrival();
         }
         assert!(s.overdue(1));
+    }
+
+    /// The number of coefficient updates in each of `payloads`.
+    fn updates_per_payload(payloads: &[SummaryPayload]) -> Vec<usize> {
+        payloads
+            .iter()
+            .map(|p| match p {
+                SummaryPayload::Dft { updates, .. } => updates.len(),
+                other => panic!("not a DFT payload: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn attach_sends_a_due_refresh_else_one_coefficient_after_the_gap() {
+        assert_eq!(PIGGYBACK_GAP, 192, "the arrival counts below assume it");
+        // Refreshes fall due at bootstrap (16 arrivals) and on every fourth
+        // tuple message to a peer, never on arrivals alone.
+        let mut cfg = test_config(Algorithm::Dft, 0, 2);
+        cfg.sync_sent_interval = 4;
+        cfg.sync_arrival_interval = 10_000;
+        let mut r = Router::new(cfg);
+        let flat: Vec<u32> = (0..16).map(|k| 16 * k).collect();
+        fill(&mut r, StreamId::R, &flat);
+        assert_eq!(
+            updates_per_payload(&r.attach(1)),
+            [32, 32],
+            "bootstrap: both streams' whole prefix"
+        );
+        // Not due, and the gap counts from the start: a big change waits.
+        fill(&mut r, StreamId::R, &[3; 175]);
+        assert!(r.attach(1).is_empty(), "arrival 191 is inside the gap");
+        fill(&mut r, StreamId::R, &[3]);
+        assert_eq!(updates_per_payload(&r.attach(1)), [1], "arrival 192");
+        assert!(r.attach(1).is_empty(), "the gap starts over");
+        // The fourth message since the refresh carries the next one: R's
+        // changed coefficients, S's none.
+        let refresh = updates_per_payload(&r.attach(1));
+        assert!(refresh.len() == 1 && refresh[0] > 1, "{refresh:?}");
+        // A refresh at arrival 292 leaves the gap counting from 192.
+        fill(&mut r, StreamId::R, &[7; 100]);
+        for _ in 0..3 {
+            assert!(r.attach(1).is_empty(), "inside the gap, not due");
+        }
+        let refresh = updates_per_payload(&r.attach(1));
+        assert!(refresh.len() == 1 && refresh[0] > 1, "{refresh:?}");
+        fill(&mut r, StreamId::R, &[11; 150]);
+        assert_eq!(
+            updates_per_payload(&r.attach(1)),
+            [1],
+            "arrival 442: 250 after the last piggyback, 150 after the refresh"
+        );
+        // Only DFT piggybacks: between refreshes SKCH attaches nothing.
+        let mut cfg = test_config(Algorithm::Sketch, 0, 2);
+        cfg.sync_sent_interval = 4;
+        cfg.sync_arrival_interval = 10_000;
+        let mut r = Router::new(cfg);
+        fill(&mut r, StreamId::R, &flat);
+        assert_eq!(r.attach(1).len(), 2, "bootstrap: both sketches");
+        fill(&mut r, StreamId::R, &[3; 400]);
+        assert!(r.attach(1).is_empty());
     }
 
     #[test]
@@ -971,7 +1093,6 @@ mod tests {
             let route = n0.route(StreamId::R, 9, 1.0, &mut StdRng::seed_from_u64(99));
             assert!(route.fallback, "{algorithm}: identical windows");
             assert_eq!(route.peers.len(), 1, "{algorithm}: T=1 round robin");
-            assert!(n0.fallback_events() > 0, "{algorithm}");
         }
     }
 

@@ -13,7 +13,7 @@
 //! the signs of every key in `[0, D)` (`AgmsHashes::with_sign_table`), so a
 //! window update reads one word per key instead of evaluating 20 cubics.
 
-use super::{RouterConfig, RHO_REFRESH};
+use super::RouterConfig;
 use crate::msg::SummaryPayload;
 use dsj_sketch::{AgmsHashes, AgmsSketch};
 use dsj_stream::StreamId;
@@ -25,14 +25,13 @@ pub(super) struct SketchSummary {
     local: [AgmsSketch; 2],
     remote: Vec<[Option<AgmsSketch>; 2]>,
     /// Cached pairwise join-size estimates per peer per tuple stream,
-    /// recomputed where stale: after a peer's sketch lands, and every
-    /// `RHO_REFRESH` local arrivals.
+    /// recomputed where stale: after a peer's sketch lands, and on the
+    /// router's `RHO_REFRESH` tick.
     est: Vec<[Option<f64>; 2]>,
     est_stale: Vec<[bool; 2]>,
     /// Per tuple stream: whether some estimate went stale since the last
     /// `fill_affinities`, so the caller's row may be out of date.
     row_dirty: [bool; 2],
-    arrivals_since_refresh: u32,
     /// `join_size_into`'s group means, reused by every estimate.
     group_means: Vec<f64>,
 }
@@ -52,7 +51,6 @@ impl SketchSummary {
             est: vec![[None, None]; n],
             est_stale: vec![[true, true]; n],
             row_dirty: [true, true],
-            arrivals_since_refresh: 0,
         }
     }
 
@@ -63,14 +61,14 @@ impl SketchSummary {
         for &e in evicted {
             self.local[s].update(u64::from(e), -1);
         }
-        self.arrivals_since_refresh += 1;
-        if self.arrivals_since_refresh >= RHO_REFRESH {
-            self.arrivals_since_refresh = 0;
-            for flags in &mut self.est_stale {
-                *flags = [true, true];
-            }
-            self.row_dirty = [true, true];
+    }
+
+    /// Marks every estimate stale: local arrivals have moved `local`.
+    pub fn mark_stale(&mut self) {
+        for flags in &mut self.est_stale {
+            *flags = [true, true];
         }
+        self.row_dirty = [true, true];
     }
 
     /// Refills `row` with the join-size estimate against each of `peers`
@@ -147,27 +145,13 @@ impl SketchSummary {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{test_config, Algorithm, Tables};
+    use super::super::tests::fill;
+    use super::super::{test_config, Algorithm, Router, RHO_REFRESH};
     use super::*;
 
-    /// Node `me`'s summary in a two-node SKCH cluster.
-    fn summary(me: u16) -> SketchSummary {
-        let cfg = test_config(Algorithm::Sketch, me, 2);
-        let Tables::Sketch(hashes) = &cfg.plan.tables else {
-            panic!("SKCH plans hold the AGMS family")
-        };
-        SketchSummary::new(&cfg, hashes)
-    }
-
-    fn fill(r: &mut SketchSummary, stream: StreamId, keys: &[u32]) {
-        for &k in keys {
-            r.local_update(stream, k, &[]);
-        }
-    }
-
-    /// Ships `src`'s sketch of `stream` to `dst`, as a full refresh would.
-    fn ship(src: &mut SketchSummary, dst: &mut SketchSummary, stream: StreamId) {
-        for p in src.full_summaries() {
+    /// Ships `src`'s sketch of `stream` to `dst`, out of a full refresh.
+    fn ship(src: &mut Router, dst: &mut Router, stream: StreamId) {
+        for p in src.full_summaries(0) {
             if matches!(p, SummaryPayload::Sketch { stream: s, .. } if s == stream) {
                 dst.apply_summary(1, &p);
             }
@@ -176,8 +160,9 @@ mod tests {
 
     #[test]
     fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
-        let mut n0 = summary(0);
-        let mut n1 = summary(1);
+        // Through routers: local arrivals reach the summary, and the
+        // refresh tick comes from the router's clock.
+        let [mut n0, mut n1] = [0, 1].map(|me| Router::new(test_config(Algorithm::Sketch, me, 2)));
         fill(&mut n0, StreamId::R, &[3; 10]);
         fill(&mut n1, StreamId::S, &[3; 20]);
         fill(&mut n1, StreamId::R, &[5; 20]);
@@ -187,10 +172,10 @@ mod tests {
         let mut rows = [Vec::new(), Vec::new()];
         // Returns whether `stream`'s row was refilled, after checking that
         // an untouched row still holds the sentinel.
-        let mut refill = |n0: &mut SketchSummary, stream: StreamId| {
+        let mut refill = |n0: &mut Router, stream: StreamId| {
             let row = &mut rows[stream.index()];
             *row = sentinel.clone();
-            let refilled = n0.fill_affinities(stream, &peers, row);
+            let refilled = n0.summary.fill_affinities(stream, &peers, row);
             assert_eq!(refilled, *row != sentinel, "{stream:?}");
             refilled
         };

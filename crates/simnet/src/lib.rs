@@ -43,7 +43,7 @@ pub mod metrics;
 pub mod sim;
 pub mod time;
 
-pub use link::LinkConfig;
+pub use link::{LinkConfig, LinkFault};
 pub use metrics::NetMetrics;
 pub use sim::{Ctx, NodeId, SimNode, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -10,6 +10,7 @@
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt;
 
 /// Latency and bandwidth parameters shared by all links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,18 +79,43 @@ impl LinkConfig {
         SimDuration::from_micros(rng.gen_range(lo..=hi))
     }
 
-    /// Validates the configuration.
+    /// Checks that the configuration can be simulated.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bandwidth_bps == 0` or the latency range is inverted.
-    pub fn validate(&self) {
-        assert!(self.bandwidth_bps > 0, "bandwidth must be positive");
-        assert!(
-            self.latency_min <= self.latency_max,
-            "latency range is inverted"
-        );
-        assert!(self.loss_ppm <= 1_000_000, "loss must be a probability");
+    /// The first [`LinkFault`] it has.
+    pub fn validate(&self) -> Result<(), LinkFault> {
+        if self.bandwidth_bps == 0 {
+            return Err(LinkFault::ZeroBandwidth);
+        }
+        if self.latency_min > self.latency_max {
+            return Err(LinkFault::InvertedLatency);
+        }
+        if self.loss_ppm > 1_000_000 {
+            return Err(LinkFault::LossAboveOne);
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`LinkConfig`] cannot be simulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkFault {
+    /// Zero bandwidth: no message would ever finish transmitting.
+    ZeroBandwidth,
+    /// `latency_min` exceeds `latency_max`.
+    InvertedLatency,
+    /// `loss_ppm` exceeds one million: a loss probability above 1.
+    LossAboveOne,
+}
+
+impl fmt::Display for LinkFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            LinkFault::ZeroBandwidth => "bandwidth must be positive",
+            LinkFault::InvertedLatency => "latency range is inverted",
+            LinkFault::LossAboveOne => "loss must be a probability",
+        })
     }
 }
 
@@ -151,7 +177,7 @@ mod tests {
         assert_eq!(cfg.latency_min, SimDuration::from_millis(20));
         assert_eq!(cfg.latency_max, SimDuration::from_millis(100));
         assert_eq!(cfg.bandwidth_bps, 90_000);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -200,14 +226,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "latency range is inverted")]
-    fn inverted_latency_rejected() {
-        LinkConfig {
-            latency_min: SimDuration::from_millis(5),
+    fn invalid_links_are_rejected_with_their_fault() {
+        let ok = LinkConfig {
+            latency_min: SimDuration::from_millis(1),
             latency_max: SimDuration::from_millis(1),
             bandwidth_bps: 1,
-            loss_ppm: 0,
-        }
-        .validate();
+            loss_ppm: 1_000_000,
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        let inverted = LinkConfig {
+            latency_min: SimDuration::from_millis(5),
+            ..ok
+        };
+        assert_eq!(inverted.validate(), Err(LinkFault::InvertedLatency));
+        assert_eq!(
+            inverted.validate().unwrap_err().to_string(),
+            "latency range is inverted"
+        );
+        let silent = LinkConfig {
+            bandwidth_bps: 0,
+            ..ok
+        };
+        assert_eq!(silent.validate(), Err(LinkFault::ZeroBandwidth));
+        let lossy = LinkConfig {
+            loss_ppm: 1_000_001,
+            ..ok
+        };
+        assert_eq!(lossy.validate(), Err(LinkFault::LossAboveOne));
     }
 }

@@ -137,7 +137,8 @@ impl<N: SimNode> Simulation<N> {
     pub fn new(nodes: Vec<N>, cfg: LinkConfig, seed: u64) -> Self {
         assert!(!nodes.is_empty(), "need at least one node");
         assert!(nodes.len() <= u16::MAX as usize, "too many nodes");
-        cfg.validate();
+        let link = cfg.validate();
+        assert!(link.is_ok(), "invalid link: {link:?}");
         let n = nodes.len();
         Simulation {
             nodes,

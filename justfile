@@ -30,47 +30,14 @@ tier1:
 test-workspace:
     cargo test -q --workspace
 
-# What `--metrics-out` writes, minus each line's wall-clock `phases` object.
-strip_phases := "sed -E 's/\"phases\":\\{(\"[^\"]+\":\\{[^}]*\\},?)*\\},//'"
-
-# Parallel repro harness must match serial byte-for-byte — stdout, and the
-# metrics records (one per experiment) once `phases` is removed — a
-# mistyped experiment name must fail the process, and Table 1 (wall-clock,
-# so outside the goldens) must print one row per quick-scale window.
+# Parallel repro harness byte-identical to serial (stdout and metrics),
+# bad names fail, Table 1 runs: see the script.
 repro-smoke:
-    cargo build --release -p dsj-bench --bin repro
-    DSJOIN_SCALE=quick ./target/release/repro fig8 ablation_detector --jobs 1 \
-        --metrics-out /tmp/dsjoin_metrics_j1.jsonl > /tmp/dsjoin_out_j1.txt
-    DSJOIN_SCALE=quick ./target/release/repro fig8 ablation_detector --jobs 4 \
-        --metrics-out /tmp/dsjoin_metrics_j4.jsonl > /tmp/dsjoin_out_j4.txt
-    diff /tmp/dsjoin_out_j1.txt /tmp/dsjoin_out_j4.txt
-    test "$(wc -l < /tmp/dsjoin_metrics_j4.jsonl)" -eq 2
-    {{strip_phases}} /tmp/dsjoin_metrics_j1.jsonl > /tmp/dsjoin_stable_j1.jsonl
-    {{strip_phases}} /tmp/dsjoin_metrics_j4.jsonl > /tmp/dsjoin_stable_j4.jsonl
-    if grep -q phases /tmp/dsjoin_stable_j4.jsonl; then exit 1; fi
-    diff /tmp/dsjoin_stable_j1.jsonl /tmp/dsjoin_stable_j4.jsonl
-    if DSJOIN_SCALE=quick ./target/release/repro figg8; then exit 1; fi
-    DSJOIN_SCALE=quick ./target/release/repro table1 > /tmp/dsjoin_table1.txt
-    test "$(grep -cE '^ *[0-9]+( +[0-9]+\.[0-9]+){3}$' /tmp/dsjoin_table1.txt)" -eq 2
+    scripts/repro-smoke.sh
 
-# Live runtimes: the unit tests — among them the interleaving explorer's
-# searches of the latch, mailbox + in-flight and dirty-flag protocols
-# (`explored_*`, under their asserted 30 s budget) — and cross-backend
-# lockstep equivalence (simnet = threads = TCP, all five strategies), plus
-# real socket runs of the flagship algorithm, of the bulk closed-loop path
-# (BASE: three messages per tuple, where the per-burst wake-ups and write
-# coalescing engage), of a lockstep-paced BLOOM cluster, of SKCH and of a
-# lockstep-paced DFT cluster (the two routers that keep their affinity rows
-# and forwarding probabilities between summaries) and of DFTT at N = 32.
+# Live runtimes' tests and real socket runs of every router: see the script.
 live-smoke:
-    cargo test -q -p dsj-runtime
-    cargo build --release -p dsj-runtime --example live_tcp
-    ./target/release/examples/live_tcp 4 10000 dftt
-    ./target/release/examples/live_tcp 4 50000 base
-    ./target/release/examples/live_tcp 5 5000 bloom lockstep
-    ./target/release/examples/live_tcp 4 10000 sketch
-    ./target/release/examples/live_tcp 4 5000 dft lockstep
-    ./target/release/examples/live_tcp 32 4000 dftt
+    scripts/live-smoke.sh
 
 # Run a workload over real loopback TCP sockets with codec-framed
 # messages, e.g. `just live-tcp 5 50000 bloom lockstep` or
