@@ -410,12 +410,7 @@ impl NodeEngine {
 
     fn apply_summaries(&mut self, from: u16, payloads: &[SummaryPayload]) {
         for p in payloads {
-            let dropped = self.router.apply_summary(from, p);
-            debug_assert!(
-                dropped == 0,
-                "peer {from} sent {dropped} out-of-range summary updates"
-            );
-            self.metrics.summary_index_drops += dropped;
+            self.metrics.summary_index_drops += self.router.apply_summary(from, p);
         }
     }
 
@@ -637,6 +632,52 @@ mod tests {
         assert_eq!(eng.metrics().arrivals, 1);
         // Both processed events were quiesced; shutdown is not an event.
         assert_eq!(tx.quiesced, 2);
+    }
+
+    #[test]
+    fn summaries_the_router_cannot_apply_are_counted_not_fatal() {
+        use crate::msg::CoeffUpdate;
+        // Node 0 of three runs DFT and retains 32 coefficients.
+        let mut eng = NodeEngine::assemble(
+            test_config(Algorithm::Dft, 0, 3),
+            WindowSpec::count(16),
+            0,
+            None,
+        );
+        let dft = |indices: &[u16]| SummaryPayload::Dft {
+            stream: StreamId::S,
+            signal_len: 256,
+            updates: (indices.iter())
+                .map(|&index| CoeffUpdate {
+                    index,
+                    value: dsj_dft::Complex64::new(1.0, 0.0),
+                })
+                .collect(),
+        };
+        let drops = |eng: &NodeEngine| eng.metrics().summary_index_drops;
+        eng.on_net(1, Msg::Summary(vec![dft(&[3])]));
+        assert_eq!(drops(&eng), 0);
+        // Two indices beyond the prefix: one drop each.
+        eng.on_net(1, Msg::Summary(vec![dft(&[3, 32, u16::MAX])]));
+        assert_eq!(drops(&eng), 2);
+        // A BLOOM node's two filters, piggybacked on a tuple: one drop
+        // each, and the tuple is still probed.
+        let bloom = Router::new(test_config(Algorithm::Bloom, 2, 3)).full_summaries(0);
+        assert_eq!(bloom.len(), 2);
+        eng.on_net(
+            2,
+            Msg::Tuple {
+                tuple: Tuple::new(StreamId::S, 5, 1, 1),
+                piggyback: bloom,
+            },
+        );
+        assert_eq!(drops(&eng), 4);
+        assert_eq!(eng.metrics().tuples_received, 1);
+        // Well-formed, but "from" the node itself and from beyond the
+        // cluster: one drop each.
+        eng.on_net(0, Msg::Summary(vec![dft(&[3])]));
+        eng.on_net(3, Msg::Summary(vec![dft(&[3])]));
+        assert_eq!(drops(&eng), 6);
     }
 
     /// A batching transcript transport: drains its whole backlog per

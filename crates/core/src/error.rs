@@ -37,6 +37,9 @@ pub enum RunError {
     ArrivalRateOutOfRange(f64),
     /// A constant message-complexity target is negative or not finite.
     TargetOutOfRange(f64),
+    /// The uniform-data detector's threshold is negative or not finite
+    /// (`0` switches the detector off).
+    CvThresholdOutOfRange(f64),
     /// A zero-millisecond time window: every tuple expires on arrival.
     ZeroTimeWindow,
     /// A zero summary-sync interval (`ClusterConfig::sync_intervals`):
@@ -112,6 +115,10 @@ impl fmt::Display for RunError {
                 f,
                 "message-complexity target {t} is not a finite non-negative number"
             ),
+            RunError::CvThresholdOutOfRange(cv) => write!(
+                f,
+                "uniform-data threshold {cv} is not a finite non-negative number"
+            ),
             RunError::ZeroTimeWindow => write!(f, "time window must span at least 1 ms"),
             RunError::ZeroSyncInterval { sent, arrivals } => write!(
                 f,
@@ -171,6 +178,9 @@ mod tests {
             .to_string()
             .contains("-3"));
         assert!(RunError::TargetOutOfRange(-1.0).to_string().contains("-1"));
+        assert!(RunError::CvThresholdOutOfRange(f64::NAN)
+            .to_string()
+            .contains("threshold NaN"));
         assert!(RunError::ZeroTimeWindow.to_string().contains("1 ms"));
         assert!(RunError::ZeroSyncInterval {
             sent: 0,

@@ -287,6 +287,11 @@ impl ClusterConfig {
                 return Err(RunError::TargetOutOfRange(t));
             }
         }
+        // `x < NaN` is false: a NaN threshold would switch the detector off.
+        let cv = self.flow_overrides.unwrap_or_default().uniform_cv_threshold;
+        if !(cv.is_finite() && cv >= 0.0) {
+            return Err(RunError::CvThresholdOutOfRange(cv));
+        }
         if self.time_window_ms == Some(0) {
             return Err(RunError::ZeroTimeWindow);
         }
@@ -920,6 +925,19 @@ mod tests {
             .target(TargetComplexity::Constant(0.0))
             .validate()
             .is_ok());
+        let detector = |cv| {
+            quick(Algorithm::Dft).flow(FlowParams {
+                uniform_cv_threshold: cv,
+            })
+        };
+        for cv in [f64::NAN, -0.01, f64::INFINITY] {
+            assert!(matches!(
+                detector(cv).run().unwrap_err(),
+                RunError::CvThresholdOutOfRange(_)
+            ));
+        }
+        // Zero is the detector ablation's "off".
+        assert!(detector(0.0).validate().is_ok());
         let timed = |ms| ClusterConfig {
             time_window_ms: Some(ms),
             ..quick(Algorithm::Dft)
@@ -1154,7 +1172,11 @@ mod tests {
                 let nodes: Vec<NodeEngine> = (0..cfg.n).map(|me| cfg.build_node(me)).collect();
                 assert_eq!(handles(&stale), before, "{what}");
                 drop((first, nodes));
-                assert_eq!(cfg.run_lockstep(), fresh.run_lockstep(), "{what}");
+                let report = cfg.run_lockstep().unwrap();
+                // No node of a cluster ever sends a summary its peer
+                // cannot apply.
+                assert_eq!(report.totals().summary_index_drops, 0, "{what}");
+                assert_eq!(report, fresh.run_lockstep().unwrap(), "{what}");
             }
         }
     }

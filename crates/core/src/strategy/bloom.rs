@@ -77,38 +77,33 @@ impl BloomSummary {
         any
     }
 
-    /// Refills `row` with the hit rate of each of `peers` that has shipped a
-    /// filter. The rates move with every tested tuple, so it refills on
-    /// every call and always returns `true`.
-    pub fn fill_affinities(
-        &mut self,
+    /// Rewrites every entry of `row` with the hit rate of each of `peers`
+    /// that has shipped a filter, and clears every flag in `stale`: the
+    /// rates move with every tested tuple, not only where a flag is set.
+    pub fn refresh_row(
+        &self,
         stream: StreamId,
         peers: &[u16],
-        row: &mut Vec<Option<f64>>,
-    ) -> bool {
+        stale: &mut [bool],
+        row: &mut [Option<f64>],
+    ) {
         let s = stream.index();
         let opp = stream.opposite().index();
-        row.clear();
-        row.extend(peers.iter().map(|&peer| {
+        for (rate, &peer) in row.iter_mut().zip(peers) {
             let j = peer as usize;
-            self.remote[j][opp].is_some().then(|| self.hit_rate[j][s])
-        }));
-        true
+            *rate = self.remote[j][opp].is_some().then(|| self.hit_rate[j][s]);
+        }
+        stale.fill(false);
     }
 
-    /// Ingests a peer's filter (replaced wholesale: nothing to drop). After
-    /// the first, it lands in the held filter's counters.
-    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        let SummaryPayload::Bloom { stream, filter } = payload else {
-            debug_assert!(false, "BLOOM summary received a non-Bloom payload");
-            return 0;
-        };
+    /// Ingests peer `from`'s filter of its `stream` window (replaced
+    /// wholesale). After the first, it lands in the held filter's counters.
+    pub fn apply_summary(&mut self, from: u16, stream: StreamId, filter: &CountingBloomFilter) {
         let slot = &mut self.remote[from as usize][stream.index()];
         match slot {
             Some(held) => held.clone_from(filter),
             None => *slot = Some(filter.clone()),
         }
-        0
     }
 
     /// Ships both stream filters (full refresh; filters do not

@@ -52,13 +52,6 @@ pub(super) struct DftSummary {
     recon_row: ReconRow,
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
-    /// Per peer per *tuple* stream: whether the caller's `ρ` (correlating
-    /// `local[s]` against `remote[peer][s.opposite()]`) is stale — after a
-    /// peer's summary lands, and on the router's `RHO_REFRESH` tick.
-    rho_stale: Vec<[bool; 2]>,
-    /// Per tuple stream: whether some `ρ` went stale since the last
-    /// `fill_affinities`, so the caller's row may be out of date.
-    row_dirty: [bool; 2],
 }
 
 impl DftSummary {
@@ -90,8 +83,6 @@ impl DftSummary {
             recon_plan,
             recon_row,
             retained: k,
-            rho_stale: vec![[true, true]; n],
-            row_dirty: [true, true],
         }
     }
 
@@ -104,42 +95,27 @@ impl DftSummary {
         }
     }
 
-    /// Marks every `ρ` stale: local arrivals have moved `local`.
-    pub fn mark_stale(&mut self) {
-        for flags in &mut self.rho_stale {
-            *flags = [true, true];
-        }
-        self.row_dirty = [true, true];
-    }
-
     /// Number of low-frequency bins used for the correlation coefficient.
     /// Smoothing ρ to coarse resolution makes the uniform-data detector
     /// robust to sparse-window noise; the full prefix still serves
     /// reconstruction.
     const RHO_SMOOTH_BINS: usize = 16;
 
-    /// Rewrites the stale entries of `row`, the caller's `ρ` against each
-    /// of `peers` for a tuple of `stream` as the previous fill for `stream`
-    /// left it — only when some `ρ` went stale since then. Returns whether
-    /// it touched `row` (`true` on the first call for a stream, which sizes
-    /// it to `peers`).
-    pub fn fill_affinities(
-        &mut self,
+    /// Rewrites the entries of `row`, this node's `ρ` against each of
+    /// `peers` for a tuple of `stream`, that `stale` flags, and clears
+    /// their flags.
+    pub fn refresh_row(
+        &self,
         stream: StreamId,
         peers: &[u16],
-        row: &mut Vec<Option<f64>>,
-    ) -> bool {
+        stale: &mut [bool],
+        row: &mut [Option<f64>],
+    ) {
         let s = stream.index();
-        if !self.row_dirty[s] {
-            return false;
-        }
-        self.row_dirty[s] = false;
         let opp = stream.opposite().index();
-        row.resize(peers.len(), None);
-        for (rho, &peer) in row.iter_mut().zip(peers) {
-            let j = peer as usize;
-            if self.rho_stale[j][s] {
-                *rho = self.remote[j][opp].as_ref().map(|coeffs| {
+        for ((rho, flag), &peer) in row.iter_mut().zip(stale).zip(peers) {
+            if std::mem::take(flag) {
+                *rho = self.remote[peer as usize][opp].as_ref().map(|coeffs| {
                     let k = coeffs.len().min(Self::RHO_SMOOTH_BINS);
                     cross_correlation_coefficient(
                         &self.local[s].coefficients()[..k],
@@ -147,10 +123,8 @@ impl DftSummary {
                         self.domain as usize,
                     )
                 });
-                self.rho_stale[j][s] = false;
             }
         }
-        true
     }
 
     /// Pushes `(peer, estimate)` for every peer whose reconstructed
@@ -189,27 +163,19 @@ impl DftSummary {
         any
     }
 
-    /// Ingests a peer's coefficient updates. Membership reads evaluate
-    /// their bucket from the prefix, so nothing else needs refreshing.
+    /// Ingests peer `from`'s coefficient updates to its `stream` prefix.
+    /// Membership reads evaluate their bucket from the prefix, so nothing
+    /// else needs refreshing.
     ///
     /// Returns the number of updates *dropped* because their index fell
-    /// outside the retained prefix — the signature of a version-skewed or
-    /// corrupted peer summary, surfaced via `NodeMetrics` rather than
-    /// silently part-applying the payload.
-    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        let SummaryPayload::Dft {
-            stream, updates, ..
-        } = payload
-        else {
-            debug_assert!(false, "DFT summary received a non-DFT payload");
-            return 0;
-        };
-        let j = from as usize;
-        let s = stream.index();
+    /// outside the retained prefix, rather than silently part-applying the
+    /// payload.
+    pub fn apply_summary(&mut self, from: u16, stream: StreamId, updates: &[CoeffUpdate]) -> u64 {
         let k = self.retained;
         // One-time lazy init per (peer, stream); every later summary from
         // this peer reuses the buffer.
-        let coeffs = self.remote[j][s].get_or_insert_with(|| vec![Complex64::ZERO; k]);
+        let coeffs = self.remote[from as usize][stream.index()]
+            .get_or_insert_with(|| vec![Complex64::ZERO; k]);
         let mut dropped = 0u64;
         for u in updates {
             match coeffs.get_mut(u.index as usize) {
@@ -217,10 +183,6 @@ impl DftSummary {
                 None => dropped += 1,
             }
         }
-        // Tuples of the *opposite* stream correlate against this summary.
-        let opp = stream.opposite().index();
-        self.rho_stale[j][opp] = true;
-        self.row_dirty[opp] = true;
         dropped
     }
 
@@ -346,8 +308,7 @@ fn most_changed(prefixes: [Option<(&[Complex64], &[Complex64])>; 2]) -> Option<(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests as router;
-    use super::super::{test_config, Algorithm, Router, Tables, RHO_REFRESH};
+    use super::super::{test_config, Algorithm, Tables};
     use super::*;
     use proptest::prelude::*;
 
@@ -367,10 +328,21 @@ mod tests {
         }
     }
 
+    /// Applies a DFT payload from `from` to `dst`, as the router does.
+    fn apply(dst: &mut DftSummary, from: u16, payload: &SummaryPayload) -> u64 {
+        let SummaryPayload::Dft {
+            stream, updates, ..
+        } = payload
+        else {
+            panic!("expected DFT payload")
+        };
+        dst.apply_summary(from, *stream, updates)
+    }
+
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
     fn exchange(src: &mut DftSummary, src_id: u16, dst: &mut DftSummary, dst_id: u16) {
         for p in src.full_summaries(dst_id) {
-            dst.apply_summary(src_id, &p);
+            apply(dst, src_id, &p);
         }
     }
 
@@ -550,7 +522,7 @@ mod tests {
                 },
             ],
         };
-        let dropped = r.apply_summary(1, &payload);
+        let dropped = apply(&mut r, 1, &payload);
         assert_eq!(dropped, 2, "two indices fall outside the prefix");
         let coeffs = r.remote[1][StreamId::S.index()].as_ref().unwrap();
         assert_eq!(coeffs.len(), 32, "buffer never grows for bad indices");
@@ -575,7 +547,7 @@ mod tests {
                 value: Complex64::new(2.0, 0.0),
             }],
         };
-        assert_eq!(r.apply_summary(1, &ok), 0);
+        assert_eq!(apply(&mut r, 1, &ok), 0);
     }
 
     #[test]
@@ -611,47 +583,9 @@ mod tests {
         let piggyback = n1.piggyback(0);
         assert_eq!(piggyback.len(), 1);
         for p in piggyback {
-            n0.apply_summary(1, &p);
+            apply(&mut n0, 1, &p);
         }
         check(&n0, &n1);
-    }
-
-    #[test]
-    fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
-        // Through routers: local arrivals reach the summary, and the
-        // refresh tick comes from the router's clock.
-        let [mut n0, mut n1] = [0, 1].map(|me| Router::new(test_config(Algorithm::Dft, me, 2)));
-        router::fill(&mut n0, StreamId::R, &[3; 10]);
-        router::fill(&mut n1, StreamId::S, &[3; 20]);
-        router::exchange(&mut n1, &mut n0);
-        let (peers, sentinel) = ([1], vec![Some(-7.0)]);
-        let mut rows = [Vec::new(), Vec::new()];
-        // Returns whether `stream`'s row was refilled, after checking that
-        // an untouched row still holds the sentinel.
-        let mut refill = |n0: &mut Router, stream: StreamId| {
-            let row = &mut rows[stream.index()];
-            *row = sentinel.clone();
-            let refilled = n0.summary.fill_affinities(stream, &peers, row);
-            assert_eq!(refilled, *row != sentinel, "{stream:?}");
-            refilled
-        };
-        assert!(refill(&mut n0, StreamId::R), "first fill");
-        assert!(refill(&mut n0, StreamId::S), "first fill");
-        assert!(!refill(&mut n0, StreamId::R), "nothing went stale");
-        // A peer's S summary lands: R tuples correlate against it, S
-        // tuples do not.
-        router::fill(&mut n1, StreamId::S, &[9; 20]);
-        router::exchange(&mut n1, &mut n0);
-        assert!(refill(&mut n0, StreamId::R));
-        assert!(!refill(&mut n0, StreamId::S));
-        // Local arrivals leave both rows alone until the refresh tick.
-        router::fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
-        assert!(!refill(&mut n0, StreamId::R));
-        assert!(!refill(&mut n0, StreamId::S));
-        router::fill(&mut n0, StreamId::S, &[4]);
-        assert!(refill(&mut n0, StreamId::R), "tick");
-        assert!(refill(&mut n0, StreamId::S), "tick");
-        assert!(!refill(&mut n0, StreamId::S));
     }
 
     #[test]

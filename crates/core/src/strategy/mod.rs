@@ -259,10 +259,10 @@ impl SyncState {
 
 /// What a strategy gossips and reads back: the only thing the five
 /// algorithms differ in. Every variant answers the same questions —
-/// `local_update`, `apply_summary`, `full_summaries`, `fill_affinities`,
-/// `mark_stale` — DFT also `piggyback`, and the two membership testers
-/// `push_candidates`; none of them knows a target, a route, an RNG or a
-/// clock.
+/// `local_update`, `apply_summary`, `full_summaries`, `refresh_row` — DFT
+/// also `piggyback`, and the two membership testers `push_candidates`;
+/// none of them knows a target, a route, an RNG, a clock or which of its
+/// affinities went stale.
 #[derive(Debug)]
 enum Summary {
     /// BASE: nothing exchanged, every tuple broadcast.
@@ -276,54 +276,62 @@ enum Summary {
 }
 
 impl Summary {
-    /// Refills `row`, aligned with `peers`, with this node's affinity to
-    /// each peer for a tuple of `stream` (`None`: no summary from that peer
-    /// yet) — but only when it may have changed since the previous fill for
-    /// `stream`, which the caller keeps (DFT rewrites just the entries that
-    /// went stale): otherwise returns `false` and leaves `row` as that fill
-    /// left it. Returns `true` on the first call for a stream.
-    fn fill_affinities(
+    /// Rewrites the entries of `row` that `stale` flags, and clears their
+    /// flags. `row` holds this node's affinity to each of `peers` for a
+    /// tuple of `stream` (`None`: no summary from that peer yet); `stale`
+    /// is aligned with it. BLOOM's hit rates move with every test, so it
+    /// rewrites every entry; SKCH recomputes the flagged raw estimates and
+    /// renormalises the whole row from them.
+    fn refresh_row(
         &mut self,
         stream: StreamId,
         peers: &[u16],
-        row: &mut Vec<Option<f64>>,
-    ) -> bool {
+        stale: &mut [bool],
+        row: &mut [Option<f64>],
+    ) {
         match self {
-            Summary::None => false,
-            Summary::Dft(d) => d.fill_affinities(stream, peers, row),
-            Summary::Bloom(b) => b.fill_affinities(stream, peers, row),
-            Summary::Sketch(k) => k.fill_affinities(stream, peers, row),
-        }
-    }
-
-    /// The `RHO_REFRESH` tick: local arrivals may have moved every cached
-    /// affinity, so DFT and SKCH mark theirs stale. BLOOM's hit rates move
-    /// with each test instead.
-    fn mark_stale(&mut self) {
-        match self {
-            Summary::Dft(d) => d.mark_stale(),
-            Summary::Sketch(k) => k.mark_stale(),
-            Summary::None | Summary::Bloom(_) => {}
+            Summary::None => {}
+            Summary::Dft(d) => d.refresh_row(stream, peers, stale, row),
+            Summary::Bloom(b) => b.refresh_row(stream, peers, stale, row),
+            Summary::Sketch(k) => k.refresh_row(stream, peers, stale, row),
         }
     }
 }
 
-/// One stream's forwarding probabilities over its whole affinity row, kept
-/// until the row changes or the budget moves.
+/// One tuple stream's routing caches, all of them functions of its
+/// affinity row, kept until a summary goes stale.
 #[derive(Debug)]
-struct Forwarding {
+struct StreamRow {
+    /// This node's affinity to each peer, aligned with `Router::peers`.
+    affinity: Vec<Option<f64>>,
+    /// Which `affinity` entries must be rewritten before the next read:
+    /// set for the sender when a peer's summary lands, and for every peer
+    /// on the `RHO_REFRESH` tick.
+    stale: Vec<bool>,
+    /// Whether the row may have moved since the verdict and the
+    /// probabilities were computed: some entry is stale, or BLOOM tested
+    /// a tuple.
+    dirty: bool,
+    /// Uniform-data verdict over `affinity`.
+    uniform: bool,
     /// `f64::to_bits` of the budget `probs` were computed for; `None`
-    /// before the first tuple and after the row changes.
+    /// before the first untested tuple and after the row changes.
     budget: Option<u64>,
     /// What `forwarding_probabilities_into` returned: `false` sends the
     /// tuple to the round-robin fallback.
     usable: bool,
+    /// Forwarding probabilities over the whole row, for the untested path.
     probs: Vec<f64>,
 }
 
-impl Forwarding {
+impl StreamRow {
+    /// A row over `peers` peers, every entry stale.
     fn new(peers: usize) -> Self {
-        Forwarding {
+        StreamRow {
+            affinity: vec![None; peers],
+            stale: vec![true; peers],
+            dirty: true,
+            uniform: false,
             budget: None,
             usable: false,
             probs: Vec::with_capacity(peers),
@@ -336,7 +344,7 @@ impl Forwarding {
 /// exchanges. Everything that is *policy* lives here — the message budget,
 /// the node's arrival clock and the summary-sync cadence read off it, what
 /// rides on a tuple message, the uniform-data verdict, the round-robin
-/// fallback and all per-tuple scratch.
+/// fallback, which affinities are stale and all per-tuple scratch.
 #[derive(Debug)]
 pub(crate) struct Router {
     cfg: RouterConfig,
@@ -346,16 +354,8 @@ pub(crate) struct Router {
     summary: Summary,
     sync: SyncState,
     rr: RoundRobin,
-    /// The affinity row per *tuple* stream, refilled only when the
-    /// summary it is read from may have changed (`fill_affinities`).
-    affinity: [Vec<Option<f64>>; 2],
-    /// Uniform-data verdict per tuple stream — a pure function of its
-    /// affinity row, so recomputed only when the summary reports the row
-    /// changed.
-    uniform: [bool; 2],
-    /// Forwarding probabilities over each stream's whole affinity row,
-    /// for the untested path; dropped with the verdict.
-    forward: [Forwarding; 2],
+    /// The affinity row and what derives from it, per *tuple* stream.
+    rows: [StreamRow; 2],
     /// Per-tuple scratch, sized to the peer count at construction so the
     /// policy itself allocates nothing: membership candidates, residual
     /// affinities, their forwarding probabilities, sampled peer indices.
@@ -391,9 +391,7 @@ impl Router {
                 cfg.plan.key.window,
             ),
             rr: RoundRobin::new(),
-            affinity: [Vec::with_capacity(m), Vec::with_capacity(m)],
-            uniform: [false, false],
-            forward: [Forwarding::new(m), Forwarding::new(m)],
+            rows: [StreamRow::new(m), StreamRow::new(m)],
             candidates: Vec::with_capacity(m),
             residual: Vec::with_capacity(m),
             probs: Vec::with_capacity(m),
@@ -405,7 +403,8 @@ impl Router {
 
     /// Records one local arrival: `added` entered `stream`'s window,
     /// `evicted` left it. Advances the sync clock, and on its
-    /// `RHO_REFRESH` tick marks the cached affinities stale.
+    /// `RHO_REFRESH` tick marks every affinity stale: local arrivals may
+    /// have moved them all.
     pub fn local_update(&mut self, stream: StreamId, added: u32, evicted: &[u32]) {
         match &mut self.summary {
             Summary::None => {}
@@ -414,8 +413,26 @@ impl Router {
             Summary::Sketch(k) => k.local_update(stream, added, evicted),
         }
         if self.sync.note_arrival() {
-            self.summary.mark_stale();
+            for row in &mut self.rows {
+                row.stale.fill(true);
+                row.dirty = true;
+            }
         }
+    }
+
+    /// Brings `stream`'s row up to date: when it is dirty, the summary
+    /// rewrites its stale entries, the verdict is recomputed and the
+    /// probabilities are dropped.
+    fn refresh(&mut self, stream: StreamId) {
+        let row = &mut self.rows[stream.index()];
+        if !row.dirty {
+            return;
+        }
+        row.dirty = false;
+        self.summary
+            .refresh_row(stream, &self.peers, &mut row.stale, &mut row.affinity);
+        row.uniform = detect_uniform(&row.affinity, self.cfg.flow.uniform_cv_threshold);
+        row.budget = None;
     }
 
     /// The message budget for one tuple: the configured operating point
@@ -465,23 +482,12 @@ impl Router {
         let target = self.target(scale);
         let s = stream.index();
         self.candidates.clear();
-        // BLOOM's affinities are the running hit rates of its membership
-        // tests, so it tests every tuple, before its row is read.
-        let mut any_summary = match &mut self.summary {
-            Summary::Bloom(b) => b.push_candidates(stream, key, &self.peers, &mut self.candidates),
-            _ => false,
-        };
-        let changed = self
-            .summary
-            .fill_affinities(stream, &self.peers, &mut self.affinity[s]);
-        if changed {
-            self.uniform[s] = detect_uniform(&self.affinity[s], self.cfg.flow.uniform_cv_threshold);
-            self.forward[s].budget = None;
-        }
+        let mut any_summary = self.test_bloom(stream, key);
+        self.refresh(stream);
         // Uniform-data worst case (Section 5.2.2): when the per-peer
         // affinities are indistinguishable, neither they nor membership
         // tests against flat summaries carry signal.
-        if self.uniform[s] {
+        if self.rows[s].uniform {
             self.fallback_into(target, out);
             return;
         }
@@ -516,7 +522,7 @@ impl Router {
                 let r = if picked {
                     Some(0.0)
                 } else {
-                    self.affinity[s][idx]
+                    self.rows[s].affinity[idx]
                 };
                 self.residual.push(r);
             }
@@ -541,23 +547,36 @@ impl Router {
         }
         // The whole row's probabilities depend on the row and the budget
         // only, so they are recomputed when either moved.
-        let cached = &mut self.forward[s];
-        if cached.budget != Some(target.to_bits()) {
-            cached.usable = forwarding_probabilities_into(
-                &self.affinity[s],
+        let row = &mut self.rows[s];
+        if row.budget != Some(target.to_bits()) {
+            row.usable = forwarding_probabilities_into(
+                &row.affinity,
                 target,
                 &mut self.flow_scratch,
-                &mut cached.probs,
+                &mut row.probs,
             );
-            cached.budget = Some(target.to_bits());
+            row.budget = Some(target.to_bits());
         }
-        if cached.usable {
-            sample_recipients_into(&cached.probs, rng, &mut self.sampled);
+        if row.usable {
+            sample_recipients_into(&row.probs, rng, &mut self.sampled);
             out.peers
                 .extend(self.sampled.iter().map(|&i| self.peers[i]));
         } else {
             self.fallback_into(target, out);
         }
+    }
+
+    /// BLOOM's membership test of a tuple of `stream` with join attribute
+    /// `key`, into `candidates`; `false` for every other summary. Its
+    /// affinities are the running hit rates of these tests, so it tests
+    /// every tuple, before the row is read, and every test marks the row
+    /// dirty. Returns whether any peer filter exists.
+    fn test_bloom(&mut self, stream: StreamId, key: u32) -> bool {
+        let Summary::Bloom(b) = &mut self.summary else {
+            return false;
+        };
+        self.rows[stream.index()].dirty = true;
+        b.push_candidates(stream, key, &self.peers, &mut self.candidates)
     }
 
     /// The worst-case policy: round-robin over the peers, `target` at a time.
@@ -571,12 +590,11 @@ impl Router {
     /// The allocating transcription of [`Router::route_into`]: the same
     /// policy over the same summary queries, with fresh buffers, the
     /// allocating `flow` twins and no verdict or probability cache. It
-    /// reads the router's affinity row for `stream`, which the summary
-    /// refills only when it may have changed, and recomputes the verdict
-    /// and probabilities from a copy of it on every tuple. Two identically
-    /// seeded routers — one routed, one reference-routed — must agree on
-    /// every peer set, fallback flag and RNG draw; `hotpath`'s lockstep
-    /// test drives them side by side.
+    /// reads the router's affinity row for `stream` through the same
+    /// refresh, and recomputes the verdict and probabilities from a copy of
+    /// it on every tuple. Two identically seeded routers — one routed, one
+    /// reference-routed — must agree on every peer set, fallback flag and
+    /// RNG draw; `hotpath`'s lockstep test drives them side by side.
     #[cfg(test)]
     pub fn route_reference(
         &mut self,
@@ -594,15 +612,11 @@ impl Router {
             };
         }
         let target = self.target(scale);
-        let mut candidates: Vec<(u16, f64)> = Vec::new();
-        let mut any_summary = match &mut self.summary {
-            Summary::Bloom(b) => b.push_candidates(stream, key, &peers, &mut candidates),
-            _ => false,
-        };
-        let s = stream.index();
-        self.summary
-            .fill_affinities(stream, &peers, &mut self.affinity[s]);
-        let rhos = self.affinity[s].clone();
+        self.candidates.clear();
+        let mut any_summary = self.test_bloom(stream, key);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.refresh(stream);
+        let rhos = self.rows[stream.index()].affinity.clone();
         if detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
             return self.fallback(target);
         }
@@ -653,17 +667,37 @@ impl Router {
         out
     }
 
-    /// Ingests a summary received from `from`. Returns the number of
-    /// updates the summary *dropped* because they fell outside its
-    /// configured shape (e.g. a DFT coefficient index beyond the retained
-    /// prefix) — zero for the summary kinds that replace state wholesale.
+    /// Ingests a summary received from `from` and marks the sender's
+    /// affinity stale for tuples of the opposite stream, which are routed
+    /// by it. Returns what it *dropped*, the signature of a version-skewed
+    /// or corrupted peer: each DFT coefficient index beyond the retained
+    /// prefix, or the whole payload when it is of another algorithm's kind
+    /// (any kind, to BASE) or `from` is not a peer.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        match &mut self.summary {
-            Summary::None => 0,
-            Summary::Dft(d) => d.apply_summary(from, payload),
-            Summary::Bloom(b) => b.apply_summary(from, payload),
-            Summary::Sketch(k) => k.apply_summary(from, payload),
-        }
+        let Ok(p) = self.peers.binary_search(&from) else {
+            return 1;
+        };
+        let (stream, dropped) = match (&mut self.summary, payload) {
+            (
+                Summary::Dft(d),
+                SummaryPayload::Dft {
+                    stream, updates, ..
+                },
+            ) => (*stream, d.apply_summary(from, *stream, updates)),
+            (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) => {
+                b.apply_summary(from, *stream, filter);
+                (*stream, 0)
+            }
+            (Summary::Sketch(k), SummaryPayload::Sketch { stream, sketch }) => {
+                k.apply_summary(from, *stream, sketch);
+                (*stream, 0)
+            }
+            _ => return 1,
+        };
+        let row = &mut self.rows[stream.opposite().index()];
+        row.stale[p] = true;
+        row.dirty = true;
+        dropped
     }
 
     /// What rides on a tuple message to `peer`, noting the send: the full
@@ -989,6 +1023,112 @@ mod tests {
         assert_eq!(r.attach(1).len(), 2, "bootstrap: both sketches");
         fill(&mut r, StreamId::R, &[3; 400]);
         assert!(r.attach(1).is_empty());
+    }
+
+    /// What `refresh_checked` writes where it expects a rewrite.
+    const SENTINEL: Option<f64> = Some(-7.0);
+
+    /// Ships `src`'s summary of `stream` to `dst`, out of a full refresh.
+    fn ship(src: &mut Router, dst: &mut Router, stream: StreamId) {
+        for p in src.full_summaries(dst.cfg.me) {
+            let (SummaryPayload::Dft { stream: s, .. }
+            | SummaryPayload::Bloom { stream: s, .. }
+            | SummaryPayload::Sketch { stream: s, .. }) = &p;
+            if *s == stream {
+                dst.apply_summary(src.cfg.me, &p);
+            }
+        }
+    }
+
+    /// Refreshes `stream`'s row and returns the stale mask it had, or
+    /// `None` when it was clean. A clean row must be left alone; a dirty
+    /// one must come back with every flagged entry rewritten and every
+    /// flag cleared.
+    fn refresh_checked(r: &mut Router, stream: StreamId) -> Option<Vec<bool>> {
+        let row = &mut r.rows[stream.index()];
+        let (mask, dirty) = (row.stale.clone(), row.dirty);
+        let kept = row.affinity.clone();
+        for (a, &flag) in row.affinity.iter_mut().zip(&mask) {
+            if flag || !dirty {
+                *a = SENTINEL;
+            }
+        }
+        r.refresh(stream);
+        let row = &mut r.rows[stream.index()];
+        assert!(!row.dirty && !row.stale.contains(&true), "{stream:?}");
+        if !dirty {
+            assert!(row.affinity.iter().all(|&a| a == SENTINEL), "{stream:?}");
+            row.affinity = kept;
+            return None;
+        }
+        assert!(!row.affinity.contains(&SENTINEL), "{stream:?}");
+        Some(mask)
+    }
+
+    #[test]
+    fn affinity_rows_are_refreshed_only_where_a_summary_went_stale() {
+        let all = Some(vec![true, true]);
+        for algorithm in [Algorithm::Dft, Algorithm::Dftt, Algorithm::Sketch] {
+            // Node 1 of three: peer 2's entries sit at index 1.
+            let [mut n0, mut n1, mut n2] = cluster(algorithm, 3).try_into().unwrap();
+            fill(&mut n1, StreamId::R, &[3; 10]);
+            for (peer, key) in [(&mut n0, 3), (&mut n2, 9)] {
+                fill(peer, StreamId::S, &[key; 20]);
+                fill(peer, StreamId::R, &[5; 20]);
+                exchange(peer, &mut n1);
+            }
+            assert_eq!(refresh_checked(&mut n1, StreamId::R), all, "{algorithm}");
+            assert_eq!(refresh_checked(&mut n1, StreamId::S), all, "{algorithm}");
+            let before = n1.rows[StreamId::R.index()].affinity.clone();
+            assert!(
+                before.iter().all(Option::is_some),
+                "{algorithm}: {before:?}"
+            );
+            assert_eq!(refresh_checked(&mut n1, StreamId::R), None, "{algorithm}");
+            // Peer 2's S summary lands: R tuples are routed by it, S
+            // tuples are not.
+            fill(&mut n2, StreamId::S, &[3; 40]);
+            ship(&mut n2, &mut n1, StreamId::S);
+            let only_peer_2 = Some(vec![false, true]);
+            assert_eq!(
+                refresh_checked(&mut n1, StreamId::R),
+                only_peer_2,
+                "{algorithm}"
+            );
+            assert_eq!(refresh_checked(&mut n1, StreamId::S), None, "{algorithm}");
+            let after = &n1.rows[StreamId::R.index()].affinity;
+            assert_ne!(after[1], before[1], "{algorithm}: peer 2's entry moved");
+            // Local arrivals (10 so far) leave both rows alone until the
+            // refresh tick, which flags every entry of both.
+            fill(&mut n1, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
+            assert_eq!(refresh_checked(&mut n1, StreamId::R), None, "{algorithm}");
+            assert_eq!(refresh_checked(&mut n1, StreamId::S), None, "{algorithm}");
+            fill(&mut n1, StreamId::S, &[4]);
+            assert_eq!(
+                refresh_checked(&mut n1, StreamId::R),
+                all,
+                "{algorithm}: tick"
+            );
+            assert_eq!(
+                refresh_checked(&mut n1, StreamId::S),
+                all,
+                "{algorithm}: tick"
+            );
+        }
+        // BLOOM's hit rates move with every membership test, so every
+        // tested tuple rewrites its row before reading it.
+        let [mut n0, mut n1, mut n2] = cluster(Algorithm::Bloom, 3).try_into().unwrap();
+        for (peer, key) in [(&mut n0, 10), (&mut n2, 200)] {
+            fill(peer, StreamId::S, &[key; 5]);
+            exchange(peer, &mut n1);
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for key in [10, 200, 7, 10, 10] {
+            n1.rows[StreamId::R.index()].affinity.fill(SENTINEL);
+            n1.route(StreamId::R, key, 1.0, &mut rng);
+            let row = &n1.rows[StreamId::R.index()];
+            assert!(!row.dirty && !row.affinity.contains(&SENTINEL), "key {key}");
+        }
     }
 
     #[test]

@@ -24,14 +24,10 @@ use std::sync::Arc;
 pub(super) struct SketchSummary {
     local: [AgmsSketch; 2],
     remote: Vec<[Option<AgmsSketch>; 2]>,
-    /// Cached pairwise join-size estimates per peer per tuple stream,
-    /// recomputed where stale: after a peer's sketch lands, and on the
-    /// router's `RHO_REFRESH` tick.
+    /// Raw pairwise join-size estimates per peer per tuple stream, kept
+    /// because normalising a row reads every peer's, and recomputed only
+    /// where the router flags the entry stale.
     est: Vec<[Option<f64>; 2]>,
-    est_stale: Vec<[bool; 2]>,
-    /// Per tuple stream: whether some estimate went stale since the last
-    /// `fill_affinities`, so the caller's row may be out of date.
-    row_dirty: [bool; 2],
     /// `join_size_into`'s group means, reused by every estimate.
     group_means: Vec<f64>,
 }
@@ -49,8 +45,6 @@ impl SketchSummary {
             local,
             remote: vec![[None, None]; n],
             est: vec![[None, None]; n],
-            est_stale: vec![[true, true]; n],
-            row_dirty: [true, true],
         }
     }
 
@@ -63,72 +57,47 @@ impl SketchSummary {
         }
     }
 
-    /// Marks every estimate stale: local arrivals have moved `local`.
-    pub fn mark_stale(&mut self) {
-        for flags in &mut self.est_stale {
-            *flags = [true, true];
-        }
-        self.row_dirty = [true, true];
-    }
-
-    /// Refills `row` with the join-size estimate against each of `peers`
+    /// Rewrites `row` with the join-size estimate against each of `peers`
     /// for a tuple of `stream`, normalized into `[0, 1]` by the largest,
-    /// after recomputing the stale estimates — only when some estimate went
-    /// stale since the last fill for `stream`. Returns whether it refilled
-    /// `row` (`true` on the first call for a stream); when it did not, `row`
-    /// is left as that fill left it.
-    pub fn fill_affinities(
+    /// after recomputing the estimates that `stale` flags and clearing
+    /// their flags.
+    pub fn refresh_row(
         &mut self,
         stream: StreamId,
         peers: &[u16],
-        row: &mut Vec<Option<f64>>,
-    ) -> bool {
+        stale: &mut [bool],
+        row: &mut [Option<f64>],
+    ) {
         let s = stream.index();
-        if !self.row_dirty[s] {
-            return false;
-        }
-        self.row_dirty[s] = false;
         let opp = stream.opposite().index();
         let mut max = 0.0_f64;
-        row.clear();
-        for &peer in peers {
+        for ((entry, flag), &peer) in row.iter_mut().zip(stale).zip(peers) {
             let j = peer as usize;
-            if self.est_stale[j][s] {
+            if std::mem::take(flag) {
                 // The cluster's one hash family keeps sketches compatible;
                 // a mismatch (impossible by construction) reads as "no
                 // estimate".
                 self.est[j][s] = self.remote[j][opp]
                     .as_ref()
                     .and_then(|sk| self.local[s].join_size_into(sk, &mut self.group_means).ok());
-                self.est_stale[j][s] = false;
             }
             let est = self.est[j][s];
             max = est.map_or(max, |v| max.max(v.max(0.0)));
-            row.push(est);
+            *entry = est;
         }
         for v in row.iter_mut().flatten() {
             *v = if max > 0.0 { v.max(0.0) / max } else { 0.0 };
         }
-        true
     }
 
-    /// Ingests a peer's sketch (replaced wholesale: nothing to drop). After
-    /// the first, it lands in the held sketch's counters.
-    pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        let SummaryPayload::Sketch { stream, sketch } = payload else {
-            debug_assert!(false, "SKCH summary received a non-sketch payload");
-            return 0;
-        };
-        let j = from as usize;
-        let slot = &mut self.remote[j][stream.index()];
+    /// Ingests peer `from`'s sketch of its `stream` window (replaced
+    /// wholesale). After the first, it lands in the held sketch's counters.
+    pub fn apply_summary(&mut self, from: u16, stream: StreamId, sketch: &AgmsSketch) {
+        let slot = &mut self.remote[from as usize][stream.index()];
         match slot {
             Some(held) => held.clone_from(sketch),
             None => *slot = Some(sketch.clone()),
         }
-        let opp = stream.opposite().index();
-        self.est_stale[j][opp] = true;
-        self.row_dirty[opp] = true;
-        0
     }
 
     /// Ships both stream sketches (full refresh).
@@ -140,60 +109,5 @@ impl SketchSummary {
                 sketch: self.local[stream.index()].clone(),
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::tests::fill;
-    use super::super::{test_config, Algorithm, Router, RHO_REFRESH};
-    use super::*;
-
-    /// Ships `src`'s sketch of `stream` to `dst`, out of a full refresh.
-    fn ship(src: &mut Router, dst: &mut Router, stream: StreamId) {
-        for p in src.full_summaries(0) {
-            if matches!(p, SummaryPayload::Sketch { stream: s, .. } if s == stream) {
-                dst.apply_summary(1, &p);
-            }
-        }
-    }
-
-    #[test]
-    fn affinity_row_is_refilled_only_when_a_summary_goes_stale() {
-        // Through routers: local arrivals reach the summary, and the
-        // refresh tick comes from the router's clock.
-        let [mut n0, mut n1] = [0, 1].map(|me| Router::new(test_config(Algorithm::Sketch, me, 2)));
-        fill(&mut n0, StreamId::R, &[3; 10]);
-        fill(&mut n1, StreamId::S, &[3; 20]);
-        fill(&mut n1, StreamId::R, &[5; 20]);
-        ship(&mut n1, &mut n0, StreamId::S);
-        ship(&mut n1, &mut n0, StreamId::R);
-        let (peers, sentinel) = ([1], vec![Some(-7.0)]);
-        let mut rows = [Vec::new(), Vec::new()];
-        // Returns whether `stream`'s row was refilled, after checking that
-        // an untouched row still holds the sentinel.
-        let mut refill = |n0: &mut Router, stream: StreamId| {
-            let row = &mut rows[stream.index()];
-            *row = sentinel.clone();
-            let refilled = n0.summary.fill_affinities(stream, &peers, row);
-            assert_eq!(refilled, *row != sentinel, "{stream:?}");
-            refilled
-        };
-        assert!(refill(&mut n0, StreamId::R), "first fill");
-        assert!(refill(&mut n0, StreamId::S), "first fill");
-        assert!(!refill(&mut n0, StreamId::R), "nothing went stale");
-        // A peer's S sketch lands: R tuples are estimated against it, S
-        // tuples are not.
-        ship(&mut n1, &mut n0, StreamId::S);
-        assert!(refill(&mut n0, StreamId::R));
-        assert!(!refill(&mut n0, StreamId::S));
-        // Local arrivals leave both rows alone until the refresh tick.
-        fill(&mut n0, StreamId::S, &vec![4; RHO_REFRESH as usize - 11]);
-        assert!(!refill(&mut n0, StreamId::R));
-        assert!(!refill(&mut n0, StreamId::S));
-        fill(&mut n0, StreamId::S, &[4]);
-        assert!(refill(&mut n0, StreamId::R), "tick");
-        assert!(refill(&mut n0, StreamId::S), "tick");
-        assert!(!refill(&mut n0, StreamId::S));
     }
 }

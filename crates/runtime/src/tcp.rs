@@ -46,6 +46,33 @@ pub(crate) fn read_peer_id(stream: &mut TcpStream) -> io::Result<u16> {
     Ok(u16::from_le_bytes(hello))
 }
 
+/// Accepts node `me`'s links from every higher-id peer of an `n`-node
+/// cluster, each named by its handshake and made nonblocking. An id
+/// outside `me+1..n`, or one seen twice, is `InvalidData`: its link would
+/// land out of place or over another peer's.
+fn accept_peers(listener: &TcpListener, me: usize, n: usize) -> io::Result<Vec<(u16, TcpStream)>> {
+    let mut seen = vec![false; n];
+    (me + 1..n)
+        .map(|_| {
+            let (mut stream, _) = listener.accept()?;
+            stream.set_nodelay(true)?;
+            let peer = read_peer_id(&mut stream)?;
+            let p = usize::from(peer);
+            if p <= me || p >= n || std::mem::replace(&mut seen[p], true) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "handshake names node {peer}, not a new peer in {}..{n}",
+                        me + 1
+                    ),
+                ));
+            }
+            stream.set_nonblocking(true)?;
+            Ok((peer, stream))
+        })
+        .collect()
+}
+
 /// Adapter shim for `benches/e2e`, which still names the transport it
 /// wants; only the reactor topology exists. A later `benchmark` PR retires
 /// it together with the two `_mode` entry points.
@@ -149,18 +176,7 @@ impl TcpCluster {
         // Each acceptor returns its identified, nonblocking endpoints.
         let mut acceptors = Vec::with_capacity(n);
         for (me, listener) in listeners.into_iter().enumerate() {
-            let expect = n - 1 - me;
-            acceptors.push(thread::spawn(move || -> io::Result<Vec<_>> {
-                (0..expect)
-                    .map(|_| {
-                        let (mut stream, _) = listener.accept()?;
-                        stream.set_nodelay(true)?;
-                        let peer = read_peer_id(&mut stream)?;
-                        stream.set_nonblocking(true)?;
-                        Ok((peer, stream))
-                    })
-                    .collect()
-            }));
+            acceptors.push(thread::spawn(move || accept_peers(&listener, me, n)));
         }
 
         // Dial side: node j (conceptually — dials run on this thread) opens
@@ -253,6 +269,31 @@ mod tests {
             .tuples(2_000)
             .workload(WorkloadKind::Zipf { alpha: 0.4 })
             .seed(7)
+    }
+
+    #[test]
+    fn a_handshake_naming_no_new_higher_peer_is_invalid_data() {
+        // Node 1 of four accepts nodes 2 and 3, once each.
+        let dial = |ids: &[u16]| {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let dialers: Vec<TcpStream> = (ids.iter())
+                .map(|id| {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    stream.write_all(&id.to_le_bytes()).unwrap();
+                    stream
+                })
+                .collect();
+            (accept_peers(&listener, 1, 4), dialers)
+        };
+        for ids in [&[0][..], &[1], &[4], &[u16::MAX], &[2, 2], &[3, 0]] {
+            let (accepted, _dialers) = dial(ids);
+            let err = accepted.err().map(|e| e.kind());
+            assert_eq!(err, Some(io::ErrorKind::InvalidData), "{ids:?}");
+        }
+        let (accepted, _dialers) = dial(&[3, 2]);
+        let peers: Vec<u16> = accepted.unwrap().iter().map(|(p, _)| *p).collect();
+        assert_eq!(peers, [3, 2]);
     }
 
     #[test]

@@ -61,10 +61,10 @@ load:
     cargo build --release -p dsj-bench --bin dsj-loadgen
     ./target/release/dsj-loadgen --out target/load.json
 
-# CI-sized capacity probe — 4 cells, small schedules, same row schema.
+# CI-sized capacity probe — 4 cells, small schedules, same row schema:
+# see the script.
 load-smoke:
-    cargo build --release -p dsj-bench --bin dsj-loadgen
-    ./target/release/dsj-loadgen --quick --out target/load_quick.json
+    scripts/load-smoke.sh
 
 # The non-test line count: lines before the first `#[cfg(test)]` (or a
 # leading `#![cfg(test)]`) of every file under crates/<c>/src, then all of
@@ -82,19 +82,12 @@ loc:
     printf '%-10s %6d\n' "all *.rs" "$(find crates src tests examples vendor -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 # The recorded full-scale reproduction outputs (`repro_full.txt`,
-# `repro_ablations.txt`) are the contract: every figure and ablation, by
-# explicit name — not `all`, which adds Table 1's wall-clock seconds.
-repro_targets := "fig3 fig4 fig5 fig6 fig8 fig9 fig10a fig10b fig11 ablations"
-
-# Regenerate the recorded outputs (only when a change means to move them).
+# `repro_ablations.txt`) are the contract: see the script for the runs.
+# Regenerate them (only when a change means to move them).
 repro-record:
-    cargo build --release -p dsj-bench --bin repro
-    ./target/release/repro {{repro_targets}} --jobs "$(nproc)" > repro_full.txt
-    ./target/release/repro ablations --jobs "$(nproc)" > repro_ablations.txt
+    scripts/repro-contract.sh record
 
 # The contract still holds: the same runs (~70 s on two cores) reproduce
 # the recorded outputs byte for byte.
 repro-check:
-    cargo build --release -p dsj-bench --bin repro
-    ./target/release/repro {{repro_targets}} --jobs "$(nproc)" | diff repro_full.txt -
-    ./target/release/repro ablations --jobs "$(nproc)" | diff repro_ablations.txt -
+    scripts/repro-contract.sh
