@@ -680,6 +680,44 @@ mod tests {
         assert_eq!(drops(&eng), 6);
     }
 
+    #[test]
+    fn a_dft_summary_over_another_domain_is_dropped_whole() {
+        use crate::msg::CoeffUpdate;
+        // Node 0 of three runs DFTT over D = 256; peer 1 claims D′ = 512,
+        // with in-range indices whose buckets would make it a candidate
+        // for every key.
+        let build = || {
+            NodeEngine::assemble(
+                test_config(Algorithm::Dftt, 0, 3),
+                WindowSpec::count(16),
+                0,
+                None,
+            )
+        };
+        let (mut eng, mut twin) = (build(), build());
+        let skewed = SummaryPayload::Dft {
+            stream: StreamId::S,
+            signal_len: 512,
+            updates: (0..32)
+                .map(|index| CoeffUpdate {
+                    index,
+                    value: dsj_dft::Complex64::new(40.0, -3.0),
+                })
+                .collect(),
+        };
+        eng.on_net(1, Msg::Summary(vec![skewed]));
+        assert_eq!(eng.metrics().summary_index_drops, 1);
+        assert_eq!(eng.router.dft_columns_landed(), 0, "no column landed");
+        let (mut tx, mut twin_tx) = (Script::default(), Script::default());
+        for seq in 0..64 {
+            let tuple = Tuple::new(StreamId::R, (seq * 37 % 256) as u32, seq, 0);
+            eng.on_arrival(tuple, &mut tx).unwrap();
+            twin.on_arrival(tuple, &mut twin_tx).unwrap();
+        }
+        assert!(!tx.sent.is_empty());
+        assert_eq!(tx.sent, twin_tx.sent, "routes as if never received");
+    }
+
     /// A batching transcript transport: drains its whole backlog per
     /// frame and counts flushes.
     struct BatchScript {

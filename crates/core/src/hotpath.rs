@@ -261,17 +261,22 @@ mod tests {
     /// exchanges, and every routing decision must match exactly (same peers,
     /// same fallback flag). Because both paths consume the same RNG draws,
     /// one divergence would cascade — so agreement over thousands of tuples
-    /// across every strategy, two cluster sizes and two key distributions is
-    /// a strong equivalence proof. The router keeps each stream's forwarding
-    /// probabilities for the budget they were computed at, so a second pass
-    /// moves the budget scale (five tuples at 1.0, five at 0.5, ten at 1.0,
-    /// over and over), as the throughput governor does.
+    /// across every strategy, two cluster sizes (three for DFT and DFTT) and
+    /// two key distributions is a strong equivalence proof. The reference
+    /// reads DFTT's buckets with `PointwiseRecon::eval`, one peer's copied
+    /// column at a time, so it checks the plane kernel too. The router
+    /// keeps each stream's forwarding probabilities for the budget they were
+    /// computed at, so a second pass moves the budget scale (five tuples at
+    /// 1.0, five at 0.5, ten at 1.0, over and over), as the throughput
+    /// governor does.
     #[test]
     fn optimized_route_matches_reference_in_lockstep() {
         const MOVING: [f64; 3] = [1.0, 0.5, 1.0];
         for (skewed, moving) in [(false, false), (true, false), (false, true), (true, true)] {
             for algorithm in Algorithm::ALL {
-                for n in [3u16, 5] {
+                // At n = 16 DFT and DFTT read 15-column planes.
+                let wide = matches!(algorithm, Algorithm::Dft | Algorithm::Dftt);
+                for n in [3u16, 5].into_iter().chain(wide.then_some(16)) {
                     let p = HarnessParams {
                         n,
                         domain: 1 << 10,

@@ -17,7 +17,7 @@ use super::RouterConfig;
 use crate::msg::{CoeffUpdate, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
-use dsj_dft::{Complex64, PointwiseRecon, ReconRow};
+use dsj_dft::{Complex64, PointwiseRecon};
 use dsj_stream::StreamId;
 use std::sync::Arc;
 
@@ -39,19 +39,29 @@ pub(super) struct DftSummary {
     domain: u32,
     /// Local window-histogram DFTs, indexed by [`StreamId::index`].
     local: [PointDft; 2],
-    /// Remote coefficient prefixes: `remote[peer][stream]`.
-    remote: Vec<[Option<Vec<Complex64>>; 2]>,
+    /// Every peer's prefix of each stream, as `planes[stream]`.
+    planes: [Planes; 2],
     /// What each peer last received of our coefficients.
     snapshot: Vec<[Option<Vec<Complex64>>; 2]>,
     /// Pointwise inverse DFT over every remote prefix (DFTT only):
     /// membership reads evaluate the one bucket they need, on demand.
     recon_plan: Option<PointwiseRecon>,
-    /// The arriving key's reconstruction row, filled once per tuple and
-    /// read against every peer's prefix (DFTT only; sized to the prefix
-    /// at construction, so filling it never allocates).
-    recon_row: ReconRow,
+    /// The arriving key's bucket of every column, rewritten per tuple.
+    buckets: Vec<f64>,
     /// Retained prefix length, clamped to the domain (matches `local`).
     retained: usize,
+}
+
+/// One stream's remote prefixes as bin-major planes, one column per peer
+/// (its index in the router's peer list): with `M` peers, bin `b` of column
+/// `c` is `(re[b·M + c], im[b·M + c])`. Allocated when the stream's first
+/// summary lands; a column reads as zero until its peer's first summary.
+#[derive(Debug, Default)]
+struct Planes {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    /// Which columns have landed.
+    landed: Vec<bool>,
 }
 
 impl DftSummary {
@@ -71,17 +81,13 @@ impl DftSummary {
         // trade-off itself is Table 1's iDFT column.
         let mk = || PointDft::with_twiddles(Arc::clone(forward), k);
         let recon_plan = inverse.map(|t| PointwiseRecon::with_twiddles(Arc::clone(t), k));
-        let recon_row = recon_plan
-            .as_ref()
-            .map(PointwiseRecon::row)
-            .unwrap_or_default();
         DftSummary {
             domain: cfg.plan.key.domain,
             local: [mk(), mk()],
-            remote: vec![[None, None]; n],
+            planes: Default::default(),
             snapshot: vec![[None, None]; n],
             recon_plan,
-            recon_row,
+            buckets: vec![0.0; n.saturating_sub(1)],
             retained: k,
         }
     }
@@ -101,40 +107,35 @@ impl DftSummary {
     /// reconstruction.
     const RHO_SMOOTH_BINS: usize = 16;
 
-    /// Rewrites the entries of `row`, this node's `ρ` against each of
-    /// `peers` for a tuple of `stream`, that `stale` flags, and clears
+    /// Rewrites the entries of `row`, this node's `ρ` against each peer
+    /// (column) for a tuple of `stream`, that `stale` flags, and clears
     /// their flags.
-    pub fn refresh_row(
-        &self,
-        stream: StreamId,
-        peers: &[u16],
-        stale: &mut [bool],
-        row: &mut [Option<f64>],
-    ) {
-        let s = stream.index();
-        let opp = stream.opposite().index();
-        for ((rho, flag), &peer) in row.iter_mut().zip(stale).zip(peers) {
+    pub fn refresh_row(&self, stream: StreamId, stale: &mut [bool], row: &mut [Option<f64>]) {
+        let k = self.retained.min(Self::RHO_SMOOTH_BINS);
+        let local = &self.local[stream.index()].coefficients()[..k];
+        let planes = &self.planes[stream.opposite().index()];
+        let m = planes.landed.len();
+        let mut remote = [Complex64::ZERO; Self::RHO_SMOOTH_BINS];
+        for (col, (rho, flag)) in row.iter_mut().zip(stale).enumerate() {
             if std::mem::take(flag) {
-                *rho = self.remote[peer as usize][opp].as_ref().map(|coeffs| {
-                    let k = coeffs.len().min(Self::RHO_SMOOTH_BINS);
-                    cross_correlation_coefficient(
-                        &self.local[s].coefficients()[..k],
-                        &coeffs[..k],
-                        self.domain as usize,
-                    )
+                *rho = (planes.landed.get(col) == Some(&true)).then(|| {
+                    for (bin, c) in remote[..k].iter_mut().enumerate() {
+                        *c = Complex64::new(planes.re[bin * m + col], planes.im[bin * m + col]);
+                    }
+                    cross_correlation_coefficient(local, &remote[..k], self.domain as usize)
                 });
             }
         }
     }
 
     /// Pushes `(peer, estimate)` for every peer whose reconstructed
-    /// opposite-stream window holds `key` (DFTT only). Returns whether any
-    /// peer has a reconstruction at all.
+    /// opposite-stream window holds `key` (DFTT only), in `peers` order.
+    /// Returns whether any peer has a reconstruction at all.
     ///
-    /// Each estimate is one *O(K)* bucket of the peer's inverse DFT: the
-    /// key's row of scales and twiddles is filled once, then read against
-    /// every peer's prefix. An out-of-domain key (ingest guards it, but the
-    /// hot path must be panic-free regardless) has no bucket, so no hit.
+    /// One pass over the planes evaluates the key's bucket of every
+    /// column, *O(K)* each; a column that never landed estimates `0`. An
+    /// out-of-domain key (ingest guards it, but the hot path must be
+    /// panic-free regardless) has no bucket, so no hit.
     pub fn push_candidates(
         &mut self,
         stream: StreamId,
@@ -145,42 +146,44 @@ impl DftSummary {
         let Some(plan) = self.recon_plan.as_ref() else {
             return false;
         };
-        let has_bucket = plan.fill_row(key as usize, &mut self.recon_row);
-        let opp = stream.opposite().index();
-        let mut any = false;
-        for &peer in peers {
-            let Some(coeffs) = self.remote[peer as usize][opp].as_ref() else {
-                continue;
-            };
-            any = true;
-            if has_bucket {
-                let est = self.recon_row.eval(coeffs);
-                if est >= 0.5 {
-                    out.push((peer, est));
-                }
-            }
+        let planes = &self.planes[stream.opposite().index()];
+        if planes.landed.is_empty() {
+            return false;
         }
-        any
+        if plan.eval_columns(&planes.re, &planes.im, key as usize, &mut self.buckets) {
+            let hits = peers
+                .iter()
+                .zip(&self.buckets)
+                .filter(|(_, &est)| est >= 0.5);
+            out.extend(hits.map(|(&peer, &est)| (peer, est)));
+        }
+        true
     }
 
-    /// Ingests peer `from`'s coefficient updates to its `stream` prefix.
-    /// Membership reads evaluate their bucket from the prefix, so nothing
-    /// else needs refreshing.
+    /// Ingests coefficient updates to the `stream` prefix in column `col`
+    /// and marks it landed. Membership reads evaluate their bucket from the
+    /// planes, so nothing else needs refreshing.
     ///
     /// Returns the number of updates *dropped* because their index fell
     /// outside the retained prefix, rather than silently part-applying the
     /// payload.
-    pub fn apply_summary(&mut self, from: u16, stream: StreamId, updates: &[CoeffUpdate]) -> u64 {
-        let k = self.retained;
-        // One-time lazy init per (peer, stream); every later summary from
-        // this peer reuses the buffer.
-        let coeffs = self.remote[from as usize][stream.index()]
-            .get_or_insert_with(|| vec![Complex64::ZERO; k]);
+    pub fn apply_summary(&mut self, col: usize, stream: StreamId, updates: &[CoeffUpdate]) -> u64 {
+        let (k, m) = (self.retained, self.buckets.len());
+        let planes = &mut self.planes[stream.index()];
+        if planes.landed.is_empty() {
+            planes.re = vec![0.0; k * m];
+            planes.im = vec![0.0; k * m];
+            planes.landed = vec![false; m];
+        }
+        planes.landed[col] = true;
         let mut dropped = 0u64;
         for u in updates {
-            match coeffs.get_mut(u.index as usize) {
-                Some(slot) => *slot = u.value,
-                None => dropped += 1,
+            let bin = usize::from(u.index);
+            if bin < k {
+                planes.re[bin * m + col] = u.value.re;
+                planes.im[bin * m + col] = u.value.im;
+            } else {
+                dropped += 1;
             }
         }
         dropped
@@ -200,24 +203,16 @@ impl DftSummary {
             let s = stream.index();
             let cur = self.local[s].coefficients();
             let snap = &mut self.snapshot[peer as usize][s];
+            let update = |(i, c): (usize, &Complex64)| CoeffUpdate {
+                index: i as u16,
+                value: *c,
+            };
             let updates: Vec<CoeffUpdate> = match snap {
-                Some(prev) => cur
-                    .iter()
-                    .enumerate()
+                Some(prev) => (cur.iter().enumerate())
                     .filter(|&(i, c)| (*c - prev[i]).abs() > 1e-9)
-                    .map(|(i, c)| CoeffUpdate {
-                        index: i as u16,
-                        value: *c,
-                    })
+                    .map(update)
                     .collect(),
-                None => cur
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| CoeffUpdate {
-                        index: i as u16,
-                        value: *c,
-                    })
-                    .collect(),
+                None => cur.iter().enumerate().map(update).collect(),
             };
             match snap {
                 Some(prev) => prev.copy_from_slice(cur),
@@ -307,8 +302,57 @@ fn most_changed(prefixes: [Option<(&[Complex64], &[Complex64])>; 2]) -> Option<(
 }
 
 #[cfg(test)]
+impl DftSummary {
+    /// How many columns, over both streams' planes, are marked landed.
+    pub(super) fn landed_columns(&self) -> usize {
+        (self.planes.iter().flat_map(|p| &p.landed))
+            .filter(|&&landed| landed)
+            .count()
+    }
+
+    /// The `stream` prefix that landed in column `col`, copied out of the
+    /// planes; `None` before that peer's first summary.
+    pub(super) fn column(&self, stream: StreamId, col: usize) -> Option<Vec<Complex64>> {
+        let planes = &self.planes[stream.index()];
+        let m = planes.landed.len();
+        (planes.landed.get(col) == Some(&true)).then(|| {
+            (0..self.retained)
+                .map(|bin| Complex64::new(planes.re[bin * m + col], planes.im[bin * m + col]))
+                .collect()
+        })
+    }
+
+    /// [`DftSummary::push_candidates`] by an independent kernel, for the
+    /// reference router: each landed peer's bucket is
+    /// [`PointwiseRecon::eval`] over a copy of its column.
+    pub(super) fn push_candidates_reference(
+        &self,
+        stream: StreamId,
+        key: u32,
+        peers: &[u16],
+        out: &mut Vec<(u16, f64)>,
+    ) -> bool {
+        let Some(plan) = self.recon_plan.as_ref() else {
+            return false;
+        };
+        let mut any = false;
+        for (col, &peer) in peers.iter().enumerate() {
+            let Some(coeffs) = self.column(stream.opposite(), col) else {
+                continue;
+            };
+            any = true;
+            let est = (key < self.domain).then(|| plan.eval(&coeffs, key as usize));
+            if let Some(est) = est.filter(|&est| est >= 0.5) {
+                out.push((peer, est));
+            }
+        }
+        any
+    }
+}
+
+#[cfg(test)]
 mod tests {
-    use super::super::{test_config, Algorithm, Tables};
+    use super::super::{peers_of, test_config, Algorithm, Router, Summary, Tables};
     use super::*;
     use proptest::prelude::*;
 
@@ -328,31 +372,34 @@ mod tests {
         }
     }
 
-    /// Applies a DFT payload from `from` to `dst`, as the router does.
-    fn apply(dst: &mut DftSummary, from: u16, payload: &SummaryPayload) -> u64 {
+    /// Applies a DFT payload to `dst`'s column `col`, as the router does.
+    fn apply(dst: &mut DftSummary, col: usize, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Dft {
             stream, updates, ..
         } = payload
         else {
             panic!("expected DFT payload")
         };
-        dst.apply_summary(from, *stream, updates)
+        dst.apply_summary(col, *stream, updates)
     }
 
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
     fn exchange(src: &mut DftSummary, src_id: u16, dst: &mut DftSummary, dst_id: u16) {
+        let col = usize::from(src_id - u16::from(src_id > dst_id));
         for p in src.full_summaries(dst_id) {
-            apply(dst, src_id, &p);
+            apply(dst, col, &p);
         }
     }
 
     /// One reconstruction bucket through the production read path: the
-    /// summary's own row, filled and read as `push_candidates` does.
-    fn recon_bucket(r: &mut DftSummary, peer: usize, s: usize, key: u32) -> Option<f64> {
+    /// key's bucket of every column of `stream`'s planes, evaluated as
+    /// `push_candidates` does, read at column `col`.
+    fn recon_bucket(r: &mut DftSummary, col: usize, stream: StreamId, key: u32) -> Option<f64> {
         let plan = r.recon_plan.as_ref()?;
-        let coeffs = r.remote[peer][s].as_ref()?;
-        plan.fill_row(key as usize, &mut r.recon_row)
-            .then(|| r.recon_row.eval(coeffs))
+        let planes = &r.planes[stream.index()];
+        let landed = planes.landed[col];
+        (landed && plan.eval_columns(&planes.re, &planes.im, key as usize, &mut r.buckets))
+            .then(|| r.buckets[col])
     }
 
     /// The piggyback scan as it reads without the prefilter: both `hypot`s
@@ -522,19 +569,20 @@ mod tests {
                 },
             ],
         };
-        let dropped = apply(&mut r, 1, &payload);
+        let dropped = apply(&mut r, 0, &payload);
         assert_eq!(dropped, 2, "two indices fall outside the prefix");
-        let coeffs = r.remote[1][StreamId::S.index()].as_ref().unwrap();
-        assert_eq!(coeffs.len(), 32, "buffer never grows for bad indices");
+        let planes = &r.planes[StreamId::S.index()];
+        assert_eq!(planes.re.len(), 32, "planes never grow for bad indices");
+        let coeffs = r.column(StreamId::S, 0).unwrap();
         assert_eq!(coeffs[3], Complex64::new(8.0, -2.0), "valid update lands");
         // The reconstruction reads exactly the valid update.
-        let full = dsj_dft::CompressedDft::from_prefix(coeffs.clone(), 256).reconstruct();
+        let full = dsj_dft::CompressedDft::from_prefix(coeffs, 256).reconstruct();
         for (key, b) in (0..).zip(&full) {
-            let a = recon_bucket(&mut r, 1, StreamId::S.index(), key).unwrap();
+            let a = recon_bucket(&mut r, 0, StreamId::S, key).unwrap();
             assert!((a - b).abs() < 1e-9);
         }
         assert_eq!(
-            recon_bucket(&mut r, 1, StreamId::S.index(), 256),
+            recon_bucket(&mut r, 0, StreamId::S, 256),
             None,
             "out of domain"
         );
@@ -547,7 +595,7 @@ mod tests {
                 value: Complex64::new(2.0, 0.0),
             }],
         };
-        assert_eq!(apply(&mut r, 1, &ok), 0);
+        assert_eq!(apply(&mut r, 0, &ok), 0);
     }
 
     #[test]
@@ -560,7 +608,7 @@ mod tests {
         let mut n1 = summary(Algorithm::Dftt, 1);
         let check = |n0: &DftSummary, n1: &DftSummary| {
             let s = StreamId::S.index();
-            let (Some(got), Some(sent)) = (&n0.remote[1][s], &n1.snapshot[0][s]) else {
+            let (Some(got), Some(sent)) = (n0.column(StreamId::S, 0), &n1.snapshot[0][s]) else {
                 panic!("stream S was synced");
             };
             for (i, (a, b)) in got.iter().zip(sent).enumerate() {
@@ -583,9 +631,81 @@ mod tests {
         let piggyback = n1.piggyback(0);
         assert_eq!(piggyback.len(), 1);
         for p in piggyback {
-            apply(&mut n0, 1, &p);
+            apply(&mut n0, 0, &p);
         }
         check(&n0, &n1);
+    }
+
+    #[test]
+    fn every_peer_lands_in_its_own_column() {
+        // Node 2 of six: peers 0 and 1 sit below it and 3, 4, 5 above, so a
+        // sender's column is `from − (from > me)`.
+        let (me, n) = (2, 6);
+        let mut node = Router::new(test_config(Algorithm::Dftt, me, n));
+        for i in 0..48 {
+            node.local_update(StreamId::R, 30 + i % 50, &[]);
+        }
+        // What each peer sent of its S window, which sits on keys of its own.
+        let mut sent = Vec::new();
+        for from in peers_of(me, n) {
+            let mut peer = Router::new(test_config(Algorithm::Dftt, from, n));
+            let base = 40 * u32::from(from);
+            for i in 0..40 {
+                peer.local_update(StreamId::S, base + i % (3 + u32::from(from)), &[]);
+            }
+            for p in peer.full_summaries(me) {
+                if let SummaryPayload::Dft {
+                    stream: StreamId::S,
+                    updates,
+                    ..
+                } = &p
+                {
+                    // A first sync ships every bin, in order.
+                    sent.push((from, updates.iter().map(|u| u.value).collect::<Vec<_>>()));
+                }
+                assert_eq!(node.apply_summary(from, &p), 0);
+            }
+        }
+        assert_eq!(sent.len(), 5);
+        let peers = node.peers.clone();
+        let Summary::Dft(d) = &mut node.summary else {
+            panic!("DFTT keeps a DFT summary")
+        };
+        let plan = d.recon_plan.clone().expect("DFTT reconstructs");
+        let bits = |hits: &[(u16, f64)]| -> Vec<(u16, u64)> {
+            hits.iter().map(|&(j, e)| (j, e.to_bits())).collect()
+        };
+        for key in [0, 1, 41, 77, 121, 122, 161, 201, 255] {
+            let mut out = Vec::new();
+            assert!(d.push_candidates(StreamId::R, key, &peers, &mut out));
+            let expect: Vec<(u16, f64)> = (sent.iter())
+                .map(|(from, prefix)| (*from, plan.eval(prefix, key as usize)))
+                .filter(|&(_, est)| est >= 0.5)
+                .collect();
+            assert_eq!(bits(&out), bits(&expect), "key {key}");
+            for (col, (from, prefix)) in sent.iter().enumerate() {
+                let est = plan.eval(prefix, key as usize);
+                assert_eq!(
+                    d.buckets[col].to_bits(),
+                    est.to_bits(),
+                    "key {key} peer {from}"
+                );
+            }
+        }
+        // Each peer holds its own keys' estimates.
+        for (from, _) in &sent {
+            let mut out = Vec::new();
+            d.push_candidates(StreamId::R, 40 * u32::from(*from) + 1, &peers, &mut out);
+            assert!(out.iter().any(|&(j, _)| j == *from), "peer {from}: {out:?}");
+        }
+        let (mut stale, mut row) = (vec![true; 5], vec![None; 5]);
+        d.refresh_row(StreamId::R, &mut stale, &mut row);
+        assert_eq!(stale, vec![false; 5]);
+        let local = &d.local[StreamId::R.index()].coefficients()[..16];
+        for (rho, (from, prefix)) in row.iter().zip(&sent) {
+            let expect = cross_correlation_coefficient(local, &prefix[..16], 256);
+            assert_eq!(rho.map(f64::to_bits), Some(expect.to_bits()), "peer {from}");
+        }
     }
 
     #[test]
@@ -598,7 +718,7 @@ mod tests {
         exchange(&mut n1, 1, &mut n0, 0);
         // Keys present ~12.8 times each reconstruct to large estimates.
         for k in 40..45 {
-            let r = recon_bucket(&mut n0, 1, StreamId::S.index(), k).unwrap();
+            let r = recon_bucket(&mut n0, 0, StreamId::S, k).unwrap();
             assert!(r > 0.5, "bucket {k} = {r}");
         }
     }

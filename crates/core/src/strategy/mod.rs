@@ -291,7 +291,7 @@ impl Summary {
     ) {
         match self {
             Summary::None => {}
-            Summary::Dft(d) => d.refresh_row(stream, peers, stale, row),
+            Summary::Dft(d) => d.refresh_row(stream, stale, row),
             Summary::Bloom(b) => b.refresh_row(stream, peers, stale, row),
             Summary::Sketch(k) => k.refresh_row(stream, peers, stale, row),
         }
@@ -588,13 +588,13 @@ impl Router {
     }
 
     /// The allocating transcription of [`Router::route_into`]: the same
-    /// policy over the same summary queries, with fresh buffers, the
-    /// allocating `flow` twins and no verdict or probability cache. It
-    /// reads the router's affinity row for `stream` through the same
-    /// refresh, and recomputes the verdict and probabilities from a copy of
-    /// it on every tuple. Two identically seeded routers — one routed, one
-    /// reference-routed — must agree on every peer set, fallback flag and
-    /// RNG draw; `hotpath`'s lockstep test drives them side by side.
+    /// policy with fresh buffers, the allocating `flow` twins, no verdict
+    /// or probability cache, and DFTT's buckets read one peer at a time by
+    /// `PointwiseRecon::eval`. It reads the router's affinity row through
+    /// the same refresh, and recomputes the verdict and probabilities from
+    /// a copy of it on every tuple. Two identically seeded routers, one
+    /// routed and one reference-routed, must agree on every peer set,
+    /// fallback flag and RNG draw; `hotpath`'s lockstep test drives both.
     #[cfg(test)]
     pub fn route_reference(
         &mut self,
@@ -621,7 +621,7 @@ impl Router {
             return self.fallback(target);
         }
         if let Summary::Dft(d) = &mut self.summary {
-            any_summary = d.push_candidates(stream, key, &peers, &mut candidates);
+            any_summary = d.push_candidates_reference(stream, key, &peers, &mut candidates);
         }
         if !candidates.is_empty() {
             candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -672,7 +672,8 @@ impl Router {
     /// by it. Returns what it *dropped*, the signature of a version-skewed
     /// or corrupted peer: each DFT coefficient index beyond the retained
     /// prefix, or the whole payload when it is of another algorithm's kind
-    /// (any kind, to BASE) or `from` is not a peer.
+    /// (any kind, to BASE), a DFT over another domain, or `from` is not a
+    /// peer.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let Ok(p) = self.peers.binary_search(&from) else {
             return 1;
@@ -681,9 +682,13 @@ impl Router {
             (
                 Summary::Dft(d),
                 SummaryPayload::Dft {
-                    stream, updates, ..
+                    stream,
+                    signal_len,
+                    updates,
                 },
-            ) => (*stream, d.apply_summary(from, *stream, updates)),
+            ) if *signal_len == self.cfg.plan.key.domain => {
+                (*stream, d.apply_summary(p, *stream, updates))
+            }
             (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) => {
                 b.apply_summary(from, *stream, filter);
                 (*stream, 0)
@@ -763,6 +768,18 @@ pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig
         plan: Arc::new(Plan::new(key)),
         sync_sent_interval: 16,
         sync_arrival_interval: 64,
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// How many DFT peer columns, over both streams, have landed; `0` for
+    /// every other summary.
+    pub(crate) fn dft_columns_landed(&self) -> usize {
+        match &self.summary {
+            Summary::Dft(d) => d.landed_columns(),
+            _ => 0,
+        }
     }
 }
 

@@ -152,13 +152,17 @@ mod tests {
             let coeffs = own.coefficients();
             let shared = PointwiseRecon::with_twiddles(Arc::clone(inverse), k);
             let own = PointwiseRecon::new(d, k);
-            let (mut shared_row, mut own_row) = (shared.row(), own.row());
+            // The prefix as a one-column plane pair.
+            let re: Vec<f64> = coeffs.iter().map(|c| c.re).collect();
+            let im: Vec<f64> = coeffs.iter().map(|c| c.im).collect();
+            let (mut shared_col, mut own_col) = ([0.0], [0.0]);
             for idx in 0..d {
                 let bucket = own.eval(coeffs, idx).to_bits();
                 assert_eq!(shared.eval(coeffs, idx).to_bits(), bucket, "D={d} {idx}");
-                assert!(shared.fill_row(idx, &mut shared_row) && own.fill_row(idx, &mut own_row));
-                assert_eq!(shared_row.eval(coeffs).to_bits(), bucket, "D={d} {idx}");
-                assert_eq!(own_row.eval(coeffs).to_bits(), bucket, "D={d} {idx}");
+                assert!(shared.eval_columns(&re, &im, idx, &mut shared_col));
+                assert!(own.eval_columns(&re, &im, idx, &mut own_col));
+                assert_eq!(shared_col[0].to_bits(), bucket, "D={d} {idx}");
+                assert_eq!(own_col[0].to_bits(), bucket, "D={d} {idx}");
             }
         }
     }

@@ -17,8 +17,9 @@
 //!   analysis of Eqns. 10–12 (Figures 5 and 6).
 //! * [`PointwiseRecon`] — one bucket of the inverse-DFT reconstruction,
 //!   *O(K)* and allocation-free, for routers that probe one key of a
-//!   peer's window estimate per tuple; a [`ReconRow`] holds one key's
-//!   factors for reading against every peer's prefix ([`recon`]).
+//!   peer's window estimate per tuple; [`PointwiseRecon::eval_columns`]
+//!   reads one key's bucket of every peer's prefix, held as the columns of
+//!   bin-major coefficient planes, in one pass ([`recon`]).
 //! * [`spectrum`] — the cross-correlation coefficient `ρ` of Eqn. 4,
 //!   computed directly from (possibly compressed) DFT coefficients.
 //!
@@ -52,7 +53,7 @@ pub use compress::{CompressedDft, CompressionError, ReconstructionStats, Selecti
 pub use control::ControlVector;
 pub use dft::dft_direct;
 pub use fft::Fft;
-pub use recon::{PointwiseRecon, ReconRow};
+pub use recon::PointwiseRecon;
 pub use sliding::SlidingDft;
 pub use spectrum::cross_correlation_coefficient;
 

@@ -19,9 +19,11 @@
 //! makes each bucket *O(K)* with no allocation and no trigonometry.
 //!
 //! A caller that reads the *same* bucket of many prefixes (one key against
-//! every peer's summary) fills that bucket's per-bin factors once into a
-//! [`ReconRow`] ([`PointwiseRecon::fill_row`]) and reads each prefix
-//! against it ([`ReconRow::eval`]), bit for bit what `eval` returns.
+//! every peer's summary) keeps them as the columns of two bin-major planes,
+//! real and imaginary parts, and reads all of them in one pass
+//! ([`PointwiseRecon::eval_columns`]): the key's twiddles are walked once,
+//! the inner loop runs across columns, and each column's bucket is bit for
+//! bit what `eval` returns for its prefix.
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
@@ -158,77 +160,47 @@ impl PointwiseRecon {
         }
     }
 
-    /// An empty row with room for this plan's `K` factors, so that
-    /// [`PointwiseRecon::fill_row`] never allocates into it.
-    pub fn row(&self) -> ReconRow {
-        ReconRow {
-            factors: Vec::with_capacity(self.retained),
-        }
-    }
-
-    /// Writes bucket `idx`'s per-bin factors — scale and twiddle for each
-    /// of the `K` bins — into `row`, replacing what it held. Returns
-    /// `false`, leaving `row` untouched, when `idx >= W`: that bucket does
-    /// not exist.
+    /// Evaluates bucket `idx` of every column of a bin-major pair of
+    /// coefficient planes into `acc`: with `M = acc.len()` columns,
+    /// `re[bin·M + c]` and `im[bin·M + c]` hold bin `bin` of column `c`'s
+    /// prefix, `K` bins deep. `acc[c]` becomes `eval` of that prefix, bit
+    /// for bit: each column sums the same expression in the same bin order,
+    /// starting from zero. The key's twiddles are walked once for every
+    /// column, and the inner loop, one bin across all columns, vectorises.
     ///
-    /// Allocates only if `row` has room for fewer than `K` factors (a row
-    /// from [`PointwiseRecon::row`] always has room).
-    pub fn fill_row(&self, idx: usize, row: &mut ReconRow) -> bool {
+    /// Returns `false`, leaving `acc` untouched, when `idx >= W`: that
+    /// bucket does not exist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plane does not hold exactly `K · M` entries.
+    pub fn eval_columns(&self, re: &[f64], im: &[f64], idx: usize, acc: &mut [f64]) -> bool {
         let w = self.signal_len;
         if idx >= w {
             return false;
         }
-        row.factors.clear();
+        let m = acc.len();
+        assert!(
+            re.len() == self.retained * m && im.len() == re.len(),
+            "planes must hold K bins of every column"
+        );
+        acc.fill(0.0);
+        if m == 0 {
+            return true;
+        }
         // The same wrapped walk of `q = (bin · idx) mod W` as `eval`.
         let mut q = 0usize;
-        row.factors.extend((0..self.retained).map(|bin| {
-            let factor = (self.scale(bin), self.twiddle[q]);
+        for (bin, (re, im)) in re.chunks_exact(m).zip(im.chunks_exact(m)).enumerate() {
+            let (scale, tw) = (self.scale(bin), self.twiddle[q]);
+            for ((a, &r), &i) in acc.iter_mut().zip(re).zip(im) {
+                *a += scale * (r * tw.re - i * tw.im);
+            }
             q += idx;
             if q >= w {
                 q -= w;
             }
-            factor
-        }));
-        true
-    }
-}
-
-/// One reconstruction bucket's per-bin factors, filled by
-/// [`PointwiseRecon::fill_row`] and read against any number of prefixes
-/// with [`ReconRow::eval`].
-///
-/// ```
-/// use dsj_dft::{Complex64, PointwiseRecon};
-///
-/// let plan = PointwiseRecon::new(16, 4);
-/// let coeffs = [Complex64::new(8.0, 0.0), Complex64::new(3.0, -1.5)];
-/// let mut row = plan.row();
-/// assert!(plan.fill_row(5, &mut row));
-/// assert_eq!(row.eval(&coeffs).to_bits(), plan.eval(&coeffs, 5).to_bits());
-/// assert!(!plan.fill_row(16, &mut row), "bucket 16 does not exist");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReconRow {
-    /// `(scale, twiddle)` per bin of the prefix.
-    factors: Vec<(f64, Complex64)>,
-}
-
-impl ReconRow {
-    /// The row's bucket of the reconstruction from `coeffs`: the same
-    /// expression, in the same order, as [`PointwiseRecon::eval`], so the
-    /// two agree bit for bit. A prefix shorter than the row reads as
-    /// zero-padded.
-    #[inline]
-    pub fn eval(&self, coeffs: &[Complex64]) -> f64 {
-        debug_assert!(
-            coeffs.len() <= self.factors.len(),
-            "prefix longer than the row"
-        );
-        let mut acc = 0.0;
-        for (&(scale, tw), c) in self.factors.iter().zip(coeffs) {
-            acc += scale * (c.re * tw.re - c.im * tw.im);
         }
-        acc
+        true
     }
 }
 
@@ -258,33 +230,6 @@ mod tests {
                     "W={w} K={k} bucket {idx}: {got} vs {expect}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn row_reads_every_bucket_bit_for_bit_like_eval() {
-        for (w, k) in [(15, 4), (16, 16), (8, 6), (32, 8), (4096, 16), (64, 1)] {
-            let plan = PointwiseRecon::new(w, k);
-            // Irregular magnitudes and signs, so no product rounds exactly.
-            let coeffs: Vec<Complex64> = (0..k)
-                .map(|b| {
-                    let x = b as f64 + 1.0;
-                    Complex64::new(x.sqrt() * 7.3 - 3.1, 1.0 / x - 0.37 * x)
-                })
-                .collect();
-            let mut row = plan.row();
-            for idx in 0..w {
-                assert!(plan.fill_row(idx, &mut row));
-                for prefix in [&coeffs[..], &coeffs[..k / 2]] {
-                    assert_eq!(
-                        row.eval(prefix).to_bits(),
-                        plan.eval(prefix, idx).to_bits(),
-                        "W={w} K={k} bucket {idx} prefix {}",
-                        prefix.len()
-                    );
-                }
-            }
-            assert!(!plan.fill_row(w, &mut row), "W={w}: no bucket W");
         }
     }
 

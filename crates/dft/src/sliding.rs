@@ -170,7 +170,6 @@ impl SlidingDft {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PointDft {
-    values: Vec<f64>,
     coeffs: Vec<Complex64>,
     domain: usize,
     // `PointDft::twiddles(D)`: every rotation any update can need, so the
@@ -229,7 +228,6 @@ impl PointDft {
             "tracked coefficients must be in 1..=domain"
         );
         PointDft {
-            values: vec![0.0; domain],
             coeffs: vec![Complex64::ZERO; k],
             domain,
             twiddle: twiddles,
@@ -241,12 +239,6 @@ impl PointDft {
     #[inline]
     pub fn coefficients(&self) -> &[Complex64] {
         &self.coeffs
-    }
-
-    /// The underlying (exact) vector being summarized.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 
     /// Total point updates applied.
@@ -262,7 +254,6 @@ impl PointDft {
     /// Panics if `index >= domain`.
     pub fn add(&mut self, index: usize, delta: f64) {
         assert!(index < self.domain, "index out of domain");
-        self.values[index] += delta;
         // `q = (k · index) mod D`, maintained by wrapped addition as `k`
         // walks the prefix — no division on the per-bin path.
         let mut q = 0usize;
@@ -377,16 +368,16 @@ mod tests {
         for (a, b) in pd.coefficients().iter().zip(&batch) {
             assert!((*a - *b).abs() < 1e-9);
         }
-        assert_eq!(pd.values(), vec.as_slice());
     }
 
     #[test]
     fn point_dft_prefix_tracking() {
         let mut pd = PointDft::new(64, 8, ControlVector::never());
-        for v in 0..64 {
-            pd.add(v, (v % 5) as f64);
+        let vec: Vec<f64> = (0..64).map(|v| (v % 5) as f64).collect();
+        for (v, &x) in vec.iter().enumerate() {
+            pd.add(v, x);
         }
-        let batch = dft_direct_real(pd.values());
+        let batch = dft_direct_real(&vec);
         for (a, b) in pd.coefficients().iter().zip(batch.iter().take(8)) {
             assert!((*a - *b).abs() < 1e-8);
         }

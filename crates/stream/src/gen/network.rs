@@ -118,7 +118,7 @@ mod tests {
                 .entry(src.next_key(StreamId::S, &mut rng))
                 .or_insert(0usize) += 1;
         }
-        let mut freqs: Vec<usize> = counts.values().copied().collect();
+        let mut freqs: Vec<usize> = counts.into_values().collect();
         freqs.sort_unstable_by(|a, b| b.cmp(a));
         let top10: usize = freqs.iter().take(10).sum();
         assert!(

@@ -1,7 +1,7 @@
 # Development workflow. `just ci` mirrors .github/workflows/ci.yml.
 
 # Everything CI runs, in CI order.
-ci: fmt-check clippy doc tier1 test-workspace repro-smoke repro-check live-smoke e2e-smoke load-smoke
+ci: fmt-check clippy doc tier1 test-workspace test-release repro-smoke repro-check live-smoke e2e-smoke load-smoke
 
 # Formatting gate.
 fmt-check:
@@ -29,6 +29,11 @@ tier1:
 # Full workspace test suite.
 test-workspace:
     cargo test -q --workspace
+
+# The bitwise kernel tests on optimised codegen: the DFTT plane read is
+# vectorised only with optimisations on.
+test-release:
+    cargo test -q --release -p dsj-dft -p dsj-core
 
 # Parallel repro harness byte-identical to serial (stdout and metrics),
 # bad names fail, Table 1 runs: see the script.
