@@ -123,4 +123,28 @@ mod tests {
         assert!(Scale::Quick.node_sweep().len() <= Scale::Full.node_sweep().len());
         assert!(Scale::Quick.kappa_sweep().len() < Scale::Full.kappa_sweep().len());
     }
+
+    #[test]
+    fn quantised_coefficients_stay_far_inside_the_lossless_budget() {
+        use crate::figures::PAPER_KAPPA;
+        use dsj_core::msg::Quantiser;
+        use dsj_dft::Complex64;
+        // Every (W, D, K) a `repro` cluster runs: the figures' window and
+        // Figure 11's four times it, at every κ a figure or an ablation
+        // sets. A window of W tuples has |X[bin]| ≤ W, so the step that
+        // fits W bounds every payload's step.
+        for scale in [Scale::Quick, Scale::Full] {
+            let d = scale.domain();
+            let mut kappas = scale.kappa_sweep();
+            kappas.extend([PAPER_KAPPA, scale.figure_kappa()]);
+            for w in [scale.window(), 4 * scale.window()] {
+                let q = Quantiser::fitting(&[Complex64::new(w as f64, 0.0)]);
+                for &kappa in &kappas {
+                    let k = (d / kappa).max(1) as usize;
+                    let bound = q.mse_bound(d as usize, k);
+                    assert!(bound < 1e-3 * 0.25, "W = {w}, D = {d}, K = {k}: {bound}");
+                }
+            }
+        }
+    }
 }

@@ -647,10 +647,12 @@ mod tests {
         let dft = |indices: &[u16]| SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 256,
+            exponent: 0,
             updates: (indices.iter())
                 .map(|&index| CoeffUpdate {
                     index,
-                    value: dsj_dft::Complex64::new(1.0, 0.0),
+                    re: 1,
+                    im: 0,
                 })
                 .collect(),
         };
@@ -698,10 +700,12 @@ mod tests {
         let skewed = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 512,
+            exponent: 0,
             updates: (0..32)
                 .map(|index| CoeffUpdate {
                     index,
-                    value: dsj_dft::Complex64::new(40.0, -3.0),
+                    re: 40,
+                    im: -3,
                 })
                 .collect(),
         };

@@ -14,7 +14,7 @@
 //! `JoinEstimate`/`ChooseSite` steps of Fig. 7.
 
 use super::RouterConfig;
-use crate::msg::{CoeffUpdate, SummaryPayload};
+use crate::msg::{CoeffUpdate, Quantiser, SummaryPayload};
 use dsj_dft::sliding::PointDft;
 use dsj_dft::spectrum::cross_correlation_coefficient;
 use dsj_dft::{Complex64, PointwiseRecon};
@@ -41,7 +41,8 @@ pub(super) struct DftSummary {
     local: [PointDft; 2],
     /// Every peer's prefix of each stream, as `planes[stream]`.
     planes: [Planes; 2],
-    /// What each peer last received of our coefficients.
+    /// What each peer holds of our coefficients: the dequantised values
+    /// it last received.
     snapshot: Vec<[Option<Vec<Complex64>>; 2]>,
     /// Pointwise inverse DFT over every remote prefix (DFTT only):
     /// membership reads evaluate the one bucket they need, on demand.
@@ -160,15 +161,23 @@ impl DftSummary {
         true
     }
 
-    /// Ingests coefficient updates to the `stream` prefix in column `col`
-    /// and marks it landed. Membership reads evaluate their bucket from the
-    /// planes, so nothing else needs refreshing.
+    /// Ingests coefficient updates to the `stream` prefix in column `col`,
+    /// dequantised at `exponent`, and marks it landed. Membership reads
+    /// evaluate their bucket from the planes, so nothing else needs
+    /// refreshing.
     ///
     /// Returns the number of updates *dropped* because their index fell
     /// outside the retained prefix, rather than silently part-applying the
     /// payload.
-    pub fn apply_summary(&mut self, col: usize, stream: StreamId, updates: &[CoeffUpdate]) -> u64 {
+    pub fn apply_summary(
+        &mut self,
+        col: usize,
+        stream: StreamId,
+        exponent: i8,
+        updates: &[CoeffUpdate],
+    ) -> u64 {
         let (k, m) = (self.retained, self.buckets.len());
+        let q = Quantiser::at(exponent);
         let planes = &mut self.planes[stream.index()];
         if planes.landed.is_empty() {
             planes.re = vec![0.0; k * m];
@@ -180,8 +189,9 @@ impl DftSummary {
         for u in updates {
             let bin = usize::from(u.index);
             if bin < k {
-                planes.re[bin * m + col] = u.value.re;
-                planes.im[bin * m + col] = u.value.im;
+                let value = q.value(*u);
+                planes.re[bin * m + col] = value.re;
+                planes.im[bin * m + col] = value.im;
             } else {
                 dropped += 1;
             }
@@ -189,7 +199,9 @@ impl DftSummary {
         dropped
     }
 
-    /// Full refresh of both streams' coefficients for `peer`.
+    /// Full refresh of both streams' coefficients for `peer`: the whole
+    /// prefix on the first, afterwards every coefficient whose quantised
+    /// value differs from what the peer holds.
     pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
         // Indices travel as `u16` on the wire; config validation
         // (`RunError::RetainedTooLarge`) guarantees the prefix fits.
@@ -198,30 +210,35 @@ impl DftSummary {
             "retained prefix {} cannot be u16-index encoded",
             self.retained
         );
-        let mut out = Vec::new();
+        // At most one payload per stream.
+        let mut out = Vec::with_capacity(StreamId::BOTH.len());
         for stream in StreamId::BOTH {
             let s = stream.index();
             let cur = self.local[s].coefficients();
+            let q = Quantiser::fitting(cur);
+            let quantise = |(i, c): (usize, &Complex64)| q.quantise(i as u16, *c);
             let snap = &mut self.snapshot[peer as usize][s];
-            let update = |(i, c): (usize, &Complex64)| CoeffUpdate {
-                index: i as u16,
-                value: *c,
-            };
             let updates: Vec<CoeffUpdate> = match snap {
-                Some(prev) => (cur.iter().enumerate())
-                    .filter(|&(i, c)| (*c - prev[i]).abs() > 1e-9)
-                    .map(update)
+                Some(held) => (cur.iter().enumerate().map(quantise).zip(held))
+                    .filter_map(|(u, held)| {
+                        let value = q.value(u);
+                        (value != *held).then(|| {
+                            *held = value;
+                            u
+                        })
+                    })
                     .collect(),
-                None => cur.iter().enumerate().map(update).collect(),
+                None => {
+                    let updates: Vec<CoeffUpdate> = cur.iter().enumerate().map(quantise).collect();
+                    *snap = Some(updates.iter().map(|&u| q.value(u)).collect());
+                    updates
+                }
             };
-            match snap {
-                Some(prev) => prev.copy_from_slice(cur),
-                None => *snap = Some(cur.to_vec()),
-            }
             if !updates.is_empty() {
                 out.push(SummaryPayload::Dft {
                     stream,
                     signal_len: self.domain,
+                    exponent: q.exponent(),
                     updates,
                 });
             }
@@ -235,6 +252,10 @@ impl DftSummary {
     /// the coefficient overhead at a few percent of the net data, the
     /// regime Figure 8 reports. How often one goes out is the router's
     /// call (`Router::attach`).
+    ///
+    /// It is quantised at the exponent a full refresh would use now, so
+    /// every value a peer holds of one stream sits on the grid the next
+    /// refresh compares against.
     pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
         let p = peer as usize;
         // A stream never fully synced has no snapshot: a piggyback would
@@ -248,19 +269,19 @@ impl DftSummary {
             return Vec::new();
         };
         let s = stream.index();
-        let value = self.local[s].coefficients()[i];
+        let cur = self.local[s].coefficients();
+        let q = Quantiser::fitting(cur);
+        let update = q.quantise(i as u16, cur[i]);
         let Some(snap) = self.snapshot[p][s].as_mut() else {
             // Unreachable: `most_changed` only selects streams with a snapshot.
             return Vec::new();
         };
-        snap[i] = value;
+        snap[i] = q.value(update);
         vec![SummaryPayload::Dft {
             stream,
             signal_len: self.domain,
-            updates: vec![CoeffUpdate {
-                index: i as u16,
-                value,
-            }],
+            exponent: q.exponent(),
+            updates: vec![update],
         }]
     }
 }
@@ -375,12 +396,15 @@ mod tests {
     /// Applies a DFT payload to `dst`'s column `col`, as the router does.
     fn apply(dst: &mut DftSummary, col: usize, payload: &SummaryPayload) -> u64 {
         let SummaryPayload::Dft {
-            stream, updates, ..
+            stream,
+            exponent,
+            updates,
+            ..
         } = payload
         else {
             panic!("expected DFT payload")
         };
-        dst.apply_summary(col, *stream, updates)
+        dst.apply_summary(col, *stream, *exponent, updates)
     }
 
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
@@ -421,6 +445,13 @@ mod tests {
             }
         }
         best.map(|(stream, i, _)| (stream, i))
+    }
+
+    /// The bit patterns of a prefix, for exact comparison.
+    fn bits(prefix: &[Complex64]) -> Vec<(u64, u64)> {
+        (prefix.iter())
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
     }
 
     /// `x` moved by `ulps` units in the last place (positive `x` only).
@@ -551,22 +582,15 @@ mod tests {
         // signature of a version-skewed or corrupted peer and must be
         // dropped (and reported), never silently part-applied.
         let mut r = summary(Algorithm::Dftt, 0);
+        let update = |index, re, im| CoeffUpdate { index, re, im };
         let payload = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 256,
+            exponent: -1,
             updates: vec![
-                CoeffUpdate {
-                    index: 3,
-                    value: Complex64::new(8.0, -2.0),
-                },
-                CoeffUpdate {
-                    index: 32,
-                    value: Complex64::new(1.0, 1.0),
-                },
-                CoeffUpdate {
-                    index: u16::MAX,
-                    value: Complex64::new(5.0, 5.0),
-                },
+                update(3, 16, -4),
+                update(32, 2, 2),
+                update(u16::MAX, 10, 10),
             ],
         };
         let dropped = apply(&mut r, 0, &payload);
@@ -590,10 +614,8 @@ mod tests {
         let ok = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 256,
-            updates: vec![CoeffUpdate {
-                index: 0,
-                value: Complex64::new(2.0, 0.0),
-            }],
+            exponent: 1,
+            updates: vec![update(0, 1, 0)],
         };
         assert_eq!(apply(&mut r, 0, &ok), 0);
     }
@@ -601,9 +623,9 @@ mod tests {
     #[test]
     fn remote_prefix_tracks_the_senders_snapshot_across_exchanges() {
         // Full summaries, deltas and piggybacks all land in the receiver's
-        // prefix; after every exchange it holds what the sender's snapshot
-        // (updated in place after the first sync) says the peer has, up to
-        // the sub-1e-9 moves a delta leaves out.
+        // prefix; after every exchange it holds exactly what the sender's
+        // snapshot (updated in place after the first sync) says the peer
+        // has.
         let mut n0 = summary(Algorithm::Dftt, 0);
         let mut n1 = summary(Algorithm::Dftt, 1);
         let check = |n0: &DftSummary, n1: &DftSummary| {
@@ -611,9 +633,7 @@ mod tests {
             let (Some(got), Some(sent)) = (n0.column(StreamId::S, 0), &n1.snapshot[0][s]) else {
                 panic!("stream S was synced");
             };
-            for (i, (a, b)) in got.iter().zip(sent).enumerate() {
-                assert!((*a - *b).abs() <= 1e-9, "bin {i}: {a:?} vs {b:?}");
-            }
+            assert_eq!(bits(&got), bits(sent));
         };
         fill(
             &mut n1,
@@ -637,6 +657,105 @@ mod tests {
     }
 
     #[test]
+    fn the_sender_snapshot_is_what_both_receive_paths_hold() {
+        use crate::msg::Msg;
+        use crate::wire::{self, FrameDecoder};
+        use dsj_stream::Tuple;
+
+        fn dft(r: &Router) -> &DftSummary {
+            let Summary::Dft(d) = &r.summary else {
+                panic!("DFTT keeps a DFT summary")
+            };
+            d
+        }
+        /// Hands `msg` to `wired` through the codec, in 7-byte chunks as a
+        /// socket might deliver it (the TCP path), and its payloads
+        /// straight to `direct` (the simnet path).
+        fn deliver(msg: &Msg, wired: &mut Router, direct: &mut Router) {
+            let bytes = wire::encode(msg);
+            assert_eq!(bytes.len(), msg.wire_bytes());
+            let mut decoder = FrameDecoder::new();
+            let mut got = Vec::new();
+            for chunk in bytes.chunks(7) {
+                let fed = decoder.feed_decode(chunk, &mut |m| {
+                    got.push(m);
+                    true
+                });
+                assert_eq!(fed, Ok(true));
+            }
+            let payloads = |m: &Msg| match m {
+                Msg::Tuple { piggyback, .. } => piggyback.clone(),
+                Msg::Summary(payloads) => payloads.clone(),
+            };
+            assert_eq!(got.len(), 1);
+            for p in payloads(&got[0]) {
+                assert_eq!(wired.apply_summary(1, &p), 0);
+            }
+            for p in payloads(msg) {
+                assert_eq!(direct.apply_summary(1, &p), 0);
+            }
+        }
+        /// Both receivers hold, bit for bit, what the sender's snapshot
+        /// says node 0 holds.
+        fn check(sender: &Router, wired: &Router, direct: &Router) {
+            for stream in StreamId::BOTH {
+                let held = dft(sender).snapshot[0][stream.index()].as_deref();
+                let held = held.expect("both streams were synced");
+                for receiver in [wired, direct] {
+                    let got = dft(receiver).column(stream, 0).expect("landed");
+                    assert_eq!(bits(&got), bits(held), "{stream:?}");
+                }
+            }
+        }
+
+        let mut sender = Router::new(test_config(Algorithm::Dftt, 1, 2));
+        let mut wired = Router::new(test_config(Algorithm::Dftt, 0, 2));
+        let mut direct = Router::new(test_config(Algorithm::Dftt, 0, 2));
+        // S spreads over the domain: DC is its largest coefficient by far.
+        let spread = |i: u32| i * 37 % 256;
+        for i in 0..400 {
+            sender.local_update(StreamId::S, spread(i), &[]);
+            sender.local_update(StreamId::R, 3 * i % 200, &[]);
+        }
+        let refresh = Msg::Summary(sender.full_summaries(0));
+        deliver(&refresh, &mut wired, &mut direct);
+        check(&sender, &wired, &direct);
+        // A big move of S rides on a tuple as one coefficient. Each key
+        // replaces one the window held, so DC stays put and the moved
+        // coefficient is not the prefix's largest.
+        for i in 0..60 {
+            sender.local_update(StreamId::S, 200, &[spread(i)]);
+        }
+        let Summary::Dft(d) = &mut sender.summary else {
+            unreachable!()
+        };
+        let piggyback = d.piggyback(0);
+        let [SummaryPayload::Dft { updates, .. }] = &piggyback[..] else {
+            panic!("one DFT payload: {piggyback:?}")
+        };
+        let [CoeffUpdate { index: moved, .. }] = updates[..] else {
+            panic!("one coefficient: {updates:?}")
+        };
+        let tuple = Msg::Tuple {
+            tuple: Tuple::new(StreamId::R, 5, 9, 1),
+            piggyback,
+        };
+        deliver(&tuple, &mut wired, &mut direct);
+        check(&sender, &wired, &direct);
+        // The next refresh ships the rest of the move: the piggyback sat on
+        // the grid it compares against, so not that coefficient again.
+        // Then nothing, until the window changes again.
+        let refresh = sender.full_summaries(0);
+        let [SummaryPayload::Dft { updates, .. }] = &refresh[..] else {
+            panic!("only S moved: {refresh:?}")
+        };
+        assert!(updates.iter().all(|u| u.index != moved), "{moved} again");
+        deliver(&Msg::Summary(refresh), &mut wired, &mut direct);
+        check(&sender, &wired, &direct);
+        assert_eq!(sender.full_summaries(0), []);
+    }
+
+    #[test]
     fn every_peer_lands_in_its_own_column() {
         // Node 2 of six: peers 0 and 1 sit below it and 3, 4, 5 above, so a
         // sender's column is `from − (from > me)`.
@@ -656,12 +775,17 @@ mod tests {
             for p in peer.full_summaries(me) {
                 if let SummaryPayload::Dft {
                     stream: StreamId::S,
+                    exponent,
                     updates,
                     ..
                 } = &p
                 {
                     // A first sync ships every bin, in order.
-                    sent.push((from, updates.iter().map(|u| u.value).collect::<Vec<_>>()));
+                    let q = Quantiser::at(*exponent);
+                    sent.push((
+                        from,
+                        updates.iter().map(|&u| q.value(u)).collect::<Vec<_>>(),
+                    ));
                 }
                 assert_eq!(node.apply_summary(from, &p), 0);
             }

@@ -684,10 +684,11 @@ impl Router {
                 SummaryPayload::Dft {
                     stream,
                     signal_len,
+                    exponent,
                     updates,
                 },
             ) if *signal_len == self.cfg.plan.key.domain => {
-                (*stream, d.apply_summary(p, *stream, updates))
+                (*stream, d.apply_summary(p, *stream, *exponent, updates))
             }
             (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) => {
                 b.apply_summary(from, *stream, filter);

@@ -8,7 +8,7 @@
 //! bandwidth model, Figure 8's overhead accounting and the TCP backend in
 //! `dsj-runtime` all charge identical bytes.
 //!
-//! # Frame layout (version 1, all integers little-endian)
+//! # Frame layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! frame      := len:u32 | body                  (len = body length in bytes)
@@ -17,39 +17,43 @@
 //! kind 1     := payload*                        (Msg::Summary)
 //! tuple      := stream:u8 | key:u32 | seq:u64 | origin:u16        (15 bytes)
 //! payload    := ptype:u8 | params               (ptype = pkind << 1 | stream)
-//! pkind 0    := signal_len:u32 | count:u32 | (index:u16, re:f64, im:f64)*count
+//! pkind 0    := signal_len:u32 | count:u32 | exponent:i8 | (index:u16, re:i16, im:i16)*count
 //! pkind 1    := m:u32 | k:u32 | seed:u64 | items:u64 | counter:u32 * m
 //! pkind 2    := s0:u32 | s1:u32 | seed:u64 | updates:u64 | counter:i64 * s0·s1
 //! ```
 //!
 //! Payload items are self-delimiting and parsed until the frame body is
 //! exhausted, so a bare tuple frame is exactly [`Tuple::WIRE_BYTES`] (20)
-//! bytes and piggyback summaries only pay their own encoded size. Floats
-//! travel as IEEE-754 bit patterns (`f64::to_bits`), making encoding a
-//! bijection: any frame that decodes re-encodes to identical bytes.
+//! bytes and piggyback summaries only pay their own encoded size. A DFT
+//! payload is `10 + 6·count` bytes: its coefficients are block floating
+//! point, `i16` mantissas under one `i8` exponent
+//! ([`Quantiser`](crate::msg::Quantiser)), quantised by the sender. Every
+//! field is an integer, so encoding is a bijection (any frame that decodes
+//! re-encodes to identical bytes) and a decoded coefficient is always
+//! finite.
 //!
 //! # Version byte policy
 //!
 //! The high nibble of `ver_kind` is the codec version, currently
-//! [`VERSION`] = 1. Decoders reject any other version with
-//! [`WireError::BadVersion`] rather than guessing; a future layout change
-//! bumps the version and keeps the old decoder around for one release so
-//! mixed clusters fail loudly, not silently. The low nibble leaves room for
-//! 15 more message kinds before the version must change.
+//! [`VERSION`] = 2. Decoders reject any other version with
+//! [`WireError::BadVersion`] rather than guessing, so a mixed cluster fails
+//! loudly, not silently. Version 1 (DFT coefficients as two `f64` bit
+//! patterns, 18 bytes each) is rejected like any other: no second decoder
+//! is kept, since every node of a cluster runs one build. The low nibble
+//! leaves room for 15 more message kinds before the version must change.
 //!
 //! Decoding is total: corrupted, truncated or oversized input returns a
 //! typed [`WireError`] — never a panic — which the property suite in
 //! `crates/core/tests/wire_props.rs` hammers with arbitrary mutations.
 
 use crate::msg::{CoeffUpdate, Msg, SummaryPayload};
-use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
 use std::fmt;
 
 /// Current codec version, carried in the high nibble of every frame's
 /// `ver_kind` byte.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Upper bound on a frame body's length (16 MiB). Far above any summary
 /// this system produces; a length prefix beyond it is treated as corruption
@@ -153,15 +157,20 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
         SummaryPayload::Dft {
             stream,
             signal_len,
+            exponent,
             updates,
         } => {
             buf.push((PKIND_DFT << 1) | stream_bit(*stream));
             buf.extend_from_slice(&signal_len.to_le_bytes());
             buf.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&exponent.to_le_bytes());
             for u in updates {
-                buf.extend_from_slice(&u.index.to_le_bytes());
-                buf.extend_from_slice(&u.value.re.to_bits().to_le_bytes());
-                buf.extend_from_slice(&u.value.im.to_bits().to_le_bytes());
+                let ([i0, i1], [r0, r1], [m0, m1]) = (
+                    u.index.to_le_bytes(),
+                    u.re.to_le_bytes(),
+                    u.im.to_le_bytes(),
+                );
+                buf.extend_from_slice(&[i0, i1, r0, r1, m0, m1]);
             }
         }
         SummaryPayload::Bloom { stream, filter } => {
@@ -276,6 +285,15 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
+    fn i8(&mut self) -> Result<i8, WireError> {
+        Ok(i8::from_le_bytes([self.u8()?]))
+    }
+
+    fn i16(&mut self) -> Result<i16, WireError> {
+        let b = self.take(2)?;
+        Ok(i16::from_le_bytes([b[0], b[1]]))
+    }
+
     fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -304,6 +322,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
         PKIND_DFT => {
             let signal_len = r.u32()?;
             let count = r.u32()? as usize;
+            let exponent = r.i8()?;
             let need = count
                 .checked_mul(CoeffUpdate::WIRE_BYTES)
                 .ok_or(WireError::Invalid("coefficient count overflows"))?;
@@ -312,17 +331,16 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
             }
             let mut updates = Vec::with_capacity(count);
             for _ in 0..count {
-                let index = r.u16()?;
-                let re = f64::from_bits(r.u64()?);
-                let im = f64::from_bits(r.u64()?);
                 updates.push(CoeffUpdate {
-                    index,
-                    value: Complex64::new(re, im),
+                    index: r.u16()?,
+                    re: r.i16()?,
+                    im: r.i16()?,
                 });
             }
             Ok(SummaryPayload::Dft {
                 stream,
                 signal_len,
+                exponent,
                 updates,
             })
         }
@@ -538,7 +556,8 @@ mod tests {
         (0..n)
             .map(|i| CoeffUpdate {
                 index: i as u16,
-                value: Complex64::new(i as f64 + 0.5, -(i as f64)),
+                re: 2 * i as i16 + 1,
+                im: i16::MIN + i as i16,
             })
             .collect()
     }
@@ -560,6 +579,7 @@ mod tests {
                 piggyback: vec![SummaryPayload::Dft {
                     stream: StreamId::S,
                     signal_len: 1024,
+                    exponent: -4,
                     updates: coeffs(3),
                 }],
             },
@@ -567,6 +587,7 @@ mod tests {
                 SummaryPayload::Dft {
                     stream: StreamId::R,
                     signal_len: 64,
+                    exponent: i8::MIN,
                     updates: coeffs(10),
                 },
                 SummaryPayload::Bloom {
@@ -602,13 +623,15 @@ mod tests {
         assert_eq!(encode(&bare).len(), Tuple::WIRE_BYTES);
         assert_eq!(bare.wire_bytes(), 20);
 
-        // Dft payload: 1 ptype + 4 signal_len + 4 count + 18 per update.
+        // Dft payload: 1 ptype + 4 signal_len + 4 count + 1 exponent + 6
+        // per update.
         let dft = SummaryPayload::Dft {
             stream: StreamId::R,
             signal_len: 512,
+            exponent: 3,
             updates: coeffs(7),
         };
-        assert_eq!(dft.wire_bytes(), 9 + 7 * CoeffUpdate::WIRE_BYTES);
+        assert_eq!(dft.wire_bytes(), 10 + 7 * 6);
 
         // Bloom payload: 1 ptype + 4 m + 4 k + 8 seed + 8 items + 4 per counter.
         let filter = CountingBloomFilter::new(256, 4, 1);
@@ -643,7 +666,7 @@ mod tests {
         };
         assert_eq!(
             pig.wire_bytes(),
-            Tuple::WIRE_BYTES + 9 + 7 * CoeffUpdate::WIRE_BYTES
+            Tuple::WIRE_BYTES + 10 + 7 * CoeffUpdate::WIRE_BYTES
         );
         assert_eq!(encode(&pig).len(), pig.wire_bytes());
     }
@@ -707,10 +730,12 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
         }
-        // Wrong version nibble.
-        let mut bad = bytes.clone();
-        bad[4] = (2 << 4) | (bad[4] & 0x0F);
-        assert_eq!(decode(&bad).unwrap_err(), WireError::BadVersion(2));
+        // Wrong version nibble: version 1 is refused like any other.
+        for version in [1, 3] {
+            let mut bad = bytes.clone();
+            bad[4] = (version << 4) | (bad[4] & 0x0F);
+            assert_eq!(decode(&bad).unwrap_err(), WireError::BadVersion(version));
+        }
         // Unknown kind nibble.
         let mut bad = bytes.clone();
         bad[4] = (VERSION << 4) | 7;
@@ -726,6 +751,7 @@ mod tests {
         let msg = Msg::Summary(vec![SummaryPayload::Dft {
             stream: StreamId::R,
             signal_len: 8,
+            exponent: 0,
             updates: Vec::new(),
         }]);
         let mut bad = encode(&msg);

@@ -5,10 +5,9 @@
 //! Messages are built from generated scalars rather than a bespoke `Msg`
 //! strategy, so every case renders its raw inputs on failure.
 
-use dsj_core::msg::CoeffUpdate;
+use dsj_core::msg::{CoeffUpdate, Quantiser};
 use dsj_core::wire::{self, FrameDecoder, WireError, VERSION};
 use dsj_core::{Msg, SummaryPayload};
-use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
 use proptest::prelude::*;
@@ -24,8 +23,9 @@ fn sid(s: bool) -> StreamId {
 /// Deterministically assembles one message from generated scalars.
 ///
 /// `selector` picks the shape; the remaining arguments parameterize it.
-/// Floats come from integer ratios so equality comparisons are exact and
-/// NaN never appears (NaN is unrepresentable round-trip under `==`).
+/// A DFT payload is what the wire holds, an `i8` exponent and `i16`
+/// mantissas, each drawn from its whole range (as `i32`s, since ranges are
+/// half-open) and narrowed here.
 #[allow(clippy::too_many_arguments)]
 fn build_msg(
     selector: u8,
@@ -33,7 +33,7 @@ fn build_msg(
     key: u32,
     seq: u64,
     origin: u16,
-    signal_len: u32,
+    (signal_len, exponent): (u32, i32),
     seed: u64,
     k: u32,
     dims: (usize, usize),
@@ -43,11 +43,13 @@ fn build_msg(
     let dft = || SummaryPayload::Dft {
         stream: sid(stream),
         signal_len,
+        exponent: exponent as i8,
         updates: coeffs
             .iter()
             .map(|&(index, re, im)| CoeffUpdate {
                 index,
-                value: Complex64::new(f64::from(re) / 8.0, f64::from(im) / 4.0),
+                re: re as i16,
+                im: im as i16,
             })
             .collect(),
     };
@@ -96,6 +98,24 @@ fn build_msg(
     }
 }
 
+/// Whether every DFT coefficient `msg` carries dequantises to a finite
+/// value.
+fn dft_values_are_finite(msg: &Msg) -> bool {
+    let payloads = match msg {
+        Msg::Tuple { piggyback, .. } => piggyback,
+        Msg::Summary(payloads) => payloads,
+    };
+    payloads.iter().all(|p| match p {
+        SummaryPayload::Dft {
+            exponent, updates, ..
+        } => updates.iter().all(|&u| {
+            let v = Quantiser::at(*exponent).value(u);
+            v.re.is_finite() && v.im.is_finite()
+        }),
+        SummaryPayload::Bloom { .. } | SummaryPayload::Sketch { .. } => true,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -107,15 +127,16 @@ proptest! {
         seq in 0u64..u64::MAX,
         origin in 0u16..u16::MAX,
         signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
         seed in 0u64..u64::MAX,
         k in 1u32..9,
         s0 in 1usize..5,
         s1 in 1usize..7,
-        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
         counters in prop::collection::vec(0u32..1 << 30, 24..25),
     ) {
         let msg = build_msg(
-            selector, stream, key, seq, origin, signal_len, seed, k, (s0, s1),
+            selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
         let bytes = wire::encode(&msg);
@@ -137,11 +158,12 @@ proptest! {
         seq in 0u64..u64::MAX,
         origin in 0u16..u16::MAX,
         signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
         seed in 0u64..u64::MAX,
         k in 1u32..9,
         s0 in 1usize..5,
         s1 in 1usize..7,
-        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
         counters in prop::collection::vec(0u32..1 << 30, 24..25),
         chunk_sizes in prop::collection::vec(1usize..13, 8..64),
         tail_selector in 0u8..6,
@@ -150,7 +172,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, &sel)| build_msg(
-                sel, stream, key ^ i as u32, seq, origin, signal_len, seed, k,
+                sel, stream, key ^ i as u32, seq, origin, (signal_len, exponent), seed, k,
                 (s0, s1), &coeffs, &counters,
             ))
             .collect();
@@ -181,7 +203,7 @@ proptest! {
         prop_assert_eq!(&decoded, &msgs);
         // Nothing stayed staged: one more frame comes out alone.
         let tail = build_msg(
-            tail_selector, stream, key, seq, origin, signal_len, seed, k, (s0, s1),
+            tail_selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
         decoded.clear();
@@ -202,16 +224,17 @@ proptest! {
         seq in 0u64..u64::MAX,
         origin in 0u16..u16::MAX,
         signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
         seed in 0u64..u64::MAX,
         k in 1u32..9,
         s0 in 1usize..5,
         s1 in 1usize..7,
-        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
         counters in prop::collection::vec(0u32..1 << 30, 24..25),
         cut_at in 0usize..4096,
     ) {
         let msg = build_msg(
-            selector, stream, key, seq, origin, signal_len, seed, k, (s0, s1),
+            selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
         let bytes = wire::encode(&msg);
@@ -241,18 +264,19 @@ proptest! {
         seq in 0u64..u64::MAX,
         origin in 0u16..u16::MAX,
         signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
         seed in 0u64..u64::MAX,
         k in 1u32..9,
         s0 in 1usize..5,
         s1 in 1usize..7,
-        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
         counters in prop::collection::vec(0u32..1 << 30, 24..25),
         bad_version in 0u8..16,
         bad_kind in 2u8..16,
     ) {
         prop_assume!(bad_version != VERSION);
         let msg = build_msg(
-            selector, stream, key, seq, origin, signal_len, seed, k, (s0, s1),
+            selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
         let mut bytes = wire::encode(&msg);
@@ -278,6 +302,7 @@ proptest! {
             // Decode is the inverse of a canonical encoding: any accepted
             // frame re-encodes to exactly the consumed bytes.
             prop_assert_eq!(wire::encode(&msg), &bytes[..consumed]);
+            prop_assert!(dft_values_are_finite(&msg));
         }
         // Through the incremental decoder, fed a byte at a time (every
         // frame staged) and all at once (every frame decoded in place): the
@@ -300,6 +325,57 @@ proptest! {
         let (one_at_a_time, verdict) = feed(1);
         prop_assert_ne!(verdict, Err(WireError::Truncated));
         prop_assert_eq!((one_at_a_time, verdict), feed(bytes.len()));
+    }
+
+    #[test]
+    fn every_coefficient_byte_pattern_decodes_to_finite_values(
+        stream in prop::bool::ANY,
+        signal_len in 1u32..(1 << 20),
+        noise in prop::collection::vec(0u16..256, 1..98),
+    ) {
+        // A DFT summary whose exponent and coefficient bytes are noise:
+        // every pattern is a payload, and its values are finite.
+        let count = (noise.len() - 1) / 6;
+        let msg = Msg::Summary(vec![SummaryPayload::Dft {
+            stream: sid(stream),
+            signal_len,
+            exponent: 0,
+            updates: vec![CoeffUpdate { index: 0, re: 0, im: 0 }; count],
+        }]);
+        let mut bytes = wire::encode(&msg);
+        let exponent_at = bytes.len() - (1 + 6 * count);
+        for (b, &n) in bytes[exponent_at..].iter_mut().zip(&noise) {
+            *b = n as u8;
+        }
+        let (decoded, _) = wire::decode(&bytes).expect("any exponent and mantissas decode");
+        prop_assert!(dft_values_are_finite(&decoded), "{:?}", decoded);
+        prop_assert_eq!(wire::encode(&decoded), bytes);
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_not_misread(
+        stream in prop::bool::ANY,
+        signal_len in 1u32..(1 << 20),
+        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
+    ) {
+        // A summary in the version-1 layout: per coefficient an index and
+        // two `f64` bit patterns, and no exponent.
+        let mut body = vec![(1 << 4) | 1, u8::from(stream)];
+        body.extend_from_slice(&signal_len.to_le_bytes());
+        body.extend_from_slice(&(coeffs.len() as u32).to_le_bytes());
+        for &(index, re, im) in &coeffs {
+            body.extend_from_slice(&index.to_le_bytes());
+            body.extend_from_slice(&(f64::from(re) / 8.0).to_bits().to_le_bytes());
+            body.extend_from_slice(&(f64::from(im) / 4.0).to_bits().to_le_bytes());
+        }
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(1));
+        let mut decoder = FrameDecoder::new();
+        prop_assert_eq!(
+            decoder.feed_decode(&frame, &mut |_| true),
+            Err(WireError::BadVersion(1))
+        );
     }
 
     #[test]
