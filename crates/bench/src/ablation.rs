@@ -14,7 +14,7 @@
 use crate::figures::PAPER_ALPHA;
 use crate::scale::Scale;
 use crate::suite::Executor;
-use dsj_core::{Algorithm, ClusterConfig, FlowParams, RunError};
+use dsj_core::{Algorithm, ClusterConfig, RunError};
 use dsj_dft::{CompressedDft, Selection};
 use dsj_simnet::LinkConfig;
 use dsj_stream::gen::{price_series, WorkloadKind};
@@ -146,9 +146,7 @@ pub fn detector(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, RunEr
             .workload(workload)
             .locality(locality)
             .kappa(scale.figure_kappa())
-            .flow(FlowParams {
-                uniform_cv_threshold: threshold,
-            })
+            .uniform_cv_threshold(threshold)
             .seed(2007)
             .run()?;
         Ok(DetectorRow {

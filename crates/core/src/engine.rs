@@ -104,10 +104,18 @@ pub trait Transport {
 
     /// Blocks until the next event for this node.
     ///
+    /// The default is the push-driven case: a backend that hands events to
+    /// the engine itself (the simulator, a replay) has nothing to wait on,
+    /// so a pull-style loop over it sees [`TransportEvent::Shutdown`].
+    /// Backends that override [`Transport::poll_frame`] need not override
+    /// this.
+    ///
     /// # Errors
     ///
     /// Transport-specific receive failure (e.g. every sender dropped).
-    fn poll(&mut self) -> Result<TransportEvent, Self::Error>;
+    fn poll(&mut self) -> Result<TransportEvent, Self::Error> {
+        Ok(TransportEvent::Shutdown)
+    }
 
     /// Blocks for at least one event, then drains up to `max` total events
     /// into `frame` without blocking again.
@@ -496,12 +504,6 @@ impl Transport for SimTransport<'_, '_> {
         Ok(())
     }
 
-    fn poll(&mut self) -> Result<TransportEvent, Infallible> {
-        // The simulation pushes events through `SimNode`; a pull-style
-        // loop over this transport has nothing to wait on.
-        Ok(TransportEvent::Shutdown)
-    }
-
     fn now_us(&mut self) -> u64 {
         self.ctx.now().as_micros()
     }
@@ -680,6 +682,32 @@ mod tests {
         eng.on_net(0, Msg::Summary(vec![dft(&[3])]));
         eng.on_net(3, Msg::Summary(vec![dft(&[3])]));
         assert_eq!(drops(&eng), 6);
+        // The same for a BLOOM and a SKCH node, whose summaries land in a
+        // table per peer column: "from" node 0 would alias peer 1's column
+        // without the check. Nothing lands, and both rows, refreshed by
+        // one arrival each, stay clean.
+        for algorithm in [Algorithm::Bloom, Algorithm::Sketch] {
+            let mut eng =
+                NodeEngine::assemble(test_config(algorithm, 0, 3), WindowSpec::count(16), 0, None);
+            let mut tx = Script::default();
+            for (seq, stream) in (0..).zip(StreamId::BOTH) {
+                eng.on_arrival(Tuple::new(stream, 5, seq, 0), &mut tx)
+                    .unwrap();
+            }
+            let clean = eng.router.stale_masks();
+            assert_eq!(clean, [[false; 2], [false; 2]], "{algorithm}");
+            let payload = Router::new(test_config(algorithm, 1, 3)).full_summaries(0);
+            for from in [0, 3] {
+                eng.on_net(from, Msg::Summary(payload[..1].to_vec()));
+            }
+            assert_eq!(drops(&eng), 2, "{algorithm}");
+            assert_eq!(eng.router.summaries_landed(), 0, "{algorithm}");
+            assert_eq!(eng.router.stale_masks(), clean, "{algorithm}");
+            // The real sender lands in its column.
+            eng.on_net(1, Msg::Summary(payload[..1].to_vec()));
+            assert_eq!(drops(&eng), 2, "{algorithm}");
+            assert_eq!(eng.router.summaries_landed(), 1, "{algorithm}");
+        }
     }
 
     #[test]
@@ -711,7 +739,7 @@ mod tests {
         };
         eng.on_net(1, Msg::Summary(vec![skewed]));
         assert_eq!(eng.metrics().summary_index_drops, 1);
-        assert_eq!(eng.router.dft_columns_landed(), 0, "no column landed");
+        assert_eq!(eng.router.summaries_landed(), 0, "no column landed");
         let (mut tx, mut twin_tx) = (Script::default(), Script::default());
         for seq in 0..64 {
             let tuple = Tuple::new(StreamId::R, (seq * 37 % 256) as u32, seq, 0);

@@ -67,6 +67,15 @@ pub enum RunError {
         /// Cluster size.
         n: u16,
     },
+    /// `tuples` was set to something other than the attached trace's
+    /// length: the run would replay the trace while warm-up and the
+    /// per-tuple figures count `tuples`.
+    TraceLengthMismatch {
+        /// Arrivals in the trace.
+        trace: usize,
+        /// The configured tuple count.
+        tuples: usize,
+    },
     /// An attached trace carries a key outside the attribute domain.
     TraceKeyOutOfDomain {
         /// The offending key.
@@ -138,6 +147,10 @@ impl fmt::Display for RunError {
             RunError::TraceNodeOutOfRange { node, n } => {
                 write!(f, "trace node {node} out of range for a {n}-node cluster")
             }
+            RunError::TraceLengthMismatch { trace, tuples } => write!(
+                f,
+                "tuple count {tuples} differs from the attached trace's {trace} arrivals"
+            ),
             RunError::TraceKeyOutOfDomain { key, domain } => {
                 write!(f, "trace key {key} out of attribute domain {domain}")
             }
@@ -206,6 +219,12 @@ mod tests {
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }
             .to_string()
             .contains("99"));
+        assert!(RunError::TraceLengthMismatch {
+            trace: 10,
+            tuples: 12
+        }
+        .to_string()
+        .contains("12 differs from the attached trace's 10"));
         assert!(RunError::TraceKeyOutOfDomain {
             key: 5000,
             domain: 1024

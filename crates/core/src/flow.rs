@@ -46,24 +46,6 @@ impl Default for TargetComplexity {
     }
 }
 
-/// Tunables of the flow-filtering layer. (Its message budget is the
-/// cluster's [`TargetComplexity`], set on `ClusterConfig::target`.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowParams {
-    /// Coefficient-of-variation (σ/μ) threshold below which the per-peer
-    /// correlations are considered indistinguishable (uniform-data worst
-    /// case).
-    pub uniform_cv_threshold: f64,
-}
-
-impl Default for FlowParams {
-    fn default() -> Self {
-        FlowParams {
-            uniform_cv_threshold: 0.05,
-        }
-    }
-}
-
 /// Probability of routing a tuple by flow probabilities even when a
 /// membership test (DFTT/BLOOM) finds no candidate site — keeps the
 /// summaries honest when they go stale. The floor of the router's explore
@@ -215,48 +197,20 @@ pub fn sample_recipients_into(probs: &[f64], rng: &mut StdRng, out: &mut Vec<usi
 }
 
 /// Round-robin peer selection — the fallback distribution policy for the
-/// uniform worst case.
+/// uniform worst case — over the router's peer columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRobin {
-    cursor: u16,
+    cursor: usize,
 }
 
 impl RoundRobin {
-    /// Creates a fresh round-robin state.
-    pub fn new() -> Self {
-        RoundRobin { cursor: 0 }
-    }
-
-    /// Picks up to `count` distinct peers from a mesh of `n` nodes,
-    /// skipping `me`, advancing the cursor across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `me >= n`.
-    #[cfg(test)]
-    pub fn pick(&mut self, me: u16, n: u16, count: usize) -> Vec<u16> {
-        let mut out = Vec::new();
-        self.pick_into(me, n, count, &mut out);
-        out
-    }
-
-    /// Allocation-free `RoundRobin::pick`: clears and fills `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `me >= n`.
-    pub fn pick_into(&mut self, me: u16, n: u16, count: usize, out: &mut Vec<u16>) {
-        assert!(n >= 2, "need at least two nodes");
-        assert!(me < n, "node id out of range");
-        let peers = (n - 1) as usize;
-        let take = count.min(peers);
+    /// Clears `out` and fills it with up to `count` distinct columns of
+    /// `peers`, cycling from where the last call stopped.
+    pub fn pick_into(&mut self, peers: usize, count: usize, out: &mut Vec<usize>) {
         out.clear();
-        while out.len() < take {
-            let candidate = self.cursor % n;
-            self.cursor = (self.cursor + 1) % n;
-            if candidate != me {
-                out.push(candidate);
-            }
+        for _ in 0..count.min(peers) {
+            out.push(self.cursor);
+            self.cursor = (self.cursor + 1) % peers;
         }
     }
 }
@@ -264,6 +218,7 @@ impl RoundRobin {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert_eq, proptest};
     use rand::SeedableRng;
 
     /// Allocating twin of [`forwarding_probabilities_into`], for these
@@ -394,24 +349,58 @@ pub(crate) mod tests {
         assert!((avg - 1.0).abs() < 0.05, "average sends {avg}");
     }
 
-    #[test]
-    fn round_robin_cycles_without_self() {
-        let mut rr = RoundRobin::new();
-        let a = rr.pick(1, 4, 2);
-        let b = rr.pick(1, 4, 2);
-        let c = rr.pick(1, 4, 2);
-        assert_eq!(a, vec![0, 2]);
-        assert_eq!(b, vec![3, 0]);
-        assert_eq!(c, vec![2, 3]);
-        for v in [a, b, c] {
-            assert!(!v.contains(&1));
+    /// The fallback as it read before it cycled over columns: a cursor
+    /// over node ids `0..n` that skips `me`.
+    struct IdRoundRobin {
+        cursor: u16,
+    }
+
+    impl IdRoundRobin {
+        fn pick(&mut self, me: u16, n: u16, count: usize) -> Vec<u16> {
+            let take = count.min(usize::from(n - 1));
+            let mut out = Vec::new();
+            while out.len() < take {
+                let candidate = self.cursor % n;
+                self.cursor = (self.cursor + 1) % n;
+                if candidate != me {
+                    out.push(candidate);
+                }
+            }
+            out
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn round_robin_over_columns_picks_what_the_id_walk_picked(
+            counts in prop::collection::vec(0usize..64, 50..51),
+        ) {
+            for n in 2u16..=9 {
+                for me in 0..n {
+                    let peers: Vec<u16> = (0..n).filter(|&j| j != me).collect();
+                    let (mut rr, mut oracle) = (RoundRobin::default(), IdRoundRobin { cursor: 0 });
+                    let mut cols = Vec::new();
+                    for &c in &counts {
+                        // 1..=n: up to one more than there are peers.
+                        let count = 1 + c % usize::from(n);
+                        rr.pick_into(peers.len(), count, &mut cols);
+                        let picked: Vec<u16> = cols.iter().map(|&col| peers[col]).collect();
+                        prop_assert_eq!(picked, oracle.pick(me, n, count));
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn round_robin_caps_at_peer_count() {
-        let mut rr = RoundRobin::new();
-        let picks = rr.pick(0, 3, 10);
-        assert_eq!(picks.len(), 2);
+    fn round_robin_cycles_over_columns_and_caps_at_the_peer_count() {
+        let mut rr = RoundRobin::default();
+        let mut out = Vec::new();
+        for expect in [[0, 1], [2, 0], [1, 2]] {
+            rr.pick_into(3, 2, &mut out);
+            assert_eq!(out, expect);
+        }
+        rr.pick_into(3, 10, &mut out);
+        assert_eq!(out, [0, 1, 2]);
     }
 }

@@ -63,7 +63,7 @@ pub mod wire;
 pub use driver::{drive, Cluster, Driven, Feed, FeedReport};
 pub use engine::{NodeEngine, Transport, TransportEvent, FRAME_MAX};
 pub use error::RunError;
-pub use flow::{FlowParams, TargetComplexity};
+pub use flow::TargetComplexity;
 pub use msg::{Msg, SummaryPayload};
 pub use node::{NodeMetrics, ThroughputGovernor};
 pub use runner::{ClusterConfig, ExperimentReport, LockstepReport};

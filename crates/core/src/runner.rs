@@ -5,7 +5,7 @@
 use crate::driver::{drive, schedulable, Driven, Feed};
 use crate::engine::NodeEngine;
 use crate::error::RunError;
-use crate::flow::{FlowParams, TargetComplexity};
+use crate::flow::TargetComplexity;
 use crate::node::{NodeMetrics, ThroughputGovernor};
 use crate::obs;
 use crate::strategy::{Algorithm, Plan, PlanKey, RouterConfig};
@@ -59,8 +59,11 @@ pub struct ClusterConfig {
     pub warmup: f64,
     /// Master seed (workload, latencies, routing draws).
     pub seed: u64,
-    /// Flow-control tunables (the message budget is `target`).
-    pub flow_overrides: Option<FlowParams>,
+    /// Coefficient-of-variation (σ/μ) threshold below which the per-peer
+    /// affinities read as indistinguishable, the uniform-data worst case
+    /// that sends tuples to the round-robin fallback (`0` switches the
+    /// detector off).
+    pub uniform_cv_threshold: f64,
     /// Refresh a peer's summary after this many tuple messages to it.
     pub sync_sent_interval: u32,
     /// ... or after this many local arrivals, whichever first.
@@ -124,7 +127,7 @@ impl ClusterConfig {
             link: LinkConfig::paper_wan(),
             warmup: 0.2,
             seed: 42,
-            flow_overrides: None,
+            uniform_cv_threshold: 0.05,
             sync_sent_interval: 256,
             sync_arrival_interval: 2048,
             bandwidth_budget_bps: None,
@@ -194,15 +197,16 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides flow-control tunables.
-    pub fn flow(mut self, f: FlowParams) -> Self {
-        self.flow_overrides = Some(f);
+    /// Sets the uniform-data detector's threshold.
+    pub fn uniform_cv_threshold(mut self, cv: f64) -> Self {
+        self.uniform_cv_threshold = cv;
         self
     }
 
     /// Replays a recorded [`Trace`] instead of generating the workload.
     /// The trace's length overrides `tuples`. Arrivals targeting nodes
-    /// `>= n` or keys `>= domain` are rejected by [`ClusterConfig::run`]
+    /// `>= n` or keys `>= domain`, and a `tuples` set to anything but the
+    /// trace's length afterwards, are rejected by [`ClusterConfig::run`]
     /// as a [`RunError`].
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.tuples = trace.len();
@@ -268,6 +272,14 @@ impl ClusterConfig {
         if self.tuples == 0 {
             return Err(RunError::NoTuples);
         }
+        // The run replays the trace, while warm-up and the per-tuple
+        // figures read `tuples`.
+        if let Some(trace) = self.trace.as_ref().filter(|t| t.len() != self.tuples) {
+            return Err(RunError::TraceLengthMismatch {
+                trace: trace.len(),
+                tuples: self.tuples,
+            });
+        }
         if self.window == 0 {
             return Err(RunError::ZeroWindow);
         }
@@ -288,7 +300,7 @@ impl ClusterConfig {
             }
         }
         // `x < NaN` is false: a NaN threshold would switch the detector off.
-        let cv = self.flow_overrides.unwrap_or_default().uniform_cv_threshold;
+        let cv = self.uniform_cv_threshold;
         if !(cv.is_finite() && cv >= 0.0) {
             return Err(RunError::CvThresholdOutOfRange(cv));
         }
@@ -581,7 +593,7 @@ impl ClusterConfig {
             me,
             n: self.n,
             target: self.target,
-            flow: self.flow_overrides.unwrap_or_default(),
+            uniform_cv_threshold: self.uniform_cv_threshold,
             plan: self.plan(),
             sync_sent_interval: self.sync_sent_interval,
             sync_arrival_interval: self.sync_arrival_interval,
@@ -925,19 +937,29 @@ mod tests {
             .target(TargetComplexity::Constant(0.0))
             .validate()
             .is_ok());
-        let detector = |cv| {
-            quick(Algorithm::Dft).flow(FlowParams {
-                uniform_cv_threshold: cv,
-            })
-        };
+        let detector = |cv| quick(Algorithm::Dft).uniform_cv_threshold(cv);
         for cv in [f64::NAN, -0.01, f64::INFINITY] {
             assert!(matches!(
                 detector(cv).run().unwrap_err(),
                 RunError::CvThresholdOutOfRange(_)
             ));
         }
-        // Zero is the detector ablation's "off".
+        // Zero is the detector ablation's "off"; the default threshold set
+        // explicitly is the same configuration as the default.
         assert!(detector(0.0).validate().is_ok());
+        assert_eq!(detector(0.05), quick(Algorithm::Dft));
+        // A trace runs its own arrivals, so a tuple count set after it
+        // would misstate warm-up and every per-tuple figure.
+        let traced = quick(Algorithm::Dft).with_trace(Trace::from_arrivals(
+            quick(Algorithm::Dft).tuples(10).arrivals(),
+        ));
+        assert!(traced.validate().is_ok());
+        for tuples in [9, 11] {
+            assert_eq!(
+                traced.clone().tuples(tuples).run().unwrap_err(),
+                RunError::TraceLengthMismatch { trace: 10, tuples }
+            );
+        }
         let timed = |ms| ClusterConfig {
             time_window_ms: Some(ms),
             ..quick(Algorithm::Dft)

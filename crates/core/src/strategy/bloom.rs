@@ -8,7 +8,6 @@
 //! describes. Filter size is equalized to the DFT summary: `16·K` bytes =
 //! `4·K` counters.
 
-use super::RouterConfig;
 use crate::msg::SummaryPayload;
 use dsj_sketch::{BloomHashes, CountingBloomFilter};
 use dsj_stream::StreamId;
@@ -21,21 +20,21 @@ const HIT_EWMA: f64 = 0.02;
 #[derive(Debug)]
 pub(super) struct BloomSummary {
     local: [CountingBloomFilter; 2],
+    /// Each peer column's filters, per stream.
     remote: Vec<[Option<CountingBloomFilter>; 2]>,
-    /// Positive-hit rate per peer per tuple stream.
+    /// Positive-hit rate per peer column per tuple stream.
     hit_rate: Vec<[f64; 2]>,
 }
 
 impl BloomSummary {
-    /// Creates the summary over the cluster's shared hash family (filters
-    /// sized to match the DFT summary).
-    pub fn new(cfg: &RouterConfig, hashes: &Arc<BloomHashes>) -> Self {
-        let n = cfg.n as usize;
+    /// Creates the summary for `peers` peer columns over the cluster's
+    /// shared hash family (filters sized to match the DFT summary).
+    pub fn new(peers: usize, hashes: &Arc<BloomHashes>) -> Self {
         let mk = || CountingBloomFilter::with_hashes(Arc::clone(hashes));
         BloomSummary {
             local: [mk(), mk()],
-            remote: vec![[None, None]; n],
-            hit_rate: vec![[0.0, 0.0]; n],
+            remote: vec![[None, None]; peers],
+            hit_rate: vec![[0.0, 0.0]; peers],
         }
     }
 
@@ -48,58 +47,49 @@ impl BloomSummary {
         }
     }
 
-    /// Tests `key` against every peer's opposite-stream filter, folds each
-    /// outcome into that peer's hit rate, and pushes `(peer, multiplicity
-    /// estimate)` for the hits. Returns whether any peer filter exists.
+    /// Tests `key` against every peer column's opposite-stream filter,
+    /// folds each outcome into that column's hit rate, and pushes
+    /// `(column, multiplicity estimate)` for the hits. Returns whether any
+    /// peer filter exists.
     pub fn push_candidates(
         &mut self,
         stream: StreamId,
         key: u32,
-        peers: &[u16],
-        out: &mut Vec<(u16, f64)>,
+        out: &mut Vec<(usize, f64)>,
     ) -> bool {
         let s = stream.index();
         let opp = stream.opposite().index();
         let mut any = false;
-        for &peer in peers {
-            let j = peer as usize;
-            if let Some(filter) = &self.remote[j][opp] {
+        for (col, (remote, rates)) in self.remote.iter().zip(&mut self.hit_rate).enumerate() {
+            if let Some(filter) = &remote[opp] {
                 any = true;
                 let est = filter.count_estimate(u64::from(key));
                 let hit = if est >= 1 { 1.0 } else { 0.0 };
-                let rate = &mut self.hit_rate[j][s];
-                *rate = (1.0 - HIT_EWMA) * *rate + HIT_EWMA * hit;
+                rates[s] = (1.0 - HIT_EWMA) * rates[s] + HIT_EWMA * hit;
                 if est >= 1 {
-                    out.push((peer, f64::from(est)));
+                    out.push((col, f64::from(est)));
                 }
             }
         }
         any
     }
 
-    /// Rewrites every entry of `row` with the hit rate of each of `peers`
+    /// Rewrites every entry of `row` with the hit rate of each peer column
     /// that has shipped a filter, and clears every flag in `stale`: the
     /// rates move with every tested tuple, not only where a flag is set.
-    pub fn refresh_row(
-        &self,
-        stream: StreamId,
-        peers: &[u16],
-        stale: &mut [bool],
-        row: &mut [Option<f64>],
-    ) {
+    pub fn refresh_row(&self, stream: StreamId, stale: &mut [bool], row: &mut [Option<f64>]) {
         let s = stream.index();
         let opp = stream.opposite().index();
-        for (rate, &peer) in row.iter_mut().zip(peers) {
-            let j = peer as usize;
-            *rate = self.remote[j][opp].is_some().then(|| self.hit_rate[j][s]);
+        for (rate, (remote, rates)) in row.iter_mut().zip(self.remote.iter().zip(&self.hit_rate)) {
+            *rate = remote[opp].is_some().then(|| rates[s]);
         }
         stale.fill(false);
     }
 
-    /// Ingests peer `from`'s filter of its `stream` window (replaced
+    /// Ingests column `col`'s filter of its `stream` window (replaced
     /// wholesale). After the first, it lands in the held filter's counters.
-    pub fn apply_summary(&mut self, from: u16, stream: StreamId, filter: &CountingBloomFilter) {
-        let slot = &mut self.remote[from as usize][stream.index()];
+    pub fn apply_summary(&mut self, col: usize, stream: StreamId, filter: &CountingBloomFilter) {
+        let slot = &mut self.remote[col][stream.index()];
         match slot {
             Some(held) => held.clone_from(filter),
             None => *slot = Some(filter.clone()),
@@ -116,5 +106,13 @@ impl BloomSummary {
                 filter: self.local[stream.index()].clone(),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl BloomSummary {
+    /// How many peer filters, over both streams, are held.
+    pub(super) fn landed(&self) -> usize {
+        self.remote.iter().flatten().flatten().count()
     }
 }

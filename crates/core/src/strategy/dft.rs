@@ -41,8 +41,8 @@ pub(super) struct DftSummary {
     local: [PointDft; 2],
     /// Every peer's prefix of each stream, as `planes[stream]`.
     planes: [Planes; 2],
-    /// What each peer holds of our coefficients: the dequantised values
-    /// it last received.
+    /// What each peer column holds of our coefficients: the dequantised
+    /// values it last received.
     snapshot: Vec<[Option<Vec<Complex64>>; 2]>,
     /// Pointwise inverse DFT over every remote prefix (DFTT only):
     /// membership reads evaluate the one bucket they need, on demand.
@@ -54,7 +54,7 @@ pub(super) struct DftSummary {
 }
 
 /// One stream's remote prefixes as bin-major planes, one column per peer
-/// (its index in the router's peer list): with `M` peers, bin `b` of column
+/// (the router's peer column): with `M` peers, bin `b` of column
 /// `c` is `(re[b·M + c], im[b·M + c])`. Allocated when the stream's first
 /// summary lands; a column reads as zero until its peer's first summary.
 #[derive(Debug, Default)]
@@ -66,15 +66,15 @@ struct Planes {
 }
 
 impl DftSummary {
-    /// Creates the summary over the cluster's shared twiddle tables:
-    /// `forward` for both local DFTs, and `inverse` for DFTT's
-    /// reconstructions (`None` selects plain DFT).
+    /// Creates the summary for `peers` peer columns over the cluster's
+    /// shared twiddle tables: `forward` for both local DFTs, and `inverse`
+    /// for DFTT's reconstructions (`None` selects plain DFT).
     pub fn new(
         cfg: &RouterConfig,
+        peers: usize,
         forward: &Arc<[Complex64]>,
         inverse: Option<&Arc<[Complex64]>>,
     ) -> Self {
-        let n = cfg.n as usize;
         let k = cfg.plan.key.retained.min(forward.len()).max(1);
         // Floating-point drift over experiment-scale update counts is
         // ~1e-11 of a count and cannot affect rounding decisions, so the
@@ -86,9 +86,9 @@ impl DftSummary {
             domain: cfg.plan.key.domain,
             local: [mk(), mk()],
             planes: Default::default(),
-            snapshot: vec![[None, None]; n],
+            snapshot: vec![[None, None]; peers],
             recon_plan,
-            buckets: vec![0.0; n.saturating_sub(1)],
+            buckets: vec![0.0; peers],
             retained: k,
         }
     }
@@ -129,9 +129,9 @@ impl DftSummary {
         }
     }
 
-    /// Pushes `(peer, estimate)` for every peer whose reconstructed
-    /// opposite-stream window holds `key` (DFTT only), in `peers` order.
-    /// Returns whether any peer has a reconstruction at all.
+    /// Pushes `(column, estimate)` for every peer column whose
+    /// reconstructed opposite-stream window holds `key` (DFTT only), in
+    /// column order. Returns whether any peer has a reconstruction at all.
     ///
     /// One pass over the planes evaluates the key's bucket of every
     /// column, *O(K)* each; a column that never landed estimates `0`. An
@@ -141,8 +141,7 @@ impl DftSummary {
         &mut self,
         stream: StreamId,
         key: u32,
-        peers: &[u16],
-        out: &mut Vec<(u16, f64)>,
+        out: &mut Vec<(usize, f64)>,
     ) -> bool {
         let Some(plan) = self.recon_plan.as_ref() else {
             return false;
@@ -152,11 +151,12 @@ impl DftSummary {
             return false;
         }
         if plan.eval_columns(&planes.re, &planes.im, key as usize, &mut self.buckets) {
-            let hits = peers
+            let hits = self
+                .buckets
                 .iter()
-                .zip(&self.buckets)
+                .enumerate()
                 .filter(|(_, &est)| est >= 0.5);
-            out.extend(hits.map(|(&peer, &est)| (peer, est)));
+            out.extend(hits.map(|(col, &est)| (col, est)));
         }
         true
     }
@@ -199,10 +199,10 @@ impl DftSummary {
         dropped
     }
 
-    /// Full refresh of both streams' coefficients for `peer`: the whole
-    /// prefix on the first, afterwards every coefficient whose quantised
-    /// value differs from what the peer holds.
-    pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
+    /// Full refresh of both streams' coefficients for column `col`: the
+    /// whole prefix on the first, afterwards every coefficient whose
+    /// quantised value differs from what the peer holds.
+    pub fn full_summaries(&mut self, col: usize) -> Vec<SummaryPayload> {
         // Indices travel as `u16` on the wire; config validation
         // (`RunError::RetainedTooLarge`) guarantees the prefix fits.
         debug_assert!(
@@ -217,7 +217,7 @@ impl DftSummary {
             let cur = self.local[s].coefficients();
             let q = Quantiser::fitting(cur);
             let quantise = |(i, c): (usize, &Complex64)| q.quantise(i as u16, *c);
-            let snap = &mut self.snapshot[peer as usize][s];
+            let snap = &mut self.snapshot[col][s];
             let updates: Vec<CoeffUpdate> = match snap {
                 Some(held) => (cur.iter().enumerate().map(quantise).zip(held))
                     .filter_map(|(u, held)| {
@@ -256,13 +256,12 @@ impl DftSummary {
     /// It is quantised at the exponent a full refresh would use now, so
     /// every value a peer holds of one stream sits on the grid the next
     /// refresh compares against.
-    pub fn piggyback(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        let p = peer as usize;
+    pub fn piggyback(&mut self, col: usize) -> Vec<SummaryPayload> {
         // A stream never fully synced has no snapshot: a piggyback would
         // ship partial state.
         let prefixes = StreamId::BOTH.map(|stream| {
             let s = stream.index();
-            let snap = self.snapshot[p][s].as_deref()?;
+            let snap = self.snapshot[col][s].as_deref()?;
             Some((self.local[s].coefficients(), snap))
         });
         let Some((stream, i)) = most_changed(prefixes) else {
@@ -272,7 +271,7 @@ impl DftSummary {
         let cur = self.local[s].coefficients();
         let q = Quantiser::fitting(cur);
         let update = q.quantise(i as u16, cur[i]);
-        let Some(snap) = self.snapshot[p][s].as_mut() else {
+        let Some(snap) = self.snapshot[col][s].as_mut() else {
             // Unreachable: `most_changed` only selects streams with a snapshot.
             return Vec::new();
         };
@@ -344,27 +343,26 @@ impl DftSummary {
     }
 
     /// [`DftSummary::push_candidates`] by an independent kernel, for the
-    /// reference router: each landed peer's bucket is
-    /// [`PointwiseRecon::eval`] over a copy of its column.
+    /// reference router: each landed column's bucket is
+    /// [`PointwiseRecon::eval`] over a copy of it.
     pub(super) fn push_candidates_reference(
         &self,
         stream: StreamId,
         key: u32,
-        peers: &[u16],
-        out: &mut Vec<(u16, f64)>,
+        out: &mut Vec<(usize, f64)>,
     ) -> bool {
         let Some(plan) = self.recon_plan.as_ref() else {
             return false;
         };
         let mut any = false;
-        for (col, &peer) in peers.iter().enumerate() {
+        for col in 0..self.snapshot.len() {
             let Some(coeffs) = self.column(stream.opposite(), col) else {
                 continue;
             };
             any = true;
             let est = (key < self.domain).then(|| plan.eval(&coeffs, key as usize));
             if let Some(est) = est.filter(|&est| est >= 0.5) {
-                out.push((peer, est));
+                out.push((col, est));
             }
         }
         any
@@ -377,13 +375,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Node `me`'s summary in a two-node cluster running `algorithm`.
+    /// Node `me`'s summary in a two-node cluster running `algorithm`: its
+    /// one peer sits in column 0.
     fn summary(algorithm: Algorithm, me: u16) -> DftSummary {
         let cfg = test_config(algorithm, me, 2);
         let Tables::Dft { forward, inverse } = &cfg.plan.tables else {
             panic!("{algorithm} has no DFT tables")
         };
-        DftSummary::new(&cfg, forward, inverse.as_ref())
+        DftSummary::new(&cfg, 1, forward, inverse.as_ref())
     }
 
     /// Fills a summary's local `stream` window with `keys`.
@@ -407,11 +406,11 @@ mod tests {
         dst.apply_summary(col, *stream, *exponent, updates)
     }
 
-    /// Wires `src`'s summaries into `dst` as if exchanged over the network.
-    fn exchange(src: &mut DftSummary, src_id: u16, dst: &mut DftSummary, dst_id: u16) {
-        let col = usize::from(src_id - u16::from(src_id > dst_id));
-        for p in src.full_summaries(dst_id) {
-            apply(dst, col, &p);
+    /// Wires `src`'s summaries into `dst`, two nodes of a two-node
+    /// cluster, as if exchanged over the network.
+    fn exchange(src: &mut DftSummary, dst: &mut DftSummary) {
+        for p in src.full_summaries(0) {
+            apply(dst, 0, &p);
         }
     }
 
@@ -539,7 +538,7 @@ mod tests {
     fn full_summary_is_delta_after_first() {
         let mut r = summary(Algorithm::Dft, 0);
         fill(&mut r, StreamId::R, &[5, 5, 5]);
-        let first = r.full_summaries(1);
+        let first = r.full_summaries(0);
         // R has content, S is empty (all-zero coefficients skipped? no —
         // first sync sends everything including zeros for S).
         assert_eq!(first.len(), 2);
@@ -548,11 +547,11 @@ mod tests {
         };
         assert_eq!(updates.len(), 32, "first sync ships the full prefix");
         // No change ⇒ no updates.
-        let second = r.full_summaries(1);
+        let second = r.full_summaries(0);
         assert!(second.is_empty());
         // One more arrival ⇒ small delta.
         r.local_update(StreamId::R, 7, &[]);
-        let third = r.full_summaries(1);
+        let third = r.full_summaries(0);
         assert_eq!(third.len(), 1);
         let SummaryPayload::Dft { updates, .. } = &third[0] else {
             panic!("expected DFT payload")
@@ -564,11 +563,11 @@ mod tests {
     fn piggyback_requires_prior_sync_and_big_change() {
         let mut r = summary(Algorithm::Dft, 0);
         fill(&mut r, StreamId::R, &[5; 200]);
-        assert!(r.piggyback(1).is_empty(), "no snapshot yet");
-        let _ = r.full_summaries(1);
-        assert!(r.piggyback(1).is_empty(), "nothing changed since sync");
+        assert!(r.piggyback(0).is_empty(), "no snapshot yet");
+        let _ = r.full_summaries(0);
+        assert!(r.piggyback(0).is_empty(), "nothing changed since sync");
         fill(&mut r, StreamId::R, &[9; 200]);
-        let pb = r.piggyback(1);
+        let pb = r.piggyback(0);
         assert_eq!(pb.len(), 1, "one stream changed beyond tau");
         let SummaryPayload::Dft { updates, .. } = &pb[0] else {
             panic!("expected DFT payload")
@@ -640,11 +639,11 @@ mod tests {
             StreamId::S,
             &(0..64).map(|i| 30 + i % 7).collect::<Vec<_>>(),
         );
-        exchange(&mut n1, 1, &mut n0, 0);
+        exchange(&mut n1, &mut n0);
         check(&n0, &n1);
         // Evictions and fresh keys produce a sparse delta on the next sync.
         fill(&mut n1, StreamId::S, &[100; 48]);
-        exchange(&mut n1, 1, &mut n0, 0);
+        exchange(&mut n1, &mut n0);
         check(&n0, &n1);
         // A piggyback ships a single coefficient through the same path.
         fill(&mut n1, StreamId::S, &[200; 300]);
@@ -791,19 +790,18 @@ mod tests {
             }
         }
         assert_eq!(sent.len(), 5);
-        let peers = node.peers.clone();
         let Summary::Dft(d) = &mut node.summary else {
             panic!("DFTT keeps a DFT summary")
         };
         let plan = d.recon_plan.clone().expect("DFTT reconstructs");
-        let bits = |hits: &[(u16, f64)]| -> Vec<(u16, u64)> {
+        let bits = |hits: &[(usize, f64)]| -> Vec<(usize, u64)> {
             hits.iter().map(|&(j, e)| (j, e.to_bits())).collect()
         };
         for key in [0, 1, 41, 77, 121, 122, 161, 201, 255] {
             let mut out = Vec::new();
-            assert!(d.push_candidates(StreamId::R, key, &peers, &mut out));
-            let expect: Vec<(u16, f64)> = (sent.iter())
-                .map(|(from, prefix)| (*from, plan.eval(prefix, key as usize)))
+            assert!(d.push_candidates(StreamId::R, key, &mut out));
+            let expect: Vec<(usize, f64)> = (sent.iter().enumerate())
+                .map(|(col, (_, prefix))| (col, plan.eval(prefix, key as usize)))
                 .filter(|&(_, est)| est >= 0.5)
                 .collect();
             assert_eq!(bits(&out), bits(&expect), "key {key}");
@@ -816,11 +814,11 @@ mod tests {
                 );
             }
         }
-        // Each peer holds its own keys' estimates.
-        for (from, _) in &sent {
+        // Each peer holds its own keys' estimates, in its own column.
+        for (col, (from, _)) in sent.iter().enumerate() {
             let mut out = Vec::new();
-            d.push_candidates(StreamId::R, 40 * u32::from(*from) + 1, &peers, &mut out);
-            assert!(out.iter().any(|&(j, _)| j == *from), "peer {from}: {out:?}");
+            d.push_candidates(StreamId::R, 40 * u32::from(*from) + 1, &mut out);
+            assert!(out.iter().any(|&(j, _)| j == col), "peer {from}: {out:?}");
         }
         let (mut stale, mut row) = (vec![true; 5], vec![None; 5]);
         d.refresh_row(StreamId::R, &mut stale, &mut row);
@@ -839,7 +837,7 @@ mod tests {
         // A smooth-ish window: keys concentrated in one region.
         let keys: Vec<u32> = (0..64).map(|i| 40 + (i % 5)).collect();
         fill(&mut n1, StreamId::S, &keys);
-        exchange(&mut n1, 1, &mut n0, 0);
+        exchange(&mut n1, &mut n0);
         // Keys present ~12.8 times each reconstruct to large estimates.
         for k in 40..45 {
             let r = recon_bucket(&mut n0, 0, StreamId::S, k).unwrap();

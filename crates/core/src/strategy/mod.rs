@@ -34,8 +34,8 @@ use sketch::SketchSummary;
 pub(crate) use plan::{Plan, PlanKey, Tables};
 
 use crate::flow::{
-    detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowParams, FlowScratch,
-    RoundRobin, TargetComplexity, EXPLORE,
+    detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowScratch, RoundRobin,
+    TargetComplexity, EXPLORE,
 };
 use crate::msg::SummaryPayload;
 use dsj_stream::StreamId;
@@ -107,8 +107,8 @@ pub(crate) struct RouterConfig {
     pub n: u16,
     /// Message-complexity operating point (Eqn. 9).
     pub target: TargetComplexity,
-    /// Flow-control parameters.
-    pub flow: FlowParams,
+    /// The uniform-data detector's σ/μ threshold (`detect_uniform`).
+    pub uniform_cv_threshold: f64,
     /// The cluster's shared tables, one plan held by every node, and what
     /// they derive from: `D`, `K`, `W` and the cluster seed.
     pub plan: Arc<Plan>,
@@ -142,14 +142,13 @@ pub(crate) struct Route {
 /// per `PIGGYBACK_GAP` arrivals; and every `RHO_REFRESH`-th arrival ticks
 /// the cached affinities stale.
 ///
-/// An arrival costs O(1): one local arrival clock, and per peer the clock
-/// reading at its last refresh and at its last piggyback, so a peer's
-/// staleness is their difference. The earliest arrival count at which any
-/// peer turns overdue is kept beside them and recomputed only when a peer
-/// is refreshed.
+/// An arrival costs O(1): one local arrival clock, and per peer column the
+/// clock reading at its last refresh and at its last piggyback, so a
+/// peer's staleness is their difference. The earliest arrival count at
+/// which any peer turns overdue is kept beside them and recomputed only
+/// when a peer is refreshed.
 #[derive(Debug, Clone)]
 pub(crate) struct SyncState {
-    me: u16,
     arrivals: u64,
     reset_at: Vec<u64>,
     piggybacked_at: Vec<u64>,
@@ -164,17 +163,16 @@ pub(crate) struct SyncState {
 }
 
 impl SyncState {
-    /// Node `me`'s bookkeeping for an `n`-node cluster. Both intervals
-    /// are at least 1 (`RunError::ZeroSyncInterval`).
-    pub fn new(me: u16, n: u16, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
+    /// The bookkeeping for `peers` peer columns. Both intervals are at
+    /// least 1 (`RunError::ZeroSyncInterval`).
+    pub fn new(peers: usize, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
         let bootstrap_after = (window as u32 / 4).clamp(8, 512);
         SyncState {
-            me,
             arrivals: 0,
-            reset_at: vec![0; n as usize],
-            piggybacked_at: vec![0; n as usize],
-            sent_since: vec![0; n as usize],
-            synced_once: vec![false; n as usize],
+            reset_at: vec![0; peers],
+            piggybacked_at: vec![0; peers],
+            sent_since: vec![0; peers],
+            synced_once: vec![false; peers],
             next_overdue: 2 * u64::from(bootstrap_after),
             sent_interval,
             arrival_interval,
@@ -190,41 +188,39 @@ impl SyncState {
         self.arrivals.is_multiple_of(RHO_REFRESH)
     }
 
-    /// Notes a tuple message sent to `peer`.
-    pub fn note_sent(&mut self, peer: u16) {
-        self.sent_since[peer as usize] = self.sent_since[peer as usize].saturating_add(1);
+    /// Notes a tuple message sent to column `col`.
+    pub fn note_sent(&mut self, col: usize) {
+        self.sent_since[col] = self.sent_since[col].saturating_add(1);
     }
 
-    /// Local arrivals since `peer` was last refreshed (since the start,
-    /// before its first refresh).
-    fn arrivals_since(&self, p: usize) -> u64 {
-        self.arrivals - self.reset_at[p]
+    /// Local arrivals since column `col` was last refreshed (since the
+    /// start, before its first refresh).
+    fn arrivals_since(&self, col: usize) -> u64 {
+        self.arrivals - self.reset_at[col]
     }
 
-    /// Arrivals after its last refresh at which `peer` turns overdue.
-    fn overdue_after(&self, p: usize) -> u64 {
-        if self.synced_once[p] {
+    /// Arrivals after its last refresh at which column `col` turns overdue.
+    fn overdue_after(&self, col: usize) -> u64 {
+        if self.synced_once[col] {
             2 * u64::from(self.arrival_interval)
         } else {
             2 * u64::from(self.bootstrap_after)
         }
     }
 
-    /// `true` when `peer`'s copy of our summary should be refreshed now.
-    pub fn due(&self, peer: u16) -> bool {
-        let p = peer as usize;
-        if !self.synced_once[p] {
-            return self.arrivals_since(p) >= u64::from(self.bootstrap_after);
+    /// `true` when column `col`'s copy of our summary is due a refresh.
+    pub fn due(&self, col: usize) -> bool {
+        if !self.synced_once[col] {
+            return self.arrivals_since(col) >= u64::from(self.bootstrap_after);
         }
-        self.sent_since[p] >= self.sent_interval
-            || self.arrivals_since(p) >= u64::from(self.arrival_interval)
+        self.sent_since[col] >= self.sent_interval
+            || self.arrivals_since(col) >= u64::from(self.arrival_interval)
     }
 
-    /// `true` when `peer` is overdue enough to justify a standalone
+    /// `true` when column `col` is overdue enough to justify a standalone
     /// summary message (no tuple message carried one in time).
-    pub fn overdue(&self, peer: u16) -> bool {
-        let p = peer as usize;
-        self.arrivals_since(p) >= self.overdue_after(p)
+    pub fn overdue(&self, col: usize) -> bool {
+        self.arrivals_since(col) >= self.overdue_after(col)
     }
 
     /// `true` when some peer is [`SyncState::overdue`].
@@ -233,25 +229,24 @@ impl SyncState {
     }
 
     /// `true` when `PIGGYBACK_GAP` arrivals have passed since the last
-    /// piggyback to `peer` (since the start, before the first). A full
-    /// refresh leaves this alone.
-    pub fn gap_passed(&self, peer: u16) -> bool {
-        self.arrivals - self.piggybacked_at[peer as usize] >= PIGGYBACK_GAP
+    /// piggyback to column `col` (since the start, before the first). A
+    /// full refresh leaves this alone.
+    pub fn gap_passed(&self, col: usize) -> bool {
+        self.arrivals - self.piggybacked_at[col] >= PIGGYBACK_GAP
     }
 
-    /// Notes a piggyback sent to `peer`: the gap starts over.
-    pub fn note_piggyback(&mut self, peer: u16) {
-        self.piggybacked_at[peer as usize] = self.arrivals;
+    /// Notes a piggyback sent to column `col`: the gap starts over.
+    pub fn note_piggyback(&mut self, col: usize) {
+        self.piggybacked_at[col] = self.arrivals;
     }
 
-    /// Marks `peer` as freshly synchronized.
-    pub fn reset(&mut self, peer: u16) {
-        let p = peer as usize;
-        self.sent_since[p] = 0;
-        self.reset_at[p] = self.arrivals;
-        self.synced_once[p] = true;
-        self.next_overdue = peers_of(self.me, self.reset_at.len() as u16)
-            .map(|j| self.reset_at[j as usize] + self.overdue_after(j as usize))
+    /// Marks column `col` as freshly synchronized.
+    pub fn reset(&mut self, col: usize) {
+        self.sent_since[col] = 0;
+        self.reset_at[col] = self.arrivals;
+        self.synced_once[col] = true;
+        self.next_overdue = (0..self.reset_at.len())
+            .map(|j| self.reset_at[j] + self.overdue_after(j))
             .min()
             .unwrap_or(u64::MAX);
     }
@@ -277,23 +272,17 @@ enum Summary {
 
 impl Summary {
     /// Rewrites the entries of `row` that `stale` flags, and clears their
-    /// flags. `row` holds this node's affinity to each of `peers` for a
+    /// flags. `row` holds this node's affinity to each peer column for a
     /// tuple of `stream` (`None`: no summary from that peer yet); `stale`
     /// is aligned with it. BLOOM's hit rates move with every test, so it
     /// rewrites every entry; SKCH recomputes the flagged raw estimates and
     /// renormalises the whole row from them.
-    fn refresh_row(
-        &mut self,
-        stream: StreamId,
-        peers: &[u16],
-        stale: &mut [bool],
-        row: &mut [Option<f64>],
-    ) {
+    fn refresh_row(&mut self, stream: StreamId, stale: &mut [bool], row: &mut [Option<f64>]) {
         match self {
             Summary::None => {}
             Summary::Dft(d) => d.refresh_row(stream, stale, row),
-            Summary::Bloom(b) => b.refresh_row(stream, peers, stale, row),
-            Summary::Sketch(k) => k.refresh_row(stream, peers, stale, row),
+            Summary::Bloom(b) => b.refresh_row(stream, stale, row),
+            Summary::Sketch(k) => k.refresh_row(stream, stale, row),
         }
     }
 }
@@ -302,7 +291,7 @@ impl Summary {
 /// affinity row, kept until a summary goes stale.
 #[derive(Debug)]
 struct StreamRow {
-    /// This node's affinity to each peer, aligned with `Router::peers`.
+    /// This node's affinity to each peer column.
     affinity: Vec<Option<f64>>,
     /// Which `affinity` entries must be rewritten before the next read:
     /// set for the sender when a peer's summary lands, and for every peer
@@ -325,7 +314,7 @@ struct StreamRow {
 }
 
 impl StreamRow {
-    /// A row over `peers` peers, every entry stale.
+    /// A row over `peers` columns, every entry stale.
     fn new(peers: usize) -> Self {
         StreamRow {
             affinity: vec![None; peers],
@@ -345,11 +334,14 @@ impl StreamRow {
 /// the node's arrival clock and the summary-sync cadence read off it, what
 /// rides on a tuple message, the uniform-data verdict, the round-robin
 /// fallback, which affinities are stale and all per-tuple scratch.
+///
+/// Every per-peer table, here and in the summary, is indexed by *column*
+/// (`Router::column`). Node ids appear only at the edge: the methods that
+/// take one resolve it once, and routes emit `peers[col]`.
 #[derive(Debug)]
 pub(crate) struct Router {
     cfg: RouterConfig,
-    /// The fixed peer list (`peers_of` order); every per-peer row below is
-    /// aligned with it.
+    /// Each column's node id (`peers_of` order).
     peers: Vec<u16>,
     summary: Summary,
     sync: SyncState,
@@ -357,9 +349,10 @@ pub(crate) struct Router {
     /// The affinity row and what derives from it, per *tuple* stream.
     rows: [StreamRow; 2],
     /// Per-tuple scratch, sized to the peer count at construction so the
-    /// policy itself allocates nothing: membership candidates, residual
-    /// affinities, their forwarding probabilities, sampled peer indices.
-    candidates: Vec<(u16, f64)>,
+    /// policy itself allocates nothing: membership candidates as `(column,
+    /// estimate)`, residual affinities, their forwarding probabilities,
+    /// sampled or round-robin columns.
+    candidates: Vec<(usize, f64)>,
     residual: Vec<Option<f64>>,
     probs: Vec<f64>,
     sampled: Vec<usize>,
@@ -370,27 +363,29 @@ impl Router {
     /// Builds the router for the algorithm `cfg.plan` was derived for,
     /// over the plan's tables.
     pub fn new(cfg: RouterConfig) -> Self {
-        let summary = match &cfg.plan.tables {
-            Tables::None => Summary::None,
-            Tables::Dft { forward, inverse } => {
-                Summary::Dft(Box::new(DftSummary::new(&cfg, forward, inverse.as_ref())))
-            }
-            Tables::Bloom(hashes) => Summary::Bloom(Box::new(BloomSummary::new(&cfg, hashes))),
-            Tables::Sketch(hashes) => Summary::Sketch(Box::new(SketchSummary::new(&cfg, hashes))),
-        };
         let peers: Vec<u16> = peers_of(cfg.me, cfg.n).collect();
         let m = peers.len();
+        let summary = match &cfg.plan.tables {
+            Tables::None => Summary::None,
+            Tables::Dft { forward, inverse } => Summary::Dft(Box::new(DftSummary::new(
+                &cfg,
+                m,
+                forward,
+                inverse.as_ref(),
+            ))),
+            Tables::Bloom(hashes) => Summary::Bloom(Box::new(BloomSummary::new(m, hashes))),
+            Tables::Sketch(hashes) => Summary::Sketch(Box::new(SketchSummary::new(m, hashes))),
+        };
         Router {
             peers,
             summary,
             sync: SyncState::new(
-                cfg.me,
-                cfg.n,
+                m,
                 cfg.sync_sent_interval,
                 cfg.sync_arrival_interval,
                 cfg.plan.key.window,
             ),
-            rr: RoundRobin::new(),
+            rr: RoundRobin::default(),
             rows: [StreamRow::new(m), StreamRow::new(m)],
             candidates: Vec::with_capacity(m),
             residual: Vec::with_capacity(m),
@@ -430,8 +425,8 @@ impl Router {
         }
         row.dirty = false;
         self.summary
-            .refresh_row(stream, &self.peers, &mut row.stale, &mut row.affinity);
-        row.uniform = detect_uniform(&row.affinity, self.cfg.flow.uniform_cv_threshold);
+            .refresh_row(stream, &mut row.stale, &mut row.affinity);
+        row.uniform = detect_uniform(&row.affinity, self.cfg.uniform_cv_threshold);
         row.budget = None;
     }
 
@@ -496,7 +491,7 @@ impl Router {
         // the fallback ignores them, so evaluating a bucket per peer would
         // be wasted.
         if let Summary::Dft(d) = &mut self.summary {
-            any_summary = d.push_candidates(stream, key, &self.peers, &mut self.candidates);
+            any_summary = d.push_candidates(stream, key, &mut self.candidates);
         }
         // Membership hits are served first, best estimate first; whatever
         // budget they leave buys affinity-routed coverage of sites the
@@ -508,23 +503,17 @@ impl Router {
             // order, which is part of the recorded routing behaviour.
             self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
             let take = (target.ceil() as usize).max(1);
-            for idx in 0..take.min(self.candidates.len()) {
-                let j = self.candidates[idx].0;
-                out.peers.push(j);
-            }
-            let leftover = target - out.peers.len() as f64;
+            let picked = &self.candidates[..take.min(self.candidates.len())];
+            out.peers
+                .extend(picked.iter().map(|&(col, _)| self.peers[col]));
+            let leftover = target - picked.len() as f64;
             if leftover <= 0.05 {
                 return;
             }
             self.residual.clear();
-            for idx in 0..self.peers.len() {
-                let picked = out.peers.contains(&self.peers[idx]);
-                let r = if picked {
-                    Some(0.0)
-                } else {
-                    self.rows[s].affinity[idx]
-                };
-                self.residual.push(r);
+            for (col, &affinity) in self.rows[s].affinity.iter().enumerate() {
+                let taken = picked.iter().any(|&(c, _)| c == col);
+                self.residual.push(if taken { Some(0.0) } else { affinity });
             }
             if forwarding_probabilities_into(
                 &self.residual,
@@ -576,14 +565,16 @@ impl Router {
             return false;
         };
         self.rows[stream.index()].dirty = true;
-        b.push_candidates(stream, key, &self.peers, &mut self.candidates)
+        b.push_candidates(stream, key, &mut self.candidates)
     }
 
     /// The worst-case policy: round-robin over the peers, `target` at a time.
     fn fallback_into(&mut self, target: f64, out: &mut Route) {
         let count = (target.round() as usize).max(1);
         self.rr
-            .pick_into(self.cfg.me, self.cfg.n, count, &mut out.peers);
+            .pick_into(self.peers.len(), count, &mut self.sampled);
+        out.peers
+            .extend(self.sampled.iter().map(|&col| self.peers[col]));
         out.fallback = true;
     }
 
@@ -604,7 +595,7 @@ impl Router {
         rng: &mut StdRng,
     ) -> Route {
         use crate::flow::tests::{forwarding_probabilities, sample_recipients};
-        let peers: Vec<u16> = peers_of(self.cfg.me, self.cfg.n).collect();
+        let peers = self.peers.clone();
         if matches!(self.summary, Summary::None) {
             return Route {
                 peers,
@@ -617,16 +608,18 @@ impl Router {
         let mut candidates = std::mem::take(&mut self.candidates);
         self.refresh(stream);
         let rhos = self.rows[stream.index()].affinity.clone();
-        if detect_uniform(&rhos, self.cfg.flow.uniform_cv_threshold) {
+        if detect_uniform(&rhos, self.cfg.uniform_cv_threshold) {
             return self.fallback(target);
         }
         if let Summary::Dft(d) = &mut self.summary {
-            any_summary = d.push_candidates_reference(stream, key, &peers, &mut candidates);
+            any_summary = d.push_candidates_reference(stream, key, &mut candidates);
         }
         if !candidates.is_empty() {
             candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
             let take = (target.ceil() as usize).max(1);
-            let mut picked: Vec<u16> = candidates.into_iter().take(take).map(|(j, _)| j).collect();
+            let mut picked: Vec<u16> = (candidates.into_iter().take(take))
+                .map(|(col, _)| peers[col])
+                .collect();
             let leftover = target - picked.len() as f64;
             if leftover > 0.05 {
                 let residual: Vec<Option<f64>> = peers
@@ -667,6 +660,14 @@ impl Router {
         out
     }
 
+    /// The column of peer `id`, its position among the peers in ascending
+    /// id order; `None` for this node itself (which `id − (id > me)` would
+    /// alias onto peer `me + 1`) and for ids outside the cluster.
+    fn column(&self, id: u16) -> Option<usize> {
+        let RouterConfig { me, n, .. } = self.cfg;
+        (id != me && id < n).then(|| usize::from(id - u16::from(id > me)))
+    }
+
     /// Ingests a summary received from `from` and marks the sender's
     /// affinity stale for tuples of the opposite stream, which are routed
     /// by it. Returns what it *dropped*, the signature of a version-skewed
@@ -675,7 +676,7 @@ impl Router {
     /// (any kind, to BASE), a DFT over another domain, or `from` is not a
     /// peer.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
-        let Ok(p) = self.peers.binary_search(&from) else {
+        let Some(col) = self.column(from) else {
             return 1;
         };
         let (stream, dropped) = match (&mut self.summary, payload) {
@@ -688,20 +689,20 @@ impl Router {
                     updates,
                 },
             ) if *signal_len == self.cfg.plan.key.domain => {
-                (*stream, d.apply_summary(p, *stream, *exponent, updates))
+                (*stream, d.apply_summary(col, *stream, *exponent, updates))
             }
             (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) => {
-                b.apply_summary(from, *stream, filter);
+                b.apply_summary(col, *stream, filter);
                 (*stream, 0)
             }
             (Summary::Sketch(k), SummaryPayload::Sketch { stream, sketch }) => {
-                k.apply_summary(from, *stream, sketch);
+                k.apply_summary(col, *stream, sketch);
                 (*stream, 0)
             }
             _ => return 1,
         };
         let row = &mut self.rows[stream.opposite().index()];
-        row.stale[p] = true;
+        row.stale[col] = true;
         row.dirty = true;
         dropped
     }
@@ -709,25 +710,30 @@ impl Router {
     /// What rides on a tuple message to `peer`, noting the send: the full
     /// refresh when one is due, otherwise DFT's one-coefficient piggyback
     /// once `PIGGYBACK_GAP` arrivals have passed since the last one.
+    /// Nothing for an id that is not a peer.
     pub fn attach(&mut self, peer: u16) -> Vec<SummaryPayload> {
+        let Some(col) = self.column(peer) else {
+            return Vec::new();
+        };
         let mut payloads = Vec::new();
-        if self.sync.due(peer) {
-            payloads = self.full_summaries(peer);
+        if self.sync.due(col) {
+            payloads = self.refresh_column(col);
         } else if let Summary::Dft(d) = &mut self.summary {
-            if self.sync.gap_passed(peer) {
-                payloads = d.piggyback(peer);
+            if self.sync.gap_passed(col) {
+                payloads = d.piggyback(col);
                 if !payloads.is_empty() {
-                    self.sync.note_piggyback(peer);
+                    self.sync.note_piggyback(col);
                 }
             }
         }
-        self.sync.note_sent(peer);
+        self.sync.note_sent(col);
         payloads
     }
 
-    /// `true` when `peer` warrants a standalone summary message.
+    /// `true` when `peer` warrants a standalone summary message; `false`
+    /// for an id that is not a peer.
     pub fn sync_overdue(&self, peer: u16) -> bool {
-        self.sync.overdue(peer)
+        self.column(peer).is_some_and(|col| self.sync.overdue(col))
     }
 
     /// `true` when some peer warrants a standalone summary message; O(1).
@@ -735,12 +741,19 @@ impl Router {
         self.sync.any_overdue()
     }
 
-    /// Produces the full summary refresh for `peer` and marks it synced.
+    /// Produces the full summary refresh for `peer` and marks it synced;
+    /// nothing for an id that is not a peer.
     pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        self.sync.reset(peer);
+        self.column(peer)
+            .map_or_else(Vec::new, |col| self.refresh_column(col))
+    }
+
+    /// [`Router::full_summaries`] for column `col`.
+    fn refresh_column(&mut self, col: usize) -> Vec<SummaryPayload> {
+        self.sync.reset(col);
         match &mut self.summary {
             Summary::None => Vec::new(),
-            Summary::Dft(d) => d.full_summaries(peer),
+            Summary::Dft(d) => d.full_summaries(col),
             Summary::Bloom(b) => b.full_summaries(),
             Summary::Sketch(k) => k.full_summaries(),
         }
@@ -765,7 +778,7 @@ pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig
         me,
         n,
         target: TargetComplexity::default(),
-        flow: FlowParams::default(),
+        uniform_cv_threshold: 0.05,
         plan: Arc::new(Plan::new(key)),
         sync_sent_interval: 16,
         sync_arrival_interval: 64,
@@ -774,13 +787,20 @@ pub(crate) fn test_config(algorithm: Algorithm, me: u16, n: u16) -> RouterConfig
 
 #[cfg(test)]
 impl Router {
-    /// How many DFT peer columns, over both streams, have landed; `0` for
-    /// every other summary.
-    pub(crate) fn dft_columns_landed(&self) -> usize {
+    /// How many peer summaries, over both streams, have landed: DFT
+    /// columns, BLOOM filters or SKCH sketches.
+    pub(crate) fn summaries_landed(&self) -> usize {
         match &self.summary {
+            Summary::None => 0,
             Summary::Dft(d) => d.landed_columns(),
-            _ => 0,
+            Summary::Bloom(b) => b.landed(),
+            Summary::Sketch(k) => k.landed(),
         }
+    }
+
+    /// Each tuple stream's stale mask over the peer columns.
+    pub(crate) fn stale_masks(&self) -> [Vec<bool>; 2] {
+        self.rows.each_ref().map(|row| row.stale.clone())
     }
 }
 
@@ -819,7 +839,7 @@ mod tests {
     }
 
     /// `SyncState` as it was before its O(1) clock: one saturating arrival
-    /// counter per peer, bumped on every arrival and zeroed on refresh;
+    /// counter per peer column, bumped on every arrival and zeroed on refresh;
     /// beside it the clocks `DftSummary` kept before the router's became
     /// the only one: its own arrival count, the count at each peer's last
     /// piggyback, and the arrivals since the last `ρ` refresh.
@@ -836,16 +856,16 @@ mod tests {
     }
 
     impl SyncOracle {
-        fn new(n: u16, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
+        fn new(peers: usize, sent_interval: u32, arrival_interval: u32, window: usize) -> Self {
             SyncOracle {
-                sent_since: vec![0; n as usize],
-                arrivals_since: vec![0; n as usize],
-                synced_once: vec![false; n as usize],
+                sent_since: vec![0; peers],
+                arrivals_since: vec![0; peers],
+                synced_once: vec![false; peers],
                 sent_interval,
                 arrival_interval,
                 bootstrap_after: (window as u32 / 4).clamp(8, 512),
                 arrivals: 0,
-                last_piggyback: vec![0; n as usize],
+                last_piggyback: vec![0; peers],
                 arrivals_since_rho: 0,
             }
         }
@@ -895,19 +915,16 @@ mod tests {
 
         #[test]
         fn sync_clock_agrees_with_per_peer_counters(
-            n in 2u16..7,
-            me in 0u16..7,
+            peers in 1usize..6,
             sent_interval in 1u32..6,
             arrival_interval in 1u32..24,
             window in 0usize..160,
             ops in prop::collection::vec((0u8..9, 0usize..6), 0..600),
         ) {
-            let me = me % n;
-            let mut clock = SyncState::new(me, n, sent_interval, arrival_interval, window);
-            let mut oracle = SyncOracle::new(n, sent_interval, arrival_interval, window);
-            let peers: Vec<u16> = peers_of(me, n).collect();
+            let mut clock = SyncState::new(peers, sent_interval, arrival_interval, window);
+            let mut oracle = SyncOracle::new(peers, sent_interval, arrival_interval, window);
             for (step, (op, pick)) in ops.into_iter().enumerate() {
-                let peer = peers[pick % peers.len()];
+                let col = pick % peers;
                 // Arrivals outnumber the rest, so peers reach their
                 // intervals, bootstrap and overdue thresholds and the
                 // piggyback gap.
@@ -917,36 +934,24 @@ mod tests {
                         prop_assert_eq!(tick, oracle.note_arrival(), "tick at {}", step);
                     }
                     5 | 6 => {
-                        clock.note_sent(peer);
-                        oracle.sent_since[peer as usize] += 1;
+                        clock.note_sent(col);
+                        oracle.sent_since[col] += 1;
                     }
                     7 => {
-                        clock.reset(peer);
-                        oracle.reset(peer as usize);
+                        clock.reset(col);
+                        oracle.reset(col);
                     }
                     _ => {
-                        clock.note_piggyback(peer);
-                        oracle.last_piggyback[peer as usize] = oracle.arrivals;
+                        clock.note_piggyback(col);
+                        oracle.last_piggyback[col] = oracle.arrivals;
                     }
                 }
-                for &j in &peers {
-                    prop_assert_eq!(clock.due(j), oracle.due(j as usize), "due {} at {}", j, step);
-                    prop_assert_eq!(
-                        clock.overdue(j),
-                        oracle.overdue(j as usize),
-                        "overdue {} at {}",
-                        j,
-                        step
-                    );
-                    prop_assert_eq!(
-                        clock.gap_passed(j),
-                        oracle.gap_passed(j as usize),
-                        "gap {} at {}",
-                        j,
-                        step
-                    );
+                for j in 0..peers {
+                    prop_assert_eq!(clock.due(j), oracle.due(j), "due {} at {}", j, step);
+                    prop_assert_eq!(clock.overdue(j), oracle.overdue(j), "overdue {} at {}", j, step);
+                    prop_assert_eq!(clock.gap_passed(j), oracle.gap_passed(j), "gap {} at {}", j, step);
                 }
-                let any = peers.iter().any(|&j| oracle.overdue(j as usize));
+                let any = (0..peers).any(|j| oracle.overdue(j));
                 prop_assert_eq!(clock.any_overdue(), any, "any overdue at {}", step);
             }
         }
@@ -954,32 +959,32 @@ mod tests {
 
     #[test]
     fn sync_state_bootstrap_then_intervals() {
-        let mut s = SyncState::new(0, 3, 4, 10, 64);
+        let mut s = SyncState::new(2, 4, 10, 64);
         // Bootstrap threshold is window/4 = 16.
         for _ in 0..15 {
             s.note_arrival();
         }
-        assert!(!s.due(1));
+        assert!(!s.due(0));
         s.note_arrival();
-        assert!(s.due(1), "bootstrap sync after warm-up");
-        s.reset(1);
-        assert!(!s.due(1));
+        assert!(s.due(0), "bootstrap sync after warm-up");
+        s.reset(0);
+        assert!(!s.due(0));
         // Sent-interval path.
         for _ in 0..4 {
-            s.note_sent(1);
+            s.note_sent(0);
         }
-        assert!(s.due(1));
-        s.reset(1);
+        assert!(s.due(0));
+        s.reset(0);
         // Arrival-interval path.
         for _ in 0..10 {
             s.note_arrival();
         }
-        assert!(s.due(1));
-        assert!(!s.overdue(1));
+        assert!(s.due(0));
+        assert!(!s.overdue(0));
         for _ in 0..10 {
             s.note_arrival();
         }
-        assert!(s.overdue(1));
+        assert!(s.overdue(0));
     }
 
     /// The number of coefficient updates in each of `payloads`.
@@ -1146,6 +1151,21 @@ mod tests {
             n1.route(StreamId::R, key, 1.0, &mut rng);
             let row = &n1.rows[StreamId::R.index()];
             assert!(!row.dirty && !row.affinity.contains(&SENTINEL), "key {key}");
+        }
+    }
+
+    #[test]
+    fn ids_that_are_not_peers_get_nothing() {
+        // Node 1 of three, every peer overdue: its own id and the cluster
+        // size are rejected at the edge, never aliased onto a column.
+        let mut r = Router::new(test_config(Algorithm::Bloom, 1, 3));
+        fill(&mut r, StreamId::R, &[5; 64]);
+        for id in [1, 3] {
+            assert!(!r.sync_overdue(id) && r.attach(id).is_empty(), "{id}");
+            assert!(r.full_summaries(id).is_empty(), "{id}");
+        }
+        for id in [0, 2] {
+            assert!(r.sync_overdue(id) && r.attach(id).len() == 2, "{id}");
         }
     }
 

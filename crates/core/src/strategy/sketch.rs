@@ -13,7 +13,6 @@
 //! the signs of every key in `[0, D)` (`AgmsHashes::with_sign_table`), so a
 //! window update reads one word per key instead of evaluating 20 cubics.
 
-use super::RouterConfig;
 use crate::msg::SummaryPayload;
 use dsj_sketch::{AgmsHashes, AgmsSketch};
 use dsj_stream::StreamId;
@@ -23,8 +22,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(super) struct SketchSummary {
     local: [AgmsSketch; 2],
+    /// Each peer column's sketches, per stream.
     remote: Vec<[Option<AgmsSketch>; 2]>,
-    /// Raw pairwise join-size estimates per peer per tuple stream, kept
+    /// Raw pairwise join-size estimates per peer column per tuple stream, kept
     /// because normalising a row reads every peer's, and recomputed only
     /// where the router flags the entry stale.
     est: Vec<[Option<f64>; 2]>,
@@ -33,18 +33,17 @@ pub(super) struct SketchSummary {
 }
 
 impl SketchSummary {
-    /// Creates the summary over the cluster's shared hash family (sized
-    /// to match the DFT summary), so every node's sketches are mutually
-    /// joinable.
-    pub fn new(cfg: &RouterConfig, hashes: &Arc<AgmsHashes>) -> Self {
-        let n = cfg.n as usize;
+    /// Creates the summary for `peers` peer columns over the cluster's
+    /// shared hash family (sized to match the DFT summary), so every
+    /// node's sketches are mutually joinable.
+    pub fn new(peers: usize, hashes: &Arc<AgmsHashes>) -> Self {
         let mk = || AgmsSketch::with_hashes(Arc::clone(hashes));
         let local = [mk(), mk()];
         SketchSummary {
             group_means: Vec::with_capacity(local[0].s1()),
             local,
-            remote: vec![[None, None]; n],
-            est: vec![[None, None]; n],
+            remote: vec![[None, None]; peers],
+            est: vec![[None, None]; peers],
         }
     }
 
@@ -57,31 +56,24 @@ impl SketchSummary {
         }
     }
 
-    /// Rewrites `row` with the join-size estimate against each of `peers`
-    /// for a tuple of `stream`, normalized into `[0, 1]` by the largest,
-    /// after recomputing the estimates that `stale` flags and clearing
-    /// their flags.
-    pub fn refresh_row(
-        &mut self,
-        stream: StreamId,
-        peers: &[u16],
-        stale: &mut [bool],
-        row: &mut [Option<f64>],
-    ) {
+    /// Rewrites `row` with the join-size estimate against each peer
+    /// column for a tuple of `stream`, normalized into `[0, 1]` by the
+    /// largest, after recomputing the estimates that `stale` flags and
+    /// clearing their flags.
+    pub fn refresh_row(&mut self, stream: StreamId, stale: &mut [bool], row: &mut [Option<f64>]) {
         let s = stream.index();
         let opp = stream.opposite().index();
         let mut max = 0.0_f64;
-        for ((entry, flag), &peer) in row.iter_mut().zip(stale).zip(peers) {
-            let j = peer as usize;
+        for (col, (entry, flag)) in row.iter_mut().zip(stale).enumerate() {
             if std::mem::take(flag) {
                 // The cluster's one hash family keeps sketches compatible;
                 // a mismatch (impossible by construction) reads as "no
                 // estimate".
-                self.est[j][s] = self.remote[j][opp]
+                self.est[col][s] = self.remote[col][opp]
                     .as_ref()
                     .and_then(|sk| self.local[s].join_size_into(sk, &mut self.group_means).ok());
             }
-            let est = self.est[j][s];
+            let est = self.est[col][s];
             max = est.map_or(max, |v| max.max(v.max(0.0)));
             *entry = est;
         }
@@ -90,10 +82,10 @@ impl SketchSummary {
         }
     }
 
-    /// Ingests peer `from`'s sketch of its `stream` window (replaced
+    /// Ingests column `col`'s sketch of its `stream` window (replaced
     /// wholesale). After the first, it lands in the held sketch's counters.
-    pub fn apply_summary(&mut self, from: u16, stream: StreamId, sketch: &AgmsSketch) {
-        let slot = &mut self.remote[from as usize][stream.index()];
+    pub fn apply_summary(&mut self, col: usize, stream: StreamId, sketch: &AgmsSketch) {
+        let slot = &mut self.remote[col][stream.index()];
         match slot {
             Some(held) => held.clone_from(sketch),
             None => *slot = Some(sketch.clone()),
@@ -109,5 +101,13 @@ impl SketchSummary {
                 sketch: self.local[stream.index()].clone(),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl SketchSummary {
+    /// How many peer sketches, over both streams, are held.
+    pub(super) fn landed(&self) -> usize {
+        self.remote.iter().flatten().flatten().count()
     }
 }

@@ -189,10 +189,6 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        harness::poll_one(self)
-    }
-
     /// Blocks for the first event; whatever else was queued between kicks
     /// comes along in the same frame.
     fn poll_frame(&mut self, max: usize, frame: &mut Vec<TransportEvent>) -> Result<(), LiveError> {

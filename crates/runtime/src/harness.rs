@@ -194,15 +194,6 @@ impl Drop for Inbox {
     }
 }
 
-/// `Transport::poll` for the live transports: a frame of one.
-pub(crate) fn poll_one<T: Transport<Error = LiveError>>(
-    transport: &mut T,
-) -> Result<TransportEvent, LiveError> {
-    let mut one = Vec::with_capacity(1);
-    transport.poll_frame(1, &mut one)?;
-    one.pop().ok_or(LiveError::ChannelClosed)
-}
-
 /// Backend-provided teardown hook: runs after the node threads have
 /// joined (so no more traffic can move), shuts down whatever transport
 /// machinery the backend still holds, and returns per-node

@@ -41,7 +41,7 @@
 //! wedging the drain loop.
 
 use crate::cluster::LiveError;
-use crate::harness::{self, Inbox, Mailbox};
+use crate::harness::{Inbox, Mailbox};
 use crate::sync::{self, AtomicBool, AtomicU64, Mutex, Ordering, Thread};
 use crate::tcp::io_err;
 use dsj_core::wire::{FrameBatch, FrameDecoder};
@@ -540,10 +540,6 @@ impl Transport for ReactorTransport {
         Ok(())
     }
 
-    fn poll(&mut self) -> Result<TransportEvent, LiveError> {
-        harness::poll_one(self)
-    }
-
     /// Order matters: one FIFO per node used to guarantee that a peer's
     /// probe is never processed ahead of a local arrival injected before
     /// the probe's tuple was — processing it early would probe a window
@@ -642,6 +638,7 @@ impl Transport for ReactorTransport {
 mod tests {
     use super::*;
     use crate::explore::{Explorer, Scenario};
+    use crate::harness;
     use crate::tcp::read_peer_id;
     use dsj_core::wire;
     use dsj_core::Msg;

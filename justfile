@@ -72,8 +72,9 @@ load-smoke:
     scripts/load-smoke.sh
 
 # The non-test line count: lines before the first `#[cfg(test)]` (or a
-# leading `#![cfg(test)]`) of every file under crates/<c>/src, then all of
-# vendor/ and benches/, then every .rs file outside the benchmark.
+# leading `#![cfg(test)]`) of every file under crates/<c>/src, of
+# crates/core/src/strategy/ and of the whole library (crates/*/src), then
+# all of vendor/ and benches/, then every .rs file outside the benchmark.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -81,6 +82,8 @@ loc:
     for c in crates/*/; do
         printf '%-10s %6d\n' "$(basename "$c")" "$(find "$c/src" -name '*.rs' -print0 | non_test)"
     done
+    printf '%-10s %6d\n' "strategy" "$(find crates/core/src/strategy -name '*.rs' -print0 | non_test)"
+    printf '%-10s %6d\n' "library" "$(find crates/*/src -name '*.rs' -print0 | non_test)"
     for d in vendor benches; do
         printf '%-10s %6d\n' "$d" "$(git ls-files "$d" | grep '\.rs$' | xargs cat | wc -l)"
     done
