@@ -20,22 +20,6 @@ use dsj_core::obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Derives the seed for run `index` of a family rooted at `base`.
-///
-/// SplitMix64 finalization over `base ⊕ φ·index`: statistically
-/// independent streams for adjacent indices, stable across platforms and
-/// executions, and no shared RNG to contend on. Use this wherever a sweep
-/// needs *distinct* workload realizations per cell; sweeps that compare
-/// algorithms on the *same* realization (the paper's paired methodology)
-/// keep a single explicit seed instead.
-#[must_use]
-pub fn derive_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A fixed-width worker pool that maps a function over items while
 /// preserving submission order.
 #[derive(Debug, Clone)]
@@ -156,7 +140,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn map_preserves_submission_order() {
@@ -172,8 +155,9 @@ mod tests {
 
     #[test]
     fn parallel_map_matches_serial_map() {
-        let work =
-            |i: usize, seed: u64| -> u64 { derive_seed(seed, i as u64).rotate_left(i as u32) };
+        let work = |i: usize, x: u64| -> u64 {
+            x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32)
+        };
         let items: Vec<u64> = (0..64).map(|i| 1000 + i).collect();
         let serial = Executor::serial().map(items.clone(), work);
         let parallel = Executor::new(4).map(items, work);
@@ -192,18 +176,6 @@ mod tests {
         });
         // Cells 7, 17 and 27 all fail; submission order picks 7.
         assert_eq!(result.unwrap_err(), "cell 7");
-    }
-
-    #[test]
-    fn derived_seeds_are_distinct_and_stable() {
-        let seeds: Vec<u64> = (0..1000).map(|i| derive_seed(2007, i)).collect();
-        let unique: HashSet<u64> = seeds.iter().copied().collect();
-        assert_eq!(unique.len(), seeds.len(), "collision in 1000 derived seeds");
-        // Pinned: the derivation is part of the reproduction contract.
-        assert_eq!(derive_seed(2007, 0), derive_seed(2007, 0));
-        assert_ne!(derive_seed(2007, 1), derive_seed(2008, 1));
-        assert_eq!(derive_seed(0, 0), 0);
-        assert_eq!(derive_seed(2007, 1), 0xf3b3_a1dd_be8a_688f);
     }
 
     #[test]

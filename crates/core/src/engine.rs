@@ -1,11 +1,12 @@
 //! One node type, many transports.
 //!
 //! [`NodeEngine`] is a node of the join cluster (the per-node runtime of
-//! Fig. 7): its windows, router, RNG, counters and drive loop. Backends
-//! implement [`Transport`] (send / poll / clock / quiescence) for the node
-//! and [`Cluster`] (inject / wait / advance / finish) for the one driver,
-//! [`crate::driver::drive`], that feeds and drains every backend;
-//! [`crate::ClusterConfig::build_node`] is where a node is made.
+//! Fig. 7): its windows, local join, router, counters, governor and drive
+//! loop. Backends implement [`Transport`] (send / poll / clock /
+//! quiescence) for the node and [`Cluster`] (inject / wait / advance /
+//! finish) for the one driver, [`crate::driver::drive`], that feeds and
+//! drains every backend; [`crate::ClusterConfig::build_node`] is where a
+//! node is made.
 //!
 //! Three backends exist:
 //!
@@ -15,11 +16,12 @@
 //! | threads  | `dsj-runtime::LiveCluster` | in-process mailboxes | wall |
 //! | TCP      | `dsj-runtime::TcpCluster` | framed loopback sockets read by the receiving node's thread, coalesced vectored writes | wall |
 //!
-//! An arrival hands its window change to the router, which owns the
-//! node's one arrival clock and every sync decision: what rides on each
-//! tuple message (`Router::attach`) and which peers are owed a standalone
-//! summary. The engine sends each message into the transport as soon as it
-//! is built. What a whole arrival still allocates is measured, not assumed
+//! An arrival hands its window change to the router, which owns the rest
+//! of the arrival's decision: its RNG, the route, the node's one arrival
+//! clock, what rides on each tuple message and which peers are owed a
+//! standalone summary. `Router::send_arrival` hands the engine each message
+//! as soon as it is built; the engine counts it and sends it into the
+//! transport. What a whole arrival still allocates is measured, not assumed
 //! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
 //! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.020, SKCH 0.021 — the piggyback
 //! and `full_summaries` payload `Vec`s, plus the filter and sketch clones
@@ -33,10 +35,9 @@ use crate::driver::Cluster;
 use crate::error::RunError;
 use crate::msg::{Msg, SummaryPayload};
 use crate::node::{NodeMetrics, ThroughputGovernor};
-use crate::strategy::{peers_of, Route, Router, RouterConfig};
+use crate::strategy::{Router, RouterConfig};
 use dsj_simnet::{Ctx, NetMetrics, NodeId, SimNode, SimTime, Simulation};
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
-use rand::rngs::StdRng;
 use std::convert::Infallible;
 
 /// Upper bound on how many pending events the run loop drains per frame.
@@ -172,7 +173,6 @@ pub trait Transport {
 #[derive(Debug)]
 pub struct NodeEngine {
     me: u16,
-    n: u16,
     /// Attribute domain size; arrivals with `key >= domain` are dropped
     /// at ingest (mirroring `RunError::TraceKeyOutOfDomain`).
     domain: u32,
@@ -180,11 +180,8 @@ pub struct NodeEngine {
     /// The locally arrived tuples per stream, indexed by [`StreamId::index`].
     windows: [SlidingWindow; 2],
     router: Router,
-    rng: StdRng,
     metrics: NodeMetrics,
     governor: Option<ThroughputGovernor>,
-    /// Route scratch reused across arrivals.
-    route_scratch: Route,
     /// Order-sensitive digest of every counted match observation — see
     /// [`NodeEngine::match_digest`].
     match_digest: u64,
@@ -208,15 +205,12 @@ impl NodeEngine {
     ) -> Self {
         NodeEngine {
             me: cfg.me,
-            n: cfg.n,
             domain: cfg.plan.key.domain,
             count_from_seq,
             windows: [SlidingWindow::new(spec), SlidingWindow::new(spec)],
-            rng: cfg.rng(),
             router: Router::new(cfg),
             metrics: NodeMetrics::default(),
             governor,
-            route_scratch: Route::default(),
             match_digest: Self::DIGEST_BASIS,
             latency: crate::obs::Histogram::new(),
         }
@@ -333,66 +327,22 @@ impl NodeEngine {
             Some(g) => g.scale(now_us),
             None => 1.0,
         };
-        let mut route = std::mem::take(&mut self.route_scratch);
-        self.router
-            .route_into(tuple.stream, tuple.key, scale, &mut self.rng, &mut route);
-        if route.fallback {
-            self.metrics.fallback_routes += 1;
-        }
-        let sent = self.send_routed(tuple, &route, now_us, transport);
-        self.route_scratch = route;
-        sent
-    }
-
-    /// Sends `tuple` to every peer on `route`, with whatever summary the
-    /// router attaches for that peer, then a standalone summary batch to
-    /// every other peer no tuple message reached in too long (Fig. 7:
-    /// "transmitted on their own"); stops at the first failed send.
-    fn send_routed<T: Transport>(
-        &mut self,
-        tuple: Tuple,
-        route: &Route,
-        now_us: u64,
-        transport: &mut T,
-    ) -> Result<(), T::Error> {
-        for &peer in &route.peers {
-            let piggyback = self.router.attach(peer);
-            self.send(peer, Msg::Tuple { tuple, piggyback }, now_us, transport)?;
-        }
-        if !self.router.sync_any_overdue() {
-            return Ok(());
-        }
-        for peer in peers_of(self.me, self.n) {
-            if route.peers.contains(&peer) || !self.router.sync_overdue(peer) {
-                continue;
+        self.router.route_into(tuple.stream, tuple.key, scale);
+        let (_, fallback) = self.router.route();
+        self.metrics.fallback_routes += u64::from(fallback);
+        let (metrics, governor) = (&mut self.metrics, &mut self.governor);
+        self.router.send_arrival(tuple, |to, msg| {
+            match msg {
+                Msg::Tuple { .. } => metrics.tuple_msgs_sent += 1,
+                Msg::Summary(_) => metrics.summary_msgs_sent += 1,
             }
-            let payloads = self.router.full_summaries(peer);
-            if !payloads.is_empty() {
-                self.send(peer, Msg::Summary(payloads), now_us, transport)?;
+            metrics.data_bytes_sent += msg.data_bytes() as u64;
+            metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
+            if let Some(g) = governor {
+                g.note_sent(now_us, msg.wire_bytes() as u64);
             }
-        }
-        Ok(())
-    }
-
-    /// Counts `msg` into this node's traffic and its governor's, then
-    /// sends it.
-    fn send<T: Transport>(
-        &mut self,
-        to: u16,
-        msg: Msg,
-        now_us: u64,
-        transport: &mut T,
-    ) -> Result<(), T::Error> {
-        match msg {
-            Msg::Tuple { .. } => self.metrics.tuple_msgs_sent += 1,
-            Msg::Summary(_) => self.metrics.summary_msgs_sent += 1,
-        }
-        self.metrics.data_bytes_sent += msg.data_bytes() as u64;
-        self.metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
-        if let Some(g) = &mut self.governor {
-            g.note_sent(now_us, msg.wire_bytes() as u64);
-        }
-        transport.send(to, msg)
+            transport.send(to, msg)
+        })
     }
 
     /// Handles one wire message from peer `from`: applies its summaries

@@ -1,14 +1,14 @@
 //! Test and benchmark facade over the per-tuple routing hot path.
 //!
-//! The routing layer (`Router`, `Route`, `RouterConfig`) is crate-private
+//! The routing layer (`Router`, `RouterConfig`) is crate-private
 //! by design — simulation code goes through [`crate::NodeEngine`]. The
 //! benchmark's staged replay (`benches/e2e`, `core.strategy.route_ns`)
 //! and the hot-path determinism tests, however, need to drive a router
 //! *directly*, without a window, a simulator or message transport around
 //! it, so that the routing decision is timed and compared on its own.
-//! This module is that thin, stable harness: it owns one router plus the
-//! seeded RNG, both derived from a [`ClusterConfig`] exactly as
-//! [`ClusterConfig::build_node`] derives them, and exposes exactly the
+//! This module is that thin, stable harness: it owns one router, with its
+//! seeded RNG, derived from a [`ClusterConfig`] exactly as
+//! [`ClusterConfig::build_node`] derives it, and exposes exactly the
 //! operations the per-tuple path performs.
 //!
 //! [`RouterHarness::route`] runs the production flow filter
@@ -22,9 +22,8 @@
 //! budget.
 
 use crate::runner::ClusterConfig;
-use crate::strategy::{Algorithm, Route, Router};
+use crate::strategy::{column_of, Algorithm, Router};
 use dsj_stream::StreamId;
-use rand::rngs::StdRng;
 
 /// Cluster dimensions for a [`RouterHarness`] — the subset of
 /// [`ClusterConfig`] the routing layer can see.
@@ -58,14 +57,12 @@ impl Default for HarnessParams {
     }
 }
 
-/// One node's router, RNG and route scratch — the per-tuple hot path with
-/// everything else stripped away.
+/// One node's router — the per-tuple hot path with everything else
+/// stripped away.
 #[derive(Debug)]
 pub struct RouterHarness {
     me: u16,
     router: Router,
-    rng: StdRng,
-    scratch: Route,
 }
 
 impl RouterHarness {
@@ -86,9 +83,7 @@ impl RouterHarness {
             .router_config(me);
         RouterHarness {
             me,
-            rng: cfg.rng(),
             router: Router::new(cfg),
-            scratch: Route::default(),
         }
     }
 
@@ -101,8 +96,13 @@ impl RouterHarness {
 
     /// Ships this node's full summaries to `dst` — the bulk synchronization
     /// a simulated node performs when a peer's summary view goes stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not another node of this harness's cluster.
     pub fn exchange_into(&mut self, dst: &mut RouterHarness) {
-        for payload in self.router.full_summaries(dst.me) {
+        assert_ne!(dst.me, self.me, "a node has no summary of its own");
+        for payload in self.router.full_summaries(column_of(self.me, dst.me)) {
             dst.router.apply_summary(self.me, &payload);
         }
     }
@@ -117,11 +117,8 @@ impl RouterHarness {
     /// [`Self::route`] with the message budget times `scale`, as the
     /// throughput governor sets it.
     fn route_at(&mut self, stream: StreamId, key: u32, scale: f64) -> (&[u16], bool) {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.router
-            .route_into(stream, key, scale, &mut self.rng, &mut out);
-        self.scratch = out;
-        (&self.scratch.peers, self.scratch.fallback)
+        self.router.route_into(stream, key, scale);
+        self.router.route()
     }
 
     /// Routes one tuple through the allocating reference transcription of
@@ -130,10 +127,7 @@ impl RouterHarness {
     /// routed, one reference-routed — must stay in lockstep forever.
     #[cfg(test)]
     pub fn route_reference(&mut self, stream: StreamId, key: u32, scale: f64) -> (Vec<u16>, bool) {
-        let route = self
-            .router
-            .route_reference(stream, key, scale, &mut self.rng);
-        (route.peers, route.fallback)
+        self.router.route_reference(stream, key, scale)
     }
 }
 
@@ -143,6 +137,7 @@ mod tests {
     use crate::engine::Script;
     use crate::msg::Msg;
     use dsj_stream::gen::Scenario;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
 
@@ -175,7 +170,7 @@ mod tests {
             for (i, a) in cfg.arrivals().iter().enumerate() {
                 if i % 50 == 49 {
                     for src in peers.iter_mut().filter(|src| src.me != me) {
-                        let payloads = src.router.full_summaries(me);
+                        let payloads = src.router.full_summaries(column_of(src.me, me));
                         for payload in &payloads {
                             harness.router.apply_summary(src.me, payload);
                         }

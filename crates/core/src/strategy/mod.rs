@@ -37,8 +37,8 @@ use crate::flow::{
     detect_uniform, forwarding_probabilities_into, sample_recipients_into, FlowScratch, RoundRobin,
     TargetComplexity, EXPLORE,
 };
-use crate::msg::SummaryPayload;
-use dsj_stream::StreamId;
+use crate::msg::{Msg, SummaryPayload};
+use dsj_stream::{StreamId, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -121,18 +121,9 @@ pub(crate) struct RouterConfig {
 impl RouterConfig {
     /// Node `me`'s routing RNG: the cluster seed split by node id, so
     /// whatever hosts this router draws the same sequence.
-    pub fn rng(&self) -> StdRng {
+    fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.plan.key.seed ^ (0xD5EED ^ u64::from(self.me) << 32))
     }
-}
-
-/// A routing decision for one arriving tuple.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Route {
-    /// Peers to forward the tuple to.
-    pub peers: Vec<u16>,
-    /// Whether the worst-case fallback policy produced this route.
-    pub fallback: bool,
 }
 
 /// The node's one arrival clock and the summary-sync policy read off it:
@@ -330,22 +321,29 @@ impl StreamRow {
 
 /// One node's routing layer: the Section 5.2 flow filter (Fig. 7), written
 /// once for every algorithm, over whichever [`Summary`] the algorithm
-/// exchanges. Everything that is *policy* lives here — the message budget,
-/// the node's arrival clock and the summary-sync cadence read off it, what
-/// rides on a tuple message, the uniform-data verdict, the round-robin
-/// fallback, which affinities are stale and all per-tuple scratch.
+/// exchanges. Everything an arrival decides lives here — the message
+/// budget, the RNG, the route, the node's arrival clock and the sync
+/// cadence read off it, every message the arrival sends, the uniform-data
+/// verdict, the round-robin fallback, which affinities are stale and all
+/// per-tuple scratch.
 ///
 /// Every per-peer table, here and in the summary, is indexed by *column*
-/// (`Router::column`). Node ids appear only at the edge: the methods that
-/// take one resolve it once, and routes emit `peers[col]`.
+/// ([`column_of`]). The one node id that arrives from outside the node is
+/// resolved in `apply_summary`; routes and messages emit `peers[col]`.
 #[derive(Debug)]
 pub(crate) struct Router {
     cfg: RouterConfig,
-    /// Each column's node id (`peers_of` order).
+    /// Each column's node id, ascending.
     peers: Vec<u16>,
     summary: Summary,
     sync: SyncState,
     rr: RoundRobin,
+    /// The node's routing RNG (`RouterConfig::rng`).
+    rng: StdRng,
+    /// The peers the last arrival was routed to (the capacity is reused
+    /// across arrivals), and whether the round-robin fallback chose them.
+    route: Vec<u16>,
+    fallback: bool,
     /// The affinity row and what derives from it, per *tuple* stream.
     rows: [StreamRow; 2],
     /// Per-tuple scratch, sized to the peer count at construction so the
@@ -363,7 +361,7 @@ impl Router {
     /// Builds the router for the algorithm `cfg.plan` was derived for,
     /// over the plan's tables.
     pub fn new(cfg: RouterConfig) -> Self {
-        let peers: Vec<u16> = peers_of(cfg.me, cfg.n).collect();
+        let peers: Vec<u16> = (0..cfg.n).filter(|&j| j != cfg.me).collect();
         let m = peers.len();
         let summary = match &cfg.plan.tables {
             Tables::None => Summary::None,
@@ -386,6 +384,9 @@ impl Router {
                 cfg.plan.key.window,
             ),
             rr: RoundRobin::default(),
+            rng: cfg.rng(),
+            route: Vec::with_capacity(m),
+            fallback: false,
             rows: [StreamRow::new(m), StreamRow::new(m)],
             candidates: Vec::with_capacity(m),
             residual: Vec::with_capacity(m),
@@ -445,33 +446,22 @@ impl Router {
         (EXPLORE + frac * (1.0 - EXPLORE)).min(1.0)
     }
 
-    /// Allocating convenience over [`Router::route_into`] for unit tests.
-    #[cfg(test)]
-    pub fn route(&mut self, stream: StreamId, key: u32, scale: f64, rng: &mut StdRng) -> Route {
-        let mut out = Route::default();
-        self.route_into(stream, key, scale, rng, &mut out);
-        out
+    /// The last arrival's route: its peers, and whether the fallback
+    /// chose them.
+    pub fn route(&self) -> (&[u16], bool) {
+        (&self.route, self.fallback)
     }
 
     /// The flow filter: decides where to forward an arriving tuple of
-    /// `stream` with join attribute `key`, clearing and refilling `out`
-    /// (its `peers` capacity, grown to the peer count on the first call,
-    /// is reused across tuples). `scale` multiplies
-    /// the configured message-complexity target (the throughput
-    /// governor's resource-availability dial; `1.0` = nominal budget).
-    pub fn route_into(
-        &mut self,
-        stream: StreamId,
-        key: u32,
-        scale: f64,
-        rng: &mut StdRng,
-        out: &mut Route,
-    ) {
-        out.peers.clear();
-        out.peers.reserve(self.peers.len());
-        out.fallback = false;
+    /// `stream` with join attribute `key`, drawing from the router's RNG,
+    /// into the router's route. `scale` multiplies the configured
+    /// message-complexity target (the throughput governor's
+    /// resource-availability dial; `1.0` = nominal budget).
+    pub fn route_into(&mut self, stream: StreamId, key: u32, scale: f64) {
+        self.route.clear();
+        self.fallback = false;
         if matches!(self.summary, Summary::None) {
-            out.peers.extend(&self.peers);
+            self.route.extend(&self.peers);
             return;
         }
         let target = self.target(scale);
@@ -483,7 +473,7 @@ impl Router {
         // affinities are indistinguishable, neither they nor membership
         // tests against flat summaries carry signal.
         if self.rows[s].uniform {
-            self.fallback_into(target, out);
+            self.fallback_into(target);
             return;
         }
         // DFTT reads its reconstructions only now that the correlations
@@ -504,7 +494,7 @@ impl Router {
             self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
             let take = (target.ceil() as usize).max(1);
             let picked = &self.candidates[..take.min(self.candidates.len())];
-            out.peers
+            self.route
                 .extend(picked.iter().map(|&(col, _)| self.peers[col]));
             let leftover = target - picked.len() as f64;
             if leftover <= 0.05 {
@@ -521,15 +511,15 @@ impl Router {
                 &mut self.flow_scratch,
                 &mut self.probs,
             ) {
-                sample_recipients_into(&self.probs, rng, &mut self.sampled);
-                out.peers
+                sample_recipients_into(&self.probs, &mut self.rng, &mut self.sampled);
+                self.route
                     .extend(self.sampled.iter().map(|&i| self.peers[i]));
-                out.peers.sort_unstable();
-                out.peers.dedup();
+                self.route.sort_unstable();
+                self.route.dedup();
             }
             return;
         }
-        if any_summary && !rng.gen_bool(self.explore_probability(target)) {
+        if any_summary && !self.rng.gen_bool(self.explore_probability(target)) {
             // "No partners anywhere": save the messages (the DFTT
             // advantage of Fig. 9).
             return;
@@ -547,11 +537,11 @@ impl Router {
             row.budget = Some(target.to_bits());
         }
         if row.usable {
-            sample_recipients_into(&row.probs, rng, &mut self.sampled);
-            out.peers
+            sample_recipients_into(&row.probs, &mut self.rng, &mut self.sampled);
+            self.route
                 .extend(self.sampled.iter().map(|&i| self.peers[i]));
         } else {
-            self.fallback_into(target, out);
+            self.fallback_into(target);
         }
     }
 
@@ -569,13 +559,13 @@ impl Router {
     }
 
     /// The worst-case policy: round-robin over the peers, `target` at a time.
-    fn fallback_into(&mut self, target: f64, out: &mut Route) {
+    fn fallback_into(&mut self, target: f64) {
         let count = (target.round() as usize).max(1);
         self.rr
             .pick_into(self.peers.len(), count, &mut self.sampled);
-        out.peers
+        self.route
             .extend(self.sampled.iter().map(|&col| self.peers[col]));
-        out.fallback = true;
+        self.fallback = true;
     }
 
     /// The allocating transcription of [`Router::route_into`]: the same
@@ -587,20 +577,11 @@ impl Router {
     /// routed and one reference-routed, must agree on every peer set,
     /// fallback flag and RNG draw; `hotpath`'s lockstep test drives both.
     #[cfg(test)]
-    pub fn route_reference(
-        &mut self,
-        stream: StreamId,
-        key: u32,
-        scale: f64,
-        rng: &mut StdRng,
-    ) -> Route {
+    pub fn route_reference(&mut self, stream: StreamId, key: u32, scale: f64) -> (Vec<u16>, bool) {
         use crate::flow::tests::{forwarding_probabilities, sample_recipients};
         let peers = self.peers.clone();
         if matches!(self.summary, Summary::None) {
-            return Route {
-                peers,
-                fallback: false,
-            };
+            return (peers, false);
         }
         let target = self.target(scale);
         self.candidates.clear();
@@ -628,44 +609,39 @@ impl Router {
                     .map(|(&j, r)| if picked.contains(&j) { Some(0.0) } else { *r })
                     .collect();
                 if let Some(probs) = forwarding_probabilities(&residual, leftover) {
-                    picked.extend(sample_recipients(&probs, rng).into_iter().map(|i| peers[i]));
+                    let sampled = sample_recipients(&probs, &mut self.rng);
+                    picked.extend(sampled.into_iter().map(|i| peers[i]));
                     picked.sort_unstable();
                     picked.dedup();
                 }
             }
-            return Route {
-                peers: picked,
-                fallback: false,
-            };
+            return (picked, false);
         }
-        if any_summary && !rng.gen_bool(self.explore_probability(target)) {
-            return Route::default();
+        if any_summary && !self.rng.gen_bool(self.explore_probability(target)) {
+            return (Vec::new(), false);
         }
         match forwarding_probabilities(&rhos, target) {
-            Some(probs) => Route {
-                peers: sample_recipients(&probs, rng)
-                    .into_iter()
-                    .map(|idx| peers[idx])
-                    .collect(),
-                fallback: false,
-            },
+            Some(probs) => {
+                let sampled = sample_recipients(&probs, &mut self.rng);
+                (sampled.into_iter().map(|i| peers[i]).collect(), false)
+            }
             None => self.fallback(target),
         }
     }
 
     #[cfg(test)]
-    fn fallback(&mut self, target: f64) -> Route {
-        let mut out = Route::default();
-        self.fallback_into(target, &mut out);
-        out
+    fn fallback(&mut self, target: f64) -> (Vec<u16>, bool) {
+        self.route.clear();
+        self.fallback_into(target);
+        (self.route.clone(), true)
     }
 
-    /// The column of peer `id`, its position among the peers in ascending
-    /// id order; `None` for this node itself (which `id − (id > me)` would
-    /// alias onto peer `me + 1`) and for ids outside the cluster.
+    /// The column of peer `id`; `None` for this node itself (which
+    /// [`column_of`] would alias onto peer `me + 1`) and for ids outside
+    /// the cluster.
     fn column(&self, id: u16) -> Option<usize> {
         let RouterConfig { me, n, .. } = self.cfg;
-        (id != me && id < n).then(|| usize::from(id - u16::from(id > me)))
+        (id != me && id < n).then(|| column_of(me, id))
     }
 
     /// Ingests a summary received from `from` and marks the sender's
@@ -707,17 +683,47 @@ impl Router {
         dropped
     }
 
-    /// What rides on a tuple message to `peer`, noting the send: the full
-    /// refresh when one is due, otherwise DFT's one-coefficient piggyback
-    /// once `PIGGYBACK_GAP` arrivals have passed since the last one.
-    /// Nothing for an id that is not a peer.
-    pub fn attach(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        let Some(col) = self.column(peer) else {
-            return Vec::new();
-        };
+    /// Sends what an arrival owes its peers, each message to `send` as
+    /// soon as it is built: the tuple to every peer on the route
+    /// [`Router::route_into`] chose last, in route order, carrying what
+    /// [`Router::attach`] puts on it, then a standalone refresh to every
+    /// other overdue peer, in column order (Fig. 7: "transmitted on their
+    /// own"). The first failed send ends the arrival.
+    pub fn send_arrival<E>(
+        &mut self,
+        tuple: Tuple,
+        mut send: impl FnMut(u16, Msg) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for i in 0..self.route.len() {
+            let peer = self.route[i];
+            let piggyback = self.attach(column_of(self.cfg.me, peer));
+            send(peer, Msg::Tuple { tuple, piggyback })?;
+        }
+        if !self.sync.any_overdue() {
+            return Ok(());
+        }
+        // No routed peer is overdue: overdue implies due, and `attach`
+        // refreshed every due peer.
+        for col in 0..self.peers.len() {
+            if !self.sync.overdue(col) {
+                continue;
+            }
+            let payloads = self.full_summaries(col);
+            if !payloads.is_empty() {
+                send(self.peers[col], Msg::Summary(payloads))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// What rides on a tuple message to column `col`, noting the send: the
+    /// full refresh when one is due, otherwise DFT's one-coefficient
+    /// piggyback once `PIGGYBACK_GAP` arrivals have passed since the last
+    /// one.
+    fn attach(&mut self, col: usize) -> Vec<SummaryPayload> {
         let mut payloads = Vec::new();
         if self.sync.due(col) {
-            payloads = self.refresh_column(col);
+            payloads = self.full_summaries(col);
         } else if let Summary::Dft(d) = &mut self.summary {
             if self.sync.gap_passed(col) {
                 payloads = d.piggyback(col);
@@ -730,26 +736,9 @@ impl Router {
         payloads
     }
 
-    /// `true` when `peer` warrants a standalone summary message; `false`
-    /// for an id that is not a peer.
-    pub fn sync_overdue(&self, peer: u16) -> bool {
-        self.column(peer).is_some_and(|col| self.sync.overdue(col))
-    }
-
-    /// `true` when some peer warrants a standalone summary message; O(1).
-    pub fn sync_any_overdue(&self) -> bool {
-        self.sync.any_overdue()
-    }
-
-    /// Produces the full summary refresh for `peer` and marks it synced;
-    /// nothing for an id that is not a peer.
-    pub fn full_summaries(&mut self, peer: u16) -> Vec<SummaryPayload> {
-        self.column(peer)
-            .map_or_else(Vec::new, |col| self.refresh_column(col))
-    }
-
-    /// [`Router::full_summaries`] for column `col`.
-    fn refresh_column(&mut self, col: usize) -> Vec<SummaryPayload> {
+    /// Produces the full summary refresh for column `col` and marks it
+    /// synced.
+    pub fn full_summaries(&mut self, col: usize) -> Vec<SummaryPayload> {
         self.sync.reset(col);
         match &mut self.summary {
             Summary::None => Vec::new(),
@@ -760,9 +749,10 @@ impl Router {
     }
 }
 
-/// Iterates over all peers of `me` in ascending order.
-pub(crate) fn peers_of(me: u16, n: u16) -> impl Iterator<Item = u16> {
-    (0..n).filter(move |&j| j != me)
+/// Peer `id`'s column at node `me`: its position among `me`'s peers in
+/// ascending id order. `id` must be a peer.
+pub(crate) fn column_of(me: u16, id: u16) -> usize {
+    usize::from(id - u16::from(id > me))
 }
 
 #[cfg(test)]
@@ -802,6 +792,20 @@ impl Router {
     pub(crate) fn stale_masks(&self) -> [Vec<bool>; 2] {
         self.rows.each_ref().map(|row| row.stale.clone())
     }
+
+    /// [`Router::route_into`] drawing from `rng` in place of the router's own.
+    fn route_with(
+        &mut self,
+        stream: StreamId,
+        key: u32,
+        scale: f64,
+        rng: &mut StdRng,
+    ) -> (Vec<u16>, bool) {
+        std::mem::swap(&mut self.rng, rng);
+        self.route_into(stream, key, scale);
+        std::mem::swap(&mut self.rng, rng);
+        (self.route.clone(), self.fallback)
+    }
 }
 
 #[cfg(test)]
@@ -809,6 +813,8 @@ mod tests {
     use super::*;
     use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
     use rand::SeedableRng;
+    use std::collections::VecDeque;
+    use std::convert::Infallible;
 
     /// Fills a router's local `stream` window with `keys`.
     pub(super) fn fill(r: &mut Router, stream: StreamId, keys: &[u32]) {
@@ -819,7 +825,7 @@ mod tests {
 
     /// Wires `src`'s summaries into `dst` as if exchanged over the network.
     pub(super) fn exchange(src: &mut Router, dst: &mut Router) {
-        for p in src.full_summaries(dst.cfg.me) {
+        for p in src.full_summaries(column_of(src.cfg.me, dst.cfg.me)) {
             dst.apply_summary(src.cfg.me, &p);
         }
     }
@@ -1010,30 +1016,30 @@ mod tests {
         let flat: Vec<u32> = (0..16).map(|k| 16 * k).collect();
         fill(&mut r, StreamId::R, &flat);
         assert_eq!(
-            updates_per_payload(&r.attach(1)),
+            updates_per_payload(&r.attach(0)),
             [32, 32],
             "bootstrap: both streams' whole prefix"
         );
         // Not due, and the gap counts from the start: a big change waits.
         fill(&mut r, StreamId::R, &[3; 175]);
-        assert!(r.attach(1).is_empty(), "arrival 191 is inside the gap");
+        assert!(r.attach(0).is_empty(), "arrival 191 is inside the gap");
         fill(&mut r, StreamId::R, &[3]);
-        assert_eq!(updates_per_payload(&r.attach(1)), [1], "arrival 192");
-        assert!(r.attach(1).is_empty(), "the gap starts over");
+        assert_eq!(updates_per_payload(&r.attach(0)), [1], "arrival 192");
+        assert!(r.attach(0).is_empty(), "the gap starts over");
         // The fourth message since the refresh carries the next one: R's
         // changed coefficients, S's none.
-        let refresh = updates_per_payload(&r.attach(1));
+        let refresh = updates_per_payload(&r.attach(0));
         assert!(refresh.len() == 1 && refresh[0] > 1, "{refresh:?}");
         // A refresh at arrival 292 leaves the gap counting from 192.
         fill(&mut r, StreamId::R, &[7; 100]);
         for _ in 0..3 {
-            assert!(r.attach(1).is_empty(), "inside the gap, not due");
+            assert!(r.attach(0).is_empty(), "inside the gap, not due");
         }
-        let refresh = updates_per_payload(&r.attach(1));
+        let refresh = updates_per_payload(&r.attach(0));
         assert!(refresh.len() == 1 && refresh[0] > 1, "{refresh:?}");
         fill(&mut r, StreamId::R, &[11; 150]);
         assert_eq!(
-            updates_per_payload(&r.attach(1)),
+            updates_per_payload(&r.attach(0)),
             [1],
             "arrival 442: 250 after the last piggyback, 150 after the refresh"
         );
@@ -1043,9 +1049,9 @@ mod tests {
         cfg.sync_arrival_interval = 10_000;
         let mut r = Router::new(cfg);
         fill(&mut r, StreamId::R, &flat);
-        assert_eq!(r.attach(1).len(), 2, "bootstrap: both sketches");
+        assert_eq!(r.attach(0).len(), 2, "bootstrap: both sketches");
         fill(&mut r, StreamId::R, &[3; 400]);
-        assert!(r.attach(1).is_empty());
+        assert!(r.attach(0).is_empty());
     }
 
     /// What `refresh_checked` writes where it expects a rewrite.
@@ -1053,7 +1059,7 @@ mod tests {
 
     /// Ships `src`'s summary of `stream` to `dst`, out of a full refresh.
     fn ship(src: &mut Router, dst: &mut Router, stream: StreamId) {
-        for p in src.full_summaries(dst.cfg.me) {
+        for p in src.full_summaries(column_of(src.cfg.me, dst.cfg.me)) {
             let (SummaryPayload::Dft { stream: s, .. }
             | SummaryPayload::Bloom { stream: s, .. }
             | SummaryPayload::Sketch { stream: s, .. }) = &p;
@@ -1148,39 +1154,163 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for key in [10, 200, 7, 10, 10] {
             n1.rows[StreamId::R.index()].affinity.fill(SENTINEL);
-            n1.route(StreamId::R, key, 1.0, &mut rng);
+            n1.route_with(StreamId::R, key, 1.0, &mut rng);
             let row = &n1.rows[StreamId::R.index()];
             assert!(!row.dirty && !row.affinity.contains(&SENTINEL), "key {key}");
         }
     }
 
-    #[test]
-    fn ids_that_are_not_peers_get_nothing() {
-        // Node 1 of three, every peer overdue: its own id and the cluster
-        // size are rejected at the edge, never aliased onto a column.
-        let mut r = Router::new(test_config(Algorithm::Bloom, 1, 3));
-        fill(&mut r, StreamId::R, &[5; 64]);
-        for id in [1, 3] {
-            assert!(!r.sync_overdue(id) && r.attach(id).is_empty(), "{id}");
-            assert!(r.full_summaries(id).is_empty(), "{id}");
+    /// The engine's send loop from before the router sent an arrival's
+    /// messages itself: the tuple to each routed peer with what `attach`
+    /// puts on it, then, once some peer is overdue, a standalone refresh to
+    /// each overdue peer the route did not reach, walking every node id.
+    fn send_routed_oracle(r: &mut Router, tuple: Tuple, route: &[u16]) -> Vec<(u16, Msg)> {
+        let (me, n) = (r.cfg.me, r.cfg.n);
+        let mut sent = Vec::new();
+        for &peer in route {
+            let piggyback = r.attach(column_of(me, peer));
+            sent.push((peer, Msg::Tuple { tuple, piggyback }));
         }
-        for id in [0, 2] {
-            assert!(r.sync_overdue(id) && r.attach(id).len() == 2, "{id}");
+        if !r.sync.any_overdue() {
+            return sent;
+        }
+        for peer in (0..n).filter(|&j| j != me) {
+            if route.contains(&peer) || !r.sync.overdue(column_of(me, peer)) {
+                continue;
+            }
+            let payloads = r.full_summaries(column_of(me, peer));
+            if !payloads.is_empty() {
+                sent.push((peer, Msg::Summary(payloads)));
+            }
+        }
+        sent
+    }
+
+    /// Delivers what node `from` sent to the routers of `cluster`.
+    fn deliver(cluster: &mut [Router], from: u16, sent: &[(u16, Msg)]) {
+        for (to, msg) in sent {
+            let (Msg::Tuple {
+                piggyback: payloads,
+                ..
+            }
+            | Msg::Summary(payloads)) = msg;
+            for p in payloads {
+                assert_eq!(cluster[usize::from(*to)].apply_summary(from, p), 0);
+            }
         }
     }
 
     #[test]
-    fn peers_of_skips_self() {
-        let peers: Vec<u16> = peers_of(2, 5).collect();
-        assert_eq!(peers, vec![0, 1, 3, 4]);
+    fn an_arrival_sends_what_the_engine_loop_sent() {
+        use dsj_stream::gen::Scenario;
+        const WINDOW: usize = 64;
+        for algorithm in Algorithm::ALL {
+            // Tuple messages, those that carried a summary, standalone
+            // refreshes, and arrivals that sent both kinds of message.
+            let mut seen = [0usize; 4];
+            // At the default cadence and at one eight times as eager, which
+            // leaves more peers overdue for a standalone refresh.
+            for (n, eager) in (2u16..=9).flat_map(|n| [(n, false), (n, true)]) {
+                let build = || -> Vec<Router> {
+                    (0..n)
+                        .map(|me| {
+                            let mut cfg = test_config(algorithm, me, n);
+                            if eager {
+                                cfg.sync_sent_interval /= 8;
+                                cfg.sync_arrival_interval /= 8;
+                            }
+                            Router::new(cfg)
+                        })
+                        .collect()
+                };
+                let (mut routers, mut oracles) = (build(), build());
+                let mut windows: Vec<[VecDeque<u32>; 2]> = vec![Default::default(); n.into()];
+                let arrivals = Scenario::Steady.arrivals(n, 256, 500 * usize::from(n), 0.8, 3);
+                for (i, a) in arrivals.iter().enumerate() {
+                    let (me, tuple) = (usize::from(a.node), a.tuple());
+                    let window = &mut windows[me][a.stream.index()];
+                    window.push_back(a.key);
+                    let evicted: Vec<u32> = (window.len() > WINDOW)
+                        .then(|| window.pop_front().unwrap_or(0))
+                        .into_iter()
+                        .collect();
+                    // A moving budget widens some routes and empties others.
+                    let scale = [1.0, 2.5, 0.5][i % 3];
+                    let (router, oracle) = (&mut routers[me], &mut oracles[me]);
+                    router.local_update(a.stream, a.key, &evicted);
+                    oracle.local_update(a.stream, a.key, &evicted);
+                    router.route_into(a.stream, a.key, scale);
+                    oracle.route_into(a.stream, a.key, scale);
+                    let route = oracle.route.clone();
+                    let mut sent = Vec::new();
+                    let Ok(()) = router.send_arrival(tuple, |to, msg| {
+                        sent.push((to, msg));
+                        Ok::<(), Infallible>(())
+                    });
+                    let expected = send_routed_oracle(oracle, tuple, &route);
+                    assert_eq!(
+                        sent, expected,
+                        "{algorithm} n={n} eager={eager} arrival {i}"
+                    );
+                    for (_, msg) in &sent {
+                        match msg {
+                            Msg::Tuple { piggyback, .. } => {
+                                seen[0] += 1;
+                                seen[1] += usize::from(!piggyback.is_empty());
+                            }
+                            Msg::Summary(_) => seen[2] += 1,
+                        }
+                    }
+                    let standalone = sent.iter().any(|(_, m)| matches!(m, Msg::Summary(_)));
+                    seen[3] += usize::from(standalone && matches!(sent[0].1, Msg::Tuple { .. }));
+                    deliver(&mut routers, a.node, &sent);
+                    deliver(&mut oracles, a.node, &expected);
+                }
+            }
+            assert!(seen[0] > 20_000, "{algorithm}: {seen:?}");
+            if algorithm != Algorithm::Base {
+                assert!(
+                    seen[1] > 5_000 && seen[2] > 500 && seen[3] > 500,
+                    "{algorithm}: {seen:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn each_node_draws_its_own_routing_sequence() {
+        let draws = |seed: u64| -> Vec<u64> {
+            (0..4)
+                .map(|me| {
+                    let mut cfg = test_config(Algorithm::Dft, me, 4);
+                    cfg.plan = Arc::new(Plan::new(PlanKey {
+                        seed,
+                        ..cfg.plan.key
+                    }));
+                    Router::new(cfg).rng.gen()
+                })
+                .collect()
+        };
+        let first = draws(7);
+        assert_eq!(
+            first,
+            draws(7),
+            "a node's sequence is a function of the seed"
+        );
+        for (i, x) in first.iter().enumerate() {
+            assert!(
+                !first[..i].contains(x),
+                "node {i} repeats a sequence: {first:?}"
+            );
+        }
+        assert!(first.iter().zip(draws(8)).all(|(a, b)| *a != b));
     }
 
     #[test]
     fn base_broadcasts_to_all_peers() {
         let mut r = Router::new(test_config(Algorithm::Base, 1, 4));
-        let route = r.route(StreamId::R, 3, 1.0, &mut StdRng::seed_from_u64(0));
-        assert_eq!(route.peers, vec![0, 2, 3]);
-        assert!(!route.fallback);
+        r.route_into(StreamId::R, 3, 1.0);
+        assert_eq!(r.route(), (&[0, 2, 3][..], false));
     }
 
     #[test]
@@ -1199,10 +1329,10 @@ mod tests {
         exchange(&mut n2, &mut n0);
 
         let mut rng = StdRng::seed_from_u64(99);
-        let route = n0.route(StreamId::R, 10, 1.0, &mut rng);
-        assert_eq!(route.peers, vec![1], "key 10 lives only at node 1");
-        let route = n0.route(StreamId::R, 200, 1.0, &mut rng);
-        assert_eq!(route.peers, vec![2], "key 200 lives only at node 2");
+        let (peers, _) = n0.route_with(StreamId::R, 10, 1.0, &mut rng);
+        assert_eq!(peers, vec![1], "key 10 lives only at node 1");
+        let (peers, _) = n0.route_with(StreamId::R, 200, 1.0, &mut rng);
+        assert_eq!(peers, vec![2], "key 200 lives only at node 2");
     }
 
     #[test]
@@ -1217,7 +1347,7 @@ mod tests {
         // Key 100 joins nowhere: almost every route should be empty
         // (modulo the 5% exploration rate).
         let empty = (0..200)
-            .filter(|_| n0.route(StreamId::R, 100, 1.0, &mut rng).peers.is_empty())
+            .filter(|_| n0.route_with(StreamId::R, 100, 1.0, &mut rng).0.is_empty())
             .count();
         assert!(empty > 170, "only {empty}/200 suppressed");
     }
@@ -1238,10 +1368,10 @@ mod tests {
         let mut to1 = 0;
         let mut to2 = 0;
         for _ in 0..500 {
-            let route = n0.route(StreamId::R, 3, 1.0, &mut rng);
-            assert!(!route.fallback, "correlations are strongly skewed");
-            to1 += route.peers.iter().filter(|&&p| p == 1).count();
-            to2 += route.peers.iter().filter(|&&p| p == 2).count();
+            let (peers, fallback) = n0.route_with(StreamId::R, 3, 1.0, &mut rng);
+            assert!(!fallback, "correlations are strongly skewed");
+            to1 += peers.iter().filter(|&&p| p == 1).count();
+            to2 += peers.iter().filter(|&&p| p == 2).count();
         }
         assert!(
             to1 > 5 * to2.max(1),
@@ -1268,9 +1398,10 @@ mod tests {
                 fill(o, StreamId::S, &flat);
                 exchange(o, n0);
             }
-            let route = n0.route(StreamId::R, 9, 1.0, &mut StdRng::seed_from_u64(99));
-            assert!(route.fallback, "{algorithm}: identical windows");
-            assert_eq!(route.peers.len(), 1, "{algorithm}: T=1 round robin");
+            let (peers, fallback) =
+                n0.route_with(StreamId::R, 9, 1.0, &mut StdRng::seed_from_u64(99));
+            assert!(fallback, "{algorithm}: identical windows");
+            assert_eq!(peers.len(), 1, "{algorithm}: T=1 round robin");
         }
     }
 
@@ -1281,7 +1412,7 @@ mod tests {
             fill(&mut n0, StreamId::R, &[1, 2, 3, 4]);
             let mut rng = StdRng::seed_from_u64(seed);
             let total: usize = (0..400)
-                .map(|_| n0.route(StreamId::R, 2, 1.0, &mut rng).peers.len())
+                .map(|_| n0.route_with(StreamId::R, 2, 1.0, &mut rng).0.len())
                 .sum();
             let avg = total as f64 / 400.0;
             assert!(
@@ -1301,9 +1432,9 @@ mod tests {
         exchange(&mut n1, &mut n0);
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..50 {
-            let route = n0.route(StreamId::R, 9_999, 1.0, &mut rng);
+            let (peers, _) = n0.route_with(StreamId::R, 9_999, 1.0, &mut rng);
             // No reconstruction bucket exists, so membership never fires.
-            assert!(!route.peers.contains(&0), "never routes to self");
+            assert!(!peers.contains(&0), "never routes to self");
         }
     }
 
@@ -1314,8 +1445,8 @@ mod tests {
         fill(&mut n2, StreamId::S, &[200, 201]);
         exchange(&mut n1, &mut n0);
         exchange(&mut n2, &mut n0);
-        let route = n0.route(StreamId::R, 10, 1.0, &mut StdRng::seed_from_u64(5));
-        assert_eq!(route.peers, vec![1]);
+        let (peers, _) = n0.route_with(StreamId::R, 10, 1.0, &mut StdRng::seed_from_u64(5));
+        assert_eq!(peers, vec![1]);
     }
 
     #[test]
@@ -1325,7 +1456,7 @@ mod tests {
         exchange(&mut n1, &mut n0);
         let mut rng = StdRng::seed_from_u64(5);
         let sent: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
+            .map(|_| n0.route_with(StreamId::R, 99, 1.0, &mut rng).0.len())
             .sum();
         // Exploration (5%) plus possible false positives only.
         assert!(sent < 40, "absent key sent {sent}/200 times");
@@ -1339,7 +1470,7 @@ mod tests {
         exchange(&mut n1, &mut n0);
         let mut rng = StdRng::seed_from_u64(5);
         let sent: usize = (0..100)
-            .map(|_| n0.route(StreamId::R, 42, 1.0, &mut rng).peers.len())
+            .map(|_| n0.route_with(StreamId::R, 42, 1.0, &mut rng).0.len())
             .sum();
         assert!(sent < 20, "evicted key still routed {sent}/100");
     }
@@ -1361,9 +1492,9 @@ mod tests {
         let mut to1 = 0;
         let mut to2 = 0;
         for _ in 0..500 {
-            let r = n0.route(StreamId::R, 3, 1.0, &mut rng);
-            to1 += r.peers.iter().filter(|&&p| p == 1).count();
-            to2 += r.peers.iter().filter(|&&p| p == 2).count();
+            let (peers, _) = n0.route_with(StreamId::R, 3, 1.0, &mut rng);
+            to1 += peers.iter().filter(|&&p| p == 1).count();
+            to2 += peers.iter().filter(|&&p| p == 2).count();
         }
         assert!(
             to1 > 3 * to2.max(1),
@@ -1380,10 +1511,10 @@ mod tests {
         exchange(&mut n1, &mut n0);
         let mut rng = StdRng::seed_from_u64(17);
         let present: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 1, 1.0, &mut rng).peers.len())
+            .map(|_| n0.route_with(StreamId::R, 1, 1.0, &mut rng).0.len())
             .sum();
         let absent: usize = (0..200)
-            .map(|_| n0.route(StreamId::R, 99, 1.0, &mut rng).peers.len())
+            .map(|_| n0.route_with(StreamId::R, 99, 1.0, &mut rng).0.len())
             .sum();
         let diff = (present as f64 - absent as f64).abs() / 200.0;
         assert!(diff < 0.2, "sketch routing should be key-blind: {diff}");

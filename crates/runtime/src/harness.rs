@@ -153,9 +153,12 @@ impl Mailbox {
 /// The receive half of a [`Mailbox`], embedded by every live transport, with
 /// the cluster's wall clock and the quiescence decrement.
 pub(crate) struct Inbox {
+    me: u16,
     mailbox: Arc<Mailbox>,
     /// Cluster-wide in-flight event counter.
     pub in_flight: Arc<AtomicI64>,
+    /// The run's failure list, where a panicking node reports itself.
+    failures: Arc<Mutex<Vec<LiveError>>>,
     epoch: Instant,
 }
 
@@ -189,7 +192,14 @@ impl Inbox {
 }
 
 impl Drop for Inbox {
+    /// Closes the mailbox: the node is gone. A node unwinding from a panic
+    /// reports it first, so the feed's next check fails the run instead of
+    /// waiting on the events the node left in flight, and an inject into
+    /// the closed mailbox returns the panic, not [`LiveError::ChannelClosed`].
     fn drop(&mut self) {
+        if thread::panicking() {
+            self.failures.lock().push(LiveError::NodePanicked(self.me));
+        }
         self.mailbox.queue.lock().closed = true;
     }
 }
@@ -231,13 +241,15 @@ impl Run {
     /// A run of `n` nodes with their mailboxes open and no thread spawned.
     pub fn new(n: u16) -> Self {
         let (in_flight, epoch) = (Arc::new(AtomicI64::new(0)), Instant::now());
+        let failures = Arc::<Mutex<Vec<LiveError>>>::default();
         let (mailboxes, inboxes) = (0..n)
-            .map(|_| {
+            .map(|me| {
                 let mailbox = Arc::<Mailbox>::default();
-                let in_flight = Arc::clone(&in_flight);
                 let inbox = Inbox {
+                    me,
                     mailbox: Arc::clone(&mailbox),
-                    in_flight,
+                    in_flight: Arc::clone(&in_flight),
+                    failures: Arc::clone(&failures),
                     epoch,
                 };
                 (mailbox, inbox)
@@ -245,7 +257,7 @@ impl Run {
             .unzip();
         Run {
             in_flight,
-            failures: Arc::default(),
+            failures,
             epoch,
             mailboxes,
             inboxes,
@@ -755,6 +767,74 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A node transport that panics at the first arrival it is handed and
+    /// otherwise waits for its `Shutdown`.
+    struct PanicsOnArrival(Inbox);
+
+    impl Transport for PanicsOnArrival {
+        type Error = LiveError;
+        fn send(&mut self, _: u16, _: Msg) -> Result<(), LiveError> {
+            Ok(())
+        }
+        fn poll_frame(
+            &mut self,
+            max: usize,
+            frame: &mut Vec<TransportEvent>,
+        ) -> Result<(), LiveError> {
+            while {
+                self.0.drain(max, frame);
+                frame.is_empty()
+            } {
+                self.0.wait(Inbox::IDLE_WAIT);
+            }
+            if frame.iter().any(|e| !matches!(e, TransportEvent::Shutdown)) {
+                panic!("induced node failure");
+            }
+            Ok(())
+        }
+        fn now_us(&mut self) -> u64 {
+            self.0.now_us()
+        }
+        fn quiesce(&mut self) {
+            self.0.quiesce();
+        }
+    }
+
+    fn spawn_panicking(cfg: &ClusterConfig) -> Result<Run, LiveError> {
+        let mut run = Run::new(cfg.n);
+        run.spawn_nodes(cfg, |_, _, inbox| PanicsOnArrival(inbox));
+        Ok(run)
+    }
+
+    /// The panicked node never quiesces its arrival, so a feed that waited
+    /// for the backlog to drain would wait forever: its checks must see the
+    /// panic instead. Each feed runs on a helper thread, so a hang fails
+    /// the test rather than the suite.
+    #[test]
+    fn a_node_panic_fails_the_run_instead_of_hanging_it() {
+        type Feed = fn(&ClusterConfig) -> Result<(), LiveError>;
+        let feeds: [(&str, Feed); 2] = [
+            ("closed, cap 1", |cfg| {
+                run_paced(cfg, Pacing::Lockstep, spawn_panicking).map(drop)
+            }),
+            ("scheduled", |cfg| {
+                run_open_loop(cfg, &OpenLoop::new(1_000.0), spawn_panicking).map(drop)
+            }),
+        ];
+        let cfg = test_cfg(2).tuples(1);
+        let node = cfg.arrivals()[0].node;
+        for (name, feed) in feeds {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let cfg = cfg.clone();
+            let helper = thread::spawn(move || tx.send(feed(&cfg)));
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(result) => assert_eq!(result, Err(LiveError::NodePanicked(node)), "{name}"),
+                Err(_) => panic!("{name}: no outcome within 10 s"),
+            }
+            helper.join().unwrap().unwrap();
         }
     }
 

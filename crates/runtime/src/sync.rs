@@ -13,10 +13,10 @@ pub(crate) use {
 };
 
 /// `std::sync::Mutex` whose `lock` ignores poisoning. A node thread that
-/// panics is reported as `NodePanicked`, and its `Inbox` still closes the
-/// mailbox as it unwinds, in a `Drop` that must not panic. What the locks
-/// guard (queues, failure lists) is changed by whole pushes and drains, so
-/// it stays readable for the rest of the run.
+/// panics reports `NodePanicked` to the run's failure list and closes its
+/// mailbox as it unwinds, from `Inbox::drop`, which must not panic. What
+/// the locks guard (queues, failure lists) is changed by whole pushes and
+/// drains, so it stays readable for the rest of the run.
 #[cfg(not(test))]
 #[derive(Default)]
 pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
