@@ -7,6 +7,8 @@
 //!     experiments: table1 fig3 fig4 fig5 fig6 fig8 fig9 fig10a fig10b fig11 all
 //!                  ablations (or: ablation_selection ablation_freshness
 //!                  ablation_detector ablation_loss ablation_governor)
+//!                  capacity (open-loop capacity search on the live
+//!                  backends; wall-clock, one cell at a time)
 //!     --jobs N          fan independent experiment cells across N worker
 //!                       threads (default 1; output is byte-identical to
 //!                       serial because cells are seed-isolated and results
@@ -17,7 +19,7 @@
 //!     env: DSJOIN_SCALE=quick|full   (default full)
 //! ```
 
-use dsj_bench::{ablation, figures, suite::Executor, table1, Scale};
+use dsj_bench::{ablation, figures, loadgen, suite::Executor, table1, Scale};
 use dsj_core::obs;
 use std::time::Instant;
 
@@ -154,7 +156,7 @@ type Failure = Box<dyn std::error::Error>;
 type Experiment = (&'static str, fn(Scale, &Executor) -> Result<(), Failure>);
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [Experiment; 15] = [
+const EXPERIMENTS: [Experiment; 16] = [
     ("table1", run_table1),
     ("fig3", run_fig3),
     ("fig4", run_fig4),
@@ -170,6 +172,7 @@ const EXPERIMENTS: [Experiment; 15] = [
     ("ablation_detector", run_ablation_detector),
     ("ablation_loss", run_ablation_loss),
     ("ablation_governor", run_ablation_governor),
+    ("capacity", run_capacity),
 ];
 
 fn run_table1(scale: Scale, _: &Executor) -> Result<(), Failure> {
@@ -406,6 +409,54 @@ fn run_ablation_governor(scale: Scale, exec: &Executor) -> Result<(), Failure> {
             format!("{}bps", r.budget_bps)
         };
         println!("{label:>12} {:>12.2} {:>8.3}", r.msgs_per_tuple, r.epsilon);
+    }
+    Ok(())
+}
+
+/// Every probe is a live cluster that wants every core, so the cells run
+/// one at a time whatever `--jobs` says.
+fn run_capacity(scale: Scale, _: &Executor) -> Result<(), Failure> {
+    let params = loadgen::SearchParams::new(scale);
+    println!("\n## Capacity — open-loop max sustainable arrival rate (live backends)");
+    println!(
+        "(sustained: p99 <= {} ms and achieved >= {} x offered in one of two probes; \
+         ≥ marks a search no rate failed)",
+        params.latency_slo_us / 1_000,
+        loadgen::MIN_PACE
+    );
+    println!(
+        "{:<10} {:<6} {:<12} {:>3} {:>14} {:>12} {:>9} {:>9} {:>9} {:>7} {:>7}",
+        "scenario",
+        "strat",
+        "backend",
+        "N",
+        "max_tps",
+        "achieved",
+        "p50_us",
+        "p99_us",
+        "p999_us",
+        "eps",
+        "probes"
+    );
+    let cells = loadgen::cells(scale);
+    for (i, cell) in cells.iter().enumerate() {
+        eprintln!("[{}/{}] {}", i + 1, cells.len(), cell.id());
+        let row = loadgen::search_cell(cell, &params);
+        let mark = if row.lower_bound { "≥" } else { "" };
+        println!(
+            "{:<10} {:<6} {:<12} {:>3} {:>14} {:>12.0} {:>9} {:>9} {:>9} {:>7.4} {:>7}",
+            cell.scenario.label(),
+            cell.algorithm.label(),
+            cell.backend.label(),
+            cell.n,
+            format!("{mark}{:.0}", row.max_sustainable_tps),
+            row.achieved_tps,
+            row.p50_us,
+            row.p99_us,
+            row.p999_us,
+            row.error_rate,
+            row.probes,
+        );
     }
     Ok(())
 }

@@ -1,10 +1,10 @@
-//! Reproduction harness and load generator for `dsjoin`.
+//! Reproduction harness for `dsjoin`.
 //!
 //! One module per experiment of the paper's evaluation (Section 6), each
 //! exposing a function that regenerates the corresponding table or figure
-//! as typed rows. The `repro` binary prints them. Nothing here times the
-//! system for comparison between commits: that is `benches/e2e`, the
-//! repository's one benchmark.
+//! as typed rows. The `repro` binary prints them, one section per
+//! experiment. Nothing here times the system for comparison between
+//! commits: that is `benches/e2e`, the repository's one benchmark.
 //!
 //! | Paper artifact | Module / function |
 //! |---|---|
@@ -22,7 +22,7 @@
 //! Beyond the paper, [`ablation`] quantifies the design choices:
 //! coefficient selection policy, summary freshness vs overhead, the
 //! worst-case detector threshold, and in-flight message loss; [`loadgen`]
-//! (the engine behind `dsj-loadgen`) searches the arrival rate a live
+//! (the `repro capacity` section) searches the arrival rate a live
 //! cluster sustains, which the fixed-rate benchmark does not do.
 
 #![forbid(unsafe_code)]

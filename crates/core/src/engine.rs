@@ -660,21 +660,35 @@ mod tests {
         }
     }
 
+    /// Node 0 of three, running `algorithm`, receives `foreign` from peer
+    /// 1: the payload is dropped whole and counted once, nothing lands,
+    /// and arrivals route exactly as on a twin that never received it.
+    fn assert_dropped_whole(algorithm: Algorithm, foreign: SummaryPayload) {
+        let build =
+            || NodeEngine::assemble(test_config(algorithm, 0, 3), WindowSpec::count(16), 0, None);
+        let (mut eng, mut twin) = (build(), build());
+        eng.on_net(1, Msg::Summary(vec![foreign]));
+        assert_eq!(eng.metrics().summary_index_drops, 1, "{algorithm}");
+        assert_eq!(eng.router.summaries_landed(), 0, "{algorithm}");
+        let (mut tx, mut twin_tx) = (Script::default(), Script::default());
+        for seq in 0..64 {
+            let tuple = Tuple::new(StreamId::R, (seq * 37 % 256) as u32, seq, 0);
+            eng.on_arrival(tuple, &mut tx).unwrap();
+            twin.on_arrival(tuple, &mut twin_tx).unwrap();
+        }
+        assert!(!tx.sent.is_empty());
+        assert_eq!(
+            tx.sent, twin_tx.sent,
+            "{algorithm}: routes as if never received"
+        );
+    }
+
     #[test]
     fn a_dft_summary_over_another_domain_is_dropped_whole() {
         use crate::msg::CoeffUpdate;
-        // Node 0 of three runs DFTT over D = 256; peer 1 claims D′ = 512,
-        // with in-range indices whose buckets would make it a candidate
-        // for every key.
-        let build = || {
-            NodeEngine::assemble(
-                test_config(Algorithm::Dftt, 0, 3),
-                WindowSpec::count(16),
-                0,
-                None,
-            )
-        };
-        let (mut eng, mut twin) = (build(), build());
+        // The node runs DFTT over D = 256; peer 1 claims D′ = 512, with
+        // in-range indices whose buckets would make it a candidate for
+        // every key.
         let skewed = SummaryPayload::Dft {
             stream: StreamId::S,
             signal_len: 512,
@@ -687,17 +701,33 @@ mod tests {
                 })
                 .collect(),
         };
-        eng.on_net(1, Msg::Summary(vec![skewed]));
-        assert_eq!(eng.metrics().summary_index_drops, 1);
-        assert_eq!(eng.router.summaries_landed(), 0, "no column landed");
-        let (mut tx, mut twin_tx) = (Script::default(), Script::default());
-        for seq in 0..64 {
-            let tuple = Tuple::new(StreamId::R, (seq * 37 % 256) as u32, seq, 0);
-            eng.on_arrival(tuple, &mut tx).unwrap();
-            twin.on_arrival(tuple, &mut twin_tx).unwrap();
-        }
-        assert!(!tx.sent.is_empty());
-        assert_eq!(tx.sent, twin_tx.sent, "routes as if never received");
+        assert_dropped_whole(Algorithm::Dftt, skewed);
+    }
+
+    #[test]
+    fn a_bloom_filter_on_another_hash_family_is_dropped_whole() {
+        // 64 hashes under a seed of its own, holding every key: landed, it
+        // would make peer 1 a candidate for every tuple.
+        let mut filter = dsj_sketch::CountingBloomFilter::new(128, 64, 99);
+        (0..256).for_each(|key| filter.insert(key));
+        let foreign = SummaryPayload::Bloom {
+            stream: StreamId::S,
+            filter,
+        };
+        assert_dropped_whole(Algorithm::Bloom, foreign);
+    }
+
+    #[test]
+    fn a_sketch_on_another_hash_family_is_dropped_whole() {
+        // Landed, it would never join the node's own sketches: peer 1's
+        // estimate would read "none" for good.
+        let mut sketch = dsj_sketch::AgmsSketch::new(5, 1, 99);
+        (0..256).for_each(|key| sketch.update(key, 1));
+        let foreign = SummaryPayload::Sketch {
+            stream: StreamId::S,
+            sketch,
+        };
+        assert_dropped_whole(Algorithm::Sketch, foreign);
     }
 
     /// A batching transcript transport: drains its whole backlog per

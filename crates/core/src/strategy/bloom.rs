@@ -86,6 +86,13 @@ impl BloomSummary {
         stale.fill(false);
     }
 
+    /// Whether `filter` is built on this node's hash family, as every
+    /// filter of a run is: a filter on another would test keys by hashes
+    /// of its own choosing.
+    pub fn fits(&self, filter: &CountingBloomFilter) -> bool {
+        filter.shape() == self.local[0].shape()
+    }
+
     /// Ingests column `col`'s filter of its `stream` window (replaced
     /// wholesale). After the first, it lands in the held filter's counters.
     pub fn apply_summary(&mut self, col: usize, stream: StreamId, filter: &CountingBloomFilter) {

@@ -649,8 +649,8 @@ impl Router {
     /// by it. Returns what it *dropped*, the signature of a version-skewed
     /// or corrupted peer: each DFT coefficient index beyond the retained
     /// prefix, or the whole payload when it is of another algorithm's kind
-    /// (any kind, to BASE), a DFT over another domain, or `from` is not a
-    /// peer.
+    /// (any kind, to BASE), a DFT over another domain, a BLOOM filter or
+    /// SKCH sketch on another hash family, or `from` is not a peer.
     pub fn apply_summary(&mut self, from: u16, payload: &SummaryPayload) -> u64 {
         let Some(col) = self.column(from) else {
             return 1;
@@ -667,11 +667,11 @@ impl Router {
             ) if *signal_len == self.cfg.plan.key.domain => {
                 (*stream, d.apply_summary(col, *stream, *exponent, updates))
             }
-            (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) => {
+            (Summary::Bloom(b), SummaryPayload::Bloom { stream, filter }) if b.fits(filter) => {
                 b.apply_summary(col, *stream, filter);
                 (*stream, 0)
             }
-            (Summary::Sketch(k), SummaryPayload::Sketch { stream, sketch }) => {
+            (Summary::Sketch(k), SummaryPayload::Sketch { stream, sketch }) if k.fits(sketch) => {
                 k.apply_summary(col, *stream, sketch);
                 (*stream, 0)
             }

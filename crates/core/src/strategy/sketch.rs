@@ -66,8 +66,8 @@ impl SketchSummary {
         let mut max = 0.0_f64;
         for (col, (entry, flag)) in row.iter_mut().zip(stale).enumerate() {
             if std::mem::take(flag) {
-                // The cluster's one hash family keeps sketches compatible;
-                // a mismatch (impossible by construction) reads as "no
+                // The router drops a sketch on another hash family, so a
+                // held sketch always joins; a mismatch would read as "no
                 // estimate".
                 self.est[col][s] = self.remote[col][opp]
                     .as_ref()
@@ -80,6 +80,12 @@ impl SketchSummary {
         for v in row.iter_mut().flatten() {
             *v = if max > 0.0 { v.max(0.0) / max } else { 0.0 };
         }
+    }
+
+    /// Whether `sketch` is built on this node's hash family, as every
+    /// sketch of a run is: only sketches on one family are joinable.
+    pub fn fits(&self, sketch: &AgmsSketch) -> bool {
+        sketch.shape() == self.local[0].shape()
     }
 
     /// Ingests column `col`'s sketch of its `stream` window (replaced

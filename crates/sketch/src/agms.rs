@@ -232,7 +232,7 @@ impl AgmsSketch {
     }
 
     /// `(s0, s1, seed)`: equal exactly when two sketches share hashes.
-    fn shape(&self) -> (usize, usize, u64) {
+    pub fn shape(&self) -> (usize, usize, u64) {
         (self.hashes.s0, self.hashes.s1, self.hashes.seed)
     }
 

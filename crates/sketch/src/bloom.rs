@@ -133,7 +133,7 @@ impl CountingBloomFilter {
     }
 
     /// `(m, k, seed)`: equal exactly when two filters share hashes.
-    fn shape(&self) -> (usize, usize, u64) {
+    pub fn shape(&self) -> (usize, usize, u64) {
         (self.hashes.m, self.hashes.hashes.len(), self.hashes.seed)
     }
 

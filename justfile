@@ -1,7 +1,7 @@
 # Development workflow. `just ci` mirrors .github/workflows/ci.yml.
 
 # Everything CI runs, in CI order.
-ci: fmt-check clippy doc tier1 test-workspace test-release repro-smoke repro-check live-smoke e2e-smoke load-smoke
+ci: fmt-check clippy doc tier1 test-workspace test-release repro-smoke repro-check live-smoke e2e-smoke
 
 # Formatting gate.
 fmt-check:
@@ -36,7 +36,7 @@ test-release:
     cargo test -q --release -p dsj-dft -p dsj-core
 
 # Parallel repro harness byte-identical to serial (stdout and metrics),
-# bad names fail, Table 1 runs: see the script.
+# bad names fail, Table 1 and the capacity search run: see the script.
 repro-smoke:
     scripts/repro-smoke.sh
 
@@ -57,19 +57,6 @@ live-tcp n="4" tuples="20000" algorithm="dftt" pacing="freerun":
 e2e-smoke:
     cargo test --offline --manifest-path benches/e2e/Cargo.toml
     benches/e2e/run.sh /tmp/e2e.json --quick
-
-# Open-loop capacity search: max sustainable arrival rate + delivery
-# latency percentiles for every scenario × strategy × backend × N cell
-# (minutes). The rows are this host's, this session's: keep them out of
-# the tree.
-load:
-    cargo build --release -p dsj-bench --bin dsj-loadgen
-    ./target/release/dsj-loadgen --out target/load.json
-
-# CI-sized capacity probe — 4 cells, small schedules, same row schema:
-# see the script.
-load-smoke:
-    scripts/load-smoke.sh
 
 # The non-test line count: lines before the first `#[cfg(test)]` (or a
 # leading `#![cfg(test)]`) of every file under crates/<c>/src, of

@@ -2,9 +2,9 @@
 # Repro smoke: the parallel repro harness must match serial byte for byte —
 # stdout, and the metrics records (one per experiment) once each line's
 # wall-clock `phases` object is removed — a mistyped experiment name must
-# fail the process, and Table 1 (wall-clock, so outside the goldens) must
-# print one row per quick-scale window. Run from anywhere; scratch files go
-# to a fresh temporary directory.
+# fail the process, and Table 1 and the capacity search (wall-clock, so
+# outside the goldens) must print one row per quick-scale window and cell.
+# Run from anywhere; scratch files go to a fresh temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out="$(mktemp -d)"
@@ -28,3 +28,6 @@ if DSJOIN_SCALE=quick ./target/release/repro figg8; then exit 1; fi
 # Table 1 prints one row per quick-scale window.
 DSJOIN_SCALE=quick ./target/release/repro table1 > "$out/table1.txt"
 test "$(grep -cE '^ *[0-9]+( +[0-9]+\.[0-9]+){3}$' "$out/table1.txt")" -eq 2
+# The capacity search prints one row per quick-scale cell.
+DSJOIN_SCALE=quick ./target/release/repro capacity > "$out/capacity.txt"
+test "$(grep -cE '^[A-Z]+ +[A-Z]+ +(threads|tcp_reactor) +[0-9]+ ' "$out/capacity.txt")" -eq 4
