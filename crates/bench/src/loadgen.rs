@@ -124,7 +124,7 @@ impl SearchParams {
             Scale::Quick => SearchParams {
                 tuples: 2_000,
                 start_tps: 20_000.0,
-                max_doublings: 6,
+                max_doublings: 8,
                 bisect_steps: 2,
                 latency_slo_us: 20_000,
             },

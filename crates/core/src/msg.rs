@@ -172,15 +172,41 @@ impl SummaryPayload {
     /// (4 + 4 + 1), Bloom ships `(m, k, seed, items)` (4 + 4 + 8 + 8),
     /// sketches `(s0, s1, seed, updates)` (4 + 4 + 8 + 8) — then the
     /// content itself: 6 bytes per DFT coefficient (a `u16` index and two
-    /// `i16` mantissas), 4 per Bloom counter, 8 per sketch counter. Earlier
-    /// revisions modeled a flat 4-byte header for all three, undercounting
-    /// every summary on the wire; the codec made the drift visible and this
-    /// model now matches it byte-for-byte.
+    /// `i16` mantissas), and per Bloom or sketch counter the payload's
+    /// [`counter_width`](SummaryPayload::counter_width).
     pub fn wire_bytes(&self) -> usize {
         match self {
             SummaryPayload::Dft { updates, .. } => 10 + updates.len() * CoeffUpdate::WIRE_BYTES,
-            SummaryPayload::Bloom { filter, .. } => 25 + filter.size_bytes(),
-            SummaryPayload::Sketch { sketch, .. } => 25 + sketch.size_bytes(),
+            SummaryPayload::Bloom { filter, .. } => 25 + filter.counters() * self.counter_width(),
+            SummaryPayload::Sketch { sketch, .. } => {
+                25 + sketch.counter_values().len() * self.counter_width()
+            }
+        }
+    }
+
+    /// The bytes each counter of a Bloom or sketch payload travels in: the
+    /// fewest of 1, 2, 4 or 8 that hold every counter of this payload,
+    /// Bloom counters unsigned and sketch counters two's complement
+    /// (1 for DFT, which has none). Derived, never configured: a window of
+    /// `W` tuples bounds every counter by `W` in magnitude, so the
+    /// benchmark's sketches ship 1 or 2 bytes a counter where memory holds
+    /// 8. The codec carries `log2` of it in the payload's `ptype` byte.
+    pub fn counter_width(&self) -> usize {
+        // The OR of every counter's significant bits, a sketch counter's
+        // shifted up one for its sign.
+        let bits = match self {
+            SummaryPayload::Dft { .. } => 0,
+            SummaryPayload::Bloom { filter, .. } => {
+                (filter.counter_values().iter()).fold(0, |acc, &c| acc | u64::from(c))
+            }
+            SummaryPayload::Sketch { sketch, .. } => (sketch.counter_values().iter())
+                .fold(0, |acc, &c| acc | (((c ^ (c >> 63)) as u64) << 1)),
+        };
+        match u64::BITS - bits.leading_zeros() {
+            0..=8 => 1,
+            9..=16 => 2,
+            17..=32 => 4,
+            _ => 8,
         }
     }
 }
@@ -291,19 +317,33 @@ mod tests {
         assert_eq!(dft.wire_bytes(), 5 + 10 + 60);
         assert_eq!(dft.data_bytes(), 0);
 
-        let filter = CountingBloomFilter::new(256, 4, 1);
-        let bloom = Msg::Summary(vec![SummaryPayload::Bloom {
-            stream: StreamId::R,
-            filter: filter.clone(),
-        }]);
-        assert_eq!(bloom.wire_bytes(), 5 + 25 + filter.size_bytes());
+        // 5 frame bytes + the 25-byte header + 256 counters of one byte
+        // (1 KB in memory).
+        let mut filter = CountingBloomFilter::new(256, 4, 1);
+        let bloom = |filter: &CountingBloomFilter| {
+            Msg::Summary(vec![SummaryPayload::Bloom {
+                stream: StreamId::R,
+                filter: filter.clone(),
+            }])
+        };
+        assert_eq!(bloom(&filter).wire_bytes(), 5 + 25 + 256);
+        for _ in 0..256 {
+            filter.insert(7);
+        }
+        assert_eq!(bloom(&filter).wire_bytes(), 5 + 25 + 256 * 2);
 
-        let sketch = AgmsSketch::new(25, 5, 1);
-        let skch = Msg::Summary(vec![SummaryPayload::Sketch {
-            stream: StreamId::R,
-            sketch: sketch.clone(),
-        }]);
-        assert_eq!(skch.wire_bytes(), 5 + 25 + sketch.size_bytes());
+        // 5 + 25 + 125 counters of one byte (1 000 B in memory), then two.
+        let mut sketch = AgmsSketch::new(25, 5, 1);
+        let skch = |sketch: &AgmsSketch| {
+            Msg::Summary(vec![SummaryPayload::Sketch {
+                stream: StreamId::R,
+                sketch: sketch.clone(),
+            }])
+        };
+        assert_eq!(skch(&sketch).wire_bytes(), 5 + 25 + 125);
+        sketch.update(3, 128);
+        assert_eq!(skch(&sketch).wire_bytes(), 5 + 25 + 125 * 2);
+        assert_eq!(sketch.size_bytes(), 125 * 8);
     }
 
     #[test]

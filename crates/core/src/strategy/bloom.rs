@@ -5,8 +5,8 @@
 //! stream filter, and the sites reporting membership are the flow filter's
 //! candidates. The affinities (used when membership gives no signal)
 //! derive from the running positive-hit rate per peer, as the paper
-//! describes. Filter size is equalized to the DFT summary: `16·K` bytes =
-//! `4·K` counters.
+//! describes. Filter memory is equalized to the DFT summary: `16·K` bytes =
+//! `4·K` `u32` counters, each shipped at its payload's counter width.
 
 use crate::msg::SummaryPayload;
 use dsj_sketch::{BloomHashes, CountingBloomFilter};

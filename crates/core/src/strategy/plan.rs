@@ -22,7 +22,8 @@ pub(crate) struct PlanKey {
     /// Join-attribute domain size `D`: the length of both twiddle tables.
     pub domain: u32,
     /// Retained DFT coefficients `K`: sizes Bloom filters and sketches to
-    /// `16·K` bytes.
+    /// `16·K` bytes of counter memory (their wire size is smaller, see
+    /// `SummaryPayload::counter_width`).
     pub retained: usize,
     /// Per-stream window size `W`: the Bloom hash count is optimal for `W`
     /// items.
@@ -200,9 +201,10 @@ mod tests {
 
     #[test]
     fn sketches_are_the_largest_five_to_one_grid_that_fits() {
-        // `16·K` bytes hold `2·K` counters; the sketch keeps `s0 = 5·s1`
-        // with `s1 = ⌊√(2K/5)⌋`. At the benchmark's K = 16 that is 20
-        // counters (160 B), not 32: SKCH's goldens were recorded with it.
+        // `16·K` bytes of memory hold `2·K` `i64` counters; the sketch
+        // keeps `s0 = 5·s1` with `s1 = ⌊√(2K/5)⌋`. At the benchmark's
+        // K = 16 that is 20 counters (160 B), not 32: SKCH's goldens were
+        // recorded with it.
         for (retained, shape) in [
             (16, (10, 2)),
             (8, (5, 1)),

@@ -6,10 +6,11 @@
 //! normalized. Unlike BLOOM/DFTT there is no per-key membership test,
 //! so routing is "blind" within a partition pair — the reason the paper
 //! finds SKCH transmits more messages per result than the testers (Fig. 9).
-//! Sketch size is bounded by the DFT summary's `16·K` bytes: the sketch is
-//! the largest one with the paper's 5:1 `s0:s1` ratio whose `i64`
+//! Sketch memory is bounded by the DFT summary's `16·K` bytes: the sketch
+//! is the largest one with the paper's 5:1 `s0:s1` ratio whose `i64`
 //! counters fit (`s1 = ⌊√(2K/5)⌋`, `s0 = 5·s1`), so at `K = 16` it holds
-//! 10 × 2 = 20 counters (160 bytes), not 32. The plan's family tabulates
+//! 10 × 2 = 20 counters (160 bytes), not 32. On the wire each counter
+//! takes its payload's counter width, 1 or 2 bytes in the benchmark. The plan's family tabulates
 //! the signs of every key in `[0, D)` (`AgmsHashes::with_sign_table`), so a
 //! window update reads one word per key instead of evaluating 20 cubics.
 

@@ -8,7 +8,7 @@
 //! bandwidth model, Figure 8's overhead accounting and the TCP backend in
 //! `dsj-runtime` all charge identical bytes.
 //!
-//! # Frame layout (version 2, all integers little-endian)
+//! # Frame layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! frame      := len:u32 | body                  (len = body length in bytes)
@@ -16,10 +16,10 @@
 //! kind 0     := tuple | payload*                (Msg::Tuple)
 //! kind 1     := payload*                        (Msg::Summary)
 //! tuple      := stream:u8 | key:u32 | seq:u64 | origin:u16        (15 bytes)
-//! payload    := ptype:u8 | params               (ptype = pkind << 1 | stream)
+//! payload    := ptype:u8 | params               (ptype = w << 3 | pkind << 1 | stream)
 //! pkind 0    := signal_len:u32 | count:u32 | exponent:i8 | (index:u16, re:i16, im:i16)*count
-//! pkind 1    := m:u32 | k:u32 | seed:u64 | items:u64 | counter:u32 * m
-//! pkind 2    := s0:u32 | s1:u32 | seed:u64 | updates:u64 | counter:i64 * s0·s1
+//! pkind 1    := m:u32 | k:u32 | seed:u64 | items:u64 | counter:u(8·2^w) * m
+//! pkind 2    := s0:u32 | s1:u32 | seed:u64 | updates:u64 | counter:i(8·2^w) * s0·s1
 //! ```
 //!
 //! Payload items are self-delimiting and parsed until the frame body is
@@ -32,14 +32,21 @@
 //! re-encodes to identical bytes) and a decoded coefficient is always
 //! finite.
 //!
+//! A Bloom or sketch payload ships its counters at one width, `2^w` bytes,
+//! the narrowest that holds every counter it carries
+//! ([`SummaryPayload::counter_width`]); DFT payloads have `w = 0`, and
+//! `ptype`'s bits 5–7 are zero. Decoding widens the counters back to
+//! their `u32` / `i64` and refuses any other width, so the bijection holds.
+//!
 //! # Version byte policy
 //!
 //! The high nibble of `ver_kind` is the codec version, currently
-//! [`VERSION`] = 2. Decoders reject any other version with
+//! [`VERSION`] = 3. Decoders reject any other version with
 //! [`WireError::BadVersion`] rather than guessing, so a mixed cluster fails
-//! loudly, not silently. Version 1 (DFT coefficients as two `f64` bit
-//! patterns, 18 bytes each) is rejected like any other: no second decoder
-//! is kept, since every node of a cluster runs one build. The low nibble
+//! loudly, not silently. Versions 1 (DFT coefficients as two `f64` bit
+//! patterns, 18 bytes each) and 2 (every Bloom counter 4 bytes, every
+//! sketch counter 8) are rejected like any other: no second decoder is
+//! kept, since every node of a cluster runs one build. The low nibble
 //! leaves room for 15 more message kinds before the version must change.
 //!
 //! Decoding is total: corrupted, truncated or oversized input returns a
@@ -53,7 +60,7 @@ use std::fmt;
 
 /// Current codec version, carried in the high nibble of every frame's
 /// `ver_kind` byte.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Upper bound on a frame body's length (16 MiB). Far above any summary
 /// this system produces; a length prefix beyond it is treated as corruption
@@ -152,6 +159,12 @@ fn stream_bit(stream: StreamId) -> u8 {
     }
 }
 
+/// A counter payload's `ptype`: its kind, its stream and `log2` of its
+/// counter width in bits 3–4.
+fn width_tag(pkind: u8, stream: StreamId, width: usize) -> u8 {
+    ((width.trailing_zeros() as u8) << 3) | (pkind << 1) | stream_bit(stream)
+}
+
 fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
     match p {
         SummaryPayload::Dft {
@@ -174,23 +187,25 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
             }
         }
         SummaryPayload::Bloom { stream, filter } => {
-            buf.push((PKIND_BLOOM << 1) | stream_bit(*stream));
+            let width = p.counter_width();
+            buf.push(width_tag(PKIND_BLOOM, *stream, width));
             buf.extend_from_slice(&(filter.counters() as u32).to_le_bytes());
             buf.extend_from_slice(&(filter.hash_count() as u32).to_le_bytes());
             buf.extend_from_slice(&filter.seed().to_le_bytes());
             buf.extend_from_slice(&filter.len().to_le_bytes());
             for &c in filter.counter_values() {
-                buf.extend_from_slice(&c.to_le_bytes());
+                buf.extend_from_slice(&c.to_le_bytes()[..width]);
             }
         }
         SummaryPayload::Sketch { stream, sketch } => {
-            buf.push((PKIND_SKETCH << 1) | stream_bit(*stream));
+            let width = p.counter_width();
+            buf.push(width_tag(PKIND_SKETCH, *stream, width));
             buf.extend_from_slice(&(sketch.s0() as u32).to_le_bytes());
             buf.extend_from_slice(&(sketch.s1() as u32).to_le_bytes());
             buf.extend_from_slice(&sketch.seed().to_le_bytes());
             buf.extend_from_slice(&sketch.updates().to_le_bytes());
             for &c in sketch.counter_values() {
-                buf.extend_from_slice(&c.to_le_bytes());
+                buf.extend_from_slice(&c.to_le_bytes()[..width]);
             }
         }
     }
@@ -305,6 +320,21 @@ impl<'a> Reader<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
+
+    /// `count` little-endian counters of `width` bytes each, zero-extended.
+    fn counters(
+        &mut self,
+        count: usize,
+        width: usize,
+    ) -> Result<impl Iterator<Item = u64> + 'a, WireError> {
+        let need =
+            (count.checked_mul(width)).ok_or(WireError::Invalid("counter count overflows"))?;
+        Ok(self.take(need)?.chunks_exact(width).map(|c| {
+            let mut b = [0u8; 8];
+            b[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(b)
+        }))
+    }
 }
 
 fn decode_stream(bit: u8) -> Result<StreamId, WireError> {
@@ -317,8 +347,12 @@ fn decode_stream(bit: u8) -> Result<StreamId, WireError> {
 
 fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
     let ptype = r.u8()?;
+    if ptype >> 5 != 0 {
+        return Err(WireError::Invalid("payload tag bits 5-7 set"));
+    }
     let stream = decode_stream(ptype & 1)?;
-    match ptype >> 1 {
+    let width = 1 << (ptype >> 3);
+    let payload = match (ptype >> 1) & 3 {
         PKIND_DFT => {
             let signal_len = r.u32()?;
             let count = r.u32()? as usize;
@@ -337,12 +371,12 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
                     im: r.i16()?,
                 });
             }
-            Ok(SummaryPayload::Dft {
+            SummaryPayload::Dft {
                 stream,
                 signal_len,
                 exponent,
                 updates,
-            })
+            }
         }
         PKIND_BLOOM => {
             let m = r.u32()? as usize;
@@ -355,17 +389,13 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
             if k == 0 || k > MAX_BLOOM_HASHES {
                 return Err(WireError::Invalid("bloom hash count out of range"));
             }
-            if r.remaining() < m * 4 {
-                return Err(BODY_ENDS);
-            }
-            let mut counters = Vec::with_capacity(m);
-            for _ in 0..m {
-                counters.push(r.u32()?);
-            }
-            Ok(SummaryPayload::Bloom {
+            // An 8-byte width is never a `u32`'s narrowest, so the width
+            // check below refuses whatever this cast cuts off.
+            let counters = r.counters(m, width)?.map(|c| c as u32).collect();
+            SummaryPayload::Bloom {
                 stream,
                 filter: CountingBloomFilter::from_parts(k, seed, counters, items),
-            })
+            }
         }
         PKIND_SKETCH => {
             let s0 = r.u32()? as usize;
@@ -378,24 +408,28 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
             let cells = s0
                 .checked_mul(s1)
                 .ok_or(WireError::Invalid("sketch dimensions overflow"))?;
-            let need = cells
-                .checked_mul(8)
-                .ok_or(WireError::Invalid("sketch dimensions overflow"))?;
-            if r.remaining() < need {
-                return Err(BODY_ENDS);
-            }
-            let mut counters = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                counters.push(r.u64()? as i64);
-            }
-            Ok(SummaryPayload::Sketch {
+            // Sign-extends each counter from its `width` bytes.
+            let shift = 64 - 8 * width as u32;
+            let counters = (r.counters(cells, width)?)
+                .map(|c| ((c << shift) as i64) >> shift)
+                .collect();
+            SummaryPayload::Sketch {
                 stream,
                 sketch: AgmsSketch::from_parts(s0, s1, seed, counters, total_updates),
-            })
+            }
         }
-        pkind => Err(WireError::BadPayloadKind(pkind)),
+        pkind => return Err(WireError::BadPayloadKind(pkind)),
+    };
+    // One width per payload, the narrowest (none on DFT), keeps decode the
+    // inverse of encode.
+    if payload.counter_width() != width {
+        return Err(NOT_MINIMAL);
     }
+    Ok(payload)
 }
+
+/// A payload's width code is not the one its content calls for.
+const NOT_MINIMAL: WireError = WireError::Invalid("counter width is not the narrowest");
 
 /// A batch of encoded frames headed for one peer: the append-side wire
 /// API used by coalescing transports.
@@ -633,23 +667,35 @@ mod tests {
         };
         assert_eq!(dft.wire_bytes(), 10 + 7 * 6);
 
-        // Bloom payload: 1 ptype + 4 m + 4 k + 8 seed + 8 items + 4 per counter.
-        let filter = CountingBloomFilter::new(256, 4, 1);
-        let bloom = SummaryPayload::Bloom {
+        // Bloom payload: 1 ptype + 4 m + 4 k + 8 seed + 8 items + 1, 2 or
+        // 4 per counter, the narrowest that holds the largest.
+        let bloom = |top: u32| SummaryPayload::Bloom {
             stream: StreamId::S,
-            filter: filter.clone(),
+            filter: CountingBloomFilter::from_parts(4, 1, [vec![0; 255], vec![top]].concat(), 9),
         };
-        assert_eq!(bloom.wire_bytes(), 25 + filter.size_bytes());
-        assert_eq!(bloom.wire_bytes(), 25 + 256 * 4);
+        for (top, width) in [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            assert_eq!(bloom(top).wire_bytes(), 25 + 256 * width, "{top}");
+            assert_eq!(
+                encode(&Msg::Summary(vec![bloom(top)])).len(),
+                5 + 25 + 256 * width
+            );
+        }
+        let bloom = bloom(300);
 
-        // Sketch payload: 1 ptype + 4 s0 + 4 s1 + 8 seed + 8 updates + 8 per counter.
-        let sketch = AgmsSketch::new(25, 5, 1);
-        let skch = SummaryPayload::Sketch {
+        // Sketch payload: 1 ptype + 4 s0 + 4 s1 + 8 seed + 8 updates + 1,
+        // 2, 4 or 8 per counter, two's complement. The benchmark's 10 × 2
+        // sketch is 25 + 20 = 45 bytes at 1 byte a counter, 65 at 2.
+        let sketch = |c: i64| SummaryPayload::Sketch {
             stream: StreamId::R,
-            sketch: sketch.clone(),
+            sketch: AgmsSketch::from_parts(10, 2, 1, [vec![0; 19], vec![c]].concat(), 9),
         };
-        assert_eq!(skch.wire_bytes(), 25 + sketch.size_bytes());
-        assert_eq!(skch.wire_bytes(), 25 + 125 * 8);
+        for (c, width) in [(-128, 1), (127, 1), (128, 2), (-32_769, 4), (1 << 31, 8)] {
+            assert_eq!(sketch(c).wire_bytes(), 25 + 20 * width, "{c}");
+        }
+        assert_eq!(sketch(0).wire_bytes(), 45);
+        assert_eq!(sketch(-129).wire_bytes(), 65);
+        let skch = sketch(i64::MIN);
+        assert_eq!(skch.wire_bytes(), 25 + 20 * 8);
 
         // Standalone summary: frame overhead + payload sum.
         let msg = Msg::Summary(vec![dft.clone(), bloom.clone(), skch.clone()]);
@@ -730,8 +776,8 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
         }
-        // Wrong version nibble: version 1 is refused like any other.
-        for version in [1, 3] {
+        // Wrong version nibble: versions 1 and 2 are refused like any other.
+        for version in [1, 2, 4] {
             let mut bad = bytes.clone();
             bad[4] = (version << 4) | (bad[4] & 0x0F);
             assert_eq!(decode(&bad).unwrap_err(), WireError::BadVersion(version));

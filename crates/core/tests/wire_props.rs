@@ -401,3 +401,216 @@ proptest! {
         }
     }
 }
+
+/// Edge values of every counter width: each signed width's extremes and
+/// one past them, and every unsigned width's maximum and one past it.
+const SKETCH_EDGES: [i64; 15] = [
+    0,
+    127,
+    -128,
+    128,
+    -129,
+    32_767,
+    -32_768,
+    32_768,
+    -32_769,
+    i32::MAX as i64,
+    i32::MIN as i64,
+    i32::MAX as i64 + 1,
+    i32::MIN as i64 - 1,
+    i64::MIN,
+    i64::MAX,
+];
+const BLOOM_EDGES: [u32; 6] = [0, 255, 256, 65_535, 65_536, u32::MAX];
+
+/// The narrowest of 1, 2, 4 and 8 bytes whose two's complement range
+/// holds every one of `counters`, found by trying each.
+fn narrowest_signed(counters: &[i64]) -> usize {
+    let fits = |w: usize, c: i64| {
+        let half = 1i128 << (8 * w - 1);
+        (-half..half).contains(&i128::from(c))
+    };
+    [1, 2, 4, 8]
+        .into_iter()
+        .find(|&w| counters.iter().all(|&c| fits(w, c)))
+        .unwrap()
+}
+
+/// The narrowest of 1, 2 and 4 bytes that holds every one of `counters`.
+fn narrowest_unsigned(counters: &[u32]) -> usize {
+    [1, 2, 4]
+        .into_iter()
+        .find(|&w| counters.iter().all(|&c| u64::from(c) < 1 << (8 * w)))
+        .unwrap()
+}
+
+/// One summary frame of `version` around hand-built `payload` bytes.
+fn summary_frame(version: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
+    frame.push((version << 4) | 1);
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A payload of kind `pkind` (2 sketch, 1 Bloom; stream R) holding
+/// `counters` as `s0 × 1` or `m` counters with `k = 1`, each written in its
+/// low `width` bytes under width code `code`.
+fn counter_payload(pkind: u8, code: u8, width: usize, counters: &[i64]) -> Vec<u8> {
+    let mut p = vec![(code << 3) | (pkind << 1)];
+    p.extend_from_slice(&(counters.len() as u32).to_le_bytes());
+    p.extend_from_slice(&1u32.to_le_bytes());
+    p.extend_from_slice(&[0u8; 16]); // seed, updates or items
+    for &c in counters {
+        p.extend_from_slice(&c.to_le_bytes()[..width]);
+    }
+    p
+}
+
+/// Checks that `payload` encodes alone at `width` bytes a counter: the
+/// frame is `5 + 25 + count · width` bytes, `wire_bytes` says so, `ptype`
+/// carries `log2(width)` in bits 3–4, and the frame decodes back to it.
+fn assert_encoded_width(payload: SummaryPayload, count: usize, width: usize) {
+    let msg = Msg::Summary(vec![payload]);
+    let bytes = wire::encode(&msg);
+    assert_eq!(bytes.len(), 5 + 25 + count * width, "{msg:?}");
+    assert_eq!(bytes.len(), msg.wire_bytes());
+    assert_eq!(usize::from(bytes[5] >> 3), width.trailing_zeros() as usize);
+    assert_eq!(wire::decode(&bytes), Ok((msg, bytes.len())));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn counters_travel_at_the_narrowest_width(
+        sketch_picks in prop::collection::vec((0usize..15, -3i64..4), 1..25),
+        bloom_picks in prop::collection::vec((0usize..6, 0u32..4), 1..25),
+    ) {
+        // Each counter an edge value nudged by a few either way (saturating
+        // at the type's ends), so every width and both sides of every edge
+        // turn up.
+        let counters: Vec<i64> = (sketch_picks.iter())
+            .map(|&(i, d)| SKETCH_EDGES[i].saturating_add(d))
+            .collect();
+        let sketch = SummaryPayload::Sketch {
+            stream: StreamId::S,
+            sketch: AgmsSketch::from_parts(counters.len(), 1, 11, counters.clone(), 5),
+        };
+        assert_encoded_width(sketch, counters.len(), narrowest_signed(&counters));
+
+        let counters: Vec<u32> = (bloom_picks.iter())
+            .map(|&(i, d)| BLOOM_EDGES[i].saturating_sub(d))
+            .collect();
+        let bloom = SummaryPayload::Bloom {
+            stream: StreamId::R,
+            filter: CountingBloomFilter::from_parts(3, 11, counters.clone(), 5),
+        };
+        assert_encoded_width(bloom, counters.len(), narrowest_unsigned(&counters));
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused_not_misread(
+        counters in prop::collection::vec(-300i64..300, 1..21),
+    ) {
+        // A sketch summary in the version-2 layout: every counter 8 bytes,
+        // no width code.
+        let frame = summary_frame(2, &counter_payload(2, 0, 8, &counters));
+        prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(2));
+        let mut decoder = FrameDecoder::new();
+        prop_assert_eq!(
+            decoder.feed_decode(&frame, &mut |_| true),
+            Err(WireError::BadVersion(2))
+        );
+    }
+}
+
+#[test]
+fn every_width_edge_round_trips_alone() {
+    for &c in &SKETCH_EDGES {
+        let sketch = SummaryPayload::Sketch {
+            stream: StreamId::R,
+            sketch: AgmsSketch::from_parts(1, 1, 3, vec![c], 1),
+        };
+        assert_encoded_width(sketch, 1, narrowest_signed(&[c]));
+    }
+    for &c in &BLOOM_EDGES {
+        let bloom = SummaryPayload::Bloom {
+            stream: StreamId::S,
+            filter: CountingBloomFilter::from_parts(2, 3, vec![c], 1),
+        };
+        assert_encoded_width(bloom, 1, narrowest_unsigned(&[c]));
+    }
+}
+
+#[test]
+fn a_wider_than_minimal_width_is_invalid() {
+    let decode = |pkind, code, width, counters: &[i64]| {
+        wire::decode(&summary_frame(
+            VERSION,
+            &counter_payload(pkind, code, width, counters),
+        ))
+    };
+    // Each written at its own width decodes; one width wider does not. A
+    // Bloom counter is a `u32`, so 8 bytes is never its narrowest.
+    for (pkind, counters, code) in [
+        (2, vec![0i64, -128, 127], 0u8),
+        (2, vec![128, 5], 1),
+        (2, vec![1 << 20], 2),
+        (1, vec![0, 255], 0),
+        (1, vec![256], 1),
+        (1, vec![i64::from(u32::MAX)], 2),
+    ] {
+        let width = 1 << code;
+        assert!(
+            decode(pkind, code, width, &counters).is_ok(),
+            "{counters:?}"
+        );
+        assert!(
+            matches!(
+                decode(pkind, code + 1, 2 * width, &counters),
+                Err(WireError::Invalid(_))
+            ),
+            "{counters:?}"
+        );
+    }
+}
+
+#[test]
+fn width_codes_on_dft_and_high_tag_bits_are_invalid() {
+    let dft = |count: usize| SummaryPayload::Dft {
+        stream: StreamId::S,
+        signal_len: 64,
+        exponent: -2,
+        updates: vec![
+            CoeffUpdate {
+                index: 1,
+                re: 3,
+                im: -4
+            };
+            count
+        ],
+    };
+    let sketch = SummaryPayload::Sketch {
+        stream: StreamId::R,
+        sketch: AgmsSketch::from_parts(2, 1, 3, vec![1, -1], 2),
+    };
+    let bloom = SummaryPayload::Bloom {
+        stream: StreamId::R,
+        filter: CountingBloomFilter::from_parts(2, 3, vec![0, 4], 2),
+    };
+    // A DFT payload carries no width, so codes 1–3 in bits 3–4 are invalid
+    // on it; bits 5–7 of `ptype` are zero on every payload. Each payload is
+    // followed by 4 KB of another, so a width read from high bits would
+    // find the bytes it asks for.
+    for (first, codes) in [(dft(1), 1u8..4), (sketch, 0..0), (bloom, 0..0)] {
+        let msg = Msg::Summary(vec![first, dft(700)]);
+        for set in codes.map(|c| c << 3).chain([1 << 5, 1 << 6, 1 << 7]) {
+            let mut bytes = wire::encode(&msg);
+            bytes[5] |= set;
+            assert!(
+                matches!(wire::decode(&bytes), Err(WireError::Invalid(_))),
+                "{set:#b} on {msg:?}"
+            );
+        }
+    }
+}

@@ -109,9 +109,10 @@ impl AgmsHashes {
         }
     }
 
-    /// The family of the largest sketch whose serialized size is at most
-    /// `bytes`, keeping the paper's 5:1 `s0 : s1` ratio (8 bytes per
-    /// counter).
+    /// The family of the largest sketch whose counters take at most `bytes`
+    /// of memory (8 per `i64` counter), keeping the paper's 5:1 `s0 : s1`
+    /// ratio. This is the budget Figure 10 equalises; the wire ships each
+    /// counter narrower when it can.
     ///
     /// # Panics
     ///
@@ -210,8 +211,8 @@ impl AgmsSketch {
         Self::with_hashes(Arc::new(AgmsHashes::new(s0, s1, seed)))
     }
 
-    /// Creates a sketch whose serialized size is at most `bytes`, keeping
-    /// the paper's 5:1 `s0 : s1` ratio (8 bytes per counter).
+    /// Creates a sketch whose counters take at most `bytes` of memory (8 per
+    /// counter), keeping the paper's 5:1 `s0 : s1` ratio.
     ///
     /// # Panics
     ///
@@ -254,7 +255,8 @@ impl AgmsSketch {
         self.hashes.seed
     }
 
-    /// Serialized size in bytes (8 per counter).
+    /// Memory its counters take, in bytes (8 per counter): the summary
+    /// budget, not the wire size.
     #[inline]
     pub fn size_bytes(&self) -> usize {
         self.counters.len() * 8

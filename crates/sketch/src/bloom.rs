@@ -36,9 +36,10 @@ impl BloomHashes {
         BloomHashes { m, seed, hashes }
     }
 
-    /// The family of a filter of at most `bytes` serialized size (4 bytes
-    /// per counter), with the optimal hash count for `expected_items`:
-    /// `k = (m/n)·ln 2`.
+    /// The family of a filter whose counters take at most `bytes` of memory
+    /// (4 per `u32` counter), with the optimal hash count for
+    /// `expected_items`: `k = (m/n)·ln 2`. This is the budget Figure 10
+    /// equalises; the wire ships each counter narrower when it can.
     ///
     /// # Panics
     ///
@@ -105,7 +106,7 @@ impl CountingBloomFilter {
         Self::with_hashes(Arc::new(BloomHashes::new(m, k, seed)))
     }
 
-    /// Creates a filter of at most `bytes` serialized size (4 bytes per
+    /// Creates a filter whose counters take at most `bytes` of memory (4 per
     /// counter), choosing the optimal hash count for `expected_items`:
     /// `k = (m/n)·ln 2`.
     ///
@@ -167,7 +168,8 @@ impl CountingBloomFilter {
         self.items == 0
     }
 
-    /// Serialized size in bytes (4 per counter).
+    /// Memory its counters take, in bytes (4 per counter): the summary
+    /// budget, not the wire size.
     #[inline]
     pub fn size_bytes(&self) -> usize {
         self.counters.len() * 4

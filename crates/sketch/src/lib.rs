@@ -9,9 +9,9 @@
 //! * [`hash`] — k-wise independent polynomial hash families over the
 //!   Mersenne prime `2⁶¹ − 1` backing both summaries.
 //!
-//! Both summaries expose [`size_bytes`](AgmsSketch::size_bytes) so
-//! experiments can equalize summary sizes across DFT coefficients, sketches
-//! and Bloom filters, as the paper does. Each holds its hash family
+//! Both summaries expose [`size_bytes`](AgmsSketch::size_bytes), the memory
+//! their counters take, so experiments can equalize summary memory across
+//! DFT coefficients, sketches and Bloom filters, as the paper does. Each holds its hash family
 //! ([`AgmsHashes`], [`BloomHashes`]) by `Arc`, so summaries of one cluster
 //! can share one family and a clone copies counters only.
 
