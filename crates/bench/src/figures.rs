@@ -327,12 +327,13 @@ pub fn fig11(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
             // relative to window turnover) negligible, so queueing is
             // what differentiates the algorithms.
             .window(scale.window() * 4)
-            // 1200 arrivals/s/node: BASE's per-link rate (1200 msg/s)
-            // exceeds the 562 msg/s a 90 kbps link sustains for 20-byte
-            // tuples, so broadcast queues; filtered algorithms do not.
-            // Results still in flight 300 ms after the stream ends are
-            // lost — sustained-overload semantics.
-            .arrival_rate(1_200.0)
+            // 3340 arrivals/s/node: BASE's per-link rate (3340 msg/s) is
+            // 2.13× the 11 250 B/s of a 90 kbps link over this schedule's
+            // 7.19-byte mean tuple frame (1 565 msg/s), so broadcast
+            // queues; filtered algorithms do not. Results still in flight
+            // 300 ms after the stream ends are lost — sustained-overload
+            // semantics.
+            .arrival_rate(3_340.0)
             .cutoff_grace(300);
         let grid = [0.5, 1.0, 2.0, 4.0, (n - 1) as f64];
         let (r, _) = cfg.run_best_effort(PAPER_EPSILON, &grid)?;

@@ -103,6 +103,18 @@ pub trait Transport {
     /// on the first error.
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), Self::Error>;
 
+    /// Ships `msg`, which the engine has sized at `bytes`
+    /// ([`Msg::wire_bytes`]), to node `to`. The default ignores the size;
+    /// the simulated WAN charges it rather than sizing the message again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::send`].
+    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), Self::Error> {
+        let _ = bytes;
+        self.send(to, msg)
+    }
+
     /// Blocks until the next event for this node.
     ///
     /// The default is the push-driven case: a backend that hands events to
@@ -336,12 +348,13 @@ impl NodeEngine {
                 Msg::Tuple { .. } => metrics.tuple_msgs_sent += 1,
                 Msg::Summary(_) => metrics.summary_msgs_sent += 1,
             }
-            metrics.data_bytes_sent += msg.data_bytes() as u64;
-            metrics.overhead_bytes_sent += msg.overhead_bytes() as u64;
+            let (data, total) = msg.wire_sizes();
+            metrics.data_bytes_sent += data as u64;
+            metrics.overhead_bytes_sent += (total - data) as u64;
             if let Some(g) = governor {
-                g.note_sent(now_us, msg.wire_bytes() as u64);
+                g.note_sent(now_us, total as u64);
             }
-            transport.send(to, msg)
+            transport.send_sized(to, msg, total)
         })
     }
 
@@ -450,6 +463,10 @@ impl Transport for SimTransport<'_, '_> {
 
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), Infallible> {
         let bytes = msg.wire_bytes();
+        self.send_sized(to, msg, bytes)
+    }
+
+    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), Infallible> {
         self.ctx.send(to, msg, bytes);
         Ok(())
     }

@@ -6,6 +6,7 @@
 //! AGMS sketches) is accounted separately from tuple payload so that
 //! Figure 8's overhead-vs-net-data ratio can be reported.
 
+use crate::wire::{key_stream, varint_len};
 use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
@@ -14,7 +15,8 @@ use dsj_stream::{StreamId, Tuple};
 /// mantissa pair whose value is `(re, im) · 2^exponent`, the exponent being
 /// its payload's ([`SummaryPayload::Dft`]); [`Quantiser`] owns the format.
 ///
-/// Wire size: 2 (index) + 2 + 2 (mantissas) = [`CoeffUpdate::WIRE_BYTES`].
+/// Wire size: the index's varint (1 byte below 128, 2 below 16 384,
+/// else 3) + 2 + 2 (mantissas) = [`CoeffUpdate::wire_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoeffUpdate {
     /// Coefficient (frequency bin) index.
@@ -26,8 +28,10 @@ pub struct CoeffUpdate {
 }
 
 impl CoeffUpdate {
-    /// Bytes per update on the wire.
-    pub const WIRE_BYTES: usize = 6;
+    /// Bytes this update takes on the wire.
+    pub fn wire_bytes(self) -> usize {
+        varint_len(u64::from(self.index)) + 4
+    }
 }
 
 /// The block-floating-point format of a DFT payload: every mantissa of one
@@ -168,18 +172,35 @@ impl SummaryPayload {
     /// exactly the bytes `wire::encode` produces for this payload.
     ///
     /// Each variant pays a 1-byte kind/stream tag plus its parameters:
-    /// DFT ships `signal_len`, a coefficient count and the shared exponent
-    /// (4 + 4 + 1), Bloom ships `(m, k, seed, items)` (4 + 4 + 8 + 8),
-    /// sketches `(s0, s1, seed, updates)` (4 + 4 + 8 + 8) — then the
-    /// content itself: 6 bytes per DFT coefficient (a `u16` index and two
-    /// `i16` mantissas), and per Bloom or sketch counter the payload's
-    /// [`counter_width`](SummaryPayload::counter_width).
+    /// DFT ships `signal_len` and a coefficient count as varints and the
+    /// shared exponent in one byte, Bloom ships `(m, k, seed, items)` and
+    /// sketches `(s0, s1, seed, updates)`, each a varint but the 8-byte
+    /// seed — then the content itself: per DFT coefficient
+    /// [`CoeffUpdate::wire_bytes`], and per Bloom or sketch counter the
+    /// payload's [`counter_width`](SummaryPayload::counter_width).
     pub fn wire_bytes(&self) -> usize {
+        let vl = |v: usize| varint_len(v as u64);
         match self {
-            SummaryPayload::Dft { updates, .. } => 10 + updates.len() * CoeffUpdate::WIRE_BYTES,
-            SummaryPayload::Bloom { filter, .. } => 25 + filter.counters() * self.counter_width(),
+            SummaryPayload::Dft {
+                signal_len,
+                updates,
+                ..
+            } => {
+                2 + varint_len(u64::from(*signal_len))
+                    + vl(updates.len())
+                    + updates.iter().map(|u| u.wire_bytes()).sum::<usize>()
+            }
+            SummaryPayload::Bloom { filter, .. } => {
+                9 + vl(filter.counters())
+                    + vl(filter.hash_count())
+                    + varint_len(filter.len())
+                    + filter.counters() * self.counter_width()
+            }
             SummaryPayload::Sketch { sketch, .. } => {
-                25 + sketch.counter_values().len() * self.counter_width()
+                9 + vl(sketch.s0())
+                    + vl(sketch.s1())
+                    + varint_len(sketch.updates())
+                    + sketch.counter_values().len() * self.counter_width()
             }
         }
     }
@@ -228,38 +249,52 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Wire size in bytes — by invariant (pinned in `crate::wire`'s tests)
-    /// exactly `wire::encode(self).len()`.
+    /// Sizes in bytes, `(data, total)`, computed once: `total` is
+    /// [`Msg::wire_bytes`], `data` is [`Msg::data_bytes`], and the rest is
+    /// [`Msg::overhead_bytes`].
     ///
-    /// A tuple message is one [`Tuple::WIRE_BYTES`] frame (length prefix,
-    /// version/kind byte and tuple body) plus its self-delimiting piggyback
-    /// payloads. A standalone summary pays the same 5 framing bytes
-    /// (`wire::FRAME_OVERHEAD`) plus its payloads; earlier revisions
-    /// modeled summaries as frameless, undercounting each by 5.
-    pub fn wire_bytes(&self) -> usize {
+    /// A frame is its body behind a varint length prefix; a body is the
+    /// version/kind byte, for a tuple message the tuple's three varints,
+    /// then the self-delimiting payloads. The data of a tuple message is
+    /// its bare tuple frame, so a piggyback pays its payloads and any byte
+    /// it adds to the length prefix as overhead. A standalone summary is
+    /// all overhead.
+    pub fn wire_sizes(&self) -> (usize, usize) {
+        let framed = |body: usize| varint_len(body as u64) + body;
+        let payloads =
+            |ps: &[SummaryPayload]| ps.iter().map(SummaryPayload::wire_bytes).sum::<usize>();
         match self {
-            Msg::Tuple { piggyback, .. } => {
-                Tuple::WIRE_BYTES
-                    + piggyback
-                        .iter()
-                        .map(SummaryPayload::wire_bytes)
-                        .sum::<usize>()
+            Msg::Tuple { tuple, piggyback } => {
+                // A bare tuple body is at most 19 bytes: a 1-byte prefix.
+                let data = 2
+                    + varint_len(key_stream(tuple))
+                    + varint_len(tuple.seq)
+                    + varint_len(u64::from(tuple.origin));
+                match payloads(piggyback) {
+                    0 => (data, data),
+                    p => (data, framed(data - 1 + p)),
+                }
             }
-            Msg::Summary(ps) => 5 + ps.iter().map(SummaryPayload::wire_bytes).sum::<usize>(),
+            Msg::Summary(ps) => (0, framed(1 + payloads(ps))),
         }
     }
 
-    /// Bytes attributable to *tuple data* (the "net data" of Figure 8).
+    /// Wire size in bytes — by invariant (pinned in `crate::wire`'s tests)
+    /// exactly `wire::encode(self).len()`.
+    pub fn wire_bytes(&self) -> usize {
+        self.wire_sizes().1
+    }
+
+    /// Bytes attributable to *tuple data* (the "net data" of Figure 8):
+    /// a tuple message's bare tuple frame.
     pub fn data_bytes(&self) -> usize {
-        match self {
-            Msg::Tuple { .. } => Tuple::WIRE_BYTES,
-            Msg::Summary(_) => 0,
-        }
+        self.wire_sizes().0
     }
 
     /// Bytes attributable to *summary overhead* (Figure 8's numerator).
     pub fn overhead_bytes(&self) -> usize {
-        self.wire_bytes() - self.data_bytes()
+        let (data, total) = self.wire_sizes();
+        total - data
     }
 }
 
@@ -290,12 +325,14 @@ mod tests {
 
     #[test]
     fn tuple_msg_size() {
+        // 1 prefix + 1 ver/kind + one byte each for key·2 + stream (3),
+        // seq (2) and origin (3).
         let bare = Msg::Tuple {
-            tuple: Tuple::new(StreamId::R, 1, 2, 3),
+            tuple: Tuple::new(StreamId::S, 1, 2, 3),
             piggyback: Vec::new(),
         };
-        assert_eq!(bare.wire_bytes(), Tuple::WIRE_BYTES);
-        assert_eq!(bare.data_bytes(), Tuple::WIRE_BYTES);
+        assert_eq!(bare.wire_bytes(), 5);
+        assert_eq!(bare.data_bytes(), 5);
         assert_eq!(bare.overhead_bytes(), 0);
     }
 
@@ -305,19 +342,20 @@ mod tests {
             tuple: Tuple::new(StreamId::R, 1, 2, 3),
             piggyback: vec![dft(StreamId::R, 1024, coeffs(3))],
         };
-        assert_eq!(m.data_bytes(), Tuple::WIRE_BYTES);
-        assert_eq!(m.overhead_bytes(), 10 + 3 * CoeffUpdate::WIRE_BYTES);
+        assert_eq!(m.data_bytes(), 5);
+        // 1 ptype + 2 (signal_len) + 1 (count) + 1 exponent + 3 × 5.
+        assert_eq!(m.overhead_bytes(), 5 + 3 * 5);
         assert_eq!(m.wire_bytes(), m.data_bytes() + m.overhead_bytes());
     }
 
     #[test]
     fn summary_sizes_match_content() {
         let dft = Msg::Summary(vec![dft(StreamId::S, 64, coeffs(10))]);
-        // 5 frame bytes + the payload's 10-byte header + 10 coefficients.
-        assert_eq!(dft.wire_bytes(), 5 + 10 + 60);
+        // 2 frame bytes + the payload's 4-byte header + 10 coefficients.
+        assert_eq!(dft.wire_bytes(), 2 + 4 + 50);
         assert_eq!(dft.data_bytes(), 0);
 
-        // 5 frame bytes + the 25-byte header + 256 counters of one byte
+        // 3 frame bytes + the 13-byte header + 256 counters of one byte
         // (1 KB in memory).
         let mut filter = CountingBloomFilter::new(256, 4, 1);
         let bloom = |filter: &CountingBloomFilter| {
@@ -326,13 +364,14 @@ mod tests {
                 filter: filter.clone(),
             }])
         };
-        assert_eq!(bloom(&filter).wire_bytes(), 5 + 25 + 256);
+        assert_eq!(bloom(&filter).wire_bytes(), 3 + 13 + 256);
         for _ in 0..256 {
             filter.insert(7);
         }
-        assert_eq!(bloom(&filter).wire_bytes(), 5 + 25 + 256 * 2);
+        // 256 items take 2 bytes.
+        assert_eq!(bloom(&filter).wire_bytes(), 3 + 14 + 256 * 2);
 
-        // 5 + 25 + 125 counters of one byte (1 000 B in memory), then two.
+        // 3 + 12 + 125 counters of one byte (1 000 B in memory), then two.
         let mut sketch = AgmsSketch::new(25, 5, 1);
         let skch = |sketch: &AgmsSketch| {
             Msg::Summary(vec![SummaryPayload::Sketch {
@@ -340,9 +379,9 @@ mod tests {
                 sketch: sketch.clone(),
             }])
         };
-        assert_eq!(skch(&sketch).wire_bytes(), 5 + 25 + 125);
+        assert_eq!(skch(&sketch).wire_bytes(), 3 + 12 + 125);
         sketch.update(3, 128);
-        assert_eq!(skch(&sketch).wire_bytes(), 5 + 25 + 125 * 2);
+        assert_eq!(skch(&sketch).wire_bytes(), 3 + 12 + 125 * 2);
         assert_eq!(sketch.size_bytes(), 125 * 8);
     }
 

@@ -8,29 +8,36 @@
 //! bandwidth model, Figure 8's overhead accounting and the TCP backend in
 //! `dsj-runtime` all charge identical bytes.
 //!
-//! # Frame layout (version 3, all integers little-endian)
+//! # Frame layout (version 4)
 //!
 //! ```text
-//! frame      := len:u32 | body                  (len = body length in bytes)
+//! frame      := len:var | body                  (len = body length in bytes, ≤ 2²⁴)
 //! body       := ver_kind:u8 | content           (ver_kind = VERSION << 4 | kind)
 //! kind 0     := tuple | payload*                (Msg::Tuple)
 //! kind 1     := payload*                        (Msg::Summary)
-//! tuple      := stream:u8 | key:u32 | seq:u64 | origin:u16        (15 bytes)
+//! tuple      := key_stream:var | seq:var | origin:var   (key_stream = key·2 + stream)
 //! payload    := ptype:u8 | params               (ptype = w << 3 | pkind << 1 | stream)
-//! pkind 0    := signal_len:u32 | count:u32 | exponent:i8 | (index:u16, re:i16, im:i16)*count
-//! pkind 1    := m:u32 | k:u32 | seed:u64 | items:u64 | counter:u(8·2^w) * m
-//! pkind 2    := s0:u32 | s1:u32 | seed:u64 | updates:u64 | counter:i(8·2^w) * s0·s1
+//! pkind 0    := signal_len:var | count:var | exponent:i8 | (index:var, re:i16, im:i16)*count
+//! pkind 1    := m:var | k:var | seed:u64 | items:var | counter:u(8·2^w) * m
+//! pkind 2    := s0:var | s1:var | seed:u64 | updates:var | counter:i(8·2^w) * s0·s1
 //! ```
 //!
+//! A `var` is an unsigned LEB128 varint ([`put_varint`]): seven bits a
+//! byte, low bits first, the high bit set on every byte but the last, and
+//! always the shortest such encoding. Every other integer is fixed width
+//! and little-endian: the seeds, the exponent, the mantissas and the
+//! counters. The length prefix takes at most 4 bytes under the 2²⁴ cap.
+//!
 //! Payload items are self-delimiting and parsed until the frame body is
-//! exhausted, so a bare tuple frame is exactly [`Tuple::WIRE_BYTES`] (20)
-//! bytes and piggyback summaries only pay their own encoded size. A DFT
-//! payload is `10 + 6·count` bytes: its coefficients are block floating
-//! point, `i16` mantissas under one `i8` exponent
-//! ([`Quantiser`](crate::msg::Quantiser)), quantised by the sender. Every
-//! field is an integer, so encoding is a bijection (any frame that decodes
-//! re-encodes to identical bytes) and a decoded coefficient is always
-//! finite.
+//! exhausted, so piggyback summaries only pay their own encoded size. A
+//! bare tuple frame is 2 bytes plus the varints of its key·2 + stream, seq
+//! and origin: 5 to 20 bytes, about 8 on the benchmark's schedules. A DFT
+//! coefficient is its index's varint plus two `i16` mantissas under the
+//! payload's one `i8` exponent ([`Quantiser`](crate::msg::Quantiser)),
+//! quantised by the sender: 5 bytes for an index below 128. Every field is
+//! an integer and every varint minimal, so encoding is a bijection (any
+//! frame that decodes re-encodes to identical bytes) and a decoded
+//! coefficient is always finite.
 //!
 //! A Bloom or sketch payload ships its counters at one width, `2^w` bytes,
 //! the narrowest that holds every counter it carries
@@ -41,13 +48,17 @@
 //! # Version byte policy
 //!
 //! The high nibble of `ver_kind` is the codec version, currently
-//! [`VERSION`] = 3. Decoders reject any other version with
+//! [`VERSION`] = 4. Decoders reject any other version with
 //! [`WireError::BadVersion`] rather than guessing, so a mixed cluster fails
 //! loudly, not silently. Versions 1 (DFT coefficients as two `f64` bit
-//! patterns, 18 bytes each) and 2 (every Bloom counter 4 bytes, every
-//! sketch counter 8) are rejected like any other: no second decoder is
-//! kept, since every node of a cluster runs one build. The low nibble
-//! leaves room for 15 more message kinds before the version must change.
+//! patterns, 18 bytes each), 2 (every Bloom counter 4 bytes, every sketch
+//! counter 8) and 3 (a `u32` length prefix and fixed-width integers: a
+//! 20-byte tuple frame) are rejected like any other: no second decoder is
+//! kept, since every node of a cluster runs one build. A version-3 frame
+//! under 4 KB reads as a short varint prefix followed by a zero byte, so it
+//! fails as version 0 or as a non-minimal varint, never as a message. The
+//! low nibble leaves room for 15 more message kinds before the version must
+//! change.
 //!
 //! Decoding is total: corrupted, truncated or oversized input returns a
 //! typed [`WireError`] — never a panic — which the property suite in
@@ -60,12 +71,22 @@ use std::fmt;
 
 /// Current codec version, carried in the high nibble of every frame's
 /// `ver_kind` byte.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 /// Upper bound on a frame body's length (16 MiB). Far above any summary
 /// this system produces; a length prefix beyond it is treated as corruption
 /// rather than an allocation request.
 pub const MAX_FRAME_BODY: usize = 1 << 24;
+
+/// The longest length prefix: 4 varint bytes carry 28 bits, past the cap.
+const MAX_PREFIX: usize = 4;
+
+/// The least body length a prefix longer than [`MAX_PREFIX`] announces.
+const LONG_PREFIX_LEN: usize = 1 << (7 * MAX_PREFIX);
+
+/// The fewest bytes a DFT coefficient takes: a 1-byte index varint and two
+/// `i16` mantissas.
+const MIN_COEFF_BYTES: usize = 5;
 
 const KIND_TUPLE: u8 = 0;
 const KIND_SUMMARY: u8 = 1;
@@ -83,7 +104,9 @@ pub enum WireError {
     /// The input ended before the frame its length prefix announces:
     /// "need more bytes".
     Truncated,
-    /// The length prefix exceeds [`MAX_FRAME_BODY`].
+    /// The length prefix announces more than [`MAX_FRAME_BODY`] bytes: the
+    /// length it announces or, for a prefix longer than 4 bytes, 2²⁸, the
+    /// least such a prefix can announce.
     FrameTooLarge(usize),
     /// The frame's version nibble is not [`VERSION`].
     BadVersion(u8),
@@ -91,7 +114,8 @@ pub enum WireError {
     BadKind(u8),
     /// A payload item's kind bits name no known summary kind.
     BadPayloadKind(u8),
-    /// A structurally invalid field (zero-sized filter, empty body, ...).
+    /// A structurally invalid field (zero-sized filter, empty body,
+    /// non-minimal varint, ...).
     Invalid(&'static str),
 }
 
@@ -116,16 +140,16 @@ impl std::error::Error for WireError {}
 /// written — the invariant the whole byte-accounting story rests on, pinned
 /// by the regression tests below and the property suite.
 pub fn encode_into(msg: &Msg, buf: &mut Vec<u8>) {
+    // One byte is reserved for the length prefix, enough below 128 bytes.
     let len_pos = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
+    buf.push(0);
     let body_start = buf.len();
     match msg {
         Msg::Tuple { tuple, piggyback } => {
             buf.push(tag(KIND_TUPLE));
-            buf.push(stream_bit(tuple.stream));
-            buf.extend_from_slice(&tuple.key.to_le_bytes());
-            buf.extend_from_slice(&tuple.seq.to_le_bytes());
-            buf.extend_from_slice(&tuple.origin.to_le_bytes());
+            put_varint(buf, key_stream(tuple));
+            put_varint(buf, tuple.seq);
+            put_varint(buf, u64::from(tuple.origin));
             for p in piggyback {
                 encode_payload(p, buf);
             }
@@ -137,8 +161,68 @@ pub fn encode_into(msg: &Msg, buf: &mut Vec<u8>) {
             }
         }
     }
-    let body_len = (buf.len() - body_start) as u32;
-    buf[len_pos..len_pos + 4].copy_from_slice(&body_len.to_le_bytes());
+    let body_len = buf.len() - body_start;
+    if body_len < 0x80 {
+        buf[len_pos] = body_len as u8;
+        return;
+    }
+    // A longer prefix is appended, rotated in front of the body, and the
+    // reserved byte dropped.
+    let body_end = buf.len();
+    put_varint(buf, body_len as u64);
+    let prefix_len = buf.len() - body_end;
+    buf[len_pos..].rotate_right(prefix_len);
+    buf.remove(len_pos + prefix_len);
+}
+
+/// The bytes [`put_varint`] writes for `v`: one per started 7 bits, at
+/// least one.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    ((v | 1).ilog2() / 7 + 1) as usize
+}
+
+/// Appends `v` as an unsigned LEB128 varint, the shortest: seven bits a
+/// byte, low bits first, the high bit set on every byte but the last.
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Reads one varint from the front of `bytes`: its value and the bytes it
+/// took.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when `bytes` end inside it;
+/// [`WireError::Invalid`] when it is not the shortest encoding of its
+/// value (a last byte of zero after the first) or holds more than 64 bits.
+#[inline]
+pub fn get_varint(bytes: &[u8]) -> Result<(u64, usize), WireError> {
+    let mut v = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        // The tenth byte holds bit 63 alone, and ends every varint.
+        if i == 9 && b > 1 {
+            return Err(WireError::Invalid("varint over 64 bits"));
+        }
+        v |= u64::from(b & 0x7F) << (7 * i);
+        if b < 0x80 {
+            if b == 0 && i > 0 {
+                return Err(WireError::Invalid("varint is not minimal"));
+            }
+            return Ok((v, i + 1));
+        }
+    }
+    Err(WireError::Truncated)
+}
+
+/// A tuple's key and stream as one varint: `key·2 + stream`.
+pub(crate) fn key_stream(tuple: &Tuple) -> u64 {
+    (u64::from(tuple.key) << 1) | u64::from(stream_bit(tuple.stream))
 }
 
 /// Encodes `msg` into a fresh buffer (one frame).
@@ -174,25 +258,22 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
             updates,
         } => {
             buf.push((PKIND_DFT << 1) | stream_bit(*stream));
-            buf.extend_from_slice(&signal_len.to_le_bytes());
-            buf.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+            put_varint(buf, u64::from(*signal_len));
+            put_varint(buf, updates.len() as u64);
             buf.extend_from_slice(&exponent.to_le_bytes());
             for u in updates {
-                let ([i0, i1], [r0, r1], [m0, m1]) = (
-                    u.index.to_le_bytes(),
-                    u.re.to_le_bytes(),
-                    u.im.to_le_bytes(),
-                );
-                buf.extend_from_slice(&[i0, i1, r0, r1, m0, m1]);
+                put_varint(buf, u64::from(u.index));
+                let ([r0, r1], [m0, m1]) = (u.re.to_le_bytes(), u.im.to_le_bytes());
+                buf.extend_from_slice(&[r0, r1, m0, m1]);
             }
         }
         SummaryPayload::Bloom { stream, filter } => {
             let width = p.counter_width();
             buf.push(width_tag(PKIND_BLOOM, *stream, width));
-            buf.extend_from_slice(&(filter.counters() as u32).to_le_bytes());
-            buf.extend_from_slice(&(filter.hash_count() as u32).to_le_bytes());
+            put_varint(buf, filter.counters() as u64);
+            put_varint(buf, filter.hash_count() as u64);
             buf.extend_from_slice(&filter.seed().to_le_bytes());
-            buf.extend_from_slice(&filter.len().to_le_bytes());
+            put_varint(buf, filter.len());
             for &c in filter.counter_values() {
                 buf.extend_from_slice(&c.to_le_bytes()[..width]);
             }
@@ -200,10 +281,10 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
         SummaryPayload::Sketch { stream, sketch } => {
             let width = p.counter_width();
             buf.push(width_tag(PKIND_SKETCH, *stream, width));
-            buf.extend_from_slice(&(sketch.s0() as u32).to_le_bytes());
-            buf.extend_from_slice(&(sketch.s1() as u32).to_le_bytes());
+            put_varint(buf, sketch.s0() as u64);
+            put_varint(buf, sketch.s1() as u64);
             buf.extend_from_slice(&sketch.seed().to_le_bytes());
-            buf.extend_from_slice(&sketch.updates().to_le_bytes());
+            put_varint(buf, sketch.updates());
             for &c in sketch.counter_values() {
                 buf.extend_from_slice(&c.to_le_bytes()[..width]);
             }
@@ -221,12 +302,10 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
 /// whole frame whose body ends mid-field. A length prefix over
 /// [`MAX_FRAME_BODY`] is refused from the prefix alone.
 pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
-    let prefix = bytes.get(..4).ok_or(WireError::Truncated)?;
-    let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
-    if len > MAX_FRAME_BODY {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    let body = bytes.get(4..4 + len).ok_or(WireError::Truncated)?;
+    let (prefix, len) = frame_header(bytes)?;
+    let body = bytes
+        .get(prefix..prefix + len)
+        .ok_or(WireError::Truncated)?;
     let mut r = Reader::new(body);
     let ver_kind = r.u8()?;
     let version = ver_kind >> 4;
@@ -235,10 +314,12 @@ pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
     }
     let msg = match ver_kind & 0x0F {
         KIND_TUPLE => {
-            let stream = decode_stream(r.u8()?)?;
-            let key = r.u32()?;
-            let seq = r.u64()?;
-            let origin = r.u16()?;
+            let key_stream = r.varint()?;
+            let key = u32::try_from(key_stream >> 1)
+                .map_err(|_| WireError::Invalid("tuple key over u32::MAX"))?;
+            let stream = decode_stream((key_stream & 1) as u8)?;
+            let seq = r.varint()?;
+            let origin = r.varint_to(u16::MAX.into(), "tuple origin over u16::MAX")? as u16;
             let mut piggyback = Vec::new();
             while !r.is_empty() {
                 piggyback.push(decode_payload(&mut r)?);
@@ -257,7 +338,27 @@ pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
         }
         kind => return Err(WireError::BadKind(kind)),
     };
-    Ok((msg, 4 + len))
+    Ok((msg, prefix + len))
+}
+
+/// The length prefix at the front of `bytes`: its own length and the body
+/// length it announces.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] while the prefix is incomplete;
+/// [`WireError::FrameTooLarge`] as soon as it announces more than
+/// [`MAX_FRAME_BODY`], or runs past [`MAX_PREFIX`] bytes;
+/// [`WireError::Invalid`] when it is not minimal.
+fn frame_header(bytes: &[u8]) -> Result<(usize, usize), WireError> {
+    match get_varint(bytes.get(..MAX_PREFIX).unwrap_or(bytes)) {
+        Ok((len, prefix)) if len <= MAX_FRAME_BODY as u64 => Ok((prefix, len as usize)),
+        Ok((len, _)) => Err(WireError::FrameTooLarge(len as usize)),
+        Err(WireError::Truncated) if bytes.len() >= MAX_PREFIX => {
+            Err(WireError::FrameTooLarge(LONG_PREFIX_LEN))
+        }
+        Err(e) => Err(e),
+    }
 }
 
 /// A whole frame's body ran out before its content did: corruption, not a
@@ -295,9 +396,28 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    #[inline]
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let (v, len) = get_varint(rest).map_err(|e| match e {
+            WireError::Truncated => BODY_ENDS,
+            e => e,
+        })?;
+        self.pos += len;
+        Ok(v)
+    }
+
+    /// A varint that must not exceed `max`, or is `Invalid(what)`.
+    fn varint_to(&mut self, max: u64, what: &'static str) -> Result<u64, WireError> {
+        match self.varint()? {
+            v if v <= max => Ok(v),
+            _ => Err(WireError::Invalid(what)),
+        }
+    }
+
+    /// A count or dimension: a varint of at most `u32::MAX`.
+    fn count(&mut self, what: &'static str) -> Result<usize, WireError> {
+        Ok(self.varint_to(u32::MAX.into(), what)? as usize)
     }
 
     fn i8(&mut self) -> Result<i8, WireError> {
@@ -307,11 +427,6 @@ impl<'a> Reader<'a> {
     fn i16(&mut self) -> Result<i16, WireError> {
         let b = self.take(2)?;
         Ok(i16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
@@ -354,19 +469,17 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
     let width = 1 << (ptype >> 3);
     let payload = match (ptype >> 1) & 3 {
         PKIND_DFT => {
-            let signal_len = r.u32()?;
-            let count = r.u32()? as usize;
+            let signal_len = r.count("signal length over u32::MAX")? as u32;
+            let count = r.count("coefficient count over u32::MAX")?;
             let exponent = r.i8()?;
-            let need = count
-                .checked_mul(CoeffUpdate::WIRE_BYTES)
-                .ok_or(WireError::Invalid("coefficient count overflows"))?;
-            if r.remaining() < need {
+            // Allocation stays bounded by the bytes received.
+            if r.remaining() / MIN_COEFF_BYTES < count {
                 return Err(BODY_ENDS);
             }
             let mut updates = Vec::with_capacity(count);
             for _ in 0..count {
                 updates.push(CoeffUpdate {
-                    index: r.u16()?,
+                    index: r.varint_to(u16::MAX.into(), "coefficient index over u16::MAX")? as u16,
                     re: r.i16()?,
                     im: r.i16()?,
                 });
@@ -379,10 +492,10 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
             }
         }
         PKIND_BLOOM => {
-            let m = r.u32()? as usize;
-            let k = r.u32()? as usize;
+            let m = r.count("bloom counter count over u32::MAX")?;
+            let k = r.count("bloom hash count over u32::MAX")?;
             let seed = r.u64()?;
-            let items = r.u64()?;
+            let items = r.varint()?;
             if m == 0 {
                 return Err(WireError::Invalid("bloom filter without counters"));
             }
@@ -398,10 +511,10 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
             }
         }
         PKIND_SKETCH => {
-            let s0 = r.u32()? as usize;
-            let s1 = r.u32()? as usize;
+            let s0 = r.count("sketch dimension over u32::MAX")?;
+            let s1 = r.count("sketch dimension over u32::MAX")?;
             let seed = r.u64()?;
-            let total_updates = r.u64()?;
+            let total_updates = r.varint()?;
             if s0 == 0 || s1 == 0 {
                 return Err(WireError::Invalid("sketch dimensions must be positive"));
             }
@@ -506,21 +619,19 @@ impl FrameDecoder {
     }
 
     /// The staged frame's total length, prefix included, as far as the
-    /// staged bytes tell: 4 until its length prefix is whole.
+    /// staged bytes tell: one byte more than staged until its length
+    /// prefix is whole.
     ///
     /// # Errors
     ///
-    /// [`WireError::FrameTooLarge`] when the prefix exceeds
-    /// [`MAX_FRAME_BODY`] — corruption, not a request for more bytes.
+    /// Any of [`frame_header`]'s but [`WireError::Truncated`]: an oversized
+    /// or non-minimal prefix is corruption, not a request for more bytes.
     fn staged_frame_len(&self) -> Result<usize, WireError> {
-        let Some(p) = self.staged.get(..4) else {
-            return Ok(4);
-        };
-        let len = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
-        if len > MAX_FRAME_BODY {
-            return Err(WireError::FrameTooLarge(len));
+        match frame_header(&self.staged) {
+            Ok((prefix, len)) => Ok(prefix + len),
+            Err(WireError::Truncated) => Ok(self.staged.len() + 1),
+            Err(e) => Err(e),
         }
-        Ok(4 + len)
     }
 
     /// Streams `bytes` through the decoder, handing every complete message
@@ -649,72 +760,97 @@ mod tests {
     /// Per-variant size regressions: the drift fix pinned to arithmetic.
     #[test]
     fn per_variant_sizes() {
-        // Bare tuple: 4 len + 1 ver/kind + 15 body = Tuple::WIRE_BYTES.
-        let bare = Msg::Tuple {
-            tuple: Tuple::new(StreamId::R, 1, 2, 3),
-            piggyback: Vec::new(),
-        };
-        assert_eq!(encode(&bare).len(), Tuple::WIRE_BYTES);
-        assert_eq!(bare.wire_bytes(), 20);
+        // Bare tuple: 1 prefix + 1 ver/kind + the varints of key·2 + stream,
+        // seq and origin — one byte each below 128, two below 16 384.
+        for (key, seq, origin, len) in [
+            (1, 2, 3, 5),
+            (63, 127, 127, 5),
+            (64, 128, 128, 8),
+            (4_095, 49_999, 3, 8),
+            (u32::MAX, u64::MAX, u16::MAX, 20),
+        ] {
+            let bare = Msg::Tuple {
+                tuple: Tuple::new(StreamId::S, key, seq, origin),
+                piggyback: Vec::new(),
+            };
+            assert_eq!(encode(&bare).len(), len, "{bare:?}");
+            assert_eq!(bare.wire_sizes(), (len, len));
+        }
 
-        // Dft payload: 1 ptype + 4 signal_len + 4 count + 1 exponent + 6
-        // per update.
+        // A coefficient: its index's varint + two i16 mantissas.
+        for (index, len) in [(0, 5), (127, 5), (128, 6), (16_383, 6), (16_384, 7)] {
+            let u = CoeffUpdate {
+                index,
+                re: 1,
+                im: -1,
+            };
+            assert_eq!(u.wire_bytes(), len, "{index}");
+        }
+        // Dft payload: 1 ptype + 2 (signal_len 512) + 1 (count 7) + 1
+        // exponent + 5 per update.
         let dft = SummaryPayload::Dft {
             stream: StreamId::R,
             signal_len: 512,
             exponent: 3,
             updates: coeffs(7),
         };
-        assert_eq!(dft.wire_bytes(), 10 + 7 * 6);
+        assert_eq!(dft.wire_bytes(), 5 + 7 * 5);
 
-        // Bloom payload: 1 ptype + 4 m + 4 k + 8 seed + 8 items + 1, 2 or
-        // 4 per counter, the narrowest that holds the largest.
+        // Bloom payload: 1 ptype + 2 (m 256) + 1 (k 4) + 8 seed + 1 (items
+        // 9) + 1, 2 or 4 per counter, the narrowest that holds the largest.
+        // Its frame has a 2-byte prefix.
         let bloom = |top: u32| SummaryPayload::Bloom {
             stream: StreamId::S,
             filter: CountingBloomFilter::from_parts(4, 1, [vec![0; 255], vec![top]].concat(), 9),
         };
         for (top, width) in [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
-            assert_eq!(bloom(top).wire_bytes(), 25 + 256 * width, "{top}");
+            assert_eq!(bloom(top).wire_bytes(), 13 + 256 * width, "{top}");
             assert_eq!(
                 encode(&Msg::Summary(vec![bloom(top)])).len(),
-                5 + 25 + 256 * width
+                3 + 13 + 256 * width
             );
         }
         let bloom = bloom(300);
 
-        // Sketch payload: 1 ptype + 4 s0 + 4 s1 + 8 seed + 8 updates + 1,
-        // 2, 4 or 8 per counter, two's complement. The benchmark's 10 × 2
-        // sketch is 25 + 20 = 45 bytes at 1 byte a counter, 65 at 2.
+        // Sketch payload: 1 ptype + 1 (s0) + 1 (s1) + 8 seed + 1 (updates
+        // 9) + 1, 2, 4 or 8 per counter, two's complement. The benchmark's
+        // 10 × 2 sketch is 12 + 20 = 32 bytes at 1 byte a counter, 52 at 2.
         let sketch = |c: i64| SummaryPayload::Sketch {
             stream: StreamId::R,
             sketch: AgmsSketch::from_parts(10, 2, 1, [vec![0; 19], vec![c]].concat(), 9),
         };
         for (c, width) in [(-128, 1), (127, 1), (128, 2), (-32_769, 4), (1 << 31, 8)] {
-            assert_eq!(sketch(c).wire_bytes(), 25 + 20 * width, "{c}");
+            assert_eq!(sketch(c).wire_bytes(), 12 + 20 * width, "{c}");
         }
-        assert_eq!(sketch(0).wire_bytes(), 45);
-        assert_eq!(sketch(-129).wire_bytes(), 65);
+        assert_eq!(sketch(0).wire_bytes(), 32);
+        assert_eq!(sketch(-129).wire_bytes(), 52);
+        assert_eq!(encode(&Msg::Summary(vec![sketch(0)])).len(), 34);
         let skch = sketch(i64::MIN);
-        assert_eq!(skch.wire_bytes(), 25 + 20 * 8);
+        assert_eq!(skch.wire_bytes(), 12 + 20 * 8);
 
-        // Standalone summary: frame overhead + payload sum.
+        // Standalone summary: prefix + ver/kind + payload sum, all overhead.
         let msg = Msg::Summary(vec![dft.clone(), bloom.clone(), skch.clone()]);
-        assert_eq!(
-            msg.wire_bytes(),
-            4 + 1 + dft.wire_bytes() + bloom.wire_bytes() + skch.wire_bytes()
-        );
+        let body = 1 + dft.wire_bytes() + bloom.wire_bytes() + skch.wire_bytes();
+        assert_eq!(msg.wire_sizes(), (0, 2 + body));
         assert_eq!(encode(&msg).len(), msg.wire_bytes());
 
-        // Piggybacked tuple: tuple frame + payload sum, no double framing.
-        let pig = Msg::Tuple {
+        // Piggybacked tuple: the bare tuple frame is data, the payloads are
+        // overhead, and so is the prefix byte a long piggyback adds.
+        let pig = |updates| Msg::Tuple {
             tuple: Tuple::new(StreamId::S, 9, 10, 0),
-            piggyback: vec![dft],
+            piggyback: vec![SummaryPayload::Dft {
+                stream: StreamId::S,
+                signal_len: 64,
+                exponent: 0,
+                updates,
+            }],
         };
-        assert_eq!(
-            pig.wire_bytes(),
-            Tuple::WIRE_BYTES + 10 + 7 * CoeffUpdate::WIRE_BYTES
-        );
-        assert_eq!(encode(&pig).len(), pig.wire_bytes());
+        assert_eq!(pig(coeffs(7)).wire_sizes(), (5, 5 + 4 + 7 * 5));
+        assert_eq!(pig(coeffs(23)).wire_sizes(), (5, 5 + 4 + 23 * 5));
+        assert_eq!(pig(coeffs(24)).wire_sizes(), (5, 5 + 4 + 24 * 5 + 1));
+        for n in [7, 23, 24] {
+            assert_eq!(encode(&pig(coeffs(n))).len(), pig(coeffs(n)).wire_bytes());
+        }
     }
 
     #[test]
@@ -776,23 +912,36 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
         }
-        // Wrong version nibble: versions 1 and 2 are refused like any other.
-        for version in [1, 2, 4] {
+        // The version/kind byte follows a 2-byte prefix.
+        assert_eq!(frame_header(&bytes), Ok((2, bytes.len() - 2)));
+        // Wrong version nibble: versions 1, 2 and 3 are refused like any
+        // other.
+        for version in [1, 2, 3, 5] {
             let mut bad = bytes.clone();
-            bad[4] = (version << 4) | (bad[4] & 0x0F);
+            bad[2] = (version << 4) | (bad[2] & 0x0F);
             assert_eq!(decode(&bad).unwrap_err(), WireError::BadVersion(version));
         }
         // Unknown kind nibble.
         let mut bad = bytes.clone();
-        bad[4] = (VERSION << 4) | 7;
+        bad[2] = (VERSION << 4) | 7;
         assert_eq!(decode(&bad).unwrap_err(), WireError::BadKind(7));
-        // Absurd length prefix.
-        let mut bad = bytes.clone();
-        bad[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
+        // Absurd length prefixes: one past the cap, and one longer than 4
+        // bytes, refused at its fourth byte.
+        let mut bad = Vec::new();
+        put_varint(&mut bad, MAX_FRAME_BODY as u64 + 1);
         assert_eq!(
             decode(&bad).unwrap_err(),
-            WireError::FrameTooLarge(u32::MAX as usize)
+            WireError::FrameTooLarge(MAX_FRAME_BODY + 1)
         );
+        assert_eq!(
+            decode(&[0xFF; 4]).unwrap_err(),
+            WireError::FrameTooLarge(1 << 28)
+        );
+        // The cap itself is a length, which then wants its body.
+        let mut cap = Vec::new();
+        put_varint(&mut cap, MAX_FRAME_BODY as u64);
+        assert_eq!(frame_header(&cap), Ok((4, MAX_FRAME_BODY)));
+        assert_eq!(decode(&cap).unwrap_err(), WireError::Truncated);
         // Unknown payload kind inside a summary frame.
         let msg = Msg::Summary(vec![SummaryPayload::Dft {
             stream: StreamId::R,
@@ -801,7 +950,7 @@ mod tests {
             updates: Vec::new(),
         }]);
         let mut bad = encode(&msg);
-        bad[5] = 3 << 1;
+        bad[2] = 3 << 1;
         assert_eq!(decode(&bad).unwrap_err(), WireError::BadPayloadKind(3));
     }
 
@@ -882,7 +1031,7 @@ mod tests {
     fn feed_decode_corruption_is_typed_even_mid_stream() {
         let good = encode(&sample_msgs()[0]);
         let mut stream = good.clone();
-        stream.extend_from_slice(&[1, 0, 0, 0, 0xF0]); // bad version nibble
+        stream.extend_from_slice(&[1, 0xF0]); // bad version nibble
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         // Byte-at-a-time so the corrupt frame completes via the staged path.
@@ -900,7 +1049,8 @@ mod tests {
         assert_eq!(got.len(), 1);
         // Oversized staged prefix is corruption, not a byte request.
         let mut dec = FrameDecoder::new();
-        let huge = ((MAX_FRAME_BODY + 1) as u32).to_le_bytes();
+        let mut huge = Vec::new();
+        put_varint(&mut huge, MAX_FRAME_BODY as u64 + 1);
         assert!(dec.feed_decode(&huge[..2], &mut |_| true).unwrap());
         assert_eq!(
             dec.feed_decode(&huge[2..], &mut |_| true).unwrap_err(),
@@ -916,7 +1066,7 @@ mod tests {
         // `Truncated`, and the decoder staged the rest of the stream behind
         // them.
         let good = encode(&sample_msgs()[0]);
-        for short in [vec![1, 0, 0, 0, VERSION << 4], vec![0, 0, 0, 0]] {
+        for short in [vec![1, VERSION << 4], vec![0]] {
             assert_eq!(decode(&short).unwrap_err(), BODY_ENDS);
             let mut stream = short.clone();
             stream.extend_from_slice(&good);

@@ -3,7 +3,8 @@
 //! or truncated bytes.
 //!
 //! Messages are built from generated scalars rather than a bespoke `Msg`
-//! strategy, so every case renders its raw inputs on failure.
+//! strategy, so every case renders its raw inputs on failure. Hand-built
+//! frames use the codec's own `put_varint` for their length prefixes.
 
 use dsj_core::msg::{CoeffUpdate, Quantiser};
 use dsj_core::wire::{self, FrameDecoder, WireError, VERSION};
@@ -96,6 +97,19 @@ fn build_msg(
         4 => Msg::Summary(vec![bloom(), sketch()]),
         _ => Msg::Summary(vec![sketch(), dft(), bloom()]),
     }
+}
+
+/// Where a frame's version/kind byte sits: after its length prefix.
+fn tag_at(frame: &[u8]) -> usize {
+    wire::get_varint(frame).expect("a whole prefix").1
+}
+
+/// `body` behind its varint length prefix.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    wire::put_varint(&mut frame, body.len() as u64);
+    frame.extend_from_slice(body);
+    frame
 }
 
 /// Whether every DFT coefficient `msg` carries dequantises to a finite
@@ -280,15 +294,16 @@ proptest! {
             &coeffs, &counters,
         );
         let mut bytes = wire::encode(&msg);
-        let original_tag = bytes[4];
+        let at = tag_at(&bytes);
+        let original_tag = bytes[at];
         // Wrong version nibble: typed BadVersion carrying the stranger.
-        bytes[4] = (bad_version << 4) | (original_tag & 0x0F);
+        bytes[at] = (bad_version << 4) | (original_tag & 0x0F);
         prop_assert_eq!(
             wire::decode(&bytes).unwrap_err(),
             WireError::BadVersion(bad_version)
         );
         // Right version, unknown kind nibble: typed BadKind.
-        bytes[4] = (VERSION << 4) | bad_kind;
+        bytes[at] = (VERSION << 4) | bad_kind;
         prop_assert_eq!(wire::decode(&bytes).unwrap_err(), WireError::BadKind(bad_kind));
     }
 
@@ -333,9 +348,10 @@ proptest! {
         signal_len in 1u32..(1 << 20),
         noise in prop::collection::vec(0u16..256, 1..98),
     ) {
-        // A DFT summary whose exponent and coefficient bytes are noise:
-        // every pattern is a payload, and its values are finite.
-        let count = (noise.len() - 1) / 6;
+        // A DFT summary whose exponent and mantissa bytes are noise: every
+        // pattern is a payload, and its values are finite. Each coefficient
+        // is a 1-byte index varint (0) and 4 mantissa bytes.
+        let count = (noise.len() - 1) / 4;
         let msg = Msg::Summary(vec![SummaryPayload::Dft {
             stream: sid(stream),
             signal_len,
@@ -343,9 +359,10 @@ proptest! {
             updates: vec![CoeffUpdate { index: 0, re: 0, im: 0 }; count],
         }]);
         let mut bytes = wire::encode(&msg);
-        let exponent_at = bytes.len() - (1 + 6 * count);
-        for (b, &n) in bytes[exponent_at..].iter_mut().zip(&noise) {
-            *b = n as u8;
+        let exponent_at = bytes.len() - (1 + 5 * count);
+        let noisy = (exponent_at..bytes.len()).filter(|i| (i - exponent_at) % 5 != 1);
+        for (i, &n) in noisy.zip(&noise) {
+            bytes[i] = n as u8;
         }
         let (decoded, _) = wire::decode(&bytes).expect("any exponent and mantissas decode");
         prop_assert!(dft_values_are_finite(&decoded), "{:?}", decoded);
@@ -368,8 +385,7 @@ proptest! {
             body.extend_from_slice(&(f64::from(re) / 8.0).to_bits().to_le_bytes());
             body.extend_from_slice(&(f64::from(im) / 4.0).to_bits().to_le_bytes());
         }
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
+        let frame = framed(&body);
         prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(1));
         let mut decoder = FrameDecoder::new();
         prop_assert_eq!(
@@ -380,25 +396,30 @@ proptest! {
 
     #[test]
     fn oversized_frames_are_rejected_without_allocation(
-        claimed in ((1u32 << 24) + 1)..u32::MAX,
+        claimed in ((1u64 << 24) + 1)..u64::MAX,
     ) {
         // A length prefix over MAX_FRAME_BODY is rejected from the prefix
-        // alone — decode never trusts it enough to allocate.
-        let mut bytes = claimed.to_le_bytes().to_vec();
+        // alone — decode never trusts it enough to allocate. A prefix of 5
+        // bytes or more announces at least 2^28 and is refused at its
+        // fourth.
+        let mut bytes = Vec::new();
+        wire::put_varint(&mut bytes, claimed);
         bytes.extend_from_slice(&[0u8; 8]);
-        prop_assert_eq!(
-            wire::decode(&bytes).unwrap_err(),
-            WireError::FrameTooLarge(claimed as usize)
-        );
-        // The decoder refuses it as soon as the prefix is whole, whether
-        // the prefix arrives at once or split across reads.
+        let refused = WireError::FrameTooLarge(claimed.min(1 << 28) as usize);
+        prop_assert_eq!(wire::decode(&bytes).unwrap_err(), refused);
+        // The decoder refuses it as soon as the prefix tells it so, at its
+        // fourth byte, whether the prefix arrives at once or split across
+        // reads.
         for chunk_len in [1, 2, 3, bytes.len()] {
             let mut decoder = FrameDecoder::new();
             let err = bytes
                 .chunks(chunk_len)
                 .find_map(|c| decoder.feed_decode(c, &mut |_| true).err());
-            prop_assert_eq!(err, Some(WireError::FrameTooLarge(claimed as usize)));
+            prop_assert_eq!(err, Some(refused));
         }
+        let mut decoder = FrameDecoder::new();
+        prop_assert_eq!(decoder.feed_decode(&bytes[..3], &mut |_| true), Ok(true));
+        prop_assert_eq!(decoder.feed_decode(&bytes[3..4], &mut |_| true), Err(refused));
     }
 }
 
@@ -446,10 +467,7 @@ fn narrowest_unsigned(counters: &[u32]) -> usize {
 
 /// One summary frame of `version` around hand-built `payload` bytes.
 fn summary_frame(version: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
-    frame.push((version << 4) | 1);
-    frame.extend_from_slice(payload);
-    frame
+    framed(&[&[(version << 4) | 1], payload].concat())
 }
 
 /// A payload of kind `pkind` (2 sketch, 1 Bloom; stream R) holding
@@ -457,9 +475,10 @@ fn summary_frame(version: u8, payload: &[u8]) -> Vec<u8> {
 /// low `width` bytes under width code `code`.
 fn counter_payload(pkind: u8, code: u8, width: usize, counters: &[i64]) -> Vec<u8> {
     let mut p = vec![(code << 3) | (pkind << 1)];
-    p.extend_from_slice(&(counters.len() as u32).to_le_bytes());
-    p.extend_from_slice(&1u32.to_le_bytes());
-    p.extend_from_slice(&[0u8; 16]); // seed, updates or items
+    wire::put_varint(&mut p, counters.len() as u64);
+    wire::put_varint(&mut p, 1);
+    p.extend_from_slice(&[0u8; 8]); // seed
+    wire::put_varint(&mut p, 0); // updates or items
     for &c in counters {
         p.extend_from_slice(&c.to_le_bytes()[..width]);
     }
@@ -467,14 +486,17 @@ fn counter_payload(pkind: u8, code: u8, width: usize, counters: &[i64]) -> Vec<u
 }
 
 /// Checks that `payload` encodes alone at `width` bytes a counter: the
-/// frame is `5 + 25 + count · width` bytes, `wire_bytes` says so, `ptype`
+/// body is `1 + 12 + count · width` bytes (a 1-byte varint for each of its
+/// dimensions and its item or update count), `wire_bytes` says so, `ptype`
 /// carries `log2(width)` in bits 3–4, and the frame decodes back to it.
 fn assert_encoded_width(payload: SummaryPayload, count: usize, width: usize) {
     let msg = Msg::Summary(vec![payload]);
     let bytes = wire::encode(&msg);
-    assert_eq!(bytes.len(), 5 + 25 + count * width, "{msg:?}");
+    let body = 1 + 12 + count * width;
+    assert_eq!(bytes.len(), wire::varint_len(body as u64) + body, "{msg:?}");
     assert_eq!(bytes.len(), msg.wire_bytes());
-    assert_eq!(usize::from(bytes[5] >> 3), width.trailing_zeros() as usize);
+    let ptype = bytes[tag_at(&bytes) + 1];
+    assert_eq!(usize::from(ptype >> 3), width.trailing_zeros() as usize);
     assert_eq!(wire::decode(&bytes), Ok((msg, bytes.len())));
 }
 
@@ -512,9 +534,16 @@ proptest! {
     fn a_version_2_frame_is_refused_not_misread(
         counters in prop::collection::vec(-300i64..300, 1..21),
     ) {
-        // A sketch summary in the version-2 layout: every counter 8 bytes,
-        // no width code.
-        let frame = summary_frame(2, &counter_payload(2, 0, 8, &counters));
+        // A sketch summary in the version-2 layout: `u32` dimensions, `u64`
+        // seed and update count, every counter 8 bytes, no width code.
+        let mut payload = vec![2 << 1];
+        payload.extend_from_slice(&(counters.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&[0u8; 16]);
+        for &c in &counters {
+            payload.extend_from_slice(&c.to_le_bytes());
+        }
+        let frame = summary_frame(2, &payload);
         prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(2));
         let mut decoder = FrameDecoder::new();
         prop_assert_eq!(
@@ -606,11 +635,292 @@ fn width_codes_on_dft_and_high_tag_bits_are_invalid() {
         let msg = Msg::Summary(vec![first, dft(700)]);
         for set in codes.map(|c| c << 3).chain([1 << 5, 1 << 6, 1 << 7]) {
             let mut bytes = wire::encode(&msg);
-            bytes[5] |= set;
+            let ptype = tag_at(&bytes) + 1;
+            bytes[ptype] |= set;
             assert!(
                 matches!(wire::decode(&bytes), Err(WireError::Invalid(_))),
                 "{set:#b} on {msg:?}"
             );
+        }
+    }
+}
+
+/// The varint edges: the largest and smallest value of each length, and
+/// the widest values the codec writes.
+const VARINT_EDGES: [(u64, usize); 8] = [
+    (0, 1),
+    (127, 1),
+    (128, 2),
+    (16_383, 2),
+    (16_384, 3),
+    (1 << 21, 4),
+    (u32::MAX as u64, 5),
+    (u64::MAX, 10),
+];
+
+#[test]
+fn varint_edges_round_trip_and_every_cut_is_truncated() {
+    for (v, len) in VARINT_EDGES {
+        let mut bytes = Vec::new();
+        wire::put_varint(&mut bytes, v);
+        assert_eq!((bytes.len(), wire::varint_len(v)), (len, len), "{v}");
+        assert_eq!(wire::get_varint(&bytes), Ok((v, len)));
+        // Trailing bytes are the next field's.
+        bytes.push(0x7F);
+        assert_eq!(wire::get_varint(&bytes), Ok((v, len)));
+        for cut in 0..len {
+            assert_eq!(wire::get_varint(&bytes[..cut]), Err(WireError::Truncated));
+        }
+    }
+    // Past 64 bits: a tenth byte above 1, or an eleventh byte.
+    let mut over = vec![0xFF; 9];
+    over.push(0x02);
+    assert!(matches!(
+        wire::get_varint(&over),
+        Err(WireError::Invalid(_))
+    ));
+    assert!(matches!(
+        wire::get_varint(&[0x80; 11]),
+        Err(WireError::Invalid(_))
+    ));
+}
+
+#[test]
+fn varint_edges_round_trip_in_every_field() {
+    let coeff = |index| CoeffUpdate {
+        index,
+        re: -3,
+        im: 7,
+    };
+    for (v, _) in VARINT_EDGES {
+        let u16_edge = v.min(u16::MAX.into()) as u16;
+        let u32_edge = v.min(u32::MAX.into()) as u32;
+        let count = v.min(16_384) as usize;
+        let msgs = [
+            Msg::Tuple {
+                tuple: Tuple::new(sid(v & 1 == 1), (v >> 1) as u32, v, u16_edge),
+                piggyback: vec![SummaryPayload::Dft {
+                    stream: StreamId::S,
+                    signal_len: u32_edge,
+                    exponent: 1,
+                    updates: (0..count).map(|_| coeff(u16_edge)).collect(),
+                }],
+            },
+            Msg::Summary(vec![
+                SummaryPayload::Bloom {
+                    stream: StreamId::R,
+                    filter: CountingBloomFilter::from_parts(3, v, vec![1; count.max(1)], v),
+                },
+                SummaryPayload::Sketch {
+                    stream: StreamId::S,
+                    sketch: AgmsSketch::from_parts(count.max(1), 1, v, vec![-1; count.max(1)], v),
+                },
+            ]),
+        ];
+        for msg in msgs {
+            let bytes = wire::encode(&msg);
+            assert_eq!(bytes.len(), msg.wire_bytes(), "{v}");
+            assert_eq!(wire::decode(&bytes), Ok((msg, bytes.len())), "{v}");
+        }
+    }
+}
+
+/// One field of a hand-built frame body.
+enum Field {
+    Var(u64),
+    Raw(Vec<u8>),
+}
+
+/// `fields` as a frame body, every varint minimal but the `pad`-th, which
+/// is written one byte longer (its last byte continued into a zero byte).
+fn body_of(fields: &[Field], pad: Option<usize>) -> Vec<u8> {
+    let mut body = Vec::new();
+    let mut var_i = 0;
+    for f in fields {
+        match f {
+            Field::Raw(raw) => body.extend_from_slice(raw),
+            Field::Var(v) => {
+                wire::put_varint(&mut body, *v);
+                if pad == Some(var_i) {
+                    *body.last_mut().unwrap() |= 0x80;
+                    body.push(0);
+                }
+                var_i += 1;
+            }
+        }
+    }
+    body
+}
+
+/// A tuple with a DFT piggyback, and a Bloom and a sketch summary, field by
+/// field in the version-4 layout, beside the messages they encode.
+fn field_frames() -> Vec<(Msg, Vec<Field>)> {
+    use Field::{Raw, Var};
+    let tuple = Msg::Tuple {
+        tuple: Tuple::new(StreamId::S, 300, 70_000, 9),
+        piggyback: vec![SummaryPayload::Dft {
+            stream: StreamId::R,
+            signal_len: 4_096,
+            exponent: -3,
+            updates: vec![CoeffUpdate {
+                index: 200,
+                re: 1,
+                im: -2,
+            }],
+        }],
+    };
+    let tuple_fields = vec![
+        Raw(vec![VERSION << 4]),
+        Var(601),
+        Var(70_000),
+        Var(9),
+        Raw(vec![0]),
+        Var(4_096),
+        Var(1),
+        Raw(vec![0xFD]),
+        Var(200),
+        Raw(vec![1, 0, 0xFE, 0xFF]),
+    ];
+    let summary = Msg::Summary(vec![
+        SummaryPayload::Bloom {
+            stream: StreamId::S,
+            filter: CountingBloomFilter::from_parts(3, 5, vec![2, 0, 1], 130),
+        },
+        SummaryPayload::Sketch {
+            stream: StreamId::R,
+            sketch: AgmsSketch::from_parts(2, 1, 6, vec![-1, 1], 200),
+        },
+    ]);
+    let summary_fields = vec![
+        Raw(vec![(VERSION << 4) | 1, (1 << 1) | 1]),
+        Var(3),
+        Var(3),
+        Raw(5u64.to_le_bytes().to_vec()),
+        Var(130),
+        Raw(vec![2, 0, 1, 2 << 1]),
+        Var(2),
+        Var(1),
+        Raw(6u64.to_le_bytes().to_vec()),
+        Var(200),
+        Raw(vec![0xFF, 1]),
+    ];
+    vec![(tuple, tuple_fields), (summary, summary_fields)]
+}
+
+#[test]
+fn a_non_minimal_varint_is_invalid_in_every_field() {
+    for (msg, fields) in field_frames() {
+        // The hand-built layout is the codec's.
+        let minimal = framed(&body_of(&fields, None));
+        assert_eq!(minimal, wire::encode(&msg));
+        let vars = fields.iter().filter(|f| matches!(f, Field::Var(_))).count();
+        for pad in 0..vars {
+            let frame = framed(&body_of(&fields, Some(pad)));
+            assert!(
+                matches!(wire::decode(&frame), Err(WireError::Invalid(_))),
+                "varint {pad} of {msg:?}"
+            );
+            let mut decoder = FrameDecoder::new();
+            assert!(matches!(
+                decoder.feed_decode(&frame, &mut |_| true),
+                Err(WireError::Invalid(_))
+            ));
+        }
+        // The length prefix too, one byte longer.
+        let body = body_of(&fields, None);
+        let mut prefix = Vec::new();
+        wire::put_varint(&mut prefix, body.len() as u64);
+        *prefix.last_mut().unwrap() |= 0x80;
+        prefix.push(0);
+        let frame = [prefix, body].concat();
+        assert!(matches!(wire::decode(&frame), Err(WireError::Invalid(_))));
+        for chunk_len in [1, frame.len()] {
+            let mut decoder = FrameDecoder::new();
+            let err =
+                (frame.chunks(chunk_len)).find_map(|c| decoder.feed_decode(c, &mut |_| true).err());
+            assert!(matches!(err, Some(WireError::Invalid(_))), "{chunk_len}");
+        }
+    }
+}
+
+#[test]
+fn a_field_over_its_type_is_invalid() {
+    use Field::{Raw, Var};
+    let tuple =
+        |key_stream, seq, origin| vec![Raw(vec![VERSION << 4]), Var(key_stream), seq, Var(origin)];
+    let dft = |signal_len, index| {
+        vec![
+            Raw(vec![(VERSION << 4) | 1, 0]),
+            Var(signal_len),
+            Var(1),
+            Raw(vec![0]),
+            Var(index),
+            Raw(vec![0; 4]),
+        ]
+    };
+    let over_64_bits = Raw([vec![0xFF; 9], vec![0x02]].concat());
+    for fields in [
+        // A key above u32::MAX, on either stream.
+        tuple(1 << 33, Var(1), 0),
+        tuple((1 << 33) | 1, Var(1), 0),
+        tuple(2, over_64_bits, 0),
+        tuple(2, Var(1), 1 << 16),
+        dft(1 << 32, 0),
+        dft(64, 1 << 16),
+    ] {
+        let frame = framed(&body_of(&fields, None));
+        assert!(
+            matches!(wire::decode(&frame), Err(WireError::Invalid(_))),
+            "{frame:?}"
+        );
+    }
+    // One below each bound decodes.
+    for fields in [
+        tuple(
+            (u64::from(u32::MAX) << 1) | 1,
+            Var(u64::MAX),
+            u16::MAX.into(),
+        ),
+        dft(u32::MAX.into(), u16::MAX.into()),
+    ] {
+        assert!(wire::decode(&framed(&body_of(&fields, None))).is_ok());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_version_3_frame_is_refused_not_misread(
+        stream in prop::bool::ANY,
+        key in 0u32..u32::MAX,
+        seq in 0u64..u64::MAX,
+        origin in 0u16..u16::MAX,
+        count in 0usize..680,
+    ) {
+        // Version 3 framed every message behind a `u32` length: a bare
+        // tuple in 20 bytes, and here DFT summaries of up to 4 KB. Its
+        // second length byte, below 16, lands where a version-4 decoder
+        // looks for its version, or a zero byte ends a non-minimal prefix.
+        let mut tuple = vec![0x30, u8::from(stream)];
+        tuple.extend_from_slice(&key.to_le_bytes());
+        tuple.extend_from_slice(&seq.to_le_bytes());
+        tuple.extend_from_slice(&origin.to_le_bytes());
+        let mut summary = vec![0x31, 0];
+        summary.extend_from_slice(&4_096u32.to_le_bytes());
+        summary.extend_from_slice(&(count as u32).to_le_bytes());
+        summary.push(0);
+        summary.extend(std::iter::repeat_n([7, 0, 1, 0, 0xFF, 0xFF], count).flatten());
+        for body in [tuple, summary] {
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            let err = wire::decode(&frame).unwrap_err();
+            prop_assert!(
+                matches!(err, WireError::BadVersion(0) | WireError::Invalid(_)),
+                "{:?}", err
+            );
+            let mut decoder = FrameDecoder::new();
+            prop_assert_eq!(decoder.feed_decode(&frame, &mut |_| true), Err(err));
         }
     }
 }

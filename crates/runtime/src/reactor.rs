@@ -720,20 +720,22 @@ mod tests {
     fn partial_writes_preserve_order_and_frame_accounting() {
         let batch = batch_of(5);
         let total = batch.bytes().len();
+        // Both partial writes end inside frame 0 (5 bytes).
+        assert!(batch.frame_ends()[0] > 4);
         let mut q = WriteQueue::default();
         let mut sink = ScriptedSink {
-            // Accept 7 bytes (mid-frame), then block; then 5 more, and block.
-            script: VecDeque::from([Some(7), None, Some(5), None]),
+            // Accept 2 bytes (mid-frame), then block; then 2 more, and block.
+            script: VecDeque::from([Some(2), None, Some(2), None]),
             ..ScriptedSink::default()
         };
         q.write_coalesced(&mut sink, batch.bytes(), batch.frame_ends())
             .unwrap();
-        assert_eq!(q.pending_bytes(), total - 7);
+        assert_eq!(q.pending_bytes(), total - 2);
         // Frame 0 is split across the wire boundary: all 5 still unsent.
         assert_eq!(q.unsent_msgs(), 5);
         // A retry that blocks again keeps the unwritten tail and nothing else.
         assert!(!q.retry(&mut sink).unwrap());
-        assert_eq!((q.buf.len(), q.head), (total - 12, 0));
+        assert_eq!((q.buf.len(), q.head), (total - 4, 0));
         // Retry drains the rest; byte stream is exactly the batch, in order.
         assert!(q.retry(&mut sink).unwrap());
         assert_eq!(sink.accepted, batch.bytes());
@@ -742,7 +744,7 @@ mod tests {
         let (frames, syscalls, peak) = q.totals();
         assert_eq!(frames, 5);
         assert!(syscalls >= 2);
-        assert_eq!(peak, (total - 7) as u64);
+        assert_eq!(peak, (total - 2) as u64);
     }
 
     #[test]
@@ -1074,8 +1076,9 @@ mod tests {
         // One valid frame first: the link decodes it and forwards it.
         let valid = wire::encode(&tuple_msg(42));
         link.deliver(&valid);
-        // Then a corrupt one: version nibble 0xF is not the codec's.
-        link.deliver(&[1, 0, 0, 0, 0xF0]);
+        // Then a corrupt one: a 1-byte body whose version nibble 0xF is
+        // not the codec's.
+        link.deliver(&[1, 0xF0]);
         let (mut held, failures) = link.finish();
         match held.pop_front() {
             Some(TransportEvent::Net { from: 1, msg }) => {

@@ -148,9 +148,11 @@ mod tests {
         // 90 kbit at 90 kbps takes exactly one second — the paper's model.
         let d = SimDuration::transmission(90_000 / 8, 90_000);
         assert_eq!(d, SimDuration::from_millis(1_000));
-        // 20-byte tuple at 90 kbps: 160 bits / 90k bps = 1777 us.
+        // The widest bare tuple frame, 20 bytes, at 90 kbps: 160 bits /
+        // 90k bps = 1777 us; a typical 8-byte one takes 711 us.
         let t = SimDuration::transmission(20, 90_000);
         assert_eq!(t.as_micros(), 1_777);
+        assert_eq!(SimDuration::transmission(8, 90_000).as_micros(), 711);
     }
 
     #[test]

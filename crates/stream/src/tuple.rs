@@ -76,13 +76,6 @@ impl Tuple {
             origin,
         }
     }
-
-    /// Wire size of a tuple in bytes: stream tag (1) + key (4) + seq (8) +
-    /// origin (2) + framing (5: the `u32` length prefix and version/kind
-    /// byte of `dsj-core`'s wire codec) — 20 bytes, the unit of the
-    /// bandwidth model and exactly what a bare tuple frame occupies on a
-    /// real socket.
-    pub const WIRE_BYTES: usize = 20;
 }
 
 impl fmt::Display for Tuple {

@@ -158,9 +158,11 @@ fn calibration_reaches_fifteen_percent_under_skew() {
 
 #[test]
 fn bounded_cutoff_loses_messages_under_saturation() {
-    let drained = run(quick(4, Algorithm::Base).arrival_rate(2_000.0));
+    // 5 900 arrivals/s/node of this schedule's 6.8-byte mean tuple frame
+    // offer each 90 kbps link 3.6× what it carries.
+    let drained = run(quick(4, Algorithm::Base).arrival_rate(5_900.0));
     let cut = run(quick(4, Algorithm::Base)
-        .arrival_rate(2_000.0)
+        .arrival_rate(5_900.0)
         .cutoff_grace(100));
     assert!(
         cut.reported_matches < drained.reported_matches,

@@ -120,7 +120,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For any seed and algorithm, the experiment invariants hold:
-    /// ε ∈ [0, 1], reported ≤ truth, byte accounting adds up.
+    /// ε ∈ [0, 1], reported ≤ truth, and the engine's message and byte
+    /// counters equal the network's.
     #[test]
     fn experiment_invariants(
         seed in 0u64..1000,
@@ -137,8 +138,10 @@ proptest! {
             .unwrap();
         prop_assert!((0.0..=1.0).contains(&r.epsilon));
         prop_assert!(r.reported_matches <= r.truth_matches);
-        prop_assert!(r.bytes >= r.data_bytes + r.overhead_bytes - r.bytes.min(1));
+        // Every message the engine counts is the one simnet charges, at
+        // the size simnet charges it.
+        prop_assert_eq!(r.bytes, r.data_bytes + r.overhead_bytes);
         prop_assert!(r.duration_secs > 0.0);
-        prop_assert!(r.messages >= r.tuple_msgs + r.summary_msgs);
+        prop_assert_eq!(r.messages, r.tuple_msgs + r.summary_msgs);
     }
 }
