@@ -3,7 +3,7 @@
 use crate::scale::Scale;
 use crate::suite::Executor;
 use dsj_core::theory::{self, BoundsRow};
-use dsj_core::{Algorithm, ClusterConfig, RunError, TargetComplexity};
+use dsj_core::{Algorithm, ClusterConfig, ExperimentReport, RunError, TargetComplexity};
 use dsj_dft::compress::{retained_for, CompressedDft};
 use dsj_stream::gen::{price_series, WorkloadKind};
 
@@ -335,8 +335,7 @@ pub fn fig11(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
             // semantics.
             .arrival_rate(3_340.0)
             .cutoff_grace(300);
-        let grid = [0.5, 1.0, 2.0, 4.0, (n - 1) as f64];
-        let (r, _) = cfg.run_best_effort(PAPER_EPSILON, &grid)?;
+        let (r, _) = best_effort(&cfg)?;
         Ok(Fig11Row {
             n,
             algorithm,
@@ -344,6 +343,43 @@ pub fn fig11(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
             epsilon: r.epsilon,
         })
     })
+}
+
+/// Figure 11's operating point: over the message-complexity targets
+/// `0.5, 1, 2, 4, N − 1`, in that order, the run with the highest
+/// throughput among those reaching [`PAPER_EPSILON`], else the one with the
+/// lowest error; BASE has no target to search. Returns the run and its
+/// target.
+///
+/// Unlike [`ClusterConfig::run_at_epsilon`] this assumes no monotonicity:
+/// under link saturation *more* messages can mean *worse* error (queued
+/// results never arrive), which is the regime this figure measures.
+fn best_effort(cfg: &ClusterConfig) -> Result<(ExperimentReport, f64), RunError> {
+    let top = f64::from(cfg.n - 1);
+    if cfg.algorithm == Algorithm::Base {
+        return Ok((cfg.run()?, top));
+    }
+    let at = |t| {
+        let mut cfg = cfg.clone();
+        cfg.target = TargetComplexity::Constant(t);
+        Ok((cfg.run()?, t))
+    };
+    let feasible = |r: &ExperimentReport| r.epsilon <= PAPER_EPSILON;
+    let [first, rest @ ..] = [0.5, 1.0, 2.0, 4.0, top];
+    let mut best = at(first)?;
+    for t in rest {
+        let (report, t) = at(t)?;
+        let better = match (feasible(&report), feasible(&best.0)) {
+            (true, true) => report.throughput > best.0.throughput,
+            (true, false) => true,
+            (false, true) => false,
+            (false, false) => report.epsilon < best.0.epsilon,
+        };
+        if better {
+            best = (report, t);
+        }
+    }
+    Ok(best)
 }
 
 /// The shared cluster baseline for the simulation figures.
@@ -362,6 +398,26 @@ fn cluster(scale: Scale, n: u16, algorithm: Algorithm) -> ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_effort_picks_feasible_operating_point() {
+        let quick = |algorithm| {
+            ClusterConfig::new(4, algorithm)
+                .window(256)
+                .domain(1 << 10)
+                .tuples(4_000)
+                .arrival_rate(500.0)
+                .seed(3)
+        };
+        let (report, target) = best_effort(&quick(Algorithm::Dftt)).unwrap();
+        assert!([0.5, 1.0, 2.0, 4.0, 3.0].contains(&target));
+        // Either feasible, or the least-bad point was chosen.
+        assert!((0.0..=1.0).contains(&report.epsilon));
+        // BASE needs no grid.
+        let (base, t) = best_effort(&quick(Algorithm::Base)).unwrap();
+        assert_eq!(t, 3.0);
+        assert!(base.epsilon < 0.1);
+    }
 
     #[test]
     fn fig3_and_fig4_tables() {

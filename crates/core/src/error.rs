@@ -57,8 +57,6 @@ pub enum RunError {
     WarmupOutOfRange(f64),
     /// The error rate to calibrate to is not a fraction in `[0, 1]`.
     EpsilonOutOfRange(f64),
-    /// A best-effort search was given an empty grid of operating points.
-    EmptyGrid,
     /// An attached trace schedules an arrival on a node outside the
     /// cluster.
     TraceNodeOutOfRange {
@@ -141,9 +139,6 @@ impl fmt::Display for RunError {
             RunError::EpsilonOutOfRange(e) => {
                 write!(f, "target error rate {e} is not a fraction in [0, 1]")
             }
-            RunError::EmptyGrid => {
-                write!(f, "best-effort search needs at least one operating point")
-            }
             RunError::TraceNodeOutOfRange { node, n } => {
                 write!(f, "trace node {node} out of range for a {n}-node cluster")
             }
@@ -215,7 +210,6 @@ mod tests {
             .to_string()
             .contains("1 is not in [0, 1)"));
         assert!(RunError::EpsilonOutOfRange(2.0).to_string().contains("2"));
-        assert!(RunError::EmptyGrid.to_string().contains("operating point"));
         assert!(RunError::TraceNodeOutOfRange { node: 99, n: 4 }
             .to_string()
             .contains("99"));

@@ -1,12 +1,13 @@
-//! Wire messages and their byte-size model.
+//! Wire messages, and the block-floating-point format of DFT coefficients.
 //!
-//! The simulator charges every message its modeled wire size against the
-//! 90 kbps links, so the byte model below *is* the bandwidth cost the
-//! algorithms pay. Summary content (DFT coefficient updates, Bloom filters,
-//! AGMS sketches) is accounted separately from tuple payload so that
-//! Figure 8's overhead-vs-net-data ratio can be reported.
+//! What a message costs is the codec's to say: [`Msg::wire_sizes`] is
+//! [`crate::wire`]'s encoder run into a byte counter, so the simulator's
+//! 90 kbps links charge exactly the bytes a socket carries. It splits them
+//! into tuple data and summary overhead (DFT coefficient updates, Bloom
+//! filters, AGMS sketches) so that Figure 8's overhead-vs-net-data ratio
+//! can be reported.
 
-use crate::wire::{key_stream, varint_len};
+use crate::wire;
 use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
@@ -14,9 +15,6 @@ use dsj_stream::{StreamId, Tuple};
 /// One DFT coefficient update as the wire carries it: a bin index and a
 /// mantissa pair whose value is `(re, im) · 2^exponent`, the exponent being
 /// its payload's ([`SummaryPayload::Dft`]); [`Quantiser`] owns the format.
-///
-/// Wire size: the index's varint (1 byte below 128, 2 below 16 384,
-/// else 3) + 2 + 2 (mantissas) = [`CoeffUpdate::wire_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoeffUpdate {
     /// Coefficient (frequency bin) index.
@@ -25,13 +23,6 @@ pub struct CoeffUpdate {
     pub re: i16,
     /// Mantissa of the imaginary part.
     pub im: i16,
-}
-
-impl CoeffUpdate {
-    /// Bytes this update takes on the wire.
-    pub fn wire_bytes(self) -> usize {
-        varint_len(u64::from(self.index)) + 4
-    }
 }
 
 /// The block-floating-point format of a DFT payload: every mantissa of one
@@ -167,71 +158,6 @@ pub enum SummaryPayload {
     },
 }
 
-impl SummaryPayload {
-    /// Wire size in bytes — by invariant (pinned in `crate::wire`'s tests)
-    /// exactly the bytes `wire::encode` produces for this payload.
-    ///
-    /// Each variant pays a 1-byte kind/stream tag plus its parameters:
-    /// DFT ships `signal_len` and a coefficient count as varints and the
-    /// shared exponent in one byte, Bloom ships `(m, k, seed, items)` and
-    /// sketches `(s0, s1, seed, updates)`, each a varint but the 8-byte
-    /// seed — then the content itself: per DFT coefficient
-    /// [`CoeffUpdate::wire_bytes`], and per Bloom or sketch counter the
-    /// payload's [`counter_width`](SummaryPayload::counter_width).
-    pub fn wire_bytes(&self) -> usize {
-        let vl = |v: usize| varint_len(v as u64);
-        match self {
-            SummaryPayload::Dft {
-                signal_len,
-                updates,
-                ..
-            } => {
-                2 + varint_len(u64::from(*signal_len))
-                    + vl(updates.len())
-                    + updates.iter().map(|u| u.wire_bytes()).sum::<usize>()
-            }
-            SummaryPayload::Bloom { filter, .. } => {
-                9 + vl(filter.counters())
-                    + vl(filter.hash_count())
-                    + varint_len(filter.len())
-                    + filter.counters() * self.counter_width()
-            }
-            SummaryPayload::Sketch { sketch, .. } => {
-                9 + vl(sketch.s0())
-                    + vl(sketch.s1())
-                    + varint_len(sketch.updates())
-                    + sketch.counter_values().len() * self.counter_width()
-            }
-        }
-    }
-
-    /// The bytes each counter of a Bloom or sketch payload travels in: the
-    /// fewest of 1, 2, 4 or 8 that hold every counter of this payload,
-    /// Bloom counters unsigned and sketch counters two's complement
-    /// (1 for DFT, which has none). Derived, never configured: a window of
-    /// `W` tuples bounds every counter by `W` in magnitude, so the
-    /// benchmark's sketches ship 1 or 2 bytes a counter where memory holds
-    /// 8. The codec carries `log2` of it in the payload's `ptype` byte.
-    pub fn counter_width(&self) -> usize {
-        // The OR of every counter's significant bits, a sketch counter's
-        // shifted up one for its sign.
-        let bits = match self {
-            SummaryPayload::Dft { .. } => 0,
-            SummaryPayload::Bloom { filter, .. } => {
-                (filter.counter_values().iter()).fold(0, |acc, &c| acc | u64::from(c))
-            }
-            SummaryPayload::Sketch { sketch, .. } => (sketch.counter_values().iter())
-                .fold(0, |acc, &c| acc | (((c ^ (c >> 63)) as u64) << 1)),
-        };
-        match u64::BITS - bits.leading_zeros() {
-            0..=8 => 1,
-            9..=16 => 2,
-            17..=32 => 4,
-            _ => 8,
-        }
-    }
-}
-
 /// A message on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -249,141 +175,23 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Sizes in bytes, `(data, total)`, computed once: `total` is
-    /// [`Msg::wire_bytes`], `data` is [`Msg::data_bytes`], and the rest is
-    /// [`Msg::overhead_bytes`].
-    ///
-    /// A frame is its body behind a varint length prefix; a body is the
-    /// version/kind byte, for a tuple message the tuple's three varints,
-    /// then the self-delimiting payloads. The data of a tuple message is
-    /// its bare tuple frame, so a piggyback pays its payloads and any byte
-    /// it adds to the length prefix as overhead. A standalone summary is
-    /// all overhead.
+    /// Sizes in bytes, `(data, total)`: `total` is [`Msg::wire_bytes`],
+    /// `data` the bare tuple frame of a tuple message (Figure 8's "net
+    /// data"; 0 for a summary), and the rest is summary overhead.
     pub fn wire_sizes(&self) -> (usize, usize) {
-        let framed = |body: usize| varint_len(body as u64) + body;
-        let payloads =
-            |ps: &[SummaryPayload]| ps.iter().map(SummaryPayload::wire_bytes).sum::<usize>();
-        match self {
-            Msg::Tuple { tuple, piggyback } => {
-                // A bare tuple body is at most 19 bytes: a 1-byte prefix.
-                let data = 2
-                    + varint_len(key_stream(tuple))
-                    + varint_len(tuple.seq)
-                    + varint_len(u64::from(tuple.origin));
-                match payloads(piggyback) {
-                    0 => (data, data),
-                    p => (data, framed(data - 1 + p)),
-                }
-            }
-            Msg::Summary(ps) => (0, framed(1 + payloads(ps))),
-        }
+        wire::sizes(self)
     }
 
-    /// Wire size in bytes — by invariant (pinned in `crate::wire`'s tests)
-    /// exactly `wire::encode(self).len()`.
+    /// The bytes [`wire::encode`] writes for this message.
     pub fn wire_bytes(&self) -> usize {
-        self.wire_sizes().1
-    }
-
-    /// Bytes attributable to *tuple data* (the "net data" of Figure 8):
-    /// a tuple message's bare tuple frame.
-    pub fn data_bytes(&self) -> usize {
-        self.wire_sizes().0
-    }
-
-    /// Bytes attributable to *summary overhead* (Figure 8's numerator).
-    pub fn overhead_bytes(&self) -> usize {
-        let (data, total) = self.wire_sizes();
-        total - data
+        wire::sizes(self).1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsj_stream::StreamId;
     use proptest::prelude::*;
-
-    fn coeffs(n: usize) -> Vec<CoeffUpdate> {
-        (0..n)
-            .map(|i| CoeffUpdate {
-                index: i as u16,
-                re: i as i16,
-                im: -(i as i16),
-            })
-            .collect()
-    }
-
-    fn dft(stream: StreamId, signal_len: u32, updates: Vec<CoeffUpdate>) -> SummaryPayload {
-        SummaryPayload::Dft {
-            stream,
-            signal_len,
-            exponent: -4,
-            updates,
-        }
-    }
-
-    #[test]
-    fn tuple_msg_size() {
-        // 1 prefix + 1 ver/kind + one byte each for key·2 + stream (3),
-        // seq (2) and origin (3).
-        let bare = Msg::Tuple {
-            tuple: Tuple::new(StreamId::S, 1, 2, 3),
-            piggyback: Vec::new(),
-        };
-        assert_eq!(bare.wire_bytes(), 5);
-        assert_eq!(bare.data_bytes(), 5);
-        assert_eq!(bare.overhead_bytes(), 0);
-    }
-
-    #[test]
-    fn piggyback_adds_overhead_only() {
-        let m = Msg::Tuple {
-            tuple: Tuple::new(StreamId::R, 1, 2, 3),
-            piggyback: vec![dft(StreamId::R, 1024, coeffs(3))],
-        };
-        assert_eq!(m.data_bytes(), 5);
-        // 1 ptype + 2 (signal_len) + 1 (count) + 1 exponent + 3 × 5.
-        assert_eq!(m.overhead_bytes(), 5 + 3 * 5);
-        assert_eq!(m.wire_bytes(), m.data_bytes() + m.overhead_bytes());
-    }
-
-    #[test]
-    fn summary_sizes_match_content() {
-        let dft = Msg::Summary(vec![dft(StreamId::S, 64, coeffs(10))]);
-        // 2 frame bytes + the payload's 4-byte header + 10 coefficients.
-        assert_eq!(dft.wire_bytes(), 2 + 4 + 50);
-        assert_eq!(dft.data_bytes(), 0);
-
-        // 3 frame bytes + the 13-byte header + 256 counters of one byte
-        // (1 KB in memory).
-        let mut filter = CountingBloomFilter::new(256, 4, 1);
-        let bloom = |filter: &CountingBloomFilter| {
-            Msg::Summary(vec![SummaryPayload::Bloom {
-                stream: StreamId::R,
-                filter: filter.clone(),
-            }])
-        };
-        assert_eq!(bloom(&filter).wire_bytes(), 3 + 13 + 256);
-        for _ in 0..256 {
-            filter.insert(7);
-        }
-        // 256 items take 2 bytes.
-        assert_eq!(bloom(&filter).wire_bytes(), 3 + 14 + 256 * 2);
-
-        // 3 + 12 + 125 counters of one byte (1 000 B in memory), then two.
-        let mut sketch = AgmsSketch::new(25, 5, 1);
-        let skch = |sketch: &AgmsSketch| {
-            Msg::Summary(vec![SummaryPayload::Sketch {
-                stream: StreamId::R,
-                sketch: sketch.clone(),
-            }])
-        };
-        assert_eq!(skch(&sketch).wire_bytes(), 3 + 12 + 125);
-        sketch.update(3, 128);
-        assert_eq!(skch(&sketch).wire_bytes(), 3 + 12 + 125 * 2);
-        assert_eq!(sketch.size_bytes(), 125 * 8);
-    }
 
     #[test]
     fn steps_are_the_powers_of_two_of_every_exponent() {

@@ -645,57 +645,6 @@ impl ClusterConfig {
         }
         total
     }
-
-    /// Finds the best operating point over a grid of message-complexity
-    /// targets: among runs reaching `target_epsilon`, the one with the
-    /// highest throughput; otherwise the run with the lowest error.
-    ///
-    /// Unlike [`ClusterConfig::run_at_epsilon`] this makes no monotonicity
-    /// assumption — under link saturation *more* messages can mean *worse*
-    /// error (queued results never arrive), which is exactly the regime of
-    /// the paper's throughput experiment (Figure 11).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RunError`] from the underlying runs;
-    /// [`RunError::EpsilonOutOfRange`] for a target outside `[0, 1]`,
-    /// [`RunError::EmptyGrid`] when `grid` is empty.
-    pub fn run_best_effort(
-        &self,
-        target_epsilon: f64,
-        grid: &[f64],
-    ) -> Result<(ExperimentReport, f64), RunError> {
-        check_epsilon(target_epsilon)?;
-        if grid.is_empty() {
-            return Err(RunError::EmptyGrid);
-        }
-        if self.algorithm == Algorithm::Base {
-            return Ok((self.run()?, (self.n - 1) as f64));
-        }
-        let mut best: Option<(ExperimentReport, f64)> = None;
-        for &t in grid {
-            let mut cfg = self.clone();
-            cfg.target = TargetComplexity::Constant(t);
-            let report = cfg.run()?;
-            let better = match &best {
-                None => true,
-                Some((b, _)) => {
-                    let b_ok = b.epsilon <= target_epsilon;
-                    let r_ok = report.epsilon <= target_epsilon;
-                    match (r_ok, b_ok) {
-                        (true, true) => report.throughput > b.throughput,
-                        (true, false) => true,
-                        (false, true) => false,
-                        (false, false) => report.epsilon < b.epsilon,
-                    }
-                }
-            };
-            if better {
-                best = Some((report, t));
-            }
-        }
-        best.ok_or(RunError::EmptyGrid)
-    }
 }
 
 /// A target ε is a fraction of the result set; NaN fails the range test too.
@@ -1033,16 +982,12 @@ mod tests {
         for warmup in [0.0, 0.999] {
             assert!(warm(warmup).validate().is_ok());
         }
-        // A target ε outside [0, 1] is refused before the first run, by
-        // both searches, for BASE (which needs no search) as well.
+        // A target ε outside [0, 1] is refused before the first run, for
+        // BASE (which needs no search) as well.
         for algorithm in [Algorithm::Dft, Algorithm::Base] {
             for eps in [f64::NAN, -1.0, 2.0] {
                 assert!(matches!(
                     quick(algorithm).run_at_epsilon(eps).unwrap_err(),
-                    RunError::EpsilonOutOfRange(_)
-                ));
-                assert!(matches!(
-                    quick(algorithm).run_best_effort(eps, &[1.0]).unwrap_err(),
                     RunError::EpsilonOutOfRange(_)
                 ));
             }
@@ -1222,26 +1167,6 @@ mod tests {
             ..quick(Algorithm::Base)
         };
         assert_eq!(timed.window_spec(), WindowSpec::Time(250_000));
-    }
-
-    #[test]
-    fn best_effort_picks_feasible_operating_point() {
-        let grid = [0.5, 1.0, 3.0];
-        let (report, target) = quick(Algorithm::Dftt).run_best_effort(0.5, &grid).unwrap();
-        assert!(grid.contains(&target));
-        // Either feasible, or the least-bad point was chosen.
-        assert!((0.0..=1.0).contains(&report.epsilon));
-        // BASE needs no grid.
-        let (base, t) = quick(Algorithm::Base).run_best_effort(0.5, &grid).unwrap();
-        assert_eq!(t, 3.0);
-        assert!(base.epsilon < 0.1);
-        // An empty grid is a configuration error, not a panic.
-        assert_eq!(
-            quick(Algorithm::Dftt)
-                .run_best_effort(0.5, &[])
-                .unwrap_err(),
-            RunError::EmptyGrid
-        );
     }
 
     #[test]

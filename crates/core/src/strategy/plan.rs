@@ -22,8 +22,9 @@ pub(crate) struct PlanKey {
     /// Join-attribute domain size `D`: the length of both twiddle tables.
     pub domain: u32,
     /// Retained DFT coefficients `K`: sizes Bloom filters and sketches to
-    /// `16·K` bytes of counter memory (their wire size is smaller, see
-    /// `SummaryPayload::counter_width`).
+    /// `16·K` bytes of counter memory (their wire size is smaller: the
+    /// codec ships each counter in the fewest bytes that hold it, see
+    /// `crate::wire`).
     pub retained: usize,
     /// Per-stream window size `W`: the Bloom hash count is optimal for `W`
     /// items.

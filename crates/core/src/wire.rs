@@ -1,12 +1,13 @@
 //! The wire codec: deterministic, versioned, length-prefixed binary frames
 //! for [`Msg`].
 //!
-//! Until this module existed the repo only *modeled* wire size
-//! ([`Msg::wire_bytes`]); the codec makes the model honest. Every frame a
-//! real socket carries is produced by [`encode_into`] and its length is, by
-//! construction and by test, exactly `msg.wire_bytes()` — so the simnet
-//! bandwidth model, Figure 8's overhead accounting and the TCP backend in
-//! `dsj-runtime` all charge identical bytes.
+//! This module is the only code that knows the frame layout, and the block
+//! below is its reference. The encoder is written once, over a private byte
+//! sink: a `Vec<u8>` keeps the bytes, a counter only adds them up. The
+//! counting pass is [`Msg::wire_sizes`], so the simnet bandwidth model, the
+//! throughput governor, Figure 8's overhead accounting and the TCP backend
+//! in `dsj-runtime` all charge exactly the bytes a socket carries; it also
+//! gives [`encode_into`] the length prefix it writes before the body.
 //!
 //! # Frame layout (version 4)
 //!
@@ -40,10 +41,10 @@
 //! coefficient is always finite.
 //!
 //! A Bloom or sketch payload ships its counters at one width, `2^w` bytes,
-//! the narrowest that holds every counter it carries
-//! ([`SummaryPayload::counter_width`]); DFT payloads have `w = 0`, and
-//! `ptype`'s bits 5–7 are zero. Decoding widens the counters back to
-//! their `u32` / `i64` and refuses any other width, so the bijection holds.
+//! the narrowest that holds every counter it carries (`counter_width`);
+//! DFT payloads have `w = 0`, and `ptype`'s bits 5–7 are zero. Decoding
+//! widens the counters back to their `u32` / `i64` and refuses any other
+//! width, so the bijection holds.
 //!
 //! # Version byte policy
 //!
@@ -136,43 +137,92 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Appends `msg`'s frame to `buf`. Exactly [`Msg::wire_bytes`] bytes are
-/// written — the invariant the whole byte-accounting story rests on, pinned
-/// by the regression tests below and the property suite.
+/// Appends `msg`'s frame to `buf`: the body's length as a varint, then
+/// the body. The length comes from a counting pass of the same writer, so
+/// exactly [`Msg::wire_bytes`] bytes are written.
 pub fn encode_into(msg: &Msg, buf: &mut Vec<u8>) {
-    // One byte is reserved for the length prefix, enough below 128 bytes.
-    let len_pos = buf.len();
-    buf.push(0);
-    let body_start = buf.len();
+    let mut body = Len(0);
+    put_body(msg, &mut body);
+    put_varint(buf, body.0 as u64);
+    put_body(msg, buf);
+}
+
+/// `msg`'s sizes in bytes, `(data, total)`: `total` is its whole frame,
+/// `data` the frame its tuple would take alone (0 for a summary). The rest
+/// is summary overhead, a piggyback's share of the length prefix included.
+pub(crate) fn sizes(msg: &Msg) -> (usize, usize) {
+    let framed = |body: usize| varint_len(body as u64) + body;
+    let mut body = Len(0);
+    let payloads = put_head(msg, &mut body);
+    let data = match msg {
+        Msg::Tuple { .. } => framed(body.0),
+        Msg::Summary(_) => 0,
+    };
+    for p in payloads {
+        put_payload(p, &mut body);
+    }
+    (data, framed(body.0))
+}
+
+/// Where the encoder puts a frame's bytes: a `Vec<u8>` keeps them, [`Len`]
+/// only counts them. The encoder is written once, over this trait, so the
+/// byte model and the bytes cannot drift apart.
+trait Sink {
+    fn byte(&mut self, b: u8);
+    fn bytes(&mut self, b: &[u8]);
+    fn varint(&mut self, v: u64);
+}
+
+impl Sink for Vec<u8> {
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+    fn varint(&mut self, v: u64) {
+        put_varint(self, v);
+    }
+}
+
+/// A [`Sink`] that adds up the bytes it is given.
+struct Len(usize);
+
+impl Sink for Len {
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+    fn varint(&mut self, v: u64) {
+        self.0 += varint_len(v);
+    }
+}
+
+/// Writes `msg`'s body: its head, then its payloads.
+fn put_body(msg: &Msg, s: &mut impl Sink) {
+    for p in put_head(msg, s) {
+        put_payload(p, s);
+    }
+}
+
+/// Writes the version/kind byte and, for a tuple message, the tuple;
+/// returns the payloads that follow.
+fn put_head<'m>(msg: &'m Msg, s: &mut impl Sink) -> &'m [SummaryPayload] {
     match msg {
         Msg::Tuple { tuple, piggyback } => {
-            buf.push(tag(KIND_TUPLE));
-            put_varint(buf, key_stream(tuple));
-            put_varint(buf, tuple.seq);
-            put_varint(buf, u64::from(tuple.origin));
-            for p in piggyback {
-                encode_payload(p, buf);
-            }
+            s.byte(tag(KIND_TUPLE));
+            s.varint(key_stream(tuple));
+            s.varint(tuple.seq);
+            s.varint(u64::from(tuple.origin));
+            piggyback
         }
         Msg::Summary(payloads) => {
-            buf.push(tag(KIND_SUMMARY));
-            for p in payloads {
-                encode_payload(p, buf);
-            }
+            s.byte(tag(KIND_SUMMARY));
+            payloads
         }
     }
-    let body_len = buf.len() - body_start;
-    if body_len < 0x80 {
-        buf[len_pos] = body_len as u8;
-        return;
-    }
-    // A longer prefix is appended, rotated in front of the body, and the
-    // reserved byte dropped.
-    let body_end = buf.len();
-    put_varint(buf, body_len as u64);
-    let prefix_len = buf.len() - body_end;
-    buf[len_pos..].rotate_right(prefix_len);
-    buf.remove(len_pos + prefix_len);
 }
 
 /// The bytes [`put_varint`] writes for `v`: one per started 7 bits, at
@@ -221,13 +271,13 @@ pub fn get_varint(bytes: &[u8]) -> Result<(u64, usize), WireError> {
 }
 
 /// A tuple's key and stream as one varint: `key·2 + stream`.
-pub(crate) fn key_stream(tuple: &Tuple) -> u64 {
+fn key_stream(tuple: &Tuple) -> u64 {
     (u64::from(tuple.key) << 1) | u64::from(stream_bit(tuple.stream))
 }
 
 /// Encodes `msg` into a fresh buffer (one frame).
 pub fn encode(msg: &Msg) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(msg.wire_bytes());
+    let mut buf = Vec::new();
     encode_into(msg, &mut buf);
     buf
 }
@@ -249,7 +299,32 @@ fn width_tag(pkind: u8, stream: StreamId, width: usize) -> u8 {
     ((width.trailing_zeros() as u8) << 3) | (pkind << 1) | stream_bit(stream)
 }
 
-fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
+/// The bytes each counter of a Bloom or sketch payload travels in: the
+/// fewest of 1, 2, 4 or 8 that hold every counter it carries, Bloom
+/// counters unsigned and sketch counters two's complement (1 for DFT, which
+/// has none). Derived, never configured: a window of `W` tuples bounds
+/// every counter by `W` in magnitude, so the benchmark's sketches ship 1 or
+/// 2 bytes a counter where memory holds 8.
+fn counter_width(p: &SummaryPayload) -> usize {
+    // The OR of every counter's significant bits, a sketch counter's
+    // shifted up one for its sign.
+    let bits = match p {
+        SummaryPayload::Dft { .. } => 0,
+        SummaryPayload::Bloom { filter, .. } => {
+            (filter.counter_values().iter()).fold(0, |acc, &c| acc | u64::from(c))
+        }
+        SummaryPayload::Sketch { sketch, .. } => (sketch.counter_values().iter())
+            .fold(0, |acc, &c| acc | (((c ^ (c >> 63)) as u64) << 1)),
+    };
+    match u64::BITS - bits.leading_zeros() {
+        0..=8 => 1,
+        9..=16 => 2,
+        17..=32 => 4,
+        _ => 8,
+    }
+}
+
+fn put_payload(p: &SummaryPayload, s: &mut impl Sink) {
     match p {
         SummaryPayload::Dft {
             stream,
@@ -257,36 +332,36 @@ fn encode_payload(p: &SummaryPayload, buf: &mut Vec<u8>) {
             exponent,
             updates,
         } => {
-            buf.push((PKIND_DFT << 1) | stream_bit(*stream));
-            put_varint(buf, u64::from(*signal_len));
-            put_varint(buf, updates.len() as u64);
-            buf.extend_from_slice(&exponent.to_le_bytes());
+            s.byte((PKIND_DFT << 1) | stream_bit(*stream));
+            s.varint(u64::from(*signal_len));
+            s.varint(updates.len() as u64);
+            s.bytes(&exponent.to_le_bytes());
             for u in updates {
-                put_varint(buf, u64::from(u.index));
+                s.varint(u64::from(u.index));
                 let ([r0, r1], [m0, m1]) = (u.re.to_le_bytes(), u.im.to_le_bytes());
-                buf.extend_from_slice(&[r0, r1, m0, m1]);
+                s.bytes(&[r0, r1, m0, m1]);
             }
         }
         SummaryPayload::Bloom { stream, filter } => {
-            let width = p.counter_width();
-            buf.push(width_tag(PKIND_BLOOM, *stream, width));
-            put_varint(buf, filter.counters() as u64);
-            put_varint(buf, filter.hash_count() as u64);
-            buf.extend_from_slice(&filter.seed().to_le_bytes());
-            put_varint(buf, filter.len());
+            let width = counter_width(p);
+            s.byte(width_tag(PKIND_BLOOM, *stream, width));
+            s.varint(filter.counters() as u64);
+            s.varint(filter.hash_count() as u64);
+            s.bytes(&filter.seed().to_le_bytes());
+            s.varint(filter.len());
             for &c in filter.counter_values() {
-                buf.extend_from_slice(&c.to_le_bytes()[..width]);
+                s.bytes(&c.to_le_bytes()[..width]);
             }
         }
         SummaryPayload::Sketch { stream, sketch } => {
-            let width = p.counter_width();
-            buf.push(width_tag(PKIND_SKETCH, *stream, width));
-            put_varint(buf, sketch.s0() as u64);
-            put_varint(buf, sketch.s1() as u64);
-            buf.extend_from_slice(&sketch.seed().to_le_bytes());
-            put_varint(buf, sketch.updates());
+            let width = counter_width(p);
+            s.byte(width_tag(PKIND_SKETCH, *stream, width));
+            s.varint(sketch.s0() as u64);
+            s.varint(sketch.s1() as u64);
+            s.bytes(&sketch.seed().to_le_bytes());
+            s.varint(sketch.updates());
             for &c in sketch.counter_values() {
-                buf.extend_from_slice(&c.to_le_bytes()[..width]);
+                s.bytes(&c.to_le_bytes()[..width]);
             }
         }
     }
@@ -535,7 +610,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<SummaryPayload, WireError> {
     };
     // One width per payload, the narrowest (none on DFT), keeps decode the
     // inverse of encode.
-    if payload.counter_width() != width {
+    if counter_width(&payload) != width {
         return Err(NOT_MINIMAL);
     }
     Ok(payload)
@@ -757,11 +832,19 @@ mod tests {
         }
     }
 
-    /// Per-variant size regressions: the drift fix pinned to arithmetic.
+    /// A payload's bytes, as the counting sink adds them up.
+    fn payload_len(p: &SummaryPayload) -> usize {
+        let mut len = Len(0);
+        put_payload(p, &mut len);
+        len.0
+    }
+
+    /// Per-variant size regressions, pinned to arithmetic.
     #[test]
     fn per_variant_sizes() {
         // Bare tuple: 1 prefix + 1 ver/kind + the varints of key·2 + stream,
-        // seq and origin — one byte each below 128, two below 16 384.
+        // seq and origin — one byte each below 128, two below 16 384. It is
+        // all data.
         for (key, seq, origin, len) in [
             (1, 2, 3, 5),
             (63, 127, 127, 5),
@@ -777,6 +860,12 @@ mod tests {
             assert_eq!(bare.wire_sizes(), (len, len));
         }
 
+        let dft = |stream, signal_len, updates| SummaryPayload::Dft {
+            stream,
+            signal_len,
+            exponent: 3,
+            updates,
+        };
         // A coefficient: its index's varint + two i16 mantissas.
         for (index, len) in [(0, 5), (127, 5), (128, 6), (16_383, 6), (16_384, 7)] {
             let u = CoeffUpdate {
@@ -784,17 +873,13 @@ mod tests {
                 re: 1,
                 im: -1,
             };
-            assert_eq!(u.wire_bytes(), len, "{index}");
+            let with = payload_len(&dft(StreamId::R, 8, vec![u]));
+            assert_eq!(with - payload_len(&dft(StreamId::R, 8, Vec::new())), len);
         }
         // Dft payload: 1 ptype + 2 (signal_len 512) + 1 (count 7) + 1
         // exponent + 5 per update.
-        let dft = SummaryPayload::Dft {
-            stream: StreamId::R,
-            signal_len: 512,
-            exponent: 3,
-            updates: coeffs(7),
-        };
-        assert_eq!(dft.wire_bytes(), 5 + 7 * 5);
+        let dft7 = dft(StreamId::R, 512, coeffs(7));
+        assert_eq!(payload_len(&dft7), 5 + 7 * 5);
 
         // Bloom payload: 1 ptype + 2 (m 256) + 1 (k 4) + 8 seed + 1 (items
         // 9) + 1, 2 or 4 per counter, the narrowest that holds the largest.
@@ -804,13 +889,28 @@ mod tests {
             filter: CountingBloomFilter::from_parts(4, 1, [vec![0; 255], vec![top]].concat(), 9),
         };
         for (top, width) in [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
-            assert_eq!(bloom(top).wire_bytes(), 13 + 256 * width, "{top}");
+            assert_eq!(payload_len(&bloom(top)), 13 + 256 * width, "{top}");
             assert_eq!(
                 encode(&Msg::Summary(vec![bloom(top)])).len(),
                 3 + 13 + 256 * width
             );
         }
         let bloom = bloom(300);
+        // A fresh 256-counter filter frames in 3 + 13 + 256 one-byte
+        // counters (1 KB in memory); 256 items take 2 bytes.
+        let mut filter = CountingBloomFilter::new(256, 4, 1);
+        let framed = |filter: &CountingBloomFilter| {
+            Msg::Summary(vec![SummaryPayload::Bloom {
+                stream: StreamId::R,
+                filter: filter.clone(),
+            }])
+            .wire_bytes()
+        };
+        assert_eq!(framed(&filter), 3 + 13 + 256);
+        for _ in 0..256 {
+            filter.insert(7);
+        }
+        assert_eq!(framed(&filter), 3 + 14 + 256 * 2);
 
         // Sketch payload: 1 ptype + 1 (s0) + 1 (s1) + 8 seed + 1 (updates
         // 9) + 1, 2, 4 or 8 per counter, two's complement. The benchmark's
@@ -820,36 +920,63 @@ mod tests {
             sketch: AgmsSketch::from_parts(10, 2, 1, [vec![0; 19], vec![c]].concat(), 9),
         };
         for (c, width) in [(-128, 1), (127, 1), (128, 2), (-32_769, 4), (1 << 31, 8)] {
-            assert_eq!(sketch(c).wire_bytes(), 12 + 20 * width, "{c}");
+            assert_eq!(payload_len(&sketch(c)), 12 + 20 * width, "{c}");
         }
-        assert_eq!(sketch(0).wire_bytes(), 32);
-        assert_eq!(sketch(-129).wire_bytes(), 52);
+        assert_eq!(payload_len(&sketch(0)), 32);
+        assert_eq!(payload_len(&sketch(-129)), 52);
         assert_eq!(encode(&Msg::Summary(vec![sketch(0)])).len(), 34);
         let skch = sketch(i64::MIN);
-        assert_eq!(skch.wire_bytes(), 12 + 20 * 8);
+        assert_eq!(payload_len(&skch), 12 + 20 * 8);
+        // A fresh 25 × 5 sketch frames in 3 + 12 + 125 one-byte counters
+        // (1 000 B in memory), then two bytes a counter.
+        let mut agms = AgmsSketch::new(25, 5, 1);
+        let framed = |sketch: &AgmsSketch| {
+            Msg::Summary(vec![SummaryPayload::Sketch {
+                stream: StreamId::R,
+                sketch: sketch.clone(),
+            }])
+            .wire_bytes()
+        };
+        assert_eq!(framed(&agms), 3 + 12 + 125);
+        agms.update(3, 128);
+        assert_eq!(framed(&agms), 3 + 12 + 125 * 2);
+        assert_eq!(agms.size_bytes(), 125 * 8);
 
         // Standalone summary: prefix + ver/kind + payload sum, all overhead.
-        let msg = Msg::Summary(vec![dft.clone(), bloom.clone(), skch.clone()]);
-        let body = 1 + dft.wire_bytes() + bloom.wire_bytes() + skch.wire_bytes();
+        let msg = Msg::Summary(vec![dft7.clone(), bloom.clone(), skch.clone()]);
+        let body = 1 + payload_len(&dft7) + payload_len(&bloom) + payload_len(&skch);
         assert_eq!(msg.wire_sizes(), (0, 2 + body));
         assert_eq!(encode(&msg).len(), msg.wire_bytes());
+        // 2 frame bytes + the payload's 4-byte header + 10 coefficients.
+        let msg = Msg::Summary(vec![dft(StreamId::S, 64, coeffs(10))]);
+        assert_eq!(msg.wire_sizes(), (0, 2 + 4 + 50));
 
         // Piggybacked tuple: the bare tuple frame is data, the payloads are
         // overhead, and so is the prefix byte a long piggyback adds.
-        let pig = |updates| Msg::Tuple {
-            tuple: Tuple::new(StreamId::S, 9, 10, 0),
-            piggyback: vec![SummaryPayload::Dft {
-                stream: StreamId::S,
-                signal_len: 64,
-                exponent: 0,
-                updates,
-            }],
+        let pig = |stream, signal_len, updates| Msg::Tuple {
+            tuple: Tuple::new(stream, 9, 10, 0),
+            piggyback: vec![dft(stream, signal_len, updates)],
         };
-        assert_eq!(pig(coeffs(7)).wire_sizes(), (5, 5 + 4 + 7 * 5));
-        assert_eq!(pig(coeffs(23)).wire_sizes(), (5, 5 + 4 + 23 * 5));
-        assert_eq!(pig(coeffs(24)).wire_sizes(), (5, 5 + 4 + 24 * 5 + 1));
+        assert_eq!(
+            pig(StreamId::S, 64, coeffs(7)).wire_sizes(),
+            (5, 5 + 4 + 7 * 5)
+        );
+        assert_eq!(
+            pig(StreamId::S, 64, coeffs(23)).wire_sizes(),
+            (5, 5 + 4 + 23 * 5)
+        );
+        assert_eq!(
+            pig(StreamId::S, 64, coeffs(24)).wire_sizes(),
+            (5, 5 + 4 + 24 * 5 + 1)
+        );
+        // 1 ptype + 2 (signal_len 1 024) + 1 (count) + 1 exponent + 3 × 5.
+        assert_eq!(
+            pig(StreamId::R, 1_024, coeffs(3)).wire_sizes(),
+            (5, 5 + 5 + 3 * 5)
+        );
         for n in [7, 23, 24] {
-            assert_eq!(encode(&pig(coeffs(n))).len(), pig(coeffs(n)).wire_bytes());
+            let m = pig(StreamId::S, 64, coeffs(n));
+            assert_eq!(encode(&m).len(), m.wire_bytes());
         }
     }
 
