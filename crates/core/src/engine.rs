@@ -366,10 +366,12 @@ impl NodeEngine {
             Msg::Tuple { tuple, piggyback } => {
                 self.apply_summaries(from, &piggyback);
                 self.metrics.tuples_received += 1;
-                // Probe-only: count pairs whose later tuple is the prober.
-                let matches = self
+                // Probe-only: count pairs whose later tuple is the prober,
+                // against the window as it stood when the prober arrived.
+                let (matches, late) = self
                     .window(tuple.stream.opposite())
                     .probe_before(tuple.key, tuple.seq);
+                self.metrics.late_probes += u64::from(late);
                 self.metrics.remote_matches += self.counted(tuple.seq, matches);
             }
             Msg::Summary(payloads) => {
@@ -601,6 +603,41 @@ mod tests {
         assert_eq!(eng.metrics().arrivals, 1);
         // Both processed events were quiesced; shutdown is not an event.
         assert_eq!(tx.quiesced, 2);
+    }
+
+    #[test]
+    fn a_trailing_probe_reads_the_window_as_of_its_tuple() {
+        // Node 0 of two stores R tuples of key 5 at the even seqs 0..=118
+        // in a window of 16: it holds 88..=118 and keeps the 16 expired
+        // before them, 56..=86.
+        let mut eng = engine(0, 2);
+        let mut tx = Script::default();
+        for seq in (0..120).step_by(2) {
+            eng.on_arrival(Tuple::new(StreamId::R, 5, seq, 0), &mut tx)
+                .unwrap();
+        }
+        let probe = |eng: &mut NodeEngine, seq| {
+            let before = *eng.metrics();
+            let tuple = Tuple::new(StreamId::S, 5, seq, 1);
+            eng.on_net(
+                1,
+                Msg::Tuple {
+                    tuple,
+                    piggyback: Vec::new(),
+                },
+            );
+            let m = eng.metrics();
+            (
+                m.remote_matches - before.remote_matches,
+                m.late_probes - before.late_probes,
+            )
+        };
+        assert_eq!(probe(&mut eng, 119), (16, 0));
+        // Node 1's S tuple at seq 91 arrived when the window held 60..=90.
+        assert_eq!(probe(&mut eng, 91), (16, 0));
+        // One at seq 75 trails by 22 inserts, past the grace: its window
+        // held 44..=74, and 44..=54 are gone.
+        assert_eq!(probe(&mut eng, 75), (10, 1));
     }
 
     #[test]

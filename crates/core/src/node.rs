@@ -100,6 +100,10 @@ pub struct NodeMetrics {
     /// Arrivals dropped at ingest because their key fell outside the
     /// configured attribute domain (a corrupt or mis-configured source).
     pub key_domain_drops: u64,
+    /// Forwarded tuples that trailed this node's window by more than its
+    /// grace: the window as it stood at their arrival reached past the
+    /// oldest expired tuple kept, so their match count may be short.
+    pub late_probes: u64,
 }
 
 impl NodeMetrics {
@@ -125,6 +129,7 @@ impl NodeMetrics {
             ("summaries_received", self.summaries_received),
             ("summary_index_drops", self.summary_index_drops),
             ("key_domain_drops", self.key_domain_drops),
+            ("late_probes", self.late_probes),
         ] {
             registry.counter_add(&format!("node.{me:02}.{name}"), value);
         }
@@ -144,6 +149,7 @@ impl NodeMetrics {
         self.summaries_received += other.summaries_received;
         self.summary_index_drops += other.summary_index_drops;
         self.key_domain_drops += other.key_domain_drops;
+        self.late_probes += other.late_probes;
     }
 }
 
@@ -297,6 +303,7 @@ mod tests {
             summaries_received: 10,
             summary_index_drops: 11,
             key_domain_drops: 12,
+            late_probes: 13,
         };
         let b = a;
         a.absorb(&b);
@@ -305,6 +312,7 @@ mod tests {
         assert_eq!(a.summaries_received, 20);
         assert_eq!(a.summary_index_drops, 22);
         assert_eq!(a.key_domain_drops, 24);
+        assert_eq!(a.late_probes, 26);
     }
 
     #[test]

@@ -997,9 +997,9 @@ mod tests {
     #[test]
     fn base_achieves_near_zero_error() {
         let report = quick(Algorithm::Base).run().unwrap();
-        assert!(
-            report.epsilon < 0.05,
-            "broadcast should be near-exact: ε = {}",
+        assert_eq!(
+            report.reported_matches, report.truth_matches,
+            "broadcast should be exact: ε = {}",
             report.epsilon
         );
         // N-1 = 3 messages per tuple.

@@ -253,6 +253,11 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// value (a last byte of zero after the first) or holds more than 64 bits.
 #[inline]
 pub fn get_varint(bytes: &[u8]) -> Result<(u64, usize), WireError> {
+    // Most varints on the wire are one byte, and a one-byte varint is
+    // always minimal.
+    if let Some(&b) = bytes.first().filter(|&&b| b < 0x80) {
+        return Ok((u64::from(b), 1));
+    }
     let mut v = 0;
     for (i, &b) in bytes.iter().enumerate() {
         // The tenth byte holds bit 63 alone, and ends every varint.
@@ -642,7 +647,23 @@ impl FrameBatch {
 
     /// Appends `msg` as one frame (exactly [`Msg::wire_bytes`] bytes).
     pub fn push(&mut self, msg: &Msg) {
-        encode_into(msg, &mut self.buf);
+        self.push_sized(msg, msg.wire_bytes());
+    }
+
+    /// [`FrameBatch::push`] for a message already sized at `frame`
+    /// ([`Msg::wire_bytes`]) bytes: the length prefix comes from the size,
+    /// not from a second counting pass.
+    pub fn push_sized(&mut self, msg: &Msg, frame: usize) {
+        let start = self.buf.len();
+        // The body is what the shortest prefix leaves of `frame`: one byte
+        // below 128, where the loop never turns.
+        let mut body = frame - 1;
+        while varint_len(body as u64) + body > frame {
+            body -= 1;
+        }
+        put_varint(&mut self.buf, body as u64);
+        put_body(msg, &mut self.buf);
+        debug_assert_eq!(self.buf.len() - start, msg.wire_bytes(), "sized wrong");
         self.ends.push(self.buf.len());
     }
 
@@ -1233,6 +1254,21 @@ mod tests {
             alloc,
             "clear must keep the allocation"
         );
+        // A sized push writes `encode`'s bytes on both sides of the one- to
+        // two-byte length prefix.
+        for signal_len in [64, 128, 1 << 14, 1 << 21] {
+            for n in 0..40 {
+                let m = Msg::Summary(vec![SummaryPayload::Dft {
+                    stream: StreamId::R,
+                    signal_len,
+                    exponent: 0,
+                    updates: coeffs(n),
+                }]);
+                batch.clear();
+                batch.push_sized(&m, m.wire_bytes());
+                assert_eq!(batch.bytes(), &encode(&m)[..], "{signal_len}, {n}");
+            }
+        }
     }
 
     #[test]

@@ -293,18 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn base_live_cluster_is_nearly_exact() {
+    fn base_live_cluster_is_exact() {
         let outcome = LiveCluster::run(&quick(4, Algorithm::Base)).unwrap();
-        // Backpressure bounds in-flight events, so probe staleness is a
-        // few window slots at most: broadcast recovers all but a fraction
-        // of a percent of the ground truth.
-        assert!(
-            outcome.epsilon < 0.02,
-            "eps {} ({} of {})",
-            outcome.epsilon,
-            outcome.reported_matches,
-            outcome.truth_matches
+        // Backpressure bounds how far a probe trails its destination's
+        // window, far inside the window's grace: broadcast is exact.
+        assert_eq!(
+            (outcome.reported_matches, outcome.totals.late_probes),
+            (outcome.truth_matches, 0),
+            "eps {}",
+            outcome.epsilon
         );
+        assert_eq!(outcome.epsilon, 0.0);
         assert!(
             outcome.tuples_per_sec > 1_000.0,
             "{}",

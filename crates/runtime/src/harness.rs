@@ -437,11 +437,13 @@ pub(crate) fn run_paced(
     pacing: Pacing,
     spawn: impl FnOnce(&ClusterConfig) -> Result<Run, LiveError>,
 ) -> Result<LiveOutcome, LiveError> {
-    // Freerun's cap keeps probes from arriving long after their partners
-    // were evicted (matches lost to staleness, not to the algorithm);
-    // lockstep's lets every arrival's causal cone land before the next moves.
+    // Freerun's cap bounds how far a probe can trail its destination's
+    // window: a few dozen inserts at 64·N, far inside the window's grace
+    // of one window, so as-of probes stay exact (`late_probes` counts any
+    // that are not). Lockstep's lets every arrival's causal cone land
+    // before the next moves.
     let cap = match pacing {
-        Pacing::Freerun => 8 * i64::from(cfg.n),
+        Pacing::Freerun => 64 * i64::from(cfg.n),
         Pacing::Lockstep => 1,
     };
     live(cfg, Feed::Closed { cap }, spawn).map(|(outcome, _)| outcome)
@@ -1090,8 +1092,8 @@ mod tests {
 
     #[test]
     fn feeders_wake_a_node_once_per_burst_not_per_arrival() {
-        // Two nodes that never drain, fed as a closed loop is up to its
-        // cap (8·N = 16): the injections wake nobody, and the wait at the
+        // Two nodes that never drain, fed 16 arrivals as a closed loop is
+        // up to its cap: the injections wake nobody, and the wait at the
         // cap kicks. The failure planted beforehand then ends the wait.
         let cfg = test_cfg(2).tuples(40);
         let mut run = Run::new(cfg.n);

@@ -524,13 +524,18 @@ impl Transport for ReactorTransport {
     type Error = LiveError;
 
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), LiveError> {
+        let bytes = msg.wire_bytes();
+        self.send_sized(to, msg, bytes)
+    }
+
+    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), LiveError> {
         let Some(Some(peer)) = self.peers.get_mut(to as usize) else {
             return Err(LiveError::Io {
                 node: self.me,
                 detail: format!("no socket from node {} to peer {to}", self.me),
             });
         };
-        peer.batch.push(&msg);
+        peer.batch.push_sized(&msg, bytes);
         // Count the message in flight at batch time, before any byte
         // becomes visible to the peer: the counter may briefly over-report
         // (batched, not yet written) but never under-reports, and the

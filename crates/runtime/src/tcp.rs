@@ -297,15 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn base_tcp_cluster_is_nearly_exact() {
+    fn base_tcp_cluster_is_exact() {
         let outcome = TcpCluster::run(&quick(4, Algorithm::Base)).unwrap();
-        assert!(
-            outcome.epsilon < 0.02,
-            "eps {} ({} of {})",
-            outcome.epsilon,
-            outcome.reported_matches,
-            outcome.truth_matches
+        assert_eq!(
+            (outcome.reported_matches, outcome.totals.late_probes),
+            (outcome.truth_matches, 0),
+            "eps {}",
+            outcome.epsilon
         );
+        assert_eq!(outcome.epsilon, 0.0);
         assert!(outcome.messages > 0);
         // Transport stats are populated and show coalescing engaging: nodes
         // are woken per burst, so a flush carries several frames per peer.

@@ -45,7 +45,7 @@ impl WindowSpec {
 }
 
 /// One held tuple. Slots are addressed by insertion number: the slot of
-/// the `i`-th tuple ever inserted sits at `buf[i − evicted]`.
+/// the `i`-th tuple ever inserted sits at `live[i − evicted]`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     tuple: Tuple,
@@ -55,12 +55,24 @@ struct Slot {
     prev: u64,
 }
 
+/// What a probe still needs of an expired tuple.
+#[derive(Debug, Clone, Copy)]
+struct Gone {
+    seq: u64,
+    /// Sequence number of the insert that evicted it.
+    by: u64,
+    key: u32,
+}
+
 /// A key's held tuples: how many, and the insertion number of the newest.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     tail: u64,
     count: u32,
 }
+
+/// Buckets of [`SlidingWindow`]'s record of recent evictions.
+const EVICTED_BUCKETS: usize = 64;
 
 /// Multiplicative hashing of a `u32` join key; the high half of the
 /// product lands in the low bits the table indexes by, so keys that share
@@ -97,6 +109,12 @@ pub(crate) type KeyMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault
 /// A sliding window holding tuples of a single stream, with O(1) key-count
 /// probing for join evaluation.
 ///
+/// A tuple that expires leaves the key index and is reported by
+/// [`SlidingWindow::evicted_keys`] at once, but what a probe needs of it
+/// is kept for a grace of one more window (`G = W`: as many expired tuples
+/// as held ones), so that a probe from a peer can still read the window as
+/// it stood when that peer's tuple arrived ([`SlidingWindow::probe_before`]).
+///
 /// ```
 /// use dsj_stream::{SlidingWindow, WindowSpec, Tuple, StreamId};
 ///
@@ -108,6 +126,9 @@ pub(crate) type KeyMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault
 /// let evicted = w.insert(Tuple::new(StreamId::R, 9, 2, 0), 2);
 /// assert_eq!(evicted.len(), 1);
 /// assert_eq!(w.probe(5), 1);
+/// // A probe by a tuple that arrived between the second and third inserts
+/// // still sees both 5s.
+/// assert_eq!(w.probe_before(5, 2), (2, false));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
@@ -115,12 +136,21 @@ pub struct SlidingWindow {
     /// Held tuples, oldest first, each chained to the next-older tuple of
     /// its key. A count window's ring is sized for `W + 1` slots at
     /// construction (an insert lands before its eviction) and never grows.
-    buf: VecDeque<Slot>,
+    live: VecDeque<Slot>,
+    /// Expired tuples, oldest first, kept while there are no more of them
+    /// than tuples held: a grace of one window. Sized like `live`.
+    gone: VecDeque<Gone>,
+    /// `Gone::by` of the newest expired tuple let go of, if any was.
+    dropped_by: Option<u64>,
     /// Per-key count and newest slot of every key held. A count window
     /// reserves room for `2·(W + 1)` keys at construction: the table then
     /// stays under half full, where it rehashes its tombstones in place
     /// instead of reallocating, so inserts never allocate.
     index: KeyMap<Run>,
+    /// Per bucket of keys, the sequence number of the last insert that
+    /// evicted a tuple of one: a probe whose key's bucket lost nothing
+    /// since the prober arrived has no expired tuple to look for.
+    last_evicted_by: [u64; EVICTED_BUCKETS],
     inserted: u64,
     evicted: u64,
     /// Tuples evicted by the most recent `insert`, reused across calls.
@@ -135,15 +165,19 @@ impl SlidingWindow {
     pub fn new(spec: WindowSpec) -> Self {
         let mut w = SlidingWindow {
             spec,
-            buf: VecDeque::new(),
+            live: VecDeque::new(),
+            gone: VecDeque::new(),
+            dropped_by: None,
             index: Default::default(),
+            last_evicted_by: [0; EVICTED_BUCKETS],
             inserted: 0,
             evicted: 0,
             evict_buf: Vec::new(),
             evict_keys: Vec::new(),
         };
         if let WindowSpec::Count(n) = spec {
-            w.buf.reserve(n + 1);
+            w.live.reserve(n + 1);
+            w.gone.reserve(n + 1);
             w.index.reserve(2 * (n + 1));
             w.evict_buf.reserve(1);
             w.evict_keys.reserve(1);
@@ -154,13 +188,13 @@ impl SlidingWindow {
     /// Number of tuples currently held.
     #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.live.len()
     }
 
     /// `true` when no tuples are held.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.live.is_empty()
     }
 
     /// Total tuples ever inserted.
@@ -182,32 +216,52 @@ impl SlidingWindow {
         self.index.get(&key).map_or(0, |run| run.count)
     }
 
-    /// Number of held tuples with attribute `key` and sequence number
-    /// strictly below `seq` — the deduplicating probe for distributed match
-    /// counting (only pairs where the prober is the *later* tuple count).
-    /// Walks the key's chain from its newest tuple, so it costs one step
-    /// per held `key` tuple at or after `seq` — none when nothing trails
-    /// the prober.
-    pub fn probe_before(&self, key: u32, seq: u64) -> u32 {
-        let Some(run) = self.index.get(&key) else {
-            return 0;
-        };
-        let mut newer = 0;
-        let mut at = run.tail;
-        while newer < run.count {
-            let slot = &self.buf[(at - self.evicted) as usize];
-            if slot.tuple.seq < seq {
-                break;
-            }
-            newer += 1;
-            at = slot.prev;
+    /// The deduplicating probe for distributed match counting (only pairs
+    /// where the prober is the *later* tuple count): how many tuples with
+    /// attribute `key` the window held as it stood after its last insert
+    /// with sequence number below `seq` — the instant
+    /// [`GroundTruth`](crate::join::GroundTruth) counts the prober at. The
+    /// second value is `true` when that window reached past the oldest
+    /// expired tuple still kept, so the count may be short.
+    ///
+    /// With no insert at or after `seq` this is the key's live count.
+    /// Otherwise the key's chain is walked past its tuples at or after
+    /// `seq`, and the tuples evicted since `seq` are scanned, newest first,
+    /// if `key`'s bucket lost one since.
+    pub fn probe_before(&self, key: u32, seq: u64) -> (u32, bool) {
+        let run = self.index.get(&key).copied();
+        let live = run.map_or(0, |run| run.count);
+        if self.live.back().is_none_or(|slot| slot.tuple.seq < seq) {
+            return (live, false);
         }
-        run.count - newer
+        // Held tuples of the key at or after `seq`, newest first.
+        let mut newer = 0;
+        if let Some(run) = run {
+            let mut at = run.tail;
+            while newer < run.count {
+                let slot = &self.live[(at - self.evicted) as usize];
+                if slot.tuple.seq < seq {
+                    break;
+                }
+                newer += 1;
+                at = slot.prev;
+            }
+        }
+        let mut count = live - newer;
+        if self.last_evicted_by[bucket(key)] >= seq {
+            for gone in self.gone.iter().rev() {
+                if gone.by < seq {
+                    break;
+                }
+                count += u32::from(gone.key == key && gone.seq < seq);
+            }
+        }
+        (count, self.dropped_by.is_some_and(|by| by >= seq))
     }
 
     /// Iterates over held tuples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.buf.iter().map(|slot| &slot.tuple)
+        self.live.iter().map(|slot| &slot.tuple)
     }
 
     /// Inserts a tuple observed at `now` (a timestamp for time windows;
@@ -218,7 +272,7 @@ impl SlidingWindow {
     /// by the next `insert`; [`SlidingWindow::evicted_keys`] exposes the
     /// same eviction batch as bare join keys.
     pub fn insert(&mut self, tuple: Tuple, now: u64) -> &[Tuple] {
-        if let Some(last) = self.buf.back() {
+        if let Some(last) = self.live.back() {
             debug_assert!(
                 last.tuple.seq < tuple.seq,
                 "tuples must be inserted in ascending seq order"
@@ -231,7 +285,7 @@ impl SlidingWindow {
             .or_insert(Run { tail: at, count: 0 });
         let prev = std::mem::replace(&mut run.tail, at);
         run.count += 1;
-        self.buf.push_back(Slot {
+        self.live.push_back(Slot {
             tuple,
             ts: now,
             prev,
@@ -240,13 +294,22 @@ impl SlidingWindow {
         self.evict_buf.clear();
         self.evict_keys.clear();
         while self
-            .buf
+            .live
             .front()
-            .is_some_and(|slot| self.spec.expires(self.buf.len(), slot.ts, now))
+            .is_some_and(|slot| self.spec.expires(self.live.len(), slot.ts, now))
         {
             let Some(t) = self.pop_oldest() else { break };
+            self.last_evicted_by[bucket(t.key)] = tuple.seq;
+            self.gone.push_back(Gone {
+                seq: t.seq,
+                by: tuple.seq,
+                key: t.key,
+            });
             self.evict_buf.push(t);
             self.evict_keys.push(t.key);
+        }
+        while self.gone.len() > self.live.len() {
+            self.dropped_by = self.gone.pop_front().map(|gone| gone.by);
         }
         &self.evict_buf
     }
@@ -261,7 +324,7 @@ impl SlidingWindow {
     /// Evicts the oldest held tuple, if any. It is also the oldest of its
     /// key, so the key's run just shrinks by one from the old end.
     fn pop_oldest(&mut self) -> Option<Tuple> {
-        let t = self.buf.pop_front()?.tuple;
+        let t = self.live.pop_front()?.tuple;
         if let Some(run) = self.index.get_mut(&t.key) {
             run.count -= 1;
             if run.count == 0 {
@@ -271,6 +334,12 @@ impl SlidingWindow {
         self.evicted += 1;
         Some(t)
     }
+}
+
+/// `key`'s bucket of [`SlidingWindow`]'s record of recent evictions.
+#[inline]
+fn bucket(key: u32) -> usize {
+    (u64::from(key).wrapping_mul(KEY_MUL) >> 58) as usize
 }
 
 #[cfg(test)]
@@ -297,6 +366,12 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert_eq!(w.inserted(), 5);
         assert_eq!(w.evicted(), 2);
+        // Evicted, but kept within grace: a probe that trails the
+        // insert that evicted key 1 still finds it, and key 0 before that.
+        assert_eq!(w.probe(1), 0);
+        assert_eq!(w.probe_before(1, 4), (1, false));
+        assert_eq!(w.probe_before(0, 3), (1, false));
+        assert_eq!(w.probe_before(0, 4), (0, false));
     }
 
     #[test]
@@ -317,9 +392,9 @@ mod tests {
         for seq in [2u64, 5, 9] {
             w.insert(t(7, seq), seq);
         }
-        assert_eq!(w.probe_before(7, 6), 2);
-        assert_eq!(w.probe_before(7, 2), 0);
-        assert_eq!(w.probe_before(7, 100), 3);
+        assert_eq!(w.probe_before(7, 6), (2, false));
+        assert_eq!(w.probe_before(7, 2), (0, false));
+        assert_eq!(w.probe_before(7, 100), (3, false));
     }
 
     #[test]
@@ -330,12 +405,18 @@ mod tests {
         for (seq, key) in [7, 7, 7, 1, 7, 2, 7].into_iter().enumerate() {
             w.insert(t(key, seq as u64), seq as u64);
         }
-        // Held: (7, 4), (2, 5), (7, 6).
+        // Held: (7, 4), (2, 5), (7, 6); kept: (7, 1), (7, 2), (1, 3);
+        // (7, 0) is out of grace.
         assert_eq!(w.probe(7), 2);
-        assert_eq!(w.probe_before(7, 0), 0);
-        assert_eq!(w.probe_before(7, 5), 1);
-        assert_eq!(w.probe_before(7, 7), 2);
-        assert_eq!(w.probe_before(1, 7), 0, "key 1 left the window");
+        assert_eq!(w.probe_before(7, 7), (2, false));
+        assert_eq!(w.probe_before(1, 7), (0, false), "key 1 left the window");
+        // As of seq 4 the window held (7, 2), (1, 3), (7, 4).
+        assert_eq!(w.probe_before(7, 5), (2, false));
+        assert_eq!(w.probe_before(1, 5), (1, false));
+        // As of seq 2 it held (7, 0) too, which is gone: the count is
+        // short, and says so.
+        assert_eq!(w.probe_before(7, 3), (2, true));
+        assert_eq!(w.probe_before(7, 0), (0, true));
     }
 
     #[test]
@@ -375,13 +456,16 @@ mod tests {
         assert_eq!(w.evicted_keys(), &keys[..]);
         assert_eq!(w.len(), 1);
         assert_eq!(w.probe(3), 1);
-        assert_eq!(w.probe_before(3, 50), 0);
-        assert_eq!(w.probe_before(3, 51), 1);
+        // As of the burst key 3 had ten tuples, but they are past the grace
+        // as well (one tuple is held, so one expired one is kept): the
+        // count is short, and says so.
+        assert_eq!(w.probe_before(3, 50), (0, true));
+        assert_eq!(w.probe_before(3, 51), (1, false));
         assert_eq!(w.probe(0), 0);
         // Keys that left re-enter with fresh runs.
         w.insert(t(0, 51), 1_001);
         assert_eq!(w.probe(0), 1);
-        assert_eq!(w.probe_before(0, 52), 1);
+        assert_eq!(w.probe_before(0, 52), (1, false));
     }
 
     #[test]

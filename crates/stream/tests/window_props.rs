@@ -3,10 +3,14 @@
 //! The window keeps a per-key index (count and newest slot, each slot
 //! chained to the next-older slot of its key) beside its slot ring, so
 //! `probe` is O(1) and `probe_before` walks only the tuples at or after
-//! its cutoff, and eviction reuses internal buffers. These properties pin
-//! the index against a naive recount of the buffer under arbitrary mixed
-//! operation sequences for both window kinds — including runs long and
-//! wide enough that slots wrap many times and keys leave and re-enter.
+//! its cutoff, and eviction reuses internal buffers. What a probe needs of
+//! an expired tuple is kept for one more window, so `probe_before` can
+//! answer for the window as it stood at an earlier insert. These
+//! properties pin the index against a naive recount of the buffer, and
+//! `probe_before` against a replay of every insert by `GroundTruth`'s
+//! eviction rule, under arbitrary mixed operation sequences for both
+//! window kinds — including runs long and wide enough that slots wrap many
+//! times and keys leave and re-enter.
 
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use proptest::prelude::*;
@@ -74,50 +78,81 @@ proptest! {
     /// After every insert of a run of at least `3·W` over a key space
     /// wider than `W` — slots wrap and keys leave and re-enter; seqs skip
     /// values and the clock now and then jumps past the whole span —
-    /// `probe` and `probe_before` at every cutoff (older than the oldest
-    /// held tuple through newer than the newest, plus `0` and `u64::MAX`)
-    /// match a filtered recount, and `iter()` yields exactly the newest
-    /// `len()` inserted tuples, oldest first.
+    /// `iter()` yields exactly the newest `len()` inserted tuples, oldest
+    /// first, `probe` matches their recount, and `probe_before` at every
+    /// cutoff that trails the newest insert by 0 to `2·W + 2` inserts
+    /// (past the grace `G = W` and past everything kept), plus `0` and
+    /// `u64::MAX`, matches the window as it stood after the last insert
+    /// below the cutoff. It flags exactly the probes whose window reached
+    /// a tuple no longer kept: for a count window, those trailing by more
+    /// than `G`.
     #[test]
-    fn probes_match_a_recount_after_every_insert(
+    fn as_of_probes_match_a_replay_after_every_insert(
         kind in 0u8..2,
         w_len in 1usize..16,
         key_factor in 2u32..5,
         ops in prop::collection::vec((0u32..64, 0u64..12, 1u64..3), 48..160),
     ) {
-        let mut w = SlidingWindow::new(match kind {
+        let spec = match kind {
             0 => WindowSpec::count(w_len),
             _ => WindowSpec::Time(w_len as u64),
-        });
+        };
+        let mut w = SlidingWindow::new(spec);
         let key_space = w_len as u32 * key_factor;
         let (mut now, mut seq) = (0u64, 0u64);
-        let mut inserted = Vec::new();
+        let mut inserted: Vec<(Tuple, u64)> = Vec::new();
+        // `held_from[j]`: the oldest tuple held after insert `j`, by
+        // `GroundTruth`'s rule; `kept_from`, the oldest expired tuple the
+        // window keeps, no more of them than it holds.
+        let mut held_from: Vec<usize> = Vec::new();
+        let mut kept_from = 0;
         for &(raw_key, dt, gap) in &ops {
             // Mostly small steps; a tenth of them jump past the span.
             now += if dt >= 10 { 3 * w_len as u64 } else { dt % 5 };
             seq += gap;
             let tuple = Tuple::new(StreamId::R, raw_key % key_space, seq, 0);
             w.insert(tuple, now);
-            inserted.push(tuple);
+            inserted.push((tuple, now));
+            let len = inserted.len();
+            let mut front = held_from.last().copied().unwrap_or(0);
+            while spec.expires(len - front, inserted[front].1, now) {
+                front += 1;
+            }
+            held_from.push(front);
+            kept_from = kept_from.max((2 * front).saturating_sub(len));
 
             let held: Vec<Tuple> = w.iter().copied().collect();
             prop_assert_eq!(held.len(), w.len());
-            prop_assert_eq!(&held[..], &inserted[inserted.len() - held.len()..]);
-            let mut seqs_of: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-            for t in &held {
-                seqs_of.entry(t.key).or_default().push(t.seq);
-            }
-            let oldest = held.first().map_or(0, |t| t.seq);
-            let cutoffs = (oldest.saturating_sub(2)..=seq + 2).chain([0, u64::MAX]);
-            for cutoff in cutoffs {
+            prop_assert_eq!(held.len(), len - front);
+            prop_assert!(held.iter().eq(inserted[front..].iter().map(|(t, _)| t)));
+            let oldest = inserted[len.saturating_sub(2 * w_len + 3)].0.seq;
+            for cutoff in (oldest..=seq + 2).chain([0, u64::MAX]) {
+                let before = inserted.partition_point(|(t, _)| t.seq < cutoff);
+                let trail = len - before;
+                let (window, late) = match before.checked_sub(1) {
+                    Some(q) => (&inserted[held_from[q]..before], held_from[q] < kept_from),
+                    None => (&[][..], kept_from > 0),
+                };
+                if kind == 0 {
+                    prop_assert_eq!(late, kept_from > 0 && trail > w_len);
+                }
+                let mut as_of: BTreeMap<u32, u32> = BTreeMap::new();
+                for (t, _) in window {
+                    *as_of.entry(t.key).or_default() += 1;
+                }
                 for k in 0..key_space {
-                    let seqs = seqs_of.get(&k).map_or(&[][..], Vec::as_slice);
-                    prop_assert_eq!(w.probe(k), seqs.len() as u32);
                     prop_assert_eq!(
-                        w.probe_before(k, cutoff),
-                        seqs.partition_point(|&s| s < cutoff) as u32,
-                        "probe_before({}, {})", k, cutoff
+                        w.probe(k),
+                        held.iter().filter(|t| t.key == k).count() as u32
                     );
+                    let (found, flagged) = w.probe_before(k, cutoff);
+                    prop_assert_eq!(flagged, late, "late({}, {})", k, cutoff);
+                    let truth = as_of.get(&k).copied().unwrap_or(0);
+                    if late {
+                        prop_assert!(found <= truth, "probe_before({}, {})", k, cutoff);
+                    } else {
+                        prop_assert_eq!(found, truth, "probe_before({}, {})", k, cutoff);
+                    }
                 }
             }
         }
