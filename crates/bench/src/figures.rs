@@ -3,7 +3,8 @@
 use crate::scale::Scale;
 use crate::suite::Executor;
 use dsj_core::theory::{self, BoundsRow};
-use dsj_core::{Algorithm, ClusterConfig, ExperimentReport, RunError, TargetComplexity};
+use dsj_core::wire::LinkBase;
+use dsj_core::{Algorithm, ClusterConfig, ExperimentReport, Msg, RunError, TargetComplexity};
 use dsj_dft::compress::{retained_for, CompressedDft};
 use dsj_stream::gen::{price_series, WorkloadKind};
 
@@ -305,8 +306,40 @@ pub struct Fig11Row {
     pub epsilon: f64,
 }
 
+/// How far past what a link carries Figure 11 drives BASE's links.
+const FIG11_OVERLOAD: f64 = 2.13;
+
+/// The per-node rate Figure 11's stream length is pinned to: at any rate,
+/// its arrivals last as long as [`Scale::tuples`] arrivals do at this one.
+const FIG11_SPAN_RATE: f64 = 3_340.0;
+
+/// BASE's mean bare tuple frame on `cfg`'s schedule, in bytes: each
+/// arrival sized as the next tuple on its node's links (every link of a
+/// node carries the same tuples under BASE).
+fn mean_base_frame(cfg: &ClusterConfig) -> f64 {
+    let mut links = vec![LinkBase::new(); usize::from(cfg.n)];
+    let arrivals = cfg.arrivals();
+    let bytes: usize = (arrivals.iter())
+        .map(|a| {
+            let bare = Msg::Tuple {
+                tuple: a.tuple(),
+                piggyback: Vec::new(),
+            };
+            links[usize::from(a.node)].advance(&bare).0
+        })
+        .sum();
+    bytes as f64 / arrivals.len().max(1) as f64
+}
+
 /// Figure 11: throughput (result tuples/second) with ε fixed at 15 %,
 /// under an offered load that saturates broadcast on the 90 kbps links.
+///
+/// The rate comes from the codec: BASE's per-link message rate, its
+/// per-node arrival rate, is 2.13 times what a link carries in BASE's mean
+/// bare tuple frames on the cell's schedule, so broadcast queues and
+/// filtered algorithms do not. The stream grows with the rate, so the arrivals last as long at
+/// every frame size. Results still in flight 300 ms after the stream ends
+/// are lost — sustained-overload semantics.
 ///
 /// Fans the (N, algorithm) cells across `exec`.
 ///
@@ -326,15 +359,11 @@ pub fn fig11(scale: Scale, exec: &Executor) -> Result<Vec<Fig11Row>, RunError> {
             // A window 4x the baseline keeps probe staleness (latency
             // relative to window turnover) negligible, so queueing is
             // what differentiates the algorithms.
-            .window(scale.window() * 4)
-            // 3340 arrivals/s/node: BASE's per-link rate (3340 msg/s) is
-            // 2.13× the 11 250 B/s of a 90 kbps link over this schedule's
-            // 7.19-byte mean tuple frame (1 565 msg/s), so broadcast
-            // queues; filtered algorithms do not. Results still in flight
-            // 300 ms after the stream ends are lost — sustained-overload
-            // semantics.
-            .arrival_rate(3_340.0)
-            .cutoff_grace(300);
+            .window(scale.window() * 4);
+        let link_bytes_per_s = cfg.link.bandwidth_bps as f64 / 8.0;
+        let rate = FIG11_OVERLOAD * link_bytes_per_s / mean_base_frame(&cfg);
+        let tuples = (scale.tuples() as f64 * rate / FIG11_SPAN_RATE).round() as usize;
+        let cfg = cfg.arrival_rate(rate).tuples(tuples).cutoff_grace(300);
         let (r, _) = best_effort(&cfg)?;
         Ok(Fig11Row {
             n,

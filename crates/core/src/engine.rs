@@ -35,7 +35,8 @@ use crate::driver::Cluster;
 use crate::error::RunError;
 use crate::msg::{Msg, SummaryPayload};
 use crate::node::{NodeMetrics, ThroughputGovernor};
-use crate::strategy::{Router, RouterConfig};
+use crate::strategy::{column_of, Router, RouterConfig};
+use crate::wire::LinkBase;
 use dsj_simnet::{Ctx, NetMetrics, NodeId, SimNode, SimTime, Simulation};
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use std::convert::Infallible;
@@ -103,9 +104,10 @@ pub trait Transport {
     /// on the first error.
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), Self::Error>;
 
-    /// Ships `msg`, which the engine has sized at `bytes`
-    /// ([`Msg::wire_bytes`]), to node `to`. The default ignores the size;
-    /// the simulated WAN charges it rather than sizing the message again.
+    /// Ships `msg`, which the engine has sized at `bytes` as the next frame
+    /// of its link to node `to` ([`LinkBase::advance`]), to `to`. The
+    /// default ignores the size; the TCP backend heads its frame with it
+    /// rather than sizing the message again.
     ///
     /// # Errors
     ///
@@ -192,6 +194,9 @@ pub struct NodeEngine {
     /// The locally arrived tuples per stream, indexed by [`StreamId::index`].
     windows: [SlidingWindow; 2],
     router: Router,
+    /// The base of the link to each peer, by column: the byte model every
+    /// send is charged by, in step with the peer's decoder.
+    links: Vec<LinkBase>,
     metrics: NodeMetrics,
     governor: Option<ThroughputGovernor>,
     /// Order-sensitive digest of every counted match observation — see
@@ -220,6 +225,7 @@ impl NodeEngine {
             domain: cfg.plan.key.domain,
             count_from_seq,
             windows: [SlidingWindow::new(spec), SlidingWindow::new(spec)],
+            links: vec![LinkBase::new(); usize::from(cfg.n.saturating_sub(1))],
             router: Router::new(cfg),
             metrics: NodeMetrics::default(),
             governor,
@@ -295,22 +301,25 @@ impl NodeEngine {
         transport: &mut T,
     ) -> Result<(), T::Error> {
         let now_us = transport.now_us();
-        self.arrival_at(tuple, now_us, transport)
+        self.arrival_at(tuple, now_us, |to, msg, bytes| {
+            transport.send_sized(to, msg, bytes)
+        })
     }
 
     /// The arrival hot path (Fig. 7) at an already sampled timestamp
     /// `now_us` (virtual or wall, depending on the transport): local join,
-    /// summary maintenance, routing, and each message sent as soon as it
-    /// is built. The route state lives in buffers reused across calls and
-    /// the window insert allocates nothing; what still allocates — the
-    /// piggyback and summary payloads, SKCH's join-size estimates — is
-    /// pinned per algorithm in `tests/alloc_budget.rs`.
-    fn arrival_at<T: Transport>(
+    /// summary maintenance, routing, and each message sized on its link and
+    /// handed to `send` as soon as it is built. The route state lives in
+    /// buffers reused across calls and the window insert allocates nothing;
+    /// what still allocates — the piggyback and summary payloads, SKCH's
+    /// join-size estimates — is pinned per algorithm in
+    /// `tests/alloc_budget.rs`.
+    fn arrival_at<E>(
         &mut self,
         tuple: Tuple,
         now_us: u64,
-        transport: &mut T,
-    ) -> Result<(), T::Error> {
+        mut send: impl FnMut(u16, Msg, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         debug_assert_eq!(tuple.origin, self.me, "arrival routed to wrong node");
         // Domain guard (the runtime analogue of `RunError::TraceKeyOutOfDomain`):
         // an out-of-domain key from a corrupt source must neither panic the
@@ -342,19 +351,20 @@ impl NodeEngine {
         self.router.route_into(tuple.stream, tuple.key, scale);
         let (_, fallback) = self.router.route();
         self.metrics.fallback_routes += u64::from(fallback);
-        let (metrics, governor) = (&mut self.metrics, &mut self.governor);
+        let (metrics, governor, links) = (&mut self.metrics, &mut self.governor, &mut self.links);
+        let me = self.me;
         self.router.send_arrival(tuple, |to, msg| {
             match msg {
                 Msg::Tuple { .. } => metrics.tuple_msgs_sent += 1,
                 Msg::Summary(_) => metrics.summary_msgs_sent += 1,
             }
-            let (data, total) = msg.wire_sizes();
+            let (data, total) = links[column_of(me, to)].advance(&msg);
             metrics.data_bytes_sent += data as u64;
             metrics.overhead_bytes_sent += (total - data) as u64;
             if let Some(g) = governor {
                 g.note_sent(now_us, total as u64);
             }
-            transport.send_sized(to, msg, total)
+            send(to, msg, total)
         })
     }
 
@@ -418,7 +428,9 @@ impl NodeEngine {
                 TransportEvent::Shutdown => return Ok(true),
             };
             let now_us = *frame_now_us.get_or_insert_with(|| transport.now_us());
-            self.arrival_at(tuple, now_us, transport)?;
+            self.arrival_at(tuple, now_us, |to, msg, bytes| {
+                transport.send_sized(to, msg, bytes)
+            })?;
             if let Some(injected_us) = injected_us {
                 // Match-digest time: the tuple's matches are folded in, so a
                 // fresh clock sample here is the delivery latency an
@@ -452,42 +464,20 @@ impl NodeEngine {
     }
 }
 
-/// The simulated-WAN [`Transport`]: sends become [`Ctx::send`] with the
-/// message's modeled (= encoded) wire size, the clock is virtual time.
-/// Events are pushed by the simulation driver, so `poll` is never the
-/// event source — the `SimNode` impl below dispatches directly.
-struct SimTransport<'a, 'b> {
-    ctx: &'a mut Ctx<'b, Msg>,
-}
-
-impl Transport for SimTransport<'_, '_> {
-    type Error = Infallible;
-
-    fn send(&mut self, to: u16, msg: Msg) -> Result<(), Infallible> {
-        let bytes = msg.wire_bytes();
-        self.send_sized(to, msg, bytes)
-    }
-
-    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), Infallible> {
-        self.ctx.send(to, msg, bytes);
-        Ok(())
-    }
-
-    fn now_us(&mut self) -> u64 {
-        self.ctx.now().as_micros()
-    }
-
-    fn quiesce(&mut self) {
-        // The simulation's event queue is its own quiescence tracker.
-    }
-}
-
+/// The simulated WAN: an arrival runs at virtual time, and each message it
+/// sends becomes a [`Ctx::send`] charged the size the engine gave it on its
+/// link. Events are pushed by the simulation driver, whose event queue is
+/// its own quiescence tracker.
 impl SimNode for NodeEngine {
     type Input = Tuple;
     type Msg = Msg;
 
     fn on_input(&mut self, tuple: Tuple, ctx: &mut Ctx<'_, Msg>) {
-        let Ok(()) = self.on_arrival(tuple, &mut SimTransport { ctx });
+        let now_us = ctx.now().as_micros();
+        let Ok(()) = self.arrival_at(tuple, now_us, |to, msg, bytes| {
+            ctx.send(to, msg, bytes);
+            Ok::<(), Infallible>(())
+        });
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {

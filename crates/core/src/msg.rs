@@ -1,13 +1,12 @@
 //! Wire messages, and the block-floating-point format of DFT coefficients.
 //!
-//! What a message costs is the codec's to say: [`Msg::wire_sizes`] is
-//! [`crate::wire`]'s encoder run into a byte counter, so the simulator's
-//! 90 kbps links charge exactly the bytes a socket carries. It splits them
-//! into tuple data and summary overhead (DFT coefficient updates, Bloom
-//! filters, AGMS sketches) so that Figure 8's overhead-vs-net-data ratio
-//! can be reported.
+//! What a message costs is the codec's to say, and depends on its link:
+//! [`crate::wire::LinkBase::advance`] is the encoder run into a byte
+//! counter at the link's base, so the simulator's 90 kbps links charge
+//! exactly the bytes a socket carries. It splits them into tuple data and
+//! summary overhead (DFT coefficient updates, Bloom filters, AGMS sketches)
+//! so that Figure 8's overhead-vs-net-data ratio can be reported.
 
-use crate::wire;
 use dsj_dft::Complex64;
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
@@ -172,20 +171,6 @@ pub enum Msg {
     /// A standalone summary batch (sent when no tuple message has carried
     /// pending updates to a peer for too long).
     Summary(Vec<SummaryPayload>),
-}
-
-impl Msg {
-    /// Sizes in bytes, `(data, total)`: `total` is [`Msg::wire_bytes`],
-    /// `data` the bare tuple frame of a tuple message (Figure 8's "net
-    /// data"; 0 for a summary), and the rest is summary overhead.
-    pub fn wire_sizes(&self) -> (usize, usize) {
-        wire::sizes(self)
-    }
-
-    /// The bytes [`wire::encode`] writes for this message.
-    pub fn wire_bytes(&self) -> usize {
-        wire::sizes(self).1
-    }
 }
 
 #[cfg(test)]

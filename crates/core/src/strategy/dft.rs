@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn the_sender_snapshot_is_what_both_receive_paths_hold() {
         use crate::msg::Msg;
-        use crate::wire::{self, FrameDecoder};
+        use crate::wire::{FrameBatch, FrameDecoder, LinkBase};
         use dsj_stream::Tuple;
 
         fn dft(r: &Router) -> &DftSummary {
@@ -671,11 +671,12 @@ mod tests {
         /// socket might deliver it (the TCP path), and its payloads
         /// straight to `direct` (the simnet path).
         fn deliver(msg: &Msg, wired: &mut Router, direct: &mut Router) {
-            let bytes = wire::encode(msg);
-            assert_eq!(bytes.len(), msg.wire_bytes());
-            let mut decoder = FrameDecoder::new();
+            let mut batch = FrameBatch::new();
+            batch.push(msg);
+            assert_eq!(batch.bytes().len(), LinkBase::new().advance(msg).1);
+            let mut decoder = FrameDecoder::for_sender(1);
             let mut got = Vec::new();
-            for chunk in bytes.chunks(7) {
+            for chunk in batch.bytes().chunks(7) {
                 let fed = decoder.feed_decode(chunk, &mut |m| {
                     got.push(m);
                     true

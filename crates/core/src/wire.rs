@@ -1,22 +1,21 @@
-//! The wire codec: deterministic, versioned, length-prefixed binary frames
-//! for [`Msg`].
+//! The wire codec: deterministic, link-scoped, length-prefixed binary
+//! frames for [`Msg`].
 //!
 //! This module is the only code that knows the frame layout, and the block
 //! below is its reference. The encoder is written once, over a private byte
 //! sink: a `Vec<u8>` keeps the bytes, a counter only adds them up. The
-//! counting pass is [`Msg::wire_sizes`], so the simnet bandwidth model, the
-//! throughput governor, Figure 8's overhead accounting and the TCP backend
-//! in `dsj-runtime` all charge exactly the bytes a socket carries; it also
-//! gives [`encode_into`] the length prefix it writes before the body.
+//! counting pass is [`LinkBase::advance`], so the simnet bandwidth model,
+//! the throughput governor, Figure 8's overhead accounting and the TCP
+//! backend in `dsj-runtime` all charge exactly the bytes a socket carries;
+//! it also gives the encoder the length it writes before the body.
 //!
-//! # Frame layout (version 4)
+//! # Frame layout (version 5)
 //!
 //! ```text
-//! frame      := len:var | body                  (len = body length in bytes, ≤ 2²⁴)
-//! body       := ver_kind:u8 | content           (ver_kind = VERSION << 4 | kind)
+//! frame      := head:var | body                 (head = len·2 + kind, len = body length in bytes ≤ 2²⁴)
 //! kind 0     := tuple | payload*                (Msg::Tuple)
 //! kind 1     := payload*                        (Msg::Summary)
-//! tuple      := key_stream:var | seq:var | origin:var   (key_stream = key·2 + stream)
+//! tuple      := key_stream:var | dseq:var       (key_stream = key·2 + stream, dseq = zigzag(seq − base))
 //! payload    := ptype:u8 | params               (ptype = w << 3 | pkind << 1 | stream)
 //! pkind 0    := signal_len:var | count:var | exponent:i8 | (index:var, re:i16, im:i16)*count
 //! pkind 1    := m:var | k:var | seed:u64 | items:var | counter:u(8·2^w) * m
@@ -27,17 +26,40 @@
 //! byte, low bits first, the high bit set on every byte but the last, and
 //! always the shortest such encoding. Every other integer is fixed width
 //! and little-endian: the seeds, the exponent, the mantissas and the
-//! counters. The length prefix takes at most 4 bytes under the 2²⁴ cap.
+//! counters. The head takes at most 4 bytes under the 2²⁴ cap.
+//!
+//! # Link scope
+//!
+//! A frame carries only what its link does not already know. Every frame
+//! travels over one directed link, whose two ends each hold a
+//! [`LinkBase`]: the seq of the last tuple frame on the link, 0 before the
+//! first. A tuple frame's `dseq` is the zigzag of the *wrapping*
+//! difference `seq − base` (`d` as an `i64`, sent as `(d << 1) ^ (d >> 63)`),
+//! so any seq, a repeat, a decrease or a jump past `u64::MAX` included,
+//! is one varint, and a node's stream of arrivals, a few seqs apart, takes
+//! one byte a frame where an absolute seq takes three or four. A tuple's
+//! `origin` is not on the wire: every tuple message is sent by its origin,
+//! so the decoder stamps the link's sender. The engine holds one base per
+//! peer (its byte model), and so do a [`FrameBatch`] and a
+//! [`FrameDecoder`]; each frame moves all of them the same way.
+//!
+//! That state is safe because a link never skips a frame: TCP delivers the
+//! bytes in order or not at all, and a dead link is abandoned, never
+//! resumed, so the two bases cannot drift apart. Anything that drops,
+//! duplicates or reorders messages (a fault injector) must therefore act
+//! on `Msg` values above the encoder, never on a link's bytes: a lost frame
+//! would shift every later seq on its link.
 //!
 //! Payload items are self-delimiting and parsed until the frame body is
 //! exhausted, so piggyback summaries only pay their own encoded size. A
-//! bare tuple frame is 2 bytes plus the varints of its key·2 + stream, seq
-//! and origin: 5 to 20 bytes, about 8 on the benchmark's schedules. A DFT
-//! coefficient is its index's varint plus two `i16` mantissas under the
-//! payload's one `i8` exponent ([`Quantiser`](crate::msg::Quantiser)),
-//! quantised by the sender: 5 bytes for an index below 128. Every field is
-//! an integer and every varint minimal, so encoding is a bijection (any
-//! frame that decodes re-encodes to identical bytes) and a decoded
+//! bare tuple frame is 1 byte of head plus the varints of its key·2 +
+//! stream and `dseq`: 3 to 16 bytes, about 4 on the benchmark's
+//! schedules. A DFT coefficient is its index's varint plus two `i16`
+//! mantissas under the payload's one `i8` exponent
+//! ([`Quantiser`](crate::msg::Quantiser)), quantised by the sender: 5 bytes
+//! for an index below 128. Every field is an integer and every varint
+//! minimal, so encoding is a bijection on each link (any frame that decodes
+//! re-encodes to identical bytes at the same base) and a decoded
 //! coefficient is always finite.
 //!
 //! A Bloom or sketch payload ships its counters at one width, `2^w` bytes,
@@ -46,20 +68,16 @@
 //! widens the counters back to their `u32` / `i64` and refuses any other
 //! width, so the bijection holds.
 //!
-//! # Version byte policy
+//! # Version policy
 //!
-//! The high nibble of `ver_kind` is the codec version, currently
-//! [`VERSION`] = 4. Decoders reject any other version with
-//! [`WireError::BadVersion`] rather than guessing, so a mixed cluster fails
-//! loudly, not silently. Versions 1 (DFT coefficients as two `f64` bit
-//! patterns, 18 bytes each), 2 (every Bloom counter 4 bytes, every sketch
-//! counter 8) and 3 (a `u32` length prefix and fixed-width integers: a
-//! 20-byte tuple frame) are rejected like any other: no second decoder is
-//! kept, since every node of a cluster runs one build. A version-3 frame
-//! under 4 KB reads as a short varint prefix followed by a zero byte, so it
-//! fails as version 0 or as a non-minimal varint, never as a message. The
-//! low nibble leaves room for 15 more message kinds before the version must
-//! change.
+//! The codec version, currently [`VERSION`] = 5, travels once per link, in
+//! the preface the TCP backend's dialer and acceptor exchange before any
+//! frame (`dsj-runtime`'s `tcp.rs`), not in every frame. A peer that names
+//! another version is refused there, with both versions named, so a mixed
+//! cluster fails loudly before a single frame is misread. Versions 1 to 4
+//! carried the version in each frame's first body byte (4 also sent
+//! `origin` and an absolute `seq`); no second decoder is kept, since every
+//! node of a cluster runs one build.
 //!
 //! Decoding is total: corrupted, truncated or oversized input returns a
 //! typed [`WireError`] — never a panic — which the property suite in
@@ -70,27 +88,26 @@ use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
 use std::fmt;
 
-/// Current codec version, carried in the high nibble of every frame's
-/// `ver_kind` byte.
-pub const VERSION: u8 = 4;
+/// Current codec version, named once per link by the TCP preface.
+pub const VERSION: u8 = 5;
 
 /// Upper bound on a frame body's length (16 MiB). Far above any summary
-/// this system produces; a length prefix beyond it is treated as corruption
-/// rather than an allocation request.
+/// this system produces; a head beyond it is treated as corruption rather
+/// than an allocation request.
 pub const MAX_FRAME_BODY: usize = 1 << 24;
 
-/// The longest length prefix: 4 varint bytes carry 28 bits, past the cap.
+/// The longest head: 4 varint bytes carry 28 bits, past twice the cap.
 const MAX_PREFIX: usize = 4;
 
-/// The least body length a prefix longer than [`MAX_PREFIX`] announces.
-const LONG_PREFIX_LEN: usize = 1 << (7 * MAX_PREFIX);
+/// The least body length a head longer than [`MAX_PREFIX`] announces.
+const LONG_PREFIX_LEN: usize = 1 << (7 * MAX_PREFIX - 1);
 
 /// The fewest bytes a DFT coefficient takes: a 1-byte index varint and two
 /// `i16` mantissas.
 const MIN_COEFF_BYTES: usize = 5;
 
-const KIND_TUPLE: u8 = 0;
-const KIND_SUMMARY: u8 = 1;
+const KIND_TUPLE: u64 = 0;
+const KIND_SUMMARY: u64 = 1;
 const PKIND_DFT: u8 = 0;
 const PKIND_BLOOM: u8 = 1;
 const PKIND_SKETCH: u8 = 2;
@@ -102,17 +119,13 @@ const MAX_BLOOM_HASHES: usize = 256;
 /// decoding arbitrary bytes can return any of these but can never panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The input ended before the frame its length prefix announces:
-    /// "need more bytes".
+    /// The input ended before the frame its head announces: "need more
+    /// bytes".
     Truncated,
-    /// The length prefix announces more than [`MAX_FRAME_BODY`] bytes: the
-    /// length it announces or, for a prefix longer than 4 bytes, 2²⁸, the
-    /// least such a prefix can announce.
+    /// The head announces more than [`MAX_FRAME_BODY`] bytes: the length
+    /// it announces or, for a head longer than 4 bytes, 2²⁷, the least such
+    /// a head can announce.
     FrameTooLarge(usize),
-    /// The frame's version nibble is not [`VERSION`].
-    BadVersion(u8),
-    /// The frame's kind nibble names no known message kind.
-    BadKind(u8),
     /// A payload item's kind bits name no known summary kind.
     BadPayloadKind(u8),
     /// A structurally invalid field (zero-sized filter, empty body,
@@ -127,8 +140,6 @@ impl fmt::Display for WireError {
             WireError::FrameTooLarge(len) => {
                 write!(f, "frame body of {len} bytes exceeds {MAX_FRAME_BODY}")
             }
-            WireError::BadVersion(v) => write!(f, "unsupported wire version {v} (want {VERSION})"),
-            WireError::BadKind(k) => write!(f, "unknown message kind {k}"),
             WireError::BadPayloadKind(k) => write!(f, "unknown summary payload kind {k}"),
             WireError::Invalid(what) => write!(f, "invalid frame field: {what}"),
         }
@@ -137,23 +148,96 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Appends `msg`'s frame to `buf`: the body's length as a varint, then
-/// the body. The length comes from a counting pass of the same writer, so
-/// exactly [`Msg::wire_bytes`] bytes are written.
-pub fn encode_into(msg: &Msg, buf: &mut Vec<u8>) {
-    let mut body = Len(0);
-    put_body(msg, &mut body);
-    put_varint(buf, body.0 as u64);
-    put_body(msg, buf);
+/// What both ends of one directed link know between frames: the seq of the
+/// last tuple frame on it, 0 before the first. A tuple frame's seq travels
+/// as its difference from the base, and every frame, encoded, sized or
+/// decoded, moves the base past it (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkBase {
+    seq: u64,
 }
 
-/// `msg`'s sizes in bytes, `(data, total)`: `total` is its whole frame,
-/// `data` the frame its tuple would take alone (0 for a summary). The rest
-/// is summary overhead, a piggyback's share of the length prefix included.
-pub(crate) fn sizes(msg: &Msg) -> (usize, usize) {
-    let framed = |body: usize| varint_len(body as u64) + body;
+impl LinkBase {
+    /// The base of a link that has carried no tuple frame.
+    pub fn new() -> Self {
+        LinkBase::default()
+    }
+
+    /// `msg`'s sizes in bytes as this link's next frame, `(data, total)`,
+    /// and the base moved past it: `total` is its whole frame, `data` the
+    /// frame its tuple would take alone (0 for a summary). The rest is
+    /// summary overhead, a piggyback's share of the head included.
+    pub fn advance(&mut self, msg: &Msg) -> (usize, usize) {
+        let sizes = sizes(msg, *self);
+        self.pass(msg);
+        sizes
+    }
+
+    /// Appends `msg`'s frame as this link's next one to `buf`: the head,
+    /// then the body, exactly [`LinkBase::advance`]'s `total` bytes.
+    pub fn encode_into(&mut self, msg: &Msg, buf: &mut Vec<u8>) {
+        let mut body = Len(0);
+        put_body(msg, *self, &mut body);
+        put_varint(buf, head(msg, body.0));
+        put_body(msg, *self, buf);
+        self.pass(msg);
+    }
+
+    /// Decodes one frame from the front of `bytes` as this link's next,
+    /// its tuple stamped with the link's `sender`. Returns the message and
+    /// the number of bytes consumed (the full frame, head included); the
+    /// base moves past the frame only when it decodes.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] when `bytes` holds less than one whole
+    /// frame; any other [`WireError`] for structurally invalid content,
+    /// including a whole frame whose body ends mid-field. A head over
+    /// [`MAX_FRAME_BODY`] is refused from the head alone.
+    pub fn decode(&mut self, bytes: &[u8], sender: u16) -> Result<(Msg, usize), WireError> {
+        let (prefix, len, kind) = frame_header(bytes)?;
+        let body = bytes
+            .get(prefix..prefix + len)
+            .ok_or(WireError::Truncated)?;
+        let mut r = Reader::new(body);
+        let msg = if kind == KIND_TUPLE {
+            let key_stream = r.varint()?;
+            let key = u32::try_from(key_stream >> 1)
+                .map_err(|_| WireError::Invalid("tuple key over u32::MAX"))?;
+            let stream = decode_stream((key_stream & 1) as u8)?;
+            let seq = self.seq.wrapping_add(unzigzag(r.varint()?));
+            let mut piggyback = Vec::new();
+            while !r.is_empty() {
+                piggyback.push(decode_payload(&mut r)?);
+            }
+            Msg::Tuple {
+                tuple: Tuple::new(stream, key, seq, sender),
+                piggyback,
+            }
+        } else {
+            let mut payloads = Vec::new();
+            while !r.is_empty() {
+                payloads.push(decode_payload(&mut r)?);
+            }
+            Msg::Summary(payloads)
+        };
+        self.pass(&msg);
+        Ok((msg, prefix + len))
+    }
+
+    /// Moves the base past `msg`'s frame: a tuple's seq becomes the base.
+    fn pass(&mut self, msg: &Msg) {
+        if let Msg::Tuple { tuple, .. } = msg {
+            self.seq = tuple.seq;
+        }
+    }
+}
+
+/// `msg`'s `(data, total)` sizes as a frame at `base` ([`LinkBase::advance`]).
+fn sizes(msg: &Msg, base: LinkBase) -> (usize, usize) {
+    let framed = |body: usize| varint_len((body as u64) << 1) + body;
     let mut body = Len(0);
-    let payloads = put_head(msg, &mut body);
+    let payloads = put_head(msg, base, &mut body);
     let data = match msg {
         Msg::Tuple { .. } => framed(body.0),
         Msg::Summary(_) => 0,
@@ -162,6 +246,15 @@ pub(crate) fn sizes(msg: &Msg) -> (usize, usize) {
         put_payload(p, &mut body);
     }
     (data, framed(body.0))
+}
+
+/// The head of `msg`'s frame around a body of `len` bytes: `len·2 + kind`.
+fn head(msg: &Msg, len: usize) -> u64 {
+    let kind = match msg {
+        Msg::Tuple { .. } => KIND_TUPLE,
+        Msg::Summary(_) => KIND_SUMMARY,
+    };
+    ((len as u64) << 1) | kind
 }
 
 /// Where the encoder puts a frame's bytes: a `Vec<u8>` keeps them, [`Len`]
@@ -200,29 +293,35 @@ impl Sink for Len {
     }
 }
 
-/// Writes `msg`'s body: its head, then its payloads.
-fn put_body(msg: &Msg, s: &mut impl Sink) {
-    for p in put_head(msg, s) {
+/// Writes `msg`'s body at `base`: its head fields, then its payloads.
+fn put_body(msg: &Msg, base: LinkBase, s: &mut impl Sink) {
+    for p in put_head(msg, base, s) {
         put_payload(p, s);
     }
 }
 
-/// Writes the version/kind byte and, for a tuple message, the tuple;
-/// returns the payloads that follow.
-fn put_head<'m>(msg: &'m Msg, s: &mut impl Sink) -> &'m [SummaryPayload] {
+/// Writes a tuple message's tuple, its seq relative to `base`; returns the
+/// payloads that follow.
+fn put_head<'m>(msg: &'m Msg, base: LinkBase, s: &mut impl Sink) -> &'m [SummaryPayload] {
     match msg {
         Msg::Tuple { tuple, piggyback } => {
-            s.byte(tag(KIND_TUPLE));
             s.varint(key_stream(tuple));
-            s.varint(tuple.seq);
-            s.varint(u64::from(tuple.origin));
+            s.varint(zigzag(tuple.seq.wrapping_sub(base.seq)));
             piggyback
         }
-        Msg::Summary(payloads) => {
-            s.byte(tag(KIND_SUMMARY));
-            payloads
-        }
+        Msg::Summary(payloads) => payloads,
     }
+}
+
+/// A wrapping difference as an unsigned varint value: small magnitudes of
+/// either sign stay small (0, −1, 1, −2, … → 0, 1, 2, 3, …).
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// The bytes [`put_varint`] writes for `v`: one per started 7 bits, at
@@ -278,17 +377,6 @@ pub fn get_varint(bytes: &[u8]) -> Result<(u64, usize), WireError> {
 /// A tuple's key and stream as one varint: `key·2 + stream`.
 fn key_stream(tuple: &Tuple) -> u64 {
     (u64::from(tuple.key) << 1) | u64::from(stream_bit(tuple.stream))
-}
-
-/// Encodes `msg` into a fresh buffer (one frame).
-pub fn encode(msg: &Msg) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(msg, &mut buf);
-    buf
-}
-
-fn tag(kind: u8) -> u8 {
-    (VERSION << 4) | kind
 }
 
 fn stream_bit(stream: StreamId) -> u8 {
@@ -372,68 +460,21 @@ fn put_payload(p: &SummaryPayload, s: &mut impl Sink) {
     }
 }
 
-/// Decodes one frame from the front of `bytes`. Returns the message and the
-/// number of bytes consumed (the full frame, prefix included).
+/// The head at the front of `bytes`: its own length, and the body length
+/// and kind it announces.
 ///
 /// # Errors
 ///
-/// [`WireError::Truncated`] when `bytes` holds less than one whole frame;
-/// any other [`WireError`] for structurally invalid content, including a
-/// whole frame whose body ends mid-field. A length prefix over
-/// [`MAX_FRAME_BODY`] is refused from the prefix alone.
-pub fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
-    let (prefix, len) = frame_header(bytes)?;
-    let body = bytes
-        .get(prefix..prefix + len)
-        .ok_or(WireError::Truncated)?;
-    let mut r = Reader::new(body);
-    let ver_kind = r.u8()?;
-    let version = ver_kind >> 4;
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let msg = match ver_kind & 0x0F {
-        KIND_TUPLE => {
-            let key_stream = r.varint()?;
-            let key = u32::try_from(key_stream >> 1)
-                .map_err(|_| WireError::Invalid("tuple key over u32::MAX"))?;
-            let stream = decode_stream((key_stream & 1) as u8)?;
-            let seq = r.varint()?;
-            let origin = r.varint_to(u16::MAX.into(), "tuple origin over u16::MAX")? as u16;
-            let mut piggyback = Vec::new();
-            while !r.is_empty() {
-                piggyback.push(decode_payload(&mut r)?);
-            }
-            Msg::Tuple {
-                tuple: Tuple::new(stream, key, seq, origin),
-                piggyback,
-            }
-        }
-        KIND_SUMMARY => {
-            let mut payloads = Vec::new();
-            while !r.is_empty() {
-                payloads.push(decode_payload(&mut r)?);
-            }
-            Msg::Summary(payloads)
-        }
-        kind => return Err(WireError::BadKind(kind)),
-    };
-    Ok((msg, prefix + len))
-}
-
-/// The length prefix at the front of `bytes`: its own length and the body
-/// length it announces.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] while the prefix is incomplete;
+/// [`WireError::Truncated`] while the head is incomplete;
 /// [`WireError::FrameTooLarge`] as soon as it announces more than
 /// [`MAX_FRAME_BODY`], or runs past [`MAX_PREFIX`] bytes;
 /// [`WireError::Invalid`] when it is not minimal.
-fn frame_header(bytes: &[u8]) -> Result<(usize, usize), WireError> {
+fn frame_header(bytes: &[u8]) -> Result<(usize, usize, u64), WireError> {
     match get_varint(bytes.get(..MAX_PREFIX).unwrap_or(bytes)) {
-        Ok((len, prefix)) if len <= MAX_FRAME_BODY as u64 => Ok((prefix, len as usize)),
-        Ok((len, _)) => Err(WireError::FrameTooLarge(len as usize)),
+        Ok((head, prefix)) if head >> 1 <= MAX_FRAME_BODY as u64 => {
+            Ok((prefix, (head >> 1) as usize, head & 1))
+        }
+        Ok((head, _)) => Err(WireError::FrameTooLarge((head >> 1) as usize)),
         Err(WireError::Truncated) if bytes.len() >= MAX_PREFIX => {
             Err(WireError::FrameTooLarge(LONG_PREFIX_LEN))
         }
@@ -442,7 +483,7 @@ fn frame_header(bytes: &[u8]) -> Result<(usize, usize), WireError> {
 }
 
 /// A whole frame's body ran out before its content did: corruption, not a
-/// request for more bytes — the frame's length prefix has been honoured.
+/// request for more bytes — the frame's head has been honoured.
 const BODY_ENDS: WireError = WireError::Invalid("frame body ends mid-field");
 
 /// Bounds-checked little-endian cursor over a whole frame body. Every
@@ -627,43 +668,48 @@ const NOT_MINIMAL: WireError = WireError::Invalid("counter width is not the narr
 /// A batch of encoded frames headed for one peer: the append-side wire
 /// API used by coalescing transports.
 ///
-/// [`FrameBatch::push`] appends one frame ([`encode_into`]) and records
+/// [`FrameBatch::push`] appends one frame as the link's next and records
 /// where it ends, so a vectored writer that stops mid-batch (a partial
 /// write, `WouldBlock`) can tell exactly which messages are fully on the
 /// wire and which are still owed — the accounting the live harness's
-/// in-flight counter needs. The buffers are reused across
-/// [`FrameBatch::clear`], so steady-state batching allocates nothing.
+/// in-flight counter needs. The batch holds its link's [`LinkBase`], which
+/// [`FrameBatch::clear`] keeps: a batch is one link's encoder, emptied
+/// after every flush. The buffers are reused across clears, so
+/// steady-state batching allocates nothing.
 #[derive(Debug, Default)]
 pub struct FrameBatch {
     buf: Vec<u8>,
     ends: Vec<usize>,
+    link: LinkBase,
 }
 
 impl FrameBatch {
-    /// Creates an empty batch.
+    /// Creates an empty batch for a link that has carried no frame.
     pub fn new() -> Self {
         FrameBatch::default()
     }
 
-    /// Appends `msg` as one frame (exactly [`Msg::wire_bytes`] bytes).
+    /// Appends `msg` as the link's next frame.
     pub fn push(&mut self, msg: &Msg) {
-        self.push_sized(msg, msg.wire_bytes());
+        let (_, frame) = sizes(msg, self.link);
+        self.push_sized(msg, frame);
     }
 
-    /// [`FrameBatch::push`] for a message already sized at `frame`
-    /// ([`Msg::wire_bytes`]) bytes: the length prefix comes from the size,
-    /// not from a second counting pass.
+    /// [`FrameBatch::push`] for a message already sized at `frame` bytes
+    /// by a [`LinkBase`] in step with this batch's (the engine's, for its
+    /// peer): the head comes from the size, not from a second counting
+    /// pass.
     pub fn push_sized(&mut self, msg: &Msg, frame: usize) {
-        let start = self.buf.len();
-        // The body is what the shortest prefix leaves of `frame`: one byte
-        // below 128, where the loop never turns.
+        debug_assert_eq!(frame, sizes(msg, self.link).1, "sized at another base");
+        // The body is what the shortest head leaves of `frame`: one byte
+        // below 64, where the loop never turns.
         let mut body = frame - 1;
-        while varint_len(body as u64) + body > frame {
+        while varint_len((body as u64) << 1) + body > frame {
             body -= 1;
         }
-        put_varint(&mut self.buf, body as u64);
-        put_body(msg, &mut self.buf);
-        debug_assert_eq!(self.buf.len() - start, msg.wire_bytes(), "sized wrong");
+        put_varint(&mut self.buf, head(msg, body));
+        put_body(msg, self.link, &mut self.buf);
+        self.link.pass(msg);
         self.ends.push(self.buf.len());
     }
 
@@ -688,43 +734,58 @@ impl FrameBatch {
         self.ends.is_empty()
     }
 
-    /// Empties the batch, keeping both allocations for reuse.
+    /// Empties the batch, keeping both allocations and the link's base.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.ends.clear();
     }
 }
 
-/// Incremental frame reassembly over a byte stream delivered in arbitrary
-/// chunks (the read side of a TCP connection).
+/// Incremental frame reassembly over one link's byte stream, delivered in
+/// arbitrary chunks (the read side of a TCP connection).
 ///
 /// [`FrameDecoder::feed_decode`] decodes every frame wholly inside a chunk
 /// straight out of the caller's bytes. Only a frame split across chunks is
-/// staged, and only the bytes it still lacks are copied.
+/// staged, and only the bytes it still lacks are copied. The decoder holds
+/// the link's [`LinkBase`] and stamps decoded tuples with its sender.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     /// The bytes received so far of a frame split across chunks; empty
     /// between frames.
     staged: Vec<u8>,
+    link: LinkBase,
+    sender: u16,
 }
 
 impl FrameDecoder {
-    /// Creates an empty decoder.
+    /// A decoder that is not told its link's sender: decoded tuples carry
+    /// origin 0. For a reader that knows each frame's sender itself, as one
+    /// that multiplexes several links through one batch and one decoder
+    /// does.
     pub fn new() -> Self {
         FrameDecoder::default()
     }
 
-    /// The staged frame's total length, prefix included, as far as the
-    /// staged bytes tell: one byte more than staged until its length
-    /// prefix is whole.
+    /// A decoder for the link from node `sender`, whose id it stamps on
+    /// every decoded tuple.
+    pub fn for_sender(sender: u16) -> Self {
+        FrameDecoder {
+            sender,
+            ..FrameDecoder::default()
+        }
+    }
+
+    /// The staged frame's total length, head included, as far as the
+    /// staged bytes tell: one byte more than staged until its head is
+    /// whole.
     ///
     /// # Errors
     ///
     /// Any of [`frame_header`]'s but [`WireError::Truncated`]: an oversized
-    /// or non-minimal prefix is corruption, not a request for more bytes.
+    /// or non-minimal head is corruption, not a request for more bytes.
     fn staged_frame_len(&self) -> Result<usize, WireError> {
         match frame_header(&self.staged) {
-            Ok((prefix, len)) => Ok(prefix + len),
+            Ok((prefix, len, _)) => Ok(prefix + len),
             Err(WireError::Truncated) => Ok(self.staged.len() + 1),
             Err(e) => Err(e),
         }
@@ -742,8 +803,8 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// Any [`WireError`] but [`WireError::Truncated`] (which only means
-    /// "need more bytes") for corrupt content, including a length prefix
-    /// over [`MAX_FRAME_BODY`], refused before anything is staged for it.
+    /// "need more bytes") for corrupt content, including a head over
+    /// [`MAX_FRAME_BODY`], refused before anything is staged for it.
     /// Errors are fatal: a framed stream has no recovery point, so the
     /// decoder does not resynchronize and callers should drop the
     /// connection.
@@ -764,14 +825,14 @@ impl FrameDecoder {
                 rest = &rest[take..];
                 continue;
             }
-            let (msg, _) = decode(&self.staged)?;
+            let (msg, _) = self.link.decode(&self.staged, self.sender)?;
             self.staged.clear();
             if !sink(msg) {
                 return Ok(false);
             }
         }
         while !rest.is_empty() {
-            match decode(rest) {
+            match self.link.decode(rest, self.sender) {
                 Ok((msg, consumed)) => {
                     rest = &rest[consumed..];
                     if !sink(msg) {
@@ -793,6 +854,26 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    /// The sender every sample tuple comes from.
+    const SENDER: u16 = 3;
+
+    /// `msg` as the first frame of a link.
+    fn encode(msg: &Msg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        LinkBase::new().encode_into(msg, &mut buf);
+        buf
+    }
+
+    /// The first frame of a link from [`SENDER`].
+    fn decode(bytes: &[u8]) -> Result<(Msg, usize), WireError> {
+        LinkBase::new().decode(bytes, SENDER)
+    }
+
+    /// `msg`'s sizes as the first frame of a link.
+    fn sizes_of(msg: &Msg) -> (usize, usize) {
+        LinkBase::new().advance(msg)
+    }
+
     fn coeffs(n: usize) -> Vec<CoeffUpdate> {
         (0..n)
             .map(|i| CoeffUpdate {
@@ -812,11 +893,11 @@ mod tests {
         sketch.update(8, -2);
         vec![
             Msg::Tuple {
-                tuple: Tuple::new(StreamId::R, 7, 42, 3),
+                tuple: Tuple::new(StreamId::R, 7, 42, SENDER),
                 piggyback: Vec::new(),
             },
             Msg::Tuple {
-                tuple: Tuple::new(StreamId::S, u32::MAX, u64::MAX, u16::MAX),
+                tuple: Tuple::new(StreamId::S, u32::MAX, u64::MAX, SENDER),
                 piggyback: vec![SummaryPayload::Dft {
                     stream: StreamId::S,
                     signal_len: 1024,
@@ -841,16 +922,24 @@ mod tests {
                 },
             ]),
             Msg::Summary(Vec::new()),
+            Msg::Tuple {
+                tuple: Tuple::new(StreamId::R, 7, 40, SENDER),
+                piggyback: Vec::new(),
+            },
         ]
     }
 
-    /// The tentpole invariant: the codec writes exactly the bytes the model
-    /// charges, for every message class.
+    /// The tentpole invariant: on a link, the codec writes exactly the
+    /// bytes the model charges, for every message class.
     #[test]
-    fn encoded_len_matches_wire_bytes() {
+    fn encoded_len_matches_the_link_model() {
+        let (mut model, mut encoder) = (LinkBase::new(), LinkBase::new());
         for msg in sample_msgs() {
-            assert_eq!(encode(&msg).len(), msg.wire_bytes(), "{msg:?}");
+            let mut bytes = Vec::new();
+            encoder.encode_into(&msg, &mut bytes);
+            assert_eq!(bytes.len(), model.advance(&msg).1, "{msg:?}");
         }
+        assert_eq!(model, encoder);
     }
 
     /// A payload's bytes, as the counting sink adds them up.
@@ -863,22 +952,33 @@ mod tests {
     /// Per-variant size regressions, pinned to arithmetic.
     #[test]
     fn per_variant_sizes() {
-        // Bare tuple: 1 prefix + 1 ver/kind + the varints of key·2 + stream,
-        // seq and origin — one byte each below 128, two below 16 384. It is
-        // all data.
-        for (key, seq, origin, len) in [
-            (1, 2, 3, 5),
-            (63, 127, 127, 5),
-            (64, 128, 128, 8),
-            (4_095, 49_999, 3, 8),
-            (u32::MAX, u64::MAX, u16::MAX, 20),
+        // Bare tuple on a fresh link: 1 head byte + the varints of
+        // key·2 + stream and of the zigzagged seq — one byte each below 64,
+        // two below 8 192. It is all data.
+        for (key, seq, len) in [
+            (1, 2, 3),
+            (63, 63, 3),
+            (64, 64, 5),
+            (4_095, 49_999, 6),
+            (u32::MAX, u64::MAX, 7),
+            (u32::MAX, 1 << 63, 16),
         ] {
             let bare = Msg::Tuple {
-                tuple: Tuple::new(StreamId::S, key, seq, origin),
+                tuple: Tuple::new(StreamId::S, key, seq, SENDER),
                 piggyback: Vec::new(),
             };
             assert_eq!(encode(&bare).len(), len, "{bare:?}");
-            assert_eq!(bare.wire_sizes(), (len, len));
+            assert_eq!(sizes_of(&bare), (len, len));
+        }
+        // On a link, the seq is a difference from the last tuple's: a
+        // node's arrivals a few seqs apart, either way, take one byte.
+        let mut link = LinkBase::new();
+        for (seq, len) in [(1_000_000, 5), (1_000_004, 3), (999_996, 3), (999_996, 3)] {
+            let bare = Msg::Tuple {
+                tuple: Tuple::new(StreamId::R, 9, seq, SENDER),
+                piggyback: Vec::new(),
+            };
+            assert_eq!(link.advance(&bare), (len, len), "{seq}");
         }
 
         let dft = |stream, signal_len, updates| SummaryPayload::Dft {
@@ -904,7 +1004,7 @@ mod tests {
 
         // Bloom payload: 1 ptype + 2 (m 256) + 1 (k 4) + 8 seed + 1 (items
         // 9) + 1, 2 or 4 per counter, the narrowest that holds the largest.
-        // Its frame has a 2-byte prefix.
+        // Its frame has a 2-byte head.
         let bloom = |top: u32| SummaryPayload::Bloom {
             stream: StreamId::S,
             filter: CountingBloomFilter::from_parts(4, 1, [vec![0; 255], vec![top]].concat(), 9),
@@ -913,25 +1013,25 @@ mod tests {
             assert_eq!(payload_len(&bloom(top)), 13 + 256 * width, "{top}");
             assert_eq!(
                 encode(&Msg::Summary(vec![bloom(top)])).len(),
-                3 + 13 + 256 * width
+                2 + 13 + 256 * width
             );
         }
         let bloom = bloom(300);
-        // A fresh 256-counter filter frames in 3 + 13 + 256 one-byte
+        // A fresh 256-counter filter frames in 2 + 13 + 256 one-byte
         // counters (1 KB in memory); 256 items take 2 bytes.
         let mut filter = CountingBloomFilter::new(256, 4, 1);
         let framed = |filter: &CountingBloomFilter| {
-            Msg::Summary(vec![SummaryPayload::Bloom {
+            sizes_of(&Msg::Summary(vec![SummaryPayload::Bloom {
                 stream: StreamId::R,
                 filter: filter.clone(),
-            }])
-            .wire_bytes()
+            }]))
+            .1
         };
-        assert_eq!(framed(&filter), 3 + 13 + 256);
+        assert_eq!(framed(&filter), 2 + 13 + 256);
         for _ in 0..256 {
             filter.insert(7);
         }
-        assert_eq!(framed(&filter), 3 + 14 + 256 * 2);
+        assert_eq!(framed(&filter), 2 + 14 + 256 * 2);
 
         // Sketch payload: 1 ptype + 1 (s0) + 1 (s1) + 8 seed + 1 (updates
         // 9) + 1, 2, 4 or 8 per counter, two's complement. The benchmark's
@@ -945,59 +1045,59 @@ mod tests {
         }
         assert_eq!(payload_len(&sketch(0)), 32);
         assert_eq!(payload_len(&sketch(-129)), 52);
-        assert_eq!(encode(&Msg::Summary(vec![sketch(0)])).len(), 34);
+        assert_eq!(encode(&Msg::Summary(vec![sketch(0)])).len(), 33);
         let skch = sketch(i64::MIN);
         assert_eq!(payload_len(&skch), 12 + 20 * 8);
-        // A fresh 25 × 5 sketch frames in 3 + 12 + 125 one-byte counters
+        // A fresh 25 × 5 sketch frames in 2 + 12 + 125 one-byte counters
         // (1 000 B in memory), then two bytes a counter.
         let mut agms = AgmsSketch::new(25, 5, 1);
         let framed = |sketch: &AgmsSketch| {
-            Msg::Summary(vec![SummaryPayload::Sketch {
+            sizes_of(&Msg::Summary(vec![SummaryPayload::Sketch {
                 stream: StreamId::R,
                 sketch: sketch.clone(),
-            }])
-            .wire_bytes()
+            }]))
+            .1
         };
-        assert_eq!(framed(&agms), 3 + 12 + 125);
+        assert_eq!(framed(&agms), 2 + 12 + 125);
         agms.update(3, 128);
-        assert_eq!(framed(&agms), 3 + 12 + 125 * 2);
+        assert_eq!(framed(&agms), 2 + 12 + 125 * 2);
         assert_eq!(agms.size_bytes(), 125 * 8);
 
-        // Standalone summary: prefix + ver/kind + payload sum, all overhead.
+        // Standalone summary: head + payload sum, all overhead.
         let msg = Msg::Summary(vec![dft7.clone(), bloom.clone(), skch.clone()]);
-        let body = 1 + payload_len(&dft7) + payload_len(&bloom) + payload_len(&skch);
-        assert_eq!(msg.wire_sizes(), (0, 2 + body));
-        assert_eq!(encode(&msg).len(), msg.wire_bytes());
-        // 2 frame bytes + the payload's 4-byte header + 10 coefficients.
+        let body = payload_len(&dft7) + payload_len(&bloom) + payload_len(&skch);
+        assert_eq!(sizes_of(&msg), (0, 2 + body));
+        assert_eq!(encode(&msg).len(), sizes_of(&msg).1);
+        // 1 head byte + the payload's 4-byte header + 10 coefficients.
         let msg = Msg::Summary(vec![dft(StreamId::S, 64, coeffs(10))]);
-        assert_eq!(msg.wire_sizes(), (0, 2 + 4 + 50));
+        assert_eq!(sizes_of(&msg), (0, 1 + 4 + 50));
 
         // Piggybacked tuple: the bare tuple frame is data, the payloads are
-        // overhead, and so is the prefix byte a long piggyback adds.
+        // overhead, and so is the head byte a long piggyback adds.
         let pig = |stream, signal_len, updates| Msg::Tuple {
-            tuple: Tuple::new(stream, 9, 10, 0),
+            tuple: Tuple::new(stream, 9, 10, SENDER),
             piggyback: vec![dft(stream, signal_len, updates)],
         };
         assert_eq!(
-            pig(StreamId::S, 64, coeffs(7)).wire_sizes(),
-            (5, 5 + 4 + 7 * 5)
+            sizes_of(&pig(StreamId::S, 64, coeffs(7))),
+            (3, 3 + 4 + 7 * 5)
         );
         assert_eq!(
-            pig(StreamId::S, 64, coeffs(23)).wire_sizes(),
-            (5, 5 + 4 + 23 * 5)
+            sizes_of(&pig(StreamId::S, 64, coeffs(11))),
+            (3, 3 + 4 + 11 * 5)
         );
         assert_eq!(
-            pig(StreamId::S, 64, coeffs(24)).wire_sizes(),
-            (5, 5 + 4 + 24 * 5 + 1)
+            sizes_of(&pig(StreamId::S, 64, coeffs(12))),
+            (3, 3 + 4 + 12 * 5 + 1)
         );
         // 1 ptype + 2 (signal_len 1 024) + 1 (count) + 1 exponent + 3 × 5.
         assert_eq!(
-            pig(StreamId::R, 1_024, coeffs(3)).wire_sizes(),
-            (5, 5 + 5 + 3 * 5)
+            sizes_of(&pig(StreamId::R, 1_024, coeffs(3))),
+            (3, 3 + 5 + 3 * 5)
         );
-        for n in [7, 23, 24] {
+        for n in [7, 11, 12] {
             let m = pig(StreamId::S, 64, coeffs(n));
-            assert_eq!(encode(&m).len(), m.wire_bytes());
+            assert_eq!(encode(&m).len(), sizes_of(&m).1);
         }
     }
 
@@ -1006,8 +1106,9 @@ mod tests {
         // Wildcard-free on purpose: a new `Msg` or `SummaryPayload` variant
         // is a compile error here until it has an arm, and a failed
         // assertion below until `sample_msgs` carries one — so no variant
-        // ships without going through encode, decode and `wire_bytes`.
+        // ships without going through encode, decode and the link model.
         let mut seen = [false; 5];
+        let [mut model, mut encoder, mut decoder, mut re_encoder] = [LinkBase::new(); 4];
         for msg in sample_msgs() {
             let payloads = match &msg {
                 Msg::Tuple { piggyback, .. } => {
@@ -1026,14 +1127,17 @@ mod tests {
                     SummaryPayload::Sketch { .. } => seen[4] = true,
                 }
             }
-            let bytes = encode(&msg);
-            assert_eq!(bytes.len(), msg.wire_bytes(), "{msg:?}");
-            let (back, consumed) = decode(&bytes).unwrap();
+            let mut bytes = Vec::new();
+            encoder.encode_into(&msg, &mut bytes);
+            assert_eq!(bytes.len(), model.advance(&msg).1, "{msg:?}");
+            let (back, consumed) = decoder.decode(&bytes, SENDER).unwrap();
             assert_eq!(consumed, bytes.len());
             assert_eq!(back, msg);
             // Rehydrated summaries must behave identically, not just
             // compare equal: re-encoding reproduces the exact bytes.
-            assert_eq!(encode(&back), bytes);
+            let mut again = Vec::new();
+            re_encoder.encode_into(&back, &mut again);
+            assert_eq!(again, bytes);
         }
         assert_eq!(seen, [true; 5], "sample_msgs misses a variant");
     }
@@ -1042,16 +1146,55 @@ mod tests {
     fn frames_concatenate() {
         let msgs = sample_msgs();
         let mut stream = Vec::new();
+        let mut encoder = LinkBase::new();
         for m in &msgs {
-            encode_into(m, &mut stream);
+            encoder.encode_into(m, &mut stream);
         }
-        let mut offset = 0;
+        let (mut offset, mut decoder) = (0, LinkBase::new());
         for m in &msgs {
-            let (back, consumed) = decode(&stream[offset..]).unwrap();
+            let (back, consumed) = decoder.decode(&stream[offset..], SENDER).unwrap();
             assert_eq!(&back, m);
             offset += consumed;
         }
         assert_eq!(offset, stream.len());
+    }
+
+    #[test]
+    fn a_link_sends_seq_deltas_and_stamps_its_sender() {
+        // Seqs that repeat, fall, start at 0 and wrap past u64::MAX, each
+        // from another origin: the decoder restores every seq and stamps
+        // the link's sender.
+        let seqs = [0, 0, 5, 3, u64::MAX, 1, 1 << 63, 7];
+        let tuple = |seq, origin| Msg::Tuple {
+            tuple: Tuple::new(StreamId::S, 11, seq, origin),
+            piggyback: Vec::new(),
+        };
+        let mut batch = FrameBatch::new();
+        let mut decoder = FrameDecoder::for_sender(9);
+        let mut got = Vec::new();
+        for (i, &seq) in seqs.iter().enumerate() {
+            batch.push(&tuple(seq, i as u16));
+            batch.push(&Msg::Summary(Vec::new()));
+            decoder
+                .feed_decode(batch.bytes(), &mut |m| {
+                    got.push(m);
+                    true
+                })
+                .unwrap();
+            batch.clear();
+        }
+        let want: Vec<Msg> = (seqs.iter())
+            .flat_map(|&seq| [tuple(seq, 9), Msg::Summary(Vec::new())])
+            .collect();
+        assert_eq!(got, want);
+        // A fresh link sizes the next tuple from seq 0; this one from 7.
+        let next = tuple(8, 0);
+        assert_eq!(sizes_of(&next).1, 3);
+        let mut fresh = FrameBatch::new();
+        fresh.push(&next);
+        batch.push(&next);
+        assert_ne!(batch.bytes(), fresh.bytes(), "clear kept the base");
+        assert_eq!(batch.bytes(), [4, 23, 2]);
     }
 
     #[test]
@@ -1060,35 +1203,24 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
         }
-        // The version/kind byte follows a 2-byte prefix.
-        assert_eq!(frame_header(&bytes), Ok((2, bytes.len() - 2)));
-        // Wrong version nibble: versions 1, 2 and 3 are refused like any
-        // other.
-        for version in [1, 2, 3, 5] {
-            let mut bad = bytes.clone();
-            bad[2] = (version << 4) | (bad[2] & 0x0F);
-            assert_eq!(decode(&bad).unwrap_err(), WireError::BadVersion(version));
-        }
-        // Unknown kind nibble.
-        let mut bad = bytes.clone();
-        bad[2] = (VERSION << 4) | 7;
-        assert_eq!(decode(&bad).unwrap_err(), WireError::BadKind(7));
-        // Absurd length prefixes: one past the cap, and one longer than 4
-        // bytes, refused at its fourth byte.
+        // The body follows a 2-byte head naming a summary.
+        assert_eq!(frame_header(&bytes), Ok((2, bytes.len() - 2, KIND_SUMMARY)));
+        // Absurd heads: one past the cap, and one longer than 4 bytes,
+        // refused at its fourth byte.
         let mut bad = Vec::new();
-        put_varint(&mut bad, MAX_FRAME_BODY as u64 + 1);
+        put_varint(&mut bad, (MAX_FRAME_BODY as u64 + 1) << 1);
         assert_eq!(
             decode(&bad).unwrap_err(),
             WireError::FrameTooLarge(MAX_FRAME_BODY + 1)
         );
         assert_eq!(
             decode(&[0xFF; 4]).unwrap_err(),
-            WireError::FrameTooLarge(1 << 28)
+            WireError::FrameTooLarge(1 << 27)
         );
         // The cap itself is a length, which then wants its body.
         let mut cap = Vec::new();
-        put_varint(&mut cap, MAX_FRAME_BODY as u64);
-        assert_eq!(frame_header(&cap), Ok((4, MAX_FRAME_BODY)));
+        put_varint(&mut cap, (MAX_FRAME_BODY as u64) << 1 | 1);
+        assert_eq!(frame_header(&cap), Ok((4, MAX_FRAME_BODY, KIND_SUMMARY)));
         assert_eq!(decode(&cap).unwrap_err(), WireError::Truncated);
         // Unknown payload kind inside a summary frame.
         let msg = Msg::Summary(vec![SummaryPayload::Dft {
@@ -1098,19 +1230,29 @@ mod tests {
             updates: Vec::new(),
         }]);
         let mut bad = encode(&msg);
-        bad[2] = 3 << 1;
+        bad[1] = 3 << 1;
         assert_eq!(decode(&bad).unwrap_err(), WireError::BadPayloadKind(3));
+        // A frame that fails leaves the base where it was.
+        let mut link = LinkBase::new();
+        assert!(link.decode(&bad, SENDER).is_err());
+        assert_eq!(link, LinkBase::new());
+    }
+
+    /// `msgs` as one link's byte stream.
+    fn link_stream(msgs: &[Msg]) -> Vec<u8> {
+        let (mut stream, mut link) = (Vec::new(), LinkBase::new());
+        for m in msgs {
+            link.encode_into(m, &mut stream);
+        }
+        stream
     }
 
     #[test]
     fn feed_decode_reassembles_every_chunking() {
         let msgs = sample_msgs();
-        let mut stream = Vec::new();
-        for m in &msgs {
-            encode_into(m, &mut stream);
-        }
+        let stream = link_stream(&msgs);
         for chunk_len in [1usize, 2, 3, 5, 7, 16, 64, stream.len()] {
-            let mut dec = FrameDecoder::new();
+            let mut dec = FrameDecoder::for_sender(SENDER);
             let mut got = Vec::new();
             for chunk in stream.chunks(chunk_len) {
                 let complete = dec
@@ -1131,12 +1273,9 @@ mod tests {
         // A chunk holding two complete frames plus a partial third: the
         // complete ones decode in place, only the tail is staged.
         let msgs = sample_msgs();
-        let mut stream = Vec::new();
-        for m in &msgs[..3] {
-            encode_into(m, &mut stream);
-        }
+        let stream = link_stream(&msgs[..3]);
         let cut = stream.len() - 5;
-        let mut dec = FrameDecoder::new();
+        let mut dec = FrameDecoder::for_sender(SENDER);
         let mut got = Vec::new();
         assert!(dec
             .feed_decode(&stream[..cut], &mut |m| {
@@ -1145,7 +1284,7 @@ mod tests {
             })
             .unwrap());
         assert_eq!(got.len(), 2);
-        assert!(!dec.staged.is_empty() && dec.staged.len() < msgs[2].wire_bytes());
+        assert!(!dec.staged.is_empty() && dec.staged.len() < sizes_of(&msgs[2]).1);
         assert!(dec
             .feed_decode(&stream[cut..], &mut |m| {
                 got.push(m);
@@ -1158,11 +1297,7 @@ mod tests {
 
     #[test]
     fn feed_decode_sink_abort_stops_consuming() {
-        let msgs = sample_msgs();
-        let mut stream = Vec::new();
-        for m in &msgs {
-            encode_into(m, &mut stream);
-        }
+        let stream = link_stream(&sample_msgs());
         let mut dec = FrameDecoder::new();
         let mut seen = 0;
         let complete = dec
@@ -1179,7 +1314,8 @@ mod tests {
     fn feed_decode_corruption_is_typed_even_mid_stream() {
         let good = encode(&sample_msgs()[0]);
         let mut stream = good.clone();
-        stream.extend_from_slice(&[1, 0xF0]); // bad version nibble
+        // A 1-byte summary body whose payload kind 3 names no summary.
+        stream.extend_from_slice(&[3, 3 << 1]);
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         // Byte-at-a-time so the corrupt frame completes via the staged path.
@@ -1193,12 +1329,12 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(result.unwrap_err(), WireError::BadVersion(0xF));
+        assert_eq!(result.unwrap_err(), WireError::BadPayloadKind(3));
         assert_eq!(got.len(), 1);
-        // Oversized staged prefix is corruption, not a byte request.
+        // Oversized staged head is corruption, not a byte request.
         let mut dec = FrameDecoder::new();
         let mut huge = Vec::new();
-        put_varint(&mut huge, MAX_FRAME_BODY as u64 + 1);
+        put_varint(&mut huge, (MAX_FRAME_BODY as u64 + 1) << 1);
         assert!(dec.feed_decode(&huge[..2], &mut |_| true).unwrap());
         assert_eq!(
             dec.feed_decode(&huge[2..], &mut |_| true).unwrap_err(),
@@ -1209,12 +1345,12 @@ mod tests {
 
     #[test]
     fn a_whole_frame_that_ends_mid_field_is_corrupt_not_truncated() {
-        // A one-byte tuple body, and an empty body: the length prefix is
-        // honoured, so more bytes cannot help. Both used to read as
-        // `Truncated`, and the decoder staged the rest of the stream behind
-        // them.
+        // A tuple body holding its key but no seq, and an empty tuple
+        // body: the head is honoured, so more bytes cannot help. Both
+        // used to read as `Truncated`, and the decoder staged the rest of
+        // the stream behind them.
         let good = encode(&sample_msgs()[0]);
-        for short in [vec![1, VERSION << 4], vec![0]] {
+        for short in [vec![2, 5], vec![0]] {
             assert_eq!(decode(&short).unwrap_err(), BODY_ENDS);
             let mut stream = short.clone();
             stream.extend_from_slice(&good);
@@ -1238,13 +1374,13 @@ mod tests {
         }
         assert_eq!(batch.len(), msgs.len());
         // Boundaries slice the concatenation back into the exact frames.
-        let mut start = 0;
+        let (mut start, mut model) = (0, LinkBase::new());
+        let stream = link_stream(&msgs);
         for (m, &end) in msgs.iter().zip(batch.frame_ends()) {
-            assert_eq!(&batch.bytes()[start..end], &encode(m)[..]);
-            assert_eq!(end - start, m.wire_bytes());
+            assert_eq!(end - start, model.advance(m).1);
             start = end;
         }
-        assert_eq!(start, batch.bytes().len());
+        assert_eq!(batch.bytes(), stream);
         let alloc = batch.bytes().as_ptr();
         batch.clear();
         assert!(batch.is_empty() && batch.bytes().is_empty());
@@ -1254,8 +1390,8 @@ mod tests {
             alloc,
             "clear must keep the allocation"
         );
-        // A sized push writes `encode`'s bytes on both sides of the one- to
-        // two-byte length prefix.
+        // A sized push writes the encoder's bytes on both sides of the one-
+        // to two-byte head.
         for signal_len in [64, 128, 1 << 14, 1 << 21] {
             for n in 0..40 {
                 let m = Msg::Summary(vec![SummaryPayload::Dft {
@@ -1265,7 +1401,7 @@ mod tests {
                     updates: coeffs(n),
                 }]);
                 batch.clear();
-                batch.push_sized(&m, m.wire_bytes());
+                batch.push_sized(&m, sizes_of(&m).1);
                 assert_eq!(batch.bytes(), &encode(&m)[..], "{signal_len}, {n}");
             }
         }

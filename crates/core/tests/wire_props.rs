@@ -1,13 +1,13 @@
-//! Property tests for the wire codec: round-trip identity, framing under
-//! arbitrary chunking, and typed (never panicking) rejection of corrupt
-//! or truncated bytes.
+//! Property tests for the wire codec: round-trip identity on a link,
+//! framing under arbitrary chunking, and typed (never panicking) rejection
+//! of corrupt or truncated bytes.
 //!
 //! Messages are built from generated scalars rather than a bespoke `Msg`
 //! strategy, so every case renders its raw inputs on failure. Hand-built
-//! frames use the codec's own `put_varint` for their length prefixes.
+//! frames use the codec's own `put_varint` for their heads.
 
 use dsj_core::msg::{CoeffUpdate, Quantiser};
-use dsj_core::wire::{self, FrameDecoder, WireError, VERSION};
+use dsj_core::wire::{self, FrameBatch, FrameDecoder, LinkBase, WireError};
 use dsj_core::{Msg, SummaryPayload};
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
@@ -99,17 +99,61 @@ fn build_msg(
     }
 }
 
-/// Where a frame's version/kind byte sits: after its length prefix.
-fn tag_at(frame: &[u8]) -> usize {
-    wire::get_varint(frame).expect("a whole prefix").1
+/// `msg` as the first frame of a link.
+fn encode(msg: &Msg) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    LinkBase::new().encode_into(msg, &mut bytes);
+    bytes
 }
 
-/// `body` behind its varint length prefix.
-fn framed(body: &[u8]) -> Vec<u8> {
+/// The first frame of a link from node `sender`.
+fn decode(bytes: &[u8], sender: u16) -> Result<(Msg, usize), WireError> {
+    LinkBase::new().decode(bytes, sender)
+}
+
+/// `msg`'s whole frame size as the first frame of a link.
+fn frame_len(msg: &Msg) -> usize {
+    LinkBase::new().advance(msg).1
+}
+
+/// `msg` as it arrives over a link from `sender`: its tuple stamped with
+/// the sender, since `origin` does not travel.
+fn as_received(msg: &Msg, sender: u16) -> Msg {
+    match msg {
+        Msg::Tuple { tuple, piggyback } => Msg::Tuple {
+            tuple: Tuple::new(tuple.stream, tuple.key, tuple.seq, sender),
+            piggyback: piggyback.clone(),
+        },
+        Msg::Summary(_) => msg.clone(),
+    }
+}
+
+/// Where a frame's body starts: after its head.
+fn body_at(frame: &[u8]) -> usize {
+    wire::get_varint(frame).expect("a whole head").1
+}
+
+const TUPLE: u64 = 0;
+const SUMMARY: u64 = 1;
+
+/// `body` behind the varint head of a frame of `kind`.
+fn framed(kind: u64, body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::new();
-    wire::put_varint(&mut frame, body.len() as u64);
+    wire::put_varint(&mut frame, (body.len() as u64) << 1 | kind);
     frame.extend_from_slice(body);
     frame
+}
+
+/// The seq a link carries next, from the last one: 0, `u64::MAX`, a
+/// repeat, a step of `step` either way (wrapping), or anywhere.
+fn next_seq(prev: u64, (how, anywhere, step): (u8, u64, i32)) -> u64 {
+    match how % 5 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => prev,
+        3 => prev.wrapping_add(i64::from(step) as u64),
+        _ => anywhere,
+    }
 }
 
 /// Whether every DFT coefficient `msg` carries dequantises to a finite
@@ -153,15 +197,119 @@ proptest! {
             selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
-        let bytes = wire::encode(&msg);
+        let bytes = encode(&msg);
         // Tentpole invariant: the byte model is the codec, exactly.
-        prop_assert_eq!(bytes.len(), msg.wire_bytes());
-        let (decoded, consumed) = wire::decode(&bytes).expect("valid frame");
+        prop_assert_eq!(bytes.len(), frame_len(&msg));
+        let (decoded, consumed) = decode(&bytes, origin).expect("valid frame");
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(&decoded, &msg);
         // Encoding is canonical: re-encoding the decoded value is
         // byte-identical.
-        prop_assert_eq!(wire::encode(&decoded), bytes);
+        prop_assert_eq!(encode(&decoded), bytes);
+    }
+
+    #[test]
+    fn a_link_round_trips_any_seqs_and_stamps_its_sender(
+        steps in prop::collection::vec((0u8..6, (0u8..5, 0u64..u64::MAX, -8i32..9)), 1..24),
+        stream in prop::bool::ANY,
+        key in 0u32..u32::MAX,
+        origin in 0u16..u16::MAX,
+        sender in 0u16..u16::MAX,
+        signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
+        seed in 0u64..u64::MAX,
+        k in 1u32..9,
+        s0 in 1usize..5,
+        s1 in 1usize..7,
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
+        counters in prop::collection::vec(0u32..1 << 30, 24..25),
+        chunk_sizes in prop::collection::vec(1usize..13, 8..64),
+    ) {
+        // One link's messages, tuples and summaries mixed, whose seqs
+        // repeat, fall, hit 0 and u64::MAX and wrap, all from an `origin`
+        // the decoder never sees.
+        let mut seq = 0;
+        let msgs: Vec<Msg> = (steps.iter().enumerate())
+            .map(|(i, &(sel, how))| {
+                seq = next_seq(seq, how);
+                build_msg(
+                    sel, stream, key ^ i as u32, seq, origin, (signal_len, exponent), seed, k,
+                    (s0, s1), &coeffs, &counters,
+                )
+            })
+            .collect();
+        // The sizer, the encoder and a re-encoder each keep their own base.
+        let (mut sizer, mut encoder, mut re_encoder) = (LinkBase::new(), LinkBase::new(), LinkBase::new());
+        let mut link = Vec::new();
+        let mut frames = Vec::new();
+        for m in &msgs {
+            let start = link.len();
+            encoder.encode_into(m, &mut link);
+            prop_assert_eq!(link.len() - start, sizer.advance(m).1);
+            frames.push(start..link.len());
+        }
+        // Delivered in arbitrary chunks to the link's decoder: every
+        // message comes back, stamped with the sender.
+        let sizes: Vec<usize> = [1, 2, 3].into_iter().chain(chunk_sizes).collect();
+        let mut decoder = FrameDecoder::for_sender(sender);
+        let mut decoded = Vec::new();
+        let (mut pos, mut i) = (0, 0);
+        while pos < link.len() {
+            let take = sizes[i % sizes.len()].min(link.len() - pos);
+            i += 1;
+            let whole = decoder
+                .feed_decode(&link[pos..pos + take], &mut |msg| {
+                    decoded.push(msg);
+                    true
+                })
+                .expect("uncorrupted link");
+            prop_assert!(whole);
+            pos += take;
+        }
+        let want: Vec<Msg> = msgs.iter().map(|m| as_received(m, sender)).collect();
+        prop_assert_eq!(&decoded, &want);
+        // Every frame re-encodes byte-identical at its own base.
+        for (m, frame) in decoded.iter().zip(frames) {
+            let mut again = Vec::new();
+            re_encoder.encode_into(m, &mut again);
+            prop_assert_eq!(&again[..], &link[frame]);
+        }
+    }
+
+    #[test]
+    fn one_batch_cleared_after_every_push_and_one_decoder_restore_exact_seqs(
+        steps in prop::collection::vec((0u8..6, (0u8..5, 0u64..u64::MAX, -8i32..9)), 1..32),
+        key in 0u32..u32::MAX,
+        origin in 0u16..u16::MAX,
+        signal_len in 1u32..(1 << 20),
+        exponent in -128i32..128,
+        seed in 0u64..u64::MAX,
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
+        counters in prop::collection::vec(0u32..1 << 30, 24..25),
+    ) {
+        // How a reader that multiplexes several links through one batch
+        // and one decoder sees them: each frame flushed on its own, the
+        // batch cleared behind it, every seq restored exactly.
+        let mut seq = 0;
+        let mut batch = FrameBatch::new();
+        let mut decoder = FrameDecoder::new();
+        for (i, &(sel, how)) in steps.iter().enumerate() {
+            seq = next_seq(seq, how);
+            let msg = build_msg(
+                sel, i % 2 == 0, key ^ i as u32, seq, origin, (signal_len, exponent), seed, 3,
+                (2, 3), &coeffs, &counters,
+            );
+            batch.push(&msg);
+            let mut decoded = Vec::new();
+            decoder
+                .feed_decode(batch.bytes(), &mut |m| {
+                    decoded.push(m);
+                    true
+                })
+                .expect("uncorrupted frame");
+            prop_assert_eq!(decoded, vec![as_received(&msg, 0)]);
+            batch.clear();
+        }
     }
 
     #[test]
@@ -191,14 +339,15 @@ proptest! {
             ))
             .collect();
         let mut stream_bytes = Vec::new();
+        let mut encoder = LinkBase::new();
         for m in &msgs {
-            wire::encode_into(m, &mut stream_bytes);
+            encoder.encode_into(m, &mut stream_bytes);
         }
         // Split the byte stream at arbitrary boundaries (cycling through
         // 1, 2, 3 — splits inside a length prefix — and the generated chunk
         // sizes) and feed the pieces one at a time.
         let sizes: Vec<usize> = [1, 2, 3].into_iter().chain(chunk_sizes).collect();
-        let mut decoder = FrameDecoder::new();
+        let mut decoder = FrameDecoder::for_sender(origin);
         let mut decoded = Vec::new();
         let mut pos = 0;
         let mut i = 0;
@@ -221,8 +370,10 @@ proptest! {
             &coeffs, &counters,
         );
         decoded.clear();
+        let mut tail_frame = Vec::new();
+        encoder.encode_into(&tail, &mut tail_frame);
         decoder
-            .feed_decode(&wire::encode(&tail), &mut |msg| {
+            .feed_decode(&tail_frame, &mut |msg| {
                 decoded.push(msg);
                 true
             })
@@ -251,14 +402,14 @@ proptest! {
             selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
             &coeffs, &counters,
         );
-        let bytes = wire::encode(&msg);
+        let bytes = encode(&msg);
         let cut = cut_at % bytes.len();
         // Any strict prefix decodes to Truncated — never to a wrong
         // message, never to a panic.
-        prop_assert_eq!(wire::decode(&bytes[..cut]).unwrap_err(), WireError::Truncated);
+        prop_assert_eq!(decode(&bytes[..cut], origin).unwrap_err(), WireError::Truncated);
         // A FrameDecoder fed the prefix reports "need more bytes", and the
         // rest of the frame completes it.
-        let mut decoder = FrameDecoder::new();
+        let mut decoder = FrameDecoder::for_sender(origin);
         let mut decoded = Vec::new();
         let mut sink = |m: Msg| {
             decoded.push(m);
@@ -271,52 +422,15 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_version_or_kind_is_rejected(
-        selector in 0u8..6,
-        stream in prop::bool::ANY,
-        key in 0u32..u32::MAX,
-        seq in 0u64..u64::MAX,
-        origin in 0u16..u16::MAX,
-        signal_len in 1u32..(1 << 20),
-        exponent in -128i32..128,
-        seed in 0u64..u64::MAX,
-        k in 1u32..9,
-        s0 in 1usize..5,
-        s1 in 1usize..7,
-        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
-        counters in prop::collection::vec(0u32..1 << 30, 24..25),
-        bad_version in 0u8..16,
-        bad_kind in 2u8..16,
-    ) {
-        prop_assume!(bad_version != VERSION);
-        let msg = build_msg(
-            selector, stream, key, seq, origin, (signal_len, exponent), seed, k, (s0, s1),
-            &coeffs, &counters,
-        );
-        let mut bytes = wire::encode(&msg);
-        let at = tag_at(&bytes);
-        let original_tag = bytes[at];
-        // Wrong version nibble: typed BadVersion carrying the stranger.
-        bytes[at] = (bad_version << 4) | (original_tag & 0x0F);
-        prop_assert_eq!(
-            wire::decode(&bytes).unwrap_err(),
-            WireError::BadVersion(bad_version)
-        );
-        // Right version, unknown kind nibble: typed BadKind.
-        bytes[at] = (VERSION << 4) | bad_kind;
-        prop_assert_eq!(wire::decode(&bytes).unwrap_err(), WireError::BadKind(bad_kind));
-    }
-
-    #[test]
     fn arbitrary_bytes_never_panic_and_successes_are_canonical(
         noise in prop::collection::vec(0u16..256, 0..96),
     ) {
         let bytes: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
         // Whatever the bytes, decoding returns — typed error or message.
-        if let Ok((msg, consumed)) = wire::decode(&bytes) {
+        if let Ok((msg, consumed)) = decode(&bytes, 0) {
             // Decode is the inverse of a canonical encoding: any accepted
             // frame re-encodes to exactly the consumed bytes.
-            prop_assert_eq!(wire::encode(&msg), &bytes[..consumed]);
+            prop_assert_eq!(encode(&msg), &bytes[..consumed]);
             prop_assert!(dft_values_are_finite(&msg));
         }
         // Through the incremental decoder, fed a byte at a time (every
@@ -339,7 +453,58 @@ proptest! {
         };
         let (one_at_a_time, verdict) = feed(1);
         prop_assert_ne!(verdict, Err(WireError::Truncated));
+        // What a link accepts re-encodes, frame by frame at the link's
+        // base, to exactly the bytes it consumed.
+        let mut link = LinkBase::new();
+        let mut again = Vec::new();
+        for msg in &one_at_a_time {
+            link.encode_into(msg, &mut again);
+        }
+        prop_assert_eq!(&again[..], &bytes[..again.len()]);
         prop_assert_eq!((one_at_a_time, verdict), feed(bytes.len()));
+    }
+
+    #[test]
+    fn a_corrupted_link_stream_is_typed_never_a_panic(
+        steps in prop::collection::vec((0u8..6, (0u8..5, 0u64..u64::MAX, -8i32..9)), 1..8),
+        key in 0u32..u32::MAX,
+        coeffs in prop::collection::vec((0u16..u16::MAX, -32_768i32..32_768, -32_768i32..32_768), 0..9),
+        counters in prop::collection::vec(0u32..1 << 30, 24..25),
+        at in 0usize..4096,
+        flip in 1u16..256,
+    ) {
+        let mut seq = 0;
+        let mut link = Vec::new();
+        let mut encoder = LinkBase::new();
+        for (i, &(sel, how)) in steps.iter().enumerate() {
+            seq = next_seq(seq, how);
+            let msg = build_msg(
+                sel, i % 2 == 1, key, seq, 1, (64, 0), 7, 2, (2, 2), &coeffs, &counters,
+            );
+            encoder.encode_into(&msg, &mut link);
+        }
+        let at = at % link.len();
+        link[at] ^= flip as u8;
+        // Byte at a time and all at once: the same messages, then the same
+        // verdict, and never a request for bytes the stream will not send.
+        let feed = |chunk_len: usize| {
+            let mut decoder = FrameDecoder::for_sender(1);
+            let mut decoded = Vec::new();
+            let mut verdict = Ok(true);
+            for chunk in link.chunks(chunk_len) {
+                verdict = decoder.feed_decode(chunk, &mut |m| {
+                    decoded.push(m);
+                    true
+                });
+                if verdict.is_err() {
+                    break;
+                }
+            }
+            (decoded, verdict)
+        };
+        let (one_at_a_time, verdict) = feed(1);
+        prop_assert!(one_at_a_time.iter().all(dft_values_are_finite));
+        prop_assert_eq!((one_at_a_time, verdict), feed(link.len()));
     }
 
     #[test]
@@ -358,55 +523,31 @@ proptest! {
             exponent: 0,
             updates: vec![CoeffUpdate { index: 0, re: 0, im: 0 }; count],
         }]);
-        let mut bytes = wire::encode(&msg);
+        let mut bytes = encode(&msg);
         let exponent_at = bytes.len() - (1 + 5 * count);
         let noisy = (exponent_at..bytes.len()).filter(|i| (i - exponent_at) % 5 != 1);
         for (i, &n) in noisy.zip(&noise) {
             bytes[i] = n as u8;
         }
-        let (decoded, _) = wire::decode(&bytes).expect("any exponent and mantissas decode");
+        let (decoded, _) = decode(&bytes, 0).expect("any exponent and mantissas decode");
         prop_assert!(dft_values_are_finite(&decoded), "{:?}", decoded);
-        prop_assert_eq!(wire::encode(&decoded), bytes);
-    }
-
-    #[test]
-    fn a_version_1_frame_is_refused_not_misread(
-        stream in prop::bool::ANY,
-        signal_len in 1u32..(1 << 20),
-        coeffs in prop::collection::vec((0u16..1024, -64i32..64, -64i32..64), 0..9),
-    ) {
-        // A summary in the version-1 layout: per coefficient an index and
-        // two `f64` bit patterns, and no exponent.
-        let mut body = vec![(1 << 4) | 1, u8::from(stream)];
-        body.extend_from_slice(&signal_len.to_le_bytes());
-        body.extend_from_slice(&(coeffs.len() as u32).to_le_bytes());
-        for &(index, re, im) in &coeffs {
-            body.extend_from_slice(&index.to_le_bytes());
-            body.extend_from_slice(&(f64::from(re) / 8.0).to_bits().to_le_bytes());
-            body.extend_from_slice(&(f64::from(im) / 4.0).to_bits().to_le_bytes());
-        }
-        let frame = framed(&body);
-        prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(1));
-        let mut decoder = FrameDecoder::new();
-        prop_assert_eq!(
-            decoder.feed_decode(&frame, &mut |_| true),
-            Err(WireError::BadVersion(1))
-        );
+        prop_assert_eq!(encode(&decoded), bytes);
     }
 
     #[test]
     fn oversized_frames_are_rejected_without_allocation(
-        claimed in ((1u64 << 24) + 1)..u64::MAX,
+        claimed in ((1u64 << 24) + 1)..(u64::MAX >> 1),
+        kind in 0u64..2,
     ) {
-        // A length prefix over MAX_FRAME_BODY is rejected from the prefix
-        // alone — decode never trusts it enough to allocate. A prefix of 5
-        // bytes or more announces at least 2^28 and is refused at its
+        // A head announcing a body over MAX_FRAME_BODY is rejected from the
+        // head alone — decode never trusts it enough to allocate. A head of
+        // 5 bytes or more announces at least 2^27 and is refused at its
         // fourth.
         let mut bytes = Vec::new();
-        wire::put_varint(&mut bytes, claimed);
+        wire::put_varint(&mut bytes, claimed << 1 | kind);
         bytes.extend_from_slice(&[0u8; 8]);
-        let refused = WireError::FrameTooLarge(claimed.min(1 << 28) as usize);
-        prop_assert_eq!(wire::decode(&bytes).unwrap_err(), refused);
+        let refused = WireError::FrameTooLarge(claimed.min(1 << 27) as usize);
+        prop_assert_eq!(decode(&bytes, 0).unwrap_err(), refused);
         // The decoder refuses it as soon as the prefix tells it so, at its
         // fourth byte, whether the prefix arrives at once or split across
         // reads.
@@ -465,9 +606,9 @@ fn narrowest_unsigned(counters: &[u32]) -> usize {
         .unwrap()
 }
 
-/// One summary frame of `version` around hand-built `payload` bytes.
-fn summary_frame(version: u8, payload: &[u8]) -> Vec<u8> {
-    framed(&[&[(version << 4) | 1], payload].concat())
+/// One summary frame around hand-built `payload` bytes.
+fn summary_frame(payload: &[u8]) -> Vec<u8> {
+    framed(SUMMARY, payload)
 }
 
 /// A payload of kind `pkind` (2 sketch, 1 Bloom; stream R) holding
@@ -486,18 +627,24 @@ fn counter_payload(pkind: u8, code: u8, width: usize, counters: &[i64]) -> Vec<u
 }
 
 /// Checks that `payload` encodes alone at `width` bytes a counter: the
-/// body is `1 + 12 + count · width` bytes (a 1-byte varint for each of its
-/// dimensions and its item or update count), `wire_bytes` says so, `ptype`
-/// carries `log2(width)` in bits 3–4, and the frame decodes back to it.
+/// body is `12 + count · width` bytes (`ptype`, a 1-byte varint for each
+/// of its dimensions and its item or update count, and the 8-byte seed),
+/// the link model says so,
+/// `ptype` carries `log2(width)` in bits 3–4, and the frame decodes back to
+/// it.
 fn assert_encoded_width(payload: SummaryPayload, count: usize, width: usize) {
     let msg = Msg::Summary(vec![payload]);
-    let bytes = wire::encode(&msg);
-    let body = 1 + 12 + count * width;
-    assert_eq!(bytes.len(), wire::varint_len(body as u64) + body, "{msg:?}");
-    assert_eq!(bytes.len(), msg.wire_bytes());
-    let ptype = bytes[tag_at(&bytes) + 1];
+    let bytes = encode(&msg);
+    let body = 12 + count * width;
+    assert_eq!(
+        bytes.len(),
+        wire::varint_len((body as u64) << 1) + body,
+        "{msg:?}"
+    );
+    assert_eq!(bytes.len(), frame_len(&msg));
+    let ptype = bytes[body_at(&bytes)];
     assert_eq!(usize::from(ptype >> 3), width.trailing_zeros() as usize);
-    assert_eq!(wire::decode(&bytes), Ok((msg, bytes.len())));
+    assert_eq!(decode(&bytes, 0), Ok((msg, bytes.len())));
 }
 
 proptest! {
@@ -530,27 +677,6 @@ proptest! {
         assert_encoded_width(bloom, counters.len(), narrowest_unsigned(&counters));
     }
 
-    #[test]
-    fn a_version_2_frame_is_refused_not_misread(
-        counters in prop::collection::vec(-300i64..300, 1..21),
-    ) {
-        // A sketch summary in the version-2 layout: `u32` dimensions, `u64`
-        // seed and update count, every counter 8 bytes, no width code.
-        let mut payload = vec![2 << 1];
-        payload.extend_from_slice(&(counters.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 16]);
-        for &c in &counters {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        let frame = summary_frame(2, &payload);
-        prop_assert_eq!(wire::decode(&frame).unwrap_err(), WireError::BadVersion(2));
-        let mut decoder = FrameDecoder::new();
-        prop_assert_eq!(
-            decoder.feed_decode(&frame, &mut |_| true),
-            Err(WireError::BadVersion(2))
-        );
-    }
 }
 
 #[test]
@@ -574,10 +700,10 @@ fn every_width_edge_round_trips_alone() {
 #[test]
 fn a_wider_than_minimal_width_is_invalid() {
     let decode = |pkind, code, width, counters: &[i64]| {
-        wire::decode(&summary_frame(
-            VERSION,
-            &counter_payload(pkind, code, width, counters),
-        ))
+        decode(
+            &summary_frame(&counter_payload(pkind, code, width, counters)),
+            0,
+        )
     };
     // Each written at its own width decodes; one width wider does not. A
     // Bloom counter is a `u32`, so 8 bytes is never its narrowest.
@@ -634,11 +760,11 @@ fn width_codes_on_dft_and_high_tag_bits_are_invalid() {
     for (first, codes) in [(dft(1), 1u8..4), (sketch, 0..0), (bloom, 0..0)] {
         let msg = Msg::Summary(vec![first, dft(700)]);
         for set in codes.map(|c| c << 3).chain([1 << 5, 1 << 6, 1 << 7]) {
-            let mut bytes = wire::encode(&msg);
-            let ptype = tag_at(&bytes) + 1;
+            let mut bytes = encode(&msg);
+            let ptype = body_at(&bytes);
             bytes[ptype] |= set;
             assert!(
-                matches!(wire::decode(&bytes), Err(WireError::Invalid(_))),
+                matches!(decode(&bytes, 0), Err(WireError::Invalid(_))),
                 "{set:#b} on {msg:?}"
             );
         }
@@ -694,6 +820,16 @@ fn varint_edges_round_trip_in_every_field() {
     };
     for (v, _) in VARINT_EDGES {
         let u16_edge = v.min(u16::MAX.into()) as u16;
+        // Every seq edge also as a difference from the link's last one:
+        // an encoder, a sizer and a decoder, each past one tuple.
+        let last = Msg::Tuple {
+            tuple: Tuple::new(StreamId::R, 1, v / 2, u16_edge),
+            piggyback: Vec::new(),
+        };
+        let [mut encoder, mut sizer, mut decoder] = [LinkBase::new(); 3];
+        for base in [&mut encoder, &mut sizer, &mut decoder] {
+            base.advance(&last);
+        }
         let u32_edge = v.min(u32::MAX.into()) as u32;
         let count = v.min(16_384) as usize;
         let msgs = [
@@ -718,9 +854,21 @@ fn varint_edges_round_trip_in_every_field() {
             ]),
         ];
         for msg in msgs {
-            let bytes = wire::encode(&msg);
-            assert_eq!(bytes.len(), msg.wire_bytes(), "{v}");
-            assert_eq!(wire::decode(&bytes), Ok((msg, bytes.len())), "{v}");
+            let bytes = encode(&msg);
+            assert_eq!(bytes.len(), frame_len(&msg), "{v}");
+            assert_eq!(
+                decode(&bytes, u16_edge),
+                Ok((msg.clone(), bytes.len())),
+                "{v}"
+            );
+            let mut on_link = Vec::new();
+            encoder.encode_into(&msg, &mut on_link);
+            assert_eq!(on_link.len(), sizer.advance(&msg).1, "{v}");
+            assert_eq!(
+                decoder.decode(&on_link, u16_edge),
+                Ok((msg, on_link.len())),
+                "{v}"
+            );
         }
     }
 }
@@ -753,8 +901,9 @@ fn body_of(fields: &[Field], pad: Option<usize>) -> Vec<u8> {
 }
 
 /// A tuple with a DFT piggyback, and a Bloom and a sketch summary, field by
-/// field in the version-4 layout, beside the messages they encode.
-fn field_frames() -> Vec<(Msg, Vec<Field>)> {
+/// field in the version-5 layout as a link's first frames, beside the
+/// messages they encode and their kinds.
+fn field_frames() -> Vec<(Msg, u64, Vec<Field>)> {
     use Field::{Raw, Var};
     let tuple = Msg::Tuple {
         tuple: Tuple::new(StreamId::S, 300, 70_000, 9),
@@ -770,10 +919,8 @@ fn field_frames() -> Vec<(Msg, Vec<Field>)> {
         }],
     };
     let tuple_fields = vec![
-        Raw(vec![VERSION << 4]),
         Var(601),
-        Var(70_000),
-        Var(9),
+        Var(140_000),
         Raw(vec![0]),
         Var(4_096),
         Var(1),
@@ -792,7 +939,7 @@ fn field_frames() -> Vec<(Msg, Vec<Field>)> {
         },
     ]);
     let summary_fields = vec![
-        Raw(vec![(VERSION << 4) | 1, (1 << 1) | 1]),
+        Raw(vec![(1 << 1) | 1]),
         Var(3),
         Var(3),
         Raw(5u64.to_le_bytes().to_vec()),
@@ -804,20 +951,23 @@ fn field_frames() -> Vec<(Msg, Vec<Field>)> {
         Var(200),
         Raw(vec![0xFF, 1]),
     ];
-    vec![(tuple, tuple_fields), (summary, summary_fields)]
+    vec![
+        (tuple, TUPLE, tuple_fields),
+        (summary, SUMMARY, summary_fields),
+    ]
 }
 
 #[test]
 fn a_non_minimal_varint_is_invalid_in_every_field() {
-    for (msg, fields) in field_frames() {
+    for (msg, kind, fields) in field_frames() {
         // The hand-built layout is the codec's.
-        let minimal = framed(&body_of(&fields, None));
-        assert_eq!(minimal, wire::encode(&msg));
+        let minimal = framed(kind, &body_of(&fields, None));
+        assert_eq!(minimal, encode(&msg));
         let vars = fields.iter().filter(|f| matches!(f, Field::Var(_))).count();
         for pad in 0..vars {
-            let frame = framed(&body_of(&fields, Some(pad)));
+            let frame = framed(kind, &body_of(&fields, Some(pad)));
             assert!(
-                matches!(wire::decode(&frame), Err(WireError::Invalid(_))),
+                matches!(decode(&frame, 9), Err(WireError::Invalid(_))),
                 "varint {pad} of {msg:?}"
             );
             let mut decoder = FrameDecoder::new();
@@ -826,14 +976,14 @@ fn a_non_minimal_varint_is_invalid_in_every_field() {
                 Err(WireError::Invalid(_))
             ));
         }
-        // The length prefix too, one byte longer.
+        // The head too, one byte longer.
         let body = body_of(&fields, None);
         let mut prefix = Vec::new();
-        wire::put_varint(&mut prefix, body.len() as u64);
+        wire::put_varint(&mut prefix, (body.len() as u64) << 1 | kind);
         *prefix.last_mut().unwrap() |= 0x80;
         prefix.push(0);
         let frame = [prefix, body].concat();
-        assert!(matches!(wire::decode(&frame), Err(WireError::Invalid(_))));
+        assert!(matches!(decode(&frame, 9), Err(WireError::Invalid(_))));
         for chunk_len in [1, frame.len()] {
             let mut decoder = FrameDecoder::new();
             let err =
@@ -846,81 +996,40 @@ fn a_non_minimal_varint_is_invalid_in_every_field() {
 #[test]
 fn a_field_over_its_type_is_invalid() {
     use Field::{Raw, Var};
-    let tuple =
-        |key_stream, seq, origin| vec![Raw(vec![VERSION << 4]), Var(key_stream), seq, Var(origin)];
+    let tuple = |key_stream, seq| (TUPLE, vec![Var(key_stream), seq]);
     let dft = |signal_len, index| {
-        vec![
-            Raw(vec![(VERSION << 4) | 1, 0]),
-            Var(signal_len),
-            Var(1),
-            Raw(vec![0]),
-            Var(index),
-            Raw(vec![0; 4]),
-        ]
+        (
+            SUMMARY,
+            vec![
+                Raw(vec![0]),
+                Var(signal_len),
+                Var(1),
+                Raw(vec![0]),
+                Var(index),
+                Raw(vec![0; 4]),
+            ],
+        )
     };
     let over_64_bits = Raw([vec![0xFF; 9], vec![0x02]].concat());
-    for fields in [
+    for (kind, fields) in [
         // A key above u32::MAX, on either stream.
-        tuple(1 << 33, Var(1), 0),
-        tuple((1 << 33) | 1, Var(1), 0),
-        tuple(2, over_64_bits, 0),
-        tuple(2, Var(1), 1 << 16),
+        tuple(1 << 33, Var(1)),
+        tuple((1 << 33) | 1, Var(1)),
+        tuple(2, over_64_bits),
         dft(1 << 32, 0),
         dft(64, 1 << 16),
     ] {
-        let frame = framed(&body_of(&fields, None));
+        let frame = framed(kind, &body_of(&fields, None));
         assert!(
-            matches!(wire::decode(&frame), Err(WireError::Invalid(_))),
+            matches!(decode(&frame, 0), Err(WireError::Invalid(_))),
             "{frame:?}"
         );
     }
     // One below each bound decodes.
-    for fields in [
-        tuple(
-            (u64::from(u32::MAX) << 1) | 1,
-            Var(u64::MAX),
-            u16::MAX.into(),
-        ),
+    for (kind, fields) in [
+        tuple((u64::from(u32::MAX) << 1) | 1, Var(u64::MAX)),
         dft(u32::MAX.into(), u16::MAX.into()),
     ] {
-        assert!(wire::decode(&framed(&body_of(&fields, None))).is_ok());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn a_version_3_frame_is_refused_not_misread(
-        stream in prop::bool::ANY,
-        key in 0u32..u32::MAX,
-        seq in 0u64..u64::MAX,
-        origin in 0u16..u16::MAX,
-        count in 0usize..680,
-    ) {
-        // Version 3 framed every message behind a `u32` length: a bare
-        // tuple in 20 bytes, and here DFT summaries of up to 4 KB. Its
-        // second length byte, below 16, lands where a version-4 decoder
-        // looks for its version, or a zero byte ends a non-minimal prefix.
-        let mut tuple = vec![0x30, u8::from(stream)];
-        tuple.extend_from_slice(&key.to_le_bytes());
-        tuple.extend_from_slice(&seq.to_le_bytes());
-        tuple.extend_from_slice(&origin.to_le_bytes());
-        let mut summary = vec![0x31, 0];
-        summary.extend_from_slice(&4_096u32.to_le_bytes());
-        summary.extend_from_slice(&(count as u32).to_le_bytes());
-        summary.push(0);
-        summary.extend(std::iter::repeat_n([7, 0, 1, 0, 0xFF, 0xFF], count).flatten());
-        for body in [tuple, summary] {
-            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&body);
-            let err = wire::decode(&frame).unwrap_err();
-            prop_assert!(
-                matches!(err, WireError::BadVersion(0) | WireError::Invalid(_)),
-                "{:?}", err
-            );
-            let mut decoder = FrameDecoder::new();
-            prop_assert_eq!(decoder.feed_decode(&frame, &mut |_| true), Err(err));
-        }
+        assert!(decode(&framed(kind, &body_of(&fields, None)), 0).is_ok());
     }
 }

@@ -9,6 +9,11 @@
 //! (`lockstep` drains the cluster between arrivals and reproduces the
 //! deterministic simulation's results exactly). Large `N` needs a
 //! matching fd limit; see the README's "large clusters" note.
+//!
+//! Besides the join's result it prints the bytes per tuple the engines
+//! charged, and exits 1 when that count differs from the frame bytes the
+//! sockets' write queues took: the byte model must be what the wire
+//! carries.
 
 use dsj_core::{Algorithm, ClusterConfig};
 use dsj_runtime::{Pacing, TcpCluster};
@@ -54,16 +59,27 @@ fn main() {
         .seed(1);
     match TcpCluster::run_paced(&cfg, pacing) {
         Ok(outcome) => {
+            let t = &outcome.totals;
+            let charged = t.data_bytes_sent + t.overhead_bytes_sent;
+            let on_sockets: u64 = (outcome.transport_per_node.iter())
+                .map(|t| t.bytes_sent)
+                .sum();
             println!(
                 "{algorithm} over TCP: {n} nodes x {tuples} tuples ({pacing:?})\n\
-                 matches {}/{} (epsilon {:.4}), {} messages, {:.0} tuples/s in {:.2?}",
+                 matches {}/{} (epsilon {:.4}), {} messages, {:.0} tuples/s in {:.2?}\n\
+                 {:.2} bytes per tuple ({charged} charged, {on_sockets} on the sockets)",
                 outcome.reported_matches,
                 outcome.truth_matches,
                 outcome.epsilon,
                 outcome.messages,
                 outcome.tuples_per_sec,
                 outcome.wall_time,
+                charged as f64 / tuples as f64,
             );
+            if charged != on_sockets {
+                eprintln!("live_tcp failed: the byte model charged {charged} bytes, the sockets took {on_sockets}");
+                std::process::exit(1);
+            }
         }
         Err(e) => {
             eprintln!("live_tcp failed: {e}");

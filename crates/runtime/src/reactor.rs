@@ -98,9 +98,14 @@ impl WriteQueue {
         self.frame_ends.len() as i64
     }
 
-    /// `(frames_sent, write_syscalls, pending_peak_bytes)`.
-    pub(crate) fn totals(&self) -> (u64, u64, u64) {
-        (self.frames_sent, self.syscalls, self.pending_peak)
+    /// `(frames_sent, write_syscalls, pending_peak_bytes, bytes_accepted)`.
+    pub(crate) fn totals(&self) -> (u64, u64, u64, u64) {
+        (
+            self.frames_sent,
+            self.syscalls,
+            self.pending_peak,
+            self.accepted,
+        )
     }
 
     /// Writes as much as possible of the queued tail plus `fresh` (whose
@@ -288,16 +293,17 @@ impl OutLink {
         self.parked.load(Ordering::SeqCst)
     }
 
-    /// `(frames_sent, write_syscalls, pending_peak_bytes)`.
-    pub(crate) fn stats(&self) -> (u64, u64, u64) {
+    /// `(frames_sent, write_syscalls, pending_peak_bytes, bytes_accepted)`.
+    pub(crate) fn stats(&self) -> (u64, u64, u64, u64) {
         self.state.lock().queue.totals()
     }
 }
 
 /// The read half of one directed link, owned by the destination node's
-/// thread: a nonblocking socket, its frame reassembler, and the write half
-/// of the same link — whose dirty flag says when to read, and whose parked
-/// tail this reader's drains make room for.
+/// thread: a nonblocking socket, its frame reassembler (which holds the
+/// link's base and stamps the writer as every tuple's origin), and the
+/// write half of the same link — whose dirty flag says when to read, and
+/// whose parked tail this reader's drains make room for.
 pub(crate) struct ReadLink {
     stream: Arc<TcpStream>,
     /// Receiving node (attributed on errors).
@@ -314,7 +320,7 @@ impl ReadLink {
         ReadLink {
             stream,
             to,
-            decoder: FrameDecoder::new(),
+            decoder: FrameDecoder::for_sender(out.writer),
             decoded: 0,
             out,
             open: true,
@@ -433,7 +439,8 @@ impl Kick {
 struct Peer {
     link: Arc<OutLink>,
     /// Frames encoded for the peer since the last flush (allocation
-    /// reused across frames).
+    /// reused across frames), and the link's encoder: its base is in step
+    /// with the engine's for this peer.
     batch: FrameBatch,
     /// The peer's wait point, kicked once per flush that wrote to it.
     mailbox: Arc<Mailbox>,
@@ -489,6 +496,25 @@ impl ReactorTransport {
         }
     }
 
+    /// Appends a message to peer `to`'s batch with `push`, its link's next
+    /// frame, and counts it in flight.
+    fn batch_for(&mut self, to: u16, push: impl FnOnce(&mut FrameBatch)) -> Result<(), LiveError> {
+        let Some(Some(peer)) = self.peers.get_mut(to as usize) else {
+            return Err(LiveError::Io {
+                node: self.me,
+                detail: format!("no socket from node {} to peer {to}", self.me),
+            });
+        };
+        push(&mut peer.batch);
+        // Count the message in flight at batch time, before any byte
+        // becomes visible to the peer: the counter may briefly over-report
+        // (batched, not yet written) but never under-reports, and the
+        // engine flushes every frame before blocking, so batched messages
+        // cannot stall quiescence.
+        self.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
     /// Reads every dirty link into `held` and retries parked writes headed
     /// here; returns how long the node may wait before it sweeps again
     /// unprompted — shorter while a link has bytes parked or frames this
@@ -524,25 +550,11 @@ impl Transport for ReactorTransport {
     type Error = LiveError;
 
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), LiveError> {
-        let bytes = msg.wire_bytes();
-        self.send_sized(to, msg, bytes)
+        self.batch_for(to, |batch| batch.push(&msg))
     }
 
     fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), LiveError> {
-        let Some(Some(peer)) = self.peers.get_mut(to as usize) else {
-            return Err(LiveError::Io {
-                node: self.me,
-                detail: format!("no socket from node {} to peer {to}", self.me),
-            });
-        };
-        peer.batch.push_sized(&msg, bytes);
-        // Count the message in flight at batch time, before any byte
-        // becomes visible to the peer: the counter may briefly over-report
-        // (batched, not yet written) but never under-reports, and the
-        // engine flushes every frame before blocking, so batched messages
-        // cannot stall quiescence.
-        self.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        self.batch_for(to, |batch| batch.push_sized(&msg, bytes))
     }
 
     /// Order matters: one FIFO per node used to guarantee that a peer's
@@ -644,8 +656,8 @@ mod tests {
     use super::*;
     use crate::explore::{Explorer, Scenario};
     use crate::harness;
-    use crate::tcp::read_peer_id;
-    use dsj_core::wire;
+    use crate::tcp::{hello, read_hello};
+    use dsj_core::wire::{LinkBase, VERSION};
     use dsj_core::Msg;
     use dsj_stream::{StreamId, Tuple};
     use std::net::TcpListener;
@@ -661,9 +673,11 @@ mod tests {
         }
     }
 
+    /// A probe from node 1: a 5-byte frame on a link whose last tuple is
+    /// a few seqs back.
     fn tuple_msg(seq: u64) -> Msg {
         Msg::Tuple {
-            tuple: Tuple::new(StreamId::R, (seq % 97) as u32, seq, 1),
+            tuple: Tuple::new(StreamId::R, 100_000 + (seq % 97) as u32, seq, 1),
             piggyback: Vec::new(),
         }
     }
@@ -746,10 +760,11 @@ mod tests {
         assert_eq!(sink.accepted, batch.bytes());
         assert_eq!(q.unsent_msgs(), 0);
         assert!(q.buf.is_empty(), "a drained queue still holds its bytes");
-        let (frames, syscalls, peak) = q.totals();
+        let (frames, syscalls, peak, accepted) = q.totals();
         assert_eq!(frames, 5);
         assert!(syscalls >= 2);
         assert_eq!(peak, (total - 2) as u64);
+        assert_eq!(accepted, total as u64);
     }
 
     #[test]
@@ -868,17 +883,23 @@ mod tests {
         writer.set_nodelay(true).unwrap();
         let (mut reader, _) = listener.accept().unwrap();
 
-        let batch = batch_of(64); // ~1.2 KiB per flush
+        // One link's frames, 64 a flush (~320 B), each flush the next 64.
+        let mut batch = FrameBatch::new();
         let mut q = WriteQueue::default();
         let mut flushes = 0u64;
+        let mut expect_total = 0;
         // Keep flushing without reading until the kernel blocks us.
-        while q.pending_bytes() == 0 && flushes < 100_000 {
+        while q.pending_bytes() == 0 && flushes < 400_000 {
+            batch.clear();
+            for i in 0..64 {
+                batch.push(&tuple_msg(flushes * 64 + i));
+            }
             q.write_coalesced(&mut (&writer), batch.bytes(), batch.frame_ends())
                 .unwrap();
+            expect_total += batch.bytes().len() as u64;
             flushes += 1;
         }
         assert!(q.pending_bytes() > 0, "socket buffers never filled");
-        let expect_total = flushes * batch.bytes().len() as u64;
         // Storm: repeated pumps against the full socket stay parked.
         for _ in 0..8 {
             let _ = q.retry(&mut (&writer)).unwrap();
@@ -895,21 +916,18 @@ mod tests {
         assert!(q.retry(&mut (&writer)).unwrap());
         assert_eq!(q.unsent_msgs(), 0);
         assert_eq!(got.len() as u64, expect_total);
-        // The delivered stream is the batch repeated `flushes` times.
-        let mut dec = FrameDecoder::new();
+        // The delivered stream is every frame, in order.
+        let mut dec = FrameDecoder::for_sender(1);
         let mut frames = 0u64;
         dec.feed_decode(&got, &mut |msg| {
-            assert_eq!(
-                wire::encode(&msg),
-                wire::encode(&tuple_msg(frames % 64)),
-                "frame {frames} corrupted"
-            );
+            assert_eq!(msg, tuple_msg(frames), "frame {frames} corrupted");
             frames += 1;
             true
         })
         .unwrap();
         assert_eq!(frames, flushes * 64);
-        let (sent, syscalls, peak) = q.totals();
+        let (sent, syscalls, peak, accepted) = q.totals();
+        assert_eq!(accepted, expect_total);
         assert_eq!(sent, frames);
         assert!(
             syscalls < frames,
@@ -918,13 +936,15 @@ mod tests {
         assert!(peak > 0);
     }
 
-    /// One end-to-end read link for tests: listener, handshake (written
-    /// one byte at a time, exercising [`read_peer_id`]'s short-read
+    /// One end-to-end read link for tests: listener, preface (written
+    /// one byte at a time, exercising [`read_hello`]'s short-read
     /// handling) and a [`ReadLink`] over the accepted nonblocking socket,
-    /// drained by hand the way a node's sweep would.
+    /// drained by hand the way a node's sweep would. `link` encodes what
+    /// the test sends as the writer's frames.
     struct LinkFixture {
         dialer: TcpStream,
         link: ReadLink,
+        encoder: LinkBase,
         held: VecDeque<TransportEvent>,
         failures: Mutex<Vec<LiveError>>,
         chunk: Vec<u8>,
@@ -936,13 +956,13 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let acceptor = thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
-                let peer = read_peer_id(&mut stream).unwrap();
+                let peer = read_hello(&mut stream, 0).unwrap();
                 stream.set_nonblocking(true).unwrap();
                 (stream, peer)
             });
             let mut dialer = TcpStream::connect(addr).unwrap();
             dialer.set_nodelay(true).unwrap();
-            for byte in from.to_le_bytes() {
+            for byte in hello(VERSION, from) {
                 dialer.write_all(&[byte]).unwrap();
             }
             let (stream, peer) = acceptor.join().unwrap();
@@ -951,10 +971,18 @@ mod tests {
             LinkFixture {
                 dialer,
                 link: ReadLink::new(Arc::new(stream), 0, Arc::new(out)),
+                encoder: LinkBase::new(),
                 held: VecDeque::new(),
                 failures: Mutex::new(Vec::new()),
                 chunk: vec![0u8; READ_CHUNK],
             }
+        }
+
+        /// `msg` as the writer's next frame on the link.
+        fn frame(&mut self, msg: &Msg) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            self.encoder.encode_into(msg, &mut bytes);
+            bytes
         }
 
         /// Sends `bytes` and sweeps the link once: on loopback they are
@@ -977,11 +1005,14 @@ mod tests {
         }
 
         /// Node 0 as its own thread sees it — this link as its only
-        /// inbound one, plus its mailbox — and the peer's write half.
-        fn into_node(self) -> (Arc<OutLink>, Arc<Mailbox>, ReactorTransport) {
+        /// inbound one, plus its mailbox — and the peer's write side.
+        fn into_node(self) -> (Writer, Arc<Mailbox>, ReactorTransport) {
             let mut run = harness::Run::new(1);
             let (mailbox, inbox) = (Arc::clone(&run.mailboxes[0]), run.inboxes.remove(0));
-            let peer = Arc::clone(&self.link.out);
+            let peer = Writer {
+                link: Arc::clone(&self.link.out),
+                batch: FrameBatch::new(),
+            };
             let failures = Arc::new(Mutex::new(Vec::new()));
             let node =
                 ReactorTransport::new(0, inbox, vec![self.link], std::iter::empty(), failures);
@@ -989,11 +1020,19 @@ mod tests {
         }
     }
 
-    /// The peer flushes one probe carrying tuple `seq`.
-    fn probe(peer: &OutLink, seq: u64) {
-        let mut batch = FrameBatch::new();
-        batch.push(&tuple_msg(seq));
-        assert!(peer.flush_batch(&batch).is_ok());
+    /// A peer's write half and its link's encoder.
+    struct Writer {
+        link: Arc<OutLink>,
+        batch: FrameBatch,
+    }
+
+    impl Writer {
+        /// The peer flushes one probe carrying tuple `seq`.
+        fn probe(&mut self, seq: u64) {
+            self.batch.clear();
+            self.batch.push(&tuple_msg(seq));
+            assert!(self.link.flush_batch(&self.batch).is_ok());
+        }
     }
 
     fn arrival(seq: u64) -> TransportEvent {
@@ -1017,11 +1056,11 @@ mod tests {
 
     #[test]
     fn an_earlier_arrival_is_framed_ahead_of_a_readable_probe() {
-        let (peer, mailbox, mut node) = LinkFixture::spawn(1).into_node();
+        let (mut peer, mailbox, mut node) = LinkFixture::spawn(1).into_node();
         // The feeder queued arrival 7 before the peer even saw the tuple
         // its probe carries; both are pending when the node next polls.
         mailbox.push(arrival(7)).unwrap();
-        probe(&peer, 9);
+        peer.probe(9);
         let mut frame = Vec::new();
         node.poll_frame(64, &mut frame).unwrap();
         assert_eq!(shape(&frame), ["A7", "P9"]);
@@ -1029,13 +1068,13 @@ mod tests {
 
     #[test]
     fn held_probes_wait_for_a_mailbox_drain_that_ran_dry() {
-        let (peer, mailbox, mut node) = LinkFixture::spawn(1).into_node();
+        let (mut peer, mailbox, mut node) = LinkFixture::spawn(1).into_node();
         // More arrivals than one frame holds, all queued before the probe
         // was written: the probe may not overtake the ones left behind.
         for seq in 0..6 {
             mailbox.push(arrival(seq)).unwrap();
         }
-        probe(&peer, 9);
+        peer.probe(9);
         let mut frame = Vec::new();
         node.poll_frame(4, &mut frame).unwrap();
         assert_eq!(shape(&frame), ["A0", "A1", "A2", "A3"]);
@@ -1047,7 +1086,7 @@ mod tests {
         for seq in 10..14 {
             mailbox.push(arrival(seq)).unwrap();
         }
-        probe(&peer, 20);
+        peer.probe(20);
         frame.clear();
         node.poll_frame(4, &mut frame).unwrap();
         assert_eq!(shape(&frame), ["A10", "A11", "A12", "A13"]);
@@ -1058,12 +1097,12 @@ mod tests {
 
     #[test]
     fn frames_on_the_wire_are_found_without_a_kick() {
-        let (peer, _mailbox, mut node) = LinkFixture::spawn(1).into_node();
-        probe(&peer, 5);
+        let (mut peer, _mailbox, mut node) = LinkFixture::spawn(1).into_node();
+        peer.probe(5);
         // As if the node had claimed the flag before the bytes were
         // readable: no flag, no kick, but the writer's count says a frame
         // is owed, so the timed re-read finds it.
-        peer.dirty.store(false, Ordering::SeqCst);
+        peer.link.dirty.store(false, Ordering::SeqCst);
         assert!(node.inbound[0].owed());
         let mut frame = Vec::new();
         node.poll_frame(8, &mut frame).unwrap();
@@ -1075,19 +1114,19 @@ mod tests {
     #[test]
     fn corrupt_frame_on_the_socket_is_a_typed_error_not_a_panic() {
         // Drive the reader half of one link directly over a real socket
-        // and feed it garbage: a well-formed length prefix followed by a
-        // body with an unknown version nibble.
+        // and feed it garbage: a well-formed head followed by a body with
+        // an unknown payload kind.
         let mut link = LinkFixture::spawn(1);
         // One valid frame first: the link decodes it and forwards it.
-        let valid = wire::encode(&tuple_msg(42));
+        let valid = link.frame(&tuple_msg(42));
         link.deliver(&valid);
-        // Then a corrupt one: a 1-byte body whose version nibble 0xF is
-        // not the codec's.
-        link.deliver(&[1, 0xF0]);
+        // Then a corrupt one: a 1-byte summary body whose payload kind 3
+        // names no summary.
+        link.deliver(&[3, 3 << 1]);
         let (mut held, failures) = link.finish();
         match held.pop_front() {
             Some(TransportEvent::Net { from: 1, msg }) => {
-                assert_eq!(msg.wire_bytes(), valid.len());
+                assert_eq!(msg, tuple_msg(42));
             }
             other => panic!("expected the valid frame first, got {other:?}"),
         }
@@ -1103,9 +1142,9 @@ mod tests {
         // Byte-at-a-time delivery across the socket, swept after every
         // byte, still reassembles the exact message stream.
         let mut link = LinkFixture::spawn(2);
-        let msgs: Vec<Msg> = (0..5).map(tuple_msg).collect();
+        let msgs: Vec<Msg> = [9, 3, 3, 70_000, 0].map(tuple_msg).to_vec();
         for msg in &msgs {
-            for byte in wire::encode(msg) {
+            for byte in link.frame(msg) {
                 link.deliver(&[byte]);
             }
         }
@@ -1114,7 +1153,18 @@ mod tests {
         for expected in &msgs {
             match held.pop_front() {
                 Some(TransportEvent::Net { from: 2, msg }) => {
-                    assert_eq!(wire::encode(&msg), wire::encode(expected));
+                    // The tuple comes back stamped with the link's writer.
+                    let Msg::Tuple { tuple, .. } = expected else {
+                        unreachable!("probes only")
+                    };
+                    let stamped = Tuple::new(tuple.stream, tuple.key, tuple.seq, 2);
+                    assert_eq!(
+                        msg,
+                        Msg::Tuple {
+                            tuple: stamped,
+                            piggyback: Vec::new()
+                        }
+                    );
                 }
                 other => panic!("missing message, got {other:?}"),
             }

@@ -8,6 +8,8 @@
 # coalescing engage), of a lockstep-paced BLOOM cluster, of SKCH and of a
 # lockstep-paced DFT cluster (the two routers that keep their affinity rows
 # and forwarding probabilities between summaries) and of DFTT at N = 32.
+# Each socket run also checks the byte model: `live_tcp` exits 1 when the
+# bytes its engines charged differ from the frame bytes its sockets took.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
