@@ -48,7 +48,7 @@ use std::convert::Infallible;
 /// changing behavior: events inside a frame run through the same per-event
 /// logic in arrival order, so routing decisions are identical whatever the
 /// frame boundaries (pinned by `crates/core/tests/batching.rs`).
-pub const FRAME_MAX: usize = 64;
+pub const FRAME_MAX: usize = 256;
 
 /// What a transport hands the engine next.
 #[derive(Debug)]
@@ -378,11 +378,12 @@ impl NodeEngine {
                 self.metrics.tuples_received += 1;
                 // Probe-only: count pairs whose later tuple is the prober,
                 // against the window as it stood when the prober arrived.
-                let (matches, late) = self
+                let as_of = self
                     .window(tuple.stream.opposite())
                     .probe_before(tuple.key, tuple.seq);
-                self.metrics.late_probes += u64::from(late);
-                self.metrics.remote_matches += self.counted(tuple.seq, matches);
+                self.metrics.late_probes += u64::from(as_of.late);
+                self.metrics.asof_records_walked += u64::from(as_of.walked);
+                self.metrics.remote_matches += self.counted(tuple.seq, as_of.matches);
             }
             Msg::Summary(payloads) => {
                 self.metrics.summaries_received += 1;

@@ -104,6 +104,10 @@ pub struct NodeMetrics {
     /// grace: the window as it stood at their arrival reached past the
     /// oldest expired tuple kept, so their match count may be short.
     pub late_probes: u64,
+    /// Expired tuples the as-of probes of forwarded tuples walked over
+    /// (0 when no probe trails its destination's window, as under
+    /// lockstep).
+    pub asof_records_walked: u64,
 }
 
 impl NodeMetrics {
@@ -130,6 +134,7 @@ impl NodeMetrics {
             ("summary_index_drops", self.summary_index_drops),
             ("key_domain_drops", self.key_domain_drops),
             ("late_probes", self.late_probes),
+            ("asof_records_walked", self.asof_records_walked),
         ] {
             registry.counter_add(&format!("node.{me:02}.{name}"), value);
         }
@@ -150,6 +155,7 @@ impl NodeMetrics {
         self.summary_index_drops += other.summary_index_drops;
         self.key_domain_drops += other.key_domain_drops;
         self.late_probes += other.late_probes;
+        self.asof_records_walked += other.asof_records_walked;
     }
 }
 
@@ -304,6 +310,7 @@ mod tests {
             summary_index_drops: 11,
             key_domain_drops: 12,
             late_probes: 13,
+            asof_records_walked: 14,
         };
         let b = a;
         a.absorb(&b);
@@ -313,6 +320,7 @@ mod tests {
         assert_eq!(a.summary_index_drops, 22);
         assert_eq!(a.key_domain_drops, 24);
         assert_eq!(a.late_probes, 26);
+        assert_eq!(a.asof_records_walked, 28);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! matching fd limit; see the README's "large clusters" note.
 //!
 //! Besides the join's result it prints the bytes per tuple the engines
-//! charged, and exits 1 when that count differs from the frame bytes the
-//! sockets' write queues took: the byte model must be what the wire
-//! carries.
+//! charged and the probes that trailed their destination's window past its
+//! grace, and exits 1 when that byte count differs from the frame bytes the
+//! sockets' write queues took (the byte model must be what the wire
+//! carries) or when any probe was late (the closed loop's cap must keep
+//! every probe within its window's grace).
 
 use dsj_core::{Algorithm, ClusterConfig};
 use dsj_runtime::{Pacing, TcpCluster};
@@ -67,7 +69,7 @@ fn main() {
             println!(
                 "{algorithm} over TCP: {n} nodes x {tuples} tuples ({pacing:?})\n\
                  matches {}/{} (epsilon {:.4}), {} messages, {:.0} tuples/s in {:.2?}\n\
-                 {:.2} bytes per tuple ({charged} charged, {on_sockets} on the sockets)",
+                 {:.2} bytes per tuple ({charged} charged, {on_sockets} on the sockets), {} late probes",
                 outcome.reported_matches,
                 outcome.truth_matches,
                 outcome.epsilon,
@@ -75,9 +77,17 @@ fn main() {
                 outcome.tuples_per_sec,
                 outcome.wall_time,
                 charged as f64 / tuples as f64,
+                t.late_probes,
             );
             if charged != on_sockets {
                 eprintln!("live_tcp failed: the byte model charged {charged} bytes, the sockets took {on_sockets}");
+                std::process::exit(1);
+            }
+            if t.late_probes > 0 {
+                eprintln!(
+                    "live_tcp failed: {} probes trailed past their window's grace",
+                    t.late_probes
+                );
                 std::process::exit(1);
             }
         }

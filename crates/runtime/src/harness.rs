@@ -39,8 +39,10 @@ use std::time::{Duration, Instant};
 /// How a closed-loop feed paces arrivals into a live cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pacing {
-    /// Inject as fast as backpressure allows (a bounded event backlog).
-    /// Maximum throughput; remote probe timing races benignly.
+    /// Inject as fast as backpressure allows, up to `W·N/4` events in
+    /// flight: maximum throughput, and remote probes trail their
+    /// destination's window by a quarter of its grace on average, so
+    /// they race benignly.
     Freerun,
     /// Drain the cluster to quiescence between consecutive arrivals.
     /// Slow, but the global event order becomes deterministic — the mode
@@ -438,14 +440,16 @@ pub(crate) fn run_paced(
     spawn: impl FnOnce(&ClusterConfig) -> Result<Run, LiveError>,
 ) -> Result<LiveOutcome, LiveError> {
     // Freerun's cap bounds how far a probe can trail its destination's
-    // window: a few dozen inserts at 64·N, far inside the window's grace
-    // of one window, so as-of probes stay exact (`late_probes` counts any
-    // that are not). Lockstep's lets every arrival's causal cone land
-    // before the next moves.
+    // window: at W·N/4 events in flight a node is W/4 inserts ahead on
+    // average, a quarter of the window's grace of one window, so as-of
+    // probes stay exact (`late_probes` counts any that are not), and each
+    // wake-up still finds a backlog to batch. Lockstep's lets every
+    // arrival's causal cone land before the next moves.
     let cap = match pacing {
-        Pacing::Freerun => 64 * i64::from(cfg.n),
+        Pacing::Freerun => cfg.window.saturating_mul(usize::from(cfg.n)) / 4,
         Pacing::Lockstep => 1,
     };
+    let cap = i64::try_from(cap.max(1)).unwrap_or(i64::MAX);
     live(cfg, Feed::Closed { cap }, spawn).map(|(outcome, _)| outcome)
 }
 

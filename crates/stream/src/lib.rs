@@ -34,4 +34,4 @@ pub mod tuple;
 pub mod window;
 
 pub use tuple::{StreamId, Tuple};
-pub use window::{SlidingWindow, WindowSpec};
+pub use window::{AsOf, SlidingWindow, WindowSpec};

@@ -55,14 +55,25 @@ struct Slot {
     prev: u64,
 }
 
-/// What a probe still needs of an expired tuple.
+/// What a probe still needs of an expired tuple. Records are numbered by
+/// their tuple's insertion number (tuples expire in insertion order), and
+/// each is chained to the previous record of its key's bucket.
 #[derive(Debug, Clone, Copy)]
 struct Gone {
     seq: u64,
     /// Sequence number of the insert that evicted it.
     by: u64,
     key: u32,
+    /// How many records back the previous record of its bucket is: 0 when
+    /// none was kept as it expired, [`FAR`] when the distance does not fit.
+    back: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Gone>() == 24);
+
+/// A [`Gone::back`] too long to store: a walk that needs to go past its
+/// record ends there, and its probe is flagged late.
+const FAR: u32 = u32::MAX;
 
 /// A key's held tuples: how many, and the insertion number of the newest.
 #[derive(Debug, Clone, Copy)]
@@ -71,8 +82,8 @@ struct Run {
     count: u32,
 }
 
-/// Buckets of [`SlidingWindow`]'s record of recent evictions.
-const EVICTED_BUCKETS: usize = 64;
+/// Buckets of [`SlidingWindow`]'s chains of expired tuples.
+const EVICTED_BUCKETS: usize = 256;
 
 /// Multiplicative hashing of a `u32` join key; the high half of the
 /// product lands in the low bits the table indexes by, so keys that share
@@ -106,6 +117,18 @@ impl Hasher for KeyHasher {
 )]
 pub(crate) type KeyMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault<KeyHasher>>;
 
+/// What [`SlidingWindow::probe_before`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AsOf {
+    /// Tuples of the key the window held as it stood.
+    pub matches: u32,
+    /// That window reached past the oldest expired tuple still kept, so
+    /// `matches` may be short.
+    pub late: bool,
+    /// Expired tuples the probe walked over.
+    pub walked: u32,
+}
+
 /// A sliding window holding tuples of a single stream, with O(1) key-count
 /// probing for join evaluation.
 ///
@@ -127,8 +150,9 @@ pub(crate) type KeyMap<V> = std::collections::HashMap<u32, V, BuildHasherDefault
 /// assert_eq!(evicted.len(), 1);
 /// assert_eq!(w.probe(5), 1);
 /// // A probe by a tuple that arrived between the second and third inserts
-/// // still sees both 5s.
-/// assert_eq!(w.probe_before(5, 2), (2, false));
+/// // still sees both 5s, walking back over the one expired 5.
+/// let as_of = w.probe_before(5, 2);
+/// assert_eq!((as_of.matches, as_of.late, as_of.walked), (2, false, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
@@ -147,10 +171,10 @@ pub struct SlidingWindow {
     /// stays under half full, where it rehashes its tombstones in place
     /// instead of reallocating, so inserts never allocate.
     index: KeyMap<Run>,
-    /// Per bucket of keys, the sequence number of the last insert that
-    /// evicted a tuple of one: a probe whose key's bucket lost nothing
-    /// since the prober arrived has no expired tuple to look for.
-    last_evicted_by: [u64; EVICTED_BUCKETS],
+    /// Per bucket of keys, the number of the newest expired record of one
+    /// (`u64::MAX` before any): the head of the bucket's chain, which a
+    /// probe walks back over the records evicted since its prober arrived.
+    last_evicted: [u64; EVICTED_BUCKETS],
     inserted: u64,
     evicted: u64,
     /// Tuples evicted by the most recent `insert`, reused across calls.
@@ -169,7 +193,7 @@ impl SlidingWindow {
             gone: VecDeque::new(),
             dropped_by: None,
             index: Default::default(),
-            last_evicted_by: [0; EVICTED_BUCKETS],
+            last_evicted: [u64::MAX; EVICTED_BUCKETS],
             inserted: 0,
             evicted: 0,
             evict_buf: Vec::new(),
@@ -220,19 +244,22 @@ impl SlidingWindow {
     /// where the prober is the *later* tuple count): how many tuples with
     /// attribute `key` the window held as it stood after its last insert
     /// with sequence number below `seq` — the instant
-    /// [`GroundTruth`](crate::join::GroundTruth) counts the prober at. The
-    /// second value is `true` when that window reached past the oldest
-    /// expired tuple still kept, so the count may be short.
+    /// [`GroundTruth`](crate::join::GroundTruth) counts the prober at.
     ///
     /// With no insert at or after `seq` this is the key's live count.
     /// Otherwise the key's chain is walked past its tuples at or after
-    /// `seq`, and the tuples evicted since `seq` are scanned, newest first,
-    /// if `key`'s bucket lost one since.
-    pub fn probe_before(&self, key: u32, seq: u64) -> (u32, bool) {
+    /// `seq`, and its bucket's chain of expired tuples back over those
+    /// evicted since `seq`: the cost is the evictions in one bucket since
+    /// the prober arrived, not all of them.
+    pub fn probe_before(&self, key: u32, seq: u64) -> AsOf {
         let run = self.index.get(&key).copied();
         let live = run.map_or(0, |run| run.count);
         if self.live.back().is_none_or(|slot| slot.tuple.seq < seq) {
-            return (live, false);
+            return AsOf {
+                matches: live,
+                late: false,
+                walked: 0,
+            };
         }
         // Held tuples of the key at or after `seq`, newest first.
         let mut newer = 0;
@@ -247,16 +274,34 @@ impl SlidingWindow {
                 at = slot.prev;
             }
         }
-        let mut count = live - newer;
-        if self.last_evicted_by[bucket(key)] >= seq {
-            for gone in self.gone.iter().rev() {
-                if gone.by < seq {
+        let mut found = AsOf {
+            matches: live - newer,
+            late: self.dropped_by.is_some_and(|by| by >= seq),
+            walked: 0,
+        };
+        // Expired tuples of the bucket evicted at or after `seq`, newest
+        // first; a record's `by` only grows with its number.
+        let first = self.evicted - self.gone.len() as u64;
+        let mut at = self.last_evicted[bucket(key)];
+        while let Some(gone) = at
+            .checked_sub(first)
+            .and_then(|i| self.gone.get(i as usize))
+        {
+            if gone.by < seq {
+                break;
+            }
+            found.walked += 1;
+            found.matches += u32::from(gone.key == key && gone.seq < seq);
+            match gone.back {
+                0 => break,
+                FAR => {
+                    found.late = true;
                     break;
                 }
-                count += u32::from(gone.key == key && gone.seq < seq);
+                back => at -= u64::from(back),
             }
         }
-        (count, self.dropped_by.is_some_and(|by| by >= seq))
+        found
     }
 
     /// Iterates over held tuples, oldest first.
@@ -299,11 +344,18 @@ impl SlidingWindow {
             .is_some_and(|slot| self.spec.expires(self.live.len(), slot.ts, now))
         {
             let Some(t) = self.pop_oldest() else { break };
-            self.last_evicted_by[bucket(t.key)] = tuple.seq;
+            let at = self.evicted - 1;
+            let head = std::mem::replace(&mut self.last_evicted[bucket(t.key)], at);
+            let kept = at - self.gone.len() as u64..at;
             self.gone.push_back(Gone {
                 seq: t.seq,
                 by: tuple.seq,
                 key: t.key,
+                back: if kept.contains(&head) {
+                    back_distance(at - head)
+                } else {
+                    0
+                },
             });
             self.evict_buf.push(t);
             self.evict_keys.push(t.key);
@@ -336,10 +388,16 @@ impl SlidingWindow {
     }
 }
 
-/// `key`'s bucket of [`SlidingWindow`]'s record of recent evictions.
+/// `key`'s bucket of [`SlidingWindow`]'s chains of expired tuples.
 #[inline]
 fn bucket(key: u32) -> usize {
-    (u64::from(key).wrapping_mul(KEY_MUL) >> 58) as usize
+    (u64::from(key).wrapping_mul(KEY_MUL) >> 56) as usize
+}
+
+/// A [`Gone::back`] for a previous record `d > 0` records back.
+#[inline]
+fn back_distance(d: u64) -> u32 {
+    u32::try_from(d).unwrap_or(FAR)
 }
 
 #[cfg(test)]
@@ -349,6 +407,11 @@ mod tests {
 
     fn t(key: u32, seq: u64) -> Tuple {
         Tuple::new(StreamId::R, key, seq, 0)
+    }
+
+    fn before(w: &SlidingWindow, key: u32, seq: u64) -> (u32, bool) {
+        let as_of = w.probe_before(key, seq);
+        (as_of.matches, as_of.late)
     }
 
     #[test]
@@ -369,9 +432,9 @@ mod tests {
         // Evicted, but kept within grace: a probe that trails the
         // insert that evicted key 1 still finds it, and key 0 before that.
         assert_eq!(w.probe(1), 0);
-        assert_eq!(w.probe_before(1, 4), (1, false));
-        assert_eq!(w.probe_before(0, 3), (1, false));
-        assert_eq!(w.probe_before(0, 4), (0, false));
+        assert_eq!(before(&w, 1, 4), (1, false));
+        assert_eq!(before(&w, 0, 3), (1, false));
+        assert_eq!(before(&w, 0, 4), (0, false));
     }
 
     #[test]
@@ -392,9 +455,9 @@ mod tests {
         for seq in [2u64, 5, 9] {
             w.insert(t(7, seq), seq);
         }
-        assert_eq!(w.probe_before(7, 6), (2, false));
-        assert_eq!(w.probe_before(7, 2), (0, false));
-        assert_eq!(w.probe_before(7, 100), (3, false));
+        assert_eq!(before(&w, 7, 6), (2, false));
+        assert_eq!(before(&w, 7, 2), (0, false));
+        assert_eq!(before(&w, 7, 100), (3, false));
     }
 
     #[test]
@@ -408,15 +471,70 @@ mod tests {
         // Held: (7, 4), (2, 5), (7, 6); kept: (7, 1), (7, 2), (1, 3);
         // (7, 0) is out of grace.
         assert_eq!(w.probe(7), 2);
-        assert_eq!(w.probe_before(7, 7), (2, false));
-        assert_eq!(w.probe_before(1, 7), (0, false), "key 1 left the window");
+        assert_eq!(before(&w, 7, 7), (2, false));
+        assert_eq!(before(&w, 1, 7), (0, false), "key 1 left the window");
         // As of seq 4 the window held (7, 2), (1, 3), (7, 4).
-        assert_eq!(w.probe_before(7, 5), (2, false));
-        assert_eq!(w.probe_before(1, 5), (1, false));
+        assert_eq!(before(&w, 7, 5), (2, false));
+        assert_eq!(before(&w, 1, 5), (1, false));
         // As of seq 2 it held (7, 0) too, which is gone: the count is
         // short, and says so.
-        assert_eq!(w.probe_before(7, 3), (2, true));
-        assert_eq!(w.probe_before(7, 0), (0, true));
+        assert_eq!(before(&w, 7, 3), (2, true));
+        assert_eq!(before(&w, 7, 0), (0, true));
+    }
+
+    #[test]
+    fn a_probe_walks_only_its_buckets_evictions_since_its_seq() {
+        let (a, b) = (1, (2..).find(|&k| bucket(k) != bucket(1)).unwrap());
+        let mut w = SlidingWindow::new(WindowSpec::count(8));
+        for seq in 0..14 {
+            w.insert(t(if seq < 2 { a } else { b }, seq), seq);
+        }
+        // Inserts 8 and 9 evicted a's two tuples, 10..=13 four b's; all
+        // six are kept. From seq 10 on, a's bucket lost nothing.
+        assert_eq!(
+            w.probe_before(a, 10),
+            AsOf {
+                matches: 0,
+                late: false,
+                walked: 0
+            }
+        );
+        // From seq 8 a probe walks both a's back and counts them.
+        assert_eq!(
+            w.probe_before(a, 8),
+            AsOf {
+                matches: 2,
+                late: false,
+                walked: 2
+            }
+        );
+        assert_eq!(w.probe_before(a, 9).walked, 1);
+        // b's probes walk b's four records, never a's.
+        assert_eq!(w.probe_before(b, 5).walked, 4);
+        assert_eq!(before(&w, b, 5), (3, false));
+    }
+
+    #[test]
+    fn a_back_distance_too_long_to_store_ends_the_walk_late() {
+        assert_eq!(back_distance(1), 1);
+        assert_eq!(back_distance(u64::from(u32::MAX) - 1), u32::MAX - 1);
+        assert_eq!(back_distance(u64::from(u32::MAX)), FAR);
+        assert_eq!(back_distance(1 << 40), FAR);
+        let mut w = SlidingWindow::new(WindowSpec::count(4));
+        for seq in 0..8 {
+            w.insert(t(3, seq), seq);
+        }
+        // Kept: 0..=3, each chained to the one before it.
+        assert_eq!(before(&w, 3, 4), (4, false));
+        assert_eq!(w.probe_before(3, 4).walked, 4);
+        // Were record 0 too far behind record 1 to store, a walk that
+        // must pass record 1 stops there and says the count may be short.
+        w.gone[1].back = FAR;
+        let as_of = w.probe_before(3, 4);
+        assert_eq!((as_of.matches, as_of.late, as_of.walked), (3, true, 3));
+        // One that stops before record 1 is not late.
+        let as_of = w.probe_before(3, 6);
+        assert_eq!((as_of.matches, as_of.late, as_of.walked), (4, false, 2));
     }
 
     #[test]
@@ -459,13 +577,13 @@ mod tests {
         // As of the burst key 3 had ten tuples, but they are past the grace
         // as well (one tuple is held, so one expired one is kept): the
         // count is short, and says so.
-        assert_eq!(w.probe_before(3, 50), (0, true));
-        assert_eq!(w.probe_before(3, 51), (1, false));
+        assert_eq!(before(&w, 3, 50), (0, true));
+        assert_eq!(before(&w, 3, 51), (1, false));
         assert_eq!(w.probe(0), 0);
         // Keys that left re-enter with fresh runs.
         w.insert(t(0, 51), 1_001);
         assert_eq!(w.probe(0), 1);
-        assert_eq!(w.probe_before(0, 52), (1, false));
+        assert_eq!(before(&w, 0, 52), (1, false));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! `probe_before` against a replay of every insert by `GroundTruth`'s
 //! eviction rule, under arbitrary mixed operation sequences for both
 //! window kinds — including runs long and wide enough that slots wrap many
-//! times and keys leave and re-enter.
+//! times and keys leave and re-enter, and runs whose keys all share one
+//! bucket of the chains `probe_before` walks over expired tuples.
 
 use dsj_stream::{SlidingWindow, StreamId, Tuple, WindowSpec};
 use proptest::prelude::*;
@@ -85,12 +86,16 @@ proptest! {
     /// `u64::MAX`, matches the window as it stood after the last insert
     /// below the cutoff. It flags exactly the probes whose window reached
     /// a tuple no longer kept: for a count window, those trailing by more
-    /// than `G`.
+    /// than `G`. It walks exactly the kept expired tuples of the key's
+    /// bucket evicted at or after the cutoff. Half the runs force every
+    /// key into one bucket, so each walk passes other keys' tuples and
+    /// runs into the tuples dropped off the grace.
     #[test]
     fn as_of_probes_match_a_replay_after_every_insert(
         kind in 0u8..2,
         w_len in 1usize..16,
         key_factor in 2u32..5,
+        one_bucket in 0u8..2,
         ops in prop::collection::vec((0u32..64, 0u64..12, 1u64..3), 48..160),
     ) {
         let spec = match kind {
@@ -98,25 +103,32 @@ proptest! {
             _ => WindowSpec::Time(w_len as u64),
         };
         let mut w = SlidingWindow::new(spec);
-        let key_space = w_len as u32 * key_factor;
+        let keys: Vec<u32> = if one_bucket == 1 {
+            (0..).filter(|&k| bucket(k) == 0).take(w_len * key_factor as usize).collect()
+        } else {
+            (0..w_len as u32 * key_factor).collect()
+        };
         let (mut now, mut seq) = (0u64, 0u64);
         let mut inserted: Vec<(Tuple, u64)> = Vec::new();
         // `held_from[j]`: the oldest tuple held after insert `j`, by
         // `GroundTruth`'s rule; `kept_from`, the oldest expired tuple the
-        // window keeps, no more of them than it holds.
+        // window keeps, no more of them than it holds; `evicted_by[i]`, the
+        // seq of the insert that evicted tuple `i`.
         let mut held_from: Vec<usize> = Vec::new();
         let mut kept_from = 0;
+        let mut evicted_by: Vec<u64> = Vec::new();
         for &(raw_key, dt, gap) in &ops {
             // Mostly small steps; a tenth of them jump past the span.
             now += if dt >= 10 { 3 * w_len as u64 } else { dt % 5 };
             seq += gap;
-            let tuple = Tuple::new(StreamId::R, raw_key % key_space, seq, 0);
+            let tuple = Tuple::new(StreamId::R, keys[raw_key as usize % keys.len()], seq, 0);
             w.insert(tuple, now);
             inserted.push((tuple, now));
             let len = inserted.len();
             let mut front = held_from.last().copied().unwrap_or(0);
             while spec.expires(len - front, inserted[front].1, now) {
                 front += 1;
+                evicted_by.push(seq);
             }
             held_from.push(front);
             kept_from = kept_from.max((2 * front).saturating_sub(len));
@@ -140,21 +152,34 @@ proptest! {
                 for (t, _) in window {
                     *as_of.entry(t.key).or_default() += 1;
                 }
-                for k in 0..key_space {
+                // A probe at or past the newest insert reads the live count.
+                let walks = seq >= cutoff;
+                for &k in &keys {
                     prop_assert_eq!(
                         w.probe(k),
                         held.iter().filter(|t| t.key == k).count() as u32
                     );
-                    let (found, flagged) = w.probe_before(k, cutoff);
-                    prop_assert_eq!(flagged, late, "late({}, {})", k, cutoff);
+                    let found = w.probe_before(k, cutoff);
+                    prop_assert_eq!(found.late, late, "late({}, {})", k, cutoff);
                     let truth = as_of.get(&k).copied().unwrap_or(0);
                     if late {
-                        prop_assert!(found <= truth, "probe_before({}, {})", k, cutoff);
+                        prop_assert!(found.matches <= truth, "probe_before({}, {})", k, cutoff);
                     } else {
-                        prop_assert_eq!(found, truth, "probe_before({}, {})", k, cutoff);
+                        prop_assert_eq!(found.matches, truth, "probe_before({}, {})", k, cutoff);
                     }
+                    let walked = (kept_from..front)
+                        .filter(|&i| {
+                            walks && bucket(inserted[i].0.key) == bucket(k) && evicted_by[i] >= cutoff
+                        })
+                        .count() as u32;
+                    prop_assert_eq!(found.walked, walked, "walked({}, {})", k, cutoff);
                 }
             }
         }
     }
+}
+
+/// The window's bucket of a key: the top byte of its multiplicative hash.
+fn bucket(key: u32) -> u64 {
+    u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56
 }

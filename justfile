@@ -31,9 +31,10 @@ test-workspace:
     cargo test -q --workspace
 
 # The bitwise kernel tests on optimised codegen: the DFTT plane read is
-# vectorised only with optimisations on.
+# vectorised only with optimisations on. The window's as-of proptests run
+# here too, where its record arithmetic has no overflow checks.
 test-release:
-    cargo test -q --release -p dsj-dft -p dsj-core
+    cargo test -q --release -p dsj-dft -p dsj-core -p dsj-stream
 
 # Parallel repro harness byte-identical to serial (stdout and metrics),
 # bad names fail, Table 1 and the capacity search run: see the script.

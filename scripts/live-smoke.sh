@@ -8,8 +8,10 @@
 # coalescing engage), of a lockstep-paced BLOOM cluster, of SKCH and of a
 # lockstep-paced DFT cluster (the two routers that keep their affinity rows
 # and forwarding probabilities between summaries) and of DFTT at N = 32.
-# Each socket run also checks the byte model: `live_tcp` exits 1 when the
-# bytes its engines charged differ from the frame bytes its sockets took.
+# Each socket run also checks the byte model and exactness: `live_tcp` exits 1
+# when the bytes its engines charged differ from the frame bytes its sockets
+# took, or when any probe trailed past its window's grace (free runs at N = 4
+# and N = 32 included).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -70,10 +70,12 @@ proptest! {
         for (seq, &key) in keys.iter().enumerate() {
             w.insert(Tuple::new(StreamId::S, key, seq as u64, 0), seq as u64);
         }
-        prop_assert_eq!(w.probe_before(query, u64::MAX), (w.probe(query), false));
+        let as_of = w.probe_before(query, u64::MAX);
+        prop_assert_eq!((as_of.matches, as_of.late, as_of.walked), (w.probe(query), false, 0));
         // Fewer than `2·W` inserts: no slot has left the ring, so even a
         // probe older than all of them is not late.
-        prop_assert_eq!(w.probe_before(query, 0), (0, false));
+        let as_of = w.probe_before(query, 0);
+        prop_assert_eq!((as_of.matches, as_of.late), (0, false));
     }
 
     /// Bloom filters have no false negatives under insert/remove churn.
