@@ -67,6 +67,19 @@ pub fn selection(scale: Scale) -> Result<Vec<SelectionRow>, dsj_dft::Compression
     Ok(rows)
 }
 
+/// The cluster every cluster ablation varies: `n` nodes running
+/// `algorithm` over the scale's window, domain and stream, Zipf keys at the
+/// paper's skew, the figures' κ and seed 2007.
+fn baseline(scale: Scale, n: u16, algorithm: Algorithm) -> ClusterConfig {
+    ClusterConfig::new(n, algorithm)
+        .window(scale.window())
+        .domain(scale.domain())
+        .tuples(scale.tuples())
+        .workload(WorkloadKind::Zipf { alpha: PAPER_ALPHA })
+        .kappa(scale.figure_kappa())
+        .seed(2007)
+}
+
 /// One sync-interval cell of the freshness ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreshnessRow {
@@ -90,14 +103,9 @@ pub fn sync_freshness(scale: Scale, exec: &Executor) -> Result<Vec<FreshnessRow>
     exec.try_map(vec![32u32, 128, 512, 2048], |_, sent| {
         // 3x the figure workload so the one-off bootstrap summaries
         // amortize and the steady-state trade-off shows.
-        let r = ClusterConfig::new(8, Algorithm::Dftt)
-            .window(scale.window())
-            .domain(scale.domain())
+        let r = baseline(scale, 8, Algorithm::Dftt)
             .tuples(3 * scale.tuples())
-            .workload(WorkloadKind::Zipf { alpha: PAPER_ALPHA })
-            .kappa(scale.figure_kappa())
             .sync_intervals(sent, 8 * scale.window() as u32)
-            .seed(2007)
             .run()?;
         Ok(FreshnessRow {
             sent_interval: sent,
@@ -139,15 +147,10 @@ pub fn detector(scale: Scale, exec: &Executor) -> Result<Vec<DetectorRow>, RunEr
         }
     }
     exec.try_map(cells, |_, (workload, locality, threshold)| {
-        let r = ClusterConfig::new(8, Algorithm::Dft)
-            .window(scale.window())
-            .domain(scale.domain())
-            .tuples(scale.tuples())
+        let r = baseline(scale, 8, Algorithm::Dft)
             .workload(workload)
             .locality(locality)
-            .kappa(scale.figure_kappa())
             .uniform_cv_threshold(threshold)
-            .seed(2007)
             .run()?;
         Ok(DetectorRow {
             workload: workload.label().to_string(),
@@ -182,14 +185,7 @@ pub fn governor(scale: Scale, exec: &Executor) -> Result<Vec<GovernorRow>, RunEr
     // Allowances of 62.5, 125, 250 and 500 tuple frames a second at this
     // schedule's 7.2-byte mean frame.
     exec.try_map(vec![0u64, 3_600, 7_200, 14_400, 28_800], |_, budget| {
-        let mut cfg = ClusterConfig::new(8, Algorithm::Dft)
-            .window(scale.window())
-            .domain(scale.domain())
-            .tuples(scale.tuples())
-            .workload(WorkloadKind::Zipf { alpha: PAPER_ALPHA })
-            .kappa(scale.figure_kappa())
-            .target(dsj_core::TargetComplexity::LogN)
-            .seed(2007);
+        let mut cfg = baseline(scale, 8, Algorithm::Dft).target(dsj_core::TargetComplexity::LogN);
         if budget > 0 {
             cfg = cfg.bandwidth_budget(budget);
         }
@@ -229,14 +225,8 @@ pub fn loss(scale: Scale, exec: &Executor) -> Result<Vec<LossRow>, RunError> {
         }
     }
     exec.try_map(cells, |_, (algorithm, p)| {
-        let r = ClusterConfig::new(6, algorithm)
-            .window(scale.window())
-            .domain(scale.domain())
-            .tuples(scale.tuples())
-            .workload(WorkloadKind::Zipf { alpha: PAPER_ALPHA })
-            .kappa(scale.figure_kappa())
+        let r = baseline(scale, 6, algorithm)
             .link(LinkConfig::paper_wan().with_loss(p))
-            .seed(2007)
             .run()?;
         Ok(LossRow {
             algorithm,

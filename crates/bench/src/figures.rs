@@ -223,7 +223,9 @@ pub struct Fig10Row {
     pub algorithm: Algorithm,
     /// Measured error rate.
     pub epsilon: f64,
-    /// Summary size in bytes at this setting.
+    /// The memory budget `Plan::new` sizes every summary to at this
+    /// setting: 16 bytes per retained coefficient. Not the bytes a summary
+    /// sends: on the wire a coefficient takes 5 to 7 (`dsj_core::wire`).
     pub summary_bytes: usize,
 }
 

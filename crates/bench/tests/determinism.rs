@@ -6,6 +6,14 @@
 use dsj_bench::{figures, suite::Executor, Scale};
 use dsj_core::obs;
 
+/// `line`'s stable projection, textually: the `"phases":{…},` object,
+/// written just before `"counters"`, goes.
+fn stable(line: &str) -> String {
+    let start = line.find("\"phases\":{").expect("phases object");
+    let end = line.find("\"counters\":").expect("counters object");
+    format!("{}{}", &line[..start], &line[end..])
+}
+
 /// Fig. 8's rows and what it emitted: one stable (phase-free) line per
 /// registry, in emission order. Folding them into the experiment's record
 /// is `repro`'s job, pinned by its unit test and the binary-level test below.
@@ -20,7 +28,7 @@ fn fig8_stable_lines(jobs: usize) -> (Vec<figures::Fig8Row>, Vec<String>) {
                 runs: 1,
                 registry,
             };
-            cell.to_stable_json_line()
+            stable(&cell.to_json_line())
         })
         .collect();
     (rows.expect("fig8 runs"), lines)
@@ -59,15 +67,7 @@ fn repro_metrics_out_is_deterministic() {
         assert!(status.success());
         let text = std::fs::read_to_string(&path).expect("read metrics");
         let _ = std::fs::remove_file(&path);
-        // The stable projection, textually: `"phases":{…},` is written
-        // just before `"counters"`.
-        text.lines()
-            .map(|l| {
-                let start = l.find("\"phases\":{").expect("phases object");
-                let end = l.find("\"counters\":").expect("counters object");
-                format!("{}{}", &l[..start], &l[end..])
-            })
-            .collect()
+        text.lines().map(stable).collect()
     };
     let serial = run("1", "dsj-metrics-serial.jsonl");
     let rerun = run("1", "dsj-metrics-rerun.jsonl");

@@ -53,22 +53,14 @@ pub const FRAME_MAX: usize = 256;
 /// What a transport hands the engine next.
 #[derive(Debug)]
 pub enum TransportEvent {
-    /// A tuple arriving at this node from its local stream source.
-    Arrival(Tuple),
-    /// A tuple arriving from an open-loop load generator, stamped with
-    /// the time it was due on the transport's clock. Processing is
-    /// identical to [`TransportEvent::Arrival`]; additionally, the delay
-    /// from that stamp to the end of the tuple's local processing (its
-    /// matches are in the digest by then) is recorded into the engine's
-    /// delivery-latency histogram. Closed-loop feeds never construct
-    /// this variant, so the steady-state arrival path pays nothing for it.
-    StampedArrival {
-        /// The tuple.
-        tuple: Tuple,
-        /// When the tuple was due, in microseconds on the cluster-epoch clock
-        /// (the same clock [`Transport::now_us`] reports for live backends).
-        injected_us: u64,
-    },
+    /// A tuple arriving at this node from its local stream source, with
+    /// the time it was due if an open-loop load generator sent it: in
+    /// microseconds on the cluster-epoch clock (the one
+    /// [`Transport::now_us`] reports for live backends). The delay from
+    /// that time to the end of the tuple's local processing (its matches
+    /// are in the digest by then) is recorded into the engine's
+    /// delivery-latency histogram. Closed-loop feeds leave it `None`.
+    Arrival(Tuple, Option<u64>),
     /// A wire message from a peer.
     Net {
         /// Sending node.
@@ -202,10 +194,9 @@ pub struct NodeEngine {
     /// Order-sensitive digest of every counted match observation — see
     /// [`NodeEngine::match_digest`].
     match_digest: u64,
-    /// Injection → end-of-processing delay of stamped arrivals
-    /// (microseconds). Only open-loop feeds send
-    /// [`TransportEvent::StampedArrival`], so closed-loop runs leave this
-    /// empty and record nothing.
+    /// Injection → end-of-processing delay of arrivals that carry their due
+    /// time (microseconds). Only open-loop feeds stamp
+    /// [`TransportEvent::Arrival`], so closed-loop runs leave this empty.
     latency: crate::obs::Histogram,
 }
 
@@ -237,7 +228,7 @@ impl NodeEngine {
     /// Adapter shim for `benches/e2e`, which still spells
     /// `NodeEngine::new(cfg.build_node(me))`: returns `engine` unchanged.
     /// Build nodes with [`crate::ClusterConfig::build_node`]; ROADMAP item
-    /// 1(d) retires this together with the benchmark's spelling.
+    /// 5(d) retires this together with the benchmark's spelling.
     #[doc(hidden)]
     pub fn new(engine: NodeEngine) -> NodeEngine {
         engine
@@ -418,9 +409,8 @@ impl NodeEngine {
     ) -> Result<bool, T::Error> {
         let mut frame_now_us = None;
         for event in frame.drain(..) {
-            let (tuple, injected_us) = match event {
-                TransportEvent::Arrival(tuple) => (tuple, None),
-                TransportEvent::StampedArrival { tuple, injected_us } => (tuple, Some(injected_us)),
+            let (tuple, due_us) = match event {
+                TransportEvent::Arrival(tuple, due_us) => (tuple, due_us),
                 TransportEvent::Net { from, msg } => {
                     self.on_net(from, msg);
                     transport.quiesce();
@@ -432,12 +422,12 @@ impl NodeEngine {
             self.arrival_at(tuple, now_us, |to, msg, bytes| {
                 transport.send_sized(to, msg, bytes)
             })?;
-            if let Some(injected_us) = injected_us {
+            if let Some(due_us) = due_us {
                 // Match-digest time: the tuple's matches are folded in, so a
                 // fresh clock sample here is the delivery latency an
                 // open-loop client would observe.
                 let done_us = transport.now_us();
-                self.latency.record(done_us.saturating_sub(injected_us));
+                self.latency.record(done_us.saturating_sub(due_us));
             }
             transport.quiesce();
         }
@@ -576,8 +566,10 @@ mod tests {
     fn run_loop_dispatches_and_quiesces_each_event() {
         let mut eng = engine(0, 3);
         let mut tx = Script::default();
-        tx.events
-            .push_back(TransportEvent::Arrival(Tuple::new(StreamId::R, 5, 0, 0)));
+        tx.events.push_back(TransportEvent::Arrival(
+            Tuple::new(StreamId::R, 5, 0, 0),
+            None,
+        ));
         tx.events.push_back(TransportEvent::Net {
             from: 1,
             msg: Msg::Tuple {
@@ -823,12 +815,14 @@ mod tests {
             inner: Script::default(),
             flushes: 0,
         };
-        tx.inner
-            .events
-            .push_back(TransportEvent::Arrival(Tuple::new(StreamId::R, 5, 0, 0)));
-        tx.inner
-            .events
-            .push_back(TransportEvent::Arrival(Tuple::new(StreamId::R, 6, 1, 0)));
+        tx.inner.events.push_back(TransportEvent::Arrival(
+            Tuple::new(StreamId::R, 5, 0, 0),
+            None,
+        ));
+        tx.inner.events.push_back(TransportEvent::Arrival(
+            Tuple::new(StreamId::R, 6, 1, 0),
+            None,
+        ));
         tx.inner.events.push_back(TransportEvent::Net {
             from: 1,
             msg: Msg::Tuple {
@@ -872,8 +866,10 @@ mod tests {
         // The run loop stops at the failure and returns it.
         let mut eng = engine(0, n);
         let mut tx = flaky();
-        tx.events.push_back(TransportEvent::Arrival(arrival(0)));
-        tx.events.push_back(TransportEvent::Arrival(arrival(1)));
+        tx.events
+            .push_back(TransportEvent::Arrival(arrival(0), None));
+        tx.events
+            .push_back(TransportEvent::Arrival(arrival(1), None));
         assert_eq!(eng.run(&mut tx), Err(std::fmt::Error));
         assert_eq!(tx.sent.len(), 1);
         assert_eq!(tx.quiesced, 0, "the failed event is not quiesced");

@@ -127,20 +127,18 @@ impl Registry {
         }
     }
 
-    fn write_json(&self, out: &mut String, include_phases: bool) {
-        if include_phases {
-            out.push_str("\"phases\":{");
-            for (i, (name, p)) in self.phases.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(out, name);
-                let _ = write!(out, ":{{\"calls\":{},\"secs\":", p.calls);
-                write_json_f64(out, p.secs);
-                out.push('}');
+    fn write_json(&self, out: &mut String) {
+        out.push_str("\"phases\":{");
+        for (i, (name, p)) in self.phases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push_str("},");
+            write_json_string(out, name);
+            let _ = write!(out, ":{{\"calls\":{},\"secs\":", p.calls);
+            write_json_f64(out, p.secs);
+            out.push('}');
         }
+        out.push_str("},");
         out.push_str("\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -229,23 +227,11 @@ pub struct ExperimentRecord {
 impl ExperimentRecord {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        self.render(true)
-    }
-
-    /// Renders the record's *deterministic* projection: identical to
-    /// [`Self::to_json_line`] minus the `phases` object, whose wall-clock
-    /// seconds differ on every run. Two runs of the same seeded experiment
-    /// must produce byte-identical stable lines.
-    pub fn to_stable_json_line(&self) -> String {
-        self.render(false)
-    }
-
-    fn render(&self, include_phases: bool) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"experiment\":");
         write_json_string(&mut out, &self.label);
         let _ = write!(out, ",\"index\":{},\"runs\":{},", self.index, self.runs);
-        self.registry.write_json(&mut out, include_phases);
+        self.registry.write_json(&mut out);
         out.push('}');
         out
     }
@@ -360,12 +346,10 @@ mod tests {
             registry: r,
         };
         let line = record.to_json_line();
-        // The stable projection is the same line minus the phases object.
-        assert_eq!(
-            record.to_stable_json_line(),
-            line.replace("\"phases\":{\"simulate\":{\"calls\":1,\"secs\":1}},", "")
-        );
-        assert!(line.starts_with("{\"experiment\":\"fig9\",\"index\":2,\"runs\":3,"));
+        assert!(line.starts_with(
+            "{\"experiment\":\"fig9\",\"index\":2,\"runs\":3,\
+             \"phases\":{\"simulate\":{\"calls\":1,\"secs\":1}},\"counters\":{"
+        ));
         assert!(line.contains("\"node.00.arrivals\":7"));
         assert!(line.contains("\"epsilon\":0.25"));
         assert!(line.contains("\"weird\\\"name\":null"));

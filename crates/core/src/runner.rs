@@ -530,6 +530,12 @@ impl ClusterConfig {
         self.interarrival_us() as f64 * 1_000.0
     }
 
+    /// The first counted seq: matches of earlier tuples are warm-up, left
+    /// out by the engines and by ground truth alike.
+    fn warmup_seq(&self) -> u64 {
+        (self.tuples as f64 * self.warmup) as u64
+    }
+
     /// Builds node `me` — the one place a node is made, for the simulated
     /// cluster and for every other runtime hosting the same node logic
     /// over a different transport (e.g. `dsj-runtime`'s live clusters).
@@ -544,7 +550,7 @@ impl ClusterConfig {
         NodeEngine::assemble(
             self.router_config(me),
             self.window_spec(),
-            (self.tuples as f64 * self.warmup) as u64,
+            self.warmup_seq(),
             self.bandwidth_budget_bps.map(ThroughputGovernor::new),
         )
     }
@@ -634,7 +640,7 @@ impl ClusterConfig {
     /// for count windows, virtual arrival time for time windows.
     pub fn truth_of(&self, arrivals: &[Arrival]) -> u64 {
         let dt_us = self.interarrival_us();
-        let warmup_seq = (self.tuples as f64 * self.warmup) as u64;
+        let warmup_seq = self.warmup_seq();
         let mut truth = GroundTruth::new(self.n as usize, self.window_spec());
         let mut total = 0u64;
         for a in arrivals {

@@ -191,9 +191,10 @@ mod tests {
             stream: StreamId::S,
             sketch: shared[1].clone(),
         }]);
-        let mut bytes = Vec::new();
-        wire::LinkBase::new().encode_into(&msg, &mut bytes);
-        let (Msg::Summary(payloads), _) = wire::LinkBase::new().decode(&bytes, 1).unwrap() else {
+        let mut batch = wire::FrameBatch::new();
+        batch.push(&msg);
+        let (Msg::Summary(payloads), _) = wire::LinkBase::new().decode(batch.bytes(), 1).unwrap()
+        else {
             panic!("a summary decodes as a summary")
         };
         let [SummaryPayload::Sketch { sketch, .. }] = payloads.as_slice() else {

@@ -173,16 +173,6 @@ impl LinkBase {
         sizes
     }
 
-    /// Appends `msg`'s frame as this link's next one to `buf`: the head,
-    /// then the body, exactly [`LinkBase::advance`]'s `total` bytes.
-    pub fn encode_into(&mut self, msg: &Msg, buf: &mut Vec<u8>) {
-        let mut body = Len(0);
-        put_body(msg, *self, &mut body);
-        put_varint(buf, head(msg, body.0));
-        put_body(msg, *self, buf);
-        self.pass(msg);
-    }
-
     /// Decodes one frame from the front of `bytes` as this link's next,
     /// its tuple stamped with the link's `sender`. Returns the message and
     /// the number of bytes consumed (the full frame, head included); the
@@ -859,9 +849,23 @@ mod tests {
 
     /// `msg` as the first frame of a link.
     fn encode(msg: &Msg) -> Vec<u8> {
-        let mut buf = Vec::new();
-        LinkBase::new().encode_into(msg, &mut buf);
-        buf
+        link_stream(std::slice::from_ref(msg))
+    }
+
+    /// `msgs` as one link's byte stream.
+    fn link_stream(msgs: &[Msg]) -> Vec<u8> {
+        let mut batch = FrameBatch::new();
+        for m in msgs {
+            batch.push(m);
+        }
+        batch.bytes().to_vec()
+    }
+
+    /// `msg` as `batch`'s link's next frame, alone in the batch.
+    fn next_frame<'a>(batch: &'a mut FrameBatch, msg: &Msg) -> &'a [u8] {
+        batch.clear();
+        batch.push(msg);
+        batch.bytes()
     }
 
     /// The first frame of a link from [`SENDER`].
@@ -933,13 +937,11 @@ mod tests {
     /// bytes the model charges, for every message class.
     #[test]
     fn encoded_len_matches_the_link_model() {
-        let (mut model, mut encoder) = (LinkBase::new(), LinkBase::new());
+        let (mut model, mut encoder) = (LinkBase::new(), FrameBatch::new());
         for msg in sample_msgs() {
-            let mut bytes = Vec::new();
-            encoder.encode_into(&msg, &mut bytes);
+            let bytes = next_frame(&mut encoder, &msg);
             assert_eq!(bytes.len(), model.advance(&msg).1, "{msg:?}");
         }
-        assert_eq!(model, encoder);
     }
 
     /// A payload's bytes, as the counting sink adds them up.
@@ -1108,7 +1110,8 @@ mod tests {
         // assertion below until `sample_msgs` carries one — so no variant
         // ships without going through encode, decode and the link model.
         let mut seen = [false; 5];
-        let [mut model, mut encoder, mut decoder, mut re_encoder] = [LinkBase::new(); 4];
+        let (mut model, mut decoder) = (LinkBase::new(), LinkBase::new());
+        let (mut encoder, mut re_encoder) = (FrameBatch::new(), FrameBatch::new());
         for msg in sample_msgs() {
             let payloads = match &msg {
                 Msg::Tuple { piggyback, .. } => {
@@ -1127,17 +1130,14 @@ mod tests {
                     SummaryPayload::Sketch { .. } => seen[4] = true,
                 }
             }
-            let mut bytes = Vec::new();
-            encoder.encode_into(&msg, &mut bytes);
+            let bytes = next_frame(&mut encoder, &msg);
             assert_eq!(bytes.len(), model.advance(&msg).1, "{msg:?}");
-            let (back, consumed) = decoder.decode(&bytes, SENDER).unwrap();
+            let (back, consumed) = decoder.decode(bytes, SENDER).unwrap();
             assert_eq!(consumed, bytes.len());
             assert_eq!(back, msg);
             // Rehydrated summaries must behave identically, not just
             // compare equal: re-encoding reproduces the exact bytes.
-            let mut again = Vec::new();
-            re_encoder.encode_into(&back, &mut again);
-            assert_eq!(again, bytes);
+            assert_eq!(next_frame(&mut re_encoder, &back), bytes);
         }
         assert_eq!(seen, [true; 5], "sample_msgs misses a variant");
     }
@@ -1145,11 +1145,7 @@ mod tests {
     #[test]
     fn frames_concatenate() {
         let msgs = sample_msgs();
-        let mut stream = Vec::new();
-        let mut encoder = LinkBase::new();
-        for m in &msgs {
-            encoder.encode_into(m, &mut stream);
-        }
+        let stream = link_stream(&msgs);
         let (mut offset, mut decoder) = (0, LinkBase::new());
         for m in &msgs {
             let (back, consumed) = decoder.decode(&stream[offset..], SENDER).unwrap();
@@ -1236,15 +1232,6 @@ mod tests {
         let mut link = LinkBase::new();
         assert!(link.decode(&bad, SENDER).is_err());
         assert_eq!(link, LinkBase::new());
-    }
-
-    /// `msgs` as one link's byte stream.
-    fn link_stream(msgs: &[Msg]) -> Vec<u8> {
-        let (mut stream, mut link) = (Vec::new(), LinkBase::new());
-        for m in msgs {
-            link.encode_into(m, &mut stream);
-        }
-        stream
     }
 
     #[test]
@@ -1390,8 +1377,8 @@ mod tests {
             alloc,
             "clear must keep the allocation"
         );
-        // A sized push writes the encoder's bytes on both sides of the one-
-        // to two-byte head.
+        // A sized push's head frames its body exactly, for bodies on both
+        // sides of the one- to two-byte head.
         for signal_len in [64, 128, 1 << 14, 1 << 21] {
             for n in 0..40 {
                 let m = Msg::Summary(vec![SummaryPayload::Dft {
@@ -1402,7 +1389,12 @@ mod tests {
                 }]);
                 batch.clear();
                 batch.push_sized(&m, sizes_of(&m).1);
-                assert_eq!(batch.bytes(), &encode(&m)[..], "{signal_len}, {n}");
+                let (back, consumed) = decode(batch.bytes()).unwrap();
+                assert_eq!(
+                    (back, consumed),
+                    (m, batch.bytes().len()),
+                    "{signal_len}, {n}"
+                );
             }
         }
     }

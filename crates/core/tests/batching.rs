@@ -31,7 +31,7 @@ enum Ev {
 
 fn to_transport(ev: &Ev) -> TransportEvent {
     match ev {
-        Ev::Arrival(tuple) => TransportEvent::Arrival(*tuple),
+        Ev::Arrival(tuple) => TransportEvent::Arrival(*tuple, None),
         Ev::Net { from, msg } => TransportEvent::Net {
             from: *from,
             msg: msg.clone(),

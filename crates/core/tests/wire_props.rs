@@ -101,9 +101,23 @@ fn build_msg(
 
 /// `msg` as the first frame of a link.
 fn encode(msg: &Msg) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    LinkBase::new().encode_into(msg, &mut bytes);
-    bytes
+    next_frame(&mut FrameBatch::new(), msg).to_vec()
+}
+
+/// `msgs` as one link's byte stream, in a batch that holds their frames.
+fn link_batch<'a>(msgs: impl IntoIterator<Item = &'a Msg>) -> FrameBatch {
+    let mut batch = FrameBatch::new();
+    for m in msgs {
+        batch.push(m);
+    }
+    batch
+}
+
+/// `msg` as `batch`'s link's next frame, alone in the batch.
+fn next_frame<'a>(batch: &'a mut FrameBatch, msg: &Msg) -> &'a [u8] {
+    batch.clear();
+    batch.push(msg);
+    batch.bytes()
 }
 
 /// The first frame of a link from node `sender`.
@@ -239,14 +253,13 @@ proptest! {
             })
             .collect();
         // The sizer, the encoder and a re-encoder each keep their own base.
-        let (mut sizer, mut encoder, mut re_encoder) = (LinkBase::new(), LinkBase::new(), LinkBase::new());
-        let mut link = Vec::new();
-        let mut frames = Vec::new();
-        for m in &msgs {
-            let start = link.len();
-            encoder.encode_into(m, &mut link);
-            prop_assert_eq!(link.len() - start, sizer.advance(m).1);
-            frames.push(start..link.len());
+        let (mut sizer, mut re_encoder) = (LinkBase::new(), FrameBatch::new());
+        let encoder = link_batch(&msgs);
+        let (link, mut frames, mut start) = (encoder.bytes(), Vec::new(), 0);
+        for (m, &end) in msgs.iter().zip(encoder.frame_ends()) {
+            prop_assert_eq!(end - start, sizer.advance(m).1);
+            frames.push(start..end);
+            start = end;
         }
         // Delivered in arbitrary chunks to the link's decoder: every
         // message comes back, stamped with the sender.
@@ -270,9 +283,7 @@ proptest! {
         prop_assert_eq!(&decoded, &want);
         // Every frame re-encodes byte-identical at its own base.
         for (m, frame) in decoded.iter().zip(frames) {
-            let mut again = Vec::new();
-            re_encoder.encode_into(m, &mut again);
-            prop_assert_eq!(&again[..], &link[frame]);
+            prop_assert_eq!(next_frame(&mut re_encoder, m), &link[frame]);
         }
     }
 
@@ -338,11 +349,8 @@ proptest! {
                 (s0, s1), &coeffs, &counters,
             ))
             .collect();
-        let mut stream_bytes = Vec::new();
-        let mut encoder = LinkBase::new();
-        for m in &msgs {
-            encoder.encode_into(m, &mut stream_bytes);
-        }
+        let mut encoder = link_batch(&msgs);
+        let stream_bytes = encoder.bytes().to_vec();
         // Split the byte stream at arbitrary boundaries (cycling through
         // 1, 2, 3 — splits inside a length prefix — and the generated chunk
         // sizes) and feed the pieces one at a time.
@@ -370,10 +378,8 @@ proptest! {
             &coeffs, &counters,
         );
         decoded.clear();
-        let mut tail_frame = Vec::new();
-        encoder.encode_into(&tail, &mut tail_frame);
         decoder
-            .feed_decode(&tail_frame, &mut |msg| {
+            .feed_decode(next_frame(&mut encoder, &tail), &mut |msg| {
                 decoded.push(msg);
                 true
             })
@@ -455,12 +461,9 @@ proptest! {
         prop_assert_ne!(verdict, Err(WireError::Truncated));
         // What a link accepts re-encodes, frame by frame at the link's
         // base, to exactly the bytes it consumed.
-        let mut link = LinkBase::new();
-        let mut again = Vec::new();
-        for msg in &one_at_a_time {
-            link.encode_into(msg, &mut again);
-        }
-        prop_assert_eq!(&again[..], &bytes[..again.len()]);
+        let again = link_batch(&one_at_a_time);
+        let again = again.bytes();
+        prop_assert_eq!(again, &bytes[..again.len()]);
         prop_assert_eq!((one_at_a_time, verdict), feed(bytes.len()));
     }
 
@@ -474,15 +477,15 @@ proptest! {
         flip in 1u16..256,
     ) {
         let mut seq = 0;
-        let mut link = Vec::new();
-        let mut encoder = LinkBase::new();
+        let mut encoder = FrameBatch::new();
         for (i, &(sel, how)) in steps.iter().enumerate() {
             seq = next_seq(seq, how);
             let msg = build_msg(
                 sel, i % 2 == 1, key, seq, 1, (64, 0), 7, 2, (2, 2), &coeffs, &counters,
             );
-            encoder.encode_into(&msg, &mut link);
+            encoder.push(&msg);
         }
+        let mut link = encoder.bytes().to_vec();
         let at = at % link.len();
         link[at] ^= flip as u8;
         // Byte at a time and all at once: the same messages, then the same
@@ -826,10 +829,11 @@ fn varint_edges_round_trip_in_every_field() {
             tuple: Tuple::new(StreamId::R, 1, v / 2, u16_edge),
             piggyback: Vec::new(),
         };
-        let [mut encoder, mut sizer, mut decoder] = [LinkBase::new(); 3];
-        for base in [&mut encoder, &mut sizer, &mut decoder] {
+        let [mut sizer, mut decoder] = [LinkBase::new(); 2];
+        for base in [&mut sizer, &mut decoder] {
             base.advance(&last);
         }
+        let mut encoder = link_batch([&last]);
         let u32_edge = v.min(u32::MAX.into()) as u32;
         let count = v.min(16_384) as usize;
         let msgs = [
@@ -861,11 +865,10 @@ fn varint_edges_round_trip_in_every_field() {
                 Ok((msg.clone(), bytes.len())),
                 "{v}"
             );
-            let mut on_link = Vec::new();
-            encoder.encode_into(&msg, &mut on_link);
+            let on_link = next_frame(&mut encoder, &msg);
             assert_eq!(on_link.len(), sizer.advance(&msg).1, "{v}");
             assert_eq!(
-                decoder.decode(&on_link, u16_edge),
+                decoder.decode(on_link, u16_edge),
                 Ok((msg, on_link.len())),
                 "{v}"
             );

@@ -3,16 +3,14 @@
 //! Implemented from scratch so the workspace carries no numerics dependency;
 //! only the operations the DFT machinery needs are provided.
 
-use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Sub};
 
 /// A complex number with `f64` components.
 ///
 /// ```
 /// use dsj_dft::Complex64;
 ///
-/// let i = Complex64::I;
+/// let i = Complex64::new(0.0, 1.0);
 /// assert_eq!(i * i, Complex64::new(-1.0, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -26,10 +24,6 @@ pub struct Complex64 {
 impl Complex64 {
     /// The additive identity `0 + 0i`.
     pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
-    /// The multiplicative identity `1 + 0i`.
-    pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
-    /// The imaginary unit `0 + 1i`.
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -79,25 +73,6 @@ impl Complex64 {
             im: self.im * s,
         }
     }
-
-    /// Multiplicative inverse `1/z`.
-    ///
-    /// Returns an all-infinite value when `self` is zero, mirroring `f64`
-    /// division semantics.
-    #[inline]
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        Complex64 {
-            re: self.re / d,
-            im: -self.im / d,
-        }
-    }
-}
-
-impl From<f64> for Complex64 {
-    fn from(re: f64) -> Self {
-        Complex64::from_real(re)
-    }
 }
 
 impl Add for Complex64 {
@@ -130,14 +105,6 @@ impl Sub for Complex64 {
     }
 }
 
-impl SubAssign for Complex64 {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Complex64) {
-        self.re -= rhs.re;
-        self.im -= rhs.im;
-    }
-}
-
 impl Mul for Complex64 {
     type Output = Complex64;
     #[inline]
@@ -164,79 +131,18 @@ impl Mul<f64> for Complex64 {
     }
 }
 
-impl Div for Complex64 {
-    type Output = Complex64;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // division via reciprocal
-    fn div(self, rhs: Complex64) -> Complex64 {
-        self * rhs.recip()
-    }
-}
-
-impl Div<f64> for Complex64 {
-    type Output = Complex64;
-    #[inline]
-    fn div(self, rhs: f64) -> Complex64 {
-        Complex64 {
-            re: self.re / rhs,
-            im: self.im / rhs,
-        }
-    }
-}
-
-impl Neg for Complex64 {
-    type Output = Complex64;
-    #[inline]
-    fn neg(self) -> Complex64 {
-        Complex64 {
-            re: -self.re,
-            im: -self.im,
-        }
-    }
-}
-
-impl Sum for Complex64 {
-    fn sum<I: Iterator<Item = Complex64>>(iter: I) -> Complex64 {
-        iter.fold(Complex64::ZERO, |acc, z| acc + z)
-    }
-}
-
-impl fmt::Display for Complex64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
-            write!(f, "{}+{}i", self.re, self.im)
-        } else {
-            write!(f, "{}{}i", self.re, self.im)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const EPS: f64 = 1e-12;
 
-    fn close(a: Complex64, b: Complex64) -> bool {
-        (a - b).abs() < EPS
-    }
-
     #[test]
     fn arithmetic_identities() {
         let z = Complex64::new(3.0, -4.0);
         assert_eq!(z + Complex64::ZERO, z);
-        assert_eq!(z * Complex64::ONE, z);
-        assert!(close(z * z.recip(), Complex64::ONE));
-        assert_eq!(-(-z), z);
+        assert_eq!(z * Complex64::new(1.0, 0.0), z);
         assert_eq!(z - z, Complex64::ZERO);
-    }
-
-    #[test]
-    fn i_squared_is_minus_one() {
-        assert!(close(
-            Complex64::I * Complex64::I,
-            Complex64::new(-1.0, 0.0)
-        ));
     }
 
     #[test]
@@ -260,26 +166,6 @@ mod tests {
             let theta = k as f64 * 0.5;
             assert!((Complex64::cis(theta).abs() - 1.0).abs() < EPS);
         }
-    }
-
-    #[test]
-    fn division() {
-        let a = Complex64::new(1.0, 2.0);
-        let b = Complex64::new(-3.0, 0.5);
-        assert!(close(a / b * b, a));
-        assert!(close(a / 2.0, Complex64::new(0.5, 1.0)));
-    }
-
-    #[test]
-    fn sum_over_iterator() {
-        let total: Complex64 = (0..4).map(|k| Complex64::new(k as f64, 1.0)).sum();
-        assert_eq!(total, Complex64::new(6.0, 4.0));
-    }
-
-    #[test]
-    fn display_formats_sign() {
-        assert_eq!(Complex64::new(1.0, 2.0).to_string(), "1+2i");
-        assert_eq!(Complex64::new(1.0, -2.0).to_string(), "1-2i");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::f64::consts::PI;
 /// ```
 /// use dsj_dft::{dft_direct, Complex64};
 ///
-/// let x = vec![Complex64::ONE; 4];
+/// let x = vec![Complex64::new(1.0, 0.0); 4];
 /// let spec = dft_direct(&x);
 /// assert!((spec[0].re - 4.0).abs() < 1e-12);
 /// ```

@@ -186,7 +186,7 @@ impl PointDft {
     /// `control` must be [`ControlVector::never`]: a `PointDft` is never
     /// recomputed. The parameter is an adapter shim for `benches/e2e`,
     /// which still spells `PointDft::new(d, k, ControlVector::never())`;
-    /// ROADMAP item 1(d) retires it together with the benchmark's spelling.
+    /// ROADMAP item 5(d) retires it together with the benchmark's spelling.
     ///
     /// # Panics
     ///
@@ -284,7 +284,7 @@ mod tests {
         let window: Vec<f64> = signal[signal.len() - w..].to_vec();
         let batch = dft_direct_real(&window);
         for (a, b) in sdft.coefficients().iter().zip(&batch) {
-            assert!((*a - *b).abs() < 1e-9, "sliding {a} vs batch {b}");
+            assert!((*a - *b).abs() < 1e-9, "sliding {a:?} vs batch {b:?}");
         }
     }
 
@@ -350,7 +350,7 @@ mod tests {
         let window = &reference[reference.len() - 64..];
         let batch = dft_direct_real(window);
         for (a, b) in sdft.coefficients().iter().zip(&batch) {
-            assert!((*a - *b).abs() < 1e-6, "drift too large: {a} vs {b}");
+            assert!((*a - *b).abs() < 1e-6, "drift too large: {a:?} vs {b:?}");
         }
     }
 

@@ -11,14 +11,15 @@
 //! matching fd limit; see the README's "large clusters" note.
 //!
 //! Besides the join's result it prints the bytes per tuple the engines
-//! charged and the probes that trailed their destination's window past its
-//! grace, and exits 1 when that byte count differs from the frame bytes the
+//! charged, the write and read syscalls and latch parks per tuple, and the
+//! probes that trailed their destination's window past its grace, and
+//! exits 1 when that byte count differs from the frame bytes the
 //! sockets' write queues took (the byte model must be what the wire
 //! carries) or when any probe was late (the closed loop's cap must keep
 //! every probe within its window's grace).
 
 use dsj_core::{Algorithm, ClusterConfig};
-use dsj_runtime::{Pacing, TcpCluster};
+use dsj_runtime::{Pacing, TcpCluster, TransportStats};
 use dsj_stream::gen::WorkloadKind;
 
 fn usage() -> ! {
@@ -63,13 +64,16 @@ fn main() {
         Ok(outcome) => {
             let t = &outcome.totals;
             let charged = t.data_bytes_sent + t.overhead_bytes_sent;
-            let on_sockets: u64 = (outcome.transport_per_node.iter())
-                .map(|t| t.bytes_sent)
-                .sum();
+            let sum = |of: fn(&TransportStats) -> u64| -> u64 {
+                outcome.transport_per_node.iter().map(of).sum()
+            };
+            let on_sockets = sum(|t| t.bytes_sent);
+            let per_tuple = |of| sum(of) as f64 / tuples as f64;
             println!(
                 "{algorithm} over TCP: {n} nodes x {tuples} tuples ({pacing:?})\n\
                  matches {}/{} (epsilon {:.4}), {} messages, {:.0} tuples/s in {:.2?}\n\
-                 {:.2} bytes per tuple ({charged} charged, {on_sockets} on the sockets), {} late probes",
+                 {:.2} bytes per tuple ({charged} charged, {on_sockets} on the sockets), {} late probes\n\
+                 per tuple: {:.3} writes, {:.3} reads, {:.3} latch parks",
                 outcome.reported_matches,
                 outcome.truth_matches,
                 outcome.epsilon,
@@ -78,6 +82,9 @@ fn main() {
                 outcome.wall_time,
                 charged as f64 / tuples as f64,
                 t.late_probes,
+                per_tuple(|t| t.write_syscalls),
+                per_tuple(|t| t.read_syscalls),
+                per_tuple(|t| t.reactor_wakeups),
             );
             if charged != on_sockets {
                 eprintln!("live_tcp failed: the byte model charged {charged} bytes, the sockets took {on_sockets}");

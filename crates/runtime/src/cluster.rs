@@ -136,6 +136,8 @@ pub struct TransportStats {
     /// Successful write syscalls (each moved ≥ 1 byte); coalescing makes
     /// `frames_sent / write_syscalls` > 1.
     pub write_syscalls: u64,
+    /// Read syscalls on this node's inbound links that returned ≥ 1 byte.
+    pub read_syscalls: u64,
     /// Sum over peers of each pending-write queue's high-water mark of
     /// bytes parked while that peer's socket was full.
     pub pending_peak_bytes: u64,

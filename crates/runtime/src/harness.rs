@@ -342,13 +342,7 @@ impl Cluster for Run {
     /// one; gives the count back if the node is gone — a counted event
     /// nobody can process would wedge the drain forever.
     fn inject(&mut self, node: u16, tuple: Tuple, due_ns: Option<u64>) -> Result<(), LiveError> {
-        let event = match due_ns {
-            Some(due_ns) => TransportEvent::StampedArrival {
-                tuple,
-                injected_us: due_ns / 1_000,
-            },
-            None => TransportEvent::Arrival(tuple),
-        };
+        let event = TransportEvent::Arrival(tuple, due_ns.map(|ns| ns / 1_000));
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if let Err(closed) = self.mailboxes[usize::from(node)].push(event) {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -561,7 +555,7 @@ pub(crate) fn explored_node<T>(
         transport.poll_frame(max, &mut frame).expect("poll_frame");
         in_hand.fetch_add(frame.len(), Ordering::SeqCst);
         for event in frame.drain(..) {
-            if let TransportEvent::Arrival(tuple) = event {
+            if let TransportEvent::Arrival(tuple, _) = event {
                 let piggyback = Vec::new();
                 transport
                     .send(peer, dsj_core::Msg::Tuple { tuple, piggyback })
@@ -883,10 +877,7 @@ mod tests {
                 }
                 for event in queued(&inbox) {
                     let (tuple, stamp) = match event {
-                        TransportEvent::Arrival(tuple) => (tuple, None),
-                        TransportEvent::StampedArrival { tuple, injected_us } => {
-                            (tuple, Some(injected_us))
-                        }
+                        TransportEvent::Arrival(tuple, stamp) => (tuple, stamp),
                         TransportEvent::Net { .. } | TransportEvent::Shutdown => return engine,
                     };
                     seen.lock().unwrap().push((me, tuple.seq, stamp, kicked));
@@ -1040,7 +1031,7 @@ mod tests {
                 for seq in 0..2 {
                     in_flight.fetch_add(1, Ordering::SeqCst);
                     mailboxes[0]
-                        .push(TransportEvent::Arrival(tuple(seq)))
+                        .push(TransportEvent::Arrival(tuple(seq), None))
                         .unwrap();
                 }
                 vec![node(0, own), node(1, peer)]

@@ -214,6 +214,9 @@ pub(crate) struct OutLink {
     parked: AtomicBool,
     /// Frames fully on the wire, mirrored from the queue for the reader.
     sent: AtomicU64,
+    /// The reader's `read` calls that returned bytes (a gauge, like
+    /// [`Kick`]'s waits: part of no protocol).
+    reads: std::sync::atomic::AtomicU64,
     state: Mutex<OutState>,
 }
 
@@ -240,6 +243,7 @@ impl OutLink {
             dirty: AtomicBool::new(false),
             parked: AtomicBool::new(false),
             sent: AtomicU64::new(0),
+            reads: std::sync::atomic::AtomicU64::new(0),
             state: Mutex::new(OutState {
                 stream,
                 queue: WriteQueue::default(),
@@ -296,6 +300,11 @@ impl OutLink {
     /// `(frames_sent, write_syscalls, pending_peak_bytes, bytes_accepted)`.
     pub(crate) fn stats(&self) -> (u64, u64, u64, u64) {
         self.state.lock().queue.totals()
+    }
+
+    /// How many of the reader's `read` calls returned bytes.
+    pub(crate) fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 }
 
@@ -358,7 +367,10 @@ impl ReadLink {
                     self.open = false; // peer closed: normal shutdown
                     return;
                 }
-                Ok(n) => n,
+                Ok(n) => {
+                    self.out.reads.fetch_add(1, Ordering::Relaxed);
+                    n
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -657,7 +669,7 @@ mod tests {
     use crate::explore::{Explorer, Scenario};
     use crate::harness;
     use crate::tcp::{hello, read_hello};
-    use dsj_core::wire::{LinkBase, VERSION};
+    use dsj_core::wire::VERSION;
     use dsj_core::Msg;
     use dsj_stream::{StreamId, Tuple};
     use std::net::TcpListener;
@@ -939,12 +951,12 @@ mod tests {
     /// One end-to-end read link for tests: listener, preface (written
     /// one byte at a time, exercising [`read_hello`]'s short-read
     /// handling) and a [`ReadLink`] over the accepted nonblocking socket,
-    /// drained by hand the way a node's sweep would. `link` encodes what
+    /// drained by hand the way a node's sweep would. `encoder` encodes what
     /// the test sends as the writer's frames.
     struct LinkFixture {
         dialer: TcpStream,
         link: ReadLink,
-        encoder: LinkBase,
+        encoder: FrameBatch,
         held: VecDeque<TransportEvent>,
         failures: Mutex<Vec<LiveError>>,
         chunk: Vec<u8>,
@@ -971,7 +983,7 @@ mod tests {
             LinkFixture {
                 dialer,
                 link: ReadLink::new(Arc::new(stream), 0, Arc::new(out)),
-                encoder: LinkBase::new(),
+                encoder: FrameBatch::new(),
                 held: VecDeque::new(),
                 failures: Mutex::new(Vec::new()),
                 chunk: vec![0u8; READ_CHUNK],
@@ -980,9 +992,9 @@ mod tests {
 
         /// `msg` as the writer's next frame on the link.
         fn frame(&mut self, msg: &Msg) -> Vec<u8> {
-            let mut bytes = Vec::new();
-            self.encoder.encode_into(msg, &mut bytes);
-            bytes
+            self.encoder.clear();
+            self.encoder.push(msg);
+            self.encoder.bytes().to_vec()
         }
 
         /// Sends `bytes` and sweeps the link once: on loopback they are
@@ -1036,7 +1048,7 @@ mod tests {
     }
 
     fn arrival(seq: u64) -> TransportEvent {
-        TransportEvent::Arrival(Tuple::new(StreamId::S, 1, seq, 0))
+        TransportEvent::Arrival(Tuple::new(StreamId::S, 1, seq, 0), None)
     }
 
     /// `A<seq>` for a local arrival, `P<seq>` for a peer's probe.
@@ -1044,7 +1056,7 @@ mod tests {
         frame
             .iter()
             .map(|event| match event {
-                TransportEvent::Arrival(t) => format!("A{}", t.seq),
+                TransportEvent::Arrival(t, _) => format!("A{}", t.seq),
                 TransportEvent::Net {
                     msg: Msg::Tuple { tuple, .. },
                     ..
@@ -1308,10 +1320,13 @@ mod tests {
         assert_eq!(
             weaker,
             [
+                // Gauges, read after the run: the link's reads here and
+                // below, its reader's latch waits last.
+                "self.reads.load(Ordering::Relaxed)",
                 // A pre-check that publishes nothing: the SeqCst swap beside it
                 // confirms the claim (or defers it to the writer's kick).
                 "self.open && dirty.load(Ordering::Relaxed) && dirty.swap(false, Ordering::SeqCst)",
-                // A gauge, read after the run.
+                "self.out.reads.fetch_add(1, Ordering::Relaxed);",
                 "self.waits.fetch_add(1, Ordering::Relaxed);",
                 "self.waits.load(Ordering::Relaxed)",
             ]

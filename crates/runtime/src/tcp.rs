@@ -330,18 +330,24 @@ impl TcpCluster {
             ReactorTransport::new(me, inbox, inbound, outbound, failures)
         });
 
-        // Teardown: fold link counters and each node's own latch waits.
+        // Teardown: fold each link's counters into its writer's stats and
+        // its reads into its reader's, and each node's own latch waits.
         let mailboxes = run.mailboxes.clone();
         run.finish = Some(Box::new(move || {
             let mut stats = vec![TransportStats::default(); n];
-            for ((node, row), mailbox) in stats.iter_mut().zip(&outlinks).zip(&mailboxes) {
-                for link in row.iter().flatten() {
+            for (writer, row) in outlinks.iter().enumerate() {
+                for (reader, link) in row.iter().enumerate() {
+                    let Some(link) = link else { continue };
                     let (frames, syscalls, peak, bytes) = link.stats();
+                    let node = &mut stats[writer];
                     node.frames_sent += frames;
                     node.bytes_sent += bytes;
                     node.write_syscalls += syscalls;
                     node.pending_peak_bytes += peak;
+                    stats[reader].read_syscalls += link.reads();
                 }
+            }
+            for (node, mailbox) in stats.iter_mut().zip(&mailboxes) {
                 node.reactor_wakeups = mailbox.waits();
             }
             stats

@@ -307,12 +307,6 @@ impl<N: SimNode> Simulation<N> {
         while self.step() {}
     }
 
-    /// Runs until the next event would be after `t` (or none is pending);
-    /// the clock advances to at most the last processed event.
-    pub fn run_until(&mut self, t: SimTime) {
-        while self.step_until(t) {}
-    }
-
     /// Ends the simulation, handing back its nodes and network accounting.
     pub fn into_parts(self) -> (Vec<N>, NetMetrics) {
         (self.nodes, self.metrics)
@@ -408,11 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_horizon() {
+    fn step_until_stops_at_horizon() {
         let mut sim = three_relays(100);
         sim.inject_at(SimTime::ZERO, 0, 0);
         let horizon = SimTime::from_micros(200_000);
-        sim.run_until(horizon);
+        while sim.step_until(horizon) {}
         assert!(sim.now() <= horizon);
         // More events remain.
         assert!(sim.step());
@@ -607,11 +601,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_the_horizon_in_either_queue() {
+    fn step_until_stops_at_the_horizon_in_either_queue() {
         // Next event pending is a delivery.
         let mut sim = tapes();
         sim.inject_at(SimTime::ZERO, 0, 1);
-        sim.run_until(SimTime::ZERO);
+        while sim.step_until(SimTime::ZERO) {}
         assert_eq!(sim.now(), SimTime::ZERO);
         assert!(
             sim.node(1).seen.is_empty(),
@@ -623,7 +617,7 @@ mod tests {
         let mut sim = tapes();
         sim.inject_at(SimTime::ZERO, 0, 1);
         sim.inject_at(SimTime::from_micros(10), 1, 2);
-        sim.run_until(SimTime::from_micros(5));
+        while sim.step_until(SimTime::from_micros(5)) {}
         assert_eq!(sim.now(), HOP);
         assert_eq!(sim.node(1).seen, [(HOP, 'm', 1)]);
         sim.run_to_quiescence();

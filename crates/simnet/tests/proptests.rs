@@ -114,10 +114,10 @@ proptest! {
         prop_assert_eq!(sent, delivered + dropped);
     }
 
-    /// run_until never advances past the horizon, and resuming reaches the
-    /// same final state as running straight through.
+    /// Stepping up to a horizon never advances past it, and resuming
+    /// reaches the same final state as running straight through.
     #[test]
-    fn run_until_is_resumable(
+    fn step_until_is_resumable(
         horizon_us in 1u64..200_000,
         seed in 0u64..100,
     ) {
@@ -127,7 +127,7 @@ proptest! {
             split.inject_at(SimTime::from_micros(i * 7_000), (i % 3) as u16, 3);
             straight.inject_at(SimTime::from_micros(i * 7_000), (i % 3) as u16, 3);
         }
-        split.run_until(SimTime::from_micros(horizon_us));
+        while split.step_until(SimTime::from_micros(horizon_us)) {}
         prop_assert!(split.now() <= SimTime::from_micros(horizon_us));
         split.run_to_quiescence();
         straight.run_to_quiescence();

@@ -11,7 +11,6 @@
 //! price path — the "sample stock data stream" (`W ≈ 80 000`) whose DFT
 //! compressibility Figures 5 and 6 measure.
 
-use super::KeySource;
 use crate::tuple::StreamId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,10 +68,9 @@ impl FinancialSource {
     fn clamp(&self, price: f64) -> u32 {
         price.round().clamp(0.0, (self.domain - 1) as f64) as u32
     }
-}
 
-impl KeySource for FinancialSource {
-    fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32 {
+    /// Draws the next key for a tuple of `stream`, in `[0, domain)`.
+    pub fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32 {
         let sym = self.pick_symbol(rng);
         // Advance the symbol's mid price occasionally.
         if rng.gen_bool(self.move_prob) {
@@ -90,10 +88,6 @@ impl KeySource for FinancialSource {
             StreamId::S => mid + offset, // ask
         };
         self.clamp(price)
-    }
-
-    fn domain(&self) -> u32 {
-        self.domain
     }
 }
 

@@ -58,18 +58,6 @@ impl WorkloadKind {
     }
 }
 
-/// A source of join-attribute values.
-///
-/// Implementations may correlate consecutive keys (bursts, random walks)
-/// and may differentiate the `R` and `S` streams (bids vs asks).
-pub trait KeySource {
-    /// Draws the next key for a tuple of `stream`, in `[0, domain)`.
-    fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32;
-
-    /// The attribute domain size `D`.
-    fn domain(&self) -> u32;
-}
-
 enum Source {
     Uniform(UniformSource),
     Zipf(ZipfSource),
@@ -81,7 +69,7 @@ impl Source {
     fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32 {
         match self {
             Source::Uniform(s) => s.next_key(stream, rng),
-            Source::Zipf(s) => s.next_key(stream, rng),
+            Source::Zipf(s) => s.sample(rng),
             Source::Financial(s) => s.next_key(stream, rng),
             Source::Network(s) => s.next_key(stream, rng),
         }

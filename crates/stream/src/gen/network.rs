@@ -8,7 +8,6 @@
 //! a flow identifier (think source address), scattered over the domain by
 //! a fixed multiplicative permutation so hot flows are not all adjacent.
 
-use super::KeySource;
 use crate::tuple::StreamId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -70,10 +69,9 @@ impl NetworkSource {
         let rank = self.flow_cdf.partition_point(|&c| c < r) as u32;
         self.scatter(rank.min(self.flows - 1))
     }
-}
 
-impl KeySource for NetworkSource {
-    fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32 {
+    /// Draws the next key for a tuple of `stream`, in `[0, domain)`.
+    pub fn next_key(&mut self, stream: StreamId, rng: &mut StdRng) -> u32 {
         let slot = stream.index();
         let key = match self.last[slot] {
             Some(prev) if rng.gen_bool(self.burstiness) => prev,
@@ -81,10 +79,6 @@ impl KeySource for NetworkSource {
         };
         self.last[slot] = Some(key);
         key
-    }
-
-    fn domain(&self) -> u32 {
-        self.domain
     }
 }
 

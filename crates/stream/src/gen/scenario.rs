@@ -12,7 +12,7 @@
 //! `[0, domain)` — so a scenario can be replayed through any backend as a
 //! [`Trace`](crate::trace::Trace).
 
-use super::{Arrival, KeySource, UniformSource, ZipfSource};
+use super::{Arrival, UniformSource, ZipfSource};
 use crate::partition::Partitioner;
 use crate::tuple::StreamId;
 use rand::rngs::StdRng;
@@ -104,7 +104,7 @@ impl Scenario {
         };
         let mut rng = StdRng::seed_from_u64(seed ^ tag);
         let mut partitioner = Partitioner::geographic(n, locality);
-        let mut zipf = ZipfSource::new(domain, BASE_ALPHA);
+        let zipf = ZipfSource::new(domain, BASE_ALPHA);
         let mut uniform = UniformSource::new(domain);
         // Correlated-burst state: the key being repeated and how many
         // repetitions remain.
@@ -119,12 +119,12 @@ impl Scenario {
             let stream = if t % 2 == 0 { StreamId::R } else { StreamId::S };
             let in_middle_third = t >= tuples / 3 && t < 2 * tuples / 3;
             let key = match self {
-                Scenario::Steady | Scenario::Straggler => zipf.next_key(stream, &mut rng),
+                Scenario::Steady | Scenario::Straggler => zipf.sample(&mut rng),
                 Scenario::FlashCrowd => {
                     if in_middle_third && rng.gen_bool(0.6) {
                         hot_key
                     } else {
-                        zipf.next_key(stream, &mut rng)
+                        zipf.sample(&mut rng)
                     }
                 }
                 Scenario::MigratingSkew => {
@@ -133,7 +133,7 @@ impl Scenario {
                     let phase = ((t as u64 * u64::from(n)) / tuples.max(1) as u64) as u32;
                     let offset =
                         (u64::from(phase) * u64::from(domain) / u64::from(n).max(1)) as u32;
-                    let rank = zipf.next_key(stream, &mut rng);
+                    let rank = zipf.sample(&mut rng);
                     (rank.wrapping_add(offset)) % domain
                 }
                 Scenario::CorrelatedBursts => {
@@ -141,7 +141,7 @@ impl Scenario {
                         burst_left -= 1;
                         burst_key
                     } else {
-                        let key = zipf.next_key(stream, &mut rng);
+                        let key = zipf.sample(&mut rng);
                         if rng.gen_bool(1.0 / 8.0) {
                             // Start a burst: repeat this key for a random
                             // train of both streams' arrivals.
@@ -155,7 +155,7 @@ impl Scenario {
                     if in_middle_third {
                         uniform.next_key(stream, &mut rng)
                     } else {
-                        zipf.next_key(stream, &mut rng)
+                        zipf.sample(&mut rng)
                     }
                 }
             };

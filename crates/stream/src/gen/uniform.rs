@@ -4,7 +4,6 @@
 //! routing (Theorems 1 and 2): every node's window looks statistically like
 //! every other's, so the filter probabilities carry no signal.
 
-use super::KeySource;
 use crate::tuple::StreamId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -25,15 +24,10 @@ impl UniformSource {
         assert!(domain > 0, "domain must be non-empty");
         UniformSource { domain }
     }
-}
 
-impl KeySource for UniformSource {
-    fn next_key(&mut self, _stream: StreamId, rng: &mut StdRng) -> u32 {
+    /// Draws the next key for a tuple of `stream`, in `[0, domain)`.
+    pub fn next_key(&mut self, _stream: StreamId, rng: &mut StdRng) -> u32 {
         rng.gen_range(0..self.domain)
-    }
-
-    fn domain(&self) -> u32 {
-        self.domain
     }
 }
 

@@ -4,8 +4,6 @@
 //! domain of `2¹⁹` values. Sampling uses a precomputed cumulative table and
 //! binary search — exact and `O(log D)` per draw.
 
-use super::KeySource;
-use crate::tuple::StreamId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -15,7 +13,6 @@ pub struct ZipfSource {
     cdf: Vec<f64>,
     /// `cdf.last()`, cached so sampling never touches an `Option`.
     total: f64,
-    domain: u32,
 }
 
 impl ZipfSource {
@@ -36,27 +33,13 @@ impl ZipfSource {
             acc += 1.0 / ((i + 1) as f64).powf(alpha);
             cdf.push(acc);
         }
-        ZipfSource {
-            cdf,
-            total: acc,
-            domain,
-        }
+        ZipfSource { cdf, total: acc }
     }
 
     /// Draws one Zipf-distributed rank (0 = most popular).
     pub fn sample(&self, rng: &mut StdRng) -> u32 {
         let r = rng.gen::<f64>() * self.total;
         self.cdf.partition_point(|&c| c < r) as u32
-    }
-}
-
-impl KeySource for ZipfSource {
-    fn next_key(&mut self, _stream: StreamId, rng: &mut StdRng) -> u32 {
-        self.sample(rng)
-    }
-
-    fn domain(&self) -> u32 {
-        self.domain
     }
 }
 

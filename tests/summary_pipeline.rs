@@ -102,7 +102,7 @@ fn incremental_histogram_dft_matches_batch_over_workload() {
     }
     let batch = dsjoin::dft::Fft::new(domain).forward_real(&hist);
     for (a, b) in pd.coefficients().iter().zip(batch.iter().take(64)) {
-        assert!((*a - *b).abs() < 1e-6, "incremental {a} vs batch {b}");
+        assert!((*a - *b).abs() < 1e-6, "incremental {a:?} vs batch {b:?}");
     }
 }
 
