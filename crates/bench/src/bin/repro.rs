@@ -200,7 +200,7 @@ fn run_fig3(_: Scale, _: &Executor) -> Result<(), Failure> {
         "{:>4} {:>10} {:>12} {:>8} {:>10} {:>10}",
         "N", "eps(T=1)", "eps(T=logN)", "msgs(1)", "msgs(logN)", "msgs(BASE)"
     );
-    for r in figures::fig3(20) {
+    for r in figures::bounds(20) {
         println!(
             "{:>4} {:>10.3} {:>12.3} {:>8.1} {:>10.2} {:>10}",
             r.n, r.uniform_eps_t1, r.uniform_eps_tlog, r.msgs_t1, r.msgs_tlog, r.msgs_base
@@ -212,7 +212,7 @@ fn run_fig3(_: Scale, _: &Executor) -> Result<(), Failure> {
 fn run_fig4(_: Scale, _: &Executor) -> Result<(), Failure> {
     println!("\n## Figure 4 — Zipf(0.4) bounds (Theorem 3)");
     println!("{:>4} {:>10} {:>12}", "N", "eps(T=1)", "eps(T=logN)");
-    for r in figures::fig4(20) {
+    for r in figures::bounds(20) {
         println!(
             "{:>4} {:>10.3} {:>12.3}",
             r.n, r.zipf_eps_t1, r.zipf_eps_tlog

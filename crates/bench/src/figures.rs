@@ -5,7 +5,7 @@ use crate::suite::Executor;
 use dsj_core::theory::{self, BoundsRow};
 use dsj_core::wire::LinkBase;
 use dsj_core::{Algorithm, ClusterConfig, ExperimentReport, Msg, RunError, TargetComplexity};
-use dsj_dft::compress::{retained_for, CompressedDft};
+use dsj_dft::compress::CompressedDft;
 use dsj_stream::gen::{price_series, WorkloadKind};
 
 /// The paper's Zipf skew.
@@ -15,15 +15,10 @@ pub const PAPER_EPSILON: f64 = 0.15;
 /// The canonical compression factor (κ = 256).
 pub const PAPER_KAPPA: u32 = 256;
 
-/// Figure 3: analytic ε bounds and message complexity under uniform data,
-/// for `T = 1` and `T = log N`, clusters of 2..=`max_n` nodes.
-pub fn fig3(max_n: u16) -> Vec<BoundsRow> {
-    theory::bounds_table(max_n, PAPER_ALPHA)
-}
-
-/// Figure 4: analytic ε bounds under Zipf(α = 0.4) — same table, read the
-/// `zipf_*` columns.
-pub fn fig4(max_n: u16) -> Vec<BoundsRow> {
+/// Figures 3 and 4: analytic ε bounds and message complexity for `T = 1`
+/// and `T = log N`, clusters of 2..=`max_n` nodes. Figure 3 reads the
+/// uniform-data columns, Figure 4 the Zipf(α = 0.4) ones.
+pub fn bounds(max_n: u16) -> Vec<BoundsRow> {
     theory::bounds_table(max_n, PAPER_ALPHA)
 }
 
@@ -250,15 +245,14 @@ pub fn fig10a(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> 
         }
     }
     exec.try_map(cells, |_, (kappa, algorithm)| {
-        let r = cluster(scale, 8, algorithm)
+        let cfg = cluster(scale, 8, algorithm)
             .kappa(kappa)
-            .target(TargetComplexity::LogN)
-            .run()?;
+            .target(TargetComplexity::LogN);
         Ok(Fig10Row {
             x: kappa,
             algorithm,
-            epsilon: r.epsilon,
-            summary_bytes: retained_for(scale.domain() as usize, kappa) * 16,
+            epsilon: cfg.run()?.epsilon,
+            summary_bytes: cfg.retained() * 16,
         })
     })
 }
@@ -283,14 +277,12 @@ pub fn fig10b(scale: Scale, exec: &Executor) -> Result<Vec<Fig10Row>, RunError> 
         }
     }
     exec.try_map(cells, |_, (n, algorithm)| {
-        let r = cluster(scale, n, algorithm)
-            .target(TargetComplexity::LogN)
-            .run()?;
+        let cfg = cluster(scale, n, algorithm).target(TargetComplexity::LogN);
         Ok(Fig10Row {
             x: u32::from(n),
             algorithm,
-            epsilon: r.epsilon,
-            summary_bytes: retained_for(scale.domain() as usize, PAPER_KAPPA) * 16,
+            epsilon: cfg.run()?.epsilon,
+            summary_bytes: cfg.retained() * 16,
         })
     })
 }
@@ -451,8 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn fig3_and_fig4_tables() {
-        let rows = fig3(20);
+    fn bounds_tables() {
+        let rows = bounds(20);
         assert_eq!(rows.len(), 19);
         // Fig 3a: uniform bounds grow toward 1.
         assert!(rows.last().unwrap().uniform_eps_t1 > 0.89);

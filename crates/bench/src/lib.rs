@@ -9,8 +9,7 @@
 //! | Paper artifact | Module / function |
 //! |---|---|
 //! | Table 1 (summary maintenance CPU) | [`table1::run`] |
-//! | Fig. 3 (uniform bounds) | [`figures::fig3`] |
-//! | Fig. 4 (Zipf bounds) | [`figures::fig4`] |
+//! | Fig. 3 (uniform bounds), Fig. 4 (Zipf bounds) | [`figures::bounds`] |
 //! | Fig. 5 (per-value reconstruction error) | [`figures::fig5`] |
 //! | Fig. 6 (MSE vs compression factor) | [`figures::fig6`] |
 //! | Fig. 8 (coefficient overhead %) | [`figures::fig8`] |

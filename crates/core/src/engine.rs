@@ -20,9 +20,12 @@
 //! of the arrival's decision: its RNG, the route, the node's one arrival
 //! clock, what rides on each tuple message and which peers are owed a
 //! standalone summary. `Router::send_arrival` hands the engine each message
-//! as soon as it is built; the engine counts it and sends it into the
-//! transport. What a whole arrival still allocates is measured, not assumed
-//! (`tests/alloc_budget.rs`, per arrival on the paper-default schedule:
+//! as soon as it is built; the engine counts it, sizes it on its link to the
+//! peer ([`LinkBase::advance`], the byte model of the counters, the simnet
+//! links and the governor) and hands it to [`Transport::send`], whose TCP
+//! backend encodes the same bytes. What a whole arrival still allocates is
+//! measured, not assumed (`tests/alloc_budget.rs`, per arrival on the
+//! paper-default schedule:
 //! BASE 0, DFT 0.068, DFTT 0.063, BLOOM 0.020, SKCH 0.021 — the piggyback
 //! and `full_summaries` payload `Vec`s, plus the filter and sketch clones
 //! `full_summaries` makes for BLOOM and SKCH, which copy counters only).
@@ -95,19 +98,6 @@ pub trait Transport {
     /// Transport-specific delivery failure; the engine aborts its run loop
     /// on the first error.
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), Self::Error>;
-
-    /// Ships `msg`, which the engine has sized at `bytes` as the next frame
-    /// of its link to node `to` ([`LinkBase::advance`]), to `to`. The
-    /// default ignores the size; the TCP backend heads its frame with it
-    /// rather than sizing the message again.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send`].
-    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), Self::Error> {
-        let _ = bytes;
-        self.send(to, msg)
-    }
 
     /// Blocks until the next event for this node.
     ///
@@ -292,9 +282,7 @@ impl NodeEngine {
         transport: &mut T,
     ) -> Result<(), T::Error> {
         let now_us = transport.now_us();
-        self.arrival_at(tuple, now_us, |to, msg, bytes| {
-            transport.send_sized(to, msg, bytes)
-        })
+        self.arrival_at(tuple, now_us, |to, msg, _| transport.send(to, msg))
     }
 
     /// The arrival hot path (Fig. 7) at an already sampled timestamp
@@ -419,9 +407,7 @@ impl NodeEngine {
                 TransportEvent::Shutdown => return Ok(true),
             };
             let now_us = *frame_now_us.get_or_insert_with(|| transport.now_us());
-            self.arrival_at(tuple, now_us, |to, msg, bytes| {
-                transport.send_sized(to, msg, bytes)
-            })?;
+            self.arrival_at(tuple, now_us, |to, msg, _| transport.send(to, msg))?;
             if let Some(due_us) = due_us {
                 // Match-digest time: the tuple's matches are folded in, so a
                 // fresh clock sample here is the delivery latency an

@@ -71,91 +71,77 @@ impl ThroughputGovernor {
     }
 }
 
-/// Per-node counters aggregated into the experiment report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeMetrics {
+/// Declares [`NodeMetrics`] from one list of counters: the struct, its
+/// `node.<id>.<counter>` rows ([`NodeMetrics::record_into`]) and
+/// [`NodeMetrics::absorb`] all follow it, so a counter is one line.
+macro_rules! node_metrics {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Per-node counters aggregated into the experiment report.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NodeMetrics {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NodeMetrics {
+            /// Exports every counter into `registry` under
+            /// `node.<id>.<counter>` keys (the per-node section of the
+            /// `--metrics-out` record).
+            pub(crate) fn record_into(&self, registry: &mut crate::obs::Registry, me: u16) {
+                $(registry.counter_add(
+                    &format!("node.{me:02}.{}", stringify!($name)),
+                    self.$name,
+                );)*
+            }
+
+            /// Adds another node's counters into this one.
+            pub fn absorb(&mut self, other: &NodeMetrics) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+node_metrics! {
     /// Tuples that arrived at this node from its stream sources.
-    pub arrivals: u64,
+    arrivals,
     /// Matches found against this node's own windows at arrival time.
-    pub local_matches: u64,
+    local_matches,
     /// Matches found when forwarded tuples probed this node's windows.
-    pub remote_matches: u64,
+    remote_matches,
     /// Tuple messages sent.
-    pub tuple_msgs_sent: u64,
+    tuple_msgs_sent,
     /// Standalone summary messages sent.
-    pub summary_msgs_sent: u64,
+    summary_msgs_sent,
     /// Bytes of tuple payload sent (Figure 8's "net data").
-    pub data_bytes_sent: u64,
+    data_bytes_sent,
     /// Bytes of summary content sent (Figure 8's overhead).
-    pub overhead_bytes_sent: u64,
+    overhead_bytes_sent,
     /// Arrivals routed by the worst-case fallback policy.
-    pub fallback_routes: u64,
+    fallback_routes,
     /// Forwarded tuples received from peers.
-    pub tuples_received: u64,
+    tuples_received,
     /// Standalone summary messages received.
-    pub summaries_received: u64,
+    summaries_received,
     /// Summary updates dropped because their index fell outside the
     /// router's configured shape (a version-skewed or corrupted peer).
-    pub summary_index_drops: u64,
+    summary_index_drops,
     /// Arrivals dropped at ingest because their key fell outside the
     /// configured attribute domain (a corrupt or mis-configured source).
-    pub key_domain_drops: u64,
+    key_domain_drops,
     /// Forwarded tuples that trailed this node's window by more than its
     /// grace: the window as it stood at their arrival reached past the
     /// oldest expired tuple kept, so their match count may be short.
-    pub late_probes: u64,
+    late_probes,
     /// Expired tuples the as-of probes of forwarded tuples walked over
     /// (0 when no probe trails its destination's window, as under
     /// lockstep).
-    pub asof_records_walked: u64,
+    asof_records_walked,
 }
 
 impl NodeMetrics {
     /// Total matches this node reported (local + remote probes).
     pub fn matches(&self) -> u64 {
         self.local_matches + self.remote_matches
-    }
-
-    /// Exports every counter into `registry` under
-    /// `node.<id>.<counter>` keys (the per-node section of the
-    /// `--metrics-out` record).
-    pub(crate) fn record_into(&self, registry: &mut crate::obs::Registry, me: u16) {
-        for (name, value) in [
-            ("arrivals", self.arrivals),
-            ("local_matches", self.local_matches),
-            ("remote_matches", self.remote_matches),
-            ("tuple_msgs_sent", self.tuple_msgs_sent),
-            ("summary_msgs_sent", self.summary_msgs_sent),
-            ("data_bytes_sent", self.data_bytes_sent),
-            ("overhead_bytes_sent", self.overhead_bytes_sent),
-            ("fallback_routes", self.fallback_routes),
-            ("tuples_received", self.tuples_received),
-            ("summaries_received", self.summaries_received),
-            ("summary_index_drops", self.summary_index_drops),
-            ("key_domain_drops", self.key_domain_drops),
-            ("late_probes", self.late_probes),
-            ("asof_records_walked", self.asof_records_walked),
-        ] {
-            registry.counter_add(&format!("node.{me:02}.{name}"), value);
-        }
-    }
-
-    /// Adds another node's counters into this one.
-    pub fn absorb(&mut self, other: &NodeMetrics) {
-        self.arrivals += other.arrivals;
-        self.local_matches += other.local_matches;
-        self.remote_matches += other.remote_matches;
-        self.tuple_msgs_sent += other.tuple_msgs_sent;
-        self.summary_msgs_sent += other.summary_msgs_sent;
-        self.data_bytes_sent += other.data_bytes_sent;
-        self.overhead_bytes_sent += other.overhead_bytes_sent;
-        self.fallback_routes += other.fallback_routes;
-        self.tuples_received += other.tuples_received;
-        self.summaries_received += other.summaries_received;
-        self.summary_index_drops += other.summary_index_drops;
-        self.key_domain_drops += other.key_domain_drops;
-        self.late_probes += other.late_probes;
-        self.asof_records_walked += other.asof_records_walked;
     }
 }
 
@@ -294,9 +280,9 @@ mod tests {
         assert!(floor >= 0.05);
     }
 
-    #[test]
-    fn metrics_absorb_sums() {
-        let mut a = NodeMetrics {
+    /// Every counter set to its place in the list, from 1.
+    fn numbered() -> NodeMetrics {
+        NodeMetrics {
             arrivals: 1,
             local_matches: 2,
             remote_matches: 3,
@@ -311,7 +297,12 @@ mod tests {
             key_domain_drops: 12,
             late_probes: 13,
             asof_records_walked: 14,
-        };
+        }
+    }
+
+    #[test]
+    fn metrics_absorb_sums() {
+        let mut a = numbered();
         let b = a;
         a.absorb(&b);
         assert_eq!(a.arrivals, 2);
@@ -321,6 +312,24 @@ mod tests {
         assert_eq!(a.key_domain_drops, 24);
         assert_eq!(a.late_probes, 26);
         assert_eq!(a.asof_records_walked, 28);
+    }
+
+    #[test]
+    fn record_into_writes_one_row_per_counter() {
+        // The rows against the fields and values `Debug` prints.
+        let m = numbered();
+        let mut got = crate::obs::Registry::default();
+        m.record_into(&mut got, 7);
+        let debug = format!("{m:?}");
+        let fields = (debug.strip_prefix("NodeMetrics { "))
+            .and_then(|d| d.strip_suffix(" }"))
+            .unwrap();
+        let mut want = crate::obs::Registry::default();
+        for field in fields.split(", ") {
+            let (name, value) = field.split_once(": ").unwrap();
+            want.counter_add(&format!("node.07.{name}"), value.parse().unwrap());
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -562,7 +562,7 @@ impl ClusterConfig {
     }
 
     /// DFT coefficients retained per summary, `K = max(1, D/κ)`.
-    fn retained(&self) -> usize {
+    pub fn retained(&self) -> usize {
         ((self.domain / self.kappa.max(1)).max(1)) as usize
     }
 

@@ -5,9 +5,9 @@
 //! below is its reference. The encoder is written once, over a private byte
 //! sink: a `Vec<u8>` keeps the bytes, a counter only adds them up. The
 //! counting pass is [`LinkBase::advance`], so the simnet bandwidth model,
-//! the throughput governor, Figure 8's overhead accounting and the TCP
-//! backend in `dsj-runtime` all charge exactly the bytes a socket carries;
-//! it also gives the encoder the length it writes before the body.
+//! the throughput governor and Figure 8's overhead accounting all charge
+//! exactly the bytes a socket carries; the writing pass is
+//! [`FrameBatch::push`], which the TCP backend in `dsj-runtime` sends.
 //!
 //! # Frame layout (version 5)
 //!
@@ -168,9 +168,18 @@ impl LinkBase {
     /// frame its tuple would take alone (0 for a summary). The rest is
     /// summary overhead, a piggyback's share of the head included.
     pub fn advance(&mut self, msg: &Msg) -> (usize, usize) {
-        let sizes = sizes(msg, *self);
+        let framed = |body: usize| varint_len((body as u64) << 1) + body;
+        let mut body = Len(0);
+        let payloads = put_head(msg, *self, &mut body);
+        let data = match msg {
+            Msg::Tuple { .. } => framed(body.0),
+            Msg::Summary(_) => 0,
+        };
+        for p in payloads {
+            put_payload(p, &mut body);
+        }
         self.pass(msg);
-        sizes
+        (data, framed(body.0))
     }
 
     /// Decodes one frame from the front of `bytes` as this link's next,
@@ -221,21 +230,6 @@ impl LinkBase {
             self.seq = tuple.seq;
         }
     }
-}
-
-/// `msg`'s `(data, total)` sizes as a frame at `base` ([`LinkBase::advance`]).
-fn sizes(msg: &Msg, base: LinkBase) -> (usize, usize) {
-    let framed = |body: usize| varint_len((body as u64) << 1) + body;
-    let mut body = Len(0);
-    let payloads = put_head(msg, base, &mut body);
-    let data = match msg {
-        Msg::Tuple { .. } => framed(body.0),
-        Msg::Summary(_) => 0,
-    };
-    for p in payloads {
-        put_payload(p, &mut body);
-    }
-    (data, framed(body.0))
 }
 
 /// The head of `msg`'s frame around a body of `len` bytes: `len·2 + kind`.
@@ -679,26 +673,28 @@ impl FrameBatch {
         FrameBatch::default()
     }
 
-    /// Appends `msg` as the link's next frame.
+    /// Appends `msg` as the link's next frame. The body is written once,
+    /// behind the one-byte head of any body under 64 bytes; a longer body
+    /// moves up in place to make room for its longer head.
     pub fn push(&mut self, msg: &Msg) {
-        let (_, frame) = sizes(msg, self.link);
-        self.push_sized(msg, frame);
-    }
-
-    /// [`FrameBatch::push`] for a message already sized at `frame` bytes
-    /// by a [`LinkBase`] in step with this batch's (the engine's, for its
-    /// peer): the head comes from the size, not from a second counting
-    /// pass.
-    pub fn push_sized(&mut self, msg: &Msg, frame: usize) {
-        debug_assert_eq!(frame, sizes(msg, self.link).1, "sized at another base");
-        // The body is what the shortest head leaves of `frame`: one byte
-        // below 64, where the loop never turns.
-        let mut body = frame - 1;
-        while varint_len((body as u64) << 1) + body > frame {
-            body -= 1;
-        }
-        put_varint(&mut self.buf, head(msg, body));
+        let start = self.buf.len();
+        self.buf.push(0);
         put_body(msg, self.link, &mut self.buf);
+        let end = self.buf.len();
+        let mut head = head(msg, end - start - 1);
+        if head < 0x80 {
+            self.buf[start] = head as u8;
+        } else {
+            let len = varint_len(head);
+            self.buf.resize(end + len - 1, 0);
+            self.buf.copy_within(start + 1..end, start + len);
+            // `put_varint`'s bytes, written in place.
+            for b in &mut self.buf[start..start + len] {
+                *b = head as u8 | 0x80;
+                head >>= 7;
+            }
+            self.buf[start + len - 1] &= 0x7F;
+        }
         self.link.pass(msg);
         self.ends.push(self.buf.len());
     }
@@ -1377,8 +1373,8 @@ mod tests {
             alloc,
             "clear must keep the allocation"
         );
-        // A sized push's head frames its body exactly, for bodies on both
-        // sides of the one- to two-byte head.
+        // A push's head frames its body exactly, for bodies on both sides
+        // of the one- to two-byte head.
         for signal_len in [64, 128, 1 << 14, 1 << 21] {
             for n in 0..40 {
                 let m = Msg::Summary(vec![SummaryPayload::Dft {
@@ -1388,7 +1384,7 @@ mod tests {
                     updates: coeffs(n),
                 }]);
                 batch.clear();
-                batch.push_sized(&m, sizes_of(&m).1);
+                batch.push(&m);
                 let (back, consumed) = decode(batch.bytes()).unwrap();
                 assert_eq!(
                     (back, consumed),
@@ -1396,6 +1392,60 @@ mod tests {
                     "{signal_len}, {n}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_push_moves_a_long_body_up_behind_its_head() {
+        // Bloom summaries of one-byte counters whose bodies straddle the
+        // one-, two- and three-byte heads, each behind a bare tuple frame:
+        // a body of 11 + varint(m) + m bytes for m counters.
+        let bloom = |body: usize| {
+            let m = (0..body)
+                .find(|&m| 11 + varint_len(m as u64) + m == body)
+                .unwrap();
+            SummaryPayload::Bloom {
+                stream: StreamId::S,
+                filter: CountingBloomFilter::from_parts(4, 9, vec![1; m], 0),
+            }
+        };
+        let mut msgs = Vec::new();
+        let mut want_ends = Vec::new();
+        let mut end = 0;
+        for (seq, (body, head)) in [(63, 1), (64, 2), (8_191, 2), (8_192, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            let payload = bloom(body);
+            assert_eq!(payload_len(&payload), body);
+            msgs.push(Msg::Tuple {
+                tuple: Tuple::new(StreamId::R, 5, seq as u64, SENDER),
+                piggyback: Vec::new(),
+            });
+            end += 3;
+            want_ends.push(end);
+            msgs.push(Msg::Summary(vec![payload]));
+            end += head + body;
+            want_ends.push(end);
+        }
+        let mut batch = FrameBatch::new();
+        for m in &msgs {
+            batch.push(m);
+        }
+        assert_eq!(batch.frame_ends(), want_ends);
+        assert_eq!(batch.bytes().len(), end);
+        for chunk_len in [1, end] {
+            let mut dec = FrameDecoder::for_sender(SENDER);
+            let mut got = Vec::new();
+            for chunk in batch.bytes().chunks(chunk_len) {
+                assert!(dec
+                    .feed_decode(chunk, &mut |m| {
+                        got.push(m);
+                        true
+                    })
+                    .unwrap());
+            }
+            assert_eq!(got, msgs, "chunk_len {chunk_len}");
         }
     }
 

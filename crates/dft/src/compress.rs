@@ -286,7 +286,7 @@ pub struct ReconstructionStats {
 
 /// Number of coefficients retained for window `w` at compression factor `κ`.
 #[inline]
-pub fn retained_for(w: usize, kappa: u32) -> usize {
+fn retained_for(w: usize, kappa: u32) -> usize {
     w.div_ceil(kappa as usize).max(1)
 }
 

@@ -565,10 +565,6 @@ impl Transport for ReactorTransport {
         self.batch_for(to, |batch| batch.push(&msg))
     }
 
-    fn send_sized(&mut self, to: u16, msg: Msg, bytes: usize) -> Result<(), LiveError> {
-        self.batch_for(to, |batch| batch.push_sized(&msg, bytes))
-    }
-
     /// Order matters: one FIFO per node used to guarantee that a peer's
     /// probe is never processed ahead of a local arrival injected before
     /// the probe's tuple was — processing it early would probe a window

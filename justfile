@@ -7,15 +7,9 @@ ci: fmt-check clippy doc tier1 test-workspace test-release repro-smoke repro-che
 fmt-check:
     cargo fmt --check
 
-# Lint gate — warnings are errors. The second line is the clippy gate
-# (`clippy.toml`): panic-safety, float equality, hash order, wall clocks,
-# `unsafe`, missing docs and wildcard arms that hide a future enum variant,
-# over library and binary targets of every workspace crate; tests may
-# unwrap, hash and time, so the first line allows the two `disallowed_*`
-# lints.
+# Lint gate, warnings as errors: both clippy lines, see the script.
 clippy:
-    cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed-methods -A clippy::disallowed-types
-    cargo clippy --workspace --exclude rand --exclude proptest --lib --bins -- --no-deps -D warnings -F unsafe-code -D missing-docs -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -D clippy::todo -D clippy::unimplemented -D clippy::float_cmp -D clippy::disallowed_methods -D clippy::disallowed_types -D clippy::match_wildcard_for_single_variants
+    scripts/lint.sh
 
 # API docs must build without warnings.
 doc:
