@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn governor_sweep_trades_messages_for_error() {
-        let rows = governor(Scale::Quick, &Executor::serial()).unwrap();
+        let rows = governor(Scale::Quick, &Executor::new(1)).unwrap();
         let free = rows.iter().find(|r| r.budget_bps == 0).unwrap();
         let tight = rows.iter().find(|r| r.budget_bps == 3_600).unwrap();
         assert!(tight.msgs_per_tuple < free.msgs_per_tuple);
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn loss_increases_error_monotonically_for_base() {
-        let rows = loss(Scale::Quick, &Executor::serial()).unwrap();
+        let rows = loss(Scale::Quick, &Executor::new(1)).unwrap();
         let base: Vec<&LossRow> = rows
             .iter()
             .filter(|r| r.algorithm == Algorithm::Base)
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn detector_disabled_hurts_uniform() {
-        let rows = detector(Scale::Quick, &Executor::serial()).unwrap();
+        let rows = detector(Scale::Quick, &Executor::new(1)).unwrap();
         let uni_off = rows
             .iter()
             .find(|r| r.workload == "UNI" && r.threshold == 0.0)

@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn a_failed_section_is_reported_after_the_rest_have_run() {
         let wanted: [&Experiment; 3] = [&("a", emits_one), &("boom", fails), &("c", emits_one)];
-        let exec = Executor::serial();
+        let exec = Executor::new(1);
         let (records, failed) = run_sections(&wanted, Scale::Quick, &exec, true);
         assert!(failed);
         let seen: Vec<_> = records

@@ -224,11 +224,12 @@ fn cell_cfg(cell: &LoadCell, p: &SearchParams) -> ClusterConfig {
         .with_trace(Trace::from_arrivals(arrivals))
 }
 
-/// Whether a probe's outcome counts as sustained.
-fn sustainable(run: &LoadRun, p: &SearchParams) -> bool {
+/// Whether a probe's outcome at offered rate `rate` counts as sustained:
+/// it injected all `p.tuples` arrivals and kept pace with `rate`.
+fn sustainable(run: &LoadRun, rate: f64, p: &SearchParams) -> bool {
     !run.overloaded
-        && run.injected == run.total
-        && run.outcome.tuples_per_sec >= MIN_PACE * run.offered_tps
+        && run.injected == p.tuples
+        && run.outcome.tuples_per_sec >= MIN_PACE * rate
         && run.outcome.delivery_latency_us.quantile(0.99) <= p.latency_slo_us
 }
 
@@ -253,7 +254,7 @@ fn search(p: &SearchParams, mut run_probe: impl FnMut(f64) -> Option<LoadRun>) -
     let mut sustains = |rate: f64| {
         (0..2).find_map(|_| {
             probes += 1;
-            run_probe(rate).filter(|run| sustainable(run, p))
+            run_probe(rate).filter(|run| sustainable(run, rate, p))
         })
     };
 
@@ -321,11 +322,12 @@ mod tests {
         assert_eq!(ids.len(), full.len(), "cell ids must be unique");
     }
 
-    /// A probe at `offered` tuples/s that injected everything, achieved
-    /// `achieved` tuples/s and delivered every tuple in `latency_us`.
-    fn probe_run(offered: f64, achieved: f64, latency_us: u64) -> LoadRun {
+    /// A quick-scale probe that injected everything, achieved `achieved`
+    /// tuples/s and delivered every tuple in `latency_us`.
+    fn probe_run(achieved: f64, latency_us: u64) -> LoadRun {
         let mut delivery_latency_us = dsj_core::obs::Histogram::new();
         (0..100).for_each(|_| delivery_latency_us.record(latency_us));
+        let injected = SearchParams::new(Scale::Quick).tuples;
         LoadRun {
             outcome: dsj_runtime::LiveOutcome {
                 truth_matches: 0,
@@ -337,12 +339,10 @@ mod tests {
                 match_digests: Vec::new(),
                 transport_per_node: Vec::new(),
                 delivery_latency_us,
-                wall_time: std::time::Duration::from_secs_f64(100.0 / achieved),
+                wall_time: std::time::Duration::from_secs_f64(injected as f64 / achieved),
                 tuples_per_sec: achieved,
             },
-            offered_tps: offered,
-            injected: 100,
-            total: 100,
+            injected,
             peak_backlog: 0,
             overloaded: false,
         }
@@ -352,32 +352,30 @@ mod tests {
     fn a_probe_is_sustained_only_when_the_cluster_keeps_pace() {
         let p = SearchParams::new(Scale::Quick);
         let slo = p.latency_slo_us;
-        assert!(sustainable(&probe_run(100_000.0, 95_000.0, slo), &p));
-        assert!(sustainable(
-            &probe_run(100_000.0, MIN_PACE * 100_000.0, 50),
-            &p
-        ));
+        let at_100k = |run: &LoadRun| sustainable(run, 100_000.0, &p);
+        assert!(at_100k(&probe_run(95_000.0, slo)));
+        assert!(at_100k(&probe_run(MIN_PACE * 100_000.0, 50)));
         // Fell behind, though no bound tripped and latency is fine.
-        assert!(!sustainable(&probe_run(100_000.0, 89_000.0, 50), &p));
-        assert!(!sustainable(&probe_run(100_000.0, 15_000.0, 50), &p));
+        assert!(!at_100k(&probe_run(89_000.0, 50)));
+        assert!(!at_100k(&probe_run(15_000.0, 50)));
         // Kept pace, but over the SLO, cut short or overloaded.
-        assert!(!sustainable(&probe_run(100_000.0, 99_000.0, 2 * slo), &p));
+        assert!(!at_100k(&probe_run(99_000.0, 2 * slo)));
         let short = LoadRun {
-            injected: 99,
-            ..probe_run(100_000.0, 99_000.0, 50)
+            injected: p.tuples - 1,
+            ..probe_run(99_000.0, 50)
         };
-        assert!(!sustainable(&short, &p));
+        assert!(!at_100k(&short));
         let overloaded = LoadRun {
             overloaded: true,
-            ..probe_run(100_000.0, 99_000.0, 50)
+            ..probe_run(99_000.0, 50)
         };
-        assert!(!sustainable(&overloaded, &p));
+        assert!(!at_100k(&overloaded));
     }
 
     #[test]
     fn a_search_whose_probes_all_pass_is_a_lower_bound() {
         let p = SearchParams::new(Scale::Quick);
-        let row = search(&p, |rate| Some(probe_run(rate, rate, 50)));
+        let row = search(&p, |rate| Some(probe_run(rate, 50)));
         let ceiling = p.start_tps * 2f64.powi(p.max_doublings as i32);
         assert_eq!(row.max_sustainable_tps, ceiling);
         assert!(row.lower_bound);
@@ -386,7 +384,7 @@ mod tests {
         // A cluster that achieves at most 300 000 tuples/s: a probe fails
         // once that is below `MIN_PACE` of its rate, the bisections narrow
         // in from there, and the row is a capacity.
-        let capped = |rate: f64| Some(probe_run(rate, rate.min(300_000.0), 50));
+        let capped = |rate: f64| Some(probe_run(rate.min(300_000.0), 50));
         let row = search(&p, capped);
         assert!(!row.lower_bound);
         assert!(row.max_sustainable_tps >= 160_000.0, "{row:?}");
@@ -402,7 +400,7 @@ mod tests {
         let row = search(&p, |rate| {
             hiccup = !hiccup;
             let achieved = if hiccup { rate / 2.0 } else { rate };
-            Some(probe_run(rate, achieved, 50))
+            Some(probe_run(achieved, 50))
         });
         assert!(row.lower_bound, "{row:?}");
         assert_eq!(row.probes, 2 * (p.max_doublings + 1));

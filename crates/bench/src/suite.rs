@@ -17,7 +17,6 @@
 //! emitted — thread completion order never reaches a record.
 
 use dsj_core::obs;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A fixed-width worker pool that maps a function over items while
@@ -34,12 +33,6 @@ impl Executor {
         Self { jobs: jobs.max(1) }
     }
 
-    /// The serial executor: runs cells inline on the calling thread.
-    #[must_use]
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
     /// Applies `f(index, item)` to every item, fanning across the pool,
     /// and returns the results in submission order.
     ///
@@ -51,10 +44,6 @@ impl Executor {
     /// # Panics
     ///
     /// Propagates a panic from `f` once all workers have stopped.
-    #[allow(
-        clippy::expect_used,
-        reason = "scope() propagated worker panics, so every slot was filled"
-    )]
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -70,49 +59,40 @@ impl Executor {
                 .collect();
         }
         let capture = obs::enabled();
-        let work: Vec<Mutex<Option<(usize, T)>>> = items
-            .into_iter()
-            .enumerate()
-            .map(|cell| Mutex::new(Some(cell)))
-            .collect();
-        // One `(result, captured registries)` slot per cell.
-        let slots: Vec<_> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
+        let work = Mutex::new(items.into_iter().enumerate());
         let f = &f;
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(n) {
-                s.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let claimed = work[k].lock().unwrap_or_else(|e| e.into_inner()).take();
-                    // The atomic counter hands each index out once, so the
-                    // slot is always `Some` — but a worker that somehow
-                    // lost the race just moves on.
-                    let Some((index, item)) = claimed else {
-                        continue;
-                    };
-                    // A worker thread has no buffer open: capture the
-                    // cell's emissions only if the caller can take them.
-                    let done = if capture {
-                        obs::captured(|| f(index, item))
-                    } else {
-                        (f(index, item), Vec::new())
-                    };
-                    *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(done);
-                });
-            }
+        let mut done: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.jobs.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut cells = Vec::new();
+                        loop {
+                            // The lock is released before the cell runs.
+                            let next = work.lock().unwrap_or_else(|e| e.into_inner()).next();
+                            let Some((index, item)) = next else {
+                                return cells;
+                            };
+                            // A worker thread has no buffer open: capture the
+                            // cell's emissions only if the caller can take them.
+                            let cell = if capture {
+                                obs::captured(|| f(index, item))
+                            } else {
+                                (f(index, item), Vec::new())
+                            };
+                            cells.push((index, cell));
+                        }
+                    })
+                })
+                .collect();
+            (workers.into_iter())
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         // Re-emit into the caller's buffer in submission order: what it
         // merges is byte-identical to a serial run's.
-        slots
-            .into_iter()
-            .map(|slot| {
-                let (out, regs) = slot
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every slot filled by a worker");
+        done.sort_unstable_by_key(|&(index, _)| index);
+        (done.into_iter())
+            .map(|(_, (out, regs))| {
                 regs.into_iter().for_each(obs::emit);
                 out
             })
@@ -159,7 +139,7 @@ mod tests {
             x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32)
         };
         let items: Vec<u64> = (0..64).map(|i| 1000 + i).collect();
-        let serial = Executor::serial().map(items.clone(), work);
+        let serial = Executor::new(1).map(items.clone(), work);
         let parallel = Executor::new(4).map(items, work);
         assert_eq!(serial, parallel);
     }

@@ -70,14 +70,13 @@
 //!
 //! # Version policy
 //!
-//! The codec version, currently [`VERSION`] = 5, travels once per link, in
-//! the preface the TCP backend's dialer and acceptor exchange before any
-//! frame (`dsj-runtime`'s `tcp.rs`), not in every frame. A peer that names
-//! another version is refused there, with both versions named, so a mixed
-//! cluster fails loudly before a single frame is misread. Versions 1 to 4
-//! carried the version in each frame's first body byte (4 also sent
-//! `origin` and an absolute `seq`); no second decoder is kept, since every
-//! node of a cluster runs one build.
+//! The layout's version, 5, travels nowhere: neither frames nor links
+//! name it. Every node of a cluster runs one build, in one process —
+//! `dsj-runtime`'s `tcp.rs` opens both ends of every link itself — so no
+//! peer speaks another layout, and no second decoder is kept. A change to
+//! the frame layout, payload encodings or type tags still bumps the number
+//! in the heading above. A transport that joined processes would need a
+//! handshake of its own, and the version would travel there.
 //!
 //! Decoding is total: corrupted, truncated or oversized input returns a
 //! typed [`WireError`] — never a panic — which the property suite in
@@ -87,9 +86,6 @@ use crate::msg::{CoeffUpdate, Msg, SummaryPayload};
 use dsj_sketch::{AgmsSketch, CountingBloomFilter};
 use dsj_stream::{StreamId, Tuple};
 use std::fmt;
-
-/// Current codec version, named once per link by the TCP preface.
-pub const VERSION: u8 = 5;
 
 /// Upper bound on a frame body's length (16 MiB). Far above any summary
 /// this system produces; a head beyond it is treated as corruption rather

@@ -25,18 +25,6 @@ pub enum LiveError {
         /// The underlying I/O error, rendered.
         detail: String,
     },
-    /// A TCP link's preface named another wire version, or none: the link
-    /// is refused before a frame crosses it, since frames no longer carry
-    /// their version.
-    Version {
-        /// The node that refused the link.
-        node: u16,
-        /// The wire version this node speaks ([`dsj_core::wire::VERSION`]).
-        ours: u8,
-        /// The version the peer named; `None` when its preface lacks the
-        /// magic, as a version-4 or older peer's bare node id does.
-        theirs: Option<u8>,
-    },
     /// Bytes arriving on a TCP link failed to decode as a codec frame.
     Decode {
         /// The node that received the undecodable bytes.
@@ -64,7 +52,6 @@ impl LiveError {
             LiveError::Io { node, .. } => (3, Some(*node)),
             LiveError::Decode { node, .. } => (4, Some(*node)),
             LiveError::Faults(_) => (5, None),
-            LiveError::Version { node, .. } => (6, Some(*node)),
         }
     }
 }
@@ -76,17 +63,6 @@ impl fmt::Display for LiveError {
             LiveError::NodePanicked(id) => write!(f, "node thread {id} panicked"),
             LiveError::ChannelClosed => write!(f, "inter-node channel closed unexpectedly"),
             LiveError::Io { node, detail } => write!(f, "socket error at node {node}: {detail}"),
-            LiveError::Version { node, ours, theirs } => {
-                write!(
-                    f,
-                    "node {node} refused a link: the peer speaks wire version "
-                )?;
-                match theirs {
-                    Some(v) => write!(f, "{v}")?,
-                    None => write!(f, "4 or older (no versioned preface)")?,
-                }
-                write!(f, ", this node {ours}")
-            }
             LiveError::Decode { node, detail } => {
                 write!(f, "undecodable frame received at node {node}: {detail}")
             }
@@ -129,8 +105,8 @@ impl From<dsj_core::RunError> for LiveError {
 pub struct TransportStats {
     /// Wire frames this node fully wrote to its peers.
     pub frames_sent: u64,
-    /// Frame bytes this node's write queues accepted, link prefaces left
-    /// out: what the engine's byte model (`data_bytes_sent` +
+    /// Frame bytes this node's write queues accepted, every byte its links
+    /// carried: what the engine's byte model (`data_bytes_sent` +
     /// `overhead_bytes_sent`) must equal.
     pub bytes_sent: u64,
     /// Successful write syscalls (each moved ≥ 1 byte); coalescing makes

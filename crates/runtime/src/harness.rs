@@ -79,19 +79,14 @@ impl OpenLoop {
 }
 
 /// What one open-loop (load-generator) run measured: the regular outcome
-/// plus the offered rate and the feed's overload observations. Per-tuple
-/// delivery latency is in
+/// plus the feed's overload observations. Per-tuple delivery latency is in
 /// [`LiveOutcome::delivery_latency_us`](crate::LiveOutcome).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadRun {
     /// The run outcome; `tuples_per_sec` is the *achieved* rate.
     pub outcome: LiveOutcome,
-    /// The rate the feed tried to inject at, tuples per second.
-    pub offered_tps: f64,
     /// Arrivals injected before the run ended.
     pub injected: usize,
-    /// Arrivals the schedule held in total.
-    pub total: usize,
     /// Highest in-flight backlog observed at injection points.
     pub peak_backlog: i64,
     /// `true` when injection stopped early on overload.
@@ -471,9 +466,7 @@ pub(crate) fn run_open_loop(
     let (outcome, fed) = live(cfg, feed, spawn)?;
     Ok(LoadRun {
         outcome,
-        offered_tps: spec.rate_tps,
         injected: fed.injected,
-        total: cfg.tuples,
         peak_backlog: fed.peak_backlog,
         overloaded: fed.overloaded,
     })
@@ -964,7 +957,7 @@ mod tests {
         assert!(load.overloaded);
         assert_eq!(load.injected, 25);
         assert_eq!(load.peak_backlog, 25);
-        assert_eq!((load.total, seen.len()), (100, 25));
+        assert_eq!(seen.len(), 25);
     }
 
     impl Mailbox {

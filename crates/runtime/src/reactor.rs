@@ -508,25 +508,6 @@ impl ReactorTransport {
         }
     }
 
-    /// Appends a message to peer `to`'s batch with `push`, its link's next
-    /// frame, and counts it in flight.
-    fn batch_for(&mut self, to: u16, push: impl FnOnce(&mut FrameBatch)) -> Result<(), LiveError> {
-        let Some(Some(peer)) = self.peers.get_mut(to as usize) else {
-            return Err(LiveError::Io {
-                node: self.me,
-                detail: format!("no socket from node {} to peer {to}", self.me),
-            });
-        };
-        push(&mut peer.batch);
-        // Count the message in flight at batch time, before any byte
-        // becomes visible to the peer: the counter may briefly over-report
-        // (batched, not yet written) but never under-reports, and the
-        // engine flushes every frame before blocking, so batched messages
-        // cannot stall quiescence.
-        self.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-
     /// Reads every dirty link into `held` and retries parked writes headed
     /// here; returns how long the node may wait before it sweeps again
     /// unprompted — shorter while a link has bytes parked or frames this
@@ -561,8 +542,23 @@ impl ReactorTransport {
 impl Transport for ReactorTransport {
     type Error = LiveError;
 
+    /// Appends `msg` to peer `to`'s batch, its link's next frame, and
+    /// counts it in flight.
     fn send(&mut self, to: u16, msg: Msg) -> Result<(), LiveError> {
-        self.batch_for(to, |batch| batch.push(&msg))
+        let Some(Some(peer)) = self.peers.get_mut(to as usize) else {
+            return Err(LiveError::Io {
+                node: self.me,
+                detail: format!("no socket from node {} to peer {to}", self.me),
+            });
+        };
+        peer.batch.push(&msg);
+        // Count the message in flight at batch time, before any byte
+        // becomes visible to the peer: the counter may briefly over-report
+        // (batched, not yet written) but never under-reports, and the
+        // engine flushes every frame before blocking, so batched messages
+        // cannot stall quiescence.
+        self.inbox.in_flight.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Order matters: one FIFO per node used to guarantee that a peer's
@@ -664,8 +660,6 @@ mod tests {
     use super::*;
     use crate::explore::{Explorer, Scenario};
     use crate::harness;
-    use crate::tcp::{hello, read_hello};
-    use dsj_core::wire::VERSION;
     use dsj_core::Msg;
     use dsj_stream::{StreamId, Tuple};
     use std::net::TcpListener;
@@ -944,11 +938,10 @@ mod tests {
         assert!(peak > 0);
     }
 
-    /// One end-to-end read link for tests: listener, preface (written
-    /// one byte at a time, exercising [`read_hello`]'s short-read
-    /// handling) and a [`ReadLink`] over the accepted nonblocking socket,
-    /// drained by hand the way a node's sweep would. `encoder` encodes what
-    /// the test sends as the writer's frames.
+    /// One end-to-end read link for tests: a connected loopback pair and
+    /// a [`ReadLink`] over its nonblocking accepted end, drained by hand
+    /// the way a node's sweep would. `encoder` encodes what the test sends
+    /// as the writer's frames.
     struct LinkFixture {
         dialer: TcpStream,
         link: ReadLink,
@@ -961,21 +954,11 @@ mod tests {
     impl LinkFixture {
         fn spawn(from: u16) -> Self {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let acceptor = thread::spawn(move || {
-                let (mut stream, _) = listener.accept().unwrap();
-                let peer = read_hello(&mut stream, 0).unwrap();
-                stream.set_nonblocking(true).unwrap();
-                (stream, peer)
-            });
-            let mut dialer = TcpStream::connect(addr).unwrap();
+            let dialer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
             dialer.set_nodelay(true).unwrap();
-            for byte in hello(VERSION, from) {
-                dialer.write_all(&[byte]).unwrap();
-            }
-            let (stream, peer) = acceptor.join().unwrap();
-            assert_eq!(peer, from);
-            let out = OutLink::new(peer, Arc::new(dialer.try_clone().unwrap()));
+            stream.set_nonblocking(true).unwrap();
+            let out = OutLink::new(from, Arc::new(dialer.try_clone().unwrap()));
             LinkFixture {
                 dialer,
                 link: ReadLink::new(Arc::new(stream), 0, Arc::new(out)),

@@ -6,22 +6,18 @@
 //! vectored writes: N threads in total, which is what lets the backend run
 //! N = 128.
 //!
-//! Every link opens with a preface, the only place the wire version
-//! travels: the dialer writes [`MAGIC`], [`VERSION`] and its node id (two
-//! bytes, little-endian), so the accepting side knows which peer the bytes
-//! on that socket come from without trusting ephemeral port numbers; the
-//! acceptor writes [`MAGIC`] and [`VERSION`] back. Either end refuses any
-//! other preface with [`LiveError::Version`], naming both versions — a
-//! version-4 dialer's bare two-byte id included, which is told apart by
-//! its first two bytes, so the refusal needs no byte such a dialer never
-//! sends. Codec frames ([`dsj_core::wire::FrameDecoder`], one per link,
-//! holding the link's base and sender) are reassembled from the byte
-//! stream — frames arrive split and coalesced at TCP's whim — and decoded
-//! messages join the arrivals the feed queued in the node's mailbox in
-//! one engine frame. Node threads, wake-ups, in-flight accounting and
-//! teardown are the backend-independent harness shared with
-//! [`crate::LiveCluster`]; feeding, quiescence and the tally are
-//! `dsj-core`'s driver.
+//! One process opens every link, on one thread, so no byte on a link has
+//! to say whose it is: for pair `{i, j}` it connects to node `i`'s
+//! listener and accepts that same connection ([`pair`]), refusing an
+//! accepted socket whose peer is not the one it dialed. Both ends then
+//! speak this build's codec from the first frame. Codec frames
+//! ([`dsj_core::wire::FrameDecoder`], one per link, holding the link's base
+//! and sender) are reassembled from the byte stream — frames arrive split
+//! and coalesced at TCP's whim — and decoded messages join the arrivals
+//! the feed queued in the node's mailbox in one engine frame. Node threads,
+//! wake-ups, in-flight accounting and teardown are the backend-independent
+//! harness shared with [`crate::LiveCluster`]; feeding, quiescence and the
+//! tally are `dsj-core`'s driver.
 //!
 //! Everything stays on `127.0.0.1` with OS-assigned ports; nothing binds
 //! a routable interface.
@@ -29,21 +25,10 @@
 use crate::cluster::{LiveError, LiveOutcome, TransportStats};
 use crate::harness::{self, Pacing, Run};
 use crate::reactor::{OutLink, ReactorTransport, ReadLink};
-use dsj_core::wire::VERSION;
 use dsj_core::ClusterConfig;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
-
-/// The bytes every link preface starts with. Read as a version-4 dialer's
-/// little-endian node id they would name node 29 540, which no cluster
-/// runs, so the first two bytes tell such a dialer apart.
-pub(crate) const MAGIC: [u8; 4] = *b"dsjw";
-
-/// How long a preface may take to arrive before the link is given up.
-const PREFACE_WAIT: Duration = Duration::from_secs(10);
 
 pub(crate) fn io_err(node: u16, e: &io::Error) -> LiveError {
     LiveError::Io {
@@ -52,125 +37,38 @@ pub(crate) fn io_err(node: u16, e: &io::Error) -> LiveError {
     }
 }
 
-/// The dialer's preface: [`MAGIC`], `version` and its node id `id`.
-pub(crate) fn hello(version: u8, id: u16) -> [u8; 7] {
-    let [m0, m1, m2, m3] = MAGIC;
-    let [i0, i1] = id.to_le_bytes();
-    [m0, m1, m2, m3, version, i0, i1]
-}
-
-/// The acceptor's preface: [`MAGIC`] and `version`.
-pub(crate) fn reply(version: u8) -> [u8; 5] {
-    let [m0, m1, m2, m3] = MAGIC;
-    [m0, m1, m2, m3, version]
-}
-
-/// Reads a preface of `N` bytes into `buf` for node `me`: [`MAGIC`], then
-/// [`VERSION`], then whatever follows. The magic's first two bytes are
-/// checked before more is read, since a version-4 dialer sends two bytes
-/// and waits. `read_exact` rides out short reads and `EINTR`: loopback
-/// usually delivers a preface at once, but nothing guarantees it, and one
-/// split across reads must not be mistaken for a protocol error.
+/// Opens the link of pair `{i, j}` on node `i`'s `listener`, bound at
+/// `addr`: connects to it, then accepts that same connection, and returns
+/// `(node i's end, node j's end)`, both nodelay and nonblocking. A
+/// connection to a listener completes in the kernel before `accept` runs,
+/// so the accepted socket is the dialed one unless another process
+/// connected first; its peer address must be the dialed socket's own.
 ///
 /// # Errors
 ///
-/// [`LiveError::Version`] for another magic or version; [`LiveError::Io`]
-/// when the socket fails or the preface ends early.
-fn read_preface<const N: usize>(
-    stream: &mut impl Read,
-    me: u16,
-    buf: &mut [u8; N],
-) -> Result<(), LiveError> {
-    let refused = |theirs| LiveError::Version {
-        node: me,
-        ours: VERSION,
-        theirs,
-    };
-    let (head, rest) = buf.split_at_mut(2);
-    stream.read_exact(head).map_err(|e| io_err(me, &e))?;
-    if *head != MAGIC[..2] {
-        return Err(refused(None));
-    }
-    stream.read_exact(rest).map_err(|e| io_err(me, &e))?;
-    match buf[MAGIC.len()] {
-        _ if buf[..MAGIC.len()] != MAGIC => Err(refused(None)),
-        VERSION => Ok(()),
-        theirs => Err(refused(Some(theirs))),
-    }
-}
-
-/// Reads a dialer's [`hello`] at node `me`: the id of the peer it names.
-///
-/// # Errors
-///
-/// As [`read_preface`].
-pub(crate) fn read_hello(stream: &mut impl Read, me: u16) -> Result<u16, LiveError> {
-    let mut buf = [0u8; 7];
-    read_preface(stream, me, &mut buf)?;
-    Ok(u16::from_le_bytes([buf[5], buf[6]]))
-}
-
-/// Accepts node `me`'s links from every higher-id peer of an `n`-node
-/// cluster, each answered with this node's [`reply`], named by its
-/// [`hello`] and made nonblocking. An id outside `me+1..n`, or one seen
-/// twice, is `InvalidData`: its link would land out of place or over
-/// another peer's.
-///
-/// # Errors
-///
-/// [`LiveError::Version`] for a peer of another wire version, as
-/// [`read_preface`] finds it; [`LiveError::Io`] for a socket failure or
-/// an id out of place.
-fn accept_peers(
+/// [`LiveError::Io`] naming node `j` when the connect fails, and node `i`
+/// when the accept fails or yields any other connection.
+fn pair(
     listener: &TcpListener,
-    me: usize,
-    n: usize,
-) -> Result<Vec<(u16, TcpStream)>, LiveError> {
-    let node = me as u16;
-    let io = |e: io::Error| io_err(node, &e);
-    let mut seen = vec![false; n];
-    (me + 1..n)
-        .map(|_| {
-            let (mut stream, _) = listener.accept().map_err(io)?;
-            stream.set_nodelay(true).map_err(io)?;
-            stream.set_read_timeout(Some(PREFACE_WAIT)).map_err(io)?;
-            // Answered first, so a dialer of another version learns it too.
-            stream.write_all(&reply(VERSION)).map_err(io)?;
-            let peer = read_hello(&mut stream, node)?;
-            let p = usize::from(peer);
-            if p <= me || p >= n || std::mem::replace(&mut seen[p], true) {
-                return Err(io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "handshake names node {peer}, not a new peer in {}..{n}",
-                        me + 1
-                    ),
-                )));
-            }
-            stream.set_read_timeout(None).map_err(io)?;
-            stream.set_nonblocking(true).map_err(io)?;
-            Ok((peer, stream))
-        })
-        .collect()
-}
-
-/// Node `j`'s end of its link to the listener at `addr`: connected, its
-/// [`hello`] written, the acceptor's [`reply`] checked, made nonblocking.
-///
-/// # Errors
-///
-/// [`LiveError::Version`] for an acceptor of another wire version;
-/// [`LiveError::Io`] for a socket failure or a reply that never came.
-fn dial(addr: &SocketAddr, j: u16) -> Result<TcpStream, LiveError> {
-    let io = |e: io::Error| io_err(j, &e);
-    let mut stream = TcpStream::connect(addr).map_err(io)?;
-    stream.set_nodelay(true).map_err(io)?;
-    stream.set_read_timeout(Some(PREFACE_WAIT)).map_err(io)?;
-    stream.write_all(&hello(VERSION, j)).map_err(io)?;
-    read_preface(&mut stream, j, &mut [0u8; 5])?;
-    stream.set_read_timeout(None).map_err(io)?;
-    stream.set_nonblocking(true).map_err(io)?;
-    Ok(stream)
+    addr: SocketAddr,
+    i: u16,
+    j: u16,
+) -> Result<(TcpStream, TcpStream), LiveError> {
+    let dialed = TcpStream::connect(addr).map_err(|e| io_err(j, &e))?;
+    let io = |e: io::Error| io_err(i, &e);
+    let (accepted, peer) = listener.accept().map_err(io)?;
+    let ours = dialed.local_addr().map_err(io)?;
+    if peer != ours {
+        return Err(io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("accepted {peer}, not node {j}'s link from {ours}"),
+        )));
+    }
+    for end in [&accepted, &dialed] {
+        end.set_nodelay(true).map_err(io)?;
+        end.set_nonblocking(true).map_err(io)?;
+    }
+    Ok((accepted, dialed))
 }
 
 /// Adapter shim for `benches/e2e`, which still names the transport it
@@ -200,8 +98,7 @@ impl TcpCluster {
     ///
     /// [`LiveError::Config`] for invalid configurations;
     /// [`LiveError::Io`] / [`LiveError::Decode`] for socket-level
-    /// failures; [`LiveError::Version`] for a link whose peer speaks
-    /// another wire version; [`LiveError::NodePanicked`] if a node thread dies.
+    /// failures; [`LiveError::NodePanicked`] if a node thread dies.
     pub fn run(cfg: &ClusterConfig) -> Result<LiveOutcome, LiveError> {
         Self::run_paced(cfg, Pacing::Freerun)
     }
@@ -255,50 +152,28 @@ impl TcpCluster {
         Self::run_open_loop(cfg, spec)
     }
 
-    /// Binds the socket topology — for pair `{i, j}` with `i < j`, node `j`
-    /// dials node `i`'s listener — and spawns the node threads, each owning
-    /// the read half of its inbound links: the cluster the driver feeds, for
-    /// both entry points.
+    /// Opens the socket topology — for pair `{i, j}` with `i < j`, the
+    /// connection to node `i`'s listener, accepted on this thread — and
+    /// spawns the node threads, each owning the read half of its inbound
+    /// links: the cluster the driver feeds, for both entry points.
     fn spawn(cfg: &ClusterConfig) -> Result<Run, LiveError> {
         let mut run = Run::new(cfg.n);
         let n = cfg.n as usize;
 
-        // Bind every node's listener first so peers can dial in any order.
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-        for me in 0..n {
-            let listener =
-                TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_err(me as u16, &e))?;
-            addrs.push(listener.local_addr().map_err(|e| io_err(me as u16, &e))?);
-            listeners.push(listener);
-        }
-
-        // Accept side: node i takes one connection from every higher-id peer.
-        // Each acceptor returns its identified, nonblocking endpoints.
-        let mut acceptors = Vec::with_capacity(n);
-        for (me, listener) in listeners.into_iter().enumerate() {
-            acceptors.push(thread::spawn(move || accept_peers(&listener, me, n)));
-        }
-
-        // Dial side: node j (conceptually — dials run on this thread) opens
-        // the pair socket to every lower-id peer. `endpoint[a][b]` is node
-        // a's end of the {a, b} socket.
-        let mut endpoint: Vec<Vec<Option<Arc<TcpStream>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for (j, row) in endpoint.iter_mut().enumerate().skip(1) {
-            for (i, addr) in addrs.iter().enumerate().take(j) {
-                row[i] = Some(Arc::new(dial(addr, j as u16)?));
+        // Node i's listener is open only while its pairs are: one at a time.
+        let mut links = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for i in 0..cfg.n {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| io_err(i, &e))?;
+            let addr = listener.local_addr().map_err(|e| io_err(i, &e))?;
+            for j in i + 1..cfg.n {
+                links.push((usize::from(i), usize::from(j), pair(&listener, addr, i, j)?));
             }
         }
-        for (me, acceptor) in acceptors.into_iter().enumerate() {
-            match acceptor.join() {
-                Ok(accepted) => {
-                    for (peer, stream) in accepted? {
-                        endpoint[me][peer as usize] = Some(Arc::new(stream));
-                    }
-                }
-                Err(_) => return Err(LiveError::ChannelClosed),
-            }
+        // `endpoint[a][b]` is node a's end of the {a, b} socket.
+        let mut endpoint: Vec<Vec<Option<Arc<TcpStream>>>> = vec![vec![None; n]; n];
+        for (i, j, (ours, theirs)) in links {
+            endpoint[i][j] = Some(Arc::new(ours));
+            endpoint[j][i] = Some(Arc::new(theirs));
         }
 
         // The i → j write half lives on node i's endpoint of the pair socket;
@@ -371,116 +246,23 @@ mod tests {
             .seed(7)
     }
 
-    /// Node 1 of four accepting dialers that each write `hello` and keep
-    /// their socket open.
-    fn accept_hellos(hellos: &[&[u8]]) -> Result<Vec<(u16, TcpStream)>, LiveError> {
+    #[test]
+    fn pair_refuses_a_stranger_and_yields_the_dialed_connection() {
+        // Another socket that reached the listener first is what `accept`
+        // yields: refused, naming node 2 and the stranger's address.
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let _dialers: Vec<TcpStream> = (hellos.iter())
-            .map(|hello| {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream.write_all(hello).unwrap();
-                stream
-            })
-            .collect();
-        accept_peers(&listener, 1, 4)
-    }
-
-    #[test]
-    fn a_handshake_naming_no_new_higher_peer_is_invalid_data() {
-        // Node 1 of four accepts nodes 2 and 3, once each.
-        let dial = |ids: &[u16]| {
-            let hellos: Vec<[u8; 7]> = ids.iter().map(|&id| hello(VERSION, id)).collect();
-            accept_hellos(&hellos.iter().map(|h| &h[..]).collect::<Vec<_>>())
-        };
-        for ids in [&[0][..], &[1], &[4], &[u16::MAX], &[2, 2], &[3, 0]] {
-            match dial(ids) {
-                Err(LiveError::Io { node: 1, detail }) => {
-                    assert!(detail.starts_with("handshake names node"), "{detail}");
-                }
-                other => panic!("{ids:?}: {other:?}"),
-            }
+        let stranger = TcpStream::connect(addr).unwrap();
+        let from = stranger.local_addr().unwrap().to_string();
+        match pair(&listener, addr, 2, 3) {
+            Err(LiveError::Io { node: 2, detail }) => assert!(detail.contains(&from), "{detail}"),
+            other => panic!("{other:?}"),
         }
-        let peers: Vec<u16> = dial(&[3, 2]).unwrap().iter().map(|(p, _)| *p).collect();
-        assert_eq!(peers, [3, 2]);
-    }
-
-    #[test]
-    fn a_version_4_hello_is_refused_not_misread() {
-        // A version-4 dialer wrote its id alone, two bytes, and then
-        // waited; ids whose low byte is 5 (this version) or the magic's
-        // first included. Refused from those two bytes, never read as a
-        // preface or an id.
-        for id in [2u16, 3, 5, 0x0305, u16::from_le_bytes([MAGIC[0], 0])] {
-            let err = accept_hellos(&[&id.to_le_bytes()]).unwrap_err();
-            assert_eq!(
-                err,
-                LiveError::Version {
-                    node: 1,
-                    ours: VERSION,
-                    theirs: None
-                },
-                "{id}"
-            );
-            assert!(err.to_string().contains("4 or older"), "{err}");
-        }
-    }
-
-    #[test]
-    fn a_hello_of_another_version_is_refused_naming_both() {
-        for version in [0, 1, 2, 3, 4, 6, u8::MAX] {
-            let err = accept_hellos(&[&hello(version, 2)]).unwrap_err();
-            let want = LiveError::Version {
-                node: 1,
-                ours: VERSION,
-                theirs: Some(version),
-            };
-            assert_eq!(err, want);
-            let text = err.to_string();
-            assert!(
-                text.contains(&format!("version {version}, this node {VERSION}")),
-                "{text}"
-            );
-        }
-        // Another magic, even at this version, is no preface.
-        let mut stranger = hello(VERSION, 2);
-        stranger[3] ^= 1;
-        assert_eq!(
-            accept_hellos(&[&stranger]).unwrap_err(),
-            LiveError::Version {
-                node: 1,
-                ours: VERSION,
-                theirs: None
-            }
-        );
-    }
-
-    #[test]
-    fn a_reply_of_another_version_is_refused_by_the_dialer() {
-        // An acceptor that answers with another version: node 3's dial
-        // fails typed, naming both, and an acceptor that answers as this
-        // one does is dialed through.
-        for (version, want) in [(4, Err(Some(4))), (6, Err(Some(6))), (VERSION, Ok(()))] {
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let acceptor = thread::spawn(move || {
-                let (mut stream, _) = listener.accept().unwrap();
-                stream.write_all(&reply(version)).unwrap();
-                let mut hello = [0u8; 7];
-                stream.read_exact(&mut hello).unwrap();
-                hello
-            });
-            let dialed = dial(&addr, 3).map(|_| ()).map_err(|e| match e {
-                LiveError::Version {
-                    node: 3,
-                    ours: VERSION,
-                    theirs,
-                } => theirs,
-                other => panic!("{other:?}"),
-            });
-            assert_eq!(dialed, want, "{version}");
-            assert_eq!(acceptor.join().unwrap(), hello(VERSION, 3));
-        }
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (ours, theirs) = pair(&listener, addr, 2, 3).unwrap();
+        assert_eq!(ours.peer_addr().unwrap(), theirs.local_addr().unwrap());
+        assert_eq!(theirs.peer_addr().unwrap(), addr);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn reactor_thread_count_is_linear_in_n() {
     // A reader thread per link would add 32·31 = 992 threads on top of the
     // node threads at n=32. The budget is: n node threads (each reads its
     // own sockets; there is no reader pool) + the feeder, which is this
-    // thread + transient acceptors (n, but joined before nodes spawn).
+    // thread and also opens every link: set-up spawns no thread.
     // Assert the peak stays within n + 8 extra threads over the pre-run
     // baseline — room for the sampler and the test harness, an order of
     // magnitude below O(N²).

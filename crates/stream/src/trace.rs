@@ -22,7 +22,7 @@ use crate::gen::Arrival;
 /// );
 /// let trace = Trace::from_arrivals(gen.take_vec(1_000));
 /// assert_eq!(trace.len(), 1_000);
-/// assert!(trace.iter().all(|a| a.node < 4));
+/// assert!(trace.arrivals().iter().all(|a| a.node < 4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
@@ -56,20 +56,6 @@ impl Trace {
     /// The arrivals, in order.
     pub fn arrivals(&self) -> &[Arrival] {
         &self.arrivals
-    }
-
-    /// Iterates over the arrivals (replay).
-    pub fn iter(&self) -> impl Iterator<Item = Arrival> + '_ {
-        self.arrivals.iter().copied()
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = Arrival;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Arrival>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.arrivals.iter().copied()
     }
 }
 
