@@ -330,6 +330,7 @@ impl NodeEngine {
         self.router.route_into(tuple.stream, tuple.key, scale);
         let (_, fallback) = self.router.route();
         self.metrics.fallback_routes += u64::from(fallback);
+        self.count_work();
         let (metrics, governor, links) = (&mut self.metrics, &mut self.governor, &mut self.links);
         let me = self.me;
         self.router.send_arrival(tuple, |to, msg| {
@@ -375,6 +376,14 @@ impl NodeEngine {
         for p in payloads {
             self.metrics.summary_index_drops += self.router.apply_summary(from, p);
         }
+        self.count_work();
+    }
+
+    /// Moves the router's counted summary work into the tally.
+    fn count_work(&mut self) {
+        let work = self.router.take_work();
+        self.metrics.recon_terms += work.recon_terms;
+        self.metrics.bound_terms += work.bound_terms;
     }
 
     /// Processes one frame of events in arrival order, quiescing after

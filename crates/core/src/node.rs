@@ -136,6 +136,12 @@ node_metrics! {
     /// (0 when no probe trails its destination's window, as under
     /// lockstep).
     asof_records_walked,
+    /// DFTT reconstruction terms membership reads evaluated: columns read
+    /// times `K`.
+    recon_terms,
+    /// DFTT grid terms summary landings evaluated for the block bounds:
+    /// `K·(G + 1)` per landed column.
+    bound_terms,
 }
 
 impl NodeMetrics {
@@ -297,6 +303,8 @@ mod tests {
             key_domain_drops: 12,
             late_probes: 13,
             asof_records_walked: 14,
+            recon_terms: 15,
+            bound_terms: 16,
         }
     }
 

@@ -1071,9 +1071,14 @@ mod tests {
     fn handles(plan: &Plan) -> Vec<usize> {
         match &plan.tables {
             Tables::None => Vec::new(),
-            Tables::Dft { forward, inverse } => std::iter::once(forward)
+            Tables::Dft {
+                forward,
+                inverse,
+                grid,
+            } => std::iter::once(forward)
                 .chain(inverse)
                 .map(Arc::strong_count)
+                .chain(grid.iter().map(Arc::strong_count))
                 .collect(),
             Tables::Bloom(hashes) => vec![Arc::strong_count(hashes)],
             Tables::Sketch(hashes) => vec![Arc::strong_count(hashes)],
@@ -1088,7 +1093,7 @@ mod tests {
         for (algorithm, per_node) in [
             (Algorithm::Base, vec![]),
             (Algorithm::Dft, vec![2]),
-            (Algorithm::Dftt, vec![2, 1]),
+            (Algorithm::Dftt, vec![2, 1, 1]),
             (Algorithm::Bloom, vec![2]),
             (Algorithm::Sketch, vec![2]),
         ] {

@@ -98,6 +98,16 @@ const RHO_REFRESH: u64 = 64;
 /// data, the regime Figure 8 reports.
 const PIGGYBACK_GAP: u64 = 192;
 
+/// Summary work counted in units of one multiply-add, moved into the
+/// node's tally once per arrival and once per received message.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Bucket terms membership reads evaluated: columns read × `K`.
+    pub recon_terms: u64,
+    /// Grid terms landings evaluated: `K·(G + 1)` per landed column.
+    pub bound_terms: u64,
+}
+
 /// Per-node configuration shared by all routers.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterConfig {
@@ -365,11 +375,16 @@ impl Router {
         let m = peers.len();
         let summary = match &cfg.plan.tables {
             Tables::None => Summary::None,
-            Tables::Dft { forward, inverse } => Summary::Dft(Box::new(DftSummary::new(
+            Tables::Dft {
+                forward,
+                inverse,
+                grid,
+            } => Summary::Dft(Box::new(DftSummary::new(
                 &cfg,
                 m,
                 forward,
                 inverse.as_ref(),
+                grid.as_ref(),
             ))),
             Tables::Bloom(hashes) => Summary::Bloom(Box::new(BloomSummary::new(m, hashes))),
             Tables::Sketch(hashes) => Summary::Sketch(Box::new(SketchSummary::new(m, hashes))),
@@ -444,6 +459,14 @@ impl Router {
     fn explore_probability(&self, target: f64) -> f64 {
         let frac = ((target - 1.0) / ((self.cfg.n as f64) - 2.0).max(1.0)).clamp(0.0, 1.0);
         (EXPLORE + frac * (1.0 - EXPLORE)).min(1.0)
+    }
+
+    /// The summary work counted since the last call, which it resets.
+    pub fn take_work(&mut self) -> Work {
+        match &mut self.summary {
+            Summary::Dft(d) => d.take_work(),
+            _ => Work::default(),
+        }
     }
 
     /// The last arrival's route: its peers, and whether the fallback

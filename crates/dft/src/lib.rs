@@ -19,7 +19,8 @@
 //!   *O(K)* and allocation-free, for routers that probe one key of a
 //!   peer's window estimate per tuple; [`PointwiseRecon::eval_columns`]
 //!   reads one key's bucket of every peer's prefix, held as the columns of
-//!   bin-major coefficient planes, in one pass ([`recon`]).
+//!   bin-major coefficient planes, in one pass, and [`BlockGrid`] bounds a
+//!   prefix's reconstruction per block of keys ([`recon`]).
 //! * [`spectrum`] — the cross-correlation coefficient `ρ` of Eqn. 4,
 //!   computed directly from (possibly compressed) DFT coefficients.
 //!
@@ -53,7 +54,7 @@ pub use compress::{CompressedDft, CompressionError, ReconstructionStats, Selecti
 pub use control::ControlVector;
 pub use dft::dft_direct;
 pub use fft::Fft;
-pub use recon::PointwiseRecon;
+pub use recon::{BlockGrid, PointwiseRecon};
 pub use sliding::SlidingDft;
 pub use spectrum::cross_correlation_coefficient;
 

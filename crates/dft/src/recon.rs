@@ -202,6 +202,148 @@ impl PointwiseRecon {
         }
         true
     }
+
+    /// Bucket `idx` of column `col` alone of the planes
+    /// [`PointwiseRecon::eval_columns`] reads: bit for bit what that pass
+    /// writes to `acc[col]`, the same expression summed in the same bin
+    /// order from zero. `None` when `idx >= W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plane does not hold `K` bins of at least `col + 1`
+    /// columns.
+    pub fn eval_column(&self, re: &[f64], im: &[f64], col: usize, idx: usize) -> Option<f64> {
+        let w = self.signal_len;
+        if idx >= w {
+            return None;
+        }
+        let m = re.len() / self.retained;
+        assert!(
+            col < m && re.len() == self.retained * m && im.len() == re.len(),
+            "planes must hold K bins of every column"
+        );
+        let (mut acc, mut q) = (0.0, 0usize);
+        for bin in 0..self.retained {
+            let (scale, tw) = (self.scale(bin), self.twiddle[q]);
+            acc += scale * (re[bin * m + col] * tw.re - im[bin * m + col] * tw.im);
+            q += idx;
+            if q >= w {
+                q -= w;
+            }
+        }
+        Some(acc)
+    }
+
+    /// Which blocks of `grid` the reconstruction of `coeffs` (`K` bins) can
+    /// reach `threshold` in: `mark(j, reach)` for every block `j` in order.
+    /// `edges` is scratch for the `G + 1` edge values.
+    ///
+    /// On a block between edges `a` and `b`, `f ≤ max(f(a), f(b)) +
+    /// M₂·ℓ²/8`, with `ℓ` the block's width and `M₂ = Σ_b s_b·|X_b|·(2πb/W)²`
+    /// a bound on `|f''|`. The edge values are summed bin by bin across all
+    /// edges at once, so they may differ from [`PointwiseRecon::eval`] in
+    /// the last bits; the margin `1e-9·(1 + Σ_b s_b·(|re| + |im|))` absorbs
+    /// that rounding and any bucket read's, each a sum of terms no larger
+    /// than `s_b·(|re| + |im|)`. Costs `K·(G + 1)` terms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` does not hold `K` bins, `grid` was built for
+    /// another plan, or `edges` is shorter than `G + 1`.
+    pub fn reach(
+        &self,
+        grid: &BlockGrid,
+        coeffs: &[Complex64],
+        edges: &mut [f64],
+        threshold: f64,
+        mut mark: impl FnMut(usize, bool),
+    ) {
+        let k = self.retained;
+        assert!(
+            coeffs.len() == k && grid.curvature.len() == k,
+            "a column of K bins over this plan's grid"
+        );
+        let n = grid.re.len() / k;
+        let f = &mut edges[..n];
+        f.fill(0.0);
+        let (mut m2, mut mass) = (0.0, 0.0);
+        let rows = grid.re.chunks_exact(n).zip(grid.im.chunks_exact(n));
+        for (bin, ((c, w), (re, im))) in
+            coeffs.iter().zip(&grid.curvature[..]).zip(rows).enumerate()
+        {
+            let s = self.scale(bin);
+            m2 += w * c.norm_sqr().sqrt();
+            mass += s * (c.re.abs() + c.im.abs());
+            let (a, b) = (s * c.re, s * c.im);
+            for ((v, &r), &i) in f.iter_mut().zip(re).zip(im) {
+                *v += a * r - b * i;
+            }
+        }
+        let margin = 1e-9 * (1.0 + mass);
+        for (j, pair) in f.windows(2).enumerate() {
+            let width = grid.block.min(self.signal_len - j * grid.block) as f64;
+            mark(
+                j,
+                pair[0].max(pair[1]) + m2 * width * width / 8.0 + margin >= threshold,
+            );
+        }
+    }
+}
+
+/// The block edges of a [`PointwiseRecon`]'s key range, for
+/// [`PointwiseRecon::reach`]: blocks of `L` keys, the last one short when
+/// `L` does not divide `W`, with the rotations `cis(2π·bin·e/W)` at each of
+/// the `G + 1` edges `e = 0, L, …, W` and each bin's curvature weight. One
+/// grid serves every plan over the same `W` and `K`.
+#[derive(Debug)]
+pub struct BlockGrid {
+    /// Keys per block `L`.
+    block: usize,
+    /// Bin-major rotation planes: `re[b·(G + 1) + j]` and `im[…]` hold the
+    /// entry of the plan's twiddle table that [`PointwiseRecon::eval`]
+    /// reads for bin `b` at edge `j`'s key (the edge `W` reads as key `0`).
+    re: Box<[f64]>,
+    im: Box<[f64]>,
+    /// `s_b·(2πb/W)²`: bin `b`'s weight in the curvature bound `M₂`.
+    curvature: Box<[f64]>,
+}
+
+impl BlockGrid {
+    /// The grid of blocks of `block` keys over `plan`'s signal length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is zero.
+    pub fn new(plan: &PointwiseRecon, block: usize) -> Self {
+        assert!(block >= 1, "blocks hold at least one key");
+        let (w, k) = (plan.signal_len, plan.retained);
+        let blocks = w.div_ceil(block);
+        let rotations: Vec<Complex64> = (0..k)
+            .flat_map(|bin| (0..=blocks).map(move |j| plan.twiddle[bin * (j * block).min(w) % w]))
+            .collect();
+        let curvature = (0..k)
+            .map(|bin| {
+                let omega = 2.0 * PI * bin as f64 / w as f64;
+                plan.scale(bin) * omega * omega
+            })
+            .collect();
+        BlockGrid {
+            block,
+            re: rotations.iter().map(|c| c.re).collect(),
+            im: rotations.iter().map(|c| c.im).collect(),
+            curvature,
+        }
+    }
+
+    /// Keys per block `L`.
+    pub fn block(&self) -> usize {
+        self.block
+    }
+
+    /// Number of blocks `G = ⌈W / L⌉`.
+    pub fn blocks(&self) -> usize {
+        self.re.len() / self.curvature.len() - 1
+    }
 }
 
 #[cfg(test)]

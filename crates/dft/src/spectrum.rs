@@ -60,9 +60,18 @@ pub fn cross_moment(x: &[Complex64], y: &[Complex64], w: usize) -> f64 {
 /// Clamped to `[-1, 1]`; returns 0 when either signal has (numerically)
 /// zero energy.
 pub fn cross_correlation_coefficient(x: &[Complex64], y: &[Complex64], w: usize) -> f64 {
-    let sxy = cross_moment(x, y, w);
-    let sx = cross_moment(x, x, w);
-    let sy = cross_moment(y, y, w);
+    rho_from_moments(
+        cross_moment(x, y, w),
+        cross_moment(x, x, w),
+        cross_moment(y, y, w),
+    )
+}
+
+/// `ρ = sxy / √(sx·sy)` from the three moments
+/// [`cross_correlation_coefficient`] takes, for a caller that holds the
+/// energies `sx` and `sy` already; clamped to `[-1, 1]`, and 0 when either
+/// signal has (numerically) zero energy.
+pub fn rho_from_moments(sxy: f64, sx: f64, sy: f64) -> f64 {
     let denom = (sx * sy).sqrt();
     // NaN-safe guard: zero-energy or non-finite spectra carry no signal.
     if denom.is_nan() || denom <= 1e-12 {

@@ -48,10 +48,12 @@ live-tcp n="4" tuples="20000" algorithm="dftt" pacing="freerun":
     ./target/release/examples/live_tcp {{n}} {{tuples}} {{algorithm}} {{pacing}}
 
 # The benchmark (benches/e2e) is its own workspace, so nothing above
-# compiles it: run its unit tests and its quick correctness gate.
+# compiles it: run its unit tests, its quick correctness gate and the
+# zero-drift rows.
 e2e-smoke:
     cargo test --offline --manifest-path benches/e2e/Cargo.toml
     benches/e2e/run.sh /tmp/e2e.json --quick
+    scripts/zero-drift.sh
 
 # The non-test line count of the library and the rest: see the script.
 # Every line target in ROADMAP.md is measured by it.
